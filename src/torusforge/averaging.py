@@ -15,7 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +47,50 @@ class ComplexPairLost(AveragingError):
 
 class StrongResonance(AveragingError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the numeric boundary: exact terms -> straight-line evaluator
+# ---------------------------------------------------------------------------
+
+def compile_terms(terms: Mapping[Tuple[int, ...], Union[float, complex]],
+                  names: Sequence[str]) -> Callable:
+    """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
+    of the named variables; the one place where exact terms become numbers.
+
+    `terms` maps exponent tuples (one exponent per name; negative exponents
+    allowed) to float or complex coefficients.  Each power is computed once,
+    by repeated multiplication (and 1.0 / v for negative exponents), and the
+    terms are summed in the mapping's order.  Only +, * and that division are
+    used, so Python floats, complex numbers, numpy arrays and Jet2 values all
+    evaluate.  Zero coefficients are dropped; no terms evaluates to 0.0.
+    Coefficients are bound by name, never printed into the source.
+    """
+    namespace: Dict[str, object] = {}
+    powers: Dict[str, str] = {}        # local name -> expression, in order
+    sums: List[str] = []
+
+    def power(i: int, e: int) -> str:
+        if e == 1:
+            return names[i]
+        local = f"_p{i}_{e}" if e > 0 else f"_p{i}_m{-e}"
+        if local not in powers:
+            step = 1 if e > 0 else -1
+            powers[local] = (f"1.0 / {names[i]}" if e == -1
+                             else f"{power(i, e - step)} * {power(i, step)}")
+        return local
+
+    for n, (exps, c) in enumerate(terms.items()):
+        if not c:
+            continue
+        namespace[f"_c{n}"] = c
+        product = " * ".join([f"_c{n}"] + [power(i, int(e)) for i, e in enumerate(exps) if e])
+        sums.append(f"    _s = _s + {product}" if sums else f"    _s = {product}")
+    body = ([f"    {local} = {value}" for local, value in powers.items()] + sums
+            + ["    return _s" if sums else "    return 0.0"])
+    source = f"def evaluate({', '.join(names)}):\n" + "\n".join(body) + "\n"
+    exec(compile(source, "<compile_terms>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +231,11 @@ class TrigPoly:
         return TrigPoly({(m, a, b - 1, c): v * b
                          for (m, a, b, c), v in self.terms.items() if b})
 
-    def compile(self) -> Callable:
-        """Numeric evaluator (theta may be a numpy array)."""
-        ms = np.array([k[0] for k in self.terms], dtype=float)
-        ra = np.array([k[1] for k in self.terms], dtype=float)
-        wb = np.array([k[2] for k in self.terms], dtype=float)
-        mc = np.array([k[3] for k in self.terms], dtype=float)
-        cs = np.array([complex(v) for v in self.terms.values()])
-
-        def evaluate(theta, r, w, mu=0.0):
-            theta = np.asarray(theta, dtype=float)
-            phase = np.exp(1j * np.multiply.outer(theta, ms))
-            vals = phase * (cs * r ** ra * w ** wb * mu ** mc)
-            return np.real(vals.sum(axis=-1))
-
-        if not self.terms:
-            return lambda theta, r, w, mu=0.0: np.zeros_like(np.asarray(theta, dtype=float))
-        return evaluate
+    def evaluator(self) -> Callable:
+        """Compiled f(u, r, w, mu) with u = e^{i theta}; the value of this
+        (real) trig polynomial is the real part."""
+        return compile_terms({k: complex(c) for k, c in self.terms.items()},
+                             ("u", "r", "w", "mu"))
 
     def __repr__(self):
         return f"TrigPoly({len(self.terms)} terms)"
@@ -284,22 +317,11 @@ class PiPoly:
                     tgt[d] = tgt.get(d, Fraction(0)) + q * e
         return PiPoly(out)
 
-    def eval(self, r: float, w: float, mu: float = 0.0) -> float:
-        total = 0.0
-        for (ra, wb, mc), pp in self.terms.items():
-            coeff = sum(float(q) * math.pi ** d for d, q in pp.items())
-            total += coeff * r ** ra * w ** wb * mu ** mc
-        return total
-
-    def eval_exact(self, r: Fraction, w: Fraction, mu: Fraction = Fraction(0)
-                   ) -> Dict[int, Fraction]:
-        """Exact value as a Q[pi] element, for rational arguments."""
-        out: Dict[int, Fraction] = {}
-        for (ra, wb, mc), pp in self.terms.items():
-            mono = (Fraction(r) ** ra) * (Fraction(w) ** wb) * (Fraction(mu) ** mc)
-            for d, q in pp.items():
-                out[d] = out.get(d, Fraction(0)) + q * mono
-        return {d: q for d, q in out.items() if q}
+    def evaluator(self) -> Callable:
+        """Compiled (r, w, mu) -> value, the Q[pi] coefficients folded to
+        floats once."""
+        return compile_terms({k: sum(float(q) * math.pi ** d for d, q in pp.items())
+                              for k, pp in self.terms.items()}, ("r", "w", "mu"))
 
     def __eq__(self, other):
         return isinstance(other, PiPoly) and self.terms == other.terms
@@ -361,17 +383,19 @@ class StandardFormSystem:
     family: PerturbationFamily
     slices: Tuple[Tuple[Poly, Poly, Poly], ...]   # exact eps-graded field slices
 
-    def __post_init__(self):
-        self._f1_eval = tuple(t.compile() for t in self.F1)
-        self._f2_eval = tuple(t.compile() for t in self.F2)
-        self._df1_eval = tuple(tuple(d.compile() for d in (t.diff_r(), t.diff_w()))
-                               for t in self.F1)
+    # compiled on first numeric use: first_lyapunov_quantity never evaluates F
+    @cached_property
+    def _f1_eval(self):
+        return tuple(t.evaluator() for t in self.F1)
 
-    @property
-    def has_higher_order_remainder(self) -> bool:
-        """True when the rescaled field carries exact eps^3+ terms (the
-        F-tilde remainder of the standard form is then nonzero)."""
-        return len(self.slices) > 3
+    @cached_property
+    def _f2_eval(self):
+        return tuple(t.evaluator() for t in self.F2)
+
+    @cached_property
+    def _df1_eval(self):
+        return tuple(tuple(d.evaluator() for d in (t.diff_r(), t.diff_w()))
+                     for t in self.F1)
 
     def _mu(self, mu):
         if mu is None:
@@ -380,23 +404,21 @@ class StandardFormSystem:
             return self.mu_default
         return mu
 
-    def eval_F1(self, theta, x, mu=None):
+    def _eval(self, evaluators, theta, x, mu):
+        """Re f(e^{i theta}, r, w, mu) for each evaluator; theta is a scalar."""
         mu = self._mu(mu)
+        u = cmath.exp(1j * theta)
         r, w = x
-        return np.array([self._f1_eval[0](theta, r, w, mu),
-                         self._f1_eval[1](theta, r, w, mu)])
+        return np.array([f(u, r, w, mu).real for f in evaluators])
+
+    def eval_F1(self, theta, x, mu=None):
+        return self._eval(self._f1_eval, theta, x, mu)
 
     def eval_F2(self, theta, x, mu=None):
-        mu = self._mu(mu)
-        r, w = x
-        return np.array([self._f2_eval[0](theta, r, w, mu),
-                         self._f2_eval[1](theta, r, w, mu)])
+        return self._eval(self._f2_eval, theta, x, mu)
 
     def eval_DF1(self, theta, x, mu=None):
-        mu = self._mu(mu)
-        r, w = x
-        return np.array([[self._df1_eval[i][j](theta, r, w, mu)
-                          for j in range(2)] for i in range(2)])
+        return np.stack([self._eval(row, theta, x, mu) for row in self._df1_eval])
 
     def periodicity_residual(self, samples: Sequence[Tuple[float, float]],
                              mu=None) -> float:
@@ -482,23 +504,34 @@ class MelnikovPair:
     f1_exact: Tuple[PiPoly, PiPoly]
     f2_exact: Tuple[PiPoly, PiPoly]
 
+    # compiled on first use: first_lyapunov_quantity needs f1 and f2 only
+    @cached_property
+    def _f1_eval(self):
+        return tuple(p.evaluator() for p in self.f1_exact)
+
+    @cached_property
+    def _df1_eval(self):
+        return tuple(tuple(p.diff(j).evaluator() for j in range(2))
+                     for p in self.f1_exact)
+
+    @cached_property
+    def _f2_eval(self):
+        return tuple(p.evaluator() for p in self.f2_exact)
+
     def f1(self, x, mu=None) -> np.ndarray:
         mu = self.std._mu(mu)
         r, w = x
-        return np.array([self.f1_exact[0].eval(r, w, mu),
-                         self.f1_exact[1].eval(r, w, mu)])
+        return np.array([f(r, w, mu) for f in self._f1_eval])
 
     def f1_jacobian(self, x, mu=None) -> np.ndarray:
         mu = self.std._mu(mu)
         r, w = x
-        return np.array([[self.f1_exact[i].diff(j).eval(r, w, mu)
-                          for j in range(2)] for i in range(2)])
+        return np.array([[f(r, w, mu) for f in row] for row in self._df1_eval])
 
     def f2_closed(self, x, mu=None) -> np.ndarray:
         mu = self.std._mu(mu)
         r, w = x
-        return np.array([self.f2_exact[0].eval(r, w, mu),
-                         self.f2_exact[1].eval(r, w, mu)])
+        return np.array([f(r, w, mu) for f in self._f2_eval])
 
     def f1_quadrature(self, x, mu=None, tol=QUADRATURE_TOL) -> np.ndarray:
         mu = self.std._mu(mu)
@@ -620,13 +653,12 @@ def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
     r = math.sqrt(-gamma)
 
     # Newton polish on f1^2(., w)
-    f1_2 = mel.f1_exact[1]
-    df = f1_2.diff(0)
+    f1_2, df = mel._f1_eval[1], mel._df1_eval[1][0]
     for _ in range(60):
-        val = f1_2.eval(r, w, mu)
+        val = f1_2(r, w, mu)
         if abs(val) <= EQUILIBRIUM_RESIDUAL:
             break
-        slope = df.eval(r, w, mu)
+        slope = df(r, w, mu)
         if slope == 0 or not math.isfinite(slope):
             raise NewtonDiverged("flat slope in radius Newton")
         r -= val / slope
@@ -752,32 +784,24 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
 
     gamma_scale = math.sqrt(abs(float(S)))
     r0 = 2.0 / gamma_scale
-    x0 = (r0, 0.0)
     omega0 = math.pi * math.sqrt(Omega) * r0
 
-    f1v = [mel.f1_exact[i] for i in range(2)]
-    f2v = [mel.f2_exact[i] for i in range(2)]
+    # derivative tensors at (r, w, mu) = (r0, 0, 0), read off the compiled f1,
+    # f2 evaluated on degree-3 jets in (r, w), and in (r, mu), (w, mu) for the
+    # mixed mu slices
+    from .flow import Jet2, MapJet, _as_jet      # flow imports this module
 
-    def dval(p: PiPoly, orders: Tuple[int, int, int]) -> float:
-        q = p
-        for which, n in enumerate(orders):
-            for _ in range(n):
-                q = q.diff(which)
-        return q.eval(r0, 0.0, 0.0)
+    def jet(evaluators, r, w, mu) -> MapJet:
+        return MapJet.from_jets(*(_as_jet(f(r, w, mu)) for f in evaluators))
 
-    # tensors at (x0, mu0=0)
-    f2_0 = np.array([dval(p, (0, 0, 0)) for p in f2v])
-    Df1 = np.array([[dval(p, _unit2(j)) for j in range(2)] for p in f1v])
-    Df2 = np.array([[dval(p, _unit2(j)) for j in range(2)] for p in f2v])
-    DmuDf1 = np.array([[dval(p, _add3(_unit2(j), (0, 0, 1))) for j in range(2)]
-                       for p in f1v])
-    D2f1 = np.array([[[dval(p, _add3(_unit2(j), _unit2(k))) for k in range(2)]
-                      for j in range(2)] for p in f1v])
-    D2f2 = np.array([[[dval(p, _add3(_unit2(j), _unit2(k))) for k in range(2)]
-                      for j in range(2)] for p in f2v])
-    D3f2 = np.array([[[[dval(p, _add3(_add3(_unit2(j), _unit2(k)), _unit2(l)))
-                        for l in range(2)] for k in range(2)] for j in range(2)]
-                     for p in f2v])
+    R, W, MU = Jet2.variable(0, r0), Jet2.variable(1, 0.0), Jet2.variable(1, 0.0)
+    f1_rw = jet(mel._f1_eval, R, W, 0.0)
+    f2_rw = jet(mel._f2_eval, R, W, 0.0)
+    f1_rmu = jet(mel._f1_eval, R, 0.0, MU)
+    f1_wmu = jet(mel._f1_eval, r0, Jet2.variable(0, 0.0), MU)
+    f2_0, Df1, Df2 = f2_rw.value, f1_rw.A, f2_rw.A
+    DmuDf1 = np.stack([f1_rmu.B[:, 0, 1], f1_wmu.B[:, 0, 1]], axis=1)
+    D2f1, D2f2, D3f2 = f1_rw.B, f2_rw.B, f2_rw.C
 
     # fixed point slice and eigen data
     u1 = -np.linalg.solve(Df1, f2_0)
@@ -864,14 +888,6 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
     A2 = np.array([[lam2.real, -lam2.imag], [lam2.imag, lam2.real]])
     return Ell1Result(ell1=ell1, l11=l11, l12=l12, mu1=mu1, omega0=omega0,
                       u1=u1, M0=M0, M1=M1, A1=A1, A2=A2, zeta2=lam2.imag)
-
-
-def _unit2(j: int) -> Tuple[int, int, int]:
-    return (1, 0, 0) if j == 0 else (0, 1, 0)
-
-
-def _add3(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
     torusforge <analyze|melnikov|branch|simulate|certify|lift> --input FILE
                [--mu F] [--eps F] [--grid N] [--tol F] [--seed N]
-               [--out DIR] [--format json|csv]
+               [--out DIR] [--simple]
 
 The input document is one self-contained JSON experiment:
 
@@ -19,9 +19,7 @@ The input document is one self-contained JSON experiment:
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; floats are serialized with 17 significant digits and keys are
 sorted, so identical runs (including --seed) produce byte-identical output.
-Exit codes: 0 success, 2 criteria-not-applicable, 1 error.  The environment
-variable TORUSFORGE_THREADS caps internal parallelism (all current sweeps
-are sequential, so any cap is honored trivially).
+Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
 """
 
 from __future__ import annotations
@@ -68,15 +66,12 @@ class RunSpec:
     tol: Optional[float]
     seed: int
     out_dir: str
-    fmt: str
-    threads: int
     simple: bool = False
 
     def to_dict(self):
         return {"command": self.command, "input": os.path.basename(self.input_path),
                 "mu": self.mu, "eps": self.eps, "grid": self.grid,
-                "tol": self.tol, "seed": self.seed, "format": self.fmt,
-                "threads": self.threads, "simple": self.simple}
+                "tol": self.tol, "seed": self.seed, "simple": self.simple}
 
 
 class _Float17(float):
@@ -283,7 +278,7 @@ def cmd_certify(spec: RunSpec) -> int:
     tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
     branch = branch_continuation(mel, tmap, rep.perturbation.mu0,
                                  eps_ladder=(eps, eps / 2, eps / 4))
-    cert = certify_torus(tmap, mu, eps, branch, ell1=rep.base.ell1)
+    cert = certify_torus(tmap, mu, eps, branch, rep.base.lyapunov)
     payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
     write_report(os.path.join(spec.out_dir, "certificate.json"), payload)
@@ -369,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override integrator tolerances")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default="json")
     parser.add_argument("--simple", action="store_true",
                         help="force the degree-preserving family "
                              "(0, 0, mu*z + beta*eps) regardless of the document")
@@ -382,11 +375,9 @@ def main(argv=None) -> int:
     if args.tol is not None and args.tol <= 0:
         print(json.dumps({"error": "tolerance overrides must be positive"}))
         return EXIT_ERROR
-    threads = int(os.environ.get("TORUSFORGE_THREADS", "1") or 1)
     spec = RunSpec(command=args.command, input_path=args.input, mu=args.mu,
                    eps=args.eps, grid=args.grid, tol=args.tol, seed=args.seed,
-                   out_dir=args.out, fmt=args.fmt, threads=threads,
-                   simple=args.simple)
+                   out_dir=args.out, simple=args.simple)
     os.makedirs(spec.out_dir, exist_ok=True)
     try:
         return COMMANDS[args.command](spec)

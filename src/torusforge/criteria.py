@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .fieldexpr import (
     FieldExpr, Jet3, ParamJet3, Poly, as_field_expr, jet_extract,
 )
+
+if TYPE_CHECKING:
+    from .averaging import Ell1Result
 
 ETA_ROOT_TOL = 1e-12
 ETA_SCAN_POINTS = 512
@@ -191,6 +194,8 @@ class BaseCriteria:
     ell1_transcribed: Fraction
     ell1_discrepancy: Optional[float]
     notes: Tuple[str, ...] = ()
+    # the full first_lyapunov_quantity result, passed on (not serialized)
+    lyapunov: Optional[Ell1Result] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -218,7 +223,7 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
     transcribed = ell1_transcribed(sys.jP, sys.jQ, sys.jR)
 
     notes: List[str] = []
-    ell1 = l11 = None
+    ell1 = l11 = res = None
     discrepancy = None
     if omega > 0:
         from .averaging import first_lyapunov_quantity
@@ -236,7 +241,7 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
         omega=omega, beta=beta, gamma_scale=gamma_scale, quadratic_sum=S,
         nondegenerate=omega > 0, ell1=ell1, ell1_order1=l11,
         ell1_transcribed=transcribed, ell1_discrepancy=discrepancy,
-        notes=tuple(notes),
+        notes=tuple(notes), lyapunov=res,
     )
 
 
@@ -443,8 +448,6 @@ def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],
     pert = None
     if fam is not None:
         pert = evaluate_perturbation_criteria(sys, fam, interval)
-        if base.ell1 is not None and base.ell1 == 0:
-            reasons.append("Ell1Zero")
     if base.ell1 is not None and abs(base.ell1) < 1e-12:
         reasons.append("Ell1Zero")
     applicable = bool(base.nondegenerate and pert is not None

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .averaging import PERIOD, eps_graded_slices
+from .averaging import PERIOD, compile_terms, eps_graded_slices
 from .criteria import HopfZeroSystem, PerturbationFamily
-from .fieldexpr import Poly
 
 EVENT_RESIDUAL = 1e-12
 TANGENCY_SPEED = 1e-8
@@ -98,102 +97,79 @@ def integrate(field: Callable, state0, t_span, cfg: Optional[IntegratorConfig] =
 
 
 # ---------------------------------------------------------------------------
-# compiled polynomial fields
+# the rescaled field, bound to (mu, eps)
 # ---------------------------------------------------------------------------
 
-def compile_poly(poly: Poly) -> Callable:
-    """Float-coefficient closure (x, y, z, mu) -> value; numpy-broadcastable."""
-    terms = [(float(c), m[0], m[1], m[2], m[3]) for m, c in poly.terms.items()]
+class BoundField:
+    """The rescaled field at one (mu, eps): one compiled float polynomial in
+    (x, y, z) per component, so an RHS evaluation does no parameter work."""
 
-    def evaluate(x, y, z, mu=0.0):
-        total = 0.0
-        for c, i, j, k, a in terms:
-            t = c
-            if i:
-                t = t * x ** i
-            if j:
-                t = t * y ** j
-            if k:
-                t = t * z ** k
-            if a:
-                t = t * mu ** a
-            total = total + t
-        return total
+    __slots__ = ("fx", "fy", "fz")
 
-    return evaluate
+    def __init__(self, fx: Callable, fy: Callable, fz: Callable):
+        self.fx, self.fy, self.fz = fx, fy, fz
+
+    def __call__(self, x, y, z):
+        return [self.fx(x, y, z), self.fy(x, y, z), self.fz(x, y, z)]
+
+    def cylindrical(self, theta, r, w):
+        """(dr/dtheta, dw/dtheta) at a scalar theta; r, w may be numpy
+        arrays, complex numbers or jets."""
+        cs, sn = math.cos(theta), math.sin(theta)
+        xd, yd, zd = self(r * cs, r * sn, w)
+        rdot = cs * xd + sn * yd
+        thetadot = (cs * yd - sn * xd) / r
+        return rdot / thetadot, zd / thetadot
 
 
 class RescaledField:
     """The rescaled perturbed field as an exact polynomial in eps:
     (x, y, z) -> eps (x, y, z) applied to (-y + P + eps U, x + Q + eps V,
-    R + eps W), divided by eps."""
+    R + eps W), divided by eps.  The exact eps-graded slices are kept;
+    `bind` folds one (mu, eps) into them."""
 
     def __init__(self, sys: HopfZeroSystem, fam: PerturbationFamily):
         self.system = sys
         self.family = fam
         self.slices = eps_graded_slices(sys, fam)
-        self._compiled = [tuple(compile_poly(p) for p in s) for s in self.slices]
+        self._bound = None            # ((mu, eps), BoundField) of the last pair
 
-    def components(self, x, y, z, mu, eps):
-        out = [0.0, 0.0, 0.0]
-        power = 1.0
-        for m, comp in enumerate(self._compiled):
-            if m:
-                power = power * eps
+    def bind(self, mu: float, eps: float) -> BoundField:
+        """The field at (mu, eps), compiled once per pair; the last pair is
+        kept, so the calls of one integration share one compile."""
+        if self._bound is None or self._bound[0] != (mu, eps):
+            m, e = float(mu), float(eps)
+            comps = []
             for i in range(3):
-                out[i] = out[i] + power * comp[i](x, y, z, mu)
-        return out
+                terms: Dict[Tuple[int, int, int], float] = {}
+                for grade, s in enumerate(self.slices):
+                    for (a, b, c, d, _), q in s[i].terms.items():
+                        key = (a, b, c)
+                        terms[key] = terms.get(key, 0.0) + float(q) * m ** d * e ** grade
+                comps.append(compile_terms(terms, ("x", "y", "z")))
+            self._bound = ((mu, eps), BoundField(*comps))
+        return self._bound[1]
 
     def field3(self, mu: float, eps: float) -> Callable:
         """f(t, state) for solve_ivp on the full rescaled 3D system."""
+        f = self.bind(mu, eps)
+
         def rhs(t, state):
-            x, y, z = state
-            return self.components(x, y, z, mu, eps)
+            return f(*state)
         return rhs
 
     def cylindrical(self, theta, r, w, mu, eps):
-        """(dr/dtheta, dw/dtheta); r, w may be numpy arrays. Generic ring
-        values (jets) are accepted as well."""
-        cs, sn = math.cos(theta), math.sin(theta)
-        x = r * cs
-        y = r * sn
-        xd, yd, zd = self.components(x, y, w, mu, eps)
-        rdot = cs * xd + sn * yd
-        thetadot = (cs * yd - sn * xd) / r
-        return rdot / thetadot, zd / thetadot
+        """(dr/dtheta, dw/dtheta) at (mu, eps); see BoundField.cylindrical."""
+        return self.bind(mu, eps).cylindrical(theta, r, w)
 
     def cylindrical_jacobian(self, theta, r, w, mu, eps) -> np.ndarray:
-        """Exact (2, 2) Jacobian of (dr/dtheta, dw/dtheta) in (r, w), via the
-        quotient rule on (rdot, wdot)/thetadot; independent of jet transport."""
-        if not hasattr(self, "_compiled_grad"):
-            self._compiled_grad = [
-                tuple(tuple(compile_poly(p.derivative(v)) for v in ("x", "y", "z"))
-                      for p in s) for s in self.slices]
-        cs, sn = math.cos(theta), math.sin(theta)
-        x, y, z = r * cs, r * sn, w
-        vals = np.zeros(3)
-        grads = np.zeros((3, 3))     # d(component_i)/d(x, y, z)
-        power = 1.0
-        for m, (comp, grad) in enumerate(zip(self._compiled, self._compiled_grad)):
-            if m:
-                power = power * eps
-            for i in range(3):
-                vals[i] += power * comp[i](x, y, z, mu)
-                for v in range(3):
-                    grads[i, v] += power * grad[i][v](x, y, z, mu)
-        # chain rule: d/dr = cos d/dx + sin d/dy, d/dw = d/dz
-        dxd = np.array([grads[i, 0] * cs + grads[i, 1] * sn for i in range(3)])
-        dwd = np.array([grads[i, 2] for i in range(3)])
-        rdot = cs * vals[0] + sn * vals[1]
-        tdot = (cs * vals[1] - sn * vals[0]) / r
-        drdot = np.array([cs * dxd[0] + sn * dxd[1], cs * dwd[0] + sn * dwd[1]])
-        dtdot = np.array([
-            (cs * dxd[1] - sn * dxd[0]) / r - (cs * vals[1] - sn * vals[0]) / r ** 2,
-            (cs * dwd[1] - sn * dwd[0]) / r])
-        dzdot = np.array([dxd[2], dwd[2]])
-        row_r = (drdot * tdot - rdot * dtdot) / tdot ** 2
-        row_w = (dzdot * tdot - vals[2] * dtdot) / tdot ** 2
-        return np.stack([row_r, row_w])
+        """(2, 2) Jacobian of (dr/dtheta, dw/dtheta) in (r, w) by complex-step
+        differentiation, Im f(v + ih) / h: exact to rounding for this rational
+        field (no difference is taken) and independent of jet transport."""
+        cyl = self.bind(mu, eps).cylindrical
+        h = 1e-30
+        cols = [cyl(theta, r + 1j * h, w), cyl(theta, r, w + 1j * h)]
+        return np.array(cols).imag.T / h
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +183,11 @@ class PlaneSection:
     direction: float = 1.0
 
 
-@dataclass(frozen=True)
-class ThetaSection:
-    """Angular return theta: 0 -> 2 pi in cylindrical variables."""
-
-
 @dataclass
 class SectionEvent:
     time: float
     state: np.ndarray
     residual: float
-
-
-def write_section_csv(path, samples, plane: bool = False):
-    """Section samples as CSV: header n,r,w for angular sections, n,x,z for
-    plane sections (the y = 0 plane is parameterized by (x, z))."""
-    import csv
-    header = ["n", "x", "z"] if plane else ["n", "r", "w"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(samples):
-            writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 def poincare_return(field: Callable, section: PlaneSection, x0,
@@ -297,42 +256,32 @@ class ThetaReturnMap:
         self.field = RescaledField(sys, fam)
         self.cfg = cfg or IntegratorConfig()
 
-    def _rhs(self, mu, eps):
-        cyl = self.field.cylindrical
-
-        def rhs(theta, state):
-            n = state.shape[0] // 2
-            r = state[:n]
-            w = state[n:]
-            dr, dw = cyl(theta, r, w, mu, eps)
-            return np.concatenate([np.atleast_1d(dr), np.atleast_1d(dw)])
-
-        return rhs
-
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
         """Map a batch of (r, w) points through one return (|X0| independent
         trajectories integrated as one stacked system)."""
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+        n = X0.shape[0]
         state0 = np.concatenate([X0[:, 0], X0[:, 1]])
         span = (0.0, -PERIOD) if reverse else (0.0, PERIOD)
+        cyl = self.field.bind(mu, eps).cylindrical
+
+        def rhs(theta, state):
+            dr, dw = cyl(theta, state[:n], state[n:])
+            return np.concatenate([np.atleast_1d(dr), np.atleast_1d(dw)])
+
         cfg = self.cfg
-        sol = solve_ivp(self._rhs(mu, eps), span, state0, method="RK45",
+        sol = solve_ivp(rhs, span, state0, method="RK45",
                         rtol=cfg.rtol, atol=cfg.atol, dense_output=False)
         if sol.status != 0:
             raise FlowError(f"return-map integration failed: {sol.message}")
         if not np.all(np.isfinite(sol.y[:, -1])):
             raise NonFiniteState("return map produced non-finite state")
-        n = X0.shape[0]
         out = np.stack([sol.y[:n, -1], sol.y[n:, -1]], axis=1)
         return out
 
     def point(self, x0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
         return self.points(np.asarray(x0, dtype=float)[None, :], mu, eps, reverse)[0]
-
-    @property
-    def return_time(self) -> float:
-        return PERIOD
 
     def jacobian(self, x0, mu: float, eps: float) -> np.ndarray:
         return self.jet3(x0, mu, eps).A
@@ -344,12 +293,10 @@ class ThetaReturnMap:
         R = Jet2.variable(0, r0)
         W = Jet2.variable(1, w0)
         state0 = np.concatenate([R.coeffs, W.coeffs])
-        cyl = self.field.cylindrical
+        cyl = self.field.bind(mu, eps).cylindrical
 
         def rhs(theta, state):
-            Rj = Jet2(state[:10])
-            Wj = Jet2(state[10:])
-            dr, dw = cyl(theta, Rj, Wj, mu, eps)
+            dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
             return np.concatenate([_as_jet(dr).coeffs, _as_jet(dw).coeffs])
 
         cfg = self.cfg

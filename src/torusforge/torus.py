@@ -29,8 +29,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .averaging import MelnikovPair, NSBranch, _newton_fixed_point
-from .flow import IntegratorConfig
+from .averaging import Ell1Result, MelnikovPair, NSBranch, _newton_fixed_point
+from .flow import IntegratorConfig, ThetaReturnMap
 
 
 class TorusError(RuntimeError):
@@ -322,10 +322,12 @@ def _collapse_check(tail: np.ndarray, fixed_point: np.ndarray, seed_radius: floa
 
 
 def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
-                  ell1: float, cfg: Optional[CertifyConfig] = None,
+                  lyapunov: Ell1Result, cfg: Optional[CertifyConfig] = None,
                   mel: Optional[MelnikovPair] = None) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
-    (mu, eps); see the module docstring for the protocol."""
+    (mu, eps); see the module docstring for the protocol.  `lyapunov` is
+    `first_lyapunov_quantity` of the map's system (`criteria_report` keeps
+    it as `base.lyapunov`)."""
     cfg = cfg or CertifyConfig()
     if eps == 0.0:
         raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
@@ -348,18 +350,16 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
         theta_eps = math.atan2(lam.imag, lam.real)
 
     # seed amplitude from the normal-form scaling sqrt(alpha_d dmu / (eps |l12|))
-    from .averaging import first_lyapunov_quantity
-    res = first_lyapunov_quantity(tmap.field.system)
     dmu = mu - mu_eps
-    if abs(res.l12) > 1e-12 and dmu * ell1 < 0:
-        amp = math.sqrt(abs(math.pi * dmu / (eps * res.l12)))
+    if abs(lyapunov.l12) > 1e-12 and dmu * lyapunov.ell1 < 0:
+        amp = math.sqrt(abs(math.pi * dmu / (eps * lyapunov.l12)))
     else:
         amp = 0.1
     amp = float(np.clip(amp, 1e-3, 2.0))
 
-    paper_reversed = (res.l12 < 0 if abs(res.l11) <= 1e-10 else res.l11 < 0)
+    paper_reversed = (lyapunov.l12 < 0 if abs(lyapunov.l11) <= 1e-10 else lyapunov.l11 < 0)
     notes = []
-    if dmu * ell1 >= 0:
+    if dmu * lyapunov.ell1 >= 0:
         notes.append("parameters on the no-torus side of the bifurcation curve")
 
     order = [paper_reversed, not paper_reversed]
@@ -506,8 +506,4 @@ def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,
 def _with_config(tmap, integrator: IntegratorConfig):
     if tmap.cfg == integrator:
         return tmap
-    from .flow import ThetaReturnMap
-    clone = ThetaReturnMap.__new__(ThetaReturnMap)
-    clone.field = tmap.field
-    clone.cfg = integrator
-    return clone
+    return ThetaReturnMap(tmap.field.system, tmap.field.family, integrator)

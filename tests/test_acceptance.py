@@ -135,8 +135,9 @@ def test_criterion_5_lyapunov_consistency(example):
 def certification(example):
     sys, _, mel, tmap = example
     branch = branch_continuation(mel, tmap, 0.0, eps_ladder=(0.05,))
-    found = certify_torus(tmap, 0.05, 0.05, branch, ell1=-48.0)
-    absent = certify_torus(tmap, 0.02, 0.05, branch, ell1=-48.0)
+    res = first_lyapunov_quantity(sys)
+    found = certify_torus(tmap, 0.05, 0.05, branch, res)
+    absent = certify_torus(tmap, 0.02, 0.05, branch, res)
     return found, absent
 
 
@@ -293,7 +294,7 @@ def test_lift_then_certify_demo():
     cfg = CertifyConfig(seeds=16, transient=300, window=1024, probe_max=4000,
                         probe_check=400,
                         integrator=IntegratorConfig(atol=1e-9, rtol=1e-7))
-    cert = certify_torus(tmap, mu_t, eps, branch, ell1=res.ell1, cfg=cfg)
+    cert = certify_torus(tmap, mu_t, eps, branch, res, cfg=cfg)
     ok = (cert.verdict == "torus_found" and cert.winding == 1
           and cert.fit_residual <= 1e-3 * cert.curve.mean_radius)
     _announce("lift demo (degree-2 seed -> degree-3 lift -> certified new torus)",

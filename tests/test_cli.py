@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torusforge.cli import EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, main
 
 EXAMPLE_DOC = {
@@ -34,6 +36,20 @@ def test_analyze_deterministic_bytes(tmp_path):
     main(["analyze", "--input", doc, "--out", str(out_a), "--seed", "0"])
     main(["analyze", "--input", doc, "--out", str(out_b), "--seed", "0"])
     assert (out_a / "analyze.json").read_bytes() == (out_b / "analyze.json").read_bytes()
+
+
+def test_threads_variable_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("TORUSFORGE_THREADS", "abc")
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    assert main(["analyze", "--input", doc, "--out", str(tmp_path / "out")]) == EXIT_OK
+    run = json.loads((tmp_path / "out" / "analyze.json").read_text())["meta"]["run"]
+    assert "threads" not in run and "format" not in run
+
+
+def test_format_flag_rejected(tmp_path):
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    with pytest.raises(SystemExit):
+        main(["analyze", "--input", doc, "--out", str(tmp_path), "--format", "csv"])
 
 
 def test_analyze_linear_term_error(tmp_path):

@@ -1002,11 +1002,11 @@ class NSBranch:
     ladder: Tuple[float, ...]
 
     def fixed_point(self, mu: float, eps: float) -> np.ndarray:
-        return _newton_fixed_point(self.map_, self.mel, mu, eps)
+        return _newton_fixed_point(self.map_, self.mel, mu, eps)[0]
 
     def eigenvalue(self, mu: float, eps: float) -> complex:
-        xi = self.fixed_point(mu, eps)
-        return _complex_eigenvalue(self.map_.jacobian(xi, mu, eps))
+        _, jet = _newton_fixed_point(self.map_, self.mel, mu, eps)
+        return _complex_eigenvalue(jet.A)
 
     def mu_of_eps(self, eps: float, mu_guess: Optional[float] = None) -> float:
         return _solve_unit_circle(self.map_, self.mel, self.mu0, eps, mu_guess)[0]
@@ -1049,25 +1049,28 @@ def _complex_eigenvalue(A: np.ndarray) -> complex:
 
 def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
                         seed: Optional[np.ndarray] = None,
-                        tol: float = 1e-10, max_iter: int = 25) -> np.ndarray:
+                        tol: float = 1e-10, max_iter: int = 25):
+    """Fixed point xi of the return map by Newton on Pi(x) - x, seeded at the
+    averaged equilibrium; returns (xi, the map jet at xi), so callers that
+    need D Pi(xi) reuse the last iteration's jet3."""
     if seed is None:
         eq = averaged_equilibrium(mel, mu)
         x = np.array([eq.r, eq.w])
     else:
         x = np.asarray(seed, dtype=float).copy()
     if eps == 0.0:
-        return x
+        return x, tmap.jet3(x, mu, eps)
     for _ in range(max_iter):
         jet = tmap.jet3(x, mu, eps)
         res = jet.value - x
         if float(np.max(np.abs(res))) <= tol:
-            return x
+            return x, jet
         step = np.linalg.solve(jet.A - np.eye(2), -res)
         x = x + step
         if not np.all(np.isfinite(x)):
             raise NewtonDiverged("fixed-point Newton produced non-finite iterate")
     if float(np.max(np.abs(res))) <= 10 * tol:
-        return x
+        return x, tmap.jet3(x, mu, eps)
     raise NewtonDiverged(f"fixed-point Newton stalled, residual {np.max(np.abs(res))}")
 
 
@@ -1077,31 +1080,32 @@ def _solve_unit_circle(tmap, mel, mu0: float, eps: float,
     """Solve det(D Pi(xi(mu, eps))) = 1 for mu by the secant method.
 
     For a complex pair, |lambda|^2 = det, so this is the unit-circle
-    condition; the pair property is verified at the solution.
+    condition; the pair property is verified at the solution.  Returns
+    (mu, xi, lambda, the map jet at xi).
     """
     last_xi = [None]
 
     def h(mu):
-        xi = _newton_fixed_point(tmap, mel, mu, eps, seed=last_xi[0])
+        xi, jet = _newton_fixed_point(tmap, mel, mu, eps, seed=last_xi[0])
         last_xi[0] = xi
-        A = tmap.jacobian(xi, mu, eps)
+        A = jet.A
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        return det - 1.0, xi, A
+        return det - 1.0, xi, jet
 
     mu_a = mu0 if mu_guess is None else mu_guess
     mu_b = mu_a + 0.5 * eps if mu_guess is None else mu_a + 0.1 * eps
     ha, _, _ = h(mu_a)
-    hb, xi_b, A_b = h(mu_b)
+    hb, xi_b, jet_b = h(mu_b)
     for _ in range(max_iter):
         if hb == ha:
             break
         mu_new = mu_b - hb * (mu_b - mu_a) / (hb - ha)
         mu_a, ha = mu_b, hb
         mu_b = mu_new
-        hb, xi_b, A_b = h(mu_b)
+        hb, xi_b, jet_b = h(mu_b)
         if abs(hb) <= tol:
-            lam = _complex_eigenvalue(A_b)
-            return mu_b, xi_b, lam
+            lam = _complex_eigenvalue(jet_b.A)
+            return mu_b, xi_b, lam, jet_b
     raise UnitCircleCrossingNotFound(
         f"secant on |lambda|=1 did not converge at eps={eps} (residual {hb})")
 
@@ -1134,7 +1138,7 @@ def branch_continuation(mel: MelnikovPair, tmap, mu0: float,
     points = []
     mu_guess = None
     for eps in eps_ladder:
-        mu_c, xi, lam = _solve_unit_circle(tmap, mel, mu0, eps, mu_guess)
+        mu_c, xi, lam, _ = _solve_unit_circle(tmap, mel, mu0, eps, mu_guess)
         points.append(BranchPoint(eps=eps, mu=mu_c, xi=xi, eigenvalue=lam,
                                   theta=math.atan2(lam.imag, lam.real)))
         mu_guess = mu0 + (mu_c - mu0) / 2.0      # predictor for the next rung
@@ -1177,8 +1181,7 @@ def normalized_map(tmap, mel: MelnikovPair, mu0: float, eps: float,
     """Fixed point at mu(eps), eigenvector-based change of basis M (first
     component of the complex eigenvector scaled to i, reproducing the
     M0 + eps M1 normalization), and the transformed degree-3 tensors."""
-    mu_c, xi, lam = _solve_unit_circle(tmap, mel, mu0, eps, mu_guess)
-    jet = tmap.jet3(xi, mu_c, eps)
+    mu_c, xi, lam, jet = _solve_unit_circle(tmap, mel, mu0, eps, mu_guess)
     A = jet.A
     v2 = -1j * (A[0, 0] - lam) / A[0, 1]
     M = np.array([[1.0, 0.0], [v2.imag, v2.real]])

@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,10 @@ from .torus import certify_torus
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
+
+
+class UsageError(ValueError):
+    """The command line does not parse."""
 
 
 @dataclass
@@ -350,8 +355,22 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with typed usage errors: its own exit status 2 would read as
+    EXIT_NOT_APPLICABLE."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # any '-<digit>' or '-.<digit>' token is a value, as in Python 3.13+
+        # argparse, so `--mu -5.55e-17` parses
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusforge",
         description="Torus bifurcation analysis for perturbed Hopf-Zero "
                     "polynomial vector fields")
@@ -370,19 +389,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_json(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        print(json.dumps({"error": "tolerance overrides must be positive"}))
-        return EXIT_ERROR
+    """Run one command; a usage error prints its typed error JSON on stderr
+    and raises SystemExit(EXIT_ERROR), as argparse exits on one."""
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(json.dumps(_error_json(exc)), file=sys.stderr)
+        raise SystemExit(EXIT_ERROR) from None
     spec = RunSpec(command=args.command, input_path=args.input, mu=args.mu,
                    eps=args.eps, grid=args.grid, tol=args.tol, seed=args.seed,
                    out_dir=args.out, simple=args.simple)
     os.makedirs(spec.out_dir, exist_ok=True)
     try:
+        if spec.tol is not None and spec.tol <= 0:
+            raise ValueError("tolerance overrides must be positive")
         return COMMANDS[args.command](spec)
     except (CriteriaError, FieldExprError, ValueError, RuntimeError, OSError) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
+        err = _error_json(exc)
         path = os.path.join(spec.out_dir, f"{args.command}_error.json")
         try:
             write_report(path, err)

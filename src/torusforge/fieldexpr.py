@@ -27,6 +27,8 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 VARIABLES = ("x", "y", "z", "mu", "eps")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 MAX_POWER = 12
+MAX_DEGREE = 24      # total degree of any expanded subexpression
+MAX_TERMS = 2000     # terms of any expanded subexpression
 
 Monomial = Tuple[int, int, int, int, int]
 
@@ -47,6 +49,11 @@ class UnknownIdentifierError(FieldSyntaxError):
     def __init__(self, name: str, offset: int):
         super().__init__(f"unknown identifier '{name}'", offset, VARIABLES)
         self.name = name
+
+
+class ExpressionTooLarge(FieldExprError):
+    """The expansion would exceed MAX_DEGREE or MAX_TERMS; nested powers such
+    as ((x^12)^12)^12 are refused before they are multiplied out."""
 
 
 class UnboundSymbolError(FieldExprError):
@@ -394,8 +401,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def degree(self, vars: Tuple[str, ...] = ("x", "y", "z")) -> int:
@@ -517,6 +525,20 @@ class FieldExpr:
         return f"FieldExpr({self.to_string()!r})"
 
 
+def _check_size(degree: int, max_terms: int, nvars: int) -> None:
+    """Raise ExpressionTooLarge unless a polynomial of total `degree` in
+    `nvars` variables with at most `max_terms` terms fits the caps.  Products
+    and powers are checked with a bound before they are formed, so refusing
+    one costs nothing."""
+    if degree > MAX_DEGREE:
+        raise ExpressionTooLarge(
+            f"expression expands to total degree {degree} (maximum {MAX_DEGREE})")
+    max_terms = min(max_terms, math.comb(degree + nvars, nvars))
+    if max_terms > MAX_TERMS:
+        raise ExpressionTooLarge(
+            f"expression may expand to {max_terms} terms (maximum {MAX_TERMS})")
+
+
 def _lower(node: Node) -> Poly:
     if isinstance(node, Num):
         return Poly.constant(node.value)
@@ -524,14 +546,27 @@ def _lower(node: Node) -> Poly:
         return Poly.variable(node.name)
     if isinstance(node, Neg):
         return -_lower(node.operand)
-    if isinstance(node, Add):
-        return _lower(node.left) + _lower(node.right)
-    if isinstance(node, Sub):
-        return _lower(node.left) - _lower(node.right)
+    if isinstance(node, (Add, Sub)):
+        left, right = _lower(node.left), _lower(node.right)
+        out = left + right if isinstance(node, Add) else left - right
+        _check_size(out.degree(VARIABLES), len(out.terms), len(VARIABLES))
+        return out
     if isinstance(node, Mul):
-        return _lower(node.left) * _lower(node.right)
+        left, right = _lower(node.left), _lower(node.right)
+        if left and right:
+            nvars = len(set(left.free_variables()) | set(right.free_variables()))
+            _check_size(left.degree(VARIABLES) + right.degree(VARIABLES),
+                        len(left.terms) * len(right.terms), nvars)
+        return left * right
     if isinstance(node, Pow):
-        return _lower(node.base).power(node.exponent)
+        base, e = _lower(node.base), node.exponent
+        if base and e:
+            # a term of base^e is a product of e base terms: at most
+            # C(e + t - 1, e) distinct terms for t base terms
+            _check_size(base.degree(VARIABLES) * e,
+                        math.comb(e + len(base.terms) - 1, e),
+                        len(base.free_variables()))
+        return base.power(e)
     raise TypeError(f"unknown node {node!r}")
 
 

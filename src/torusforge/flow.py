@@ -259,16 +259,35 @@ class ThetaReturnMap:
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
         """Map a batch of (r, w) points through one return (|X0| independent
-        trajectories integrated as one stacked system)."""
+        trajectories integrated as one stacked system).
+
+        A single seed is evaluated on Python floats: the compiled field uses
+        only +, * and /, so the result is bit-identical to length-1 arrays
+        without their per-call numpy overhead.  A zero division or a
+        non-finite field value raises NonFiniteState; RK45 would otherwise
+        shrink its step on NaN forever."""
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
         n = X0.shape[0]
         state0 = np.concatenate([X0[:, 0], X0[:, 1]])
         span = (0.0, -PERIOD) if reverse else (0.0, PERIOD)
         cyl = self.field.bind(mu, eps).cylindrical
 
-        def rhs(theta, state):
-            dr, dw = cyl(theta, state[:n], state[n:])
-            return np.concatenate([np.atleast_1d(dr), np.atleast_1d(dw)])
+        if n == 1:
+            def rhs(theta, state):
+                try:
+                    dr, dw = cyl(theta, float(state[0]), float(state[1]))
+                except ZeroDivisionError as exc:
+                    raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
+                if not (math.isfinite(dr) and math.isfinite(dw)):
+                    raise NonFiniteState(f"return-map field non-finite at theta={theta}")
+                return np.array([dr, dw])
+        else:
+            def rhs(theta, state):
+                dr, dw = cyl(theta, state[:n], state[n:])
+                out = np.concatenate([dr, dw])
+                if not np.isfinite(out).all():
+                    raise NonFiniteState(f"return-map field non-finite at theta={theta}")
+                return out
 
         cfg = self.cfg
         sol = solve_ivp(rhs, span, state0, method="RK45",
@@ -283,9 +302,6 @@ class ThetaReturnMap:
     def point(self, x0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
         return self.points(np.asarray(x0, dtype=float)[None, :], mu, eps, reverse)[0]
 
-    def jacobian(self, x0, mu: float, eps: float) -> np.ndarray:
-        return self.jet3(x0, mu, eps).A
-
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
         solution with respect to the initial condition."""
@@ -296,8 +312,14 @@ class ThetaReturnMap:
         cyl = self.field.bind(mu, eps).cylindrical
 
         def rhs(theta, state):
-            dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
-            return np.concatenate([_as_jet(dr).coeffs, _as_jet(dw).coeffs])
+            try:
+                dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
+            except ZeroDivisionError as exc:
+                raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
+            out = np.concatenate([_as_jet(dr).coeffs, _as_jet(dw).coeffs])
+            if not np.isfinite(out).all():
+                raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
+            return out
 
         cfg = self.cfg
         sol = solve_ivp(rhs, (0.0, PERIOD), state0, method="RK45",
@@ -318,12 +340,6 @@ class ThetaReturnMap:
 _JET_EXPS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3)]
 _JET_INDEX = {e: i for i, e in enumerate(_JET_EXPS)}
-_MUL_TABLE = []
-for _i, (a1, b1) in enumerate(_JET_EXPS):
-    for _j, (a2, b2) in enumerate(_JET_EXPS):
-        e = (a1 + a2, b1 + b2)
-        if e in _JET_INDEX:
-            _MUL_TABLE.append((_i, _j, _JET_INDEX[e]))
 
 
 class Jet2:
@@ -367,11 +383,23 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            out = np.zeros(10)
-            a, b = self.coeffs, other.coeffs
-            for i, j, k in _MUL_TABLE:
-                out[k] += a[i] * b[j]
-            return Jet2(out)
+            # Truncated Cauchy product over _JET_EXPS, written out: each
+            # coefficient sums its products from 0.0 in (i, j) order, the
+            # order of accumulating them into np.zeros(10).
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs.tolist()
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.coeffs.tolist()
+            return Jet2([
+                0.0 + a0 * b0,
+                0.0 + a0 * b1 + a1 * b0,
+                0.0 + a0 * b2 + a2 * b0,
+                0.0 + a0 * b3 + a1 * b1 + a3 * b0,
+                0.0 + a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
+                0.0 + a0 * b5 + a2 * b2 + a5 * b0,
+                0.0 + a0 * b6 + a1 * b3 + a3 * b1 + a6 * b0,
+                0.0 + a0 * b7 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a7 * b0,
+                0.0 + a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
+                0.0 + a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
+            ])
         return Jet2(self.coeffs * float(other))
 
     __rmul__ = __mul__

@@ -29,8 +29,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .averaging import Ell1Result, MelnikovPair, NSBranch, _newton_fixed_point
-from .flow import IntegratorConfig, ThetaReturnMap
+from .averaging import (
+    AveragingError, Ell1Result, MelnikovPair, NSBranch, _newton_fixed_point,
+)
+from .flow import FlowError, IntegratorConfig, ThetaReturnMap
 
 
 class TorusError(RuntimeError):
@@ -281,8 +283,6 @@ def _probe(tmap, x0, mu, eps, reverse, cfg: CertifyConfig):
     Returns (status, tail) with status in {'curve', 'collapse', 'escape'};
     tail holds the last probe_check iterates.
     """
-    from .flow import FlowError
-
     x = np.asarray(x0, dtype=float).copy()
     tail = np.zeros((cfg.probe_check, 2))
     prev_stats = None
@@ -335,8 +335,8 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
     tmap = _with_config(tmap, cfg.integrator)
 
     try:
-        xi = _newton_fixed_point(tmap, mel, mu, eps)
-    except Exception as exc:
+        xi, _ = _newton_fixed_point(tmap, mel, mu, eps)
+    except (FlowError, AveragingError, np.linalg.LinAlgError) as exc:
         raise FixedPointNotFound(str(exc)) from exc
 
     mu_eps = None
@@ -380,8 +380,6 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
                                         cfg.fourier_improvement)
         angles = np.linspace(0.0, 2 * np.pi, cfg.seeds, endpoint=False)
         ring = probe_curve.point(angles)
-        from .flow import FlowError
-
         X = ring.copy()
         try:
             for _ in range(cfg.transient):
@@ -483,7 +481,7 @@ def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,
     for k in range(1, n_returns + 1):
         try:
             X = tmap.points(X, mu, eps, reverse=reverse)
-        except Exception:
+        except FlowError:
             break
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cfg.escape_bound:
             break

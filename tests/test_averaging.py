@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusforge import averaging
 from torusforge.averaging import (
     AveragingError, ComplexPairLost, averaged_equilibrium,
     first_lyapunov_quantity, hypothesis_check, melnikov_pair,
@@ -12,6 +13,7 @@ from torusforge.averaging import (
 from torusforge.criteria import (
     PerturbationFamily, evaluate_perturbation_criteria, validate_hopf_zero,
 )
+from torusforge.flow import ThetaReturnMap
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -230,3 +232,41 @@ def test_det_m_closed_form():
         beta = -1 if S > 0 else 1
         expected = -beta * abs(S) / math.sqrt(float(sys.omega))
         assert np.linalg.det(res.M0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_unit_circle_solve_reuses_newton_jet(monkeypatch):
+    """Each h(mu) of the secant on |lambda| = 1 makes one jet3 per Newton
+    iteration (k iterations: k jets and k - 1 steps) and no other: D Pi at
+    the fixed point is the converged iteration's jet."""
+    sys, fam, _, mel = _example_pair()
+    tmap = ThetaReturnMap(sys, fam)
+    counts = {"jet3": 0, "jet3_outside_newton": 0, "newton": 0, "steps": 0}
+    inside = [False]
+    jet3, newton, solve = tmap.jet3, averaging._newton_fixed_point, np.linalg.solve
+
+    def counted_jet3(*args):
+        counts["jet3"] += 1
+        counts["jet3_outside_newton"] += not inside[0]
+        return jet3(*args)
+
+    def counted_newton(*args, **kwargs):
+        counts["newton"] += 1
+        inside[0] = True
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted_solve(*args):
+        counts["steps"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(tmap, "jet3", counted_jet3)
+    monkeypatch.setattr(averaging, "_newton_fixed_point", counted_newton)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    mu, xi, lam, jet = averaging._solve_unit_circle(tmap, mel, 0.0, 1e-2)
+    assert counts["newton"] >= 3
+    assert counts["jet3_outside_newton"] == 0
+    assert counts["jet3"] == counts["newton"] + counts["steps"]
+    assert abs(abs(lam) - 1.0) <= 1e-10
+    assert np.max(np.abs(jet.value - xi)) <= 1e-10      # the jet is taken at xi

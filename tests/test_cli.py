@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -46,10 +47,30 @@ def test_threads_variable_is_ignored(tmp_path, monkeypatch):
     assert "threads" not in run and "format" not in run
 
 
-def test_format_flag_rejected(tmp_path):
+def test_format_flag_rejected(tmp_path, capsys):
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["analyze", "--input", doc, "--out", str(tmp_path), "--format", "csv"])
+    assert exc.value.code == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and "--format" in err["message"]
+    assert not (tmp_path / "analyze.json").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_exponent_form_negative_values_parse(tmp_path):
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", doc, "--out", str(out),
+                 "--mu", "-5.55e-17", "--eps", "-1e-3"]) == EXIT_OK
+    run = json.loads((out / "analyze.json").read_text())["meta"]["run"]
+    assert run["mu"] == -5.55e-17 and run["eps"] == -1e-3
 
 
 def test_analyze_linear_term_error(tmp_path):
@@ -118,10 +139,28 @@ def test_missing_input_is_error(tmp_path):
                  "--out", str(out)]) == EXIT_ERROR
 
 
-def test_bad_tolerance_rejected(tmp_path):
+def test_bad_tolerance_rejected(tmp_path, capsys):
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     assert main(["analyze", "--input", doc, "--out", str(tmp_path),
                  "--tol", "-1.0"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+    err = json.loads((tmp_path / "analyze_error.json").read_text())
+    assert err["error"] == "ValueError" and "positive" in err["message"]
+
+
+def test_nested_power_fails_fast(tmp_path):
+    """A short document whose expansion explodes is refused before it is
+    multiplied out: ((x+y+z+1)^12)^2 took a minute to fail before."""
+    for P in ("((x+y+z+1)^12)^2", "((x^12)^12)^12"):
+        doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, system={"P": P, "Q": "y*z", "R": "z^2"}))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["analyze", "--input", doc, "--out", str(out)]) == EXIT_ERROR
+        assert time.perf_counter() - start < 5.0
+        err = json.loads((out / "analyze_error.json").read_text())
+        assert err["error"] == "ExpressionTooLarge"
 
 
 def test_invalid_schema(tmp_path):

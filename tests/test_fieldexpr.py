@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from torusforge.fieldexpr import (
-    FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, UnboundSymbolError,
-    evaluate_field, jet_extract, parse_field,
+    MAX_DEGREE, VARIABLES, ExpressionTooLarge, FieldSyntaxError, Jet3, Poly,
+    UnknownIdentifierError, UnboundSymbolError, evaluate_field, jet_extract,
+    parse_field,
 )
 
 
@@ -44,6 +45,16 @@ def test_power_cap():
     parse_field("x^12")
     with pytest.raises(FieldSyntaxError):
         parse_field("x^13")
+
+
+def test_expansion_caps():
+    assert len(parse_field("(x+y+z+1)^12").poly.terms) == 455
+    assert len(parse_field("(x+y+z+1)^6*(x+y+z+1)^6").poly.terms) == 455
+    assert parse_field("x^12*y^12").poly.degree(VARIABLES) == MAX_DEGREE
+    for source in ("x^12*y^12*z", "((x^12)^12)^12", "((x+y+z+1)^12)^2",
+                   "(x+y+z+mu+eps+1)^12"):
+        with pytest.raises(ExpressionTooLarge):
+            parse_field(source).poly
 
 
 def test_rational_and_decimal_literals_exact():

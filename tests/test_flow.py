@@ -1,12 +1,17 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
-from torusforge.averaging import melnikov_pair, to_standard_form
+from torusforge.averaging import PERIOD, melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import (
-    IntegratorConfig, Jet2, PlaneSection, RescaledField, ThetaReturnMap,
+    _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable,
+    NonFiniteState, PlaneSection, RescaledField, ThetaReturnMap,
     integrate, poincare_return, variational_jacobian,
 )
 
@@ -196,3 +201,110 @@ def test_tangency_detected():
 
     with pytest.raises(TangencyDetected):
         poincare_return(field, PlaneSection(), [0.5, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# scalar hot paths: oracles and bit-identity
+# ---------------------------------------------------------------------------
+
+_MUL_TABLE = [(i, j, _JET_INDEX[(a1 + a2, b1 + b2)])
+              for i, (a1, b1) in enumerate(_JET_EXPS)
+              for j, (a2, b2) in enumerate(_JET_EXPS)
+              if (a1 + a2, b1 + b2) in _JET_INDEX]
+
+
+def _jet_mul_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product by accumulating the exponent table into zeros (the
+    oracle of the straight-line Jet2.__mul__)."""
+    out = np.zeros(10)
+    for i, j, k in _MUL_TABLE:
+        out[k] += a[i] * b[j]
+    return out
+
+
+# all-moderate jets make the summation order visible in the rounding; mixed
+# jets cover -0.0, inf, nan and the full float range
+_special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_jet_coeffs = st.one_of(
+    st.lists(st.floats(-10.0, 10.0), min_size=10, max_size=10),
+    st.lists(st.one_of(st.floats(-10.0, 10.0), _special,
+                       st.floats(allow_nan=True, allow_infinity=True)),
+             min_size=10, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jet_coeffs, _jet_coeffs)
+def test_jet_product_matches_table_loop_bitwise(a, b):
+    assert len(_MUL_TABLE) == 35
+    a, b = np.array(a), np.array(b)
+    with np.errstate(all="ignore"):
+        expected = _jet_mul_loop(a, b)
+    got = (Jet2(a) * Jet2(b)).coeffs
+    # IEEE 754 fixes no sign or payload for a NaN result, and compiled C may
+    # commute an addition, so a NaN is compared as NaN; every other
+    # coefficient, -0.0 and inf included, bit for bit
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def _length1_rhs(cyl):
+    """The batch right-hand side on length-1 arrays (the oracle of the
+    single-seed float path)."""
+    def rhs(theta, state):
+        dr, dw = cyl(theta, state[:1], state[1:])
+        return np.concatenate([np.atleast_1d(dr), np.atleast_1d(dw)])
+    return rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(0.01, 3.0), st.floats(-3.0, 3.0))
+def test_single_seed_field_matches_length1_arrays_bitwise(theta, r, w):
+    sys, fam = validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1)
+    cyl = RescaledField(sys, fam).bind(-0.2, 0.02).cylindrical
+    dr, dw = cyl(theta, r, w)
+    assert type(dr) is float and type(dw) is float
+    ref = _length1_rhs(cyl)(theta, np.array([r, w]))
+    assert np.array([dr, dw]).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_single_seed_return_matches_length1_arrays_bitwise(reverse):
+    _, _, tmap = _setup(atol=1e-13, rtol=1e-11)
+    x0, mu, eps = np.array([1.1, 0.3]), -0.2, 0.02
+    ref = solve_ivp(_length1_rhs(tmap.field.bind(mu, eps).cylindrical),
+                    (0.0, -PERIOD if reverse else PERIOD), x0, method="RK45",
+                    rtol=tmap.cfg.rtol, atol=tmap.cfg.atol, dense_output=False)
+    assert tmap.point(x0, mu, eps, reverse=reverse).tobytes() == ref.y[:, -1].tobytes()
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_return_map_at_r_zero_raises_flow_error(reverse):
+    """The field is singular on the axis r = 0: the return ends in a typed
+    FlowError instead of an endless RK45 step-size loop on NaN."""
+    _, _, tmap = _setup()
+    with _time_limit(20):
+        with pytest.raises(NonFiniteState):
+            tmap.point([0.0, 5.0], -0.2, 0.02, reverse=reverse)
+        with pytest.raises(NonFiniteState):
+            tmap.points([[0.0, 5.0], [1.0, 0.0]], -0.2, 0.02, reverse=reverse)
+
+
+def test_jet_transport_at_r_zero_raises():
+    _, _, tmap = _setup()
+    with _time_limit(20):
+        with pytest.raises(JetTransportUnstable):
+            tmap.jet3([0.0, 5.0], -0.2, 0.02)

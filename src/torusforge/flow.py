@@ -97,6 +97,115 @@ def integrate(field: Callable, state0, t_span, cfg: Optional[IntegratorConfig] =
 
 
 # ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) on Python floats
+# ---------------------------------------------------------------------------
+
+# The tableau of scipy's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980); the zero weights of the second stage are left out.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+# step control of Hairer-Norsett-Wanner, Sec. II.4, as in RK45
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+
+
+def _rms(values) -> float:
+    return math.hypot(*values) / len(values) ** 0.5
+
+
+def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
+    """scipy's select_initial_step (one RHS evaluation)."""
+    interval = abs(t_end - t0)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
+            rtol: float) -> Tuple[list, int]:
+    """y(t_end) of y' = rhs(t, y), and the number of RHS evaluations.
+
+    The state is a list of Python floats and `rhs(t, y)` returns a sequence
+    of floats.  Tableau and step control are those of scipy's RK45 (initial
+    step, RMS error norm with scale atol + max(|y|, |y_new|) rtol, safety 0.9,
+    factors clamped to [0.2, 10] and to at most 1 after a rejection, the last
+    step clipped to t_end), so it takes the steps solve_ivp(method="RK45")
+    takes, without numpy's per-call cost on a small state.  Raises
+    StepSizeUnderflow where solve_ivp ends with status -1.
+    """
+    y = [float(v) for v in y0]
+    f = rhs(t0, y)
+    if t_end == t0:
+        return y, 1
+    direction = 1.0 if t_end > t0 else -1.0
+    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
+    nfev = 2
+    t = t0
+    while direction * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    f"required step size is below {min_step:.3g} at t = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+
+            k1 = f
+            k2 = rhs(t + _C2 * h, [v + _A21 * a * h for v, a in zip(y, k1)])
+            k3 = rhs(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
+                                   for v, a, b in zip(y, k1, k2)])
+            k4 = rhs(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
+                                   for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                  + _A65 * e) * h
+                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            f_new = rhs(t + h, y_new)
+            nfev += 6
+
+            error_norm = _rms([
+                (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) * h
+                / (atol + max(abs(v), abs(vn)) * rtol)
+                for v, vn, a, c, d, e, g, k
+                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0
+                          else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y, nfev
+
+
+# ---------------------------------------------------------------------------
 # the rescaled field, bound to (mu, eps)
 # ---------------------------------------------------------------------------
 
@@ -118,8 +227,11 @@ class BoundField:
         cs, sn = math.cos(theta), math.sin(theta)
         xd, yd, zd = self(r * cs, r * sn, w)
         rdot = cs * xd + sn * yd
+        # one reciprocal of thetadot serves both components; the division by
+        # r stays, so the axis r = 0 raises (or gives inf) instead of a zero
         thetadot = (cs * yd - sn * xd) / r
-        return rdot / thetadot, zd / thetadot
+        inv = 1.0 / thetadot
+        return rdot * inv, zd * inv
 
 
 class RescaledField:
@@ -259,74 +371,77 @@ class ThetaReturnMap:
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
         """Map a batch of (r, w) points through one return (|X0| independent
-        trajectories integrated as one stacked system).
+        trajectories integrated as one stacked system by solve_ivp).
 
-        A single seed is evaluated on Python floats: the compiled field uses
-        only +, * and /, so the result is bit-identical to length-1 arrays
-        without their per-call numpy overhead.  A zero division or a
-        non-finite field value raises NonFiniteState; RK45 would otherwise
-        shrink its step on NaN forever."""
+        A single seed is integrated on Python floats by `dopri45`, which
+        takes RK45's steps without numpy's per-call cost on a 2-float state;
+        a batch keeps solve_ivp, where numpy makes many seeds cost about what
+        one does.  A zero division or a non-finite field value raises
+        NonFiniteState; RK45 would otherwise shrink its step on NaN forever."""
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
         n = X0.shape[0]
-        state0 = np.concatenate([X0[:, 0], X0[:, 1]])
-        span = (0.0, -PERIOD) if reverse else (0.0, PERIOD)
+        t_end = -PERIOD if reverse else PERIOD
         cyl = self.field.bind(mu, eps).cylindrical
+        cfg = self.cfg
 
         if n == 1:
             def rhs(theta, state):
                 try:
-                    dr, dw = cyl(theta, float(state[0]), float(state[1]))
+                    dr, dw = cyl(theta, state[0], state[1])
                 except ZeroDivisionError as exc:
                     raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
                 if not (math.isfinite(dr) and math.isfinite(dw)):
                     raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-                return np.array([dr, dw])
-        else:
-            def rhs(theta, state):
-                dr, dw = cyl(theta, state[:n], state[n:])
-                out = np.concatenate([dr, dw])
-                if not np.isfinite(out).all():
-                    raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-                return out
+                return dr, dw
 
-        cfg = self.cfg
-        sol = solve_ivp(rhs, span, state0, method="RK45",
-                        rtol=cfg.rtol, atol=cfg.atol, dense_output=False)
+            y, _ = dopri45(rhs, 0.0, t_end, X0[0], cfg.atol, cfg.rtol)
+            if not (math.isfinite(y[0]) and math.isfinite(y[1])):
+                raise NonFiniteState("return map produced non-finite state")
+            return np.array([y])
+
+        def rhs(theta, state):
+            dr, dw = cyl(theta, state[:n], state[n:])
+            out = np.concatenate([dr, dw])
+            if not np.isfinite(out).all():
+                raise NonFiniteState(f"return-map field non-finite at theta={theta}")
+            return out
+
+        sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([X0[:, 0], X0[:, 1]]),
+                        method="RK45", rtol=cfg.rtol, atol=cfg.atol, dense_output=False)
         if sol.status != 0:
             raise FlowError(f"return-map integration failed: {sol.message}")
         if not np.all(np.isfinite(sol.y[:, -1])):
             raise NonFiniteState("return map produced non-finite state")
-        out = np.stack([sol.y[:n, -1], sol.y[n:, -1]], axis=1)
-        return out
+        return np.stack([sol.y[:n, -1], sol.y[n:, -1]], axis=1)
 
     def point(self, x0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
         return self.points(np.asarray(x0, dtype=float)[None, :], mu, eps, reverse)[0]
 
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
-        solution with respect to the initial condition."""
-        r0, w0 = float(x0[0]), float(x0[1])
-        R = Jet2.variable(0, r0)
-        W = Jet2.variable(1, w0)
-        state0 = np.concatenate([R.coeffs, W.coeffs])
+        solution with respect to the initial condition: the 20 coefficients
+        of (r, w) integrated by `dopri45`."""
+        state0 = Jet2.variable(0, float(x0[0])).coeffs + Jet2.variable(1, float(x0[1])).coeffs
         cyl = self.field.bind(mu, eps).cylindrical
 
         def rhs(theta, state):
             try:
-                dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
+                dr, dw = cyl(theta, _jet(tuple(state[:10])), _jet(tuple(state[10:])))
             except ZeroDivisionError as exc:
                 raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
-            out = np.concatenate([_as_jet(dr).coeffs, _as_jet(dw).coeffs])
-            if not np.isfinite(out).all():
+            out = _as_jet(dr).coeffs + _as_jet(dw).coeffs
+            if not all(map(math.isfinite, out)):
                 raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
             return out
 
         cfg = self.cfg
-        sol = solve_ivp(rhs, (0.0, PERIOD), state0, method="RK45",
-                        rtol=cfg.rtol, atol=cfg.atol)
-        if sol.status != 0 or not np.all(np.isfinite(sol.y[:, -1])):
+        try:
+            y, _ = dopri45(rhs, 0.0, PERIOD, state0, cfg.atol, cfg.rtol)
+        except StepSizeUnderflow as exc:
+            raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
+        if not all(map(math.isfinite, y)):
             raise JetTransportUnstable("jet transport integration failed")
-        return MapJet.from_jets(Jet2(sol.y[:10, -1]), Jet2(sol.y[10:, -1]))
+        return MapJet.from_jets(_jet(tuple(y[:10])), _jet(tuple(y[10:])))
 
     def jet3_fd(self, x0, mu: float, eps: float, scale: float = 1.0) -> "MapJet":
         """Central finite-difference fallback, step h = eps_mach^(1/4) * scale."""
@@ -343,52 +458,59 @@ _JET_INDEX = {e: i for i, e in enumerate(_JET_EXPS)}
 
 
 class Jet2:
-    """Truncated degree-3 Taylor polynomial in two displacement variables."""
+    """Truncated degree-3 Taylor polynomial in two displacement variables:
+    its ten coefficients over _JET_EXPS, a tuple of Python floats.  Every
+    operation is written out on the unpacked coefficients (no numpy)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = tuple(map(float, coeffs))
 
     @classmethod
     def constant(cls, value: float) -> "Jet2":
-        c = np.zeros(10)
-        c[0] = value
-        return cls(c)
+        return _jet((float(value),) + (0.0,) * 9)
 
     @classmethod
     def variable(cls, which: int, base: float) -> "Jet2":
-        c = np.zeros(10)
-        c[0] = base
+        c = [float(base)] + [0.0] * 9
         c[1 + which] = 1.0
-        return cls(c)
+        return _jet(tuple(c))
 
     def __add__(self, other):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
         if isinstance(other, Jet2):
-            return Jet2(self.coeffs + other.coeffs)
-        c = self.coeffs.copy()
-        c[0] += float(other)
-        return Jet2(c)
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.coeffs
+            return _jet((a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4,
+                         a5 + b5, a6 + b6, a7 + b7, a8 + b8, a9 + b9))
+        return _jet((a0 + float(other), a1, a2, a3, a4, a5, a6, a7, a8, a9))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.coeffs)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
+        return _jet((-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8, -a9))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -float(other))
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
+        if isinstance(other, Jet2):
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.coeffs
+            return _jet((a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4,
+                         a5 - b5, a6 - b6, a7 - b7, a8 - b8, a9 - b9))
+        return _jet((a0 - float(other), a1, a2, a3, a4, a5, a6, a7, a8, a9))
 
     def __rsub__(self, other):
-        return (-self) + float(other)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
+        return _jet((float(other) - a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8, -a9))
 
     def __mul__(self, other):
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
         if isinstance(other, Jet2):
             # Truncated Cauchy product over _JET_EXPS, written out: each
             # coefficient sums its products from 0.0 in (i, j) order, the
-            # order of accumulating them into np.zeros(10).
-            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs.tolist()
-            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.coeffs.tolist()
-            return Jet2([
+            # order of accumulating them into zeros.
+            b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.coeffs
+            return _jet((
                 0.0 + a0 * b0,
                 0.0 + a0 * b1 + a1 * b0,
                 0.0 + a0 * b2 + a2 * b0,
@@ -399,8 +521,10 @@ class Jet2:
                 0.0 + a0 * b7 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a7 * b0,
                 0.0 + a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
                 0.0 + a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
-            ])
-        return Jet2(self.coeffs * float(other))
+            ))
+        b = float(other)
+        return _jet((a0 * b, a1 * b, a2 * b, a3 * b, a4 * b,
+                     a5 * b, a6 * b, a7 * b, a8 * b, a9 * b))
 
     __rmul__ = __mul__
 
@@ -415,21 +539,34 @@ class Jet2:
         return result
 
     def reciprocal(self) -> "Jet2":
-        b0 = self.coeffs[0]
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = self.coeffs
         if b0 == 0:
             raise ZeroDivisionError("jet reciprocal with zero constant term")
-        q = Jet2(self.coeffs / b0)
-        q.coeffs[0] = 0.0
+        q = _jet((0.0, b1 / b0, b2 / b0, b3 / b0, b4 / b0,
+                  b5 / b0, b6 / b0, b7 / b0, b8 / b0, b9 / b0))
         q2 = q * q
         return (Jet2.constant(1.0) - q + q2 - q2 * q) * (1.0 / b0)
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other.reciprocal()
-        return Jet2(self.coeffs / float(other))
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
+        b = float(other)
+        return _jet((a0 / b, a1 / b, a2 / b, a3 / b, a4 / b,
+                     a5 / b, a6 / b, a7 / b, a8 / b, a9 / b))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * float(other)
+
+
+_new_jet = object.__new__
+
+
+def _jet(coeffs: tuple) -> Jet2:
+    """A Jet2 on a tuple of ten Python floats, taken as it is."""
+    jet = _new_jet(Jet2)
+    jet.coeffs = coeffs
+    return jet
 
 
 def _as_jet(value) -> Jet2:

@@ -133,6 +133,12 @@ def _have_common_factor(f, g, trials: int = 4) -> bool:
     return False
 
 
+def _as_polys(field) -> Tuple[Poly, ...]:
+    """The components of a field as Polys; expressions and strings are
+    parsed."""
+    return tuple(c if isinstance(c, Poly) else as_field_expr(c).poly for c in field)
+
+
 def _field_degree(polys: Sequence[Poly]) -> int:
     return max(p.degree(("x", "y", "z")) for p in polys)
 
@@ -165,8 +171,7 @@ def find_separating_plane(field, ball: Ball, seed: int = 0,
     g = X2(x1,x2,0) share a factor or a leading coefficient vanishes, a
     seeded rational jitter is applied (magnitude ladder 1e-6, 1e-5, 1e-4).
     """
-    polys = tuple(as_field_expr(c).poly if not isinstance(c, Poly) else c
-                  for c in field)
+    polys = _as_polys(field)
     rng = random.Random(seed)
     m = _field_degree(polys)
     jitter_used = 0.0
@@ -292,8 +297,7 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     -lambda^3 - delta lambda with exact rational coefficients; with delta a
     rational square the whole normalization is exact as well.
     """
-    polys = tuple(as_field_expr(c).poly if not isinstance(c, Poly) else c
-                  for c in seed_field)
+    polys = _as_polys(seed_field)
     L, delta = Fraction(L), Fraction(delta)
     P0 = _eval_at(polys[0], (0, 0, 0))
     Q0 = _eval_at(polys[1], (0, 0, 0))
@@ -453,8 +457,7 @@ def omega_of_lift(seed_field, L, delta) -> Fraction:
 
 def printed_A_limit(seed_field) -> Fraction:
     """The stated limit of A(L)/L^2 for the translated seed field."""
-    polys = tuple(as_field_expr(c).poly if not isinstance(c, Poly) else c
-                  for c in seed_field)
+    polys = _as_polys(seed_field)
     P0 = _eval_at(polys[0], (0, 0, 0))
     Q0 = _eval_at(polys[1], (0, 0, 0))
     R0 = _eval_at(polys[2], (0, 0, 0))
@@ -470,8 +473,7 @@ def tune_lift_parameters(seed_field,
     """Recover A(L), B(L, delta) by exact interpolation of Omega(L, delta)
     on square-delta samples, pick the smallest grid L with A(L) > 0 and the
     largest admissible delta, and run the criteria on the tuned system."""
-    polys = tuple(as_field_expr(c).poly if not isinstance(c, Poly) else c
-                  for c in seed_field)
+    polys = _as_polys(seed_field)
     if L_values is None:
         L_values = [Fraction(2) ** k for k in range(0, 7)]
     if delta_values is None:

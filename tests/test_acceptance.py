@@ -134,15 +134,16 @@ def test_criterion_5_lyapunov_consistency(example):
 @pytest.fixture(scope="module")
 def certification(example):
     sys, _, mel, tmap = example
+    start = time.perf_counter()
     branch = branch_continuation(mel, tmap, 0.0, eps_ladder=(0.05,))
     res = first_lyapunov_quantity(sys)
     found = certify_torus(tmap, 0.05, 0.05, branch, res)
     absent = certify_torus(tmap, 0.02, 0.05, branch, res)
-    return found, absent
+    return found, absent, time.perf_counter() - start
 
 
 def test_criterion_6_torus_certification(certification):
-    found, absent = certification
+    found, absent, elapsed = certification
     rho_target = abs(found.theta_eps) / (2 * math.pi)
     checks = {
         "verdict": found.verdict == "torus_found",
@@ -150,14 +151,16 @@ def test_criterion_6_torus_certification(certification):
         "winding": found.winding == 1,
         "rotation": abs(abs(found.rotation) - rho_target) <= 0.2 * rho_target,
         "no_torus_side": absent.verdict == "no_torus",
+        "time": elapsed < 300.0,
     }
     ok = all(checks.values())
     _announce("criterion 6 (torus_found at (0.05, 0.05); no_torus at mu = 0.02; < 5 min)",
-              ok, f"{checks}, rho={found.rotation}, target={rho_target:.4f}")
+              ok, f"{checks}, rho={found.rotation}, target={rho_target:.4f}, "
+                  f"{elapsed:.1f}s")
 
 
 def test_criterion_6_certificate_invariants(certification):
-    found, _ = certification
+    found, _, _ = certification
     product = found.kappa * found.kappa_reversed
     ok = (abs(product - 1.0) <= 0.10
           and found.encloses_fixed_point

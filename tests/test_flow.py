@@ -10,9 +10,9 @@ from scipy.integrate import solve_ivp
 from torusforge.averaging import PERIOD, melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import (
-    _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable,
-    NonFiniteState, PlaneSection, RescaledField, ThetaReturnMap,
-    integrate, poincare_return, variational_jacobian,
+    _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
+    NonFiniteState, PlaneSection, RescaledField, StepSizeUnderflow, ThetaReturnMap,
+    dopri45, integrate, poincare_return, variational_jacobian,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -239,7 +239,7 @@ def test_jet_product_matches_table_loop_bitwise(a, b):
     a, b = np.array(a), np.array(b)
     with np.errstate(all="ignore"):
         expected = _jet_mul_loop(a, b)
-    got = (Jet2(a) * Jet2(b)).coeffs
+    got = np.array((Jet2(a) * Jet2(b)).coeffs)
     # IEEE 754 fixes no sign or payload for a NaN result, and compiled C may
     # commute an addition, so a NaN is compared as NaN; every other
     # coefficient, -0.0 and inf included, bit for bit
@@ -266,16 +266,6 @@ def test_single_seed_field_matches_length1_arrays_bitwise(theta, r, w):
     assert type(dr) is float and type(dw) is float
     ref = _length1_rhs(cyl)(theta, np.array([r, w]))
     assert np.array([dr, dw]).tobytes() == ref.tobytes()
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_single_seed_return_matches_length1_arrays_bitwise(reverse):
-    _, _, tmap = _setup(atol=1e-13, rtol=1e-11)
-    x0, mu, eps = np.array([1.1, 0.3]), -0.2, 0.02
-    ref = solve_ivp(_length1_rhs(tmap.field.bind(mu, eps).cylindrical),
-                    (0.0, -PERIOD if reverse else PERIOD), x0, method="RK45",
-                    rtol=tmap.cfg.rtol, atol=tmap.cfg.atol, dense_output=False)
-    assert tmap.point(x0, mu, eps, reverse=reverse).tobytes() == ref.y[:, -1].tobytes()
 
 
 @contextmanager
@@ -308,3 +298,97 @@ def test_jet_transport_at_r_zero_raises():
     with _time_limit(20):
         with pytest.raises(JetTransportUnstable):
             tmap.jet3([0.0, 5.0], -0.2, 0.02)
+
+
+def test_cylindrical_field_on_axis_raises():
+    """On the axis r = 0 the angular speed (cs*yd - sn*xd)/r is a division by
+    zero.  With P(0, 0, z) = z^2 != 0 the numerator is nonzero there, so the
+    rewriting r / (cs*yd - sn*xd) would return zeros instead of raising."""
+    sys = validate_hopf_zero("z^2", "y*z", "-x^2 + x*y + z^2")
+    cyl = RescaledField(sys, PerturbationFamily.simple(beta=1)).bind(-0.2, 0.02).cylindrical
+    with pytest.raises(ZeroDivisionError):
+        cyl(1.0, 0.0, 0.5)
+    with pytest.raises(ZeroDivisionError):
+        cyl(1.0, Jet2.variable(0, 0.0), Jet2.variable(1, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the float-only Dormand-Prince stepper
+# ---------------------------------------------------------------------------
+
+TOLERANCES = [(1e-11, 1e-9), (1e-13, 1e-11)]      # certify_torus; branch and jet3
+
+
+def _assert_takes_rk45_steps(rhs, t_end, y0, atol, rtol):
+    """dopri45 against solve_ivp's RK45 on the same float RHS: the same RHS
+    evaluation count (the same accepted and rejected steps) and the same end
+    state up to the order of the stage sums.  Returns the dopri45 state."""
+    y, nfev = dopri45(rhs, 0.0, t_end, y0, atol, rtol)
+    ref = solve_ivp(lambda t, s: np.array(rhs(t, s.tolist())), (0.0, t_end),
+                    np.array(y0), method="RK45", atol=atol, rtol=rtol)
+    assert ref.status == 0
+    assert nfev == ref.nfev
+    assert np.max(np.abs(np.array(y) - ref.y[:, -1])) <= 1e-13
+    return y
+
+
+_pairs = st.sampled_from([(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@pytest.mark.parametrize("reverse", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.3, 2.0), st.floats(-0.6, 0.6), _pairs)
+def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
+    _, _, tmap = _setup(atol=atol, rtol=rtol)
+    cyl = tmap.field.bind(*pair).cylindrical
+    y = _assert_takes_rk45_steps(lambda t, s: cyl(t, s[0], s[1]),
+                                 -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
+    got = tmap.point([r, w], *pair, reverse=reverse)
+    assert got.tobytes() == np.array(y).tobytes()
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@settings(max_examples=3, deadline=None)
+@given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
+def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
+    _, _, tmap = _setup(atol=atol, rtol=rtol)
+    cyl = tmap.field.bind(*pair).cylindrical
+
+    def rhs(theta, state):
+        dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
+        return dr.coeffs + dw.coeffs
+
+    state0 = Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs
+    y = _assert_takes_rk45_steps(rhs, PERIOD, list(state0), atol, rtol)
+    got = tmap.jet3([r, w], *pair)
+    expected = MapJet.from_jets(Jet2(y[:10]), Jet2(y[10:]))
+    for name in ("value", "A", "B", "C"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
+def test_stepper_exponential(t_end, atol, rtol):
+    y, nfev = dopri45(lambda t, s: [s[0]], 0.0, t_end, [1.0], atol, rtol)
+    assert abs(y[0] - math.exp(t_end)) <= 10 * rtol * math.exp(t_end)
+    assert nfev % 6 == 2                 # two to start, six per step
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
+def test_stepper_harmonic_oscillator(t_end, atol, rtol):
+    y, _ = dopri45(lambda t, s: [-s[1], s[0]], 0.0, t_end, [1.0, 0.0], atol, rtol)
+    assert max(abs(y[0] - 1.0), abs(y[1])) <= 10 * rtol
+
+
+def test_stepper_blow_up_raises_step_size_underflow():
+    """y' = y^2 from y(0) = 1 blows up at t = 1: the step shrinks to the
+    float spacing and the stepper stops, as solve_ivp does with status -1."""
+    with _time_limit(20):
+        with pytest.raises(StepSizeUnderflow):
+            dopri45(lambda t, s: [s[0] * s[0]], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9)
+
+
+def test_stepper_zero_span():
+    assert dopri45(lambda t, s: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([2.0], 1)

@@ -375,10 +375,6 @@ class StandardFormSystem:
     """theta-periodic standard form dr/dtheta = eps F1 + eps^2 F2 + eps^3 Ftilde."""
     F1: Tuple[TrigPoly, TrigPoly]
     F2: Tuple[TrigPoly, TrigPoly]
-    period: float
-    r_min: float
-    r_max: float
-    mu_default: Optional[float]
     system: HopfZeroSystem
     family: PerturbationFamily
     slices: Tuple[Tuple[Poly, Poly, Poly], ...]   # exact eps-graded field slices
@@ -397,31 +393,23 @@ class StandardFormSystem:
         return tuple(tuple(d.evaluator() for d in (t.diff_r(), t.diff_w()))
                      for t in self.F1)
 
-    def _mu(self, mu):
-        if mu is None:
-            if self.mu_default is None:
-                raise AveragingError("mu unbound")
-            return self.mu_default
-        return mu
-
     def _eval(self, evaluators, theta, x, mu):
         """Re f(e^{i theta}, r, w, mu) for each evaluator; theta is a scalar."""
-        mu = self._mu(mu)
         u = cmath.exp(1j * theta)
         r, w = x
         return np.array([f(u, r, w, mu).real for f in evaluators])
 
-    def eval_F1(self, theta, x, mu=None):
+    def eval_F1(self, theta, x, mu):
         return self._eval(self._f1_eval, theta, x, mu)
 
-    def eval_F2(self, theta, x, mu=None):
+    def eval_F2(self, theta, x, mu):
         return self._eval(self._f2_eval, theta, x, mu)
 
-    def eval_DF1(self, theta, x, mu=None):
+    def eval_DF1(self, theta, x, mu):
         return np.stack([self._eval(row, theta, x, mu) for row in self._df1_eval])
 
     def periodicity_residual(self, samples: Sequence[Tuple[float, float]],
-                             mu=None) -> float:
+                             mu) -> float:
         res = 0.0
         for (r, w) in samples:
             a = self.eval_F1(0.0, (r, w), mu) - self.eval_F1(PERIOD, (r, w), mu)
@@ -465,16 +453,12 @@ def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
         for m in range(max_grade + 1))
 
 
-def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily,
-                     mu: Optional[float] = None,
-                     r_min: float = 1e-3, r_max: float = 10.0) -> StandardFormSystem:
+def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFormSystem:
     """Cylindrical reduction with theta as time, expanded through eps^2.
 
     With theta-dot = 1 + eps a1 + eps^2 a2 the series division gives
     F1 = (rdot1, wdot1) and F2 = (rdot2 - rdot1 a1, wdot2 - wdot1 a1).
     """
-    if r_min <= 0:
-        raise AveragingError(f"r_min must be positive, got {r_min}")
     slices = eps_graded_slices(sys, fam)
     T1 = [TrigPoly.from_xyz_poly(p) for p in slices[1]] if len(slices) > 1 else \
         [TrigPoly() for _ in range(3)]
@@ -489,8 +473,7 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily,
 
     F1 = (rdot1, wdot1)
     F2 = (rdot2 - rdot1 * a1, wdot2 - wdot1 * a1)
-    return StandardFormSystem(F1=F1, F2=F2, period=PERIOD, r_min=r_min, r_max=r_max,
-                              mu_default=mu, system=sys, family=fam, slices=slices)
+    return StandardFormSystem(F1=F1, F2=F2, system=sys, family=fam, slices=slices)
 
 
 # ---------------------------------------------------------------------------
@@ -518,34 +501,22 @@ class MelnikovPair:
     def _f2_eval(self):
         return tuple(p.evaluator() for p in self.f2_exact)
 
-    def f1(self, x, mu=None) -> np.ndarray:
-        mu = self.std._mu(mu)
+    def f1(self, x, mu) -> np.ndarray:
         r, w = x
         return np.array([f(r, w, mu) for f in self._f1_eval])
 
-    def f1_jacobian(self, x, mu=None) -> np.ndarray:
-        mu = self.std._mu(mu)
+    def f1_jacobian(self, x, mu) -> np.ndarray:
         r, w = x
         return np.array([[f(r, w, mu) for f in row] for row in self._df1_eval])
 
-    def f2_closed(self, x, mu=None) -> np.ndarray:
-        mu = self.std._mu(mu)
+    def f2_closed(self, x, mu) -> np.ndarray:
         r, w = x
         return np.array([f(r, w, mu) for f in self._f2_eval])
 
-    def f1_quadrature(self, x, mu=None, tol=QUADRATURE_TOL) -> np.ndarray:
-        mu = self.std._mu(mu)
-        return _quadrature_f1(self.std, x, mu, tol)
-
-    def f2_quadrature(self, x, mu=None, tol=QUADRATURE_TOL) -> np.ndarray:
+    def f2_quadrature(self, x, mu, tol=QUADRATURE_TOL) -> np.ndarray:
         """f2(z) = int_0^T (F2(t,z) + dF1/dx(t,z) . int_0^t F1(s,z) ds) dt,
         inner antiderivative by cumulative Gauss-Legendre panels."""
-        mu = self.std._mu(mu)
         return _quadrature_f2(self.std, x, mu, tol)
-
-    # spec name: the official evaluator route
-    def f2(self, x, mu=None, tol=QUADRATURE_TOL) -> np.ndarray:
-        return self.f2_quadrature(x, mu, tol)
 
 
 def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
@@ -564,25 +535,6 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
 def _gl_nodes(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights
-
-
-def _quadrature_f1(std, x, mu, tol, max_panels=4096):
-    prev = None
-    n_panels = 8
-    while n_panels <= max_panels:
-        nodes, weights = _gl_nodes(12)
-        total = np.zeros(2)
-        edges = np.linspace(0.0, PERIOD, n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ts = mid + half * nodes
-            vals = np.stack([std.eval_F1(t, x, mu) for t in ts])
-            total += half * (weights[:, None] * vals).sum(axis=0)
-        if prev is not None and np.max(np.abs(total - prev)) <= tol:
-            return total
-        prev = total
-        n_panels *= 2
-    raise QuadratureNotConverged(f"f1 quadrature not converged at tol={tol}")
 
 
 def _quadrature_f2(std, x, mu, tol, max_panels=2048):
@@ -696,14 +648,12 @@ class HypothesisReport:
         return self.hopf_ok and self.transversality_ok and self.nondegeneracy_ok
 
 
-def hypothesis_check(mel: MelnikovPair, crit, l11: Optional[float] = None,
-                     l12: Optional[float] = None, n_samples: int = 33) -> HypothesisReport:
-    """H, T, ND against the averaged path over the criterion interval.
-
-    l11/l12 default to the closed-form pipeline values (eps and eps^2 slices
-    of the map Lyapunov coefficient).
+def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result,
+                     n_samples: int = 33) -> HypothesisReport:
+    """H, T, ND against the averaged path over the criterion interval; ND
+    reads l11, l12 off `lyapunov` (the eps and eps^2 slices of the map
+    Lyapunov coefficient, from `first_lyapunov_quantity`).
     """
-    sys = mel.std.system
     details: dict = {}
 
     lo, hi = crit.interval
@@ -730,10 +680,7 @@ def hypothesis_check(mel: MelnikovPair, crit, l11: Optional[float] = None,
     details["alpha_d"] = crit.alpha_d
     transversality_ok = abs(crit.alpha_d) > 1e-10
 
-    if l11 is None or l12 is None:
-        res = first_lyapunov_quantity(sys)
-        l11 = res.l11 if l11 is None else l11
-        l12 = res.l12 if l12 is None else l12
+    l11, l12 = lyapunov.l11, lyapunov.l12
     details["l11"] = l11
     details["l12"] = l12
     j_star = 1 if abs(l11) > 1e-10 else (2 if abs(l12) > 1e-10 else None)

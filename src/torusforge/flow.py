@@ -1,31 +1,28 @@
-"""Numeric integration of the full systems and Poincare return maps.
+"""Numeric integration of the rescaled system and its theta-return map.
 
-Two section styles are supported, matching the two presentations of the
-dynamics: the plane y = 0 with ydot > 0 for the full 3D (rescaled) system,
-and the angular return theta: 0 -> 2 pi for the cylindrical standard-form
-variables (r, w), where theta plays the role of time and the return map
-needs no event detection.
+Every integration runs on `dopri45`, one Dormand-Prince 5(4) stepper with
+scipy RK45's tableau and step control: plain trajectories of the full 3D
+(rescaled) system, and the angular return theta: 0 -> 2 pi of the
+cylindrical standard-form variables (r, w), where theta plays the role of
+time and the return map needs no event detection.  A single seed is
+integrated on Python floats, a batch of seeds on one stacked (2, n) numpy
+array.
 
 The degree-3 jet of the theta-return map is obtained by transporting a
 truncated two-variable Taylor polynomial through the flow (the coefficient
-ODE), with central finite differences as a cross-checking fallback.
+ODE).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .averaging import PERIOD, compile_terms, eps_graded_slices
 from .criteria import HopfZeroSystem, PerturbationFamily
-
-EVENT_RESIDUAL = 1e-12
-TANGENCY_SPEED = 1e-8
-DEFAULT_HORIZON_PERIODS = 10
 
 
 class FlowError(RuntimeError):
@@ -40,25 +37,15 @@ class NonFiniteState(FlowError):
     pass
 
 
-class NoReturnWithinHorizon(FlowError):
-    pass
-
-
-class TangencyDetected(FlowError):
-    pass
-
-
 class JetTransportUnstable(FlowError):
     pass
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Embedded Runge-Kutta 5(4) settings."""
+    """Tolerances of the embedded Runge-Kutta 5(4) pair."""
     atol: float = 1e-12
     rtol: float = 1e-10
-    max_step: float = math.inf
-    dense_output: bool = True
 
     def __post_init__(self):
         if self.atol <= 0 or self.rtol <= 0:
@@ -67,10 +54,8 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    t: np.ndarray
+    t: np.ndarray                 # the accepted step times
     states: np.ndarray            # shape (n, dim)
-    sol: object                   # dense-output interpolant (or None)
-    config: IntegratorConfig
 
     def write_csv(self, path, header=("t", "x", "y", "z")):
         import csv
@@ -81,23 +66,21 @@ class Trajectory:
                 writer.writerow([repr(float(ti))] + [repr(float(v)) for v in row])
 
 
-def integrate(field: Callable, state0, t_span, cfg: Optional[IntegratorConfig] = None,
-              events=None) -> Trajectory:
+def integrate(field: Callable, state0, t_span,
+              cfg: Optional[IntegratorConfig] = None) -> Trajectory:
+    """The accepted steps of state' = field(t, state) over t_span; the state
+    is a list of Python floats."""
     cfg = cfg or IntegratorConfig()
-    sol = solve_ivp(field, t_span, np.asarray(state0, dtype=float), method="RK45",
-                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
-                    dense_output=cfg.dense_output, events=events)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
+    ts, ys, _ = dopri45(field, float(t_span[0]), float(t_span[1]),
+                        [float(v) for v in state0], cfg.atol, cfg.rtol)
+    states = np.array(ys)
+    if not np.all(np.isfinite(states)):
         raise NonFiniteState("integration produced non-finite state")
-    traj = Trajectory(t=sol.t, states=sol.y.T, sol=sol.sol, config=cfg)
-    traj._events = (sol.t_events, sol.y_events)
-    return traj
+    return Trajectory(t=np.array(ts), states=states)
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) on Python floats
+# Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
 
 # The tableau of scipy's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -120,16 +103,23 @@ def _rms(values) -> float:
     return math.hypot(*values) / len(values) ** 0.5
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
+def _rms_arrays(values) -> float:
+    """The RMS over every entry of a list of arrays: the norm scipy's RK45
+    takes of the same entries stacked into one vector."""
+    return (math.sqrt(sum(float(np.vdot(v, v)) for v in values))
+            / sum(v.size for v in values) ** 0.5)
+
+
+def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol, norm) -> float:
     """scipy's select_initial_step (one RHS evaluation)."""
     interval = abs(t_end - t0)
     scale = [atol + abs(v) * rtol for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    d0 = norm([v / s for v, s in zip(y0, scale)])
+    d1 = norm([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = rhs(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    d2 = norm([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -138,23 +128,32 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
 
 
 def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-            rtol: float) -> Tuple[list, int]:
-    """y(t_end) of y' = rhs(t, y), and the number of RHS evaluations.
+            rtol: float) -> Tuple[list, list, int]:
+    """The accepted steps of y' = rhs(t, y) from (t0, y0) to t_end: their
+    times and states, from t0 to t_end, and the number of RHS evaluations.
 
-    The state is a list of Python floats and `rhs(t, y)` returns a sequence
-    of floats.  Tableau and step control are those of scipy's RK45 (initial
-    step, RMS error norm with scale atol + max(|y|, |y_new|) rtol, safety 0.9,
-    factors clamped to [0.2, 10] and to at most 1 after a rejection, the last
-    step clipped to t_end), so it takes the steps solve_ivp(method="RK45")
-    takes, without numpy's per-call cost on a small state.  Raises
-    StepSizeUnderflow where solve_ivp ends with status -1.
+    The state is a list of components, either Python floats or, for a batch,
+    numpy arrays (one stacked array of every trajectory's coordinates), and
+    `rhs(t, y)` returns a sequence of the same kind.  Tableau and step control
+    are those of scipy's RK45 (initial step, RMS error norm over every entry
+    with scale atol + max(|y|, |y_new|) rtol, safety 0.9, factors clamped to
+    [0.2, 10] and to at most 1 after a rejection, the last step clipped to
+    t_end), so it takes the steps scipy's RK45 takes on the same entries
+    stacked into one vector, without numpy's per-call cost on a small float
+    state.  Raises StepSizeUnderflow where RK45 fails with a step below the
+    float spacing, and on a NaN step size.
     """
-    y = [float(v) for v in y0]
+    y = list(y0)
+    if isinstance(y[0], np.ndarray):
+        bigger, norm = np.maximum, _rms_arrays
+    else:
+        bigger, norm = max, _rms
     f = rhs(t0, y)
+    ts, ys = [t0], [y]
     if t_end == t0:
-        return y, 1
+        return ts, ys, 1
     direction = 1.0 if t_end > t0 else -1.0
-    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
+    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol, norm)
     nfev = 2
     t = t0
     while direction * (t - t_end) < 0:
@@ -162,7 +161,7 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:
                 raise StepSizeUnderflow(
                     f"required step size is below {min_step:.3g} at t = {t}")
             t_new = t + h_abs * direction
@@ -187,9 +186,9 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             f_new = rhs(t + h, y_new)
             nfev += 6
 
-            error_norm = _rms([
+            error_norm = norm([
                 (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) * h
-                / (atol + max(abs(v), abs(vn)) * rtol)
+                / (atol + bigger(abs(v), abs(vn)) * rtol)
                 for v, vn, a, c, d, e, g, k
                 in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])
             if error_norm < 1:
@@ -202,7 +201,9 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-    return y, nfev
+        ts.append(t)
+        ys.append(y)
+    return ts, ys, nfev
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ class RescaledField:
         return self._bound[1]
 
     def field3(self, mu: float, eps: float) -> Callable:
-        """f(t, state) for solve_ivp on the full rescaled 3D system."""
+        """f(t, state) for `integrate` on the full rescaled 3D system."""
         f = self.bind(mu, eps)
 
         def rhs(t, state):
@@ -274,91 +275,10 @@ class RescaledField:
         """(dr/dtheta, dw/dtheta) at (mu, eps); see BoundField.cylindrical."""
         return self.bind(mu, eps).cylindrical(theta, r, w)
 
-    def cylindrical_jacobian(self, theta, r, w, mu, eps) -> np.ndarray:
-        """(2, 2) Jacobian of (dr/dtheta, dw/dtheta) in (r, w) by complex-step
-        differentiation, Im f(v + ih) / h: exact to rounding for this rational
-        field (no difference is taken) and independent of jet transport."""
-        cyl = self.bind(mu, eps).cylindrical
-        h = 1e-30
-        cols = [cyl(theta, r + 1j * h, w), cyl(theta, r, w + 1j * h)]
-        return np.array(cols).imag.T / h
-
 
 # ---------------------------------------------------------------------------
-# sections and return maps
+# the theta-return map
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PlaneSection:
-    """y = 0 crossed with ydot > 0."""
-    coordinate: int = 1
-    direction: float = 1.0
-
-
-@dataclass
-class SectionEvent:
-    time: float
-    state: np.ndarray
-    residual: float
-
-
-def poincare_return(field: Callable, section: PlaneSection, x0,
-                    cfg: Optional[IntegratorConfig] = None,
-                    horizon: float = DEFAULT_HORIZON_PERIODS * PERIOD):
-    """Next crossing of the plane section in the prescribed direction.
-
-    The event time from the integrator is polished by Newton on the dense
-    output until |coordinate| <= 1e-12 (bisection-style fallback on stall).
-    """
-    cfg = cfg or IntegratorConfig()
-    k = section.coordinate
-
-    def event(t, state):
-        return state[k]
-
-    event.terminal = True
-    event.direction = section.direction
-
-    x0 = np.asarray(x0, dtype=float)
-    # leave the section before arming the event: start is on the section
-    f0 = np.asarray(field(0.0, x0), dtype=float)
-    speed0 = f0[k] * section.direction
-    if abs(f0[k]) < TANGENCY_SPEED:
-        raise TangencyDetected(f"transversal speed {f0[k]} at start")
-    t_lift = 1e-6
-    lift = solve_ivp(field, (0.0, t_lift), x0, method="RK45", rtol=cfg.rtol,
-                     atol=cfg.atol, dense_output=False)
-    x_lift = lift.y[:, -1]
-
-    traj = integrate(field, x_lift, (t_lift, horizon), cfg, events=[event])
-    t_events = traj._events[0][0]
-    if len(t_events) == 0:
-        raise NoReturnWithinHorizon(f"no section return within t <= {horizon}")
-    t_hit = float(t_events[0])
-
-    # Newton refinement on the dense interpolant, kept inside a local window
-    sol = traj.sol
-    window = (max(traj.t[0], t_hit - 1e-3), min(traj.t[-1], t_hit + 1e-3))
-    for _ in range(60):
-        state = sol(t_hit)
-        res = state[k]
-        if abs(res) <= EVENT_RESIDUAL:
-            break
-        speed = np.asarray(field(t_hit, state), dtype=float)[k]
-        if abs(speed) < TANGENCY_SPEED:
-            raise TangencyDetected(f"transversal speed {speed} at event")
-        t_new = t_hit - res / speed
-        if not (window[0] <= t_new <= window[1]):
-            # bisection-style fallback toward the crossing side
-            t_new = 0.5 * (t_hit + (window[1] if res * speed < 0 else window[0]))
-        t_hit = t_new
-    state = np.asarray(sol(t_hit), dtype=float)
-    speed = np.asarray(field(t_hit, state), dtype=float)[k]
-    if abs(speed) < TANGENCY_SPEED:
-        raise TangencyDetected(f"transversal speed {speed} at event")
-    event_rec = SectionEvent(time=t_hit, state=state, residual=abs(float(state[k])))
-    return state, t_hit, event_rec
-
 
 class ThetaReturnMap:
     """theta: 0 -> 2 pi return map of the rescaled cylindrical system."""
@@ -370,21 +290,21 @@ class ThetaReturnMap:
 
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
-        """Map a batch of (r, w) points through one return (|X0| independent
-        trajectories integrated as one stacked system by solve_ivp).
+        """Map a batch of (r, w) points through one return.
 
-        A single seed is integrated on Python floats by `dopri45`, which
-        takes RK45's steps without numpy's per-call cost on a 2-float state;
-        a batch keeps solve_ivp, where numpy makes many seeds cost about what
-        one does.  A zero division or a non-finite field value raises
-        NonFiniteState; RK45 would otherwise shrink its step on NaN forever."""
+        One `dopri45` integration for any batch size; the batch size chooses
+        how the RHS packs the state.  A single seed runs on Python floats
+        (no numpy per RHS evaluation), a batch on one (2, n) array (many
+        seeds cost about what one does).  A zero division or a non-finite
+        field value raises NonFiniteState; the step control would otherwise
+        shrink its step on NaN until it underflows."""
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        n = X0.shape[0]
         t_end = -PERIOD if reverse else PERIOD
         cyl = self.field.bind(mu, eps).cylindrical
-        cfg = self.cfg
 
-        if n == 1:
+        if len(X0) == 1:
+            y0 = X0[0].tolist()
+
             def rhs(theta, state):
                 try:
                     dr, dw = cyl(theta, state[0], state[1])
@@ -393,26 +313,23 @@ class ThetaReturnMap:
                 if not (math.isfinite(dr) and math.isfinite(dw)):
                     raise NonFiniteState(f"return-map field non-finite at theta={theta}")
                 return dr, dw
+        else:
+            y0 = [X0.T.copy()]
 
-            y, _ = dopri45(rhs, 0.0, t_end, X0[0], cfg.atol, cfg.rtol)
-            if not (math.isfinite(y[0]) and math.isfinite(y[1])):
-                raise NonFiniteState("return map produced non-finite state")
-            return np.array([y])
+            def rhs(theta, state):
+                out = np.array(cyl(theta, *state[0]))
+                if not np.isfinite(out).all():
+                    raise NonFiniteState(f"return-map field non-finite at theta={theta}")
+                return [out]
 
-        def rhs(theta, state):
-            dr, dw = cyl(theta, state[:n], state[n:])
-            out = np.concatenate([dr, dw])
-            if not np.isfinite(out).all():
-                raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-            return out
-
-        sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([X0[:, 0], X0[:, 1]]),
-                        method="RK45", rtol=cfg.rtol, atol=cfg.atol, dense_output=False)
-        if sol.status != 0:
-            raise FlowError(f"return-map integration failed: {sol.message}")
-        if not np.all(np.isfinite(sol.y[:, -1])):
+        # a batch seed on the axis divides by r = 0 in numpy: no warning, the
+        # RHS check above raises
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, ys, _ = dopri45(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)
+        Y = np.array(ys[-1]).reshape(2, -1).T           # (n, 2) for either packing
+        if not np.isfinite(Y).all():
             raise NonFiniteState("return map produced non-finite state")
-        return np.stack([sol.y[:n, -1], sol.y[n:, -1]], axis=1)
+        return Y
 
     def point(self, x0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
         return self.points(np.asarray(x0, dtype=float)[None, :], mu, eps, reverse)[0]
@@ -436,16 +353,13 @@ class ThetaReturnMap:
 
         cfg = self.cfg
         try:
-            y, _ = dopri45(rhs, 0.0, PERIOD, state0, cfg.atol, cfg.rtol)
+            _, ys, _ = dopri45(rhs, 0.0, PERIOD, state0, cfg.atol, cfg.rtol)
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
+        y = ys[-1]
         if not all(map(math.isfinite, y)):
             raise JetTransportUnstable("jet transport integration failed")
         return MapJet.from_jets(_jet(tuple(y[:10])), _jet(tuple(y[10:])))
-
-    def jet3_fd(self, x0, mu: float, eps: float, scale: float = 1.0) -> "MapJet":
-        """Central finite-difference fallback, step h = eps_mach^(1/4) * scale."""
-        return fd_map_jet(lambda p: self.point(p, mu, eps), np.asarray(x0, float), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -619,76 +533,3 @@ class MapJet:
             for p in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
                 c = max(c, abs(self.C[comp][p] - self.C[comp][(0, 1, 1)]))
         return max(b, c)
-
-
-def fd_map_jet(map_fn: Callable, x0: np.ndarray, scale: float = 1.0,
-               noise: float = 1e-12) -> MapJet:
-    """Degree-3 jet by central finite differences (fallback route).
-
-    The Jacobian uses the classical step h = eps_mach^(1/4) * scale; the
-    second- and third-derivative stencils divide the map noise by h^2 and
-    h^3, so their steps are balanced against `noise` (the map's absolute
-    accuracy, i.e. the integrator atol) instead: h2 ~ noise^(1/4),
-    h3 ~ noise^(1/5).  With the classical step the third differences of a
-    1e-12-accurate map would be pure noise.
-    """
-    h1 = (np.finfo(float).eps) ** 0.25 * scale
-    h2 = max(h1, noise ** 0.25 * scale)
-    h3 = max(h2, noise ** 0.2 * scale)
-    e = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-
-    def f(p):
-        return np.asarray(map_fn(p), dtype=float)
-
-    value = f(x0)
-    A = np.zeros((2, 2))
-    for j in range(2):
-        A[:, j] = (f(x0 + h1 * e[j]) - f(x0 - h1 * e[j])) / (2 * h1)
-    B = np.zeros((2, 2, 2))
-    for j in range(2):
-        B[:, j, j] = (f(x0 + h2 * e[j]) - 2 * value + f(x0 - h2 * e[j])) / h2 ** 2
-    mixed = (f(x0 + h2 * (e[0] + e[1])) - f(x0 + h2 * (e[0] - e[1]))
-             - f(x0 - h2 * (e[0] - e[1])) + f(x0 - h2 * (e[0] + e[1]))) / (4 * h2 ** 2)
-    B[:, 0, 1] = B[:, 1, 0] = mixed
-    C = np.zeros((2, 2, 2, 2))
-    for j in range(2):
-        third = (f(x0 + 2 * h3 * e[j]) - 2 * f(x0 + h3 * e[j])
-                 + 2 * f(x0 - h3 * e[j]) - f(x0 - 2 * h3 * e[j])) / (2 * h3 ** 3)
-        idx = tuple([j] * 3)
-        C[(slice(None),) + idx] = third
-    # mixed thirds d^2_j d_k via difference of Hessians
-    for j in range(2):
-        for k in range(2):
-            if j == k:
-                continue
-            hess_p = (f(x0 + h3 * e[k] + h3 * e[j]) - 2 * f(x0 + h3 * e[k])
-                      + f(x0 + h3 * e[k] - h3 * e[j])) / h3 ** 2
-            hess_m = (f(x0 - h3 * e[k] + h3 * e[j]) - 2 * f(x0 - h3 * e[k])
-                      + f(x0 - h3 * e[k] - h3 * e[j])) / h3 ** 2
-            mixed3 = (hess_p - hess_m) / (2 * h3)
-            for perm in {(j, j, k), (j, k, j), (k, j, j)}:
-                C[(slice(None),) + perm] = mixed3
-    return MapJet(value=value, A=A, B=B, C=C)
-
-
-def variational_jacobian(field: Callable, dfield: Callable, x0, t_span,
-                         cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
-    """Monodromy of the first variational equation (oracle for jet Jacobians).
-
-    `dfield(t, state)` must return the (n, n) Jacobian of the field.
-    """
-    cfg = cfg or IntegratorConfig()
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-
-    def rhs(t, stacked):
-        state = stacked[:n]
-        M = stacked[n:].reshape(n, n)
-        return np.concatenate([np.asarray(field(t, state), dtype=float),
-                               (np.asarray(dfield(t, state)) @ M).ravel()])
-
-    state0 = np.concatenate([x0, np.eye(n).ravel()])
-    sol = solve_ivp(rhs, t_span, state0, method="RK45", rtol=cfg.rtol, atol=cfg.atol)
-    if sol.status != 0:
-        raise FlowError(f"variational integration failed: {sol.message}")
-    return sol.y[n:, -1].reshape(n, n)

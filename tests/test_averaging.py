@@ -15,6 +15,8 @@ from torusforge.criteria import (
 )
 from torusforge.flow import ThetaReturnMap
 
+from oracles import f1_quadrature
+
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
 # exact oracles from the independent symbolic pipeline (offline derivation):
@@ -88,7 +90,7 @@ def test_f1_quadrature_matches_closed_form():
     for r in (0.7, 1.0, 1.4142, 2.1):
         for w in (-0.4, 0.0, 0.3):
             for mu in (0.0, 0.05):
-                q = mel.f1_quadrature((r, w), mu)
+                q = f1_quadrature(mel, (r, w), mu)
                 c = mel.f1((r, w), mu)
                 assert np.max(np.abs(q - c)) <= 1e-9
 
@@ -207,7 +209,7 @@ def test_general_family_same_ell1():
 def test_hypothesis_check_example():
     sys, fam, std, mel = _example_pair()
     crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
-    rep = hypothesis_check(mel, crit)
+    rep = hypothesis_check(mel, crit, first_lyapunov_quantity(sys))
     assert rep.hopf_ok and rep.transversality_ok and rep.nondegeneracy_ok
     assert rep.details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
     assert rep.details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import torusforge
 from torusforge.cli import EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, main
 
 EXAMPLE_DOC = {
@@ -166,3 +170,31 @@ def test_nested_power_fails_fast(tmp_path):
 def test_invalid_schema(tmp_path):
     doc = _write_doc(tmp_path, {"perturbation": {"simple": True}})
     assert main(["analyze", "--input", doc, "--out", str(tmp_path)]) == EXIT_ERROR
+
+
+def _run_fresh(args, timeout=60):
+    """Run `python -c/-m ...` in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(torusforge.__file__))
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=timeout)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: a fresh interpreter that imports the
+    CLI loads no scipy module."""
+    proc = _run_fresh(["-c", "import sys, torusforge.cli; print(sorted("
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_nan_start_fails_fast(tmp_path):
+    """At x = y = 1e200 the example field is inf - inf = NaN, so the first
+    step size is NaN: the run ends in a typed StepSizeUnderflow instead of a
+    step-size loop that never ends."""
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, initial_state=[1e200, 1e200, 0.0],
+                                    periods=1))
+    proc = _run_fresh(["-m", "torusforge.cli", "simulate", "--input", doc,
+                       "--out", str(tmp_path / "out")])
+    assert proc.returncode == EXIT_ERROR
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "StepSizeUnderflow"

@@ -23,17 +23,12 @@ import numpy as np
 from .criteria import DegenerateSum, HopfZeroSystem, PerturbationFamily
 from .fieldexpr import Poly
 
-QUADRATURE_TOL = 1e-11
 PERIOD = 2.0 * math.pi
 EQUILIBRIUM_RESIDUAL = 1e-12
 STRONG_RESONANCE_TOL = 1e-8
 
 
 class AveragingError(ValueError):
-    pass
-
-
-class QuadratureNotConverged(AveragingError):
     pass
 
 
@@ -379,44 +374,6 @@ class StandardFormSystem:
     family: PerturbationFamily
     slices: Tuple[Tuple[Poly, Poly, Poly], ...]   # exact eps-graded field slices
 
-    # compiled on first numeric use: first_lyapunov_quantity never evaluates F
-    @cached_property
-    def _f1_eval(self):
-        return tuple(t.evaluator() for t in self.F1)
-
-    @cached_property
-    def _f2_eval(self):
-        return tuple(t.evaluator() for t in self.F2)
-
-    @cached_property
-    def _df1_eval(self):
-        return tuple(tuple(d.evaluator() for d in (t.diff_r(), t.diff_w()))
-                     for t in self.F1)
-
-    def _eval(self, evaluators, theta, x, mu):
-        """Re f(e^{i theta}, r, w, mu) for each evaluator; theta is a scalar."""
-        u = cmath.exp(1j * theta)
-        r, w = x
-        return np.array([f(u, r, w, mu).real for f in evaluators])
-
-    def eval_F1(self, theta, x, mu):
-        return self._eval(self._f1_eval, theta, x, mu)
-
-    def eval_F2(self, theta, x, mu):
-        return self._eval(self._f2_eval, theta, x, mu)
-
-    def eval_DF1(self, theta, x, mu):
-        return np.stack([self._eval(row, theta, x, mu) for row in self._df1_eval])
-
-    def periodicity_residual(self, samples: Sequence[Tuple[float, float]],
-                             mu) -> float:
-        res = 0.0
-        for (r, w) in samples:
-            a = self.eval_F1(0.0, (r, w), mu) - self.eval_F1(PERIOD, (r, w), mu)
-            b = self.eval_F2(0.0, (r, w), mu) - self.eval_F2(PERIOD, (r, w), mu)
-            res = max(res, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        return res
-
 
 def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
                       ) -> Tuple[Tuple[Poly, Poly, Poly], ...]:
@@ -482,7 +439,9 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFo
 
 @dataclass
 class MelnikovPair:
-    """f1 (closed form) and f2 (quadrature, with an exact cross-check form)."""
+    """f1 and f2 as exact polynomials in (r, w, mu) with coefficients in
+    Q[pi]; `f1`, `f1_jacobian` and `f2_closed` evaluate them.  The tests
+    cross-check both against quadrature of the standard form."""
     std: StandardFormSystem
     f1_exact: Tuple[PiPoly, PiPoly]
     f2_exact: Tuple[PiPoly, PiPoly]
@@ -513,11 +472,6 @@ class MelnikovPair:
         r, w = x
         return np.array([f(r, w, mu) for f in self._f2_eval])
 
-    def f2_quadrature(self, x, mu, tol=QUADRATURE_TOL) -> np.ndarray:
-        """f2(z) = int_0^T (F2(t,z) + dF1/dx(t,z) . int_0^t F1(s,z) ds) dt,
-        inner antiderivative by cumulative Gauss-Legendre panels."""
-        return _quadrature_f2(self.std, x, mu, tol)
-
 
 def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
     f1 = tuple(_integrate_2pi(F) for F in std.F1)
@@ -530,50 +484,6 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
         integrand_b = J[i][0] * Phi[0].b + J[i][1] * Phi[1].b
         f2.append(_integrate_2pi_theta(ThetaLinear(integrand_a, integrand_b)))
     return MelnikovPair(std=std, f1_exact=f1, f2_exact=tuple(f2))
-
-
-def _gl_nodes(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
-def _quadrature_f2(std, x, mu, tol, max_panels=2048):
-    prev = None
-    n_panels = 8
-    while n_panels <= max_panels:
-        result = _f2_fixed_panels(std, x, mu, n_panels)
-        if prev is not None and np.max(np.abs(result - prev)) <= tol:
-            return result
-        prev = result
-        n_panels *= 2
-    raise QuadratureNotConverged(f"f2 quadrature not converged at tol={tol}")
-
-
-def _f2_fixed_panels(std, x, mu, n_panels, n_gauss=12):
-    nodes, weights = _gl_nodes(n_gauss)
-    edges = np.linspace(0.0, PERIOD, n_panels + 1)
-    total = np.zeros(2)
-    cumulative = np.zeros(2)      # int_0^{panel start} F1
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * nodes
-        order = np.argsort(ts)
-        inner = np.zeros((len(ts), 2))
-        for t_index in order:
-            t = ts[t_index]
-            # partial integral over [a, t] with its own Gauss rule
-            pm, ph = 0.5 * (a + t), 0.5 * (t - a)
-            pvals = np.stack([std.eval_F1(pm + ph * s, x, mu) for s in nodes])
-            inner[t_index] = cumulative + ph * (weights[:, None] * pvals).sum(axis=0)
-        outer = np.zeros((len(ts), 2))
-        for idx, t in enumerate(ts):
-            DF1 = std.eval_DF1(t, x, mu)
-            outer[idx] = std.eval_F2(t, x, mu) + DF1 @ inner[idx]
-        total += half * (weights[:, None] * outer).sum(axis=0)
-        # advance the cumulative integral by the full panel
-        pvals = np.stack([std.eval_F1(mid + half * s, x, mu) for s in nodes])
-        cumulative += half * (weights[:, None] * pvals).sum(axis=0)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +552,6 @@ class HypothesisReport:
     transversality_ok: bool
     nondegeneracy_ok: bool
     details: dict
-
-    @property
-    def all_ok(self) -> bool:
-        return self.hopf_ok and self.transversality_ok and self.nondegeneracy_ok
 
 
 def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result,

@@ -13,8 +13,12 @@ The input document is one self-contained JSON experiment:
       "parameters": {"mu": 0.05, "eps": 0.05},
       "tolerances": {"atol": 1e-12, "rtol": 1e-10},
       "ball": {"center": [0, 0, 0], "radius": 1.0},
-      "lift": {"L_values": ["1", "2"], "delta_values": ["1/4", "1/16"]}
+      "lift": {"L_values": ["1", "2"], "delta_values": ["1/4", "1/16"]},
+      "periods": 50
     }
+
+`--grid` lies in [1, MAX_GRID] and `periods` (simulate) in (0, MAX_PERIODS],
+so no input asks for unbounded work.
 
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; floats are serialized with 17 significant digits and keys are
@@ -56,9 +60,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 
+MAX_GRID = 200          # melnikov writes grid^2 rows
+MAX_PERIODS = 1000      # simulate keeps every accepted step in memory
+
 
 class UsageError(ValueError):
     """The command line does not parse."""
+
+
+class OutOfRange(ValueError):
+    """A document value lies outside its documented range."""
 
 
 @dataclass
@@ -199,7 +210,7 @@ def cmd_melnikov(spec: RunSpec) -> int:
         for r in rs:
             for w in ws:
                 f1 = mel.f1((r, w), mu)
-                f2 = mel.f2_quadrature((r, w), mu)
+                f2 = mel.f2_closed((r, w), mu)
                 writer.writerow([repr(float(v))
                                  for v in (r, w, f1[0], f1[1], f2[0], f2[1])])
     return EXIT_OK
@@ -252,6 +263,9 @@ def cmd_simulate(spec: RunSpec) -> int:
     mu, eps = _params(doc, spec)
     if mu is None or eps is None:
         raise CriteriaError("simulate requires both mu and eps")
+    periods = float(doc.get("periods", 50))
+    if not 0 < periods <= MAX_PERIODS:      # also refuses nan
+        raise OutOfRange(f"periods must lie in (0, {MAX_PERIODS}], got {periods}")
     cfg = _integrator(doc, spec)
     field = RescaledField(sys_, fam).field3(mu, eps)
     x0 = doc.get("initial_state")
@@ -259,7 +273,6 @@ def cmd_simulate(spec: RunSpec) -> int:
         mel = melnikov_pair(to_standard_form(sys_, fam))
         eq = averaged_equilibrium(mel, mu)
         x0 = [eq.r + 0.05, 0.0, eq.w]
-    periods = float(doc.get("periods", 50))
     traj = integrate(field, [float(v) for v in x0],
                      (0.0, periods * 2 * math.pi), cfg)
     traj.write_csv(os.path.join(spec.out_dir, "trajectory.csv"))
@@ -369,6 +382,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _grid(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= n <= MAX_GRID:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_GRID}], got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="torusforge",
@@ -378,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, help="experiment JSON document")
     parser.add_argument("--mu", type=float, default=None)
     parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--grid", type=int, default=21)
+    parser.add_argument("--grid", type=_grid, default=21,
+                        help=f"melnikov grid points per axis, 1 to {MAX_GRID}")
     parser.add_argument("--tol", type=float, default=None,
                         help="override integrator tolerances")
     parser.add_argument("--seed", type=int, default=0)

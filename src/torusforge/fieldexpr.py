@@ -412,10 +412,6 @@ class Poly:
             return 0
         return max(sum(m[i] for i in idxs) for m in self.terms)
 
-    def degree_of(self, var: str) -> int:
-        i = _VAR_INDEX[var]
-        return max((m[i] for m in self.terms), default=0)
-
     def coeff_of_eps(self, power: int) -> "Poly":
         """Collect monomials with the given eps exponent (eps removed)."""
         ie = _VAR_INDEX["eps"]
@@ -473,11 +469,6 @@ class Poly:
                     present[i] = True
         return tuple(v for v, i in _VAR_INDEX.items() if present[i])
 
-    def to_float(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.terms = {m: float(c) for m, c in self.terms.items()}
-        return result
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -511,12 +502,6 @@ class FieldExpr:
 
     def to_string(self) -> str:
         return _print_node(self.root)
-
-    def degree_report(self) -> Dict[str, int]:
-        rep = {v: self.poly.degree_of(v) for v in VARIABLES}
-        rep["xyz_total"] = self.poly.degree(("x", "y", "z"))
-        rep["param_total"] = self.poly.degree(("mu", "eps"))
-        return rep
 
     def __eq__(self, other):
         return isinstance(other, FieldExpr) and self.root == other.root
@@ -577,14 +562,6 @@ def parse_field(source: str) -> FieldExpr:
 
 def as_field_expr(value: Union[str, FieldExpr]) -> FieldExpr:
     return parse_field(value) if isinstance(value, str) else value
-
-
-def evaluate_field(f: Union[str, FieldExpr], point, params=(0, 0)):
-    """Evaluate at (x, y, z) with parameters (mu, eps); exact for exact input."""
-    f = as_field_expr(f)
-    px, py, pz = point
-    pmu, peps = params
-    return f.poly.eval(x=px, y=py, z=pz, mu=pmu, eps=peps)
 
 
 # ---------------------------------------------------------------------------

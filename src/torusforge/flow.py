@@ -517,19 +517,3 @@ class MapJet:
                             (d, a, b), (d, b, a)}:
                     C[comp][idx] = perm_val
         return cls(value=value, A=A, B=B, C=C)
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        return (self.value + self.A @ h
-                + 0.5 * np.einsum('ijk,j,k->i', self.B, h, h)
-                + np.einsum('ijkl,j,k,l->i', self.C, h, h, h) / 6.0)
-
-    def max_asymmetry(self) -> float:
-        b = max(float(np.max(np.abs(self.B[:, 0, 1] - self.B[:, 1, 0]))), 0.0)
-        c = 0.0
-        for comp in range(2):
-            for p in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-                c = max(c, abs(self.C[comp][p] - self.C[comp][(0, 0, 1)]))
-            for p in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-                c = max(c, abs(self.C[comp][p] - self.C[comp][(0, 1, 1)]))
-        return max(b, c)

@@ -22,7 +22,6 @@ and the observed direction; a mismatch is flagged, not corrected away.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -261,10 +260,6 @@ class TorusCertificate:
                 "mean_radius": self.curve.mean_radius,
             }
         return out
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
 
     def write_curve_csv(self, path):
         import csv

@@ -3,21 +3,24 @@
 Each one computes a quantity of the package by an independent method: a
 plane-section return with event location and dense output, the variational
 equation, finite differences, complex-step differentiation and plain
-Gauss-Legendre quadrature.  The integrations here stay on scipy's
-`solve_ivp`, so they also check the package's own Dormand-Prince stepper.
+Gauss-Legendre quadrature of the standard form.  The integrations here stay
+on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
+stepper.  The last section holds small helpers only the tests call.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from torusforge.averaging import (
-    PERIOD, QUADRATURE_TOL, MelnikovPair, QuadratureNotConverged,
+    PERIOD, AveragingError, MelnikovPair, StandardFormSystem,
 )
+from torusforge.fieldexpr import VARIABLES, FieldExpr, Poly, as_field_expr
 from torusforge.flow import (
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
@@ -26,6 +29,7 @@ from torusforge.flow import (
 EVENT_RESIDUAL = 1e-12
 TANGENCY_SPEED = 1e-8
 DEFAULT_HORIZON_PERIODS = 10
+QUADRATURE_TOL = 1e-11
 
 
 class NoReturnWithinHorizon(FlowError):
@@ -33,6 +37,10 @@ class NoReturnWithinHorizon(FlowError):
 
 
 class TangencyDetected(FlowError):
+    pass
+
+
+class QuadratureNotConverged(AveragingError):
     pass
 
 
@@ -209,14 +217,53 @@ def jet3_fd(tmap: ThetaReturnMap, x0, mu: float, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# the first Melnikov function by quadrature
+# the standard form evaluated numerically, and both Melnikov functions by
+# quadrature of it
 # ---------------------------------------------------------------------------
+
+class StandardForm:
+    """F1, F2 and dF1/d(r, w) of a StandardFormSystem at (theta, (r, w), mu),
+    compiled once per instance."""
+
+    def __init__(self, std: StandardFormSystem):
+        self.std = std
+        self._f1 = tuple(t.evaluator() for t in std.F1)
+        self._f2 = tuple(t.evaluator() for t in std.F2)
+        self._df1 = tuple(tuple(d.evaluator() for d in (t.diff_r(), t.diff_w()))
+                          for t in std.F1)
+
+    @staticmethod
+    def _eval(evaluators, theta, x, mu):
+        """Re f(e^{i theta}, r, w, mu) for each evaluator; theta is a scalar."""
+        u = cmath.exp(1j * theta)
+        r, w = x
+        return np.array([f(u, r, w, mu).real for f in evaluators])
+
+    def F1(self, theta, x, mu):
+        return self._eval(self._f1, theta, x, mu)
+
+    def F2(self, theta, x, mu):
+        return self._eval(self._f2, theta, x, mu)
+
+    def DF1(self, theta, x, mu):
+        return np.stack([self._eval(row, theta, x, mu) for row in self._df1])
+
+    def periodicity_residual(self, samples: Sequence[Tuple[float, float]],
+                             mu) -> float:
+        res = 0.0
+        for (r, w) in samples:
+            a = self.F1(0.0, (r, w), mu) - self.F1(PERIOD, (r, w), mu)
+            b = self.F2(0.0, (r, w), mu) - self.F2(PERIOD, (r, w), mu)
+            res = max(res, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        return res
+
 
 def f1_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
                   max_panels=4096) -> np.ndarray:
     """f1(x) = int_0^T F1(t, x) dt by 12-point Gauss-Legendre panels, doubled
     until two panel counts agree to `tol` (the cross-check of the closed form
     `MelnikovPair.f1`)."""
+    sf = StandardForm(mel.std)
     nodes, weights = np.polynomial.legendre.leggauss(12)
     prev = None
     n_panels = 8
@@ -226,10 +273,98 @@ def f1_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             ts = mid + half * nodes
-            vals = np.stack([mel.std.eval_F1(t, x, mu) for t in ts])
+            vals = np.stack([sf.F1(t, x, mu) for t in ts])
             total += half * (weights[:, None] * vals).sum(axis=0)
         if prev is not None and np.max(np.abs(total - prev)) <= tol:
             return total
         prev = total
         n_panels *= 2
     raise QuadratureNotConverged(f"f1 quadrature not converged at tol={tol}")
+
+
+def f2_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
+                  max_panels=2048) -> np.ndarray:
+    """f2(z) = int_0^T (F2(t,z) + dF1/dx(t,z) . int_0^t F1(s,z) ds) dt, inner
+    antiderivative by cumulative Gauss-Legendre panels, doubled until two
+    panel counts agree to `tol` (the cross-check of `MelnikovPair.f2_closed`)."""
+    sf = StandardForm(mel.std)
+    prev = None
+    n_panels = 8
+    while n_panels <= max_panels:
+        result = _f2_fixed_panels(sf, x, mu, n_panels)
+        if prev is not None and np.max(np.abs(result - prev)) <= tol:
+            return result
+        prev = result
+        n_panels *= 2
+    raise QuadratureNotConverged(f"f2 quadrature not converged at tol={tol}")
+
+
+def _f2_fixed_panels(sf: StandardForm, x, mu, n_panels, n_gauss=12):
+    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    edges = np.linspace(0.0, PERIOD, n_panels + 1)
+    total = np.zeros(2)
+    cumulative = np.zeros(2)      # int_0^{panel start} F1
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        ts = mid + half * nodes
+        order = np.argsort(ts)
+        inner = np.zeros((len(ts), 2))
+        for t_index in order:
+            t = ts[t_index]
+            # partial integral over [a, t] with its own Gauss rule
+            pm, ph = 0.5 * (a + t), 0.5 * (t - a)
+            pvals = np.stack([sf.F1(pm + ph * s, x, mu) for s in nodes])
+            inner[t_index] = cumulative + ph * (weights[:, None] * pvals).sum(axis=0)
+        outer = np.zeros((len(ts), 2))
+        for idx, t in enumerate(ts):
+            outer[idx] = sf.F2(t, x, mu) + sf.DF1(t, x, mu) @ inner[idx]
+        total += half * (weights[:, None] * outer).sum(axis=0)
+        # advance the cumulative integral by the full panel
+        pvals = np.stack([sf.F1(mid + half * s, x, mu) for s in nodes])
+        cumulative += half * (weights[:, None] * pvals).sum(axis=0)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+# ---------------------------------------------------------------------------
+
+def jet_apply(jet: MapJet, h) -> np.ndarray:
+    """The map jet's degree-3 Taylor polynomial at the offset h."""
+    h = np.asarray(h, dtype=float)
+    return (jet.value + jet.A @ h
+            + 0.5 * np.einsum('ijk,j,k->i', jet.B, h, h)
+            + np.einsum('ijkl,j,k,l->i', jet.C, h, h, h) / 6.0)
+
+
+def jet_max_asymmetry(jet: MapJet) -> float:
+    """Largest difference between entries of B and C that symmetry makes equal."""
+    b = max(float(np.max(np.abs(jet.B[:, 0, 1] - jet.B[:, 1, 0]))), 0.0)
+    c = 0.0
+    for comp in range(2):
+        for p in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+            c = max(c, abs(jet.C[comp][p] - jet.C[comp][(0, 0, 1)]))
+        for p in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            c = max(c, abs(jet.C[comp][p] - jet.C[comp][(0, 1, 1)]))
+    return max(b, c)
+
+
+def poly_to_float(p: Poly) -> Poly:
+    """The same polynomial with float coefficients."""
+    return Poly({m: float(c) for m, c in p.terms.items()})
+
+
+def degree_report(f: FieldExpr) -> Dict[str, int]:
+    """Degree in each variable, total degree in (x, y, z) and in (mu, eps)."""
+    rep = {v: f.poly.degree((v,)) for v in VARIABLES}
+    rep["xyz_total"] = f.poly.degree(("x", "y", "z"))
+    rep["param_total"] = f.poly.degree(("mu", "eps"))
+    return rep
+
+
+def evaluate_field(f: Union[str, FieldExpr], point, params=(0, 0)):
+    """Evaluate at (x, y, z) with parameters (mu, eps); exact for exact input."""
+    f = as_field_expr(f)
+    px, py, pz = point
+    pmu, peps = params
+    return f.poly.eval(x=px, y=py, z=pz, mu=pmu, eps=peps)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,13 @@ import time
 import pytest
 
 import torusforge
-from torusforge.cli import EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, main
+from torusforge.averaging import melnikov_pair, to_standard_form
+from torusforge.cli import (
+    EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_PERIODS, main,
+)
+from torusforge.criteria import PerturbationFamily, validate_hopf_zero
+
+from oracles import f2_quadrature
 
 EXAMPLE_DOC = {
     "system": {"P": "0", "Q": "y*z", "R": "-x^2 + x*y + z^2"},
@@ -110,6 +117,37 @@ def test_melnikov_csv(tmp_path):
     assert len(lines) == 1 + 16
 
 
+def test_melnikov_f2_is_exact(tmp_path):
+    """The report's f2 is the exact closed form, bit for bit, and the
+    independent quadrature of the standard form agrees with it."""
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    assert main(["melnikov", "--input", doc, "--out", str(out),
+                 "--grid", "3", "--mu", "0.0"]) == EXIT_OK
+    rows = [[float(v) for v in line.split(",")]
+            for line in (out / "melnikov.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    system = EXAMPLE_DOC["system"]
+    mel = melnikov_pair(to_standard_form(
+        validate_hopf_zero(system["P"], system["Q"], system["R"]),
+        PerturbationFamily.simple(beta=1)))
+    for r, w, _, _, f2_1, f2_2 in rows:
+        assert [f2_1, f2_2] == mel.f2_closed((r, w), 0.0).tolist()
+        q = f2_quadrature(mel, (r, w), 0.0)
+        assert max(abs(f2_1 - q[0]), abs(f2_2 - q[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", ["0", "-3", str(MAX_GRID + 1)])
+def test_melnikov_grid_out_of_range(tmp_path, capsys, grid):
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["melnikov", "--input", doc, "--out", str(tmp_path), "--grid", grid])
+    assert exc.value.code == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and "--grid" in err["message"]
+    assert not (tmp_path / "melnikov.csv").exists()
+
+
 def test_simulate(tmp_path):
     doc = dict(EXAMPLE_DOC)
     doc["periods"] = 3
@@ -119,6 +157,22 @@ def test_simulate(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,y,z"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("periods", [1e12, MAX_PERIODS + 1, math.inf,
+                                     math.nan, 0, -5])
+def test_simulate_periods_out_of_range(tmp_path, capsys, periods):
+    """A document cannot ask for an unbounded integration: periods outside
+    (0, MAX_PERIODS] end in a typed error before any step is taken."""
+    path = _write_doc(tmp_path, dict(EXAMPLE_DOC, periods=periods))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["simulate", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(capsys.readouterr().err)["error"] == "OutOfRange"
+    err = json.loads((out / "simulate_error.json").read_text())
+    assert err["error"] == "OutOfRange" and "periods" in err["message"]
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_lift_command(tmp_path):

@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusforge.fieldexpr import (
     MAX_DEGREE, VARIABLES, ExpressionTooLarge, FieldSyntaxError, Jet3, Poly,
-    UnknownIdentifierError, UnboundSymbolError, evaluate_field, jet_extract,
-    parse_field,
+    UnknownIdentifierError, UnboundSymbolError, jet_extract, parse_field,
 )
+from torusforge.lift import poly_expr
+
+from oracles import degree_report, evaluate_field, poly_to_float
 
 
 def test_parse_basic_degree():
     f = parse_field("x^2*y - 3/2*z^3")
-    rep = f.degree_report()
+    rep = degree_report(f)
     assert rep["xyz_total"] == 3
     assert rep["x"] == 2 and rep["z"] == 3
     assert rep["param_total"] == 0
@@ -20,7 +23,7 @@ def test_parse_basic_degree():
 
 def test_parse_example_system_param_degree():
     f = parse_field("-x^2 + x*y + z^2 + eps*mu*z + eps^2")
-    rep = f.degree_report()
+    rep = degree_report(f)
     assert rep["eps"] == 2
     assert rep["mu"] == 1
     # unary minus binds below '^': the x^2 coefficient must be -1
@@ -139,6 +142,31 @@ def test_print_parse_roundtrip_corpus():
         assert parse_field(ast2.to_string()).root == ast2.root
 
 
+# exact polynomials in (x, y, z, mu, eps): at most 5 terms, each exponent at
+# most 2, so a product of three stays small
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+monomials = st.tuples(*[st.integers(0, 2)] * 5)
+polys = st.dictionaries(monomials, coefficients, max_size=5).map(Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys)
+def test_poly_print_parse_roundtrip(p):
+    text = poly_expr(p).to_string()
+    assert parse_field(text).poly == p, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_poly_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + Poly() == a and a * Poly.constant(1) == a and not a - a
+
+
 def _random_poly3(rng) -> Poly:
     p = Poly()
     for _ in range(rng.randint(1, 8)):
@@ -163,7 +191,7 @@ def test_jet_product_exactness_random():
 def test_jet_agrees_with_finite_differences():
     rng = random.Random(7)
     for _ in range(5):
-        p = _random_poly3(rng).to_float()
+        p = poly_to_float(_random_poly3(rng))
 
         def ev(px, py, pz):
             return p.eval(x=px, y=py, z=pz)

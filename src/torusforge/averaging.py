@@ -20,7 +20,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .criteria import DegenerateSum, HopfZeroSystem, PerturbationFamily
+from .criteria import (
+    DegenerateSum, HopfZeroSystem, PerturbationFamily, perturbation_functions,
+)
 from .fieldexpr import Poly
 
 PERIOD = 2.0 * math.pi
@@ -506,7 +508,6 @@ class AveragedEquilibrium:
 def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
     sys = mel.std.system
     fam = mel.std.family
-    from .criteria import perturbation_functions
     gamma_op, _, eta_fn, w_mu_fn = perturbation_functions(sys, fam)
     gamma = float(gamma_op(mu))
     if gamma >= 0:
@@ -552,6 +553,12 @@ class HypothesisReport:
     transversality_ok: bool
     nondegeneracy_ok: bool
     details: dict
+
+    def to_dict(self) -> dict:
+        return {"hopf_ok": self.hopf_ok,
+                "transversality_ok": self.transversality_ok,
+                "nondegeneracy_ok": self.nondegeneracy_ok,
+                "details": self.details}
 
 
 def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result,
@@ -836,11 +843,13 @@ class UnitCircleCrossingNotFound(AveragingError):
 
 @dataclass
 class BranchPoint:
+    """One Neimark-Sacker point: the unit-circle crossing at one eps."""
     eps: float
     mu: float                  # on the unit-circle curve
     xi: np.ndarray             # fixed point of the return map
     eigenvalue: complex        # lambda(mu(eps), eps), |lambda| = 1
     theta: float               # arg lambda
+    jet: "MapJet"              # the map jet at xi
 
 
 @dataclass
@@ -848,32 +857,8 @@ class NSBranch:
     points: Tuple[BranchPoint, ...]
     mu0: float
     mu1_numeric: float
-    mu1_closed: Optional[Fraction]
     xi_slices_closed: Optional["BranchConstants"]
-    map_: object
-    mel: MelnikovPair
     ladder: Tuple[float, ...]
-
-    def fixed_point(self, mu: float, eps: float) -> np.ndarray:
-        return _newton_fixed_point(self.map_, self.mel, mu, eps)[0]
-
-    def eigenvalue(self, mu: float, eps: float) -> complex:
-        _, jet = _newton_fixed_point(self.map_, self.mel, mu, eps)
-        return _complex_eigenvalue(jet.A)
-
-    def mu_of_eps(self, eps: float, mu_guess: Optional[float] = None) -> float:
-        return _solve_unit_circle(self.map_, self.mel, self.mu0, eps, mu_guess)[0]
-
-    def xi_slice(self, mu: float, eps0: float = 4e-3) -> np.ndarray:
-        """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch by
-        a factor-2 Richardson ladder on (xi(mu, eps) - x_mu)/eps."""
-        eq = averaged_equilibrium(self.mel, mu)
-        x_mu = np.array([eq.r, eq.w])
-        vals = []
-        for e in (eps0, eps0 / 2, eps0 / 4):
-            xi = self.fixed_point(mu, e)
-            vals.append((xi - x_mu) / e)
-        return _richardson3(vals, (eps0, eps0 / 2, eps0 / 4))[0]
 
     def to_dict(self) -> dict:
         out = {
@@ -885,9 +870,10 @@ class NSBranch:
                         "lambda": [p.eigenvalue.real, p.eigenvalue.imag],
                         "theta": p.theta} for p in self.points],
         }
-        if self.mu1_closed is not None:
-            out["mu1_closed"] = float(self.mu1_closed)
-            out["mu1_closed_exact"] = str(self.mu1_closed)
+        if self.xi_slices_closed is not None:
+            mu1 = self.xi_slices_closed.mu1
+            out["mu1_closed"] = float(mu1)
+            out["mu1_closed_exact"] = str(mu1)
         return out
 
 
@@ -927,14 +913,15 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
     raise NewtonDiverged(f"fixed-point Newton stalled, residual {np.max(np.abs(res))}")
 
 
-def _solve_unit_circle(tmap, mel, mu0: float, eps: float,
-                       mu_guess: Optional[float] = None,
-                       tol: float = 1e-12, max_iter: int = 40):
+def unit_circle_point(tmap, mel, mu0: float, eps: float,
+                      mu_guess: Optional[float] = None,
+                      tol: float = 1e-12, max_iter: int = 40) -> BranchPoint:
     """Solve det(D Pi(xi(mu, eps))) = 1 for mu by the secant method.
 
     For a complex pair, |lambda|^2 = det, so this is the unit-circle
-    condition; the pair property is verified at the solution.  Returns
-    (mu, xi, lambda, the map jet at xi).
+    condition; the pair property is verified at the solution.  The secant
+    starts at mu0 (or `mu_guess`); the returned point carries the map jet at
+    xi, so nothing downstream solves the same point again.
     """
     last_xi = [None]
 
@@ -958,27 +945,50 @@ def _solve_unit_circle(tmap, mel, mu0: float, eps: float,
         hb, xi_b, jet_b = h(mu_b)
         if abs(hb) <= tol:
             lam = _complex_eigenvalue(jet_b.A)
-            return mu_b, xi_b, lam, jet_b
+            return BranchPoint(eps=eps, mu=mu_b, xi=xi_b, eigenvalue=lam,
+                               theta=math.atan2(lam.imag, lam.real), jet=jet_b)
     raise UnitCircleCrossingNotFound(
         f"secant on |lambda|=1 did not converge at eps={eps} (residual {hb})")
 
 
+def _ladder_points(tmap, mel, mu0: float,
+                   eps_ladder: Sequence[float]) -> List[BranchPoint]:
+    """unit_circle_point on each rung of a factor-2 ladder; the secant of a
+    rung starts from the previous rung's mu - mu0 halved."""
+    points = []
+    mu_guess = None
+    for eps in eps_ladder:
+        points.append(unit_circle_point(tmap, mel, mu0, eps, mu_guess))
+        mu_guess = mu0 + (points[-1].mu - mu0) / 2.0
+    return points
+
+
 def _richardson3(values: Sequence, ladder: Sequence[float]):
     """Fit v(e) = c0 + c1 e + ... through the ladder points (degree = number
-    of rungs - 1); return the coefficient list, componentwise on arrays.
-    With a single rung this degenerates to [value, 0, 0]."""
+    of rungs - 1); return the coefficient list, padded with zeros to three,
+    componentwise on arrays."""
     n = len(values)
     e = np.asarray(ladder, dtype=float)
     vals = np.stack([np.asarray(v, dtype=float) for v in values])
     shape = np.asarray(values[0]).shape
-    if n == 1:
-        coeffs = [vals.reshape(-1), np.zeros(vals.size), np.zeros(vals.size)]
-    else:
-        V = np.vander(e, n, increasing=True)
-        coeffs = list(np.linalg.solve(V, vals.reshape(n, -1)))
-        while len(coeffs) < 3:
-            coeffs.append(np.zeros(coeffs[0].size))
+    V = np.vander(e, n, increasing=True)
+    coeffs = list(np.linalg.solve(V, vals.reshape(n, -1)))
+    while len(coeffs) < 3:
+        coeffs.append(np.zeros(coeffs[0].size))
     return [c.reshape(shape) if shape else float(c.reshape(-1)[0]) for c in coeffs]
+
+
+def xi_slice(tmap, mel: MelnikovPair, mu: float, eps0: float = 4e-3) -> np.ndarray:
+    """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch by a
+    factor-2 Richardson ladder on (xi(mu, eps) - x_mu)/eps."""
+    eq = averaged_equilibrium(mel, mu)
+    x_mu = np.array([eq.r, eq.w])
+    ladder = (eps0, eps0 / 2, eps0 / 4)
+    vals = []
+    for e in ladder:
+        xi = _newton_fixed_point(tmap, mel, mu, e)[0]
+        vals.append((xi - x_mu) / e)
+    return _richardson3(vals, ladder)[0]
 
 
 def branch_continuation(mel: MelnikovPair, tmap, mu0: float,
@@ -988,25 +998,14 @@ def branch_continuation(mel: MelnikovPair, tmap, mu0: float,
     mu(eps); mu1 is estimated by a factor-2 Richardson ladder on mu(eps)/eps
     and, in the degree-preserving simple case, compared with the printed
     closed form."""
-    points = []
-    mu_guess = None
-    for eps in eps_ladder:
-        mu_c, xi, lam, _ = _solve_unit_circle(tmap, mel, mu0, eps, mu_guess)
-        points.append(BranchPoint(eps=eps, mu=mu_c, xi=xi, eigenvalue=lam,
-                                  theta=math.atan2(lam.imag, lam.real)))
-        mu_guess = mu0 + (mu_c - mu0) / 2.0      # predictor for the next rung
+    points = _ladder_points(tmap, mel, mu0, eps_ladder)
     slopes = [(p.mu - mu0) / p.eps for p in points]
     mu1_numeric = _richardson3(slopes, [p.eps for p in points])[0]
-
-    closed = None
     xi_closed = None
     if mel.std.family.simple_case:
-        closed_consts = printed_branch_constants(mel.std.system)
-        closed = closed_consts.mu1
-        xi_closed = closed_consts
+        xi_closed = printed_branch_constants(mel.std.system)
     return NSBranch(points=tuple(points), mu0=mu0, mu1_numeric=float(mu1_numeric),
-                    mu1_closed=closed, xi_slices_closed=xi_closed,
-                    map_=tmap, mel=mel, ladder=tuple(eps_ladder))
+                    xi_slices_closed=xi_closed, ladder=tuple(eps_ladder))
 
 
 # ---------------------------------------------------------------------------
@@ -1015,47 +1014,37 @@ def branch_continuation(mel: MelnikovPair, tmap, mu0: float,
 
 @dataclass
 class NormalizedMap:
-    eps: float
-    mu: float
-    xi: np.ndarray
-    theta: float
-    eigenvalue: complex
+    point: BranchPoint
     M: np.ndarray
-    M_inv: np.ndarray
-    DH: np.ndarray
     B: np.ndarray               # transformed bilinear tensor
     C: np.ndarray               # transformed trilinear tensor
     rotation_residual: float
-    det_M: float
 
 
-def normalized_map(tmap, mel: MelnikovPair, mu0: float, eps: float,
-                   mu_guess: Optional[float] = None) -> NormalizedMap:
-    """Fixed point at mu(eps), eigenvector-based change of basis M (first
+def normalized_map(point: BranchPoint) -> NormalizedMap:
+    """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
-    M0 + eps M1 normalization), and the transformed degree-3 tensors."""
-    mu_c, xi, lam, jet = _solve_unit_circle(tmap, mel, mu0, eps, mu_guess)
+    M0 + eps M1 normalization), and the transformed degree-3 tensors of the
+    point's map jet."""
+    jet, lam = point.jet, point.eigenvalue
     A = jet.A
     v2 = -1j * (A[0, 0] - lam) / A[0, 1]
     M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
-    det_M = float(np.linalg.det(M))
-    if abs(det_M) < 1e-12:
-        raise AveragingError(f"normalizing matrix singular at eps={eps}")
+    if abs(float(np.linalg.det(M))) < 1e-12:
+        raise AveragingError(f"normalizing matrix singular at eps={point.eps}")
     M_inv = np.linalg.inv(M)
     DH = M_inv @ A @ M
     rot_res = max(abs(DH[0, 0] - DH[1, 1]), abs(DH[0, 1] + DH[1, 0]))
     B_H = np.einsum('ia,ajk,jb,kc->ibc', M_inv, jet.B, M, M)
     C_H = np.einsum('ia,ajkl,jb,kc,ld->ibcd', M_inv, jet.C, M, M, M)
-    theta = math.atan2(lam.imag, lam.real)
-    return NormalizedMap(eps=eps, mu=mu_c, xi=xi, theta=theta, eigenvalue=lam,
-                         M=M, M_inv=M_inv, DH=DH, B=B_H, C=C_H,
-                         rotation_residual=float(rot_res), det_M=det_M)
+    return NormalizedMap(point=point, M=M, B=B_H, C=C_H,
+                         rotation_residual=float(rot_res))
 
 
 def lyapunov_coefficient_map(nm: NormalizedMap) -> float:
     """The map Lyapunov coefficient, evaluated verbatim with p = (1,-i)/sqrt2
     and <u, v> = conj(u)^T v; requires e^{ik theta} != 1 for k = 1..4."""
-    theta = nm.theta
+    theta = nm.point.theta
     for k in range(1, 5):
         if abs(cmath.exp(1j * k * theta) - 1.0) < STRONG_RESONANCE_TOL:
             raise StrongResonance(f"e^(i {k} theta) = 1 within {STRONG_RESONANCE_TOL}")
@@ -1093,12 +1082,8 @@ def lyapunov_slices(tmap, mel: MelnikovPair, mu0: float,
                     ) -> LyapunovSlices:
     """eps- and eps^2-slices of ell_1^eps by fitting
     ell_1^eps = e l11 + e^2 l12 + e^3 l13 through a factor-2 ladder."""
-    vals = []
-    mu_guess = None
-    for eps in eps_ladder:
-        nm = normalized_map(tmap, mel, mu0, eps, mu_guess)
-        vals.append((eps, lyapunov_coefficient_map(nm)))
-        mu_guess = mu0 + (nm.mu - mu0) / 2.0
+    vals = [(p.eps, lyapunov_coefficient_map(normalized_map(p)))
+            for p in _ladder_points(tmap, mel, mu0, eps_ladder)]
     e = np.array([v[0] for v in vals])
     y = np.array([v[1] for v in vals])
     V = np.stack([e, e ** 2, e ** 3], axis=1)
@@ -1114,9 +1099,6 @@ class JordanExpansion:
     A2: np.ndarray
     m21_1: float
     m22_1: float
-    eta1: float
-    eta2: float
-    zeta1: float
     rotation_residual: float
 
 
@@ -1129,30 +1111,20 @@ def jordan_expansion(tmap, mel: MelnikovPair, mu0: float,
     theta_eps, so A1/A2 are recovered from the theta_eps ladder:
     theta = omega0 eps + zeta2 eps^2 + O(eps^3), A1 = [[0, -omega0],
     [omega0, 0]], A2 = [[-omega0^2/2, -zeta2], [zeta2, -omega0^2/2]]; the
-    eta slices vanish identically on the curve (eta1 = eta2 = 0 up to the
-    unit-circle solve tolerance). M1 entries come from the same ladder.
+    eta slices vanish identically on the curve (up to the unit-circle solve
+    tolerance). M1 entries come from the same ladder.
     """
-    nms = []
-    mu_guess = None
-    for eps in eps_ladder:
-        nm = normalized_map(tmap, mel, mu0, eps, mu_guess)
-        nms.append(nm)
-        mu_guess = mu0 + (nm.mu - mu0) / 2.0
-    thetas = [nm.theta / nm.eps for nm in nms]
+    nms = [normalized_map(p) for p in _ladder_points(tmap, mel, mu0, eps_ladder)]
+    thetas = [nm.point.theta / nm.point.eps for nm in nms]
     c0, c1, _ = _richardson3(thetas, eps_ladder)
     omega0, zeta2 = float(c0), float(c1)
-    m21 = [ (nm.M[1, 0] - 0.0) / nm.eps for nm in nms ]
+    m21 = [nm.M[1, 0] / nm.point.eps for nm in nms]
     # M0 = [[1,0],[0, m22_0]]: take the limit of M[1,1] for the zeroth order
     m22_0, m22_1, _ = _richardson3([nm.M[1, 1] for nm in nms], eps_ladder)
     m21_1 = float(_richardson3(m21, eps_ladder)[0])
     rot_res = max(nm.rotation_residual for nm in nms)
-    # eta slices from |lambda| (zero on the curve by construction)
-    etas = [abs(nm.eigenvalue) - 1.0 for nm in nms]
-    eta1 = float(_richardson3([v / nm.eps for v, nm in zip(etas, nms)], eps_ladder)[0])
-    eta2 = float(_richardson3([v / nm.eps ** 2 for v, nm in zip(etas, nms)],
-                              eps_ladder)[0])
     A1 = np.array([[0.0, -omega0], [omega0, 0.0]])
     A2 = np.array([[-0.5 * omega0 ** 2, -zeta2], [zeta2, -0.5 * omega0 ** 2]])
     return JordanExpansion(omega0=omega0, zeta2=zeta2, A1=A1, A2=A2,
-                           m21_1=m21_1, m22_1=float(m22_1), eta1=eta1, eta2=eta2,
-                           zeta1=omega0, rotation_residual=rot_res)
+                           m21_1=m21_1, m22_1=float(m22_1),
+                           rotation_residual=rot_res)

@@ -44,8 +44,9 @@ import numpy as np
 
 from . import __version__
 from .averaging import (
-    averaged_equilibrium, branch_continuation, jordan_expansion,
-    lyapunov_slices, melnikov_pair, to_standard_form,
+    averaged_equilibrium, branch_continuation, hypothesis_check,
+    jordan_expansion, lyapunov_slices, melnikov_pair, to_standard_form,
+    unit_circle_point, xi_slice,
 )
 from .criteria import (
     CriteriaError, PerturbationFamily, criteria_report, validate_hopf_zero,
@@ -232,11 +233,13 @@ def cmd_branch(spec: RunSpec) -> int:
     branch = branch_continuation(mel, tmap, mu0)
     slices = lyapunov_slices(tmap, mel, mu0)
     jordan = jordan_expansion(tmap, mel, mu0)
-    xi1 = branch.xi_slice(mu0)
+    xi1 = xi_slice(tmap, mel, mu0)
+    hyp = hypothesis_check(mel, rep.perturbation, rep.base.lyapunov)
     payload = {
         "meta": _meta(spec, doc),
         "criteria": rep.to_dict(),
         "branch": branch.to_dict(),
+        "hypotheses": hyp.to_dict(),
         "xi_slice_at_mu0": [float(v) for v in xi1],
         "lyapunov": {"l11": slices.l11, "l12": slices.l12,
                      "samples": [list(v) for v in slices.values]},
@@ -294,9 +297,8 @@ def cmd_certify(spec: RunSpec) -> int:
         return EXIT_NOT_APPLICABLE
     mel = melnikov_pair(to_standard_form(sys_, fam))
     tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
-    branch = branch_continuation(mel, tmap, rep.perturbation.mu0,
-                                 eps_ladder=(eps, eps / 2, eps / 4))
-    cert = certify_torus(tmap, mu, eps, branch, rep.base.lyapunov)
+    point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
+    cert = certify_torus(tmap, mu, point, mel, rep.base.lyapunov)
     payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
     write_report(os.path.join(spec.out_dir, "certificate.json"), payload)

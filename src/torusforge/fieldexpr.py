@@ -601,10 +601,6 @@ class Jet3:
             raise ValueError(f"jet index ({j},{k},{l}) out of range")
         return self._entries.get((j, k, l), Fraction(0))
 
-    def coefficient(self, j: int, k: int, l: int):
-        """Taylor coefficient F^(j,k,l) / (j! k! l!)."""
-        return self.get(j, k, l) / _factorial3(j, k, l)
-
     def items(self) -> Iterator:
         return iter(sorted(self._entries.items()))
 

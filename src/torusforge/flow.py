@@ -442,16 +442,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        result = Jet2.constant(1.0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def reciprocal(self) -> "Jet2":
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = self.coeffs
         if b0 == 0:

@@ -390,8 +390,6 @@ def _inv3(M):
     adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
            [f * g - d * i, a * i - c * g, c * d - a * f],
            [d * h - e * g, b * g - a * h, a * e - b * d]]
-    if isinstance(det, Fraction):
-        return [[adj[r][s] / det for s in range(3)] for r in range(3)]
     return [[adj[r][s] / det for s in range(3)] for r in range(3)]
 
 
@@ -444,7 +442,6 @@ class LiftTuning:
     A_coeffs: Tuple[Fraction, Fraction, Fraction]    # A(L) = A0 + A1 L + A2 L^2
     A_limit: Fraction                                # A2 (the L^2 coefficient)
     A_limit_printed: Fraction
-    omega_samples: Dict[Tuple[Fraction, Fraction], Fraction]
     delta_linearity_residual: float
 
 
@@ -494,7 +491,7 @@ def tune_lift_parameters(seed_field,
             om = omega_of_lift(polys, Lv, dv)
             omega_samples[(Fraction(Lv), Fraction(dv))] = om
             vals.append((Fraction(dv), om))
-        A_of_L[Fraction(Lv)] = _quadratic_at_zero(vals)
+        A_of_L[Fraction(Lv)] = _quadratic_coeffs(vals)[0]
 
     # A(L) is quadratic in L: interpolate exactly from three samples and
     # verify the rest of the grid reproduces it
@@ -558,13 +555,7 @@ def tune_lift_parameters(seed_field,
                       ell1_jitter=jitter_mag,
                       A_coeffs=(c0, c1, c2), A_limit=c2,
                       A_limit_printed=printed_A_limit(polys),
-                      omega_samples=omega_samples,
                       delta_linearity_residual=lin_residual)
-
-
-def _quadratic_at_zero(samples: Sequence[Tuple[Fraction, Fraction]]) -> Fraction:
-    c0, _, _ = _quadratic_coeffs(samples)
-    return c0
 
 
 def _quadratic_coeffs(samples: Sequence[Tuple[Fraction, Fraction]]):

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .averaging import (
-    AveragingError, Ell1Result, MelnikovPair, NSBranch, _newton_fixed_point,
+    AveragingError, BranchPoint, Ell1Result, MelnikovPair, _newton_fixed_point,
 )
 from .flow import FlowError, IntegratorConfig, ThetaReturnMap
 
@@ -218,20 +218,21 @@ class TorusCertificate:
     reversed_time: bool                       # direction used for convergence
     paper_reversed_time: bool                 # direction the stability claim implies
     stability_mismatch: bool
-    observed_stability: Optional[str]         # attracting | repelling (forward time)
-    curve: Optional[FourierCurve]
-    curve_points: Optional[np.ndarray]
-    fit_residual: Optional[float]
-    rotation: Optional[float]
-    rotation_uncertainty: Optional[float]
-    kappa: Optional[float]
-    kappa_reversed: Optional[float]
-    normally_hyperbolic: Optional[bool]
-    winding: Optional[int]
-    encloses_fixed_point: Optional[bool]
     fixed_point: np.ndarray
-    theta_eps: Optional[float]
+    theta_eps: float
     notes: Tuple[str, ...] = ()
+    # known only once an invariant curve was located
+    observed_stability: Optional[str] = None  # attracting | repelling (forward time)
+    curve: Optional[FourierCurve] = None
+    curve_points: Optional[np.ndarray] = None
+    fit_residual: Optional[float] = None
+    rotation: Optional[float] = None
+    rotation_uncertainty: Optional[float] = None
+    kappa: Optional[float] = None
+    kappa_reversed: Optional[float] = None
+    normally_hyperbolic: Optional[bool] = None
+    winding: Optional[int] = None
+    encloses_fixed_point: Optional[bool] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -316,17 +317,19 @@ def _collapse_check(tail: np.ndarray, fixed_point: np.ndarray, seed_radius: floa
     return bool(d.mean() < 0.05 * seed_radius)
 
 
-def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
-                  lyapunov: Ell1Result, cfg: Optional[CertifyConfig] = None,
-                  mel: Optional[MelnikovPair] = None) -> TorusCertificate:
+def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
+                  lyapunov: Ell1Result, cfg: Optional[CertifyConfig] = None
+                  ) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
-    (mu, eps); see the module docstring for the protocol.  `lyapunov` is
+    (mu, point.eps); see the module docstring for the protocol.  `point` is
+    the Neimark-Sacker point at that eps (`unit_circle_point`): its mu sets
+    the seed amplitude and its theta is reported.  `lyapunov` is
     `first_lyapunov_quantity` of the map's system (`criteria_report` keeps
     it as `base.lyapunov`)."""
     cfg = cfg or CertifyConfig()
+    eps = point.eps
     if eps == 0.0:
         raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
-    mel = mel or branch.mel
     tmap = _with_config(tmap, cfg.integrator)
 
     try:
@@ -334,18 +337,8 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
     except (FlowError, AveragingError, np.linalg.LinAlgError) as exc:
         raise FixedPointNotFound(str(exc)) from exc
 
-    mu_eps = None
-    theta_eps = None
-    for p in branch.points:
-        if abs(p.eps - eps) <= 1e-12:
-            mu_eps, theta_eps = p.mu, p.theta
-    if mu_eps is None:
-        mu_eps = branch.mu_of_eps(eps)
-        lam = branch.eigenvalue(mu_eps, eps)
-        theta_eps = math.atan2(lam.imag, lam.real)
-
     # seed amplitude from the normal-form scaling sqrt(alpha_d dmu / (eps |l12|))
-    dmu = mu - mu_eps
+    dmu = mu - point.mu
     if abs(lyapunov.l12) > 1e-12 and dmu * lyapunov.ell1 < 0:
         amp = math.sqrt(abs(math.pi * dmu / (eps * lyapunov.l12)))
     else:
@@ -358,13 +351,11 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
         notes.append("parameters on the no-torus side of the bifurcation curve")
 
     order = [paper_reversed, not paper_reversed]
-    collapse_seen = False
-    escape_seen = False
+    collapse_seen = False           # else every direction escaped
     for reverse in order:
         seed = xi + np.array([amp, 0.0])
         status, tail = _probe(tmap, seed, mu, eps, reverse, cfg)
         if status == "escape":
-            escape_seen = True
             continue
         if status == "collapse" or _collapse_check(tail, xi, amp):
             collapse_seen = True
@@ -382,7 +373,6 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
                 if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cfg.escape_bound:
                     raise FlowError("ring escaped during transient")
         except FlowError:
-            escape_seen = True
             continue
         n_per_seed = cfg.window // cfg.seeds
         cloud = np.zeros((cfg.seeds * n_per_seed, 2))
@@ -427,30 +417,16 @@ def certify_torus(tmap, mu: float, eps: float, branch: NSBranch,
             kappa=kappa_fwd, kappa_reversed=kappa_rev,
             normally_hyperbolic=nh, winding=wind,
             encloses_fixed_point=encloses, fixed_point=xi,
-            theta_eps=theta_eps, notes=tuple(notes))
+            theta_eps=point.theta, notes=tuple(notes))
 
     if collapse_seen:
         notes.append("orbits spiral onto the fixed point; no invariant curve")
         return TorusCertificate(
             mu=mu, eps=eps, verdict="no_torus",
             reversed_time=False, paper_reversed_time=paper_reversed,
-            stability_mismatch=False, observed_stability=None,
-            curve=None, curve_points=None, fit_residual=None,
-            rotation=None, rotation_uncertainty=None,
-            kappa=None, kappa_reversed=None, normally_hyperbolic=None,
-            winding=None, encloses_fixed_point=None, fixed_point=xi,
-            theta_eps=theta_eps, notes=tuple(notes))
-    if escape_seen:
-        raise IterationEscaped("iteration left the domain in both time directions")
-    return TorusCertificate(
-        mu=mu, eps=eps, verdict="inconclusive",
-        reversed_time=False, paper_reversed_time=paper_reversed,
-        stability_mismatch=False, observed_stability=None,
-        curve=None, curve_points=None, fit_residual=None,
-        rotation=None, rotation_uncertainty=None, kappa=None,
-        kappa_reversed=None, normally_hyperbolic=None, winding=None,
-        encloses_fixed_point=None, fixed_point=xi, theta_eps=theta_eps,
-        notes=tuple(notes))
+            stability_mismatch=False, fixed_point=xi,
+            theta_eps=point.theta, notes=tuple(notes))
+    raise IterationEscaped("iteration left the domain in both time directions")
 
 
 def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,

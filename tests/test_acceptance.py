@@ -14,6 +14,7 @@ from torusforge.averaging import (
     branch_continuation, first_lyapunov_quantity, jordan_expansion,
     lyapunov_coefficient_map, lyapunov_slices, melnikov_pair,
     normalized_map, printed_branch_constants, to_standard_form,
+    unit_circle_point, xi_slice,
 )
 from torusforge.criteria import (
     PerturbationFamily, evaluate_base_criteria, validate_hopf_zero,
@@ -61,7 +62,7 @@ def test_criterion_2_branch_slope(example):
     branch = branch_continuation(mel, tmap, 0.0, eps_ladder=(1e-2, 5e-3, 2.5e-3))
     elapsed = time.perf_counter() - start
     closed = printed_branch_constants(sys)
-    xi1 = branch.xi_slice(0.0)          # numeric (xi_1(0), xi_2(0)) slice
+    xi1 = xi_slice(tmap, mel, 0.0)      # numeric (xi_1(0), xi_2(0)) slice
     slice_ok = (abs(xi1[0] - closed.xi1(0.0)) <= 1e-6
                 and abs(xi1[1] - float(closed.xi2)) <= 1e-6)
     ok = (abs(branch.mu1_numeric - 0.75) <= 1e-3
@@ -122,7 +123,7 @@ def test_criterion_5_lyapunov_consistency(example):
     details = []
     ok = True
     for eps in (0.02, 0.04):
-        nm = normalized_map(tmap, mel, 0.0, eps)
+        nm = normalized_map(unit_circle_point(tmap, mel, 0.0, eps))
         value = lyapunov_coefficient_map(nm) / eps ** 2
         details.append(f"eps={eps}: {value:.6f}")
         ok = ok and abs(value - target) <= 0.10 * abs(target) and value < 0
@@ -137,10 +138,10 @@ def test_criterion_5_lyapunov_consistency(example):
 def certification(example):
     sys, _, mel, tmap = example
     start = time.perf_counter()
-    branch = branch_continuation(mel, tmap, 0.0, eps_ladder=(0.05,))
+    point = unit_circle_point(tmap, mel, 0.0, 0.05)
     res = first_lyapunov_quantity(sys)
-    found = certify_torus(tmap, 0.05, 0.05, branch, res)
-    absent = certify_torus(tmap, 0.02, 0.05, branch, res)
+    found = certify_torus(tmap, 0.05, point, mel, res)
+    absent = certify_torus(tmap, 0.02, point, mel, res)
     return found, absent, time.perf_counter() - start
 
 
@@ -290,8 +291,8 @@ def test_lift_then_certify_demo():
     mel = melnikov_pair(to_standard_form(sysy, pfam))
     tmap = ThetaReturnMap(sysy, pfam, IntegratorConfig(atol=1e-10, rtol=1e-8))
     eps = 0.05
-    branch = branch_continuation(mel, tmap, 0.0, eps_ladder=(eps,))
-    mu_c = branch.points[0].mu
+    point = unit_circle_point(tmap, mel, 0.0, eps)
+    mu_c = point.mu
     dmu = (0.45 * r0) ** 2 * eps * abs(res.l12) / math.pi
     mu_t = mu_c - dmu * (1 if res.ell1 > 0 else -1)
     assert (mu_t - mu_c) * res.ell1 < 0          # torus side
@@ -299,7 +300,7 @@ def test_lift_then_certify_demo():
     cfg = CertifyConfig(seeds=16, transient=300, window=1024, probe_max=4000,
                         probe_check=400,
                         integrator=IntegratorConfig(atol=1e-9, rtol=1e-7))
-    cert = certify_torus(tmap, mu_t, eps, branch, res, cfg=cfg)
+    cert = certify_torus(tmap, mu_t, point, mel, res, cfg=cfg)
     ok = (cert.verdict == "torus_found" and cert.winding == 1
           and cert.fit_residual <= 1e-3 * cert.curve.mean_radius)
     _announce("lift demo (degree-2 seed -> degree-3 lift -> certified new torus)",

@@ -216,6 +216,9 @@ def test_hypothesis_check_example():
     assert rep.details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
     assert rep.details["j_star"] == 2
     assert rep.details["l12"] == pytest.approx(-3 * math.pi / 4, abs=1e-10)
+    out = rep.to_dict()
+    assert out == {"hopf_ok": True, "transversality_ok": True,
+                   "nondegeneracy_ok": True, "details": rep.details}
 
 
 def test_hypothesis_h_fails_for_negative_omega():
@@ -267,7 +270,8 @@ def test_unit_circle_solve_reuses_newton_jet(monkeypatch):
     monkeypatch.setattr(tmap, "jet3", counted_jet3)
     monkeypatch.setattr(averaging, "_newton_fixed_point", counted_newton)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    mu, xi, lam, jet = averaging._solve_unit_circle(tmap, mel, 0.0, 1e-2)
+    point = averaging.unit_circle_point(tmap, mel, 0.0, 1e-2)
+    xi, lam, jet = point.xi, point.eigenvalue, point.jet
     assert counts["newton"] >= 3
     assert counts["jet3_outside_newton"] == 0
     assert counts["jet3"] == counts["newton"] + counts["steps"]

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import torusforge
+import torusforge.cli
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.cli import (
     EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_PERIODS, main,
@@ -173,6 +174,28 @@ def test_simulate_periods_out_of_range(tmp_path, capsys, periods):
     err = json.loads((out / "simulate_error.json").read_text())
     assert err["error"] == "OutOfRange" and "periods" in err["message"]
     assert not (out / "trajectory.csv").exists()
+
+
+def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
+    """certify far on the no-torus side: verdict no_torus, no curve.csv, and
+    the Neimark-Sacker point at the requested eps is solved exactly once."""
+    calls = []
+    solve = torusforge.cli.unit_circle_point
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(torusforge.cli, "unit_circle_point", counted)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    rc = main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02", "--out", str(out)])
+    assert rc == EXIT_OK
+    cert = json.loads((out / "certificate.json").read_text())["certificate"]
+    assert cert["verdict"] == "no_torus"
+    assert (cert["mu"], cert["eps"]) == (-0.2, 0.02)
+    assert not (out / "curve.csv").exists()
+    assert calls == [0.02]
 
 
 def test_lift_command(tmp_path):

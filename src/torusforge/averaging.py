@@ -16,14 +16,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .criteria import (
     DegenerateSum, HopfZeroSystem, PerturbationFamily, perturbation_functions,
 )
-from .fieldexpr import Poly
+from .fieldexpr import Poly, compile_terms
 
 PERIOD = 2.0 * math.pi
 EQUILIBRIUM_RESIDUAL = 1e-12
@@ -44,50 +44,6 @@ class ComplexPairLost(AveragingError):
 
 class StrongResonance(AveragingError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# the numeric boundary: exact terms -> straight-line evaluator
-# ---------------------------------------------------------------------------
-
-def compile_terms(terms: Mapping[Tuple[int, ...], Union[float, complex]],
-                  names: Sequence[str]) -> Callable:
-    """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
-    of the named variables; the one place where exact terms become numbers.
-
-    `terms` maps exponent tuples (one exponent per name; negative exponents
-    allowed) to float or complex coefficients.  Each power is computed once,
-    by repeated multiplication (and 1.0 / v for negative exponents), and the
-    terms are summed in the mapping's order.  Only +, * and that division are
-    used, so Python floats, complex numbers, numpy arrays and Jet2 values all
-    evaluate.  Zero coefficients are dropped; no terms evaluates to 0.0.
-    Coefficients are bound by name, never printed into the source.
-    """
-    namespace: Dict[str, object] = {}
-    powers: Dict[str, str] = {}        # local name -> expression, in order
-    sums: List[str] = []
-
-    def power(i: int, e: int) -> str:
-        if e == 1:
-            return names[i]
-        local = f"_p{i}_{e}" if e > 0 else f"_p{i}_m{-e}"
-        if local not in powers:
-            step = 1 if e > 0 else -1
-            powers[local] = (f"1.0 / {names[i]}" if e == -1
-                             else f"{power(i, e - step)} * {power(i, step)}")
-        return local
-
-    for n, (exps, c) in enumerate(terms.items()):
-        if not c:
-            continue
-        namespace[f"_c{n}"] = c
-        product = " * ".join([f"_c{n}"] + [power(i, int(e)) for i, e in enumerate(exps) if e])
-        sums.append(f"    _s = _s + {product}" if sums else f"    _s = {product}")
-    body = ([f"    {local} = {value}" for local, value in powers.items()] + sums
-            + ["    return _s" if sums else "    return 0.0"])
-    source = f"def evaluate({', '.join(names)}):\n" + "\n".join(body) + "\n"
-    exec(compile(source, "<compile_terms>", "exec"), namespace)
-    return namespace["evaluate"]
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +342,9 @@ def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
     """
     x, y = Poly.variable("x"), Poly.variable("y")
     eps = Poly.variable("eps")
-    comps = [(-y) + sys.P.poly + eps * fam.U.poly,
-             x + sys.Q.poly + eps * fam.V.poly,
-             sys.R.poly + eps * fam.W.poly]
+    comps = [(-y) + sys.P + eps * fam.U,
+             x + sys.Q + eps * fam.V,
+             sys.R + eps * fam.W]
     max_grade = 0
     graded: List[Dict[int, Poly]] = []
     for comp in comps:
@@ -508,11 +464,11 @@ class AveragedEquilibrium:
 def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
     sys = mel.std.system
     fam = mel.std.family
-    gamma_op, _, eta_fn, w_mu_fn = perturbation_functions(sys, fam)
-    gamma = float(gamma_op(mu))
+    gamma_op, _, _, w_mu = perturbation_functions(sys, fam)
+    gamma = gamma_op(mu)
     if gamma >= 0:
         raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
-    w = float(w_mu_fn(mu))
+    w = w_mu(mu)
     r = math.sqrt(-gamma)
 
     # Newton polish on f1^2(., w)

@@ -51,7 +51,7 @@ from .averaging import (
 from .criteria import (
     CriteriaError, PerturbationFamily, criteria_report, validate_hopf_zero,
 )
-from .fieldexpr import FieldExprError, parse_field
+from .fieldexpr import FieldExprError, as_poly
 from .flow import IntegratorConfig, RescaledField, ThetaReturnMap, integrate
 from .lift import Ball, find_separating_plane, poly_expr, translate_to_origin, \
     tune_lift_parameters
@@ -71,6 +71,10 @@ class UsageError(ValueError):
 
 class OutOfRange(ValueError):
     """A document value lies outside its documented range."""
+
+
+class DocumentError(ValueError):
+    """The input document does not have the documented shape."""
 
 
 @dataclass
@@ -123,16 +127,50 @@ def write_report(path: str, payload: dict):
         fh.write(text + "\n")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(n: int):
+    return lambda v: isinstance(v, list) and len(v) == n and all(map(_number, v))
+
+
+def _values(check):
+    return lambda v: isinstance(v, dict) and all(map(check, v.values()))
+
+
+# the shape of each optional key, as (check, description); the expressions in
+# "system" and "perturbation" are checked when they are parsed
+_SHAPES = {
+    "perturbation": (lambda v: isinstance(v, dict), "an object"),
+    "interval": (_numbers(2), "[lo, hi]"),
+    "parameters": (_values(lambda v: v is None or _number(v)), "an object of numbers"),
+    "tolerances": (_values(_number), "an object of numbers"),
+    "ball": (lambda v: isinstance(v, dict) and _numbers(3)(v.get("center"))
+             and _number(v.get("radius")), '{"center": [x, y, z], "radius": r}'),
+    "lift": (_values(lambda v: isinstance(v, list)
+                     and all(isinstance(e, str) or _number(e) for e in v)),
+             "an object of lists of rationals"),
+    "periods": (_number, "a number"),
+    "initial_state": (_numbers(3), "[x, y, z]"),
+}
+
+
 def _document(spec: RunSpec) -> dict:
     with open(spec.input_path, "rb") as fh:
         raw = fh.read()
     doc = json.loads(raw.decode("utf-8"))
-    doc["_sha256"] = hashlib.sha256(raw).hexdigest()
+    if not isinstance(doc, dict):
+        raise DocumentError("input document must be a JSON object")
     if not isinstance(doc.get("system"), dict):
         raise CriteriaError("input document must define system {P, Q, R}")
     for comp in ("P", "Q", "R"):
         if comp not in doc["system"]:
             raise CriteriaError(f"system is missing component {comp}")
+    for key, (check, shape) in _SHAPES.items():
+        if key in doc and not check(doc[key]):
+            raise DocumentError(f"{key} must be {shape}")
+    doc["_sha256"] = hashlib.sha256(raw).hexdigest()
     return doc
 
 
@@ -309,7 +347,7 @@ def cmd_certify(spec: RunSpec) -> int:
 
 def cmd_lift(spec: RunSpec) -> int:
     doc = _document(spec)
-    seed_field = tuple(parse_field(doc["system"][c]).poly for c in "PQR")
+    seed_field = tuple(as_poly(doc["system"][c]) for c in "PQR")
     ball_doc = doc.get("ball", {"center": [0.0, 0.0, 0.0], "radius": 1.0})
     ball = Ball(tuple(float(v) for v in ball_doc["center"]),
                 float(ball_doc["radius"]))
@@ -347,9 +385,9 @@ def cmd_lift(spec: RunSpec) -> int:
     }
     write_report(os.path.join(spec.out_dir, "lift.json"), payload)
     sys_y = tuning.tuned_system
-    lines = [f"P = {poly_expr(sys_y.P.poly).to_string()}",
-             f"Q = {poly_expr(sys_y.Q.poly).to_string()}",
-             f"R = {poly_expr(sys_y.R.poly).to_string()}", ""]
+    lines = [f"P = {poly_expr(sys_y.P).to_string()}",
+             f"Q = {poly_expr(sys_y.Q).to_string()}",
+             f"R = {poly_expr(sys_y.R).to_string()}", ""]
     lifted_lines = [f"X{i} = {poly_expr(p).to_string()}"
                     for i, p in enumerate(fam.lifted, start=1)]
     with open(os.path.join(spec.out_dir, "lifted_system.txt"), "w") as fh:

@@ -1,7 +1,7 @@
 """Hopf-Zero normal position and the explicit torus-bifurcation criteria.
 
-Quantities handled here are exact rationals wherever the inputs are; numeric
-conversion happens at the averaging boundary.  The first Lyapunov quantity
+Quantities handled here are exact rationals wherever the inputs are; the
+perturbation criteria become floats once, through `compile_terms`.  The first Lyapunov quantity
 ell_1 is delegated to the averaging pipeline (see `averaging`); the closed
 formula transcribed from the source text is also evaluated and reported, but
 it is inconsistent with the worked example and with the dynamics (see
@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from .fieldexpr import (
-    FieldExpr, Jet3, ParamJet3, Poly, as_field_expr, jet_extract,
-)
+from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
 
 if TYPE_CHECKING:
     from .averaging import Ell1Result
@@ -73,16 +71,12 @@ class GammaNonNegative(CriteriaError):
 @dataclass
 class HopfZeroSystem:
     """Unperturbed field (P, Q, R) on top of the linear part (-y, x, 0)."""
-    P: FieldExpr
-    Q: FieldExpr
-    R: FieldExpr
+    P: Poly
+    Q: Poly
+    R: Poly
     jP: Jet3 = field(repr=False, default=None)
     jQ: Jet3 = field(repr=False, default=None)
     jR: Jet3 = field(repr=False, default=None)
-
-    @property
-    def polys(self) -> Tuple[Poly, Poly, Poly]:
-        return self.P.poly, self.Q.poly, self.R.poly
 
     @property
     def quadratic_sum(self) -> Fraction:
@@ -102,80 +96,72 @@ class HopfZeroSystem:
 def validate_hopf_zero(P, Q, R) -> HopfZeroSystem:
     """Check that P, Q, R are polynomial in (x, y, z) with no constant or
     linear terms, and attach exact jets."""
-    exprs = [as_field_expr(e) for e in (P, Q, R)]
-    for name, e in zip("PQR", exprs):
-        bad = [v for v in e.poly.free_variables() if v in ("mu", "eps")]
+    polys = [as_poly(e) for e in (P, Q, R)]
+    for name, p in zip("PQR", polys):
+        bad = [v for v in p.free_variables() if v in ("mu", "eps")]
         if bad:
             raise CriteriaError(f"{name} must not depend on parameters (found {bad[0]})")
-        for mono, coeff in e.poly.terms.items():
+        for mono, coeff in p.terms.items():
             total = mono[0] + mono[1] + mono[2]
             if total == 0:
                 raise ConstantTermPresent(name, coeff)
             if total == 1:
                 var = ("x", "y", "z")[mono.index(1)]
                 raise LinearTermPresent(name, var, coeff)
-    jets = [jet_extract(e) for e in exprs]
-    return HopfZeroSystem(*exprs, *jets)
+    jets = [jet_extract(p) for p in polys]
+    return HopfZeroSystem(*polys, *jets)
 
 
 @dataclass
 class PerturbationFamily:
-    """(U, V, W) in (x, y, z, mu, eps) with extracted eps-order slices.
+    """(U, V, W) in (x, y, z, mu, eps) and the three criteria ingredients,
+    compiled once as functions of mu:
 
-    slice i (1-based) is the coefficient of eps^(i-1) in the component, so the
-    perturbed field eps*U contributes U_i at order eps^i.
+        sigma(mu) = U_1^(1,0,0)(mu) + V_1^(0,1,0)(mu)
+        w1z(mu)   = W_1^(0,0,1)(mu)
+        w20(mu)   = W_2(0,0,0; mu)
+
+    where slice i (1-based) is the coefficient of eps^(i-1) in a component,
+    so the perturbed field eps*U contributes U_i at order eps^i.
     """
-    U: FieldExpr
-    V: FieldExpr
-    W: FieldExpr
-    slices: Dict[str, Tuple[Poly, Poly, Poly]] = field(repr=False, default=None)
-    jets: Dict[str, Tuple[ParamJet3, ...]] = field(repr=False, default=None)
+    U: Poly
+    V: Poly
+    W: Poly
     simple_case: bool = False
+    sigma: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    w1z: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    w20: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_expressions(cls, U, V, W, simple_case: bool = False) -> "PerturbationFamily":
-        exprs = [as_field_expr(e) for e in (U, V, W)]
-        slices = {}
-        jets = {}
-        for name, e in zip("UVW", exprs):
-            # orders beyond eps^2 still enter the exact flow; only the first
-            # three slices matter for second-order criteria
-            s = tuple(e.poly.coeff_of_eps(i) for i in range(3))
-            origin = s[0].substitute({v: Poly() for v in ("x", "y", "z")})
+    def __post_init__(self):
+        for name, p in zip("UVW", (self.U, self.V, self.W)):
+            origin = _in_mu(p, (0, 0, 0), 0)
             if origin:
                 raise InvalidPerturbation(
                     f"{name}_1(0,0,0; mu) = {origin!r} must vanish identically")
-            slices[name] = s
-            jets[name] = tuple(_param_jet(p) for p in s)
-        return cls(*exprs, slices=slices, jets=jets, simple_case=simple_case)
+        self.sigma = _compiled_in_mu(_in_mu(self.U, (1, 0, 0), 0)
+                                     + _in_mu(self.V, (0, 1, 0), 0))
+        self.w1z = _compiled_in_mu(_in_mu(self.W, (0, 0, 1), 0))
+        self.w20 = _compiled_in_mu(_in_mu(self.W, (0, 0, 0), 1))
+
+    @classmethod
+    def from_expressions(cls, U, V, W, simple_case: bool = False) -> "PerturbationFamily":
+        return cls(as_poly(U), as_poly(V), as_poly(W), simple_case=simple_case)
 
     @classmethod
     def simple(cls, beta: int) -> "PerturbationFamily":
         """The degree-preserving family (U, V, W) = (0, 0, mu*z + beta*eps)."""
-        w = f"mu*z + ({beta})*eps" if beta >= 0 else f"mu*z - {abs(beta)}*eps"
-        return cls.from_expressions("0", "0", w, simple_case=True)
-
-    # criteria ingredients, exact polynomials in mu
-    def sigma(self) -> Poly:
-        """U_1^(1,0,0)(mu) + V_1^(0,1,0)(mu)."""
-        return (self.jets["U"][0].entry(1, 0, 0)
-                + self.jets["V"][0].entry(0, 1, 0))
-
-    def w1z(self) -> Poly:
-        """W_1^(0,0,1)(mu)."""
-        return self.jets["W"][0].entry(0, 0, 1)
-
-    def w20(self) -> Poly:
-        """W_2(0,0,0; mu)."""
-        return self.jets["W"][1].entry(0, 0, 0)
+        W = Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(beta)})
+        return cls(Poly(), Poly(), W, simple_case=True)
 
 
-def _param_jet(p: Poly) -> ParamJet3:
-    pj = jet_extract(p)
-    if isinstance(pj, Jet3):
-        entries = {idx: Poly.constant(val) for idx, val in pj.items()}
-        return ParamJet3(entries)
-    return pj
+def _in_mu(p: Poly, xyz: Tuple[int, int, int], eps_power: int) -> Poly:
+    """The coefficient of x^i y^j z^k eps^eps_power in p, a polynomial in mu."""
+    return Poly({(0, 0, 0, m[3], 0): c for m, c in p.terms.items()
+                 if m[:3] == xyz and m[4] == eps_power})
+
+
+def _compiled_in_mu(p: Poly) -> Callable[[float], float]:
+    return compile_terms({(m[3],): float(c) for m, c in p.terms.items()}, ("mu",))
 
 
 # ---------------------------------------------------------------------------
@@ -322,31 +308,33 @@ class PerturbationCriteria:
 
 
 def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
-    """Exact-in-mu callables (Gamma_operational, Gamma_printed, eta, w_mu)."""
-    d = sys.divergence_pair
-    if d == 0:
+    """Float callables of mu (Gamma_operational, Gamma_printed, eta, w_mu)
+    built on the family's compiled ingredients; the exact constants of the
+    system are converted once."""
+    if sys.divergence_pair == 0:
         raise CriteriaError("P^(1,0,1) + Q^(0,1,1) = 0; criteria undefined")
-    S = sys.quadratic_sum
-    if S == 0:
+    if sys.quadratic_sum == 0:
         raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0")
-    c = sys.jR.get(0, 0, 2)
-    sigma, w1z, w20 = fam.sigma(), fam.w1z(), fam.w20()
+    d, S = float(sys.divergence_pair), float(sys.quadratic_sum)
+    Sdd = float(sys.quadratic_sum * sys.divergence_pair ** 2)
+    c = float(sys.jR.get(0, 0, 2))
+    sigma, w1z, w20 = fam.sigma, fam.w1z, fam.w20
 
     def w_mu(mu):
-        return -sigma.eval(mu=mu) / d
+        # 0.0 - keeps a vanishing sigma at +0.0 whatever the sign of d
+        return 0.0 - sigma(mu) / d
 
     def gamma_operational(mu):
         # -r_mu^2 with r_mu^2 the root of f1^2(., w_mu) = 0
         w = w_mu(mu)
-        return (2 * c * w * w + 4 * w1z.eval(mu=mu) * w + 4 * w20.eval(mu=mu)) / S
+        return (2 * c * w * w + 4 * w1z(mu) * w + 4 * w20(mu)) / S
 
     def gamma_printed(mu):
-        s = sigma.eval(mu=mu)
-        return ((2 * c * s * s - w1z.eval(mu=mu) * s) / (S * d * d)
-                + 4 * w20.eval(mu=mu) / S)
+        s = sigma(mu)
+        return (2 * c * s * s - w1z(mu) * s) / Sdd + 4 * w20(mu) / S
 
     def eta(mu):
-        return math.pi * (d * w1z.eval(mu=mu) - c * sigma.eval(mu=mu)) / d
+        return math.pi * (d * w1z(mu) - c * sigma(mu)) / d
 
     return gamma_operational, gamma_printed, eta, w_mu
 
@@ -364,7 +352,7 @@ def evaluate_perturbation_criteria(
     flagged = tuple(m for m, g in zip(grid, gamma_vals) if g >= 0)
     if len(flagged) == len(grid):
         raise GammaNonNegative("Gamma_criterion(mu) >= 0 on the whole interval")
-    disc = max(abs(gamma_op(m) - gamma_pr(m)) for m in grid)
+    disc = max(abs(g - gamma_pr(m)) for m, g in zip(grid, gamma_vals))
 
     eta_vals = [eta(m) for m in grid]
     roots: List[Tuple[float, float]] = []

@@ -3,7 +3,8 @@
 Expressions are parsed into a small AST (round-trippable), then lowered to a
 sparse multivariate polynomial with exact `Fraction` coefficients.  All jet
 (Taylor-coefficient) extraction happens on the polynomial form and is exact
-for rational input; numeric conversion is deferred to the callers.
+for rational input; `compile_terms` is the one route from exact
+coefficients to floats.
 
 Grammar (ASCII):
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 VARIABLES = ("x", "y", "z", "mu", "eps")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -320,8 +321,9 @@ def _print_node(node: Node, parent: str = 'expr') -> str:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse polynomial in (x, y, z, mu, eps) with Fraction (or float)
-    coefficients, keyed by exponent tuples."""
+    """Sparse polynomial in (x, y, z, mu, eps) with exact Fraction
+    coefficients, keyed by exponent tuples.  After parsing this is the only
+    form of a system; `compile_terms` turns it into numbers."""
 
     __slots__ = ("terms",)
 
@@ -412,15 +414,6 @@ class Poly:
             return 0
         return max(sum(m[i] for i in idxs) for m in self.terms)
 
-    def coeff_of_eps(self, power: int) -> "Poly":
-        """Collect monomials with the given eps exponent (eps removed)."""
-        ie = _VAR_INDEX["eps"]
-        out = {}
-        for m, c in self.terms.items():
-            if m[ie] == power:
-                out[m[:ie] + (0,) + m[ie + 1:]] = c
-        return Poly(out)
-
     def derivative(self, var: str) -> "Poly":
         i = _VAR_INDEX[var]
         out = {}
@@ -445,8 +438,9 @@ class Poly:
     def eval(self, **env):
         """Evaluate over any commutative ring: values must support + and *.
 
-        Fraction coefficients multiply ring values directly; pass floats or
-        Fractions (or jets) for exact or approximate evaluation.
+        Fraction coefficients multiply ring values directly, so Fraction
+        values give the exact value; float evaluation goes through
+        `compile_terms`.
         """
         free = self.free_variables()
         missing = [v for v in free if v not in env]
@@ -479,6 +473,50 @@ class Poly:
                             for v, i in _VAR_INDEX.items() if m[i])
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "Poly(" + " + ".join(parts) + ")"
+
+
+# ---------------------------------------------------------------------------
+# the numeric boundary: exact terms -> straight-line evaluator
+# ---------------------------------------------------------------------------
+
+def compile_terms(terms: Mapping[Tuple[int, ...], Union[float, complex]],
+                  names: Sequence[str]) -> Callable:
+    """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
+    of the named variables; the one place where exact terms become numbers.
+
+    `terms` maps exponent tuples (one exponent per name; negative exponents
+    allowed) to float or complex coefficients.  Each power is computed once,
+    by repeated multiplication (and 1.0 / v for negative exponents), and the
+    terms are summed in the mapping's order.  Only +, * and that division are
+    used, so Python floats, complex numbers, numpy arrays and Jet2 values all
+    evaluate.  Zero coefficients are dropped; no terms evaluates to 0.0.
+    Coefficients are bound by name, never printed into the source.
+    """
+    namespace: Dict[str, object] = {}
+    powers: Dict[str, str] = {}        # local name -> expression, in order
+    sums: List[str] = []
+
+    def power(i: int, e: int) -> str:
+        if e == 1:
+            return names[i]
+        local = f"_p{i}_{e}" if e > 0 else f"_p{i}_m{-e}"
+        if local not in powers:
+            step = 1 if e > 0 else -1
+            powers[local] = (f"1.0 / {names[i]}" if e == -1
+                             else f"{power(i, e - step)} * {power(i, step)}")
+        return local
+
+    for n, (exps, c) in enumerate(terms.items()):
+        if not c:
+            continue
+        namespace[f"_c{n}"] = c
+        product = " * ".join([f"_c{n}"] + [power(i, int(e)) for i, e in enumerate(exps) if e])
+        sums.append(f"    _s = _s + {product}" if sums else f"    _s = {product}")
+    body = ([f"    {local} = {value}" for local, value in powers.items()] + sums
+            + ["    return _s" if sums else "    return 0.0"])
+    source = f"def evaluate({', '.join(names)}):\n" + "\n".join(body) + "\n"
+    exec(compile(source, "<compile_terms>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +598,16 @@ def parse_field(source: str) -> FieldExpr:
     return FieldExpr(_Parser(source).parse(), source)
 
 
-def as_field_expr(value: Union[str, FieldExpr]) -> FieldExpr:
-    return parse_field(value) if isinstance(value, str) else value
+def as_poly(value: Union[str, FieldExpr, Poly]) -> Poly:
+    """The polynomial of an expression: text is parsed, a FieldExpr gives its
+    lowered form, and a Poly is returned as it is."""
+    if isinstance(value, Poly):
+        return value
+    if isinstance(value, FieldExpr):
+        return value.poly
+    if isinstance(value, str):
+        return parse_field(value).poly
+    raise FieldExprError(f"expected an expression string, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -648,21 +694,13 @@ class ParamJet3:
         return "ParamJet3({" + ", ".join(f"{idx}: {p!r}" for idx, p in self.items()) + "})"
 
 
-def jet_extract(f: Union[str, FieldExpr, Poly], mu=None, eps=None):
+def jet_extract(f: Union[str, FieldExpr, Poly]):
     """Order-3 jet of f at the spatial origin.
 
-    Returns a Jet3 when no free parameters remain, else a ParamJet3 whose
-    entries are exact polynomials in the unbound parameters.
+    Returns a Jet3 when f has no parameters, else a ParamJet3 whose entries
+    are exact polynomials in mu and eps.
     """
-    poly = f if isinstance(f, Poly) else as_field_expr(f).poly
-    bindings = {}
-    if mu is not None:
-        bindings["mu"] = Poly.constant(mu)
-    if eps is not None:
-        bindings["eps"] = Poly.constant(eps)
-    if bindings:
-        poly = poly.substitute(bindings)
-
+    poly = as_poly(f)
     imu, ieps = _VAR_INDEX["mu"], _VAR_INDEX["eps"]
     param_entries: Dict[Tuple[int, int, int], Dict[Monomial, Fraction]] = {}
     for m, c in poly.terms.items():

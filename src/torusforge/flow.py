@@ -21,8 +21,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .averaging import PERIOD, compile_terms, eps_graded_slices
+from .averaging import PERIOD, eps_graded_slices
 from .criteria import HopfZeroSystem, PerturbationFamily
+from .fieldexpr import compile_terms
 
 
 class FlowError(RuntimeError):

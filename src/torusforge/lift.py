@@ -24,7 +24,7 @@ from .criteria import (
     CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report,
     validate_hopf_zero,
 )
-from .fieldexpr import FieldExpr, Poly, as_field_expr, parse_field
+from .fieldexpr import FieldExpr, Poly, as_poly, parse_field
 
 
 class LiftError(ValueError):
@@ -57,7 +57,6 @@ class Ball:
 class SeparatingPlane:
     point: Tuple[Fraction, Fraction, Fraction]
     coefficients: Tuple[Fraction, Fraction, Fraction]   # (a0, b0, 0) of the plane
-    ball: Ball
     direction: Tuple[Fraction, Fraction, Fraction]      # field vector at the point
     plane_distance: float                               # dist(plane, ball center)
     containment_residual: float
@@ -133,12 +132,6 @@ def _have_common_factor(f, g, trials: int = 4) -> bool:
     return False
 
 
-def _as_polys(field) -> Tuple[Poly, ...]:
-    """The components of a field as Polys; expressions and strings are
-    parsed."""
-    return tuple(c if isinstance(c, Poly) else as_field_expr(c).poly for c in field)
-
-
 def _field_degree(polys: Sequence[Poly]) -> int:
     return max(p.degree(("x", "y", "z")) for p in polys)
 
@@ -171,7 +164,7 @@ def find_separating_plane(field, ball: Ball, seed: int = 0,
     g = X2(x1,x2,0) share a factor or a leading coefficient vanishes, a
     seeded rational jitter is applied (magnitude ladder 1e-6, 1e-5, 1e-4).
     """
-    polys = _as_polys(field)
+    polys = tuple(as_poly(c) for c in field)
     rng = random.Random(seed)
     m = _field_degree(polys)
     jitter_used = 0.0
@@ -224,7 +217,7 @@ def find_separating_plane(field, ball: Ball, seed: int = 0,
             resid = abs(float(a0 * direction[0] + b0 * direction[1])) / \
                 max(1.0, math.hypot(float(a0), float(b0)))
             return SeparatingPlane(
-                point=p, coefficients=(a0, b0, Fraction(0)), ball=ball,
+                point=p, coefficients=(a0, b0, Fraction(0)),
                 direction=direction, plane_distance=plane_dist,
                 containment_residual=resid, field=polys,
                 jitter_magnitude=jitter_used)
@@ -260,17 +253,13 @@ def translate_to_origin(polys: Sequence[Poly], point) -> Tuple[Poly, ...]:
 
 @dataclass
 class LiftFamily:
-    seed_field: Tuple[Poly, Poly, Poly]       # translated so p = origin
     L: Fraction
     delta: Fraction
     lifted: Tuple[Poly, Poly, Poly]           # X_{L, delta}, degree m+1
     a0: Fraction
     b0: Fraction
-    a1: Fraction
-    b2: Fraction
-    a2: Fraction
     char_poly_ok: bool
-    sqrt_delta: Optional[Fraction]            # exact when delta is a square
+    sqrt_delta: Optional[Fraction]            # None unless delta is a rational square
     normalized: Optional[Tuple[Poly, Poly, Poly]]   # Y_{L,delta} (linear part removed)
     linear_residual: float
     system: Optional[HopfZeroSystem]
@@ -294,10 +283,11 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     """Assemble X_{L, delta} and conjugate its linear part to (-y, x, 0).
 
     The characteristic polynomial of the Jacobian at the origin must equal
-    -lambda^3 - delta lambda with exact rational coefficients; with delta a
-    rational square the whole normalization is exact as well.
+    -lambda^3 - delta lambda with exact rational coefficients.  The
+    normalization runs only when delta is a rational square, so it is exact;
+    for any other delta `normalized` and `system` are None.
     """
-    polys = _as_polys(seed_field)
+    polys = tuple(as_poly(c) for c in seed_field)
     L, delta = Fraction(L), Fraction(delta)
     P0 = _eval_at(polys[0], (0, 0, 0))
     Q0 = _eval_at(polys[1], (0, 0, 0))
@@ -332,16 +322,12 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     normalized = None
     system = None
     residual = math.inf
-    if delta > 0:
-        sd = sqrt_delta if sqrt_delta is not None else math.sqrt(float(delta))
+    if sqrt_delta:                # delta > 0 and a rational square
+        sd = sqrt_delta
         R0 = _eval_at(polys[2], (0, 0, 0))
-        exact = sqrt_delta is not None
-        conv = (lambda v: v) if exact else float
-        M = [[conv(Fraction(1)), conv(Fraction(0)), conv(Fraction(0))],
-             [conv((L * delta + P0 * Q0) / (P0 * P0)), conv(sd / (P0 * P0)) if exact
-              else float(sd) / float(P0) ** 2, conv(Fraction(0))],
-             [conv(R0 / P0), conv(-L * sd * R0 / P0) if exact
-              else -float(L) * float(sd) * float(R0) / float(P0), conv(Fraction(1))]]
+        M = [[Fraction(1), Fraction(0), Fraction(0)],
+             [(L * delta + P0 * Q0) / (P0 * P0), sd / (P0 * P0), Fraction(0)],
+             [R0 / P0, -L * sd * R0 / P0, Fraction(1)]]
         Minv = _inv3(M)
         sub = {"x": _row_poly(M, 0), "y": _row_poly(M, 1), "z": _row_poly(M, 2)}
         composed = [p.substitute(sub) for p in lifted]
@@ -350,8 +336,7 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
             comp = Poly()
             for j in range(3):
                 comp = comp + composed[j].scale(Minv[i][j])
-            scale = (Fraction(1) / sd) if exact else 1.0 / float(sd)
-            normalized_full.append(comp.scale(scale))
+            normalized_full.append(comp.scale(1 / sd))
         lin_expected = (Poly({(0, 1, 0, 0, 0): Fraction(-1)}),
                         Poly({(1, 0, 0, 0, 0): Fraction(1)}), Poly())
         residual = 0.0
@@ -368,11 +353,11 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
             nonlinear.append(Poly(stripped))
         normalized = tuple(nonlinear)
         if residual <= 1e-12:
-            system = validate_hopf_zero(*[poly_expr(p) for p in normalized])
-    return LiftFamily(seed_field=polys, L=L, delta=delta, lifted=lifted,
-                      a0=a0, b0=b0, a1=a1, b2=b2, a2=a2, char_poly_ok=char_ok,
-                      sqrt_delta=sqrt_delta, normalized=normalized,
-                      linear_residual=residual, system=system)
+            system = validate_hopf_zero(*normalized)
+    return LiftFamily(L=L, delta=delta, lifted=lifted, a0=a0, b0=b0,
+                      char_poly_ok=char_ok, sqrt_delta=sqrt_delta,
+                      normalized=normalized, linear_residual=residual,
+                      system=system)
 
 
 def _row_poly(M, i) -> Poly:
@@ -402,8 +387,6 @@ def poly_expr(p: Poly) -> FieldExpr:
     names = ("x", "y", "z", "mu", "eps")
     for mono in sorted(p.terms, reverse=True):
         c = p.terms[mono]
-        if not isinstance(c, Fraction):
-            c = Fraction(c).limit_denominator(10 ** 15)
         factors = []
         for name, e in zip(names, mono):
             if e == 1:
@@ -454,7 +437,7 @@ def omega_of_lift(seed_field, L, delta) -> Fraction:
 
 def printed_A_limit(seed_field) -> Fraction:
     """The stated limit of A(L)/L^2 for the translated seed field."""
-    polys = _as_polys(seed_field)
+    polys = tuple(as_poly(c) for c in seed_field)
     P0 = _eval_at(polys[0], (0, 0, 0))
     Q0 = _eval_at(polys[1], (0, 0, 0))
     R0 = _eval_at(polys[2], (0, 0, 0))
@@ -470,7 +453,7 @@ def tune_lift_parameters(seed_field,
     """Recover A(L), B(L, delta) by exact interpolation of Omega(L, delta)
     on square-delta samples, pick the smallest grid L with A(L) > 0 and the
     largest admissible delta, and run the criteria on the tuned system."""
-    polys = _as_polys(seed_field)
+    polys = tuple(as_poly(c) for c in seed_field)
     if L_values is None:
         L_values = [Fraction(2) ** k for k in range(0, 7)]
     if delta_values is None:
@@ -574,7 +557,7 @@ def _jitter_nonlinear(sys_y: HopfZeroSystem, rng: random.Random,
     """Seeded rational jitter of the quadratic and cubic coefficients."""
     scale = 10 ** 9
     out = []
-    for p in (sys_y.P.poly, sys_y.Q.poly, sys_y.R.poly):
+    for p in (sys_y.P, sys_y.Q, sys_y.R):
         q = Poly(dict(p.terms))
         for i in range(4):
             for j in range(4 - i):
@@ -585,4 +568,4 @@ def _jitter_nonlinear(sys_y: HopfZeroSystem, rng: random.Random,
                         if bump:
                             q = q + Poly({(i, j, k, 0, 0): bump})
         out.append(q)
-    return validate_hopf_zero(*[poly_expr(p) for p in out])
+    return validate_hopf_zero(*out)

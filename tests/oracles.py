@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from torusforge.averaging import (
     PERIOD, AveragingError, MelnikovPair, StandardFormSystem,
 )
-from torusforge.fieldexpr import VARIABLES, FieldExpr, Poly, as_field_expr
+from torusforge.fieldexpr import VARIABLES, FieldExpr, Poly, as_poly
 from torusforge.flow import (
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
@@ -354,17 +354,17 @@ def poly_to_float(p: Poly) -> Poly:
     return Poly({m: float(c) for m, c in p.terms.items()})
 
 
-def degree_report(f: FieldExpr) -> Dict[str, int]:
+def degree_report(f: Union[str, FieldExpr, Poly]) -> Dict[str, int]:
     """Degree in each variable, total degree in (x, y, z) and in (mu, eps)."""
-    rep = {v: f.poly.degree((v,)) for v in VARIABLES}
-    rep["xyz_total"] = f.poly.degree(("x", "y", "z"))
-    rep["param_total"] = f.poly.degree(("mu", "eps"))
+    p = as_poly(f)
+    rep = {v: p.degree((v,)) for v in VARIABLES}
+    rep["xyz_total"] = p.degree(("x", "y", "z"))
+    rep["param_total"] = p.degree(("mu", "eps"))
     return rep
 
 
-def evaluate_field(f: Union[str, FieldExpr], point, params=(0, 0)):
+def evaluate_field(f: Union[str, FieldExpr, Poly], point, params=(0, 0)):
     """Evaluate at (x, y, z) with parameters (mu, eps); exact for exact input."""
-    f = as_field_expr(f)
     px, py, pz = point
     pmu, peps = params
-    return f.poly.eval(x=px, y=py, z=pz, mu=pmu, eps=peps)
+    return as_poly(f).eval(x=px, y=py, z=pz, mu=pmu, eps=peps)

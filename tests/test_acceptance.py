@@ -237,9 +237,9 @@ def test_criterion_8_property_suites(tmp_path):
         phi = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(phi), math.sin(phi)
         rot = {"x": X.scale(c) - Y.scale(s), "y": X.scale(s) + Y.scale(c)}
-        Pr = base.P.poly.substitute(rot)
-        Qr = base.Q.poly.substitute(rot)
-        Rr = base.R.poly.substitute(rot)
+        Pr = base.P.substitute(rot)
+        Qr = base.Q.substitute(rot)
+        Rr = base.R.substitute(rot)
         jP = jet_extract(Pr.scale(c) + Qr.scale(s))
         jQ = jet_extract(Pr.scale(-s) + Qr.scale(c))
         jR = jet_extract(Rr)

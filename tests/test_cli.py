@@ -220,6 +220,27 @@ def test_missing_input_is_error(tmp_path):
                  "--out", str(out)]) == EXIT_ERROR
 
 
+LIFT_SYSTEM = {"P": "2 + x + 1/2*z + x^2", "Q": "1 - y + 2*z + y^2",
+               "R": "3 + x + z^2"}
+NUMBER_P = {"system": {"P": 5, "Q": "0", "R": "-x^2"}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("analyze", NUMBER_P),
+    ("lift", NUMBER_P),
+    ("analyze", dict(EXAMPLE_DOC, interval=[1])),
+    ("analyze", dict(EXAMPLE_DOC, perturbation=[1])),
+    ("lift", {"system": LIFT_SYSTEM, "ball": {"radius": 1}}),
+    ("analyze", ["x"]),
+    ("lift", ["x"]),
+])
+def test_malformed_document_is_typed_error(tmp_path, capsys, command, doc):
+    """A document of the wrong shape ends in a typed error, not a traceback."""
+    path = _write_doc(tmp_path, doc)
+    assert main([command, "--input", path, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
 def test_bad_tolerance_rejected(tmp_path, capsys):
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     assert main(["analyze", "--input", doc, "--out", str(tmp_path),

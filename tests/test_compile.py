@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from torusforge.averaging import TrigPoly, compile_terms
-from torusforge.fieldexpr import VARIABLES, Poly
+from torusforge.averaging import TrigPoly
+from torusforge.fieldexpr import VARIABLES, Poly, compile_terms
 from torusforge.flow import Jet2
 
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=8)

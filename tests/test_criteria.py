@@ -1,14 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusforge.criteria import (
     ConstantTermPresent, DegenerateSum, GammaNonNegative, LinearTermPresent,
     PerturbationFamily, criteria_report, evaluate_base_criteria,
-    evaluate_perturbation_criteria, validate_hopf_zero,
+    evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
 )
-from torusforge.fieldexpr import jet_extract
+from torusforge.fieldexpr import Poly, jet_extract
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -132,7 +134,7 @@ def test_omega_rotation_invariance():
                               "3*y*z + y^2 + y^3",
                               "-2*x^2 + x*y + z^2 + z^3")
     omega0 = float(base.omega)
-    px, qx, rx = base.P.poly, base.Q.poly, base.R.poly
+    px, qx, rx = base.P, base.Q, base.R
     X, Y = Poly.variable("x"), Poly.variable("y")
     for _ in range(5):
         phi = rng.uniform(0, 2 * math.pi)
@@ -169,3 +171,71 @@ def test_degenerate_transversality():
     fam = PerturbationFamily.from_expressions("0", "0", "eps")   # eta == 0
     with pytest.raises(DegenerateTransversality):
         evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
+
+
+# d = P101 + Q011 > 0 on the example and < 0 on the second system
+SYSTEMS = (EXAMPLE, ("1/2*x*z - 1/2*x*y", "-2*y*z", "-3/4*z^2 + 1/2*y^2 + x*y + 1/2*x^2"))
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+in_mu = st.lists(rationals, min_size=0, max_size=3)      # mu-degree <= 2
+
+
+def _terms(xyz, eps_power, coeffs):
+    return {(*xyz, a, eps_power): c for a, c in enumerate(coeffs)}
+
+
+@st.composite
+def families(draw):
+    """Admissible families whose criteria slices have mu-degree <= 2, plus
+    terms the criteria do not read (higher degree, linear at order eps)."""
+    U = _terms((1, 0, 0), 0, draw(in_mu))
+    V = _terms((0, 1, 0), 0, draw(in_mu))
+    W = {**_terms((0, 0, 1), 0, draw(in_mu)), **_terms((0, 0, 0), 1, draw(in_mu))}
+    U[(0, 1, 0, 1, 0)] = draw(rationals)      # y*mu: in U_1, not in sigma
+    V[(1, 1, 0, 0, 0)] = draw(rationals)
+    W[(0, 0, 1, 0, 1)] = draw(rationals)      # z*eps: in W_2, not in w20
+    return PerturbationFamily.from_expressions(Poly(U), Poly(V), Poly(W))
+
+
+def _value_and_scale(p: Poly, xyz, eps_power, mu: Fraction):
+    """The exact slice value at mu and the sum of its terms' magnitudes."""
+    terms = [c * mu ** m[3] for m, c in p.terms.items()
+             if m[:3] == xyz and m[4] == eps_power]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), families(), st.floats(-2.0, 2.0))
+def test_compiled_criteria_match_exact(exprs, fam, mu):
+    """w_mu, Gamma (both forms) and eta against exact Fraction evaluation,
+    to 1e-13 of the size of the terms they sum."""
+    sys = validate_hopf_zero(*exprs)
+    gamma_op, gamma_pr, eta, w_mu = perturbation_functions(sys, fam)
+    q = Fraction(mu)
+    d, S, c = sys.divergence_pair, sys.quadratic_sum, sys.jR.get(0, 0, 2)
+    su, su_ = _value_and_scale(fam.U, (1, 0, 0), 0, q)
+    sv, sv_ = _value_and_scale(fam.V, (0, 1, 0), 0, q)
+    s, s_ = su + sv, su_ + sv_
+    w1z, w1z_ = _value_and_scale(fam.W, (0, 0, 1), 0, q)
+    w20, w20_ = _value_and_scale(fam.W, (0, 0, 0), 1, q)
+    w, w_ = -s / d, s_ / abs(d)
+    expected = {
+        w_mu: (w, w_),
+        gamma_op: ((2 * c * w * w + 4 * w1z * w + 4 * w20) / S,
+                   (2 * abs(c) * w_ * w_ + 4 * w1z_ * w_ + 4 * w20_) / abs(S)),
+        gamma_pr: ((2 * c * s * s - w1z * s) / (S * d * d) + 4 * w20 / S,
+                   (2 * abs(c) * s_ * s_ + w1z_ * s_) / abs(S * d * d) + 4 * w20_ / abs(S)),
+        eta: (math.pi * float((d * w1z - c * s) / d),
+              math.pi * (abs(d) * w1z_ + abs(c) * s_) / abs(d)),
+    }
+    for fn, (exact, scale) in expected.items():
+        assert abs(fn(mu) - float(exact)) <= 1e-13 * float(scale), fn.__name__
+
+
+@pytest.mark.parametrize("exprs", SYSTEMS)
+def test_simple_family_w_mu_is_positive_zero(exprs):
+    sys = validate_hopf_zero(*exprs)
+    fam = PerturbationFamily.simple(1 if sys.quadratic_sum < 0 else -1)
+    w_mu = perturbation_functions(sys, fam)[3]
+    for mu in (-0.5, 0.0, 0.3):
+        assert math.copysign(1.0, w_mu(mu)) == 1.0 and w_mu(mu) == 0.0

@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+import torusforge.fieldexpr
+import torusforge.lift
 from torusforge.fieldexpr import Poly, parse_field
 from torusforge.lift import (
     Ball, LiftError, NoPositiveOmegaFound, ZeroComponentAtP,
@@ -130,3 +132,19 @@ def test_translate_to_origin():
     shifted = translate_to_origin(polys, (Q(8), Q(0), Q(0)))
     assert shifted[0].eval(x=Q(0), y=Q(0), z=Q(0), mu=Q(0), eps=Q(0)) == 9
     assert shifted[1].eval(x=Q(0), y=Q(0), z=Q(0), mu=Q(0), eps=Q(0)) == Q(8, 10)
+
+
+def test_tuning_never_parses(monkeypatch):
+    """Lift works on Polys throughout: tuning a Poly seed parses no text."""
+    calls = []
+
+    def counting_parse(source):
+        calls.append(source)
+        return parse_field(source)
+    monkeypatch.setattr(torusforge.fieldexpr, "parse_field", counting_parse)
+    monkeypatch.setattr(torusforge.lift, "parse_field", counting_parse)
+    polys = tuple(parse_field(e).poly
+                  for e in ("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
+    tuning = tune_lift_parameters(polys, seed=1)
+    assert tuning.report.applicable
+    assert calls == []

@@ -51,10 +51,9 @@ from .averaging import (
 from .criteria import (
     CriteriaError, PerturbationFamily, criteria_report, validate_hopf_zero,
 )
-from .fieldexpr import FieldExprError, as_poly
+from .fieldexpr import FieldExprError, as_poly, format_poly
 from .flow import IntegratorConfig, RescaledField, ThetaReturnMap, integrate
-from .lift import Ball, find_separating_plane, poly_expr, translate_to_origin, \
-    tune_lift_parameters
+from .lift import Ball, find_separating_plane, translate_to_origin, tune_lift_parameters
 from .torus import certify_torus
 
 EXIT_OK = 0
@@ -385,10 +384,10 @@ def cmd_lift(spec: RunSpec) -> int:
     }
     write_report(os.path.join(spec.out_dir, "lift.json"), payload)
     sys_y = tuning.tuned_system
-    lines = [f"P = {poly_expr(sys_y.P).to_string()}",
-             f"Q = {poly_expr(sys_y.Q).to_string()}",
-             f"R = {poly_expr(sys_y.R).to_string()}", ""]
-    lifted_lines = [f"X{i} = {poly_expr(p).to_string()}"
+    lines = [f"P = {format_poly(sys_y.P)}",
+             f"Q = {format_poly(sys_y.Q)}",
+             f"R = {format_poly(sys_y.R)}", ""]
+    lifted_lines = [f"X{i} = {format_poly(p)}"
                     for i, p in enumerate(fam.lifted, start=1)]
     with open(os.path.join(spec.out_dir, "lifted_system.txt"), "w") as fh:
         fh.write("# normalized Hopf-Zero system Y (linear part (-y, x, 0))\n")
@@ -444,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", type=_grid, default=21,
                         help=f"melnikov grid points per axis, 1 to {MAX_GRID}")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override integrator tolerances")
+                        help="simulate only: atol = rtol = TOL in place of the "
+                             "document's tolerances (certify and branch fix "
+                             "their own)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--simple", action="store_true",

@@ -1,10 +1,10 @@
 """Polynomial vector-field expressions over (x, y, z, mu, eps).
 
-Expressions are parsed into a small AST (round-trippable), then lowered to a
-sparse multivariate polynomial with exact `Fraction` coefficients.  All jet
-(Taylor-coefficient) extraction happens on the polynomial form and is exact
-for rational input; `compile_terms` is the one route from exact
-coefficients to floats.
+Expressions are parsed straight to a Poly: a sparse multivariate
+polynomial with exact `Fraction` coefficients, expanded as the parser goes.
+`format_poly` prints a Poly back in the grammar.  All jet (Taylor-coefficient)
+extraction happens on the polynomial form and is exact for rational input;
+`compile_terms` is the one route from exact coefficients to floats.
 
 Grammar (ASCII):
 
@@ -16,18 +16,20 @@ Grammar (ASCII):
     number := integer | decimal | integer '/' integer
 
 Unary minus binds more loosely than '^', so ``-x^2`` means ``-(x^2)``.
+Parentheses and unary minus nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 VARIABLES = ("x", "y", "z", "mu", "eps")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 MAX_POWER = 12
+MAX_NESTING = 100    # depth of '(' and unary '-'
 MAX_DEGREE = 24      # total degree of any expanded subexpression
 MAX_TERMS = 2000     # terms of any expanded subexpression
 
@@ -64,55 +66,7 @@ class UnboundSymbolError(FieldExprError):
 
 
 # ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Node:
-    span: Tuple[int, int] = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    operand: "Node" = None
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    left: "Node" = None
-    right: "Node" = None
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: "Node" = None
-    right: "Node" = None
-
-
-@dataclass(frozen=True)
-class Mul(Node):
-    left: "Node" = None
-    right: "Node" = None
-
-
-@dataclass(frozen=True)
-class Pow(Node):
-    base: "Node" = None
-    exponent: int = 1
-
-
-# ---------------------------------------------------------------------------
-# Lexer / parser
+# Parsing and printing
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()/")
@@ -161,10 +115,15 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that expands as it goes: each rule returns the Poly
+    of what it read.  Products and powers are checked against the caps
+    before they are formed, sums right after."""
+
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -183,38 +142,54 @@ class _Parser:
             raise FieldSyntaxError("unexpected token", off, (kind,))
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def nest(self, tok: _Token) -> None:
+        """Enter one '(' or unary '-'; the depth cap keeps the recursion
+        far from Python's own limit."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FieldSyntaxError(f"nesting deeper than {MAX_NESTING}", tok.start)
+
+    def parse(self) -> Poly:
+        poly = self.expr()
         tok = self.peek()
         if tok is not None:
             raise FieldSyntaxError(f"trailing input {tok.text!r}", tok.start,
                                    ("+", "-", "*", "^", "end of input"))
-        return node
+        return poly
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> Poly:
+        poly = self.term()
+        # a sum's degree is at most its largest operand's
+        degree = poly.degree(VARIABLES)
         while (tok := self.peek()) is not None and tok.kind in ('+', '-'):
             self.advance()
             rhs = self.term()
-            span = (node.span[0], rhs.span[1])
-            node = Add(span, node, rhs) if tok.kind == '+' else Sub(span, node, rhs)
-        return node
+            poly = poly + rhs if tok.kind == '+' else poly - rhs
+            degree = max(degree, rhs.degree(VARIABLES))
+            _check_size(degree, len(poly.terms), len(VARIABLES))
+        return poly
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> Poly:
+        poly = self.factor()
         while (tok := self.peek()) is not None and tok.kind == '*':
             self.advance()
             rhs = self.factor()
-            node = Mul((node.span[0], rhs.span[1]), node, rhs)
-        return node
+            if poly and rhs:
+                nvars = len(set(poly.free_variables()) | set(rhs.free_variables()))
+                _check_size(poly.degree(VARIABLES) + rhs.degree(VARIABLES),
+                            len(poly.terms) * len(rhs.terms), nvars)
+            poly = poly * rhs
+        return poly
 
-    def factor(self) -> Node:
+    def factor(self) -> Poly:
         tok = self.peek()
         if tok is not None and tok.kind == '-':
             self.advance()
-            operand = self.factor()
-            return Neg((tok.start, operand.span[1]), operand)
-        node = self.base()
+            self.nest(tok)
+            poly = -self.factor()
+            self.depth -= 1
+            return poly
+        poly = self.base()
         if (tok := self.peek()) is not None and tok.kind == '^':
             self.advance()
             etok = self.expect('num')
@@ -225,23 +200,30 @@ class _Parser:
             if exponent > MAX_POWER:
                 raise FieldSyntaxError(f"exponent {exponent} exceeds maximum {MAX_POWER}",
                                        etok.start)
-            node = Pow((node.span[0], etok.end), node, exponent)
-        return node
+            if poly and exponent:
+                # a term of poly^e is a product of e poly terms: at most
+                # C(e + t - 1, e) distinct terms for t terms of poly
+                _check_size(poly.degree(VARIABLES) * exponent,
+                            math.comb(exponent + len(poly.terms) - 1, exponent),
+                            len(poly.free_variables()))
+            poly = poly.power(exponent)
+        return poly
 
-    def base(self) -> Node:
+    def base(self) -> Poly:
         tok = self.peek()
         if tok is None:
             raise FieldSyntaxError("unexpected end of input", len(self.source),
                                    ("number", "identifier", "("))
         if tok.kind == '(':
             self.advance()
-            node = self.expr()
-            closing = self.expect(')')
-            return _respan(node, (tok.start, closing.end))
+            self.nest(tok)
+            poly = self.expr()
+            self.expect(')')
+            self.depth -= 1
+            return poly
         if tok.kind == 'num':
             self.advance()
             value = _number_value(tok)
-            end = tok.end
             # rational literal: integer '/' integer
             nxt = self.peek()
             if (tok.text.isdigit() and nxt is not None and nxt.kind == '/'):
@@ -253,20 +235,28 @@ class _Parser:
                 if int(den.text) == 0:
                     raise FieldSyntaxError("zero denominator", den.start)
                 value = Fraction(int(tok.text), int(den.text))
-                end = den.end
-            return Num((tok.start, end), value)
+            return Poly.constant(value)
         if tok.kind == 'ident':
             self.advance()
             if tok.text not in _VAR_INDEX:
                 raise UnknownIdentifierError(tok.text, tok.start)
-            return Var((tok.start, tok.end), tok.text)
+            return Poly.variable(tok.text)
         raise FieldSyntaxError(f"unexpected token {tok.text!r}", tok.start,
                                ("number", "identifier", "(", "-"))
 
 
-def _respan(node: Node, span: Tuple[int, int]) -> Node:
-    object.__setattr__(node, 'span', span)
-    return node
+def _check_size(degree: int, max_terms: int, nvars: int) -> None:
+    """Raise ExpressionTooLarge unless a polynomial of total `degree` in
+    `nvars` variables with at most `max_terms` terms fits the caps.  Products
+    and powers are checked with a bound before they are formed, so refusing
+    one costs nothing."""
+    if degree > MAX_DEGREE:
+        raise ExpressionTooLarge(
+            f"expression expands to total degree {degree} (maximum {MAX_DEGREE})")
+    max_terms = min(max_terms, math.comb(degree + nvars, nvars))
+    if max_terms > MAX_TERMS:
+        raise ExpressionTooLarge(
+            f"expression may expand to {max_terms} terms (maximum {MAX_TERMS})")
 
 
 def _number_value(tok: _Token) -> Fraction:
@@ -277,43 +267,42 @@ def _number_value(tok: _Token) -> Fraction:
     return Fraction(int(tok.text))
 
 
-# ---------------------------------------------------------------------------
-# Printing (round-trips to a structurally identical AST)
-# ---------------------------------------------------------------------------
+def parse_field(source: str) -> Poly:
+    """Parse an expression to its exact polynomial; raises FieldSyntaxError
+    (UnknownIdentifierError among them) or ExpressionTooLarge."""
+    return _Parser(source).parse()
 
-def _print_node(node: Node, parent: str = 'expr') -> str:
-    """Precedence-aware printing; reparsing yields a structurally identical
-    AST (the parser never produces negative Num literals, so none are printed).
 
-    Wrap policy per the left-associative grammar and the single-'^' rule:
-      Add/Sub wrap unless printed at expr level or as the left operand of +/-;
-      Mul wraps under '^', under unary '-', and as a right factor;
-      Neg wraps only as a power base; Pow wraps only as a power base.
-    """
-    if isinstance(node, Num):
-        if node.value.denominator == 1:
-            return str(node.value.numerator)
-        return f"{node.value.numerator}/{node.value.denominator}"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        text = f"-{_print_node(node.operand, 'neg')}"
-        return f"({text})" if parent == 'pow' else text
-    if isinstance(node, (Add, Sub)):
-        op = '+' if isinstance(node, Add) else '-'
-        text = f"{_print_node(node.left, 'expr')} {op} {_print_node(node.right, 'add-rhs')}"
-        if parent in ('term', 'term-rhs', 'pow', 'neg', 'add-rhs'):
-            return f"({text})"
-        return text
-    if isinstance(node, Mul):
-        text = f"{_print_node(node.left, 'term')}*{_print_node(node.right, 'term-rhs')}"
-        if parent in ('pow', 'neg', 'term-rhs'):
-            return f"({text})"
-        return text
-    if isinstance(node, Pow):
-        text = f"{_print_node(node.base, 'pow')}^{node.exponent}"
-        return f"({text})" if parent == 'pow' else text
-    raise TypeError(f"unknown node {node!r}")
+def as_poly(value: Union[str, Poly]) -> Poly:
+    """The polynomial of an expression: text is parsed and a Poly is
+    returned as it is."""
+    if isinstance(value, Poly):
+        return value
+    if isinstance(value, str):
+        return parse_field(value)
+    raise FieldExprError(f"expected an expression string, got {type(value).__name__}")
+
+
+def format_poly(p: Poly) -> str:
+    """The expression text of a Poly: its terms in descending monomial order,
+    each as a coefficient magnitude (omitted when 1) times `name^e` factors;
+    `parse_field` reads it back to the same Poly."""
+    if not p.terms:
+        return "0"
+    text = ""
+    for mono in sorted(p.terms, reverse=True):
+        c = p.terms[mono]
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(VARIABLES, mono) if e]
+        mag = abs(c)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if not text:
+            text = "-" + body if c < 0 else body
+        else:
+            text += (" - " if c < 0 else " + ") + body
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -520,105 +509,8 @@ def compile_terms(terms: Mapping[Tuple[int, ...], Union[float, complex]],
 
 
 # ---------------------------------------------------------------------------
-# FieldExpr: parsed expression with AST + lowered polynomial
-# ---------------------------------------------------------------------------
-
-class FieldExpr:
-    """A parsed polynomial expression; keeps the AST for round-tripping and
-    the lowered Poly for all computation."""
-
-    def __init__(self, root: Node, source: str):
-        self.root = root
-        self.source = source
-        self._poly: Optional[Poly] = None
-
-    @property
-    def poly(self) -> Poly:
-        if self._poly is None:
-            self._poly = _lower(self.root)
-        return self._poly
-
-    def to_string(self) -> str:
-        return _print_node(self.root)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldExpr) and self.root == other.root
-
-    def __repr__(self):
-        return f"FieldExpr({self.to_string()!r})"
-
-
-def _check_size(degree: int, max_terms: int, nvars: int) -> None:
-    """Raise ExpressionTooLarge unless a polynomial of total `degree` in
-    `nvars` variables with at most `max_terms` terms fits the caps.  Products
-    and powers are checked with a bound before they are formed, so refusing
-    one costs nothing."""
-    if degree > MAX_DEGREE:
-        raise ExpressionTooLarge(
-            f"expression expands to total degree {degree} (maximum {MAX_DEGREE})")
-    max_terms = min(max_terms, math.comb(degree + nvars, nvars))
-    if max_terms > MAX_TERMS:
-        raise ExpressionTooLarge(
-            f"expression may expand to {max_terms} terms (maximum {MAX_TERMS})")
-
-
-def _lower(node: Node) -> Poly:
-    if isinstance(node, Num):
-        return Poly.constant(node.value)
-    if isinstance(node, Var):
-        return Poly.variable(node.name)
-    if isinstance(node, Neg):
-        return -_lower(node.operand)
-    if isinstance(node, (Add, Sub)):
-        left, right = _lower(node.left), _lower(node.right)
-        out = left + right if isinstance(node, Add) else left - right
-        _check_size(out.degree(VARIABLES), len(out.terms), len(VARIABLES))
-        return out
-    if isinstance(node, Mul):
-        left, right = _lower(node.left), _lower(node.right)
-        if left and right:
-            nvars = len(set(left.free_variables()) | set(right.free_variables()))
-            _check_size(left.degree(VARIABLES) + right.degree(VARIABLES),
-                        len(left.terms) * len(right.terms), nvars)
-        return left * right
-    if isinstance(node, Pow):
-        base, e = _lower(node.base), node.exponent
-        if base and e:
-            # a term of base^e is a product of e base terms: at most
-            # C(e + t - 1, e) distinct terms for t base terms
-            _check_size(base.degree(VARIABLES) * e,
-                        math.comb(e + len(base.terms) - 1, e),
-                        len(base.free_variables()))
-        return base.power(e)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def parse_field(source: str) -> FieldExpr:
-    """Parse an expression; raises FieldSyntaxError / UnknownIdentifierError."""
-    return FieldExpr(_Parser(source).parse(), source)
-
-
-def as_poly(value: Union[str, FieldExpr, Poly]) -> Poly:
-    """The polynomial of an expression: text is parsed, a FieldExpr gives its
-    lowered form, and a Poly is returned as it is."""
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, FieldExpr):
-        return value.poly
-    if isinstance(value, str):
-        return parse_field(value).poly
-    raise FieldExprError(f"expected an expression string, got {type(value).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Jets
 # ---------------------------------------------------------------------------
-
-JET_INDICES: Tuple[Tuple[int, int, int], ...] = tuple(
-    (j, k, l)
-    for j in range(4) for k in range(4 - j) for l in range(4 - j - k)
-)
-
 
 def _factorial3(j: int, k: int, l: int) -> int:
     return math.factorial(j) * math.factorial(k) * math.factorial(l)
@@ -653,67 +545,17 @@ class Jet3:
     def __eq__(self, other):
         return isinstance(other, Jet3) and self._entries == other._entries
 
-    def multiply(self, other: "Jet3") -> "Jet3":
-        """Degree-3 truncated jet product (Leibniz on Taylor coefficients)."""
-        out: Dict[Tuple[int, int, int], Fraction] = {}
-        for (j1, k1, l1), v1 in self._entries.items():
-            c1 = v1 / _factorial3(j1, k1, l1)
-            for (j2, k2, l2), v2 in other._entries.items():
-                j, k, l = j1 + j2, k1 + k2, l1 + l2
-                if j + k + l > 3:
-                    continue
-                c2 = v2 / _factorial3(j2, k2, l2)
-                out[(j, k, l)] = out.get((j, k, l), 0) + c1 * c2
-        return Jet3({idx: c * _factorial3(*idx) for idx, c in out.items()})
-
     def __repr__(self):
         return "Jet3({" + ", ".join(f"{idx}: {val}" for idx, val in self.items()) + "})"
 
 
-class ParamJet3:
-    """Jet whose entries are polynomials in mu (and optionally eps)."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Dict[Tuple[int, int, int], Poly]):
-        self._entries = {idx: p for idx, p in entries.items() if p}
-
-    def entry(self, j: int, k: int, l: int) -> Poly:
-        return self._entries.get((j, k, l), Poly())
-
-    def at(self, mu, eps=0) -> Jet3:
-        vals = {}
-        for idx, p in self._entries.items():
-            vals[idx] = p.eval(mu=mu, eps=eps)
-        return Jet3(vals)
-
-    def items(self):
-        return iter(sorted(self._entries.items()))
-
-    def __repr__(self):
-        return "ParamJet3({" + ", ".join(f"{idx}: {p!r}" for idx, p in self.items()) + "})"
-
-
-def jet_extract(f: Union[str, FieldExpr, Poly]):
-    """Order-3 jet of f at the spatial origin.
-
-    Returns a Jet3 when f has no parameters, else a ParamJet3 whose entries
-    are exact polynomials in mu and eps.
-    """
+def jet_extract(f: Union[str, Poly]) -> Jet3:
+    """Order-3 jet of a parameter-free f at the spatial origin."""
     poly = as_poly(f)
-    imu, ieps = _VAR_INDEX["mu"], _VAR_INDEX["eps"]
-    param_entries: Dict[Tuple[int, int, int], Dict[Monomial, Fraction]] = {}
-    for m, c in poly.terms.items():
-        j, k, l = m[0], m[1], m[2]
-        if j + k + l > 3:
-            continue
-        pm = (0, 0, 0, m[imu], m[ieps])
-        entry = param_entries.setdefault((j, k, l), {})
-        entry[pm] = entry.get(pm, 0) + c * _factorial3(j, k, l)
-
-    has_params = any(pm[imu] or pm[ieps]
-                     for entry in param_entries.values() for pm in entry)
-    if has_params:
-        return ParamJet3({idx: Poly(entry) for idx, entry in param_entries.items()})
-    return Jet3({idx: entry.get((0, 0, 0, 0, 0), Fraction(0))
-                 for idx, entry in param_entries.items()})
+    if any(m[3] or m[4] for m in poly.terms):
+        raise FieldExprError("jet_extract needs an expression free of mu and eps")
+    entries: Dict[Tuple[int, int, int], Fraction] = {}
+    for (j, k, l, _, _), c in poly.terms.items():
+        if j + k + l <= 3:
+            entries[(j, k, l)] = c * _factorial3(j, k, l)
+    return Jet3(entries)

@@ -24,7 +24,7 @@ from .criteria import (
     CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report,
     validate_hopf_zero,
 )
-from .fieldexpr import FieldExpr, Poly, as_poly, parse_field
+from .fieldexpr import Poly, as_poly
 
 
 class LiftError(ValueError):
@@ -378,38 +378,6 @@ def _inv3(M):
     return [[adj[r][s] / det for s in range(3)] for r in range(3)]
 
 
-def poly_expr(p: Poly) -> FieldExpr:
-    """Render a rational-coefficient Poly in the expression grammar and parse
-    it back (round-trippable export of lifted systems)."""
-    if not p.terms:
-        return parse_field("0")
-    parts = []
-    names = ("x", "y", "z", "mu", "eps")
-    for mono in sorted(p.terms, reverse=True):
-        c = p.terms[mono]
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(c)
-        coeff_txt = f"{mag.numerator}" if mag.denominator == 1 \
-            else f"{mag.numerator}/{mag.denominator}"
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([coeff_txt] + factors)
-        else:
-            body = coeff_txt
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = parts[0].lstrip("+ ").replace("- ", "-", 1) if parts[0].startswith("-") \
-        else parts[0][2:]
-    for seg in parts[1:]:
-        text += " " + seg[0] + " " + seg[2:]
-    return parse_field(text)
-
-
 # ---------------------------------------------------------------------------
 # parameter tuning
 # ---------------------------------------------------------------------------
@@ -429,7 +397,15 @@ class LiftTuning:
 
 
 def omega_of_lift(seed_field, L, delta) -> Fraction:
-    fam = build_lift_family(seed_field, L, delta)
+    """Omega of the normalized lift X_{L, delta}.
+
+    Omega reads only the quadratic part of the normalized lift: lin_i times
+    the part of seed_i of degree <= 1 in (x, y, z), conjugated by an M that
+    depends only on the seed at the origin.  So the lift of the seed's 1-jet
+    has the same Omega, for a fraction of the substitution work."""
+    jet1 = tuple(Poly({m: c for m, c in as_poly(p).terms.items()
+                       if m[0] + m[1] + m[2] <= 1}) for p in seed_field)
+    fam = build_lift_family(jet1, L, delta)
     if fam.system is None:
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
     return fam.system.omega

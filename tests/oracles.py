@@ -11,6 +11,7 @@ stepper.  The last section holds small helpers only the tests call.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -20,7 +21,7 @@ from scipy.integrate import solve_ivp
 from torusforge.averaging import (
     PERIOD, AveragingError, MelnikovPair, StandardFormSystem,
 )
-from torusforge.fieldexpr import VARIABLES, FieldExpr, Poly, as_poly
+from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly
 from torusforge.flow import (
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
@@ -354,7 +355,7 @@ def poly_to_float(p: Poly) -> Poly:
     return Poly({m: float(c) for m, c in p.terms.items()})
 
 
-def degree_report(f: Union[str, FieldExpr, Poly]) -> Dict[str, int]:
+def degree_report(f: Union[str, Poly]) -> Dict[str, int]:
     """Degree in each variable, total degree in (x, y, z) and in (mu, eps)."""
     p = as_poly(f)
     rep = {v: p.degree((v,)) for v in VARIABLES}
@@ -363,8 +364,24 @@ def degree_report(f: Union[str, FieldExpr, Poly]) -> Dict[str, int]:
     return rep
 
 
-def evaluate_field(f: Union[str, FieldExpr, Poly], point, params=(0, 0)):
+def evaluate_field(f: Union[str, Poly], point, params=(0, 0)):
     """Evaluate at (x, y, z) with parameters (mu, eps); exact for exact input."""
     px, py, pz = point
     pmu, peps = params
     return as_poly(f).eval(x=px, y=py, z=pz, mu=pmu, eps=peps)
+
+
+def jet_product(a: Jet3, b: Jet3) -> Jet3:
+    """Degree-3 truncated product of two jets (Leibniz on Taylor
+    coefficients), the product jet_extract(f * g) must equal."""
+    def factorial3(idx):
+        return math.prod(math.factorial(n) for n in idx)
+
+    out = {}
+    for i1, v1 in a.items():
+        for i2, v2 in b.items():
+            idx = tuple(p + q for p, q in zip(i1, i2))
+            if sum(idx) <= 3:
+                out[idx] = (out.get(idx, 0)
+                            + v1 / factorial3(i1) * (v2 / factorial3(i2)))
+    return Jet3({idx: c * factorial3(idx) for idx, c in out.items()})

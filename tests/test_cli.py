@@ -14,6 +14,7 @@ from torusforge.cli import (
     EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_PERIODS, main,
 )
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
+from torusforge.fieldexpr import MAX_NESTING
 
 from oracles import f2_quadrature
 
@@ -263,6 +264,19 @@ def test_nested_power_fails_fast(tmp_path):
         assert time.perf_counter() - start < 5.0
         err = json.loads((out / "analyze_error.json").read_text())
         assert err["error"] == "ExpressionTooLarge"
+
+
+@pytest.mark.parametrize("P", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"])
+def test_deep_nesting_is_syntax_error(tmp_path, capsys, P):
+    """3000 nested parentheses or unary minuses end in a typed error at the
+    first level past MAX_NESTING, not in a RecursionError."""
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, system={"P": P, "Q": "y*z", "R": "z^2"}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", doc, "--out", str(out)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "FieldSyntaxError"
+    err = json.loads((out / "analyze_error.json").read_text())
+    assert err["error"] == "FieldSyntaxError"
+    assert f"offset {MAX_NESTING}" in err["message"]
 
 
 def test_invalid_schema(tmp_path):

@@ -1,16 +1,17 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusforge.fieldexpr import (
-    MAX_DEGREE, VARIABLES, ExpressionTooLarge, FieldSyntaxError, Jet3, Poly,
-    UnknownIdentifierError, UnboundSymbolError, jet_extract, parse_field,
+    MAX_DEGREE, MAX_NESTING, VARIABLES, ExpressionTooLarge, FieldExprError,
+    FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, UnboundSymbolError,
+    format_poly, jet_extract, parse_field,
 )
-from torusforge.lift import poly_expr
 
-from oracles import degree_report, evaluate_field, poly_to_float
+from oracles import degree_report, evaluate_field, jet_product, poly_to_float
 
 
 def test_parse_basic_degree():
@@ -27,7 +28,7 @@ def test_parse_example_system_param_degree():
     assert rep["eps"] == 2
     assert rep["mu"] == 1
     # unary minus binds below '^': the x^2 coefficient must be -1
-    assert f.poly.terms[(2, 0, 0, 0, 0)] == -1
+    assert f.terms[(2, 0, 0, 0, 0)] == -1
 
 
 def test_syntax_error_offset():
@@ -51,18 +52,18 @@ def test_power_cap():
 
 
 def test_expansion_caps():
-    assert len(parse_field("(x+y+z+1)^12").poly.terms) == 455
-    assert len(parse_field("(x+y+z+1)^6*(x+y+z+1)^6").poly.terms) == 455
-    assert parse_field("x^12*y^12").poly.degree(VARIABLES) == MAX_DEGREE
+    assert len(parse_field("(x+y+z+1)^12").terms) == 455
+    assert len(parse_field("(x+y+z+1)^6*(x+y+z+1)^6").terms) == 455
+    assert parse_field("x^12*y^12").degree(VARIABLES) == MAX_DEGREE
     for source in ("x^12*y^12*z", "((x^12)^12)^12", "((x+y+z+1)^12)^2",
                    "(x+y+z+mu+eps+1)^12"):
         with pytest.raises(ExpressionTooLarge):
-            parse_field(source).poly
+            parse_field(source)
 
 
 def test_rational_and_decimal_literals_exact():
-    assert parse_field("3/2").poly.terms == {(0, 0, 0, 0, 0): Fraction(3, 2)}
-    assert parse_field("0.125").poly.terms == {(0, 0, 0, 0, 0): Fraction(1, 8)}
+    assert parse_field("3/2").terms == {(0, 0, 0, 0, 0): Fraction(3, 2)}
+    assert parse_field("0.125").terms == {(0, 0, 0, 0, 0): Fraction(1, 8)}
 
 
 def test_evaluate_field():
@@ -71,7 +72,7 @@ def test_evaluate_field():
     assert evaluate_field("-x^2 + x*y + z^2 + eps*mu*z + eps^2", (1, 1, 1)) == 1
     assert evaluate_field("eps^2", (0, 0, 0), (0, 0.05)) == pytest.approx(0.0025)
     with pytest.raises(UnboundSymbolError):
-        parse_field("x + y").poly.eval(x=1)
+        parse_field("x + y").eval(x=1)
 
 
 def test_jet_extract_single_monomial():
@@ -94,13 +95,12 @@ def test_jet_truncation_above_order3():
     assert sum(1 for _ in jet.items()) == 1
 
 
-def test_param_jet_evaluation_commutes():
-    pj = jet_extract("mu*z + mu^2*x*y")
-    entry = pj.entry(0, 0, 1)
-    assert entry.eval(mu=Fraction(1, 3)) == Fraction(1, 3)
-    j = pj.at(Fraction(1, 3))
-    assert j.get(0, 0, 1) == Fraction(1, 3)
-    assert j.get(1, 1, 0) == Fraction(1, 9)
+def test_jet_extract_refuses_parameters():
+    """Systems are parameter-free (validate_hopf_zero checks that first), so
+    a jet of an expression in mu or eps is an error, not a parametric jet."""
+    for source in ("mu*z + x*y", "x^2 + eps^2"):
+        with pytest.raises(FieldExprError):
+            jet_extract(source)
 
 
 def _random_expr_text(rng, depth=0):
@@ -111,6 +111,8 @@ def _random_expr_text(rng, depth=0):
     if kind == "num":
         if rng.random() < 0.3:
             return f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"
+        if rng.random() < 0.2:
+            return f"{rng.randint(0, 9)}.{rng.randint(0, 99):02d}"
         return str(rng.randint(0, 12))
     if kind == "var":
         return rng.choice(["x", "y", "z", "mu", "eps"])
@@ -127,19 +129,48 @@ def _random_expr_text(rng, depth=0):
     return f"({_random_expr_text(rng, depth + 1)})"
 
 
+def _sympy_poly(sympy, text):
+    """sympy's expansion of an expression of the grammar, as Poly terms.  A
+    literal a/b binds tighter than '^' here (2/3^2 is 4/9), so each one is
+    parenthesized before sympy reads the text."""
+    text = re.sub(r"(\d+)/(\d+)", r"(\1/\2)", text)
+    names = {v: sympy.Symbol(v) for v in VARIABLES}
+    expanded = sympy.expand(sympy.sympify(text, locals=names, rational=True))
+    coeffs = sympy.Poly(expanded, *names.values()).as_dict()
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in coeffs.items() if c}
+
+
 def test_print_parse_roundtrip_corpus():
+    """On a random corpus the parser agrees with sympy's expansion, and
+    format_poly prints text that parses back to the same Poly."""
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(20250811)
     for _ in range(150):
         text = _random_expr_text(rng)
-        try:
-            ast1 = parse_field(text)
-        except FieldSyntaxError:
-            continue  # e.g. '--' sequences the generator can produce are fine
-        printed = ast1.to_string()
-        ast2 = parse_field(printed)
-        assert ast1.root == ast2.root, f"{text!r} -> {printed!r}"
-        # and printing is a fixed point after one round
-        assert parse_field(ast2.to_string()).root == ast2.root
+        p = parse_field(text)
+        assert p.terms == _sympy_poly(sympy, text), text
+        printed = format_poly(p)
+        assert parse_field(printed) == p, f"{text!r} -> {printed!r}"
+
+
+def test_format_poly_roundtrip_at_the_caps():
+    """1820 terms (within MAX_TERMS) print and parse back: the parser sums a
+    flat sum in a loop, so its length is bounded by the caps alone."""
+    p = parse_field("(x+y+z+mu+1)^12")
+    assert len(p.terms) == 1820
+    assert parse_field(format_poly(p)) == p
+
+
+def test_nesting_cap():
+    assert parse_field("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse_field("x")
+    assert parse_field("-" * MAX_NESTING + "x") == parse_field("x")
+    assert parse_field("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2)) \
+        == parse_field("x")
+    for source in ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                   "-" * (MAX_NESTING + 1) + "x"):
+        with pytest.raises(FieldSyntaxError) as exc:
+            parse_field(source)
+        assert exc.value.offset == MAX_NESTING
 
 
 # exact polynomials in (x, y, z, mu, eps): at most 5 terms, each exponent at
@@ -152,8 +183,8 @@ polys = st.dictionaries(monomials, coefficients, max_size=5).map(Poly)
 @settings(max_examples=100, deadline=None)
 @given(polys)
 def test_poly_print_parse_roundtrip(p):
-    text = poly_expr(p).to_string()
-    assert parse_field(text).poly == p, text
+    text = format_poly(p)
+    assert parse_field(text) == p, text
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +215,7 @@ def test_jet_product_exactness_random():
     for _ in range(100):
         f, g = _random_poly3(rng), _random_poly3(rng)
         left = jet_extract(f * g)
-        right = jet_extract(f).multiply(jet_extract(g))
+        right = jet_product(jet_extract(f), jet_extract(g))
         assert left == right
 
 

@@ -4,11 +4,10 @@ from fractions import Fraction as Q
 import pytest
 
 import torusforge.fieldexpr
-import torusforge.lift
-from torusforge.fieldexpr import Poly, parse_field
+from torusforge.fieldexpr import Poly, format_poly, parse_field
 from torusforge.lift import (
     Ball, LiftError, NoPositiveOmegaFound, ZeroComponentAtP,
-    build_lift_family, find_separating_plane, poly_expr, printed_A_limit,
+    build_lift_family, find_separating_plane, omega_of_lift, printed_A_limit,
     translate_to_origin, tune_lift_parameters,
 )
 
@@ -16,7 +15,7 @@ SPEC_SEED = ("1 + x", "1/10*x + y", "0")
 
 
 def _polys(exprs):
-    return tuple(parse_field(e).poly for e in exprs)
+    return tuple(parse_field(e) for e in exprs)
 
 
 def test_separating_plane_spec_example():
@@ -123,8 +122,8 @@ def test_lifted_system_grammar_roundtrip():
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     fam = build_lift_family(polys, Q(1), Q(1, 4))
     for p in list(fam.lifted) + list(fam.normalized):
-        text = poly_expr(p).to_string()
-        assert parse_field(text).poly == p
+        text = format_poly(p)
+        assert parse_field(text) == p
 
 
 def test_translate_to_origin():
@@ -142,9 +141,21 @@ def test_tuning_never_parses(monkeypatch):
         calls.append(source)
         return parse_field(source)
     monkeypatch.setattr(torusforge.fieldexpr, "parse_field", counting_parse)
-    monkeypatch.setattr(torusforge.lift, "parse_field", counting_parse)
-    polys = tuple(parse_field(e).poly
+    polys = tuple(parse_field(e)
                   for e in ("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     tuning = tune_lift_parameters(polys, seed=1)
     assert tuning.report.applicable
     assert calls == []
+
+
+def test_omega_reads_only_the_seed_1_jet():
+    """Omega of the normalized lift depends on the seed only through its
+    part of degree <= 1, which is all omega_of_lift lifts."""
+    for exprs in (("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"),
+                  ("1 + x*z - 2*y + x^2*y", "-3 + z + y*z^2", "2 - x + 5*z + x*y*z")):
+        polys = _polys(exprs)
+        for L in (Q(1), Q(2), Q(-3, 2), Q(16)):
+            for delta in (Q(1, 4), Q(1, 16), Q(9)):
+                full = build_lift_family(polys, L, delta).system
+                assert full is not None
+                assert omega_of_lift(polys, L, delta) == full.omega

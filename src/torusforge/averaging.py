@@ -1,12 +1,13 @@
 """Second-order averaging machinery for the rescaled Hopf-Zero family.
 
 The rescaled cylindrical system  dr/dtheta = eps F1 + eps^2 F2 + O(eps^3)
-is represented exactly: angular dependence in the complex Fourier basis
-e^{i m theta} with Gaussian-rational coefficients, radial/axial/parameter
-dependence as (Laurent-in-r) monomials r^a w^b mu^c.  Both Melnikov
-functions then come out as polynomials in (r, w, mu) whose coefficients are
-exact rationals times powers of pi, and the first Lyapunov quantity is
-obtained from them by a short complex series computation.
+is represented exactly, as `TrigPoly`s: `fieldexpr.Poly`s over
+(u, r, w, mu, t) with Gaussian-rational (`CFrac`) coefficients, where
+u = e^{i theta} carries the angular dependence in the complex Fourier basis,
+r may have negative exponents and t = theta appears only in the
+antiderivative of F1.  Both Melnikov functions then come out as `PiPoly`s,
+Polys over (r, w, mu, pi) with rational coefficients, and the first Lyapunov
+quantity is obtained from them by a short complex series computation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .fieldexpr import Poly, compile_terms
 PERIOD = 2.0 * math.pi
 EQUILIBRIUM_RESIDUAL = 1e-12
 STRONG_RESONANCE_TOL = 1e-8
+HYPOTHESIS_SAMPLES = 33                  # mu samples of the averaged path
+# factor-2 eps ladders: the Neimark-Sacker branch, the Lyapunov slices, the
+# Jordan expansion, and the first rung of the fixed-point slice
+BRANCH_LADDER = (1e-2, 5e-3, 2.5e-3)
+LYAPUNOV_LADDER = (2e-2, 1e-2, 5e-3)
+JORDAN_LADDER = (4e-3, 2e-3, 1e-3)
+XI_SLICE_EPS0 = 4e-3
 
 
 class AveragingError(ValueError):
@@ -47,7 +55,7 @@ class StrongResonance(AveragingError):
 
 
 # ---------------------------------------------------------------------------
-# exact scalars: Gaussian rationals and polynomials in pi
+# exact scalars: Gaussian rationals
 # ---------------------------------------------------------------------------
 
 class CFrac:
@@ -95,228 +103,93 @@ class CFrac:
 
 
 # ---------------------------------------------------------------------------
-# trig polynomials: sum of coeff * e^{i m theta} * r^a w^b mu^c
+# trig polynomials: sums of coeff * u^m r^a w^b mu^c t^n, u = e^{i theta},
+# t = theta; the integrals in (r, w, mu) with coefficients in Q[pi]
 # ---------------------------------------------------------------------------
 
-TrigKey = Tuple[int, int, int, int]  # (m, r_pow, w_pow, mu_pow); r_pow may be < 0
+class TrigPoly(Poly):
+    """Poly over (u, r, w, mu, t) with CFrac coefficients, u = e^{i theta}
+    and t = theta; u and r may have negative exponents.  The standard form
+    is t-free, and its antiderivative is linear in t."""
 
-
-class TrigPoly:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[TrigKey, CFrac]] = None):
-        self.terms: Dict[TrigKey, CFrac] = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
+    NAMES = ("u", "r", "w", "mu", "t")
+    __slots__ = ()
 
     @classmethod
     def from_xyz_poly(cls, poly: Poly) -> "TrigPoly":
         """Substitute x = r cos(theta), y = r sin(theta), z = w into a Poly
         over (x, y, z, mu); exact in the e^{i m theta} basis."""
-        out: Dict[TrigKey, CFrac] = {}
-        for mono, coeff in poly.terms.items():
-            i, j, k, a, b = mono
+        out = cls()
+        for (i, j, k, a, b), coeff in poly.terms.items():
             if b != 0:
                 raise ValueError("eps must be sliced away before cylindrical substitution")
-            base = CFrac(coeff)
-            # x^i -> (1/2)^i sum_t C(i,t) e^{i(2t-i)}
-            # y^j -> (-i/2)^j sum_u C(j,u) (-1)^(j-u) e^{i(2u-j)}
-            scale = base * CFrac(Fraction(1, 2 ** i))
-            half_mi = CFrac(0, Fraction(-1, 2))
+            term = cls({(0, i + j, k, a, 0): CFrac(coeff)})
+            for _ in range(i):
+                term = term * TRIG_COS
             for _ in range(j):
-                scale = scale * half_mi
-            for t in range(i + 1):
-                ct = Fraction(math.comb(i, t))
-                for u in range(j + 1):
-                    cu = Fraction(math.comb(j, u) * ((-1) ** (j - u)))
-                    m = (2 * t - i) + (2 * u - j)
-                    key = (m, i + j, k, a)
-                    add = scale * (ct * cu)
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-        return cls(out)
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = TrigPoly.__new__(TrigPoly)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + other.scale(CFrac(-1))
-
-    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        out: Dict[TrigKey, CFrac] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                add = c1 * c2
-                prev = out.get(key)
-                s = add if prev is None else prev + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        res = TrigPoly.__new__(TrigPoly)
-        res.terms = out
-        return res
-
-    def scale(self, c: CFrac) -> "TrigPoly":
-        return TrigPoly({k: v * c for k, v in self.terms.items()})
-
-    def div_r(self) -> "TrigPoly":
-        return TrigPoly({(m, a - 1, b, c): v for (m, a, b, c), v in self.terms.items()})
-
-    def diff_r(self) -> "TrigPoly":
-        return TrigPoly({(m, a - 1, b, c): v * a
-                         for (m, a, b, c), v in self.terms.items() if a})
-
-    def diff_w(self) -> "TrigPoly":
-        return TrigPoly({(m, a, b - 1, c): v * b
-                         for (m, a, b, c), v in self.terms.items() if b})
-
-    def evaluator(self) -> Callable:
-        """Compiled f(u, r, w, mu) with u = e^{i theta}; the value of this
-        (real) trig polynomial is the real part."""
-        return compile_terms({k: complex(c) for k, c in self.terms.items()},
-                             ("u", "r", "w", "mu"))
-
-    def __repr__(self):
-        return f"TrigPoly({len(self.terms)} terms)"
+                term = term * TRIG_SIN
+            out = out + term
+        return out
 
 
-TRIG_COS = TrigPoly({(1, 0, 0, 0): CFrac(Fraction(1, 2)),
-                     (-1, 0, 0, 0): CFrac(Fraction(1, 2))})
-TRIG_SIN = TrigPoly({(1, 0, 0, 0): CFrac(0, Fraction(-1, 2)),
-                     (-1, 0, 0, 0): CFrac(0, Fraction(1, 2))})
+_HALF = Fraction(1, 2)
+TRIG_COS = TrigPoly({(1, 0, 0, 0, 0): CFrac(_HALF), (-1, 0, 0, 0, 0): CFrac(_HALF)})
+TRIG_SIN = TrigPoly({(1, 0, 0, 0, 0): CFrac(0, -_HALF), (-1, 0, 0, 0, 0): CFrac(0, _HALF)})
+_R_INV = TrigPoly({(0, -1, 0, 0, 0): CFrac(1)})
 
 
-class ThetaLinear:
-    """a(theta) + theta * b(theta) with TrigPoly parts (enough for the
-    once-integrated first-order term)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: TrigPoly, b: TrigPoly):
-        self.a = a
-        self.b = b
+def _accumulate(out: dict, key, value) -> None:
+    prev = out.get(key)
+    out[key] = value if prev is None else prev + value
 
 
-def antiderivative(F: TrigPoly) -> ThetaLinear:
-    """Integral from 0 to theta, exact."""
-    a: Dict[TrigKey, CFrac] = {}
-    b: Dict[TrigKey, CFrac] = {}
-    for (m, ra, wb, mc), c in F.terms.items():
+def antiderivative(F: TrigPoly) -> TrigPoly:
+    """Integral from 0 to theta of a t-free F, exact: linear in t."""
+    out: dict = {}
+    for (m, a, b, c, _), v in F.terms.items():
         if m == 0:
-            key = (0, ra, wb, mc)
-            b[key] = b.get(key, CFrac()) + c
+            _accumulate(out, (0, a, b, c, 1), v)
         else:
-            inv = c / CFrac(0, m)          # c / (i m)
-            key = (m, ra, wb, mc)
-            a[key] = a.get(key, CFrac()) + inv
-            key0 = (0, ra, wb, mc)
-            a[key0] = a.get(key0, CFrac()) - inv
-    return ThetaLinear(TrigPoly(a), TrigPoly(b))
+            inv = v / CFrac(0, m)          # v / (i m)
+            _accumulate(out, (m, a, b, c, 0), inv)
+            _accumulate(out, (0, a, b, c, 0), -inv)
+    return TrigPoly(out)
 
 
-# polynomials over (r, w, mu) with coefficients sum_k q_k pi^k
-RWKey = Tuple[int, int, int]
+class PiPoly(Poly):
+    """Poly over (r, w, mu, pi) with Fraction coefficients: the Melnikov
+    functions."""
 
-
-class PiPoly:
-    """Polynomial in (r, w, mu) with exact coefficients in Q[pi]."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[RWKey, Dict[int, Fraction]]] = None):
-        self.terms: Dict[RWKey, Dict[int, Fraction]] = {}
-        if terms:
-            for key, pp in terms.items():
-                clean = {d: q for d, q in pp.items() if q}
-                if clean:
-                    self.terms[key] = clean
-
-    def __add__(self, other: "PiPoly") -> "PiPoly":
-        out = {k: dict(v) for k, v in self.terms.items()}
-        for key, pp in other.terms.items():
-            tgt = out.setdefault(key, {})
-            for d, q in pp.items():
-                s = tgt.get(d, Fraction(0)) + q
-                if s:
-                    tgt[d] = s
-                else:
-                    tgt.pop(d, None)
-            if not tgt:
-                out.pop(key)
-        return PiPoly(out)
-
-    def diff(self, which: int) -> "PiPoly":
-        out: Dict[RWKey, Dict[int, Fraction]] = {}
-        for key, pp in self.terms.items():
-            e = key[which]
-            if e:
-                nkey = tuple(v - (1 if i == which else 0) for i, v in enumerate(key))
-                tgt = out.setdefault(nkey, {})
-                for d, q in pp.items():
-                    tgt[d] = tgt.get(d, Fraction(0)) + q * e
-        return PiPoly(out)
+    NAMES = ("r", "w", "mu", "pi")
+    __slots__ = ()
 
     def evaluator(self) -> Callable:
-        """Compiled (r, w, mu) -> value, the Q[pi] coefficients folded to
-        floats once."""
-        return compile_terms({k: sum(float(q) * math.pi ** d for d, q in pp.items())
-                              for k, pp in self.terms.items()}, ("r", "w", "mu"))
-
-    def __eq__(self, other):
-        return isinstance(other, PiPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        parts = []
-        for key in sorted(self.terms):
-            for d in sorted(self.terms[key]):
-                parts.append(f"{self.terms[key][d]}*pi^{d}*r^{key[0]}*w^{key[1]}*mu^{key[2]}")
-        return "PiPoly(" + " + ".join(parts) + ")"
+        """Compiled (r, w, mu) -> value, the powers of pi folded into float
+        coefficients once."""
+        folded: dict = {}
+        for (a, b, c, d), q in self.terms.items():
+            _accumulate(folded, (a, b, c), float(q) * math.pi ** d)
+        return compile_terms(folded, ("r", "w", "mu"))
 
 
 def _integrate_2pi(F: TrigPoly) -> PiPoly:
-    out: Dict[RWKey, Dict[int, Fraction]] = {}
-    for (m, ra, wb, mc), c in F.terms.items():
-        if m != 0:
-            continue
-        if c.im:
-            raise AveragingError("non-real mean in angular integral")
-        tgt = out.setdefault((ra, wb, mc), {})
-        tgt[1] = tgt.get(1, Fraction(0)) + 2 * c.re
-    return PiPoly(out)
-
-
-def _integrate_2pi_theta(T: ThetaLinear) -> PiPoly:
-    result = _integrate_2pi(T.a)
-    extra: Dict[RWKey, Dict[int, Fraction]] = {}
-    imag: Dict[RWKey, Fraction] = {}
-    for (m, ra, wb, mc), c in T.b.terms.items():
-        key = (ra, wb, mc)
-        tgt = extra.setdefault(key, {})
+    """Integral of F over theta in [0, 2 pi], exact, for F at most linear
+    in t: u^0 integrates to 2 pi, t u^0 to 2 pi^2, t u^m to 2 pi / (i m)
+    and u^m to 0 (m != 0)."""
+    out: dict = {}
+    imag: dict = {}
+    for (m, a, b, c, n), v in F.terms.items():
         if m == 0:
-            if c.im:
-                raise AveragingError("non-real theta-linear mean")
-            tgt[2] = tgt.get(2, Fraction(0)) + 2 * c.re       # int theta = 2 pi^2
-        else:
-            val = c / CFrac(0, m)                             # 2 pi * c/(i m)
-            tgt[1] = tgt.get(1, Fraction(0)) + 2 * val.re
-            imag[key] = imag.get(key, Fraction(0)) + val.im   # must cancel pairwise
+            if v.im:
+                raise AveragingError("non-real mean in angular integral")
+            _accumulate(out, (a, b, c, 1 + n), 2 * v.re)
+        elif n:
+            val = v / CFrac(0, m)
+            _accumulate(out, (a, b, c, 1), 2 * val.re)
+            _accumulate(imag, (a, b, c), val.im)   # must cancel pairwise
     if any(imag.values()):
         raise AveragingError("theta-linear integral has nonzero imaginary part")
-    return result + PiPoly(extra)
+    return PiPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +221,16 @@ def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
     max_grade = 0
     graded: List[Dict[int, Poly]] = []
     for comp in comps:
-        grades: Dict[int, Poly] = {}
-        for mono, coeff in comp.terms.items():
-            i, j, k, a, b = mono
+        # (i, j, k) and the grade fix the eps power, so each key of a
+        # grade comes from one term
+        grades: Dict[int, dict] = {}
+        for (i, j, k, a, b), coeff in comp.terms.items():
             g = i + j + k + b - 1
             if g < 0:
                 raise AveragingError("rescaled field has an eps^(-1) term")
-            key = (i, j, k, a, 0)
-            grades.setdefault(g, Poly())
-            grades[g] = grades[g] + Poly({key: coeff})
+            grades.setdefault(g, {})[(i, j, k, a, 0)] = coeff
             max_grade = max(max_grade, g)
-        graded.append(grades)
+        graded.append({g: Poly(terms) for g, terms in grades.items()})
     lin = (Poly({(0, 1, 0, 0, 0): Fraction(-1)}), Poly({(1, 0, 0, 0, 0): Fraction(1)}), Poly())
     for comp_grades, expected in zip(graded, lin):
         if comp_grades.get(0, Poly()) != expected:
@@ -381,7 +253,7 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFo
         [TrigPoly() for _ in range(3)]
 
     rdot1 = TRIG_COS * T1[0] + TRIG_SIN * T1[1]
-    a1 = (TRIG_COS * T1[1] - TRIG_SIN * T1[0]).div_r()
+    a1 = (TRIG_COS * T1[1] - TRIG_SIN * T1[0]) * _R_INV
     wdot1 = T1[2]
     rdot2 = TRIG_COS * T2[0] + TRIG_SIN * T2[1]
     wdot2 = T2[2]
@@ -397,9 +269,9 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFo
 
 @dataclass
 class MelnikovPair:
-    """f1 and f2 as exact polynomials in (r, w, mu) with coefficients in
-    Q[pi]; `f1`, `f1_jacobian` and `f2_closed` evaluate them.  The tests
-    cross-check both against quadrature of the standard form."""
+    """f1 and f2 as exact PiPolys over (r, w, mu, pi); `f1`, `f1_jacobian`
+    and `f2_closed` evaluate them.  The tests cross-check both against
+    quadrature of the standard form."""
     std: StandardFormSystem
     f1_exact: Tuple[PiPoly, PiPoly]
     f2_exact: Tuple[PiPoly, PiPoly]
@@ -411,7 +283,7 @@ class MelnikovPair:
 
     @cached_property
     def _df1_eval(self):
-        return tuple(tuple(p.diff(j).evaluator() for j in range(2))
+        return tuple(tuple(p.derivative(v).evaluator() for v in ("r", "w"))
                      for p in self.f1_exact)
 
     @cached_property
@@ -433,15 +305,11 @@ class MelnikovPair:
 
 def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
     f1 = tuple(_integrate_2pi(F) for F in std.F1)
-    J = ((std.F1[0].diff_r(), std.F1[0].diff_w()),
-         (std.F1[1].diff_r(), std.F1[1].diff_w()))
     Phi = tuple(antiderivative(F) for F in std.F1)
-    f2 = []
-    for i in range(2):
-        integrand_a = std.F2[i] + J[i][0] * Phi[0].a + J[i][1] * Phi[1].a
-        integrand_b = J[i][0] * Phi[0].b + J[i][1] * Phi[1].b
-        f2.append(_integrate_2pi_theta(ThetaLinear(integrand_a, integrand_b)))
-    return MelnikovPair(std=std, f1_exact=f1, f2_exact=tuple(f2))
+    f2 = tuple(_integrate_2pi(F2 + F1.derivative("r") * Phi[0]
+                              + F1.derivative("w") * Phi[1])
+               for F1, F2 in zip(std.F1, std.F2))
+    return MelnikovPair(std=std, f1_exact=f1, f2_exact=f2)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +385,7 @@ class HypothesisReport:
                 "details": self.details}
 
 
-def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result,
-                     n_samples: int = 33) -> HypothesisReport:
+def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result) -> HypothesisReport:
     """H, T, ND against the averaged path over the criterion interval; ND
     reads l11, l12 off `lyapunov` (the eps and eps^2 slices of the map
     Lyapunov coefficient, from `first_lyapunov_quantity`).
@@ -526,7 +393,8 @@ def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result,
     details: dict = {}
 
     lo, hi = crit.interval
-    mus = [lo + (hi - lo) * i / (n_samples - 1) for i in range(n_samples)]
+    n = HYPOTHESIS_SAMPLES
+    mus = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     max_res = 0.0
     complex_ok = True
     for m in mus:
@@ -934,12 +802,12 @@ def _richardson3(values: Sequence, ladder: Sequence[float]):
     return [c.reshape(shape) if shape else float(c.reshape(-1)[0]) for c in coeffs]
 
 
-def xi_slice(tmap, mel: MelnikovPair, mu: float, eps0: float = 4e-3) -> np.ndarray:
+def xi_slice(tmap, mel: MelnikovPair, mu: float) -> np.ndarray:
     """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch by a
     factor-2 Richardson ladder on (xi(mu, eps) - x_mu)/eps."""
     eq = averaged_equilibrium(mel, mu)
     x_mu = np.array([eq.r, eq.w])
-    ladder = (eps0, eps0 / 2, eps0 / 4)
+    ladder = (XI_SLICE_EPS0, XI_SLICE_EPS0 / 2, XI_SLICE_EPS0 / 4)
     vals = []
     for e in ladder:
         xi = _newton_fixed_point(tmap, mel, mu, e)[0]
@@ -947,21 +815,19 @@ def xi_slice(tmap, mel: MelnikovPair, mu: float, eps0: float = 4e-3) -> np.ndarr
     return _richardson3(vals, ladder)[0]
 
 
-def branch_continuation(mel: MelnikovPair, tmap, mu0: float,
-                        eps_ladder: Sequence[float] = (1e-2, 5e-3, 2.5e-3)
-                        ) -> NSBranch:
+def branch_continuation(mel: MelnikovPair, tmap, mu0: float) -> NSBranch:
     """Continue the fixed point xi(mu, eps) and the Neimark-Sacker curve
     mu(eps); mu1 is estimated by a factor-2 Richardson ladder on mu(eps)/eps
     and, in the degree-preserving simple case, compared with the printed
     closed form."""
-    points = _ladder_points(tmap, mel, mu0, eps_ladder)
+    points = _ladder_points(tmap, mel, mu0, BRANCH_LADDER)
     slopes = [(p.mu - mu0) / p.eps for p in points]
     mu1_numeric = _richardson3(slopes, [p.eps for p in points])[0]
     xi_closed = None
     if mel.std.family.simple_case:
         xi_closed = printed_branch_constants(mel.std.system)
     return NSBranch(points=tuple(points), mu0=mu0, mu1_numeric=float(mu1_numeric),
-                    xi_slices_closed=xi_closed, ladder=tuple(eps_ladder))
+                    xi_slices_closed=xi_closed, ladder=BRANCH_LADDER)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,13 +899,11 @@ class LyapunovSlices:
     values: Tuple[Tuple[float, float], ...]     # (eps, ell1_eps)
 
 
-def lyapunov_slices(tmap, mel: MelnikovPair, mu0: float,
-                    eps_ladder: Sequence[float] = (2e-2, 1e-2, 5e-3)
-                    ) -> LyapunovSlices:
+def lyapunov_slices(tmap, mel: MelnikovPair, mu0: float) -> LyapunovSlices:
     """eps- and eps^2-slices of ell_1^eps by fitting
     ell_1^eps = e l11 + e^2 l12 + e^3 l13 through a factor-2 ladder."""
     vals = [(p.eps, lyapunov_coefficient_map(normalized_map(p)))
-            for p in _ladder_points(tmap, mel, mu0, eps_ladder)]
+            for p in _ladder_points(tmap, mel, mu0, LYAPUNOV_LADDER)]
     e = np.array([v[0] for v in vals])
     y = np.array([v[1] for v in vals])
     V = np.stack([e, e ** 2, e ** 3], axis=1)
@@ -1058,9 +922,7 @@ class JordanExpansion:
     rotation_residual: float
 
 
-def jordan_expansion(tmap, mel: MelnikovPair, mu0: float,
-                     eps_ladder: Sequence[float] = (4e-3, 2e-3, 1e-3)
-                     ) -> JordanExpansion:
+def jordan_expansion(tmap, mel: MelnikovPair, mu0: float) -> JordanExpansion:
     """eps-expansion Id + eps A1 + eps^2 A2 of the normalized linearization.
 
     On the solved curve |lambda| = 1, the normalized DH is the rotation by
@@ -1070,14 +932,14 @@ def jordan_expansion(tmap, mel: MelnikovPair, mu0: float,
     eta slices vanish identically on the curve (up to the unit-circle solve
     tolerance). M1 entries come from the same ladder.
     """
-    nms = [normalized_map(p) for p in _ladder_points(tmap, mel, mu0, eps_ladder)]
+    nms = [normalized_map(p) for p in _ladder_points(tmap, mel, mu0, JORDAN_LADDER)]
     thetas = [nm.point.theta / nm.point.eps for nm in nms]
-    c0, c1, _ = _richardson3(thetas, eps_ladder)
+    c0, c1, _ = _richardson3(thetas, JORDAN_LADDER)
     omega0, zeta2 = float(c0), float(c1)
     m21 = [nm.M[1, 0] / nm.point.eps for nm in nms]
     # M0 = [[1,0],[0, m22_0]]: take the limit of M[1,1] for the zeroth order
-    m22_0, m22_1, _ = _richardson3([nm.M[1, 1] for nm in nms], eps_ladder)
-    m21_1 = float(_richardson3(m21, eps_ladder)[0])
+    m22_0, m22_1, _ = _richardson3([nm.M[1, 1] for nm in nms], JORDAN_LADDER)
+    m21_1 = float(_richardson3(m21, JORDAN_LADDER)[0])
     rot_res = max(nm.rotation_residual for nm in nms)
     A1 = np.array([[0.0, -omega0], [omega0, 0.0]])
     A2 = np.array([[-0.5 * omega0 ** 2, -zeta2], [zeta2, -0.5 * omega0 ** 2]])

@@ -1,7 +1,7 @@
 """Command-line driver.
 
     torusforge <analyze|melnikov|branch|simulate|certify|lift> --input FILE
-               [--mu F] [--eps F] [--grid N] [--tol F] [--seed N]
+               [--mu F] [--eps F] [--grid N] [--seed N]
                [--out DIR] [--simple]
 
 The input document is one self-contained JSON experiment:
@@ -83,7 +83,6 @@ class RunSpec:
     mu: Optional[float]
     eps: Optional[float]
     grid: int
-    tol: Optional[float]
     seed: int
     out_dir: str
     simple: bool = False
@@ -91,7 +90,7 @@ class RunSpec:
     def to_dict(self):
         return {"command": self.command, "input": os.path.basename(self.input_path),
                 "mu": self.mu, "eps": self.eps, "grid": self.grid,
-                "tol": self.tol, "seed": self.seed, "simple": self.simple}
+                "seed": self.seed, "simple": self.simple}
 
 
 class _Float17(float):
@@ -199,13 +198,10 @@ def _interval(doc):
     return (float(iv[0]), float(iv[1]))
 
 
-def _integrator(doc, spec) -> IntegratorConfig:
+def _integrator(doc) -> IntegratorConfig:
     tols = doc.get("tolerances", {})
-    atol = float(tols.get("atol", 1e-12))
-    rtol = float(tols.get("rtol", 1e-10))
-    if spec.tol is not None:
-        atol = rtol = spec.tol
-    return IntegratorConfig(atol=atol, rtol=rtol)
+    return IntegratorConfig(atol=float(tols.get("atol", 1e-12)),
+                            rtol=float(tols.get("rtol", 1e-10)))
 
 
 def _params(doc, spec):
@@ -306,7 +302,7 @@ def cmd_simulate(spec: RunSpec) -> int:
     periods = float(doc.get("periods", 50))
     if not 0 < periods <= MAX_PERIODS:      # also refuses nan
         raise OutOfRange(f"periods must lie in (0, {MAX_PERIODS}], got {periods}")
-    cfg = _integrator(doc, spec)
+    cfg = _integrator(doc)
     field = RescaledField(sys_, fam).field3(mu, eps)
     x0 = doc.get("initial_state")
     if x0 is None:
@@ -442,10 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--grid", type=_grid, default=21,
                         help=f"melnikov grid points per axis, 1 to {MAX_GRID}")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="simulate only: atol = rtol = TOL in place of the "
-                             "document's tolerances (certify and branch fix "
-                             "their own)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--simple", action="store_true",
@@ -467,12 +459,10 @@ def main(argv=None) -> int:
         print(json.dumps(_error_json(exc)), file=sys.stderr)
         raise SystemExit(EXIT_ERROR) from None
     spec = RunSpec(command=args.command, input_path=args.input, mu=args.mu,
-                   eps=args.eps, grid=args.grid, tol=args.tol, seed=args.seed,
+                   eps=args.eps, grid=args.grid, seed=args.seed,
                    out_dir=args.out, simple=args.simple)
     os.makedirs(spec.out_dir, exist_ok=True)
     try:
-        if spec.tol is not None and spec.tol <= 0:
-            raise ValueError("tolerance overrides must be positive")
         return COMMANDS[args.command](spec)
     except (CriteriaError, FieldExprError, ValueError, RuntimeError, OSError) as exc:
         err = _error_json(exc)

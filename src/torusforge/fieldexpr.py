@@ -6,6 +6,11 @@ polynomial with exact `Fraction` coefficients, expanded as the parser goes.
 extraction happens on the polynomial form and is exact for rational input;
 `compile_terms` is the one route from exact coefficients to floats.
 
+Poly is the one sparse exact polynomial type.  Its variables are the class
+attribute `NAMES`, (x, y, z, mu, eps) here; the averaging layer subclasses
+it as `TrigPoly` over (u, r, w, mu, t) with Gaussian-rational coefficients
+and `PiPoly` over (r, w, mu, pi).
+
 Grammar (ASCII):
 
     expr   := term (('+'|'-') term)*
@@ -22,18 +27,18 @@ Parentheses and unary minus nest at most MAX_NESTING deep.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 VARIABLES = ("x", "y", "z", "mu", "eps")
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 MAX_POWER = 12
 MAX_NESTING = 100    # depth of '(' and unary '-'
 MAX_DEGREE = 24      # total degree of any expanded subexpression
 MAX_TERMS = 2000     # terms of any expanded subexpression
 
-Monomial = Tuple[int, int, int, int, int]
+Monomial = Tuple[int, ...]
 
 
 class FieldExprError(ValueError):
@@ -238,7 +243,7 @@ class _Parser:
             return Poly.constant(value)
         if tok.kind == 'ident':
             self.advance()
-            if tok.text not in _VAR_INDEX:
+            if tok.text not in VARIABLES:
                 raise UnknownIdentifierError(tok.text, tok.start)
             return Poly.variable(tok.text)
         raise FieldSyntaxError(f"unexpected token {tok.text!r}", tok.start,
@@ -310,34 +315,47 @@ def format_poly(p: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse polynomial in (x, y, z, mu, eps) with exact Fraction
-    coefficients, keyed by exponent tuples.  After parsing this is the only
-    form of a system; `compile_terms` turns it into numbers."""
+    """Sparse polynomial with exact coefficients, keyed by exponent tuples
+    over the variables `NAMES`.
 
+    `Poly` itself is over VARIABLES = (x, y, z, mu, eps) with Fraction
+    coefficients: after parsing this is the only form of a system, and
+    `compile_terms` turns it into numbers.  A subclass sets its own `NAMES`;
+    `+`, `-`, `*`, `scale`, `derivative` and `==` then work for any exact
+    coefficient ring (zero is falsy, + and * are exact) and for negative
+    exponents.  `power`, `substitute`, `eval` and `degree` assume Fraction
+    coefficients and non-negative exponents, and `degree` defaults to
+    (x, y, z).  Polys of different classes never compare equal.
+    """
+
+    NAMES: Tuple[str, ...] = VARIABLES
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff != 0:
-                    self.terms[mono] = coeff
+    def __init__(self, terms: Optional[Mapping[Monomial, object]] = None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, terms: Dict[Monomial, object]) -> "Poly":
+        """Wrap `terms`, which hold no zero coefficient, without copying."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        return cls({(0, 0, 0, 0, 0): value} if value != 0 else {})
+        return cls({(0,) * len(cls.NAMES): value})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        mono = [0] * 5
-        mono[_VAR_INDEX[name]] = 1
+        mono = [0] * len(cls.NAMES)
+        mono[cls.NAMES.index(name)] = 1
         return cls({tuple(mono): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -345,48 +363,43 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            newc = out.get(mono, 0) + coeff
-            if newc == 0:
-                out.pop(mono, None)
+            prev = out.get(mono)
+            s = coeff if prev is None else prev + coeff
+            if s:
+                out[mono] = s
             else:
-                out[mono] = newc
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
+                del out[mono]
+        return self._of(out)
 
     def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return self._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                newc = out.get(mono, 0) + c1 * c2
-                if newc == 0:
-                    out.pop(mono, None)
+                mono = tuple(map(operator.add, m1, m2))
+                prod = c1 * c2
+                prev = out.get(mono)
+                s = prod if prev is None else prev + prod
+                if s:
+                    out[mono] = s
                 else:
-                    out[mono] = newc
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
+                    out.pop(mono, None)
+        return self._of(out)
 
     def scale(self, factor) -> "Poly":
-        if factor == 0:
-            return Poly()
-        result = Poly.__new__(Poly)
-        result.terms = {m: c * factor for m, c in self.terms.items()}
-        return result
+        if not factor:
+            return type(self)()
+        return self._of({m: c * factor for m, c in self.terms.items()})
 
     def power(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = Poly.constant(Fraction(1))
+        result = type(self).constant(Fraction(1))
         base = self
         e = exponent
         while e:
@@ -398,34 +411,32 @@ class Poly:
         return result
 
     def degree(self, vars: Tuple[str, ...] = ("x", "y", "z")) -> int:
-        idxs = [_VAR_INDEX[v] for v in vars]
+        idxs = [self.NAMES.index(v) for v in vars]
         if not self.terms:
             return 0
         return max(sum(m[i] for i in idxs) for m in self.terms)
 
     def derivative(self, var: str) -> "Poly":
-        i = _VAR_INDEX[var]
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] > 0:
-                mono = m[:i] + (m[i] - 1,) + m[i + 1:]
-                out[mono] = out.get(mono, 0) + c * m[i]
-        return Poly(out)
+        i = self.NAMES.index(var)
+        return self._of({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                         for m, c in self.terms.items() if m[i]})
 
     def substitute(self, bindings: Dict[str, "Poly"]) -> "Poly":
         """Substitute polynomials (or ring values wrapped as Poly) for variables."""
-        result = Poly()
+        cls = type(self)
+        result = cls()
         for m, c in self.terms.items():
-            term = Poly.constant(c)
-            for name, i in _VAR_INDEX.items():
-                if m[i]:
-                    repl = bindings.get(name, Poly.variable(name))
-                    term = term * repl.power(m[i])
+            term = cls.constant(c)
+            for name, e in zip(self.NAMES, m):
+                if e:
+                    repl = bindings.get(name, cls.variable(name))
+                    term = term * repl.power(e)
             result = result + term
         return result
 
     def eval(self, **env):
-        """Evaluate over any commutative ring: values must support + and *.
+        """Evaluate over any commutative ring: values must support + and *
+        (so exponents must be nonnegative).
 
         Fraction coefficients multiply ring values directly, so Fraction
         values give the exact value; float evaluation goes through
@@ -438,30 +449,23 @@ class Poly:
         total = None
         for m, c in self.terms.items():
             term = c
-            for name, i in _VAR_INDEX.items():
-                for _ in range(m[i]):
+            for name, e in zip(self.NAMES, m):
+                for _ in range(e):
                     term = term * env[name]
             total = term if total is None else total + term
         return 0 if total is None else total
 
     def free_variables(self) -> Tuple[str, ...]:
-        present = [False] * 5
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    present[i] = True
-        return tuple(v for v, i in _VAR_INDEX.items() if present[i])
+        return tuple(v for i, v in enumerate(self.NAMES)
+                     if any(m[i] for m in self.terms))
 
     def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
         parts = []
         for m in sorted(self.terms):
-            c = self.terms[m]
-            mono = "*".join(f"{v}^{m[i]}" if m[i] > 1 else v
-                            for v, i in _VAR_INDEX.items() if m[i])
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "Poly(" + " + ".join(parts) + ")"
+            mono = "*".join(f"{v}^{e}" if e != 1 else v
+                            for v, e in zip(self.NAMES, m) if e)
+            parts.append(f"{self.terms[m]}" + (f"*{mono}" if mono else ""))
+        return f"{type(self).__name__}({' + '.join(parts) or 0})"
 
 
 # ---------------------------------------------------------------------------

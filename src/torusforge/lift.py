@@ -26,6 +26,8 @@ from .criteria import (
 )
 from .fieldexpr import Poly, as_poly
 
+MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
+
 
 class LiftError(ValueError):
     pass
@@ -154,8 +156,7 @@ def _jitter_field(polys, rng: random.Random, magnitude: float, m: int):
     return tuple(out)
 
 
-def find_separating_plane(field, ball: Ball, seed: int = 0,
-                          max_attempts: int = 100) -> SeparatingPlane:
+def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     """Regular point p far on the x1-axis whose field line stays clear of the
     ball, plus the vertical plane through it.
 
@@ -170,7 +171,7 @@ def find_separating_plane(field, ball: Ball, seed: int = 0,
     jitter_used = 0.0
 
     attempt = 0
-    while attempt <= max_attempts:
+    while attempt <= MAX_JITTER_ATTEMPTS:
         f = _poly_on_plane(polys[0])
         g = _poly_on_plane(polys[1])
         ok = (not _have_common_factor(f, g)
@@ -178,9 +179,9 @@ def find_separating_plane(field, ball: Ball, seed: int = 0,
         if ok:
             break
         attempt += 1
-        if attempt > max_attempts:
+        if attempt > MAX_JITTER_ATTEMPTS:
             raise PerturbationBudgetExceeded(
-                f"no admissible jitter within {max_attempts} attempts")
+                f"no admissible jitter within {MAX_JITTER_ATTEMPTS} attempts")
         magnitude = (1e-6, 1e-5, 1e-4)[min(2, attempt // 34)]
         jitter_used = magnitude
         polys = _jitter_field(polys, rng, magnitude, m)
@@ -443,7 +444,6 @@ def tune_lift_parameters(seed_field,
     probe_deltas = sorted(delta_values)[:3]
     omega_samples: Dict[Tuple[Fraction, Fraction], Fraction] = {}
     A_of_L: Dict[Fraction, Fraction] = {}
-    lin_residual = 0.0
     for Lv in L_values:
         vals = []
         for dv in probe_deltas:
@@ -527,6 +527,7 @@ def _quadratic_coeffs(samples: Sequence[Tuple[Fraction, Fraction]]):
     c1 = (-y1 * (x2 + x3) / d1 - y2 * (x1 + x3) / d2 - y3 * (x1 + x2) / d3)
     c0 = (y1 * x2 * x3 / d1 + y2 * x1 * x3 / d2 + y3 * x1 * x2 / d3)
     return c0, c1, c2
+
 
 def _jitter_nonlinear(sys_y: HopfZeroSystem, rng: random.Random,
                       magnitude: float) -> HopfZeroSystem:

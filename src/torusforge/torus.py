@@ -33,6 +33,8 @@ from .averaging import (
 )
 from .flow import FlowError, IntegratorConfig, ThetaReturnMap
 
+KAPPA_RETURNS = 48      # returns of the probe ring behind the kappa fit
+
 
 class TorusError(RuntimeError):
     pass
@@ -430,8 +432,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
 
 
 def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,
-                        cfg: CertifyConfig, n_returns: int = 48
-                        ) -> Optional[float]:
+                        cfg: CertifyConfig) -> Optional[float]:
     """Asymptotic per-return normal contraction factor.
 
     A single return advances a probe a twentieth of a circuit, where the
@@ -449,7 +450,7 @@ def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,
     cap = 0.05 * curve.mean_radius
     logs = []
     steps = []
-    for k in range(1, n_returns + 1):
+    for k in range(1, KAPPA_RETURNS + 1):
         try:
             X = tmap.points(X, mu, eps, reverse=reverse)
         except FlowError:

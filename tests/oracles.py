@@ -19,9 +19,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from torusforge.averaging import (
-    PERIOD, AveragingError, MelnikovPair, StandardFormSystem,
+    PERIOD, AveragingError, MelnikovPair, StandardFormSystem, TrigPoly,
 )
-from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly
+from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly, compile_terms
 from torusforge.flow import (
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
@@ -222,15 +222,24 @@ def jet3_fd(tmap: ThetaReturnMap, x0, mu: float, eps: float,
 # quadrature of it
 # ---------------------------------------------------------------------------
 
+def trig_evaluator(p: TrigPoly) -> Callable:
+    """Compiled f(u, r, w, mu) of a t-free TrigPoly, u = e^{i theta}; the
+    value of a real trig polynomial is the real part."""
+    if any(m[4] for m in p.terms):
+        raise ValueError("trig_evaluator needs a TrigPoly free of t")
+    return compile_terms({m[:4]: complex(c) for m, c in p.terms.items()},
+                         ("u", "r", "w", "mu"))
+
+
 class StandardForm:
     """F1, F2 and dF1/d(r, w) of a StandardFormSystem at (theta, (r, w), mu),
     compiled once per instance."""
 
     def __init__(self, std: StandardFormSystem):
         self.std = std
-        self._f1 = tuple(t.evaluator() for t in std.F1)
-        self._f2 = tuple(t.evaluator() for t in std.F2)
-        self._df1 = tuple(tuple(d.evaluator() for d in (t.diff_r(), t.diff_w()))
+        self._f1 = tuple(trig_evaluator(t) for t in std.F1)
+        self._f2 = tuple(trig_evaluator(t) for t in std.F2)
+        self._df1 = tuple(tuple(trig_evaluator(t.derivative(v)) for v in ("r", "w"))
                           for t in std.F1)
 
     @staticmethod

@@ -59,7 +59,7 @@ def test_criterion_1_example_constants(example):
 def test_criterion_2_branch_slope(example):
     sys, _, mel, tmap = example
     start = time.perf_counter()
-    branch = branch_continuation(mel, tmap, 0.0, eps_ladder=(1e-2, 5e-3, 2.5e-3))
+    branch = branch_continuation(mel, tmap, 0.0)
     elapsed = time.perf_counter() - start
     closed = printed_branch_constants(sys)
     xi1 = xi_slice(tmap, mel, 0.0)      # numeric (xi_1(0), xi_2(0)) slice
@@ -108,7 +108,7 @@ def test_criterion_3_melnikov_orders(example):
 
 def test_criterion_4_normalization_match(example):
     _, _, mel, tmap = example
-    je = jordan_expansion(tmap, mel, 0.0, eps_ladder=(4e-3, 2e-3, 1e-3))
+    je = jordan_expansion(tmap, mel, 0.0)
     two_pi = 2 * math.pi
     a1_err = float(np.max(np.abs(je.A1 - np.array([[0, -two_pi], [two_pi, 0]]))))
     a2_err = float(np.max(np.abs(je.A2 - np.diag([-2 * math.pi ** 2] * 2))))

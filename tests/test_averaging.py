@@ -61,28 +61,29 @@ def test_standard_form_slices_and_periodicity():
 
 def test_f1_exact_closed_form():
     _, _, _, mel = _example_pair()
-    # f1 = (pi r w, pi (2 mu w - r^2 + 2 w^2 + 2)), exact coefficients
-    assert mel.f1_exact[0].terms == {(1, 1, 0): {1: Fraction(1)}}
+    # f1 = (pi r w, pi (2 mu w - r^2 + 2 w^2 + 2)), exact coefficients keyed
+    # by the exponents of (r, w, mu, pi)
+    assert mel.f1_exact[0].terms == {(1, 1, 0, 1): Fraction(1)}
     assert mel.f1_exact[1].terms == {
-        (0, 1, 1): {1: Fraction(2)}, (2, 0, 0): {1: Fraction(-1)},
-        (0, 2, 0): {1: Fraction(2)}, (0, 0, 0): {1: Fraction(2)}}
+        (0, 1, 1, 1): Fraction(2), (2, 0, 0, 1): Fraction(-1),
+        (0, 2, 0, 1): Fraction(2), (0, 0, 0, 1): Fraction(2)}
 
 
 def test_f2_exact_closed_form():
     _, _, _, mel = _example_pair()
     assert mel.f2_exact[0].terms == {
-        (1, 0, 0): {2: Fraction(1)},
-        (1, 1, 1): {2: Fraction(1)},
-        (1, 2, 0): {2: Fraction(3, 2)},
-        (3, 0, 0): {1: Fraction(3, 8), 2: Fraction(-1, 2)}}
+        (1, 0, 0, 2): Fraction(1),
+        (1, 1, 1, 2): Fraction(1),
+        (1, 2, 0, 2): Fraction(3, 2),
+        (3, 0, 0, 1): Fraction(3, 8), (3, 0, 0, 2): Fraction(-1, 2)}
     assert mel.f2_exact[1].terms == {
-        (0, 0, 1): {2: Fraction(2)},
-        (0, 1, 0): {2: Fraction(4)},
-        (0, 1, 2): {2: Fraction(2)},
-        (0, 2, 1): {2: Fraction(6)},
-        (0, 3, 0): {2: Fraction(4)},
-        (2, 0, 1): {1: Fraction(1, 2), 2: Fraction(-1)},
-        (2, 1, 0): {2: Fraction(-3)}}
+        (0, 0, 1, 2): Fraction(2),
+        (0, 1, 0, 2): Fraction(4),
+        (0, 1, 2, 2): Fraction(2),
+        (0, 2, 1, 2): Fraction(6),
+        (0, 3, 0, 2): Fraction(4),
+        (2, 0, 1, 1): Fraction(1, 2), (2, 0, 1, 2): Fraction(-1),
+        (2, 1, 0, 2): Fraction(-3)}
 
 
 def test_f1_quadrature_matches_closed_form():
@@ -127,7 +128,7 @@ def test_zero_mean_integrand_gives_zero_f1():
     sys = validate_hopf_zero("z^2", "0", "-x^2 - y^2 + z^2")
     fam = PerturbationFamily.simple(beta=1)
     mel = melnikov_pair(to_standard_form(sys, fam))
-    assert (1, 0, 2) not in mel.f1_exact[0].terms  # no r^0 w^2 term survives
+    assert (0, 2, 0, 1) not in mel.f1_exact[0].terms  # no r^0 w^2 term survives
 
 
 def test_equilibrium_example_mu0():

@@ -243,13 +243,12 @@ def test_malformed_document_is_typed_error(tmp_path, capsys, command, doc):
 
 
 def test_bad_tolerance_rejected(tmp_path, capsys):
-    doc = _write_doc(tmp_path, EXAMPLE_DOC)
-    assert main(["analyze", "--input", doc, "--out", str(tmp_path),
-                 "--tol", "-1.0"]) == EXIT_ERROR
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, tolerances={"atol": -1}))
+    assert main(["simulate", "--input", doc, "--out", str(tmp_path)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ValueError"
-    err = json.loads((tmp_path / "analyze_error.json").read_text())
+    err = json.loads((tmp_path / "simulate_error.json").read_text())
     assert err["error"] == "ValueError" and "positive" in err["message"]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusforge.averaging import CFrac, PiPoly, TrigPoly
 from torusforge.fieldexpr import (
     MAX_DEGREE, MAX_NESTING, VARIABLES, ExpressionTooLarge, FieldExprError,
     FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, UnboundSymbolError,
@@ -196,6 +197,42 @@ def test_poly_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + Poly() == a and a * Poly.constant(1) == a and not a - a
+
+
+# TrigPolys over (u, r, w, mu, t) with Gaussian-rational coefficients and
+# negative u and r exponents, and PiPolys over (r, w, mu, pi)
+trig_monomials = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2),
+                           st.integers(0, 2), st.integers(0, 1))
+trig_polys = st.dictionaries(trig_monomials, st.builds(CFrac, coefficients, coefficients),
+                             max_size=5).map(TrigPoly)
+pi_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), coefficients,
+                           max_size=5).map(PiPoly)
+
+
+def _triples(polys_, one):
+    return st.tuples(polys_, polys_, polys_, st.just(one))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_triples(trig_polys, CFrac(1)), _triples(pi_polys, Fraction(1))))
+def test_poly_subclass_ring_laws(abc):
+    a, b, c, one = abc
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    zero = type(a)()
+    assert a + zero == a and a * type(a).constant(one) == a and not a - a
+    assert not a * zero and type(a - b) is type(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trig_polys, pi_polys)
+def test_poly_classes_never_compare_equal(t, p):
+    assert TrigPoly(t.terms) != Poly(t.terms) and Poly(t.terms) != TrigPoly(t.terms)
+    assert PiPoly(p.terms) != Poly(p.terms)
+    assert TrigPoly() != Poly() != PiPoly()
 
 
 def _random_poly3(rng) -> Poly:

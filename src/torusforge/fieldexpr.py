@@ -472,22 +472,28 @@ class Poly:
 # the numeric boundary: exact terms -> straight-line evaluator
 # ---------------------------------------------------------------------------
 
-def compile_terms(terms: Mapping[Tuple[int, ...], Union[float, complex]],
+def compile_terms(terms: Union[Mapping[Tuple[int, ...], Union[float, complex]],
+                                Sequence[Mapping[Tuple[int, ...], Union[float, complex]]]],
                   names: Sequence[str]) -> Callable:
     """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
     of the named variables; the one place where exact terms become numbers.
 
     `terms` maps exponent tuples (one exponent per name; negative exponents
-    allowed) to float or complex coefficients.  Each power is computed once,
-    by repeated multiplication (and 1.0 / v for negative exponents), and the
-    terms are summed in the mapping's order.  Only +, * and that division are
-    used, so Python floats, complex numbers, numpy arrays and Jet2 values all
-    evaluate.  Zero coefficients are dropped; no terms evaluates to 0.0.
+    allowed) to float or complex coefficients.  A sequence of such maps
+    compiles to one function that returns the tuple of their sums, each
+    power shared by every map.  Each power is computed once, by repeated
+    multiplication (and 1.0 / v for negative exponents), and the terms of a
+    map are summed in its order, so each sum rounds as the map compiled
+    alone does.  Only +, * and that division are used, so Python floats,
+    complex numbers, numpy arrays and Jet2 values all evaluate.  Zero
+    coefficients are dropped; a map with no terms evaluates to 0.0.
     Coefficients are bound by name, never printed into the source.
     """
+    maps = [terms] if isinstance(terms, Mapping) else list(terms)
     namespace: Dict[str, object] = {}
     powers: Dict[str, str] = {}        # local name -> expression, in order
     sums: List[str] = []
+    results: List[str] = []
 
     def power(i: int, e: int) -> str:
         if e == 1:
@@ -499,14 +505,20 @@ def compile_terms(terms: Mapping[Tuple[int, ...], Union[float, complex]],
                              else f"{power(i, e - step)} * {power(i, step)}")
         return local
 
-    for n, (exps, c) in enumerate(terms.items()):
-        if not c:
-            continue
-        namespace[f"_c{n}"] = c
-        product = " * ".join([f"_c{n}"] + [power(i, int(e)) for i, e in enumerate(exps) if e])
-        sums.append(f"    _s = _s + {product}" if sums else f"    _s = {product}")
-    body = ([f"    {local} = {value}" for local, value in powers.items()] + sums
-            + ["    return _s" if sums else "    return 0.0"])
+    for k, m in enumerate(maps):
+        first = len(sums)
+        for n, (exps, c) in enumerate(m.items()):
+            if not c:
+                continue
+            namespace[f"_c{k}_{n}"] = c
+            product = " * ".join([f"_c{k}_{n}"]
+                                 + [power(i, int(e)) for i, e in enumerate(exps) if e])
+            sums.append(f"    _s{k} = _s{k} + {product}" if len(sums) > first
+                        else f"    _s{k} = {product}")
+        results.append(f"_s{k}" if len(sums) > first else "0.0")
+    value = results[0] if isinstance(terms, Mapping) else f"({', '.join(results)},)"
+    body = ([f"    {local} = {expr}" for local, expr in powers.items()] + sums
+            + [f"    return {value}"])
     source = f"def evaluate({', '.join(names)}):\n" + "\n".join(body) + "\n"
     exec(compile(source, "<compile_terms>", "exec"), namespace)
     return namespace["evaluate"]

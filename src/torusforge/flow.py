@@ -6,7 +6,10 @@ scipy RK45's tableau and step control: plain trajectories of the full 3D
 cylindrical standard-form variables (r, w), where theta plays the role of
 time and the return map needs no event detection.  A single seed is
 integrated on Python floats, a batch of seeds on one stacked (2, n) numpy
-array.
+array.  The step itself is straight-line code, generated once per state
+size and kind (floats or arrays) as `compile_terms` compiles a polynomial,
+and the field is one compiled function of (x, y, z) giving all three
+components.
 
 The degree-3 jet of the theta-return map is obtained by transporting a
 truncated two-variable Taylor polynomial through the flow (the coefficient
@@ -15,6 +18,7 @@ ODE).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -128,6 +132,43 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol, norm) -> float:
     return min(100 * h0, h1, interval)
 
 
+# the stages s = 2..6: the node c_s h and the weights a_sj (each name ends in j)
+_STAGES = (("_C2 * h", "A21"), ("_C3 * h", "A31 A32"), ("_C4 * h", "A41 A42 A43"),
+           ("_C5 * h", "A51 A52 A53 A54"), ("h", "A61 A62 A63 A64 A65"))
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_step(n: int, arrays: bool) -> Callable:
+    """One Dormand-Prince step for a state of n components, floats or numpy
+    arrays, as straight-line code generated once per (n, arrays):
+    step(rhs, t, h, y, k1, atol, rtol) -> (y_new, rhs(t + h, y_new),
+    error_norm).  Each component is written out with its stage sums in
+    tableau order, so it rounds as a loop over the components does."""
+    def each(template: str) -> str:         # '#' stands for the component
+        return ", ".join(template.replace("#", str(i)) for i in range(n))
+
+    def comb(weights: str) -> str:          # sum_j w_j k_j of one component
+        return " + ".join(f"_{w} * _k{w[-1]}_#" for w in weights.split())
+
+    lines = ["def step(rhs, t, h, y, k1, atol, rtol):",
+             f"    {each('_y#')}, = y",
+             f"    {each('_k1_#')}, = k1"]
+    for s, (c, weights) in enumerate(_STAGES, start=2):
+        lines.append(f"    {each(f'_k{s}_#')}, = rhs(t + {c}, "
+                     f"[{each(f'_y# + ({comb(weights)}) * h')}])")
+    b = comb("B1 B3 B4 B5 B6")
+    err = f"({comb('E1 E3 E4 E5 E6 E7')}) * h / (atol + _bigger(abs(_y#), abs(_n#)) * rtol)"
+    lines += [f"    {each('_n#')}, = y_new = [{each(f'_y# + h * ({b})')}]",
+              "    f_new = rhs(t + h, y_new)",
+              f"    {each('_k7_#')}, = f_new",
+              f"    return y_new, f_new, _norm([{each(err)}])"]
+    # the tableau is read by name from this module's globals
+    namespace = dict(globals(), _bigger=np.maximum if arrays else max,
+                     _norm=_rms_arrays if arrays else _rms)
+    exec(compile("\n".join(lines) + "\n", f"<dopri45 step {n}>", "exec"), namespace)
+    return namespace["step"]
+
+
 def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             rtol: float) -> Tuple[list, list, int]:
     """The accepted steps of y' = rhs(t, y) from (t0, y0) to t_end: their
@@ -141,20 +182,20 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     [0.2, 10] and to at most 1 after a rejection, the last step clipped to
     t_end), so it takes the steps scipy's RK45 takes on the same entries
     stacked into one vector, without numpy's per-call cost on a small float
-    state.  Raises StepSizeUnderflow where RK45 fails with a step below the
-    float spacing, and on a NaN step size.
+    state.  Each step is `_dp_step`'s straight-line code for the state's
+    size and kind.  Raises StepSizeUnderflow where RK45 fails with a step
+    below the float spacing, and on a NaN step size.
     """
     y = list(y0)
-    if isinstance(y[0], np.ndarray):
-        bigger, norm = np.maximum, _rms_arrays
-    else:
-        bigger, norm = max, _rms
+    arrays = isinstance(y[0], np.ndarray)
+    step = _dp_step(len(y), arrays)
     f = rhs(t0, y)
     ts, ys = [t0], [y]
     if t_end == t0:
         return ts, ys, 1
     direction = 1.0 if t_end > t0 else -1.0
-    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol, norm)
+    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol,
+                          _rms_arrays if arrays else _rms)
     nfev = 2
     t = t0
     while direction * (t - t_end) < 0:
@@ -170,28 +211,8 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-
-            k1 = f
-            k2 = rhs(t + _C2 * h, [v + _A21 * a * h for v, a in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
-                                   for v, a, b in zip(y, k1, k2)])
-            k4 = rhs(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                  + _A65 * e) * h
-                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            f_new = rhs(t + h, y_new)
+            y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
             nfev += 6
-
-            error_norm = norm([
-                (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) * h
-                / (atol + bigger(abs(v), abs(vn)) * rtol)
-                for v, vn, a, c, d, e, g, k
-                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
                           else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -212,22 +233,19 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
 # ---------------------------------------------------------------------------
 
 class BoundField:
-    """The rescaled field at one (mu, eps): one compiled float polynomial in
-    (x, y, z) per component, so an RHS evaluation does no parameter work."""
+    """The rescaled field at one (mu, eps): one compiled float polynomial map
+    (x, y, z) -> (x', y', z'), so an RHS evaluation does no parameter work."""
 
-    __slots__ = ("fx", "fy", "fz")
+    __slots__ = ("f",)
 
-    def __init__(self, fx: Callable, fy: Callable, fz: Callable):
-        self.fx, self.fy, self.fz = fx, fy, fz
-
-    def __call__(self, x, y, z):
-        return [self.fx(x, y, z), self.fy(x, y, z), self.fz(x, y, z)]
+    def __init__(self, f: Callable):
+        self.f = f
 
     def cylindrical(self, theta, r, w):
         """(dr/dtheta, dw/dtheta) at a scalar theta; r, w may be numpy
         arrays, complex numbers or jets."""
         cs, sn = math.cos(theta), math.sin(theta)
-        xd, yd, zd = self(r * cs, r * sn, w)
+        xd, yd, zd = self.f(r * cs, r * sn, w)
         rdot = cs * xd + sn * yd
         # one reciprocal of thetadot serves both components; the division by
         # r stays, so the axis r = 0 raises (or gives inf) instead of a zero
@@ -260,13 +278,13 @@ class RescaledField:
                     for (a, b, c, d, _), q in s[i].terms.items():
                         key = (a, b, c)
                         terms[key] = terms.get(key, 0.0) + float(q) * m ** d * e ** grade
-                comps.append(compile_terms(terms, ("x", "y", "z")))
-            self._bound = ((mu, eps), BoundField(*comps))
+                comps.append(terms)
+            self._bound = ((mu, eps), BoundField(compile_terms(comps, ("x", "y", "z"))))
         return self._bound[1]
 
     def field3(self, mu: float, eps: float) -> Callable:
         """f(t, state) for `integrate` on the full rescaled 3D system."""
-        f = self.bind(mu, eps)
+        f = self.bind(mu, eps).f
 
         def rhs(t, state):
             return f(*state)

@@ -5,7 +5,9 @@ plane-section return with event location and dense output, the variational
 equation, finite differences, complex-step differentiation and plain
 Gauss-Legendre quadrature of the standard form.  The integrations here stay
 on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
-stepper.  The last section holds small helpers only the tests call.
+stepper; `dopri45_loop` is that stepper with one list comprehension per
+stage, the bitwise oracle of its generated step.  The last section holds
+small helpers only the tests call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from torusforge.averaging import (
     PERIOD, AveragingError, MelnikovPair, StandardFormSystem, TrigPoly,
 )
 from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly, compile_terms
+from torusforge import flow
 from torusforge.flow import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
+    _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
+    _E4, _E5, _E6, _E7, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
@@ -121,6 +127,78 @@ def poincare_return(field: Callable, section: PlaneSection, x0,
         raise TangencyDetected(f"transversal speed {speed} at event")
     event_rec = SectionEvent(time=t_hit, state=state, residual=abs(float(state[k])))
     return state, t_hit, event_rec
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince stepper, one comprehension per stage
+# ---------------------------------------------------------------------------
+
+def dopri45_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
+                 rtol: float) -> Tuple[list, list, int]:
+    """`flow.dopri45` with each stage a list comprehension over the
+    components: the oracle of the generated straight-line step, which must
+    return the same times, states and RHS count bit for bit."""
+    y = list(y0)
+    if isinstance(y[0], np.ndarray):
+        bigger, norm = np.maximum, flow._rms_arrays
+    else:
+        bigger, norm = max, flow._rms
+    f = rhs(t0, y)
+    ts, ys = [t0], [y]
+    if t_end == t0:
+        return ts, ys, 1
+    direction = 1.0 if t_end > t0 else -1.0
+    h_abs = flow._initial_step(rhs, t0, y, f, t_end, direction, atol, rtol, norm)
+    nfev = 2
+    t = t0
+    while direction * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepSizeUnderflow(
+                    f"required step size is below {min_step:.3g} at t = {t}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+
+            k1 = f
+            k2 = rhs(t + _C2 * h, [v + _A21 * a * h for v, a in zip(y, k1)])
+            k3 = rhs(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
+                                   for v, a, b in zip(y, k1, k2)])
+            k4 = rhs(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
+                                   for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = rhs(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                  + _A65 * e) * h
+                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            f_new = rhs(t + h, y_new)
+            nfev += 6
+
+            error_norm = norm([
+                (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) * h
+                / (atol + bigger(abs(v), abs(vn)) * rtol)
+                for v, vn, a, c, d, e, g, k
+                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0
+                          else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return ts, ys, nfev
 
 
 # ---------------------------------------------------------------------------

@@ -91,3 +91,26 @@ def test_trig_poly_matches_cylindrical_substitution(p, r, theta, w, mu):
     point = (Fraction(r * math.cos(theta)), Fraction(r * math.sin(theta)),
              Fraction(w), Fraction(mu))
     assert abs(value - float(_exact(p, point))) <= 1e-12 * _scale(p, point)
+
+
+# several term maps in (r, w, mu): negative exponents and zero coefficients
+# drawn, an empty map always among them
+term_maps = st.dictionaries(
+    st.tuples(st.integers(-3, 4), st.integers(-3, 4), st.integers(0, 3)),
+    st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), max_size=6)
+nonzero = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(term_maps, max_size=4), st.integers(0, 4),
+       st.tuples(nonzero, nonzero, nonzero))
+def test_multi_map_matches_single_maps_bitwise(maps, empty_at, point):
+    """One compiled function for several maps returns, for each map, the
+    value of that map compiled alone, bit for bit."""
+    maps.insert(min(empty_at, len(maps)), {})
+    names = ("r", "w", "mu")
+    together = compile_terms(maps, names)(*point)
+    assert type(together) is tuple and len(together) == len(maps)
+    for value, terms in zip(together, maps):
+        alone = compile_terms(terms, names)(*point)
+        assert np.float64(value).tobytes() == np.float64(alone).tobytes()

@@ -17,7 +17,8 @@ from torusforge.flow import (
 
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
-    jet3_fd, jet_apply, jet_max_asymmetry, poincare_return, variational_jacobian,
+    dopri45_loop, jet3_fd, jet_apply, jet_max_asymmetry, poincare_return,
+    variational_jacobian,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -444,3 +445,51 @@ def test_stepper_blow_up_raises_step_size_underflow():
 
 def test_stepper_zero_span():
     assert dopri45(lambda t, s: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
+
+
+def _stepper_problem(kind, r, w, pair, n):
+    """(rhs, y0) of one state kind: float states of size 1, 2 (the return
+    map), 3 (the rescaled field), 6 and 20 (the degree-3 jet transport), or
+    a (2, n) array (a batch return)."""
+    field = RescaledField(validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1))
+    cyl = field.bind(*pair).cylindrical
+    if kind == "array":
+        rng = np.random.default_rng(n)
+        X0 = np.array([r + rng.uniform(-0.2, 0.2, n), w + rng.uniform(-0.2, 0.2, n)])
+        return (lambda t, s: [np.array(cyl(t, *s[0]))]), [X0]
+    if kind == 1:
+        return (lambda t, s: [w * math.cos(t) - r * math.sin(s[0])]), [w]
+    if kind == 2:
+        return (lambda t, s: cyl(t, s[0], s[1])), [r, w]
+    if kind == 3:
+        return field.field3(*pair), [r, 0.0, w]
+    if kind == 6:
+        def rhs(t, s):
+            return [s[(i + 1) % 6] - s[i - 1] + 0.2 * math.sin(s[i] * s[i - 3])
+                    + 0.1 * math.sin(t + i) for i in range(6)]
+        return rhs, [r, w, r * w, -r, 0.5, -w]
+
+    def rhs(t, s):
+        dr, dw = cyl(t, Jet2(s[:10]), Jet2(s[10:]))
+        return dr.coeffs + dw.coeffs
+    return rhs, list(Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs)
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", [1, 2, 3, 6, 20, "array"])
+@settings(max_examples=4, deadline=None)
+@given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs, st.integers(2, 9))
+def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
+                                                      r, w, pair, n):
+    """The generated straight-line step takes the steps of the stepper with
+    one list comprehension per stage (tests/oracles.py): the same accepted
+    times, the same states bit for bit and the same RHS count."""
+    rhs, y0 = _stepper_problem(kind, r, w, pair, n)
+    t_end = -PERIOD if reverse else PERIOD
+    ts, ys, nfev = dopri45(rhs, 0.0, t_end, y0, atol, rtol)
+    ts_ref, ys_ref, nfev_ref = dopri45_loop(rhs, 0.0, t_end, y0, atol, rtol)
+    assert nfev == nfev_ref and ts == ts_ref
+    assert len(ys) == len(ys_ref)
+    for y, y_ref in zip(ys, ys_ref):
+        assert np.array(y).tobytes() == np.array(y_ref).tobytes()

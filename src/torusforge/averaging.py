@@ -673,7 +673,7 @@ class BranchPoint:
     xi: np.ndarray             # fixed point of the return map
     eigenvalue: complex        # lambda(mu(eps), eps), |lambda| = 1
     theta: float               # arg lambda
-    jet: "MapJet"              # the map jet at xi
+    jet: "MapJet"              # value and Jacobian of the map at xi (jet1)
 
 
 @dataclass
@@ -714,17 +714,17 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
                         seed: Optional[np.ndarray] = None,
                         tol: float = 1e-10, max_iter: int = 25):
     """Fixed point xi of the return map by Newton on Pi(x) - x, seeded at the
-    averaged equilibrium; returns (xi, the map jet at xi), so callers that
-    need D Pi(xi) reuse the last iteration's jet3."""
+    averaged equilibrium; returns (xi, Pi and D Pi at xi), so callers that
+    need D Pi(xi) reuse the last iteration's first-order transport (jet1)."""
     if seed is None:
         eq = averaged_equilibrium(mel, mu)
         x = np.array([eq.r, eq.w])
     else:
         x = np.asarray(seed, dtype=float).copy()
     if eps == 0.0:
-        return x, tmap.jet3(x, mu, eps)
+        return x, tmap.jet1(x, mu, eps)
     for _ in range(max_iter):
-        jet = tmap.jet3(x, mu, eps)
+        jet = tmap.jet1(x, mu, eps)
         res = jet.value - x
         if float(np.max(np.abs(res))) <= tol:
             return x, jet
@@ -733,7 +733,7 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
         if not np.all(np.isfinite(x)):
             raise NewtonDiverged("fixed-point Newton produced non-finite iterate")
     if float(np.max(np.abs(res))) <= 10 * tol:
-        return x, tmap.jet3(x, mu, eps)
+        return x, tmap.jet1(x, mu, eps)
     raise NewtonDiverged(f"fixed-point Newton stalled, residual {np.max(np.abs(res))}")
 
 
@@ -744,7 +744,7 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
 
     For a complex pair, |lambda|^2 = det, so this is the unit-circle
     condition; the pair property is verified at the solution.  The secant
-    starts at mu0 (or `mu_guess`); the returned point carries the map jet at
+    starts at mu0 (or `mu_guess`); the returned point carries Pi and D Pi at
     xi, so nothing downstream solves the same point again.
     """
     last_xi = [None]
@@ -843,13 +843,13 @@ class NormalizedMap:
     rotation_residual: float
 
 
-def normalized_map(point: BranchPoint) -> NormalizedMap:
+def normalized_map(tmap, point: BranchPoint) -> NormalizedMap:
     """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
     M0 + eps M1 normalization), and the transformed degree-3 tensors of the
-    point's map jet."""
-    jet, lam = point.jet, point.eigenvalue
-    A = jet.A
+    map's jet3 at xi, the one degree-3 jet a point needs."""
+    jet = tmap.jet3(point.xi, point.mu, point.eps)
+    A, lam = point.jet.A, point.eigenvalue
     v2 = -1j * (A[0, 0] - lam) / A[0, 1]
     M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
     if abs(float(np.linalg.det(M))) < 1e-12:
@@ -902,7 +902,7 @@ class LyapunovSlices:
 def lyapunov_slices(tmap, mel: MelnikovPair, mu0: float) -> LyapunovSlices:
     """eps- and eps^2-slices of ell_1^eps by fitting
     ell_1^eps = e l11 + e^2 l12 + e^3 l13 through a factor-2 ladder."""
-    vals = [(p.eps, lyapunov_coefficient_map(normalized_map(p)))
+    vals = [(p.eps, lyapunov_coefficient_map(normalized_map(tmap, p)))
             for p in _ladder_points(tmap, mel, mu0, LYAPUNOV_LADDER)]
     e = np.array([v[0] for v in vals])
     y = np.array([v[1] for v in vals])
@@ -932,7 +932,7 @@ def jordan_expansion(tmap, mel: MelnikovPair, mu0: float) -> JordanExpansion:
     eta slices vanish identically on the curve (up to the unit-circle solve
     tolerance). M1 entries come from the same ladder.
     """
-    nms = [normalized_map(p) for p in _ladder_points(tmap, mel, mu0, JORDAN_LADDER)]
+    nms = [normalized_map(tmap, p) for p in _ladder_points(tmap, mel, mu0, JORDAN_LADDER)]
     thetas = [nm.point.theta / nm.point.eps for nm in nms]
     c0, c1, _ = _richardson3(thetas, JORDAN_LADDER)
     omega0, zeta2 = float(c0), float(c1)

@@ -11,9 +11,12 @@ size and kind (floats or arrays) as `compile_terms` compiles a polynomial,
 and the field is one compiled function of (x, y, z) giving all three
 components.
 
-The degree-3 jet of the theta-return map is obtained by transporting a
-truncated two-variable Taylor polynomial through the flow (the coefficient
-ODE).
+Derivatives of the theta-return map come from transporting them through
+the flow with the same stepper and the same field.  `jet1`, the value and
+Jacobian that Newton and the secant on |lambda| = 1 read, carries six
+floats and differentiates the field by a complex step; `jet3`, the
+degree-3 jet the Jordan normalization reads, carries a truncated
+two-variable Taylor polynomial (the coefficient ODE, 20 floats).
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ class IntegratorConfig:
     rtol: float = 1e-10
 
     def __post_init__(self):
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails both comparisons; inf would switch the error control off
+        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -353,32 +357,58 @@ class ThetaReturnMap:
     def point(self, x0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
         return self.points(np.asarray(x0, dtype=float)[None, :], mu, eps, reverse)[0]
 
+    def jet1(self, x0, mu: float, eps: float) -> "MapJet":
+        """Value and Jacobian of the return map (a MapJet without B and C):
+        the six floats (r, dr/dr0, dr/dw0, w, dw/dr0, dw/dw0) integrated by
+        `dopri45`.  The field's derivative along each Jacobian column is the
+        imaginary part of the field at (r, w) + i h column, h = 1e-30
+        (complex step, exact to rounding: no difference is taken)."""
+        cyl, h = self.field.bind(mu, eps).cylindrical, 1e-30
+
+        def rhs(theta, state):
+            r, r1, r2, w, w1, w2 = state
+            dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
+            dr2, dw2 = cyl(theta, complex(r, h * r2), complex(w, h * w2))
+            return (dr1.real, dr1.imag / h, dr2.imag / h,
+                    dw1.real, dw1.imag / h, dw2.imag / h)
+
+        r, r1, r2, w, w1, w2 = self._transport(rhs, [float(x0[0]), 1.0, 0.0,
+                                                     float(x0[1]), 0.0, 1.0])
+        return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
+
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
         solution with respect to the initial condition: the 20 coefficients
         of (r, w) integrated by `dopri45`."""
-        state0 = Jet2.variable(0, float(x0[0])).coeffs + Jet2.variable(1, float(x0[1])).coeffs
         cyl = self.field.bind(mu, eps).cylindrical
 
         def rhs(theta, state):
+            dr, dw = cyl(theta, _jet(tuple(state[:10])), _jet(tuple(state[10:])))
+            return _as_jet(dr).coeffs + _as_jet(dw).coeffs
+
+        state0 = Jet2.variable(0, float(x0[0])).coeffs + Jet2.variable(1, float(x0[1])).coeffs
+        y = self._transport(rhs, list(state0))
+        return MapJet.from_jets(_jet(tuple(y[:10])), _jet(tuple(y[10:])))
+
+    def _transport(self, rhs: Callable, state0: list) -> list:
+        """The state of a derivative transport after one return; a singular
+        or non-finite field, or a failed integration, is JetTransportUnstable."""
+        def checked(theta, state):
             try:
-                dr, dw = cyl(theta, _jet(tuple(state[:10])), _jet(tuple(state[10:])))
+                out = rhs(theta, state)
             except ZeroDivisionError as exc:
                 raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
-            out = _as_jet(dr).coeffs + _as_jet(dw).coeffs
             if not all(map(math.isfinite, out)):
                 raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
             return out
 
-        cfg = self.cfg
         try:
-            _, ys, _ = dopri45(rhs, 0.0, PERIOD, state0, cfg.atol, cfg.rtol)
+            _, ys, _ = dopri45(checked, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol)
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
-        y = ys[-1]
-        if not all(map(math.isfinite, y)):
+        if not all(map(math.isfinite, ys[-1])):
             raise JetTransportUnstable("jet transport integration failed")
-        return MapJet.from_jets(_jet(tuple(y[:10])), _jet(tuple(y[10:])))
+        return ys[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +532,8 @@ class MapJet:
     map to total degree 3:  F(x0 + h) = value + A h + B(h,h)/2 + C(h,h,h)/6."""
     value: np.ndarray
     A: np.ndarray
-    B: np.ndarray                  # (2, 2, 2), symmetric in the last two slots
-    C: np.ndarray                  # (2, 2, 2, 2), symmetric in the last three
+    B: Optional[np.ndarray] = None   # (2, 2, 2), symmetric in the last two slots
+    C: Optional[np.ndarray] = None   # (2, 2, 2, 2), symmetric in the last three
 
     @classmethod
     def from_jets(cls, R: Jet2, W: Jet2) -> "MapJet":

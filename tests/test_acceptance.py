@@ -123,7 +123,7 @@ def test_criterion_5_lyapunov_consistency(example):
     details = []
     ok = True
     for eps in (0.02, 0.04):
-        nm = normalized_map(unit_circle_point(tmap, mel, 0.0, eps))
+        nm = normalized_map(tmap, unit_circle_point(tmap, mel, 0.0, eps))
         value = lyapunov_coefficient_map(nm) / eps ** 2
         details.append(f"eps={eps}: {value:.6f}")
         ok = ok and abs(value - target) <= 0.10 * abs(target) and value < 0

@@ -241,19 +241,25 @@ def test_det_m_closed_form():
         assert np.linalg.det(res.M0) == pytest.approx(expected, rel=1e-12)
 
 
-def test_unit_circle_solve_reuses_newton_jet(monkeypatch):
-    """Each h(mu) of the secant on |lambda| = 1 makes one jet3 per Newton
-    iteration (k iterations: k jets and k - 1 steps) and no other: D Pi at
-    the fixed point is the converged iteration's jet."""
+def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
+    """Each h(mu) of the secant on |lambda| = 1 makes one first-order
+    transport (jet1) per Newton iteration (k iterations: k transports and
+    k - 1 steps), none outside Newton, and no degree-3 jet: D Pi at the
+    fixed point is the converged iteration's transport."""
     sys, fam, _, mel = _example_pair()
     tmap = ThetaReturnMap(sys, fam)
-    counts = {"jet3": 0, "jet3_outside_newton": 0, "newton": 0, "steps": 0}
+    counts = {"jet1": 0, "jet1_outside_newton": 0, "jet3": 0, "newton": 0, "steps": 0}
     inside = [False]
-    jet3, newton, solve = tmap.jet3, averaging._newton_fixed_point, np.linalg.solve
+    jet1, jet3 = tmap.jet1, tmap.jet3
+    newton, solve = averaging._newton_fixed_point, np.linalg.solve
+
+    def counted_jet1(*args):
+        counts["jet1"] += 1
+        counts["jet1_outside_newton"] += not inside[0]
+        return jet1(*args)
 
     def counted_jet3(*args):
         counts["jet3"] += 1
-        counts["jet3_outside_newton"] += not inside[0]
         return jet3(*args)
 
     def counted_newton(*args, **kwargs):
@@ -268,13 +274,16 @@ def test_unit_circle_solve_reuses_newton_jet(monkeypatch):
         counts["steps"] += 1
         return solve(*args)
 
+    monkeypatch.setattr(tmap, "jet1", counted_jet1)
     monkeypatch.setattr(tmap, "jet3", counted_jet3)
     monkeypatch.setattr(averaging, "_newton_fixed_point", counted_newton)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     point = averaging.unit_circle_point(tmap, mel, 0.0, 1e-2)
     xi, lam, jet = point.xi, point.eigenvalue, point.jet
     assert counts["newton"] >= 3
-    assert counts["jet3_outside_newton"] == 0
-    assert counts["jet3"] == counts["newton"] + counts["steps"]
+    assert counts["jet3"] == 0
+    assert counts["jet1_outside_newton"] == 0
+    assert counts["jet1"] == counts["newton"] + counts["steps"]
+    assert jet.B is None and jet.C is None
     assert abs(abs(lam) - 1.0) <= 1e-10
     assert np.max(np.abs(jet.value - xi)) <= 1e-10      # the jet is taken at xi

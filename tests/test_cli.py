@@ -9,12 +9,14 @@ import pytest
 
 import torusforge
 import torusforge.cli
+from torusforge import averaging
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.cli import (
     EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_PERIODS, main,
 )
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import MAX_NESTING
+from torusforge.flow import ThetaReturnMap
 
 from oracles import f2_quadrature
 
@@ -178,16 +180,22 @@ def test_simulate_periods_out_of_range(tmp_path, capsys, periods):
 
 
 def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
-    """certify far on the no-torus side: verdict no_torus, no curve.csv, and
-    the Neimark-Sacker point at the requested eps is solved exactly once."""
-    calls = []
-    solve = torusforge.cli.unit_circle_point
+    """certify far on the no-torus side: verdict no_torus, no curve.csv, the
+    Neimark-Sacker point at the requested eps is solved exactly once, and no
+    degree-3 jet is made (Newton and the secant read only Pi and D Pi)."""
+    calls, jets = [], []
+    solve, jet3 = torusforge.cli.unit_circle_point, ThetaReturnMap.jet3
 
     def counted(*args, **kwargs):
         calls.append(args[3])
         return solve(*args, **kwargs)
 
+    def counted_jet3(*args):
+        jets.append(args[1:])
+        return jet3(*args)
+
     monkeypatch.setattr(torusforge.cli, "unit_circle_point", counted)
+    monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     rc = main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02", "--out", str(out)])
@@ -197,6 +205,34 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     assert (cert["mu"], cert["eps"]) == (-0.2, 0.02)
     assert not (out / "curve.csv").exists()
     assert calls == [0.02]
+    assert jets == []
+
+
+def test_branch_makes_one_jet3_per_normalized_point(tmp_path, monkeypatch):
+    """branch makes a degree-3 jet only where its tensors are read: one
+    jet3 per ladder point that normalized_map normalizes (the Lyapunov and
+    Jordan ladders), at that point's fixed point, and none elsewhere."""
+    points, jets, inside = [], [], [False]
+    normalize, jet3 = averaging.normalized_map, ThetaReturnMap.jet3
+
+    def counted_normalize(tmap, point):
+        points.append(point)
+        inside[0] = True
+        try:
+            return normalize(tmap, point)
+        finally:
+            inside[0] = False
+
+    def counted_jet3(tmap, x0, mu, eps):
+        jets.append((inside[0], tuple(x0), mu, eps))
+        return jet3(tmap, x0, mu, eps)
+
+    monkeypatch.setattr(averaging, "normalized_map", counted_normalize)
+    monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    assert main(["branch", "--input", doc, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(points) == len(averaging.LYAPUNOV_LADDER) + len(averaging.JORDAN_LADDER)
+    assert jets == [(True, tuple(p.xi), p.mu, p.eps) for p in points]
 
 
 def test_lift_command(tmp_path):
@@ -250,6 +286,19 @@ def test_bad_tolerance_rejected(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "ValueError"
     err = json.loads((tmp_path / "simulate_error.json").read_text())
     assert err["error"] == "ValueError" and "positive" in err["message"]
+
+
+@pytest.mark.parametrize("tolerances", [{"atol": math.nan}, {"atol": math.inf},
+                                        {"rtol": math.nan}, {"rtol": math.inf}])
+def test_non_finite_tolerance_rejected(tmp_path, capsys, tolerances):
+    """NaN and inf tolerances are refused up front: NaN ended in a step-size
+    underflow at t = 0 and inf integrated with no error control."""
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, tolerances=tolerances))
+    assert main(["simulate", "--input", doc, "--out", str(tmp_path)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    err = json.loads((tmp_path / "simulate_error.json").read_text())
+    assert err["error"] == "ValueError" and "finite" in err["message"]
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_nested_power_fails_fast(tmp_path):

@@ -304,6 +304,8 @@ def test_jet_transport_at_r_zero_raises():
     with _time_limit(20):
         with pytest.raises(JetTransportUnstable):
             tmap.jet3([0.0, 5.0], -0.2, 0.02)
+        with pytest.raises(JetTransportUnstable):
+            tmap.jet1([0.0, 5.0], -0.2, 0.02)
 
 
 def test_cylindrical_field_on_axis_raises():
@@ -416,6 +418,23 @@ def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
     expected = MapJet.from_jets(Jet2(y[:10]), Jet2(y[10:]))
     for name in ("value", "A", "B", "C"):
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
+def test_jet1_matches_jet3_and_finite_differences(r, w, pair):
+    """The first-order transport (six floats, complex-step field
+    derivatives) gives the value and Jacobian of jet3's 20-float transport
+    to 1e-12 at the tolerances of branch and certify's secant, and the
+    Jacobian of central differences of the return map."""
+    _, _, tmap = _setup(atol=1e-13, rtol=1e-11)
+    j1, j3 = tmap.jet1([r, w], *pair), tmap.jet3([r, w], *pair)
+    assert j1.B is None and j1.C is None
+    assert np.max(np.abs(j1.value - j3.value)) <= 1e-12
+    assert np.max(np.abs(j1.A - j3.A)) <= 1e-12
+    fd = jet3_fd(tmap, [r, w], *pair)
+    assert np.max(np.abs(j1.value - fd.value)) <= 1e-12
+    assert np.max(np.abs(j1.A - fd.A)) <= 1e-6
 
 
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)

@@ -849,7 +849,7 @@ def normalized_map(tmap, point: BranchPoint) -> NormalizedMap:
     M0 + eps M1 normalization), and the transformed degree-3 tensors of the
     map's jet3 at xi, the one degree-3 jet a point needs."""
     jet = tmap.jet3(point.xi, point.mu, point.eps)
-    A, lam = point.jet.A, point.eigenvalue
+    A, lam = point.jet.A, point.eigenvalue       # lam is an eigenvalue of this A
     v2 = -1j * (A[0, 0] - lam) / A[0, 1]
     M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
     if abs(float(np.linalg.det(M))) < 1e-12:

@@ -425,15 +425,19 @@ def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
 def test_jet1_matches_jet3_and_finite_differences(r, w, pair):
     """The first-order transport (six floats, complex-step field
     derivatives) gives the value and Jacobian of jet3's 20-float transport
-    to 1e-12 at the tolerances of branch and certify's secant, and the
-    Jacobian of central differences of the return map."""
-    _, _, tmap = _setup(atol=1e-13, rtol=1e-11)
+    and of central differences of the return map, at the tolerances of
+    branch and certify's secant.  The two transports take different steps,
+    so they agree to the integration's relative tolerance, not to rounding:
+    over 30 random points jet1's A was within 1.3e-12 of a 1e-15-tolerance
+    reference and jet3's within 2.7e-13."""
+    atol, rtol = 1e-13, 1e-11
+    _, _, tmap = _setup(atol=atol, rtol=rtol)
     j1, j3 = tmap.jet1([r, w], *pair), tmap.jet3([r, w], *pair)
     assert j1.B is None and j1.C is None
-    assert np.max(np.abs(j1.value - j3.value)) <= 1e-12
-    assert np.max(np.abs(j1.A - j3.A)) <= 1e-12
+    assert np.max(np.abs(j1.value - j3.value)) <= rtol
+    assert np.max(np.abs(j1.A - j3.A)) <= rtol
     fd = jet3_fd(tmap, [r, w], *pair)
-    assert np.max(np.abs(j1.value - fd.value)) <= 1e-12
+    assert np.max(np.abs(j1.value - fd.value)) <= rtol
     assert np.max(np.abs(j1.A - fd.A)) <= 1e-6
 
 

@@ -21,21 +21,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import (
-    DegenerateSum, HopfZeroSystem, PerturbationFamily, perturbation_functions,
-)
+from .criteria import HopfZeroSystem, PerturbationFamily, perturbation_functions
 from .fieldexpr import Poly, compile_terms
 
 PERIOD = 2.0 * math.pi
 EQUILIBRIUM_RESIDUAL = 1e-12
 STRONG_RESONANCE_TOL = 1e-8
 HYPOTHESIS_SAMPLES = 33                  # mu samples of the averaged path
-# factor-2 eps ladders: the Neimark-Sacker branch, the Lyapunov slices, the
-# Jordan expansion, and the first rung of the fixed-point slice
-BRANCH_LADDER = (1e-2, 5e-3, 2.5e-3)
-LYAPUNOV_LADDER = (2e-2, 1e-2, 5e-3)
-JORDAN_LADDER = (4e-3, 2e-3, 1e-3)
-XI_SLICE_EPS0 = 4e-3
+# the factor-2 eps ladder of the Neimark-Sacker branch, solved once; each fit
+# reads three consecutive rungs: the Lyapunov slices the largest three, mu1
+# the middle three, the Jordan expansion and the fixed-point slice the
+# smallest three
+BRANCH_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3)
 
 
 class AveragingError(ValueError):
@@ -455,14 +452,11 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
     map Lyapunov coefficient at the bifurcation curve:
     ell_1^eps = (pi eps^2 / 16 Omega^2) ell_1 + O(eps^3).
     """
+    fam = PerturbationFamily.simple(sys.beta)
     S = sys.quadratic_sum
-    if S == 0:
-        raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0")
     Omega = float(sys.omega)
     if Omega <= 0:
         raise AveragingError("Omega <= 0: no Hopf pair, ell1 undefined")
-    beta = -1 if S > 0 else 1
-    fam = PerturbationFamily.simple(beta)
     std = to_standard_form(sys, fam)
     mel = melnikov_pair(std)
 
@@ -598,12 +592,9 @@ def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
     rationals; xi1's slope and the M1 entries carry odd powers and are floats.
     """
     P, Q, R = sys.jP.get, sys.jQ.get, sys.jR.get
-    S = sys.quadratic_sum
-    if S == 0:
-        raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0")
+    beta = sys.beta
     Om = sys.omega
-    beta = -1 if S > 0 else 1
-    G2 = abs(S)                     # Gamma^2, exact
+    G2 = abs(sys.quadratic_sum)     # Gamma^2, exact
     gamma = math.sqrt(float(G2))
 
     core = (-R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))
@@ -678,17 +669,16 @@ class BranchPoint:
 
 @dataclass
 class NSBranch:
-    points: Tuple[BranchPoint, ...]
+    points: Tuple[BranchPoint, ...]      # one per rung of BRANCH_LADDER
     mu0: float
     mu1_numeric: float
     xi_slices_closed: Optional["BranchConstants"]
-    ladder: Tuple[float, ...]
 
     def to_dict(self) -> dict:
         out = {
             "mu0": self.mu0,
             "mu1_numeric": self.mu1_numeric,
-            "ladder": list(self.ladder),
+            "ladder": [p.eps for p in self.points],
             "points": [{"eps": p.eps, "mu": p.mu,
                         "xi": [float(v) for v in p.xi],
                         "lambda": [p.eigenvalue.real, p.eigenvalue.imag],
@@ -787,47 +777,44 @@ def _ladder_points(tmap, mel, mu0: float,
     return points
 
 
-def _richardson3(values: Sequence, ladder: Sequence[float]):
-    """Fit v(e) = c0 + c1 e + ... through the ladder points (degree = number
-    of rungs - 1); return the coefficient list, padded with zeros to three,
-    componentwise on arrays."""
+def _ladder_fit(values: Sequence, ladder: Sequence[float], lowest: int) -> list:
+    """The coefficients c_k of v(e) = sum_k c_k e^(lowest + k), one per rung,
+    interpolated through the values at the ladder's eps; componentwise on
+    arrays."""
     n = len(values)
     e = np.asarray(ladder, dtype=float)
     vals = np.stack([np.asarray(v, dtype=float) for v in values])
-    shape = np.asarray(values[0]).shape
-    V = np.vander(e, n, increasing=True)
-    coeffs = list(np.linalg.solve(V, vals.reshape(n, -1)))
-    while len(coeffs) < 3:
-        coeffs.append(np.zeros(coeffs[0].size))
-    return [c.reshape(shape) if shape else float(c.reshape(-1)[0]) for c in coeffs]
+    shape = vals.shape[1:]
+    V = np.vander(e, n, increasing=True) * (e ** lowest)[:, None]
+    coeffs = np.linalg.solve(V, vals.reshape(n, -1))
+    return [c.reshape(shape) if shape else float(c[0]) for c in coeffs]
 
 
 def xi_slice(tmap, mel: MelnikovPair, mu: float) -> np.ndarray:
-    """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch by a
-    factor-2 Richardson ladder on (xi(mu, eps) - x_mu)/eps."""
+    """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch, fitted
+    to (xi(mu, eps) - x_mu)/eps on the three smallest rungs of BRANCH_LADDER
+    (fixed points at this mu, not on the Neimark-Sacker curve)."""
     eq = averaged_equilibrium(mel, mu)
     x_mu = np.array([eq.r, eq.w])
-    ladder = (XI_SLICE_EPS0, XI_SLICE_EPS0 / 2, XI_SLICE_EPS0 / 4)
-    vals = []
-    for e in ladder:
-        xi = _newton_fixed_point(tmap, mel, mu, e)[0]
-        vals.append((xi - x_mu) / e)
-    return _richardson3(vals, ladder)[0]
+    ladder = BRANCH_LADDER[-3:]
+    vals = [(_newton_fixed_point(tmap, mel, mu, e)[0] - x_mu) / e for e in ladder]
+    return _ladder_fit(vals, ladder, 0)[0]
 
 
 def branch_continuation(mel: MelnikovPair, tmap, mu0: float) -> NSBranch:
-    """Continue the fixed point xi(mu, eps) and the Neimark-Sacker curve
-    mu(eps); mu1 is estimated by a factor-2 Richardson ladder on mu(eps)/eps
+    """Solve the Neimark-Sacker curve mu(eps) once, on every rung of
+    BRANCH_LADDER; mu1 is fitted to mu(eps)/eps on the middle three rungs
     and, in the degree-preserving simple case, compared with the printed
     closed form."""
-    points = _ladder_points(tmap, mel, mu0, BRANCH_LADDER)
-    slopes = [(p.mu - mu0) / p.eps for p in points]
-    mu1_numeric = _richardson3(slopes, [p.eps for p in points])[0]
+    points = tuple(_ladder_points(tmap, mel, mu0, BRANCH_LADDER))
+    middle = points[1:4]
+    mu1_numeric = _ladder_fit([(p.mu - mu0) / p.eps for p in middle],
+                              [p.eps for p in middle], 0)[0]
     xi_closed = None
     if mel.std.family.simple_case:
         xi_closed = printed_branch_constants(mel.std.system)
-    return NSBranch(points=tuple(points), mu0=mu0, mu1_numeric=float(mu1_numeric),
-                    xi_slices_closed=xi_closed, ladder=BRANCH_LADDER)
+    return NSBranch(points=points, mu0=mu0, mu1_numeric=mu1_numeric,
+                    xi_slices_closed=xi_closed)
 
 
 # ---------------------------------------------------------------------------
@@ -838,46 +825,46 @@ def branch_continuation(mel: MelnikovPair, tmap, mu0: float) -> NSBranch:
 class NormalizedMap:
     point: BranchPoint
     M: np.ndarray
-    B: np.ndarray               # transformed bilinear tensor
-    C: np.ndarray               # transformed trilinear tensor
     rotation_residual: float
 
 
-def normalized_map(tmap, point: BranchPoint) -> NormalizedMap:
+def normalized_map(point: BranchPoint) -> NormalizedMap:
     """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
-    M0 + eps M1 normalization), and the transformed degree-3 tensors of the
-    map's jet3 at xi, the one degree-3 jet a point needs."""
-    jet = tmap.jet3(point.xi, point.mu, point.eps)
+    M0 + eps M1 normalization), read off the point's own D Pi: no transport."""
     A, lam = point.jet.A, point.eigenvalue       # lam is an eigenvalue of this A
     v2 = -1j * (A[0, 0] - lam) / A[0, 1]
     M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
     if abs(float(np.linalg.det(M))) < 1e-12:
         raise AveragingError(f"normalizing matrix singular at eps={point.eps}")
-    M_inv = np.linalg.inv(M)
-    DH = M_inv @ A @ M
+    DH = np.linalg.inv(M) @ A @ M
     rot_res = max(abs(DH[0, 0] - DH[1, 1]), abs(DH[0, 1] + DH[1, 0]))
-    B_H = np.einsum('ia,ajk,jb,kc->ibc', M_inv, jet.B, M, M)
-    C_H = np.einsum('ia,ajkl,jb,kc,ld->ibcd', M_inv, jet.C, M, M, M)
-    return NormalizedMap(point=point, M=M, B=B_H, C=C_H,
-                         rotation_residual=float(rot_res))
+    return NormalizedMap(point=point, M=M, rotation_residual=float(rot_res))
 
 
-def lyapunov_coefficient_map(nm: NormalizedMap) -> float:
+def lyapunov_coefficient_map(tmap, nm: NormalizedMap) -> float:
     """The map Lyapunov coefficient, evaluated verbatim with p = (1,-i)/sqrt2
-    and <u, v> = conj(u)^T v; requires e^{ik theta} != 1 for k = 1..4."""
-    theta = nm.point.theta
+    and <u, v> = conj(u)^T v on the degree-2 and degree-3 tensors of the
+    map's jet3 at the point's xi, in the basis M; requires
+    e^{ik theta} != 1 for k = 1..4."""
+    point = nm.point
+    theta = point.theta
     for k in range(1, 5):
         if abs(cmath.exp(1j * k * theta) - 1.0) < STRONG_RESONANCE_TOL:
             raise StrongResonance(f"e^(i {k} theta) = 1 within {STRONG_RESONANCE_TOL}")
+    jet = tmap.jet3(point.xi, point.mu, point.eps)
+    M = nm.M
+    M_inv = np.linalg.inv(M)
+    B = np.einsum('ia,ajk,jb,kc->ibc', M_inv, jet.B, M, M)
+    C = np.einsum('ia,ajkl,jb,kc,ld->ibcd', M_inv, jet.C, M, M, M)
     p = np.array([1.0, -1.0j]) / math.sqrt(2.0)
     pb = p.conjugate()
 
     def bil(a, b):
-        return np.einsum('ijk,j,k->i', nm.B, a, b)
+        return np.einsum('ijk,j,k->i', B, a, b)
 
     def tril(a, b, c):
-        return np.einsum('ijkl,j,k,l->i', nm.C, a, b, c)
+        return np.einsum('ijkl,j,k,l->i', C, a, b, c)
 
     g20 = np.vdot(p, bil(p, p))
     g11 = np.vdot(p, bil(p, pb))
@@ -899,16 +886,14 @@ class LyapunovSlices:
     values: Tuple[Tuple[float, float], ...]     # (eps, ell1_eps)
 
 
-def lyapunov_slices(tmap, mel: MelnikovPair, mu0: float) -> LyapunovSlices:
-    """eps- and eps^2-slices of ell_1^eps by fitting
-    ell_1^eps = e l11 + e^2 l12 + e^3 l13 through a factor-2 ladder."""
-    vals = [(p.eps, lyapunov_coefficient_map(normalized_map(tmap, p)))
-            for p in _ladder_points(tmap, mel, mu0, LYAPUNOV_LADDER)]
-    e = np.array([v[0] for v in vals])
-    y = np.array([v[1] for v in vals])
-    V = np.stack([e, e ** 2, e ** 3], axis=1)
-    c = np.linalg.solve(V, y)
-    return LyapunovSlices(l11=float(c[0]), l12=float(c[1]), values=tuple(vals))
+def lyapunov_slices(tmap, branch: NSBranch) -> LyapunovSlices:
+    """eps- and eps^2-slices of ell_1^eps, fitted to
+    ell_1^eps = e l11 + e^2 l12 + e^3 l13 on the branch's three largest
+    rungs: one jet3 per rung."""
+    vals = tuple((p.eps, lyapunov_coefficient_map(tmap, normalized_map(p)))
+                 for p in branch.points[:3])
+    l11, l12, _ = _ladder_fit([v for _, v in vals], [e for e, _ in vals], 1)
+    return LyapunovSlices(l11=l11, l12=l12, values=vals)
 
 
 @dataclass
@@ -922,8 +907,9 @@ class JordanExpansion:
     rotation_residual: float
 
 
-def jordan_expansion(tmap, mel: MelnikovPair, mu0: float) -> JordanExpansion:
-    """eps-expansion Id + eps A1 + eps^2 A2 of the normalized linearization.
+def jordan_expansion(branch: NSBranch) -> JordanExpansion:
+    """eps-expansion Id + eps A1 + eps^2 A2 of the normalized linearization,
+    on the branch's three smallest rungs.
 
     On the solved curve |lambda| = 1, the normalized DH is the rotation by
     theta_eps, so A1/A2 are recovered from the theta_eps ladder:
@@ -932,17 +918,14 @@ def jordan_expansion(tmap, mel: MelnikovPair, mu0: float) -> JordanExpansion:
     eta slices vanish identically on the curve (up to the unit-circle solve
     tolerance). M1 entries come from the same ladder.
     """
-    nms = [normalized_map(tmap, p) for p in _ladder_points(tmap, mel, mu0, JORDAN_LADDER)]
-    thetas = [nm.point.theta / nm.point.eps for nm in nms]
-    c0, c1, _ = _richardson3(thetas, JORDAN_LADDER)
-    omega0, zeta2 = float(c0), float(c1)
-    m21 = [nm.M[1, 0] / nm.point.eps for nm in nms]
-    # M0 = [[1,0],[0, m22_0]]: take the limit of M[1,1] for the zeroth order
-    m22_0, m22_1, _ = _richardson3([nm.M[1, 1] for nm in nms], JORDAN_LADDER)
-    m21_1 = float(_richardson3(m21, JORDAN_LADDER)[0])
+    nms = [normalized_map(p) for p in branch.points[-3:]]
+    ladder = [nm.point.eps for nm in nms]
+    omega0, zeta2, _ = _ladder_fit([nm.point.theta / nm.point.eps for nm in nms], ladder, 0)
+    # M[1,1] = m22_0 + eps m22_1 + ..., with M0 = [[1,0],[0, m22_0]]
+    _, m22_1, _ = _ladder_fit([nm.M[1, 1] for nm in nms], ladder, 0)
+    m21_1 = _ladder_fit([nm.M[1, 0] / nm.point.eps for nm in nms], ladder, 0)[0]
     rot_res = max(nm.rotation_residual for nm in nms)
     A1 = np.array([[0.0, -omega0], [omega0, 0.0]])
     A2 = np.array([[-0.5 * omega0 ** 2, -zeta2], [zeta2, -0.5 * omega0 ** 2]])
     return JordanExpansion(omega0=omega0, zeta2=zeta2, A1=A1, A2=A2,
-                           m21_1=m21_1, m22_1=float(m22_1),
-                           rotation_residual=rot_res)
+                           m21_1=m21_1, m22_1=m22_1, rotation_residual=rot_res)

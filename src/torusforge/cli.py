@@ -38,7 +38,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from .averaging import (
     unit_circle_point, xi_slice,
 )
 from .criteria import (
-    CriteriaError, PerturbationFamily, criteria_report, validate_hopf_zero,
+    CriteriaError, CriteriaReport, HopfZeroSystem, PerturbationFamily,
+    criteria_report, validate_hopf_zero,
 )
 from .fieldexpr import FieldExprError, as_poly, format_poly
 from .flow import IntegratorConfig, RescaledField, ThetaReturnMap, integrate
@@ -177,20 +178,27 @@ def _meta(spec: RunSpec, doc: dict) -> dict:
             "input_sha256": doc["_sha256"], "run": spec.to_dict()}
 
 
-def _load_system(doc):
-    return validate_hopf_zero(doc["system"]["P"], doc["system"]["Q"],
-                              doc["system"]["R"])
-
-
-def _load_family(doc, sys, force_simple=False):
+def _load(spec: RunSpec) -> Tuple[dict, HopfZeroSystem, PerturbationFamily]:
+    """The input document, its system and its perturbation family (the
+    simple one under --simple)."""
+    doc = _document(spec)
+    sys_ = validate_hopf_zero(*(doc["system"][c] for c in "PQR"))
     pert = doc.get("perturbation", {"simple": True})
-    if force_simple or pert.get("simple"):
-        S = sys.quadratic_sum
-        if S == 0:
+    if spec.simple or pert.get("simple"):
+        if sys_.quadratic_sum == 0:
             raise CriteriaError("simple family undefined: R200 + R020 = 0")
-        return PerturbationFamily.simple(beta=1 if S < 0 else -1)
-    return PerturbationFamily.from_expressions(
+        return doc, sys_, PerturbationFamily.simple(sys_.beta)
+    return doc, sys_, PerturbationFamily.from_expressions(
         pert.get("U", "0"), pert.get("V", "0"), pert.get("W", "0"))
+
+
+def _not_applicable(spec: RunSpec, doc: dict, rep: CriteriaReport,
+                    name: str, skipped: str) -> int:
+    """Write the criteria-not-applicable report `name`."""
+    payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
+               "error": f"criteria not applicable; {skipped} skipped"}
+    write_report(os.path.join(spec.out_dir, name), payload)
+    return EXIT_NOT_APPLICABLE
 
 
 def _interval(doc):
@@ -217,9 +225,7 @@ def _params(doc, spec):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(spec: RunSpec) -> int:
-    doc = _document(spec)
-    sys_ = _load_system(doc)
-    fam = _load_family(doc, sys_, force_simple=spec.simple)
+    doc, sys_, fam = _load(spec)
     rep = criteria_report(sys_, fam, _interval(doc))
     payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict()}
     write_report(os.path.join(spec.out_dir, "analyze.json"), payload)
@@ -227,9 +233,7 @@ def cmd_analyze(spec: RunSpec) -> int:
 
 
 def cmd_melnikov(spec: RunSpec) -> int:
-    doc = _document(spec)
-    sys_ = _load_system(doc)
-    fam = _load_family(doc, sys_, force_simple=spec.simple)
+    doc, sys_, fam = _load(spec)
     mu, _ = _params(doc, spec)
     mu = 0.0 if mu is None else mu
     mel = melnikov_pair(to_standard_form(sys_, fam))
@@ -251,21 +255,16 @@ def cmd_melnikov(spec: RunSpec) -> int:
 
 
 def cmd_branch(spec: RunSpec) -> int:
-    doc = _document(spec)
-    sys_ = _load_system(doc)
-    fam = _load_family(doc, sys_, force_simple=spec.simple)
+    doc, sys_, fam = _load(spec)
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
-        payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
-                   "error": "criteria not applicable; branch skipped"}
-        write_report(os.path.join(spec.out_dir, "branch.json"), payload)
-        return EXIT_NOT_APPLICABLE
+        return _not_applicable(spec, doc, rep, "branch.json", "branch")
     mel = melnikov_pair(to_standard_form(sys_, fam))
     tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
     mu0 = rep.perturbation.mu0
     branch = branch_continuation(mel, tmap, mu0)
-    slices = lyapunov_slices(tmap, mel, mu0)
-    jordan = jordan_expansion(tmap, mel, mu0)
+    slices = lyapunov_slices(tmap, branch)
+    jordan = jordan_expansion(branch)
     xi1 = xi_slice(tmap, mel, mu0)
     hyp = hypothesis_check(mel, rep.perturbation, rep.base.lyapunov)
     payload = {
@@ -293,9 +292,7 @@ def cmd_branch(spec: RunSpec) -> int:
 
 
 def cmd_simulate(spec: RunSpec) -> int:
-    doc = _document(spec)
-    sys_ = _load_system(doc)
-    fam = _load_family(doc, sys_, force_simple=spec.simple)
+    doc, sys_, fam = _load(spec)
     mu, eps = _params(doc, spec)
     if mu is None or eps is None:
         raise CriteriaError("simulate requires both mu and eps")
@@ -316,18 +313,13 @@ def cmd_simulate(spec: RunSpec) -> int:
 
 
 def cmd_certify(spec: RunSpec) -> int:
-    doc = _document(spec)
-    sys_ = _load_system(doc)
-    fam = _load_family(doc, sys_, force_simple=spec.simple)
+    doc, sys_, fam = _load(spec)
     mu, eps = _params(doc, spec)
     if mu is None or eps is None:
         raise CriteriaError("certify requires both mu and eps")
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
-        payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
-                   "error": "criteria not applicable; certification skipped"}
-        write_report(os.path.join(spec.out_dir, "certificate.json"), payload)
-        return EXIT_NOT_APPLICABLE
+        return _not_applicable(spec, doc, rep, "certificate.json", "certification")
     mel = melnikov_pair(to_standard_form(sys_, fam))
     tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
     point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)

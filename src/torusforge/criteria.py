@@ -84,6 +84,15 @@ class HopfZeroSystem:
         return self.jR.get(2, 0, 0) + self.jR.get(0, 2, 0)
 
     @property
+    def beta(self) -> int:
+        """The sign of eps in the simple family (0, 0, mu*z + beta*eps):
+        opposite to R^(2,0,0) + R^(0,2,0)."""
+        S = self.quadratic_sum
+        if S == 0:
+            raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0; beta undefined")
+        return -1 if S > 0 else 1
+
+    @property
     def divergence_pair(self) -> Fraction:
         """P^(1,0,1) + Q^(0,1,1)."""
         return self.jP.get(1, 0, 1) + self.jQ.get(0, 1, 1)
@@ -200,11 +209,9 @@ class BaseCriteria:
 
 
 def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
+    beta = sys.beta
     S = sys.quadratic_sum
-    if S == 0:
-        raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0; beta undefined")
     omega = sys.omega
-    beta = -1 if S > 0 else 1
     gamma_scale = math.sqrt(abs(S))
     transcribed = ell1_transcribed(sys.jP, sys.jQ, sys.jR)
 

@@ -66,11 +66,12 @@ class Trajectory:
     t: np.ndarray                 # the accepted step times
     states: np.ndarray            # shape (n, dim)
 
-    def write_csv(self, path, header=("t", "x", "y", "z")):
+    def write_csv(self, path):
+        """One row per accepted step: t, then x, y(, z) of the state."""
         import csv
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(["t", *"xyz"[:self.states.shape[1]]])
             for ti, row in zip(self.t, self.states):
                 writer.writerow([repr(float(ti))] + [repr(float(v)) for v in row])
 
@@ -293,10 +294,6 @@ class RescaledField:
         def rhs(t, state):
             return f(*state)
         return rhs
-
-    def cylindrical(self, theta, r, w, mu, eps):
-        """(dr/dtheta, dw/dtheta) at (mu, eps); see BoundField.cylindrical."""
-        return self.bind(mu, eps).cylindrical(theta, r, w)
 
 
 # ---------------------------------------------------------------------------

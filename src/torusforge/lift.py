@@ -476,7 +476,7 @@ def tune_lift_parameters(seed_field,
         if fam.system.quadratic_sum == 0:
             continue
         sys_y = fam.system
-        pf = PerturbationFamily.simple(1 if sys_y.quadratic_sum < 0 else -1)
+        pf = PerturbationFamily.simple(sys_y.beta)
         rep = criteria_report(sys_y, pf)
         # the exact lift has ell_1 = 0 identically (verified symbolically on
         # probe seeds): realize the "small perturbation, if necessary" by a
@@ -487,8 +487,7 @@ def tune_lift_parameters(seed_field,
         if rep.base.ell1 is not None and abs(rep.base.ell1) <= zero_tol:
             for mag in (1e-6, 1e-5, 1e-4):
                 cand = _jitter_nonlinear(sys_y, rng, mag)
-                cand_rep = criteria_report(cand, PerturbationFamily.simple(
-                    1 if cand.quadratic_sum < 0 else -1))
+                cand_rep = criteria_report(cand, PerturbationFamily.simple(cand.beta))
                 cand_tol = 1e-8 * (1.0 + float(cand.omega) ** 2)
                 if (cand_rep.base.ell1 is not None
                         and abs(cand_rep.base.ell1) > 100 * cand_tol):

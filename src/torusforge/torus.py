@@ -22,6 +22,7 @@ and the observed direction; a mismatch is flagged, not corrected away.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -31,7 +32,7 @@ import numpy as np
 from .averaging import (
     AveragingError, BranchPoint, Ell1Result, MelnikovPair, _newton_fixed_point,
 )
-from .flow import FlowError, IntegratorConfig, ThetaReturnMap
+from .flow import FlowError, IntegratorConfig
 
 KAPPA_RETURNS = 48      # returns of the probe ring behind the kappa fit
 
@@ -474,6 +475,10 @@ def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,
 
 
 def _with_config(tmap, integrator: IntegratorConfig):
+    """`tmap` at other tolerances, sharing its RescaledField (the exact
+    slices and the compiled field)."""
     if tmap.cfg == integrator:
         return tmap
-    return ThetaReturnMap(tmap.field.system, tmap.field.family, integrator)
+    other = copy.copy(tmap)
+    other.cfg = integrator
+    return other

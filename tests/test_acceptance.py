@@ -56,11 +56,19 @@ def test_criterion_1_example_constants(example):
               f"omega={base.omega}, ell1={base.ell1}, {elapsed:.3f}s")
 
 
-def test_criterion_2_branch_slope(example):
-    sys, _, mel, tmap = example
+@pytest.fixture(scope="module")
+def ns_branch(example):
+    """The Neimark-Sacker ladder at mu0 = 0, solved once for criteria 2, 4
+    and 5, and the time it took."""
+    _, _, mel, tmap = example
     start = time.perf_counter()
-    branch = branch_continuation(mel, tmap, 0.0)
-    elapsed = time.perf_counter() - start
+    solved = branch_continuation(mel, tmap, 0.0)
+    return solved, time.perf_counter() - start
+
+
+def test_criterion_2_branch_slope(example, ns_branch):
+    sys, _, mel, tmap = example
+    branch, elapsed = ns_branch
     closed = printed_branch_constants(sys)
     xi1 = xi_slice(tmap, mel, 0.0)      # numeric (xi_1(0), xi_2(0)) slice
     slice_ok = (abs(xi1[0] - closed.xi1(0.0)) <= 1e-6
@@ -106,9 +114,8 @@ def test_criterion_3_melnikov_orders(example):
               ok, f"slopes1={slopes1}, slopes2={slopes2}, {elapsed:.1f}s")
 
 
-def test_criterion_4_normalization_match(example):
-    _, _, mel, tmap = example
-    je = jordan_expansion(tmap, mel, 0.0)
+def test_criterion_4_normalization_match(ns_branch):
+    je = jordan_expansion(ns_branch[0])
     two_pi = 2 * math.pi
     a1_err = float(np.max(np.abs(je.A1 - np.array([[0, -two_pi], [two_pi, 0]]))))
     a2_err = float(np.max(np.abs(je.A2 - np.diag([-2 * math.pi ** 2] * 2))))
@@ -117,17 +124,17 @@ def test_criterion_4_normalization_match(example):
               ok, f"A1 err {a1_err:.2e}, A2 err {a2_err:.2e}")
 
 
-def test_criterion_5_lyapunov_consistency(example):
+def test_criterion_5_lyapunov_consistency(example, ns_branch):
     _, _, mel, tmap = example
     target = -3 * math.pi / 4
     details = []
     ok = True
     for eps in (0.02, 0.04):
-        nm = normalized_map(tmap, unit_circle_point(tmap, mel, 0.0, eps))
-        value = lyapunov_coefficient_map(nm) / eps ** 2
+        nm = normalized_map(unit_circle_point(tmap, mel, 0.0, eps))
+        value = lyapunov_coefficient_map(tmap, nm) / eps ** 2
         details.append(f"eps={eps}: {value:.6f}")
         ok = ok and abs(value - target) <= 0.10 * abs(target) and value < 0
-    slices = lyapunov_slices(tmap, mel, 0.0)     # ND-hypothesis slices
+    slices = lyapunov_slices(tmap, ns_branch[0])     # ND-hypothesis slices
     ok = ok and abs(slices.l11) <= 1e-5 and abs(slices.l12 - target) <= 1e-2
     _announce("criterion 5 (ell1^eps/eps^2 within 10% of -3pi/4, sign mandatory)",
               ok, "; ".join(details) + f"; target {target:.6f}; "

@@ -287,3 +287,25 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     assert jet.B is None and jet.C is None
     assert abs(abs(lam) - 1.0) <= 1e-10
     assert np.max(np.abs(jet.value - xi)) <= 1e-10      # the jet is taken at xi
+
+
+@pytest.mark.parametrize("lowest", [0, 1])
+def test_ladder_fit_recovers_polynomial(lowest):
+    """The one fit helper interpolates: sum_k c_k e^(lowest + k) sampled on
+    any three consecutive rungs of the branch ladder gives c back to
+    rounding, as floats for scalars and componentwise for arrays.  lowest = 0
+    is the basis of mu1, the Jordan expansion and the xi slice, lowest = 1
+    that of the Lyapunov slices."""
+    ladder = averaging.BRANCH_LADDER
+    coeffs = [0.75, -3 * math.pi / 4, 41.5]
+    for start in range(len(ladder) - 2):
+        rungs = ladder[start:start + 3]
+        values = [sum(c * e ** (lowest + k) for k, c in enumerate(coeffs))
+                  for e in rungs]
+        fitted = averaging._ladder_fit(values, rungs, lowest)
+        assert all(type(c) is float for c in fitted)
+        assert fitted == pytest.approx(coeffs, rel=1e-9)
+        arrays = [np.array([v, -2.0 * v]) for v in values]
+        for got, c in zip(averaging._ladder_fit(arrays, rungs, lowest), coeffs):
+            assert got.shape == (2,)
+            assert got == pytest.approx([c, -2.0 * c], rel=1e-9)

@@ -208,31 +208,30 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     assert jets == []
 
 
-def test_branch_makes_one_jet3_per_normalized_point(tmp_path, monkeypatch):
-    """branch makes a degree-3 jet only where its tensors are read: one
-    jet3 per ladder point that normalized_map normalizes (the Lyapunov and
-    Jordan ladders), at that point's fixed point, and none elsewhere."""
-    points, jets, inside = [], [], [False]
-    normalize, jet3 = averaging.normalized_map, ThetaReturnMap.jet3
+def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
+    """branch solves each rung of its one ladder once (5 unit_circle_point
+    calls at 5 distinct eps) and makes a degree-3 jet only where its tensors
+    are read: 3 jet3 calls, at the xi, mu and eps of the three largest rungs
+    (the Lyapunov slices), and none elsewhere."""
+    points, jets = [], []
+    solve, jet3 = averaging.unit_circle_point, ThetaReturnMap.jet3
 
-    def counted_normalize(tmap, point):
-        points.append(point)
-        inside[0] = True
-        try:
-            return normalize(tmap, point)
-        finally:
-            inside[0] = False
+    def counted_solve(*args, **kwargs):
+        points.append(solve(*args, **kwargs))
+        return points[-1]
 
     def counted_jet3(tmap, x0, mu, eps):
-        jets.append((inside[0], tuple(x0), mu, eps))
+        jets.append((tuple(x0), mu, eps))
         return jet3(tmap, x0, mu, eps)
 
-    monkeypatch.setattr(averaging, "normalized_map", counted_normalize)
+    monkeypatch.setattr(averaging, "unit_circle_point", counted_solve)
     monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     assert main(["branch", "--input", doc, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert len(points) == len(averaging.LYAPUNOV_LADDER) + len(averaging.JORDAN_LADDER)
-    assert jets == [(True, tuple(p.xi), p.mu, p.eps) for p in points]
+    assert len(points) == 5
+    assert len({p.eps for p in points}) == 5
+    largest = sorted(points, key=lambda p: p.eps, reverse=True)[:3]
+    assert sorted(jets) == sorted((tuple(p.xi), p.mu, p.eps) for p in largest)
 
 
 def test_lift_command(tmp_path):

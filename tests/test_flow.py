@@ -109,9 +109,10 @@ def test_jet_jacobian_vs_variational_monodromy():
     x0 = np.array([1.4, 0.0])
     jet = tmap.jet3(x0, mu, eps)
 
+    cyl = field.bind(mu, eps).cylindrical
+
     def rhs(theta, state):
-        dr, dw = field.cylindrical(theta, state[0], state[1], mu, eps)
-        return np.array([dr, dw])
+        return np.array(cyl(theta, state[0], state[1]))
 
     def drhs(theta, state):
         return cylindrical_jacobian(field, theta, state[0], state[1], mu, eps)
@@ -166,7 +167,7 @@ def test_determinism_bit_identical():
 def test_trajectory_csv(tmp_path):
     traj = integrate(lambda t, s: [-s[1], s[0]], [1.0, 0.0], (0.0, 1.0))
     path = tmp_path / "traj.csv"
-    traj.write_csv(path, header=("t", "x", "y"))
+    traj.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,y"
     assert len(lines) == len(traj.t) + 1

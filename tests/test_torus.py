@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from torusforge.criteria import PerturbationFamily, validate_hopf_zero
+from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.torus import (
     CertifyConfig, NonMonotoneLift, TorusError, _normal_contraction, _probe,
-    fit_fourier_curve, rotation_number, winding_number,
+    _with_config, fit_fourier_curve, rotation_number, winding_number,
 )
 
 
@@ -130,3 +132,20 @@ def test_rotation_number_doubling_stability():
             pts[i] = xi
         orbits[n], _ = rotation_number(pts, tmap.center)
     assert abs(orbits[512] - orbits[1024]) <= 1e-4
+
+
+def test_certify_tolerances_share_the_compiled_field():
+    """The map certify_torus iterates at its own tolerances shares the
+    caller's RescaledField (slices and compiled field), and returns the same
+    point as a map built from scratch at those tolerances, bit for bit."""
+    sys = validate_hopf_zero("0", "y*z", "-x^2 + x*y + z^2")
+    fam = PerturbationFamily.simple(sys.beta)
+    tmap = ThetaReturnMap(sys, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
+    cfg = CertifyConfig().integrator
+    other = _with_config(tmap, cfg)
+    assert other.field is tmap.field and other.cfg == cfg
+    assert tmap.cfg == IntegratorConfig(atol=1e-13, rtol=1e-11)
+    assert _with_config(tmap, tmap.cfg) is tmap
+    x0 = np.array([1.4, 0.1])
+    fresh = ThetaReturnMap(sys, fam, cfg).point(x0, -0.2, 0.02)
+    assert other.point(x0, -0.2, 0.02).tobytes() == fresh.tobytes()

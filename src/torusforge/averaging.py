@@ -200,7 +200,6 @@ class StandardFormSystem:
     F2: Tuple[TrigPoly, TrigPoly]
     system: HopfZeroSystem
     family: PerturbationFamily
-    slices: Tuple[Tuple[Poly, Poly, Poly], ...]   # exact eps-graded field slices
 
 
 def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
@@ -257,7 +256,7 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFo
 
     F1 = (rdot1, wdot1)
     F2 = (rdot2 - rdot1 * a1, wdot2 - wdot1 * a1)
-    return StandardFormSystem(F1=F1, F2=F2, system=sys, family=fam, slices=slices)
+    return StandardFormSystem(F1=F1, F2=F2, system=sys, family=fam)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +285,11 @@ class MelnikovPair:
     @cached_property
     def _f2_eval(self):
         return tuple(p.evaluator() for p in self.f2_exact)
+
+    # Gamma and w_mu of the family, built once for averaged_equilibrium
+    @cached_property
+    def _perturbation_functions(self):
+        return perturbation_functions(self.std.system, self.std.family)
 
     def f1(self, x, mu) -> np.ndarray:
         r, w = x
@@ -327,9 +331,7 @@ class AveragedEquilibrium:
 
 
 def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
-    sys = mel.std.system
-    fam = mel.std.family
-    gamma_op, _, _, w_mu = perturbation_functions(sys, fam)
+    gamma_op, _, _, w_mu = mel._perturbation_functions
     gamma = gamma_op(mu)
     if gamma >= 0:
         raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
@@ -363,7 +365,7 @@ def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
     numeric = sorted(np.linalg.eigvals(J), key=lambda z: -z.imag)
     if max(abs(numeric[0] - lam[0]), abs(numeric[1] - lam[1])) > 1e-9 * max(1.0, abs(lam[0])):
         raise AveragingError("closed-form eigenvalues disagree with direct eigensolve")
-    omega = math.pi * math.sqrt(float(sys.omega)) * r
+    omega = math.pi * math.sqrt(float(mel.std.system.omega)) * r
     return AveragedEquilibrium(mu=mu, r=r, w=w, jacobian=J, eigenvalues=lam,
                                eta=eta, zeta=zeta, omega=omega, residual=residual)
 

@@ -8,16 +8,17 @@ factor, and issues a verdict.
 
 Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
 are far longer than the certification window; a probe phase first iterates
-a single seed until the orbit statistics settle (or collapse/escape), the
+the seed xi + (amp, 0) until the orbit statistics settle or it escapes, the
 32-seed ring is then planted on the located curve, and the prescribed
-discard/window protocol runs from there.
+discard/window protocol runs from there.  An escape (of the probe or the
+ring), or a probe settled on the fixed point xi, is no_torus.
 
-Stability direction: the source text states the torus is attracting for
-positive leading Lyapunov slice and repelling for negative, which is
-opposite to the usual Neimark-Sacker convention.  The certifier first
-iterates in the direction that statement implies, falls back to the other
-direction if the orbit collapses or escapes, and records both the assumed
-and the observed direction; a mismatch is flagged, not corrected away.
+Stability direction: the Neimark-Sacker curve has the opposite stability to
+xi, so the probe runs backward if and only if det D Pi(xi) = |lambda|^2 < 1,
+the direction in which xi repels.  The source text states the torus is
+attracting for positive leading Lyapunov slice and repelling for negative,
+opposite to the usual convention; the direction it implies is recorded next
+to the observed one, and a mismatch is flagged, not corrected away.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class FixedPointNotFound(TorusError):
     pass
 
 
-class IterationEscaped(TorusError):
-    pass
-
-
 class NonMonotoneLift(TorusError):
     pass
 
@@ -67,7 +64,6 @@ class CertifyConfig:
     fourier_max_order: int = 32
     fourier_improvement: float = 0.10
     escape_bound: float = 50.0
-    collapse_ratio: float = 2e-2
     kappa_probes: int = 16
     kappa_offset: float = 1e-3        # relative to mean curve radius
     residual_factor: float = 1e-3     # torus_found needs rms <= factor * radius
@@ -277,10 +273,10 @@ class TorusCertificate:
 
 
 def _probe(tmap, x0, mu, eps, reverse, cfg: CertifyConfig):
-    """Iterate one seed until the orbit settles, collapses, or escapes.
+    """Iterate one seed until the orbit statistics settle or the orbit escapes.
 
-    Returns (status, tail) with status in {'curve', 'collapse', 'escape'};
-    tail holds the last probe_check iterates.
+    Returns (status, tail) with status in {'curve', 'escape'}; tail holds
+    the last probe_check iterates (None on escape).
     """
     x = np.asarray(x0, dtype=float).copy()
     tail = np.zeros((cfg.probe_check, 2))
@@ -302,10 +298,6 @@ def _probe(tmap, x0, mu, eps, reverse, cfg: CertifyConfig):
         center = tail.mean(axis=0)
         rad = np.linalg.norm(tail - center, axis=1)
         stats = (center[0], center[1], rad.mean(), rad.max())
-        if rad.max() < cfg.collapse_ratio * max(1e-12, np.linalg.norm(x0 - center) + rad.max()):
-            return "collapse", tail.copy()
-        if rad.mean() < 1e-9:
-            return "collapse", tail.copy()
         if prev_stats is not None:
             scale = max(abs(v) for v in stats) + 1e-12
             drift = max(abs(a - b) for a, b in zip(stats, prev_stats)) / scale
@@ -336,7 +328,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
     tmap = _with_config(tmap, cfg.integrator)
 
     try:
-        xi, _ = _newton_fixed_point(tmap, mel, mu, eps)
+        xi, jet = _newton_fixed_point(tmap, mel, mu, eps)
     except (FlowError, AveragingError, np.linalg.LinAlgError) as exc:
         raise FixedPointNotFound(str(exc)) from exc
 
@@ -353,83 +345,83 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
     if dmu * lyapunov.ell1 >= 0:
         notes.append("parameters on the no-torus side of the bifurcation curve")
 
-    order = [paper_reversed, not paper_reversed]
-    collapse_seen = False           # else every direction escaped
-    for reverse in order:
-        seed = xi + np.array([amp, 0.0])
-        status, tail = _probe(tmap, seed, mu, eps, reverse, cfg)
-        if status == "escape":
-            continue
-        if status == "collapse" or _collapse_check(tail, xi, amp):
-            collapse_seen = True
-            continue
+    # the curve attracts in the time direction in which xi repels
+    A = jet.A
+    reverse = bool(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] < 1.0)
+    direction = "reversed" if reverse else "forward"
 
-        # ring of seeds on the located curve, then the discard/window protocol
-        probe_curve = fit_fourier_curve(tail, cfg.fourier_max_order,
-                                        cfg.fourier_improvement)
-        angles = np.linspace(0.0, 2 * np.pi, cfg.seeds, endpoint=False)
-        ring = probe_curve.point(angles)
-        X = ring.copy()
-        try:
-            for _ in range(cfg.transient):
-                X = tmap.points(X, mu, eps, reverse=reverse)
-                if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cfg.escape_bound:
-                    raise FlowError("ring escaped during transient")
-        except FlowError:
-            continue
-        n_per_seed = cfg.window // cfg.seeds
-        cloud = np.zeros((cfg.seeds * n_per_seed, 2))
-        lead_orbit = np.zeros((cfg.window, 2))
-        x_lead = X[0].copy()
-        for i in range(n_per_seed):
-            X = tmap.points(X, mu, eps, reverse=reverse)
-            cloud[i * cfg.seeds:(i + 1) * cfg.seeds] = X
-        for i in range(cfg.window):
-            x_lead = tmap.point(x_lead, mu, eps, reverse=reverse)
-            lead_orbit[i] = x_lead
-
-        curve = fit_fourier_curve(cloud, cfg.fourier_max_order,
-                                  cfg.fourier_improvement)
-        residual = curve.rms_residual
-        try:
-            rho, rho_unc = rotation_number(lead_orbit, curve.center)
-        except NonMonotoneLift:
-            rho, rho_unc = None, None
-            notes.append("rotation lift non-monotone on the fitted samples")
-
-        kappa_fwd = _normal_contraction(tmap, curve, mu, eps, reverse, cfg)
-        kappa_rev = _normal_contraction(tmap, curve, mu, eps, not reverse, cfg)
-        wind = winding_number(cloud, xi)
-        encloses = wind != 0
-
-        found = (residual <= cfg.residual_factor * curve.mean_radius
-                 and abs(wind) == 1)
-        nh = kappa_fwd is not None and abs(kappa_fwd - 1.0) >= cfg.hyperbolicity_margin
-        observed = "repelling" if reverse else "attracting"
-        mismatch = reverse != paper_reversed
-        if mismatch:
-            notes.append("observed stability direction contradicts the stated "
-                         "attracting/repelling rule; recorded as observed")
-        return TorusCertificate(
-            mu=mu, eps=eps,
-            verdict="torus_found" if found else "inconclusive",
-            reversed_time=reverse, paper_reversed_time=paper_reversed,
-            stability_mismatch=mismatch, observed_stability=observed,
-            curve=curve, curve_points=cloud, fit_residual=residual,
-            rotation=rho, rotation_uncertainty=rho_unc,
-            kappa=kappa_fwd, kappa_reversed=kappa_rev,
-            normally_hyperbolic=nh, winding=wind,
-            encloses_fixed_point=encloses, fixed_point=xi,
-            theta_eps=point.theta, notes=tuple(notes))
-
-    if collapse_seen:
-        notes.append("orbits spiral onto the fixed point; no invariant curve")
+    def no_torus(note):
+        notes.append(note)
         return TorusCertificate(
             mu=mu, eps=eps, verdict="no_torus",
             reversed_time=False, paper_reversed_time=paper_reversed,
             stability_mismatch=False, fixed_point=xi,
             theta_eps=point.theta, notes=tuple(notes))
-    raise IterationEscaped("iteration left the domain in both time directions")
+
+    status, tail = _probe(tmap, xi + np.array([amp, 0.0]), mu, eps, reverse, cfg)
+    if status == "escape":
+        return no_torus(f"the probe orbit escapes in {direction} time, in which "
+                        "the fixed point repels; no invariant curve")
+    if _collapse_check(tail, xi, amp):
+        return no_torus(f"the probe orbit settles onto the fixed point in "
+                        f"{direction} time; no invariant curve")
+
+    # ring of seeds on the located curve, then the discard/window protocol
+    probe_curve = fit_fourier_curve(tail, cfg.fourier_max_order,
+                                    cfg.fourier_improvement)
+    angles = np.linspace(0.0, 2 * np.pi, cfg.seeds, endpoint=False)
+    X = probe_curve.point(angles)
+    try:
+        for _ in range(cfg.transient):
+            X = tmap.points(X, mu, eps, reverse=reverse)
+            if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cfg.escape_bound:
+                raise FlowError("ring escaped during transient")
+    except FlowError:
+        return no_torus(f"the seed ring on the probe curve escapes in {direction} "
+                        "time during the transient; no invariant curve")
+    n_per_seed = cfg.window // cfg.seeds
+    cloud = np.zeros((cfg.seeds * n_per_seed, 2))
+    lead_orbit = np.zeros((cfg.window, 2))
+    x_lead = X[0].copy()
+    for i in range(n_per_seed):
+        X = tmap.points(X, mu, eps, reverse=reverse)
+        cloud[i * cfg.seeds:(i + 1) * cfg.seeds] = X
+    for i in range(cfg.window):
+        x_lead = tmap.point(x_lead, mu, eps, reverse=reverse)
+        lead_orbit[i] = x_lead
+
+    curve = fit_fourier_curve(cloud, cfg.fourier_max_order,
+                              cfg.fourier_improvement)
+    residual = curve.rms_residual
+    try:
+        rho, rho_unc = rotation_number(lead_orbit, curve.center)
+    except NonMonotoneLift:
+        rho, rho_unc = None, None
+        notes.append("rotation lift non-monotone on the fitted samples")
+
+    kappa_fwd = _normal_contraction(tmap, curve, mu, eps, reverse, cfg)
+    kappa_rev = _normal_contraction(tmap, curve, mu, eps, not reverse, cfg)
+    wind = winding_number(cloud, xi)
+
+    found = (residual <= cfg.residual_factor * curve.mean_radius
+             and abs(wind) == 1)
+    nh = kappa_fwd is not None and abs(kappa_fwd - 1.0) >= cfg.hyperbolicity_margin
+    mismatch = reverse != paper_reversed
+    if mismatch:
+        notes.append("observed stability direction contradicts the stated "
+                     "attracting/repelling rule; recorded as observed")
+    return TorusCertificate(
+        mu=mu, eps=eps,
+        verdict="torus_found" if found else "inconclusive",
+        reversed_time=reverse, paper_reversed_time=paper_reversed,
+        stability_mismatch=mismatch,
+        observed_stability="repelling" if reverse else "attracting",
+        curve=curve, curve_points=cloud, fit_residual=residual,
+        rotation=rho, rotation_uncertainty=rho_unc,
+        kappa=kappa_fwd, kappa_reversed=kappa_rev,
+        normally_hyperbolic=nh, winding=wind,
+        encloses_fixed_point=wind != 0, fixed_point=xi,
+        theta_eps=point.theta, notes=tuple(notes))
 
 
 def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,

@@ -6,7 +6,7 @@ import pytest
 
 from torusforge import averaging
 from torusforge.averaging import (
-    AveragingError, ComplexPairLost, averaged_equilibrium,
+    AveragingError, ComplexPairLost, averaged_equilibrium, eps_graded_slices,
     first_lyapunov_quantity, hypothesis_check, melnikov_pair,
     printed_branch_constants, to_standard_form,
 )
@@ -54,7 +54,7 @@ def test_standard_form_slices_and_periodicity():
     # no eps-free nonlinear terms survive the rescaling; the example is
     # exactly affine in eps, so only grades 0 and 1 appear (F2 then comes
     # entirely from the division by theta-dot)
-    assert len(std.slices) == 2
+    assert len(eps_graded_slices(sys, fam)) == 2
     samples = [(0.9, -0.3), (1.4, 0.2), (2.0, 0.5)]
     assert StandardForm(std).periodicity_residual(samples, mu=0.1) <= 1e-12
 

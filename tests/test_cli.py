@@ -9,6 +9,7 @@ import pytest
 
 import torusforge
 import torusforge.cli
+import torusforge.torus
 from torusforge import averaging
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.cli import (
@@ -181,10 +182,12 @@ def test_simulate_periods_out_of_range(tmp_path, capsys, periods):
 
 def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     """certify far on the no-torus side: verdict no_torus, no curve.csv, the
-    Neimark-Sacker point at the requested eps is solved exactly once, and no
-    degree-3 jet is made (Newton and the secant read only Pi and D Pi)."""
-    calls, jets = [], []
+    Neimark-Sacker point at the requested eps is solved exactly once, no
+    degree-3 jet is made (Newton and the secant read only Pi and D Pi), and
+    one probe runs, backward: xi attracts in forward time there."""
+    calls, jets, probes = [], [], []
     solve, jet3 = torusforge.cli.unit_circle_point, ThetaReturnMap.jet3
+    probe = torusforge.torus._probe
 
     def counted(*args, **kwargs):
         calls.append(args[3])
@@ -194,8 +197,13 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
         jets.append(args[1:])
         return jet3(*args)
 
+    def counted_probe(tmap, x0, mu, eps, reverse, cfg):
+        probes.append(reverse)
+        return probe(tmap, x0, mu, eps, reverse, cfg)
+
     monkeypatch.setattr(torusforge.cli, "unit_circle_point", counted)
     monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
+    monkeypatch.setattr(torusforge.torus, "_probe", counted_probe)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     rc = main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02", "--out", str(out)])
@@ -206,6 +214,7 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     assert not (out / "curve.csv").exists()
     assert calls == [0.02]
     assert jets == []
+    assert probes == [True]
 
 
 def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):

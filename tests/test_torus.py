@@ -6,8 +6,9 @@ import pytest
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.torus import (
-    CertifyConfig, NonMonotoneLift, TorusError, _normal_contraction, _probe,
-    _with_config, fit_fourier_curve, rotation_number, winding_number,
+    CertifyConfig, NonMonotoneLift, TorusError, _collapse_check,
+    _normal_contraction, _probe, _with_config, fit_fourier_curve,
+    rotation_number, winding_number,
 )
 
 
@@ -93,11 +94,13 @@ def test_probe_settles_on_synthetic_circle():
     assert abs(curve.mean_radius - tmap.rho0) <= 1e-4
 
 
-def test_probe_detects_collapse():
+def test_settled_contraction_is_a_collapse():
     tmap = _SyntheticMap(rho0=0.0, kappa=0.9)   # pure contraction to the center
     cfg = CertifyConfig(probe_check=400, probe_max=4000)
     status, tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False, cfg)
-    assert status == "collapse"
+    # the probe settles on the center; certify_torus reads that as no_torus
+    assert status == "curve"
+    assert _collapse_check(tail, tmap.center, 0.5)
 
 
 def test_probe_detects_escape():

@@ -213,11 +213,22 @@ def _integrator(doc) -> IntegratorConfig:
 
 
 def _params(doc, spec):
+    """(mu, eps), each from its flag or else from the document's
+    `parameters`, None where neither gives it.  NaN and inf are refused
+    before any work: downstream they end in misleading solver errors."""
     pars = doc.get("parameters", {})
-    mu = spec.mu if spec.mu is not None else pars.get("mu")
-    eps = spec.eps if spec.eps is not None else pars.get("eps")
-    return (None if mu is None else float(mu),
-            None if eps is None else float(eps))
+    out = []
+    for name, flag in (("mu", spec.mu), ("eps", spec.eps)):
+        value = flag if flag is not None else pars.get(name)
+        if value is not None:
+            try:
+                value = float(value)
+            except OverflowError:       # a JSON integer past the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise OutOfRange(f"{name} must be finite, got {value}")
+        out.append(value)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """Numeric integration of the rescaled system and its theta-return map.
 
 Every integration runs on `dopri45`, one Dormand-Prince 5(4) stepper with
-scipy RK45's tableau and step control: plain trajectories of the full 3D
-(rescaled) system, and the angular return theta: 0 -> 2 pi of the
-cylindrical standard-form variables (r, w), where theta plays the role of
-time and the return map needs no event detection.  A single seed is
-integrated on Python floats, a batch of seeds on one stacked (2, n) numpy
-array.  The step itself is straight-line code, generated once per state
-size and kind (floats or arrays) as `compile_terms` compiles a polynomial,
-and the field is one compiled function of (x, y, z) giving all three
-components.
+scipy RK45's tableau and step control, on a state of Python floats: plain
+trajectories of the full 3D (rescaled) system, and the angular return
+theta: 0 -> 2 pi of the cylindrical standard-form variables (r, w), where
+theta plays the role of time and the return map needs no event detection.
+Each seed of a return is its own integration.  The step itself is
+straight-line code, generated once per state size as `compile_terms`
+compiles a polynomial, and the field is one compiled function of
+(x, y, z) giving all three components.
 
 Derivatives of the theta-return map come from transporting them through
 the flow with the same stepper and the same field.  `jet1`, the value and
@@ -113,23 +112,16 @@ def _rms(values) -> float:
     return math.hypot(*values) / len(values) ** 0.5
 
 
-def _rms_arrays(values) -> float:
-    """The RMS over every entry of a list of arrays: the norm scipy's RK45
-    takes of the same entries stacked into one vector."""
-    return (math.sqrt(sum(float(np.vdot(v, v)) for v in values))
-            / sum(v.size for v in values) ** 0.5)
-
-
-def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol, norm) -> float:
+def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
     """scipy's select_initial_step (one RHS evaluation)."""
     interval = abs(t_end - t0)
     scale = [atol + abs(v) * rtol for v in y0]
-    d0 = norm([v / s for v, s in zip(y0, scale)])
-    d1 = norm([v / s for v, s in zip(f0, scale)])
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = rhs(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y0, f0)])
-    d2 = norm([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -143,9 +135,9 @@ _STAGES = (("_C2 * h", "A21"), ("_C3 * h", "A31 A32"), ("_C4 * h", "A41 A42 A43"
 
 
 @functools.lru_cache(maxsize=None)
-def _dp_step(n: int, arrays: bool) -> Callable:
-    """One Dormand-Prince step for a state of n components, floats or numpy
-    arrays, as straight-line code generated once per (n, arrays):
+def _dp_step(n: int) -> Callable:
+    """One Dormand-Prince step for a state of n floats, as straight-line
+    code generated once per n:
     step(rhs, t, h, y, k1, atol, rtol) -> (y_new, rhs(t + h, y_new),
     error_norm).  Each component is written out with its stage sums in
     tableau order, so it rounds as a loop over the components does."""
@@ -162,14 +154,13 @@ def _dp_step(n: int, arrays: bool) -> Callable:
         lines.append(f"    {each(f'_k{s}_#')}, = rhs(t + {c}, "
                      f"[{each(f'_y# + ({comb(weights)}) * h')}])")
     b = comb("B1 B3 B4 B5 B6")
-    err = f"({comb('E1 E3 E4 E5 E6 E7')}) * h / (atol + _bigger(abs(_y#), abs(_n#)) * rtol)"
+    err = f"({comb('E1 E3 E4 E5 E6 E7')}) * h / (atol + max(abs(_y#), abs(_n#)) * rtol)"
     lines += [f"    {each('_n#')}, = y_new = [{each(f'_y# + h * ({b})')}]",
               "    f_new = rhs(t + h, y_new)",
               f"    {each('_k7_#')}, = f_new",
-              f"    return y_new, f_new, _norm([{each(err)}])"]
-    # the tableau is read by name from this module's globals
-    namespace = dict(globals(), _bigger=np.maximum if arrays else max,
-                     _norm=_rms_arrays if arrays else _rms)
+              f"    return y_new, f_new, _rms([{each(err)}])"]
+    # the tableau and _rms are read by name from this module's globals
+    namespace = dict(globals())
     exec(compile("\n".join(lines) + "\n", f"<dopri45 step {n}>", "exec"), namespace)
     return namespace["step"]
 
@@ -179,28 +170,25 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     """The accepted steps of y' = rhs(t, y) from (t0, y0) to t_end: their
     times and states, from t0 to t_end, and the number of RHS evaluations.
 
-    The state is a list of components, either Python floats or, for a batch,
-    numpy arrays (one stacked array of every trajectory's coordinates), and
-    `rhs(t, y)` returns a sequence of the same kind.  Tableau and step control
-    are those of scipy's RK45 (initial step, RMS error norm over every entry
+    The state is a list of Python floats, and `rhs(t, y)` returns a
+    sequence of floats of the same length.  Tableau and step control are
+    those of scipy's RK45 (initial step, RMS error norm over the components
     with scale atol + max(|y|, |y_new|) rtol, safety 0.9, factors clamped to
     [0.2, 10] and to at most 1 after a rejection, the last step clipped to
-    t_end), so it takes the steps scipy's RK45 takes on the same entries
-    stacked into one vector, without numpy's per-call cost on a small float
-    state.  Each step is `_dp_step`'s straight-line code for the state's
-    size and kind.  Raises StepSizeUnderflow where RK45 fails with a step
-    below the float spacing, and on a NaN step size.
+    t_end), so it takes the steps scipy's RK45 takes on the same state,
+    without numpy's per-call cost on a small float state.  Each step is
+    `_dp_step`'s straight-line code for the state's size.  Raises
+    StepSizeUnderflow where RK45 fails with a step below the float spacing,
+    and on a NaN step size.
     """
     y = list(y0)
-    arrays = isinstance(y[0], np.ndarray)
-    step = _dp_step(len(y), arrays)
+    step = _dp_step(len(y))
     f = rhs(t0, y)
     ts, ys = [t0], [y]
     if t_end == t0:
         return ts, ys, 1
     direction = 1.0 if t_end > t0 else -1.0
-    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol,
-                          _rms_arrays if arrays else _rms)
+    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
     nfev = 2
     t = t0
     while direction * (t - t_end) < 0:
@@ -310,43 +298,25 @@ class ThetaReturnMap:
 
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
-        """Map a batch of (r, w) points through one return.
-
-        One `dopri45` integration for any batch size; the batch size chooses
-        how the RHS packs the state.  A single seed runs on Python floats
-        (no numpy per RHS evaluation), a batch on one (2, n) array (many
-        seeds cost about what one does).  A zero division or a non-finite
-        field value raises NonFiniteState; the step control would otherwise
-        shrink its step on NaN until it underflows."""
-        X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+        """Map each (r, w) row through one return, one `dopri45`
+        integration on Python floats per row.  A zero division or a
+        non-finite field value raises NonFiniteState; the step control would
+        otherwise shrink its step on NaN until it underflows."""
         t_end = -PERIOD if reverse else PERIOD
         cyl = self.field.bind(mu, eps).cylindrical
 
-        if len(X0) == 1:
-            y0 = X0[0].tolist()
+        def rhs(theta, state):
+            try:
+                dr, dw = cyl(theta, state[0], state[1])
+            except ZeroDivisionError as exc:
+                raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
+            if not (math.isfinite(dr) and math.isfinite(dw)):
+                raise NonFiniteState(f"return-map field non-finite at theta={theta}")
+            return dr, dw
 
-            def rhs(theta, state):
-                try:
-                    dr, dw = cyl(theta, state[0], state[1])
-                except ZeroDivisionError as exc:
-                    raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
-                if not (math.isfinite(dr) and math.isfinite(dw)):
-                    raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-                return dr, dw
-        else:
-            y0 = [X0.T.copy()]
-
-            def rhs(theta, state):
-                out = np.array(cyl(theta, *state[0]))
-                if not np.isfinite(out).all():
-                    raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-                return [out]
-
-        # a batch seed on the axis divides by r = 0 in numpy: no warning, the
-        # RHS check above raises
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, ys, _ = dopri45(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)
-        Y = np.array(ys[-1]).reshape(2, -1).T           # (n, 2) for either packing
+        rows = np.atleast_2d(np.asarray(X0, dtype=float)).tolist()
+        Y = np.array([dopri45(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)[1][-1]
+                      for y0 in rows])
         if not np.isfinite(Y).all():
             raise NonFiniteState("return map produced non-finite state")
         return Y

@@ -1,17 +1,17 @@
 """Certification of the bifurcated invariant torus by direct iteration.
 
 The torus of the 3D flow meets the angular section in a closed invariant
-curve of the return map.  Certification locates that curve by iteration,
-fits it with an adaptive Fourier series in the angle about its centroid,
-measures the rotation number (Birkhoff-weighted) and a normal contraction
-factor, and issues a verdict.
+curve of the return map.  Certification follows one orbit onto that curve,
+fits its iterates with an adaptive Fourier series in the angle about their
+centroid, measures the rotation number (Birkhoff-weighted) on the same
+iterates and a normal contraction factor, and issues a verdict.
 
 Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
-are far longer than the certification window; a probe phase first iterates
-the seed xi + (amp, 0) until the orbit statistics settle or it escapes, the
-32-seed ring is then planted on the located curve, and the prescribed
-discard/window protocol runs from there.  An escape (of the probe or the
-ring), or a probe settled on the fixed point xi, is no_torus.
+are long; a probe phase first iterates the seed xi + (amp, 0) until the
+orbit statistics settle or it escapes.  The settled probe orbit then goes
+on for `transient` more returns, and its next `window` iterates are the
+certificate's samples.  An escape, before or after the probe settles, or a
+probe settled on the fixed point xi, is no_torus.
 
 Stability direction: the Neimark-Sacker curve has the opposite stability to
 xi, so the probe runs backward if and only if det D Pi(xi) = |lambda|^2 < 1,
@@ -56,9 +56,8 @@ class DegenerateParameter(TorusError):
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    seeds: int = 32
     transient: int = 500
-    window: int = 2048
+    window: int = 2048                # iterates of the one sampled orbit
     probe_max: int = 6000
     probe_check: int = 500
     fourier_max_order: int = 32
@@ -272,28 +271,38 @@ class TorusCertificate:
                 writer.writerow([i, repr(float(r)), repr(float(w))])
 
 
+def _iterate(tmap, x, mu, eps, reverse, cfg: CertifyConfig, out: np.ndarray) -> bool:
+    """Write the next len(out) iterates of x into out.  False when the orbit
+    escapes on the way: a non-finite iterate, one beyond escape_bound, one
+    with r <= 1e-3, or a failed integration."""
+    for i in range(len(out)):
+        try:
+            x = tmap.point(x, mu, eps, reverse=reverse)
+        except FlowError:
+            # integration breakdown (e.g. the r -> 0 coordinate
+            # singularity): the orbit left the map's domain
+            return False
+        if (not np.all(np.isfinite(x)) or np.max(np.abs(x)) > cfg.escape_bound
+                or x[0] <= 1e-3):
+            return False
+        out[i] = x
+    return True
+
+
 def _probe(tmap, x0, mu, eps, reverse, cfg: CertifyConfig):
     """Iterate one seed until the orbit statistics settle or the orbit escapes.
 
     Returns (status, tail) with status in {'curve', 'escape'}; tail holds
     the last probe_check iterates (None on escape).
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     tail = np.zeros((cfg.probe_check, 2))
     prev_stats = None
     steps = 0
     while steps < cfg.probe_max:
-        for i in range(cfg.probe_check):
-            try:
-                x = tmap.point(x, mu, eps, reverse=reverse)
-            except FlowError:
-                # integration breakdown (e.g. the r -> 0 coordinate
-                # singularity): the orbit left the map's domain
-                return "escape", None
-            if (not np.all(np.isfinite(x)) or np.max(np.abs(x)) > cfg.escape_bound
-                    or x[0] <= 1e-3):
-                return "escape", None
-            tail[i] = x
+        if not _iterate(tmap, x, mu, eps, reverse, cfg, tail):
+            return "escape", None
+        x = tail[-1].copy()
         steps += cfg.probe_check
         center = tail.mean(axis=0)
         rad = np.linalg.norm(tail - center, axis=1)
@@ -366,42 +375,25 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         return no_torus(f"the probe orbit settles onto the fixed point in "
                         f"{direction} time; no invariant curve")
 
-    # ring of seeds on the located curve, then the discard/window protocol
-    probe_curve = fit_fourier_curve(tail, cfg.fourier_max_order,
-                                    cfg.fourier_improvement)
-    angles = np.linspace(0.0, 2 * np.pi, cfg.seeds, endpoint=False)
-    X = probe_curve.point(angles)
-    try:
-        for _ in range(cfg.transient):
-            X = tmap.points(X, mu, eps, reverse=reverse)
-            if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cfg.escape_bound:
-                raise FlowError("ring escaped during transient")
-    except FlowError:
-        return no_torus(f"the seed ring on the probe curve escapes in {direction} "
-                        "time during the transient; no invariant curve")
-    n_per_seed = cfg.window // cfg.seeds
-    cloud = np.zeros((cfg.seeds * n_per_seed, 2))
-    lead_orbit = np.zeros((cfg.window, 2))
-    x_lead = X[0].copy()
-    for i in range(n_per_seed):
-        X = tmap.points(X, mu, eps, reverse=reverse)
-        cloud[i * cfg.seeds:(i + 1) * cfg.seeds] = X
-    for i in range(cfg.window):
-        x_lead = tmap.point(x_lead, mu, eps, reverse=reverse)
-        lead_orbit[i] = x_lead
+    # the probe orbit goes on: a transient, then the window of samples
+    orbit = np.zeros((cfg.transient + cfg.window, 2))
+    if not _iterate(tmap, tail[-1], mu, eps, reverse, cfg, orbit):
+        return no_torus(f"the probe orbit escapes in {direction} time after it "
+                        "settled; no invariant curve")
+    samples = orbit[cfg.transient:]
 
-    curve = fit_fourier_curve(cloud, cfg.fourier_max_order,
+    curve = fit_fourier_curve(samples, cfg.fourier_max_order,
                               cfg.fourier_improvement)
     residual = curve.rms_residual
     try:
-        rho, rho_unc = rotation_number(lead_orbit, curve.center)
+        rho, rho_unc = rotation_number(samples, curve.center)
     except NonMonotoneLift:
         rho, rho_unc = None, None
         notes.append("rotation lift non-monotone on the fitted samples")
 
     kappa_fwd = _normal_contraction(tmap, curve, mu, eps, reverse, cfg)
     kappa_rev = _normal_contraction(tmap, curve, mu, eps, not reverse, cfg)
-    wind = winding_number(cloud, xi)
+    wind = winding_number(samples, xi)
 
     found = (residual <= cfg.residual_factor * curve.mean_radius
              and abs(wind) == 1)
@@ -416,7 +408,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         reversed_time=reverse, paper_reversed_time=paper_reversed,
         stability_mismatch=mismatch,
         observed_stability="repelling" if reverse else "attracting",
-        curve=curve, curve_points=cloud, fit_residual=residual,
+        curve=curve, curve_points=samples, fit_residual=residual,
         rotation=rho, rotation_uncertainty=rho_unc,
         kappa=kappa_fwd, kappa_reversed=kappa_rev,
         normally_hyperbolic=nh, winding=wind,

@@ -139,16 +139,12 @@ def dopri45_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     components: the oracle of the generated straight-line step, which must
     return the same times, states and RHS count bit for bit."""
     y = list(y0)
-    if isinstance(y[0], np.ndarray):
-        bigger, norm = np.maximum, flow._rms_arrays
-    else:
-        bigger, norm = max, flow._rms
     f = rhs(t0, y)
     ts, ys = [t0], [y]
     if t_end == t0:
         return ts, ys, 1
     direction = 1.0 if t_end > t0 else -1.0
-    h_abs = flow._initial_step(rhs, t0, y, f, t_end, direction, atol, rtol, norm)
+    h_abs = flow._initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
     nfev = 2
     t = t0
     while direction * (t - t_end) < 0:
@@ -181,9 +177,9 @@ def dopri45_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             f_new = rhs(t + h, y_new)
             nfev += 6
 
-            error_norm = norm([
+            error_norm = flow._rms([
                 (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) * h
-                / (atol + bigger(abs(v), abs(vn)) * rtol)
+                / (atol + max(abs(v), abs(vn)) * rtol)
                 for v, vn, a, c, d, e, g, k
                 in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])
             if error_norm < 1:

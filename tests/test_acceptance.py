@@ -22,7 +22,7 @@ from torusforge.criteria import (
 from torusforge.fieldexpr import Poly, jet_extract
 from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.lift import build_lift_family, tune_lift_parameters, _jitter_nonlinear
-from torusforge.torus import CertifyConfig, certify_torus
+from torusforge.torus import CertifyConfig, _with_config, certify_torus
 
 from oracles import f1_quadrature, jet_product
 
@@ -169,17 +169,24 @@ def test_criterion_6_torus_certification(certification):
                   f"{elapsed:.1f}s")
 
 
-def test_criterion_6_certificate_invariants(certification):
+def test_criterion_6_certificate_invariants(example, certification):
     found, _, _ = certification
     product = found.kappa * found.kappa_reversed
+    # the samples are one orbit: each is the return of the one before it
+    tmap = _with_config(example[3], CertifyConfig().integrator)
+    one_orbit = all(
+        tmap.point(found.curve_points[i], 0.05, 0.05, reverse=found.reversed_time).tobytes()
+        == found.curve_points[i + 1].tobytes()
+        for i in (0, 1, 1000, len(found.curve_points) - 2))
     ok = (abs(product - 1.0) <= 0.10
           and found.encloses_fixed_point
           and found.rotation_uncertainty <= 1e-4
-          and found.kappa < 1.0)
+          and found.kappa < 1.0
+          and one_orbit)
     _announce("criterion 6b (kappa_fwd*kappa_rev = 1 within 10%; curve encloses "
-              "fixed point; rotation stable)",
+              "fixed point; rotation stable; samples are one orbit)",
               ok, f"kappa={found.kappa:.5f}, product={product:.4f}, "
-                  f"unc={found.rotation_uncertainty:.2e}")
+                  f"unc={found.rotation_uncertainty:.2e}, one_orbit={one_orbit}")
 
 
 def test_criterion_7_degree_lift_identities():
@@ -304,8 +311,7 @@ def test_lift_then_certify_demo():
     mu_t = mu_c - dmu * (1 if res.ell1 > 0 else -1)
     assert (mu_t - mu_c) * res.ell1 < 0          # torus side
 
-    cfg = CertifyConfig(seeds=16, transient=300, window=1024, probe_max=4000,
-                        probe_check=400,
+    cfg = CertifyConfig(transient=300, window=1024, probe_max=4000, probe_check=400,
                         integrator=IntegratorConfig(atol=1e-9, rtol=1e-7))
     cert = certify_torus(tmap, mu_t, point, mel, res, cfg=cfg)
     ok = (cert.verdict == "torus_found" and cert.winding == 1

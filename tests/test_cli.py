@@ -180,6 +180,26 @@ def test_simulate_periods_out_of_range(tmp_path, capsys, periods):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command, flags, parameters, report", [
+    ("certify", ["--eps=nan"], {"mu": 0.05, "eps": 0.05}, "certificate.json"),
+    ("certify", ["--mu=inf"], {"mu": 0.05, "eps": 0.05}, "certificate.json"),
+    ("certify", [], {"mu": math.nan, "eps": 0.05}, "certificate.json"),
+    ("simulate", ["--eps=-inf"], {"mu": 0.05, "eps": 0.05}, "trajectory.csv"),
+    ("simulate", [], {"mu": 0.05, "eps": 10 ** 400}, "trajectory.csv"),
+])
+def test_non_finite_parameter_rejected(tmp_path, capsys, command, flags, parameters,
+                                       report):
+    """NaN or inf mu or eps, from a flag or from the document (json reads
+    NaN, and an integer past the float range), is an OutOfRange error before
+    any work, not a solver failure downstream."""
+    path = _write_doc(tmp_path, dict(EXAMPLE_DOC, parameters=parameters, periods=1))
+    out = tmp_path / "out"
+    assert main([command, "--input", path, "--out", str(out)] + flags) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutOfRange" and "finite" in err["message"]
+    assert not (out / report).exists()
+
+
 def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     """certify far on the no-torus side: verdict no_torus, no curve.csv, the
     Neimark-Sacker point at the requested eps is solved exactly once, no

@@ -5,9 +5,12 @@ is represented exactly, as `TrigPoly`s: `fieldexpr.Poly`s over
 (u, r, w, mu, t) with Gaussian-rational (`CFrac`) coefficients, where
 u = e^{i theta} carries the angular dependence in the complex Fourier basis,
 r may have negative exponents and t = theta appears only in the
-antiderivative of F1.  Both Melnikov functions then come out as `PiPoly`s,
-Polys over (r, w, mu, pi) with rational coefficients, and the first Lyapunov
-quantity is obtained from them by a short complex series computation.
+antiderivative of F1.  A `CFrac` is one integer triple (a, b, d) with value
+(a + b i) / d, so the hot products and sums of the reduction are Python int
+arithmetic with one gcd per result.  Both Melnikov functions then come out
+as `PiPoly`s, Polys over (r, w, mu, pi) with rational coefficients, and the
+first Lyapunov quantity is obtained from them by a short complex series
+computation.
 """
 
 from __future__ import annotations
@@ -55,42 +58,100 @@ class StrongResonance(AveragingError):
 # exact scalars: Gaussian rationals
 # ---------------------------------------------------------------------------
 
-class CFrac:
-    """Complex number with exact Fraction parts."""
+def _cfrac(a: int, b: int, d: int) -> "CFrac":
+    """The CFrac (a + b i) / d for d > 0, reduced by one gcd."""
+    g = math.gcd(a, b, d)
+    z = object.__new__(CFrac)
+    if g == 1:
+        z.a, z.b, z.d = a, b, d
+    else:
+        z.a, z.b, z.d = a // g, b // g, d // g
+    return z
 
-    __slots__ = ("re", "im")
+
+def _scalar(q) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction scalar."""
+    if isinstance(q, int):
+        return q, 1
+    return q.numerator, q.denominator
+
+
+class CFrac:
+    """Gaussian rational (a + b i) / d, stored as three Python ints with
+    d > 0 and gcd(a, b, d) == 1, so equal values have equal fields.
+
+    `+`, `-`, `*` and `/` take another CFrac or an int or Fraction scalar;
+    each forms the integer products of the result over one denominator and
+    reduces it by one 3-argument gcd (Henrici, JACM 3, 1956; Knuth, TAOCP
+    vol. 2, 4.5.1).  The parts are read as Fractions through `re` and `im`.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        a, b = re.numerator * im.denominator, im.numerator * re.denominator
+        d = re.denominator * im.denominator
+        g = math.gcd(a, b, d)
+        self.a, self.b, self.d = a // g, b // g, d // g
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return CFrac(self.re + other.re, self.im + other.im)
+        if isinstance(other, CFrac):
+            d1, d2 = self.d, other.d
+            if d1 == d2:
+                return _cfrac(self.a + other.a, self.b + other.b, d1)
+            return _cfrac(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
+        n, m = _scalar(other)
+        return _cfrac(self.a * m + n * self.d, self.b * m, self.d * m)
 
     def __sub__(self, other):
-        return CFrac(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, CFrac):
-            return CFrac(self.re * other.re - self.im * other.im,
-                         self.re * other.im + self.im * other.re)
-        return CFrac(self.re * other, self.im * other)
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            return _cfrac(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+        n, m = _scalar(other)
+        return _cfrac(self.a * n, self.b * n, self.d * m)
 
     def __truediv__(self, other):
         if isinstance(other, CFrac):
-            n = other.re * other.re + other.im * other.im
-            return CFrac((self.re * other.re + self.im * other.im) / n,
-                         (self.im * other.re - self.re * other.im) / n)
-        return CFrac(self.re / other, self.im / other)
+            # (a1 + b1 i)/d1 * d2/(a2 + b2 i) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 |a2 + b2 i|^2)
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            n = a2 * a2 + b2 * b2
+            if not n:
+                raise ZeroDivisionError("CFrac division by zero")
+            d2 = other.d
+            return _cfrac((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n)
+        n, m = _scalar(other)
+        if not n:
+            raise ZeroDivisionError("CFrac division by zero")
+        if n < 0:
+            n, m = -n, -m
+        return _cfrac(self.a * m, self.b * m, self.d * n)
 
     def __neg__(self):
-        return CFrac(-self.re, -self.im)
+        z = object.__new__(CFrac)
+        z.a, z.b, z.d = -self.a, -self.b, self.d
+        return z
 
     def __eq__(self, other):
-        return isinstance(other, CFrac) and self.re == other.re and self.im == other.im
+        return (isinstance(other, CFrac) and self.a == other.a and self.b == other.b
+                and self.d == other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.a or self.b)
 
     def __complex__(self):
         return complex(self.re, self.im)

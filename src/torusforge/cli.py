@@ -13,7 +13,7 @@ The input document is one self-contained JSON experiment:
       "parameters": {"mu": 0.05, "eps": 0.05},
       "tolerances": {"atol": 1e-12, "rtol": 1e-10},
       "ball": {"center": [0, 0, 0], "radius": 1.0},
-      "lift": {"L_values": ["1", "2"], "delta_values": ["1/4", "1/16"]},
+      "lift": {"L_values": ["1", "2", "4"], "delta_values": ["1/4", "1/16", "1/64"]},
       "periods": 50
     }
 
@@ -54,7 +54,9 @@ from .criteria import (
 )
 from .fieldexpr import FieldExprError, as_poly, format_poly
 from .flow import IntegratorConfig, RescaledField, ThetaReturnMap, integrate
-from .lift import Ball, find_separating_plane, translate_to_origin, tune_lift_parameters
+from .lift import (
+    Ball, find_separating_plane, lift_samples, translate_to_origin, tune_lift_parameters,
+)
 from .torus import certify_torus
 
 EXIT_OK = 0
@@ -212,6 +214,36 @@ def _integrator(doc) -> IntegratorConfig:
                             rtol=float(tols.get("rtol", 1e-10)))
 
 
+# a rational in text: an integer, a decimal or integer/integer; no exponent,
+# which would let a short string such as "1e999999999" ask for a huge power
+_RATIONAL = re.compile(r"\s*[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)\s*")
+
+
+def _rational(value) -> Optional[Fraction]:
+    """A JSON number or a rational in text as a Fraction; None for any
+    other text, a zero denominator, NaN or inf."""
+    if not (_number(value) or _RATIONAL.fullmatch(value)):
+        return None
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+def _lift_samples(lift_doc: dict, key: str, squares: bool = False):
+    """The grid `lift.<key>` as checked rationals, None when the document
+    does not give it: a value that is no rational (such as "1/0") is a
+    DocumentError, too few distinct values or a delta that is no positive
+    rational square a LiftError, before any lift work."""
+    if key not in lift_doc:
+        return None
+    values = [_rational(v) for v in lift_doc[key]]
+    if None in values:
+        raise DocumentError(f"lift.{key} must be rationals with nonzero "
+                            f"denominators, got {lift_doc[key]!r}")
+    return lift_samples(key, values, squares)
+
+
 def _params(doc, spec):
     """(mu, eps), each from its flag or else from the document's
     `parameters`, None where neither gives it.  NaN and inf are refused
@@ -346,16 +378,14 @@ def cmd_certify(spec: RunSpec) -> int:
 def cmd_lift(spec: RunSpec) -> int:
     doc = _document(spec)
     seed_field = tuple(as_poly(doc["system"][c]) for c in "PQR")
+    lift_doc = doc.get("lift", {})
+    L_values = _lift_samples(lift_doc, "L_values")
+    delta_values = _lift_samples(lift_doc, "delta_values", squares=True)
     ball_doc = doc.get("ball", {"center": [0.0, 0.0, 0.0], "radius": 1.0})
     ball = Ball(tuple(float(v) for v in ball_doc["center"]),
                 float(ball_doc["radius"]))
     plane = find_separating_plane(seed_field, ball, seed=spec.seed)
     translated = translate_to_origin(plane.field, plane.point)
-    lift_doc = doc.get("lift", {})
-    L_values = [Fraction(v) for v in lift_doc["L_values"]] \
-        if "L_values" in lift_doc else None
-    delta_values = [Fraction(v) for v in lift_doc["delta_values"]] \
-        if "delta_values" in lift_doc else None
     tuning = tune_lift_parameters(translated, L_values, delta_values,
                                   seed=spec.seed)
     fam = tuning.family

@@ -424,13 +424,19 @@ class Poly:
     def substitute(self, bindings: Dict[str, "Poly"]) -> "Poly":
         """Substitute polynomials (or ring values wrapped as Poly) for variables."""
         cls = type(self)
+        powers: Dict[Tuple[str, int], "Poly"] = {}     # each power formed once
         result = cls()
         for m, c in self.terms.items():
             term = cls.constant(c)
             for name, e in zip(self.NAMES, m):
                 if e:
-                    repl = bindings.get(name, cls.variable(name))
-                    term = term * repl.power(e)
+                    power = powers.get((name, e))
+                    if power is None:
+                        repl = bindings.get(name)
+                        if repl is None:
+                            repl = cls.variable(name)
+                        power = powers[(name, e)] = repl.power(e)
+                    term = term * power
             result = result + term
         return result
 

@@ -66,13 +66,14 @@ class Trajectory:
     states: np.ndarray            # shape (n, dim)
 
     def write_csv(self, path):
-        """One row per accepted step: t, then x, y(, z) of the state."""
+        """One row per accepted step: t, then x, y(, z) of the state; the
+        csv module writes each float as its repr."""
         import csv
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", *"xyz"[:self.states.shape[1]]])
-            for ti, row in zip(self.t, self.states):
-                writer.writerow([repr(float(ti))] + [repr(float(v)) for v in row])
+            writer.writerows([ti, *row] for ti, row in zip(self.t.tolist(),
+                                                           self.states.tolist()))
 
 
 def integrate(field: Callable, state0, t_span,

@@ -27,6 +27,7 @@ from .criteria import (
 from .fieldexpr import Poly, as_poly
 
 MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
+_UNIT_MONOMIALS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))   # x, y, z
 
 
 class LiftError(ValueError):
@@ -306,9 +307,8 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     lin3 = X.scale(a0) + Y.scale(b0)
     lifted = (lin1 * polys[0], lin2 * polys[1], lin3 * polys[2])
 
-    J = [[lifted[i].derivative(v).eval(x=Fraction(0), y=Fraction(0), z=Fraction(0),
-                                       mu=Fraction(0), eps=Fraction(0))
-          for v in ("x", "y", "z")] for i in range(3)]
+    # the Jacobian at the origin: the coefficients of x, y and z
+    J = [[p.terms.get(mono, 0) for mono in _UNIT_MONOMIALS] for p in lifted]
     # char poly -l^3 + t l^2 - s l + d with t = trace, s = 2nd invariant, d = det
     t = J[0][0] + J[1][1] + J[2][2]
     s = (J[0][0] * J[1][1] - J[0][1] * J[1][0]
@@ -423,6 +423,23 @@ def printed_A_limit(seed_field) -> Fraction:
     return 2 * R0 * R0 * (Q0 * Pz - P0 * Qz) ** 2 / (P0 * P0)
 
 
+def lift_samples(name: str, values: Sequence, squares: bool = False) -> List[Fraction]:
+    """The distinct rationals of the tuning grid `name`, in their first order.
+
+    Each exact fit reads three samples, so a grid needs at least three
+    distinct values; with `squares` (the delta grid) every sample must be a
+    positive rational square, so that the normalization stays exact.
+    Raises LiftError otherwise."""
+    samples = list(dict.fromkeys(Fraction(v) for v in values))
+    if len(samples) < 3:
+        raise LiftError(f"{name} needs at least three distinct values, got {len(samples)}")
+    if squares:
+        for dv in samples:
+            if dv <= 0 or _rational_sqrt(dv) is None:
+                raise LiftError(f"delta sample {dv} is not a positive rational square")
+    return samples
+
+
 def tune_lift_parameters(seed_field,
                          L_values: Optional[Sequence[Fraction]] = None,
                          delta_values: Optional[Sequence[Fraction]] = None,
@@ -431,13 +448,10 @@ def tune_lift_parameters(seed_field,
     on square-delta samples, pick the smallest grid L with A(L) > 0 and the
     largest admissible delta, and run the criteria on the tuned system."""
     polys = tuple(as_poly(c) for c in seed_field)
-    if L_values is None:
-        L_values = [Fraction(2) ** k for k in range(0, 7)]
-    if delta_values is None:
-        delta_values = [Fraction(1, 4 ** k) for k in range(1, 7)]
-    for dv in delta_values:
-        if _rational_sqrt(Fraction(dv)) is None:
-            raise LiftError(f"delta sample {dv} is not a rational square")
+    L_values = lift_samples("L_values", [Fraction(2) ** k for k in range(0, 7)]
+                            if L_values is None else L_values)
+    delta_values = lift_samples("delta_values", [Fraction(1, 4 ** k) for k in range(1, 7)]
+                                if delta_values is None else delta_values, squares=True)
 
     # Omega(L, delta) is quadratic in delta (A + delta*B, B linear in delta):
     # three small square deltas give the exact delta-expansion at each L

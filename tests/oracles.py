@@ -7,7 +7,8 @@ Gauss-Legendre quadrature of the standard form.  The integrations here stay
 on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
 stepper; `dopri45_loop` is that stepper with one list comprehension per
 stage, the bitwise oracle of its generated step.  The last section holds
-small helpers only the tests call.
+small helpers only the tests call, and `FractionCFrac`, the Fraction-pair
+Gaussian rational that checks `averaging.CFrac`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -468,3 +470,47 @@ def jet_product(a: Jet3, b: Jet3) -> Jet3:
                 out[idx] = (out.get(idx, 0)
                             + v1 / factorial3(i1) * (v2 / factorial3(i2)))
     return Jet3({idx: c * factorial3(idx) for idx, c in out.items()})
+
+
+class FractionCFrac:
+    """Gaussian rational as a pair of Fractions: the representation
+    `averaging.CFrac` had before it moved to one integer triple, kept as the
+    reference for its arithmetic."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return FractionCFrac(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionCFrac(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionCFrac):
+            return FractionCFrac(self.re * other.re - self.im * other.im,
+                                 self.re * other.im + self.im * other.re)
+        return FractionCFrac(self.re * other, self.im * other)
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionCFrac):
+            n = other.re * other.re + other.im * other.im
+            return FractionCFrac((self.re * other.re + self.im * other.im) / n,
+                                 (self.im * other.re - self.re * other.im) / n)
+        return FractionCFrac(self.re / other, self.im / other)
+
+    def __neg__(self):
+        return FractionCFrac(-self.re, -self.im)
+
+    def __eq__(self, other):
+        return (isinstance(other, FractionCFrac) and self.re == other.re
+                and self.im == other.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(self.re, self.im)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from torusforge import averaging
 from torusforge.averaging import (
-    AveragingError, ComplexPairLost, averaged_equilibrium, eps_graded_slices,
+    AveragingError, CFrac, ComplexPairLost, averaged_equilibrium, eps_graded_slices,
     first_lyapunov_quantity, hypothesis_check, melnikov_pair,
     printed_branch_constants, to_standard_form,
 )
@@ -129,6 +130,133 @@ def test_zero_mean_integrand_gives_zero_f1():
     fam = PerturbationFamily.simple(beta=1)
     mel = melnikov_pair(to_standard_form(sys, fam))
     assert (0, 2, 0, 1) not in mel.f1_exact[0].terms  # no r^0 w^2 term survives
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle of the exact layer: the standard form by differentiation of
+# the cylindrical quotient in eps, both Melnikov functions by integration
+# ---------------------------------------------------------------------------
+
+def _sympy_linear_trig(sp, expr):
+    """expr with every product and power of sines and cosines turned into a
+    sum of sin(k theta) and cos(k theta) (sympy's TR8, to a fixed point)."""
+    from sympy.simplify.fu import TR8
+    expr = sp.expand(expr)
+    while True:
+        linear = sp.expand(TR8(expr))
+        if linear == expr:
+            return expr
+        expr = linear
+
+
+def _sympy_of(sp, p, symbols):
+    """A Poly or PiPoly as a sympy expression in `symbols`."""
+    return sp.Add(*[sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*[v ** e for v, e in zip(symbols, m)])
+                    for m, c in p.terms.items()])
+
+
+def _sympy_standard_form(sp, sys, fam, r, w, theta):
+    """((F1_r, F2_r), (F1_w, F2_w)) of the rescaled field in the cylindrical
+    coordinates x = r cos theta, y = r sin theta, z = w with theta as time:
+    the eps and eps^2 Taylor coefficients of (r', w') / theta'."""
+    x, y, z, mu, eps = sp.symbols("x y z mu eps")
+    xyz = (x, y, z, mu, eps)
+    comps = (-y + _sympy_of(sp, sys.P, xyz) + eps * _sympy_of(sp, fam.U, xyz),
+             x + _sympy_of(sp, sys.Q, xyz) + eps * _sympy_of(sp, fam.V, xyz),
+             _sympy_of(sp, sys.R, xyz) + eps * _sympy_of(sp, fam.W, xyz))
+    cyl = {x: eps * r * sp.cos(theta), y: eps * r * sp.sin(theta), z: eps * w}
+    X, Y, Z = (sp.expand(c.subs(cyl, simultaneous=True) / eps) for c in comps)
+    rdot = sp.cos(theta) * X + sp.sin(theta) * Y
+    thetadot = _sympy_linear_trig(sp, (sp.cos(theta) * Y - sp.sin(theta) * X) / r)
+    out = []
+    for num in (rdot, Z):
+        dG = sp.diff(num / thetadot, eps)
+        out.append((_sympy_linear_trig(sp, dG.subs(eps, 0)),
+                    _sympy_linear_trig(sp, sp.diff(dG, eps).subs(eps, 0) / 2)))
+    return tuple(out)
+
+
+def _sympy_fourier(sp, expr, r, w, mu, theta):
+    """{(kind, k, r exp, w exp, mu exp): Fraction} of a sum of terms
+    c r^a w^b mu^c times 1, cos(k theta) or sin(k theta), k > 0."""
+    out = {}
+    for term in sp.Add.make_args(expr):
+        coeff, rest = term.as_coeff_Mul()
+        kind, k, mono = "1", 0, [0, 0, 0]
+        for factor in sp.Mul.make_args(rest):
+            base, e = factor.as_base_exp()
+            if base in (r, w, mu):
+                mono[(r, w, mu).index(base)] += int(e)
+            elif isinstance(base, (sp.cos, sp.sin)) and e == 1:
+                kind = "cos" if isinstance(base, sp.cos) else "sin"
+                k = int(base.args[0] / theta)
+                if k < 0:
+                    k, coeff = -k, coeff if kind == "cos" else -coeff
+            elif factor != 1:
+                raise AssertionError(f"not a linear trig polynomial: {factor}")
+        key = (kind, k, *mono)
+        out[key] = out.get(key, 0) + coeff
+    return {key: Fraction(int(c.p), int(c.q)) for key, c in out.items() if c != 0}
+
+
+def _trig_fourier(F):
+    """The same table of a t-free TrigPoly: u^m = cos(m theta) + i sin(m
+    theta), and the imaginary parts cancel."""
+    acc = {}
+    for (m, a, b, c, t), z in F.terms.items():
+        assert t == 0
+        parts = ([("1", 0, z)] if m == 0 else
+                 [("cos", abs(m), z), ("sin", abs(m), z * CFrac(0, 1 if m > 0 else -1))])
+        for kind, k, v in parts:
+            key = (kind, k, a, b, c)
+            acc[key] = acc[key] + v if key in acc else v
+    assert not any(v.im for v in acc.values())
+    return {key: v.re for key, v in acc.items() if v}
+
+
+def _random_hopf_zero(rng):
+    """A small Hopf-Zero system with R200 + R020 != 0: two quadratic or cubic
+    terms per component, small rational coefficients."""
+    monomials = ["x^2", "x*y", "y^2", "x*z", "y*z", "z^2", "x^3", "y*z^2", "x*y*z"]
+    while True:
+        comps = [" + ".join(f"{rng.choice([-3, -2, -1, 1, 2, 3])}/{rng.randint(1, 3)}*{m}"
+                            for m in rng.sample(monomials, 2)) for _ in range(3)]
+        sys = validate_hopf_zero(*comps)
+        if sys.quadratic_sum != 0:
+            return sys
+
+
+def test_exact_layer_matches_sympy():
+    """On small random Hopf-Zero fields, with the simple family and with a
+    family in mu and eps, to_standard_form's F1 and F2 agree coefficient for
+    coefficient with sympy's differentiation of the cylindrical quotient and
+    its trigonometric expansion, and melnikov_pair's f1_exact and f2_exact
+    with sympy's integrate over [0, 2 pi] (f2 through the antiderivative of
+    F1 from 0 to theta)."""
+    sp = pytest.importorskip("sympy")
+    r, w, mu, theta, s = sp.symbols("r w mu theta s")
+    rng = random.Random(20261018)
+    general = PerturbationFamily.from_expressions("mu*x + eps*y", "x*z",
+                                                  "mu*z + 1/2*eps + eps*x^2")
+    for trial in range(3):
+        sys = _random_hopf_zero(rng)
+        fam = PerturbationFamily.simple(sys.beta) if trial != 1 else general
+        std = to_standard_form(sys, fam)
+        mel = melnikov_pair(std)
+        ref = _sympy_standard_form(sp, sys, fam, r, w, theta)
+        for F1, F2, (F1_ref, F2_ref) in zip(std.F1, std.F2, ref):
+            assert _trig_fourier(F1) == _sympy_fourier(sp, F1_ref, r, w, mu, theta)
+            assert _trig_fourier(F2) == _sympy_fourier(sp, F2_ref, r, w, mu, theta)
+        Phi = [sp.integrate(F1_ref.subs(theta, s), (s, 0, theta))
+               for F1_ref, _ in ref]
+        for i, (F1_ref, F2_ref) in enumerate(ref):
+            integrand = _sympy_linear_trig(
+                sp, F2_ref + sp.diff(F1_ref, r) * Phi[0] + sp.diff(F1_ref, w) * Phi[1])
+            for exact, f in ((mel.f1_exact[i], F1_ref), (mel.f2_exact[i], integrand)):
+                value = sp.expand(sp.integrate(f, (theta, 0, 2 * sp.pi)))
+                mine = sp.expand(_sympy_of(sp, exact, (r, w, mu, sp.pi)))
+                assert value.as_coefficients_dict() == mine.as_coefficients_dict()
 
 
 def test_equilibrium_example_mu0():

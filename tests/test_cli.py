@@ -306,6 +306,45 @@ def test_malformed_document_is_typed_error(tmp_path, capsys, command, doc):
     assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
 
 
+@pytest.mark.parametrize("lift, error", [
+    ({"L_values": ["1/0", "2", "4"]}, "DocumentError"),
+    ({"delta_values": ["1/4", "1/0", "1/16"]}, "DocumentError"),
+    ({"L_values": ["one", "2", "4"]}, "DocumentError"),
+    ({"L_values": ["1e999999999", "2", "4"]}, "DocumentError"),
+    ({"L_values": [math.nan, "2", "4"]}, "DocumentError"),
+    ({"delta_values": ["1/4", "1/16", "1/16"]}, "LiftError"),
+    ({"L_values": ["1", "2"]}, "LiftError"),
+    ({"L_values": [1, 1.0, "2/2", "2"]}, "LiftError"),
+    ({"delta_values": ["1/4", "1/16", "1/8"]}, "LiftError"),
+    ({"delta_values": ["0", "1/4", "1/16"]}, "LiftError"),
+    ({"delta_values": ["-1/4", "1/4", "1/16"]}, "LiftError"),
+])
+def test_bad_lift_grid_is_typed_error(tmp_path, capsys, lift, error):
+    """A lift grid value that is no rational, a grid of fewer than three
+    distinct values or a delta that is no positive rational square ends in a
+    typed error JSON and exit 1: "1/0" and repeated values ended in a
+    ZeroDivisionError traceback, two values in an untyped ValueError."""
+    path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "lift": lift})
+    out = tmp_path / "out"
+    assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
+    assert json.loads((out / "lift_error.json").read_text())["error"] == error
+    assert not (out / "lift.json").exists()
+
+
+def test_repeated_lift_grid_values_are_read_once(tmp_path):
+    """Repeated values in a grid with three distinct ones give the report of
+    the distinct grid."""
+    reports = []
+    for deltas in (["1/4", "1/16", "1/16", "1/64"], ["1/4", "1/16", "1/64"]):
+        path = _write_doc(tmp_path, {"system": LIFT_SYSTEM,
+                                     "lift": {"delta_values": deltas}})
+        out = tmp_path / f"out{len(deltas)}"
+        assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads((out / "lift.json").read_text())["lift"])
+    assert reports[0] == reports[1]
+
+
 def test_bad_tolerance_rejected(tmp_path, capsys):
     doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, tolerances={"atol": -1}))
     assert main(["simulate", "--input", doc, "--out", str(tmp_path)]) == EXIT_ERROR

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -5,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusforge.averaging import CFrac, PiPoly, TrigPoly
+from torusforge.averaging import TRIG_COS, CFrac, PiPoly, TrigPoly
 from torusforge.fieldexpr import (
     MAX_DEGREE, MAX_NESTING, VARIABLES, ExpressionTooLarge, FieldExprError,
     FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, UnboundSymbolError,
     format_poly, jet_extract, parse_field,
 )
 
-from oracles import degree_report, evaluate_field, jet_product, poly_to_float
+from oracles import (
+    FractionCFrac, degree_report, evaluate_field, jet_product, poly_to_float,
+)
 
 
 def test_parse_basic_degree():
@@ -233,6 +236,85 @@ def test_poly_classes_never_compare_equal(t, p):
     assert TrigPoly(t.terms) != Poly(t.terms) and Poly(t.terms) != TrigPoly(t.terms)
     assert PiPoly(p.terms) != Poly(p.terms)
     assert TrigPoly() != Poly() != PiPoly()
+
+
+# Gaussian rationals against the Fraction-pair reference
+cfracs = st.builds(CFrac, coefficients, coefficients)
+ints = st.integers(-30, 30)
+
+
+def _as_reference(z: CFrac) -> FractionCFrac:
+    return FractionCFrac(z.re, z.im)
+
+
+def _assert_matches(got, want: FractionCFrac):
+    """got is the CFrac of want's value, in lowest terms with d > 0."""
+    assert type(got) is CFrac
+    assert (got.re, got.im) == (want.re, want.im)
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    same = CFrac(want.re, want.im)
+    assert got == same and hash(got) == hash(same)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfracs, st.one_of(cfracs, coefficients, ints))
+def test_cfrac_matches_fraction_pair_reference(x, y):
+    """+, -, * and / by a CFrac, a Fraction or an int agree with the
+    Fraction-pair reference; a scalar is added as the real CFrac it is."""
+    rx = _as_reference(x)
+    ry = _as_reference(y) if isinstance(y, CFrac) else y
+    ry_complex = ry if isinstance(y, CFrac) else FractionCFrac(y)
+    _assert_matches(x + y, rx + ry_complex)
+    _assert_matches(x - y, rx - ry_complex)
+    _assert_matches(x * y, rx * ry)
+    _assert_matches(-x, -rx)
+    assert bool(x) == bool(rx) and complex(x) == complex(rx)
+    if y:
+        _assert_matches(x / y, rx / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+def test_cfrac_division_by_zero_raises():
+    for zero in (CFrac(), CFrac(0, 0), Fraction(0), 0):
+        with pytest.raises(ZeroDivisionError):
+            CFrac(1, 2) / zero
+    with pytest.raises(ZeroDivisionError):
+        CFrac() / CFrac()
+
+
+@settings(max_examples=60, deadline=None)
+@given(trig_polys, trig_polys)
+def test_equal_trig_polys_hash_equal(a, b):
+    """TrigPolys are hashable, and equal ones built by different routes hash
+    equal: their CFrac coefficients are in lowest terms."""
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    scaled = a.scale(CFrac(2, 0)).scale(Fraction(1, 2))
+    assert scaled == a and hash(scaled) == hash(a)
+    assert hash(TRIG_COS) == hash(TrigPoly(dict(reversed(TRIG_COS.terms.items()))))
+
+
+# substitution: Fraction Polys over (x, y, z, mu, eps) with exponents up to
+# 3, so terms share powers; bindings for some of x, y, z
+sub_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 5), coefficients,
+                            max_size=6).map(Poly)
+binding_polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 5), coefficients,
+                                max_size=3).map(Poly)
+points = st.fixed_dictionaries({v: st.fractions(min_value=-3, max_value=3,
+                                                max_denominator=5) for v in VARIABLES})
+
+
+@settings(max_examples=100, deadline=None)
+@given(sub_polys, st.dictionaries(st.sampled_from(("x", "y", "z")), binding_polys),
+       points)
+def test_substitute_agrees_with_evaluation(p, bindings, point):
+    """p.substitute(b) at a point equals p at the bindings' values there; an
+    unbound variable keeps its own value."""
+    values = {v: bindings[v].eval(**point) if v in bindings else point[v]
+              for v in VARIABLES}
+    assert p.substitute(bindings).eval(**point) == p.eval(**values)
 
 
 def _random_poly3(rng) -> Poly:

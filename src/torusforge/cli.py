@@ -17,8 +17,9 @@ The input document is one self-contained JSON experiment:
       "periods": 50
     }
 
-`--grid` lies in [1, MAX_GRID] and `periods` (simulate) in (0, MAX_PERIODS],
-so no input asks for unbounded work.
+`--grid` lies in [1, MAX_GRID], `periods` (simulate) in (0, MAX_PERIODS]
+and each `lift` grid holds at most MAX_LIFT_SAMPLES values, so no input asks
+for unbounded work.
 
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; floats are serialized with 17 significant digits and keys are
@@ -65,6 +66,7 @@ EXIT_NOT_APPLICABLE = 2
 
 MAX_GRID = 200          # melnikov writes grid^2 rows
 MAX_PERIODS = 1000      # simulate keeps every accepted step in memory
+MAX_LIFT_SAMPLES = 64   # lift samples Omega three times per L value
 
 
 class UsageError(ValueError):
@@ -232,11 +234,15 @@ def _rational(value) -> Optional[Fraction]:
 
 def _lift_samples(lift_doc: dict, key: str, squares: bool = False):
     """The grid `lift.<key>` as checked rationals, None when the document
-    does not give it: a value that is no rational (such as "1/0") is a
-    DocumentError, too few distinct values or a delta that is no positive
-    rational square a LiftError, before any lift work."""
+    does not give it: more than MAX_LIFT_SAMPLES values is an OutOfRange
+    error, a value that is no rational (such as "1/0") a DocumentError, too
+    few distinct values or a delta that is no positive rational square a
+    LiftError, before any lift work."""
     if key not in lift_doc:
         return None
+    if len(lift_doc[key]) > MAX_LIFT_SAMPLES:
+        raise OutOfRange(f"lift.{key} holds at most {MAX_LIFT_SAMPLES} values, "
+                         f"got {len(lift_doc[key])}")
     values = [_rational(v) for v in lift_doc[key]]
     if None in values:
         raise DocumentError(f"lift.{key} must be rationals with nonzero "

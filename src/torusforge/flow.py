@@ -66,14 +66,14 @@ class Trajectory:
     states: np.ndarray            # shape (n, dim)
 
     def write_csv(self, path):
-        """One row per accepted step: t, then x, y(, z) of the state; the
-        csv module writes each float as its repr."""
-        import csv
+        """One row per accepted step: t, then x, y(, z) of the state, each
+        float as its repr and each line ended by "\\r\\n", the bytes the csv
+        module writes; rows are formatted as they are written."""
+        names = ["t", *"xyz"[:self.states.shape[1]]]
+        row = (",".join(["{!r}"] * len(names)) + "\r\n").format
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", *"xyz"[:self.states.shape[1]]])
-            writer.writerows([ti, *row] for ti, row in zip(self.t.tolist(),
-                                                           self.states.tolist()))
+            fh.write(",".join(names) + "\r\n")
+            fh.writelines(map(row, self.t.tolist(), *self.states.T.tolist()))
 
 
 def integrate(field: Callable, state0, t_span,

@@ -10,6 +10,11 @@ All lift algebra is exact: (L, delta) are rationals and the tuning grid
 uses perfect-square deltas so the Jordanizing change of variables (which
 carries sqrt(delta)) stays inside the rationals and the lifted system can
 round-trip through the expression grammar.
+
+Tuning samples Omega of the normalized lift on a grid of (L, delta).  Each
+sample is read from the seed's value and gradient at the point (the
+`OriginJet`) by 3x3 rational algebra; only the tuned (L*, delta*) is built
+as a whole `Poly` system.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .criteria import (
     CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report,
@@ -27,6 +32,7 @@ from .criteria import (
 from .fieldexpr import Poly, as_poly
 
 MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
+_CONSTANT = (0, 0, 0, 0, 0)
 _UNIT_MONOMIALS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))   # x, y, z
 
 
@@ -397,29 +403,80 @@ class LiftTuning:
     delta_linearity_residual: float
 
 
-def omega_of_lift(seed_field, L, delta) -> Fraction:
-    """Omega of the normalized lift X_{L, delta}.
-
-    Omega reads only the quadratic part of the normalized lift: lin_i times
-    the part of seed_i of degree <= 1 in (x, y, z), conjugated by an M that
-    depends only on the seed at the origin.  So the lift of the seed's 1-jet
-    has the same Omega, for a fraction of the substitution work."""
-    jet1 = tuple(Poly({m: c for m, c in as_poly(p).terms.items()
-                       if m[0] + m[1] + m[2] <= 1}) for p in seed_field)
-    fam = build_lift_family(jet1, L, delta)
-    if fam.system is None:
-        raise LiftError(f"normalization failed at L={L}, delta={delta}")
-    return fam.system.omega
+class OriginJet(NamedTuple):
+    """The seed (P, Q, R) at the origin: all that Omega of its lift reads."""
+    value: Tuple[Fraction, Fraction, Fraction]                  # P0, Q0, R0
+    gradient: Tuple[Tuple[Fraction, Fraction, Fraction], ...]   # (d/dx, d/dy, d/dz) of each
 
 
-def printed_A_limit(seed_field) -> Fraction:
-    """The stated limit of A(L)/L^2 for the translated seed field."""
+def origin_jet(seed_field) -> OriginJet:
+    """Value and (x, y, z) gradient of each seed component at the origin: its
+    constant and linear coefficients.  A seed that depends on mu or eps is a
+    LiftError: its lift could not be a Hopf-Zero system."""
     polys = tuple(as_poly(c) for c in seed_field)
-    P0 = _eval_at(polys[0], (0, 0, 0))
-    Q0 = _eval_at(polys[1], (0, 0, 0))
-    R0 = _eval_at(polys[2], (0, 0, 0))
-    Pz = _eval_at(polys[0].derivative("z"), (0, 0, 0))
-    Qz = _eval_at(polys[1].derivative("z"), (0, 0, 0))
+    if any(m[3] or m[4] for p in polys for m in p.terms):
+        raise LiftError("the seed field must not depend on mu or eps")
+    return OriginJet(
+        tuple(p.terms.get(_CONSTANT, Fraction(0)) for p in polys),
+        tuple(tuple(p.terms.get(m, Fraction(0)) for m in _UNIT_MONOMIALS)
+              for p in polys))
+
+
+def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
+    """Omega of the normalized lift X_{L, delta}, read from the seed's value
+    and gradient at the point (`origin_jet`) with no polynomial work.
+
+    The order-2 part of lifted component i is lin_i(x) (grad_i . x).  Under
+    x = M u its Hessian is H_i = a_i b_i^T + b_i a_i^T with a_i = M^T lin_i
+    and b_i = M^T grad_i, and the normalized Hessians are
+    (1/sqrt(delta)) sum_j Minv[i][j] H_j, so
+    Omega = -(H_P[x,z] + H_Q[y,z]) (H_R[x,x] + H_R[y,y]) is a few rational
+    products.  Equal to Omega of `build_lift_family(seed, L, delta).system`
+    for every delta that is a positive rational square."""
+    P0, Q0, _ = jet.value
+    if P0 == 0 or Q0 == 0:
+        raise ZeroComponentAtP(f"P(0) = {P0}, Q(0) = {Q0}; both must be nonzero")
+    L, delta = Fraction(L), Fraction(delta)
+    sqrt_delta = _rational_sqrt(delta)
+    if not sqrt_delta:
+        raise LiftError(f"normalization failed at L={L}, delta={delta}")
+    return _lift_omega(jet, L, delta, sqrt_delta)
+
+
+def _lift_omega(jet, L, delta, sd):
+    """omega_of_lift on checked arguments, sd = sqrt(delta); plain field
+    arithmetic, so it also runs on symbols."""
+    (P0, Q0, R0), grads = jet
+    # M = [[1, 0, 0], [m10, m11, 0], [m20, m21, 1]] of build_lift_family and
+    # the rows (n10, n11, 0), (n20, n21, 1) of its inverse; row 0 is (1, 0, 0)
+    m10 = (L * delta + P0 * Q0) / (P0 * P0)
+    m11 = sd / (P0 * P0)
+    m20 = R0 / P0
+    m21 = -L * sd * R0 / P0
+    n10, n11, n21 = -m10 / m11, 1 / m11, -m21 / m11
+    n20 = -m20 - m10 * n21
+    # the (x, y) coefficients of lin_1, lin_2, lin_3 (their z coefficient is 0)
+    lins = ((Q0 + delta * L / P0, -P0),
+            (Q0 + delta * (1 + 2 * P0 * Q0 * L + L * L * delta) / (P0 * P0 * Q0),
+             -P0 - delta * L / Q0),
+            (Q0, -P0))
+    a = [(lx + m10 * ly, m11 * ly) for lx, ly in lins]             # M^T lin_i
+    b = [(gx + m10 * gy + m20 * gz, m11 * gy + m21 * gz)            # M^T grad_i
+         for gx, gy, gz in grads]                                  # (z entry: gz)
+    # H_i[x,z] = a_i[x] gz_i, H_i[y,z] = a_i[y] gz_i and, as a_i[z] = 0,
+    # H_i[x,x] + H_i[y,y] = 2 (a_i[x] b_i[x] + a_i[y] b_i[y])
+    gz = [g[2] for g in grads]
+    divergence_pair = (a[0][0] * gz[0] + n10 * a[0][1] * gz[0]
+                       + n11 * a[1][1] * gz[1]) / sd
+    traces = [ax * bx + ay * by for (ax, ay), (bx, by) in zip(a, b)]
+    quadratic_sum = 2 * (n20 * traces[0] + n21 * traces[1] + traces[2]) / sd
+    return -divergence_pair * quadratic_sum
+
+
+def printed_A_limit(jet: OriginJet) -> Fraction:
+    """The stated limit of A(L)/L^2 for the translated seed field, read from
+    its `origin_jet`."""
+    (P0, Q0, R0), ((_, _, Pz), (_, _, Qz), _) = jet
     return 2 * R0 * R0 * (Q0 * Pz - P0 * Qz) ** 2 / (P0 * P0)
 
 
@@ -446,8 +503,13 @@ def tune_lift_parameters(seed_field,
                          seed: int = 0) -> LiftTuning:
     """Recover A(L), B(L, delta) by exact interpolation of Omega(L, delta)
     on square-delta samples, pick the smallest grid L with A(L) > 0 and the
-    largest admissible delta, and run the criteria on the tuned system."""
+    largest admissible delta, and run the criteria on the tuned system.
+
+    The seed's value and gradient at the point are read once; every Omega
+    sample comes from them (`omega_of_lift`), and only the tuned family is
+    built as a `Poly` system."""
     polys = tuple(as_poly(c) for c in seed_field)
+    jet = origin_jet(polys)
     L_values = lift_samples("L_values", [Fraction(2) ** k for k in range(0, 7)]
                             if L_values is None else L_values)
     delta_values = lift_samples("delta_values", [Fraction(1, 4 ** k) for k in range(1, 7)]
@@ -461,7 +523,7 @@ def tune_lift_parameters(seed_field,
     for Lv in L_values:
         vals = []
         for dv in probe_deltas:
-            om = omega_of_lift(polys, Lv, dv)
+            om = omega_of_lift(jet, Lv, dv)
             omega_samples[(Fraction(Lv), Fraction(dv))] = om
             vals.append((Fraction(dv), om))
         A_of_L[Fraction(Lv)] = _quadratic_coeffs(vals)[0]
@@ -526,7 +588,7 @@ def tune_lift_parameters(seed_field,
                       report=report, tuned_system=tuned_system,
                       ell1_jitter=jitter_mag,
                       A_coeffs=(c0, c1, c2), A_limit=c2,
-                      A_limit_printed=printed_A_limit(polys),
+                      A_limit_printed=printed_A_limit(jet),
                       delta_linearity_residual=lin_residual)
 
 

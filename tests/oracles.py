@@ -6,7 +6,9 @@ equation, finite differences, complex-step differentiation and plain
 Gauss-Legendre quadrature of the standard form.  The integrations here stay
 on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
 stepper; `dopri45_loop` is that stepper with one list comprehension per
-stage, the bitwise oracle of its generated step.  The last section holds
+stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
+reads Omega of a degree lift off the whole normalized `Poly` system, the
+reference for the closed form `lift.omega_of_lift`.  The last section holds
 small helpers only the tests call, and `FractionCFrac`, the Fraction-pair
 Gaussian rational that checks `averaging.CFrac`.
 """
@@ -34,6 +36,7 @@ from torusforge.flow import (
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
+from torusforge.lift import LiftError, build_lift_family
 
 EVENT_RESIDUAL = 1e-12
 TANGENCY_SPEED = 1e-8
@@ -409,6 +412,25 @@ def _f2_fixed_panels(sf: StandardForm, x, mu, n_panels, n_gauss=12):
         pvals = np.stack([sf.F1(mid + half * s, x, mu) for s in nodes])
         cumulative += half * (weights[:, None] * pvals).sum(axis=0)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Omega of a degree lift, from the lifted polynomial system
+# ---------------------------------------------------------------------------
+
+def omega_of_lift_family(seed_field, L, delta) -> Fraction:
+    """Omega of the normalized lift X_{L, delta}, built as polynomials.
+
+    Omega reads only the quadratic part of the normalized lift: lin_i times
+    the part of seed_i of degree <= 1 in (x, y, z), conjugated by an M that
+    depends only on the seed at the origin.  So this lifts the seed's 1-jet
+    with `build_lift_family` and reads Omega off its validated system."""
+    jet1 = tuple(Poly({m: c for m, c in as_poly(p).terms.items()
+                       if m[0] + m[1] + m[2] <= 1}) for p in seed_field)
+    fam = build_lift_family(jet1, L, delta)
+    if fam.system is None:
+        raise LiftError(f"normalization failed at L={L}, delta={delta}")
+    return fam.system.omega
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import torusforge.torus
 from torusforge import averaging
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.cli import (
-    EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_PERIODS, main,
+    EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_LIFT_SAMPLES, MAX_PERIODS,
+    main,
 )
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import MAX_NESTING
@@ -277,6 +279,17 @@ def test_lift_command(tmp_path):
     assert report["criteria"]["applicable"] is True
     text = (out / "lifted_system.txt").read_text()
     assert "P = " in text and "X1 = " in text
+    # the bytes of both reports as the polynomial route of Omega wrote them
+    assert _sha256(out / "lift.json") == LIFT_JSON_SHA256
+    assert _sha256(out / "lifted_system.txt") == LIFTED_SYSTEM_SHA256
+
+
+LIFT_JSON_SHA256 = "3feb953748712f8235e869661e09fb7d1cf45bc63bce38b000af45fc1b77c1b9"
+LIFTED_SYSTEM_SHA256 = "03bf9484e693ab0f3acf0a9b26c67e5fa7926aee586630cbb421f516e32af943"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_missing_input_is_error(tmp_path):
@@ -318,18 +331,33 @@ def test_malformed_document_is_typed_error(tmp_path, capsys, command, doc):
     ({"delta_values": ["1/4", "1/16", "1/8"]}, "LiftError"),
     ({"delta_values": ["0", "1/4", "1/16"]}, "LiftError"),
     ({"delta_values": ["-1/4", "1/4", "1/16"]}, "LiftError"),
+    ({"L_values": [str(k + 1) for k in range(MAX_LIFT_SAMPLES + 1)]}, "OutOfRange"),
+    ({"delta_values": [f"1/{(k + 2) ** 2}" for k in range(MAX_LIFT_SAMPLES + 1)]},
+     "OutOfRange"),
 ])
-def test_bad_lift_grid_is_typed_error(tmp_path, capsys, lift, error):
+def test_bad_lift_grid_is_typed_error(tmp_path, capsys, monkeypatch, lift, error):
     """A lift grid value that is no rational, a grid of fewer than three
-    distinct values or a delta that is no positive rational square ends in a
-    typed error JSON and exit 1: "1/0" and repeated values ended in a
-    ZeroDivisionError traceback, two values in an untyped ValueError."""
+    distinct values or of more than MAX_LIFT_SAMPLES, or a delta that is no
+    positive rational square ends in a typed error JSON and exit 1 before
+    any lift work: "1/0" and repeated values ended in a ZeroDivisionError
+    traceback, two values in an untyped ValueError."""
+    def no_lift_work(*args, **kwargs):
+        raise AssertionError("lift work started")
+    monkeypatch.setattr(torusforge.cli, "find_separating_plane", no_lift_work)
+    monkeypatch.setattr(torusforge.cli, "tune_lift_parameters", no_lift_work)
     path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "lift": lift})
     out = tmp_path / "out"
     assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
     assert json.loads((out / "lift_error.json").read_text())["error"] == error
     assert not (out / "lift.json").exists()
+
+
+def test_lift_grid_at_the_cap_runs(tmp_path):
+    """A grid of MAX_LIFT_SAMPLES values is within the cap."""
+    values = [str(k + 1) for k in range(MAX_LIFT_SAMPLES)]
+    path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "lift": {"L_values": values}})
+    assert main(["lift", "--input", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_repeated_lift_grid_values_are_read_once(tmp_path):

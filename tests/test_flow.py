@@ -11,8 +11,8 @@ from torusforge.averaging import PERIOD, melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import (
     _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
-    NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap, dopri45,
-    integrate,
+    NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap, Trajectory,
+    dopri45, integrate,
 )
 
 from oracles import (
@@ -171,6 +171,26 @@ def test_trajectory_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,y"
     assert len(lines) == len(traj.t) + 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trajectory_csv_bytes_match_csv_module(tmp_path, dim):
+    """write_csv writes the bytes of csv.writer on the same rows, signed
+    zero, the smallest subnormal and large exponents included."""
+    import csv
+    values = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-17, 1.0 / 3.0]
+    t = np.array([0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
+    states = np.array([[values[(i + j) % len(values)] for j in range(dim)]
+                       for i in range(len(t))])
+    path = tmp_path / "traj.csv"
+    Trajectory(t=t, states=states).write_csv(path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *"xyz"[:dim]])
+        writer.writerows([ti, *row] for ti, row in zip(t.tolist(), states.tolist()))
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-0.0" in ref.read_bytes() and b"5e-324" in ref.read_bytes()
 
 
 def test_jet2_arithmetic():

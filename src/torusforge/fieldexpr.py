@@ -4,7 +4,9 @@ Expressions are parsed straight to a Poly: a sparse multivariate
 polynomial with exact `Fraction` coefficients, expanded as the parser goes.
 `format_poly` prints a Poly back in the grammar.  All jet (Taylor-coefficient)
 extraction happens on the polynomial form and is exact for rational input;
-`compile_terms` is the one route from exact coefficients to floats.
+`terms_source` is the one route from exact coefficients to floats: it
+writes the straight-line code that `compile_terms` compiles and that
+`flow`'s 3D right-hand side inlines.
 
 Poly is the one sparse exact polynomial type.  Its variables are the class
 attribute `NAMES`, (x, y, z, mu, eps) here; the averaging layer subclasses
@@ -478,24 +480,25 @@ class Poly:
 # the numeric boundary: exact terms -> straight-line evaluator
 # ---------------------------------------------------------------------------
 
-def compile_terms(terms: Union[Mapping[Tuple[int, ...], Union[float, complex]],
-                                Sequence[Mapping[Tuple[int, ...], Union[float, complex]]]],
-                  names: Sequence[str]) -> Callable:
-    """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
-    of the named variables; the one place where exact terms become numbers.
+Terms = Mapping[Tuple[int, ...], Union[float, complex]]
 
-    `terms` maps exponent tuples (one exponent per name; negative exponents
-    allowed) to float or complex coefficients.  A sequence of such maps
-    compiles to one function that returns the tuple of their sums, each
-    power shared by every map.  Each power is computed once, by repeated
-    multiplication (and 1.0 / v for negative exponents), and the terms of a
-    map are summed in its order, so each sum rounds as the map compiled
-    alone does.  Only +, * and that division are used, so Python floats,
-    complex numbers, numpy arrays and Jet2 values all evaluate.  Zero
-    coefficients are dropped; a map with no terms evaluates to 0.0.
-    Coefficients are bound by name, never printed into the source.
+
+def terms_source(maps: Sequence[Terms], names: Sequence[str]
+                 ) -> Tuple[List[str], List[str], Dict[str, object]]:
+    """The straight-line code of sum_k c_k prod_i names[i]^e_ki for each map:
+    (lines, results, namespace).  `lines` are statements that bind locals
+    named `_p...` (powers) and `_s<k>` (sums), `results` holds one
+    expression per map (its sum's local, or "0.0" for a map with no terms),
+    and `namespace` binds the coefficient names `_c<k>_<n>`.
+
+    Each map sends exponent tuples (one exponent per name; negative
+    exponents allowed) to float or complex coefficients.  Each power is
+    computed once for all maps, by repeated multiplication (and 1.0 / v for
+    negative exponents), and the terms of a map are summed in its order, so
+    each sum rounds as the map alone does.  Only +, * and that division
+    are used.  Zero coefficients are dropped.  Coefficients are bound by
+    name, never printed into the source.
     """
-    maps = [terms] if isinstance(terms, Mapping) else list(terms)
     namespace: Dict[str, object] = {}
     powers: Dict[str, str] = {}        # local name -> expression, in order
     sums: List[str] = []
@@ -512,22 +515,44 @@ def compile_terms(terms: Union[Mapping[Tuple[int, ...], Union[float, complex]],
         return local
 
     for k, m in enumerate(maps):
-        first = len(sums)
+        first, total = len(sums), f"_s{k}"
         for n, (exps, c) in enumerate(m.items()):
             if not c:
                 continue
             namespace[f"_c{k}_{n}"] = c
             product = " * ".join([f"_c{k}_{n}"]
                                  + [power(i, int(e)) for i, e in enumerate(exps) if e])
-            sums.append(f"    _s{k} = _s{k} + {product}" if len(sums) > first
-                        else f"    _s{k} = {product}")
-        results.append(f"_s{k}" if len(sums) > first else "0.0")
-    value = results[0] if isinstance(terms, Mapping) else f"({', '.join(results)},)"
-    body = ([f"    {local} = {expr}" for local, expr in powers.items()] + sums
-            + [f"    return {value}"])
-    source = f"def evaluate({', '.join(names)}):\n" + "\n".join(body) + "\n"
-    exec(compile(source, "<compile_terms>", "exec"), namespace)
-    return namespace["evaluate"]
+            sums.append(f"{total} = {total} + {product}" if len(sums) > first
+                        else f"{total} = {product}")
+        results.append(total if len(sums) > first else "0.0")
+    lines = [f"{local} = {expr}" for local, expr in powers.items()] + sums
+    return lines, results, namespace
+
+
+def define(name: str, params: str, lines: Sequence[str],
+           namespace: Dict[str, object]) -> Callable:
+    """The function `def name(params)` whose body is `lines`, with the
+    globals `namespace`.  The lines carry no indentation of their own except
+    inside a nested block."""
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def compile_terms(terms: Union[Terms, Sequence[Terms]], names: Sequence[str]) -> Callable:
+    """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
+    of the named variables, on the code `terms_source` writes.
+
+    `terms` is one map or a sequence of maps, as `terms_source` reads them.
+    A sequence compiles to one function that returns the tuple of their
+    sums, each power shared by every map, and each sum rounds as the map
+    compiled alone does.  Python floats, complex numbers, numpy arrays and
+    Jet2 values all evaluate.  A map with no terms evaluates to 0.0.
+    """
+    single = isinstance(terms, Mapping)
+    lines, results, namespace = terms_source([terms] if single else list(terms), names)
+    value = results[0] if single else f"({', '.join(results)},)"
+    return define("evaluate", ", ".join(names), lines + [f"return {value}"], namespace)
 
 
 # ---------------------------------------------------------------------------

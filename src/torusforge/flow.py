@@ -6,16 +6,21 @@ trajectories of the full 3D (rescaled) system, and the angular return
 theta: 0 -> 2 pi of the cylindrical standard-form variables (r, w), where
 theta plays the role of time and the return map needs no event detection.
 Each seed of a return is its own integration.  The step itself is
-straight-line code, generated once per state size as `compile_terms`
-compiles a polynomial, and the field is one compiled function of
-(x, y, z) giving all three components.
+straight-line code, generated once per state size.  For each bound
+(mu, eps), `BoundField` builds each right-hand side on first use: the 3D
+field of `simulate` is generated as one straight-line function, and one
+return of the map and the first variational equation of `jet1` are
+closures over one compiled polynomial function each (the field, or the
+field and its nine partials).
 
 Derivatives of the theta-return map come from transporting them through
-the flow with the same stepper and the same field.  `jet1`, the value and
-Jacobian that Newton and the secant on |lambda| = 1 read, carries six
-floats and differentiates the field by a complex step; `jet3`, the
-degree-3 jet the Jordan normalization reads, carries a truncated
-two-variable Taylor polynomial (the coefficient ODE, 20 floats).
+the flow with the same stepper.  `jet1`, the value and Jacobian that Newton
+and the secant on |lambda| = 1 read, carries six floats in real arithmetic,
+from the field's nine partials: the eps-graded slices are differentiated
+exactly, then (mu, eps) is folded in.  `jet3`, the degree-3 jet the
+Jordan normalization reads, carries a truncated two-variable Taylor
+polynomial (the coefficient ODE, 20 floats) through
+`BoundField.cylindrical` on Jet2 values.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .averaging import PERIOD, eps_graded_slices
 from .criteria import HopfZeroSystem, PerturbationFamily
-from .fieldexpr import compile_terms
+from .fieldexpr import Poly, compile_terms, define, terms_source
 
 
 class FlowError(RuntimeError):
@@ -148,22 +153,18 @@ def _dp_step(n: int) -> Callable:
     def comb(weights: str) -> str:          # sum_j w_j k_j of one component
         return " + ".join(f"_{w} * _k{w[-1]}_#" for w in weights.split())
 
-    lines = ["def step(rhs, t, h, y, k1, atol, rtol):",
-             f"    {each('_y#')}, = y",
-             f"    {each('_k1_#')}, = k1"]
+    lines = [f"{each('_y#')}, = y", f"{each('_k1_#')}, = k1"]
     for s, (c, weights) in enumerate(_STAGES, start=2):
-        lines.append(f"    {each(f'_k{s}_#')}, = rhs(t + {c}, "
+        lines.append(f"{each(f'_k{s}_#')}, = rhs(t + {c}, "
                      f"[{each(f'_y# + ({comb(weights)}) * h')}])")
     b = comb("B1 B3 B4 B5 B6")
     err = f"({comb('E1 E3 E4 E5 E6 E7')}) * h / (atol + max(abs(_y#), abs(_n#)) * rtol)"
-    lines += [f"    {each('_n#')}, = y_new = [{each(f'_y# + h * ({b})')}]",
-              "    f_new = rhs(t + h, y_new)",
-              f"    {each('_k7_#')}, = f_new",
-              f"    return y_new, f_new, _rms([{each(err)}])"]
+    lines += [f"{each('_n#')}, = y_new = [{each(f'_y# + h * ({b})')}]",
+              "f_new = rhs(t + h, y_new)",
+              f"{each('_k7_#')}, = f_new",
+              f"return y_new, f_new, _rms([{each(err)}])"]
     # the tableau and _rms are read by name from this module's globals
-    namespace = dict(globals())
-    exec(compile("\n".join(lines) + "\n", f"<dopri45 step {n}>", "exec"), namespace)
-    return namespace["step"]
+    return define("step", "rhs, t, h, y, k1, atol, rtol", lines, dict(globals()))
 
 
 def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
@@ -226,18 +227,59 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
 # the rescaled field, bound to (mu, eps)
 # ---------------------------------------------------------------------------
 
+def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], float]]:
+    """Float terms in (x, y, z) of each component of eps-graded exact
+    slices at (mu, eps): the terms of grade g are scaled by mu^d eps^g and
+    summed into their (x, y, z) key, in slice and term order."""
+    comps = []
+    for i in range(len(graded[0])):
+        terms: Dict[Tuple[int, int, int], float] = {}
+        for grade, s in enumerate(graded):
+            for (a, b, c, d, _), q in s[i].terms.items():
+                key = (a, b, c)
+                terms[key] = terms.get(key, 0.0) + float(q) * mu ** d * eps ** grade
+        comps.append(terms)
+    return comps
+
+
 class BoundField:
-    """The rescaled field at one (mu, eps): one compiled float polynomial map
-    (x, y, z) -> (x', y', z'), so an RHS evaluation does no parameter work."""
+    """The rescaled field at one (mu, eps) as float terms in (x, y, z), and
+    the right-hand sides built from them, each on first use: the 3D field
+    for `integrate`, one return of the map and its first variational
+    equation.  No RHS evaluation does parameter work."""
 
-    __slots__ = ("f",)
+    def __init__(self, slices: Tuple[Tuple[Poly, Poly, Poly], ...], mu: float, eps: float):
+        self.slices, self.mu, self.eps = slices, mu, eps
 
-    def __init__(self, f: Callable):
-        self.f = f
+    @functools.cached_property
+    def terms(self) -> List[Dict[Tuple[int, int, int], float]]:
+        """(x', y', z') as float terms."""
+        return _fold(self.slices, self.mu, self.eps)
+
+    @functools.cached_property
+    def partial_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
+        """The nine partials d(x')/dx, d(x')/dy, ..., d(z')/dz as float
+        terms: each slice is differentiated exactly, then folded."""
+        partials = [tuple(p.derivative(v) for p in s for v in "xyz") for s in self.slices]
+        return _fold(partials, self.mu, self.eps)
+
+    @functools.cached_property
+    def f(self) -> Callable:
+        """(x, y, z) -> (x', y', z')."""
+        return compile_terms(self.terms, "xyz")
+
+    @functools.cached_property
+    def rhs3(self) -> Callable:
+        """rhs(t, (x, y, z)) -> (x', y', z') of the full rescaled system:
+        the code of `f` with the state unpacked in its head."""
+        lines, results, namespace = terms_source(self.terms, "xyz")
+        return define("rhs", "t, state",
+                      ["x, y, z = state", *lines, f"return {', '.join(results)}"], namespace)
 
     def cylindrical(self, theta, r, w):
         """(dr/dtheta, dw/dtheta) at a scalar theta; r, w may be numpy
-        arrays, complex numbers or jets."""
+        arrays, complex numbers or jets.  `return_rhs` and `jet1_rhs` repeat
+        this quotient on floats, bit for bit (the tests compare them)."""
         cs, sn = math.cos(theta), math.sin(theta)
         xd, yd, zd = self.f(r * cs, r * sn, w)
         rdot = cs * xd + sn * yd
@@ -246,6 +288,66 @@ class BoundField:
         thetadot = (cs * yd - sn * xd) / r
         inv = 1.0 / thetadot
         return rdot * inv, zd * inv
+
+    @functools.cached_property
+    def return_rhs(self) -> Callable:
+        """rhs(theta, (r, w)) -> (dr/dtheta, dw/dtheta) on floats.  A zero
+        division or a non-finite value raises NonFiniteState; the step
+        control would otherwise shrink its step on NaN until it underflows."""
+        f = self.f
+
+        def rhs(theta, state):
+            r, w = state
+            cs, sn = math.cos(theta), math.sin(theta)
+            xd, yd, zd = f(r * cs, r * sn, w)
+            try:
+                inv = 1.0 / ((cs * yd - sn * xd) / r)
+            except ZeroDivisionError as exc:
+                raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
+            dr, dw = (cs * xd + sn * yd) * inv, zd * inv
+            if not (math.isfinite(dr) and math.isfinite(dw)):
+                raise NonFiniteState(f"return-map field non-finite at theta={theta}")
+            return dr, dw
+        return rhs
+
+    @functools.cached_property
+    def jet1_rhs(self) -> Callable:
+        """rhs(theta, (r, r1, r2, w, w1, w2)): the return's RHS and its
+        Jacobian applied to the columns (r1, w1) and (r2, w2), in real
+        arithmetic from the field and its nine exact partials (one compiled
+        function, shared powers).  A zero division or a non-finite value
+        raises JetTransportUnstable.
+
+        With rdot, thetadot = (cs y' - sn x') / r and z' as functions of
+        (r, w), d/dr = cs d/dx + sn d/dy and d/dw = d/dz, so d(thetadot)/dr
+        is (cs dy'/dr - sn dx'/dr - thetadot) / r, and each component
+        q / thetadot has the derivative (dq - (q / thetadot) d(thetadot)) /
+        thetadot."""
+        fj, isfinite = compile_terms(self.terms + self.partial_terms, "xyz"), math.isfinite
+
+        def rhs(theta, state):
+            r, r1, r2, w, w1, w2 = state
+            cs, sn = math.cos(theta), math.sin(theta)
+            X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz = fj(r * cs, r * sn, w)
+            try:
+                thetadot = (cs * Y - sn * X) / r
+                inv = 1.0 / thetadot
+            except ZeroDivisionError as exc:
+                raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
+            dr, dw = (cs * X + sn * Y) * inv, Z * inv
+            xr, yr = cs * Xx + sn * Xy, cs * Yx + sn * Yy
+            t_r, t_w = (cs * yr - sn * xr - thetadot) / r, (cs * Yz - sn * Xz) / r
+            dr_r = (cs * xr + sn * yr - dr * t_r) * inv
+            dr_w = (cs * Xz + sn * Yz - dr * t_w) * inv
+            dw_r = (cs * Zx + sn * Zy - dw * t_r) * inv
+            dw_w = (Zz - dw * t_w) * inv
+            dr1, dr2 = dr_r * r1 + dr_w * w1, dr_r * r2 + dr_w * w2
+            dw1, dw2 = dw_r * r1 + dw_w * w1, dw_r * r2 + dw_w * w2
+            if not (isfinite(dr) and isfinite(dr1) and isfinite(dr2)
+                    and isfinite(dw) and isfinite(dw1) and isfinite(dw2)):
+                raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
+            return dr, dr1, dr2, dw, dw1, dw2
+        return rhs
 
 
 class RescaledField:
@@ -261,28 +363,15 @@ class RescaledField:
         self._bound = None            # ((mu, eps), BoundField) of the last pair
 
     def bind(self, mu: float, eps: float) -> BoundField:
-        """The field at (mu, eps), compiled once per pair; the last pair is
-        kept, so the calls of one integration share one compile."""
+        """The field at (mu, eps); the last pair is kept, so the calls of one
+        integration share its kernels."""
         if self._bound is None or self._bound[0] != (mu, eps):
-            m, e = float(mu), float(eps)
-            comps = []
-            for i in range(3):
-                terms: Dict[Tuple[int, int, int], float] = {}
-                for grade, s in enumerate(self.slices):
-                    for (a, b, c, d, _), q in s[i].terms.items():
-                        key = (a, b, c)
-                        terms[key] = terms.get(key, 0.0) + float(q) * m ** d * e ** grade
-                comps.append(terms)
-            self._bound = ((mu, eps), BoundField(compile_terms(comps, ("x", "y", "z"))))
+            self._bound = ((mu, eps), BoundField(self.slices, float(mu), float(eps)))
         return self._bound[1]
 
     def field3(self, mu: float, eps: float) -> Callable:
         """f(t, state) for `integrate` on the full rescaled 3D system."""
-        f = self.bind(mu, eps).f
-
-        def rhs(t, state):
-            return f(*state)
-        return rhs
+        return self.bind(mu, eps).rhs3
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +389,11 @@ class ThetaReturnMap:
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
         """Map each (r, w) row through one return, one `dopri45`
-        integration on Python floats per row.  A zero division or a
-        non-finite field value raises NonFiniteState; the step control would
-        otherwise shrink its step on NaN until it underflows."""
+        integration on Python floats per row, on the generated
+        `BoundField.return_rhs`; a singular or non-finite field raises
+        NonFiniteState."""
         t_end = -PERIOD if reverse else PERIOD
-        cyl = self.field.bind(mu, eps).cylindrical
-
-        def rhs(theta, state):
-            try:
-                dr, dw = cyl(theta, state[0], state[1])
-            except ZeroDivisionError as exc:
-                raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
-            if not (math.isfinite(dr) and math.isfinite(dw)):
-                raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-            return dr, dw
-
+        rhs = self.field.bind(mu, eps).return_rhs
         rows = np.atleast_2d(np.asarray(X0, dtype=float)).tolist()
         Y = np.array([dopri45(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)[1][-1]
                       for y0 in rows])
@@ -328,20 +407,11 @@ class ThetaReturnMap:
     def jet1(self, x0, mu: float, eps: float) -> "MapJet":
         """Value and Jacobian of the return map (a MapJet without B and C):
         the six floats (r, dr/dr0, dr/dw0, w, dw/dr0, dw/dw0) integrated by
-        `dopri45`.  The field's derivative along each Jacobian column is the
-        imaginary part of the field at (r, w) + i h column, h = 1e-30
-        (complex step, exact to rounding: no difference is taken)."""
-        cyl, h = self.field.bind(mu, eps).cylindrical, 1e-30
-
-        def rhs(theta, state):
-            r, r1, r2, w, w1, w2 = state
-            dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
-            dr2, dw2 = cyl(theta, complex(r, h * r2), complex(w, h * w2))
-            return (dr1.real, dr1.imag / h, dr2.imag / h,
-                    dw1.real, dw1.imag / h, dw2.imag / h)
-
-        r, r1, r2, w, w1, w2 = self._transport(rhs, [float(x0[0]), 1.0, 0.0,
-                                                     float(x0[1]), 0.0, 1.0])
+        `dopri45` on the generated `BoundField.jet1_rhs`, which
+        differentiates the field exactly in real arithmetic."""
+        r, r1, r2, w, w1, w2 = self._transport(self.field.bind(mu, eps).jet1_rhs,
+                                               [float(x0[0]), 1.0, 0.0,
+                                                float(x0[1]), 0.0, 1.0])
         return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
 
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
@@ -351,27 +421,25 @@ class ThetaReturnMap:
         cyl = self.field.bind(mu, eps).cylindrical
 
         def rhs(theta, state):
-            dr, dw = cyl(theta, _jet(tuple(state[:10])), _jet(tuple(state[10:])))
-            return _as_jet(dr).coeffs + _as_jet(dw).coeffs
+            try:
+                dr, dw = cyl(theta, _jet(tuple(state[:10])), _jet(tuple(state[10:])))
+            except ZeroDivisionError as exc:
+                raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
+            out = _as_jet(dr).coeffs + _as_jet(dw).coeffs
+            if not all(map(math.isfinite, out)):
+                raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
+            return out
 
         state0 = Jet2.variable(0, float(x0[0])).coeffs + Jet2.variable(1, float(x0[1])).coeffs
         y = self._transport(rhs, list(state0))
         return MapJet.from_jets(_jet(tuple(y[:10])), _jet(tuple(y[10:])))
 
     def _transport(self, rhs: Callable, state0: list) -> list:
-        """The state of a derivative transport after one return; a singular
-        or non-finite field, or a failed integration, is JetTransportUnstable."""
-        def checked(theta, state):
-            try:
-                out = rhs(theta, state)
-            except ZeroDivisionError as exc:
-                raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
-            if not all(map(math.isfinite, out)):
-                raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
-            return out
-
+        """The state of a derivative transport after one return.  `rhs`
+        raises JetTransportUnstable where the field is singular or
+        non-finite; a failed integration is JetTransportUnstable too."""
         try:
-            _, ys, _ = dopri45(checked, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol)
+            _, ys, _ = dopri45(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol)
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
         if not all(map(math.isfinite, ys[-1])):

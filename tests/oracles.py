@@ -216,6 +216,28 @@ def cylindrical_jacobian(field: RescaledField, theta, r, w, mu, eps) -> np.ndarr
     return np.array(cols).imag.T / h
 
 
+def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
+    """Value and Jacobian of the return map by the six-float transport of
+    `ThetaReturnMap.jet1` on the same stepper and tolerances, with the
+    field's derivative along each Jacobian column taken by a complex step:
+    the imaginary part of `cylindrical` at (r, w) + i h column, h = 1e-30,
+    exact to rounding (no difference is taken) and independent of the
+    exact partials `jet1` reads."""
+    cyl, h = tmap.field.bind(mu, eps).cylindrical, 1e-30
+
+    def rhs(theta, state):
+        r, r1, r2, w, w1, w2 = state
+        dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
+        dr2, dw2 = cyl(theta, complex(r, h * r2), complex(w, h * w2))
+        return (dr1.real, dr1.imag / h, dr2.imag / h,
+                dw1.real, dw1.imag / h, dw2.imag / h)
+
+    state0 = [float(x0[0]), 1.0, 0.0, float(x0[1]), 0.0, 1.0]
+    r, r1, r2, w, w1, w2 = flow.dopri45(rhs, 0.0, PERIOD, state0,
+                                        tmap.cfg.atol, tmap.cfg.rtol)[1][-1]
+    return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
+
+
 def variational_jacobian(field: Callable, dfield: Callable, x0, t_span,
                          cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
     """Monodromy of the first variational equation (oracle for jet Jacobians).

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from torusforge.averaging import PERIOD, melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
+from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
     _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
     NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap, Trajectory,
@@ -17,8 +18,8 @@ from torusforge.flow import (
 
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
-    dopri45_loop, jet3_fd, jet_apply, jet_max_asymmetry, poincare_return,
-    variational_jacobian,
+    dopri45_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
+    poincare_return, variational_jacobian,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -423,8 +424,8 @@ def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
 @settings(max_examples=8, deadline=None)
 @given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
 def test_jet1_matches_jet3_and_finite_differences(r, w, pair):
-    """The first-order transport (six floats, complex-step field
-    derivatives) gives the value and Jacobian of jet3's 20-float transport
+    """The first-order transport (six floats, exact field derivatives in
+    real arithmetic) gives the value and Jacobian of jet3's 20-float transport
     and of central differences of the return map, at the tolerances of
     branch and certify's secant.  The two transports take different steps,
     so they agree to the integration's relative tolerance, not to rounding:
@@ -439,6 +440,83 @@ def test_jet1_matches_jet3_and_finite_differences(r, w, pair):
     fd = jet3_fd(tmap, [r, w], *pair)
     assert np.max(np.abs(j1.value - fd.value)) <= rtol
     assert np.max(np.abs(j1.A - fd.A)) <= 1e-6
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@settings(max_examples=6, deadline=None)
+@given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
+def test_jet1_matches_complex_step_transport(atol, rtol, r, w, pair):
+    """jet1's real-arithmetic kernel against the same transport
+    with complex-step field derivatives (tests/oracles.py): the two RHS
+    differ only in rounding, so value and Jacobian agree far below the
+    integration tolerance."""
+    _, _, tmap = _setup(atol=atol, rtol=rtol)
+    got, ref = tmap.jet1([r, w], *pair), jet1_complex_step(tmap, [r, w], *pair)
+    assert np.max(np.abs(got.value - ref.value)) <= 1e-13
+    assert np.max(np.abs(got.A - ref.A)) <= 1e-12
+
+
+# a field with cubic terms in every component and a family with spatial
+# terms, so that all nine partials have terms beyond the linear part
+RICH = ("x*z - 1/2*y^3", "y*z + x^2*y", "-x^2 + x*y + z^2 + 2*x*z^2")
+RICH_FAMILY = ("mu*x + x*z", "mu*y - y^2", "mu*z + eps + x*y*z")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), _pairs)
+def test_compiled_partials_match_complex_step(x, y, z, pair):
+    """The nine partials of the bound field, differentiated exactly before
+    (mu, eps) is folded in, equal complex-step derivatives of the compiled
+    field at the point, to rounding."""
+    for system, family in ((EXAMPLE, None), (RICH, RICH_FAMILY)):
+        fam = (PerturbationFamily.simple(beta=1) if family is None
+               else PerturbationFamily.from_expressions(*family))
+        bound = RescaledField(validate_hopf_zero(*system), fam).bind(*pair)
+        partials = compile_terms(bound.partial_terms, "xyz")(x, y, z)
+        h = 1e-30
+        for j in range(3):
+            point = [complex(x), complex(y), complex(z)]
+            point[j] += 1j * h
+            column = [v.imag / h for v in bound.f(*point)]
+            for i in range(3):
+                assert abs(partials[3 * i + j] - column[i]) <= 1e-13 * (1 + abs(column[i]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0), _pairs)
+def test_generated_field_kernels_match_compiled_field_bitwise(t, x, y, z, pair):
+    """`simulate`'s generated 3D right-hand side is the compiled field bit
+    for bit, and the return's and the value part of jet1's are `cylindrical`
+    on floats: the three write its quotient out and must stay in step."""
+    fam = PerturbationFamily.from_expressions(*RICH_FAMILY)
+    bound = RescaledField(validate_hopf_zero(*RICH), fam).bind(*pair)
+    assert np.array(bound.rhs3(t, [x, y, z])).tobytes() == np.array(bound.f(x, y, z)).tobytes()
+    r, w = abs(x) + 0.1, z
+    want = np.array(bound.cylindrical(t, r, w)).tobytes()
+    assert np.array(bound.return_rhs(t, [r, w])).tobytes() == want
+    dr, _, _, dw, _, _ = bound.jet1_rhs(t, [r, 1.0, 0.0, w, 0.0, 1.0])
+    assert np.array([dr, dw]).tobytes() == want
+
+
+def test_vanishing_angular_speed_raises_typed_errors():
+    """With Q = -x*z the rescaled y' is x (1 - eps z), so at theta = 0 and
+    w = 1/eps the angular speed is exactly zero with r = 1: the return ends
+    in NonFiniteState and the transports in JetTransportUnstable, with no
+    other exception on the way."""
+    sys = validate_hopf_zero("0", "-x*z", "-x^2 + x*y + z^2")
+    tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
+    mu, eps = 0.1, 0.5
+    assert tmap.field.bind(mu, eps).f(1.0, 0.0, 2.0)[1] == 0.0
+    with _time_limit(20):
+        with pytest.raises(NonFiniteState):
+            tmap.point([1.0, 2.0], mu, eps)
+        with pytest.raises(NonFiniteState):
+            tmap.point([1.0, 2.0], mu, eps, reverse=True)
+        with pytest.raises(JetTransportUnstable):
+            tmap.jet1([1.0, 2.0], mu, eps)
+        with pytest.raises(JetTransportUnstable):
+            tmap.jet3([1.0, 2.0], mu, eps)
 
 
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)

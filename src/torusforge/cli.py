@@ -65,7 +65,7 @@ EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 
 MAX_GRID = 200          # melnikov writes grid^2 rows
-MAX_PERIODS = 1000      # simulate keeps every accepted step in memory
+MAX_PERIODS = 1000      # simulate keeps each accepted step (23 025 at the cap on the example)
 MAX_LIFT_SAMPLES = 64   # lift samples Omega three times per L value
 
 

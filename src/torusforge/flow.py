@@ -1,22 +1,22 @@
 """Numeric integration of the rescaled system and its theta-return map.
 
-Every integration runs on `dopri45`, one Dormand-Prince 5(4) stepper with
-scipy RK45's tableau and step control, on a state of Python floats: plain
-trajectories of the full 3D (rescaled) system, and the angular return
-theta: 0 -> 2 pi of the cylindrical standard-form variables (r, w), where
-theta plays the role of time and the return map needs no event detection.
-Each seed of a return is its own integration.  The step itself is
-straight-line code, generated once per state size.  For each bound
-(mu, eps), `BoundField` builds each right-hand side on first use: the 3D
-field of `simulate` is generated as one straight-line function, and one
+Every integration runs on `dop853`, one Dormand-Prince 8(5,3) stepper with
+scipy DOP853's tableau, error norm and step control, on a state of Python
+floats: plain trajectories of the full 3D (rescaled) system, and the
+angular return theta: 0 -> 2 pi of the cylindrical standard-form variables
+(r, w), where theta plays the role of time and the return map needs no
+event detection.  Each seed of a return is its own integration.  The step
+itself is straight-line code, generated once per state size.  For each
+bound (mu, eps), `BoundField` builds each right-hand side on first use: the
+3D field of `simulate` is generated as one straight-line function, and one
 return of the map and the first variational equation of `jet1` are
-closures over one compiled polynomial function each (the field, or the
-field and its nine partials).
+closures over one compiled polynomial function each (the drift, the field
+less its rotation (-y, x, 0), or the drift and its nine partials).
 
 Derivatives of the theta-return map come from transporting them through
 the flow with the same stepper.  `jet1`, the value and Jacobian that Newton
 and the secant on |lambda| = 1 read, carries six floats in real arithmetic,
-from the field's nine partials: the eps-graded slices are differentiated
+from the drift's nine partials: the eps-graded slices are differentiated
 exactly, then (mu, eps) is folded in.  `jet3`, the degree-3 jet the
 Jordan normalization reads, carries a truncated two-variable Taylor
 polynomial (the coefficient ODE, 20 floats) through
@@ -55,7 +55,7 @@ class JetTransportUnstable(FlowError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances of the embedded Runge-Kutta 5(4) pair."""
+    """Tolerances of the embedded Runge-Kutta 8(5,3) pair."""
     atol: float = 1e-12
     rtol: float = 1e-10
 
@@ -86,8 +86,8 @@ def integrate(field: Callable, state0, t_span,
     """The accepted steps of state' = field(t, state) over t_span; the state
     is a list of Python floats."""
     cfg = cfg or IntegratorConfig()
-    ts, ys, _ = dopri45(field, float(t_span[0]), float(t_span[1]),
-                        [float(v) for v in state0], cfg.atol, cfg.rtol)
+    ts, ys, _ = dop853(field, float(t_span[0]), float(t_span[1]),
+                       [float(v) for v in state0], cfg.atol, cfg.rtol)
     states = np.array(ys)
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("integration produced non-finite state")
@@ -95,23 +95,49 @@ def integrate(field: Callable, state0, t_span,
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4)
+# Dormand-Prince 8(5,3)
 # ---------------------------------------------------------------------------
 
-# The tableau of scipy's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6,
-# 1980); the zero weights of the second stage are left out.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
-# step control of Hairer-Norsett-Wanner, Sec. II.4, as in RK45
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+# The tableau of scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# Sec. II.10), the doubles of scipy/integrate/_ivp/dop853_coefficients.py:
+# the nodes C, row s of A (a_s0 .. a_s,s-1), the weights B, and the error
+# weights E5 and E3 of the stages (their weight on rhs(t + h, y_new) is 0).
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+)
+_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+      -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+      0.04471061572777259)
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+       0.02265179219836082)
+# step control of Hairer-Norsett-Wanner, Sec. II.4, as in scipy's solvers;
+# the error estimate is of order 7, so the step scales with error^(-1/8)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 8
 
 
 def _rms(values) -> float:
@@ -119,7 +145,8 @@ def _rms(values) -> float:
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
-    """scipy's select_initial_step (one RHS evaluation)."""
+    """scipy's select_initial_step for an error estimate of order 7 (one
+    RHS evaluation)."""
     interval = abs(t_end - t0)
     scale = [atol + abs(v) * rtol for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
@@ -131,57 +158,58 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     return min(100 * h0, h1, interval)
-
-
-# the stages s = 2..6: the node c_s h and the weights a_sj (each name ends in j)
-_STAGES = (("_C2 * h", "A21"), ("_C3 * h", "A31 A32"), ("_C4 * h", "A41 A42 A43"),
-           ("_C5 * h", "A51 A52 A53 A54"), ("h", "A61 A62 A63 A64 A65"))
 
 
 @functools.lru_cache(maxsize=None)
 def _dp_step(n: int) -> Callable:
-    """One Dormand-Prince step for a state of n floats, as straight-line
-    code generated once per n:
-    step(rhs, t, h, y, k1, atol, rtol) -> (y_new, rhs(t + h, y_new),
+    """One DOP853 step for a state of n floats, as straight-line code
+    generated once per n:
+    step(rhs, t, h, y, k0, atol, rtol) -> (y_new, rhs(t + h, y_new),
     error_norm).  Each component is written out with its stage sums in
-    tableau order, so it rounds as a loop over the components does."""
+    tableau order, zero weights left out and the tableau inlined as
+    literals, so it rounds as a loop over the components does.  The error
+    norm is scipy's: |h| |err5|^2 / sqrt((|err5|^2 + 0.01 |err3|^2) n) over
+    the components of err5 and err3 divided by atol + max(|y|, |y_new|) rtol."""
     def each(template: str) -> str:         # '#' stands for the component
         return ", ".join(template.replace("#", str(i)) for i in range(n))
 
-    def comb(weights: str) -> str:          # sum_j w_j k_j of one component
-        return " + ".join(f"_{w} * _k{w[-1]}_#" for w in weights.split())
+    def comb(weights) -> str:               # sum_j w_j k_j of one component
+        return " + ".join(f"{w!r} * _k{j}_#" for j, w in enumerate(weights) if w)
 
-    lines = [f"{each('_y#')}, = y", f"{each('_k1_#')}, = k1"]
-    for s, (c, weights) in enumerate(_STAGES, start=2):
-        lines.append(f"{each(f'_k{s}_#')}, = rhs(t + {c}, "
-                     f"[{each(f'_y# + ({comb(weights)}) * h')}])")
-    b = comb("B1 B3 B4 B5 B6")
-    err = f"({comb('E1 E3 E4 E5 E6 E7')}) * h / (atol + max(abs(_y#), abs(_n#)) * rtol)"
-    lines += [f"{each('_n#')}, = y_new = [{each(f'_y# + h * ({b})')}]",
-              "f_new = rhs(t + h, y_new)",
-              f"{each('_k7_#')}, = f_new",
-              f"return y_new, f_new, _rms([{each(err)}])"]
-    # the tableau and _rms are read by name from this module's globals
-    return define("step", "rhs, t, h, y, k1, atol, rtol", lines, dict(globals()))
+    lines = [f"{each('_y#')}, = y", f"{each('_k0_#')}, = k0"]
+    for s in range(1, len(_C)):
+        lines.append(f"{each(f'_k{s}_#')}, = rhs(t + {_C[s]!r} * h, "
+                     f"[{each(f'_y# + ({comb(_A[s])}) * h')}])")
+    lines += [f"{each('_n#')}, = y_new = [{each(f'_y# + h * ({comb(_B)})')}]",
+              "f_new = rhs(t + h, y_new)"]
+    for i in range(n):
+        lines += [f"_s = atol + max(abs(_y{i}), abs(_n{i})) * rtol",
+                  f"_e5_{i} = ({comb(_E5)}) / _s".replace("#", str(i)),
+                  f"_e3_{i} = ({comb(_E3)}) / _s".replace("#", str(i))]
+    lines += [f"e5 = {' + '.join(f'_e5_{i} * _e5_{i}' for i in range(n))}",
+              f"e3 = {' + '.join(f'_e3_{i} * _e3_{i}' for i in range(n))}",
+              f"return y_new, f_new, (0.0 if e5 == 0 else "
+              f"abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n}))"]
+    return define("step", "rhs, t, h, y, k0, atol, rtol", lines, {"sqrt": math.sqrt})
 
 
-def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-            rtol: float) -> Tuple[list, list, int]:
+def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
+           rtol: float) -> Tuple[list, list, int]:
     """The accepted steps of y' = rhs(t, y) from (t0, y0) to t_end: their
     times and states, from t0 to t_end, and the number of RHS evaluations.
 
     The state is a list of Python floats, and `rhs(t, y)` returns a
-    sequence of floats of the same length.  Tableau and step control are
-    those of scipy's RK45 (initial step, RMS error norm over the components
-    with scale atol + max(|y|, |y_new|) rtol, safety 0.9, factors clamped to
-    [0.2, 10] and to at most 1 after a rejection, the last step clipped to
-    t_end), so it takes the steps scipy's RK45 takes on the same state,
-    without numpy's per-call cost on a small float state.  Each step is
-    `_dp_step`'s straight-line code for the state's size.  Raises
-    StepSizeUnderflow where RK45 fails with a step below the float spacing,
-    and on a NaN step size.
+    sequence of floats of the same length.  Tableau, error norm and step
+    control are those of scipy's DOP853 (initial step, safety 0.9, factors
+    clamped to [0.2, 10] and to at most 1 after a rejection, exponent
+    -1/8, the last step clipped to t_end), so it takes the steps
+    `solve_ivp(method="DOP853")` takes on the same state, without numpy's
+    per-call cost on a small float state.  Each step is `_dp_step`'s
+    straight-line code for the state's size and costs 12 RHS evaluations.
+    Raises StepSizeUnderflow where DOP853 fails with a step below the float
+    spacing, and on a NaN step size.
     """
     y = list(y0)
     step = _dp_step(len(y))
@@ -207,7 +235,7 @@ def dopri45(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             h = t_new - t
             h_abs = abs(h)
             y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
-            nfev += 6
+            nfev += 12
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
                           else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -246,10 +274,17 @@ class BoundField:
     """The rescaled field at one (mu, eps) as float terms in (x, y, z), and
     the right-hand sides built from them, each on first use: the 3D field
     for `integrate`, one return of the map and its first variational
-    equation.  No RHS evaluation does parameter work."""
+    equation.  No RHS evaluation does parameter work.
+
+    The cylindrical right-hand sides fold only the slices of grade >= 1,
+    the drift (X, Y, Z): the rotation (-y, x, 0) of slice 0 contributes 0
+    to dr/dt and 1 to dtheta/dt exactly, so they use rdot = cs X + sn Y
+    and thetadot = 1 + (cs Y - sn X) / r, and at eps = 0 the return is the
+    identity to the last bit."""
 
     def __init__(self, slices: Tuple[Tuple[Poly, Poly, Poly], ...], mu: float, eps: float):
         self.slices, self.mu, self.eps = slices, mu, eps
+        self.drift_slices = ((Poly(), Poly(), Poly()),) + slices[1:]
 
     @functools.cached_property
     def terms(self) -> List[Dict[Tuple[int, int, int], float]]:
@@ -257,21 +292,27 @@ class BoundField:
         return _fold(self.slices, self.mu, self.eps)
 
     @functools.cached_property
+    def drift_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
+        """The drift (X, Y, Z), the field less its rotation, as float terms."""
+        return _fold(self.drift_slices, self.mu, self.eps)
+
+    @functools.cached_property
     def partial_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
-        """The nine partials d(x')/dx, d(x')/dy, ..., d(z')/dz as float
+        """The nine partials dX/dx, dX/dy, ..., dZ/dz of the drift as float
         terms: each slice is differentiated exactly, then folded."""
-        partials = [tuple(p.derivative(v) for p in s for v in "xyz") for s in self.slices]
+        partials = [tuple(p.derivative(v) for p in s for v in "xyz")
+                    for s in self.drift_slices]
         return _fold(partials, self.mu, self.eps)
 
     @functools.cached_property
-    def f(self) -> Callable:
-        """(x, y, z) -> (x', y', z')."""
-        return compile_terms(self.terms, "xyz")
+    def drift(self) -> Callable:
+        """(x, y, z) -> (X, Y, Z)."""
+        return compile_terms(self.drift_terms, "xyz")
 
     @functools.cached_property
     def rhs3(self) -> Callable:
-        """rhs(t, (x, y, z)) -> (x', y', z') of the full rescaled system:
-        the code of `f` with the state unpacked in its head."""
+        """rhs(t, (x, y, z)) -> (x', y', z') of the full rescaled system,
+        generated from `terms` with the state unpacked in its head."""
         lines, results, namespace = terms_source(self.terms, "xyz")
         return define("rhs", "t, state",
                       ["x, y, z = state", *lines, f"return {', '.join(results)}"], namespace)
@@ -281,30 +322,28 @@ class BoundField:
         arrays, complex numbers or jets.  `return_rhs` and `jet1_rhs` repeat
         this quotient on floats, bit for bit (the tests compare them)."""
         cs, sn = math.cos(theta), math.sin(theta)
-        xd, yd, zd = self.f(r * cs, r * sn, w)
-        rdot = cs * xd + sn * yd
+        X, Y, Z = self.drift(r * cs, r * sn, w)
         # one reciprocal of thetadot serves both components; the division by
         # r stays, so the axis r = 0 raises (or gives inf) instead of a zero
-        thetadot = (cs * yd - sn * xd) / r
-        inv = 1.0 / thetadot
-        return rdot * inv, zd * inv
+        inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)
+        return (cs * X + sn * Y) * inv, Z * inv
 
     @functools.cached_property
     def return_rhs(self) -> Callable:
         """rhs(theta, (r, w)) -> (dr/dtheta, dw/dtheta) on floats.  A zero
         division or a non-finite value raises NonFiniteState; the step
         control would otherwise shrink its step on NaN until it underflows."""
-        f = self.f
+        drift = self.drift
 
         def rhs(theta, state):
             r, w = state
             cs, sn = math.cos(theta), math.sin(theta)
-            xd, yd, zd = f(r * cs, r * sn, w)
+            X, Y, Z = drift(r * cs, r * sn, w)
             try:
-                inv = 1.0 / ((cs * yd - sn * xd) / r)
+                inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)
             except ZeroDivisionError as exc:
                 raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
-            dr, dw = (cs * xd + sn * yd) * inv, zd * inv
+            dr, dw = (cs * X + sn * Y) * inv, Z * inv
             if not (math.isfinite(dr) and math.isfinite(dw)):
                 raise NonFiniteState(f"return-map field non-finite at theta={theta}")
             return dr, dw
@@ -314,29 +353,29 @@ class BoundField:
     def jet1_rhs(self) -> Callable:
         """rhs(theta, (r, r1, r2, w, w1, w2)): the return's RHS and its
         Jacobian applied to the columns (r1, w1) and (r2, w2), in real
-        arithmetic from the field and its nine exact partials (one compiled
+        arithmetic from the drift and its nine exact partials (one compiled
         function, shared powers).  A zero division or a non-finite value
         raises JetTransportUnstable.
 
-        With rdot, thetadot = (cs y' - sn x') / r and z' as functions of
-        (r, w), d/dr = cs d/dx + sn d/dy and d/dw = d/dz, so d(thetadot)/dr
-        is (cs dy'/dr - sn dx'/dr - thetadot) / r, and each component
-        q / thetadot has the derivative (dq - (q / thetadot) d(thetadot)) /
-        thetadot."""
-        fj, isfinite = compile_terms(self.terms + self.partial_terms, "xyz"), math.isfinite
+        With rdot = cs X + sn Y, thetadot = 1 + q, q = (cs Y - sn X) / r
+        and Z as functions of (r, w), d/dr = cs d/dx + sn d/dy and d/dw =
+        d/dz, so d(thetadot)/dr is (cs dY/dr - sn dX/dr - q) / r, and each
+        component p / thetadot has the derivative (dp - (p / thetadot)
+        d(thetadot)) / thetadot."""
+        fj, isfinite = compile_terms(self.drift_terms + self.partial_terms, "xyz"), math.isfinite
 
         def rhs(theta, state):
             r, r1, r2, w, w1, w2 = state
             cs, sn = math.cos(theta), math.sin(theta)
             X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz = fj(r * cs, r * sn, w)
             try:
-                thetadot = (cs * Y - sn * X) / r
-                inv = 1.0 / thetadot
+                q = (cs * Y - sn * X) / r
+                inv = 1.0 / (1.0 + q)
             except ZeroDivisionError as exc:
                 raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
             dr, dw = (cs * X + sn * Y) * inv, Z * inv
             xr, yr = cs * Xx + sn * Xy, cs * Yx + sn * Yy
-            t_r, t_w = (cs * yr - sn * xr - thetadot) / r, (cs * Yz - sn * Xz) / r
+            t_r, t_w = (cs * yr - sn * xr - q) / r, (cs * Yz - sn * Xz) / r
             dr_r = (cs * xr + sn * yr - dr * t_r) * inv
             dr_w = (cs * Xz + sn * Yz - dr * t_w) * inv
             dw_r = (cs * Zx + sn * Zy - dw * t_r) * inv
@@ -388,14 +427,14 @@ class ThetaReturnMap:
 
     def points(self, X0: np.ndarray, mu: float, eps: float,
                reverse: bool = False) -> np.ndarray:
-        """Map each (r, w) row through one return, one `dopri45`
-        integration on Python floats per row, on the generated
+        """Map each (r, w) row through one return, one `dop853`
+        integration on Python floats per row, on
         `BoundField.return_rhs`; a singular or non-finite field raises
         NonFiniteState."""
         t_end = -PERIOD if reverse else PERIOD
         rhs = self.field.bind(mu, eps).return_rhs
         rows = np.atleast_2d(np.asarray(X0, dtype=float)).tolist()
-        Y = np.array([dopri45(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)[1][-1]
+        Y = np.array([dop853(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)[1][-1]
                       for y0 in rows])
         if not np.isfinite(Y).all():
             raise NonFiniteState("return map produced non-finite state")
@@ -407,8 +446,8 @@ class ThetaReturnMap:
     def jet1(self, x0, mu: float, eps: float) -> "MapJet":
         """Value and Jacobian of the return map (a MapJet without B and C):
         the six floats (r, dr/dr0, dr/dw0, w, dw/dr0, dw/dw0) integrated by
-        `dopri45` on the generated `BoundField.jet1_rhs`, which
-        differentiates the field exactly in real arithmetic."""
+        `dop853` on `BoundField.jet1_rhs`, which differentiates the drift
+        exactly in real arithmetic."""
         r, r1, r2, w, w1, w2 = self._transport(self.field.bind(mu, eps).jet1_rhs,
                                                [float(x0[0]), 1.0, 0.0,
                                                 float(x0[1]), 0.0, 1.0])
@@ -417,7 +456,7 @@ class ThetaReturnMap:
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
         solution with respect to the initial condition: the 20 coefficients
-        of (r, w) integrated by `dopri45`."""
+        of (r, w) integrated by `dop853`."""
         cyl = self.field.bind(mu, eps).cylindrical
 
         def rhs(theta, state):
@@ -439,7 +478,7 @@ class ThetaReturnMap:
         raises JetTransportUnstable where the field is singular or
         non-finite; a failed integration is JetTransportUnstable too."""
         try:
-            _, ys, _ = dopri45(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol)
+            _, ys, _ = dop853(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol)
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
         if not all(map(math.isfinite, ys[-1])):

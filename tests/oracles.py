@@ -5,7 +5,7 @@ plane-section return with event location and dense output, the variational
 equation, finite differences, complex-step differentiation and plain
 Gauss-Legendre quadrature of the standard form.  The integrations here stay
 on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
-stepper; `dopri45_loop` is that stepper with one list comprehension per
+stepper; `dop853_loop` is that stepper with one list comprehension per
 stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
 reads Omega of a degree lift off the whole normalized `Poly` system, the
 reference for the closed form `lift.omega_of_lift`.  The last section holds
@@ -30,9 +30,7 @@ from torusforge.averaging import (
 from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly, compile_terms
 from torusforge import flow
 from torusforge.flow import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
-    _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
-    _E4, _E5, _E6, _E7, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
+    _A, _B, _C, _E3, _E5, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
     FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
@@ -138,11 +136,22 @@ def poincare_return(field: Callable, section: PlaneSection, x0,
 # the Dormand-Prince stepper, one comprehension per stage
 # ---------------------------------------------------------------------------
 
-def dopri45_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-                 rtol: float) -> Tuple[list, list, int]:
-    """`flow.dopri45` with each stage a list comprehension over the
-    components: the oracle of the generated straight-line step, which must
-    return the same times, states and RHS count bit for bit."""
+def _comb(weights, values) -> float:
+    """sum_j w_j v_j over the nonzero weights, added left to right from the
+    first product (no 0.0 start, which would turn a -0.0 into 0.0)."""
+    products = [w * v for w, v in zip(weights, values) if w]
+    total = products[0]
+    for p in products[1:]:
+        total = total + p
+    return total
+
+
+def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
+                rtol: float) -> Tuple[list, list, int]:
+    """`flow.dop853` with each stage a list comprehension over the
+    components, read off the tableau tuples in a loop: the oracle of the
+    generated straight-line step, which must return the same times, states
+    and RHS count bit for bit."""
     y = list(y0)
     f = rhs(t0, y)
     ts, ys = [t0], [y]
@@ -166,27 +175,22 @@ def dopri45_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             h = t_new - t
             h_abs = abs(h)
 
-            k1 = f
-            k2 = rhs(t + _C2 * h, [v + _A21 * a * h for v, a in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
-                                   for v, a, b in zip(y, k1, k2)])
-            k4 = rhs(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = rhs(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                  + _A65 * e) * h
-                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            K = [f]
+            for c, row in zip(_C[1:], _A[1:]):
+                K.append(rhs(t + c * h, [v + _comb(row, ks) * h
+                                         for v, ks in zip(y, zip(*K))]))
+            y_new = [v + h * _comb(_B, ks) for v, ks in zip(y, zip(*K))]
             f_new = rhs(t + h, y_new)
-            nfev += 6
+            nfev += 12
 
-            error_norm = flow._rms([
-                (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k) * h
-                / (atol + max(abs(v), abs(vn)) * rtol)
-                for v, vn, a, c, d, e, g, k
-                in zip(y, y_new, k1, k3, k4, k5, k6, f_new)])
+            scale = [atol + max(abs(v), abs(vn)) * rtol for v, vn in zip(y, y_new)]
+            err5 = [_comb(_E5, ks) / s for ks, s in zip(zip(*K), scale)]
+            err3 = [_comb(_E3, ks) / s for ks, s in zip(zip(*K), scale)]
+            e5 = e3 = 0.0
+            for a, b in zip(err5, err3):
+                e5, e3 = e5 + a * a, e3 + b * b
+            error_norm = (0.0 if e5 == 0
+                          else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)))
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
                           else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -233,8 +237,8 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
                 dw1.real, dw1.imag / h, dw2.imag / h)
 
     state0 = [float(x0[0]), 1.0, 0.0, float(x0[1]), 0.0, 1.0]
-    r, r1, r2, w, w1, w2 = flow.dopri45(rhs, 0.0, PERIOD, state0,
-                                        tmap.cfg.atol, tmap.cfg.rtol)[1][-1]
+    r, r1, r2, w, w1, w2 = flow.dop853(rhs, 0.0, PERIOD, state0,
+                                       tmap.cfg.atol, tmap.cfg.rtol)[1][-1]
     return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
 
 

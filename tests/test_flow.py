@@ -13,12 +13,12 @@ from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
     _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
     NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap, Trajectory,
-    dopri45, integrate,
+    _A, _B, _C, _E3, _E5, dop853, integrate,
 )
 
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
-    dopri45_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
+    dop853_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
     poincare_return, variational_jacobian,
 )
 
@@ -43,10 +43,10 @@ def test_invariant_plane_z_conserved():
     assert np.max(np.abs(traj.states[:, 2] - 0.37)) <= 1e-12
 
 
-def test_integrator_order_five():
-    """The step control of an order-5 pair with an order-4 error estimate
-    keeps the local error ~ h^5 at the tolerance, so the step count grows
-    like tol^(-1/5) on a smooth problem; the end error stays within 100 tol."""
+def test_integrator_order_eight():
+    """The step control of an order-8 pair with an order-7 error estimate
+    keeps the local error ~ h^8 at the tolerance, so the step count grows
+    like tol^(-1/8) on a smooth problem; the end error stays within 100 tol."""
     def field(t, s):
         return [-s[1] + 0.1 * s[0] * s[1], s[0] - 0.05 * s[0] ** 2]
 
@@ -60,13 +60,23 @@ def test_integrator_order_five():
         assert np.max(np.abs(traj.states[-1] - ref)) <= 100 * tol
     slopes = [math.log(counts[i + 1] / counts[i]) / math.log(tols[i] / tols[i + 1])
               for i in range(len(tols) - 1)]
-    assert all(abs(s - 0.2) <= 0.03 for s in slopes), (counts, slopes)
+    assert all(abs(s - 1 / 8) <= 0.03 for s in slopes), (counts, slopes)
 
 
 def test_theta_return_identity_at_eps_zero():
     _, _, tmap = _setup()
     x0 = np.array([1.3, -0.2])
     assert np.max(np.abs(tmap.point(x0, 0.1, 0.0) - x0)) == 0.0
+
+
+def test_jet1_identity_at_eps_zero():
+    """At eps = 0 the drift vanishes and the rotation is not integrated, so
+    jet1 returns the point and the identity Jacobian to the last bit."""
+    _, _, tmap = _setup()
+    x0 = np.array([1.3, -0.2])
+    jet = tmap.jet1(x0, 0.1, 0.0)
+    assert jet.value.tobytes() == x0.tobytes()
+    assert jet.A.tobytes() == np.eye(2).tobytes()
 
 
 def test_plane_section_circular_orbit():
@@ -311,7 +321,7 @@ def _time_limit(seconds):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_return_map_at_r_zero_raises_flow_error(reverse):
     """The field is singular on the axis r = 0: the return ends in a typed
-    FlowError instead of an endless RK45 step-size loop on NaN, and a batch
+    FlowError instead of an endless step-size loop on NaN, and a batch
     prints no numpy warning on the way."""
     _, _, tmap = _setup()
     with _time_limit(20):
@@ -343,24 +353,37 @@ def test_cylindrical_field_on_axis_raises():
 
 
 # ---------------------------------------------------------------------------
-# the Dormand-Prince stepper against solve_ivp's RK45
+# the Dormand-Prince stepper against solve_ivp's DOP853
 # ---------------------------------------------------------------------------
 
 TOLERANCES = [(1e-11, 1e-9), (1e-13, 1e-11)]      # certify_torus; branch and jet3
 
 
-def _assert_takes_rk45_steps(rhs, t_end, y0, atol, rtol):
-    """dopri45 against solve_ivp's RK45 on the same float RHS: the same RHS
+def _assert_takes_dop853_steps(rhs, t_end, y0, atol, rtol):
+    """dop853 against solve_ivp's DOP853 on the same float RHS: the same RHS
     evaluation count (the same accepted and rejected steps) and the same end
-    state up to the order of the stage sums.  Returns the dopri45 state."""
-    _, ys, nfev = dopri45(rhs, 0.0, t_end, y0, atol, rtol)
+    state up to the order of the stage sums.  Returns the dop853 state."""
+    _, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
     y = ys[-1]
     ref = solve_ivp(lambda t, s: np.array(rhs(t, s.tolist())), (0.0, t_end),
-                    np.array(y0), method="RK45", atol=atol, rtol=rtol)
+                    np.array(y0), method="DOP853", atol=atol, rtol=rtol)
     assert ref.status == 0
     assert nfev == ref.nfev
     assert np.max(np.abs(np.array(y) - ref.y[:, -1])) <= 1e-13
     return y
+
+
+def test_tableau_is_scipys_dop853_bitwise():
+    """C, A, B, E5 and E3 are the doubles of scipy's DOP853 tableau, and its
+    error weights on rhs(t + h, y_new), which the step leaves out, are 0."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    n = ref.N_STAGES
+    A = np.array([row + (0.0,) * (n - len(row)) for row in _A])
+    assert np.array(_C).tobytes() == ref.C[:n].tobytes()
+    assert A.tobytes() == ref.A[:n, :n].tobytes()
+    assert np.array(_B).tobytes() == ref.B.tobytes()
+    assert np.array(_E5).tobytes() == ref.E5[:n].tobytes() and ref.E5[n] == 0.0
+    assert np.array(_E3).tobytes() == ref.E3[:n].tobytes() and ref.E3[n] == 0.0
 
 
 _pairs = st.sampled_from([(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
@@ -373,8 +396,8 @@ _pairs = st.sampled_from([(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
 def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
     cyl = tmap.field.bind(*pair).cylindrical
-    y = _assert_takes_rk45_steps(lambda t, s: cyl(t, s[0], s[1]),
-                                 -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
+    y = _assert_takes_dop853_steps(lambda t, s: cyl(t, s[0], s[1]),
+                                   -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
     got = tmap.point([r, w], *pair, reverse=reverse)
     assert got.tobytes() == np.array(y).tobytes()
     # several rows map as the rows do one by one
@@ -385,18 +408,17 @@ def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
 
 @pytest.mark.parametrize("atol, rtol", [(1e-12, 1e-10)] + TOLERANCES)
 def test_integrate_matches_solve_ivp(atol, rtol):
-    """`integrate` against solve_ivp's RK45 on the rescaled example field over
+    """`integrate` against solve_ivp's DOP853 on the rescaled example field over
     five periods (an orbit spiralling slowly towards the averaged
     equilibrium, not chaotic): the same number of accepted steps and the end
-    state within 1e-13.  The step times themselves drift apart by up to 3e-5:
-    the first step is so short that its error estimate is dominated by
-    rounding, and the stage sums round differently (numpy's dot against
-    Python floats)."""
+    state within 1e-13.  The step times themselves drift apart by up to 9e-8:
+    the stage sums round differently (numpy's dot against Python floats),
+    and the step control amplifies the difference in the error norm."""
     sys, fam, _ = _setup()
     field = RescaledField(sys, fam).field3(-0.2, 0.02)
     x0, span = [1.2, 0.0, 0.1], (0.0, 5 * PERIOD)
     traj = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
-    ref = solve_ivp(field, span, np.array(x0), method="RK45", atol=atol, rtol=rtol)
+    ref = solve_ivp(field, span, np.array(x0), method="DOP853", atol=atol, rtol=rtol)
     assert ref.status == 0
     assert len(traj.t) == len(ref.t) and traj.t[-1] == span[1]
     assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-13
@@ -414,7 +436,7 @@ def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
         return dr.coeffs + dw.coeffs
 
     state0 = Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs
-    y = _assert_takes_rk45_steps(rhs, PERIOD, list(state0), atol, rtol)
+    y = _assert_takes_dop853_steps(rhs, PERIOD, list(state0), atol, rtol)
     got = tmap.jet3([r, w], *pair)
     expected = MapJet.from_jets(Jet2(y[:10]), Jet2(y[10:]))
     for name in ("value", "A", "B", "C"):
@@ -429,8 +451,8 @@ def test_jet1_matches_jet3_and_finite_differences(r, w, pair):
     and of central differences of the return map, at the tolerances of
     branch and certify's secant.  The two transports take different steps,
     so they agree to the integration's relative tolerance, not to rounding:
-    over 30 random points jet1's A was within 1.3e-12 of a 1e-15-tolerance
-    reference and jet3's within 2.7e-13."""
+    over 30 random points jet1's A was within 5.7e-13 of jet1 at atol 1e-16,
+    rtol 3e-14 and jet3's within 1.1e-13."""
     atol, rtol = 1e-13, 1e-11
     _, _, tmap = _setup(atol=atol, rtol=rtol)
     j1, j3 = tmap.jet1([r, w], *pair), tmap.jet3([r, w], *pair)
@@ -456,6 +478,31 @@ def test_jet1_matches_complex_step_transport(atol, rtol, r, w, pair):
     assert np.max(np.abs(got.A - ref.A)) <= 1e-12
 
 
+@pytest.mark.parametrize("pair", [(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@settings(max_examples=2, deadline=None)
+@given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4))
+def test_return_and_jet1_within_rtol_of_tight_reference(atol, rtol, pair, r, w):
+    """One return and one jet1 at the tolerances of certify and branch lie
+    within rtol of solve_ivp's DOP853 on the same right-hand side at atol
+    1e-16, rtol 3e-14 (scipy raises an rtol below 2.2e-14 to that value)."""
+    _, _, tmap = _setup(atol=atol, rtol=rtol)
+    bound = tmap.field.bind(*pair)
+
+    def reference(rhs, y0):
+        sol = solve_ivp(lambda t, s: np.array(rhs(t, s.tolist())), (0.0, PERIOD),
+                        np.array(y0), method="DOP853", atol=1e-16, rtol=3e-14)
+        assert sol.status == 0
+        return sol.y[:, -1]
+
+    ref = reference(bound.return_rhs, [r, w])
+    assert np.max(np.abs(tmap.point([r, w], *pair) - ref)) <= rtol
+    ref = reference(bound.jet1_rhs, [r, 1.0, 0.0, w, 0.0, 1.0])
+    jet = tmap.jet1([r, w], *pair)
+    got = np.array([jet.value[0], *jet.A[0], jet.value[1], *jet.A[1]])
+    assert np.max(np.abs(got - ref)) <= rtol
+
+
 # a field with cubic terms in every component and a family with spatial
 # terms, so that all nine partials have terms beyond the linear part
 RICH = ("x*z - 1/2*y^3", "y*z + x^2*y", "-x^2 + x*y + z^2 + 2*x*z^2")
@@ -465,9 +512,9 @@ RICH_FAMILY = ("mu*x + x*z", "mu*y - y^2", "mu*z + eps + x*y*z")
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), _pairs)
 def test_compiled_partials_match_complex_step(x, y, z, pair):
-    """The nine partials of the bound field, differentiated exactly before
-    (mu, eps) is folded in, equal complex-step derivatives of the compiled
-    field at the point, to rounding."""
+    """The nine partials of the bound drift (the field less its rotation),
+    differentiated exactly before (mu, eps) is folded in, equal complex-step
+    derivatives of the compiled drift at the point, to rounding."""
     for system, family in ((EXAMPLE, None), (RICH, RICH_FAMILY)):
         fam = (PerturbationFamily.simple(beta=1) if family is None
                else PerturbationFamily.from_expressions(*family))
@@ -477,7 +524,7 @@ def test_compiled_partials_match_complex_step(x, y, z, pair):
         for j in range(3):
             point = [complex(x), complex(y), complex(z)]
             point[j] += 1j * h
-            column = [v.imag / h for v in bound.f(*point)]
+            column = [v.imag / h for v in bound.drift(*point)]
             for i in range(3):
                 assert abs(partials[3 * i + j] - column[i]) <= 1e-13 * (1 + abs(column[i]))
 
@@ -491,7 +538,8 @@ def test_generated_field_kernels_match_compiled_field_bitwise(t, x, y, z, pair):
     on floats: the three write its quotient out and must stay in step."""
     fam = PerturbationFamily.from_expressions(*RICH_FAMILY)
     bound = RescaledField(validate_hopf_zero(*RICH), fam).bind(*pair)
-    assert np.array(bound.rhs3(t, [x, y, z])).tobytes() == np.array(bound.f(x, y, z)).tobytes()
+    field = compile_terms(bound.terms, "xyz")
+    assert np.array(bound.rhs3(t, [x, y, z])).tobytes() == np.array(field(x, y, z)).tobytes()
     r, w = abs(x) + 0.1, z
     want = np.array(bound.cylindrical(t, r, w)).tobytes()
     assert np.array(bound.return_rhs(t, [r, w])).tobytes() == want
@@ -507,7 +555,7 @@ def test_vanishing_angular_speed_raises_typed_errors():
     sys = validate_hopf_zero("0", "-x*z", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
     mu, eps = 0.1, 0.5
-    assert tmap.field.bind(mu, eps).f(1.0, 0.0, 2.0)[1] == 0.0
+    assert compile_terms(tmap.field.bind(mu, eps).terms, "xyz")(1.0, 0.0, 2.0)[1] == 0.0
     with _time_limit(20):
         with pytest.raises(NonFiniteState):
             tmap.point([1.0, 2.0], mu, eps)
@@ -522,17 +570,17 @@ def test_vanishing_angular_speed_raises_typed_errors():
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_exponential(t_end, atol, rtol):
-    ts, ys, nfev = dopri45(lambda t, s: [s[0]], 0.0, t_end, [1.0], atol, rtol)
+    ts, ys, nfev = dop853(lambda t, s: [s[0]], 0.0, t_end, [1.0], atol, rtol)
     y = ys[-1]
     assert ts[0] == 0.0 and ts[-1] == t_end and len(ts) == len(ys)
     assert abs(y[0] - math.exp(t_end)) <= 10 * rtol * math.exp(t_end)
-    assert nfev == 2 + 6 * (len(ts) - 1) # no rejected step on this problem
+    assert nfev == 2 + 12 * (len(ts) - 1)  # no rejected step on this problem
 
 
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_harmonic_oscillator(t_end, atol, rtol):
-    y = dopri45(lambda t, s: [-s[1], s[0]], 0.0, t_end, [1.0, 0.0], atol, rtol)[1][-1]
+    y = dop853(lambda t, s: [-s[1], s[0]], 0.0, t_end, [1.0, 0.0], atol, rtol)[1][-1]
     assert max(abs(y[0] - 1.0), abs(y[1])) <= 10 * rtol
 
 
@@ -541,11 +589,11 @@ def test_stepper_blow_up_raises_step_size_underflow():
     float spacing and the stepper stops, as solve_ivp does with status -1."""
     with _time_limit(20):
         with pytest.raises(StepSizeUnderflow):
-            dopri45(lambda t, s: [s[0] * s[0]], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9)
+            dop853(lambda t, s: [s[0] * s[0]], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9)
 
 
 def test_stepper_zero_span():
-    assert dopri45(lambda t, s: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
+    assert dop853(lambda t, s: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
 
 
 def _stepper_problem(kind, r, w, pair):
@@ -583,8 +631,8 @@ def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
     times, the same states bit for bit and the same RHS count."""
     rhs, y0 = _stepper_problem(kind, r, w, pair)
     t_end = -PERIOD if reverse else PERIOD
-    ts, ys, nfev = dopri45(rhs, 0.0, t_end, y0, atol, rtol)
-    ts_ref, ys_ref, nfev_ref = dopri45_loop(rhs, 0.0, t_end, y0, atol, rtol)
+    ts, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
+    ts_ref, ys_ref, nfev_ref = dop853_loop(rhs, 0.0, t_end, y0, atol, rtol)
     assert nfev == nfev_ref and ts == ts_ref
     assert len(ys) == len(ys_ref)
     for y, y_ref in zip(ys, ys_ref):

@@ -554,10 +554,10 @@ def tune_lift_parameters(seed_field,
         sys_y = fam.system
         pf = PerturbationFamily.simple(sys_y.beta)
         rep = criteria_report(sys_y, pf)
-        # the exact lift has ell_1 = 0 identically (verified symbolically on
-        # probe seeds): realize the "small perturbation, if necessary" by a
-        # seeded rational jitter of the nonlinear jets of the normalized
-        # system, which preserves the Hopf-Zero form and the degree
+        # the exact lift's ell_1 is 0 on some seeds (not all: 1.35e24 on the
+        # README demo seed); where it is 0 to the float tolerance, realize the
+        # "small perturbation, if necessary" by a seeded rational jitter of the
+        # normalized system's nonlinear jets, keeping Hopf-Zero form and degree
         zero_tol = 1e-8 * (1.0 + float(sys_y.omega) ** 2)
         rng = random.Random(seed)
         if rep.base.ell1 is not None and abs(rep.base.ell1) <= zero_tol:

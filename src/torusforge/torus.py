@@ -3,8 +3,8 @@
 The torus of the 3D flow meets the angular section in a closed invariant
 curve of the return map.  Certification follows one orbit onto that curve,
 fits its iterates with an adaptive Fourier series in the angle about their
-centroid, measures the rotation number (Birkhoff-weighted) on the same
-iterates and a normal contraction factor, and issues a verdict.
+centroid, measures on the same iterates the rotation number and the normal
+Lyapunov exponent, both as weighted Birkhoff averages, and issues a verdict.
 
 Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
 are long; a probe phase first iterates the seed xi + (amp, 0) until the
@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,7 +36,11 @@ from .averaging import (
 )
 from .flow import FlowError, IntegratorConfig
 
-KAPPA_RETURNS = 48      # returns of the probe ring behind the kappa fit
+NORMAL_SAMPLES = 512    # with 256 the worked example's lambda_n is 5 sigma from 0
+SIGMA_MULTIPLE = 10     # the halves' difference underestimates the error
+# the largest lock period looked for: with no cap every rho is near some
+# rational, and longer locks fill tongues too narrow to be hit by chance
+LOCK_DENOMINATOR = 64
 
 
 class TorusError(RuntimeError):
@@ -63,10 +68,7 @@ class CertifyConfig:
     fourier_max_order: int = 32
     fourier_improvement: float = 0.10
     escape_bound: float = 50.0
-    kappa_probes: int = 16
-    kappa_offset: float = 1e-3        # relative to mean curve radius
     residual_factor: float = 1e-3     # torus_found needs rms <= factor * radius
-    hyperbolicity_margin: float = 0.05
     integrator: IntegratorConfig = field(
         default_factory=lambda: IntegratorConfig(atol=1e-11, rtol=1e-9))
 
@@ -90,18 +92,9 @@ class FourierCurve:
                 + self.sin_coeffs[k - 1] * np.sin(k * angle)
         return out
 
-    def point(self, angle):
-        r = self.radius(angle)
-        return self.center + np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
-
     @property
     def mean_radius(self) -> float:
         return float(self.cos_coeffs[0])
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        rel = np.atleast_2d(points) - self.center
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        return np.abs(np.linalg.norm(rel, axis=1) - self.radius(ang))
 
 
 def _fit_about(points: np.ndarray, center: np.ndarray, max_order: int,
@@ -184,15 +177,59 @@ def rotation_number(points: np.ndarray, center: Optional[np.ndarray] = None
     inc = np.diff(ang)
     inc = np.where(inc < -np.pi, inc + 2 * np.pi,
                    np.where(inc > np.pi, inc - 2 * np.pi, inc))
-    n = len(inc)
-    t = (np.arange(n) + 0.5) / n
-    weights = np.exp(-1.0 / (t * (1.0 - t)))
-    weights /= weights.sum()
-    rho = float(np.sum(weights * inc) / (2 * np.pi))
-    half = n // 2
-    rho_a = float(np.mean(inc[:half]) / (2 * np.pi))
-    rho_b = float(np.mean(inc[half:]) / (2 * np.pi))
-    return rho, abs(rho_a - rho_b)
+    return birkhoff_average(inc / (2 * np.pi))
+
+
+def birkhoff_average(values) -> Tuple[float, float]:
+    """Weighted Birkhoff average of a sequence along one orbit, and its
+    uncertainty, the difference of the averages over the two halves.  The
+    weights exp(-1/(t(1-t))) converge faster than any power of the length on
+    a quasiperiodic orbit (Das, Sander, Saiki & Yorke, Nonlinearity 30, 2017)."""
+    def weighted(v):
+        t = (np.arange(len(v)) + 0.5) / len(v)
+        w = np.exp(-1.0 / (t * (1.0 - t)))
+        return float(np.sum(w * v) / np.sum(w))
+
+    values = np.asarray(values, dtype=float)
+    half = len(values) // 2
+    return weighted(values), abs(weighted(values[:half]) - weighted(values[half:]))
+
+
+def normal_exponent(tmap, samples: np.ndarray, mu: float, eps: float
+                    ) -> Tuple[Optional[float], Optional[float]]:
+    """(lambda_n, sigma_n) per forward return of the curve through `samples`,
+    the `birkhoff_average` of log |det D Pi| over the first NORMAL_SAMPLES:
+    the sum of both exponents, which is the normal one where an irrational
+    rotation makes the tangential one 0.  Negative attracts.  The forward
+    jet1 serves either probe direction; (None, None) when a jet1 fails."""
+    logdet = []
+    try:
+        for x in samples[:NORMAL_SAMPLES]:
+            A = tmap.jet1(x, mu, eps).A
+            logdet.append(math.log(abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])))
+    except FlowError:
+        return None, None
+    return birkhoff_average(logdet)
+
+
+def normal_hyperbolicity(rho: Optional[float], rho_unc: Optional[float],
+                         lam: Optional[float], lam_unc: Optional[float]
+                         ) -> Tuple[Optional[bool], Optional[str]]:
+    """(verdict, note): Fenichel's rate condition against a tangential rate
+    of 0.  None, with the reason, when the exponent is missing or the rate is
+    not known to be 0: no rho, or rho within SIGMA_MULTIPLE uncertainties of
+    a rational of denominator at most LOCK_DENOMINATOR (a lock)."""
+    if lam is None:
+        return None, "jet1 failed on the samples: no normal exponent"
+    if rho is None:
+        return None, "no rotation number: normal hyperbolicity not judged"
+    # no average is known better than the rounding of its terms
+    rho_unc, lam_unc = (max(u, math.ulp(1.0)) for u in (rho_unc, lam_unc))
+    lock = Fraction(rho).limit_denominator(LOCK_DENOMINATOR)
+    if abs(rho - float(lock)) <= SIGMA_MULTIPLE * rho_unc:
+        return None, (f"rotation number not told from {lock}, where the "
+                      "tangential rate is unknown: normal hyperbolicity not judged")
+    return abs(lam) >= SIGMA_MULTIPLE * lam_unc, None
 
 
 def winding_number(curve_points: np.ndarray, about: np.ndarray) -> int:
@@ -226,8 +263,8 @@ class TorusCertificate:
     fit_residual: Optional[float] = None
     rotation: Optional[float] = None
     rotation_uncertainty: Optional[float] = None
-    kappa: Optional[float] = None
-    kappa_reversed: Optional[float] = None
+    normal_exponent: Optional[float] = None   # per forward return
+    normal_exponent_uncertainty: Optional[float] = None
     normally_hyperbolic: Optional[bool] = None
     winding: Optional[int] = None
     encloses_fixed_point: Optional[bool] = None
@@ -242,7 +279,8 @@ class TorusCertificate:
             "fit_residual": self.fit_residual,
             "rotation_number": self.rotation,
             "rotation_uncertainty": self.rotation_uncertainty,
-            "kappa": self.kappa, "kappa_reversed": self.kappa_reversed,
+            "normal_exponent": self.normal_exponent,
+            "normal_exponent_uncertainty": self.normal_exponent_uncertainty,
             "normally_hyperbolic": self.normally_hyperbolic,
             "winding": self.winding,
             "encloses_fixed_point": self.encloses_fixed_point,
@@ -391,13 +429,14 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         rho, rho_unc = None, None
         notes.append("rotation lift non-monotone on the fitted samples")
 
-    kappa_fwd = _normal_contraction(tmap, curve, mu, eps, reverse, cfg)
-    kappa_rev = _normal_contraction(tmap, curve, mu, eps, not reverse, cfg)
+    lam, lam_unc = normal_exponent(tmap, samples, mu, eps)
+    nh, why = normal_hyperbolicity(rho, rho_unc, lam, lam_unc)
+    if why is not None:
+        notes.append(why)
     wind = winding_number(samples, xi)
 
     found = (residual <= cfg.residual_factor * curve.mean_radius
              and abs(wind) == 1)
-    nh = kappa_fwd is not None and abs(kappa_fwd - 1.0) >= cfg.hyperbolicity_margin
     mismatch = reverse != paper_reversed
     if mismatch:
         notes.append("observed stability direction contradicts the stated "
@@ -410,52 +449,10 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         observed_stability="repelling" if reverse else "attracting",
         curve=curve, curve_points=samples, fit_residual=residual,
         rotation=rho, rotation_uncertainty=rho_unc,
-        kappa=kappa_fwd, kappa_reversed=kappa_rev,
+        normal_exponent=lam, normal_exponent_uncertainty=lam_unc,
         normally_hyperbolic=nh, winding=wind,
         encloses_fixed_point=wind != 0, fixed_point=xi,
         theta_eps=point.theta, notes=tuple(notes))
-
-
-def _normal_contraction(tmap, curve: FourierCurve, mu, eps, reverse,
-                        cfg: CertifyConfig) -> Optional[float]:
-    """Asymptotic per-return normal contraction factor.
-
-    A single return advances a probe a twentieth of a circuit, where the
-    local normal rate can differ wildly from the Floquet average, so the
-    factor is taken from the log-slope of the probe-ring distance to the
-    curve over many returns (window limited to distances that are above the
-    fit noise and still in the linear regime)."""
-    angles = np.linspace(0.0, 2 * np.pi, cfg.kappa_probes, endpoint=False)
-    on = curve.point(angles)
-    normals = on - curve.center
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    delta = cfg.kappa_offset * curve.mean_radius
-    X = on + delta * normals
-    floor = max(20.0 * curve.rms_residual, 1e-9 * curve.mean_radius)
-    cap = 0.05 * curve.mean_radius
-    logs = []
-    steps = []
-    for k in range(1, KAPPA_RETURNS + 1):
-        try:
-            X = tmap.points(X, mu, eps, reverse=reverse)
-        except FlowError:
-            break
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > cfg.escape_bound:
-            break
-        d = curve.distance(X)
-        d = d[np.isfinite(d) & (d > 0)]
-        if len(d) == 0:
-            break
-        mean_log = float(np.mean(np.log(d)))
-        geo = math.exp(mean_log)
-        if geo < floor or geo > cap:
-            break
-        logs.append(mean_log)
-        steps.append(k)
-    if len(steps) < 6:
-        return None
-    slope = np.polyfit(steps, logs, 1)[0]
-    return float(math.exp(slope))
 
 
 def _with_config(tmap, integrator: IntegratorConfig):

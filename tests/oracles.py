@@ -8,7 +8,9 @@ on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
 stepper; `dop853_loop` is that stepper with one list comprehension per
 stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
 reads Omega of a degree lift off the whole normalized `Poly` system, the
-reference for the closed form `lift.omega_of_lift`.  The last section holds
+reference for the closed form `lift.omega_of_lift`.  `normal_contraction`
+measures the normal rate of an invariant curve by following a ring of
+probes off it, the reference for `torus.normal_exponent`.  The last section holds
 small helpers only the tests call, and `FractionCFrac`, the Fraction-pair
 Gaussian rational that checks `averaging.CFrac`.
 """
@@ -457,6 +459,67 @@ def omega_of_lift_family(seed_field, L, delta) -> Fraction:
     if fam.system is None:
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
     return fam.system.omega
+
+
+# ---------------------------------------------------------------------------
+# the normal contraction of an invariant curve, from a ring of probes
+# ---------------------------------------------------------------------------
+
+def curve_point(curve, angle) -> np.ndarray:
+    """The point of a `torus.FourierCurve` at each polar angle about its center."""
+    r = curve.radius(angle)
+    return curve.center + np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+
+
+def curve_distance(curve, points) -> np.ndarray:
+    """Radial distance of each point to a `torus.FourierCurve`."""
+    rel = np.atleast_2d(points) - curve.center
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    return np.abs(np.linalg.norm(rel, axis=1) - curve.radius(ang))
+
+
+def normal_contraction(tmap, curve, mu, eps, reverse, probes=16, offset=1e-3,
+                       returns=48, escape_bound=50.0) -> Optional[float]:
+    """Asymptotic per-return normal contraction factor kappa of the curve,
+    in the direction `reverse` selects.
+
+    A single return advances a probe a twentieth of a circuit, where the
+    local normal rate can differ wildly from the Floquet average, so the
+    factor is taken from the log-slope of the probe-ring distance to the
+    curve over many returns (window limited to distances that are above the
+    fit noise and still in the linear regime).  The ring starts `offset`
+    mean radii outside the curve.  None with fewer than 6 returns in the
+    window."""
+    angles = np.linspace(0.0, 2 * np.pi, probes, endpoint=False)
+    on = curve_point(curve, angles)
+    normals = on - curve.center
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    X = on + offset * curve.mean_radius * normals
+    floor = max(20.0 * curve.rms_residual, 1e-9 * curve.mean_radius)
+    cap = 0.05 * curve.mean_radius
+    logs = []
+    steps = []
+    for k in range(1, returns + 1):
+        try:
+            X = tmap.points(X, mu, eps, reverse=reverse)
+        except FlowError:
+            break
+        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > escape_bound:
+            break
+        d = curve_distance(curve, X)
+        d = d[np.isfinite(d) & (d > 0)]
+        if len(d) == 0:
+            break
+        mean_log = float(np.mean(np.log(d)))
+        geo = math.exp(mean_log)
+        if geo < floor or geo > cap:
+            break
+        logs.append(mean_log)
+        steps.append(k)
+    if len(steps) < 6:
+        return None
+    slope = np.polyfit(steps, logs, 1)[0]
+    return float(math.exp(slope))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.lift import build_lift_family, tune_lift_parameters, _jitter_nonlinear
 from torusforge.torus import CertifyConfig, _with_config, certify_torus
 
-from oracles import f1_quadrature, jet_product
+from oracles import f1_quadrature, jet_product, normal_contraction
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -169,9 +169,20 @@ def test_criterion_6_torus_certification(certification):
                   f"{elapsed:.1f}s")
 
 
-def test_criterion_6_certificate_invariants(example, certification):
+@pytest.fixture(scope="module")
+def kappa_pair(example, certification):
+    """The oracle's log-slope normal contraction factors of the certified
+    curve: in the probe's time direction, then in the other one."""
+    found = certification[0]
+    tmap = _with_config(example[3], CertifyConfig().integrator)
+    return tuple(normal_contraction(tmap, found.curve, 0.05, 0.05, reverse)
+                 for reverse in (found.reversed_time, not found.reversed_time))
+
+
+def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
     found, _, _ = certification
-    product = found.kappa * found.kappa_reversed
+    kappa, kappa_reversed = kappa_pair
+    product = kappa * kappa_reversed
     # the samples are one orbit: each is the return of the one before it
     tmap = _with_config(example[3], CertifyConfig().integrator)
     one_orbit = all(
@@ -181,12 +192,30 @@ def test_criterion_6_certificate_invariants(example, certification):
     ok = (abs(product - 1.0) <= 0.10
           and found.encloses_fixed_point
           and found.rotation_uncertainty <= 1e-4
-          and found.kappa < 1.0
+          and kappa < 1.0
+          and found.normally_hyperbolic is True
           and one_orbit)
     _announce("criterion 6b (kappa_fwd*kappa_rev = 1 within 10%; curve encloses "
-              "fixed point; rotation stable; samples are one orbit)",
-              ok, f"kappa={found.kappa:.5f}, product={product:.4f}, "
-                  f"unc={found.rotation_uncertainty:.2e}, one_orbit={one_orbit}")
+              "fixed point; rotation stable; normally hyperbolic; samples are "
+              "one orbit)",
+              ok, f"kappa={kappa:.5f}, product={product:.4f}, "
+                  f"unc={found.rotation_uncertainty:.2e}, "
+                  f"lambda_n={found.normal_exponent:.4e} "
+                  f"+- {found.normal_exponent_uncertainty:.1e}, one_orbit={one_orbit}")
+
+
+def test_normal_exponent_matches_kappa_pair(certification, kappa_pair):
+    """lambda_n per forward return agrees within 10% with the mean of the
+    oracle's two log-slope rates, log kappa and -log kappa_reversed, signed
+    for the probe's time direction; and the curve attracts in forward time
+    exactly when lambda_n < 0."""
+    found, _, _ = certification
+    kappa, kappa_reversed = kappa_pair
+    sign = -1.0 if found.reversed_time else 1.0
+    mean = sign * (math.log(kappa) - math.log(kappa_reversed)) / 2
+    lam = found.normal_exponent
+    assert abs(lam - mean) <= 0.10 * abs(mean), (lam, mean)
+    assert (found.observed_stability == "attracting") == (lam < 0)
 
 
 def test_criterion_7_degree_lift_identities():
@@ -315,7 +344,10 @@ def test_lift_then_certify_demo():
                         integrator=IntegratorConfig(atol=1e-9, rtol=1e-7))
     cert = certify_torus(tmap, mu_t, point, mel, res, cfg=cfg)
     ok = (cert.verdict == "torus_found" and cert.winding == 1
-          and cert.fit_residual <= 1e-3 * cert.curve.mean_radius)
+          and cert.fit_residual <= 1e-3 * cert.curve.mean_radius
+          and cert.normally_hyperbolic is True
+          and (cert.observed_stability == "attracting") == (cert.normal_exponent < 0))
     _announce("lift demo (degree-2 seed -> degree-3 lift -> certified new torus)",
               ok, f"verdict={cert.verdict}, residual={cert.fit_residual:.2e}, "
-                  f"rho={cert.rotation}")
+                  f"rho={cert.rotation}, lambda_n={cert.normal_exponent:.4e}, "
+                  f"{cert.observed_stability}")

@@ -1,15 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
-from torusforge.flow import IntegratorConfig, ThetaReturnMap
+from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
 from torusforge.torus import (
-    CertifyConfig, NonMonotoneLift, TorusError, _collapse_check,
-    _normal_contraction, _probe, _with_config, fit_fourier_curve,
+    CertifyConfig, NonMonotoneLift, TorusError, _collapse_check, _probe,
+    _with_config, fit_fourier_curve, normal_exponent, normal_hyperbolicity,
     rotation_number, winding_number,
 )
+
+from oracles import normal_contraction
 
 
 def _circle_samples(n=512, rho=0.3, center=(1.0, -0.5), wobble=0.0, seed=0):
@@ -83,6 +86,26 @@ class _SyntheticMap:
     def point(self, x, mu, eps, reverse=False):
         return self.points(np.asarray(x)[None, :], mu, eps, reverse)[0]
 
+    def jet1(self, x, mu, eps):
+        """Value and Jacobian of the forward map: diag(kappa, 1) in polar
+        coordinates (r, a), carried to the plane by d(x, y)/d(r, a)."""
+        y = self.point(x, mu, eps)
+
+        def polar_frame(p):
+            rel = p - self.center
+            r = np.linalg.norm(rel)
+            c, s = rel / r
+            return np.array([[c, -r * s], [s, r * c]])
+
+        A = polar_frame(y) @ np.diag([self.kappa, 1.0]) @ np.linalg.inv(polar_frame(x))
+        return MapJet(value=y, A=A)
+
+    def orbit(self, x, n):
+        out = np.zeros((n, 2))
+        for i in range(n):
+            x = out[i] = self.point(x, 0.0, 0.1)
+        return out
+
 
 def test_probe_settles_on_synthetic_circle():
     tmap = _SyntheticMap()
@@ -115,12 +138,53 @@ def test_normal_contraction_on_synthetic_map():
     tmap = _SyntheticMap(kappa=0.9)
     pts = _circle_samples(rho=tmap.rho0, center=tmap.center, seed=3)
     curve = fit_fourier_curve(pts)
-    cfg = CertifyConfig()
-    k_fwd = _normal_contraction(tmap, curve, 0.0, 0.1, False, cfg)
-    k_rev = _normal_contraction(tmap, curve, 0.0, 0.1, True, cfg)
+    k_fwd = normal_contraction(tmap, curve, 0.0, 0.1, False)
+    k_rev = normal_contraction(tmap, curve, 0.0, 0.1, True)
     assert k_fwd == pytest.approx(0.9, rel=1e-3)
     assert k_rev == pytest.approx(1.0 / 0.9, rel=1e-3)
     assert k_fwd * k_rev == pytest.approx(1.0, rel=1e-2)
+
+
+def test_normal_exponent_on_synthetic_circle():
+    """On the invariant circle log |det D Pi| is log kappa at every sample,
+    and with an irrational rotation the circle is normally hyperbolic."""
+    tmap = _SyntheticMap(kappa=0.9)
+    samples = tmap.orbit(tmap.center + [tmap.rho0, 0.0], 1024)
+    lam, lam_unc = normal_exponent(tmap, samples, 0.0, 0.1)
+    assert abs(lam - math.log(0.9)) <= 1e-12
+    assert lam_unc <= 1e-12
+    rho, rho_unc = rotation_number(samples, tmap.center)
+    assert normal_hyperbolicity(rho, rho_unc, lam, lam_unc) == (True, None)
+    verdict, note = normal_hyperbolicity(None, None, lam, lam_unc)
+    assert verdict is None and "rotation" in note
+
+
+@pytest.mark.parametrize("lock", [Fraction(1, 5), Fraction(3, 8)])
+def test_lock_is_not_judged(lock):
+    """A rational rotation: the tangential rate of a lock is not known, so
+    the verdict is None with a note, however large the normal exponent.  At
+    3/8 rho is 1 ulp off the rational with a halves' difference of 0, which
+    the rounding floor of the uncertainty covers."""
+    tmap = _SyntheticMap(kappa=0.9, rot=2 * math.pi * float(lock))
+    samples = tmap.orbit(tmap.center + [tmap.rho0, 0.0], 1024)
+    rho, rho_unc = rotation_number(samples, tmap.center)
+    lam, lam_unc = normal_exponent(tmap, samples, 0.0, 0.1)
+    verdict, note = normal_hyperbolicity(rho, rho_unc, lam, lam_unc)
+    assert verdict is None and str(lock) in note
+
+
+def test_failed_jet1_gives_no_exponent():
+    class _Unstable(_SyntheticMap):
+        def jet1(self, x, mu, eps):
+            raise JetTransportUnstable("non-finite jet")
+
+    tmap = _Unstable()
+    samples = tmap.orbit(tmap.center + [tmap.rho0, 0.0], 512)
+    lam, lam_unc = normal_exponent(tmap, samples, 0.0, 0.1)
+    assert (lam, lam_unc) == (None, None)
+    rho, rho_unc = rotation_number(samples, tmap.center)
+    verdict, note = normal_hyperbolicity(rho, rho_unc, lam, lam_unc)
+    assert verdict is None and "jet1" in note
 
 
 def test_rotation_number_doubling_stability():
@@ -128,12 +192,7 @@ def test_rotation_number_doubling_stability():
     x = tmap.center + np.array([tmap.rho0, 0.0])
     orbits = {}
     for n in (512, 1024):
-        pts = np.zeros((n, 2))
-        xi = x.copy()
-        for i in range(n):
-            xi = tmap.point(xi, 0.0, 0.1)
-            pts[i] = xi
-        orbits[n], _ = rotation_number(pts, tmap.center)
+        orbits[n], _ = rotation_number(tmap.orbit(x, n), tmap.center)
     assert abs(orbits[512] - orbits[1024]) <= 1e-4
 
 

@@ -19,7 +19,8 @@ The input document is one self-contained JSON experiment:
 
 `--grid` lies in [1, MAX_GRID], `periods` (simulate) in (0, MAX_PERIODS]
 and each `lift` grid holds at most MAX_LIFT_SAMPLES values, so no input asks
-for unbounded work.
+for unbounded work.  The `ball` center is finite and its radius finite and
+> 0; any other value is an OutOfRange error before any lift work.
 
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; floats are serialized with 17 significant digits and keys are
@@ -250,6 +251,14 @@ def _lift_samples(lift_doc: dict, key: str, squares: bool = False):
     return lift_samples(key, values, squares)
 
 
+def _float(value) -> float:
+    """A JSON number as a float; inf for an integer past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _params(doc, spec):
     """(mu, eps), each from its flag or else from the document's
     `parameters`, None where neither gives it.  NaN and inf are refused
@@ -259,14 +268,26 @@ def _params(doc, spec):
     for name, flag in (("mu", spec.mu), ("eps", spec.eps)):
         value = flag if flag is not None else pars.get(name)
         if value is not None:
-            try:
-                value = float(value)
-            except OverflowError:       # a JSON integer past the float range
-                value = math.inf
+            value = _float(value)
             if not math.isfinite(value):
                 raise OutOfRange(f"{name} must be finite, got {value}")
         out.append(value)
     return tuple(out)
+
+
+def _ball(doc) -> Ball:
+    """The document's `ball`, the unit ball by default.  A center coordinate
+    that is not finite, or a radius that is not finite and > 0, is refused
+    before any lift work: the scan overflows on the one and runs over
+    x <= 0 on the other."""
+    ball_doc = doc.get("ball", {"center": [0.0, 0.0, 0.0], "radius": 1.0})
+    center = tuple(_float(v) for v in ball_doc["center"])
+    radius = _float(ball_doc["radius"])
+    if not all(map(math.isfinite, center)):
+        raise OutOfRange(f"ball center must be finite, got {list(center)}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise OutOfRange(f"ball radius must be finite and > 0, got {radius}")
+    return Ball(center, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +408,7 @@ def cmd_lift(spec: RunSpec) -> int:
     lift_doc = doc.get("lift", {})
     L_values = _lift_samples(lift_doc, "L_values")
     delta_values = _lift_samples(lift_doc, "delta_values", squares=True)
-    ball_doc = doc.get("ball", {"center": [0.0, 0.0, 0.0], "radius": 1.0})
-    ball = Ball(tuple(float(v) for v in ball_doc["center"]),
-                float(ball_doc["radius"]))
-    plane = find_separating_plane(seed_field, ball, seed=spec.seed)
+    plane = find_separating_plane(seed_field, _ball(doc), seed=spec.seed)
     translated = translate_to_origin(plane.field, plane.point)
     tuning = tune_lift_parameters(translated, L_values, delta_values,
                                   seed=spec.seed)

@@ -168,9 +168,11 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     ball, plus the vertical plane through it.
 
     Scans x = radius * 2^(k/2), k = 1..40, accepting the first x where the
-    line angle exceeds both ball-tangent angles.  When f = X1(x1,x2,0) and
-    g = X2(x1,x2,0) share a factor or a leading coefficient vanishes, a
-    seeded rational jitter is applied (magnitude ladder 1e-6, 1e-5, 1e-4).
+    line angle exceeds both ball-tangent angles; an x past the float range,
+    or where the field overflows a float, is no candidate.  When
+    f = X1(x1,x2,0) and g = X2(x1,x2,0) share a factor or a leading
+    coefficient vanishes, a seeded rational jitter is applied (magnitude
+    ladder 1e-6, 1e-5, 1e-4).
     """
     polys = tuple(as_poly(c) for c in field)
     rng = random.Random(seed)
@@ -197,11 +199,18 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     rho = float(ball.radius)
 
     for k in range(1, 41):
-        x = float(ball.radius) * 2.0 ** (k / 2.0)
-        fx = _eval_biv(f, Fraction(x).limit_denominator(10 ** 12), Fraction(0))
-        gx = _eval_biv(g, Fraction(x).limit_denominator(10 ** 12), Fraction(0))
+        x = rho * 2.0 ** (k / 2.0)
+        if not math.isfinite(x):
+            break
+        px = Fraction(x).limit_denominator(10 ** 12)
+        fx = _eval_biv(f, px, Fraction(0))
+        gx = _eval_biv(g, px, Fraction(0))
         if fx == 0:
             continue
+        try:
+            fxf, gxf = float(fx), float(gx)
+        except OverflowError:
+            continue                          # the field overflows a float here
         dist = math.hypot(x - bx, -by)
         if dist <= rho:
             continue
@@ -209,21 +218,18 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
         base = math.atan2(by - 0.0, bx - x)
         theta_p = _line_angle(base + alpha)
         theta_m = _line_angle(base - alpha)
-        phi = math.atan2(float(gx), float(fx))
-        phi = _line_angle(phi)
+        phi = _line_angle(math.atan2(gxf, fxf))
         if abs(phi) > max(abs(theta_p), abs(theta_m)):
-            px = Fraction(x).limit_denominator(10 ** 12)
             p = (px, Fraction(0), Fraction(0))
             direction = tuple(_eval_at(polys[i], p) for i in range(3))
             if all(d == 0 for d in direction):
                 continue                      # singular point: keep scanning
             a0, b0 = Fraction(gx), Fraction(-fx)
-            plane_dist = abs(float(a0) * (bx - float(px)) + float(b0) * by) \
-                / math.hypot(float(a0), float(b0))
+            plane_dist = abs(gxf * (bx - float(px)) - fxf * by) / math.hypot(gxf, fxf)
             if plane_dist <= rho:
                 continue
             resid = abs(float(a0 * direction[0] + b0 * direction[1])) / \
-                max(1.0, math.hypot(float(a0), float(b0)))
+                max(1.0, math.hypot(gxf, fxf))
             return SeparatingPlane(
                 point=p, coefficients=(a0, b0, Fraction(0)),
                 direction=direction, plane_distance=plane_dist,

@@ -2,9 +2,12 @@
 
 The torus of the 3D flow meets the angular section in a closed invariant
 curve of the return map.  Certification follows one orbit onto that curve,
-fits its iterates with an adaptive Fourier series in the angle about their
-centroid, measures on the same iterates the rotation number and the normal
-Lyapunov exponent, both as weighted Birkhoff averages, and issues a verdict.
+fits the radius of its iterates about their centroid with a Fourier series
+in the angle, measures on the same iterates the rotation number and the
+normal Lyapunov exponent, both as weighted Birkhoff averages, and issues a
+verdict.  The fit is one QR of the order-FOURIER_ORDER design, which gives
+the residual of every lower order too; the order kept is the smallest one
+whose rms is within FOURIER_TOLERANCE of the full order's.
 
 Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
 are long; a probe phase first iterates the seed xi + (amp, 0) until the
@@ -41,6 +44,9 @@ SIGMA_MULTIPLE = 10     # the halves' difference underestimates the error
 # the largest lock period looked for: with no cap every rho is near some
 # rational, and longer locks fill tongues too narrow to be hit by chance
 LOCK_DENOMINATOR = 64
+FOURIER_ORDER = 32      # the order of the one design the curve is fitted in
+FOURIER_TOLERANCE = 0.10  # the order kept is the lowest within this of the full rms
+RESIDUAL_FACTOR = 1e-3  # torus_found needs rms <= factor * mean radius
 
 
 class TorusError(RuntimeError):
@@ -65,10 +71,7 @@ class CertifyConfig:
     window: int = 2048                # iterates of the one sampled orbit
     probe_max: int = 6000
     probe_check: int = 500
-    fourier_max_order: int = 32
-    fourier_improvement: float = 0.10
     escape_bound: float = 50.0
-    residual_factor: float = 1e-3     # torus_found needs rms <= factor * radius
     integrator: IntegratorConfig = field(
         default_factory=lambda: IntegratorConfig(atol=1e-11, rtol=1e-9))
 
@@ -84,71 +87,39 @@ class FourierCurve:
     def order(self) -> int:
         return len(self.sin_coeffs)
 
-    def radius(self, angle):
-        angle = np.asarray(angle, dtype=float)
-        out = np.full_like(angle, self.cos_coeffs[0])
-        for k in range(1, self.order + 1):
-            out = out + self.cos_coeffs[k] * np.cos(k * angle) \
-                + self.sin_coeffs[k - 1] * np.sin(k * angle)
-        return out
-
     @property
     def mean_radius(self) -> float:
         return float(self.cos_coeffs[0])
 
 
-def _fit_about(points: np.ndarray, center: np.ndarray, max_order: int,
-               improvement: float) -> FourierCurve:
+def fit_fourier_curve(points: np.ndarray) -> FourierCurve:
+    """Least-squares radius(angle) fit about the samples' centroid.
+
+    One QR of the design [1, cos a, sin a, ..., cos Na, sin Na], N =
+    FOURIER_ORDER, gives every nested order's residual: with z = Q^T rad,
+    the first p columns leave |rad - Q z|^2 + sum_{j >= p} z_j^2.  The order
+    is the smallest K >= 2 whose rms is within FOURIER_TOLERANCE of order
+    N's, and its coefficients solve the leading (2K+1)-block of R."""
+    points = np.asarray(points, dtype=float)
+    center = points.mean(axis=0)
     rel = points - center
     ang = np.arctan2(rel[:, 1], rel[:, 0])
     rad = np.linalg.norm(rel, axis=1)
-    best = None
-    prev_rms = None
-    for K in range(2, max_order + 1):
-        A = np.ones((len(ang), 2 * K + 1))
-        for k in range(1, K + 1):
-            A[:, 2 * k - 1] = np.cos(k * ang)
-            A[:, 2 * k] = np.sin(k * ang)
-        coef, *_ = np.linalg.lstsq(A, rad, rcond=None)
-        rms = float(np.sqrt(np.mean((rad - A @ coef) ** 2)))
-        best = FourierCurve(center=center.copy(),
-                            cos_coeffs=np.concatenate([[coef[0]], coef[1::2]]),
-                            sin_coeffs=coef[2::2], rms_residual=rms)
-        if prev_rms is not None and rms > (1.0 - improvement) * prev_rms:
-            break
-        prev_rms = rms
-    return best
-
-
-def fit_fourier_curve(points: np.ndarray, max_order: int = 32,
-                      improvement: float = 0.10) -> FourierCurve:
-    """Adaptive-order least-squares radius(angle) fit.
-
-    The fit order grows until the rms improvement drops below the given
-    fraction.  Starting from the point centroid, the center is refined by
-    absorbing the first radial harmonic (exact center recovery for true
-    circles); for genuinely eccentric curves the first harmonic is real
-    geometry, so the refined fit is kept only when it actually reduces the
-    residual and keeps the center well inside the curve."""
-    points = np.asarray(points, dtype=float)
-    center = points.mean(axis=0)
-    best = _fit_about(points, center, max_order, improvement)
-    c = center.copy()
-    for _ in range(4):
-        cand = _fit_about(points, c, max_order, improvement)
-        if cand.rms_residual < best.rms_residual:
-            best = cand
-        if cand.order < 1:
-            break
-        shift = np.array([cand.cos_coeffs[1], cand.sin_coeffs[0]])
-        if np.linalg.norm(shift) <= 1e-12 * max(1.0, cand.mean_radius):
-            break
-        c_new = c + shift
-        rel = points - c_new
-        if np.min(np.linalg.norm(rel, axis=1)) < 0.3 * cand.mean_radius:
-            break
-        c = c_new
-    return best
+    harmonics = np.outer(ang, np.arange(1, FOURIER_ORDER + 1))
+    A = np.ones((len(ang), 2 * FOURIER_ORDER + 1))
+    A[:, 1::2] = np.cos(harmonics)
+    A[:, 2::2] = np.sin(harmonics)
+    Q, R = np.linalg.qr(A)
+    z = Q.T @ rad
+    # the squared residual of the first p columns, p = 0 .. 2 * FOURIER_ORDER + 1
+    sq = np.append(np.cumsum(z[::-1] ** 2)[::-1], 0.0) + np.sum((rad - Q @ z) ** 2)
+    rms = np.sqrt(sq[1::2] / len(rad))          # rms[K]: the order-K fit's
+    K = 2 + int(np.argmax(rms[2:] <= (1.0 + FOURIER_TOLERANCE) * rms[-1]))
+    p = 2 * K + 1
+    coef = np.linalg.solve(R[:p, :p], z[:p])
+    return FourierCurve(center=center,
+                        cos_coeffs=np.concatenate([[coef[0]], coef[1::2]]),
+                        sin_coeffs=coef[2::2], rms_residual=float(rms[K]))
 
 
 def rotation_number(points: np.ndarray, center: Optional[np.ndarray] = None
@@ -420,8 +391,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
                         "settled; no invariant curve")
     samples = orbit[cfg.transient:]
 
-    curve = fit_fourier_curve(samples, cfg.fourier_max_order,
-                              cfg.fourier_improvement)
+    curve = fit_fourier_curve(samples)
     residual = curve.rms_residual
     try:
         rho, rho_unc = rotation_number(samples, curve.center)
@@ -435,7 +405,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         notes.append(why)
     wind = winding_number(samples, xi)
 
-    found = (residual <= cfg.residual_factor * curve.mean_radius
+    found = (residual <= RESIDUAL_FACTOR * curve.mean_radius
              and abs(wind) == 1)
     mismatch = reverse != paper_reversed
     if mismatch:

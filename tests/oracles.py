@@ -10,7 +10,9 @@ stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
 reads Omega of a degree lift off the whole normalized `Poly` system, the
 reference for the closed form `lift.omega_of_lift`.  `normal_contraction`
 measures the normal rate of an invariant curve by following a ring of
-probes off it, the reference for `torus.normal_exponent`.  The last section holds
+probes off it, the reference for `torus.normal_exponent`, and
+`fourier_fit_lstsq` solves one least-squares problem per Fourier order, the
+reference for `torus.fit_fourier_curve`.  The last section holds
 small helpers only the tests call, and `FractionCFrac`, the Fraction-pair
 Gaussian rational that checks `averaging.CFrac`.
 """
@@ -462,12 +464,43 @@ def omega_of_lift_family(seed_field, L, delta) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the Fourier fit of an invariant curve, one least-squares problem per order
+# ---------------------------------------------------------------------------
+
+def fourier_fit_lstsq(points, center, order) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(cos_coeffs, sin_coeffs, rms) of the order-`order` least-squares fit of
+    the radius about `center` against the polar angle, by its own `lstsq`:
+    the reference for `torus.fit_fourier_curve`, which reads every order off
+    one QR."""
+    rel = np.asarray(points, dtype=float) - center
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    rad = np.linalg.norm(rel, axis=1)
+    A = np.ones((len(ang), 2 * order + 1))
+    for k in range(1, order + 1):
+        A[:, 2 * k - 1] = np.cos(k * ang)
+        A[:, 2 * k] = np.sin(k * ang)
+    coef, *_ = np.linalg.lstsq(A, rad, rcond=None)
+    rms = float(np.sqrt(np.mean((rad - A @ coef) ** 2)))
+    return np.concatenate([[coef[0]], coef[1::2]]), coef[2::2], rms
+
+
+# ---------------------------------------------------------------------------
 # the normal contraction of an invariant curve, from a ring of probes
 # ---------------------------------------------------------------------------
 
+def curve_radius(curve, angle):
+    """The radius of a `torus.FourierCurve` at each polar angle about its center."""
+    angle = np.asarray(angle, dtype=float)
+    out = np.full_like(angle, curve.cos_coeffs[0])
+    for k in range(1, curve.order + 1):
+        out = out + curve.cos_coeffs[k] * np.cos(k * angle) \
+            + curve.sin_coeffs[k - 1] * np.sin(k * angle)
+    return out
+
+
 def curve_point(curve, angle) -> np.ndarray:
     """The point of a `torus.FourierCurve` at each polar angle about its center."""
-    r = curve.radius(angle)
+    r = curve_radius(curve, angle)
     return curve.center + np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
 
 
@@ -475,7 +508,7 @@ def curve_distance(curve, points) -> np.ndarray:
     """Radial distance of each point to a `torus.FourierCurve`."""
     rel = np.atleast_2d(points) - curve.center
     ang = np.arctan2(rel[:, 1], rel[:, 0])
-    return np.abs(np.linalg.norm(rel, axis=1) - curve.radius(ang))
+    return np.abs(np.linalg.norm(rel, axis=1) - curve_radius(curve, ang))
 
 
 def normal_contraction(tmap, curve, mu, eps, reverse, probes=16, offset=1e-3,

@@ -353,6 +353,33 @@ def test_bad_lift_grid_is_typed_error(tmp_path, capsys, monkeypatch, lift, error
     assert not (out / "lift.json").exists()
 
 
+@pytest.mark.parametrize("ball, error", [
+    ({"center": [0, 0, 0], "radius": 1e200}, "NoSeparatingXFound"),
+    ({"center": [0, 0, 0], "radius": 1e300}, "NoSeparatingXFound"),
+    ({"center": [0, 0, 0], "radius": 1.7e308}, "NoSeparatingXFound"),
+    ({"center": [0, 0, 0], "radius": math.inf}, "OutOfRange"),
+    ({"center": [0, 0, 0], "radius": 10 ** 400}, "OutOfRange"),
+    ({"center": [0, 0, 0], "radius": math.nan}, "OutOfRange"),
+    ({"center": [0, 0, 0], "radius": -1}, "OutOfRange"),
+    ({"center": [0, 0, 0], "radius": 0}, "OutOfRange"),
+    ({"center": [math.inf, 0, 0], "radius": 1}, "OutOfRange"),
+    ({"center": [0, math.nan, 0], "radius": 1}, "OutOfRange"),
+])
+def test_bad_ball_is_typed_error(tmp_path, capsys, ball, error):
+    """A ball whose center is not finite, or whose radius is not finite and
+    > 0, is an OutOfRange error; a radius so large that the field, or x
+    itself, overflows a float at every scanned x finds no separating x.  Each ends in a typed
+    error JSON and exit 1: a radius of 1e200, 1e300 or inf ended in an
+    OverflowError traceback, NaN in an untyped ValueError, and a center at
+    inf or a radius of -1 in exit 0."""
+    path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "ball": ball})
+    out = tmp_path / "out"
+    assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
+    assert json.loads((out / "lift_error.json").read_text())["error"] == error
+    assert not (out / "lift.json").exists()
+
+
 def test_lift_grid_at_the_cap_runs(tmp_path):
     """A grid of MAX_LIFT_SAMPLES values is within the cap."""
     values = [str(k + 1) for k in range(MAX_LIFT_SAMPLES)]

@@ -7,18 +7,19 @@ import pytest
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
 from torusforge.torus import (
-    CertifyConfig, NonMonotoneLift, TorusError, _collapse_check, _probe,
-    _with_config, fit_fourier_curve, normal_exponent, normal_hyperbolicity,
-    rotation_number, winding_number,
+    FOURIER_ORDER, FOURIER_TOLERANCE, CertifyConfig, NonMonotoneLift, TorusError,
+    _collapse_check, _probe, _with_config, fit_fourier_curve, normal_exponent,
+    normal_hyperbolicity, rotation_number, winding_number,
 )
 
-from oracles import normal_contraction
+from oracles import fourier_fit_lstsq, normal_contraction
 
 
-def _circle_samples(n=512, rho=0.3, center=(1.0, -0.5), wobble=0.0, seed=0):
+def _circle_samples(n=512, rho=0.3, center=(1.0, -0.5), wobble=0.0, harmonic=3,
+                    seed=0):
     rng = np.random.default_rng(seed)
     ang = rng.uniform(0, 2 * np.pi, n)
-    r = rho * (1.0 + wobble * np.cos(3 * ang))
+    r = rho * (1.0 + wobble * np.cos(harmonic * ang))
     pts = np.stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang)], axis=1)
     return pts
 
@@ -46,12 +47,17 @@ def test_non_monotone_lift_on_cloud():
         rotation_number(pts, center=np.zeros(2))
 
 
-def test_fourier_fit_recovers_wobbly_circle():
-    pts = _circle_samples(wobble=0.1)
+@pytest.mark.parametrize("harmonic", [3, 5])
+def test_fourier_fit_recovers_wobbly_circle(harmonic):
+    """The fit is about the samples' centroid, 0.02 off the circle's center,
+    so the radius has every harmonic.  An order rule that stopped at the
+    first small improvement stopped at order 3 on the harmonic-5 wobble,
+    with an rms of 2e-2."""
+    pts = _circle_samples(wobble=0.1, harmonic=harmonic)
     curve = fit_fourier_curve(pts)
-    assert curve.rms_residual <= 1e-10
+    assert curve.rms_residual <= {3: 1e-10, 5: 1e-8}[harmonic]
     assert abs(curve.mean_radius - 0.3) <= 1e-3
-    assert np.max(np.abs(curve.center - [1.0, -0.5])) <= 1e-3
+    assert curve.center.tobytes() == pts.mean(axis=0).tobytes()
 
 
 def test_winding_number():
@@ -132,6 +138,35 @@ def test_probe_detects_escape():
     # reversed dynamics repel from the circle toward infinity
     status, _ = _probe(tmap, tmap.center + [0.6, 0.0], 0.0, 0.1, True, cfg)
     assert status == "escape"
+
+
+def _eccentric_orbit():
+    """The synthetic map's orbit, started 1e-6 off its circle, seen through a
+    linear map that makes the circle an ellipse: the fit's order is where the
+    ellipse's harmonics meet the transient, far above rounding."""
+    tmap = _SyntheticMap()
+    orbit = tmap.orbit(tmap.center + [tmap.rho0 + 1e-6, 0.0], 512)
+    return tmap.center + (orbit - tmap.center) @ np.array([[1.3, 0.2], [0.0, 0.8]]).T
+
+
+@pytest.mark.parametrize("samples", ["harmonic-5 circle", "eccentric orbit"])
+def test_fourier_fit_matches_lstsq_oracle(samples):
+    """The order is the smallest K >= 2 whose rms, by one lstsq per order, is
+    within FOURIER_TOLERANCE of the full order's, and the coefficients and
+    rms at that order are the lstsq fit's."""
+    pts = (_circle_samples(wobble=0.1, harmonic=5) if samples == "harmonic-5 circle"
+           else _eccentric_orbit())
+    center = pts.mean(axis=0)
+    fits = {K: fourier_fit_lstsq(pts, center, K) for K in range(2, FOURIER_ORDER + 1)}
+    full = fits[FOURIER_ORDER][2]
+    curve = fit_fourier_curve(pts)
+    assert curve.order == min(K for K, (_, _, rms) in fits.items()
+                              if rms <= (1.0 + FOURIER_TOLERANCE) * full)
+    cos, sin, rms = fits[curve.order]
+    tol = 1e-12 * curve.mean_radius
+    assert np.max(np.abs(curve.cos_coeffs - cos)) <= tol
+    assert np.max(np.abs(curve.sin_coeffs - sin)) <= tol
+    assert abs(curve.rms_residual - rms) <= tol
 
 
 def test_normal_contraction_on_synthetic_map():

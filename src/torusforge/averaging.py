@@ -11,6 +11,18 @@ arithmetic with one gcd per result.  Both Melnikov functions then come out
 as `PiPoly`s, Polys over (r, w, mu, pi) with rational coefficients, and the
 first Lyapunov quantity is obtained from them by a short complex series
 computation.
+
+The 2 pi average keeps only the u^0 terms of an integrand and its t-linear
+terms: int_0^{2 pi} A B dtheta = 2 pi sum_m A_m B_{-m}, and
+int_0^{2 pi} t u^m dtheta = 2 pi / (i m) for m != 0.  So
+f2 = int (F2 + DF1 . int_0^theta F1) is built from frequency-matched
+products alone (`_averaged_product`), and F2 = D2 - F1 a1 is never formed
+here: the standard form keeps its factors F1, a1 and the grade-2 drift D2,
+and the full F2 is an oracle of the tests.  The order of the terms is part
+of the output: `PiPoly.evaluator` sums the terms of f1 and f2 in dict order,
+so the reports' floats depend on it.  The restricted products therefore
+visit their pairs in the order of the full `Poly.__mul__`, with its
+delete-on-zero rule, and leave each kept term where the full product would.
 """
 
 from __future__ import annotations
@@ -176,18 +188,17 @@ class TrigPoly(Poly):
     @classmethod
     def from_xyz_poly(cls, poly: Poly) -> "TrigPoly":
         """Substitute x = r cos(theta), y = r sin(theta), z = w into a Poly
-        over (x, y, z, mu); exact in the e^{i m theta} basis."""
-        out = cls()
+        over (x, y, z, mu); exact in the e^{i m theta} basis.  Each term
+        scales the cached expansion of its cos^i sin^j (`_cos_sin_power`), so
+        the terms come in the order of one product with cos or sin per
+        power."""
+        out: dict = {}
         for (i, j, k, a, b), coeff in poly.terms.items():
             if b != 0:
                 raise ValueError("eps must be sliced away before cylindrical substitution")
-            term = cls({(0, i + j, k, a, 0): CFrac(coeff)})
-            for _ in range(i):
-                term = term * TRIG_COS
-            for _ in range(j):
-                term = term * TRIG_SIN
-            out = out + term
-        return out
+            for m, v in _cos_sin_power(i, j):
+                _add_or_drop(out, (m, i + j, k, a, 0), v * coeff)
+        return cls._of(out)
 
 
 _HALF = Fraction(1, 2)
@@ -195,10 +206,45 @@ TRIG_COS = TrigPoly({(1, 0, 0, 0, 0): CFrac(_HALF), (-1, 0, 0, 0, 0): CFrac(_HAL
 TRIG_SIN = TrigPoly({(1, 0, 0, 0, 0): CFrac(0, -_HALF), (-1, 0, 0, 0, 0): CFrac(0, _HALF)})
 _R_INV = TrigPoly({(0, -1, 0, 0, 0): CFrac(1)})
 
+# (i, j) -> the (m, coefficient) terms of cos^i sin^j in powers u^m, in the
+# order of the products 1 * cos * ... * cos * sin * ... * sin; filled on use,
+# one entry per (i, j), and i + j is at most fieldexpr.MAX_DEGREE
+_COS_SIN_POWERS: Dict[Tuple[int, int], Tuple[Tuple[int, CFrac], ...]] = {}
+
+
+def _cos_sin_power(i: int, j: int) -> Tuple[Tuple[int, CFrac], ...]:
+    terms = _COS_SIN_POWERS.get((i, j))
+    if terms is None:
+        p = TrigPoly.constant(CFrac(1))
+        for factor in (TRIG_COS,) * i + (TRIG_SIN,) * j:
+            p = p * factor
+        terms = _COS_SIN_POWERS[(i, j)] = tuple((m[0], v) for m, v in p.terms.items())
+    return terms
+
+
+def _add_or_drop(out: dict, mono, value) -> None:
+    """out[mono] += value for a nonzero value, the term dropped when the sum
+    is zero and re-inserted at the end if it comes back: the rule of
+    `Poly.__add__` and `Poly.__mul__`, on which the order of terms depends."""
+    prev = out.get(mono)
+    if prev is not None:
+        value = prev + value
+    if value:
+        out[mono] = value
+    else:
+        del out[mono]
+
 
 def _accumulate(out: dict, key, value) -> None:
     prev = out.get(key)
     out[key] = value if prev is None else prev + value
+
+
+def _over_im(v: CFrac, m: int) -> CFrac:
+    """v / (i m) for m != 0: (a + b i) / (i m d) = (b - a i) / (m d)."""
+    if m > 0:
+        return _cfrac(v.b, -v.a, v.d * m)
+    return _cfrac(-v.b, v.a, -v.d * m)
 
 
 def antiderivative(F: TrigPoly) -> TrigPoly:
@@ -208,7 +254,7 @@ def antiderivative(F: TrigPoly) -> TrigPoly:
         if m == 0:
             _accumulate(out, (0, a, b, c, 1), v)
         else:
-            inv = v / CFrac(0, m)          # v / (i m)
+            inv = _over_im(v, m)
             _accumulate(out, (m, a, b, c, 0), inv)
             _accumulate(out, (0, a, b, c, 0), -inv)
     return TrigPoly(out)
@@ -233,21 +279,19 @@ class PiPoly(Poly):
 def _integrate_2pi(F: TrigPoly) -> PiPoly:
     """Integral of F over theta in [0, 2 pi], exact, for F at most linear
     in t: u^0 integrates to 2 pi, t u^0 to 2 pi^2, t u^m to 2 pi / (i m)
-    and u^m to 0 (m != 0)."""
+    and u^m to 0 (m != 0).  The sums stay CFracs until the end: the
+    imaginary parts of the t u^m terms must cancel pairwise."""
     out: dict = {}
-    imag: dict = {}
     for (m, a, b, c, n), v in F.terms.items():
         if m == 0:
-            if v.im:
+            if v.b:
                 raise AveragingError("non-real mean in angular integral")
-            _accumulate(out, (a, b, c, 1 + n), 2 * v.re)
+            _accumulate(out, (a, b, c, 1 + n), v)
         elif n:
-            val = v / CFrac(0, m)
-            _accumulate(out, (a, b, c, 1), 2 * val.re)
-            _accumulate(imag, (a, b, c), val.im)   # must cancel pairwise
-    if any(imag.values()):
+            _accumulate(out, (a, b, c, 1), _over_im(v, m))
+    if any(v.b for v in out.values()):
         raise AveragingError("theta-linear integral has nonzero imaginary part")
-    return PiPoly(out)
+    return PiPoly({key: Fraction(2 * v.a, v.d) for key, v in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +300,13 @@ def _integrate_2pi(F: TrigPoly) -> PiPoly:
 
 @dataclass
 class StandardFormSystem:
-    """theta-periodic standard form dr/dtheta = eps F1 + eps^2 F2 + eps^3 Ftilde."""
+    """theta-periodic standard form dr/dtheta = eps F1 + eps^2 F2 + eps^3 Ftilde,
+    kept as the factors of F2 = D2 - F1 a1: F1, the eps slice a1 of
+    theta-dot and the grade-2 drift D2.  `melnikov_pair` reads F2 only
+    through its mean, so F2 itself is not formed."""
     F1: Tuple[TrigPoly, TrigPoly]
-    F2: Tuple[TrigPoly, TrigPoly]
+    a1: TrigPoly
+    D2: Tuple[TrigPoly, TrigPoly]
     system: HopfZeroSystem
     family: PerturbationFamily
 
@@ -301,7 +349,8 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFo
     """Cylindrical reduction with theta as time, expanded through eps^2.
 
     With theta-dot = 1 + eps a1 + eps^2 a2 the series division gives
-    F1 = (rdot1, wdot1) and F2 = (rdot2 - rdot1 a1, wdot2 - wdot1 a1).
+    F1 = (rdot1, wdot1) and F2 = D2 - F1 a1 with D2 = (rdot2, wdot2); the
+    system keeps F1, a1 and D2.
     """
     slices = eps_graded_slices(sys, fam)
     T1 = [TrigPoly.from_xyz_poly(p) for p in slices[1]] if len(slices) > 1 else \
@@ -314,10 +363,8 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFo
     wdot1 = T1[2]
     rdot2 = TRIG_COS * T2[0] + TRIG_SIN * T2[1]
     wdot2 = T2[2]
-
-    F1 = (rdot1, wdot1)
-    F2 = (rdot2 - rdot1 * a1, wdot2 - wdot1 * a1)
-    return StandardFormSystem(F1=F1, F2=F2, system=sys, family=fam)
+    return StandardFormSystem(F1=(rdot1, wdot1), a1=a1, D2=(rdot2, wdot2),
+                              system=sys, family=fam)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +412,48 @@ class MelnikovPair:
         return np.array([f(r, w, mu) for f in self._f2_eval])
 
 
+def _averaged_product(A: TrigPoly, B: TrigPoly) -> TrigPoly:
+    """The terms of A * B that `_integrate_2pi` reads, for a t-free A and a
+    B at most linear in t: the u^0 terms and the t-linear ones.
+
+    A term u^m of A meets only the terms u^-m of B and B's t-linear terms
+    (int A B = 2 pi sum_m A_m B_-m; int t u^m = 2 pi / (i m)), listed once
+    per m.  The pairs are visited in the order of `Poly.__mul__`, with its
+    delete-on-zero rule, so the kept terms and their order are those of the
+    full product."""
+    partners: Dict[int, list] = {}
+    out: dict = {}
+    for (u, a, b, c, _), v1 in A.terms.items():
+        row = partners.get(u)
+        if row is None:
+            row = partners[u] = [(m2, v2) for m2, v2 in B.terms.items()
+                                 if m2[0] == -u or m2[4]]
+        for (u2, a2, b2, c2, t2), v2 in row:
+            _add_or_drop(out, (u + u2, a + a2, b + b2, c + c2, t2), v1 * v2)
+    return TrigPoly._of(out)
+
+
+def _mean_part(F: TrigPoly) -> TrigPoly:
+    """The u^0 terms of a t-free F, in F's order."""
+    return TrigPoly._of({m: v for m, v in F.terms.items() if m[0] == 0})
+
+
 def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
+    """f1 = int_0^{2 pi} F1 and f2 = int_0^{2 pi} (F2 + DF1 . Phi) with
+    Phi = int_0^theta F1 and F2 = D2 - F1 a1, exact.
+
+    Only the terms the average keeps are formed: the mean of D2, and the
+    frequency-matched parts of F1 a1 and DF1 . Phi (`_averaged_product`).
+    The integrand's kept terms come in the order of the full expression
+    D2 - F1 a1 + dF1/dr Phi_r + dF1/dw Phi_w, so f2_exact's terms, and the
+    floats its evaluator sums in that order, are those of the full route.
+    """
     f1 = tuple(_integrate_2pi(F) for F in std.F1)
     Phi = tuple(antiderivative(F) for F in std.F1)
-    f2 = tuple(_integrate_2pi(F2 + F1.derivative("r") * Phi[0]
-                              + F1.derivative("w") * Phi[1])
-               for F1, F2 in zip(std.F1, std.F2))
+    f2 = tuple(_integrate_2pi(_mean_part(D2) - _averaged_product(F1, std.a1)
+                              + _averaged_product(F1.derivative("r"), Phi[0])
+                              + _averaged_product(F1.derivative("w"), Phi[1]))
+               for F1, D2 in zip(std.F1, std.D2))
     return MelnikovPair(std=std, f1_exact=f1, f2_exact=f2)
 
 

@@ -25,6 +25,8 @@ for unbounded work.  The `ball` center is finite and its radius finite and
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; floats are serialized with 17 significant digits and keys are
 sorted, so identical runs (including --seed) produce byte-identical output.
+A report that would hold NaN or an infinity, which are not JSON, is not
+written: the run ends in a NonFiniteReport error.
 Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
 """
 
@@ -82,6 +84,10 @@ class DocumentError(ValueError):
     """The input document does not have the documented shape."""
 
 
+class NonFiniteReport(ValueError):
+    """A report would hold NaN or an infinity, which JSON cannot hold."""
+
+
 @dataclass
 class RunSpec:
     command: str
@@ -125,8 +131,14 @@ def _wrap_floats(obj):
 
 
 def write_report(path: str, payload: dict):
-    # indent forces the pure-python encoder, which honors __repr__ of floats
-    text = json.dumps(_wrap_floats(payload), sort_keys=True, indent=1)
+    # indent forces the pure-python encoder, which honors __repr__ of floats;
+    # allow_nan=False refuses NaN and inf, which are not JSON, before the
+    # file is opened
+    try:
+        text = json.dumps(_wrap_floats(payload), sort_keys=True, indent=1,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteReport(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

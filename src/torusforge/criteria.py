@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+import numpy as np
+
 from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
 
 if TYPE_CHECKING:
@@ -27,6 +29,11 @@ TRANSVERSALITY_TOL = 1e-10
 
 class CriteriaError(ValueError):
     pass
+
+
+class FloatRangeExceeded(CriteriaError):
+    """A quantity of the criteria overflows a float: an exact coefficient
+    too large to convert, or a float product past the largest double."""
 
 
 class ConstantTermPresent(CriteriaError):
@@ -434,15 +441,21 @@ def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],
     """Run the full applicability checklist for Theorem-style torus bifurcation.
 
     Non-fatal failures are collected as reason codes; structural errors
-    (degenerate quadratic sum, missing eta root, ...) raise.
+    (degenerate quadratic sum, missing eta root, ...) raise.  Here exact
+    quantities become floats: an overflow on the way, in a conversion or in
+    numpy (raised, not carried on as inf), is a FloatRangeExceeded.
     """
-    base = evaluate_base_criteria(sys)
+    try:
+        with np.errstate(over="raise"):
+            base = evaluate_base_criteria(sys)
+            pert = None
+            if fam is not None:
+                pert = evaluate_perturbation_criteria(sys, fam, interval)
+    except (OverflowError, FloatingPointError) as exc:
+        raise FloatRangeExceeded(f"criteria overflow the float range: {exc}") from None
     reasons: List[str] = []
     if not base.nondegenerate:
         reasons.append("NondegeneracyFailed")
-    pert = None
-    if fam is not None:
-        pert = evaluate_perturbation_criteria(sys, fam, interval)
     if base.ell1 is not None and abs(base.ell1) < 1e-12:
         reasons.append("Ell1Zero")
     applicable = bool(base.nondegenerate and pert is not None

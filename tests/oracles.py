@@ -3,10 +3,14 @@
 Each one computes a quantity of the package by an independent method: a
 plane-section return with event location and dense output, the variational
 equation, finite differences, complex-step differentiation and plain
-Gauss-Legendre quadrature of the standard form.  The integrations here stay
-on scipy's `solve_ivp`, so they also check the package's own Dormand-Prince
-stepper; `dop853_loop` is that stepper with one list comprehension per
-stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
+Gauss-Legendre quadrature of the standard form, whose F2 `full_F2` forms
+from the factors the package keeps.  `melnikov_pair_full` is the exact
+layer's full route: it expands every cos^i sin^j by repeated products, forms
+F2 and averages the whole f2 integrand, the reference for the terms and the
+term order of `melnikov_pair`, which forms only what the average keeps.
+The integrations here stay on scipy's `solve_ivp`, so they also check the
+package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
+list comprehension per stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
 reads Omega of a degree lift off the whole normalized `Poly` system, the
 reference for the closed form `lift.omega_of_lift`.  `normal_contraction`
 measures the normal rate of an invariant curve by following a ring of
@@ -29,8 +33,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from torusforge.averaging import (
-    PERIOD, AveragingError, MelnikovPair, StandardFormSystem, TrigPoly,
+    PERIOD, TRIG_COS, TRIG_SIN, _R_INV, AveragingError, CFrac, MelnikovPair, PiPoly,
+    StandardFormSystem, TrigPoly, eps_graded_slices,
 )
+from torusforge.criteria import HopfZeroSystem, PerturbationFamily
 from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly, compile_terms
 from torusforge import flow
 from torusforge.flow import (
@@ -342,12 +348,12 @@ def trig_evaluator(p: TrigPoly) -> Callable:
 
 class StandardForm:
     """F1, F2 and dF1/d(r, w) of a StandardFormSystem at (theta, (r, w), mu),
-    compiled once per instance."""
+    compiled once per instance; F2 is `full_F2`'s."""
 
     def __init__(self, std: StandardFormSystem):
         self.std = std
         self._f1 = tuple(trig_evaluator(t) for t in std.F1)
-        self._f2 = tuple(trig_evaluator(t) for t in std.F2)
+        self._f2 = tuple(trig_evaluator(t) for t in full_F2(std))
         self._df1 = tuple(tuple(trig_evaluator(t.derivative(v)) for v in ("r", "w"))
                           for t in std.F1)
 
@@ -375,6 +381,13 @@ class StandardForm:
             b = self.F2(0.0, (r, w), mu) - self.F2(PERIOD, (r, w), mu)
             res = max(res, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
         return res
+
+
+def full_F2(std: StandardFormSystem) -> Tuple[TrigPoly, TrigPoly]:
+    """F2 = D2 - F1 a1 of a standard form, every product formed in full (the
+    package keeps only the factors and averages their frequency-matched
+    parts)."""
+    return tuple(D2 - F1 * std.a1 for F1, D2 in zip(std.F1, std.D2))
 
 
 def f1_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
@@ -442,6 +455,92 @@ def _f2_fixed_panels(sf: StandardForm, x, mu, n_panels, n_gauss=12):
         pvals = np.stack([sf.F1(mid + half * s, x, mu) for s in nodes])
         cumulative += half * (weights[:, None] * pvals).sum(axis=0)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the full route of the exact layer: each cos^i sin^j expanded by repeated
+# products, F2 formed in full and the whole f2 integrand averaged; the
+# reference for the terms, and the term order, of `to_standard_form` and
+# `melnikov_pair`, which form only the terms that the 2 pi average keeps
+# ---------------------------------------------------------------------------
+
+def trig_of_xyz_poly(poly: Poly) -> TrigPoly:
+    """x = r cos theta, y = r sin theta, z = w substituted into a Poly over
+    (x, y, z, mu), one product with cos or sin per power (the reference of
+    `TrigPoly.from_xyz_poly` and its cached cos^i sin^j table)."""
+    out = TrigPoly()
+    for (i, j, k, a, b), coeff in poly.terms.items():
+        assert b == 0
+        term = TrigPoly({(0, i + j, k, a, 0): CFrac(coeff)})
+        for _ in range(i):
+            term = term * TRIG_COS
+        for _ in range(j):
+            term = term * TRIG_SIN
+        out = out + term
+    return out
+
+
+def standard_form_full(sys: HopfZeroSystem, fam: PerturbationFamily
+                       ) -> Tuple[Tuple[TrigPoly, TrigPoly], Tuple[TrigPoly, TrigPoly]]:
+    """(F1, F2) of the standard form, F2 = (rdot2 - rdot1 a1, wdot2 - wdot1 a1)
+    formed in full."""
+    slices = eps_graded_slices(sys, fam)
+    T1, T2 = ([trig_of_xyz_poly(p) for p in slices[g]] if len(slices) > g
+              else [TrigPoly() for _ in range(3)] for g in (1, 2))
+    rdot1 = TRIG_COS * T1[0] + TRIG_SIN * T1[1]
+    a1 = (TRIG_COS * T1[1] - TRIG_SIN * T1[0]) * _R_INV
+    wdot1 = T1[2]
+    rdot2 = TRIG_COS * T2[0] + TRIG_SIN * T2[1]
+    wdot2 = T2[2]
+    return (rdot1, wdot1), (rdot2 - rdot1 * a1, wdot2 - wdot1 * a1)
+
+
+def _accumulate(out: dict, key, value) -> None:
+    prev = out.get(key)
+    out[key] = value if prev is None else prev + value
+
+
+def antiderivative_full(F: TrigPoly) -> TrigPoly:
+    """Integral from 0 to theta of a t-free F, by CFrac division."""
+    out: dict = {}
+    for (m, a, b, c, _), v in F.terms.items():
+        if m == 0:
+            _accumulate(out, (0, a, b, c, 1), v)
+        else:
+            inv = v / CFrac(0, m)
+            _accumulate(out, (m, a, b, c, 0), inv)
+            _accumulate(out, (0, a, b, c, 0), -inv)
+    return TrigPoly(out)
+
+
+def integrate_2pi_full(F: TrigPoly) -> PiPoly:
+    """Integral over [0, 2 pi] of F at most linear in t, summed as
+    Fractions term by term."""
+    out: dict = {}
+    imag: dict = {}
+    for (m, a, b, c, n), v in F.terms.items():
+        if m == 0:
+            assert not v.im
+            _accumulate(out, (a, b, c, 1 + n), 2 * v.re)
+        elif n:
+            val = v / CFrac(0, m)
+            _accumulate(out, (a, b, c, 1), 2 * val.re)
+            _accumulate(imag, (a, b, c), val.im)
+    assert not any(imag.values())
+    return PiPoly(out)
+
+
+def melnikov_pair_full(sys: HopfZeroSystem, fam: PerturbationFamily
+                       ) -> Tuple[Tuple[PiPoly, PiPoly], Tuple[PiPoly, PiPoly]]:
+    """(f1, f2) by the 2 pi average of F1 and of the whole integrand
+    F2 + dF1/dr Phi_r + dF1/dw Phi_w, Phi = int_0^theta F1."""
+    F1s, F2s = standard_form_full(sys, fam)
+    f1 = tuple(integrate_2pi_full(F) for F in F1s)
+    Phi = tuple(antiderivative_full(F) for F in F1s)
+    f2 = tuple(integrate_2pi_full(F2 + F1.derivative("r") * Phi[0]
+                                  + F1.derivative("w") * Phi[1])
+               for F1, F2 in zip(F1s, F2s))
+    return f1, f2
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,33 @@
+import importlib.util
 import math
 import random
+import sys as _sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusforge import averaging
 from torusforge.averaging import (
-    AveragingError, CFrac, ComplexPairLost, averaged_equilibrium, eps_graded_slices,
-    first_lyapunov_quantity, hypothesis_check, melnikov_pair,
+    AveragingError, CFrac, ComplexPairLost, TrigPoly, averaged_equilibrium,
+    eps_graded_slices, first_lyapunov_quantity, hypothesis_check, melnikov_pair,
     printed_branch_constants, to_standard_form,
 )
 from torusforge.criteria import (
     PerturbationFamily, evaluate_perturbation_criteria, validate_hopf_zero,
 )
+from torusforge.fieldexpr import as_poly
 from torusforge.flow import ThetaReturnMap
+from torusforge.lift import (
+    Ball, find_separating_plane, translate_to_origin, tune_lift_parameters,
+)
 
-from oracles import StandardForm, f1_quadrature, f2_quadrature
+from oracles import (
+    StandardForm, f1_quadrature, f2_quadrature, full_F2, melnikov_pair_full,
+    trig_of_xyz_poly,
+)
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -229,7 +240,8 @@ def _random_hopf_zero(rng):
 
 def test_exact_layer_matches_sympy():
     """On small random Hopf-Zero fields, with the simple family and with a
-    family in mu and eps, to_standard_form's F1 and F2 agree coefficient for
+    family in mu and eps, to_standard_form's F1 and F2 (formed from its
+    factors by the oracle's full_F2) agree coefficient for
     coefficient with sympy's differentiation of the cylindrical quotient and
     its trigonometric expansion, and melnikov_pair's f1_exact and f2_exact
     with sympy's integrate over [0, 2 pi] (f2 through the antiderivative of
@@ -245,7 +257,7 @@ def test_exact_layer_matches_sympy():
         std = to_standard_form(sys, fam)
         mel = melnikov_pair(std)
         ref = _sympy_standard_form(sp, sys, fam, r, w, theta)
-        for F1, F2, (F1_ref, F2_ref) in zip(std.F1, std.F2, ref):
+        for F1, F2, (F1_ref, F2_ref) in zip(std.F1, full_F2(std), ref):
             assert _trig_fourier(F1) == _sympy_fourier(sp, F1_ref, r, w, mu, theta)
             assert _trig_fourier(F2) == _sympy_fourier(sp, F2_ref, r, w, mu, theta)
         Phi = [sp.integrate(F1_ref.subs(theta, s), (s, 0, theta))
@@ -257,6 +269,90 @@ def test_exact_layer_matches_sympy():
                 value = sp.expand(sp.integrate(f, (theta, 0, 2 * sp.pi)))
                 mine = sp.expand(_sympy_of(sp, exact, (r, w, mu, sp.pi)))
                 assert value.as_coefficients_dict() == mine.as_coefficients_dict()
+
+
+# ---------------------------------------------------------------------------
+# the frequency-matched products keep the full route's terms in its order:
+# the float evaluators sum f1 and f2 in dict order
+# ---------------------------------------------------------------------------
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def _trig_polys(ring, t_max):
+    """TrigPolys with few, colliding exponents, so products cancel and
+    re-insert terms; coefficients Fractions or CFracs."""
+    coeff = _SMALL if ring is Fraction else st.builds(CFrac, _SMALL, _SMALL)
+    mono = st.tuples(st.integers(-3, 3), st.integers(-1, 1), st.integers(0, 1),
+                     st.integers(0, 1), st.integers(0, t_max))
+    return st.dictionaries(mono, coeff, max_size=10).map(TrigPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([Fraction, CFrac]).flatmap(
+    lambda ring: st.tuples(_trig_polys(ring, 0), _trig_polys(ring, 1))))
+def test_averaged_product_is_the_kept_part_of_the_full_product(pair):
+    """For a t-free A and a B at most linear in t, _averaged_product gives
+    the u^0 and t-linear terms of A * B, in A * B's order."""
+    A, B = pair
+    kept = [(m, v) for m, v in (A * B).terms.items() if m[0] == 0 or m[4]]
+    assert list(averaging._averaged_product(A, B).terms.items()) == kept
+
+
+def test_cos_sin_table_matches_repeated_products():
+    """from_xyz_poly, which scales one cached cos^i sin^j expansion per
+    term, gives the repeated products' terms in their order, with
+    cancellation between monomials."""
+    for expr in ("x^3 - 3*x*y^2 + y^3*z + 1/2*x^2*mu", "x^2 + y^2 - 2*x*y + x^4 - y^4",
+                 "0", "7/3*z^2*mu"):
+        p = as_poly(expr)
+        assert (list(TrigPoly.from_xyz_poly(p).terms.items())
+                == list(trig_of_xyz_poly(p).terms.items()))
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, which generates the `fields` workload's fields."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = _sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ordered_pair_systems():
+    """The worked example with the simple and a general family, the four
+    Hopf-Zero fields of the `fields` workload at seeds 0-3, and the tuned
+    systems of its four lift seeds at seed 0, each with the simple family
+    (as analyze and lift use them)."""
+    example = validate_hopf_zero(*EXAMPLE)
+    yield example, PerturbationFamily.simple(example.beta)
+    yield example, PerturbationFamily.from_expressions("mu*x + eps*y", "x*z",
+                                                       "mu*z + 1/2*eps + eps*x^2")
+    gen = _benchmark_inputs()
+    for seed in range(4):
+        for i in range(len(gen.HOPF_BASES)):
+            sys = validate_hopf_zero(*(gen.expr(t) for t in gen.hopf_field(seed, i)))
+            yield sys, PerturbationFamily.simple(sys.beta)
+    for i in range(len(gen.LIFT_BASES)):
+        seed_field = tuple(as_poly(gen.expr(t)) for t in gen.lift_seed_field(0, i))
+        plane = find_separating_plane(seed_field, Ball((0.0, 0.0, 0.0), 1.0))
+        tuned = tune_lift_parameters(translate_to_origin(plane.field, plane.point))
+        yield tuned.tuned_system, PerturbationFamily.simple(tuned.tuned_system.beta)
+
+
+def test_melnikov_pair_keeps_the_full_route_term_order():
+    """f1_exact and f2_exact equal the full route's (every cos^i sin^j by
+    repeated products, F2 formed, the whole integrand averaged) as ordered
+    term lists, so the compiled evaluators sum the same floats in the same
+    order."""
+    count = 0
+    for sys, fam in _ordered_pair_systems():
+        mel = melnikov_pair(to_standard_form(sys, fam))
+        f1, f2 = melnikov_pair_full(sys, fam)
+        for mine, ref in zip(mel.f1_exact + mel.f2_exact, f1 + f2):
+            assert list(mine.terms.items()) == list(ref.terms.items())
+        count += 1
+    assert count == 22
 
 
 def test_equilibrium_example_mu0():

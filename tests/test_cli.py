@@ -364,20 +364,37 @@ def test_bad_lift_grid_is_typed_error(tmp_path, capsys, monkeypatch, lift, error
     ({"center": [0, 0, 0], "radius": 0}, "OutOfRange"),
     ({"center": [math.inf, 0, 0], "radius": 1}, "OutOfRange"),
     ({"center": [0, math.nan, 0], "radius": 1}, "OutOfRange"),
+    ({"center": [0, 0, 0], "radius": 1e50}, "FloatRangeExceeded"),
+    ({"center": [0, 0, 0], "radius": 1e100}, "FloatRangeExceeded"),
 ])
 def test_bad_ball_is_typed_error(tmp_path, capsys, ball, error):
     """A ball whose center is not finite, or whose radius is not finite and
     > 0, is an OutOfRange error; a radius so large that the field, or x
-    itself, overflows a float at every scanned x finds no separating x.  Each ends in a typed
+    itself, overflows a float at every scanned x finds no separating x, and
+    one that finds a plane so far out that the tuned system's criteria
+    overflow a float is a FloatRangeExceeded.  Each ends in a typed
     error JSON and exit 1: a radius of 1e200, 1e300 or inf ended in an
-    OverflowError traceback, NaN in an untyped ValueError, and a center at
-    inf or a radius of -1 in exit 0."""
+    OverflowError traceback, NaN in an untyped ValueError, a center at
+    inf or a radius of -1 in exit 0, a radius of 1e100 in an OverflowError
+    traceback under the criteria and one of 1e50 in exit 0 with
+    "ell1": -Infinity in lift.json, which is not JSON."""
     path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "ball": ball})
     out = tmp_path / "out"
     assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
     assert json.loads((out / "lift_error.json").read_text())["error"] == error
     assert not (out / "lift.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_report_with_non_finite_number_is_not_written(tmp_path, value):
+    """write_report refuses NaN and infinities, which JSON cannot hold, with
+    a NonFiniteReport (a ValueError, so main maps it to a typed error JSON
+    and exit 1), before the file is opened."""
+    path = tmp_path / "report.json"
+    with pytest.raises(torusforge.cli.NonFiniteReport, match="report.json"):
+        torusforge.cli.write_report(str(path), {"ell1": value, "ok": 1.0})
+    assert not path.exists()
 
 
 def test_lift_grid_at_the_cap_runs(tmp_path):

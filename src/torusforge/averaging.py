@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -588,6 +588,8 @@ class Ell1Result:
     A1: np.ndarray
     A2: np.ndarray
     zeta2: float
+    # the simple family's Melnikov pair it was read from, passed on
+    mel: MelnikovPair = field(repr=False, compare=False)
 
 
 def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
@@ -711,7 +713,7 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
     A1 = np.array([[lam1.real, -lam1.imag], [lam1.imag, lam1.real]])
     A2 = np.array([[lam2.real, -lam2.imag], [lam2.imag, lam2.real]])
     return Ell1Result(ell1=ell1, l11=l11, l12=l12, mu1=mu1, omega0=omega0,
-                      u1=u1, M0=M0, M1=M1, A1=A1, A2=A2, zeta2=lam2.imag)
+                      u1=u1, M0=M0, M1=M1, A1=A1, A2=A2, zeta2=lam2.imag, mel=mel)
 
 
 # ---------------------------------------------------------------------------

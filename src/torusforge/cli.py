@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import (
-    averaged_equilibrium, branch_continuation, hypothesis_check,
+    MelnikovPair, averaged_equilibrium, branch_continuation, hypothesis_check,
     jordan_expansion, lyapunov_slices, melnikov_pair, to_standard_form,
     unit_circle_point, xi_slice,
 )
@@ -218,6 +218,14 @@ def _not_applicable(spec: RunSpec, doc: dict, rep: CriteriaReport,
     return EXIT_NOT_APPLICABLE
 
 
+def _melnikov(rep: CriteriaReport, sys_: HopfZeroSystem, fam: PerturbationFamily
+              ) -> MelnikovPair:
+    """The Melnikov pair of (sys_, fam): the one the criteria built for the
+    simple family when fam is that family, else a new one."""
+    mel = rep.base.lyapunov.mel
+    return mel if mel.std.family == fam else melnikov_pair(to_standard_form(sys_, fam))
+
+
 def _interval(doc):
     iv = doc.get("interval", [-1.0, 1.0])
     return (float(iv[0]), float(iv[1]))
@@ -341,7 +349,7 @@ def cmd_branch(spec: RunSpec) -> int:
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
         return _not_applicable(spec, doc, rep, "branch.json", "branch")
-    mel = melnikov_pair(to_standard_form(sys_, fam))
+    mel = _melnikov(rep, sys_, fam)
     tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
     mu0 = rep.perturbation.mu0
     branch = branch_continuation(mel, tmap, mu0)
@@ -402,7 +410,7 @@ def cmd_certify(spec: RunSpec) -> int:
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
         return _not_applicable(spec, doc, rep, "certificate.json", "certification")
-    mel = melnikov_pair(to_standard_form(sys_, fam))
+    mel = _melnikov(rep, sys_, fam)
     tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
     point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
     cert = certify_torus(tmap, mu, point, mel, rep.base.lyapunov)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def validate_hopf_zero(P, Q, R) -> HopfZeroSystem:
     return HopfZeroSystem(*polys, *jets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationFamily:
     """(U, V, W) in (x, y, z, mu, eps) and the three criteria ingredients,
     compiled once as functions of mu:
@@ -139,6 +139,10 @@ class PerturbationFamily:
 
     where slice i (1-based) is the coefficient of eps^(i-1) in a component,
     so the perturbed field eps*U contributes U_i at order eps^i.
+
+    A family is frozen, and `simple` hands out one shared instance per beta:
+    no field can be rebound, and nothing changes the terms of a `Poly` in
+    place, so a family never changes after it is built.
     """
     U: Poly
     V: Poly
@@ -154,10 +158,11 @@ class PerturbationFamily:
             if origin:
                 raise InvalidPerturbation(
                     f"{name}_1(0,0,0; mu) = {origin!r} must vanish identically")
-        self.sigma = _compiled_in_mu(_in_mu(self.U, (1, 0, 0), 0)
-                                     + _in_mu(self.V, (0, 1, 0), 0))
-        self.w1z = _compiled_in_mu(_in_mu(self.W, (0, 0, 1), 0))
-        self.w20 = _compiled_in_mu(_in_mu(self.W, (0, 0, 0), 1))
+        # the family is frozen: its compiled ingredients are set past that
+        object.__setattr__(self, "sigma", _compiled_in_mu(
+            _in_mu(self.U, (1, 0, 0), 0) + _in_mu(self.V, (0, 1, 0), 0)))
+        object.__setattr__(self, "w1z", _compiled_in_mu(_in_mu(self.W, (0, 0, 1), 0)))
+        object.__setattr__(self, "w20", _compiled_in_mu(_in_mu(self.W, (0, 0, 0), 1)))
 
     @classmethod
     def from_expressions(cls, U, V, W, simple_case: bool = False) -> "PerturbationFamily":
@@ -165,9 +170,16 @@ class PerturbationFamily:
 
     @classmethod
     def simple(cls, beta: int) -> "PerturbationFamily":
-        """The degree-preserving family (U, V, W) = (0, 0, mu*z + beta*eps)."""
-        W = Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(beta)})
-        return cls(Poly(), Poly(), W, simple_case=True)
+        """The degree-preserving family (U, V, W) = (0, 0, mu*z + beta*eps),
+        built once per beta and shared."""
+        fam = _SIMPLE_FAMILIES.get(beta)
+        if fam is None:
+            W = Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(beta)})
+            fam = _SIMPLE_FAMILIES[beta] = cls(Poly(), Poly(), W, simple_case=True)
+        return fam
+
+
+_SIMPLE_FAMILIES: Dict[int, PerturbationFamily] = {}
 
 
 def _in_mu(p: Poly, xyz: Tuple[int, int, int], eps_power: int) -> Poly:

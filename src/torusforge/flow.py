@@ -5,13 +5,25 @@ scipy DOP853's tableau, error norm and step control, on a state of Python
 floats: plain trajectories of the full 3D (rescaled) system, and the
 angular return theta: 0 -> 2 pi of the cylindrical standard-form variables
 (r, w), where theta plays the role of time and the return map needs no
-event detection.  Each seed of a return is its own integration.  The step
-itself is straight-line code, generated once per state size.  For each
-bound (mu, eps), `BoundField` builds each right-hand side on first use: the
-3D field of `simulate` is generated as one straight-line function, and one
-return of the map and the first variational equation of `jet1` are
-closures over one compiled polynomial function each (the drift, the field
-less its rotation (-y, x, 0), or the drift and its nine partials).
+event detection.  Each seed of a return is its own integration, on two
+Python floats from seed to image.  The step itself is straight-line code,
+generated once per state size and kind of stage.  For each bound (mu, eps),
+`BoundField` builds each right-hand side on first use: the 3D field of
+`simulate` is generated as one straight-line function, and one return of
+the map and the first variational equation of `jet1` are the cylindrical
+quotients of `_QUOTIENTS` over one compiled polynomial function each (the
+drift, the field less its rotation (-y, x, 0), or the drift and its nine
+partials).
+
+The two quotients have their own kernels: each stage of their step writes
+the quotient out (cos and sin of the stage angle, one call of the drift,
+the division by dtheta/dt and the raises), where any other right-hand side
+is called once per stage.  The drift stays a call: the kernels do not
+depend on the field, so each is compiled once per process, while a kernel
+with the drift written in would be compiled again for every field and
+(mu, eps), at a cost above what it saves.  `simulate`'s 3D field is not
+fused either: it runs a few integrations per process, so the kernel's
+compilation would cost more than the calls it removes.
 
 Derivatives of the theta-return map come from transporting them through
 the flow with the same stepper.  `jet1`, the value and Jacobian that Newton
@@ -162,28 +174,119 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
     return min(100 * h0, h1, interval)
 
 
+# The cylindrical quotients, as the statements of one evaluation: with theta
+# and the state's names bound, each reads the drift through `drift` and
+# binds the derivative's names.  `_quotient` makes them the functions
+# `BoundField.return_rhs` and `.jet1_rhs` call, and `_dp_step` inlines them
+# as the stages of the kind's step, so both round alike.
+#
+# "return": (dr/dtheta, dw/dtheta) of (r, w), from the drift (X, Y, Z).
+# "jet1": the same and its Jacobian applied to the columns (r1, w1) and
+# (r2, w2), from the drift and its nine partials.  With rdot = cs X + sn Y,
+# thetadot = 1 + q, q = (cs Y - sn X) / r and Z as functions of (r, w),
+# d/dr = cs d/dx + sn d/dy and d/dw = d/dz, so d(thetadot)/dr is
+# (cs dY/dr - sn dX/dr - q) / r, and each component p / thetadot has the
+# derivative (dp - (p / thetadot) d(thetadot)) / thetadot.
+#
+# A zero division or a non-finite value raises (NonFiniteState for the
+# return, JetTransportUnstable for jet1): the step control would otherwise
+# shrink its step on NaN until it underflows.
+_QUOTIENTS = {
+    "return": (("r", "w"), ("dr", "dw"), [
+        "cs, sn = cos(theta), sin(theta)",
+        "X, Y, Z = drift(r * cs, r * sn, w)",
+        "try:",
+        "    inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)",
+        "except ZeroDivisionError as exc:",
+        "    raise NonFiniteState(f'return-map field singular at theta={theta}') from exc",
+        "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
+        "if not (isfinite(dr) and isfinite(dw)):",
+        "    raise NonFiniteState(f'return-map field non-finite at theta={theta}')",
+    ]),
+    "jet1": (("r", "r1", "r2", "w", "w1", "w2"), ("dr", "dr1", "dr2", "dw", "dw1", "dw2"), [
+        "cs, sn = cos(theta), sin(theta)",
+        "X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz = drift(r * cs, r * sn, w)",
+        "try:",
+        "    q = (cs * Y - sn * X) / r",
+        "    inv = 1.0 / (1.0 + q)",
+        "except ZeroDivisionError as exc:",
+        "    raise JetTransportUnstable(f'jet field singular at theta={theta}') from exc",
+        "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
+        "xr, yr = cs * Xx + sn * Xy, cs * Yx + sn * Yy",
+        "t_r, t_w = (cs * yr - sn * xr - q) / r, (cs * Yz - sn * Xz) / r",
+        "dr_r = (cs * xr + sn * yr - dr * t_r) * inv",
+        "dr_w = (cs * Xz + sn * Yz - dr * t_w) * inv",
+        "dw_r = (cs * Zx + sn * Zy - dw * t_r) * inv",
+        "dw_w = (Zz - dw * t_w) * inv",
+        "dr1, dr2 = dr_r * r1 + dr_w * w1, dr_r * r2 + dr_w * w2",
+        "dw1, dw2 = dw_r * r1 + dw_w * w1, dw_r * r2 + dw_w * w2",
+        "if not (isfinite(dr) and isfinite(dr1) and isfinite(dr2)",
+        "        and isfinite(dw) and isfinite(dw1) and isfinite(dw2)):",
+        "    raise JetTransportUnstable(f'jet field non-finite at theta={theta}')",
+    ]),
+}
+
+
+def _kernel_namespace() -> Dict[str, object]:
+    return {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
+            "NonFiniteState": NonFiniteState, "JetTransportUnstable": JetTransportUnstable}
+
+
 @functools.lru_cache(maxsize=None)
-def _dp_step(n: int) -> Callable:
+def _quotient(kind: str) -> Callable:
+    """rhs(drift, theta, state) of the cylindrical quotient `kind`."""
+    names, results, body = _QUOTIENTS[kind]
+    return define("rhs", "drift, theta, state",
+                  [f"{', '.join(names)} = state", *body, f"return {', '.join(results)}"],
+                  _kernel_namespace())
+
+
+def _cylindrical_rhs(kind: str, drift: Callable) -> Callable:
+    """rhs(theta, state) of the cylindrical quotient `kind` over `drift`.
+    `dop853` reads its `kind` and `drift` and steps it with `_dp_step(n,
+    kind)`, which evaluates the quotient inline."""
+    rhs = functools.partial(_quotient(kind), drift)
+    rhs.kind, rhs.drift = kind, drift
+    return rhs
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_step(n: int, kind: str = "call") -> Callable:
     """One DOP853 step for a state of n floats, as straight-line code
-    generated once per n:
-    step(rhs, t, h, y, k0, atol, rtol) -> (y_new, rhs(t + h, y_new),
-    error_norm).  Each component is written out with its stage sums in
-    tableau order, zero weights left out and the tableau inlined as
-    literals, so it rounds as a loop over the components does.  The error
-    norm is scipy's: |h| |err5|^2 / sqrt((|err5|^2 + 0.01 |err3|^2) n) over
-    the components of err5 and err3 divided by atol + max(|y|, |y_new|) rtol."""
-    def each(template: str) -> str:         # '#' stands for the component
-        return ", ".join(template.replace("#", str(i)) for i in range(n))
+    generated once per (n, kind):
+    step(f, t, h, y, k0, atol, rtol) -> (y_new, rhs(t + h, y_new),
+    error_norm).  Kind "call" evaluates each stage as a call f(t, state)
+    of the right-hand side f; a cylindrical kind of `_QUOTIENTS` writes the
+    quotient's statements into each stage, and f is the drift they call.
+    Each component is written out with its stage sums in tableau order,
+    zero weights left out and the tableau inlined as literals, so it rounds
+    as a loop over the components does.  The error norm is scipy's:
+    |h| |err5|^2 / sqrt((|err5|^2 + 0.01 |err3|^2) n) over the components
+    of err5 and err3 divided by atol + max(|y|, |y_new|) rtol."""
+    def each(template: str) -> List[str]:   # '#' stands for the component
+        return [template.replace("#", str(i)) for i in range(n)]
+
+    def row(template: str) -> str:
+        return ", ".join(each(template))
 
     def comb(weights) -> str:               # sum_j w_j k_j of one component
         return " + ".join(f"{w!r} * _k{j}_#" for j, w in enumerate(weights) if w)
 
-    lines = [f"{each('_y#')}, = y", f"{each('_k0_#')}, = k0"]
+    def stage(time: str, state: List[str], out: str) -> List[str]:
+        """The statements that bind `out` to the RHS at (time, state)."""
+        if kind == "call":
+            return [f"{out} = f({time}, [{', '.join(state)}])"]
+        names, results, body = _QUOTIENTS[kind]
+        return [f"theta = {time}", *(f"{v} = {e}" for v, e in zip(names, state)),
+                *body, f"{out} = {', '.join(results)}"]
+
+    lines = [f"{row('_y#')}, = y", f"{row('_k0_#')}, = k0"]
     for s in range(1, len(_C)):
-        lines.append(f"{each(f'_k{s}_#')}, = rhs(t + {_C[s]!r} * h, "
-                     f"[{each(f'_y# + ({comb(_A[s])}) * h')}])")
-    lines += [f"{each('_n#')}, = y_new = [{each(f'_y# + h * ({comb(_B)})')}]",
-              "f_new = rhs(t + h, y_new)"]
+        lines += stage(f"t + {_C[s]!r} * h", each(f"_y# + ({comb(_A[s])}) * h"),
+                       f"{row(f'_k{s}_#')},")
+    lines.append(f"{row('_n#')}, = y_new = [{row(f'_y# + h * ({comb(_B)})')}]")
+    lines += (["f_new = f(t + h, y_new)"] if kind == "call"
+              else stage("t + h", each("_n#"), "f_new"))
     for i in range(n):
         lines += [f"_s = atol + max(abs(_y{i}), abs(_n{i})) * rtol",
                   f"_e5_{i} = ({comb(_E5)}) / _s".replace("#", str(i)),
@@ -192,7 +295,8 @@ def _dp_step(n: int) -> Callable:
               f"e3 = {' + '.join(f'_e3_{i} * _e3_{i}' for i in range(n))}",
               f"return y_new, f_new, (0.0 if e5 == 0 else "
               f"abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n}))"]
-    return define("step", "rhs, t, h, y, k0, atol, rtol", lines, {"sqrt": math.sqrt})
+    return define("step", f"{'f' if kind == 'call' else 'drift'}, t, h, y, k0, atol, rtol",
+                  lines, _kernel_namespace())
 
 
 def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
@@ -207,12 +311,15 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     -1/8, the last step clipped to t_end), so it takes the steps
     `solve_ivp(method="DOP853")` takes on the same state, without numpy's
     per-call cost on a small float state.  Each step is `_dp_step`'s
-    straight-line code for the state's size and costs 12 RHS evaluations.
-    Raises StepSizeUnderflow where DOP853 fails with a step below the float
-    spacing, and on a NaN step size.
+    straight-line code for the state's size and costs 12 RHS evaluations;
+    a cylindrical quotient (`BoundField.return_rhs`, `.jet1_rhs`) is
+    stepped by its kind's kernel, which evaluates it inline, so it takes
+    the same steps bit for bit.  Raises StepSizeUnderflow where DOP853 fails
+    with a step below the float spacing, and on a NaN step size.
     """
     y = list(y0)
-    step = _dp_step(len(y))
+    kind = getattr(rhs, "kind", "call")
+    step, stage_f = _dp_step(len(y), kind), (rhs if kind == "call" else rhs.drift)
     f = rhs(t0, y)
     ts, ys = [t0], [y]
     if t_end == t0:
@@ -234,7 +341,7 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
+            y_new, f_new, error_norm = step(stage_f, t, h, y, f, atol, rtol)
             nfev += 12
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
@@ -330,63 +437,20 @@ class BoundField:
 
     @functools.cached_property
     def return_rhs(self) -> Callable:
-        """rhs(theta, (r, w)) -> (dr/dtheta, dw/dtheta) on floats.  A zero
-        division or a non-finite value raises NonFiniteState; the step
-        control would otherwise shrink its step on NaN until it underflows."""
-        drift = self.drift
-
-        def rhs(theta, state):
-            r, w = state
-            cs, sn = math.cos(theta), math.sin(theta)
-            X, Y, Z = drift(r * cs, r * sn, w)
-            try:
-                inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)
-            except ZeroDivisionError as exc:
-                raise NonFiniteState(f"return-map field singular at theta={theta}") from exc
-            dr, dw = (cs * X + sn * Y) * inv, Z * inv
-            if not (math.isfinite(dr) and math.isfinite(dw)):
-                raise NonFiniteState(f"return-map field non-finite at theta={theta}")
-            return dr, dw
-        return rhs
+        """rhs(theta, (r, w)) -> (dr/dtheta, dw/dtheta) on floats, the
+        "return" quotient of `_QUOTIENTS` over the drift; a zero division or
+        a non-finite value raises NonFiniteState."""
+        return _cylindrical_rhs("return", self.drift)
 
     @functools.cached_property
     def jet1_rhs(self) -> Callable:
         """rhs(theta, (r, r1, r2, w, w1, w2)): the return's RHS and its
-        Jacobian applied to the columns (r1, w1) and (r2, w2), in real
-        arithmetic from the drift and its nine exact partials (one compiled
-        function, shared powers).  A zero division or a non-finite value
-        raises JetTransportUnstable.
-
-        With rdot = cs X + sn Y, thetadot = 1 + q, q = (cs Y - sn X) / r
-        and Z as functions of (r, w), d/dr = cs d/dx + sn d/dy and d/dw =
-        d/dz, so d(thetadot)/dr is (cs dY/dr - sn dX/dr - q) / r, and each
-        component p / thetadot has the derivative (dp - (p / thetadot)
-        d(thetadot)) / thetadot."""
-        fj, isfinite = compile_terms(self.drift_terms + self.partial_terms, "xyz"), math.isfinite
-
-        def rhs(theta, state):
-            r, r1, r2, w, w1, w2 = state
-            cs, sn = math.cos(theta), math.sin(theta)
-            X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz = fj(r * cs, r * sn, w)
-            try:
-                q = (cs * Y - sn * X) / r
-                inv = 1.0 / (1.0 + q)
-            except ZeroDivisionError as exc:
-                raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
-            dr, dw = (cs * X + sn * Y) * inv, Z * inv
-            xr, yr = cs * Xx + sn * Xy, cs * Yx + sn * Yy
-            t_r, t_w = (cs * yr - sn * xr - q) / r, (cs * Yz - sn * Xz) / r
-            dr_r = (cs * xr + sn * yr - dr * t_r) * inv
-            dr_w = (cs * Xz + sn * Yz - dr * t_w) * inv
-            dw_r = (cs * Zx + sn * Zy - dw * t_r) * inv
-            dw_w = (Zz - dw * t_w) * inv
-            dr1, dr2 = dr_r * r1 + dr_w * w1, dr_r * r2 + dr_w * w2
-            dw1, dw2 = dw_r * r1 + dw_w * w1, dw_r * r2 + dw_w * w2
-            if not (isfinite(dr) and isfinite(dr1) and isfinite(dr2)
-                    and isfinite(dw) and isfinite(dw1) and isfinite(dw2)):
-                raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
-            return dr, dr1, dr2, dw, dw1, dw2
-        return rhs
+        Jacobian applied to the columns (r1, w1) and (r2, w2), the "jet1"
+        quotient of `_QUOTIENTS`, in real arithmetic from the drift and its
+        nine exact partials (one compiled function, shared powers).  A zero
+        division or a non-finite value raises JetTransportUnstable."""
+        return _cylindrical_rhs("jet1", compile_terms(self.drift_terms + self.partial_terms,
+                                                      "xyz"))
 
 
 class RescaledField:
@@ -425,23 +489,17 @@ class ThetaReturnMap:
         self.field = RescaledField(sys, fam)
         self.cfg = cfg or IntegratorConfig()
 
-    def points(self, X0: np.ndarray, mu: float, eps: float,
-               reverse: bool = False) -> np.ndarray:
-        """Map each (r, w) row through one return, one `dop853`
-        integration on Python floats per row, on
-        `BoundField.return_rhs`; a singular or non-finite field raises
+    def point(self, x0, mu: float, eps: float, reverse: bool = False
+              ) -> Tuple[float, float]:
+        """(r, w) after one return of the seed x0, any 2-sequence: one
+        `dop853` integration on two Python floats, on
+        `BoundField.return_rhs`.  A singular or non-finite field raises
         NonFiniteState."""
-        t_end = -PERIOD if reverse else PERIOD
-        rhs = self.field.bind(mu, eps).return_rhs
-        rows = np.atleast_2d(np.asarray(X0, dtype=float)).tolist()
-        Y = np.array([dop853(rhs, 0.0, t_end, y0, self.cfg.atol, self.cfg.rtol)[1][-1]
-                      for y0 in rows])
-        if not np.isfinite(Y).all():
+        r, w = dop853(self.field.bind(mu, eps).return_rhs, 0.0, -PERIOD if reverse else PERIOD,
+                      [float(x0[0]), float(x0[1])], self.cfg.atol, self.cfg.rtol)[1][-1]
+        if not (math.isfinite(r) and math.isfinite(w)):
             raise NonFiniteState("return map produced non-finite state")
-        return Y
-
-    def point(self, x0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
-        return self.points(np.asarray(x0, dtype=float)[None, :], mu, eps, reverse)[0]
+        return r, w
 
     def jet1(self, x0, mu: float, eps: float) -> "MapJet":
         """Value and Jacobian of the return map (a MapJet without B and C):

@@ -281,20 +281,23 @@ class TorusCertificate:
 
 
 def _iterate(tmap, x, mu, eps, reverse, cfg: CertifyConfig, out: np.ndarray) -> bool:
-    """Write the next len(out) iterates of x into out.  False when the orbit
-    escapes on the way: a non-finite iterate, one beyond escape_bound, one
-    with r <= 1e-3, or a failed integration."""
+    """Write the next len(out) iterates of x into out, carrying the orbit
+    as two floats.  False when the orbit escapes on the way: a non-finite
+    iterate, one beyond escape_bound, one with r <= 1e-3, or a failed
+    integration."""
+    r, w = x
+    bound = cfg.escape_bound
     for i in range(len(out)):
         try:
-            x = tmap.point(x, mu, eps, reverse=reverse)
+            r, w = tmap.point((r, w), mu, eps, reverse=reverse)
         except FlowError:
             # integration breakdown (e.g. the r -> 0 coordinate
             # singularity): the orbit left the map's domain
             return False
-        if (not np.all(np.isfinite(x)) or np.max(np.abs(x)) > cfg.escape_bound
-                or x[0] <= 1e-3):
+        # NaN fails every comparison, so it escapes too
+        if not (abs(r) <= bound and abs(w) <= bound and r > 1e-3):
             return False
-        out[i] = x
+        out[i] = r, w
     return True
 
 

@@ -10,9 +10,12 @@ F2 and averages the whole f2 integrand, the reference for the terms and the
 term order of `melnikov_pair`, which forms only what the average keeps.
 The integrations here stay on scipy's `solve_ivp`, so they also check the
 package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
-list comprehension per stage, the bitwise oracle of its generated step.  `omega_of_lift_family`
-reads Omega of a degree lift off the whole normalized `Poly` system, the
-reference for the closed form `lift.omega_of_lift`.  `normal_contraction`
+list comprehension per stage, the bitwise oracle of its generated step, and
+`dop853_calls` steps a cylindrical quotient call by call, the bitwise oracle
+of its fused kernel.  `map_points` maps an array of seeds one return each.
+`omega_of_lift_family` reads Omega of a degree lift off the whole
+normalized `Poly` system, the reference for the closed form
+`lift.omega_of_lift`.  `normal_contraction`
 measures the normal rate of an invariant curve by following a ring of
 probes off it, the reference for `torus.normal_exponent`, and
 `fourier_fit_lstsq` solves one least-squares problem per Fourier order, the
@@ -156,12 +159,33 @@ def _comb(weights, values) -> float:
     return total
 
 
+def _comprehension_step(rhs: Callable, t: float, h: float, y: list, f, atol: float,
+                        rtol: float):
+    """One DOP853 step with each stage a list comprehension over the
+    components, read off the tableau tuples in a loop: (y_new, f_new,
+    error_norm), as `flow._dp_step`'s generated step returns them."""
+    K = [f]
+    for c, row in zip(_C[1:], _A[1:]):
+        K.append(rhs(t + c * h, [v + _comb(row, ks) * h for v, ks in zip(y, zip(*K))]))
+    y_new = [v + h * _comb(_B, ks) for v, ks in zip(y, zip(*K))]
+    f_new = rhs(t + h, y_new)
+    scale = [atol + max(abs(v), abs(vn)) * rtol for v, vn in zip(y, y_new)]
+    err5 = [_comb(_E5, ks) / s for ks, s in zip(zip(*K), scale)]
+    err3 = [_comb(_E3, ks) / s for ks, s in zip(zip(*K), scale)]
+    e5 = e3 = 0.0
+    for a, b in zip(err5, err3):
+        e5, e3 = e5 + a * a, e3 + b * b
+    return y_new, f_new, (0.0 if e5 == 0
+                          else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)))
+
+
 def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-                rtol: float) -> Tuple[list, list, int]:
-    """`flow.dop853` with each stage a list comprehension over the
-    components, read off the tableau tuples in a loop: the oracle of the
-    generated straight-line step, which must return the same times, states
-    and RHS count bit for bit."""
+                rtol: float, step: Callable = _comprehension_step
+                ) -> Tuple[list, list, int]:
+    """`flow.dop853` with each step taken by `step(rhs, t, h, y, f, atol,
+    rtol)`, by default `_comprehension_step`: the oracle of the generated
+    straight-line step, which must return the same times, states and RHS
+    count bit for bit."""
     y = list(y0)
     f = rhs(t0, y)
     ts, ys = [t0], [y]
@@ -184,23 +208,8 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-
-            K = [f]
-            for c, row in zip(_C[1:], _A[1:]):
-                K.append(rhs(t + c * h, [v + _comb(row, ks) * h
-                                         for v, ks in zip(y, zip(*K))]))
-            y_new = [v + h * _comb(_B, ks) for v, ks in zip(y, zip(*K))]
-            f_new = rhs(t + h, y_new)
+            y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
             nfev += 12
-
-            scale = [atol + max(abs(v), abs(vn)) * rtol for v, vn in zip(y, y_new)]
-            err5 = [_comb(_E5, ks) / s for ks, s in zip(zip(*K), scale)]
-            err3 = [_comb(_E3, ks) / s for ks, s in zip(zip(*K), scale)]
-            e5 = e3 = 0.0
-            for a, b in zip(err5, err3):
-                e5, e3 = e5 + a * a, e3 + b * b
-            error_norm = (0.0 if e5 == 0
-                          else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)))
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
                           else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -214,6 +223,21 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
         ts.append(t)
         ys.append(y)
     return ts, ys, nfev
+
+
+def dop853_calls(rhs: Callable, t0: float, t_end: float, y0, atol: float,
+                 rtol: float) -> Tuple[list, list, int]:
+    """`flow.dop853` with every stage a call of `rhs`: the generated step of
+    kind "call" for the state's size, even where `rhs` is a cylindrical
+    quotient that `dop853` steps with its fused kernel."""
+    return dop853_loop(rhs, t0, t_end, y0, atol, rtol, step=flow._dp_step(len(y0)))
+
+
+def map_points(tmap, X0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
+    """Each (r, w) row of X0 through one return of `tmap`, one
+    `ThetaReturnMap.point` per row, as an (n, 2) array."""
+    return np.array([tmap.point(x, mu, eps, reverse=reverse)
+                     for x in np.atleast_2d(np.asarray(X0, dtype=float)).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +353,7 @@ def jet3_fd(tmap: ThetaReturnMap, x0, mu: float, eps: float,
             scale: float = 1.0) -> MapJet:
     """The degree-3 jet of the theta-return map by central finite differences,
     step h = eps_mach^(1/4) * scale."""
-    return fd_map_jet(lambda p: tmap.point(p, mu, eps), np.asarray(x0, float), scale)
+    return fd_map_jet(lambda p: np.array(tmap.point(p, mu, eps)), np.asarray(x0, float), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +657,7 @@ def normal_contraction(tmap, curve, mu, eps, reverse, probes=16, offset=1e-3,
     steps = []
     for k in range(1, returns + 1):
         try:
-            X = tmap.points(X, mu, eps, reverse=reverse)
+            X = map_points(tmap, X, mu, eps, reverse=reverse)
         except FlowError:
             break
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > escape_bound:

@@ -265,6 +265,46 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
     assert sorted(jets) == sorted((tuple(p.xi), p.mu, p.eps) for p in largest)
 
 
+# certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
+NO_TORUS_CERTIFICATE_SHA256 = "92d14588a09f571a4fc993e616487adc286585af1a282007681d64e62cd06e6c"
+
+
+def test_no_torus_certificate_bytes(tmp_path):
+    """The no-torus certificate byte for byte: its returns and jet1
+    transports run on the fused kernels and the probe on floats, and each
+    takes the steps of the right-hand sides called stage by stage."""
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    assert main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02",
+                 "--out", str(out)]) == EXIT_OK
+    assert _sha256(out / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
+
+
+@pytest.mark.parametrize("command, flags, report", [
+    ("certify", ["--mu=-0.2", "--eps=0.02"], "certificate.json"),
+    ("branch", [], "branch.json"),
+])
+def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, report):
+    """On the simple family, certify and branch read the Melnikov pair the
+    criteria built for ell1: one standard form and one pair per run, and
+    the report's bytes are those of a run that builds its own pair."""
+    counts = {"to_standard_form": 0, "melnikov_pair": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(averaging, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(averaging, name, counted)
+        monkeypatch.setattr(torusforge.cli, name, counted)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    shared, own = tmp_path / "shared", tmp_path / "own"
+    assert main([command, "--input", doc, "--out", str(shared), *flags]) == EXIT_OK
+    assert counts == {"to_standard_form": 1, "melnikov_pair": 1}
+    monkeypatch.setattr(torusforge.cli, "_melnikov", lambda rep, sys_, fam:
+                        melnikov_pair(to_standard_form(sys_, fam)))
+    assert main([command, "--input", doc, "--out", str(own), *flags]) == EXIT_OK
+    assert (shared / report).read_bytes() == (own / report).read_bytes()
+
+
 def test_lift_command(tmp_path):
     doc = _write_doc(tmp_path, {
         "system": {"P": "2 + x + 1/2*z + x^2", "Q": "1 - y + 2*z + y^2",

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,21 @@ def test_simple_family_criteria():
     assert crit.mu0 == pytest.approx(0.0, abs=1e-10)
     assert crit.alpha_d == pytest.approx(math.pi, abs=1e-8)
     assert crit.gamma_discrepancy_max <= 1e-14   # sigma = 0: printed == operational
+
+
+def test_simple_family_is_shared_and_frozen():
+    """One simple family per beta, built once and shared by every caller,
+    so it is frozen: no field can be rebound, and its terms stay those of
+    (0, 0, mu*z + beta*eps)."""
+    fam = PerturbationFamily.simple(1)
+    assert PerturbationFamily.simple(beta=1) is fam
+    assert PerturbationFamily.simple(-1) is PerturbationFamily.simple(-1) is not fam
+    for name in ("U", "W", "simple_case", "sigma", "w20"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(fam, name, getattr(PerturbationFamily.simple(-1), name))
+    assert fam.W == Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(1)})
+    assert not fam.U and not fam.V and fam.simple_case
+    assert (fam.sigma(0.3), fam.w1z(0.3), fam.w20(0.3)) == (0.0, 0.3, 1.0)
 
 
 def test_general_family_criteria():

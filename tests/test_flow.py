@@ -1,4 +1,5 @@
 import math
+import re
 import signal
 from contextlib import contextmanager
 
@@ -13,13 +14,13 @@ from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
     _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
     NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap, Trajectory,
-    _A, _B, _C, _E3, _E5, dop853, integrate,
+    _A, _B, _C, _E3, _E5, _dp_step, dop853, integrate,
 )
 
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
-    dop853_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
-    poincare_return, variational_jacobian,
+    dop853_calls, dop853_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
+    map_points, poincare_return, variational_jacobian,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -97,7 +98,7 @@ def test_first_order_melnikov_oracle():
     devs = []
     eps_ladder = (1e-2, 5e-3, 2.5e-3)
     for eps in eps_ladder:
-        mapped = tmap.points(grid, mu, eps)
+        mapped = map_points(tmap, grid, mu, eps)
         dev = max(np.max(np.abs((mapped[i] - grid[i]) / eps - mel.f1(grid[i], mu)))
                   for i in range(len(grid)))
         devs.append(dev)
@@ -172,7 +173,7 @@ def test_determinism_bit_identical():
     _, _, tmap = _setup()
     a = tmap.point(np.array([1.3, 0.2]), 0.05, 0.01)
     b = tmap.point(np.array([1.3, 0.2]), 0.05, 0.01)
-    assert a.tobytes() == b.tobytes()
+    assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
 def test_trajectory_csv(tmp_path):
@@ -328,7 +329,7 @@ def test_return_map_at_r_zero_raises_flow_error(reverse):
         with pytest.raises(NonFiniteState):
             tmap.point([0.0, 5.0], -0.2, 0.02, reverse=reverse)
         with pytest.raises(NonFiniteState):
-            tmap.points([[0.0, 5.0], [1.0, 0.0]], -0.2, 0.02, reverse=reverse)
+            map_points(tmap, [[0.0, 5.0], [1.0, 0.0]], -0.2, 0.02, reverse=reverse)
 
 
 def test_jet_transport_at_r_zero_raises():
@@ -399,11 +400,11 @@ def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
     y = _assert_takes_dop853_steps(lambda t, s: cyl(t, s[0], s[1]),
                                    -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
     got = tmap.point([r, w], *pair, reverse=reverse)
-    assert got.tobytes() == np.array(y).tobytes()
+    assert np.array(got).tobytes() == np.array(y).tobytes()
     # several rows map as the rows do one by one
     X0 = np.array([[r, w], [0.8 * r + 0.2, -w], [1.3, 0.1]])
     each = [tmap.point(x, *pair, reverse=reverse) for x in X0]
-    assert tmap.points(X0, *pair, reverse=reverse).tobytes() == np.array(each).tobytes()
+    assert map_points(tmap, X0, *pair, reverse=reverse).tobytes() == np.array(each).tobytes()
 
 
 @pytest.mark.parametrize("atol, rtol", [(1e-12, 1e-10)] + TOLERANCES)
@@ -637,3 +638,54 @@ def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
     assert len(ys) == len(ys_ref)
     for y, y_ref in zip(ys, ys_ref):
         assert np.array(y).tobytes() == np.array(y_ref).tobytes()
+
+
+@pytest.mark.parametrize("atol, rtol", TOLERANCES)
+@pytest.mark.parametrize("reverse", [False, True])
+@settings(max_examples=6, deadline=None)
+@given(st.floats(0.3, 2.0), st.floats(-0.6, 0.6), _pairs)
+def test_fused_kernels_take_the_steps_of_calls(reverse, atol, rtol, r, w, pair):
+    """`dop853` steps the return and jet1 quotients with their fused kernels;
+    the step of kind "call" driving the same right-hand sides call by call
+    (tests/oracles.py) gives the same times, states and RHS count, bit for
+    bit."""
+    _, _, tmap = _setup(atol=atol, rtol=rtol)
+    bound = tmap.field.bind(*pair)
+    t_end = -PERIOD if reverse else PERIOD
+    for rhs, y0 in ((bound.return_rhs, [r, w]),
+                    (bound.jet1_rhs, [r, 1.0, 0.0, w, 0.0, 1.0])):
+        ts, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
+        ts_ref, ys_ref, nfev_ref = dop853_calls(rhs, 0.0, t_end, y0, atol, rtol)
+        assert nfev == nfev_ref and ts == ts_ref
+        assert np.array(ys).tobytes() == np.array(ys_ref).tobytes()
+
+
+def test_fused_kernels_raise_on_the_axis():
+    """With P = z^2 the angular speed divides a nonzero numerator by r = 0 on
+    the axis.  A return from it raises NonFiniteState and jet1
+    JetTransportUnstable, with the messages of the quotient's own raise;
+    the fused step raises them as well where a stage lands on the axis, and
+    where the drift is not finite."""
+    sys = validate_hopf_zero("z^2", "y*z", "-x^2 + x*y + z^2")
+    tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
+    bound = tmap.field.bind(-0.2, 0.02)
+    with pytest.raises(NonFiniteState, match=r"^return-map field singular at theta=0\.0$"):
+        tmap.point([0.0, 0.5], -0.2, 0.02)
+    with pytest.raises(JetTransportUnstable, match=r"^jet field singular at theta=0\.0$"):
+        tmap.jet1([0.0, 0.5], -0.2, 0.02)
+    # one step from t = 1 with k0 = 0: its first stage is at the state, on
+    # the axis, or off it with a drift that is not finite
+    theta = 1.0 + _C[1] * 0.1
+    cases = (
+        (2, "return", bound.drift, NonFiniteState, "return-map field singular"),
+        (6, "jet1", bound.jet1_rhs.drift, JetTransportUnstable, "jet field singular"),
+        (2, "return", lambda x, y, z: (math.inf, 0.0, 0.0),
+         NonFiniteState, "return-map field non-finite"),
+        (6, "jet1", lambda x, y, z: (math.inf,) + (0.0,) * 11,
+         JetTransportUnstable, "jet field non-finite"),
+    )
+    for n, kind, drift, error, message in cases:
+        r = 1.0 if "non-finite" in message else 0.0
+        y = [r, 0.5] if n == 2 else [r, 1.0, 0.0, 0.5, 0.0, 1.0]
+        with pytest.raises(error, match=f"^{re.escape(f'{message} at theta={theta}')}$"):
+            _dp_step(n, kind)(drift, 1.0, 0.1, y, [0.0] * n, 1e-11, 1e-9)

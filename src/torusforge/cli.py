@@ -70,6 +70,8 @@ EXIT_NOT_APPLICABLE = 2
 MAX_GRID = 200          # melnikov writes grid^2 rows
 MAX_PERIODS = 1000      # simulate keeps each accepted step (23 025 at the cap on the example)
 MAX_LIFT_SAMPLES = 64   # lift samples Omega three times per L value
+# the tolerances of the return map that branch and certify integrate
+RETURN_MAP_INTEGRATOR = IntegratorConfig(atol=1e-13, rtol=1e-11)
 
 
 class UsageError(ValueError):
@@ -233,8 +235,7 @@ def _interval(doc):
 
 def _integrator(doc) -> IntegratorConfig:
     tols = doc.get("tolerances", {})
-    return IntegratorConfig(atol=float(tols.get("atol", 1e-12)),
-                            rtol=float(tols.get("rtol", 1e-10)))
+    return IntegratorConfig(**{k: float(tols[k]) for k in ("atol", "rtol") if k in tols})
 
 
 # a rational in text: an integer, a decimal or integer/integer; no exponent,
@@ -350,7 +351,7 @@ def cmd_branch(spec: RunSpec) -> int:
     if not rep.applicable:
         return _not_applicable(spec, doc, rep, "branch.json", "branch")
     mel = _melnikov(rep, sys_, fam)
-    tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
+    tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     mu0 = rep.perturbation.mu0
     branch = branch_continuation(mel, tmap, mu0)
     slices = lyapunov_slices(tmap, branch)
@@ -411,7 +412,7 @@ def cmd_certify(spec: RunSpec) -> int:
     if not rep.applicable:
         return _not_applicable(spec, doc, rep, "certificate.json", "certification")
     mel = _melnikov(rep, sys_, fam)
-    tmap = ThetaReturnMap(sys_, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
+    tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
     cert = certify_torus(tmap, mu, point, mel, rep.base.lyapunov)
     payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),

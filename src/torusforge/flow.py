@@ -6,24 +6,18 @@ floats: plain trajectories of the full 3D (rescaled) system, and the
 angular return theta: 0 -> 2 pi of the cylindrical standard-form variables
 (r, w), where theta plays the role of time and the return map needs no
 event detection.  Each seed of a return is its own integration, on two
-Python floats from seed to image.  The step itself is straight-line code,
-generated once per state size and kind of stage.  For each bound (mu, eps),
-`BoundField` builds each right-hand side on first use: the 3D field of
-`simulate` is generated as one straight-line function, and one return of
-the map and the first variational equation of `jet1` are the cylindrical
-quotients of `_QUOTIENTS` over one compiled polynomial function each (the
-drift, the field less its rotation (-y, x, 0), or the drift and its nine
-partials).
+Python floats from seed to image.  The step is straight-line code,
+generated once per state size, and each of its 12 stages is one call
+rhs(t, y0, ..., y{n-1}) on positional floats.
 
-The two quotients have their own kernels: each stage of their step writes
-the quotient out (cos and sin of the stage angle, one call of the drift,
-the division by dtheta/dt and the raises), where any other right-hand side
-is called once per stage.  The drift stays a call: the kernels do not
-depend on the field, so each is compiled once per process, while a kernel
-with the drift written in would be compiled again for every field and
-(mu, eps), at a cost above what it saves.  `simulate`'s 3D field is not
-fused either: it runs a few integrations per process, so the kernel's
-compilation would cost more than the calls it removes.
+For each bound (mu, eps), `BoundField` generates its right-hand sides on
+first use, each one straight-line function: the polynomial terms written
+out, then the statements that make the derivative of them.  The 3D field
+of `simulate` returns the terms of the field; one return of the map and
+the first variational equation of `jet1` write out the drift (the field
+less its rotation (-y, x, 0)), or the drift and its nine partials, at
+(r cos theta, r sin theta, w), followed by the cylindrical quotient of
+`_RHS`.
 
 Derivatives of the theta-return map come from transporting them through
 the flow with the same stepper.  `jet1`, the value and Jacobian that Newton
@@ -95,8 +89,8 @@ class Trajectory:
 
 def integrate(field: Callable, state0, t_span,
               cfg: Optional[IntegratorConfig] = None) -> Trajectory:
-    """The accepted steps of state' = field(t, state) over t_span; the state
-    is a list of Python floats."""
+    """The accepted steps of state' = field(t, *state) over t_span; the
+    state is a list of Python floats."""
     cfg = cfg or IntegratorConfig()
     ts, ys, _ = dop853(field, float(t_span[0]), float(t_span[1]),
                        [float(v) for v in state0], cfg.atol, cfg.rtol)
@@ -113,7 +107,7 @@ def integrate(field: Callable, state0, t_span,
 # The tableau of scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 # Sec. II.10), the doubles of scipy/integrate/_ivp/dop853_coefficients.py:
 # the nodes C, row s of A (a_s0 .. a_s,s-1), the weights B, and the error
-# weights E5 and E3 of the stages (their weight on rhs(t + h, y_new) is 0).
+# weights E5 and E3 of the stages (their weight on rhs(t + h, *y_new) is 0).
 _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
       0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
       0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
@@ -165,7 +159,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = rhs(t0 + h0 * direction, [v + h0 * direction * fv for v, fv in zip(y0, f0)])
+    f1 = rhs(t0 + h0 * direction, *[v + h0 * direction * fv for v, fv in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -174,95 +168,17 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
     return min(100 * h0, h1, interval)
 
 
-# The cylindrical quotients, as the statements of one evaluation: with theta
-# and the state's names bound, each reads the drift through `drift` and
-# binds the derivative's names.  `_quotient` makes them the functions
-# `BoundField.return_rhs` and `.jet1_rhs` call, and `_dp_step` inlines them
-# as the stages of the kind's step, so both round alike.
-#
-# "return": (dr/dtheta, dw/dtheta) of (r, w), from the drift (X, Y, Z).
-# "jet1": the same and its Jacobian applied to the columns (r1, w1) and
-# (r2, w2), from the drift and its nine partials.  With rdot = cs X + sn Y,
-# thetadot = 1 + q, q = (cs Y - sn X) / r and Z as functions of (r, w),
-# d/dr = cs d/dx + sn d/dy and d/dw = d/dz, so d(thetadot)/dr is
-# (cs dY/dr - sn dX/dr - q) / r, and each component p / thetadot has the
-# derivative (dp - (p / thetadot) d(thetadot)) / thetadot.
-#
-# A zero division or a non-finite value raises (NonFiniteState for the
-# return, JetTransportUnstable for jet1): the step control would otherwise
-# shrink its step on NaN until it underflows.
-_QUOTIENTS = {
-    "return": (("r", "w"), ("dr", "dw"), [
-        "cs, sn = cos(theta), sin(theta)",
-        "X, Y, Z = drift(r * cs, r * sn, w)",
-        "try:",
-        "    inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)",
-        "except ZeroDivisionError as exc:",
-        "    raise NonFiniteState(f'return-map field singular at theta={theta}') from exc",
-        "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
-        "if not (isfinite(dr) and isfinite(dw)):",
-        "    raise NonFiniteState(f'return-map field non-finite at theta={theta}')",
-    ]),
-    "jet1": (("r", "r1", "r2", "w", "w1", "w2"), ("dr", "dr1", "dr2", "dw", "dw1", "dw2"), [
-        "cs, sn = cos(theta), sin(theta)",
-        "X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz = drift(r * cs, r * sn, w)",
-        "try:",
-        "    q = (cs * Y - sn * X) / r",
-        "    inv = 1.0 / (1.0 + q)",
-        "except ZeroDivisionError as exc:",
-        "    raise JetTransportUnstable(f'jet field singular at theta={theta}') from exc",
-        "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
-        "xr, yr = cs * Xx + sn * Xy, cs * Yx + sn * Yy",
-        "t_r, t_w = (cs * yr - sn * xr - q) / r, (cs * Yz - sn * Xz) / r",
-        "dr_r = (cs * xr + sn * yr - dr * t_r) * inv",
-        "dr_w = (cs * Xz + sn * Yz - dr * t_w) * inv",
-        "dw_r = (cs * Zx + sn * Zy - dw * t_r) * inv",
-        "dw_w = (Zz - dw * t_w) * inv",
-        "dr1, dr2 = dr_r * r1 + dr_w * w1, dr_r * r2 + dr_w * w2",
-        "dw1, dw2 = dw_r * r1 + dw_w * w1, dw_r * r2 + dw_w * w2",
-        "if not (isfinite(dr) and isfinite(dr1) and isfinite(dr2)",
-        "        and isfinite(dw) and isfinite(dw1) and isfinite(dw2)):",
-        "    raise JetTransportUnstable(f'jet field non-finite at theta={theta}')",
-    ]),
-}
-
-
-def _kernel_namespace() -> Dict[str, object]:
-    return {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
-            "NonFiniteState": NonFiniteState, "JetTransportUnstable": JetTransportUnstable}
-
-
 @functools.lru_cache(maxsize=None)
-def _quotient(kind: str) -> Callable:
-    """rhs(drift, theta, state) of the cylindrical quotient `kind`."""
-    names, results, body = _QUOTIENTS[kind]
-    return define("rhs", "drift, theta, state",
-                  [f"{', '.join(names)} = state", *body, f"return {', '.join(results)}"],
-                  _kernel_namespace())
-
-
-def _cylindrical_rhs(kind: str, drift: Callable) -> Callable:
-    """rhs(theta, state) of the cylindrical quotient `kind` over `drift`.
-    `dop853` reads its `kind` and `drift` and steps it with `_dp_step(n,
-    kind)`, which evaluates the quotient inline."""
-    rhs = functools.partial(_quotient(kind), drift)
-    rhs.kind, rhs.drift = kind, drift
-    return rhs
-
-
-@functools.lru_cache(maxsize=None)
-def _dp_step(n: int, kind: str = "call") -> Callable:
+def _dp_step(n: int) -> Callable:
     """One DOP853 step for a state of n floats, as straight-line code
-    generated once per (n, kind):
-    step(f, t, h, y, k0, atol, rtol) -> (y_new, rhs(t + h, y_new),
-    error_norm).  Kind "call" evaluates each stage as a call f(t, state)
-    of the right-hand side f; a cylindrical kind of `_QUOTIENTS` writes the
-    quotient's statements into each stage, and f is the drift they call.
-    Each component is written out with its stage sums in tableau order,
-    zero weights left out and the tableau inlined as literals, so it rounds
-    as a loop over the components does.  The error norm is scipy's:
-    |h| |err5|^2 / sqrt((|err5|^2 + 0.01 |err3|^2) n) over the components
-    of err5 and err3 divided by atol + max(|y|, |y_new|) rtol."""
+    generated once per n: step(f, t, h, y, k0, atol, rtol) -> (y_new,
+    f(t + h, *y_new), error_norm).  Each stage is one call f(t, y0, ...,
+    y{n-1}) of the right-hand side on positional floats.  Each component
+    is written out with its stage sums in tableau order, zero weights left
+    out and the tableau inlined as literals, so it rounds as a loop over
+    the components does.  The error norm is scipy's: |h| |err5|^2 /
+    sqrt((|err5|^2 + 0.01 |err3|^2) n) over the components of err5 and
+    err3 divided by atol + max(|y|, |y_new|) rtol."""
     def each(template: str) -> List[str]:   # '#' stands for the component
         return [template.replace("#", str(i)) for i in range(n)]
 
@@ -272,21 +188,12 @@ def _dp_step(n: int, kind: str = "call") -> Callable:
     def comb(weights) -> str:               # sum_j w_j k_j of one component
         return " + ".join(f"{w!r} * _k{j}_#" for j, w in enumerate(weights) if w)
 
-    def stage(time: str, state: List[str], out: str) -> List[str]:
-        """The statements that bind `out` to the RHS at (time, state)."""
-        if kind == "call":
-            return [f"{out} = f({time}, [{', '.join(state)}])"]
-        names, results, body = _QUOTIENTS[kind]
-        return [f"theta = {time}", *(f"{v} = {e}" for v, e in zip(names, state)),
-                *body, f"{out} = {', '.join(results)}"]
-
     lines = [f"{row('_y#')}, = y", f"{row('_k0_#')}, = k0"]
     for s in range(1, len(_C)):
-        lines += stage(f"t + {_C[s]!r} * h", each(f"_y# + ({comb(_A[s])}) * h"),
-                       f"{row(f'_k{s}_#')},")
-    lines.append(f"{row('_n#')}, = y_new = [{row(f'_y# + h * ({comb(_B)})')}]")
-    lines += (["f_new = f(t + h, y_new)"] if kind == "call"
-              else stage("t + h", each("_n#"), "f_new"))
+        lines.append(f"{row(f'_k{s}_#')}, = f(t + {_C[s]!r} * h, "
+                     f"{row(f'_y# + ({comb(_A[s])}) * h')})")
+    lines += [f"{row('_n#')}, = y_new = [{row(f'_y# + h * ({comb(_B)})')}]",
+              f"f_new = f(t + h, {row('_n#')})"]
     for i in range(n):
         lines += [f"_s = atol + max(abs(_y{i}), abs(_n{i})) * rtol",
                   f"_e5_{i} = ({comb(_E5)}) / _s".replace("#", str(i)),
@@ -295,32 +202,28 @@ def _dp_step(n: int, kind: str = "call") -> Callable:
               f"e3 = {' + '.join(f'_e3_{i} * _e3_{i}' for i in range(n))}",
               f"return y_new, f_new, (0.0 if e5 == 0 else "
               f"abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n}))"]
-    return define("step", f"{'f' if kind == 'call' else 'drift'}, t, h, y, k0, atol, rtol",
-                  lines, _kernel_namespace())
+    return define("step", "f, t, h, y, k0, atol, rtol", lines, {"sqrt": math.sqrt})
 
 
 def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
            rtol: float) -> Tuple[list, list, int]:
-    """The accepted steps of y' = rhs(t, y) from (t0, y0) to t_end: their
+    """The accepted steps of y' = rhs(t, *y) from (t0, y0) to t_end: their
     times and states, from t0 to t_end, and the number of RHS evaluations.
 
-    The state is a list of Python floats, and `rhs(t, y)` returns a
-    sequence of floats of the same length.  Tableau, error norm and step
-    control are those of scipy's DOP853 (initial step, safety 0.9, factors
-    clamped to [0.2, 10] and to at most 1 after a rejection, exponent
-    -1/8, the last step clipped to t_end), so it takes the steps
+    The state is a list of Python floats, and `rhs(t, y0, ..., y{n-1})`
+    returns a sequence of n floats.  Tableau, error norm and step control
+    are those of scipy's DOP853 (initial step, safety 0.9, factors clamped
+    to [0.2, 10] and to at most 1 after a rejection, exponent -1/8, the
+    last step clipped to t_end), so it takes the steps
     `solve_ivp(method="DOP853")` takes on the same state, without numpy's
     per-call cost on a small float state.  Each step is `_dp_step`'s
-    straight-line code for the state's size and costs 12 RHS evaluations;
-    a cylindrical quotient (`BoundField.return_rhs`, `.jet1_rhs`) is
-    stepped by its kind's kernel, which evaluates it inline, so it takes
-    the same steps bit for bit.  Raises StepSizeUnderflow where DOP853 fails
-    with a step below the float spacing, and on a NaN step size.
+    straight-line code for the state's size and costs 12 RHS evaluations.
+    Raises StepSizeUnderflow where DOP853 fails with a step below the float
+    spacing, and on a NaN step size.
     """
     y = list(y0)
-    kind = getattr(rhs, "kind", "call")
-    step, stage_f = _dp_step(len(y), kind), (rhs if kind == "call" else rhs.drift)
-    f = rhs(t0, y)
+    step = _dp_step(len(y))
+    f = rhs(t0, *y)
     ts, ys = [t0], [y]
     if t_end == t0:
         return ts, ys, 1
@@ -341,7 +244,7 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = step(stage_f, t, h, y, f, atol, rtol)
+            y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
             nfev += 12
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
@@ -375,6 +278,71 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
                 terms[key] = terms.get(key, 0.0) + float(q) * mu ** d * eps ** grade
         comps.append(terms)
     return comps
+
+
+# The right-hand sides `BoundField` generates, as the statements around the
+# `terms_source` lines of its polynomial maps in (x, y, z): the parameters,
+# the statements that bind x, y and z, the names the maps' values are bound
+# to, and the statements that make and return the derivative from them.
+#
+# "field": (x', y', z') of the 3D field, from its terms.
+# "return": (dr/dtheta, dw/dtheta) of (r, w), from the drift (X, Y, Z).
+# "jet1": the same and its Jacobian applied to the columns (r1, w1) and
+# (r2, w2), from the drift and its nine partials.  With rdot = cs X + sn Y,
+# thetadot = 1 + q, q = (cs Y - sn X) / r and Z as functions of (r, w),
+# d/dr = cs d/dx + sn d/dy and d/dw = d/dz, so d(thetadot)/dr is
+# (cs dY/dr - sn dX/dr - q) / r, and each component p / thetadot has the
+# derivative (dp - (p / thetadot) d(thetadot)) / thetadot.
+#
+# In the two cylindrical quotients a zero division or a non-finite value
+# raises (NonFiniteState for the return, JetTransportUnstable for jet1): the
+# step control would otherwise shrink its step on NaN until it underflows.
+_CYLINDER = ["cs, sn = cos(theta), sin(theta)", "x, y, z = r * cs, r * sn, w"]
+_RHS = {
+    "field": ("t, x, y, z", [], "dx, dy, dz", ["return dx, dy, dz"]),
+    "return": ("theta, r, w", _CYLINDER, "X, Y, Z", [
+        "try:",
+        "    inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)",
+        "except ZeroDivisionError as exc:",
+        "    raise NonFiniteState(f'return-map field singular at theta={theta}') from exc",
+        "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
+        "if not (isfinite(dr) and isfinite(dw)):",
+        "    raise NonFiniteState(f'return-map field non-finite at theta={theta}')",
+        "return dr, dw",
+    ]),
+    "jet1": ("theta, r, r1, r2, w, w1, w2", _CYLINDER,
+             "X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz", [
+        "try:",
+        "    q = (cs * Y - sn * X) / r",
+        "    inv = 1.0 / (1.0 + q)",
+        "except ZeroDivisionError as exc:",
+        "    raise JetTransportUnstable(f'jet field singular at theta={theta}') from exc",
+        "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
+        "xr, yr = cs * Xx + sn * Xy, cs * Yx + sn * Yy",
+        "t_r, t_w = (cs * yr - sn * xr - q) / r, (cs * Yz - sn * Xz) / r",
+        "dr_r = (cs * xr + sn * yr - dr * t_r) * inv",
+        "dr_w = (cs * Xz + sn * Yz - dr * t_w) * inv",
+        "dw_r = (cs * Zx + sn * Zy - dw * t_r) * inv",
+        "dw_w = (Zz - dw * t_w) * inv",
+        "dr1, dr2 = dr_r * r1 + dr_w * w1, dr_r * r2 + dr_w * w2",
+        "dw1, dw2 = dw_r * r1 + dw_w * w1, dw_r * r2 + dw_w * w2",
+        "if not (isfinite(dr) and isfinite(dr1) and isfinite(dr2)",
+        "        and isfinite(dw) and isfinite(dw1) and isfinite(dw2)):",
+        "    raise JetTransportUnstable(f'jet field non-finite at theta={theta}')",
+        "return dr, dr1, dr2, dw, dw1, dw2",
+    ]),
+}
+
+
+def _generate_rhs(name: str, maps) -> Callable:
+    """The right-hand side `name` of `_RHS` over the float terms `maps`, as
+    one straight-line function."""
+    params, head, values, tail = _RHS[name]
+    lines, results, namespace = terms_source(maps, "xyz")
+    namespace.update(cos=math.cos, sin=math.sin, isfinite=math.isfinite,
+                     NonFiniteState=NonFiniteState, JetTransportUnstable=JetTransportUnstable)
+    return define("rhs", params, [*head, *lines, f"{values} = {', '.join(results)}", *tail],
+                  namespace)
 
 
 class BoundField:
@@ -418,11 +386,9 @@ class BoundField:
 
     @functools.cached_property
     def rhs3(self) -> Callable:
-        """rhs(t, (x, y, z)) -> (x', y', z') of the full rescaled system,
-        generated from `terms` with the state unpacked in its head."""
-        lines, results, namespace = terms_source(self.terms, "xyz")
-        return define("rhs", "t, state",
-                      ["x, y, z = state", *lines, f"return {', '.join(results)}"], namespace)
+        """rhs(t, x, y, z) -> (x', y', z') of the full rescaled system, the
+        "field" right-hand side of `_RHS` over `terms`."""
+        return _generate_rhs("field", self.terms)
 
     def cylindrical(self, theta, r, w):
         """(dr/dtheta, dw/dtheta) at a scalar theta; r, w may be numpy
@@ -437,20 +403,19 @@ class BoundField:
 
     @functools.cached_property
     def return_rhs(self) -> Callable:
-        """rhs(theta, (r, w)) -> (dr/dtheta, dw/dtheta) on floats, the
-        "return" quotient of `_QUOTIENTS` over the drift; a zero division or
-        a non-finite value raises NonFiniteState."""
-        return _cylindrical_rhs("return", self.drift)
+        """rhs(theta, r, w) -> (dr/dtheta, dw/dtheta) on floats, the
+        "return" quotient of `_RHS` over the drift; a zero division or a
+        non-finite value raises NonFiniteState."""
+        return _generate_rhs("return", self.drift_terms)
 
     @functools.cached_property
     def jet1_rhs(self) -> Callable:
-        """rhs(theta, (r, r1, r2, w, w1, w2)): the return's RHS and its
+        """rhs(theta, r, r1, r2, w, w1, w2): the return's RHS and its
         Jacobian applied to the columns (r1, w1) and (r2, w2), the "jet1"
-        quotient of `_QUOTIENTS`, in real arithmetic from the drift and its
-        nine exact partials (one compiled function, shared powers).  A zero
-        division or a non-finite value raises JetTransportUnstable."""
-        return _cylindrical_rhs("jet1", compile_terms(self.drift_terms + self.partial_terms,
-                                                      "xyz"))
+        quotient of `_RHS`, in real arithmetic from the drift and its nine
+        exact partials (their powers shared).  A zero division or a
+        non-finite value raises JetTransportUnstable."""
+        return _generate_rhs("jet1", self.drift_terms + self.partial_terms)
 
 
 class RescaledField:
@@ -473,7 +438,7 @@ class RescaledField:
         return self._bound[1]
 
     def field3(self, mu: float, eps: float) -> Callable:
-        """f(t, state) for `integrate` on the full rescaled 3D system."""
+        """f(t, x, y, z) for `integrate` on the full rescaled 3D system."""
         return self.bind(mu, eps).rhs3
 
 
@@ -517,9 +482,9 @@ class ThetaReturnMap:
         of (r, w) integrated by `dop853`."""
         cyl = self.field.bind(mu, eps).cylindrical
 
-        def rhs(theta, state):
+        def rhs(theta, *state):
             try:
-                dr, dw = cyl(theta, _jet(tuple(state[:10])), _jet(tuple(state[10:])))
+                dr, dw = cyl(theta, _jet(state[:10]), _jet(state[10:]))
             except ZeroDivisionError as exc:
                 raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
             out = _as_jet(dr).coeffs + _as_jet(dw).coeffs

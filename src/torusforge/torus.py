@@ -205,10 +205,11 @@ def normal_hyperbolicity(rho: Optional[float], rho_unc: Optional[float],
 
 def winding_number(curve_points: np.ndarray, about: np.ndarray) -> int:
     """Winding of the angle-ordered curve polygon about a point."""
-    rel = np.asarray(curve_points, dtype=float) - np.asarray(about, dtype=float)
+    points = np.asarray(curve_points, dtype=float)
+    rel = points - np.asarray(about, dtype=float)
     ang = np.arctan2(rel[:, 1], rel[:, 0])
-    order = np.argsort(np.arctan2((curve_points - curve_points.mean(axis=0))[:, 1],
-                                  (curve_points - curve_points.mean(axis=0))[:, 0]))
+    centred = points - points.mean(axis=0)
+    order = np.argsort(np.arctan2(centred[:, 1], centred[:, 0]))
     a = ang[order]
     inc = np.diff(np.concatenate([a, a[:1]]))
     inc = np.where(inc < -np.pi, inc + 2 * np.pi,

@@ -10,18 +10,17 @@ F2 and averages the whole f2 integrand, the reference for the terms and the
 term order of `melnikov_pair`, which forms only what the average keeps.
 The integrations here stay on scipy's `solve_ivp`, so they also check the
 package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
-list comprehension per stage, the bitwise oracle of its generated step, and
-`dop853_calls` steps a cylindrical quotient call by call, the bitwise oracle
-of its fused kernel.  `map_points` maps an array of seeds one return each.
-`omega_of_lift_family` reads Omega of a degree lift off the whole
-normalized `Poly` system, the reference for the closed form
-`lift.omega_of_lift`.  `normal_contraction`
-measures the normal rate of an invariant curve by following a ring of
-probes off it, the reference for `torus.normal_exponent`, and
-`fourier_fit_lstsq` solves one least-squares problem per Fourier order, the
-reference for `torus.fit_fourier_curve`.  The last section holds
-small helpers only the tests call, and `FractionCFrac`, the Fraction-pair
-Gaussian rational that checks `averaging.CFrac`.
+list comprehension per stage, the bitwise oracle of its generated step, on
+the same right-hand sides rhs(t, *y).  `map_points` maps an array of seeds
+one return each.  `omega_of_lift_family` reads Omega of a degree lift off
+the whole normalized `Poly` system, the reference for the closed form
+`lift.omega_of_lift`.  `normal_contraction` measures the normal rate of an
+invariant curve by following a ring of probes off it, the reference for
+`torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
+problem per Fourier order, the reference for `torus.fit_fourier_curve`.
+The last section holds small helpers only the tests call, and
+`FractionCFrac`, the Fraction-pair Gaussian rational that checks
+`averaging.CFrac`.
 """
 
 from __future__ import annotations
@@ -88,13 +87,17 @@ class SectionEvent:
 def poincare_return(field: Callable, section: PlaneSection, x0,
                     cfg: Optional[IntegratorConfig] = None,
                     horizon: float = DEFAULT_HORIZON_PERIODS * PERIOD):
-    """Next crossing of the plane section in the prescribed direction.
+    """Next crossing of the plane section in the prescribed direction, of
+    the flow of field(t, x, y, z).
 
     The event time from the integrator is polished by Newton on the dense
     output until |coordinate| <= 1e-12 (bisection-style fallback on stall).
     """
     cfg = cfg or IntegratorConfig()
     k = section.coordinate
+
+    def vector(t, state):
+        return field(t, *state)
 
     def event(t, state):
         return state[k]
@@ -104,15 +107,15 @@ def poincare_return(field: Callable, section: PlaneSection, x0,
 
     x0 = np.asarray(x0, dtype=float)
     # leave the section before arming the event: start is on the section
-    f0 = np.asarray(field(0.0, x0), dtype=float)
+    f0 = np.asarray(vector(0.0, x0), dtype=float)
     if abs(f0[k]) < TANGENCY_SPEED:
         raise TangencyDetected(f"transversal speed {f0[k]} at start")
     t_lift = 1e-6
-    lift = solve_ivp(field, (0.0, t_lift), x0, method="RK45", rtol=cfg.rtol,
+    lift = solve_ivp(vector, (0.0, t_lift), x0, method="RK45", rtol=cfg.rtol,
                      atol=cfg.atol, dense_output=False)
     x_lift = lift.y[:, -1]
 
-    sol = solve_ivp(field, (t_lift, horizon), x_lift, method="RK45", rtol=cfg.rtol,
+    sol = solve_ivp(vector, (t_lift, horizon), x_lift, method="RK45", rtol=cfg.rtol,
                     atol=cfg.atol, dense_output=True, events=[event])
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
@@ -129,7 +132,7 @@ def poincare_return(field: Callable, section: PlaneSection, x0,
         res = state[k]
         if abs(res) <= EVENT_RESIDUAL:
             break
-        speed = np.asarray(field(t_hit, state), dtype=float)[k]
+        speed = np.asarray(vector(t_hit, state), dtype=float)[k]
         if abs(speed) < TANGENCY_SPEED:
             raise TangencyDetected(f"transversal speed {speed} at event")
         t_new = t_hit - res / speed
@@ -138,7 +141,7 @@ def poincare_return(field: Callable, section: PlaneSection, x0,
             t_new = 0.5 * (t_hit + (window[1] if res * speed < 0 else window[0]))
         t_hit = t_new
     state = np.asarray(dense(t_hit), dtype=float)
-    speed = np.asarray(field(t_hit, state), dtype=float)[k]
+    speed = np.asarray(vector(t_hit, state), dtype=float)[k]
     if abs(speed) < TANGENCY_SPEED:
         raise TangencyDetected(f"transversal speed {speed} at event")
     event_rec = SectionEvent(time=t_hit, state=state, residual=abs(float(state[k])))
@@ -166,9 +169,9 @@ def _comprehension_step(rhs: Callable, t: float, h: float, y: list, f, atol: flo
     error_norm), as `flow._dp_step`'s generated step returns them."""
     K = [f]
     for c, row in zip(_C[1:], _A[1:]):
-        K.append(rhs(t + c * h, [v + _comb(row, ks) * h for v, ks in zip(y, zip(*K))]))
+        K.append(rhs(t + c * h, *[v + _comb(row, ks) * h for v, ks in zip(y, zip(*K))]))
     y_new = [v + h * _comb(_B, ks) for v, ks in zip(y, zip(*K))]
-    f_new = rhs(t + h, y_new)
+    f_new = rhs(t + h, *y_new)
     scale = [atol + max(abs(v), abs(vn)) * rtol for v, vn in zip(y, y_new)]
     err5 = [_comb(_E5, ks) / s for ks, s in zip(zip(*K), scale)]
     err3 = [_comb(_E3, ks) / s for ks, s in zip(zip(*K), scale)]
@@ -180,14 +183,12 @@ def _comprehension_step(rhs: Callable, t: float, h: float, y: list, f, atol: flo
 
 
 def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-                rtol: float, step: Callable = _comprehension_step
-                ) -> Tuple[list, list, int]:
-    """`flow.dop853` with each step taken by `step(rhs, t, h, y, f, atol,
-    rtol)`, by default `_comprehension_step`: the oracle of the generated
-    straight-line step, which must return the same times, states and RHS
-    count bit for bit."""
+                rtol: float) -> Tuple[list, list, int]:
+    """`flow.dop853` with each step taken by `_comprehension_step`: the
+    oracle of the generated straight-line step, which must return the same
+    times, states and RHS count bit for bit."""
     y = list(y0)
-    f = rhs(t0, y)
+    f = rhs(t0, *y)
     ts, ys = [t0], [y]
     if t_end == t0:
         return ts, ys, 1
@@ -208,7 +209,7 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
+            y_new, f_new, error_norm = _comprehension_step(rhs, t, h, y, f, atol, rtol)
             nfev += 12
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0
@@ -223,14 +224,6 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
         ts.append(t)
         ys.append(y)
     return ts, ys, nfev
-
-
-def dop853_calls(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-                 rtol: float) -> Tuple[list, list, int]:
-    """`flow.dop853` with every stage a call of `rhs`: the generated step of
-    kind "call" for the state's size, even where `rhs` is a cylindrical
-    quotient that `dop853` steps with its fused kernel."""
-    return dop853_loop(rhs, t0, t_end, y0, atol, rtol, step=flow._dp_step(len(y0)))
 
 
 def map_points(tmap, X0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:
@@ -263,8 +256,7 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
     exact partials `jet1` reads."""
     cyl, h = tmap.field.bind(mu, eps).cylindrical, 1e-30
 
-    def rhs(theta, state):
-        r, r1, r2, w, w1, w2 = state
+    def rhs(theta, r, r1, r2, w, w1, w2):
         dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
         dr2, dw2 = cyl(theta, complex(r, h * r2), complex(w, h * w2))
         return (dr1.real, dr1.imag / h, dr2.imag / h,

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass line each (run with -s to see them live)."""
 
+import hashlib
 import json
 import math
 import random
@@ -179,6 +180,10 @@ def kappa_pair(example, certification):
                  for reverse in (found.reversed_time, not found.reversed_time))
 
 
+# the torus-side samples of the criterion-6 certification at (0.05, 0.05)
+CURVE_POINTS_SHA256 = "9ad2e6c1e3e2521ca96263ca49a0351fb41d8b90e00ce6e079ac7c1cef2d222c"
+
+
 def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
     found, _, _ = certification
     kappa, kappa_reversed = kappa_pair
@@ -196,6 +201,8 @@ def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
           and kappa < 1.0
           and found.normally_hyperbolic is True
           and one_orbit)
+    assert (hashlib.sha256(found.curve_points.tobytes()).hexdigest()
+            == CURVE_POINTS_SHA256)
     _announce("criterion 6b (kappa_fwd*kappa_rev = 1 within 10%; curve encloses "
               "fixed point; rotation stable; normally hyperbolic; samples are "
               "one orbit)",

@@ -164,6 +164,11 @@ def test_simulate(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,y,z"
     assert len(lines) > 10
+    assert _sha256(out / "trajectory.csv") == SIMULATE_TRAJECTORY_SHA256
+
+
+# trajectory.csv of simulate on the worked example over 3 periods
+SIMULATE_TRAJECTORY_SHA256 = "f20b9247ccaa9e6ea88a20c5bd2dc48adec32c31c5549f62c25fd22fe98bbb3c"
 
 
 @pytest.mark.parametrize("periods", [1e12, MAX_PERIODS + 1, math.inf,
@@ -263,6 +268,11 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
     assert len({p.eps for p in points}) == 5
     largest = sorted(points, key=lambda p: p.eps, reverse=True)[:3]
     assert sorted(jets) == sorted((tuple(p.xi), p.mu, p.eps) for p in largest)
+    assert _sha256(tmp_path / "out" / "branch.json") == BRANCH_JSON_SHA256
+
+
+# branch.json of branch on the worked example
+BRANCH_JSON_SHA256 = "970af5d30aab7ae623906991d3166264b1bd12ca1bafabc380c3b591eadf5764"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
@@ -271,8 +281,8 @@ NO_TORUS_CERTIFICATE_SHA256 = "92d14588a09f571a4fc993e616487adc286585af1a2820076
 
 def test_no_torus_certificate_bytes(tmp_path):
     """The no-torus certificate byte for byte: its returns and jet1
-    transports run on the fused kernels and the probe on floats, and each
-    takes the steps of the right-hand sides called stage by stage."""
+    transports run on the generated right-hand sides, one call per stage,
+    and the probe on floats."""
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     assert main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02",

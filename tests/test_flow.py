@@ -19,7 +19,7 @@ from torusforge.flow import (
 
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
-    dop853_calls, dop853_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
+    dop853_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
     map_points, poincare_return, variational_jacobian,
 )
 
@@ -33,13 +33,13 @@ def _setup(atol=1e-12, rtol=1e-10):
 
 
 def test_harmonic_rotation_period():
-    traj = integrate(lambda t, s: [-s[1], s[0]], [1.0, 0.0], (0.0, 2 * math.pi))
+    traj = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 2 * math.pi))
     assert np.max(np.abs(traj.states[-1] - [1.0, 0.0])) <= 1e-10
 
 
 def test_invariant_plane_z_conserved():
-    def field(t, s):
-        return [-s[1] + s[2] * 0.0, s[0], 0.0]
+    def field(t, x, y, z):
+        return [-y + z * 0.0, x, 0.0]
     traj = integrate(field, [1.0, 0.0, 0.37], (0.0, 20.0))
     assert np.max(np.abs(traj.states[:, 2] - 0.37)) <= 1e-12
 
@@ -48,8 +48,8 @@ def test_integrator_order_eight():
     """The step control of an order-8 pair with an order-7 error estimate
     keeps the local error ~ h^8 at the tolerance, so the step count grows
     like tol^(-1/8) on a smooth problem; the end error stays within 100 tol."""
-    def field(t, s):
-        return [-s[1] + 0.1 * s[0] * s[1], s[0] - 0.05 * s[0] ** 2]
+    def field(t, x, y):
+        return [-y + 0.1 * x * y, x - 0.05 * x ** 2]
 
     tols = [1e-6, 1e-8, 1e-10, 1e-12]
     ref = integrate(field, [1.0, 0.2], (0.0, 20.0),
@@ -177,7 +177,7 @@ def test_determinism_bit_identical():
 
 
 def test_trajectory_csv(tmp_path):
-    traj = integrate(lambda t, s: [-s[1], s[0]], [1.0, 0.0], (0.0, 1.0))
+    traj = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 1.0))
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     lines = path.read_text().splitlines()
@@ -225,7 +225,7 @@ def test_config_validation():
 
 
 def test_no_return_within_horizon():
-    def field(t, s):
+    def field(t, x, y, z):
         return [0.0, 1.0, 0.0]       # y increases forever after the start
 
     with pytest.raises(NoReturnWithinHorizon):
@@ -233,7 +233,7 @@ def test_no_return_within_horizon():
 
 
 def test_tangency_detected():
-    def field(t, s):
+    def field(t, x, y, z):
         return [1.0, 0.0, 0.0]       # no transversal speed at the section
 
     with pytest.raises(TangencyDetected):
@@ -366,7 +366,7 @@ def _assert_takes_dop853_steps(rhs, t_end, y0, atol, rtol):
     state up to the order of the stage sums.  Returns the dop853 state."""
     _, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
     y = ys[-1]
-    ref = solve_ivp(lambda t, s: np.array(rhs(t, s.tolist())), (0.0, t_end),
+    ref = solve_ivp(lambda t, s: np.array(rhs(t, *s.tolist())), (0.0, t_end),
                     np.array(y0), method="DOP853", atol=atol, rtol=rtol)
     assert ref.status == 0
     assert nfev == ref.nfev
@@ -376,7 +376,7 @@ def _assert_takes_dop853_steps(rhs, t_end, y0, atol, rtol):
 
 def test_tableau_is_scipys_dop853_bitwise():
     """C, A, B, E5 and E3 are the doubles of scipy's DOP853 tableau, and its
-    error weights on rhs(t + h, y_new), which the step leaves out, are 0."""
+    error weights on rhs(t + h, *y_new), which the step leaves out, are 0."""
     from scipy.integrate._ivp import dop853_coefficients as ref
     n = ref.N_STAGES
     A = np.array([row + (0.0,) * (n - len(row)) for row in _A])
@@ -397,8 +397,7 @@ _pairs = st.sampled_from([(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
 def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
     cyl = tmap.field.bind(*pair).cylindrical
-    y = _assert_takes_dop853_steps(lambda t, s: cyl(t, s[0], s[1]),
-                                   -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
+    y = _assert_takes_dop853_steps(cyl, -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
     got = tmap.point([r, w], *pair, reverse=reverse)
     assert np.array(got).tobytes() == np.array(y).tobytes()
     # several rows map as the rows do one by one
@@ -419,7 +418,8 @@ def test_integrate_matches_solve_ivp(atol, rtol):
     field = RescaledField(sys, fam).field3(-0.2, 0.02)
     x0, span = [1.2, 0.0, 0.1], (0.0, 5 * PERIOD)
     traj = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
-    ref = solve_ivp(field, span, np.array(x0), method="DOP853", atol=atol, rtol=rtol)
+    ref = solve_ivp(lambda t, s: field(t, *s), span, np.array(x0), method="DOP853",
+                    atol=atol, rtol=rtol)
     assert ref.status == 0
     assert len(traj.t) == len(ref.t) and traj.t[-1] == span[1]
     assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-13
@@ -432,7 +432,7 @@ def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
     cyl = tmap.field.bind(*pair).cylindrical
 
-    def rhs(theta, state):
+    def rhs(theta, *state):
         dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
         return dr.coeffs + dw.coeffs
 
@@ -491,7 +491,7 @@ def test_return_and_jet1_within_rtol_of_tight_reference(atol, rtol, pair, r, w):
     bound = tmap.field.bind(*pair)
 
     def reference(rhs, y0):
-        sol = solve_ivp(lambda t, s: np.array(rhs(t, s.tolist())), (0.0, PERIOD),
+        sol = solve_ivp(lambda t, s: np.array(rhs(t, *s.tolist())), (0.0, PERIOD),
                         np.array(y0), method="DOP853", atol=1e-16, rtol=3e-14)
         assert sol.status == 0
         return sol.y[:, -1]
@@ -536,16 +536,20 @@ def test_compiled_partials_match_complex_step(x, y, z, pair):
 def test_generated_field_kernels_match_compiled_field_bitwise(t, x, y, z, pair):
     """`simulate`'s generated 3D right-hand side is the compiled field bit
     for bit, and the return's and the value part of jet1's are `cylindrical`
-    on floats: the three write its quotient out and must stay in step."""
+    on floats: the two write its quotient out and must stay in step.  The
+    same field at another (mu, eps) runs the same compiled code."""
     fam = PerturbationFamily.from_expressions(*RICH_FAMILY)
     bound = RescaledField(validate_hopf_zero(*RICH), fam).bind(*pair)
     field = compile_terms(bound.terms, "xyz")
-    assert np.array(bound.rhs3(t, [x, y, z])).tobytes() == np.array(field(x, y, z)).tobytes()
+    assert np.array(bound.rhs3(t, x, y, z)).tobytes() == np.array(field(x, y, z)).tobytes()
     r, w = abs(x) + 0.1, z
     want = np.array(bound.cylindrical(t, r, w)).tobytes()
-    assert np.array(bound.return_rhs(t, [r, w])).tobytes() == want
-    dr, _, _, dw, _, _ = bound.jet1_rhs(t, [r, 1.0, 0.0, w, 0.0, 1.0])
+    assert np.array(bound.return_rhs(t, r, w)).tobytes() == want
+    dr, _, _, dw, _, _ = bound.jet1_rhs(t, r, 1.0, 0.0, w, 0.0, 1.0)
     assert np.array([dr, dw]).tobytes() == want
+    other = RescaledField(validate_hopf_zero(*RICH), fam).bind(0.3, 0.07)
+    for name in ("rhs3", "return_rhs", "jet1_rhs"):
+        assert getattr(other, name).__code__ is getattr(bound, name).__code__
 
 
 def test_vanishing_angular_speed_raises_typed_errors():
@@ -571,7 +575,7 @@ def test_vanishing_angular_speed_raises_typed_errors():
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_exponential(t_end, atol, rtol):
-    ts, ys, nfev = dop853(lambda t, s: [s[0]], 0.0, t_end, [1.0], atol, rtol)
+    ts, ys, nfev = dop853(lambda t, y: [y], 0.0, t_end, [1.0], atol, rtol)
     y = ys[-1]
     assert ts[0] == 0.0 and ts[-1] == t_end and len(ts) == len(ys)
     assert abs(y[0] - math.exp(t_end)) <= 10 * rtol * math.exp(t_end)
@@ -581,7 +585,7 @@ def test_stepper_exponential(t_end, atol, rtol):
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_harmonic_oscillator(t_end, atol, rtol):
-    y = dop853(lambda t, s: [-s[1], s[0]], 0.0, t_end, [1.0, 0.0], atol, rtol)[1][-1]
+    y = dop853(lambda t, x, y: [-y, x], 0.0, t_end, [1.0, 0.0], atol, rtol)[1][-1]
     assert max(abs(y[0] - 1.0), abs(y[1])) <= 10 * rtol
 
 
@@ -590,39 +594,44 @@ def test_stepper_blow_up_raises_step_size_underflow():
     float spacing and the stepper stops, as solve_ivp does with status -1."""
     with _time_limit(20):
         with pytest.raises(StepSizeUnderflow):
-            dop853(lambda t, s: [s[0] * s[0]], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9)
+            dop853(lambda t, y: [y * y], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9)
 
 
 def test_stepper_zero_span():
-    assert dop853(lambda t, s: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
+    assert dop853(lambda t, y: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
 
 
 def _stepper_problem(kind, r, w, pair):
-    """(rhs, y0) of one state size: 1, 2 (the return map), 3 (the rescaled
-    field), 6 and 20 (the degree-3 jet transport)."""
+    """(rhs, y0) of one state size: 1, 2 (the return map's `cylindrical`),
+    3 (the rescaled field), 6 and 20 (the degree-3 jet transport), and the
+    generated return (2) and jet1 (6) right-hand sides."""
     field = RescaledField(validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1))
-    cyl = field.bind(*pair).cylindrical
+    bound = field.bind(*pair)
     if kind == 1:
-        return (lambda t, s: [w * math.cos(t) - r * math.sin(s[0])]), [w]
+        return (lambda t, y: [w * math.cos(t) - r * math.sin(y)]), [w]
     if kind == 2:
-        return (lambda t, s: cyl(t, s[0], s[1])), [r, w]
+        return bound.cylindrical, [r, w]
     if kind == 3:
-        return field.field3(*pair), [r, 0.0, w]
+        return bound.rhs3, [r, 0.0, w]
+    if kind == "return":
+        return bound.return_rhs, [r, w]
+    if kind == "jet1":
+        return bound.jet1_rhs, [r, 1.0, 0.0, w, 0.0, 1.0]
     if kind == 6:
-        def rhs(t, s):
+        def rhs(t, *s):
             return [s[(i + 1) % 6] - s[i - 1] + 0.2 * math.sin(s[i] * s[i - 3])
                     + 0.1 * math.sin(t + i) for i in range(6)]
         return rhs, [r, w, r * w, -r, 0.5, -w]
 
-    def rhs(t, s):
-        dr, dw = cyl(t, Jet2(s[:10]), Jet2(s[10:]))
+    def rhs(t, *s):
+        dr, dw = bound.cylindrical(t, Jet2(s[:10]), Jet2(s[10:]))
         return dr.coeffs + dw.coeffs
     return rhs, list(Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs)
 
 
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("kind", [1, 2, 3, 6, 20])
+@pytest.mark.parametrize("kind", [1, 2, 3, 6, 20, "return", "jet1"])
 @settings(max_examples=4, deadline=None)
 @given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
 def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
@@ -640,32 +649,12 @@ def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
         assert np.array(y).tobytes() == np.array(y_ref).tobytes()
 
 
-@pytest.mark.parametrize("atol, rtol", TOLERANCES)
-@pytest.mark.parametrize("reverse", [False, True])
-@settings(max_examples=6, deadline=None)
-@given(st.floats(0.3, 2.0), st.floats(-0.6, 0.6), _pairs)
-def test_fused_kernels_take_the_steps_of_calls(reverse, atol, rtol, r, w, pair):
-    """`dop853` steps the return and jet1 quotients with their fused kernels;
-    the step of kind "call" driving the same right-hand sides call by call
-    (tests/oracles.py) gives the same times, states and RHS count, bit for
-    bit."""
-    _, _, tmap = _setup(atol=atol, rtol=rtol)
-    bound = tmap.field.bind(*pair)
-    t_end = -PERIOD if reverse else PERIOD
-    for rhs, y0 in ((bound.return_rhs, [r, w]),
-                    (bound.jet1_rhs, [r, 1.0, 0.0, w, 0.0, 1.0])):
-        ts, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
-        ts_ref, ys_ref, nfev_ref = dop853_calls(rhs, 0.0, t_end, y0, atol, rtol)
-        assert nfev == nfev_ref and ts == ts_ref
-        assert np.array(ys).tobytes() == np.array(ys_ref).tobytes()
-
-
 def test_fused_kernels_raise_on_the_axis():
     """With P = z^2 the angular speed divides a nonzero numerator by r = 0 on
     the axis.  A return from it raises NonFiniteState and jet1
     JetTransportUnstable, with the messages of the quotient's own raise;
-    the fused step raises them as well where a stage lands on the axis, and
-    where the drift is not finite."""
+    the step driving the generated right-hand sides raises them as well
+    where a stage lands on the axis, and where the drift is not finite."""
     sys = validate_hopf_zero("z^2", "y*z", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
     bound = tmap.field.bind(-0.2, 0.02)
@@ -674,18 +663,17 @@ def test_fused_kernels_raise_on_the_axis():
     with pytest.raises(JetTransportUnstable, match=r"^jet field singular at theta=0\.0$"):
         tmap.jet1([0.0, 0.5], -0.2, 0.02)
     # one step from t = 1 with k0 = 0: its first stage is at the state, on
-    # the axis, or off it with a drift that is not finite
+    # the axis, or off it at w = 1e200, where the drift's z^2 overflows
     theta = 1.0 + _C[1] * 0.1
     cases = (
-        (2, "return", bound.drift, NonFiniteState, "return-map field singular"),
-        (6, "jet1", bound.jet1_rhs.drift, JetTransportUnstable, "jet field singular"),
-        (2, "return", lambda x, y, z: (math.inf, 0.0, 0.0),
-         NonFiniteState, "return-map field non-finite"),
-        (6, "jet1", lambda x, y, z: (math.inf,) + (0.0,) * 11,
+        (bound.return_rhs, [0.0, 0.5], NonFiniteState, "return-map field singular"),
+        (bound.jet1_rhs, [0.0, 1.0, 0.0, 0.5, 0.0, 1.0],
+         JetTransportUnstable, "jet field singular"),
+        (bound.return_rhs, [1.0, 1e200], NonFiniteState, "return-map field non-finite"),
+        (bound.jet1_rhs, [1.0, 1.0, 0.0, 1e200, 0.0, 1.0],
          JetTransportUnstable, "jet field non-finite"),
     )
-    for n, kind, drift, error, message in cases:
-        r = 1.0 if "non-finite" in message else 0.0
-        y = [r, 0.5] if n == 2 else [r, 1.0, 0.0, 0.5, 0.0, 1.0]
+    for rhs, y, error, message in cases:
+        n = len(y)
         with pytest.raises(error, match=f"^{re.escape(f'{message} at theta={theta}')}$"):
-            _dp_step(n, kind)(drift, 1.0, 0.1, y, [0.0] * n, 1e-11, 1e-9)
+            _dp_step(n)(rhs, 1.0, 0.1, y, [0.0] * n, 1e-11, 1e-9)

@@ -69,7 +69,7 @@ EXIT_NOT_APPLICABLE = 2
 
 MAX_GRID = 200          # melnikov writes grid^2 rows
 MAX_PERIODS = 1000      # simulate keeps each accepted step (23 025 at the cap on the example)
-MAX_LIFT_SAMPLES = 64   # lift samples Omega three times per L value
+MAX_LIFT_SAMPLES = 64   # values per lift grid: A(L) is evaluated once per L value
 # the tolerances of the return map that branch and certify integrate
 RETURN_MAP_INTEGRATOR = IntegratorConfig(atol=1e-13, rtol=1e-11)
 

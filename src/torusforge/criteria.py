@@ -11,6 +11,7 @@ it is inconsistent with the worked example and with the dynamics (see
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -227,7 +228,9 @@ class BaseCriteria:
         }
 
 
-def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
+def evaluate_base_criteria(sys: HopfZeroSystem,
+                           lyapunov: Optional[Ell1Result] = None) -> BaseCriteria:
+    """Omega, beta, the Gamma scale and ell_1 (read from `lyapunov` if given)."""
     beta = sys.beta
     S = sys.quadratic_sum
     omega = sys.omega
@@ -238,8 +241,7 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
     ell1 = l11 = res = None
     discrepancy = None
     if omega > 0:
-        from .averaging import first_lyapunov_quantity
-        res = first_lyapunov_quantity(sys)
+        res = lyapunov or first_lyapunov(sys)
         ell1, l11 = float(res.ell1), float(res.l11)
         discrepancy = float(abs(ell1 - float(transcribed)))
         if discrepancy > 1e-6 * max(1.0, abs(ell1)):
@@ -255,6 +257,14 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
         ell1_transcribed=transcribed, ell1_discrepancy=discrepancy,
         notes=tuple(notes), lyapunov=res,
     )
+
+
+def first_lyapunov(sys: HopfZeroSystem) -> Optional[Ell1Result]:
+    """ell_1 of the averaging pipeline alone, under `float_range`; None where
+    Omega <= 0, where `criteria_report` leaves it unevaluated."""
+    from .averaging import first_lyapunov_quantity      # averaging imports this module
+    with float_range():
+        return first_lyapunov_quantity(sys) if sys.omega > 0 else None
 
 
 def ell1_transcribed(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
@@ -373,14 +383,15 @@ def evaluate_perturbation_criteria(
         raise CriteriaError(f"empty interval {interval!r}")
     gamma_op, gamma_pr, eta, w_mu = perturbation_functions(sys, fam)
 
-    grid = [lo + (hi - lo) * i / (ETA_SCAN_POINTS - 1) for i in range(ETA_SCAN_POINTS)]
-    gamma_vals = [gamma_op(m) for m in grid]
+    grid, scan = _scan((gamma_op, gamma_pr, eta), lo, hi)
+    gamma_vals = scan[0] if scan else [gamma_op(m) for m in grid]
     flagged = tuple(m for m, g in zip(grid, gamma_vals) if g >= 0)
     if len(flagged) == len(grid):
         raise GammaNonNegative("Gamma_criterion(mu) >= 0 on the whole interval")
-    disc = max(abs(g - gamma_pr(m)) for m, g in zip(grid, gamma_vals))
+    printed = scan[1] if scan else [gamma_pr(m) for m in grid]
+    disc = max(abs(g - p) for g, p in zip(gamma_vals, printed))
 
-    eta_vals = [eta(m) for m in grid]
+    eta_vals = scan[2] if scan else [eta(m) for m in grid]
     roots: List[Tuple[float, float]] = []
     for i in range(len(grid) - 1):
         a, b, fa, fb = grid[i], grid[i + 1], eta_vals[i], eta_vals[i + 1]
@@ -409,6 +420,21 @@ def evaluate_perturbation_criteria(
         mu0=mu0, alpha_d=alpha_d, roots=tuple(roots), gamma_flagged=flagged,
         gamma_discrepancy_max=disc, interval=(lo, hi),
     )
+
+
+def _scan(functions, lo: float, hi: float) -> Tuple[list, Optional[List[list]]]:
+    """The scan grid, and each function's floats on it in one numpy pass: the
+    floats of one scalar call per point where all are finite.  Else None,
+    and the scalar calls run: they carry an overflow on as inf and raise on
+    a division by 0.0 where they meet it (numpy under `float_range` does
+    the reverse)."""
+    with np.errstate(all="ignore"):
+        mus = lo + (hi - lo) * np.arange(ETA_SCAN_POINTS) / (ETA_SCAN_POINTS - 1)
+        try:
+            values = [np.broadcast_to(f(mus), mus.shape) for f in functions]
+        except ZeroDivisionError:
+            return mus.tolist(), None
+    return mus.tolist(), [v.tolist() for v in values] if np.isfinite(values).all() else None
 
 
 def _bisect(f, a, b, fa, fb, tol=ETA_ROOT_TOL, max_iter=200):
@@ -448,23 +474,31 @@ class CriteriaReport:
         return out
 
 
+@contextmanager
+def float_range():
+    """Where quantities become floats: an overflow, in a conversion or in
+    numpy (raised, not carried on as inf), is a FloatRangeExceeded."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise FloatRangeExceeded(f"criteria overflow the float range: {exc}") from None
+
+
 def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],
-                    interval: Tuple[float, float] = (-1.0, 1.0)) -> CriteriaReport:
+                    interval: Tuple[float, float] = (-1.0, 1.0),
+                    lyapunov: Optional[Ell1Result] = None) -> CriteriaReport:
     """Run the full applicability checklist for Theorem-style torus bifurcation.
 
     Non-fatal failures are collected as reason codes; structural errors
-    (degenerate quadratic sum, missing eta root, ...) raise.  Here exact
-    quantities become floats: an overflow on the way, in a conversion or in
-    numpy (raised, not carried on as inf), is a FloatRangeExceeded.
+    (degenerate quadratic sum, missing eta root, ...) raise, and floats are
+    made under `float_range`.  A given `lyapunov` is this system's ell_1.
     """
-    try:
-        with np.errstate(over="raise"):
-            base = evaluate_base_criteria(sys)
-            pert = None
-            if fam is not None:
-                pert = evaluate_perturbation_criteria(sys, fam, interval)
-    except (OverflowError, FloatingPointError) as exc:
-        raise FloatRangeExceeded(f"criteria overflow the float range: {exc}") from None
+    with float_range():
+        base = evaluate_base_criteria(sys, lyapunov)
+        pert = None
+        if fam is not None:
+            pert = evaluate_perturbation_criteria(sys, fam, interval)
     reasons: List[str] = []
     if not base.nondegenerate:
         reasons.append("NondegeneracyFailed")

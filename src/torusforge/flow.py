@@ -195,7 +195,8 @@ def _dp_step(n: int) -> Callable:
     lines += [f"{row('_n#')}, = y_new = [{row(f'_y# + h * ({comb(_B)})')}]",
               f"f_new = f(t + h, {row('_n#')})"]
     for i in range(n):
-        lines += [f"_s = atol + max(abs(_y{i}), abs(_n{i})) * rtol",
+        lines += [f"_a, _b = abs(_y{i}), abs(_n{i})",
+                  "_s = atol + (_b if _b > _a else _a) * rtol",   # max(_a, _b)
                   f"_e5_{i} = ({comb(_E5)}) / _s".replace("#", str(i)),
                   f"_e3_{i} = ({comb(_E3)}) / _s".replace("#", str(i))]
     lines += [f"e5 = {' + '.join(f'_e5_{i} * _e5_{i}' for i in range(n))}",
@@ -297,6 +298,8 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
 # In the two cylindrical quotients a zero division or a non-finite value
 # raises (NonFiniteState for the return, JetTransportUnstable for jet1): the
 # step control would otherwise shrink its step on NaN until it underflows.
+# One product tests them all: 0.0 * v is 0.0 or -0.0 for a finite v and NaN
+# for an infinite or NaN one, and NaN carries through the product.
 _CYLINDER = ["cs, sn = cos(theta), sin(theta)", "x, y, z = r * cs, r * sn, w"]
 _RHS = {
     "field": ("t, x, y, z", [], "dx, dy, dz", ["return dx, dy, dz"]),
@@ -306,7 +309,7 @@ _RHS = {
         "except ZeroDivisionError as exc:",
         "    raise NonFiniteState(f'return-map field singular at theta={theta}') from exc",
         "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
-        "if not (isfinite(dr) and isfinite(dw)):",
+        "if not 0.0 * dr * dw == 0.0:",
         "    raise NonFiniteState(f'return-map field non-finite at theta={theta}')",
         "return dr, dw",
     ]),
@@ -326,8 +329,7 @@ _RHS = {
         "dw_w = (Zz - dw * t_w) * inv",
         "dr1, dr2 = dr_r * r1 + dr_w * w1, dr_r * r2 + dr_w * w2",
         "dw1, dw2 = dw_r * r1 + dw_w * w1, dw_r * r2 + dw_w * w2",
-        "if not (isfinite(dr) and isfinite(dr1) and isfinite(dr2)",
-        "        and isfinite(dw) and isfinite(dw1) and isfinite(dw2)):",
+        "if not 0.0 * dr * dr1 * dr2 * dw * dw1 * dw2 == 0.0:",
         "    raise JetTransportUnstable(f'jet field non-finite at theta={theta}')",
         "return dr, dr1, dr2, dw, dw1, dw2",
     ]),
@@ -339,7 +341,7 @@ def _generate_rhs(name: str, maps) -> Callable:
     one straight-line function."""
     params, head, values, tail = _RHS[name]
     lines, results, namespace = terms_source(maps, "xyz")
-    namespace.update(cos=math.cos, sin=math.sin, isfinite=math.isfinite,
+    namespace.update(cos=math.cos, sin=math.sin,
                      NonFiniteState=NonFiniteState, JetTransportUnstable=JetTransportUnstable)
     return define("rhs", params, [*head, *lines, f"{values} = {', '.join(results)}", *tail],
                   namespace)
@@ -357,27 +359,24 @@ class BoundField:
     and thetadot = 1 + (cs Y - sn X) / r, and at eps = 0 the return is the
     identity to the last bit."""
 
-    def __init__(self, slices: Tuple[Tuple[Poly, Poly, Poly], ...], mu: float, eps: float):
-        self.slices, self.mu, self.eps = slices, mu, eps
-        self.drift_slices = ((Poly(), Poly(), Poly()),) + slices[1:]
+    def __init__(self, field: "RescaledField", mu: float, eps: float):
+        self.field, self.mu, self.eps = field, mu, eps
 
     @functools.cached_property
     def terms(self) -> List[Dict[Tuple[int, int, int], float]]:
         """(x', y', z') as float terms."""
-        return _fold(self.slices, self.mu, self.eps)
+        return _fold(self.field.slices, self.mu, self.eps)
 
     @functools.cached_property
     def drift_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
         """The drift (X, Y, Z), the field less its rotation, as float terms."""
-        return _fold(self.drift_slices, self.mu, self.eps)
+        return _fold(self.field.drift_slices, self.mu, self.eps)
 
     @functools.cached_property
     def partial_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
         """The nine partials dX/dx, dX/dy, ..., dZ/dz of the drift as float
-        terms: each slice is differentiated exactly, then folded."""
-        partials = [tuple(p.derivative(v) for p in s for v in "xyz")
-                    for s in self.drift_slices]
-        return _fold(partials, self.mu, self.eps)
+        terms: the field's exact partial slices, folded."""
+        return _fold(self.field.partial_slices, self.mu, self.eps)
 
     @functools.cached_property
     def drift(self) -> Callable:
@@ -421,20 +420,28 @@ class BoundField:
 class RescaledField:
     """The rescaled perturbed field as an exact polynomial in eps:
     (x, y, z) -> eps (x, y, z) applied to (-y + P + eps U, x + Q + eps V,
-    R + eps W), divided by eps.  The exact eps-graded slices are kept;
-    `bind` folds one (mu, eps) into them."""
+    R + eps W), divided by eps.  The exact eps-graded slices are kept, and
+    those of the drift and of its partials; `bind` folds one (mu, eps) into
+    them."""
 
     def __init__(self, sys: HopfZeroSystem, fam: PerturbationFamily):
         self.system = sys
         self.family = fam
         self.slices = eps_graded_slices(sys, fam)
+        self.drift_slices = ((Poly(), Poly(), Poly()),) + self.slices[1:]
         self._bound = None            # ((mu, eps), BoundField) of the last pair
+
+    @functools.cached_property
+    def partial_slices(self) -> List[Tuple[Poly, ...]]:
+        """The nine exact partials dX/dx, ..., dZ/dz of each drift slice,
+        derived once per field, as they do not depend on (mu, eps)."""
+        return [tuple(p.derivative(v) for p in s for v in "xyz") for s in self.drift_slices]
 
     def bind(self, mu: float, eps: float) -> BoundField:
         """The field at (mu, eps); the last pair is kept, so the calls of one
         integration share its kernels."""
         if self._bound is None or self._bound[0] != (mu, eps):
-            self._bound = ((mu, eps), BoundField(self.slices, float(mu), float(eps)))
+            self._bound = ((mu, eps), BoundField(self, float(mu), float(eps)))
         return self._bound[1]
 
     def field3(self, mu: float, eps: float) -> Callable:

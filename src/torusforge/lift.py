@@ -11,10 +11,11 @@ uses perfect-square deltas so the Jordanizing change of variables (which
 carries sqrt(delta)) stays inside the rationals and the lifted system can
 round-trip through the expression grammar.
 
-Tuning samples Omega of the normalized lift on a grid of (L, delta).  Each
-sample is read from the seed's value and gradient at the point (the
-`OriginJet`) by 3x3 rational algebra; only the tuned (L*, delta*) is built
-as a whole `Poly` system.
+Omega of the normalized lift is a polynomial of degree 4 in L and 2 in
+delta with 8 nonzero coefficients, read once from the seed's value and
+gradient at the point (the `OriginJet`, `omega_coefficients`).  Tuning
+reads A(L) and the delta probes off them; only the tuned (L*, delta*) is
+built as a whole `Poly` system, and its Omega must equal the closed form's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .criteria import (
     CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report,
-    validate_hopf_zero,
+    first_lyapunov, validate_hopf_zero,
 )
 from .fieldexpr import Poly, as_poly
 
@@ -428,55 +429,48 @@ def origin_jet(seed_field) -> OriginJet:
               for p in polys))
 
 
-def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
-    """Omega of the normalized lift X_{L, delta}, read from the seed's value
-    and gradient at the point (`origin_jet`) with no polynomial work.
+def omega_coefficients(jet: OriginJet) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Omega(L, delta) = sum_j delta^j sum_i rows[j][i] L^i of the normalized
+    lift, from the seed's value and gradient at the point (`origin_jet`).
+    With K = P0 Qz - Pz Q0, M = P0 Ry - Py R0 and
+    N_k = P0^2 Q0 Rx - P0^2 Qx R0 - P0 Qz R0^2 + Pz Q0 R0^2 + k Q0^2 M,
 
-    The order-2 part of lifted component i is lin_i(x) (grad_i . x).  Under
-    x = M u its Hessian is H_i = a_i b_i^T + b_i a_i^T with a_i = M^T lin_i
-    and b_i = M^T grad_i, and the normalized Hessians are
-    (1/sqrt(delta)) sum_j Minv[i][j] H_j, so
-    Omega = -(H_P[x,z] + H_Q[y,z]) (H_R[x,x] + H_R[y,y]) is a few rational
-    products.  Equal to Omega of `build_lift_family(seed, L, delta).system`
-    for every delta that is a positive rational square."""
-    P0, Q0, _ = jet.value
+      P0^5 Q0^2 Omega = 2 P0^3 Q0^2 R0^2 K^2 L^2 - 2 P0^2 Q0 K N_1 L - 2 P0 Q0^2 K M
+        + delta (4 P0^2 Q0 R0^2 K^2 L^3 - 2 P0 K N_2 L^2 - 2 Q0 K M L)
+        + delta^2 (2 P0 R0^2 K^2 L^4 - 2 Q0 K M L^3),
+
+    the normalization of `build_lift_family` on the seed's 1-jet.  Row 0 is
+    A(L), its L^2 coefficient `printed_A_limit`.  Runs on symbols too."""
+    (P0, Q0, R0), ((_, Py, Pz), (Qx, _, Qz), (Rx, Ry, _)) = jet
     if P0 == 0 or Q0 == 0:
         raise ZeroComponentAtP(f"P(0) = {P0}, Q(0) = {Q0}; both must be nonzero")
+    K = P0 * Qz - Pz * Q0
+    KM = K * (P0 * Ry - Py * R0)
+    N = P0 * P0 * (Q0 * Rx - Qx * R0) - K * R0 * R0
+    G = 2 * R0 * R0 * K * K
+    D = P0 ** 5 * Q0 * Q0
+    rows = ((-2 * P0 * Q0 * Q0 * KM, -2 * P0 * P0 * Q0 * (K * N + Q0 * Q0 * KM),
+             P0 ** 3 * Q0 * Q0 * G),
+            (0, -2 * Q0 * KM, -2 * P0 * (K * N + 2 * Q0 * Q0 * KM), 2 * P0 * P0 * Q0 * G),
+            (0, 0, 0, -2 * Q0 * KM, P0 * G))
+    return tuple(tuple(c / D for c in row) for row in rows)
+
+
+def _omega_at(rows, L: Fraction, delta: Fraction) -> Fraction:
+    """Omega(L, delta) from `omega_coefficients`; A(L) is Omega(L, 0)."""
+    return sum(delta ** j * sum(c * L ** i for i, c in enumerate(row))
+               for j, row in enumerate(rows))
+
+
+def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
+    """Omega of `build_lift_family(seed, L, delta).system` from
+    `omega_coefficients`; a delta that is no positive rational square, which
+    the lift cannot normalize, is a LiftError."""
+    rows = omega_coefficients(jet)
     L, delta = Fraction(L), Fraction(delta)
-    sqrt_delta = _rational_sqrt(delta)
-    if not sqrt_delta:
+    if not _rational_sqrt(delta):
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
-    return _lift_omega(jet, L, delta, sqrt_delta)
-
-
-def _lift_omega(jet, L, delta, sd):
-    """omega_of_lift on checked arguments, sd = sqrt(delta); plain field
-    arithmetic, so it also runs on symbols."""
-    (P0, Q0, R0), grads = jet
-    # M = [[1, 0, 0], [m10, m11, 0], [m20, m21, 1]] of build_lift_family and
-    # the rows (n10, n11, 0), (n20, n21, 1) of its inverse; row 0 is (1, 0, 0)
-    m10 = (L * delta + P0 * Q0) / (P0 * P0)
-    m11 = sd / (P0 * P0)
-    m20 = R0 / P0
-    m21 = -L * sd * R0 / P0
-    n10, n11, n21 = -m10 / m11, 1 / m11, -m21 / m11
-    n20 = -m20 - m10 * n21
-    # the (x, y) coefficients of lin_1, lin_2, lin_3 (their z coefficient is 0)
-    lins = ((Q0 + delta * L / P0, -P0),
-            (Q0 + delta * (1 + 2 * P0 * Q0 * L + L * L * delta) / (P0 * P0 * Q0),
-             -P0 - delta * L / Q0),
-            (Q0, -P0))
-    a = [(lx + m10 * ly, m11 * ly) for lx, ly in lins]             # M^T lin_i
-    b = [(gx + m10 * gy + m20 * gz, m11 * gy + m21 * gz)            # M^T grad_i
-         for gx, gy, gz in grads]                                  # (z entry: gz)
-    # H_i[x,z] = a_i[x] gz_i, H_i[y,z] = a_i[y] gz_i and, as a_i[z] = 0,
-    # H_i[x,x] + H_i[y,y] = 2 (a_i[x] b_i[x] + a_i[y] b_i[y])
-    gz = [g[2] for g in grads]
-    divergence_pair = (a[0][0] * gz[0] + n10 * a[0][1] * gz[0]
-                       + n11 * a[1][1] * gz[1]) / sd
-    traces = [ax * bx + ay * by for (ax, ay), (bx, by) in zip(a, b)]
-    quadratic_sum = 2 * (n20 * traces[0] + n21 * traces[1] + traces[2]) / sd
-    return -divergence_pair * quadratic_sum
+    return _omega_at(rows, L, delta)
 
 
 def printed_A_limit(jet: OriginJet) -> Fraction:
@@ -489,10 +483,10 @@ def printed_A_limit(jet: OriginJet) -> Fraction:
 def lift_samples(name: str, values: Sequence, squares: bool = False) -> List[Fraction]:
     """The distinct rationals of the tuning grid `name`, in their first order.
 
-    Each exact fit reads three samples, so a grid needs at least three
-    distinct values; with `squares` (the delta grid) every sample must be a
-    positive rational square, so that the normalization stays exact.
-    Raises LiftError otherwise."""
+    A grid needs at least three distinct values (the linearity residual
+    reads three delta probes); with `squares` (the delta grid) every sample
+    must be a positive rational square, so that the normalization stays
+    exact.  Raises LiftError otherwise."""
     samples = list(dict.fromkeys(Fraction(v) for v in values))
     if len(samples) < 3:
         raise LiftError(f"{name} needs at least three distinct values, got {len(samples)}")
@@ -507,107 +501,71 @@ def tune_lift_parameters(seed_field,
                          L_values: Optional[Sequence[Fraction]] = None,
                          delta_values: Optional[Sequence[Fraction]] = None,
                          seed: int = 0) -> LiftTuning:
-    """Recover A(L), B(L, delta) by exact interpolation of Omega(L, delta)
-    on square-delta samples, pick the smallest grid L with A(L) > 0 and the
-    largest admissible delta, and run the criteria on the tuned system.
+    """Read A(L) off the closed form of Omega(L, delta), pick the smallest
+    grid L with A(L) > 0 and the largest admissible delta, and run the
+    criteria on the tuned system.
 
-    The seed's value and gradient at the point are read once; every Omega
-    sample comes from them (`omega_of_lift`), and only the tuned family is
-    built as a `Poly` system."""
+    The coefficients of Omega are read once (`omega_coefficients`); only the
+    tuned family is built as a `Poly` system, and its Omega must equal the
+    closed form's.  ell_1 alone decides the jitter, and only the system
+    kept gets a full criteria report, which reuses its ell_1."""
     polys = tuple(as_poly(c) for c in seed_field)
     jet = origin_jet(polys)
     L_values = lift_samples("L_values", [Fraction(2) ** k for k in range(0, 7)]
                             if L_values is None else L_values)
     delta_values = lift_samples("delta_values", [Fraction(1, 4 ** k) for k in range(1, 7)]
                                 if delta_values is None else delta_values, squares=True)
-
-    # Omega(L, delta) is quadratic in delta (A + delta*B, B linear in delta):
-    # three small square deltas give the exact delta-expansion at each L
-    probe_deltas = sorted(delta_values)[:3]
-    omega_samples: Dict[Tuple[Fraction, Fraction], Fraction] = {}
-    A_of_L: Dict[Fraction, Fraction] = {}
-    for Lv in L_values:
-        vals = []
-        for dv in probe_deltas:
-            om = omega_of_lift(jet, Lv, dv)
-            omega_samples[(Fraction(Lv), Fraction(dv))] = om
-            vals.append((Fraction(dv), om))
-        A_of_L[Fraction(Lv)] = _quadratic_coeffs(vals)[0]
-
-    # A(L) is quadratic in L: interpolate exactly from three samples and
-    # verify the rest of the grid reproduces it
-    Ls = sorted(A_of_L)
-    (c0, c1, c2) = _quadratic_coeffs([(l, A_of_L[l]) for l in Ls[:3]])
-    for l in Ls[3:]:
-        if c0 + c1 * l + c2 * l * l != A_of_L[l]:
-            raise LiftError("A(L) is not quadratic on the sample grid")
-
-    L_star = next((l for l in Ls if A_of_L[l] > 0), None)
+    rows = omega_coefficients(jet)
+    L_star = next((l for l in sorted(L_values) if _omega_at(rows, l, 0) > 0), None)
     if L_star is None:
         raise NoPositiveOmegaFound("A(L) <= 0 on the whole L grid")
 
-    report = None
-    family = None
-    delta_star = None
-    tuned_system = None
-    jitter_mag = 0.0
     for dv in sorted(delta_values, reverse=True):
         fam = build_lift_family(polys, L_star, dv)
-        if fam.system is None or fam.system.omega <= 0:
+        if fam.system is None:
             continue
-        if fam.system.quadratic_sum == 0:
+        omega = _omega_at(rows, L_star, dv)
+        if fam.system.omega != omega:
+            raise LiftError(f"closed-form Omega {omega} differs from Omega "
+                            f"{fam.system.omega} of the lift at L={L_star}, delta={dv}")
+        if fam.system.omega <= 0 or fam.system.quadratic_sum == 0:
             continue
         sys_y = fam.system
-        pf = PerturbationFamily.simple(sys_y.beta)
-        rep = criteria_report(sys_y, pf)
+        lyapunov = first_lyapunov(sys_y)
         # the exact lift's ell_1 is 0 on some seeds (not all: 1.35e24 on the
         # README demo seed); where it is 0 to the float tolerance, realize the
         # "small perturbation, if necessary" by a seeded rational jitter of the
         # normalized system's nonlinear jets, keeping Hopf-Zero form and degree
         zero_tol = 1e-8 * (1.0 + float(sys_y.omega) ** 2)
         rng = random.Random(seed)
-        if rep.base.ell1 is not None and abs(rep.base.ell1) <= zero_tol:
+        jitter_mag = 0.0
+        if abs(lyapunov.ell1) <= zero_tol:
             for mag in (1e-6, 1e-5, 1e-4):
                 cand = _jitter_nonlinear(sys_y, rng, mag)
-                cand_rep = criteria_report(cand, PerturbationFamily.simple(cand.beta))
+                cand_lyapunov = first_lyapunov(cand)
                 cand_tol = 1e-8 * (1.0 + float(cand.omega) ** 2)
-                if (cand_rep.base.ell1 is not None
-                        and abs(cand_rep.base.ell1) > 100 * cand_tol):
-                    sys_y, rep, jitter_mag = cand, cand_rep, mag
+                if cand_lyapunov is not None and abs(cand_lyapunov.ell1) > 100 * cand_tol:
+                    sys_y, lyapunov, jitter_mag = cand, cand_lyapunov, mag
                     break
-        delta_star, family, report, tuned_system = Fraction(dv), fam, rep, sys_y
+        report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta),
+                                 lyapunov=lyapunov)
         break
-    if delta_star is None:
+    else:
         raise NoPositiveOmegaFound("no delta in range keeps Omega > 0 with "
                                    "applicable criteria")
 
     # linearity of (Omega - A)/delta in delta at L_star
-    checks = []
-    for dv in probe_deltas:
-        om = omega_samples[(L_star, dv)]
-        checks.append((float(dv), float((om - A_of_L[L_star]) / dv)))
+    A_star = _omega_at(rows, L_star, 0)
+    checks = [(float(dv), float((_omega_at(rows, L_star, dv) - A_star) / dv))
+              for dv in sorted(delta_values)[:3]]
     slope = (checks[1][1] - checks[0][1]) / (checks[1][0] - checks[0][0])
     pred = checks[0][1] + slope * (checks[2][0] - checks[0][0])
-    lin_residual = abs(pred - checks[2][1])
 
-    return LiftTuning(L_star=L_star, delta_star=delta_star, family=family,
-                      report=report, tuned_system=tuned_system,
-                      ell1_jitter=jitter_mag,
-                      A_coeffs=(c0, c1, c2), A_limit=c2,
+    return LiftTuning(L_star=L_star, delta_star=dv, family=fam,
+                      report=report, tuned_system=sys_y, ell1_jitter=jitter_mag,
+                      A_coeffs=rows[0], A_limit=rows[0][2],
                       A_limit_printed=printed_A_limit(jet),
-                      delta_linearity_residual=lin_residual)
-
-
-def _quadratic_coeffs(samples: Sequence[Tuple[Fraction, Fraction]]):
-    (x1, y1), (x2, y2), (x3, y3) = samples
-    # exact Lagrange, collected into monomial coefficients
-    d1 = (x1 - x2) * (x1 - x3)
-    d2 = (x2 - x1) * (x2 - x3)
-    d3 = (x3 - x1) * (x3 - x2)
-    c2 = y1 / d1 + y2 / d2 + y3 / d3
-    c1 = (-y1 * (x2 + x3) / d1 - y2 * (x1 + x3) / d2 - y3 * (x1 + x2) / d3)
-    c0 = (y1 * x2 * x3 / d1 + y2 * x1 * x3 / d2 + y3 * x1 * x2 / d3)
-    return c0, c1, c2
+                      delta_linearity_residual=abs(pred - checks[2][1]))
 
 
 def _jitter_nonlinear(sys_y: HopfZeroSystem, rng: random.Random,

@@ -13,10 +13,11 @@ package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
 list comprehension per stage, the bitwise oracle of its generated step, on
 the same right-hand sides rhs(t, *y).  `map_points` maps an array of seeds
 one return each.  `omega_of_lift_family` reads Omega of a degree lift off
-the whole normalized `Poly` system, the reference for the closed form
-`lift.omega_of_lift`.  `normal_contraction` measures the normal rate of an
-invariant curve by following a ring of probes off it, the reference for
-`torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
+the whole normalized `Poly` system, and `lift_omega` derives it from the
+lift's normalization matrix, on symbols too: the references for the
+closed form `lift.omega_coefficients`.  `normal_contraction` measures the
+normal rate of an invariant curve by following a ring of probes off it,
+the reference for `torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
 problem per Fourier order, the reference for `torus.fit_fourier_curve`.
 The last section holds small helpers only the tests call, and
 `FractionCFrac`, the Fraction-pair Gaussian rational that checks
@@ -560,7 +561,7 @@ def melnikov_pair_full(sys: HopfZeroSystem, fam: PerturbationFamily
 
 
 # ---------------------------------------------------------------------------
-# Omega of a degree lift, from the lifted polynomial system
+# Omega of a degree lift, from the lifted polynomial system or its normalization
 # ---------------------------------------------------------------------------
 
 def omega_of_lift_family(seed_field, L, delta) -> Fraction:
@@ -576,6 +577,44 @@ def omega_of_lift_family(seed_field, L, delta) -> Fraction:
     if fam.system is None:
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
     return fam.system.omega
+
+
+def lift_omega(jet, L, delta, sd):
+    """Omega of the normalized lift from the normalization matrix of
+    `build_lift_family`, sd = sqrt(delta): the derivation that
+    `lift.omega_coefficients` collects into coefficients.  Plain field
+    arithmetic, so it also runs on symbols.
+
+    The order-2 part of lifted component i is lin_i(x) (grad_i . x).  Under
+    x = M u its Hessian is H_i = a_i b_i^T + b_i a_i^T with a_i = M^T lin_i
+    and b_i = M^T grad_i, and the normalized Hessians are
+    (1/sqrt(delta)) sum_j Minv[i][j] H_j, so
+    Omega = -(H_P[x,z] + H_Q[y,z]) (H_R[x,x] + H_R[y,y]) is a few products."""
+    (P0, Q0, R0), grads = jet
+    # M = [[1, 0, 0], [m10, m11, 0], [m20, m21, 1]] of build_lift_family and
+    # the rows (n10, n11, 0), (n20, n21, 1) of its inverse; row 0 is (1, 0, 0)
+    m10 = (L * delta + P0 * Q0) / (P0 * P0)
+    m11 = sd / (P0 * P0)
+    m20 = R0 / P0
+    m21 = -L * sd * R0 / P0
+    n10, n11, n21 = -m10 / m11, 1 / m11, -m21 / m11
+    n20 = -m20 - m10 * n21
+    # the (x, y) coefficients of lin_1, lin_2, lin_3 (their z coefficient is 0)
+    lins = ((Q0 + delta * L / P0, -P0),
+            (Q0 + delta * (1 + 2 * P0 * Q0 * L + L * L * delta) / (P0 * P0 * Q0),
+             -P0 - delta * L / Q0),
+            (Q0, -P0))
+    a = [(lx + m10 * ly, m11 * ly) for lx, ly in lins]             # M^T lin_i
+    b = [(gx + m10 * gy + m20 * gz, m11 * gy + m21 * gz)            # M^T grad_i
+         for gx, gy, gz in grads]                                  # (z entry: gz)
+    # H_i[x,z] = a_i[x] gz_i, H_i[y,z] = a_i[y] gz_i and, as a_i[z] = 0,
+    # H_i[x,x] + H_i[y,y] = 2 (a_i[x] b_i[x] + a_i[y] b_i[y])
+    gz = [g[2] for g in grads]
+    divergence_pair = (a[0][0] * gz[0] + n10 * a[0][1] * gz[0]
+                       + n11 * a[1][1] * gz[1]) / sd
+    traces = [ax * bx + ay * by for (ax, ay), (bx, by) in zip(a, b)]
+    quadratic_sum = 2 * (n20 * traces[0] + n21 * traces[1] + traces[2]) / sd
+    return -divergence_pair * quadratic_sum
 
 
 # ---------------------------------------------------------------------------

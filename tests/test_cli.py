@@ -22,6 +22,7 @@ from torusforge.fieldexpr import MAX_NESTING
 from torusforge.flow import ThetaReturnMap
 
 from oracles import f2_quadrature
+from test_averaging import _benchmark_inputs
 
 EXAMPLE_DOC = {
     "system": {"P": "0", "Q": "y*z", "R": "-x^2 + x*y + z^2"},
@@ -336,6 +337,31 @@ def test_lift_command(tmp_path):
 
 LIFT_JSON_SHA256 = "3feb953748712f8235e869661e09fb7d1cf45bc63bce38b000af45fc1b77c1b9"
 LIFTED_SYSTEM_SHA256 = "03bf9484e693ab0f3acf0a9b26c67e5fa7926aee586630cbb421f516e32af943"
+
+# (lift.json, lifted_system.txt) of the `fields` workload's lift seeds at
+# seed 0, each of which jitters the tuned system (ell1_jitter 1e-6)
+JITTERED_LIFT_SHA256 = (
+    ("2d2c6dc7e830fe4d15363f9da8c21bc2ec92b701a87cb5b036a49cd753ce9634",
+     "d8eaa73ac3b13c946f892c8b66dea6a3e8566580a01b478597aa45cd78cbb4eb"),
+    ("f35d310bc9909e81bbc17f85c5471afd6dd2038aee6514011edd4c8cd0304773",
+     "6b26c4d2b0d1268442ca78dd7977dad5ef96580c260263dd56153f07d0c73d43"),
+    ("7bcf3c1daf33cecbcb70351d2fa75c37c0f4bfb0e5a7c927008c4738f16a73ad",
+     "5f4e01752acabd7771a07972ac94799400c56fd97db3c0c2d4c2a47f03195c7d"),
+    ("8bde3af3411529f97b77991cf32a4934b44e1e2d2828f88dffd6591c75ba2beb",
+     "a7cdbda41a2b9a64c87d0c194ee578bfcbe81b7a0c78e7f53c245a375abd7a4b"),
+)
+
+
+@pytest.mark.parametrize("index", range(len(JITTERED_LIFT_SHA256)))
+def test_jittered_lift_bytes(tmp_path, index):
+    """The README demo never jitters; the benchmark's lift seeds all do, so
+    their reports pin the bytes of the jitter path."""
+    doc = _benchmark_inputs().write_inputs("fields", 0, str(tmp_path)).lift[index]
+    out = tmp_path / "out"
+    assert main(["lift", "--input", doc.path, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "lift.json").read_text())["lift"]["ell1_jitter"] == 1e-6
+    assert ((_sha256(out / "lift.json"), _sha256(out / "lifted_system.txt"))
+            == JITTERED_LIFT_SHA256[index])
 
 
 def _sha256(path):

@@ -2,10 +2,13 @@ import math
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusforge import criteria
 from torusforge.criteria import (
     ConstantTermPresent, DegenerateSum, GammaNonNegative, LinearTermPresent,
     PerturbationFamily, criteria_report, evaluate_base_criteria,
@@ -255,3 +258,60 @@ def test_simple_family_w_mu_is_positive_zero(exprs):
     w_mu = perturbation_functions(sys, fam)[3]
     for mu in (-0.5, 0.0, 0.3):
         assert math.copysign(1.0, w_mu(mu)) == 1.0 and w_mu(mu) == 0.0
+
+
+def _scan_outcome(sys, fam, interval, scalar=False):
+    """evaluate_perturbation_criteria under criteria_report's float guard, as
+    a comparable value: the exception, or the criteria it returns.  With
+    `scalar`, the scan makes one scalar call per point, as it did before it
+    ran on numpy."""
+    n = criteria.ETA_SCAN_POINTS
+    route = ((lambda fs, lo, hi: ([lo + (hi - lo) * i / (n - 1) for i in range(n)], None))
+             if scalar else criteria._scan)
+    try:
+        with mock.patch.object(criteria, "_scan", route), np.errstate(over="raise"):
+            crit = evaluate_perturbation_criteria(sys, fam, interval)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr((crit.mu0, crit.alpha_d, crit.roots, crit.gamma_flagged,
+                 crit.gamma_discrepancy_max, crit.interval))
+
+
+_TINY = Fraction(1, 10 ** 200)       # its square is 0.0 as a float
+_HUGE = Fraction(10 ** 300)
+_EXTREME = [
+    # Gamma and eta overflow to inf on the grid: carried on, not raised
+    (EXAMPLE, ("0", "0", Poly({(0, 0, 1, 3, 0): _HUGE, (0, 0, 0, 0, 1): Fraction(1)})),
+     (-1e10, 1e10)),
+    (EXAMPLE, ("0", "0", "mu*z + eps"), (-1.7e308, 1.7e308)),
+    (EXAMPLE, (Poly({(1, 0, 0, 0, 0): _HUGE}), "0", "mu*z + eps"), (-1.0, 1.0)),
+    # S d^2 is 0.0 as a float: Gamma_printed divides by it, after the
+    # Gamma >= 0 check on the one and before it on the other
+    ((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "z + eps"), (-1.0, 1.0)),
+    ((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"), (-1.0, 1.0)),
+    # d is 0.0 as a float
+    ((Poly({(1, 0, 1, 0, 0): _TINY * _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"),
+     (-1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("exprs, family, interval", _EXTREME)
+def test_numpy_scan_matches_scalar_calls_at_the_float_range(exprs, family, interval):
+    """Where a scan value overflows, or a float divisor is 0.0, the scan
+    ends as the scalar calls end: the same floats, inf and NaN included,
+    and the same exception."""
+    sys = validate_hopf_zero(*exprs)
+    fam = PerturbationFamily.from_expressions(*family)
+    assert (_scan_outcome(sys, fam, interval)
+            == _scan_outcome(sys, fam, interval, scalar=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), families(),
+       st.sampled_from([(-1.0, 1.0), (0.0, 1.2), (-3.5, 0.25), (-1e6, 1e6)]))
+def test_numpy_scan_matches_scalar_calls(exprs, fam, interval):
+    """The scan on numpy gives the floats, flags, roots and exceptions of
+    one scalar call per grid point."""
+    sys = validate_hopf_zero(*exprs)
+    assert (_scan_outcome(sys, fam, interval)
+            == _scan_outcome(sys, fam, interval, scalar=True))

@@ -4,16 +4,18 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusforge.averaging
 import torusforge.fieldexpr
 import torusforge.lift
 from torusforge.fieldexpr import Poly, format_poly, parse_field
 from torusforge.lift import (
     Ball, LiftError, NoPositiveOmegaFound, OriginJet, ZeroComponentAtP,
-    _lift_omega, build_lift_family, find_separating_plane, omega_of_lift,
+    build_lift_family, find_separating_plane, omega_coefficients, omega_of_lift,
     origin_jet, printed_A_limit, translate_to_origin, tune_lift_parameters,
 )
 
-from oracles import omega_of_lift_family
+from oracles import lift_omega, omega_of_lift_family
+from test_averaging import _benchmark_inputs
 
 SPEC_SEED = ("1 + x", "1/10*x + y", "0")
 
@@ -199,9 +201,11 @@ def test_omega_closed_form_equals_lift_family(value, gradient, quadratic, L, sqr
 
 
 def test_omega_closed_form_is_bidegree_4_2_with_printed_limit():
-    """On a symbolic 1-jet Omega(L, delta) is a polynomial of degree at most
-    4 in L and 2 in delta, and its L^2 delta^0 coefficient is the printed
-    limit of A(L)/L^2."""
+    """On a symbolic 1-jet the reference Omega(L, delta) of the lift's
+    normalization is a polynomial of degree 4 in L and 2 in delta with the
+    8 monomials of `omega_coefficients` and no other, each coefficient equal
+    to its entry, and its L^2 delta^0 coefficient is the printed limit of
+    A(L)/L^2."""
     sp = pytest.importorskip("sympy")
     P0, Q0 = sp.symbols("P0 Q0", nonzero=True)
     R0 = sp.Symbol("R0")
@@ -209,12 +213,18 @@ def test_omega_closed_form_is_bidegree_4_2_with_printed_limit():
     L = sp.Symbol("L")
     sd = sp.Symbol("s", positive=True)                      # sqrt(delta)
     jet = OriginJet((P0, Q0, R0), (grads[0:3], grads[3:6], grads[6:9]))
-    num, den = sp.fraction(sp.cancel(sp.together(_lift_omega(jet, L, sd ** 2, sd))))
+    num, den = sp.fraction(sp.cancel(sp.together(lift_omega(jet, L, sd ** 2, sd))))
     assert not den.has(L) and not den.has(sd)
-    poly = sp.Poly(num, L, sd)
-    assert poly.degree(L) <= 4 and poly.degree(sd) <= 4
-    assert all(k % 2 == 0 for _, k in poly.monoms())        # a polynomial in delta
-    assert sp.simplify(poly.coeff_monomial(L ** 2) / den - printed_A_limit(jet)) == 0
+    terms = sp.Poly(num, L, sd).terms()
+    assert all(k % 2 == 0 for (_, k), _ in terms)           # a polynomial in delta
+    reference = {(i, k // 2): c / den for (i, k), c in terms}
+    closed = {(i, j): c for j, row in enumerate(omega_coefficients(jet))
+              for i, c in enumerate(row) if c != 0}
+    assert sorted(reference) == sorted(closed) == [
+        (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2)]
+    for key, c in closed.items():
+        assert sp.simplify(reference[key] - c) == 0, key
+    assert sp.simplify(closed[(2, 0)] - printed_A_limit(jet)) == 0
 
 
 def test_omega_of_lift_refuses_what_the_lift_cannot_normalize():
@@ -230,7 +240,8 @@ def test_omega_of_lift_refuses_what_the_lift_cannot_normalize():
 
 def test_tuning_samples_omega_without_building_lifts(monkeypatch):
     """Tuning builds one lift family per delta it tries at L*, not one per
-    Omega sample: 21 samples on the default grid, one family built."""
+    Omega value: A(L) and the delta probes come from the coefficients of
+    Omega, and one family is built."""
     calls = []
 
     def counting_build(*args):
@@ -240,3 +251,58 @@ def test_tuning_samples_omega_without_building_lifts(monkeypatch):
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     tuning = tune_lift_parameters(polys, seed=1)
     assert calls == [(tuning.L_star, tuning.delta_star)]
+
+
+LIFT_SEED = ("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2")
+
+
+@pytest.mark.parametrize("row, column", [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+                                         (1, 3), (2, 3), (2, 4)])
+def test_corrupted_omega_coefficient_trips_the_lift_check(monkeypatch, row, column):
+    """Tuning compares the closed form at (L*, delta*) with Omega of the
+    family it builds there, so a wrong coefficient of Omega is a LiftError."""
+    exact = torusforge.lift.omega_coefficients
+
+    def corrupted(jet):
+        rows = [list(r) for r in exact(jet)]
+        rows[row][column] += Q(1, 10 ** 30)
+        return tuple(map(tuple, rows))
+    monkeypatch.setattr(torusforge.lift, "omega_coefficients", corrupted)
+    with pytest.raises(LiftError, match="closed-form Omega"):
+        tune_lift_parameters(_polys(LIFT_SEED), seed=1)
+
+
+def _translated(exprs):
+    """The seed field moved to its separating plane's point, as `lift` does."""
+    plane = find_separating_plane(_polys(exprs), Ball((0.0, 0.0, 0.0), 1.0))
+    return translate_to_origin(plane.field, plane.point)
+
+
+_GEN = _benchmark_inputs()
+
+
+@pytest.mark.parametrize("exprs, jitter, systems", [
+    (LIFT_SEED, 0.0, 1),                      # the README demo
+    # lift seed 0 of the benchmark's `fields` workload at seed 0
+    ([_GEN.expr(t) for t in _GEN.lift_seed_field(0, 0)], 1e-6, 2),
+])
+def test_one_criteria_report_per_lift(monkeypatch, exprs, jitter, systems):
+    """ell_1 alone decides the jitter: a lift computes the first Lyapunov
+    quantity once per system it tries (the exact lift, then each jitter
+    candidate) and builds one criteria report, for the system it keeps,
+    which reads that system's ell_1 instead of computing it again."""
+    counts = {"criteria_report": 0, "first_lyapunov_quantity": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+    counted(torusforge.lift, "criteria_report")
+    counted(torusforge.averaging, "first_lyapunov_quantity")
+    tuning = tune_lift_parameters(_translated(exprs))
+    assert tuning.ell1_jitter == jitter
+    assert counts == {"criteria_report": 1, "first_lyapunov_quantity": systems}
+    assert tuning.report.base.lyapunov.ell1 == tuning.report.base.ell1

@@ -12,6 +12,19 @@ as `PiPoly`s, Polys over (r, w, mu, pi) with rational coefficients, and the
 first Lyapunov quantity is obtained from them by a short complex series
 computation.
 
+The reduction runs on cleared denominators.  `to_standard_form` scales the
+eps slice of grade g by s^g, s the lcm of the denominators of the slice
+coefficients (the substitution eps -> s eps), and keeps s on the
+`StandardFormSystem`; `melnikov_pair` divides f1 by s and `f2_exact` divides
+f2 by s^2, once each.  Between those two points every denominator is
+small (powers of 2 from cos and sin, the frequencies m from the
+antiderivative), so each gcd starts from it instead of from two numerators
+of hundreds of bits.
+Every TrigPoly on the route is homogeneous of one grade (F1, a1, Phi: s^1;
+D2 and the products: s^2), so a sum is zero exactly where the true sum is:
+every term is dropped, kept and placed as on true values, and the order of
+the terms does not change.
+
 The 2 pi average keeps only the u^0 terms of an integrand and its t-linear
 terms: int_0^{2 pi} A B dtheta = 2 pi sum_m A_m B_{-m}, and
 int_0^{2 pi} t u^m dtheta = 2 pi / (i m) for m != 0.  So
@@ -71,8 +84,10 @@ class StrongResonance(AveragingError):
 # ---------------------------------------------------------------------------
 
 def _cfrac(a: int, b: int, d: int) -> "CFrac":
-    """The CFrac (a + b i) / d for d > 0, reduced by one gcd."""
-    g = math.gcd(a, b, d)
+    """The CFrac (a + b i) / d for d > 0, reduced by one gcd.  The
+    denominator goes first: on cleared denominators it is small, so the gcd
+    takes one big-by-small remainder per part, or none once it reaches 1."""
+    g = math.gcd(d, a, b)
     z = object.__new__(CFrac)
     if g == 1:
         z.a, z.b, z.d = a, b, d
@@ -104,7 +119,7 @@ class CFrac:
         re, im = Fraction(re), Fraction(im)
         a, b = re.numerator * im.denominator, im.numerator * re.denominator
         d = re.denominator * im.denominator
-        g = math.gcd(a, b, d)
+        g = math.gcd(d, a, b)
         self.a, self.b, self.d = a // g, b // g, d // g
 
     @property
@@ -276,11 +291,12 @@ class PiPoly(Poly):
         return compile_terms(folded, ("r", "w", "mu"))
 
 
-def _integrate_2pi(F: TrigPoly) -> PiPoly:
-    """Integral of F over theta in [0, 2 pi], exact, for F at most linear
-    in t: u^0 integrates to 2 pi, t u^0 to 2 pi^2, t u^m to 2 pi / (i m)
-    and u^m to 0 (m != 0).  The sums stay CFracs until the end: the
-    imaginary parts of the t u^m terms must cancel pairwise."""
+def _integrate_2pi(F: TrigPoly, divisor: int) -> PiPoly:
+    """Integral of F over theta in [0, 2 pi], divided by `divisor`, exact,
+    for F at most linear in t: u^0 integrates to 2 pi, t u^0 to 2 pi^2,
+    t u^m to 2 pi / (i m) and u^m to 0 (m != 0).  The sums stay CFracs
+    until the end: the imaginary parts of the t u^m terms must cancel
+    pairwise."""
     out: dict = {}
     for (m, a, b, c, n), v in F.terms.items():
         if m == 0:
@@ -291,7 +307,7 @@ def _integrate_2pi(F: TrigPoly) -> PiPoly:
             _accumulate(out, (a, b, c, 1), _over_im(v, m))
     if any(v.b for v in out.values()):
         raise AveragingError("theta-linear integral has nonzero imaginary part")
-    return PiPoly({key: Fraction(2 * v.a, v.d) for key, v in out.items()})
+    return PiPoly({key: Fraction(2 * v.a, v.d * divisor) for key, v in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +319,29 @@ class StandardFormSystem:
     """theta-periodic standard form dr/dtheta = eps F1 + eps^2 F2 + eps^3 Ftilde,
     kept as the factors of F2 = D2 - F1 a1: F1, the eps slice a1 of
     theta-dot and the grade-2 drift D2.  `melnikov_pair` reads F2 only
-    through its mean, so F2 itself is not formed."""
-    F1: Tuple[TrigPoly, TrigPoly]
-    a1: TrigPoly
-    D2: Tuple[TrigPoly, TrigPoly]
+    through its mean, so F2 itself is not formed.
+
+    The factors are kept on cleared denominators, as the standard form of
+    eps -> s eps with s = `scale`: `_F1` and `_a1` are s F1 and s a1, `_D2`
+    is s^2 D2.  `F1`, `a1` and `D2` give the true factors."""
     system: HopfZeroSystem
     family: PerturbationFamily
+    scale: int
+    _F1: Tuple[TrigPoly, TrigPoly] = field(repr=False)
+    _a1: TrigPoly = field(repr=False)
+    _D2: Tuple[TrigPoly, TrigPoly] = field(repr=False)
+
+    @property
+    def F1(self) -> Tuple[TrigPoly, TrigPoly]:
+        return tuple(F.scale(Fraction(1, self.scale)) for F in self._F1)
+
+    @property
+    def a1(self) -> TrigPoly:
+        return self._a1.scale(Fraction(1, self.scale))
+
+    @property
+    def D2(self) -> Tuple[TrigPoly, TrigPoly]:
+        return tuple(D.scale(Fraction(1, self.scale ** 2)) for D in self._D2)
 
 
 def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
@@ -345,26 +378,37 @@ def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
         for m in range(max_grade + 1))
 
 
-def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFormSystem:
+def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily,
+                     slices: Optional[Tuple[Tuple[Poly, Poly, Poly], ...]] = None
+                     ) -> StandardFormSystem:
     """Cylindrical reduction with theta as time, expanded through eps^2.
 
     With theta-dot = 1 + eps a1 + eps^2 a2 the series division gives
     F1 = (rdot1, wdot1) and F2 = D2 - F1 a1 with D2 = (rdot2, wdot2); the
-    system keeps F1, a1 and D2.
+    system keeps F1, a1 and D2, on cleared denominators: slice g is scaled
+    by s^g, s the lcm of the denominators of slices 1 and 2.  `slices` are
+    the system's `eps_graded_slices`, for a caller that already has them.
     """
-    slices = eps_graded_slices(sys, fam)
-    T1 = [TrigPoly.from_xyz_poly(p) for p in slices[1]] if len(slices) > 1 else \
-        [TrigPoly() for _ in range(3)]
-    T2 = [TrigPoly.from_xyz_poly(p) for p in slices[2]] if len(slices) > 2 else \
-        [TrigPoly() for _ in range(3)]
+    if slices is None:
+        slices = eps_graded_slices(sys, fam)
+    grades = [slices[g] if len(slices) > g else (Poly(), Poly(), Poly()) for g in (1, 2)]
+    s = math.lcm(*(c.denominator for grade in grades for p in grade for c in p.terms.values()))
+    T1, T2 = ([TrigPoly.from_xyz_poly(_cleared(p, s ** g)) for p in grade]
+              for g, grade in enumerate(grades, start=1))
 
     rdot1 = TRIG_COS * T1[0] + TRIG_SIN * T1[1]
     a1 = (TRIG_COS * T1[1] - TRIG_SIN * T1[0]) * _R_INV
     wdot1 = T1[2]
     rdot2 = TRIG_COS * T2[0] + TRIG_SIN * T2[1]
     wdot2 = T2[2]
-    return StandardFormSystem(F1=(rdot1, wdot1), a1=a1, D2=(rdot2, wdot2),
-                              system=sys, family=fam)
+    return StandardFormSystem(system=sys, family=fam, scale=s, _F1=(rdot1, wdot1),
+                              _a1=a1, _D2=(rdot2, wdot2))
+
+
+def _cleared(p: Poly, factor: int) -> Poly:
+    """p times an integer `factor` that every denominator of p divides, with
+    int coefficients."""
+    return Poly._of({m: c.numerator * (factor // c.denominator) for m, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +422,27 @@ class MelnikovPair:
     quadrature of the standard form."""
     std: StandardFormSystem
     f1_exact: Tuple[PiPoly, PiPoly]
-    f2_exact: Tuple[PiPoly, PiPoly]
+
+    @cached_property
+    def f2_exact(self) -> Tuple[PiPoly, PiPoly]:
+        """f2 = int_0^{2 pi} (F2 + DF1 . Phi) with Phi = int_0^theta F1 and
+        F2 = D2 - F1 a1, exact, built on first use: the averaged equilibrium
+        reads f1 alone.
+
+        Only the terms the average keeps are formed: the mean of D2, and the
+        frequency-matched parts of F1 a1 and DF1 . Phi (`_averaged_product`).
+        The integrand's kept terms come in the order of the full expression
+        D2 - F1 a1 + dF1/dr Phi_r + dF1/dw Phi_w, so f2_exact's terms, and
+        the floats its evaluator sums in that order, are those of the full
+        route.  On the standard form's cleared denominators every term of
+        the integrand carries s^2, divided out once."""
+        std = self.std
+        Phi = tuple(antiderivative(F) for F in std._F1)
+        return tuple(_integrate_2pi(_mean_part(D2) - _averaged_product(F1, std._a1)
+                                    + _averaged_product(F1.derivative("r"), Phi[0])
+                                    + _averaged_product(F1.derivative("w"), Phi[1]),
+                                    std.scale ** 2)
+                     for F1, D2 in zip(std._F1, std._D2))
 
     # compiled on first use: first_lyapunov_quantity needs f1 and f2 only
     @cached_property
@@ -439,22 +503,11 @@ def _mean_part(F: TrigPoly) -> TrigPoly:
 
 
 def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
-    """f1 = int_0^{2 pi} F1 and f2 = int_0^{2 pi} (F2 + DF1 . Phi) with
-    Phi = int_0^theta F1 and F2 = D2 - F1 a1, exact.
-
-    Only the terms the average keeps are formed: the mean of D2, and the
-    frequency-matched parts of F1 a1 and DF1 . Phi (`_averaged_product`).
-    The integrand's kept terms come in the order of the full expression
-    D2 - F1 a1 + dF1/dr Phi_r + dF1/dw Phi_w, so f2_exact's terms, and the
-    floats its evaluator sums in that order, are those of the full route.
-    """
-    f1 = tuple(_integrate_2pi(F) for F in std.F1)
-    Phi = tuple(antiderivative(F) for F in std.F1)
-    f2 = tuple(_integrate_2pi(_mean_part(D2) - _averaged_product(F1, std.a1)
-                              + _averaged_product(F1.derivative("r"), Phi[0])
-                              + _averaged_product(F1.derivative("w"), Phi[1]))
-               for F1, D2 in zip(std.F1, std.D2))
-    return MelnikovPair(std=std, f1_exact=f1, f2_exact=f2)
+    """f1 = int_0^{2 pi} F1, exact, and f2 (`MelnikovPair.f2_exact`) on
+    first use.  The standard form's F1 is s times the true one; f1 is
+    divided by s once."""
+    return MelnikovPair(std=std, f1_exact=tuple(_integrate_2pi(F, std.scale)
+                                                for F in std._F1))
 
 
 # ---------------------------------------------------------------------------

@@ -391,10 +391,12 @@ def cmd_simulate(spec: RunSpec) -> int:
     if not 0 < periods <= MAX_PERIODS:      # also refuses nan
         raise OutOfRange(f"periods must lie in (0, {MAX_PERIODS}], got {periods}")
     cfg = _integrator(doc)
-    field = RescaledField(sys_, fam).field3(mu, eps)
+    rescaled = RescaledField(sys_, fam)
+    field = rescaled.field3(mu, eps)
     x0 = doc.get("initial_state")
     if x0 is None:
-        mel = melnikov_pair(to_standard_form(sys_, fam))
+        # the averaged equilibrium reads f1 alone; f2 is never built here
+        mel = melnikov_pair(to_standard_form(sys_, fam, rescaled.slices))
         eq = averaged_equilibrium(mel, mu)
         x0 = [eq.r + 0.05, 0.0, eq.w]
     traj = integrate(field, [float(v) for v in x0],

@@ -273,8 +273,29 @@ def ell1_transcribed(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
     On the worked example this evaluates to -16 while the dynamics (and the
     independent averaging pipeline) give -48; the transcription is kept
     verbatim for auditability and the discrepancy is reported upstream.
+
+    The form is homogeneous of weight 6 when the entry (i, j, k) has weight
+    i + j + k - 1 (the rescaling eps -> s eps), so it is evaluated on
+    integers: each quadratic entry times s and each cubic one times s^2, s
+    the lcm of their denominators, and the sum divided by s^6 once.
     """
-    P, Q, R = jP.get, jQ.get, jR.get
+    entries = [[(idx, v) for idx, v in jet.items() if 2 <= sum(idx) <= 3]
+               for jet in (jP, jQ, jR)]
+    s = math.lcm(*(v.denominator for jet in entries for _, v in jet))
+    return Fraction(_ell1_closed_form(*(_scaled_entries(jet, s) for jet in entries)),
+                    s ** 6)
+
+
+def _scaled_entries(entries, s: int) -> Callable[[int, int, int], int]:
+    """(i, j, k) -> the entry times s^(i + j + k - 1), an int, or 0 where
+    `entries` has none."""
+    table = {idx: v.numerator * (s ** (sum(idx) - 1) // v.denominator) for idx, v in entries}
+    return lambda i, j, k: table.get((i, j, k), 0)
+
+
+def _ell1_closed_form(P: Callable, Q: Callable, R: Callable):
+    """The transcribed ell_1 of the jet entries P(i, j, k), Q(i, j, k),
+    R(i, j, k), quadratic and cubic ones only, over any commutative ring."""
     S = R(0, 2, 0) + R(2, 0, 0)
     omega = -(P(1, 0, 1) + Q(0, 1, 1)) * S
 

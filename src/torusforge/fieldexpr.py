@@ -2,6 +2,10 @@
 
 Expressions are parsed straight to a Poly: a sparse multivariate
 polynomial with exact `Fraction` coefficients, expanded as the parser goes.
+One regex pass cuts the text into (kind, text, offset) tuples; a term then
+reads its number, variable and power factors into one monomial and forms
+Poly products only for parenthesized factors, and a sum adds each term in
+place.
 `format_poly` prints a Poly back in the grammar.  All jet (Taylor-coefficient)
 extraction happens on the polynomial form and is exact for rational input;
 `terms_source` is the one route from exact coefficients to floats: it
@@ -31,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -77,180 +81,215 @@ class UnboundSymbolError(FieldExprError):
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()/")
+# one token per match: a number, an identifier, an operator, or any other
+# non-space character, which is refused; whitespace between them is skipped.
+# `\w` is `str.isalnum()` or '_', and an identifier must start with a letter
+# or '_' (checked on the match).  Digits are decimal (`\d`, what `int` reads).
+_TOKEN = re.compile(r"(\d+\.?\d*|\.\d+)|([^\W\d]\w*)|([-+*^()/])|(\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'ident', or the operator character
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> List[Tuple[str, str, int]]:
+    """The tokens of `source` as (kind, text, offset) tuples, kind 'num',
+    'ident' or the operator character, and an 'end' token at len(source)."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == '.' and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == '.' and not seen_dot)):
-                if source[j] == '.':
-                    seen_dot = True
-                j += 1
-            tokens.append(_Token('num', source[i:j], i, j))
-            i = j
-            continue
-        if ch.isalpha() or ch == '_':
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == '_'):
-                j += 1
-            tokens.append(_Token('ident', source[i:j], i, j))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, i, i + 1))
-            i += 1
-            continue
-        raise FieldSyntaxError(f"unexpected character {ch!r}", i,
-                               ("number", "identifier", "+", "-", "*", "^", "(", ")"))
+    for m in _TOKEN.finditer(source):
+        num, ident, op, other = m.groups()
+        if num is not None:
+            tokens.append(('num', num, m.start()))
+        elif op is not None:
+            tokens.append((op, op, m.start()))
+        elif ident is not None and (ident[0].isalpha() or ident[0] == '_'):
+            tokens.append(('ident', ident, m.start()))
+        else:
+            text = other or ident
+            raise FieldSyntaxError(f"unexpected character {text[0]!r}", m.start(),
+                                   ("number", "identifier", "+", "-", "*", "^", "(", ")"))
+    tokens.append(('end', '', len(source)))
     return tokens
+
+
+# a factor: (num, den, exps, poly), the monomial num / den * prod VARIABLES^exps
+# times the Poly of the parenthesized factors it holds (None for none)
+Factor = Tuple[int, int, Tuple[int, ...], Optional["Poly"]]
+_CONSTANT = (0,) * len(VARIABLES)
+_VARIABLE = {v: tuple(int(v == w) for w in VARIABLES) for v in VARIABLES}
 
 
 class _Parser:
     """Recursive descent that expands as it goes: each rule returns the Poly
-    of what it read.  Products and powers are checked against the caps
-    before they are formed, sums right after."""
+    of what it read.
+
+    A term reads its number, variable and power factors into one monomial,
+    an integer numerator and denominator and an exponent tuple, and forms
+    Poly products only for parenthesized factors; the monomial multiplies
+    their product once at the end.  Scaling by a nonzero number and shifting
+    by a monomial keep every cancellation and the order of the terms, so the
+    Poly is the one that multiplying factor by factor from the left gives.
+    A sum adds each term into one dict in place.  Products and powers are
+    checked against the caps before they are formed, sums right after."""
 
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise FieldSyntaxError("unexpected end of input", len(self.source))
+    def expect(self, kind: str) -> Tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise FieldSyntaxError("unexpected token", tok[2], (kind,))
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            off = tok.start if tok else len(self.source)
-            raise FieldSyntaxError("unexpected token", off, (kind,))
-        return self.advance()
-
-    def nest(self, tok: _Token) -> None:
+    def nest(self, offset: int) -> None:
         """Enter one '(' or unary '-'; the depth cap keeps the recursion
         far from Python's own limit."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise FieldSyntaxError(f"nesting deeper than {MAX_NESTING}", tok.start)
+            raise FieldSyntaxError(f"nesting deeper than {MAX_NESTING}", offset)
 
     def parse(self) -> Poly:
         poly = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise FieldSyntaxError(f"trailing input {tok.text!r}", tok.start,
+        kind, text, offset = self.tokens[self.pos]
+        if kind != 'end':
+            raise FieldSyntaxError(f"trailing input {text!r}", offset,
                                    ("+", "-", "*", "^", "end of input"))
         return poly
 
     def expr(self) -> Poly:
-        poly = self.term()
+        terms = self.term().terms
         # a sum's degree is at most its largest operand's
-        degree = poly.degree(VARIABLES)
-        while (tok := self.peek()) is not None and tok.kind in ('+', '-'):
-            self.advance()
-            rhs = self.term()
-            poly = poly + rhs if tok.kind == '+' else poly - rhs
-            degree = max(degree, rhs.degree(VARIABLES))
-            _check_size(degree, len(poly.terms), len(VARIABLES))
-        return poly
+        degree = _degree(terms)
+        tokens = self.tokens
+        while (kind := tokens[self.pos][0]) in ('+', '-'):
+            self.pos += 1
+            rhs = self.term().terms
+            for mono, coeff in rhs.items():
+                prev = terms.get(mono)
+                if kind == '-':
+                    coeff = -coeff
+                total = coeff if prev is None else prev + coeff
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+            degree = max(degree, _degree(rhs))
+            _check_size(degree, len(terms), len(VARIABLES))
+        return Poly._of(terms)
 
     def term(self) -> Poly:
-        poly = self.factor()
-        while (tok := self.peek()) is not None and tok.kind == '*':
-            self.advance()
-            rhs = self.factor()
-            if poly and rhs:
-                nvars = len(set(poly.free_variables()) | set(rhs.free_variables()))
-                _check_size(poly.degree(VARIABLES) + rhs.degree(VARIABLES),
-                            len(poly.terms) * len(rhs.terms), nvars)
-            poly = poly * rhs
-        return poly
+        """The Poly of a term, a fresh one."""
+        num, den, exps, poly = self.factor()
+        while self.tokens[self.pos][0] == '*':
+            self.pos += 1
+            factor = self.factor()
+            _check_product((num, den, exps, poly), factor)
+            fnum, fden, fexps, fpoly = factor
+            num, den = num * fnum, den * fden
+            exps = tuple(map(operator.add, exps, fexps))
+            if fpoly is not None:
+                poly = fpoly if poly is None else poly * fpoly
+        if not num:
+            return Poly()
+        coeff = Fraction(num, den)
+        if poly is None:
+            return Poly._of({exps: coeff})
+        return Poly._of({tuple(map(operator.add, m, exps)): c * coeff
+                         for m, c in poly.terms.items()})
 
-    def factor(self) -> Poly:
-        tok = self.peek()
-        if tok is not None and tok.kind == '-':
-            self.advance()
-            self.nest(tok)
-            poly = -self.factor()
-            self.depth -= 1
-            return poly
-        poly = self.base()
-        if (tok := self.peek()) is not None and tok.kind == '^':
-            self.advance()
-            etok = self.expect('num')
-            if not etok.text.isdigit():
+    def factor(self) -> Factor:
+        """A factor, unary minus and '^' included."""
+        tokens = self.tokens
+        minus = 0
+        while tokens[self.pos][0] == '-':
+            self.nest(tokens[self.pos][2])
+            self.pos += 1
+            minus += 1
+        num, den, exps, poly = self.base()
+        if tokens[self.pos][0] == '^':
+            self.pos += 1
+            _, text, offset = self.expect('num')
+            if not text.isdigit():
                 raise FieldSyntaxError("exponent must be a nonnegative integer",
-                                       etok.start, ("unsigned integer",))
-            exponent = int(etok.text)
+                                       offset, ("unsigned integer",))
+            exponent = int(text)
             if exponent > MAX_POWER:
                 raise FieldSyntaxError(f"exponent {exponent} exceeds maximum {MAX_POWER}",
-                                       etok.start)
-            if poly and exponent:
-                # a term of poly^e is a product of e poly terms: at most
-                # C(e + t - 1, e) distinct terms for t terms of poly
-                _check_size(poly.degree(VARIABLES) * exponent,
-                            math.comb(exponent + len(poly.terms) - 1, exponent),
-                            len(poly.free_variables()))
-            poly = poly.power(exponent)
-        return poly
+                                       offset)
+            if poly is not None:
+                if poly and exponent:
+                    # a term of poly^e is a product of e poly terms: at most
+                    # C(e + t - 1, e) distinct terms for t terms of poly
+                    _check_size(_degree(poly.terms) * exponent,
+                                math.comb(exponent + len(poly.terms) - 1, exponent),
+                                len(poly.free_variables()))
+                poly = poly.power(exponent)
+            elif num and exponent:
+                _check_size(sum(exps) * exponent, 1, len(_variables([exps])))
+            num, den = num ** exponent, den ** exponent
+            exps = tuple(e * exponent for e in exps)
+        self.depth -= minus
+        return (-num if minus % 2 else num), den, exps, poly
 
-    def base(self) -> Poly:
-        tok = self.peek()
-        if tok is None:
-            raise FieldSyntaxError("unexpected end of input", len(self.source),
-                                   ("number", "identifier", "("))
-        if tok.kind == '(':
-            self.advance()
-            self.nest(tok)
+    def base(self) -> Factor:
+        kind, text, offset = self.tokens[self.pos]
+        if kind == 'num':
+            self.pos += 1
+            num, den = _number_value(text)
+            # rational literal: integer '/' integer
+            if self.tokens[self.pos][0] == '/' and text.isdigit():
+                self.pos += 1
+                _, dtext, doffset = self.expect('num')
+                if not dtext.isdigit():
+                    raise FieldSyntaxError("denominator must be an integer", doffset,
+                                           ("unsigned integer",))
+                den = int(dtext)
+                if den == 0:
+                    raise FieldSyntaxError("zero denominator", doffset)
+            return num, den, _CONSTANT, None
+        if kind == 'ident':
+            self.pos += 1
+            if text not in VARIABLES:
+                raise UnknownIdentifierError(text, offset)
+            return 1, 1, _VARIABLE[text], None
+        if kind == '(':
+            self.pos += 1
+            self.nest(offset)
             poly = self.expr()
             self.expect(')')
             self.depth -= 1
-            return poly
-        if tok.kind == 'num':
-            self.advance()
-            value = _number_value(tok)
-            # rational literal: integer '/' integer
-            nxt = self.peek()
-            if (tok.text.isdigit() and nxt is not None and nxt.kind == '/'):
-                self.advance()
-                den = self.expect('num')
-                if not den.text.isdigit():
-                    raise FieldSyntaxError("denominator must be an integer", den.start,
-                                           ("unsigned integer",))
-                if int(den.text) == 0:
-                    raise FieldSyntaxError("zero denominator", den.start)
-                value = Fraction(int(tok.text), int(den.text))
-            return Poly.constant(value)
-        if tok.kind == 'ident':
-            self.advance()
-            if tok.text not in VARIABLES:
-                raise UnknownIdentifierError(tok.text, tok.start)
-            return Poly.variable(tok.text)
-        raise FieldSyntaxError(f"unexpected token {tok.text!r}", tok.start,
+            return 1, 1, _CONSTANT, poly
+        if kind == 'end':
+            raise FieldSyntaxError("unexpected end of input", offset,
+                                   ("number", "identifier", "("))
+        raise FieldSyntaxError(f"unexpected token {text!r}", offset,
                                ("number", "identifier", "(", "-"))
+
+
+def _check_product(left: Factor, right: Factor) -> None:
+    """Check the product of two factors against the caps, as `_check_size`
+    checks the product of their Polys; nothing is checked where either is
+    zero."""
+    degree, nterms, monomials = 0, 1, []
+    for num, _, exps, poly in (left, right):
+        if not num or (poly is not None and not poly.terms):
+            return
+        degree += sum(exps)
+        monomials.append(exps)
+        if poly is not None:
+            degree += _degree(poly.terms)
+            nterms *= len(poly.terms)
+            monomials.extend(poly.terms)
+    _check_size(degree, nterms, len(_variables(monomials)))
+
+
+def _degree(terms: Mapping[Monomial, object]) -> int:
+    """Total degree of a Poly's terms over all its variables; 0 for none."""
+    return max(map(sum, terms), default=0)
+
+
+def _variables(monomials) -> set:
+    """The indices of the variables that occur in `monomials`."""
+    return {i for m in monomials for i, e in enumerate(m) if e}
 
 
 def _check_size(degree: int, max_terms: int, nvars: int) -> None:
@@ -267,12 +306,12 @@ def _check_size(degree: int, max_terms: int, nvars: int) -> None:
             f"expression may expand to {max_terms} terms (maximum {MAX_TERMS})")
 
 
-def _number_value(tok: _Token) -> Fraction:
-    if '.' in tok.text:
-        intpart, fracpart = tok.text.split('.')
-        num = int(intpart + fracpart) if intpart + fracpart else 0
-        return Fraction(num, 10 ** len(fracpart))
-    return Fraction(int(tok.text))
+def _number_value(text: str) -> Tuple[int, int]:
+    """(numerator, denominator) of an integer or decimal literal."""
+    if '.' in text:
+        intpart, fracpart = text.split('.')
+        return (int(intpart + fracpart) if intpart + fracpart else 0), 10 ** len(fracpart)
+    return int(text), 1
 
 
 def parse_field(source: str) -> Poly:

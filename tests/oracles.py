@@ -7,7 +7,9 @@ Gauss-Legendre quadrature of the standard form, whose F2 `full_F2` forms
 from the factors the package keeps.  `melnikov_pair_full` is the exact
 layer's full route: it expands every cos^i sin^j by repeated products, forms
 F2 and averages the whole f2 integrand, the reference for the terms and the
-term order of `melnikov_pair`, which forms only what the average keeps.
+term order of `melnikov_pair`, which forms only what the average keeps;
+`standard_form_full` keeps the true factors F1, a1 and D2 that
+`to_standard_form` holds on cleared denominators.
 The integrations here stay on scipy's `solve_ivp`, so they also check the
 package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
 list comprehension per stage, the bitwise oracle of its generated step, on
@@ -19,9 +21,11 @@ closed form `lift.omega_coefficients`.  `normal_contraction` measures the
 normal rate of an invariant curve by following a ring of probes off it,
 the reference for `torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
 problem per Fourier order, the reference for `torus.fit_fourier_curve`.
-The last section holds small helpers only the tests call, and
-`FractionCFrac`, the Fraction-pair Gaussian rational that checks
-`averaging.CFrac`.
+`ReferenceParser` reads an expression on tokens of a character loop and
+multiplies one Poly per factor, the reference for the terms, their order and
+the errors of `fieldexpr.parse_field`.  The last section holds small helpers
+only the tests call, and `FractionCFrac`, the Fraction-pair Gaussian
+rational that checks `averaging.CFrac`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,10 @@ from torusforge.averaging import (
     StandardFormSystem, TrigPoly, eps_graded_slices,
 )
 from torusforge.criteria import HopfZeroSystem, PerturbationFamily
-from torusforge.fieldexpr import VARIABLES, Jet3, Poly, as_poly, compile_terms
+from torusforge.fieldexpr import (
+    MAX_NESTING, MAX_POWER, VARIABLES, FieldSyntaxError, Jet3, Poly,
+    UnknownIdentifierError, _check_size, as_poly, compile_terms,
+)
 from torusforge import flow
 from torusforge.flow import (
     _A, _B, _C, _E3, _E5, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
@@ -497,10 +504,19 @@ def trig_of_xyz_poly(poly: Poly) -> TrigPoly:
     return out
 
 
-def standard_form_full(sys: HopfZeroSystem, fam: PerturbationFamily
-                       ) -> Tuple[Tuple[TrigPoly, TrigPoly], Tuple[TrigPoly, TrigPoly]]:
-    """(F1, F2) of the standard form, F2 = (rdot2 - rdot1 a1, wdot2 - wdot1 a1)
-    formed in full."""
+@dataclass
+class FullStandardForm:
+    """The factors F1, a1 and D2 of the standard form, with true (not
+    cleared) denominators, and F2 = D2 - F1 a1 formed in full."""
+    F1: Tuple[TrigPoly, TrigPoly]
+    a1: TrigPoly
+    D2: Tuple[TrigPoly, TrigPoly]
+    F2: Tuple[TrigPoly, TrigPoly]
+
+
+def standard_form_full(sys: HopfZeroSystem, fam: PerturbationFamily) -> FullStandardForm:
+    """The standard form from the eps slices as they are,
+    F2 = (rdot2 - rdot1 a1, wdot2 - wdot1 a1) formed in full."""
     slices = eps_graded_slices(sys, fam)
     T1, T2 = ([trig_of_xyz_poly(p) for p in slices[g]] if len(slices) > g
               else [TrigPoly() for _ in range(3)] for g in (1, 2))
@@ -509,7 +525,8 @@ def standard_form_full(sys: HopfZeroSystem, fam: PerturbationFamily
     wdot1 = T1[2]
     rdot2 = TRIG_COS * T2[0] + TRIG_SIN * T2[1]
     wdot2 = T2[2]
-    return (rdot1, wdot1), (rdot2 - rdot1 * a1, wdot2 - wdot1 * a1)
+    return FullStandardForm(F1=(rdot1, wdot1), a1=a1, D2=(rdot2, wdot2),
+                            F2=(rdot2 - rdot1 * a1, wdot2 - wdot1 * a1))
 
 
 def _accumulate(out: dict, key, value) -> None:
@@ -551,7 +568,8 @@ def melnikov_pair_full(sys: HopfZeroSystem, fam: PerturbationFamily
                        ) -> Tuple[Tuple[PiPoly, PiPoly], Tuple[PiPoly, PiPoly]]:
     """(f1, f2) by the 2 pi average of F1 and of the whole integrand
     F2 + dF1/dr Phi_r + dF1/dw Phi_w, Phi = int_0^theta F1."""
-    F1s, F2s = standard_form_full(sys, fam)
+    full = standard_form_full(sys, fam)
+    F1s, F2s = full.F1, full.F2
     f1 = tuple(integrate_2pi_full(F) for F in F1s)
     Phi = tuple(antiderivative_full(F) for F in F1s)
     f2 = tuple(integrate_2pi_full(F2 + F1.derivative("r") * Phi[0]
@@ -707,6 +725,202 @@ def normal_contraction(tmap, curve, mu, eps, reverse, probes=16, offset=1e-3,
         return None
     slope = np.polyfit(steps, logs, 1)[0]
     return float(math.exp(slope))
+
+
+# ---------------------------------------------------------------------------
+# the expression parser on tokens of a character loop, one Poly per factor:
+# the reference for the terms, their order and the errors of
+# `fieldexpr.parse_field`, which reads each term into one monomial
+# ---------------------------------------------------------------------------
+
+_OPS = set("+-*^()/")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'num', 'ident', or the operator character
+    text: str
+    start: int
+    end: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == '.' and i + 1 < n and source[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (source[j].isdigit() or (source[j] == '.' and not seen_dot)):
+                if source[j] == '.':
+                    seen_dot = True
+                j += 1
+            tokens.append(_Token('num', source[i:j], i, j))
+            i = j
+            continue
+        if ch.isalpha() or ch == '_':
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == '_'):
+                j += 1
+            tokens.append(_Token('ident', source[i:j], i, j))
+            i = j
+            continue
+        if ch in _OPS:
+            tokens.append(_Token(ch, ch, i, i + 1))
+            i += 1
+            continue
+        raise FieldSyntaxError(f"unexpected character {ch!r}", i,
+                               ("number", "identifier", "+", "-", "*", "^", "(", ")"))
+    return tokens
+
+
+class ReferenceParser:
+    """Recursive descent that expands as it goes: each rule returns the Poly
+    of what it read, and a term multiplies its factors' Polys one by one from
+    the left.  Products and powers are checked against the caps before they
+    are formed, sums right after."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> Optional[_Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def advance(self) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            raise FieldSyntaxError("unexpected end of input", len(self.source))
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            off = tok.start if tok else len(self.source)
+            raise FieldSyntaxError("unexpected token", off, (kind,))
+        return self.advance()
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one '(' or unary '-'; the depth cap keeps the recursion
+        far from Python's own limit."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FieldSyntaxError(f"nesting deeper than {MAX_NESTING}", tok.start)
+
+    def parse(self) -> Poly:
+        poly = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise FieldSyntaxError(f"trailing input {tok.text!r}", tok.start,
+                                   ("+", "-", "*", "^", "end of input"))
+        return poly
+
+    def expr(self) -> Poly:
+        poly = self.term()
+        # a sum's degree is at most its largest operand's
+        degree = poly.degree(VARIABLES)
+        while (tok := self.peek()) is not None and tok.kind in ('+', '-'):
+            self.advance()
+            rhs = self.term()
+            poly = poly + rhs if tok.kind == '+' else poly - rhs
+            degree = max(degree, rhs.degree(VARIABLES))
+            _check_size(degree, len(poly.terms), len(VARIABLES))
+        return poly
+
+    def term(self) -> Poly:
+        poly = self.factor()
+        while (tok := self.peek()) is not None and tok.kind == '*':
+            self.advance()
+            rhs = self.factor()
+            if poly and rhs:
+                nvars = len(set(poly.free_variables()) | set(rhs.free_variables()))
+                _check_size(poly.degree(VARIABLES) + rhs.degree(VARIABLES),
+                            len(poly.terms) * len(rhs.terms), nvars)
+            poly = poly * rhs
+        return poly
+
+    def factor(self) -> Poly:
+        tok = self.peek()
+        if tok is not None and tok.kind == '-':
+            self.advance()
+            self.nest(tok)
+            poly = -self.factor()
+            self.depth -= 1
+            return poly
+        poly = self.base()
+        if (tok := self.peek()) is not None and tok.kind == '^':
+            self.advance()
+            etok = self.expect('num')
+            if not etok.text.isdigit():
+                raise FieldSyntaxError("exponent must be a nonnegative integer",
+                                       etok.start, ("unsigned integer",))
+            exponent = int(etok.text)
+            if exponent > MAX_POWER:
+                raise FieldSyntaxError(f"exponent {exponent} exceeds maximum {MAX_POWER}",
+                                       etok.start)
+            if poly and exponent:
+                # a term of poly^e is a product of e poly terms: at most
+                # C(e + t - 1, e) distinct terms for t terms of poly
+                _check_size(poly.degree(VARIABLES) * exponent,
+                            math.comb(exponent + len(poly.terms) - 1, exponent),
+                            len(poly.free_variables()))
+            poly = poly.power(exponent)
+        return poly
+
+    def base(self) -> Poly:
+        tok = self.peek()
+        if tok is None:
+            raise FieldSyntaxError("unexpected end of input", len(self.source),
+                                   ("number", "identifier", "("))
+        if tok.kind == '(':
+            self.advance()
+            self.nest(tok)
+            poly = self.expr()
+            self.expect(')')
+            self.depth -= 1
+            return poly
+        if tok.kind == 'num':
+            self.advance()
+            value = _number_value(tok)
+            # rational literal: integer '/' integer
+            nxt = self.peek()
+            if (tok.text.isdigit() and nxt is not None and nxt.kind == '/'):
+                self.advance()
+                den = self.expect('num')
+                if not den.text.isdigit():
+                    raise FieldSyntaxError("denominator must be an integer", den.start,
+                                           ("unsigned integer",))
+                if int(den.text) == 0:
+                    raise FieldSyntaxError("zero denominator", den.start)
+                value = Fraction(int(tok.text), int(den.text))
+            return Poly.constant(value)
+        if tok.kind == 'ident':
+            self.advance()
+            if tok.text not in VARIABLES:
+                raise UnknownIdentifierError(tok.text, tok.start)
+            return Poly.variable(tok.text)
+        raise FieldSyntaxError(f"unexpected token {tok.text!r}", tok.start,
+                               ("number", "identifier", "(", "-"))
+
+
+def _number_value(tok: _Token) -> Fraction:
+    if '.' in tok.text:
+        intpart, fracpart = tok.text.split('.')
+        num = int(intpart + fracpart) if intpart + fracpart else 0
+        return Fraction(num, 10 ** len(fracpart))
+    return Fraction(int(tok.text))
+
+
+def parse_field_reference(source: str) -> Poly:
+    """`fieldexpr.parse_field` by `ReferenceParser`."""
+    return ReferenceParser(source).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from torusforge.lift import (
 
 from oracles import (
     StandardForm, f1_quadrature, f2_quadrature, full_F2, melnikov_pair_full,
-    trig_of_xyz_poly,
+    standard_form_full, trig_of_xyz_poly,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -321,9 +321,10 @@ def _benchmark_inputs():
 
 def _ordered_pair_systems():
     """The worked example with the simple and a general family, the four
-    Hopf-Zero fields of the `fields` workload at seeds 0-3, and the tuned
-    systems of its four lift seeds at seed 0, each with the simple family
-    (as analyze and lift use them)."""
+    Hopf-Zero fields of the `fields` workload at seeds 0-3, and for its four
+    lift seeds at seeds 0-3 both the exact lift's tuned system and the
+    jittered system the lift keeps (the same system where no jitter is
+    needed), each with the simple family (as analyze and lift use them)."""
     example = validate_hopf_zero(*EXAMPLE)
     yield example, PerturbationFamily.simple(example.beta)
     yield example, PerturbationFamily.from_expressions("mu*x + eps*y", "x*z",
@@ -333,26 +334,53 @@ def _ordered_pair_systems():
         for i in range(len(gen.HOPF_BASES)):
             sys = validate_hopf_zero(*(gen.expr(t) for t in gen.hopf_field(seed, i)))
             yield sys, PerturbationFamily.simple(sys.beta)
-    for i in range(len(gen.LIFT_BASES)):
-        seed_field = tuple(as_poly(gen.expr(t)) for t in gen.lift_seed_field(0, i))
-        plane = find_separating_plane(seed_field, Ball((0.0, 0.0, 0.0), 1.0))
-        tuned = tune_lift_parameters(translate_to_origin(plane.field, plane.point))
-        yield tuned.tuned_system, PerturbationFamily.simple(tuned.tuned_system.beta)
+    for seed in range(4):
+        for i in range(len(gen.LIFT_BASES)):
+            seed_field = tuple(as_poly(gen.expr(t)) for t in gen.lift_seed_field(seed, i))
+            plane = find_separating_plane(seed_field, Ball((0.0, 0.0, 0.0), 1.0))
+            tuned = tune_lift_parameters(translate_to_origin(plane.field, plane.point))
+            for sys in (tuned.family.system, tuned.tuned_system):
+                yield sys, PerturbationFamily.simple(sys.beta)
 
 
 def test_melnikov_pair_keeps_the_full_route_term_order():
     """f1_exact and f2_exact equal the full route's (every cos^i sin^j by
     repeated products, F2 formed, the whole integrand averaged) as ordered
     term lists, so the compiled evaluators sum the same floats in the same
-    order."""
-    count = 0
+    order; the standard form's F1, a1 and D2, kept on cleared denominators,
+    give the full route's true factors in its order."""
+    count = scaled = 0
     for sys, fam in _ordered_pair_systems():
-        mel = melnikov_pair(to_standard_form(sys, fam))
+        std = to_standard_form(sys, fam)
+        mel = melnikov_pair(std)
+        full = standard_form_full(sys, fam)
         f1, f2 = melnikov_pair_full(sys, fam)
-        for mine, ref in zip(mel.f1_exact + mel.f2_exact, f1 + f2):
+        for mine, ref in zip(std.F1 + (std.a1,) + std.D2 + mel.f1_exact + mel.f2_exact,
+                             full.F1 + (full.a1,) + full.D2 + f1 + f2):
             assert list(mine.terms.items()) == list(ref.terms.items())
         count += 1
-    assert count == 22
+        scaled += std.scale > 1
+    assert count == 50
+    # all but the worked example with the simple family (s = 1) have
+    # fractional slice coefficients, so they run on a nontrivial scale
+    assert scaled == 49
+
+
+def test_standard_form_scale_is_the_lcm_of_the_slice_denominators():
+    """s is the lcm of the denominators of the eps^1 and eps^2 slices, and
+    the kept factors are s F1, s a1 and s^2 D2."""
+    sys = validate_hopf_zero("1/6*x*z - 3/4*x^2", "2/9*y*z", "-1/10*z^2 + 1/2*x^2 + x*y")
+    fam = PerturbationFamily.from_expressions("0", "0", "mu*z + 1/7*eps")
+    std = to_standard_form(sys, fam)
+    assert std.scale == 2 * 2 * 3 * 3 * 5 * 7
+    s = Fraction(std.scale)
+    assert std._F1 == tuple(F.scale(s) for F in std.F1)
+    assert std._a1 == std.a1.scale(s)
+    assert std._D2 == tuple(D.scale(s * s) for D in std.D2)
+    # what is left of a denominator is the cos and sin expansion's power of 2
+    kept = [v.d for F in std._F1 + (std._a1,) + std._D2 for v in F.terms.values()]
+    assert kept and all(d & (d - 1) == 0 for d in kept)
+    assert any(v.d % 3 == 0 for F in std.F1 for v in F.terms.values())
 
 
 def test_equilibrium_example_mu0():

@@ -10,6 +10,7 @@ import pytest
 
 import torusforge
 import torusforge.cli
+import torusforge.flow
 import torusforge.torus
 from torusforge import averaging
 from torusforge.averaging import melnikov_pair, to_standard_form
@@ -170,6 +171,24 @@ def test_simulate(tmp_path):
 
 # trajectory.csv of simulate on the worked example over 3 periods
 SIMULATE_TRAJECTORY_SHA256 = "f20b9247ccaa9e6ea88a20c5bd2dc48adec32c31c5549f62c25fd22fe98bbb3c"
+
+
+def test_simulate_builds_f1_only(tmp_path, monkeypatch):
+    """simulate seeds x0 at the averaged equilibrium, which reads f1 alone:
+    one set of eps slices for the field and the standard form, and no f2."""
+    counts = {"eps_graded_slices": 0, "_averaged_product": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(averaging, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(averaging, name, counted)
+    monkeypatch.setattr(torusforge.flow, "eps_graded_slices", averaging.eps_graded_slices)
+    doc = dict(EXAMPLE_DOC)
+    doc["periods"] = 3
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", _write_doc(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    assert counts == {"eps_graded_slices": 1, "_averaged_product": 0}
+    assert _sha256(out / "trajectory.csv") == SIMULATE_TRAJECTORY_SHA256
 
 
 @pytest.mark.parametrize("periods", [1e12, MAX_PERIODS + 1, math.inf,

@@ -14,7 +14,7 @@ from torusforge.criteria import (
     PerturbationFamily, criteria_report, evaluate_base_criteria,
     evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
 )
-from torusforge.fieldexpr import Poly, jet_extract
+from torusforge.fieldexpr import Jet3, Poly, jet_extract
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -55,6 +55,23 @@ def test_base_criteria_example():
     assert base.ell1_transcribed == -16
     assert base.ell1_discrepancy == pytest.approx(32.0, abs=1e-9)
     assert any("transcribed" in n for n in base.notes)
+
+
+_JET_INDICES = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
+                if 2 <= i + j + k <= 3]
+_JETS = st.dictionaries(st.sampled_from(_JET_INDICES),
+                        st.fractions(max_denominator=10 ** 6).filter(bool), max_size=12
+                        ).map(Jet3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JETS, _JETS, _JETS)
+def test_ell1_transcribed_on_integers_is_the_fraction_value(jP, jQ, jR):
+    """The closed form evaluated on the integer-scaled entries and divided by
+    s^6 is the Fraction the same form gives on the entries themselves."""
+    direct = criteria._ell1_closed_form(jP.get, jQ.get, jR.get)
+    assert criteria.ell1_transcribed(jP, jQ, jR) == direct
+    assert isinstance(criteria.ell1_transcribed(jP, jQ, jR), Fraction)
 
 
 def test_base_criteria_negative_omega():

@@ -14,7 +14,8 @@ from torusforge.fieldexpr import (
 )
 
 from oracles import (
-    FractionCFrac, degree_report, evaluate_field, jet_product, poly_to_float,
+    FractionCFrac, degree_report, evaluate_field, jet_product, parse_field_reference,
+    poly_to_float,
 )
 
 
@@ -175,6 +176,92 @@ def test_nesting_cap():
         with pytest.raises(FieldSyntaxError) as exc:
             parse_field(source)
         assert exc.value.offset == MAX_NESTING
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the reference parser, one Poly per factor
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 999)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.integers(0, 99).map(lambda n: f".{n}"),
+    st.integers(0, 9).map(lambda n: f"{n}."),
+    st.tuples(st.integers(0, 30), st.integers(1, 30)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_ATOMS = st.one_of(_NUMBERS, st.sampled_from(VARIABLES))
+
+
+def _expressions():
+    """Expression text: sums, products, powers, unary minus and parentheses
+    over numbers and variables; (A) - (A) and A*x - x*A cancel."""
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "+", "-"]), inner).map("".join),
+            st.tuples(inner, inner).map(lambda t: f"{t[0]}*{t[1]}"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(_ATOMS, st.integers(0, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+            inner.map(lambda e: f"-{e}"),
+            inner.map(lambda e: f"({e})"),
+            inner.map(lambda e: f"({e}) - ({e})"),
+            st.tuples(inner, st.sampled_from(VARIABLES)).map(
+                lambda t: f"{t[0]}*{t[1]} - {t[1]}*({t[0]})"),
+        )
+    return st.recursive(_ATOMS, extend, max_leaves=12)
+
+
+# tokens of malformed text: valid pieces, stray characters, unknown and
+# non-ASCII names, Unicode spaces and decimal digits, exponents at the cap
+_SOUP = st.lists(st.sampled_from(
+    ["x", "y", "mu", "eps", "foo", "_a1", "\u03bc", "\u00e9t\u00e9", "1", "0", "2.5", ".5",
+     "7.", "\u0663", "12", "13", "/", "/0", ".", "^", "*", "+", "-", "(", ")", " ",
+     "\u00a0", "\t", "@", "\u00bd", "#", "^12", "^13", "^-1", "^2.0"]),
+    max_size=14).map("".join)
+
+# products and sums around the degree and term caps, with zero factors
+_OVERSIZED = st.lists(st.sampled_from(
+    ["x^12", "y^7", "z^5", "mu^12", "(x+y+z+1)^6", "(x+mu+eps+1)^12", "(x+y)^12",
+     "(x+y+z+mu+eps+1)^4", "0", "(x-x)", "-(y+1)^3", "2/3", "eps"]),
+    min_size=1, max_size=5).flatmap(
+    lambda parts: st.lists(st.sampled_from(["*", " + ", " - "]), min_size=len(parts) - 1,
+                           max_size=len(parts) - 1).map(
+        lambda ops: parts[0] + "".join(o + p for o, p in zip(ops, parts[1:]))))
+
+
+def _outcome(parse, source):
+    """The ordered terms of the parse, or the error's type, text and offset."""
+    try:
+        return list(parse(source).terms.items())
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+def test_parser_matches_reference_on_expressions(source):
+    """The same terms, in the same order, as multiplying factor by factor."""
+    assert _outcome(parse_field, source) == _outcome(parse_field_reference, source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_SOUP, _OVERSIZED, _expressions().map(lambda e: e + " * x^12 * y^12")))
+def test_parser_matches_reference_on_malformed_and_oversized_input(source):
+    """The same exception type, message and offset, or the same terms."""
+    assert _outcome(parse_field, source) == _outcome(parse_field_reference, source)
+
+
+def test_parser_refuses_non_decimal_digits():
+    """A digit `int` cannot read, such as a superscript, is an unexpected
+    character; the reference parser took it into a number and failed in
+    `int` with a bare ValueError."""
+    for source, offset in (("2\u00b2", 1), ("x + \u00b2", 4), (".\u00b2", 0)):
+        with pytest.raises(FieldSyntaxError) as exc:
+            parse_field(source)
+        assert exc.value.offset == offset
+        assert "unexpected character" in str(exc.value)
+        with pytest.raises(ValueError) as ref:
+            parse_field_reference(source)
+        assert not isinstance(ref.value, FieldExprError)
 
 
 # exact polynomials in (x, y, z, mu, eps): at most 5 terms, each exponent at

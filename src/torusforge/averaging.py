@@ -8,9 +8,7 @@ r may have negative exponents and t = theta appears only in the
 antiderivative of F1.  A `CFrac` is one integer triple (a, b, d) with value
 (a + b i) / d, so the hot products and sums of the reduction are Python int
 arithmetic with one gcd per result.  Both Melnikov functions then come out
-as `PiPoly`s, Polys over (r, w, mu, pi) with rational coefficients, and the
-first Lyapunov quantity is obtained from them by a short complex series
-computation.
+as `PiPoly`s, Polys over (r, w, mu, pi) with rational coefficients.
 
 The reduction runs on cleared denominators.  `to_standard_form` scales the
 eps slice of grade g by s^g, s the lcm of the denominators of the slice
@@ -444,7 +442,7 @@ class MelnikovPair:
                                     std.scale ** 2)
                      for F1, D2 in zip(std._F1, std._D2))
 
-    # compiled on first use: first_lyapunov_quantity needs f1 and f2 only
+    # compiled on first use: simulate and the averaged equilibrium read f1 alone
     @cached_property
     def _f1_eval(self):
         return tuple(p.evaluator() for p in self.f1_exact)
@@ -581,10 +579,11 @@ class HypothesisReport:
                 "details": self.details}
 
 
-def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result) -> HypothesisReport:
-    """H, T, ND against the averaged path over the criterion interval; ND
-    reads l11, l12 off `lyapunov` (the eps and eps^2 slices of the map
-    Lyapunov coefficient, from `first_lyapunov_quantity`).
+def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
+    """H, T, ND against the averaged path over the criterion interval.  ND
+    reads the slices of the map Lyapunov coefficient: its eps slice l11 is
+    0 for every system, so the leading one is l12, pi ell_1 / (16 Omega^2)
+    (`BaseCriteria.l12`).
     """
     details: dict = {}
 
@@ -613,160 +612,14 @@ def hypothesis_check(mel: MelnikovPair, crit, lyapunov: Ell1Result) -> Hypothesi
     details["alpha_d"] = crit.alpha_d
     transversality_ok = abs(crit.alpha_d) > 1e-10
 
-    l11, l12 = lyapunov.l11, lyapunov.l12
-    details["l11"] = l11
+    details["l11"] = 0.0
     details["l12"] = l12
-    j_star = 1 if abs(l11) > 1e-10 else (2 if abs(l12) > 1e-10 else None)
+    j_star = 2 if abs(l12) > 1e-10 else None
     details["j_star"] = j_star
     nondegeneracy_ok = j_star is not None
 
     return HypothesisReport(hopf_ok=hopf_ok, transversality_ok=transversality_ok,
                             nondegeneracy_ok=nondegeneracy_ok, details=details)
-
-
-# ---------------------------------------------------------------------------
-# first Lyapunov quantity via the exact pipeline
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Ell1Result:
-    ell1: float
-    l11: float
-    l12: float
-    mu1: float
-    omega0: float
-    u1: np.ndarray          # first-order fixed point slice at mu0 = 0
-    M0: np.ndarray
-    M1: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    zeta2: float
-    # the simple family's Melnikov pair it was read from, passed on
-    mel: MelnikovPair = field(repr=False, compare=False)
-
-
-def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
-    """ell_1 of the Hopf-Zero system, depending only on (P, Q, R).
-
-    Computed by running the degree-preserving family (0, 0, mu z + beta eps)
-    through exact second-order averaging and reading the eps^2 slice of the
-    map Lyapunov coefficient at the bifurcation curve:
-    ell_1^eps = (pi eps^2 / 16 Omega^2) ell_1 + O(eps^3).
-    """
-    fam = PerturbationFamily.simple(sys.beta)
-    S = sys.quadratic_sum
-    Omega = float(sys.omega)
-    if Omega <= 0:
-        raise AveragingError("Omega <= 0: no Hopf pair, ell1 undefined")
-    std = to_standard_form(sys, fam)
-    mel = melnikov_pair(std)
-
-    gamma_scale = math.sqrt(abs(float(S)))
-    r0 = 2.0 / gamma_scale
-    omega0 = math.pi * math.sqrt(Omega) * r0
-
-    # derivative tensors at (r, w, mu) = (r0, 0, 0), read off the compiled f1,
-    # f2 evaluated on degree-3 jets in (r, w), and in (r, mu), (w, mu) for the
-    # mixed mu slices
-    from .flow import Jet2, MapJet, _as_jet      # flow imports this module
-
-    def jet(evaluators, r, w, mu) -> MapJet:
-        return MapJet.from_jets(*(_as_jet(f(r, w, mu)) for f in evaluators))
-
-    R, W, MU = Jet2.variable(0, r0), Jet2.variable(1, 0.0), Jet2.variable(1, 0.0)
-    f1_rw = jet(mel._f1_eval, R, W, 0.0)
-    f2_rw = jet(mel._f2_eval, R, W, 0.0)
-    f1_rmu = jet(mel._f1_eval, R, 0.0, MU)
-    f1_wmu = jet(mel._f1_eval, r0, Jet2.variable(0, 0.0), MU)
-    f2_0, Df1, Df2 = f2_rw.value, f1_rw.A, f2_rw.A
-    DmuDf1 = np.stack([f1_rmu.B[:, 0, 1], f1_wmu.B[:, 0, 1]], axis=1)
-    D2f1, D2f2, D3f2 = f1_rw.B, f2_rw.B, f2_rw.C
-
-    # fixed point slice and eigen data
-    u1 = -np.linalg.solve(Df1, f2_0)
-    lam1 = 1j * omega0
-    v = np.array([Df1[0, 1], lam1 - Df1[0, 0]])
-    l = np.array([Df1[1, 0], lam1 - Df1[0, 0]])
-    lv = l @ v
-
-    C2_base = np.einsum('ijk,k->ij', D2f1, u1) + Df2
-    lam2a = (l @ (DmuDf1 @ v)) / lv
-    lam2b = (l @ (C2_base @ v)) / lv
-    # |lambda|^2 = 1 at eps^2:  2 Re lam2 + omega0^2 = 0
-    mu1 = -(2.0 * lam2b.real + omega0 ** 2) / (2.0 * lam2a.real)
-    lam2 = lam2a * mu1 + lam2b
-    C2 = mu1 * DmuDf1 + C2_base
-
-    # M(eps) from the eigenvector with first component i
-    n1 = -1j * (Df1[0, 0] - lam1)
-    n2 = -1j * (C2[0, 0] - lam2)
-    d1, d2 = Df1[0, 1], C2[0, 1]
-    v2_0 = n1 / d1
-    v2_1 = (n2 - v2_0 * d2) / d1
-    M0 = np.array([[1.0, 0.0], [v2_0.imag, v2_0.real]])
-    M1 = np.array([[0.0, 0.0], [v2_1.imag, v2_1.real]])
-    M0inv = np.linalg.inv(M0)
-    Minv1 = -M0inv @ M1 @ M0inv
-
-    # Pi tensors at xi(eps): B = eps B1 + eps^2 B2, C = eps^2 C2t.
-    # f1 has degree <= 2 in (r, w) and its Hessian is mu-free, so the eps^2
-    # slice of the Hessian along the branch is D2f2 alone.
-    B1 = D2f1
-    B2 = D2f2
-    C2t = D3f2
-
-    def bil(T, a, b):
-        return np.einsum('ijk,j,k->i', T, a, b)
-
-    def tril(T, a, b, c):
-        return np.einsum('ijkl,j,k,l->i', T, a, b, c)
-
-    p = np.array([1.0, -1.0j]) / math.sqrt(2.0)
-    pb = p.conjugate()
-
-    def inner(u_, v_):
-        return np.vdot(u_, v_)
-
-    def g_series(a, b):
-        g1 = inner(p, M0inv @ bil(B1, M0 @ a, M0 @ b))
-        g2 = inner(p, Minv1 @ bil(B1, M0 @ a, M0 @ b)
-                   + M0inv @ (bil(B1, M1 @ a, M0 @ b) + bil(B1, M0 @ a, M1 @ b))
-                   + M0inv @ bil(B2, M0 @ a, M0 @ b))
-        return g1, g2
-
-    g20_1, g20_2 = g_series(p, p)
-    g11_1, g11_2 = g_series(p, pb)
-    g02_1, g02_2 = g_series(pb, pb)
-    g21_2 = inner(p, M0inv @ tril(C2t, M0 @ p, M0 @ p, M0 @ pb))
-
-    # Lyapunov formula expanded in eps (lam = 1 + eps lam1 + eps^2 lam2):
-    # Fac = (1 - 2 lam) lam^{-2} / (2 (1 - lam)) = Fm1/eps + F0 + O(eps),
-    # with N = (1 - 2 lam) lam^{-2} / 2 = N0 + eps N1 and 1 - lam = -eps lam1 - ...
-    a0, a1c = -1.0, -2.0 * lam1            # (1 - 2 lam) series
-    b0, b1 = 1.0, -2.0 * lam1              # lam^{-2} series
-    N0 = 0.5 * a0 * b0
-    N1 = 0.5 * (a0 * b1 + a1c * b0)
-    Fm1 = -N0 / lam1
-    F0 = -(N1 / lam1 - N0 * lam2 / lam1 ** 2)
-
-    q2 = g20_1 * g11_1
-    q3 = g20_1 * g11_2 + g20_2 * g11_1
-
-    term1_e2 = 0.5 * g21_2.real
-    term2_e1 = -(Fm1 * q2).real
-    term2_e2 = -(Fm1 * q3 + F0 * q2).real
-    term3_e2 = -0.5 * abs(g11_1) ** 2
-    term4_e2 = -0.25 * abs(g02_1) ** 2
-
-    l11 = term2_e1
-    l12 = term1_e2 + term2_e2 + term3_e2 + term4_e2
-    ell1 = 16.0 * Omega ** 2 * l12 / math.pi
-
-    # Jordan-form expansion data: A1/A2 from lam series (a = Re lam, b = Im lam)
-    A1 = np.array([[lam1.real, -lam1.imag], [lam1.imag, lam1.real]])
-    A2 = np.array([[lam2.real, -lam2.imag], [lam2.imag, lam2.real]])
-    return Ell1Result(ell1=ell1, l11=l11, l12=l12, mu1=mu1, omega0=omega0,
-                      u1=u1, M0=M0, M1=M1, A1=A1, A2=A2, zeta2=lam2.imag, mel=mel)
 
 
 # ---------------------------------------------------------------------------

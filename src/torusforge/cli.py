@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import (
-    MelnikovPair, averaged_equilibrium, branch_continuation, hypothesis_check,
+    averaged_equilibrium, branch_continuation, hypothesis_check,
     jordan_expansion, lyapunov_slices, melnikov_pair, to_standard_form,
     unit_circle_point, xi_slice,
 )
@@ -220,14 +221,6 @@ def _not_applicable(spec: RunSpec, doc: dict, rep: CriteriaReport,
     return EXIT_NOT_APPLICABLE
 
 
-def _melnikov(rep: CriteriaReport, sys_: HopfZeroSystem, fam: PerturbationFamily
-              ) -> MelnikovPair:
-    """The Melnikov pair of (sys_, fam): the one the criteria built for the
-    simple family when fam is that family, else a new one."""
-    mel = rep.base.lyapunov.mel
-    return mel if mel.std.family == fam else melnikov_pair(to_standard_form(sys_, fam))
-
-
 def _interval(doc):
     iv = doc.get("interval", [-1.0, 1.0])
     return (float(iv[0]), float(iv[1]))
@@ -350,14 +343,14 @@ def cmd_branch(spec: RunSpec) -> int:
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
         return _not_applicable(spec, doc, rep, "branch.json", "branch")
-    mel = _melnikov(rep, sys_, fam)
+    mel = melnikov_pair(to_standard_form(sys_, fam))
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     mu0 = rep.perturbation.mu0
     branch = branch_continuation(mel, tmap, mu0)
     slices = lyapunov_slices(tmap, branch)
     jordan = jordan_expansion(branch)
     xi1 = xi_slice(tmap, mel, mu0)
-    hyp = hypothesis_check(mel, rep.perturbation, rep.base.lyapunov)
+    hyp = hypothesis_check(mel, rep.perturbation, rep.base.l12)
     payload = {
         "meta": _meta(spec, doc),
         "criteria": rep.to_dict(),
@@ -413,10 +406,10 @@ def cmd_certify(spec: RunSpec) -> int:
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
         return _not_applicable(spec, doc, rep, "certificate.json", "certification")
-    mel = _melnikov(rep, sys_, fam)
+    mel = melnikov_pair(to_standard_form(sys_, fam))
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
-    cert = certify_torus(tmap, mu, point, mel, rep.base.lyapunov)
+    cert = certify_torus(tmap, mu, point, mel, rep.base.ell1, rep.base.l12)
     payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
     write_report(os.path.join(spec.out_dir, "certificate.json"), payload)
@@ -507,7 +500,10 @@ def _grid(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no
+    state in it, each call returns a new namespace."""
     parser = _Parser(
         prog="torusforge",
         description="Torus bifurcation analysis for perturbed Hopf-Zero "

@@ -1,11 +1,13 @@
 """Hopf-Zero normal position and the explicit torus-bifurcation criteria.
 
 Quantities handled here are exact rationals wherever the inputs are; the
-perturbation criteria become floats once, through `compile_terms`.  The first Lyapunov quantity
-ell_1 is delegated to the averaging pipeline (see `averaging`); the closed
-formula transcribed from the source text is also evaluated and reported, but
-it is inconsistent with the worked example and with the dynamics (see
-`ell1_transcribed`), so the pipeline value is authoritative.
+perturbation criteria become floats once, through `compile_terms`.  The
+first Lyapunov quantity ell_1 is read straight off the quadratic and cubic
+jets by a closed form with integer coefficients (`ell1_exact`), exact like
+Omega.  The closed formula transcribed from the source text is evaluated
+and reported next to it, but it is inconsistent with the worked example and
+with the dynamics (see `ell1_transcribed`); the repaired form is the one
+used.
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
-
-if TYPE_CHECKING:
-    from .averaging import Ell1Result
 
 ETA_ROOT_TOL = 1e-12
 ETA_SCAN_POINTS = 512
@@ -204,13 +203,13 @@ class BaseCriteria:
     gamma_scale: float
     quadratic_sum: Fraction
     nondegenerate: bool
+    ell1_exact: Optional[Fraction]
     ell1: Optional[float]
-    ell1_order1: Optional[float]            # eps^1 slice of ell_1^eps (expected 0)
+    ell1_order1: Optional[float]            # eps^1 slice of ell_1^eps: 0
+    l12: Optional[float]                    # eps^2 slice: pi ell_1 / (16 Omega^2)
     ell1_transcribed: Fraction
     ell1_discrepancy: Optional[float]
     notes: Tuple[str, ...] = ()
-    # the full first_lyapunov_quantity result, passed on (not serialized)
-    lyapunov: Optional[Ell1Result] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -221,6 +220,7 @@ class BaseCriteria:
             "quadratic_sum": str(self.quadratic_sum),
             "nondegenerate": self.nondegenerate,
             "ell1": self.ell1,
+            "ell1_exact": None if self.ell1_exact is None else str(self.ell1_exact),
             "ell1_order1": self.ell1_order1,
             "ell1_transcribed": float(self.ell1_transcribed),
             "ell1_discrepancy": self.ell1_discrepancy,
@@ -228,69 +228,129 @@ class BaseCriteria:
         }
 
 
-def evaluate_base_criteria(sys: HopfZeroSystem,
-                           lyapunov: Optional[Ell1Result] = None) -> BaseCriteria:
-    """Omega, beta, the Gamma scale and ell_1 (read from `lyapunov` if given)."""
+def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
+    """Omega, beta, the Gamma scale and ell_1, with the slices of the map
+    Lyapunov coefficient it gives: l11 = 0 and l12 = pi ell_1 / (16 Omega^2)."""
     beta = sys.beta
     S = sys.quadratic_sum
     omega = sys.omega
     gamma_scale = math.sqrt(abs(S))
-    transcribed = ell1_transcribed(sys.jP, sys.jQ, sys.jR)
+    scaled = _scaled_jets(sys.jP, sys.jQ, sys.jR)
+    transcribed = _on_scaled(_ell1_closed_form, scaled)
 
     notes: List[str] = []
-    ell1 = l11 = res = None
-    discrepancy = None
+    exact = ell1 = l11 = l12 = discrepancy = None
     if omega > 0:
-        res = lyapunov or first_lyapunov(sys)
-        ell1, l11 = float(res.ell1), float(res.l11)
-        discrepancy = float(abs(ell1 - float(transcribed)))
-        if discrepancy > 1e-6 * max(1.0, abs(ell1)):
-            notes.append(
-                "transcribed closed-form ell1 disagrees with the averaging "
-                "pipeline; pipeline value is authoritative")
+        exact = _on_scaled(_ell1_repaired, scaled)
+        ell1, l11 = float(exact), 0.0
+        l12 = math.pi * float(exact / (16 * omega ** 2))
+        discrepancy = float(abs(exact - transcribed))
+        if exact != transcribed:
+            notes.append("transcribed closed-form ell1 disagrees with the "
+                         "repaired closed form; the repaired value is used")
     else:
         notes.append("NondegeneracyFailed: Omega <= 0, ell1 not evaluated")
 
     return BaseCriteria(
         omega=omega, beta=beta, gamma_scale=gamma_scale, quadratic_sum=S,
-        nondegenerate=omega > 0, ell1=ell1, ell1_order1=l11,
-        ell1_transcribed=transcribed, ell1_discrepancy=discrepancy,
-        notes=tuple(notes), lyapunov=res,
+        nondegenerate=omega > 0, ell1_exact=exact, ell1=ell1, ell1_order1=l11,
+        l12=l12, ell1_transcribed=transcribed, ell1_discrepancy=discrepancy,
+        notes=tuple(notes),
     )
 
 
-def first_lyapunov(sys: HopfZeroSystem) -> Optional[Ell1Result]:
-    """ell_1 of the averaging pipeline alone, under `float_range`; None where
-    Omega <= 0, where `criteria_report` leaves it unevaluated."""
-    from .averaging import first_lyapunov_quantity      # averaging imports this module
-    with float_range():
-        return first_lyapunov_quantity(sys) if sys.omega > 0 else None
+def ell1_exact(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
+    """ell_1 of the jets, exactly: the repaired closed form `_ell1_repaired`."""
+    return _on_scaled(_ell1_repaired, _scaled_jets(jP, jQ, jR))
 
 
 def ell1_transcribed(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
     """The closed-form ell_1 exactly as transcribed, three outer groups.
 
-    On the worked example this evaluates to -16 while the dynamics (and the
-    independent averaging pipeline) give -48; the transcription is kept
-    verbatim for auditability and the discrepancy is reported upstream.
-
-    The form is homogeneous of weight 6 when the entry (i, j, k) has weight
-    i + j + k - 1 (the rescaling eps -> s eps), so it is evaluated on
-    integers: each quadratic entry times s and each cubic one times s^2, s
-    the lcm of their denominators, and the sum divided by s^6 once.
+    On the worked example this evaluates to -16 while the dynamics (and
+    `ell1_exact`) give -48; the transcription is kept verbatim for
+    auditability and the discrepancy is reported upstream.
     """
+    return _on_scaled(_ell1_closed_form, _scaled_jets(jP, jQ, jR))
+
+
+def _scaled_jets(jP: Jet3, jQ: Jet3, jR: Jet3) -> tuple:
+    """(s, P, Q, R): s the lcm of the denominators of the quadratic and cubic
+    entries, and (i, j, k) -> the entry times s^(i + j + k - 1), an int (0
+    where the jet has none).
+
+    Both ell_1 forms are homogeneous of weight 6 when the entry (i, j, k)
+    has weight i + j + k - 1 (the rescaling eps -> s eps), so they are
+    evaluated on these integers and the sum divided by s^6 once."""
     entries = [[(idx, v) for idx, v in jet.items() if 2 <= sum(idx) <= 3]
                for jet in (jP, jQ, jR)]
     s = math.lcm(*(v.denominator for jet in entries for _, v in jet))
-    return Fraction(_ell1_closed_form(*(_scaled_entries(jet, s) for jet in entries)),
-                    s ** 6)
+    tables = [{idx: v.numerator * (s ** (sum(idx) - 1) // v.denominator)
+               for idx, v in jet} for jet in entries]
+    return (s, *((lambda i, j, k, t=t: t.get((i, j, k), 0)) for t in tables))
 
 
-def _scaled_entries(entries, s: int) -> Callable[[int, int, int], int]:
-    """(i, j, k) -> the entry times s^(i + j + k - 1), an int, or 0 where
-    `entries` has none."""
-    table = {idx: v.numerator * (s ** (sum(idx) - 1) // v.denominator) for idx, v in entries}
-    return lambda i, j, k: table.get((i, j, k), 0)
+def _on_scaled(form: Callable, scaled: tuple) -> Fraction:
+    s, P, Q, R = scaled
+    return Fraction(form(P, Q, R), s ** 6)
+
+
+def _ell1_repaired(P: Callable, Q: Callable, R: Callable):
+    """ell_1 of the jet entries P(i, j, k), Q(i, j, k), R(i, j, k),
+    quadratic and cubic ones only, over any commutative ring.
+
+    On the transcription's 221 monomials, the integer coefficients fitted
+    exactly to the eps-series of the averaged map (`fit_ell1` in
+    tests/oracles.py): 218 are nonzero, and 82 differ from the
+    transcription's.  Written in S = R(2, 0, 0) + R(0, 2, 0) and
+    D = P(1, 0, 1) + Q(0, 1, 1), where Omega = -D S, the polynomial has 49
+    terms and the factor S^2; the return statement nests them as
+    `ell1_nested_source` there generates it.
+    """
+    S = R(2, 0, 0) + R(0, 2, 0)
+    D = P(1, 0, 1) + Q(0, 1, 1)
+    return S * S * (
+        R(0, 0, 2) * (
+            D * (
+                2 * P(2, 0, 0) * (P(1, 1, 0) - Q(2, 0, 0) + 2 * R(0, 1, 1))
+                + 2 * P(0, 2, 0) * (P(1, 1, 0) + Q(0, 2, 0) + 2 * R(0, 1, 1))
+                - 2 * R(1, 1, 0) * (D - 2 * P(1, 0, 1) + R(0, 0, 2))
+                + S * (P(0, 1, 1) + Q(1, 0, 1))
+                - 2 * Q(2, 0, 0) * (Q(1, 1, 0) + 2 * R(1, 0, 1))
+                - 2 * Q(0, 2, 0) * (Q(1, 1, 0) + 2 * R(1, 0, 1))
+                - 2 * R(2, 0, 0) * (P(0, 1, 1) + Q(1, 0, 1))
+                + 2 * P(3, 0, 0)
+                + 2 * P(1, 2, 0)
+                + 2 * Q(2, 1, 0)
+                + 2 * Q(0, 3, 0)
+                + 4 * R(2, 0, 1)
+                + 4 * R(0, 2, 1)
+            )
+            - R(0, 0, 2) * (
+                -S * (P(0, 1, 1) + Q(1, 0, 1))
+                + 2 * P(2, 0, 0) * (P(1, 1, 0) - Q(2, 0, 0))
+                + 2 * P(0, 2, 0) * (P(1, 1, 0) + Q(0, 2, 0))
+                - 2 * Q(1, 1, 0) * (Q(2, 0, 0) + Q(0, 2, 0))
+                + 2 * R(2, 0, 0) * (P(0, 1, 1) + Q(1, 0, 1))
+                - 4 * P(1, 0, 1) * R(1, 1, 0)
+                + 2 * P(3, 0, 0)
+                + 2 * P(1, 2, 0)
+                + 2 * Q(2, 1, 0)
+                + 2 * Q(0, 3, 0)
+            )
+            + 4 * S * (
+                P(0, 0, 2) * (P(1, 1, 0) + Q(0, 2, 0) - 2 * R(0, 1, 1))
+                - Q(0, 0, 2) * (P(2, 0, 0) + Q(1, 1, 0) - 2 * R(1, 0, 1))
+                + P(1, 0, 2)
+                + Q(0, 1, 2)
+            )
+        )
+        - 4 * S * D * (
+            3 * P(0, 0, 2) * R(0, 1, 1)
+            - 3 * Q(0, 0, 2) * R(1, 0, 1)
+            + R(0, 0, 3)
+        )
+    )
 
 
 def _ell1_closed_form(P: Callable, Q: Callable, R: Callable):
@@ -507,16 +567,15 @@ def float_range():
 
 
 def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],
-                    interval: Tuple[float, float] = (-1.0, 1.0),
-                    lyapunov: Optional[Ell1Result] = None) -> CriteriaReport:
+                    interval: Tuple[float, float] = (-1.0, 1.0)) -> CriteriaReport:
     """Run the full applicability checklist for Theorem-style torus bifurcation.
 
     Non-fatal failures are collected as reason codes; structural errors
     (degenerate quadratic sum, missing eta root, ...) raise, and floats are
-    made under `float_range`.  A given `lyapunov` is this system's ell_1.
+    made under `float_range`.
     """
     with float_range():
-        base = evaluate_base_criteria(sys, lyapunov)
+        base = evaluate_base_criteria(sys)
         pert = None
         if fam is not None:
             pert = evaluate_perturbation_criteria(sys, fam, interval)

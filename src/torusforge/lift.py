@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .criteria import (
-    CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report,
-    first_lyapunov, validate_hopf_zero,
+    CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report, ell1_exact,
+    validate_hopf_zero,
 )
 from .fieldexpr import Poly, as_poly
 
@@ -507,8 +507,8 @@ def tune_lift_parameters(seed_field,
 
     The coefficients of Omega are read once (`omega_coefficients`); only the
     tuned family is built as a `Poly` system, and its Omega must equal the
-    closed form's.  ell_1 alone decides the jitter, and only the system
-    kept gets a full criteria report, which reuses its ell_1."""
+    closed form's.  The exact ell_1 alone decides the jitter, and only the
+    system kept gets a full criteria report."""
     polys = tuple(as_poly(c) for c in seed_field)
     jet = origin_jet(polys)
     L_values = lift_samples("L_values", [Fraction(2) ** k for k in range(0, 7)]
@@ -531,24 +531,24 @@ def tune_lift_parameters(seed_field,
         if fam.system.omega <= 0 or fam.system.quadratic_sum == 0:
             continue
         sys_y = fam.system
-        lyapunov = first_lyapunov(sys_y)
-        # the exact lift's ell_1 is 0 on some seeds (not all: 1.35e24 on the
-        # README demo seed); where it is 0 to the float tolerance, realize the
-        # "small perturbation, if necessary" by a seeded rational jitter of the
-        # normalized system's nonlinear jets, keeping Hopf-Zero form and degree
-        zero_tol = 1e-8 * (1.0 + float(sys_y.omega) ** 2)
+        # the exact lift's ell_1 is 0 by construction: each lifted component
+        # is lin_i(x, y) times a seed component, so the field vanishes on the
+        # line x = y = 0, the kernel of its linear part and hence the
+        # normalized z axis.  Every pure-z jet entry is then 0, and every term
+        # of `ell1_exact` carries R(0,0,2), R(0,0,3), P(0,0,2) or Q(0,0,2).
+        # Where ell_1 is 0, realize the "small perturbation, if necessary" by
+        # a seeded rational jitter of the normalized system's nonlinear jets,
+        # keeping Hopf-Zero form and degree; ell_1 is exact, so the first
+        # candidate with Omega > 0 and ell_1 != 0 is kept
         rng = random.Random(seed)
         jitter_mag = 0.0
-        if abs(lyapunov.ell1) <= zero_tol:
+        if ell1_exact(sys_y.jP, sys_y.jQ, sys_y.jR) == 0:
             for mag in (1e-6, 1e-5, 1e-4):
                 cand = _jitter_nonlinear(sys_y, rng, mag)
-                cand_lyapunov = first_lyapunov(cand)
-                cand_tol = 1e-8 * (1.0 + float(cand.omega) ** 2)
-                if cand_lyapunov is not None and abs(cand_lyapunov.ell1) > 100 * cand_tol:
-                    sys_y, lyapunov, jitter_mag = cand, cand_lyapunov, mag
+                if cand.omega > 0 and ell1_exact(cand.jP, cand.jQ, cand.jR) != 0:
+                    sys_y, jitter_mag = cand, mag
                     break
-        report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta),
-                                 lyapunov=lyapunov)
+        report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))
         break
     else:
         raise NoPositiveOmegaFound("no delta in range keeps Omega > 0 with "

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .averaging import (
-    AveragingError, BranchPoint, Ell1Result, MelnikovPair, _newton_fixed_point,
+    AveragingError, BranchPoint, MelnikovPair, _newton_fixed_point,
 )
 from .flow import FlowError, IntegratorConfig
 
@@ -335,14 +335,14 @@ def _collapse_check(tail: np.ndarray, fixed_point: np.ndarray, seed_radius: floa
 
 
 def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
-                  lyapunov: Ell1Result, cfg: Optional[CertifyConfig] = None
+                  ell1: float, l12: float, cfg: Optional[CertifyConfig] = None
                   ) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
     (mu, point.eps); see the module docstring for the protocol.  `point` is
     the Neimark-Sacker point at that eps (`unit_circle_point`): its mu sets
-    the seed amplitude and its theta is reported.  `lyapunov` is
-    `first_lyapunov_quantity` of the map's system (`criteria_report` keeps
-    it as `base.lyapunov`)."""
+    the seed amplitude and its theta is reported.  `ell1` and `l12` are
+    the map's system's ell_1 and eps^2 Lyapunov slice pi ell_1 / (16 Omega^2)
+    (`BaseCriteria.ell1`, `.l12`); the eps slice is 0."""
     cfg = cfg or CertifyConfig()
     eps = point.eps
     if eps == 0.0:
@@ -356,15 +356,15 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
 
     # seed amplitude from the normal-form scaling sqrt(alpha_d dmu / (eps |l12|))
     dmu = mu - point.mu
-    if abs(lyapunov.l12) > 1e-12 and dmu * lyapunov.ell1 < 0:
-        amp = math.sqrt(abs(math.pi * dmu / (eps * lyapunov.l12)))
+    if abs(l12) > 1e-12 and dmu * ell1 < 0:
+        amp = math.sqrt(abs(math.pi * dmu / (eps * l12)))
     else:
         amp = 0.1
     amp = float(np.clip(amp, 1e-3, 2.0))
 
-    paper_reversed = (lyapunov.l12 < 0 if abs(lyapunov.l11) <= 1e-10 else lyapunov.l11 < 0)
+    paper_reversed = l12 < 0         # the sign of the leading Lyapunov slice
     notes = []
-    if dmu * lyapunov.ell1 >= 0:
+    if dmu * ell1 >= 0:
         notes.append("parameters on the no-torus side of the bifurcation curve")
 
     # the curve attracts in the time direction in which xi repels

@@ -14,7 +14,11 @@ The integrations here stay on scipy's `solve_ivp`, so they also check the
 package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
 list comprehension per stage, the bitwise oracle of its generated step, on
 the same right-hand sides rhs(t, *y).  `map_points` maps an array of seeds
-one return each.  `omega_of_lift_family` reads Omega of a degree lift off
+one return each.  `first_lyapunov_quantity` reads ell_1 off the eps-series
+of the averaged map in floats, the oracle of `criteria.ell1_exact`:
+`fit_ell1` fits the closed form's integer coefficients to it, and
+`ell1_nested_source` writes the nested form the package evaluates.
+`omega_of_lift_family` reads Omega of a degree lift off
 the whole normalized `Poly` system, and `lift_omega` derives it from the
 lift's normalization matrix, on symbols too: the references for the
 closed form `lift.omega_coefficients`.  `normal_contraction` measures the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -41,9 +46,9 @@ from scipy.integrate import solve_ivp
 
 from torusforge.averaging import (
     PERIOD, TRIG_COS, TRIG_SIN, _R_INV, AveragingError, CFrac, MelnikovPair, PiPoly,
-    StandardFormSystem, TrigPoly, eps_graded_slices,
+    StandardFormSystem, TrigPoly, eps_graded_slices, melnikov_pair, to_standard_form,
 )
-from torusforge.criteria import HopfZeroSystem, PerturbationFamily
+from torusforge.criteria import HopfZeroSystem, PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import (
     MAX_NESTING, MAX_POWER, VARIABLES, FieldSyntaxError, Jet3, Poly,
     UnknownIdentifierError, _check_size, as_poly, compile_terms,
@@ -51,7 +56,7 @@ from torusforge.fieldexpr import (
 from torusforge import flow
 from torusforge.flow import (
     _A, _B, _C, _E3, _E5, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
-    FlowError, IntegratorConfig, MapJet, RescaledField, StepSizeUnderflow,
+    FlowError, IntegratorConfig, Jet2, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
 from torusforge.lift import LiftError, build_lift_family
@@ -257,12 +262,17 @@ def cylindrical_jacobian(field: RescaledField, theta, r, w, mu, eps) -> np.ndarr
 
 def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
     """Value and Jacobian of the return map by the six-float transport of
-    `ThetaReturnMap.jet1` on the same stepper and tolerances, with the
+    `ThetaReturnMap.jet1`, replayed on jet1's own accepted steps, with the
     field's derivative along each Jacobian column taken by a complex step:
     the imaginary part of `cylindrical` at (r, w) + i h column, h = 1e-30,
     exact to rounding (no difference is taken) and independent of the
-    exact partials `jet1` reads."""
-    cyl, h = tmap.field.bind(mu, eps).cylindrical, 1e-30
+    exact partials `jet1` reads.  The step times are those `flow.dop853`
+    accepts on `BoundField.jet1_rhs`; each step of the replay is one
+    `_comprehension_step` of fixed size, so the two routes differ only in
+    the rounding of the right-hand side and of the stage sums, not in the
+    step-size control that rounding could otherwise tip."""
+    bound, h = tmap.field.bind(mu, eps), 1e-30
+    cyl = bound.cylindrical
 
     def rhs(theta, r, r1, r2, w, w1, w2):
         dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
@@ -270,9 +280,13 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
         return (dr1.real, dr1.imag / h, dr2.imag / h,
                 dw1.real, dw1.imag / h, dw2.imag / h)
 
-    state0 = [float(x0[0]), 1.0, 0.0, float(x0[1]), 0.0, 1.0]
-    r, r1, r2, w, w1, w2 = flow.dop853(rhs, 0.0, PERIOD, state0,
-                                       tmap.cfg.atol, tmap.cfg.rtol)[1][-1]
+    state = [float(x0[0]), 1.0, 0.0, float(x0[1]), 0.0, 1.0]
+    ts = flow.dop853(bound.jet1_rhs, 0.0, PERIOD, state, tmap.cfg.atol, tmap.cfg.rtol)[0]
+    f = rhs(ts[0], *state)
+    for t, t_next in zip(ts, ts[1:]):
+        state, f, _ = _comprehension_step(rhs, t, t_next - t, state, f,
+                                          tmap.cfg.atol, tmap.cfg.rtol)
+    r, r1, r2, w, w1, w2 = state
     return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
 
 
@@ -576,6 +590,348 @@ def melnikov_pair_full(sys: HopfZeroSystem, fam: PerturbationFamily
                                   + F1.derivative("w") * Phi[1])
                for F1, F2 in zip(F1s, F2s))
     return f1, f2
+
+
+# ---------------------------------------------------------------------------
+# ell_1: the eps-series of the averaged map, and the fit and generation of
+# its closed form
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Ell1Result:
+    ell1: float
+    l11: float
+    l12: float
+    mu1: float
+    omega0: float
+    u1: np.ndarray          # first-order fixed point slice at mu0 = 0
+    M0: np.ndarray
+    M1: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
+    zeta2: float
+
+
+def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
+    """ell_1 of the Hopf-Zero system, depending only on (P, Q, R), by floats.
+
+    Computed by running the degree-preserving family (0, 0, mu z + beta eps)
+    through exact second-order averaging and reading the eps^2 slice of the
+    map Lyapunov coefficient at the bifurcation curve:
+    ell_1^eps = (pi eps^2 / 16 Omega^2) ell_1 + O(eps^3).  The oracle of
+    `criteria.ell1_exact`, which it fits (`fit_ell1`).
+    """
+    fam = PerturbationFamily.simple(sys.beta)
+    S = sys.quadratic_sum
+    Omega = float(sys.omega)
+    if Omega <= 0:
+        raise AveragingError("Omega <= 0: no Hopf pair, ell1 undefined")
+    mel = melnikov_pair(to_standard_form(sys, fam))
+
+    gamma_scale = math.sqrt(abs(float(S)))
+    r0 = 2.0 / gamma_scale
+    omega0 = math.pi * math.sqrt(Omega) * r0
+
+    # derivative tensors at (r, w, mu) = (r0, 0, 0), read off the compiled f1,
+    # f2 evaluated on degree-3 jets in (r, w), and in (r, mu), (w, mu) for the
+    # mixed mu slices
+    def jet(evaluators, r, w, mu) -> MapJet:
+        return MapJet.from_jets(*(flow._as_jet(f(r, w, mu)) for f in evaluators))
+
+    R, W, MU = Jet2.variable(0, r0), Jet2.variable(1, 0.0), Jet2.variable(1, 0.0)
+    f1_rw = jet(mel._f1_eval, R, W, 0.0)
+    f2_rw = jet(mel._f2_eval, R, W, 0.0)
+    f1_rmu = jet(mel._f1_eval, R, 0.0, MU)
+    f1_wmu = jet(mel._f1_eval, r0, Jet2.variable(0, 0.0), MU)
+    f2_0, Df1, Df2 = f2_rw.value, f1_rw.A, f2_rw.A
+    DmuDf1 = np.stack([f1_rmu.B[:, 0, 1], f1_wmu.B[:, 0, 1]], axis=1)
+    D2f1, D2f2, D3f2 = f1_rw.B, f2_rw.B, f2_rw.C
+
+    # fixed point slice and eigen data
+    u1 = -np.linalg.solve(Df1, f2_0)
+    lam1 = 1j * omega0
+    v = np.array([Df1[0, 1], lam1 - Df1[0, 0]])
+    l = np.array([Df1[1, 0], lam1 - Df1[0, 0]])
+    lv = l @ v
+
+    C2_base = np.einsum('ijk,k->ij', D2f1, u1) + Df2
+    lam2a = (l @ (DmuDf1 @ v)) / lv
+    lam2b = (l @ (C2_base @ v)) / lv
+    # |lambda|^2 = 1 at eps^2:  2 Re lam2 + omega0^2 = 0
+    mu1 = -(2.0 * lam2b.real + omega0 ** 2) / (2.0 * lam2a.real)
+    lam2 = lam2a * mu1 + lam2b
+    C2 = mu1 * DmuDf1 + C2_base
+
+    # M(eps) from the eigenvector with first component i
+    n1 = -1j * (Df1[0, 0] - lam1)
+    n2 = -1j * (C2[0, 0] - lam2)
+    d1, d2 = Df1[0, 1], C2[0, 1]
+    v2_0 = n1 / d1
+    v2_1 = (n2 - v2_0 * d2) / d1
+    M0 = np.array([[1.0, 0.0], [v2_0.imag, v2_0.real]])
+    M1 = np.array([[0.0, 0.0], [v2_1.imag, v2_1.real]])
+    M0inv = np.linalg.inv(M0)
+    Minv1 = -M0inv @ M1 @ M0inv
+
+    # Pi tensors at xi(eps): B = eps B1 + eps^2 B2, C = eps^2 C2t.
+    # f1 has degree <= 2 in (r, w) and its Hessian is mu-free, so the eps^2
+    # slice of the Hessian along the branch is D2f2 alone.
+    B1 = D2f1
+    B2 = D2f2
+    C2t = D3f2
+
+    def bil(T, a, b):
+        return np.einsum('ijk,j,k->i', T, a, b)
+
+    def tril(T, a, b, c):
+        return np.einsum('ijkl,j,k,l->i', T, a, b, c)
+
+    p = np.array([1.0, -1.0j]) / math.sqrt(2.0)
+    pb = p.conjugate()
+
+    def inner(u_, v_):
+        return np.vdot(u_, v_)
+
+    def g_series(a, b):
+        g1 = inner(p, M0inv @ bil(B1, M0 @ a, M0 @ b))
+        g2 = inner(p, Minv1 @ bil(B1, M0 @ a, M0 @ b)
+                   + M0inv @ (bil(B1, M1 @ a, M0 @ b) + bil(B1, M0 @ a, M1 @ b))
+                   + M0inv @ bil(B2, M0 @ a, M0 @ b))
+        return g1, g2
+
+    g20_1, g20_2 = g_series(p, p)
+    g11_1, g11_2 = g_series(p, pb)
+    g02_1, g02_2 = g_series(pb, pb)
+    g21_2 = inner(p, M0inv @ tril(C2t, M0 @ p, M0 @ p, M0 @ pb))
+
+    # Lyapunov formula expanded in eps (lam = 1 + eps lam1 + eps^2 lam2):
+    # Fac = (1 - 2 lam) lam^{-2} / (2 (1 - lam)) = Fm1/eps + F0 + O(eps),
+    # with N = (1 - 2 lam) lam^{-2} / 2 = N0 + eps N1 and 1 - lam = -eps lam1 - ...
+    a0, a1c = -1.0, -2.0 * lam1            # (1 - 2 lam) series
+    b0, b1 = 1.0, -2.0 * lam1              # lam^{-2} series
+    N0 = 0.5 * a0 * b0
+    N1 = 0.5 * (a0 * b1 + a1c * b0)
+    Fm1 = -N0 / lam1
+    F0 = -(N1 / lam1 - N0 * lam2 / lam1 ** 2)
+
+    q2 = g20_1 * g11_1
+    q3 = g20_1 * g11_2 + g20_2 * g11_1
+
+    term1_e2 = 0.5 * g21_2.real
+    term2_e1 = -(Fm1 * q2).real
+    term2_e2 = -(Fm1 * q3 + F0 * q2).real
+    term3_e2 = -0.5 * abs(g11_1) ** 2
+    term4_e2 = -0.25 * abs(g02_1) ** 2
+
+    l11 = term2_e1
+    l12 = term1_e2 + term2_e2 + term3_e2 + term4_e2
+    ell1 = 16.0 * Omega ** 2 * l12 / math.pi
+
+    # Jordan-form expansion data: A1/A2 from lam series (a = Re lam, b = Im lam)
+    A1 = np.array([[lam1.real, -lam1.imag], [lam1.imag, lam1.real]])
+    A2 = np.array([[lam2.real, -lam2.imag], [lam2.imag, lam2.real]])
+    return Ell1Result(ell1=ell1, l11=l11, l12=l12, mu1=mu1, omega0=omega0,
+                      u1=u1, M0=M0, M1=M1, A1=A1, A2=A2, zeta2=lam2.imag)
+
+
+# the quadratic and cubic jet indices (i, j, k); an ell_1 form is a
+# polynomial in the 48 entries P(i, j, k), Q(i, j, k), R(i, j, k)
+ELL1_INDICES = tuple((i, j, d - i - j) for d in (2, 3)
+                     for i in range(d, -1, -1) for j in range(d - i, -1, -1))
+ELL1_ENTRIES = tuple((c, idx) for c in "PQR" for idx in ELL1_INDICES)
+
+
+def ell1_symbols():
+    """The sympy symbols P200, ..., R003 of ELL1_ENTRIES, in that order."""
+    import sympy
+    return [sympy.Symbol(f"{c}{i}{j}{k}") for c, (i, j, k) in ELL1_ENTRIES]
+
+
+def ell1_terms(form: Callable) -> Dict[Tuple[int, ...], int]:
+    """An ell_1 form of callables P(i, j, k), Q(i, j, k), R(i, j, k), over
+    any commutative ring, expanded on symbols: exponent tuple over
+    ELL1_ENTRIES -> integer coefficient."""
+    import sympy
+    symbols = ell1_symbols()
+    table = dict(zip(ELL1_ENTRIES, symbols))
+    entry = {c: (lambda i, j, k, c=c: table.get((c, (i, j, k)), 0)) for c in "PQR"}
+    poly = sympy.Poly(sympy.expand(form(entry["P"], entry["Q"], entry["R"])), *symbols)
+    return {m: int(c) for m, c in zip(poly.monoms(), poly.coeffs())}
+
+
+def random_hopf_zero(rng, bound: int = 3) -> HopfZeroSystem:
+    """A Hopf-Zero system with Omega > 0 whose every quadratic and cubic
+    coefficient is an integer in [-bound, bound], drawn from rng; where the
+    draw has Omega < 0, the signs of the x^2 and y^2 terms of R are turned."""
+    while True:
+        P, Q, R = [{(*idx, 0, 0): Fraction(v) for idx in ELL1_INDICES
+                    if (v := rng.randint(-bound, bound))} for _ in "PQR"]
+        sys = validate_hopf_zero(Poly(P), Poly(Q), Poly(R))
+        if sys.omega < 0:
+            for m in ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0)):
+                if m in R:
+                    R[m] = -R[m]
+            sys = validate_hopf_zero(Poly(P), Poly(Q), Poly(R))
+        if sys.omega > 0:
+            return sys
+
+
+def entry_values(sys: HopfZeroSystem) -> list:
+    """The entries of ELL1_ENTRIES of a system, in that order."""
+    jets = {"P": sys.jP, "Q": sys.jQ, "R": sys.jR}
+    return [jets[c].get(*idx) for c, idx in ELL1_ENTRIES]
+
+
+def fit_ell1(support, systems: int = 256, seed: int = 1) -> Dict[Tuple[int, ...], int]:
+    """The integer polynomial on `support` (exponent tuples over
+    ELL1_ENTRIES) that `first_lyapunov_quantity` is, fitted exactly.
+
+    On random systems with integer coefficients every entry is an integer,
+    and the oracle's ell_1 is an integer to float precision.  The least
+    squares solution over `systems` of them is rounded, and the rounded
+    coefficients must reproduce every rounded ell_1 exactly, in integer
+    arithmetic, on a design of full rank: then they are the polynomial on
+    that support.  With coefficients in [-3, 3] an entry is at most 18 in
+    size, so a monomial (degree <= 6) fits an int64; the check runs on
+    Python ints."""
+    rng = random.Random(seed)
+    entries, values = [], []
+    for _ in range(systems):
+        sys = random_hopf_zero(rng)
+        entries.append([int(v) for v in entry_values(sys)])
+        values.append(first_lyapunov_quantity(sys).ell1)
+    exponents = np.array(support, dtype=np.int64)
+    design = np.prod(np.array(entries, dtype=np.int64)[:, None, :] ** exponents[None],
+                     axis=2)
+    if np.linalg.matrix_rank(design.astype(float)) != len(support):
+        raise AssertionError("the fit's design is rank deficient")
+    solution = np.linalg.lstsq(design.astype(float), np.array(values), rcond=None)[0]
+    coeffs = [round(c) for c in solution]
+    for row, value in zip(design.tolist(), values):
+        if sum(c * x for c, x in zip(coeffs, row)) != round(value):
+            raise AssertionError("the rounded fit misses a sample")
+    return {m: c for m, c in zip(support, coeffs) if c}
+
+
+def ell1_nested_source(terms: Dict[Tuple[int, ...], int], width: int = 88) -> str:
+    """The `return` statement of an ell_1 form over the locals S and D, as
+    `criteria._ell1_form` writes it.
+
+    The polynomial is rewritten in S = R(2, 0, 0) + R(0, 2, 0) and
+    D = P(1, 0, 1) + Q(0, 1, 1), which take the places of R(0, 2, 0) and
+    Q(0, 1, 1) (218 terms become 49), then nested greedily: the variable in
+    the most terms is factored out of them, each sum's integer content is
+    factored out, and the result is wrapped to `width` columns."""
+    import sympy
+    symbols = ell1_symbols()
+    by_name = {str(s): s for s in symbols}
+    S, D = sympy.symbols("S D")
+    poly = sum(c * sympy.prod([s ** e for s, e in zip(symbols, m)])
+               for m, c in terms.items())
+    poly = sympy.expand(poly.subs({by_name["R020"]: S - by_name["R200"],
+                                   by_name["Q011"]: D - by_name["P101"]}))
+    gens = [S, D] + [s for s in symbols if s.name not in ("R020", "Q011")]
+    names = ["S", "D"] + [f"{s.name[0]}({s.name[1]}, {s.name[2]}, {s.name[3]})"
+                          for s in gens[2:]]
+    poly = sympy.Poly(poly, *gens)
+    lines = _wrap(_nest({m: int(c) for m, c in zip(poly.monoms(), poly.coeffs())}),
+                  names, width - 4)
+    if len(lines) > 1 and not lines[0].endswith("("):
+        lines = ["("] + ["    " + line for line in lines] + [")"]
+    return "\n".join(["return " + lines[0]] + lines[1:])
+
+
+def _nest(terms):
+    """(content, [(variable, subtree)], constant) of an integer polynomial:
+    its content factored out, then greedy Horner on what is left."""
+    content = 0
+    for c in terms.values():
+        content = math.gcd(content, c)
+    if 2 * sum(c < 0 for c in terms.values()) > len(terms):
+        content = -content
+    rest = {m: c // content for m, c in terms.items()}
+    constant = rest.pop(tuple([0] * len(next(iter(terms)))), 0)
+    groups = []
+    while rest:
+        counts = {}
+        for m in rest:
+            for v, e in enumerate(m):
+                if e:
+                    counts[v] = counts.get(v, 0) + 1
+        v = max(counts, key=lambda v: (counts[v], -v))
+        inner = {m[:v] + (m[v] - 1,) + m[v + 1:]: c for m, c in rest.items() if m[v]}
+        rest = {m: c for m, c in rest.items() if not m[v]}
+        groups.append((v, _nest(inner)))
+    return content, groups, constant
+
+
+def _joined(items) -> str:
+    """One line of signed summands (negative, text)."""
+    return "".join((("-" if neg else "") + text) if i == 0
+                   else f" {'-' if neg else '+'} {text}"
+                   for i, (neg, text) in enumerate(items))
+
+
+def _scaled(content: int, text: str, summands: int) -> str:
+    if abs(content) != 1:
+        text = f"{abs(content)} * ({text})" if summands > 1 else f"{abs(content)} * {text}"
+    return ("-" if content < 0 else "") + (f"({text})" if content < 0 and summands > 1
+                                            else text)
+
+
+def _term(v, sub, names):
+    """(negative, factor, inner tree or None, single) of a group v * sub."""
+    k, groups, constant = sub
+    factor = names[v] if abs(k) == 1 else f"{abs(k)} * {names[v]}"
+    if not groups:
+        return k < 0, factor, None, True
+    return k < 0, factor, (1, groups, constant), len(groups) == 1 and not constant
+
+
+def _flat(tree, names) -> str:
+    """A `_nest` tree on one line."""
+    content, groups, constant = tree
+    items = []
+    for v, sub in groups:
+        neg, factor, inner, single = _term(v, sub, names)
+        text = factor
+        if inner is not None:
+            text += f" * {_flat(inner, names)}" if single else f" * ({_flat(inner, names)})"
+        items.append((neg, text))
+    if constant:
+        items.append((constant < 0, str(abs(constant))))
+    return _scaled(content, _joined(items), len(items))
+
+
+def _wrap(tree, names, width) -> list:
+    """The lines of a `_nest` tree, indented relative to the first: one line
+    where it fits in `width` columns, else one summand per line, each too
+    long parenthesized factor opened on its own lines."""
+    flat = _flat(tree, names)
+    if len(flat) <= width:
+        return [flat]
+    content, groups, constant = tree
+    lines = []
+    for i, (v, sub) in enumerate(groups):
+        neg, factor, inner, single = _term(v, sub, names)
+        sign = ("-" if neg else "") if i == 0 else ("- " if neg else "+ ")
+        text = factor if inner is None else (
+            f"{factor} * {_flat(inner, names)}" if single
+            else f"{factor} * ({_flat(inner, names)})")
+        if len(sign + text) <= width:
+            lines.append(sign + text)
+        elif single:
+            sub_lines = _wrap(inner, names, width - len(sign + factor) - 3)
+            lines += [f"{sign}{factor} * {sub_lines[0]}"] + sub_lines[1:]
+        else:
+            lines += ([f"{sign}{factor} * ("]
+                      + ["    " + line for line in _wrap(inner, names, width - 4)] + [")"])
+    if constant:
+        lines.append(("- " if constant < 0 else "+ ") + str(abs(constant)))
+    if content != 1:
+        head = ("-" if content < 0 else "") + (f"{abs(content)} * " if abs(content) != 1 else "")
+        lines = [head + "("] + ["    " + line for line in lines] + [")"]
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from torusforge.averaging import (
-    branch_continuation, first_lyapunov_quantity, jordan_expansion,
+    branch_continuation, jordan_expansion,
     lyapunov_coefficient_map, lyapunov_slices, melnikov_pair,
     normalized_map, printed_branch_constants, to_standard_form,
     unit_circle_point, xi_slice,
@@ -52,6 +52,7 @@ def test_criterion_1_example_constants(example):
     elapsed = time.perf_counter() - start
     ok = (base.omega == Fraction(2)
           and abs(base.ell1 - (-48.0)) <= 1e-9
+          and base.ell1_exact == Fraction(-48)
           and elapsed < 1.0)
     _announce("criterion 1 (Omega = 2 exact, ell1 = -48 to 1e-9, < 1 s)", ok,
               f"omega={base.omega}, ell1={base.ell1}, {elapsed:.3f}s")
@@ -147,9 +148,9 @@ def certification(example):
     sys, _, mel, tmap = example
     start = time.perf_counter()
     point = unit_circle_point(tmap, mel, 0.0, 0.05)
-    res = first_lyapunov_quantity(sys)
-    found = certify_torus(tmap, 0.05, point, mel, res)
-    absent = certify_torus(tmap, 0.02, point, mel, res)
+    base = evaluate_base_criteria(sys)
+    found = certify_torus(tmap, 0.05, point, mel, base.ell1, base.l12)
+    absent = certify_torus(tmap, 0.02, point, mel, base.ell1, base.l12)
     return found, absent, time.perf_counter() - start
 
 
@@ -333,7 +334,7 @@ def test_lift_then_certify_demo():
     assert fam_lift.linear_residual == 0.0
 
     sysy = _jitter_nonlinear(fam_lift.system, random.Random(5), 1e-1)
-    res = first_lyapunov_quantity(sysy)
+    res = evaluate_base_criteria(sysy)
     assert abs(res.ell1) > 1.0          # degeneracy broken
 
     S = float(sysy.quadratic_sum)
@@ -350,7 +351,7 @@ def test_lift_then_certify_demo():
 
     cfg = CertifyConfig(transient=300, window=1024, probe_max=4000, probe_check=400,
                         integrator=IntegratorConfig(atol=1e-9, rtol=1e-7))
-    cert = certify_torus(tmap, mu_t, point, mel, res, cfg=cfg)
+    cert = certify_torus(tmap, mu_t, point, mel, res.ell1, res.l12, cfg=cfg)
     ok = (cert.verdict == "torus_found" and cert.winding == 1
           and cert.fit_residual <= 1e-3 * cert.curve.mean_radius
           and cert.normally_hyperbolic is True

@@ -12,21 +12,22 @@ from hypothesis import given, settings, strategies as st
 from torusforge import averaging
 from torusforge.averaging import (
     AveragingError, CFrac, ComplexPairLost, TrigPoly, averaged_equilibrium,
-    eps_graded_slices, first_lyapunov_quantity, hypothesis_check, melnikov_pair,
-    printed_branch_constants, to_standard_form,
+    eps_graded_slices, hypothesis_check, melnikov_pair, printed_branch_constants,
+    to_standard_form,
 )
 from torusforge.criteria import (
-    PerturbationFamily, evaluate_perturbation_criteria, validate_hopf_zero,
+    PerturbationFamily, ell1_exact, evaluate_base_criteria,
+    evaluate_perturbation_criteria, validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
-from torusforge.flow import ThetaReturnMap
+from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.lift import (
     Ball, find_separating_plane, translate_to_origin, tune_lift_parameters,
 )
 
 from oracles import (
-    StandardForm, f1_quadrature, f2_quadrature, full_F2, melnikov_pair_full,
-    standard_form_full, trig_of_xyz_poly,
+    StandardForm, f1_quadrature, f2_quadrature, first_lyapunov_quantity, full_F2,
+    melnikov_pair_full, standard_form_full, trig_of_xyz_poly,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -412,6 +413,7 @@ def test_first_lyapunov_quantity_probes(exprs, ell1, mu1, xi1, xi2, m21, m22):
     sys = validate_hopf_zero(*exprs)
     res = first_lyapunov_quantity(sys)
     assert res.ell1 == pytest.approx(float(ell1), rel=1e-9, abs=1e-9)
+    assert ell1_exact(sys.jP, sys.jQ, sys.jR) == ell1       # the exact form
     assert res.l11 == pytest.approx(0.0, abs=1e-9)
     assert res.mu1 == pytest.approx(float(mu1), rel=1e-9, abs=1e-12)
     assert res.zeta2 == pytest.approx(0.0, abs=1e-8)
@@ -463,7 +465,7 @@ def test_general_family_same_ell1():
 def test_hypothesis_check_example():
     sys, fam, std, mel = _example_pair()
     crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
-    rep = hypothesis_check(mel, crit, first_lyapunov_quantity(sys))
+    rep = hypothesis_check(mel, crit, evaluate_base_criteria(sys).l12)
     assert rep.hopf_ok and rep.transversality_ok and rep.nondegeneracy_ok
     assert rep.details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
     assert rep.details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
@@ -539,6 +541,23 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     assert jet.B is None and jet.C is None
     assert abs(abs(lam) - 1.0) <= 1e-10
     assert np.max(np.abs(jet.value - xi)) <= 1e-10      # the jet is taken at xi
+
+
+def test_log_det_is_twice_log_modulus_at_the_headline():
+    """Past the headline Neimark-Sacker point (eps = 0.05, mu about 0.0375),
+    at (mu, eps) = (0.05, 0.05), jet1's D Pi at the fixed point has
+    log det D Pi = +3.930e-3, twice the log modulus of the complex pair of
+    jet3's independent transport there: xi repels in forward time."""
+    sys, fam, _, mel = _example_pair()
+    tmap = ThetaReturnMap(sys, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
+    point = averaging.unit_circle_point(tmap, mel, 0.0, 0.05)
+    assert point.mu < 0.05
+    xi, jet = averaging._newton_fixed_point(tmap, mel, 0.05, point.eps)
+    lam = np.linalg.eigvals(tmap.jet3(xi, 0.05, point.eps).A)
+    log_det = math.log(np.linalg.det(jet.A))
+    assert abs(lam[0].imag) > 0 and abs(lam[0]) == pytest.approx(abs(lam[1]), rel=1e-14)
+    assert log_det == pytest.approx(2 * math.log(abs(lam[0])), abs=1e-9)
+    assert log_det == pytest.approx(3.930e-3, abs=5e-7)
 
 
 @pytest.mark.parametrize("lowest", [0, 1])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,28 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """Every `main` call parses with the one parser of the process, and the
+    flags of one call do not reach the next, across a usage error too."""
+    assert torusforge.cli.build_parser() is torusforge.cli.build_parser()
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["analyze", "--input", doc, "--out", str(first), "--mu", "0.25",
+                 "--eps", "-1e-3", "--seed", "7", "--grid", "5", "--simple"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", doc, "--grid", "0"])
+    assert exc.value.code == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+    assert main(["analyze", "--input", doc, "--out", str(second)]) == EXIT_OK
+    runs = [json.loads((out / "analyze.json").read_text())["meta"]["run"]
+            for out in (first, second)]
+    common = {"command": "analyze", "input": "doc.json"}
+    assert runs[0] == {**common, "mu": 0.25, "eps": -1e-3, "grid": 5, "seed": 7,
+                       "simple": True}
+    assert runs[1] == {**common, "mu": None, "eps": None, "grid": 21, "seed": 0,
+                       "simple": False}
 
 
 def test_exponent_form_negative_values_parse(tmp_path):
@@ -292,11 +315,11 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "970af5d30aab7ae623906991d3166264b1bd12ca1bafabc380c3b591eadf5764"
+BRANCH_JSON_SHA256 = "b7028e8e5f1ee7951a2a668b8ace43bb2bba3835e0bde3babd42cbaf33499cab"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
-NO_TORUS_CERTIFICATE_SHA256 = "92d14588a09f571a4fc993e616487adc286585af1a282007681d64e62cd06e6c"
+NO_TORUS_CERTIFICATE_SHA256 = "899ee701e782ad5a02bed0ace9081b85e622196bdb916703fc3fff95e3942d51"
 
 
 def test_no_torus_certificate_bytes(tmp_path):
@@ -315,9 +338,9 @@ def test_no_torus_certificate_bytes(tmp_path):
     ("branch", [], "branch.json"),
 ])
 def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, report):
-    """On the simple family, certify and branch read the Melnikov pair the
-    criteria built for ell1: one standard form and one pair per run, and
-    the report's bytes are those of a run that builds its own pair."""
+    """The criteria read ell_1 off the jets and build no Melnikov pair, so
+    certify and branch build their own: one standard form and one pair per
+    run."""
     counts = {"to_standard_form": 0, "melnikov_pair": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(averaging, name)):
@@ -326,13 +349,10 @@ def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, re
         monkeypatch.setattr(averaging, name, counted)
         monkeypatch.setattr(torusforge.cli, name, counted)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
-    shared, own = tmp_path / "shared", tmp_path / "own"
-    assert main([command, "--input", doc, "--out", str(shared), *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
+    assert (out / report).exists()
     assert counts == {"to_standard_form": 1, "melnikov_pair": 1}
-    monkeypatch.setattr(torusforge.cli, "_melnikov", lambda rep, sys_, fam:
-                        melnikov_pair(to_standard_form(sys_, fam)))
-    assert main([command, "--input", doc, "--out", str(own), *flags]) == EXIT_OK
-    assert (shared / report).read_bytes() == (own / report).read_bytes()
 
 
 def test_lift_command(tmp_path):
@@ -347,6 +367,10 @@ def test_lift_command(tmp_path):
     assert report["lift"]["char_poly_ok"] is True
     assert report["lift"]["A_limit"] == report["lift"]["A_limit_printed"]
     assert report["criteria"]["applicable"] is True
+    # the exact lift has ell1 = 0 and is jittered (the float eps-series read
+    # ell1 = 1.35e24 off it and kept it)
+    assert report["lift"]["ell1_jitter"] == 1e-6
+    assert report["criteria"]["ell1_exact"] != "0"
     text = (out / "lifted_system.txt").read_text()
     assert "P = " in text and "X1 = " in text
     # the bytes of both reports as the polynomial route of Omega wrote them
@@ -354,27 +378,28 @@ def test_lift_command(tmp_path):
     assert _sha256(out / "lifted_system.txt") == LIFTED_SYSTEM_SHA256
 
 
-LIFT_JSON_SHA256 = "3feb953748712f8235e869661e09fb7d1cf45bc63bce38b000af45fc1b77c1b9"
-LIFTED_SYSTEM_SHA256 = "03bf9484e693ab0f3acf0a9b26c67e5fa7926aee586630cbb421f516e32af943"
+LIFT_JSON_SHA256 = "96a9384bf56723ad72a71317d648cb9f3e344c77055f4ada7231a361fd5c9082"
+LIFTED_SYSTEM_SHA256 = "6c71b5b8ab306ac7979304e121239fbf6f82c0afa1293eded021ba69fe84d74c"
 
 # (lift.json, lifted_system.txt) of the `fields` workload's lift seeds at
 # seed 0, each of which jitters the tuned system (ell1_jitter 1e-6)
 JITTERED_LIFT_SHA256 = (
-    ("2d2c6dc7e830fe4d15363f9da8c21bc2ec92b701a87cb5b036a49cd753ce9634",
+    ("b9df922ca474d7365768158eb18e6f1337eec299e0aa13576ff7ee4b0bdaf395",
      "d8eaa73ac3b13c946f892c8b66dea6a3e8566580a01b478597aa45cd78cbb4eb"),
-    ("f35d310bc9909e81bbc17f85c5471afd6dd2038aee6514011edd4c8cd0304773",
+    ("5b584080b7ca1b2803a753f8d0a00c7eb6812f593bde90bb0cbebf99d5356fff",
      "6b26c4d2b0d1268442ca78dd7977dad5ef96580c260263dd56153f07d0c73d43"),
-    ("7bcf3c1daf33cecbcb70351d2fa75c37c0f4bfb0e5a7c927008c4738f16a73ad",
+    ("79049833ffd9be21644335a0c7e312bb4d5e54fa2a046cae44fdc417bf2d7ef5",
      "5f4e01752acabd7771a07972ac94799400c56fd97db3c0c2d4c2a47f03195c7d"),
-    ("8bde3af3411529f97b77991cf32a4934b44e1e2d2828f88dffd6591c75ba2beb",
+    ("ca04a7b4e7b80f74eaaa186d940fae1a47dc1687ad5bfa0f5e0e5b6ef21f619a",
      "a7cdbda41a2b9a64c87d0c194ee578bfcbe81b7a0c78e7f53c245a375abd7a4b"),
 )
 
 
 @pytest.mark.parametrize("index", range(len(JITTERED_LIFT_SHA256)))
 def test_jittered_lift_bytes(tmp_path, index):
-    """The README demo never jitters; the benchmark's lift seeds all do, so
-    their reports pin the bytes of the jitter path."""
+    """Every exact lift has ell1 = 0 and jitters (see `test_lift`); the
+    benchmark's lift seeds pin the bytes of the jitter path next to the
+    README demo's `test_lift_command`."""
     doc = _benchmark_inputs().write_inputs("fields", 0, str(tmp_path)).lift[index]
     out = tmp_path / "out"
     assert main(["lift", "--input", doc.path, "--out", str(out)]) == EXIT_OK
@@ -459,7 +484,7 @@ def test_bad_lift_grid_is_typed_error(tmp_path, capsys, monkeypatch, lift, error
     ({"center": [0, 0, 0], "radius": 0}, "OutOfRange"),
     ({"center": [math.inf, 0, 0], "radius": 1}, "OutOfRange"),
     ({"center": [0, math.nan, 0], "radius": 1}, "OutOfRange"),
-    ({"center": [0, 0, 0], "radius": 1e50}, "FloatRangeExceeded"),
+    ({"center": [0, 0, 0], "radius": 1e75}, "FloatRangeExceeded"),
     ({"center": [0, 0, 0], "radius": 1e100}, "FloatRangeExceeded"),
 ])
 def test_bad_ball_is_typed_error(tmp_path, capsys, ball, error):
@@ -472,13 +497,27 @@ def test_bad_ball_is_typed_error(tmp_path, capsys, ball, error):
     OverflowError traceback, NaN in an untyped ValueError, a center at
     inf or a radius of -1 in exit 0, a radius of 1e100 in an OverflowError
     traceback under the criteria and one of 1e50 in exit 0 with
-    "ell1": -Infinity in lift.json, which is not JSON."""
+    "ell1": -Infinity in lift.json, which is not JSON.  Since ell_1 is
+    exact, 1e50 lifts (`test_far_ball_lifts_with_exact_ell1`) and 1e75 is
+    the one whose ell_1 passes the largest double."""
     path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "ball": ball})
     out = tmp_path / "out"
     assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
     assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == error
     assert json.loads((out / "lift_error.json").read_text())["error"] == error
     assert not (out / "lift.json").exists()
+
+
+def test_far_ball_lifts_with_exact_ell1(tmp_path):
+    """A plane 1e50 out gives a tuned system with Omega near 1e113: the float
+    eps-series overflowed there, the exact ell_1 (near 6e263) does not."""
+    path = _write_doc(tmp_path, {"system": LIFT_SYSTEM,
+                                 "ball": {"center": [0, 0, 0], "radius": 1e50}})
+    out = tmp_path / "out"
+    assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_OK
+    crit = json.loads((out / "lift.json").read_text())["criteria"]
+    assert crit["applicable"] is True and 1e263 < crit["ell1"] < 1e264
+    assert crit["ell1"] == float(Fraction(crit["ell1_exact"]))
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import textwrap
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from unittest import mock
@@ -11,10 +13,15 @@ from hypothesis import given, settings, strategies as st
 from torusforge import criteria
 from torusforge.criteria import (
     ConstantTermPresent, DegenerateSum, GammaNonNegative, LinearTermPresent,
-    PerturbationFamily, criteria_report, evaluate_base_criteria,
+    PerturbationFamily, criteria_report, ell1_exact, evaluate_base_criteria,
     evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
 )
 from torusforge.fieldexpr import Jet3, Poly, jet_extract
+
+from oracles import (
+    ell1_nested_source, ell1_terms, entry_values, first_lyapunov_quantity, fit_ell1,
+    random_hopf_zero,
+)
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -50,11 +57,67 @@ def test_base_criteria_example():
     assert base.beta == 1
     assert base.gamma_scale == pytest.approx(math.sqrt(2), abs=1e-15)
     assert base.ell1 == pytest.approx(-48.0, abs=1e-9)
+    assert base.ell1_exact == Fraction(-48) and base.ell1 == -48.0
+    assert base.ell1_order1 == 0.0
+    assert base.l12 == -3 * math.pi / 4
     # the transcription of the closed formula is inconsistent with the
     # dynamics; it must be reported, not silently dropped
     assert base.ell1_transcribed == -16
     assert base.ell1_discrepancy == pytest.approx(32.0, abs=1e-9)
+    assert base.ell1_discrepancy == 32.0
     assert any("transcribed" in n for n in base.notes)
+
+
+def test_ell1_exact_worked_example():
+    sys = validate_hopf_zero(*EXAMPLE)
+    value = ell1_exact(sys.jP, sys.jQ, sys.jR)
+    assert isinstance(value, Fraction) and value == Fraction(-48)
+
+
+def test_ell1_exact_equals_the_rounded_oracle_on_integer_systems():
+    """On systems with integer coefficients every jet entry is an integer,
+    so the form is an integer, and the eps-series of the averaged map must
+    round to it; the series' eps^1 slice l11 vanishes to rounding."""
+    rng = random.Random(7)
+    for _ in range(60):
+        sys = random_hopf_zero(rng)
+        oracle = first_lyapunov_quantity(sys)
+        value = ell1_exact(sys.jP, sys.jQ, sys.jR)
+        assert value.denominator == 1
+        assert value == round(oracle.ell1)
+        assert abs(oracle.ell1 - value) <= 1e-12 * max(1.0, abs(oracle.ell1))
+        assert abs(oracle.l11) <= 1e-12 * max(1.0, abs(oracle.l12))
+
+
+def test_ell1_exact_is_invariant_under_rotation_about_z():
+    """Conjugating by the rotation with (cos, sin) = (3/5, 4/5) keeps the
+    linear part (-y, x, 0), and with it Omega and ell_1, exactly."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    X, Y = Poly.variable("x"), Poly.variable("y")
+    rot = {"x": X.scale(c) - Y.scale(s), "y": X.scale(s) + Y.scale(c)}
+    rng = random.Random(11)
+    for sys in [validate_hopf_zero(*EXAMPLE)] + [random_hopf_zero(rng) for _ in range(3)]:
+        P, Q, R = (p.substitute(rot) for p in (sys.P, sys.Q, sys.R))
+        turned = validate_hopf_zero(P.scale(c) + Q.scale(s), P.scale(-s) + Q.scale(c), R)
+        assert turned.omega == sys.omega
+        assert (ell1_exact(turned.jP, turned.jQ, turned.jR)
+                == ell1_exact(sys.jP, sys.jQ, sys.jR))
+        assert entry_values(turned) != entry_values(sys)
+
+
+def test_ell1_refit_returns_the_coded_coefficients():
+    """The exact fit of the eps-series on the transcription's 221 monomials
+    (tests/oracles.py) is the polynomial `_ell1_repaired` expands to: 218
+    nonzero coefficients, 82 of them different from the transcription's.
+    Its return statement is the one the generator writes from the fit."""
+    transcribed = ell1_terms(criteria._ell1_closed_form)
+    assert len(transcribed) == 221
+    fitted = fit_ell1(sorted(transcribed))
+    assert fitted == ell1_terms(criteria._ell1_repaired)
+    assert len(fitted) == 218
+    assert sum(fitted.get(m, 0) != c for m, c in transcribed.items()) == 82
+    assert (textwrap.indent(ell1_nested_source(fitted), "    ")
+            in inspect.getsource(criteria._ell1_repaired))
 
 
 _JET_INDICES = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
@@ -89,6 +152,7 @@ def test_base_criteria_termwise_annihilation():
     base = evaluate_base_criteria(sys)
     assert base.omega == 12
     assert base.ell1 == pytest.approx(0.0, abs=1e-9)
+    assert base.ell1_exact == 0
 
 
 def test_degenerate_sum_raises():

@@ -4,9 +4,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import torusforge.averaging
 import torusforge.fieldexpr
 import torusforge.lift
+from torusforge.criteria import ell1_exact
 from torusforge.fieldexpr import Poly, format_poly, parse_field
 from torusforge.lift import (
     Ball, LiftError, NoPositiveOmegaFound, OriginJet, ZeroComponentAtP,
@@ -281,28 +281,42 @@ def _translated(exprs):
 _GEN = _benchmark_inputs()
 
 
+@pytest.mark.parametrize("exprs", [LIFT_SEED] + list(_GEN.LIFT_BASES))
+def test_exact_lift_has_ell1_zero(exprs):
+    """The exact lift's field vanishes on the normalized z axis, so its
+    pure-z jet entries and with them ell_1 are exactly 0, on the README demo
+    seed and the benchmark's four lift bases; the kept system is jittered."""
+    tuning = tune_lift_parameters(_translated(exprs))
+    lift = tuning.family.system
+    for jet in (lift.jP, lift.jQ, lift.jR):
+        assert jet.get(0, 0, 2) == 0 and jet.get(0, 0, 3) == 0
+    assert ell1_exact(lift.jP, lift.jQ, lift.jR) == 0
+    assert tuning.ell1_jitter == 1e-6
+    assert tuning.report.base.ell1_exact != 0 and tuning.report.applicable
+
+
 @pytest.mark.parametrize("exprs, jitter, systems", [
-    (LIFT_SEED, 0.0, 1),                      # the README demo
+    (LIFT_SEED, 1e-6, 2),                     # the README demo
     # lift seed 0 of the benchmark's `fields` workload at seed 0
     ([_GEN.expr(t) for t in _GEN.lift_seed_field(0, 0)], 1e-6, 2),
 ])
 def test_one_criteria_report_per_lift(monkeypatch, exprs, jitter, systems):
-    """ell_1 alone decides the jitter: a lift computes the first Lyapunov
-    quantity once per system it tries (the exact lift, then each jitter
-    candidate) and builds one criteria report, for the system it keeps,
-    which reads that system's ell_1 instead of computing it again."""
-    counts = {"criteria_report": 0, "first_lyapunov_quantity": 0}
+    """The exact ell_1 alone decides the jitter: a lift evaluates it once
+    per system it tries (the exact lift, then each jitter candidate) and
+    builds one criteria report, for the system it keeps."""
+    counts = {"criteria_report": 0, "ell1_exact": 0}
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(name):
+        original = getattr(torusforge.lift, name)
 
         def call(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, call)
-    counted(torusforge.lift, "criteria_report")
-    counted(torusforge.averaging, "first_lyapunov_quantity")
+        monkeypatch.setattr(torusforge.lift, name, call)
+    counted("criteria_report")
+    counted("ell1_exact")
     tuning = tune_lift_parameters(_translated(exprs))
     assert tuning.ell1_jitter == jitter
-    assert counts == {"criteria_report": 1, "first_lyapunov_quantity": systems}
-    assert tuning.report.base.lyapunov.ell1 == tuning.report.base.ell1
+    assert counts == {"criteria_report": 1, "ell1_exact": systems}
+    kept = tuning.tuned_system
+    assert tuning.report.base.ell1_exact == ell1_exact(kept.jP, kept.jQ, kept.jR) != 0

@@ -47,11 +47,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import HopfZeroSystem, PerturbationFamily, perturbation_functions
+from .criteria import (
+    HopfZeroSystem, PerturbationFamily, float_range, perturbation_functions,
+)
 from .fieldexpr import Poly, compile_terms
 
 PERIOD = 2.0 * math.pi
 EQUILIBRIUM_RESIDUAL = 1e-12
+FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
+FIXED_POINT_MAX_ITER = 25
+UNIT_CIRCLE_TOL = 1e-12                  # |det D Pi - 1| of the secant on |lambda| = 1
+UNIT_CIRCLE_MAX_ITER = 40
 STRONG_RESONANCE_TOL = 1e-8
 HYPOTHESIS_SAMPLES = 33                  # mu samples of the averaged path
 # the factor-2 eps ladder of the Neimark-Sacker branch, solved once; each fit
@@ -284,8 +290,9 @@ class PiPoly(Poly):
         """Compiled (r, w, mu) -> value, the powers of pi folded into float
         coefficients once."""
         folded: dict = {}
-        for (a, b, c, d), q in self.terms.items():
-            _accumulate(folded, (a, b, c), float(q) * math.pi ** d)
+        with float_range():
+            for (a, b, c, d), q in self.terms.items():
+                _accumulate(folded, (a, b, c), float(q) * math.pi ** d)
         return compile_terms(folded, ("r", "w", "mu"))
 
 
@@ -321,25 +328,13 @@ class StandardFormSystem:
 
     The factors are kept on cleared denominators, as the standard form of
     eps -> s eps with s = `scale`: `_F1` and `_a1` are s F1 and s a1, `_D2`
-    is s^2 D2.  `F1`, `a1` and `D2` give the true factors."""
+    is s^2 D2."""
     system: HopfZeroSystem
     family: PerturbationFamily
     scale: int
     _F1: Tuple[TrigPoly, TrigPoly] = field(repr=False)
     _a1: TrigPoly = field(repr=False)
     _D2: Tuple[TrigPoly, TrigPoly] = field(repr=False)
-
-    @property
-    def F1(self) -> Tuple[TrigPoly, TrigPoly]:
-        return tuple(F.scale(Fraction(1, self.scale)) for F in self._F1)
-
-    @property
-    def a1(self) -> TrigPoly:
-        return self._a1.scale(Fraction(1, self.scale))
-
-    @property
-    def D2(self) -> Tuple[TrigPoly, TrigPoly]:
-        return tuple(D.scale(Fraction(1, self.scale ** 2)) for D in self._D2)
 
 
 def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
@@ -462,16 +457,26 @@ class MelnikovPair:
         return perturbation_functions(self.std.system, self.std.family)
 
     def f1(self, x, mu) -> np.ndarray:
-        r, w = x
-        return np.array([f(r, w, mu) for f in self._f1_eval])
+        return _values(self._f1_eval, x, mu)
 
     def f1_jacobian(self, x, mu) -> np.ndarray:
         r, w = x
         return np.array([[f(r, w, mu) for f in row] for row in self._df1_eval])
 
     def f2_closed(self, x, mu) -> np.ndarray:
-        r, w = x
-        return np.array([f(r, w, mu) for f in self._f2_eval])
+        return _values(self._f2_eval, x, mu)
+
+
+def _values(functions, x, mu) -> np.ndarray:
+    """The compiled `functions` at x = (r, w), one row each.  On an array of
+    w (or r) a function that returns a scalar, as one of no terms returns
+    0.0, is broadcast to it; float64 rounds as Python floats do, so each
+    value is the scalar call's, bit for bit."""
+    r, w = x
+    out = np.empty((len(functions),) + np.broadcast(r, w).shape)
+    for i, f in enumerate(functions):
+        out[i] = f(r, w, mu)
+    return out
 
 
 def _averaged_product(A: TrigPoly, B: TrigPoly) -> TrigPoly:
@@ -635,9 +640,6 @@ class BranchConstants:
     m21_1: float
     m22_1: float
 
-    def xi1(self, mu: float) -> float:
-        return float(self.xi1_const) + self.xi1_slope * mu
-
 
 def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
     """Closed forms for xi1(mu), xi2, mu1, m21^1, m22^1 of the simple family.
@@ -755,8 +757,7 @@ def _complex_eigenvalue(A: np.ndarray) -> complex:
 
 
 def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
-                        seed: Optional[np.ndarray] = None,
-                        tol: float = 1e-10, max_iter: int = 25):
+                        seed: Optional[np.ndarray] = None):
     """Fixed point xi of the return map by Newton on Pi(x) - x, seeded at the
     averaged equilibrium; returns (xi, Pi and D Pi at xi), so callers that
     need D Pi(xi) reuse the last iteration's first-order transport (jet1)."""
@@ -767,23 +768,22 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
         x = np.asarray(seed, dtype=float).copy()
     if eps == 0.0:
         return x, tmap.jet1(x, mu, eps)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         jet = tmap.jet1(x, mu, eps)
         res = jet.value - x
-        if float(np.max(np.abs(res))) <= tol:
+        if float(np.max(np.abs(res))) <= FIXED_POINT_TOL:
             return x, jet
         step = np.linalg.solve(jet.A - np.eye(2), -res)
         x = x + step
         if not np.all(np.isfinite(x)):
             raise NewtonDiverged("fixed-point Newton produced non-finite iterate")
-    if float(np.max(np.abs(res))) <= 10 * tol:
+    if float(np.max(np.abs(res))) <= 10 * FIXED_POINT_TOL:
         return x, tmap.jet1(x, mu, eps)
     raise NewtonDiverged(f"fixed-point Newton stalled, residual {np.max(np.abs(res))}")
 
 
 def unit_circle_point(tmap, mel, mu0: float, eps: float,
-                      mu_guess: Optional[float] = None,
-                      tol: float = 1e-12, max_iter: int = 40) -> BranchPoint:
+                      mu_guess: Optional[float] = None) -> BranchPoint:
     """Solve det(D Pi(xi(mu, eps))) = 1 for mu by the secant method.
 
     For a complex pair, |lambda|^2 = det, so this is the unit-circle
@@ -804,14 +804,14 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
     mu_b = mu_a + 0.5 * eps if mu_guess is None else mu_a + 0.1 * eps
     ha, _, _ = h(mu_a)
     hb, xi_b, jet_b = h(mu_b)
-    for _ in range(max_iter):
+    for _ in range(UNIT_CIRCLE_MAX_ITER):
         if hb == ha:
             break
         mu_new = mu_b - hb * (mu_b - mu_a) / (hb - ha)
         mu_a, ha = mu_b, hb
         mu_b = mu_new
         hb, xi_b, jet_b = h(mu_b)
-        if abs(hb) <= tol:
+        if abs(hb) <= UNIT_CIRCLE_TOL:
             lam = _complex_eigenvalue(jet_b.A)
             return BranchPoint(eps=eps, mu=mu_b, xi=xi_b, eigenvalue=lam,
                                theta=math.atan2(lam.imag, lam.real), jet=jet_b)

@@ -33,7 +33,6 @@ Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -144,6 +143,16 @@ def write_report(path: str, payload: dict):
         raise NonFiniteReport(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def write_csv(path: str, header, rows):
+    """Write the CSV `path`: the names of `header`, then one line per row of
+    Python ints and floats.  Each value is its repr, values are joined by ","
+    and lines end in "\\r\\n", the bytes csv.writer writes on the same rows.
+    Every CSV artifact is written here."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _number(value) -> bool:
@@ -323,18 +332,17 @@ def cmd_melnikov(spec: RunSpec) -> int:
     mel = melnikov_pair(to_standard_form(sys_, fam))
     eq = averaged_equilibrium(mel, mu)
     n = spec.grid
-    rs = np.linspace(0.5 * eq.r, 1.5 * eq.r, n)
     ws = np.linspace(eq.w - 1.0, eq.w + 1.0, n)
-    path = os.path.join(spec.out_dir, "melnikov.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "w", "f1_1", "f1_2", "f2_1", "f2_2"])
-        for r in rs:
-            for w in ws:
-                f1 = mel.f1((r, w), mu)
-                f2 = mel.f2_closed((r, w), mu)
-                writer.writerow([repr(float(v))
-                                 for v in (r, w, f1[0], f1[1], f2[0], f2[1])])
+    w_values = ws.tolist()
+
+    def rows():
+        # f1 and f2 once per grid row, on the array of w
+        for r in np.linspace(0.5 * eq.r, 1.5 * eq.r, n).tolist():
+            yield from zip([r] * n, w_values, *mel.f1((r, ws), mu).tolist(),
+                           *mel.f2_closed((r, ws), mu).tolist())
+
+    write_csv(os.path.join(spec.out_dir, "melnikov.csv"),
+              ("r", "w", "f1_1", "f1_2", "f2_1", "f2_2"), rows())
     return EXIT_OK
 
 
@@ -392,9 +400,9 @@ def cmd_simulate(spec: RunSpec) -> int:
         mel = melnikov_pair(to_standard_form(sys_, fam, rescaled.slices))
         eq = averaged_equilibrium(mel, mu)
         x0 = [eq.r + 0.05, 0.0, eq.w]
-    traj = integrate(field, [float(v) for v in x0],
-                     (0.0, periods * 2 * math.pi), cfg)
-    traj.write_csv(os.path.join(spec.out_dir, "trajectory.csv"))
+    ts, ys = integrate(field, [float(v) for v in x0], (0.0, periods * 2 * math.pi), cfg)
+    write_csv(os.path.join(spec.out_dir, "trajectory.csv"), ("t", "x", "y", "z"),
+              ([t, *y] for t, y in zip(ts, ys)))
     return EXIT_OK
 
 
@@ -414,7 +422,8 @@ def cmd_certify(spec: RunSpec) -> int:
                "certificate": cert.to_dict()}
     write_report(os.path.join(spec.out_dir, "certificate.json"), payload)
     if cert.curve_points is not None:
-        cert.write_curve_csv(os.path.join(spec.out_dir, "curve.csv"))
+        write_csv(os.path.join(spec.out_dir, "curve.csv"), ("n", "r", "w"),
+                  ([i, *p] for i, p in enumerate(cert.curve_points.tolist())))
     return EXIT_OK
 
 

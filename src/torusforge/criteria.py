@@ -23,6 +23,8 @@ import numpy as np
 from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
 
 ETA_ROOT_TOL = 1e-12
+ETA_ROOT_MAX_ITER = 200      # bisection steps on a bracketed eta root
+SLOPE_STEP = 1e-6            # relative step of the central-difference slope
 ETA_SCAN_POINTS = 512
 TRANSVERSALITY_TOL = 1e-10
 
@@ -32,8 +34,8 @@ class CriteriaError(ValueError):
 
 
 class FloatRangeExceeded(CriteriaError):
-    """A quantity of the criteria overflows a float: an exact coefficient
-    too large to convert, or a float product past the largest double."""
+    """A quantity overflows a float: an exact coefficient too large to
+    convert, or a float product past the largest double."""
 
 
 class ConstantTermPresent(CriteriaError):
@@ -165,8 +167,8 @@ class PerturbationFamily:
         object.__setattr__(self, "w20", _compiled_in_mu(_in_mu(self.W, (0, 0, 0), 1)))
 
     @classmethod
-    def from_expressions(cls, U, V, W, simple_case: bool = False) -> "PerturbationFamily":
-        return cls(as_poly(U), as_poly(V), as_poly(W), simple_case=simple_case)
+    def from_expressions(cls, U, V, W) -> "PerturbationFamily":
+        return cls(as_poly(U), as_poly(V), as_poly(W))
 
     @classmethod
     def simple(cls, beta: int) -> "PerturbationFamily":
@@ -427,14 +429,15 @@ class PerturbationCriteria:
 def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
     """Float callables of mu (Gamma_operational, Gamma_printed, eta, w_mu)
     built on the family's compiled ingredients; the exact constants of the
-    system are converted once."""
+    system are converted once, under `float_range`."""
     if sys.divergence_pair == 0:
         raise CriteriaError("P^(1,0,1) + Q^(0,1,1) = 0; criteria undefined")
     if sys.quadratic_sum == 0:
         raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0")
-    d, S = float(sys.divergence_pair), float(sys.quadratic_sum)
-    Sdd = float(sys.quadratic_sum * sys.divergence_pair ** 2)
-    c = float(sys.jR.get(0, 0, 2))
+    with float_range():
+        d, S = float(sys.divergence_pair), float(sys.quadratic_sum)
+        Sdd = float(sys.quadratic_sum * sys.divergence_pair ** 2)
+        c = float(sys.jR.get(0, 0, 2))
     sigma, w1z, w20 = fam.sigma, fam.w1z, fam.w20
 
     def w_mu(mu):
@@ -518,11 +521,11 @@ def _scan(functions, lo: float, hi: float) -> Tuple[list, Optional[List[list]]]:
     return mus.tolist(), [v.tolist() for v in values] if np.isfinite(values).all() else None
 
 
-def _bisect(f, a, b, fa, fb, tol=ETA_ROOT_TOL, max_iter=200):
-    for _ in range(max_iter):
+def _bisect(f, a, b, fa, fb):
+    for _ in range(ETA_ROOT_MAX_ITER):
         m = 0.5 * (a + b)
         fm = f(m)
-        if abs(fm) <= tol:
+        if abs(fm) <= ETA_ROOT_TOL:
             return m
         if fa * fm < 0:
             b, fb = m, fm
@@ -531,8 +534,8 @@ def _bisect(f, a, b, fa, fb, tol=ETA_ROOT_TOL, max_iter=200):
     return 0.5 * (a + b)
 
 
-def _central_slope(f, x0, scale=1e-6):
-    h = scale * max(1.0, abs(x0))
+def _central_slope(f, x0):
+    h = SLOPE_STEP * max(1.0, abs(x0))
     return (f(x0 + h) - f(x0 - h)) / (2 * h)
 
 
@@ -563,7 +566,7 @@ def float_range():
         with np.errstate(over="raise"):
             yield
     except (OverflowError, FloatingPointError) as exc:
-        raise FloatRangeExceeded(f"criteria overflow the float range: {exc}") from None
+        raise FloatRangeExceeded(f"a value overflows the float range: {exc}") from None
 
 
 def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],

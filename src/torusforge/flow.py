@@ -2,7 +2,8 @@
 
 Every integration runs on `dop853`, one Dormand-Prince 8(5,3) stepper with
 scipy DOP853's tableau, error norm and step control, on a state of Python
-floats: plain trajectories of the full 3D (rescaled) system, and the
+floats: plain trajectories of the full 3D (rescaled) system, for which
+`integrate` returns the accepted steps' times and states, and the
 angular return theta: 0 -> 2 pi of the cylindrical standard-form variables
 (r, w), where theta plays the role of time and the return map needs no
 event detection.  Each seed of a return is its own integration, on two
@@ -32,6 +33,7 @@ polynomial (the coefficient ODE, 20 floats) through
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -39,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .averaging import PERIOD, eps_graded_slices
-from .criteria import HopfZeroSystem, PerturbationFamily
+from .criteria import HopfZeroSystem, PerturbationFamily, float_range
 from .fieldexpr import Poly, compile_terms, define, terms_source
 
 
@@ -71,33 +73,17 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive and finite")
 
 
-@dataclass
-class Trajectory:
-    t: np.ndarray                 # the accepted step times
-    states: np.ndarray            # shape (n, dim)
-
-    def write_csv(self, path):
-        """One row per accepted step: t, then x, y(, z) of the state, each
-        float as its repr and each line ended by "\\r\\n", the bytes the csv
-        module writes; rows are formatted as they are written."""
-        names = ["t", *"xyz"[:self.states.shape[1]]]
-        row = (",".join(["{!r}"] * len(names)) + "\r\n").format
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(names) + "\r\n")
-            fh.writelines(map(row, self.t.tolist(), *self.states.T.tolist()))
-
-
 def integrate(field: Callable, state0, t_span,
-              cfg: Optional[IntegratorConfig] = None) -> Trajectory:
-    """The accepted steps of state' = field(t, *state) over t_span; the
-    state is a list of Python floats."""
+              cfg: Optional[IntegratorConfig] = None) -> Tuple[list, list]:
+    """The accepted steps (ts, ys) of state' = field(t, *state) over t_span:
+    their times and states, the Python floats `dop853` gives.  A non-finite
+    state is a NonFiniteState error."""
     cfg = cfg or IntegratorConfig()
     ts, ys, _ = dop853(field, float(t_span[0]), float(t_span[1]),
                        [float(v) for v in state0], cfg.atol, cfg.rtol)
-    states = np.array(ys)
-    if not np.all(np.isfinite(states)):
+    if not all(map(math.isfinite, itertools.chain.from_iterable(ys))):
         raise NonFiniteState("integration produced non-finite state")
-    return Trajectory(t=np.array(ts), states=states)
+    return ts, ys
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +255,17 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
 def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], float]]:
     """Float terms in (x, y, z) of each component of eps-graded exact
     slices at (mu, eps): the terms of grade g are scaled by mu^d eps^g and
-    summed into their (x, y, z) key, in slice and term order."""
+    summed into their (x, y, z) key, in slice and term order.  A value past
+    the float range is a FloatRangeExceeded error."""
     comps = []
-    for i in range(len(graded[0])):
-        terms: Dict[Tuple[int, int, int], float] = {}
-        for grade, s in enumerate(graded):
-            for (a, b, c, d, _), q in s[i].terms.items():
-                key = (a, b, c)
-                terms[key] = terms.get(key, 0.0) + float(q) * mu ** d * eps ** grade
-        comps.append(terms)
+    with float_range():
+        for i in range(len(graded[0])):
+            terms: Dict[Tuple[int, int, int], float] = {}
+            for grade, s in enumerate(graded):
+                for (a, b, c, d, _), q in s[i].terms.items():
+                    key = (a, b, c)
+                    terms[key] = terms.get(key, 0.0) + float(q) * mu ** d * eps ** grade
+            comps.append(terms)
     return comps
 
 

@@ -33,6 +33,8 @@ from .criteria import (
 from .fieldexpr import Poly, as_poly
 
 MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
+# the lines x = t and y = t the common-factor check restricts to
+COMMON_FACTOR_LINES = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-13, 8))
 _CONSTANT = (0, 0, 0, 0, 0)
 _UNIT_MONOMIALS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))   # x, y, z
 
@@ -126,18 +128,17 @@ def _restrict_univariate(table, var: int, value: Fraction) -> List[Fraction]:
     return out
 
 
-def _have_common_factor(f, g, trials: int = 4) -> bool:
+def _have_common_factor(f, g) -> bool:
     """Probabilistic-but-seeded check: f, g share a nonconstant factor iff
     their restrictions to several lines keep a nontrivial gcd."""
     if not f or not g:
         return True
     if all(i == 0 and j == 0 for (i, j) in f) or all(i == 0 and j == 0 for (i, j) in g):
         return False
-    samples = [Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-13, 8)]
     for var in (0, 1):
         if all(_univariate_gcd_degree(_restrict_univariate(f, var, t),
                                       _restrict_univariate(g, var, t)) > 0
-               for t in samples[:trials]):
+               for t in COMMON_FACTOR_LINES):
             return True
     return False
 
@@ -460,17 +461,6 @@ def _omega_at(rows, L: Fraction, delta: Fraction) -> Fraction:
     """Omega(L, delta) from `omega_coefficients`; A(L) is Omega(L, 0)."""
     return sum(delta ** j * sum(c * L ** i for i, c in enumerate(row))
                for j, row in enumerate(rows))
-
-
-def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
-    """Omega of `build_lift_family(seed, L, delta).system` from
-    `omega_coefficients`; a delta that is no positive rational square, which
-    the lift cannot normalize, is a LiftError."""
-    rows = omega_coefficients(jet)
-    L, delta = Fraction(L), Fraction(delta)
-    if not _rational_sqrt(delta):
-        raise LiftError(f"normalization failed at L={L}, delta={delta}")
-    return _omega_at(rows, L, delta)
 
 
 def printed_A_limit(jet: OriginJet) -> Fraction:

@@ -270,16 +270,6 @@ class TorusCertificate:
             }
         return out
 
-    def write_curve_csv(self, path):
-        import csv
-        if self.curve_points is None:
-            raise TorusError("no curve samples to write")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "r", "w"])
-            for i, (r, w) in enumerate(self.curve_points):
-                writer.writerow([i, repr(float(r)), repr(float(w))])
-
 
 def _iterate(tmap, x, mu, eps, reverse, cfg: CertifyConfig, out: np.ndarray) -> bool:
     """Write the next len(out) iterates of x into out, carrying the orbit

@@ -9,7 +9,8 @@ layer's full route: it expands every cos^i sin^j by repeated products, forms
 F2 and averages the whole f2 integrand, the reference for the terms and the
 term order of `melnikov_pair`, which forms only what the average keeps;
 `standard_form_full` keeps the true factors F1, a1 and D2 that
-`to_standard_form` holds on cleared denominators.
+`to_standard_form` holds on cleared denominators, and `std_F1`, `std_a1`
+and `std_D2` divide a standard form's own factors back to them.
 The integrations here stay on scipy's `solve_ivp`, so they also check the
 package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
 list comprehension per stage, the bitwise oracle of its generated step, on
@@ -21,14 +22,14 @@ of the averaged map in floats, the oracle of `criteria.ell1_exact`:
 `omega_of_lift_family` reads Omega of a degree lift off
 the whole normalized `Poly` system, and `lift_omega` derives it from the
 lift's normalization matrix, on symbols too: the references for the
-closed form `lift.omega_coefficients`.  `normal_contraction` measures the
+closed form `lift.omega_coefficients`, which `omega_of_lift` evaluates.  `normal_contraction` measures the
 normal rate of an invariant curve by following a ring of probes off it,
 the reference for `torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
 problem per Fourier order, the reference for `torus.fit_fourier_curve`.
 `ReferenceParser` reads an expression on tokens of a character loop and
 multiplies one Poly per factor, the reference for the terms, their order and
 the errors of `fieldexpr.parse_field`.  The last section holds small helpers
-only the tests call, and `FractionCFrac`, the Fraction-pair Gaussian
+only the tests call (`branch_xi1` evaluates the printed xi1(mu)), and `FractionCFrac`, the Fraction-pair Gaussian
 rational that checks `averaging.CFrac`.
 """
 
@@ -45,8 +46,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from torusforge.averaging import (
-    PERIOD, TRIG_COS, TRIG_SIN, _R_INV, AveragingError, CFrac, MelnikovPair, PiPoly,
-    StandardFormSystem, TrigPoly, eps_graded_slices, melnikov_pair, to_standard_form,
+    PERIOD, TRIG_COS, TRIG_SIN, _R_INV, AveragingError, BranchConstants, CFrac,
+    MelnikovPair, PiPoly, StandardFormSystem, TrigPoly, eps_graded_slices,
+    melnikov_pair, to_standard_form,
 )
 from torusforge.criteria import HopfZeroSystem, PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import (
@@ -59,7 +61,10 @@ from torusforge.flow import (
     FlowError, IntegratorConfig, Jet2, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
-from torusforge.lift import LiftError, build_lift_family
+from torusforge.lift import (
+    LiftError, OriginJet, _omega_at, _rational_sqrt, build_lift_family,
+    omega_coefficients,
+)
 
 EVENT_RESIDUAL = 1e-12
 TANGENCY_SPEED = 1e-8
@@ -390,10 +395,10 @@ class StandardForm:
 
     def __init__(self, std: StandardFormSystem):
         self.std = std
-        self._f1 = tuple(trig_evaluator(t) for t in std.F1)
+        self._f1 = tuple(trig_evaluator(t) for t in std_F1(std))
         self._f2 = tuple(trig_evaluator(t) for t in full_F2(std))
         self._df1 = tuple(tuple(trig_evaluator(t.derivative(v)) for v in ("r", "w"))
-                          for t in std.F1)
+                          for t in std_F1(std))
 
     @staticmethod
     def _eval(evaluators, theta, x, mu):
@@ -421,11 +426,26 @@ class StandardForm:
         return res
 
 
+def std_F1(std: StandardFormSystem) -> Tuple[TrigPoly, TrigPoly]:
+    """The true F1 of a standard form, which keeps s F1 (s = `std.scale`)."""
+    return tuple(F.scale(Fraction(1, std.scale)) for F in std._F1)
+
+
+def std_a1(std: StandardFormSystem) -> TrigPoly:
+    """The true a1 of a standard form, which keeps s a1."""
+    return std._a1.scale(Fraction(1, std.scale))
+
+
+def std_D2(std: StandardFormSystem) -> Tuple[TrigPoly, TrigPoly]:
+    """The true D2 of a standard form, which keeps s^2 D2."""
+    return tuple(D.scale(Fraction(1, std.scale ** 2)) for D in std._D2)
+
+
 def full_F2(std: StandardFormSystem) -> Tuple[TrigPoly, TrigPoly]:
     """F2 = D2 - F1 a1 of a standard form, every product formed in full (the
     package keeps only the factors and averages their frequency-matched
     parts)."""
-    return tuple(D2 - F1 * std.a1 for F1, D2 in zip(std.F1, std.D2))
+    return tuple(D2 - F1 * std_a1(std) for F1, D2 in zip(std_F1(std), std_D2(std)))
 
 
 def f1_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
@@ -953,6 +973,17 @@ def omega_of_lift_family(seed_field, L, delta) -> Fraction:
     return fam.system.omega
 
 
+def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
+    """Omega of `build_lift_family(seed, L, delta).system` from
+    `omega_coefficients`; a delta that is no positive rational square, which
+    the lift cannot normalize, is a LiftError."""
+    rows = omega_coefficients(jet)
+    L, delta = Fraction(L), Fraction(delta)
+    if not _rational_sqrt(delta):
+        raise LiftError(f"normalization failed at L={L}, delta={delta}")
+    return _omega_at(rows, L, delta)
+
+
 def lift_omega(jet, L, delta, sd):
     """Omega of the normalized lift from the normalization matrix of
     `build_lift_family`, sd = sqrt(delta): the derivation that
@@ -1301,6 +1332,11 @@ def jet_max_asymmetry(jet: MapJet) -> float:
         for p in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
             c = max(c, abs(jet.C[comp][p] - jet.C[comp][(0, 1, 1)]))
     return max(b, c)
+
+
+def branch_xi1(constants: BranchConstants, mu: float) -> float:
+    """The printed closed form xi1(mu) of `printed_branch_constants`."""
+    return float(constants.xi1_const) + constants.xi1_slope * mu
 
 
 def poly_to_float(p: Poly) -> Poly:

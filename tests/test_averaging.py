@@ -27,7 +27,7 @@ from torusforge.lift import (
 
 from oracles import (
     StandardForm, f1_quadrature, f2_quadrature, first_lyapunov_quantity, full_F2,
-    melnikov_pair_full, standard_form_full, trig_of_xyz_poly,
+    melnikov_pair_full, standard_form_full, std_a1, std_D2, std_F1, trig_of_xyz_poly,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -134,6 +134,33 @@ def test_f2_reduces_to_plain_average_when_f1_vanishes():
     for t in ts:
         plain += sf.F2(t, x, 0.0) / n * (2 * math.pi)
     assert np.max(np.abs(direct - plain)) <= 1e-8
+
+
+def _pair_with_empty_components():
+    """The pair of `test_f2_reduces_to_plain_average_when_f1_vanishes`: both
+    components of f1 have no terms."""
+    sys = validate_hopf_zero("x^2*y", "0", "x^2*z")
+    fam = PerturbationFamily.from_expressions("0", "0", "eps*z^2")
+    return melnikov_pair(to_standard_form(sys, fam))
+
+
+@pytest.mark.parametrize("pair", ["example", "empty f1"])
+def test_grid_row_matches_scalar_calls(pair):
+    """f1 and f2_closed on an array of w are the scalar calls on each w, bit
+    for bit (float64 rounds as Python floats do); a component with no terms,
+    whose compiled function returns the scalar 0.0, is broadcast to the row."""
+    mel = _example_pair()[3] if pair == "example" else _pair_with_empty_components()
+    if pair == "empty f1":
+        assert not any(p.terms for p in mel.f1_exact)
+    ws = np.linspace(-1.3, 0.7, 9)
+    for r in (0.6, 1.0 / 3.0, 1.7):
+        for mu in (0.0, 0.05, -0.2):
+            for name in ("f1", "f2_closed"):
+                evaluate = getattr(mel, name)
+                row = evaluate((r, ws), mu)
+                points = np.array([evaluate((r, w), mu) for w in ws.tolist()]).T
+                assert row.shape == (2, len(ws)) and row.dtype == np.float64
+                assert row.tobytes() == points.tobytes()
 
 
 def test_zero_mean_integrand_gives_zero_f1():
@@ -258,7 +285,7 @@ def test_exact_layer_matches_sympy():
         std = to_standard_form(sys, fam)
         mel = melnikov_pair(std)
         ref = _sympy_standard_form(sp, sys, fam, r, w, theta)
-        for F1, F2, (F1_ref, F2_ref) in zip(std.F1, full_F2(std), ref):
+        for F1, F2, (F1_ref, F2_ref) in zip(std_F1(std), full_F2(std), ref):
             assert _trig_fourier(F1) == _sympy_fourier(sp, F1_ref, r, w, mu, theta)
             assert _trig_fourier(F2) == _sympy_fourier(sp, F2_ref, r, w, mu, theta)
         Phi = [sp.integrate(F1_ref.subs(theta, s), (s, 0, theta))
@@ -356,7 +383,8 @@ def test_melnikov_pair_keeps_the_full_route_term_order():
         mel = melnikov_pair(std)
         full = standard_form_full(sys, fam)
         f1, f2 = melnikov_pair_full(sys, fam)
-        for mine, ref in zip(std.F1 + (std.a1,) + std.D2 + mel.f1_exact + mel.f2_exact,
+        for mine, ref in zip(std_F1(std) + (std_a1(std),) + std_D2(std) + mel.f1_exact
+                             + mel.f2_exact,
                              full.F1 + (full.a1,) + full.D2 + f1 + f2):
             assert list(mine.terms.items()) == list(ref.terms.items())
         count += 1
@@ -375,13 +403,13 @@ def test_standard_form_scale_is_the_lcm_of_the_slice_denominators():
     std = to_standard_form(sys, fam)
     assert std.scale == 2 * 2 * 3 * 3 * 5 * 7
     s = Fraction(std.scale)
-    assert std._F1 == tuple(F.scale(s) for F in std.F1)
-    assert std._a1 == std.a1.scale(s)
-    assert std._D2 == tuple(D.scale(s * s) for D in std.D2)
+    assert std._F1 == tuple(F.scale(s) for F in std_F1(std))
+    assert std._a1 == std_a1(std).scale(s)
+    assert std._D2 == tuple(D.scale(s * s) for D in std_D2(std))
     # what is left of a denominator is the cos and sin expansion's power of 2
     kept = [v.d for F in std._F1 + (std._a1,) + std._D2 for v in F.terms.values()]
     assert kept and all(d & (d - 1) == 0 for d in kept)
-    assert any(v.d % 3 == 0 for F in std.F1 for v in F.terms.values())
+    assert any(v.d % 3 == 0 for F in std_F1(std) for v in F.terms.values())
 
 
 def test_equilibrium_example_mu0():

@@ -17,7 +17,7 @@ from torusforge import averaging
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.cli import (
     EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_LIFT_SAMPLES, MAX_PERIODS,
-    main,
+    main, write_csv,
 )
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import MAX_NESTING
@@ -147,6 +147,65 @@ def test_melnikov_csv(tmp_path):
     lines = (out / "melnikov.csv").read_text().splitlines()
     assert lines[0] == "r,w,f1_1,f1_2,f2_1,f2_2"
     assert len(lines) == 1 + 16
+
+
+def test_melnikov_evaluates_one_grid_row_per_call(tmp_path, monkeypatch):
+    """melnikov --grid 21 evaluates f1 and f2 once per grid row, on the
+    array of w (the averaged equilibrium reads f1 once more, at one point),
+    and writes the bytes of one scalar call per grid point."""
+    calls = {"f1": [], "f2_closed": []}
+    for name in calls:
+        def counted(self, x, mu, _name=name, _original=getattr(averaging.MelnikovPair, name)):
+            calls[_name].append("row" if hasattr(x[1], "shape") else "point")
+            return _original(self, x, mu)
+        monkeypatch.setattr(averaging.MelnikovPair, name, counted)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    assert main(["melnikov", "--input", doc, "--out", str(out),
+                 "--mu", "0.0", "--grid", "21"]) == EXIT_OK
+    assert calls == {"f1": ["point"] + ["row"] * 21, "f2_closed": ["row"] * 21}
+    assert _sha256(out / "melnikov.csv") == MELNIKOV_CSV_SHA256
+
+
+# melnikov.csv of the worked example at --mu 0.0 --grid 21
+MELNIKOV_CSV_SHA256 = "49505537863cd36cf1b9b66c542271fbf359733877aff34d3c249acfad979840"
+
+
+@pytest.mark.parametrize("floats", [2, 3])
+def test_write_csv_bytes_match_csv_module(tmp_path, floats):
+    """write_csv writes the bytes of csv.writer on the same rows: an int
+    column, as in curve.csv, then floats, signed zero, the smallest
+    subnormal, large exponents and 1/3 included."""
+    import csv
+    values = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-17, 1.0 / 3.0]
+    header = ["n", *"xyz"[:floats]]
+    rows = [[i, *(values[(i + j) % len(values)] for j in range(floats))]
+            for i in range(len(values))]
+    write_csv(str(tmp_path / "out.csv"), header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "out.csv").read_bytes() == ref
+    assert all(v in ref for v in (b"-0.0", b"5e-324", b"-1e+300", b"\r\n6,"))
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("melnikov", ["--mu=0.0"]),
+    ("simulate", ["--mu=0.0", "--eps=0.01"]),
+])
+def test_coefficient_past_float_range_is_typed_error(tmp_path, capsys, command, flags):
+    """A coefficient past the float range (10^400, written out) ends
+    melnikov and simulate in a typed FloatRangeExceeded, as it ends analyze,
+    not in an OverflowError traceback."""
+    system = {"P": "0", "Q": "y*z", "R": "1" + "0" * 400 + "*x^2 + y^2 - z^2"}
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, system=system, periods=1))
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatRangeExceeded"
+    assert json.loads((out / f"{command}_error.json").read_text()) == err
 
 
 def test_melnikov_f2_is_exact(tmp_path):

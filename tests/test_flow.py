@@ -13,7 +13,7 @@ from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
     _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
-    NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap, Trajectory,
+    NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap,
     _A, _B, _C, _E3, _E5, _dp_step, dop853, integrate,
 )
 
@@ -33,15 +33,15 @@ def _setup(atol=1e-12, rtol=1e-10):
 
 
 def test_harmonic_rotation_period():
-    traj = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 2 * math.pi))
-    assert np.max(np.abs(traj.states[-1] - [1.0, 0.0])) <= 1e-10
+    _, ys = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 2 * math.pi))
+    assert np.max(np.abs(np.array(ys[-1]) - [1.0, 0.0])) <= 1e-10
 
 
 def test_invariant_plane_z_conserved():
     def field(t, x, y, z):
         return [-y + z * 0.0, x, 0.0]
-    traj = integrate(field, [1.0, 0.0, 0.37], (0.0, 20.0))
-    assert np.max(np.abs(traj.states[:, 2] - 0.37)) <= 1e-12
+    _, ys = integrate(field, [1.0, 0.0, 0.37], (0.0, 20.0))
+    assert np.max(np.abs(np.array(ys)[:, 2] - 0.37)) <= 1e-12
 
 
 def test_integrator_order_eight():
@@ -52,13 +52,13 @@ def test_integrator_order_eight():
         return [-y + 0.1 * x * y, x - 0.05 * x ** 2]
 
     tols = [1e-6, 1e-8, 1e-10, 1e-12]
-    ref = integrate(field, [1.0, 0.2], (0.0, 20.0),
-                    IntegratorConfig(atol=1e-14, rtol=1e-14)).states[-1]
+    ref = np.array(integrate(field, [1.0, 0.2], (0.0, 20.0),
+                             IntegratorConfig(atol=1e-14, rtol=1e-14))[1][-1])
     counts = []
     for tol in tols:
-        traj = integrate(field, [1.0, 0.2], (0.0, 20.0), IntegratorConfig(atol=tol, rtol=tol))
-        counts.append(len(traj.t) - 1)
-        assert np.max(np.abs(traj.states[-1] - ref)) <= 100 * tol
+        ts, ys = integrate(field, [1.0, 0.2], (0.0, 20.0), IntegratorConfig(atol=tol, rtol=tol))
+        counts.append(len(ts) - 1)
+        assert np.max(np.abs(np.array(ys[-1]) - ref)) <= 100 * tol
     slopes = [math.log(counts[i + 1] / counts[i]) / math.log(tols[i] / tols[i + 1])
               for i in range(len(tols) - 1)]
     assert all(abs(s - 1 / 8) <= 0.03 for s in slopes), (counts, slopes)
@@ -176,33 +176,12 @@ def test_determinism_bit_identical():
     assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
-def test_trajectory_csv(tmp_path):
-    traj = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 1.0))
-    path = tmp_path / "traj.csv"
-    traj.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,y"
-    assert len(lines) == len(traj.t) + 1
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_trajectory_csv_bytes_match_csv_module(tmp_path, dim):
-    """write_csv writes the bytes of csv.writer on the same rows, signed
-    zero, the smallest subnormal and large exponents included."""
-    import csv
-    values = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-17, 1.0 / 3.0]
-    t = np.array([0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
-    states = np.array([[values[(i + j) % len(values)] for j in range(dim)]
-                       for i in range(len(t))])
-    path = tmp_path / "traj.csv"
-    Trajectory(t=t, states=states).write_csv(path)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *"xyz"[:dim]])
-        writer.writerows([ti, *row] for ti, row in zip(t.tolist(), states.tolist()))
-    assert path.read_bytes() == ref.read_bytes()
-    assert b"-0.0" in ref.read_bytes() and b"5e-324" in ref.read_bytes()
+def test_integrate_returns_python_floats():
+    """`integrate` gives the accepted steps as `dop853` does: Python floats,
+    from t0 to t_end."""
+    ts, ys = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 1.0))
+    assert len(ts) == len(ys) > 2 and ts[0] == 0.0 and ts[-1] == 1.0
+    assert all(type(v) is float for v in ts + [v for y in ys for v in y])
 
 
 def test_jet2_arithmetic():
@@ -417,12 +396,12 @@ def test_integrate_matches_solve_ivp(atol, rtol):
     sys, fam, _ = _setup()
     field = RescaledField(sys, fam).field3(-0.2, 0.02)
     x0, span = [1.2, 0.0, 0.1], (0.0, 5 * PERIOD)
-    traj = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
+    ts, ys = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
     ref = solve_ivp(lambda t, s: field(t, *s), span, np.array(x0), method="DOP853",
                     atol=atol, rtol=rtol)
     assert ref.status == 0
-    assert len(traj.t) == len(ref.t) and traj.t[-1] == span[1]
-    assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-13
+    assert len(ts) == len(ref.t) and ts[-1] == span[1]
+    assert np.max(np.abs(np.array(ys[-1]) - ref.y[:, -1])) <= 1e-13
 
 
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)

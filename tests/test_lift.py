@@ -10,11 +10,11 @@ from torusforge.criteria import ell1_exact
 from torusforge.fieldexpr import Poly, format_poly, parse_field
 from torusforge.lift import (
     Ball, LiftError, NoPositiveOmegaFound, OriginJet, ZeroComponentAtP,
-    build_lift_family, find_separating_plane, omega_coefficients, omega_of_lift,
+    build_lift_family, find_separating_plane, omega_coefficients,
     origin_jet, printed_A_limit, translate_to_origin, tune_lift_parameters,
 )
 
-from oracles import lift_omega, omega_of_lift_family
+from oracles import lift_omega, omega_of_lift, omega_of_lift_family
 from test_averaging import _benchmark_inputs
 
 SPEC_SEED = ("1 + x", "1/10*x + y", "0")

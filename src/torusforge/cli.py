@@ -23,7 +23,7 @@ for unbounded work.  The `ball` center is finite and its radius finite and
 > 0; any other value is an OutOfRange error before any lift work.
 
 Every JSON report embeds the SHA-256 of the input document and the tool
-version; floats are serialized with 17 significant digits and keys are
+version; each float is written as its shortest round-trip repr and keys are
 sorted, so identical runs (including --seed) produce byte-identical output.
 A report that would hold NaN or an infinity, which are not JSON, is not
 written: the run ends in a NonFiniteReport error.
@@ -107,16 +107,9 @@ class RunSpec:
                 "seed": self.seed, "simple": self.simple}
 
 
-class _Float17(float):
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
 def _wrap_floats(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, float):
-        return _Float17(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
@@ -125,17 +118,17 @@ def _wrap_floats(obj):
         return [_wrap_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_wrap_floats(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return _Float17(float(obj))
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
 
 
 def write_report(path: str, payload: dict):
-    # indent forces the pure-python encoder, which honors __repr__ of floats;
-    # allow_nan=False refuses NaN and inf, which are not JSON, before the
-    # file is opened
+    # each float is written as float.__repr__ writes it, the shortest string
+    # that reads back to the same double; allow_nan=False refuses NaN and
+    # inf, which are not JSON, before the file is opened
     try:
         text = json.dumps(_wrap_floats(payload), sort_keys=True, indent=1,
                           allow_nan=False)
@@ -393,7 +386,7 @@ def cmd_simulate(spec: RunSpec) -> int:
         raise OutOfRange(f"periods must lie in (0, {MAX_PERIODS}], got {periods}")
     cfg = _integrator(doc)
     rescaled = RescaledField(sys_, fam)
-    field = rescaled.field3(mu, eps)
+    field = rescaled.bind(mu, eps).rhs3
     x0 = doc.get("initial_state")
     if x0 is None:
         # the averaged equilibrium reads f1 alone; f2 is never built here

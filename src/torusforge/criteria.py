@@ -83,9 +83,9 @@ class HopfZeroSystem:
     P: Poly
     Q: Poly
     R: Poly
-    jP: Jet3 = field(repr=False, default=None)
-    jQ: Jet3 = field(repr=False, default=None)
-    jR: Jet3 = field(repr=False, default=None)
+    jP: Jet3 = field(repr=False)
+    jQ: Jet3 = field(repr=False)
+    jR: Jet3 = field(repr=False)
 
     @property
     def quadratic_sum(self) -> Fraction:
@@ -191,7 +191,11 @@ def _in_mu(p: Poly, xyz: Tuple[int, int, int], eps_power: int) -> Poly:
 
 
 def _compiled_in_mu(p: Poly) -> Callable[[float], float]:
-    return compile_terms({(m[3],): float(c) for m, c in p.terms.items()}, ("mu",))
+    """p, a polynomial in mu, compiled on float coefficients; a coefficient
+    past the float range is a FloatRangeExceeded error."""
+    with float_range():
+        terms = {(m[3],): float(c) for m, c in p.terms.items()}
+    return compile_terms(terms, ("mu",))
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +550,14 @@ def _central_slope(f, x0):
 @dataclass
 class CriteriaReport:
     base: BaseCriteria
-    perturbation: Optional[PerturbationCriteria]
+    perturbation: PerturbationCriteria
     applicable: bool
     reasons: Tuple[str, ...]
 
     def to_dict(self) -> dict:
         out = {"applicable": self.applicable, "reasons": list(self.reasons)}
         out.update(self.base.to_dict())
-        if self.perturbation is not None:
-            out["perturbation"] = self.perturbation.to_dict()
+        out["perturbation"] = self.perturbation.to_dict()
         return out
 
 
@@ -569,7 +572,7 @@ def float_range():
         raise FloatRangeExceeded(f"a value overflows the float range: {exc}") from None
 
 
-def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],
+def criteria_report(sys: HopfZeroSystem, fam: PerturbationFamily,
                     interval: Tuple[float, float] = (-1.0, 1.0)) -> CriteriaReport:
     """Run the full applicability checklist for Theorem-style torus bifurcation.
 
@@ -579,16 +582,14 @@ def criteria_report(sys: HopfZeroSystem, fam: Optional[PerturbationFamily],
     """
     with float_range():
         base = evaluate_base_criteria(sys)
-        pert = None
-        if fam is not None:
-            pert = evaluate_perturbation_criteria(sys, fam, interval)
+        pert = evaluate_perturbation_criteria(sys, fam, interval)
     reasons: List[str] = []
     if not base.nondegenerate:
         reasons.append("NondegeneracyFailed")
     if base.ell1 is not None and abs(base.ell1) < 1e-12:
         reasons.append("Ell1Zero")
-    applicable = bool(base.nondegenerate and pert is not None
-                      and base.ell1 is not None and abs(base.ell1) >= 1e-12)
+    applicable = bool(base.nondegenerate and base.ell1 is not None
+                      and abs(base.ell1) >= 1e-12)
     return CriteriaReport(base=base, perturbation=pert,
                           applicable=applicable,
                           reasons=tuple(dict.fromkeys(reasons)))

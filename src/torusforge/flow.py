@@ -26,8 +26,8 @@ and the secant on |lambda| = 1 read, carries six floats in real arithmetic,
 from the drift's nine partials: the eps-graded slices are differentiated
 exactly, then (mu, eps) is folded in.  `jet3`, the degree-3 jet the
 Jordan normalization reads, carries a truncated two-variable Taylor
-polynomial (the coefficient ODE, 20 floats) through
-`BoundField.cylindrical` on Jet2 values.
+polynomial (the coefficient ODE, 20 floats) through the return's own
+right-hand side, `BoundField.return_rhs`, on Jet2 values.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .averaging import PERIOD, eps_graded_slices
 from .criteria import HopfZeroSystem, PerturbationFamily, float_range
-from .fieldexpr import Poly, compile_terms, define, terms_source
+from .fieldexpr import Poly, define, terms_source
 
 
 class FlowError(RuntimeError):
@@ -138,13 +138,16 @@ def _rms(values) -> float:
 
 def _initial_step(rhs, t0, y0, f0, t_end, direction, atol, rtol) -> float:
     """scipy's select_initial_step for an error estimate of order 7 (one
-    RHS evaluation)."""
+    RHS evaluation).  A first guess of 0, which an infinite derivative at
+    t0 gives, is a StepSizeUnderflow."""
     interval = abs(t_end - t0)
     scale = [atol + abs(v) * rtol for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if h0 == 0:
+        raise StepSizeUnderflow(f"initial step size is 0 at t = {t0}")
     f1 = rhs(t0 + h0 * direction, *[v + h0 * direction * fv for v, fv in zip(y0, f0)])
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -206,7 +209,7 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     per-call cost on a small float state.  Each step is `_dp_step`'s
     straight-line code for the state's size and costs 12 RHS evaluations.
     Raises StepSizeUnderflow where DOP853 fails with a step below the float
-    spacing, and on a NaN step size.
+    spacing, on a NaN step size and on an initial step of 0.
     """
     y = list(y0)
     step = _dp_step(len(y))
@@ -275,7 +278,9 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
 # to, and the statements that make and return the derivative from them.
 #
 # "field": (x', y', z') of the 3D field, from its terms.
-# "return": (dr/dtheta, dw/dtheta) of (r, w), from the drift (X, Y, Z).
+# "return": (dr/dtheta, dw/dtheta) of (r, w), from the drift (X, Y, Z);
+# `jet3` runs it on Jet2 values, which carry its +, -, * and / to the
+# truncated Taylor coefficients in the order floats take them.
 # "jet1": the same and its Jacobian applied to the columns (r1, w1) and
 # (r2, w2), from the drift and its nine partials.  With rdot = cs X + sn Y,
 # thetadot = 1 + q, q = (cs Y - sn X) / r and Z as functions of (r, w),
@@ -287,7 +292,9 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
 # raises (NonFiniteState for the return, JetTransportUnstable for jet1): the
 # step control would otherwise shrink its step on NaN until it underflows.
 # One product tests them all: 0.0 * v is 0.0 or -0.0 for a finite v and NaN
-# for an infinite or NaN one, and NaN carries through the product.
+# for an infinite or NaN one, and NaN carries through the product.  On jets
+# a coefficient's NaN reaches the same coefficient of the product, so the
+# test holds when every coefficient is finite.
 _CYLINDER = ["cs, sn = cos(theta), sin(theta)", "x, y, z = r * cs, r * sn, w"]
 _RHS = {
     "field": ("t, x, y, z", [], "dx, dy, dz", ["return dx, dy, dz"]),
@@ -338,8 +345,9 @@ def _generate_rhs(name: str, maps) -> Callable:
 class BoundField:
     """The rescaled field at one (mu, eps) as float terms in (x, y, z), and
     the right-hand sides built from them, each on first use: the 3D field
-    for `integrate`, one return of the map and its first variational
-    equation.  No RHS evaluation does parameter work.
+    for `integrate`, one return of the map (on floats, and on the Jet2
+    values of `jet3`) and its first variational equation.  No RHS
+    evaluation does parameter work.
 
     The cylindrical right-hand sides fold only the slices of grade >= 1,
     the drift (X, Y, Z): the rotation (-y, x, 0) of slice 0 contributes 0
@@ -367,32 +375,16 @@ class BoundField:
         return _fold(self.field.partial_slices, self.mu, self.eps)
 
     @functools.cached_property
-    def drift(self) -> Callable:
-        """(x, y, z) -> (X, Y, Z)."""
-        return compile_terms(self.drift_terms, "xyz")
-
-    @functools.cached_property
     def rhs3(self) -> Callable:
         """rhs(t, x, y, z) -> (x', y', z') of the full rescaled system, the
         "field" right-hand side of `_RHS` over `terms`."""
         return _generate_rhs("field", self.terms)
 
-    def cylindrical(self, theta, r, w):
-        """(dr/dtheta, dw/dtheta) at a scalar theta; r, w may be numpy
-        arrays, complex numbers or jets.  `return_rhs` and `jet1_rhs` repeat
-        this quotient on floats, bit for bit (the tests compare them)."""
-        cs, sn = math.cos(theta), math.sin(theta)
-        X, Y, Z = self.drift(r * cs, r * sn, w)
-        # one reciprocal of thetadot serves both components; the division by
-        # r stays, so the axis r = 0 raises (or gives inf) instead of a zero
-        inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)
-        return (cs * X + sn * Y) * inv, Z * inv
-
     @functools.cached_property
     def return_rhs(self) -> Callable:
-        """rhs(theta, r, w) -> (dr/dtheta, dw/dtheta) on floats, the
-        "return" quotient of `_RHS` over the drift; a zero division or a
-        non-finite value raises NonFiniteState."""
+        """rhs(theta, r, w) -> (dr/dtheta, dw/dtheta) on floats, Jet2
+        values or complex numbers, the "return" quotient of `_RHS` over the
+        drift; a zero division or a non-finite value raises NonFiniteState."""
         return _generate_rhs("return", self.drift_terms)
 
     @functools.cached_property
@@ -432,10 +424,6 @@ class RescaledField:
             self._bound = ((mu, eps), BoundField(self, float(mu), float(eps)))
         return self._bound[1]
 
-    def field3(self, mu: float, eps: float) -> Callable:
-        """f(t, x, y, z) for `integrate` on the full rescaled 3D system."""
-        return self.bind(mu, eps).rhs3
-
 
 # ---------------------------------------------------------------------------
 # the theta-return map
@@ -474,18 +462,17 @@ class ThetaReturnMap:
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
         solution with respect to the initial condition: the 20 coefficients
-        of (r, w) integrated by `dop853`."""
-        cyl = self.field.bind(mu, eps).cylindrical
+        of (r, w) integrated by `dop853` on `BoundField.return_rhs`, called
+        on Jet2 values.  Its NonFiniteState on the axis or a non-finite
+        field is JetTransportUnstable here."""
+        field = self.field.bind(mu, eps).return_rhs
 
         def rhs(theta, *state):
             try:
-                dr, dw = cyl(theta, _jet(state[:10]), _jet(state[10:]))
-            except ZeroDivisionError as exc:
-                raise JetTransportUnstable(f"jet field singular at theta={theta}") from exc
-            out = _as_jet(dr).coeffs + _as_jet(dw).coeffs
-            if not all(map(math.isfinite, out)):
-                raise JetTransportUnstable(f"jet field non-finite at theta={theta}")
-            return out
+                dr, dw = field(theta, _jet(state[:10]), _jet(state[10:]))
+            except NonFiniteState as exc:
+                raise JetTransportUnstable(str(exc)) from exc
+            return dr.coeffs + dw.coeffs
 
         state0 = Jet2.variable(0, float(x0[0])).coeffs + Jet2.variable(1, float(x0[1])).coeffs
         y = self._transport(rhs, list(state0))
@@ -510,7 +497,6 @@ class ThetaReturnMap:
 
 _JET_EXPS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
              (3, 0), (2, 1), (1, 2), (0, 3)]
-_JET_INDEX = {e: i for i, e in enumerate(_JET_EXPS)}
 
 
 class Jet2:
@@ -542,10 +528,6 @@ class Jet2:
         return _jet((a0 + float(other), a1, a2, a3, a4, a5, a6, a7, a8, a9))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
-        return _jet((-a0, -a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8, -a9))
 
     def __sub__(self, other):
         a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
@@ -584,6 +566,17 @@ class Jet2:
 
     __rmul__ = __mul__
 
+    def __eq__(self, other):
+        """Equal coefficients, each compared as floats compare (NaN equals
+        nothing); a number is the constant jet."""
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.coeffs
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = (
+            other.coeffs if isinstance(other, Jet2) else (float(other),) + (0.0,) * 9)
+        return (a0 == b0 and a1 == b1 and a2 == b2 and a3 == b3 and a4 == b4
+                and a5 == b5 and a6 == b6 and a7 == b7 and a8 == b8 and a9 == b9)
+
+    __hash__ = None
+
     def reciprocal(self) -> "Jet2":
         b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = self.coeffs
         if b0 == 0:
@@ -615,10 +608,6 @@ def _jet(coeffs: tuple) -> Jet2:
     return jet
 
 
-def _as_jet(value) -> Jet2:
-    return value if isinstance(value, Jet2) else Jet2.constant(float(value))
-
-
 @dataclass
 class MapJet:
     """Value, Jacobian, and symmetric multilinear coefficients of a planar
@@ -630,22 +619,13 @@ class MapJet:
 
     @classmethod
     def from_jets(cls, R: Jet2, W: Jet2) -> "MapJet":
-        value = np.array([R.coeffs[0], W.coeffs[0]])
-        A = np.zeros((2, 2))
-        B = np.zeros((2, 2, 2))
-        C = np.zeros((2, 2, 2, 2))
-        for comp, jet in enumerate((R, W)):
-            c = jet.coeffs
-            A[comp, 0], A[comp, 1] = c[1], c[2]
-            B[comp, 0, 0] = 2 * c[_JET_INDEX[(2, 0)]]
-            B[comp, 1, 1] = 2 * c[_JET_INDEX[(0, 2)]]
-            B[comp, 0, 1] = B[comp, 1, 0] = c[_JET_INDEX[(1, 1)]]
-            C[comp, 0, 0, 0] = 6 * c[_JET_INDEX[(3, 0)]]
-            C[comp, 1, 1, 1] = 6 * c[_JET_INDEX[(0, 3)]]
-            for perm_val, exp in ((2 * c[_JET_INDEX[(2, 1)]], (0, 0, 1)),
-                                  (2 * c[_JET_INDEX[(1, 2)]], (0, 1, 1))):
-                a, b, d = exp
-                for idx in {(a, b, d), (a, d, b), (b, a, d), (b, d, a),
-                            (d, a, b), (d, b, a)}:
-                    C[comp][idx] = perm_val
-        return cls(value=value, A=A, B=B, C=C)
+        """The jet of the map whose components have the Taylor polynomials R
+        and W: the coefficient of exponents (i, j) in _JET_EXPS times i! j!
+        is the partial derivative of that order, the entry of A (degree 1),
+        B (2) or C (3) at each slot order."""
+        comps = (R.coeffs, W.coeffs)
+        return cls(value=np.array([c[0] for c in comps]),
+                   A=np.array([[c[1], c[2]] for c in comps]),
+                   B=np.array([[[2 * c[3], c[4]], [c[4], 2 * c[5]]] for c in comps]),
+                   C=np.array([[[[6 * c[6], 2 * c[7]], [2 * c[7], 2 * c[8]]],
+                                [[2 * c[7], 2 * c[8]], [2 * c[8], 6 * c[9]]]] for c in comps]))

@@ -122,10 +122,10 @@ def fit_fourier_curve(points: np.ndarray) -> FourierCurve:
                         sin_coeffs=coef[2::2], rms_residual=float(rms[K]))
 
 
-def rotation_number(points: np.ndarray, center: Optional[np.ndarray] = None
-                    ) -> Tuple[float, float]:
+def rotation_number(points: np.ndarray, center: np.ndarray) -> Tuple[float, float]:
     """Rotation number (revolutions per return) of consecutive iterates on a
-    closed curve, Birkhoff-weighted, with an uncertainty estimate.
+    closed curve about `center`, Birkhoff-weighted, with an uncertainty
+    estimate.
 
     Raises NonMonotoneLift when the samples are not a radial graph over the
     angle about the center (the lift is then ill-defined).
@@ -133,8 +133,6 @@ def rotation_number(points: np.ndarray, center: Optional[np.ndarray] = None
     points = np.asarray(points, dtype=float)
     if len(points) < 256:
         raise TorusError(f"need >= 256 consecutive iterates, got {len(points)}")
-    if center is None:
-        center = points.mean(axis=0)
     rel = points - center
     ang = np.arctan2(rel[:, 1], rel[:, 0])
     rad = np.linalg.norm(rel, axis=1)

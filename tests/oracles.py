@@ -259,7 +259,7 @@ def cylindrical_jacobian(field: RescaledField, theta, r, w, mu, eps) -> np.ndarr
     """(2, 2) Jacobian of (dr/dtheta, dw/dtheta) in (r, w) by complex-step
     differentiation, Im f(v + ih) / h: exact to rounding for this rational
     field (no difference is taken) and independent of jet transport."""
-    cyl = field.bind(mu, eps).cylindrical
+    cyl = field.bind(mu, eps).return_rhs
     h = 1e-30
     cols = [cyl(theta, r + 1j * h, w), cyl(theta, r, w + 1j * h)]
     return np.array(cols).imag.T / h
@@ -269,7 +269,7 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
     """Value and Jacobian of the return map by the six-float transport of
     `ThetaReturnMap.jet1`, replayed on jet1's own accepted steps, with the
     field's derivative along each Jacobian column taken by a complex step:
-    the imaginary part of `cylindrical` at (r, w) + i h column, h = 1e-30,
+    the imaginary part of `return_rhs` at (r, w) + i h column, h = 1e-30,
     exact to rounding (no difference is taken) and independent of the
     exact partials `jet1` reads.  The step times are those `flow.dop853`
     accepts on `BoundField.jet1_rhs`; each step of the replay is one
@@ -277,7 +277,7 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
     the rounding of the right-hand side and of the stage sums, not in the
     step-size control that rounding could otherwise tip."""
     bound, h = tmap.field.bind(mu, eps), 1e-30
-    cyl = bound.cylindrical
+    cyl = bound.return_rhs
 
     def rhs(theta, r, r1, r2, w, w1, w2):
         dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
@@ -656,7 +656,8 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
     # f2 evaluated on degree-3 jets in (r, w), and in (r, mu), (w, mu) for the
     # mixed mu slices
     def jet(evaluators, r, w, mu) -> MapJet:
-        return MapJet.from_jets(*(flow._as_jet(f(r, w, mu)) for f in evaluators))
+        return MapJet.from_jets(*(v if isinstance(v, Jet2) else Jet2.constant(v)
+                                  for v in (f(r, w, mu) for f in evaluators)))
 
     R, W, MU = Jet2.variable(0, r0), Jet2.variable(1, 0.0), Jet2.variable(1, 0.0)
     f1_rw = jet(mel._f1_eval, R, W, 0.0)

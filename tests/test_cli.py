@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import torusforge
@@ -206,6 +207,19 @@ def test_coefficient_past_float_range_is_typed_error(tmp_path, capsys, command, 
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FloatRangeExceeded"
     assert json.loads((out / f"{command}_error.json").read_text()) == err
+
+
+def test_perturbation_coefficient_past_float_range_is_typed_error(tmp_path, capsys):
+    """A perturbation coefficient past the float range ends analyze in a
+    typed FloatRangeExceeded, not in an OverflowError traceback from the
+    family's compiled criteria ingredients."""
+    perturbation = {"U": "1" + "0" * 400 + "*mu*x", "V": "0", "W": "mu*z + eps"}
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, perturbation=perturbation))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", doc, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatRangeExceeded"
+    assert json.loads((out / "analyze_error.json").read_text()) == err
 
 
 def test_melnikov_f2_is_exact(tmp_path):
@@ -590,6 +604,14 @@ def test_report_with_non_finite_number_is_not_written(tmp_path, value):
     assert not path.exists()
 
 
+def test_report_floats_are_shortest_repr(tmp_path):
+    """A report writes each float, numpy's included, as its shortest
+    round-trip repr."""
+    path = tmp_path / "report.json"
+    torusforge.cli.write_report(str(path), {"a": 0.1, "b": 1 / 3, "c": np.float64(0.1)})
+    assert path.read_text() == '{\n "a": 0.1,\n "b": 0.3333333333333333,\n "c": 0.1\n}\n'
+
+
 def test_lift_grid_at_the_cap_runs(tmp_path):
     """A grid of MAX_LIFT_SAMPLES values is within the cap."""
     values = [str(k + 1) for k in range(MAX_LIFT_SAMPLES)]
@@ -690,3 +712,16 @@ def test_simulate_nan_start_fails_fast(tmp_path):
                        "--out", str(tmp_path / "out")])
     assert proc.returncode == EXIT_ERROR
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "StepSizeUnderflow"
+
+
+def test_simulate_infinite_start_is_typed_error(tmp_path, capsys):
+    """At x = 1e160 the example field's x^2 overflows to inf, so the first
+    step-size guess is 0: the run ends in a typed StepSizeUnderflow, not in a
+    ZeroDivisionError traceback."""
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, initial_state=[1e160, 0.0, 0.0],
+                                    periods=1))
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", doc, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StepSizeUnderflow"
+    assert json.loads((out / "simulate_error.json").read_text()) == err

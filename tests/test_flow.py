@@ -12,7 +12,7 @@ from torusforge.averaging import PERIOD, melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
-    _JET_EXPS, _JET_INDEX, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
+    _JET_EXPS, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
     NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap,
     _A, _B, _C, _E3, _E5, _dp_step, dop853, integrate,
 )
@@ -24,6 +24,7 @@ from oracles import (
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
+_JET_INDEX = {e: i for i, e in enumerate(_JET_EXPS)}
 
 
 def _setup(atol=1e-12, rtol=1e-10):
@@ -82,7 +83,7 @@ def test_jet1_identity_at_eps_zero():
 
 def test_plane_section_circular_orbit():
     sys, fam, _ = _setup()
-    field = RescaledField(sys, fam).field3(0.0, 0.0)
+    field = RescaledField(sys, fam).bind(0.0, 0.0).rhs3
     x1, t1, event = poincare_return(field, PlaneSection(), [1.0, 0.0, 0.0])
     assert np.max(np.abs(x1 - [1.0, 0.0, 0.0])) <= 1e-10
     assert abs(t1 - 2 * math.pi) <= 1e-10
@@ -121,7 +122,7 @@ def test_jet_jacobian_vs_variational_monodromy():
     x0 = np.array([1.4, 0.0])
     jet = tmap.jet3(x0, mu, eps)
 
-    cyl = field.bind(mu, eps).cylindrical
+    cyl = field.bind(mu, eps).return_rhs
 
     def rhs(theta, state):
         return np.array(cyl(theta, state[0], state[1]))
@@ -196,6 +197,37 @@ def test_jet2_arithmetic():
     # truncation: product is 1 up to degree-3 terms
     assert abs(check.coeffs[0] - 1.0) <= 1e-14
     assert np.max(np.abs(check.coeffs[1:6])) <= 1e-13
+
+
+def test_jet2_equality():
+    """Jets compare by their ten coefficients as floats do, a number as the
+    constant jet; so 0.0 * jet == 0.0 holds exactly when every coefficient
+    is finite.  Jets are not hashable."""
+    a = Jet2.variable(0, 2.0)
+    assert a == Jet2((2.0, 1.0) + (0.0,) * 8) and a != Jet2.variable(1, 2.0)
+    assert Jet2.constant(3.0) == 3.0 and a != 2.0
+    assert 0.0 * a == 0.0
+    for bad in (math.inf, -math.inf, math.nan):
+        jet = Jet2((1.0,) * 9 + (bad,))
+        assert not 0.0 * jet == 0.0
+        assert not 0.0 * a * jet == 0.0
+    nan = Jet2((math.nan,) + (0.0,) * 9)
+    assert nan != nan
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_jet3_on_field_without_y_drift():
+    """With Q = 0 and the simple family the drift's Y has no terms, so the
+    return's cs * Y - sn * X is a float less a jet: jet3 runs through it and
+    agrees with jet1 to the integration tolerance."""
+    sys = validate_hopf_zero("x*z", "0", "-x^2 + x*y + z^2")
+    tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1),
+                          IntegratorConfig(atol=1e-13, rtol=1e-11))
+    assert compile_terms(tmap.field.bind(0.05, 0.02).drift_terms[1], "xyz")(1.0, 0.5, 0.1) == 0.0
+    j1, j3 = tmap.jet1([1.2, 0.1], 0.05, 0.02), tmap.jet3([1.2, 0.1], 0.05, 0.02)
+    assert np.max(np.abs(j1.value - j3.value)) <= 1e-11
+    assert np.max(np.abs(j1.A - j3.A)) <= 1e-11
 
 
 def test_config_validation():
@@ -277,7 +309,7 @@ def _length1_rhs(cyl):
 @given(st.floats(-10.0, 10.0), st.floats(0.01, 3.0), st.floats(-3.0, 3.0))
 def test_single_seed_field_matches_length1_arrays_bitwise(theta, r, w):
     sys, fam = validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1)
-    cyl = RescaledField(sys, fam).bind(-0.2, 0.02).cylindrical
+    cyl = RescaledField(sys, fam).bind(-0.2, 0.02).return_rhs
     dr, dw = cyl(theta, r, w)
     assert type(dr) is float and type(dw) is float
     ref = _length1_rhs(cyl)(theta, np.array([r, w]))
@@ -323,13 +355,25 @@ def test_jet_transport_at_r_zero_raises():
 def test_cylindrical_field_on_axis_raises():
     """On the axis r = 0 the angular speed (cs*yd - sn*xd)/r is a division by
     zero.  With P(0, 0, z) = z^2 != 0 the numerator is nonzero there, so the
-    rewriting r / (cs*yd - sn*xd) would return zeros instead of raising."""
+    rewriting r / (cs*yd - sn*xd) would return zeros instead of raising.  The
+    return's right-hand side raises NonFiniteState there on floats and on
+    jets, and jet3, which runs it on jets, JetTransportUnstable; so does jet3
+    off the axis at w = 1e200, where the drift's z^2 overflows."""
     sys = validate_hopf_zero("z^2", "y*z", "-x^2 + x*y + z^2")
-    cyl = RescaledField(sys, PerturbationFamily.simple(beta=1)).bind(-0.2, 0.02).cylindrical
-    with pytest.raises(ZeroDivisionError):
-        cyl(1.0, 0.0, 0.5)
-    with pytest.raises(ZeroDivisionError):
-        cyl(1.0, Jet2.variable(0, 0.0), Jet2.variable(1, 0.5))
+    tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
+    rhs = tmap.field.bind(-0.2, 0.02).return_rhs
+    with pytest.raises(NonFiniteState, match="singular"):
+        rhs(1.0, 0.0, 0.5)
+    with pytest.raises(NonFiniteState, match="singular"):
+        rhs(1.0, Jet2.variable(0, 0.0), Jet2.variable(1, 0.5))
+    with pytest.raises(NonFiniteState, match="non-finite"):
+        rhs(1.0, Jet2.variable(0, 1.0), Jet2.variable(1, 1e200))
+    with _time_limit(20):
+        with pytest.raises(JetTransportUnstable, match="singular") as info:
+            tmap.jet3([0.0, 0.5], -0.2, 0.02)
+        assert isinstance(info.value.__cause__, NonFiniteState)
+        with pytest.raises(JetTransportUnstable, match="non-finite"):
+            tmap.jet3([1.0, 1e200], -0.2, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +419,7 @@ _pairs = st.sampled_from([(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
 @given(st.floats(0.3, 2.0), st.floats(-0.6, 0.6), _pairs)
 def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
-    cyl = tmap.field.bind(*pair).cylindrical
+    cyl = tmap.field.bind(*pair).return_rhs
     y = _assert_takes_dop853_steps(cyl, -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
     got = tmap.point([r, w], *pair, reverse=reverse)
     assert np.array(got).tobytes() == np.array(y).tobytes()
@@ -394,7 +438,7 @@ def test_integrate_matches_solve_ivp(atol, rtol):
     the stage sums round differently (numpy's dot against Python floats),
     and the step control amplifies the difference in the error norm."""
     sys, fam, _ = _setup()
-    field = RescaledField(sys, fam).field3(-0.2, 0.02)
+    field = RescaledField(sys, fam).bind(-0.2, 0.02).rhs3
     x0, span = [1.2, 0.0, 0.1], (0.0, 5 * PERIOD)
     ts, ys = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
     ref = solve_ivp(lambda t, s: field(t, *s), span, np.array(x0), method="DOP853",
@@ -409,10 +453,10 @@ def test_integrate_matches_solve_ivp(atol, rtol):
 @given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
 def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
-    cyl = tmap.field.bind(*pair).cylindrical
+    field = tmap.field.bind(*pair).return_rhs
 
     def rhs(theta, *state):
-        dr, dw = cyl(theta, Jet2(state[:10]), Jet2(state[10:]))
+        dr, dw = field(theta, Jet2(state[:10]), Jet2(state[10:]))
         return dr.coeffs + dw.coeffs
 
     state0 = Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs
@@ -503,11 +547,12 @@ def test_compiled_partials_match_complex_step(x, y, z, pair):
                else PerturbationFamily.from_expressions(*family))
         bound = RescaledField(validate_hopf_zero(*system), fam).bind(*pair)
         partials = compile_terms(bound.partial_terms, "xyz")(x, y, z)
+        drift = compile_terms(bound.drift_terms, "xyz")
         h = 1e-30
         for j in range(3):
             point = [complex(x), complex(y), complex(z)]
             point[j] += 1j * h
-            column = [v.imag / h for v in bound.drift(*point)]
+            column = [v.imag / h for v in drift(*point)]
             for i in range(3):
                 assert abs(partials[3 * i + j] - column[i]) <= 1e-13 * (1 + abs(column[i]))
 
@@ -517,16 +562,15 @@ def test_compiled_partials_match_complex_step(x, y, z, pair):
        st.floats(-2.0, 2.0), _pairs)
 def test_generated_field_kernels_match_compiled_field_bitwise(t, x, y, z, pair):
     """`simulate`'s generated 3D right-hand side is the compiled field bit
-    for bit, and the return's and the value part of jet1's are `cylindrical`
-    on floats: the two write its quotient out and must stay in step.  The
-    same field at another (mu, eps) runs the same compiled code."""
+    for bit, and the value part of jet1's is the return's on floats: the two
+    write the cylindrical quotient out and must stay in step.  The same
+    field at another (mu, eps) runs the same compiled code."""
     fam = PerturbationFamily.from_expressions(*RICH_FAMILY)
     bound = RescaledField(validate_hopf_zero(*RICH), fam).bind(*pair)
     field = compile_terms(bound.terms, "xyz")
     assert np.array(bound.rhs3(t, x, y, z)).tobytes() == np.array(field(x, y, z)).tobytes()
     r, w = abs(x) + 0.1, z
-    want = np.array(bound.cylindrical(t, r, w)).tobytes()
-    assert np.array(bound.return_rhs(t, r, w)).tobytes() == want
+    want = np.array(bound.return_rhs(t, r, w)).tobytes()
     dr, _, _, dw, _, _ = bound.jet1_rhs(t, r, 1.0, 0.0, w, 0.0, 1.0)
     assert np.array([dr, dw]).tobytes() == want
     other = RescaledField(validate_hopf_zero(*RICH), fam).bind(0.3, 0.07)
@@ -584,15 +628,16 @@ def test_stepper_zero_span():
 
 
 def _stepper_problem(kind, r, w, pair):
-    """(rhs, y0) of one state size: 1, 2 (the return map's `cylindrical`),
-    3 (the rescaled field), 6 and 20 (the degree-3 jet transport), and the
-    generated return (2) and jet1 (6) right-hand sides."""
+    """(rhs, y0) of one state size: 1, 2 (a forced pendulum), 3 (the
+    rescaled field), 6 and 20 (the degree-3 jet transport: the generated
+    return right-hand side on Jet2 values), and the generated return (2) and
+    jet1 (6) right-hand sides on floats."""
     field = RescaledField(validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1))
     bound = field.bind(*pair)
     if kind == 1:
         return (lambda t, y: [w * math.cos(t) - r * math.sin(y)]), [w]
     if kind == 2:
-        return bound.cylindrical, [r, w]
+        return (lambda t, x, v: [v, 0.3 * math.cos(t) - math.sin(x) - 0.1 * v]), [r, w]
     if kind == 3:
         return bound.rhs3, [r, 0.0, w]
     if kind == "return":
@@ -606,7 +651,7 @@ def _stepper_problem(kind, r, w, pair):
         return rhs, [r, w, r * w, -r, 0.5, -w]
 
     def rhs(t, *s):
-        dr, dw = bound.cylindrical(t, Jet2(s[:10]), Jet2(s[10:]))
+        dr, dw = bound.return_rhs(t, Jet2(s[:10]), Jet2(s[10:]))
         return dr.coeffs + dw.coeffs
     return rhs, list(Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs)
 

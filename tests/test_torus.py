@@ -37,7 +37,7 @@ def test_rigid_rotation_rotation_number():
 def test_rotation_number_needs_enough_samples():
     pts = np.zeros((100, 2))
     with pytest.raises(TorusError):
-        rotation_number(pts)
+        rotation_number(pts, pts.mean(axis=0))
 
 
 def test_non_monotone_lift_on_cloud():

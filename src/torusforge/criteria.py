@@ -6,7 +6,7 @@ first Lyapunov quantity ell_1 is read straight off the quadratic and cubic
 jets by a closed form with integer coefficients (`ell1_exact`), exact like
 Omega.  The closed formula transcribed from the source text is evaluated
 and reported next to it, but it is inconsistent with the worked example and
-with the dynamics (see `ell1_transcribed`); the repaired form is the one
+with the dynamics (see `_ell1_closed_form`); the repaired form is the one
 used.
 """
 
@@ -270,16 +270,6 @@ def ell1_exact(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
     return _on_scaled(_ell1_repaired, _scaled_jets(jP, jQ, jR))
 
 
-def ell1_transcribed(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
-    """The closed-form ell_1 exactly as transcribed, three outer groups.
-
-    On the worked example this evaluates to -16 while the dynamics (and
-    `ell1_exact`) give -48; the transcription is kept verbatim for
-    auditability and the discrepancy is reported upstream.
-    """
-    return _on_scaled(_ell1_closed_form, _scaled_jets(jP, jQ, jR))
-
-
 def _scaled_jets(jP: Jet3, jQ: Jet3, jR: Jet3) -> tuple:
     """(s, P, Q, R): s the lcm of the denominators of the quadratic and cubic
     entries, and (i, j, k) -> the entry times s^(i + j + k - 1), an int (0
@@ -361,7 +351,13 @@ def _ell1_repaired(P: Callable, Q: Callable, R: Callable):
 
 def _ell1_closed_form(P: Callable, Q: Callable, R: Callable):
     """The transcribed ell_1 of the jet entries P(i, j, k), Q(i, j, k),
-    R(i, j, k), quadratic and cubic ones only, over any commutative ring."""
+    R(i, j, k), quadratic and cubic ones only, over any commutative ring:
+    three outer groups, exactly as transcribed.
+
+    On the worked example this evaluates to -16 while the dynamics (and
+    `ell1_exact`) give -48; the transcription is kept verbatim for
+    auditability and `evaluate_base_criteria` reports the discrepancy.
+    """
     S = R(0, 2, 0) + R(2, 0, 0)
     omega = -(P(1, 0, 1) + Q(0, 1, 1)) * S
 
@@ -433,7 +429,11 @@ class PerturbationCriteria:
 def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
     """Float callables of mu (Gamma_operational, Gamma_printed, eta, w_mu)
     built on the family's compiled ingredients; the exact constants of the
-    system are converted once, under `float_range`."""
+    system are converted once, under `float_range`.  Each callable divides
+    by d = P^(1,0,1) + Q^(0,1,1) or S = R^(2,0,0) + R^(0,2,0), and
+    Gamma_printed by S d^2: one that rounds to 0.0 is a FloatRangeExceeded
+    error, so they divide only by nonzero floats, which numpy and Python
+    floats round alike."""
     if sys.divergence_pair == 0:
         raise CriteriaError("P^(1,0,1) + Q^(0,1,1) = 0; criteria undefined")
     if sys.quadratic_sum == 0:
@@ -442,6 +442,9 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
         d, S = float(sys.divergence_pair), float(sys.quadratic_sum)
         Sdd = float(sys.quadratic_sum * sys.divergence_pair ** 2)
         c = float(sys.jR.get(0, 0, 2))
+    if d == 0.0 or S == 0.0:
+        raise FloatRangeExceeded(f"a divisor rounds to 0.0 as a float: d = {d!r}, "
+                                 f"S = {S!r}")
     sigma, w1z, w20 = fam.sigma, fam.w1z, fam.w20
 
     def w_mu(mu):
@@ -454,6 +457,8 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
         return (2 * c * w * w + 4 * w1z(mu) * w + 4 * w20(mu)) / S
 
     def gamma_printed(mu):
+        if Sdd == 0.0:
+            raise FloatRangeExceeded("S d^2 rounds to 0.0 as a float")
         s = sigma(mu)
         return (2 * c * s * s - w1z(mu) * s) / Sdd + 4 * w20(mu) / S
 
@@ -471,15 +476,12 @@ def evaluate_perturbation_criteria(
         raise CriteriaError(f"empty interval {interval!r}")
     gamma_op, gamma_pr, eta, w_mu = perturbation_functions(sys, fam)
 
-    grid, scan = _scan((gamma_op, gamma_pr, eta), lo, hi)
-    gamma_vals = scan[0] if scan else [gamma_op(m) for m in grid]
+    grid, (gamma_vals, printed, eta_vals) = _scan((gamma_op, gamma_pr, eta), lo, hi)
     flagged = tuple(m for m, g in zip(grid, gamma_vals) if g >= 0)
     if len(flagged) == len(grid):
         raise GammaNonNegative("Gamma_criterion(mu) >= 0 on the whole interval")
-    printed = scan[1] if scan else [gamma_pr(m) for m in grid]
     disc = max(abs(g - p) for g, p in zip(gamma_vals, printed))
 
-    eta_vals = scan[2] if scan else [eta(m) for m in grid]
     roots: List[Tuple[float, float]] = []
     for i in range(len(grid) - 1):
         a, b, fa, fb = grid[i], grid[i + 1], eta_vals[i], eta_vals[i + 1]
@@ -510,19 +512,14 @@ def evaluate_perturbation_criteria(
     )
 
 
-def _scan(functions, lo: float, hi: float) -> Tuple[list, Optional[List[list]]]:
+def _scan(functions, lo: float, hi: float) -> Tuple[list, List[list]]:
     """The scan grid, and each function's floats on it in one numpy pass: the
-    floats of one scalar call per point where all are finite.  Else None,
-    and the scalar calls run: they carry an overflow on as inf and raise on
-    a division by 0.0 where they meet it (numpy under `float_range` does
-    the reverse)."""
+    floats of one scalar call per point, inf and NaN included, as the
+    functions divide only by nonzero floats (`perturbation_functions`)."""
     with np.errstate(all="ignore"):
         mus = lo + (hi - lo) * np.arange(ETA_SCAN_POINTS) / (ETA_SCAN_POINTS - 1)
-        try:
-            values = [np.broadcast_to(f(mus), mus.shape) for f in functions]
-        except ZeroDivisionError:
-            return mus.tolist(), None
-    return mus.tolist(), [v.tolist() for v in values] if np.isfinite(values).all() else None
+        values = [np.broadcast_to(f(mus), mus.shape).tolist() for f in functions]
+    return mus.tolist(), values
 
 
 def _bisect(f, a, b, fa, fb):

@@ -71,12 +71,6 @@ class ExpressionTooLarge(FieldExprError):
     as ((x^12)^12)^12 are refused before they are multiplied out."""
 
 
-class UnboundSymbolError(FieldExprError):
-    def __init__(self, name: str):
-        super().__init__(f"symbol '{name}' is unbound")
-        self.name = name
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 # ---------------------------------------------------------------------------
@@ -365,7 +359,7 @@ class Poly:
     `compile_terms` turns it into numbers.  A subclass sets its own `NAMES`;
     `+`, `-`, `*`, `scale`, `derivative` and `==` then work for any exact
     coefficient ring (zero is falsy, + and * are exact) and for negative
-    exponents.  `power`, `substitute`, `eval` and `degree` assume Fraction
+    exponents.  `power`, `substitute` and `degree` assume Fraction
     coefficients and non-negative exponents, and `degree` defaults to
     (x, y, z).  Polys of different classes never compare equal.
     """
@@ -481,27 +475,6 @@ class Poly:
                     term = term * power
             result = result + term
         return result
-
-    def eval(self, **env):
-        """Evaluate over any commutative ring: values must support + and *
-        (so exponents must be nonnegative).
-
-        Fraction coefficients multiply ring values directly, so Fraction
-        values give the exact value; float evaluation goes through
-        `compile_terms`.
-        """
-        free = self.free_variables()
-        missing = [v for v in free if v not in env]
-        if missing:
-            raise UnboundSymbolError(missing[0])
-        total = None
-        for m, c in self.terms.items():
-            term = c
-            for name, e in zip(self.NAMES, m):
-                for _ in range(e):
-                    term = term * env[name]
-            total = term if total is None else total + term
-        return 0 if total is None else total
 
     def free_variables(self) -> Tuple[str, ...]:
         return tuple(v for i, v in enumerate(self.NAMES)

@@ -405,8 +405,6 @@ class RescaledField:
     them."""
 
     def __init__(self, sys: HopfZeroSystem, fam: PerturbationFamily):
-        self.system = sys
-        self.family = fam
         self.slices = eps_graded_slices(sys, fam)
         self.drift_slices = ((Poly(), Poly(), Poly()),) + self.slices[1:]
         self._bound = None            # ((mu, eps), BoundField) of the last pair

@@ -69,7 +69,6 @@ class Ball:
 class SeparatingPlane:
     point: Tuple[Fraction, Fraction, Fraction]
     coefficients: Tuple[Fraction, Fraction, Fraction]   # (a0, b0, 0) of the plane
-    direction: Tuple[Fraction, Fraction, Fraction]      # field vector at the point
     plane_distance: float                               # dist(plane, ball center)
     containment_residual: float
     field: Tuple[Poly, Poly, Poly]                      # possibly jittered seed
@@ -81,22 +80,9 @@ class SeparatingPlane:
 # ---------------------------------------------------------------------------
 
 def _poly_on_plane(p: Poly) -> Dict[Tuple[int, int], Fraction]:
-    """Restrict to x3 = 0: bivariate coefficient table in (x1, x2)."""
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for mono, c in p.terms.items():
-        i, j, k, a, b = mono
-        if k == 0 and a == 0 and b == 0:
-            out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    return {k_: v for k_, v in out.items() if v}
-
-
-def _leading_at_10(table: Dict[Tuple[int, int], Fraction], m: int) -> Fraction:
-    """Value of the degree-m homogeneous part at (1, 0) (= the x1^m coeff)."""
-    return table.get((m, 0), Fraction(0))
-
-
-def _eval_biv(table, x1, x2):
-    return sum(c * x1 ** i * x2 ** j for (i, j), c in table.items())
+    """Restrict to x3 = 0: bivariate coefficient table in (x1, x2); a Poly's
+    monomials are distinct and its coefficients nonzero, so none cancels."""
+    return {(i, j): c for (i, j, k, a, b), c in p.terms.items() if not (k or a or b)}
 
 
 def _univariate_gcd_degree(a: List[Fraction], b: List[Fraction]) -> int:
@@ -171,10 +157,10 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
 
     Scans x = radius * 2^(k/2), k = 1..40, accepting the first x where the
     line angle exceeds both ball-tangent angles; an x past the float range,
-    or where the field overflows a float, is no candidate.  When
-    f = X1(x1,x2,0) and g = X2(x1,x2,0) share a factor or a leading
-    coefficient vanishes, a seeded rational jitter is applied (magnitude
-    ladder 1e-6, 1e-5, 1e-4).
+    where X1 vanishes (p must be regular) or where the field overflows a
+    float is no candidate.  When f = X1(x1,x2,0) and g = X2(x1,x2,0) share a
+    factor or a leading coefficient vanishes, a seeded rational jitter is
+    applied (magnitude ladder 1e-6, 1e-5, 1e-4).
     """
     polys = tuple(as_poly(c) for c in field)
     rng = random.Random(seed)
@@ -182,12 +168,14 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     jitter_used = 0.0
 
     attempt = 0
-    while attempt <= MAX_JITTER_ATTEMPTS:
+    while True:
         f = _poly_on_plane(polys[0])
         g = _poly_on_plane(polys[1])
-        ok = (not _have_common_factor(f, g)
-              and _leading_at_10(f, m) != 0 and _leading_at_10(g, m) != 0)
-        if ok:
+        # dense x1-axis coefficients: f(x1, 0) and g(x1, 0), x1^m last
+        f_axis = _restrict_univariate(f, 1, Fraction(0))
+        g_axis = _restrict_univariate(g, 1, Fraction(0))
+        if (len(f_axis) > m and f_axis[m] and len(g_axis) > m and g_axis[m]
+                and not _have_common_factor(f, g)):
             break
         attempt += 1
         if attempt > MAX_JITTER_ATTEMPTS:
@@ -205,8 +193,8 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
         if not math.isfinite(x):
             break
         px = Fraction(x).limit_denominator(10 ** 12)
-        fx = _eval_biv(f, px, Fraction(0))
-        gx = _eval_biv(g, px, Fraction(0))
+        fx = sum(c * px ** i for i, c in enumerate(f_axis))
+        gx = sum(c * px ** i for i, c in enumerate(g_axis))
         if fx == 0:
             continue
         try:
@@ -222,19 +210,15 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
         theta_m = _line_angle(base - alpha)
         phi = _line_angle(math.atan2(gxf, fxf))
         if abs(phi) > max(abs(theta_p), abs(theta_m)):
-            p = (px, Fraction(0), Fraction(0))
-            direction = tuple(_eval_at(polys[i], p) for i in range(3))
-            if all(d == 0 for d in direction):
-                continue                      # singular point: keep scanning
-            a0, b0 = Fraction(gx), Fraction(-fx)
+            a0, b0 = gx, -fx
             plane_dist = abs(gxf * (bx - float(px)) - fxf * by) / math.hypot(gxf, fxf)
             if plane_dist <= rho:
                 continue
-            resid = abs(float(a0 * direction[0] + b0 * direction[1])) / \
-                max(1.0, math.hypot(gxf, fxf))
+            # the field vector at the point is (fx, gx, .): 0 by construction
+            resid = abs(float(a0 * fx + b0 * gx)) / max(1.0, math.hypot(gxf, fxf))
             return SeparatingPlane(
-                point=p, coefficients=(a0, b0, Fraction(0)),
-                direction=direction, plane_distance=plane_dist,
+                point=(px, Fraction(0), Fraction(0)), coefficients=(a0, b0, Fraction(0)),
+                plane_distance=plane_dist,
                 containment_residual=resid, field=polys,
                 jitter_magnitude=jitter_used)
     raise NoSeparatingXFound("scan x = radius * 2^(k/2), k = 1..40 exhausted")
@@ -248,10 +232,6 @@ def _line_angle(angle: float) -> float:
     elif a <= -math.pi / 2:
         a += math.pi
     return a
-
-
-def _eval_at(p: Poly, point) -> Fraction:
-    return p.eval(x=point[0], y=point[1], z=point[2], mu=Fraction(0), eps=Fraction(0))
 
 
 def translate_to_origin(polys: Sequence[Poly], point) -> Tuple[Poly, ...]:
@@ -305,8 +285,7 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     """
     polys = tuple(as_poly(c) for c in seed_field)
     L, delta = Fraction(L), Fraction(delta)
-    P0 = _eval_at(polys[0], (0, 0, 0))
-    Q0 = _eval_at(polys[1], (0, 0, 0))
+    P0, Q0, R0 = (p.terms.get(_CONSTANT, Fraction(0)) for p in polys)
     if P0 == 0 or Q0 == 0:
         raise ZeroComponentAtP(f"P(0) = {P0}, Q(0) = {Q0}; both must be nonzero")
     a0, b0 = Q0, -P0
@@ -339,7 +318,6 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     residual = math.inf
     if sqrt_delta:                # delta > 0 and a rational square
         sd = sqrt_delta
-        R0 = _eval_at(polys[2], (0, 0, 0))
         M = [[Fraction(1), Fraction(0), Fraction(0)],
              [(L * delta + P0 * Q0) / (P0 * P0), sd / (P0 * P0), Fraction(0)],
              [R0 / P0, -L * sd * R0 / P0, Fraction(1)]]

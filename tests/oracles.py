@@ -29,7 +29,9 @@ problem per Fourier order, the reference for `torus.fit_fourier_curve`.
 `ReferenceParser` reads an expression on tokens of a character loop and
 multiplies one Poly per factor, the reference for the terms, their order and
 the errors of `fieldexpr.parse_field`.  The last section holds small helpers
-only the tests call (`branch_xi1` evaluates the printed xi1(mu)), and `FractionCFrac`, the Fraction-pair Gaussian
+only the tests call (`branch_xi1` evaluates the printed xi1(mu), `poly_eval`
+evaluates a `Poly` exactly, `ell1_transcribed` evaluates the transcribed
+closed form of ell_1), and `FractionCFrac`, the Fraction-pair Gaussian
 rational that checks `averaging.CFrac`.
 """
 
@@ -50,9 +52,12 @@ from torusforge.averaging import (
     MelnikovPair, PiPoly, StandardFormSystem, TrigPoly, eps_graded_slices,
     melnikov_pair, to_standard_form,
 )
-from torusforge.criteria import HopfZeroSystem, PerturbationFamily, validate_hopf_zero
+from torusforge.criteria import (
+    HopfZeroSystem, PerturbationFamily, _ell1_closed_form, _on_scaled, _scaled_jets,
+    validate_hopf_zero,
+)
 from torusforge.fieldexpr import (
-    MAX_NESTING, MAX_POWER, VARIABLES, FieldSyntaxError, Jet3, Poly,
+    MAX_NESTING, MAX_POWER, VARIABLES, FieldExprError, FieldSyntaxError, Jet3, Poly,
     UnknownIdentifierError, _check_size, as_poly, compile_terms,
 )
 from torusforge import flow
@@ -1354,11 +1359,46 @@ def degree_report(f: Union[str, Poly]) -> Dict[str, int]:
     return rep
 
 
+class UnboundSymbolError(FieldExprError):
+    def __init__(self, name: str):
+        super().__init__(f"symbol '{name}' is unbound")
+        self.name = name
+
+
+def poly_eval(p: Poly, **env):
+    """p at the values `env` binds to its names, over any commutative ring:
+    values must support + and * (so exponents must be nonnegative).
+
+    Fraction coefficients multiply ring values directly, so Fraction values
+    give the exact value; the package evaluates in floats through
+    `compile_terms`.  A free variable `env` leaves unbound is an
+    UnboundSymbolError.
+    """
+    missing = [v for v in p.free_variables() if v not in env]
+    if missing:
+        raise UnboundSymbolError(missing[0])
+    total = None
+    for m, c in p.terms.items():
+        term = c
+        for name, e in zip(p.NAMES, m):
+            for _ in range(e):
+                term = term * env[name]
+        total = term if total is None else total + term
+    return 0 if total is None else total
+
+
 def evaluate_field(f: Union[str, Poly], point, params=(0, 0)):
     """Evaluate at (x, y, z) with parameters (mu, eps); exact for exact input."""
     px, py, pz = point
     pmu, peps = params
-    return as_poly(f).eval(x=px, y=py, z=pz, mu=pmu, eps=peps)
+    return poly_eval(as_poly(f), x=px, y=py, z=pz, mu=pmu, eps=peps)
+
+
+def ell1_transcribed(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
+    """The closed-form ell_1 exactly as transcribed, `criteria._ell1_closed_form`,
+    on the integer-scaled jet entries and divided by s^6, as
+    `evaluate_base_criteria` evaluates it."""
+    return _on_scaled(_ell1_closed_form, _scaled_jets(jP, jQ, jR))
 
 
 def jet_product(a: Jet3, b: Jet3) -> Jet3:

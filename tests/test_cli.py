@@ -222,6 +222,49 @@ def test_perturbation_coefficient_past_float_range_is_typed_error(tmp_path, caps
     assert json.loads((out / "analyze_error.json").read_text()) == err
 
 
+_TINY_400 = "1/1" + "0" * 400            # 10^-400: 0.0 as a float
+_TINY_200 = "1/1" + "0" * 200            # 10^-200: its square is 0.0 as a float
+_UNDERFLOW_SYSTEMS = {
+    "S": {"P": "x*z", "Q": "y*z", "R": f"-{_TINY_400}*x^2 + z^2"},
+    "d": {"P": f"{_TINY_400}*x*z", "Q": "0", "R": "-x^2 + x*y + z^2"},
+    "Sdd": {"P": f"{_TINY_200}*x*z", "Q": "0", "R": f"-{_TINY_200}*x^2 + z^2"},
+}
+_ALL_COMMANDS = [("analyze", []), ("melnikov", ["--mu=0.0"]),
+                 ("simulate", ["--mu=0.0", "--eps=0.01"]), ("branch", []),
+                 ("certify", ["--mu=0.05", "--eps=0.05"])]
+
+
+@pytest.mark.parametrize("divisor, command, flags", [
+    *(("S", c, f) for c, f in _ALL_COMMANDS),
+    ("d", "melnikov", ["--mu=0.0"]), ("d", "simulate", ["--mu=0.0", "--eps=0.01"]),
+    *(("Sdd", c, f) for c, f in _ALL_COMMANDS if c in ("analyze", "branch", "certify")),
+])
+def test_divisor_underflow_is_typed_error(tmp_path, capsys, divisor, command, flags):
+    """A criteria divisor that is nonzero but rounds to 0.0 as a float (S,
+    d or S d^2 of `perturbation_functions`) ends each command that divides
+    by it in a typed FloatRangeExceeded, not in a ZeroDivisionError
+    traceback."""
+    system = _UNDERFLOW_SYSTEMS[divisor]
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, system=system, periods=1))
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatRangeExceeded"
+    assert json.loads((out / f"{command}_error.json").read_text()) == err
+
+
+@pytest.mark.parametrize("command, flags", [(c, f) for c, f in _ALL_COMMANDS
+                                            if c in ("melnikov", "simulate")])
+def test_commands_that_never_divide_by_s_d2_still_run(tmp_path, command, flags):
+    """Only Gamma_printed divides by S d^2, so melnikov and simulate, which
+    never call it, run on a system whose S d^2 rounds to 0.0."""
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, system=_UNDERFLOW_SYSTEMS["Sdd"],
+                                    periods=1))
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
+    assert not (out / f"{command}_error.json").exists()
+
+
 def test_melnikov_f2_is_exact(tmp_path):
     """The report's f2 is the exact closed form, bit for bit, and the
     independent quadrature of the standard form agrees with it."""

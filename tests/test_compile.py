@@ -1,5 +1,5 @@
 """Property tests of the numeric boundary: `compile_terms` against exact
-`Poly.eval` over Fractions."""
+`poly_eval` over Fractions."""
 
 import cmath
 import math
@@ -12,7 +12,7 @@ from torusforge.averaging import TrigPoly
 from torusforge.fieldexpr import VARIABLES, Poly, compile_terms
 from torusforge.flow import Jet2
 
-from oracles import trig_evaluator
+from oracles import poly_eval, trig_evaluator
 
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 # exponents of (x, y, z, mu, eps), total degree <= 4 in (x, y, z)
@@ -29,13 +29,14 @@ def _compiled(p: Poly):
 
 def _exact(p: Poly, point):
     x, y, z, mu = point
-    return p.eval(x=x, y=y, z=z, mu=mu, eps=Fraction(0))
+    return poly_eval(p, x=x, y=y, z=z, mu=mu, eps=Fraction(0))
 
 
 def _scale(p: Poly, point):
     """Sum of |terms| at the point: the size rounding errors scale with."""
-    return 1.0 + float(Poly({m: abs(c) for m, c in p.terms.items()}).eval(
-        **dict(zip(VARIABLES, [abs(v) for v in point] + [Fraction(0)]))))
+    magnitudes = Poly({m: abs(c) for m, c in p.terms.items()})
+    values = [abs(v) for v in point] + [Fraction(0)]
+    return 1.0 + float(poly_eval(magnitudes, **dict(zip(VARIABLES, values))))
 
 
 @settings(max_examples=60, deadline=None)

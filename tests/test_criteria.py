@@ -19,8 +19,8 @@ from torusforge.criteria import (
 from torusforge.fieldexpr import Jet3, Poly, jet_extract
 
 from oracles import (
-    ell1_nested_source, ell1_terms, entry_values, first_lyapunov_quantity, fit_ell1,
-    random_hopf_zero,
+    ell1_nested_source, ell1_terms, ell1_transcribed, entry_values,
+    first_lyapunov_quantity, fit_ell1, random_hopf_zero,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -133,8 +133,8 @@ def test_ell1_transcribed_on_integers_is_the_fraction_value(jP, jQ, jR):
     """The closed form evaluated on the integer-scaled entries and divided by
     s^6 is the Fraction the same form gives on the entries themselves."""
     direct = criteria._ell1_closed_form(jP.get, jQ.get, jR.get)
-    assert criteria.ell1_transcribed(jP, jQ, jR) == direct
-    assert isinstance(criteria.ell1_transcribed(jP, jQ, jR), Fraction)
+    assert ell1_transcribed(jP, jQ, jR) == direct
+    assert isinstance(ell1_transcribed(jP, jQ, jR), Fraction)
 
 
 def test_base_criteria_negative_omega():
@@ -347,8 +347,12 @@ def _scan_outcome(sys, fam, interval, scalar=False):
     `scalar`, the scan makes one scalar call per point, as it did before it
     ran on numpy."""
     n = criteria.ETA_SCAN_POINTS
-    route = ((lambda fs, lo, hi: ([lo + (hi - lo) * i / (n - 1) for i in range(n)], None))
-             if scalar else criteria._scan)
+
+    def scalar_scan(functions, lo, hi):
+        grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        return grid, [[f(m) for m in grid] for f in functions]
+
+    route = scalar_scan if scalar else criteria._scan
     try:
         with mock.patch.object(criteria, "_scan", route), np.errstate(over="raise"):
             crit = evaluate_perturbation_criteria(sys, fam, interval)
@@ -366,11 +370,11 @@ _EXTREME = [
      (-1e10, 1e10)),
     (EXAMPLE, ("0", "0", "mu*z + eps"), (-1.7e308, 1.7e308)),
     (EXAMPLE, (Poly({(1, 0, 0, 0, 0): _HUGE}), "0", "mu*z + eps"), (-1.0, 1.0)),
-    # S d^2 is 0.0 as a float: Gamma_printed divides by it, after the
-    # Gamma >= 0 check on the one and before it on the other
+    # S d^2 is 0.0 as a float: Gamma_printed refuses it on its first call,
+    # before the Gamma >= 0 check
     ((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "z + eps"), (-1.0, 1.0)),
     ((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"), (-1.0, 1.0)),
-    # d is 0.0 as a float
+    # d is 0.0 as a float: refused before any function is called
     ((Poly({(1, 0, 1, 0, 0): _TINY * _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"),
      (-1.0, 1.0)),
 ]

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from torusforge.averaging import TRIG_COS, CFrac, PiPoly, TrigPoly
 from torusforge.fieldexpr import (
     MAX_DEGREE, MAX_NESTING, VARIABLES, ExpressionTooLarge, FieldExprError,
-    FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, UnboundSymbolError,
-    format_poly, jet_extract, parse_field,
+    FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, format_poly, jet_extract,
+    parse_field,
 )
 
 from oracles import (
-    FractionCFrac, degree_report, evaluate_field, jet_product, parse_field_reference,
-    poly_to_float,
+    FractionCFrac, UnboundSymbolError, degree_report, evaluate_field, jet_product,
+    parse_field_reference, poly_eval, poly_to_float,
 )
 
 
@@ -77,7 +77,7 @@ def test_evaluate_field():
     assert evaluate_field("-x^2 + x*y + z^2 + eps*mu*z + eps^2", (1, 1, 1)) == 1
     assert evaluate_field("eps^2", (0, 0, 0), (0, 0.05)) == pytest.approx(0.0025)
     with pytest.raises(UnboundSymbolError):
-        parse_field("x + y").eval(x=1)
+        poly_eval(parse_field("x + y"), x=1)
 
 
 def test_jet_extract_single_monomial():
@@ -399,9 +399,9 @@ points = st.fixed_dictionaries({v: st.fractions(min_value=-3, max_value=3,
 def test_substitute_agrees_with_evaluation(p, bindings, point):
     """p.substitute(b) at a point equals p at the bindings' values there; an
     unbound variable keeps its own value."""
-    values = {v: bindings[v].eval(**point) if v in bindings else point[v]
+    values = {v: poly_eval(bindings[v], **point) if v in bindings else point[v]
               for v in VARIABLES}
-    assert p.substitute(bindings).eval(**point) == p.eval(**values)
+    assert poly_eval(p.substitute(bindings), **point) == poly_eval(p, **values)
 
 
 def _random_poly3(rng) -> Poly:
@@ -431,7 +431,7 @@ def test_jet_agrees_with_finite_differences():
         p = poly_to_float(_random_poly3(rng))
 
         def ev(px, py, pz):
-            return p.eval(x=px, y=py, z=pz)
+            return poly_eval(p, x=px, y=py, z=pz)
 
         jet = jet_extract(p)
         h = 1e-2

@@ -14,7 +14,7 @@ from torusforge.lift import (
     origin_jet, printed_A_limit, translate_to_origin, tune_lift_parameters,
 )
 
-from oracles import lift_omega, omega_of_lift, omega_of_lift_family
+from oracles import lift_omega, omega_of_lift, omega_of_lift_family, poly_eval
 from test_averaging import _benchmark_inputs
 
 SPEC_SEED = ("1 + x", "1/10*x + y", "0")
@@ -43,6 +43,24 @@ def test_separating_plane_skips_singular_candidate():
     # x = 10000 is a root of f: it cannot be the accepted point
     assert float(plane.point[0]) != pytest.approx(1e4)
     assert plane.plane_distance > 1.0
+    # g has no x^3 term, so the seed is jittered first, and the scan accepts
+    # x = 2^3.5 as for the spec seed (1e4 is no candidate); the plane is pinned
+    assert plane.point == (Q(7632611706039, 674633936938), Q(0), Q(0))
+    assert plane.coefficients == (
+        Q(2675132805497861212973710372098318024956523,
+          2361898337365079712965180902517274400000000),
+        Q(-3781479825713753376198338663704994134853753161,
+          307046783857460362685473517327245672000000000),
+        Q(0))
+    assert plane.jitter_magnitude == 1e-06
+    # X1 = x - 4 vanishes at the candidate x = 2 * 2^(2/2) = 4, whose
+    # vertical plane would pass the distance test: the scan goes on to 4 sqrt(2)
+    plane = find_separating_plane(("x - 4", "1/100*x + y + 1", "0"),
+                                  Ball((0.0, 0.0, 0.0), 2.0))
+    assert plane.point == (Q(4037670577591, 713766061403), Q(0), Q(0))
+    assert plane.coefficients == (Q(75414276717891, 71376606140300),
+                                  Q(-1182606331979, 713766061403), Q(0))
+    assert plane.jitter_magnitude == 0.0
 
 
 def test_common_factor_triggers_jitter():
@@ -50,6 +68,11 @@ def test_common_factor_triggers_jitter():
                                   Ball((0.0, 0.0, 0.0), 1.0), seed=7)
     assert plane.jitter_magnitude > 0.0
     assert plane.plane_distance > 1.0
+    assert plane.point == (Q(898735282112, 635501812473), Q(0), Q(0))
+    assert plane.coefficients == (Q(3068474154827775325787, 635501812473000000000),
+                                  Q(-767118831490331275979, 317750906236500000000),
+                                  Q(0))
+    assert plane.jitter_magnitude == 1e-06
 
 
 def test_build_lift_char_poly_exact():
@@ -135,8 +158,8 @@ def test_lifted_system_grammar_roundtrip():
 def test_translate_to_origin():
     polys = _polys(("1 + x", "1/10*x + y", "0"))
     shifted = translate_to_origin(polys, (Q(8), Q(0), Q(0)))
-    assert shifted[0].eval(x=Q(0), y=Q(0), z=Q(0), mu=Q(0), eps=Q(0)) == 9
-    assert shifted[1].eval(x=Q(0), y=Q(0), z=Q(0), mu=Q(0), eps=Q(0)) == Q(8, 10)
+    assert poly_eval(shifted[0], x=Q(0), y=Q(0), z=Q(0), mu=Q(0), eps=Q(0)) == 9
+    assert poly_eval(shifted[1], x=Q(0), y=Q(0), z=Q(0), mu=Q(0), eps=Q(0)) == Q(8, 10)
 
 
 def test_tuning_never_parses(monkeypatch):

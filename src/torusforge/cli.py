@@ -1,10 +1,19 @@
 """Command-line driver.
 
-    torusforge <analyze|melnikov|branch|simulate|certify|lift> --input FILE
-               [--mu F] [--eps F] [--grid N] [--seed N]
-               [--out DIR] [--simple]
+    torusforge <command> --input FILE [--out DIR] [options]
 
-The input document is one self-contained JSON experiment:
+Each command takes only the options it reads (`COMMANDS`); any other flag
+is a UsageError before any work:
+
+    analyze    --simple
+    melnikov   --mu F, --grid N, --simple
+    branch     --simple
+    simulate   --mu F, --eps F, --simple
+    certify    --mu F, --eps F, --simple
+    lift       --seed N
+
+The input document is one self-contained JSON experiment; only "system" is
+required, and a key not shown here is a DocumentError:
 
     {
       "system": {"P": "...", "Q": "...", "R": "..."},
@@ -14,7 +23,8 @@ The input document is one self-contained JSON experiment:
       "tolerances": {"atol": 1e-12, "rtol": 1e-10},
       "ball": {"center": [0, 0, 0], "radius": 1.0},
       "lift": {"L_values": ["1", "2", "4"], "delta_values": ["1/4", "1/16", "1/64"]},
-      "periods": 50
+      "periods": 50,
+      "initial_state": [x, y, z]
     }
 
 `--grid` lies in [1, MAX_GRID], `periods` (simulate) in (0, MAX_PERIODS]
@@ -24,7 +34,9 @@ for unbounded work.  The `ball` center is finite and its radius finite and
 
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; each float is written as its shortest round-trip repr and keys are
-sorted, so identical runs (including --seed) produce byte-identical output.
+sorted, so identical runs (for lift, with the same --seed) produce
+byte-identical output.  A report's `meta.run` holds the command, the input's
+basename and the value of each option the command takes.
 A report that would hold NaN or an infinity, which are not JSON, is not
 written: the run ends in a NonFiniteReport error.
 Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
@@ -40,7 +52,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -90,38 +102,17 @@ class NonFiniteReport(ValueError):
     """A report would hold NaN or an infinity, which JSON cannot hold."""
 
 
-@dataclass
-class RunSpec:
-    command: str
-    input_path: str
-    mu: Optional[float]
-    eps: Optional[float]
-    grid: int
-    seed: int
-    out_dir: str
-    simple: bool = False
-
-    def to_dict(self):
-        return {"command": self.command, "input": os.path.basename(self.input_path),
-                "mu": self.mu, "eps": self.eps, "grid": self.grid,
-                "seed": self.seed, "simple": self.simple}
-
-
 def _wrap_floats(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
         return {k: _wrap_floats(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_wrap_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_wrap_floats(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):       # a numpy bool, integer or float
+        return obj.item()
     return obj
 
 
@@ -177,12 +168,15 @@ _SHAPES = {
 }
 
 
-def _document(spec: RunSpec) -> dict:
-    with open(spec.input_path, "rb") as fh:
+def _document(args) -> dict:
+    with open(args.input, "rb") as fh:
         raw = fh.read()
     doc = json.loads(raw.decode("utf-8"))
     if not isinstance(doc, dict):
         raise DocumentError("input document must be a JSON object")
+    unknown = set(doc) - {"system", *_SHAPES}
+    if unknown:
+        raise DocumentError(f"unknown document keys {sorted(unknown)}")
     if not isinstance(doc.get("system"), dict):
         raise CriteriaError("input document must define system {P, Q, R}")
     for comp in ("P", "Q", "R"):
@@ -195,18 +189,20 @@ def _document(spec: RunSpec) -> dict:
     return doc
 
 
-def _meta(spec: RunSpec, doc: dict) -> dict:
+def _meta(args, doc: dict) -> dict:
+    run = {"command": args.command, "input": os.path.basename(args.input)}
+    run.update((name, getattr(args, name)) for name in COMMANDS[args.command][1])
     return {"tool": "torusforge", "version": __version__,
-            "input_sha256": doc["_sha256"], "run": spec.to_dict()}
+            "input_sha256": doc["_sha256"], "run": run}
 
 
-def _load(spec: RunSpec) -> Tuple[dict, HopfZeroSystem, PerturbationFamily]:
+def _load(args) -> Tuple[dict, HopfZeroSystem, PerturbationFamily]:
     """The input document, its system and its perturbation family (the
     simple one under --simple)."""
-    doc = _document(spec)
+    doc = _document(args)
     sys_ = validate_hopf_zero(*(doc["system"][c] for c in "PQR"))
     pert = doc.get("perturbation", {"simple": True})
-    if spec.simple or pert.get("simple"):
+    if args.simple or pert.get("simple"):
         if sys_.quadratic_sum == 0:
             raise CriteriaError("simple family undefined: R200 + R020 = 0")
         return doc, sys_, PerturbationFamily.simple(sys_.beta)
@@ -214,12 +210,12 @@ def _load(spec: RunSpec) -> Tuple[dict, HopfZeroSystem, PerturbationFamily]:
         pert.get("U", "0"), pert.get("V", "0"), pert.get("W", "0"))
 
 
-def _not_applicable(spec: RunSpec, doc: dict, rep: CriteriaReport,
+def _not_applicable(args, doc: dict, rep: CriteriaReport,
                     name: str, skipped: str) -> int:
     """Write the criteria-not-applicable report `name`."""
-    payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
+    payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
                "error": f"criteria not applicable; {skipped} skipped"}
-    write_report(os.path.join(spec.out_dir, name), payload)
+    write_report(os.path.join(args.out, name), payload)
     return EXIT_NOT_APPLICABLE
 
 
@@ -275,20 +271,19 @@ def _float(value) -> float:
         return math.inf
 
 
-def _params(doc, spec):
-    """(mu, eps), each from its flag or else from the document's
-    `parameters`, None where neither gives it.  NaN and inf are refused
-    before any work: downstream they end in misleading solver errors."""
-    pars = doc.get("parameters", {})
-    out = []
-    for name, flag in (("mu", spec.mu), ("eps", spec.eps)):
-        value = flag if flag is not None else pars.get(name)
-        if value is not None:
-            value = _float(value)
-            if not math.isfinite(value):
-                raise OutOfRange(f"{name} must be finite, got {value}")
-        out.append(value)
-    return tuple(out)
+def _param(doc, args, name):
+    """The flag `name` ("mu" or "eps"), or else the document's
+    `parameters.<name>`, None where neither gives it.  NaN and inf are
+    refused before any work: downstream they end in misleading solver
+    errors."""
+    value = getattr(args, name)
+    if value is None:
+        value = doc.get("parameters", {}).get(name)
+    if value is not None:
+        value = _float(value)
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} must be finite, got {value}")
+    return value
 
 
 def _ball(doc) -> Ball:
@@ -310,21 +305,21 @@ def _ball(doc) -> Ball:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(spec: RunSpec) -> int:
-    doc, sys_, fam = _load(spec)
+def cmd_analyze(args) -> int:
+    doc, sys_, fam = _load(args)
     rep = criteria_report(sys_, fam, _interval(doc))
-    payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict()}
-    write_report(os.path.join(spec.out_dir, "analyze.json"), payload)
+    payload = {"meta": _meta(args, doc), "criteria": rep.to_dict()}
+    write_report(os.path.join(args.out, "analyze.json"), payload)
     return EXIT_OK if rep.applicable else EXIT_NOT_APPLICABLE
 
 
-def cmd_melnikov(spec: RunSpec) -> int:
-    doc, sys_, fam = _load(spec)
-    mu, _ = _params(doc, spec)
+def cmd_melnikov(args) -> int:
+    doc, sys_, fam = _load(args)
+    mu = _param(doc, args, "mu")
     mu = 0.0 if mu is None else mu
     mel = melnikov_pair(to_standard_form(sys_, fam))
     eq = averaged_equilibrium(mel, mu)
-    n = spec.grid
+    n = args.grid
     ws = np.linspace(eq.w - 1.0, eq.w + 1.0, n)
     w_values = ws.tolist()
 
@@ -334,18 +329,18 @@ def cmd_melnikov(spec: RunSpec) -> int:
             yield from zip([r] * n, w_values, *mel.f1((r, ws), mu).tolist(),
                            *mel.f2_closed((r, ws), mu).tolist())
 
-    write_csv(os.path.join(spec.out_dir, "melnikov.csv"),
+    write_csv(os.path.join(args.out, "melnikov.csv"),
               ("r", "w", "f1_1", "f1_2", "f2_1", "f2_2"), rows())
     return EXIT_OK
 
 
-def cmd_branch(spec: RunSpec) -> int:
-    doc, sys_, fam = _load(spec)
+def cmd_branch(args) -> int:
+    doc, sys_, fam = _load(args)
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
-        return _not_applicable(spec, doc, rep, "branch.json", "branch")
-    mel = melnikov_pair(to_standard_form(sys_, fam))
+        return _not_applicable(args, doc, rep, "branch.json", "branch")
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
+    mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
     mu0 = rep.perturbation.mu0
     branch = branch_continuation(mel, tmap, mu0)
     slices = lyapunov_slices(tmap, branch)
@@ -353,7 +348,7 @@ def cmd_branch(spec: RunSpec) -> int:
     xi1 = xi_slice(tmap, mel, mu0)
     hyp = hypothesis_check(mel, rep.perturbation, rep.base.l12)
     payload = {
-        "meta": _meta(spec, doc),
+        "meta": _meta(args, doc),
         "criteria": rep.to_dict(),
         "branch": branch.to_dict(),
         "hypotheses": hyp.to_dict(),
@@ -366,19 +361,14 @@ def cmd_branch(spec: RunSpec) -> int:
                    "rotation_residual": jordan.rotation_residual},
     }
     if branch.xi_slices_closed is not None:
-        bc = branch.xi_slices_closed
-        payload["closed_forms"] = {
-            "mu1": str(bc.mu1), "xi2": str(bc.xi2),
-            "xi1_const": str(bc.xi1_const), "xi1_slope": bc.xi1_slope,
-            "m21_1": bc.m21_1, "m22_1": bc.m22_1,
-        }
-    write_report(os.path.join(spec.out_dir, "branch.json"), payload)
+        payload["closed_forms"] = asdict(branch.xi_slices_closed)   # Fractions as text
+    write_report(os.path.join(args.out, "branch.json"), payload)
     return EXIT_OK
 
 
-def cmd_simulate(spec: RunSpec) -> int:
-    doc, sys_, fam = _load(spec)
-    mu, eps = _params(doc, spec)
+def cmd_simulate(args) -> int:
+    doc, sys_, fam = _load(args)
+    mu, eps = _param(doc, args, "mu"), _param(doc, args, "eps")
     if mu is None or eps is None:
         raise CriteriaError("simulate requires both mu and eps")
     periods = float(doc.get("periods", 50))
@@ -394,45 +384,45 @@ def cmd_simulate(spec: RunSpec) -> int:
         eq = averaged_equilibrium(mel, mu)
         x0 = [eq.r + 0.05, 0.0, eq.w]
     ts, ys = integrate(field, [float(v) for v in x0], (0.0, periods * 2 * math.pi), cfg)
-    write_csv(os.path.join(spec.out_dir, "trajectory.csv"), ("t", "x", "y", "z"),
+    write_csv(os.path.join(args.out, "trajectory.csv"), ("t", "x", "y", "z"),
               ([t, *y] for t, y in zip(ts, ys)))
     return EXIT_OK
 
 
-def cmd_certify(spec: RunSpec) -> int:
-    doc, sys_, fam = _load(spec)
-    mu, eps = _params(doc, spec)
+def cmd_certify(args) -> int:
+    doc, sys_, fam = _load(args)
+    mu, eps = _param(doc, args, "mu"), _param(doc, args, "eps")
     if mu is None or eps is None:
         raise CriteriaError("certify requires both mu and eps")
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
-        return _not_applicable(spec, doc, rep, "certificate.json", "certification")
-    mel = melnikov_pair(to_standard_form(sys_, fam))
+        return _not_applicable(args, doc, rep, "certificate.json", "certification")
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
+    mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
     point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
     cert = certify_torus(tmap, mu, point, mel, rep.base.ell1, rep.base.l12)
-    payload = {"meta": _meta(spec, doc), "criteria": rep.to_dict(),
+    payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
-    write_report(os.path.join(spec.out_dir, "certificate.json"), payload)
+    write_report(os.path.join(args.out, "certificate.json"), payload)
     if cert.curve_points is not None:
-        write_csv(os.path.join(spec.out_dir, "curve.csv"), ("n", "r", "w"),
+        write_csv(os.path.join(args.out, "curve.csv"), ("n", "r", "w"),
                   ([i, *p] for i, p in enumerate(cert.curve_points.tolist())))
     return EXIT_OK
 
 
-def cmd_lift(spec: RunSpec) -> int:
-    doc = _document(spec)
+def cmd_lift(args) -> int:
+    doc = _document(args)
     seed_field = tuple(as_poly(doc["system"][c]) for c in "PQR")
     lift_doc = doc.get("lift", {})
     L_values = _lift_samples(lift_doc, "L_values")
     delta_values = _lift_samples(lift_doc, "delta_values", squares=True)
-    plane = find_separating_plane(seed_field, _ball(doc), seed=spec.seed)
+    plane = find_separating_plane(seed_field, _ball(doc), seed=args.seed)
     translated = translate_to_origin(plane.field, plane.point)
     tuning = tune_lift_parameters(translated, L_values, delta_values,
-                                  seed=spec.seed)
+                                  seed=args.seed)
     fam = tuning.family
     payload = {
-        "meta": _meta(spec, doc),
+        "meta": _meta(args, doc),
         "plane": {
             "point": [str(v) for v in plane.point],
             "coefficients": [str(v) for v in plane.coefficients],
@@ -453,28 +443,46 @@ def cmd_lift(spec: RunSpec) -> int:
         },
         "criteria": tuning.report.to_dict(),
     }
-    write_report(os.path.join(spec.out_dir, "lift.json"), payload)
+    write_report(os.path.join(args.out, "lift.json"), payload)
     sys_y = tuning.tuned_system
-    lines = [f"P = {format_poly(sys_y.P)}",
-             f"Q = {format_poly(sys_y.Q)}",
-             f"R = {format_poly(sys_y.R)}", ""]
-    lifted_lines = [f"X{i} = {format_poly(p)}"
-                    for i, p in enumerate(fam.lifted, start=1)]
-    with open(os.path.join(spec.out_dir, "lifted_system.txt"), "w") as fh:
-        fh.write("# normalized Hopf-Zero system Y (linear part (-y, x, 0))\n")
-        fh.write("\n".join(lines))
-        fh.write("# lifted field X_{L*, delta*}\n")
-        fh.write("\n".join(lifted_lines) + "\n")
+    lines = ["# normalized Hopf-Zero system Y (linear part (-y, x, 0))",
+             *(f"{c} = {format_poly(p)}" for c, p in zip("PQR", (sys_y.P, sys_y.Q, sys_y.R))),
+             "# lifted field X_{L*, delta*}",
+             *(f"X{i} = {format_poly(p)}" for i, p in enumerate(fam.lifted, start=1))]
+    with open(os.path.join(args.out, "lifted_system.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if tuning.report.applicable else EXIT_NOT_APPLICABLE
 
 
+def _grid(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= n <= MAX_GRID:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_GRID}], got {n}")
+    return n
+
+
+# the optional flags, as add_argument keywords
+_OPTIONS = {
+    "mu": {"type": float, "default": None, "help": "mu in place of the document's"},
+    "eps": {"type": float, "default": None, "help": "eps in place of the document's"},
+    "grid": {"type": _grid, "default": 21, "help": f"grid points per axis, 1 to {MAX_GRID}"},
+    "seed": {"type": int, "default": 0, "help": "seed of the plane scan's jitter"},
+    "simple": {"action": "store_true", "help": "force the degree-preserving family "
+               "(0, 0, mu*z + beta*eps) regardless of the document"},
+}
+
+# each command's function and the options it reads: its parser takes
+# --input, --out and these, and refuses any other flag
 COMMANDS = {
-    "analyze": cmd_analyze,
-    "melnikov": cmd_melnikov,
-    "branch": cmd_branch,
-    "simulate": cmd_simulate,
-    "certify": cmd_certify,
-    "lift": cmd_lift,
+    "analyze": (cmd_analyze, ("simple",)),
+    "melnikov": (cmd_melnikov, ("mu", "grid", "simple")),
+    "branch": (cmd_branch, ("simple",)),
+    "simulate": (cmd_simulate, ("mu", "eps", "simple")),
+    "certify": (cmd_certify, ("mu", "eps", "simple")),
+    "lift": (cmd_lift, ("seed",)),
 }
 
 
@@ -492,35 +500,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _grid(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 1 <= n <= MAX_GRID:
-        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_GRID}], got {n}")
-    return n
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built once per process: parsing keeps no
-    state in it, each call returns a new namespace."""
+    """The command line's parser, built once per process from COMMANDS: a
+    subparser per command, itself a _Parser.  Parsing keeps no state in it,
+    each call returns a new namespace."""
     parser = _Parser(
         prog="torusforge",
         description="Torus bifurcation analysis for perturbed Hopf-Zero "
                     "polynomial vector fields")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--input", required=True, help="experiment JSON document")
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--grid", type=_grid, default=21,
-                        help=f"melnikov grid points per axis, 1 to {MAX_GRID}")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--simple", action="store_true",
-                        help="force the degree-preserving family "
-                             "(0, 0, mu*z + beta*eps) regardless of the document")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options) in COMMANDS.items():
+        sub = commands.add_parser(name)
+        sub.add_argument("--input", required=True, help="experiment JSON document")
+        sub.add_argument("--out", default=".", help="output directory")
+        for option in options:
+            sub.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
@@ -536,15 +531,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(json.dumps(_error_json(exc)), file=sys.stderr)
         raise SystemExit(EXIT_ERROR) from None
-    spec = RunSpec(command=args.command, input_path=args.input, mu=args.mu,
-                   eps=args.eps, grid=args.grid, seed=args.seed,
-                   out_dir=args.out, simple=args.simple)
-    os.makedirs(spec.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        return COMMANDS[args.command](spec)
+        return COMMANDS[args.command][0](args)
     except (CriteriaError, FieldExprError, ValueError, RuntimeError, OSError) as exc:
         err = _error_json(exc)
-        path = os.path.join(spec.out_dir, f"{args.command}_error.json")
+        path = os.path.join(args.out, f"{args.command}_error.json")
         try:
             write_report(path, err)
         except OSError:

@@ -575,18 +575,17 @@ def criteria_report(sys: HopfZeroSystem, fam: PerturbationFamily,
 
     Non-fatal failures are collected as reason codes; structural errors
     (degenerate quadratic sum, missing eta root, ...) raise, and floats are
-    made under `float_range`.
-    """
+    made under `float_range`.  Ell1Zero reads the exact ell_1: a bound on
+    its float would depend on the units of (x, y, z)."""
     with float_range():
         base = evaluate_base_criteria(sys)
         pert = evaluate_perturbation_criteria(sys, fam, interval)
     reasons: List[str] = []
     if not base.nondegenerate:
         reasons.append("NondegeneracyFailed")
-    if base.ell1 is not None and abs(base.ell1) < 1e-12:
+    if base.ell1_exact == 0:
         reasons.append("Ell1Zero")
-    applicable = bool(base.nondegenerate and base.ell1 is not None
-                      and abs(base.ell1) >= 1e-12)
+    applicable = base.nondegenerate and base.ell1_exact != 0
     return CriteriaReport(base=base, perturbation=pert,
                           applicable=applicable,
                           reasons=tuple(dict.fromkeys(reasons)))

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .criteria import (
-    CriteriaReport, HopfZeroSystem, PerturbationFamily, criteria_report, ell1_exact,
-    validate_hopf_zero,
+    CriteriaReport, FloatRangeExceeded, HopfZeroSystem, PerturbationFamily,
+    criteria_report, ell1_exact, validate_hopf_zero,
 )
 from .fieldexpr import Poly, as_poly
 
@@ -158,9 +159,11 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     Scans x = radius * 2^(k/2), k = 1..40, accepting the first x where the
     line angle exceeds both ball-tangent angles; an x past the float range,
     where X1 vanishes (p must be regular) or where the field overflows a
-    float is no candidate.  When f = X1(x1,x2,0) and g = X2(x1,x2,0) share a
-    factor or a leading coefficient vanishes, a seeded rational jitter is
-    applied (magnitude ladder 1e-6, 1e-5, 1e-4).
+    float is no candidate.  No x is a NoSeparatingXFound, or a FloatRangeExceeded
+    when X1 or X2 has a coefficient past the float range on the x1-axis.
+    When f = X1(x1,x2,0) and g = X2(x1,x2,0) share a factor or a leading
+    coefficient vanishes, a seeded rational jitter is applied (magnitude
+    ladder 1e-6, 1e-5, 1e-4).
     """
     polys = tuple(as_poly(c) for c in field)
     rng = random.Random(seed)
@@ -221,6 +224,9 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
                 plane_distance=plane_dist,
                 containment_residual=resid, field=polys,
                 jitter_magnitude=jitter_used)
+    if any(abs(c) > sys.float_info.max for c in (*f_axis, *g_axis)):
+        raise FloatRangeExceeded("X1 or X2 has a coefficient past the float range on "
+                                 "the x1-axis; the scan found no separating x")
     raise NoSeparatingXFound("scan x = radius * 2^(k/2), k = 1..40 exhausted")
 
 

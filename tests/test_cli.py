@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ EXAMPLE_DOC = {
     "interval": [-1.0, 1.0],
     "parameters": {"mu": 0.05, "eps": 0.05},
 }
+LIFT_SYSTEM = {"P": "2 + x + 1/2*z + x^2", "Q": "1 - y + 2*z + y^2",
+               "R": "3 + x + z^2"}
 
 
 def _write_doc(tmp_path, doc, name="doc.json"):
@@ -53,12 +57,16 @@ def test_analyze_example(tmp_path):
     assert len(report["meta"]["input_sha256"]) == 64
 
 
-def test_analyze_deterministic_bytes(tmp_path):
-    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+def test_lift_deterministic_bytes(tmp_path):
+    """Two lifts with the same --seed write the same bytes, and lift.json
+    records the seed."""
+    doc = _write_doc(tmp_path, {"system": LIFT_SYSTEM})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["analyze", "--input", doc, "--out", str(out_a), "--seed", "0"])
-    main(["analyze", "--input", doc, "--out", str(out_b), "--seed", "0"])
-    assert (out_a / "analyze.json").read_bytes() == (out_b / "analyze.json").read_bytes()
+    for out in (out_a, out_b):
+        assert main(["lift", "--input", doc, "--out", str(out), "--seed", "2"]) == EXIT_OK
+    for name in ("lift.json", "lifted_system.txt"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert json.loads((out_a / "lift.json").read_text())["meta"]["run"]["seed"] == 2
 
 
 def test_threads_variable_is_ignored(tmp_path, monkeypatch):
@@ -86,35 +94,94 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+# not applicable (NondegeneracyFailed): branch and certify write their report at once
+NOT_APPLICABLE_DOC = dict(EXAMPLE_DOC, system={"P": "x*z", "Q": "y*z", "R": "x^2 + y^2"})
+
+
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     """Every `main` call parses with the one parser of the process, and the
     flags of one call do not reach the next, across a usage error too."""
     assert torusforge.cli.build_parser() is torusforge.cli.build_parser()
-    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    doc = _write_doc(tmp_path, NOT_APPLICABLE_DOC)
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main(["analyze", "--input", doc, "--out", str(first), "--mu", "0.25",
-                 "--eps", "-1e-3", "--seed", "7", "--grid", "5", "--simple"]) == EXIT_OK
+    assert main(["certify", "--input", doc, "--out", str(first), "--mu", "0.25",
+                 "--eps", "-1e-3", "--simple"]) == EXIT_NOT_APPLICABLE
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--input", doc, "--grid", "0"])
+        main(["certify", "--input", doc, "--mu", "abc"])
     assert exc.value.code == EXIT_ERROR
     assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
-    assert main(["analyze", "--input", doc, "--out", str(second)]) == EXIT_OK
-    runs = [json.loads((out / "analyze.json").read_text())["meta"]["run"]
+    assert main(["certify", "--input", doc, "--out", str(second)]) == EXIT_NOT_APPLICABLE
+    runs = [json.loads((out / "certificate.json").read_text())["meta"]["run"]
             for out in (first, second)]
-    common = {"command": "analyze", "input": "doc.json"}
-    assert runs[0] == {**common, "mu": 0.25, "eps": -1e-3, "grid": 5, "seed": 7,
-                       "simple": True}
-    assert runs[1] == {**common, "mu": None, "eps": None, "grid": 21, "seed": 0,
-                       "simple": False}
+    common = {"command": "certify", "input": "doc.json"}
+    assert runs[0] == {**common, "mu": 0.25, "eps": -1e-3, "simple": True}
+    assert runs[1] == {**common, "mu": None, "eps": None, "simple": False}
 
 
 def test_exponent_form_negative_values_parse(tmp_path):
-    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    doc = _write_doc(tmp_path, NOT_APPLICABLE_DOC)
     out = tmp_path / "out"
-    assert main(["analyze", "--input", doc, "--out", str(out),
-                 "--mu", "-5.55e-17", "--eps", "-1e-3"]) == EXIT_OK
-    run = json.loads((out / "analyze.json").read_text())["meta"]["run"]
+    assert main(["certify", "--input", doc, "--out", str(out),
+                 "--mu", "-5.55e-17", "--eps", "-1e-3"]) == EXIT_NOT_APPLICABLE
+    run = json.loads((out / "certificate.json").read_text())["meta"]["run"]
     assert run["mu"] == -5.55e-17 and run["eps"] == -1e-3
+
+
+# a value of each optional flag of the CLI
+FLAG_VALUES = {"mu": ["0.1"], "eps": ["0.1"], "grid": ["3"], "seed": ["1"], "simple": []}
+# a document on which each command writes its JSON report at once, and the
+# report's name; melnikov and simulate write only CSV
+REPORTS = {
+    "analyze": (EXAMPLE_DOC, "analyze.json"),
+    "branch": (NOT_APPLICABLE_DOC, "branch.json"),
+    "certify": (NOT_APPLICABLE_DOC, "certificate.json"),
+    "lift": ({"system": LIFT_SYSTEM}, "lift.json"),
+}
+
+
+@pytest.mark.parametrize("command", list(torusforge.cli.COMMANDS))
+def test_each_command_takes_only_its_options(tmp_path, capsys, command):
+    """A flag the command does not read is a UsageError (exit 1, no report);
+    the report's meta.run holds the command, the input and exactly the
+    command's options; README's option table is COMMANDS."""
+    options = torusforge.cli.COMMANDS[command][1]
+    assert set(FLAG_VALUES) == set(torusforge.cli._OPTIONS)
+    doc, report = REPORTS.get(command, (EXAMPLE_DOC, None))
+    path = _write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    for flag in set(FLAG_VALUES) - set(options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", path, "--out", str(out), f"--{flag}",
+                  *FLAG_VALUES[flag]])
+        assert exc.value.code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and f"--{flag}" in err["message"]
+        assert not out.exists()
+    if report is not None:
+        assert main([command, "--input", path, "--out", str(out)]) in (
+            EXIT_OK, EXIT_NOT_APPLICABLE)
+        run = json.loads((out / report).read_text())["meta"]["run"]
+        assert list(run) == sorted(["command", "input", *options])
+        assert (run["command"], run["input"]) == (command, "doc.json")
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = dict(re.findall(r"^\| `(\w+)` +\| (`--\w+`(?:, `--\w+`)*) +\|$", readme,
+                            re.MULTILINE))
+    assert table[command] == ", ".join(f"`--{o}`" for o in options)
+    assert set(table) == set(torusforge.cli.COMMANDS)
+
+
+def test_unknown_document_key_is_typed_error(tmp_path, capsys):
+    """A top-level key the document shape does not know, a typo such as
+    "period" for "periods", is a DocumentError naming it, before any work:
+    simulate ran 50 periods at the default tolerances on this document."""
+    path = _write_doc(tmp_path, dict(EXAMPLE_DOC, period=1, tolerance={"atol": 1e-3}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DocumentError"
+    assert "'period'" in err["message"] and "'tolerance'" in err["message"]
+    assert json.loads((out / "simulate_error.json").read_text()) == err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_analyze_linear_term_error(tmp_path):
@@ -431,11 +498,11 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "b7028e8e5f1ee7951a2a668b8ace43bb2bba3835e0bde3babd42cbaf33499cab"
+BRANCH_JSON_SHA256 = "4685940d66fb9a51d523f69598c48db08e66b2c3ee97982f3ebc63fb192d72d3"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
-NO_TORUS_CERTIFICATE_SHA256 = "899ee701e782ad5a02bed0ace9081b85e622196bdb916703fc3fff95e3942d51"
+NO_TORUS_CERTIFICATE_SHA256 = "a3fa5d2a098cd9bca5c4bba3fb8cdec53737f366983d9bee499b020959bd4ca4"
 
 
 def test_no_torus_certificate_bytes(tmp_path):
@@ -456,19 +523,21 @@ def test_no_torus_certificate_bytes(tmp_path):
 def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, report):
     """The criteria read ell_1 off the jets and build no Melnikov pair, so
     certify and branch build their own: one standard form and one pair per
-    run."""
-    counts = {"to_standard_form": 0, "melnikov_pair": 0}
+    run, on the exact eps slices of the return map's field."""
+    counts = {"to_standard_form": 0, "melnikov_pair": 0, "eps_graded_slices": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(averaging, name)):
             counts[_name] += 1
             return _original(*args)
         monkeypatch.setattr(averaging, name, counted)
-        monkeypatch.setattr(torusforge.cli, name, counted)
+        # the return map's field reads the exact eps slices in flow
+        monkeypatch.setattr(torusforge.flow if name == "eps_graded_slices"
+                            else torusforge.cli, name, counted)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
     assert (out / report).exists()
-    assert counts == {"to_standard_form": 1, "melnikov_pair": 1}
+    assert counts == {"to_standard_form": 1, "melnikov_pair": 1, "eps_graded_slices": 1}
 
 
 def test_lift_command(tmp_path):
@@ -494,19 +563,19 @@ def test_lift_command(tmp_path):
     assert _sha256(out / "lifted_system.txt") == LIFTED_SYSTEM_SHA256
 
 
-LIFT_JSON_SHA256 = "96a9384bf56723ad72a71317d648cb9f3e344c77055f4ada7231a361fd5c9082"
+LIFT_JSON_SHA256 = "0bab58a8f5e27fa94c6b92c66d59d7c4d4bbf407d68f2048c40d73234fb3c08d"
 LIFTED_SYSTEM_SHA256 = "6c71b5b8ab306ac7979304e121239fbf6f82c0afa1293eded021ba69fe84d74c"
 
 # (lift.json, lifted_system.txt) of the `fields` workload's lift seeds at
 # seed 0, each of which jitters the tuned system (ell1_jitter 1e-6)
 JITTERED_LIFT_SHA256 = (
-    ("b9df922ca474d7365768158eb18e6f1337eec299e0aa13576ff7ee4b0bdaf395",
+    ("bbeada9c40395fe5be8d03c3156867885e78517d5f3ebd56ed28aa1371344cea",
      "d8eaa73ac3b13c946f892c8b66dea6a3e8566580a01b478597aa45cd78cbb4eb"),
-    ("5b584080b7ca1b2803a753f8d0a00c7eb6812f593bde90bb0cbebf99d5356fff",
+    ("e88efa5fa7bdc351867054583921dc520ef3f066143292c0f077d3efe54e5c6a",
      "6b26c4d2b0d1268442ca78dd7977dad5ef96580c260263dd56153f07d0c73d43"),
-    ("79049833ffd9be21644335a0c7e312bb4d5e54fa2a046cae44fdc417bf2d7ef5",
+    ("978b21dcec15df2cf59e0f8898b6b895d0f1ba44906b04bbe6eb6eeead26e576",
      "5f4e01752acabd7771a07972ac94799400c56fd97db3c0c2d4c2a47f03195c7d"),
-    ("ca04a7b4e7b80f74eaaa186d940fae1a47dc1687ad5bfa0f5e0e5b6ef21f619a",
+    ("4d341b4ac9b61d95c61a757bc05a4e7431312d306387741740e0732d8d739e6c",
      "a7cdbda41a2b9a64c87d0c194ee578bfcbe81b7a0c78e7f53c245a375abd7a4b"),
 )
 
@@ -534,8 +603,6 @@ def test_missing_input_is_error(tmp_path):
                  "--out", str(out)]) == EXIT_ERROR
 
 
-LIFT_SYSTEM = {"P": "2 + x + 1/2*z + x^2", "Q": "1 - y + 2*z + y^2",
-               "R": "3 + x + z^2"}
 NUMBER_P = {"system": {"P": 5, "Q": "0", "R": "-x^2"}}
 
 
@@ -634,6 +701,20 @@ def test_far_ball_lifts_with_exact_ell1(tmp_path):
     crit = json.loads((out / "lift.json").read_text())["criteria"]
     assert crit["applicable"] is True and 1e263 < crit["ell1"] < 1e264
     assert crit["ell1"] == float(Fraction(crit["ell1_exact"]))
+
+
+def test_lift_coefficient_past_float_range_is_typed_error(tmp_path, capsys):
+    """A seed whose X1 has a coefficient past the float range on the
+    x1-axis overflows a float at every scanned x: the error names that
+    cause, FloatRangeExceeded, not the scan (NoSeparatingXFound)."""
+    system = {"P": "1" + "0" * 400 + "*x + x^2", "Q": "1 + y + y^2", "R": "1 + z"}
+    path = _write_doc(tmp_path, {"system": system})
+    out = tmp_path / "out"
+    assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatRangeExceeded" and "x1-axis" in err["message"]
+    assert json.loads((out / "lift_error.json").read_text()) == err
+    assert not (out / "lift.json").exists()
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

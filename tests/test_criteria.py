@@ -224,6 +224,26 @@ def test_criteria_report_applicable():
     assert d["perturbation"]["mu0"] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_ell1_zero_reads_the_exact_ell1():
+    """Every nonlinear coefficient of the worked example times 1/1024 is an
+    exact change of units, (x, y, z) -> 1024 (x, y, z): ell_1 becomes
+    -48 / 1024^6, under the float bound 1e-12 that Ell1Zero once read, and
+    the report stays applicable."""
+    sys = validate_hopf_zero("0", "1/1024*y*z", "1/1024*(-x^2 + x*y + z^2)")
+    rep = criteria_report(sys, PerturbationFamily.simple(beta=sys.beta), (-1.0, 1.0))
+    assert rep.base.ell1_exact == Fraction(-3, 2 ** 56)
+    assert rep.applicable and rep.reasons == ()
+
+
+def test_ell1_zero_on_an_exact_zero():
+    """P = x z, Q = y z, R = -x^2 - y^2 has Omega = 8 and ell_1 = 0 exactly:
+    not applicable, for Ell1Zero alone."""
+    sys = validate_hopf_zero("x*z", "y*z", "-x^2 - y^2")
+    rep = criteria_report(sys, PerturbationFamily.simple(beta=sys.beta), (-1.0, 1.0))
+    assert rep.base.omega == 8 and rep.base.ell1_exact == 0
+    assert not rep.applicable and rep.reasons == ("Ell1Zero",)
+
+
 def test_omega_rotation_invariance():
     """Omega is a planar divergence times a planar Laplacian: invariant under
     rotating (x, y) in (P, Q, R) while keeping the linear part."""

@@ -82,7 +82,8 @@ EXIT_NOT_APPLICABLE = 2
 MAX_GRID = 200          # melnikov writes grid^2 rows
 MAX_PERIODS = 1000      # simulate keeps each accepted step (23 025 at the cap on the example)
 MAX_LIFT_SAMPLES = 64   # values per lift grid: A(L) is evaluated once per L value
-# the tolerances of the return map that branch and certify integrate
+# the return map's tolerances in branch, and in certify's Neimark-Sacker
+# point; the certifier's own returns run at torus.CERTIFY_INTEGRATOR
 RETURN_MAP_INTEGRATOR = IntegratorConfig(atol=1e-13, rtol=1e-11)
 
 
@@ -220,13 +221,12 @@ def _not_applicable(args, doc: dict, rep: CriteriaReport,
 
 
 def _interval(doc):
-    iv = doc.get("interval", [-1.0, 1.0])
-    return (float(iv[0]), float(iv[1]))
+    return _finite("interval", doc.get("interval", [-1.0, 1.0]))
 
 
 def _integrator(doc) -> IntegratorConfig:
     tols = doc.get("tolerances", {})
-    return IntegratorConfig(**{k: float(tols[k]) for k in ("atol", "rtol") if k in tols})
+    return IntegratorConfig(**{k: _float(tols[k]) for k in ("atol", "rtol") if k in tols})
 
 
 # a rational in text: an integer, a decimal or integer/integer; no exponent,
@@ -271,6 +271,15 @@ def _float(value) -> float:
         return math.inf
 
 
+def _finite(name, values) -> tuple:
+    """JSON numbers as floats; NaN, inf or an integer past the float range is
+    an OutOfRange error before any work, not a misleading error downstream."""
+    values = tuple(map(_float, values))
+    if not all(map(math.isfinite, values)):
+        raise OutOfRange(f"{name} must be finite, got {list(values)}")
+    return values
+
+
 def _param(doc, args, name):
     """The flag `name` ("mu" or "eps"), or else the document's
     `parameters.<name>`, None where neither gives it.  NaN and inf are
@@ -292,10 +301,8 @@ def _ball(doc) -> Ball:
     before any lift work: the scan overflows on the one and runs over
     x <= 0 on the other."""
     ball_doc = doc.get("ball", {"center": [0.0, 0.0, 0.0], "radius": 1.0})
-    center = tuple(_float(v) for v in ball_doc["center"])
+    center = _finite("ball center", ball_doc["center"])
     radius = _float(ball_doc["radius"])
-    if not all(map(math.isfinite, center)):
-        raise OutOfRange(f"ball center must be finite, got {list(center)}")
     if not (math.isfinite(radius) and radius > 0):
         raise OutOfRange(f"ball radius must be finite and > 0, got {radius}")
     return Ball(center, radius)
@@ -371,19 +378,19 @@ def cmd_simulate(args) -> int:
     mu, eps = _param(doc, args, "mu"), _param(doc, args, "eps")
     if mu is None or eps is None:
         raise CriteriaError("simulate requires both mu and eps")
-    periods = float(doc.get("periods", 50))
+    periods = _float(doc.get("periods", 50))
     if not 0 < periods <= MAX_PERIODS:      # also refuses nan
         raise OutOfRange(f"periods must lie in (0, {MAX_PERIODS}], got {periods}")
     cfg = _integrator(doc)
+    x0 = _finite("initial_state", doc["initial_state"]) if "initial_state" in doc else None
     rescaled = RescaledField(sys_, fam)
     field = rescaled.bind(mu, eps).rhs3
-    x0 = doc.get("initial_state")
     if x0 is None:
         # the averaged equilibrium reads f1 alone; f2 is never built here
         mel = melnikov_pair(to_standard_form(sys_, fam, rescaled.slices))
         eq = averaged_equilibrium(mel, mu)
         x0 = [eq.r + 0.05, 0.0, eq.w]
-    ts, ys = integrate(field, [float(v) for v in x0], (0.0, periods * 2 * math.pi), cfg)
+    ts, ys = integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
     write_csv(os.path.join(args.out, "trajectory.csv"), ("t", "x", "y", "z"),
               ([t, *y] for t, y in zip(ts, ys)))
     return EXIT_OK
@@ -400,7 +407,7 @@ def cmd_certify(args) -> int:
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
     point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
-    cert = certify_torus(tmap, mu, point, mel, rep.base.ell1, rep.base.l12)
+    cert = certify_torus(tmap, mu, point, mel, rep.base.l12)
     payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
     write_report(os.path.join(args.out, "certificate.json"), payload)

@@ -236,7 +236,8 @@ class BaseCriteria:
 
 def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
     """Omega, beta, the Gamma scale and ell_1, with the slices of the map
-    Lyapunov coefficient it gives: l11 = 0 and l12 = pi ell_1 / (16 Omega^2)."""
+    Lyapunov coefficient it gives: l11 = 0 and l12 = pi ell_1 / (16 Omega^2).
+    A nonzero ell_1 whose float or l12 is 0.0, with no sign, is a FloatRangeExceeded."""
     beta = sys.beta
     S = sys.quadratic_sum
     omega = sys.omega
@@ -250,6 +251,8 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
         exact = _on_scaled(_ell1_repaired, scaled)
         ell1, l11 = float(exact), 0.0
         l12 = math.pi * float(exact / (16 * omega ** 2))
+        if exact != 0 and 0.0 in (ell1, l12):
+            raise FloatRangeExceeded(f"nonzero ell1 rounds to ell1 = {ell1!r}, l12 = {l12!r}")
         discrepancy = float(abs(exact - transcribed))
         if exact != transcribed:
             notes.append("transcribed closed-form ell1 disagrees with the "

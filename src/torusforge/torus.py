@@ -12,9 +12,9 @@ whose rms is within FOURIER_TOLERANCE of the full order's.
 Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
 are long; a probe phase first iterates the seed xi + (amp, 0) until the
 orbit statistics settle or it escapes.  The settled probe orbit then goes
-on for `transient` more returns, and its next `window` iterates are the
-certificate's samples.  An escape, before or after the probe settles, or a
-probe settled on the fixed point xi, is no_torus.
+on for TRANSIENT (500) more returns, and its next WINDOW (2048) iterates
+are the certificate's samples.  An escape, before or after the probe
+settles, or a probe settled on the fixed point xi, is no_torus.
 
 Stability direction: the Neimark-Sacker curve has the opposite stability to
 xi, so the probe runs backward if and only if det D Pi(xi) = |lambda|^2 < 1,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -47,6 +47,13 @@ LOCK_DENOMINATOR = 64
 FOURIER_ORDER = 32      # the order of the one design the curve is fitted in
 FOURIER_TOLERANCE = 0.10  # the order kept is the lowest within this of the full rms
 RESIDUAL_FACTOR = 1e-3  # torus_found needs rms <= factor * mean radius
+PROBE_CHECK = 500       # the probe checks its statistics every PROBE_CHECK returns
+PROBE_MAX = 6000        # and makes at most PROBE_MAX
+TRANSIENT = 500         # returns of the settled probe orbit before the samples
+WINDOW = 2048           # the samples: iterates of the one sampled orbit
+ESCAPE_BOUND = 50.0     # an iterate with |r| or |w| beyond this has escaped
+# the tolerances of the certifier's returns and jet1 transports
+CERTIFY_INTEGRATOR = IntegratorConfig(atol=1e-11, rtol=1e-9)
 
 
 class TorusError(RuntimeError):
@@ -63,17 +70,6 @@ class NonMonotoneLift(TorusError):
 
 class DegenerateParameter(TorusError):
     pass
-
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    transient: int = 500
-    window: int = 2048                # iterates of the one sampled orbit
-    probe_max: int = 6000
-    probe_check: int = 500
-    escape_bound: float = 50.0
-    integrator: IntegratorConfig = field(
-        default_factory=lambda: IntegratorConfig(atol=1e-11, rtol=1e-9))
 
 
 @dataclass
@@ -269,42 +265,36 @@ class TorusCertificate:
         return out
 
 
-def _iterate(tmap, x, mu, eps, reverse, cfg: CertifyConfig, out: np.ndarray) -> bool:
-    """Write the next len(out) iterates of x into out, carrying the orbit
-    as two floats.  False when the orbit escapes on the way: a non-finite
-    iterate, one beyond escape_bound, one with r <= 1e-3, or a failed
-    integration."""
+def _iterate(tmap, x, mu, eps, reverse, n: int) -> Optional[np.ndarray]:
+    """The next n iterates of x, carrying the orbit as two floats; None
+    when the orbit escapes on the way: a non-finite iterate, one beyond
+    ESCAPE_BOUND, one with r <= 1e-3, or a failed integration."""
     r, w = x
-    bound = cfg.escape_bound
-    for i in range(len(out)):
+    out = np.empty((n, 2))
+    for i in range(n):
         try:
             r, w = tmap.point((r, w), mu, eps, reverse=reverse)
         except FlowError:
             # integration breakdown (e.g. the r -> 0 coordinate
             # singularity): the orbit left the map's domain
-            return False
+            return None
         # NaN fails every comparison, so it escapes too
-        if not (abs(r) <= bound and abs(w) <= bound and r > 1e-3):
-            return False
+        if not (abs(r) <= ESCAPE_BOUND and abs(w) <= ESCAPE_BOUND and r > 1e-3):
+            return None
         out[i] = r, w
-    return True
+    return out
 
 
-def _probe(tmap, x0, mu, eps, reverse, cfg: CertifyConfig):
-    """Iterate one seed until the orbit statistics settle or the orbit escapes.
-
-    Returns (status, tail) with status in {'curve', 'escape'}; tail holds
-    the last probe_check iterates (None on escape).
-    """
-    x = np.asarray(x0, dtype=float)
-    tail = np.zeros((cfg.probe_check, 2))
+def _probe(tmap, x0, mu, eps, reverse) -> Optional[np.ndarray]:
+    """Iterate one seed until the orbit statistics settle: the last
+    PROBE_CHECK iterates, or None when the orbit escapes.  After PROBE_MAX
+    returns the last ones are returned unsettled; the fit quality decides."""
+    tail = np.asarray(x0, dtype=float)[None]     # the seed, as a one-row tail
     prev_stats = None
-    steps = 0
-    while steps < cfg.probe_max:
-        if not _iterate(tmap, x, mu, eps, reverse, cfg, tail):
-            return "escape", None
-        x = tail[-1].copy()
-        steps += cfg.probe_check
+    for _ in range(PROBE_MAX // PROBE_CHECK):
+        tail = _iterate(tmap, tail[-1], mu, eps, reverse, PROBE_CHECK)
+        if tail is None:
+            return None
         center = tail.mean(axis=0)
         rad = np.linalg.norm(tail - center, axis=1)
         stats = (center[0], center[1], rad.mean(), rad.max())
@@ -312,9 +302,9 @@ def _probe(tmap, x0, mu, eps, reverse, cfg: CertifyConfig):
             scale = max(abs(v) for v in stats) + 1e-12
             drift = max(abs(a - b) for a, b in zip(stats, prev_stats)) / scale
             if drift < 5e-3:
-                return "curve", tail.copy()
+                return tail
         prev_stats = stats
-    return "curve", tail.copy()       # best effort; fit quality will decide
+    return tail
 
 
 def _collapse_check(tail: np.ndarray, fixed_point: np.ndarray, seed_radius: float) -> bool:
@@ -323,19 +313,17 @@ def _collapse_check(tail: np.ndarray, fixed_point: np.ndarray, seed_radius: floa
 
 
 def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
-                  ell1: float, l12: float, cfg: Optional[CertifyConfig] = None
-                  ) -> TorusCertificate:
+                  l12: float) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
     (mu, point.eps); see the module docstring for the protocol.  `point` is
     the Neimark-Sacker point at that eps (`unit_circle_point`): its mu sets
-    the seed amplitude and its theta is reported.  `ell1` and `l12` are
-    the map's system's ell_1 and eps^2 Lyapunov slice pi ell_1 / (16 Omega^2)
-    (`BaseCriteria.ell1`, `.l12`); the eps slice is 0."""
-    cfg = cfg or CertifyConfig()
+    the seed amplitude and its theta is reported.  `l12` is the map's
+    system's eps^2 Lyapunov slice pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`),
+    nonzero with the sign of ell_1; the eps slice is 0."""
     eps = point.eps
     if eps == 0.0:
         raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
-    tmap = _with_config(tmap, cfg.integrator)
+    tmap = _with_config(tmap, CERTIFY_INTEGRATOR)
 
     try:
         xi, jet = _newton_fixed_point(tmap, mel, mu, eps)
@@ -344,7 +332,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
 
     # seed amplitude from the normal-form scaling sqrt(alpha_d dmu / (eps |l12|))
     dmu = mu - point.mu
-    if abs(l12) > 1e-12 and dmu * ell1 < 0:
+    if abs(l12) > 1e-12 and dmu * l12 < 0:
         amp = math.sqrt(abs(math.pi * dmu / (eps * l12)))
     else:
         amp = 0.1
@@ -352,7 +340,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
 
     paper_reversed = l12 < 0         # the sign of the leading Lyapunov slice
     notes = []
-    if dmu * ell1 >= 0:
+    if dmu * l12 >= 0:
         notes.append("parameters on the no-torus side of the bifurcation curve")
 
     # the curve attracts in the time direction in which xi repels
@@ -368,8 +356,8 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
             stability_mismatch=False, fixed_point=xi,
             theta_eps=point.theta, notes=tuple(notes))
 
-    status, tail = _probe(tmap, xi + np.array([amp, 0.0]), mu, eps, reverse, cfg)
-    if status == "escape":
+    tail = _probe(tmap, xi + np.array([amp, 0.0]), mu, eps, reverse)
+    if tail is None:
         return no_torus(f"the probe orbit escapes in {direction} time, in which "
                         "the fixed point repels; no invariant curve")
     if _collapse_check(tail, xi, amp):
@@ -377,11 +365,11 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
                         f"{direction} time; no invariant curve")
 
     # the probe orbit goes on: a transient, then the window of samples
-    orbit = np.zeros((cfg.transient + cfg.window, 2))
-    if not _iterate(tmap, tail[-1], mu, eps, reverse, cfg, orbit):
+    orbit = _iterate(tmap, tail[-1], mu, eps, reverse, TRANSIENT + WINDOW)
+    if orbit is None:
         return no_torus(f"the probe orbit escapes in {direction} time after it "
                         "settled; no invariant curve")
-    samples = orbit[cfg.transient:]
+    samples = orbit[TRANSIENT:]
 
     curve = fit_fourier_curve(samples)
     residual = curve.rms_residual

@@ -23,7 +23,8 @@ from torusforge.criteria import (
 from torusforge.fieldexpr import Poly, jet_extract
 from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.lift import build_lift_family, tune_lift_parameters, _jitter_nonlinear
-from torusforge.torus import CertifyConfig, _with_config, certify_torus
+from torusforge.cli import write_report
+from torusforge.torus import CERTIFY_INTEGRATOR, _with_config, certify_torus
 
 from oracles import (
     branch_xi1, f1_quadrature, jet_product, map_points, normal_contraction,
@@ -151,8 +152,8 @@ def certification(example):
     start = time.perf_counter()
     point = unit_circle_point(tmap, mel, 0.0, 0.05)
     base = evaluate_base_criteria(sys)
-    found = certify_torus(tmap, 0.05, point, mel, base.ell1, base.l12)
-    absent = certify_torus(tmap, 0.02, point, mel, base.ell1, base.l12)
+    found = certify_torus(tmap, 0.05, point, mel, base.l12)
+    absent = certify_torus(tmap, 0.02, point, mel, base.l12)
     return found, absent, time.perf_counter() - start
 
 
@@ -178,13 +179,23 @@ def kappa_pair(example, certification):
     """The oracle's log-slope normal contraction factors of the certified
     curve: in the probe's time direction, then in the other one."""
     found = certification[0]
-    tmap = _with_config(example[3], CertifyConfig().integrator)
+    tmap = _with_config(example[3], CERTIFY_INTEGRATOR)
     return tuple(normal_contraction(tmap, found.curve, 0.05, 0.05, reverse)
                  for reverse in (found.reversed_time, not found.reversed_time))
 
 
 # the torus-side samples of the criterion-6 certification at (0.05, 0.05)
 CURVE_POINTS_SHA256 = "9ad2e6c1e3e2521ca96263ca49a0351fb41d8b90e00ce6e079ac7c1cef2d222c"
+# the same certificate, written by cli.write_report
+FOUND_CERTIFICATE_SHA256 = "cde938dde737680d4229b5ad4ff4c04c8ff599f314580549f10a6f727b8c6a1f"
+
+
+def test_criterion_6_certificate_bytes(certification, tmp_path):
+    """The torus-side certificate byte for byte: verdict, fit, rotation,
+    normal exponent, winding and notes of the one sampled orbit."""
+    write_report(tmp_path / "found.json", certification[0].to_dict())
+    digest = hashlib.sha256((tmp_path / "found.json").read_bytes()).hexdigest()
+    assert digest == FOUND_CERTIFICATE_SHA256
 
 
 def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
@@ -192,7 +203,7 @@ def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
     kappa, kappa_reversed = kappa_pair
     product = kappa * kappa_reversed
     # the samples are one orbit: each is the return of the one before it
-    tmap = _with_config(example[3], CertifyConfig().integrator)
+    tmap = _with_config(example[3], CERTIFY_INTEGRATOR)
     one_orbit = all(
         np.array(tmap.point(found.curve_points[i], 0.05, 0.05,
                             reverse=found.reversed_time)).tobytes()
@@ -318,10 +329,13 @@ def test_criterion_8_property_suites(tmp_path):
               f"jets={jets_ok}, rotation={rot_ok}, determinism={det_ok}")
 
 
-def test_lift_then_certify_demo():
+def test_lift_then_certify_demo(monkeypatch):
     """End-to-end constructive demo behind the counting claim: lift a
     degree-2 seed to degree 3, tune the Hopf-Zero point, break the lift's
-    structural ell1 = 0 by the documented jitter, and certify the new torus."""
+    structural ell1 = 0 by the documented jitter, and certify the new torus.
+    The certifier runs shortened, at looser tolerances: it passes at its
+    module values too, but its certify_torus then takes about five times
+    as long."""
     def mono(i, j, k):
         return (i, j, k, 0, 0)
 
@@ -351,9 +365,11 @@ def test_lift_then_certify_demo():
     mu_t = mu_c - dmu * (1 if res.ell1 > 0 else -1)
     assert (mu_t - mu_c) * res.ell1 < 0          # torus side
 
-    cfg = CertifyConfig(transient=300, window=1024, probe_max=4000, probe_check=400,
-                        integrator=IntegratorConfig(atol=1e-9, rtol=1e-7))
-    cert = certify_torus(tmap, mu_t, point, mel, res.ell1, res.l12, cfg=cfg)
+    for name, value in (("TRANSIENT", 300), ("WINDOW", 1024), ("PROBE_MAX", 4000),
+                        ("PROBE_CHECK", 400),
+                        ("CERTIFY_INTEGRATOR", IntegratorConfig(atol=1e-9, rtol=1e-7))):
+        monkeypatch.setattr(f"torusforge.torus.{name}", value)
+    cert = certify_torus(tmap, mu_t, point, mel, res.l12)
     ok = (cert.verdict == "torus_found" and cert.winding == 1
           and cert.fit_residual <= 1e-3 * cert.curve.mean_radius
           and cert.normally_hyperbolic is True

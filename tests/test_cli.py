@@ -291,10 +291,14 @@ def test_perturbation_coefficient_past_float_range_is_typed_error(tmp_path, caps
 
 _TINY_400 = "1/1" + "0" * 400            # 10^-400: 0.0 as a float
 _TINY_200 = "1/1" + "0" * 200            # 10^-200: its square is 0.0 as a float
+_TINY_60 = "1/1" + "0" * 60              # 10^-60
 _UNDERFLOW_SYSTEMS = {
     "S": {"P": "x*z", "Q": "y*z", "R": f"-{_TINY_400}*x^2 + z^2"},
     "d": {"P": f"{_TINY_400}*x*z", "Q": "0", "R": "-x^2 + x*y + z^2"},
     "Sdd": {"P": f"{_TINY_200}*x*z", "Q": "0", "R": f"-{_TINY_200}*x^2 + z^2"},
+    # the worked example times 10^-60: ell1 is nonzero, its float -0.0
+    "ell1": {"P": "0", "Q": f"{_TINY_60}*y*z",
+             "R": f"-{_TINY_60}*x^2 + {_TINY_60}*x*y + {_TINY_60}*z^2"},
 }
 _ALL_COMMANDS = [("analyze", []), ("melnikov", ["--mu=0.0"]),
                  ("simulate", ["--mu=0.0", "--eps=0.01"]), ("branch", []),
@@ -305,12 +309,15 @@ _ALL_COMMANDS = [("analyze", []), ("melnikov", ["--mu=0.0"]),
     *(("S", c, f) for c, f in _ALL_COMMANDS),
     ("d", "melnikov", ["--mu=0.0"]), ("d", "simulate", ["--mu=0.0", "--eps=0.01"]),
     *(("Sdd", c, f) for c, f in _ALL_COMMANDS if c in ("analyze", "branch", "certify")),
+    *(("ell1", c, f) for c, f in _ALL_COMMANDS if c in ("analyze", "branch", "certify")),
 ])
 def test_divisor_underflow_is_typed_error(tmp_path, capsys, divisor, command, flags):
     """A criteria divisor that is nonzero but rounds to 0.0 as a float (S,
     d or S d^2 of `perturbation_functions`) ends each command that divides
     by it in a typed FloatRangeExceeded, not in a ZeroDivisionError
-    traceback."""
+    traceback.  So does a nonzero exact ell1 whose float is 0.0 in each
+    command that reads the criteria, not applicable: true with a signless
+    ell1 or a ComplexPairLost that names the wrong cause."""
     system = _UNDERFLOW_SYSTEMS[divisor]
     doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, system=system, periods=1))
     out = tmp_path / "out"
@@ -433,6 +440,32 @@ def test_non_finite_parameter_rejected(tmp_path, capsys, command, flags, paramet
     assert not (out / report).exists()
 
 
+@pytest.mark.parametrize("command, key, value, error", [
+    ("simulate", "initial_state", [10 ** 400, 0, 0], "OutOfRange"),
+    ("simulate", "periods", 10 ** 400, "OutOfRange"),
+    ("simulate", "tolerances", {"atol": 10 ** 400}, "ValueError"),
+    ("analyze", "interval", [-1, 10 ** 400], "OutOfRange"),
+    ("simulate", "initial_state", [math.nan, 0, 0], "OutOfRange"),
+    ("simulate", "initial_state", [0, math.inf, 0], "OutOfRange"),
+    ("analyze", "interval", [math.nan, 1.0], "OutOfRange"),
+    ("analyze", "interval", [-1.0, math.inf], "OutOfRange"),
+], ids=["initial_state-1e400", "periods-1e400", "tolerances-1e400", "interval-1e400",
+        "initial_state-nan", "initial_state-inf", "interval-nan", "interval-inf"])
+def test_document_number_past_float_range_is_typed_error(tmp_path, capsys, command,
+                                                        key, value, error):
+    """An integer past the float range (10^400) in initial_state, periods,
+    tolerances or interval, and NaN or inf in initial_state or interval, is
+    a typed error before any work: not an OverflowError traceback, nor a
+    StepSizeUnderflow from a NaN start or an empty interval from a NaN end."""
+    doc = _write_doc(tmp_path, {**EXAMPLE_DOC, "periods": 1, key: value})
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert os.listdir(out) == [f"{command}_error.json"]
+    assert json.loads((out / f"{command}_error.json").read_text()) == err
+
+
 def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     """certify far on the no-torus side: verdict no_torus, no curve.csv, the
     Neimark-Sacker point at the requested eps is solved exactly once, no
@@ -450,9 +483,9 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
         jets.append(args[1:])
         return jet3(*args)
 
-    def counted_probe(tmap, x0, mu, eps, reverse, cfg):
+    def counted_probe(tmap, x0, mu, eps, reverse):
         probes.append(reverse)
-        return probe(tmap, x0, mu, eps, reverse, cfg)
+        return probe(tmap, x0, mu, eps, reverse)
 
     monkeypatch.setattr(torusforge.cli, "unit_circle_point", counted)
     monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)

@@ -7,7 +7,7 @@ import pytest
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
 from torusforge.torus import (
-    FOURIER_ORDER, FOURIER_TOLERANCE, CertifyConfig, NonMonotoneLift, TorusError,
+    CERTIFY_INTEGRATOR, FOURIER_ORDER, FOURIER_TOLERANCE, NonMonotoneLift, TorusError,
     _collapse_check, _probe, _with_config, fit_fourier_curve, normal_exponent,
     normal_hyperbolicity, rotation_number, winding_number,
 )
@@ -115,9 +115,7 @@ class _SyntheticMap:
 
 def test_probe_settles_on_synthetic_circle():
     tmap = _SyntheticMap()
-    cfg = CertifyConfig(probe_check=400, probe_max=4000)
-    status, tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False, cfg)
-    assert status == "curve"
+    tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False)
     curve = fit_fourier_curve(tail)
     # the settle test fires while a tiny transient remains in the tail
     assert abs(curve.mean_radius - tmap.rho0) <= 1e-4
@@ -125,19 +123,30 @@ def test_probe_settles_on_synthetic_circle():
 
 def test_settled_contraction_is_a_collapse():
     tmap = _SyntheticMap(rho0=0.0, kappa=0.9)   # pure contraction to the center
-    cfg = CertifyConfig(probe_check=400, probe_max=4000)
-    status, tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False, cfg)
+    tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False)
     # the probe settles on the center; certify_torus reads that as no_torus
-    assert status == "curve"
     assert _collapse_check(tail, tmap.center, 0.5)
 
 
 def test_probe_detects_escape():
     tmap = _SyntheticMap(rho0=0.3, kappa=0.9)
-    cfg = CertifyConfig(probe_check=400, probe_max=4000, escape_bound=10.0)
     # reversed dynamics repel from the circle toward infinity
-    status, _ = _probe(tmap, tmap.center + [0.6, 0.0], 0.0, 0.1, True, cfg)
-    assert status == "escape"
+    assert _probe(tmap, tmap.center + [0.6, 0.0], 0.0, 0.1, True) is None
+
+
+def test_probe_returns_unsettled_tail_after_probe_max():
+    """An orbit that relaxes too slowly to settle in the probe: it makes
+    exactly 6000 returns (PROBE_MAX) and returns the last 500 (PROBE_CHECK)
+    iterates of the orbit, for the fit quality to judge."""
+    tmap = _SyntheticMap(kappa=0.9999)
+    x0 = tmap.center + [1.0, 0.0]
+    returns = []
+    point = tmap.point
+    tmap.point = lambda x, *args, **kwargs: returns.append(1) or point(x, *args, **kwargs)
+    tail = _probe(tmap, x0, 0.0, 0.1, False)
+    assert len(returns) == 6000
+    reference = _SyntheticMap(kappa=0.9999).orbit(x0, 6000)[-500:]
+    assert tail.tobytes() == reference.tobytes()
 
 
 def _eccentric_orbit():
@@ -238,11 +247,10 @@ def test_certify_tolerances_share_the_compiled_field():
     sys = validate_hopf_zero("0", "y*z", "-x^2 + x*y + z^2")
     fam = PerturbationFamily.simple(sys.beta)
     tmap = ThetaReturnMap(sys, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
-    cfg = CertifyConfig().integrator
-    other = _with_config(tmap, cfg)
-    assert other.field is tmap.field and other.cfg == cfg
+    other = _with_config(tmap, CERTIFY_INTEGRATOR)
+    assert other.field is tmap.field and other.cfg == CERTIFY_INTEGRATOR
     assert tmap.cfg == IntegratorConfig(atol=1e-13, rtol=1e-11)
     assert _with_config(tmap, tmap.cfg) is tmap
     x0 = np.array([1.4, 0.1])
-    fresh = ThetaReturnMap(sys, fam, cfg).point(x0, -0.2, 0.02)
+    fresh = ThetaReturnMap(sys, fam, CERTIFY_INTEGRATOR).point(x0, -0.2, 0.02)
     assert np.array(other.point(x0, -0.2, 0.02)).tobytes() == np.array(fresh).tobytes()

@@ -712,6 +712,10 @@ class UnitCircleCrossingNotFound(AveragingError):
     pass
 
 
+class DegenerateParameter(AveragingError):
+    pass
+
+
 @dataclass
 class BranchPoint:
     """One Neimark-Sacker point: the unit-circle crossing at one eps."""
@@ -766,8 +770,6 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
         x = np.array([eq.r, eq.w])
     else:
         x = np.asarray(seed, dtype=float).copy()
-    if eps == 0.0:
-        return x, tmap.jet1(x, mu, eps)
     for _ in range(FIXED_POINT_MAX_ITER):
         jet = tmap.jet1(x, mu, eps)
         res = jet.value - x
@@ -789,8 +791,12 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
     For a complex pair, |lambda|^2 = det, so this is the unit-circle
     condition; the pair property is verified at the solution.  The secant
     starts at mu0 (or `mu_guess`); the returned point carries Pi and D Pi at
-    xi, so nothing downstream solves the same point again.
+    xi, so nothing downstream solves the same point again.  At eps = 0 the
+    return map is the identity and has no crossing: a DegenerateParameter
+    error before any transport.
     """
+    if eps == 0.0:
+        raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
     last_xi = [None]
 
     def h(mu):

@@ -264,11 +264,12 @@ def _lift_samples(lift_doc: dict, key: str, squares: bool = False):
 
 
 def _float(value) -> float:
-    """A JSON number as a float; inf for an integer past the float range."""
+    """A JSON number as a float; an infinity of its sign for an integer past
+    the float range."""
     try:
         return float(value)
     except OverflowError:
-        return math.inf
+        return -math.inf if value < 0 else math.inf
 
 
 def _finite(name, values) -> tuple:
@@ -384,7 +385,7 @@ def cmd_simulate(args) -> int:
     cfg = _integrator(doc)
     x0 = _finite("initial_state", doc["initial_state"]) if "initial_state" in doc else None
     rescaled = RescaledField(sys_, fam)
-    field = rescaled.bind(mu, eps).rhs3
+    field = rescaled.rhs("field", mu, eps)
     if x0 is None:
         # the averaged equilibrium reads f1 alone; f2 is never built here
         mel = melnikov_pair(to_standard_form(sys_, fam, rescaled.slices))

@@ -11,14 +11,14 @@ Python floats from seed to image.  The step is straight-line code,
 generated once per state size, and each of its 12 stages is one call
 rhs(t, y0, ..., y{n-1}) on positional floats.
 
-For each bound (mu, eps), `BoundField` generates its right-hand sides on
-first use, each one straight-line function: the polynomial terms written
-out, then the statements that make the derivative of them.  The 3D field
-of `simulate` returns the terms of the field; one return of the map and
-the first variational equation of `jet1` write out the drift (the field
-less its rotation (-y, x, 0)), or the drift and its nine partials, at
-(r cos theta, r sin theta, w), followed by the cylindrical quotient of
-`_RHS`.
+`RescaledField.rhs(name, mu, eps)` generates each right-hand side of
+`_RHS` on first use at (mu, eps), one straight-line function: the terms of
+the slices `_RHS` names for it, folded and written out, then the
+statements that make the derivative of them.  The 3D field of `simulate`
+returns the terms of the field; one return of the map and the first
+variational equation of `jet1` write out the drift (the field less its
+rotation (-y, x, 0)), or the drift and its nine partials, at
+(r cos theta, r sin theta, w), followed by the cylindrical quotient.
 
 Derivatives of the theta-return map come from transporting them through
 the flow with the same stepper.  `jet1`, the value and Jacobian that Newton
@@ -27,7 +27,7 @@ from the drift's nine partials: the eps-graded slices are differentiated
 exactly, then (mu, eps) is folded in.  `jet3`, the degree-3 jet the
 Jordan normalization reads, carries a truncated two-variable Taylor
 polynomial (the coefficient ODE, 20 floats) through the return's own
-right-hand side, `BoundField.return_rhs`, on Jet2 values.
+right-hand side, `rhs("return", mu, eps)`, on Jet2 values.
 """
 
 from __future__ import annotations
@@ -272,10 +272,11 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
     return comps
 
 
-# The right-hand sides `BoundField` generates, as the statements around the
-# `terms_source` lines of its polynomial maps in (x, y, z): the parameters,
-# the statements that bind x, y and z, the names the maps' values are bound
-# to, and the statements that make and return the derivative from them.
+# The right-hand sides `RescaledField.rhs` generates: the slice attributes
+# of the field it folds into float terms in (x, y, z), then the statements
+# around the `terms_source` lines of those terms: the parameters, the
+# statements that bind x, y and z, the names the maps' values are bound to,
+# and the statements that make and return the derivative from them.
 #
 # "field": (x', y', z') of the 3D field, from its terms.
 # "return": (dr/dtheta, dw/dtheta) of (r, w), from the drift (X, Y, Z);
@@ -297,8 +298,8 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
 # test holds when every coefficient is finite.
 _CYLINDER = ["cs, sn = cos(theta), sin(theta)", "x, y, z = r * cs, r * sn, w"]
 _RHS = {
-    "field": ("t, x, y, z", [], "dx, dy, dz", ["return dx, dy, dz"]),
-    "return": ("theta, r, w", _CYLINDER, "X, Y, Z", [
+    "field": (("slices",), "t, x, y, z", [], "dx, dy, dz", ["return dx, dy, dz"]),
+    "return": (("drift_slices",), "theta, r, w", _CYLINDER, "X, Y, Z", [
         "try:",
         "    inv = 1.0 / (1.0 + (cs * Y - sn * X) / r)",
         "except ZeroDivisionError as exc:",
@@ -308,8 +309,8 @@ _RHS = {
         "    raise NonFiniteState(f'return-map field non-finite at theta={theta}')",
         "return dr, dw",
     ]),
-    "jet1": ("theta, r, r1, r2, w, w1, w2", _CYLINDER,
-             "X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz", [
+    "jet1": (("drift_slices", "partial_slices"), "theta, r, r1, r2, w, w1, w2",
+             _CYLINDER, "X, Y, Z, Xx, Xy, Xz, Yx, Yy, Yz, Zx, Zy, Zz", [
         "try:",
         "    q = (cs * Y - sn * X) / r",
         "    inv = 1.0 / (1.0 + q)",
@@ -334,7 +335,7 @@ _RHS = {
 def _generate_rhs(name: str, maps) -> Callable:
     """The right-hand side `name` of `_RHS` over the float terms `maps`, as
     one straight-line function."""
-    params, head, values, tail = _RHS[name]
+    _, params, head, values, tail = _RHS[name]
     lines, results, namespace = terms_source(maps, "xyz")
     namespace.update(cos=math.cos, sin=math.sin,
                      NonFiniteState=NonFiniteState, JetTransportUnstable=JetTransportUnstable)
@@ -342,72 +343,23 @@ def _generate_rhs(name: str, maps) -> Callable:
                   namespace)
 
 
-class BoundField:
-    """The rescaled field at one (mu, eps) as float terms in (x, y, z), and
-    the right-hand sides built from them, each on first use: the 3D field
-    for `integrate`, one return of the map (on floats, and on the Jet2
-    values of `jet3`) and its first variational equation.  No RHS
-    evaluation does parameter work.
-
-    The cylindrical right-hand sides fold only the slices of grade >= 1,
-    the drift (X, Y, Z): the rotation (-y, x, 0) of slice 0 contributes 0
-    to dr/dt and 1 to dtheta/dt exactly, so they use rdot = cs X + sn Y
-    and thetadot = 1 + (cs Y - sn X) / r, and at eps = 0 the return is the
-    identity to the last bit."""
-
-    def __init__(self, field: "RescaledField", mu: float, eps: float):
-        self.field, self.mu, self.eps = field, mu, eps
-
-    @functools.cached_property
-    def terms(self) -> List[Dict[Tuple[int, int, int], float]]:
-        """(x', y', z') as float terms."""
-        return _fold(self.field.slices, self.mu, self.eps)
-
-    @functools.cached_property
-    def drift_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
-        """The drift (X, Y, Z), the field less its rotation, as float terms."""
-        return _fold(self.field.drift_slices, self.mu, self.eps)
-
-    @functools.cached_property
-    def partial_terms(self) -> List[Dict[Tuple[int, int, int], float]]:
-        """The nine partials dX/dx, dX/dy, ..., dZ/dz of the drift as float
-        terms: the field's exact partial slices, folded."""
-        return _fold(self.field.partial_slices, self.mu, self.eps)
-
-    @functools.cached_property
-    def rhs3(self) -> Callable:
-        """rhs(t, x, y, z) -> (x', y', z') of the full rescaled system, the
-        "field" right-hand side of `_RHS` over `terms`."""
-        return _generate_rhs("field", self.terms)
-
-    @functools.cached_property
-    def return_rhs(self) -> Callable:
-        """rhs(theta, r, w) -> (dr/dtheta, dw/dtheta) on floats, Jet2
-        values or complex numbers, the "return" quotient of `_RHS` over the
-        drift; a zero division or a non-finite value raises NonFiniteState."""
-        return _generate_rhs("return", self.drift_terms)
-
-    @functools.cached_property
-    def jet1_rhs(self) -> Callable:
-        """rhs(theta, r, r1, r2, w, w1, w2): the return's RHS and its
-        Jacobian applied to the columns (r1, w1) and (r2, w2), the "jet1"
-        quotient of `_RHS`, in real arithmetic from the drift and its nine
-        exact partials (their powers shared).  A zero division or a
-        non-finite value raises JetTransportUnstable."""
-        return _generate_rhs("jet1", self.drift_terms + self.partial_terms)
-
-
 class RescaledField:
     """The rescaled perturbed field as an exact polynomial in eps:
     (x, y, z) -> eps (x, y, z) applied to (-y + P + eps U, x + Q + eps V,
     R + eps W), divided by eps.  The exact eps-graded slices are kept, and
-    those of the drift and of its partials; `bind` folds one (mu, eps) into
-    them."""
+    those of the drift (the field less its rotation (-y, x, 0)) and of its
+    partials; `rhs` folds one (mu, eps) into them.
+
+    The cylindrical right-hand sides fold only the drift, the slices of
+    grade >= 1: the rotation of slice 0 contributes 0 to dr/dt and 1 to
+    dtheta/dt exactly, so they use rdot = cs X + sn Y and thetadot = 1 +
+    (cs Y - sn X) / r, and at eps = 0 the return is the identity to the
+    last bit."""
 
     def __init__(self, sys: HopfZeroSystem, fam: PerturbationFamily):
         self.slices = eps_graded_slices(sys, fam)
         self.drift_slices = ((Poly(), Poly(), Poly()),) + self.slices[1:]
-        self._bound = None            # ((mu, eps), BoundField) of the last pair
+        self._rhs = (None, {})      # the last (mu, eps) and its right-hand sides
 
     @functools.cached_property
     def partial_slices(self) -> List[Tuple[Poly, ...]]:
@@ -415,12 +367,20 @@ class RescaledField:
         derived once per field, as they do not depend on (mu, eps)."""
         return [tuple(p.derivative(v) for p in s for v in "xyz") for s in self.drift_slices]
 
-    def bind(self, mu: float, eps: float) -> BoundField:
-        """The field at (mu, eps); the last pair is kept, so the calls of one
-        integration share its kernels."""
-        if self._bound is None or self._bound[0] != (mu, eps):
-            self._bound = ((mu, eps), BoundField(self, float(mu), float(eps)))
-        return self._bound[1]
+    def rhs(self, name: str, mu: float, eps: float) -> Callable:
+        """The right-hand side `name` of `_RHS` at (mu, eps), generated on
+        first use over the folded slices `_RHS` names for it.  Only the last
+        pair's right-hand sides are kept, so the calls of one integration
+        share them, and no RHS evaluation does parameter work."""
+        pair, made = self._rhs
+        if pair != (mu, eps):
+            made = {}
+            self._rhs = ((mu, eps), made)
+        if name not in made:
+            made[name] = _generate_rhs(name, [
+                terms for attr in _RHS[name][0]
+                for terms in _fold(getattr(self, attr), float(mu), float(eps))])
+        return made[name]
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +398,10 @@ class ThetaReturnMap:
     def point(self, x0, mu: float, eps: float, reverse: bool = False
               ) -> Tuple[float, float]:
         """(r, w) after one return of the seed x0, any 2-sequence: one
-        `dop853` integration on two Python floats, on
-        `BoundField.return_rhs`.  A singular or non-finite field raises
+        `dop853` integration on two Python floats, on the field's "return"
+        right-hand side.  A singular or non-finite field raises
         NonFiniteState."""
-        r, w = dop853(self.field.bind(mu, eps).return_rhs, 0.0, -PERIOD if reverse else PERIOD,
+        r, w = dop853(self.field.rhs("return", mu, eps), 0.0, -PERIOD if reverse else PERIOD,
                       [float(x0[0]), float(x0[1])], self.cfg.atol, self.cfg.rtol)[1][-1]
         if not (math.isfinite(r) and math.isfinite(w)):
             raise NonFiniteState("return map produced non-finite state")
@@ -450,9 +410,9 @@ class ThetaReturnMap:
     def jet1(self, x0, mu: float, eps: float) -> "MapJet":
         """Value and Jacobian of the return map (a MapJet without B and C):
         the six floats (r, dr/dr0, dr/dw0, w, dw/dr0, dw/dw0) integrated by
-        `dop853` on `BoundField.jet1_rhs`, which differentiates the drift
-        exactly in real arithmetic."""
-        r, r1, r2, w, w1, w2 = self._transport(self.field.bind(mu, eps).jet1_rhs,
+        `dop853` on the field's "jet1" right-hand side, which differentiates
+        the drift exactly in real arithmetic."""
+        r, r1, r2, w, w1, w2 = self._transport(self.field.rhs("jet1", mu, eps),
                                                [float(x0[0]), 1.0, 0.0,
                                                 float(x0[1]), 0.0, 1.0])
         return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
@@ -460,10 +420,10 @@ class ThetaReturnMap:
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
         solution with respect to the initial condition: the 20 coefficients
-        of (r, w) integrated by `dop853` on `BoundField.return_rhs`, called
-        on Jet2 values.  Its NonFiniteState on the axis or a non-finite
-        field is JetTransportUnstable here."""
-        field = self.field.bind(mu, eps).return_rhs
+        of (r, w) integrated by `dop853` on the field's "return" right-hand
+        side, called on Jet2 values.  Its NonFiniteState on the axis or a
+        non-finite field is JetTransportUnstable here."""
+        field = self.field.rhs("return", mu, eps)
 
         def rhs(theta, *state):
             try:

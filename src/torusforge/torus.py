@@ -68,10 +68,6 @@ class NonMonotoneLift(TorusError):
     pass
 
 
-class DegenerateParameter(TorusError):
-    pass
-
-
 @dataclass
 class FourierCurve:
     center: np.ndarray
@@ -316,13 +312,11 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
                   l12: float) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
     (mu, point.eps); see the module docstring for the protocol.  `point` is
-    the Neimark-Sacker point at that eps (`unit_circle_point`): its mu sets
-    the seed amplitude and its theta is reported.  `l12` is the map's
+    the Neimark-Sacker point at that eps != 0 (`unit_circle_point`): its mu
+    sets the seed amplitude and its theta is reported.  `l12` is the map's
     system's eps^2 Lyapunov slice pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`),
     nonzero with the sign of ell_1; the eps slice is 0."""
     eps = point.eps
-    if eps == 0.0:
-        raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
     tmap = _with_config(tmap, CERTIFY_INTEGRATOR)
 
     try:

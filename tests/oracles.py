@@ -264,7 +264,7 @@ def cylindrical_jacobian(field: RescaledField, theta, r, w, mu, eps) -> np.ndarr
     """(2, 2) Jacobian of (dr/dtheta, dw/dtheta) in (r, w) by complex-step
     differentiation, Im f(v + ih) / h: exact to rounding for this rational
     field (no difference is taken) and independent of jet transport."""
-    cyl = field.bind(mu, eps).return_rhs
+    cyl = field.rhs("return", mu, eps)
     h = 1e-30
     cols = [cyl(theta, r + 1j * h, w), cyl(theta, r, w + 1j * h)]
     return np.array(cols).imag.T / h
@@ -274,15 +274,14 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
     """Value and Jacobian of the return map by the six-float transport of
     `ThetaReturnMap.jet1`, replayed on jet1's own accepted steps, with the
     field's derivative along each Jacobian column taken by a complex step:
-    the imaginary part of `return_rhs` at (r, w) + i h column, h = 1e-30,
-    exact to rounding (no difference is taken) and independent of the
-    exact partials `jet1` reads.  The step times are those `flow.dop853`
-    accepts on `BoundField.jet1_rhs`; each step of the replay is one
+    the imaginary part of the "return" right-hand side at (r, w) + i h
+    column, h = 1e-30, exact to rounding (no difference is taken) and
+    independent of the exact partials `jet1` reads.  The step times are those `flow.dop853`
+    accepts on the "jet1" right-hand side; each step of the replay is one
     `_comprehension_step` of fixed size, so the two routes differ only in
     the rounding of the right-hand side and of the stage sums, not in the
     step-size control that rounding could otherwise tip."""
-    bound, h = tmap.field.bind(mu, eps), 1e-30
-    cyl = bound.return_rhs
+    cyl, h = tmap.field.rhs("return", mu, eps), 1e-30
 
     def rhs(theta, r, r1, r2, w, w1, w2):
         dr1, dw1 = cyl(theta, complex(r, h * r1), complex(w, h * w1))
@@ -291,7 +290,8 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
                 dw1.real, dw1.imag / h, dw2.imag / h)
 
     state = [float(x0[0]), 1.0, 0.0, float(x0[1]), 0.0, 1.0]
-    ts = flow.dop853(bound.jet1_rhs, 0.0, PERIOD, state, tmap.cfg.atol, tmap.cfg.rtol)[0]
+    ts = flow.dop853(tmap.field.rhs("jet1", mu, eps), 0.0, PERIOD, state,
+                     tmap.cfg.atol, tmap.cfg.rtol)[0]
     f = rhs(ts[0], *state)
     for t, t_next in zip(ts, ts[1:]):
         state, f, _ = _comprehension_step(rhs, t, t_next - t, state, f,

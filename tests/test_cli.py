@@ -440,30 +440,51 @@ def test_non_finite_parameter_rejected(tmp_path, capsys, command, flags, paramet
     assert not (out / report).exists()
 
 
-@pytest.mark.parametrize("command, key, value, error", [
-    ("simulate", "initial_state", [10 ** 400, 0, 0], "OutOfRange"),
-    ("simulate", "periods", 10 ** 400, "OutOfRange"),
-    ("simulate", "tolerances", {"atol": 10 ** 400}, "ValueError"),
-    ("analyze", "interval", [-1, 10 ** 400], "OutOfRange"),
-    ("simulate", "initial_state", [math.nan, 0, 0], "OutOfRange"),
-    ("simulate", "initial_state", [0, math.inf, 0], "OutOfRange"),
-    ("analyze", "interval", [math.nan, 1.0], "OutOfRange"),
-    ("analyze", "interval", [-1.0, math.inf], "OutOfRange"),
+@pytest.mark.parametrize("command, key, value, error, message", [
+    ("simulate", "initial_state", [10 ** 400, 0, 0], "OutOfRange", "got [inf, 0.0, 0.0]"),
+    ("simulate", "periods", 10 ** 400, "OutOfRange", "got inf"),
+    ("simulate", "tolerances", {"atol": 10 ** 400}, "ValueError", "positive and finite"),
+    ("analyze", "interval", [-1, 10 ** 400], "OutOfRange", "got [-1.0, inf]"),
+    ("simulate", "initial_state", [math.nan, 0, 0], "OutOfRange", "got [nan, 0.0, 0.0]"),
+    ("simulate", "initial_state", [0, math.inf, 0], "OutOfRange", "got [0.0, inf, 0.0]"),
+    ("analyze", "interval", [math.nan, 1.0], "OutOfRange", "got [nan, 1.0]"),
+    ("analyze", "interval", [-1.0, math.inf], "OutOfRange", "got [-1.0, inf]"),
+    ("simulate", "initial_state", [0, -10 ** 400, 0], "OutOfRange", "got [0.0, -inf, 0.0]"),
+    ("simulate", "periods", -10 ** 400, "OutOfRange", "got -inf"),
+    ("analyze", "interval", [-10 ** 400, 1], "OutOfRange", "got [-inf, 1.0]"),
+    ("certify", "parameters", {"mu": -10 ** 400, "eps": 0.05}, "OutOfRange", "got -inf"),
 ], ids=["initial_state-1e400", "periods-1e400", "tolerances-1e400", "interval-1e400",
-        "initial_state-nan", "initial_state-inf", "interval-nan", "interval-inf"])
+        "initial_state-nan", "initial_state-inf", "interval-nan", "interval-inf",
+        "initial_state--1e400", "periods--1e400", "interval--1e400", "parameters--1e400"])
 def test_document_number_past_float_range_is_typed_error(tmp_path, capsys, command,
-                                                        key, value, error):
-    """An integer past the float range (10^400) in initial_state, periods,
-    tolerances or interval, and NaN or inf in initial_state or interval, is
-    a typed error before any work: not an OverflowError traceback, nor a
-    StepSizeUnderflow from a NaN start or an empty interval from a NaN end."""
+                                                        key, value, error, message):
+    """An integer past the float range (10^400 or -10^400) in initial_state,
+    periods, tolerances, interval or parameters, and NaN or inf in
+    initial_state or interval, is a typed error before any work: not an
+    OverflowError traceback, nor a StepSizeUnderflow from a NaN start or an
+    empty interval from a NaN end.  The message names the value as read, an
+    infinity of the integer's sign."""
     doc = _write_doc(tmp_path, {**EXAMPLE_DOC, "periods": 1, key: value})
     out = tmp_path / "out"
     assert main([command, "--input", doc, "--out", str(out)]) == EXIT_ERROR
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == error
+    assert err["error"] == error and message in err["message"]
     assert os.listdir(out) == [f"{command}_error.json"]
     assert json.loads((out / f"{command}_error.json").read_text()) == err
+
+
+def test_certify_at_eps_zero_is_degenerate_parameter(tmp_path, capsys):
+    """At eps = 0 the return map is the identity: certify ends in
+    DegenerateParameter from the Neimark-Sacker solve, before any transport,
+    not in a secant that cannot converge."""
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    args = ["certify", "--input", doc, "--out", str(out), "--mu=0.05", "--eps=0"]
+    assert main(args) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DegenerateParameter" and "eps = 0" in err["message"]
+    assert os.listdir(out) == ["certify_error.json"]
+    assert json.loads((out / "certify_error.json").read_text()) == err
 
 
 def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):

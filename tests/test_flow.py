@@ -14,7 +14,7 @@ from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
     _JET_EXPS, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
     NonFiniteState, RescaledField, StepSizeUnderflow, ThetaReturnMap,
-    _A, _B, _C, _E3, _E5, _dp_step, dop853, integrate,
+    _A, _B, _C, _E3, _E5, _dp_step, _fold, dop853, integrate,
 )
 
 from oracles import (
@@ -83,7 +83,7 @@ def test_jet1_identity_at_eps_zero():
 
 def test_plane_section_circular_orbit():
     sys, fam, _ = _setup()
-    field = RescaledField(sys, fam).bind(0.0, 0.0).rhs3
+    field = RescaledField(sys, fam).rhs("field", 0.0, 0.0)
     x1, t1, event = poincare_return(field, PlaneSection(), [1.0, 0.0, 0.0])
     assert np.max(np.abs(x1 - [1.0, 0.0, 0.0])) <= 1e-10
     assert abs(t1 - 2 * math.pi) <= 1e-10
@@ -122,7 +122,7 @@ def test_jet_jacobian_vs_variational_monodromy():
     x0 = np.array([1.4, 0.0])
     jet = tmap.jet3(x0, mu, eps)
 
-    cyl = field.bind(mu, eps).return_rhs
+    cyl = field.rhs("return", mu, eps)
 
     def rhs(theta, state):
         return np.array(cyl(theta, state[0], state[1]))
@@ -224,7 +224,8 @@ def test_jet3_on_field_without_y_drift():
     sys = validate_hopf_zero("x*z", "0", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1),
                           IntegratorConfig(atol=1e-13, rtol=1e-11))
-    assert compile_terms(tmap.field.bind(0.05, 0.02).drift_terms[1], "xyz")(1.0, 0.5, 0.1) == 0.0
+    drift = _fold(tmap.field.drift_slices, 0.05, 0.02)
+    assert compile_terms(drift[1], "xyz")(1.0, 0.5, 0.1) == 0.0
     j1, j3 = tmap.jet1([1.2, 0.1], 0.05, 0.02), tmap.jet3([1.2, 0.1], 0.05, 0.02)
     assert np.max(np.abs(j1.value - j3.value)) <= 1e-11
     assert np.max(np.abs(j1.A - j3.A)) <= 1e-11
@@ -309,7 +310,7 @@ def _length1_rhs(cyl):
 @given(st.floats(-10.0, 10.0), st.floats(0.01, 3.0), st.floats(-3.0, 3.0))
 def test_single_seed_field_matches_length1_arrays_bitwise(theta, r, w):
     sys, fam = validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1)
-    cyl = RescaledField(sys, fam).bind(-0.2, 0.02).return_rhs
+    cyl = RescaledField(sys, fam).rhs("return", -0.2, 0.02)
     dr, dw = cyl(theta, r, w)
     assert type(dr) is float and type(dw) is float
     ref = _length1_rhs(cyl)(theta, np.array([r, w]))
@@ -361,7 +362,7 @@ def test_cylindrical_field_on_axis_raises():
     off the axis at w = 1e200, where the drift's z^2 overflows."""
     sys = validate_hopf_zero("z^2", "y*z", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
-    rhs = tmap.field.bind(-0.2, 0.02).return_rhs
+    rhs = tmap.field.rhs("return", -0.2, 0.02)
     with pytest.raises(NonFiniteState, match="singular"):
         rhs(1.0, 0.0, 0.5)
     with pytest.raises(NonFiniteState, match="singular"):
@@ -419,7 +420,7 @@ _pairs = st.sampled_from([(-0.2, 0.02), (0.05, 0.05), (0.02, 0.05)])
 @given(st.floats(0.3, 2.0), st.floats(-0.6, 0.6), _pairs)
 def test_single_seed_return_matches_solve_ivp(reverse, atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
-    cyl = tmap.field.bind(*pair).return_rhs
+    cyl = tmap.field.rhs("return", *pair)
     y = _assert_takes_dop853_steps(cyl, -PERIOD if reverse else PERIOD, [r, w], atol, rtol)
     got = tmap.point([r, w], *pair, reverse=reverse)
     assert np.array(got).tobytes() == np.array(y).tobytes()
@@ -438,7 +439,7 @@ def test_integrate_matches_solve_ivp(atol, rtol):
     the stage sums round differently (numpy's dot against Python floats),
     and the step control amplifies the difference in the error norm."""
     sys, fam, _ = _setup()
-    field = RescaledField(sys, fam).bind(-0.2, 0.02).rhs3
+    field = RescaledField(sys, fam).rhs("field", -0.2, 0.02)
     x0, span = [1.2, 0.0, 0.1], (0.0, 5 * PERIOD)
     ts, ys = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
     ref = solve_ivp(lambda t, s: field(t, *s), span, np.array(x0), method="DOP853",
@@ -453,7 +454,7 @@ def test_integrate_matches_solve_ivp(atol, rtol):
 @given(st.floats(0.5, 1.8), st.floats(-0.4, 0.4), _pairs)
 def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
-    field = tmap.field.bind(*pair).return_rhs
+    field = tmap.field.rhs("return", *pair)
 
     def rhs(theta, *state):
         dr, dw = field(theta, Jet2(state[:10]), Jet2(state[10:]))
@@ -514,17 +515,15 @@ def test_return_and_jet1_within_rtol_of_tight_reference(atol, rtol, pair, r, w):
     within rtol of solve_ivp's DOP853 on the same right-hand side at atol
     1e-16, rtol 3e-14 (scipy raises an rtol below 2.2e-14 to that value)."""
     _, _, tmap = _setup(atol=atol, rtol=rtol)
-    bound = tmap.field.bind(*pair)
-
     def reference(rhs, y0):
         sol = solve_ivp(lambda t, s: np.array(rhs(t, *s.tolist())), (0.0, PERIOD),
                         np.array(y0), method="DOP853", atol=1e-16, rtol=3e-14)
         assert sol.status == 0
         return sol.y[:, -1]
 
-    ref = reference(bound.return_rhs, [r, w])
+    ref = reference(tmap.field.rhs("return", *pair), [r, w])
     assert np.max(np.abs(tmap.point([r, w], *pair) - ref)) <= rtol
-    ref = reference(bound.jet1_rhs, [r, 1.0, 0.0, w, 0.0, 1.0])
+    ref = reference(tmap.field.rhs("jet1", *pair), [r, 1.0, 0.0, w, 0.0, 1.0])
     jet = tmap.jet1([r, w], *pair)
     got = np.array([jet.value[0], *jet.A[0], jet.value[1], *jet.A[1]])
     assert np.max(np.abs(got - ref)) <= rtol
@@ -539,15 +538,15 @@ RICH_FAMILY = ("mu*x + x*z", "mu*y - y^2", "mu*z + eps + x*y*z")
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), _pairs)
 def test_compiled_partials_match_complex_step(x, y, z, pair):
-    """The nine partials of the bound drift (the field less its rotation),
+    """The nine partials of the folded drift (the field less its rotation),
     differentiated exactly before (mu, eps) is folded in, equal complex-step
     derivatives of the compiled drift at the point, to rounding."""
     for system, family in ((EXAMPLE, None), (RICH, RICH_FAMILY)):
         fam = (PerturbationFamily.simple(beta=1) if family is None
                else PerturbationFamily.from_expressions(*family))
-        bound = RescaledField(validate_hopf_zero(*system), fam).bind(*pair)
-        partials = compile_terms(bound.partial_terms, "xyz")(x, y, z)
-        drift = compile_terms(bound.drift_terms, "xyz")
+        field = RescaledField(validate_hopf_zero(*system), fam)
+        partials = compile_terms(_fold(field.partial_slices, *pair), "xyz")(x, y, z)
+        drift = compile_terms(_fold(field.drift_slices, *pair), "xyz")
         h = 1e-30
         for j in range(3):
             point = [complex(x), complex(y), complex(z)]
@@ -566,16 +565,17 @@ def test_generated_field_kernels_match_compiled_field_bitwise(t, x, y, z, pair):
     write the cylindrical quotient out and must stay in step.  The same
     field at another (mu, eps) runs the same compiled code."""
     fam = PerturbationFamily.from_expressions(*RICH_FAMILY)
-    bound = RescaledField(validate_hopf_zero(*RICH), fam).bind(*pair)
-    field = compile_terms(bound.terms, "xyz")
-    assert np.array(bound.rhs3(t, x, y, z)).tobytes() == np.array(field(x, y, z)).tobytes()
+    field = RescaledField(validate_hopf_zero(*RICH), fam)
+    compiled = compile_terms(_fold(field.slices, *pair), "xyz")
+    assert (np.array(field.rhs("field", *pair)(t, x, y, z)).tobytes()
+            == np.array(compiled(x, y, z)).tobytes())
     r, w = abs(x) + 0.1, z
-    want = np.array(bound.return_rhs(t, r, w)).tobytes()
-    dr, _, _, dw, _, _ = bound.jet1_rhs(t, r, 1.0, 0.0, w, 0.0, 1.0)
+    want = np.array(field.rhs("return", *pair)(t, r, w)).tobytes()
+    dr, _, _, dw, _, _ = field.rhs("jet1", *pair)(t, r, 1.0, 0.0, w, 0.0, 1.0)
     assert np.array([dr, dw]).tobytes() == want
-    other = RescaledField(validate_hopf_zero(*RICH), fam).bind(0.3, 0.07)
-    for name in ("rhs3", "return_rhs", "jet1_rhs"):
-        assert getattr(other, name).__code__ is getattr(bound, name).__code__
+    other = RescaledField(validate_hopf_zero(*RICH), fam)
+    for name in ("field", "return", "jet1"):
+        assert other.rhs(name, 0.3, 0.07).__code__ is field.rhs(name, *pair).__code__
 
 
 def test_vanishing_angular_speed_raises_typed_errors():
@@ -586,7 +586,7 @@ def test_vanishing_angular_speed_raises_typed_errors():
     sys = validate_hopf_zero("0", "-x*z", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
     mu, eps = 0.1, 0.5
-    assert compile_terms(tmap.field.bind(mu, eps).terms, "xyz")(1.0, 0.0, 2.0)[1] == 0.0
+    assert compile_terms(_fold(tmap.field.slices, mu, eps), "xyz")(1.0, 0.0, 2.0)[1] == 0.0
     with _time_limit(20):
         with pytest.raises(NonFiniteState):
             tmap.point([1.0, 2.0], mu, eps)
@@ -633,25 +633,26 @@ def _stepper_problem(kind, r, w, pair):
     return right-hand side on Jet2 values), and the generated return (2) and
     jet1 (6) right-hand sides on floats."""
     field = RescaledField(validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1))
-    bound = field.bind(*pair)
     if kind == 1:
         return (lambda t, y: [w * math.cos(t) - r * math.sin(y)]), [w]
     if kind == 2:
         return (lambda t, x, v: [v, 0.3 * math.cos(t) - math.sin(x) - 0.1 * v]), [r, w]
     if kind == 3:
-        return bound.rhs3, [r, 0.0, w]
+        return field.rhs("field", *pair), [r, 0.0, w]
     if kind == "return":
-        return bound.return_rhs, [r, w]
+        return field.rhs("return", *pair), [r, w]
     if kind == "jet1":
-        return bound.jet1_rhs, [r, 1.0, 0.0, w, 0.0, 1.0]
+        return field.rhs("jet1", *pair), [r, 1.0, 0.0, w, 0.0, 1.0]
     if kind == 6:
         def rhs(t, *s):
             return [s[(i + 1) % 6] - s[i - 1] + 0.2 * math.sin(s[i] * s[i - 3])
                     + 0.1 * math.sin(t + i) for i in range(6)]
         return rhs, [r, w, r * w, -r, 0.5, -w]
 
+    cyl = field.rhs("return", *pair)
+
     def rhs(t, *s):
-        dr, dw = bound.return_rhs(t, Jet2(s[:10]), Jet2(s[10:]))
+        dr, dw = cyl(t, Jet2(s[:10]), Jet2(s[10:]))
         return dr.coeffs + dw.coeffs
     return rhs, list(Jet2.variable(0, r).coeffs + Jet2.variable(1, w).coeffs)
 
@@ -684,7 +685,7 @@ def test_fused_kernels_raise_on_the_axis():
     where a stage lands on the axis, and where the drift is not finite."""
     sys = validate_hopf_zero("z^2", "y*z", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
-    bound = tmap.field.bind(-0.2, 0.02)
+    cyl, jet1 = (tmap.field.rhs(name, -0.2, 0.02) for name in ("return", "jet1"))
     with pytest.raises(NonFiniteState, match=r"^return-map field singular at theta=0\.0$"):
         tmap.point([0.0, 0.5], -0.2, 0.02)
     with pytest.raises(JetTransportUnstable, match=r"^jet field singular at theta=0\.0$"):
@@ -693,11 +694,11 @@ def test_fused_kernels_raise_on_the_axis():
     # the axis, or off it at w = 1e200, where the drift's z^2 overflows
     theta = 1.0 + _C[1] * 0.1
     cases = (
-        (bound.return_rhs, [0.0, 0.5], NonFiniteState, "return-map field singular"),
-        (bound.jet1_rhs, [0.0, 1.0, 0.0, 0.5, 0.0, 1.0],
+        (cyl, [0.0, 0.5], NonFiniteState, "return-map field singular"),
+        (jet1, [0.0, 1.0, 0.0, 0.5, 0.0, 1.0],
          JetTransportUnstable, "jet field singular"),
-        (bound.return_rhs, [1.0, 1e200], NonFiniteState, "return-map field non-finite"),
-        (bound.jet1_rhs, [1.0, 1.0, 0.0, 1e200, 0.0, 1.0],
+        (cyl, [1.0, 1e200], NonFiniteState, "return-map field non-finite"),
+        (jet1, [1.0, 1.0, 0.0, 1e200, 0.0, 1.0],
          JetTransportUnstable, "jet field non-finite"),
     )
     for rhs, y, error, message in cases:

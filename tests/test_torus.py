@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusforge.averaging import BranchPoint
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
 from torusforge.torus import (
     CERTIFY_INTEGRATOR, FOURIER_ORDER, FOURIER_TOLERANCE, NonMonotoneLift, TorusError,
-    _collapse_check, _probe, _with_config, fit_fourier_curve, normal_exponent,
-    normal_hyperbolicity, rotation_number, winding_number,
+    _collapse_check, _probe, _with_config, certify_torus, fit_fourier_curve,
+    normal_exponent, normal_hyperbolicity, rotation_number, winding_number,
 )
 
 from oracles import fourier_fit_lstsq, normal_contraction
@@ -68,7 +69,10 @@ def test_winding_number():
 
 class _SyntheticMap:
     """Polar normal form about a center: radius relaxes to rho0 at rate kappa
-    per return, angle advances by a fixed rotation."""
+    per return, angle advances by a fixed rotation.  Its tolerances are the
+    certifier's, so `certify_torus` iterates the map itself."""
+
+    cfg = CERTIFY_INTEGRATOR
 
     def __init__(self, center=(1.0, -0.5), rho0=0.3, kappa=0.9, rot=0.31):
         self.center = np.asarray(center, dtype=float)
@@ -238,6 +242,78 @@ def test_rotation_number_doubling_stability():
     for n in (512, 1024):
         orbits[n], _ = rotation_number(tmap.orbit(x, n), tmap.center)
     assert abs(orbits[512] - orbits[1024]) <= 1e-4
+
+
+def _certify_synthetic(monkeypatch, tmap):
+    """certify_torus on a synthetic map whose fixed point is its center, with
+    D Pi = diag(1.5, 1) there, so the probe runs forward; mu on the
+    Neimark-Sacker point gives the default seed amplitude 0.1."""
+    jet = MapJet(value=tmap.center, A=np.diag([1.5, 1.0]))
+    monkeypatch.setattr("torusforge.torus._newton_fixed_point",
+                        lambda *args: (tmap.center, jet))
+    point = BranchPoint(eps=0.1, mu=0.0, xi=tmap.center, eigenvalue=1j, theta=math.pi / 2,
+                        jet=jet)
+    return certify_torus(tmap, 0.0, point, None, 1.0)
+
+
+def test_certify_probe_settled_on_fixed_point_is_no_torus(monkeypatch):
+    cert = _certify_synthetic(monkeypatch, _SyntheticMap(rho0=0.0, kappa=0.9))
+    assert cert.verdict == "no_torus" and cert.curve is None
+    assert ("the probe orbit settles onto the fixed point in forward time; "
+            "no invariant curve") in cert.notes
+
+
+def test_certify_orbit_escaping_after_the_probe_is_no_torus(monkeypatch):
+    """The orbit settles in the probe and leaves for infinity on the next
+    return, the transient's first."""
+    class _Leaves(_SyntheticMap):
+        returns, probed = 0, None       # returns made, and those of the probe
+
+        def point(self, x, mu, eps, reverse=False):
+            self.returns += 1
+            if self.probed is not None:
+                return np.array([math.inf, 0.0])
+            return super().point(x, mu, eps, reverse)
+
+    def probe(tmap, *args):
+        tail = _probe(tmap, *args)
+        assert tail is not None
+        tmap.probed = tmap.returns
+        return tail
+
+    monkeypatch.setattr("torusforge.torus._probe", probe)
+    tmap = _Leaves()
+    cert = _certify_synthetic(monkeypatch, tmap)
+    assert cert.verdict == "no_torus" and tmap.returns == tmap.probed + 1
+    assert ("the probe orbit escapes in forward time after it settled; "
+            "no invariant curve") in cert.notes
+
+
+def test_certify_two_circle_orbit_has_no_rotation_number(monkeypatch):
+    """An orbit that swaps the radii 0.1 and 0.3 about the center at each
+    return lies on two circles, which no radius-over-angle graph is: the
+    lift is non-monotone, so there is no rotation number and normal
+    hyperbolicity is not judged."""
+    class _TwoCircles(_SyntheticMap):
+        def points(self, X, mu, eps, reverse=False):
+            rel = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
+            r = 0.03 / np.linalg.norm(rel, axis=1)
+            a = np.arctan2(rel[:, 1], rel[:, 0]) + (-self.rot if reverse else self.rot)
+            return self.center + np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
+
+    cert = _certify_synthetic(monkeypatch, _TwoCircles())
+    assert cert.rotation is None and cert.normally_hyperbolic is None
+    assert "rotation lift non-monotone on the fitted samples" in cert.notes
+    assert "no rotation number: normal hyperbolicity not judged" in cert.notes
+
+
+def test_certify_lock_is_not_judged(monkeypatch):
+    """A synthetic circle at rotation 1/61: the certificate finds the curve
+    and leaves normal hyperbolicity unjudged, with the lock in its note."""
+    cert = _certify_synthetic(monkeypatch, _SyntheticMap(kappa=0.9, rot=2 * math.pi / 61))
+    assert cert.verdict == "torus_found" and cert.normally_hyperbolic is None
+    assert any(note.startswith("rotation number not told from 1/61")
+               for note in cert.notes)
 
 
 def test_certify_tolerances_share_the_compiled_field():

@@ -5,19 +5,21 @@
 Each command takes only the options it reads (`COMMANDS`); any other flag
 is a UsageError before any work:
 
-    analyze    --simple
-    melnikov   --mu F, --grid N, --simple
-    branch     --simple
-    simulate   --mu F, --eps F, --simple
-    certify    --mu F, --eps F, --simple
+    analyze
+    melnikov   --mu F, --grid N
+    branch
+    simulate   --mu F, --eps F
+    certify    --mu F, --eps F
     lift       --seed N
 
 The input document is one self-contained JSON experiment; only "system" is
-required, and a key not shown here is a DocumentError:
+required, and a key not shown here, at the top or inside an object, is a
+DocumentError.  "perturbation" is absent or {"simple": true} (the family
+(0, 0, mu*z + beta*eps)), or some of "U", "V", "W" (a missing one is "0"):
 
     {
       "system": {"P": "...", "Q": "...", "R": "..."},
-      "perturbation": {"U": "...", "V": "...", "W": "..."}  |  {"simple": true},
+      "perturbation": {"simple": true}  |  {"U": "...", "V": "...", "W": "..."},
       "interval": [lo, hi],
       "parameters": {"mu": 0.05, "eps": 0.05},
       "tolerances": {"atol": 1e-12, "rtol": 1e-10},
@@ -148,22 +150,25 @@ def _numbers(n: int):
     return lambda v: isinstance(v, list) and len(v) == n and all(map(_number, v))
 
 
-def _values(check):
-    return lambda v: isinstance(v, dict) and all(map(check, v.values()))
+def _object(keys: tuple, values: str, check):
+    return (lambda v: isinstance(v, dict) and set(v) <= set(keys)
+            and all(map(check, v.values())), f"an object of {values} under {keys}")
 
 
 # the shape of each optional key, as (check, description); the expressions in
 # "system" and "perturbation" are checked when they are parsed
 _SHAPES = {
-    "perturbation": (lambda v: isinstance(v, dict), "an object"),
+    "perturbation": (lambda v: v == {"simple": True} and v["simple"] is True
+                     or isinstance(v, dict) and bool(v) and set(v) <= {"U", "V", "W"},
+                     '{"simple": true} or an object of "U", "V" and/or "W"'),
     "interval": (_numbers(2), "[lo, hi]"),
-    "parameters": (_values(lambda v: v is None or _number(v)), "an object of numbers"),
-    "tolerances": (_values(_number), "an object of numbers"),
-    "ball": (lambda v: isinstance(v, dict) and _numbers(3)(v.get("center"))
-             and _number(v.get("radius")), '{"center": [x, y, z], "radius": r}'),
-    "lift": (_values(lambda v: isinstance(v, list)
-                     and all(isinstance(e, str) or _number(e) for e in v)),
-             "an object of lists of rationals"),
+    "parameters": _object(("mu", "eps"), "numbers", lambda v: v is None or _number(v)),
+    "tolerances": _object(("atol", "rtol"), "numbers", _number),
+    "ball": (lambda v: isinstance(v, dict) and set(v) == {"center", "radius"}
+             and _numbers(3)(v["center"]) and _number(v["radius"]),
+             '{"center": [x, y, z], "radius": r}'),
+    "lift": _object(("L_values", "delta_values"), "lists of rationals", lambda v: (
+        isinstance(v, list) and all(isinstance(e, str) or _number(e) for e in v))),
     "periods": (_number, "a number"),
     "initial_state": (_numbers(3), "[x, y, z]"),
 }
@@ -185,7 +190,8 @@ def _document(args) -> dict:
             raise CriteriaError(f"system is missing component {comp}")
     for key, (check, shape) in _SHAPES.items():
         if key in doc and not check(doc[key]):
-            raise DocumentError(f"{key} must be {shape}")
+            got = f", got keys {sorted(doc[key])}" if isinstance(doc[key], dict) else ""
+            raise DocumentError(f"{key} must be {shape}{got}")
     doc["_sha256"] = hashlib.sha256(raw).hexdigest()
     return doc
 
@@ -198,17 +204,13 @@ def _meta(args, doc: dict) -> dict:
 
 
 def _load(args) -> Tuple[dict, HopfZeroSystem, PerturbationFamily]:
-    """The input document, its system and its perturbation family (the
-    simple one under --simple)."""
+    """The input document, its system and its perturbation family."""
     doc = _document(args)
     sys_ = validate_hopf_zero(*(doc["system"][c] for c in "PQR"))
     pert = doc.get("perturbation", {"simple": True})
-    if args.simple or pert.get("simple"):
-        if sys_.quadratic_sum == 0:
-            raise CriteriaError("simple family undefined: R200 + R020 = 0")
+    if "simple" in pert:
         return doc, sys_, PerturbationFamily.simple(sys_.beta)
-    return doc, sys_, PerturbationFamily.from_expressions(
-        pert.get("U", "0"), pert.get("V", "0"), pert.get("W", "0"))
+    return doc, sys_, PerturbationFamily.from_expressions(*(pert.get(c, "0") for c in "UVW"))
 
 
 def _not_applicable(args, doc: dict, rep: CriteriaReport,
@@ -478,18 +480,16 @@ _OPTIONS = {
     "eps": {"type": float, "default": None, "help": "eps in place of the document's"},
     "grid": {"type": _grid, "default": 21, "help": f"grid points per axis, 1 to {MAX_GRID}"},
     "seed": {"type": int, "default": 0, "help": "seed of the plane scan's jitter"},
-    "simple": {"action": "store_true", "help": "force the degree-preserving family "
-               "(0, 0, mu*z + beta*eps) regardless of the document"},
 }
 
 # each command's function and the options it reads: its parser takes
 # --input, --out and these, and refuses any other flag
 COMMANDS = {
-    "analyze": (cmd_analyze, ("simple",)),
-    "melnikov": (cmd_melnikov, ("mu", "grid", "simple")),
-    "branch": (cmd_branch, ("simple",)),
-    "simulate": (cmd_simulate, ("mu", "eps", "simple")),
-    "certify": (cmd_certify, ("mu", "eps", "simple")),
+    "analyze": (cmd_analyze, ()),
+    "melnikov": (cmd_melnikov, ("mu", "grid")),
+    "branch": (cmd_branch, ()),
+    "simulate": (cmd_simulate, ("mu", "eps")),
+    "certify": (cmd_certify, ("mu", "eps")),
     "lift": (cmd_lift, ("seed",)),
 }
 

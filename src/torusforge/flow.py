@@ -292,10 +292,10 @@ def _fold(graded, mu: float, eps: float) -> List[Dict[Tuple[int, int, int], floa
 # In the two cylindrical quotients a zero division or a non-finite value
 # raises (NonFiniteState for the return, JetTransportUnstable for jet1): the
 # step control would otherwise shrink its step on NaN until it underflows.
-# One product tests them all: 0.0 * v is 0.0 or -0.0 for a finite v and NaN
-# for an infinite or NaN one, and NaN carries through the product.  On jets
-# a coefficient's NaN reaches the same coefficient of the product, so the
-# test holds when every coefficient is finite.
+# 0.0 * v is 0.0 or -0.0 for a finite v and NaN for an infinite or NaN one:
+# jet1 tests its six values in one product, through which NaN carries, and
+# the return compares 0.0 * dr with 0.0 * dw, which on Jet2 values (jet3)
+# compares ten scaled coefficients and holds when every one is finite.
 _CYLINDER = ["cs, sn = cos(theta), sin(theta)", "x, y, z = r * cs, r * sn, w"]
 _RHS = {
     "field": (("slices",), "t, x, y, z", [], "dx, dy, dz", ["return dx, dy, dz"]),
@@ -305,7 +305,7 @@ _RHS = {
         "except ZeroDivisionError as exc:",
         "    raise NonFiniteState(f'return-map field singular at theta={theta}') from exc",
         "dr, dw = (cs * X + sn * Y) * inv, Z * inv",
-        "if not 0.0 * dr * dw == 0.0:",
+        "if not 0.0 * dr == 0.0 * dw:",
         "    raise NonFiniteState(f'return-map field non-finite at theta={theta}')",
         "return dr, dw",
     ]),

@@ -105,7 +105,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     doc = _write_doc(tmp_path, NOT_APPLICABLE_DOC)
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["certify", "--input", doc, "--out", str(first), "--mu", "0.25",
-                 "--eps", "-1e-3", "--simple"]) == EXIT_NOT_APPLICABLE
+                 "--eps", "-1e-3"]) == EXIT_NOT_APPLICABLE
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--input", doc, "--mu", "abc"])
     assert exc.value.code == EXIT_ERROR
@@ -114,8 +114,8 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     runs = [json.loads((out / "certificate.json").read_text())["meta"]["run"]
             for out in (first, second)]
     common = {"command": "certify", "input": "doc.json"}
-    assert runs[0] == {**common, "mu": 0.25, "eps": -1e-3, "simple": True}
-    assert runs[1] == {**common, "mu": None, "eps": None, "simple": False}
+    assert runs[0] == {**common, "mu": 0.25, "eps": -1e-3}
+    assert runs[1] == {**common, "mu": None, "eps": None}
 
 
 def test_exponent_form_negative_values_parse(tmp_path):
@@ -128,7 +128,7 @@ def test_exponent_form_negative_values_parse(tmp_path):
 
 
 # a value of each optional flag of the CLI
-FLAG_VALUES = {"mu": ["0.1"], "eps": ["0.1"], "grid": ["3"], "seed": ["1"], "simple": []}
+FLAG_VALUES = {"mu": ["0.1"], "eps": ["0.1"], "grid": ["3"], "seed": ["1"]}
 # a document on which each command writes its JSON report at once, and the
 # report's name; melnikov and simulate write only CSV
 REPORTS = {
@@ -164,10 +164,91 @@ def test_each_command_takes_only_its_options(tmp_path, capsys, command):
         assert list(run) == sorted(["command", "input", *options])
         assert (run["command"], run["input"]) == (command, "doc.json")
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = dict(re.findall(r"^\| `(\w+)` +\| (`--\w+`(?:, `--\w+`)*) +\|$", readme,
+    table = dict(re.findall(r"^\| `(\w+)` +\| ((?:`--\w+`(?:, `--\w+`)*)?) *\|$", readme,
                             re.MULTILINE))
     assert table[command] == ", ".join(f"`--{o}`" for o in options)
     assert set(table) == set(torusforge.cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(torusforge.cli.COMMANDS))
+def test_simple_flag_is_usage_error(tmp_path, capsys, command):
+    """The document alone picks the perturbation family: --simple is a
+    UsageError on every command and writes nothing, and the commands take
+    7 (command, flag) pairs in all."""
+    assert sum(len(options) for _, options in torusforge.cli.COMMANDS.values()) == 7
+    path = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, "--out", str(out), "--simple"])
+    assert exc.value.code == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and "--simple" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, named", [
+    ("analyze", "perturbation", {"u": "mu*x"}, "'u'"),
+    ("analyze", "perturbation", {"simple": True, "U": "mu*x + eps*y"}, "'U', 'simple'"),
+    ("analyze", "perturbation", {"simple": False}, "'simple'"),
+    ("analyze", "perturbation", {"simple": 1}, "'simple'"),
+    ("analyze", "perturbation", {}, "[]"),
+    ("simulate", "tolerances", {"atl": 1e-3}, "'atl'"),
+    ("simulate", "parameters", {"epsilon": 0.05}, "'epsilon'"),
+    ("lift", "ball", {"center": [0, 0, 0], "radius": 1.0, "radii": 2.0}, "'radii'"),
+    ("lift", "lift", {"L_values": ["1", "2", "4"], "deltas": ["1/4"]}, "'deltas'"),
+])
+def test_document_object_of_wrong_keys_is_typed_error(tmp_path, capsys, monkeypatch,
+                                                      command, key, value, named):
+    """A perturbation other than {"simple": true} or some of U, V, W, and a
+    key that `parameters`, `tolerances`, `ball` or `lift` does not know, is
+    a DocumentError naming the document's keys, before any work: simulate
+    ran at the default tolerances with "atl", and {"u": ...} or
+    {"simple": true, "U": ...} read as another family."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(torusforge.cli, "validate_hopf_zero", no_work)
+    monkeypatch.setattr(torusforge.cli, "as_poly", no_work)
+    doc = {"system": LIFT_SYSTEM} if command == "lift" else EXAMPLE_DOC
+    path = _write_doc(tmp_path, {**doc, key: value})
+    out = tmp_path / "out"
+    assert main([command, "--input", path, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DocumentError"
+    assert err["message"].startswith(f"{key} must be") and named in err["message"]
+    assert json.loads((out / f"{command}_error.json").read_text()) == err
+    assert os.listdir(out) == [f"{command}_error.json"]
+
+
+def test_simple_family_without_beta_is_degenerate_sum(tmp_path, capsys):
+    """A system with R200 + R020 = 0 has no beta, so the simple family (here
+    an absent perturbation) ends analyze in the DegenerateSum of
+    `HopfZeroSystem.beta`."""
+    path = _write_doc(tmp_path, {"system": {"P": "x*z", "Q": "y*z", "R": "x^2 - y^2 + z^2"}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "DegenerateSum"
+    assert os.listdir(out) == ["analyze_error.json"]
+
+
+def test_explicit_family_matches_simple_family(tmp_path):
+    """On the worked example (beta = +1) the explicit family
+    {"W": "mu*z + eps"} is the simple family, as is an absent perturbation:
+    the same criteria block in analyze.json and the same bytes of
+    melnikov.csv and trajectory.csv."""
+    outputs = []
+    for name, perturbation in (("simple", {"simple": True}), ("absent", None),
+                               ("explicit", {"W": "mu*z + eps"})):
+        doc = {k: v for k, v in EXAMPLE_DOC.items() if k != "perturbation"}
+        if perturbation is not None:
+            doc["perturbation"] = perturbation
+        path = _write_doc(tmp_path, dict(doc, periods=3), name=f"{name}.json")
+        out = tmp_path / name
+        for command in ("analyze", "melnikov", "simulate"):
+            assert main([command, "--input", path, "--out", str(out)]) == EXIT_OK
+        outputs.append((json.loads((out / "analyze.json").read_text())["criteria"],
+                        (out / "melnikov.csv").read_bytes(),
+                        (out / "trajectory.csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_unknown_document_key_is_typed_error(tmp_path, capsys):
@@ -552,11 +633,11 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "4685940d66fb9a51d523f69598c48db08e66b2c3ee97982f3ebc63fb192d72d3"
+BRANCH_JSON_SHA256 = "223cc31b1d0f72ca4f40f22315891b20aba49f9356c666d4f85254e35a0de78b"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
-NO_TORUS_CERTIFICATE_SHA256 = "a3fa5d2a098cd9bca5c4bba3fb8cdec53737f366983d9bee499b020959bd4ca4"
+NO_TORUS_CERTIFICATE_SHA256 = "fef77a15bbfaf9b8df19463faa691c004516dfa1d8664c39a1f7bfba172063fa"
 
 
 def test_no_torus_certificate_bytes(tmp_path):

@@ -614,8 +614,9 @@ def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
     hopf_ok = (complex_ok and max_res <= 1e-10 and abs(eq0.eta) <= 1e-9
                and eq0.zeta > 0 and abs(eq0.zeta - eq0.omega) <= 1e-8 * max(1.0, eq0.omega))
 
+    # T is the exact simplicity of mu0: alpha_d is 0.0 only at a multiple root
     details["alpha_d"] = crit.alpha_d
-    transversality_ok = abs(crit.alpha_d) > 1e-10
+    transversality_ok = crit.alpha_d != 0
 
     details["l11"] = 0.0
     details["l12"] = l12

@@ -155,9 +155,10 @@ def _object(keys: tuple, values: str, check):
             and all(map(check, v.values())), f"an object of {values} under {keys}")
 
 
-# the shape of each optional key, as (check, description); the expressions in
+# the shape of each key, as (check, description); the expressions in
 # "system" and "perturbation" are checked when they are parsed
 _SHAPES = {
+    "system": _object(("P", "Q", "R"), "expressions", lambda v: True),
     "perturbation": (lambda v: v == {"simple": True} and v["simple"] is True
                      or isinstance(v, dict) and bool(v) and set(v) <= {"U", "V", "W"},
                      '{"simple": true} or an object of "U", "V" and/or "W"'),
@@ -180,7 +181,7 @@ def _document(args) -> dict:
     doc = json.loads(raw.decode("utf-8"))
     if not isinstance(doc, dict):
         raise DocumentError("input document must be a JSON object")
-    unknown = set(doc) - {"system", *_SHAPES}
+    unknown = set(doc) - set(_SHAPES)
     if unknown:
         raise DocumentError(f"unknown document keys {sorted(unknown)}")
     if not isinstance(doc.get("system"), dict):

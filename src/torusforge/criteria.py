@@ -1,10 +1,13 @@
 """Hopf-Zero normal position and the explicit torus-bifurcation criteria.
 
-Quantities handled here are exact rationals wherever the inputs are; the
-perturbation criteria become floats once, through `compile_terms`.  The
-first Lyapunov quantity ell_1 is read straight off the quadratic and cubic
-jets by a closed form with integer coefficients (`ell1_exact`), exact like
-Omega.  The closed formula transcribed from the source text is evaluated
+Quantities handled here are exact rationals wherever the inputs are.  The
+perturbation criteria are decided on exact polynomials in mu: the roots of
+eta, correctly rounded, and the sign of Gamma at mu_0 (`univariate`).  A
+family's ingredients become floats once, through `compile_terms`, for the
+averaging layer and the reported values of Gamma.  The first Lyapunov
+quantity ell_1 is read straight off the quadratic and cubic jets by a
+closed form with integer coefficients (`ell1_exact`), exact like Omega.
+The closed formula transcribed from the source text is evaluated
 and reported next to it, but it is inconsistent with the worked example and
 with the dynamics (see `_ell1_closed_form`); the repaired form is the one
 used.
@@ -21,12 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
-
-ETA_ROOT_TOL = 1e-12
-ETA_ROOT_MAX_ITER = 200      # bisection steps on a bracketed eta root
-SLOPE_STEP = 1e-6            # relative step of the central-difference slope
-ETA_SCAN_POINTS = 512
-TRANSVERSALITY_TOL = 1e-10
+from .univariate import Dense, derivative, roots, sign_at, simple_and_multiple, value
 
 
 class CriteriaError(ValueError):
@@ -161,10 +159,8 @@ class PerturbationFamily:
                 raise InvalidPerturbation(
                     f"{name}_1(0,0,0; mu) = {origin!r} must vanish identically")
         # the family is frozen: its compiled ingredients are set past that
-        object.__setattr__(self, "sigma", _compiled_in_mu(
-            _in_mu(self.U, (1, 0, 0), 0) + _in_mu(self.V, (0, 1, 0), 0)))
-        object.__setattr__(self, "w1z", _compiled_in_mu(_in_mu(self.W, (0, 0, 1), 0)))
-        object.__setattr__(self, "w20", _compiled_in_mu(_in_mu(self.W, (0, 0, 0), 1)))
+        for name, p in zip(("sigma", "w1z", "w20"), _ingredients(self)):
+            object.__setattr__(self, name, _compiled_in_mu(p))
 
     @classmethod
     def from_expressions(cls, U, V, W) -> "PerturbationFamily":
@@ -182,6 +178,12 @@ class PerturbationFamily:
 
 
 _SIMPLE_FAMILIES: Dict[int, PerturbationFamily] = {}
+
+
+def _ingredients(fam: PerturbationFamily) -> Tuple[Poly, Poly, Poly]:
+    """sigma, w1z and w20 of the family, exact polynomials in mu."""
+    return (_in_mu(fam.U, (1, 0, 0), 0) + _in_mu(fam.V, (0, 1, 0), 0),
+            _in_mu(fam.W, (0, 0, 1), 0), _in_mu(fam.W, (0, 0, 0), 1))
 
 
 def _in_mu(p: Poly, xyz: Tuple[int, int, int], eps_power: int) -> Poly:
@@ -406,13 +408,13 @@ def _ell1_closed_form(P: Callable, Q: Callable, R: Callable):
 @dataclass
 class PerturbationCriteria:
     gamma_criterion: Callable[[float], float]       # operational: -r_mu^2
-    gamma_printed: Callable[[float], float]         # verbatim ratio form
-    eta: Callable[[float], float]
     w_mu: Callable[[float], float]
     mu0: float
     alpha_d: float
-    roots: Tuple[Tuple[float, float], ...]          # (mu0, alpha_d) per root
-    gamma_flagged: Tuple[float, ...]                # grid mus with Gamma >= 0
+    roots: Tuple[Tuple[float, float], ...]          # (root, alpha_d), steepest first
+    gamma_at_mu0: float
+    gamma_printed_at_mu0: float                     # verbatim ratio form
+    gamma_nonnegative: Tuple[Tuple[float, float], ...]
     gamma_discrepancy_max: float
     interval: Tuple[float, float]
 
@@ -421,10 +423,10 @@ class PerturbationCriteria:
             "mu0": self.mu0,
             "alpha_d": self.alpha_d,
             "roots": [list(r) for r in self.roots],
-            "gamma_at_mu0": self.gamma_criterion(self.mu0),
-            "gamma_printed_at_mu0": self.gamma_printed(self.mu0),
+            "gamma_at_mu0": self.gamma_at_mu0,
+            "gamma_printed_at_mu0": self.gamma_printed_at_mu0,
             "gamma_discrepancy_max": self.gamma_discrepancy_max,
-            "gamma_flagged_count": len(self.gamma_flagged),
+            "gamma_nonnegative": [list(s) for s in self.gamma_nonnegative],
             "interval": list(self.interval),
         }
 
@@ -474,73 +476,83 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
 def evaluate_perturbation_criteria(
         sys: HopfZeroSystem, fam: PerturbationFamily,
         interval: Tuple[float, float]) -> PerturbationCriteria:
-    lo, hi = float(interval[0]), float(interval[1])
+    """The criteria on [lo, hi], decided on exact polynomials in mu: the
+    distinct real roots of eta there, correctly rounded, with alpha_d
+    exactly 0.0 at a multiple one; mu0, the steepest simple root (the
+    lowest of equally steep ones); and the sign of Gamma at mu0, 0 where
+    Gamma and eta share it."""
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if not lo < hi:
         raise CriteriaError(f"empty interval {interval!r}")
-    gamma_op, gamma_pr, eta, w_mu = perturbation_functions(sys, fam)
-
-    grid, (gamma_vals, printed, eta_vals) = _scan((gamma_op, gamma_pr, eta), lo, hi)
-    flagged = tuple(m for m, g in zip(grid, gamma_vals) if g >= 0)
-    if len(flagged) == len(grid):
+    gamma_op, gamma_pr, _, w_mu = perturbation_functions(sys, fam)
+    eta, gamma, disc = _exact_criteria(sys, fam)
+    nonnegative = _nonnegative(gamma, lo, hi)
+    if nonnegative == ((float(lo), float(hi)),):
         raise GammaNonNegative("Gamma_criterion(mu) >= 0 on the whole interval")
-    disc = max(abs(g - p) for g, p in zip(gamma_vals, printed))
+    if not eta:
+        raise DegenerateTransversality("eta vanishes identically")
+    simple, multiple = simple_and_multiple(eta)
 
-    roots: List[Tuple[float, float]] = []
-    for i in range(len(grid) - 1):
-        a, b, fa, fb = grid[i], grid[i + 1], eta_vals[i], eta_vals[i + 1]
-        root = None
-        if fa == 0.0:
-            root = a
-        elif fa * fb < 0:
-            root = _bisect(eta, a, b, fa, fb)
-        if root is not None and not any(abs(root - r) <= 1e-9 * max(1, abs(root))
-                                        for r, _ in roots):
-            roots.append((root, _central_slope(eta, root)))
-    if eta_vals[-1] == 0.0 and not any(abs(grid[-1] - r) <= 1e-9 for r, _ in roots):
-        roots.append((grid[-1], _central_slope(eta, grid[-1])))
-    if not roots:
-        raise NoRootInInterval(f"eta has no root in [{lo}, {hi}]")
+    def root(cell, slope=derivative(eta)):
+        x = sum(cell) / 2           # rounds as the root does
+        return float(x), math.pi * float(value(slope, x) / sys.divergence_pair), cell
 
-    roots.sort(key=lambda t: -abs(t[1]))
-    mu0, alpha_d = roots[0]
-    if abs(alpha_d) < TRANSVERSALITY_TOL:
-        raise DegenerateTransversality(f"|eta'(mu0)| = {abs(alpha_d)} < {TRANSVERSALITY_TOL}")
-    if gamma_op(mu0) >= 0:
-        raise GammaNonNegative(f"Gamma_criterion(mu0) = {gamma_op(mu0)} >= 0")
-
+    steep = sorted(map(root, roots(simple, lo, hi)), key=lambda t: (-abs(t[1]), t[0]))
+    flat = [(float(sum(cell) / 2), 0.0) for cell in roots(multiple, lo, hi)]
+    if not steep:
+        error, what = (DegenerateTransversality, "no simple root") if flat else (
+            NoRootInInterval, "no root")
+        raise error(f"eta has {what} in [{float(lo)}, {float(hi)}]")
+    mu0, alpha_d, cell = steep[0]
+    if alpha_d == 0.0:
+        raise FloatRangeExceeded(f"eta'(mu0) is nonzero but rounds to 0.0 at mu0 = {mu0!r}")
+    if sign_at(gamma, simple, cell) >= 0:
+        raise GammaNonNegative(f"Gamma_criterion(mu0) >= 0 at mu0 = {mu0!r}")
+    # |Gamma_op - Gamma_printed| is largest at an end or a root of its slope
+    ends = [lo, hi] + [sum(cell) / 2 for cell in (roots(derivative(disc), lo, hi)
+                                                  if len(disc) > 1 else ())]
     return PerturbationCriteria(
-        gamma_criterion=gamma_op, gamma_printed=gamma_pr, eta=eta, w_mu=w_mu,
-        mu0=mu0, alpha_d=alpha_d, roots=tuple(roots), gamma_flagged=flagged,
-        gamma_discrepancy_max=disc, interval=(lo, hi),
+        gamma_criterion=gamma_op, w_mu=w_mu, mu0=mu0, alpha_d=alpha_d,
+        roots=tuple(t[:2] for t in steep) + tuple(flat),
+        gamma_at_mu0=gamma_op(mu0), gamma_printed_at_mu0=gamma_pr(mu0),
+        gamma_nonnegative=nonnegative,
+        gamma_discrepancy_max=float(max(abs(value(disc, x)) for x in ends)),
+        interval=(float(lo), float(hi)),
     )
 
 
-def _scan(functions, lo: float, hi: float) -> Tuple[list, List[list]]:
-    """The scan grid, and each function's floats on it in one numpy pass: the
-    floats of one scalar call per point, inf and NaN included, as the
-    functions divide only by nonzero floats (`perturbation_functions`)."""
-    with np.errstate(all="ignore"):
-        mus = lo + (hi - lo) * np.arange(ETA_SCAN_POINTS) / (ETA_SCAN_POINTS - 1)
-        values = [np.broadcast_to(f(mus), mus.shape).tolist() for f in functions]
-    return mus.tolist(), values
+def _exact_criteria(sys: HopfZeroSystem, fam: PerturbationFamily) -> Tuple[Dense, ...]:
+    """eta d / pi = d w1z - c sigma, Gamma_criterion and Gamma_criterion -
+    Gamma_printed as dense polynomials in mu, with w_mu = -sigma / d and
+    c = R^(0,0,2), as `perturbation_functions` builds them on floats."""
+    sigma, w1z, w20 = _ingredients(fam)
+    d, S, c = sys.divergence_pair, sys.quadratic_sum, sys.jR.get(0, 0, 2)
+    cross = w1z * sigma
+    polys = (w1z.scale(d) - sigma.scale(c),
+             (sigma * sigma).scale(2 * c / (d * d * S)) + cross.scale(-4 / (d * S))
+             + w20.scale(4 / S),
+             cross.scale((1 - 4 * d) / (S * d * d)))
+    return tuple([p.terms.get((0, 0, 0, k, 0), Fraction(0))
+                  for k in range(p.degree(("mu",)) + 1)] if p else [] for p in polys)
 
 
-def _bisect(f, a, b, fa, fb):
-    for _ in range(ETA_ROOT_MAX_ITER):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= ETA_ROOT_TOL:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _central_slope(f, x0):
-    h = SLOPE_STEP * max(1.0, abs(x0))
-    return (f(x0 + h) - f(x0 - h)) / (2 * h)
+def _nonnegative(gamma: Dense, lo: Fraction, hi: Fraction) -> Tuple[Tuple[float, float], ...]:
+    """The sub-intervals of [lo, hi] where the polynomial gamma >= 0, as float
+    pairs: its roots there and each span between two of them, or an end,
+    where it is positive.  A span within one float adds nothing to them."""
+    if not gamma:
+        return ((float(lo), float(hi)),)
+    cells = roots(gamma, lo, hi)
+    ends = [lo, *(x for cell in cells for x in cell), hi]
+    spans = [(float(sum(cell) / 2),) * 2 for cell in cells]
+    spans += [(float(b), float(a)) for b, a in zip(ends[::2], ends[1::2])
+              if float(b) < float(a) and value(gamma, (a + b) / 2) > 0]
+    merged: List[Tuple[float, float]] = []
+    for start, stop in sorted(spans):      # the stops ascend with the starts
+        if merged and start <= merged[-1][1]:
+            start = merged.pop()[0]
+        merged.append((start, stop))
+    return tuple(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .criteria import (
     criteria_report, ell1_exact, validate_hopf_zero,
 )
 from .fieldexpr import Poly, as_poly
+from .univariate import gcd
 
 MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
 # the lines x = t and y = t the common-factor check restricts to
@@ -86,25 +87,6 @@ def _poly_on_plane(p: Poly) -> Dict[Tuple[int, int], Fraction]:
     return {(i, j): c for (i, j, k, a, b), c in p.terms.items() if not (k or a or b)}
 
 
-def _univariate_gcd_degree(a: List[Fraction], b: List[Fraction]) -> int:
-    """Degree of gcd of two univariate rational polynomials (Euclid)."""
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-    a, b = strip(list(a)), strip(list(b))
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        lead = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        a = strip([ai - lead * (b[i - shift] if 0 <= i - shift < len(b) else 0)
-                   for i, ai in enumerate(a)])
-        a, b = b, a
-    return max(len(a) - 1, 0)
-
-
 def _restrict_univariate(table, var: int, value: Fraction) -> List[Fraction]:
     """Substitute x_var = value; return dense coefficients in the other one."""
     deg = max((k[1 - var] for k in table), default=0)
@@ -123,8 +105,8 @@ def _have_common_factor(f, g) -> bool:
     if all(i == 0 and j == 0 for (i, j) in f) or all(i == 0 and j == 0 for (i, j) in g):
         return False
     for var in (0, 1):
-        if all(_univariate_gcd_degree(_restrict_univariate(f, var, t),
-                                      _restrict_univariate(g, var, t)) > 0
+        if all(len(gcd(_restrict_univariate(f, var, t),
+                           _restrict_univariate(g, var, t))) > 1
                for t in COMMON_FACTOR_LINES):
             return True
     return False

@@ -7,10 +7,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import torusforge.cli
 from torusforge.averaging import (
     branch_continuation, jordan_expansion,
     lyapunov_coefficient_map, lyapunov_slices, melnikov_pair,
@@ -147,18 +149,31 @@ def test_criterion_5_lyapunov_consistency(example, ns_branch):
 
 
 @pytest.fixture(scope="module")
-def certification(example):
-    sys, _, mel, tmap = example
+def certification(tmp_path_factory):
+    """`certify --mu=0.05 --eps=0.05` on the worked example, with the
+    certificate it made and its report; the same Neimark-Sacker point then
+    certified at mu = 0.02; and the time both took."""
+    out = tmp_path_factory.mktemp("certify")
+    doc = out / "doc.json"
+    doc.write_text(json.dumps({"system": dict(zip("PQR", EXAMPLE))}))
+    made = []
+
+    def kept(*args):
+        made.append((args, certify_torus(*args)))
+        return made[-1][1]
+
     start = time.perf_counter()
-    point = unit_circle_point(tmap, mel, 0.0, 0.05)
-    base = evaluate_base_criteria(sys)
-    found = certify_torus(tmap, 0.05, point, mel, base.l12)
-    absent = certify_torus(tmap, 0.02, point, mel, base.l12)
-    return found, absent, time.perf_counter() - start
+    with mock.patch.object(torusforge.cli, "certify_torus", kept):
+        assert torusforge.cli.main(["certify", "--input", str(doc), "--out", str(out),
+                                    "--mu=0.05", "--eps=0.05"]) == 0
+    (tmap, _, point, mel, l12), found = made[0]
+    absent = certify_torus(tmap, 0.02, point, mel, l12)
+    report = json.loads((out / "certificate.json").read_text())
+    return found, absent, time.perf_counter() - start, report
 
 
 def test_criterion_6_torus_certification(certification):
-    found, absent, elapsed = certification
+    found, absent, elapsed, _ = certification
     rho_target = abs(found.theta_eps) / (2 * math.pi)
     checks = {
         "verdict": found.verdict == "torus_found",
@@ -192,14 +207,18 @@ FOUND_CERTIFICATE_SHA256 = "cde938dde737680d4229b5ad4ff4c04c8ff599f314580549f10a
 
 def test_criterion_6_certificate_bytes(certification, tmp_path):
     """The torus-side certificate byte for byte: verdict, fit, rotation,
-    normal exponent, winding and notes of the one sampled orbit."""
-    write_report(tmp_path / "found.json", certification[0].to_dict())
-    digest = hashlib.sha256((tmp_path / "found.json").read_bytes()).hexdigest()
-    assert digest == FOUND_CERTIFICATE_SHA256
+    normal exponent, winding and notes of the one sampled orbit, as made
+    and as `certify` reports it from mu0 = 0.0, the exact root of eta."""
+    found, _, _, report = certification
+    assert report["criteria"]["perturbation"]["mu0"] == 0.0
+    for name, block in (("found", found.to_dict()), ("reported", report["certificate"])):
+        write_report(tmp_path / name, block)
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == FOUND_CERTIFICATE_SHA256, name
 
 
 def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
-    found, _, _ = certification
+    found = certification[0]
     kappa, kappa_reversed = kappa_pair
     product = kappa * kappa_reversed
     # the samples are one orbit: each is the return of the one before it
@@ -231,7 +250,7 @@ def test_normal_exponent_matches_kappa_pair(certification, kappa_pair):
     oracle's two log-slope rates, log kappa and -log kappa_reversed, signed
     for the probe's time direction; and the curve attracts in forward time
     exactly when lambda_n < 0."""
-    found, _, _ = certification
+    found = certification[0]
     kappa, kappa_reversed = kappa_pair
     sign = -1.0 if found.reversed_time else 1.0
     mean = sign * (math.log(kappa) - math.log(kappa_reversed)) / 2

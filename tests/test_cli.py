@@ -265,6 +265,43 @@ def test_unknown_document_key_is_typed_error(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+def test_unknown_system_key_is_typed_error(tmp_path, capsys, monkeypatch):
+    """A key in "system" other than P, Q and R is a DocumentError naming it,
+    before any work: a "W" there ran the simple family."""
+    def no_work(*args):
+        raise AssertionError("work started")
+    monkeypatch.setattr(torusforge.cli, "validate_hopf_zero", no_work)
+    system = dict(EXAMPLE_DOC["system"], W="mu*z + eps")
+    path = _write_doc(tmp_path, {"system": system})
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", path, "--out", str(out)]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DocumentError"
+    assert err["message"].startswith("system must be") and "'W'" in err["message"]
+    assert os.listdir(out) == ["analyze_error.json"]
+
+
+# W on the worked example, the root of eta, and the least |slope| there
+# beside the simple family's: two simple roots 2/1000 apart, a simple root
+# of slope pi 1e-11, a root at exactly -1/10, and roots at +-10^-300
+@pytest.mark.parametrize("W, roots, alpha_d", [
+    ("mu^2*z - 1/1000000*z + eps", [-0.001, 0.001], -0.002 * math.pi),
+    ("1/100000000000*mu*z + eps", [0.0], math.pi * 1e-11),
+    ("mu^2*z - 1/100*z + eps", [-0.1, 0.1], -0.2 * math.pi),
+    (f"mu^2*z - 1/1{'0' * 600}*z + eps", [-1e-300, 1e-300], -2e-300 * math.pi),
+])
+def test_analyze_finds_the_exact_roots_of_eta(tmp_path, W, roots, alpha_d):
+    """eta's roots are isolated exactly and correctly rounded; mu0 is the
+    lowest of the equally steep ones, and alpha_d is pi eta_num'(mu0) / d,
+    nonzero however small."""
+    doc = _write_doc(tmp_path, dict(EXAMPLE_DOC, perturbation={"W": W}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", doc, "--out", str(out)]) == EXIT_OK
+    crit = json.loads((out / "analyze.json").read_text())["criteria"]["perturbation"]
+    assert [r for r, _ in crit["roots"]] == roots and crit["mu0"] == roots[0]
+    assert crit["alpha_d"] == pytest.approx(alpha_d, rel=1e-15)
+
+
 def test_analyze_linear_term_error(tmp_path):
     doc = _write_doc(tmp_path, {
         "system": {"P": "x", "Q": "y*z", "R": "z^2"},
@@ -633,11 +670,11 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "223cc31b1d0f72ca4f40f22315891b20aba49f9356c666d4f85254e35a0de78b"
+BRANCH_JSON_SHA256 = "266d9a1f9f0a7c09be9d7aabb0a9abf2a286b63a5cce87f6d9658687a77e7b79"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
-NO_TORUS_CERTIFICATE_SHA256 = "fef77a15bbfaf9b8df19463faa691c004516dfa1d8664c39a1f7bfba172063fa"
+NO_TORUS_CERTIFICATE_SHA256 = "a4585422ad3427a844eab5e0563d4a1917f347fa4d14acb4b6a3b29dd933fe49"
 
 
 def test_no_torus_certificate_bytes(tmp_path):
@@ -698,19 +735,19 @@ def test_lift_command(tmp_path):
     assert _sha256(out / "lifted_system.txt") == LIFTED_SYSTEM_SHA256
 
 
-LIFT_JSON_SHA256 = "0bab58a8f5e27fa94c6b92c66d59d7c4d4bbf407d68f2048c40d73234fb3c08d"
+LIFT_JSON_SHA256 = "8c8e3429dbe3436e64dd40d88902b32bd32423576a3b9e81650bf598c8449bec"
 LIFTED_SYSTEM_SHA256 = "6c71b5b8ab306ac7979304e121239fbf6f82c0afa1293eded021ba69fe84d74c"
 
 # (lift.json, lifted_system.txt) of the `fields` workload's lift seeds at
 # seed 0, each of which jitters the tuned system (ell1_jitter 1e-6)
 JITTERED_LIFT_SHA256 = (
-    ("bbeada9c40395fe5be8d03c3156867885e78517d5f3ebd56ed28aa1371344cea",
+    ("010cd62c7b9128c92d0ea30d0485ccf9535583ac4c2998443d6c70777142f0af",
      "d8eaa73ac3b13c946f892c8b66dea6a3e8566580a01b478597aa45cd78cbb4eb"),
-    ("e88efa5fa7bdc351867054583921dc520ef3f066143292c0f077d3efe54e5c6a",
+    ("b6b9694d7e22cbb1d0189e95dc9ff3be2b2e6de01cb3d844c52259065bec2a03",
      "6b26c4d2b0d1268442ca78dd7977dad5ef96580c260263dd56153f07d0c73d43"),
-    ("978b21dcec15df2cf59e0f8898b6b895d0f1ba44906b04bbe6eb6eeead26e576",
+    ("0132d5cab1e4ec7f4a240990c24b5258e6417143c852accff8b7cd7d9361de07",
      "5f4e01752acabd7771a07972ac94799400c56fd97db3c0c2d4c2a47f03195c7d"),
-    ("4d341b4ac9b61d95c61a757bc05a4e7431312d306387741740e0732d8d739e6c",
+    ("a325c893c688211cb1735a0a4d847a22e8f56f0f119f1eabe96c66fe1e5a22bd",
      "a7cdbda41a2b9a64c87d0c194ee578bfcbe81b7a0c78e7f53c245a375abd7a4b"),
 )
 

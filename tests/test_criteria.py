@@ -1,18 +1,17 @@
 import inspect
+import json
 import math
 import random
 import textwrap
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusforge import criteria
 from torusforge.criteria import (
-    ConstantTermPresent, DegenerateSum, GammaNonNegative, LinearTermPresent,
+    ConstantTermPresent, CriteriaError, DegenerateSum, GammaNonNegative, LinearTermPresent,
     PerturbationFamily, criteria_report, ell1_exact, evaluate_base_criteria,
     evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
 )
@@ -168,9 +167,9 @@ def test_simple_family_criteria():
     # Gamma_criterion = 4 beta / S = -2, r_mu = sqrt(2)
     assert crit.gamma_criterion(0.0) == pytest.approx(-2.0, abs=1e-14)
     assert crit.gamma_criterion(0.37) == pytest.approx(-2.0, abs=1e-14)
-    assert crit.mu0 == pytest.approx(0.0, abs=1e-10)
-    assert crit.alpha_d == pytest.approx(math.pi, abs=1e-8)
-    assert crit.gamma_discrepancy_max <= 1e-14   # sigma = 0: printed == operational
+    assert (crit.mu0, crit.alpha_d, crit.roots) == (0.0, math.pi, ((0.0, math.pi),))
+    assert crit.gamma_discrepancy_max == 0.0     # sigma = 0: printed == operational
+    assert crit.gamma_nonnegative == ()
 
 
 def test_simple_family_is_shared_and_frozen():
@@ -193,12 +192,13 @@ def test_general_family_criteria():
     sys = validate_hopf_zero(*EXAMPLE)
     fam = PerturbationFamily.from_expressions("1/2*x", "0", "mu*z + 3/8*eps")
     crit = evaluate_perturbation_criteria(sys, fam, (0.0, 1.2))
-    assert crit.mu0 == pytest.approx(1.0, abs=1e-10)
+    assert crit.mu0 == 1.0
     assert crit.w_mu(crit.mu0) == pytest.approx(-0.5, abs=1e-14)
     assert crit.gamma_criterion(crit.mu0) == pytest.approx(-0.25, abs=1e-12)
     assert crit.alpha_d == pytest.approx(math.pi, abs=1e-8)
-    # sigma != 0 exposes the printed-formula discrepancy; both are reported
-    assert crit.gamma_discrepancy_max > 0.1
+    # sigma != 0 exposes the printed-formula discrepancy, 3/4 mu; both are
+    # reported, and the largest on [0, 1.2] is at the float 1.2
+    assert crit.gamma_discrepancy_max == float(Fraction(3, 4) * Fraction(1.2))
 
 
 def test_gamma_nonnegative_family():
@@ -361,62 +361,44 @@ def test_simple_family_w_mu_is_positive_zero(exprs):
         assert math.copysign(1.0, w_mu(mu)) == 1.0 and w_mu(mu) == 0.0
 
 
-def _scan_outcome(sys, fam, interval, scalar=False):
-    """evaluate_perturbation_criteria under criteria_report's float guard, as
-    a comparable value: the exception, or the criteria it returns.  With
-    `scalar`, the scan makes one scalar call per point, as it did before it
-    ran on numpy."""
-    n = criteria.ETA_SCAN_POINTS
-
-    def scalar_scan(functions, lo, hi):
-        grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        return grid, [[f(m) for m in grid] for f in functions]
-
-    route = scalar_scan if scalar else criteria._scan
-    try:
-        with mock.patch.object(criteria, "_scan", route), np.errstate(over="raise"):
-            crit = evaluate_perturbation_criteria(sys, fam, interval)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    return repr((crit.mu0, crit.alpha_d, crit.roots, crit.gamma_flagged,
-                 crit.gamma_discrepancy_max, crit.interval))
-
-
 _TINY = Fraction(1, 10 ** 200)       # its square is 0.0 as a float
 _HUGE = Fraction(10 ** 300)
 _EXTREME = [
-    # Gamma and eta overflow to inf on the grid: carried on, not raised
-    (EXAMPLE, ("0", "0", Poly({(0, 0, 1, 3, 0): _HUGE, (0, 0, 0, 0, 1): Fraction(1)})),
-     (-1e10, 1e10)),
-    (EXAMPLE, ("0", "0", "mu*z + eps"), (-1.7e308, 1.7e308)),
-    (EXAMPLE, (Poly({(1, 0, 0, 0, 0): _HUGE}), "0", "mu*z + eps"), (-1.0, 1.0)),
-    # S d^2 is 0.0 as a float: Gamma_printed refuses it on its first call,
-    # before the Gamma >= 0 check
-    ((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "z + eps"), (-1.0, 1.0)),
-    ((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"), (-1.0, 1.0)),
-    # d is 0.0 as a float: refused before any function is called
-    ((Poly({(1, 0, 1, 0, 0): _TINY * _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"),
-     (-1.0, 1.0)),
+    # eta = 10^300 mu^3 has a triple root at 0
+    pytest.param(EXAMPLE, ("0", "0", Poly({(0, 0, 1, 3, 0): _HUGE, (0, 0, 0, 0, 1): Fraction(1)})),
+                 (-1e10, 1e10), "DegenerateTransversality", id="huge-cubic"),
+    pytest.param(EXAMPLE, ("0", "0", "mu*z + eps"), (-1.7e308, 1.7e308), "report",
+                 id="wide-interval"),
+    # eta's root is 2 10^300, outside the interval
+    pytest.param(EXAMPLE, (Poly({(1, 0, 0, 0, 0): _HUGE}), "0", "mu*z + eps"), (-1.0, 1.0),
+                 "NoRootInInterval", id="huge-sigma"),
+    # S d^2 is 0.0 as a float: Gamma = 2 > 0 ends the first before eta's
+    # roots are sought, and Gamma_printed refuses the divisor in the second
+    pytest.param((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "z + eps"),
+                 (-1.0, 1.0), "GammaNonNegative", id="tiny-sdd-gamma"),
+    pytest.param((Poly({(1, 0, 1, 0, 0): _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"),
+                 (-1.0, 1.0), "FloatRangeExceeded", id="tiny-sdd"),
+    # d is 0.0 as a float: refused before any criterion
+    pytest.param((Poly({(1, 0, 1, 0, 0): _TINY * _TINY}), "0", "x^2"), ("0", "0", "mu*z - eps"),
+                 (-1.0, 1.0), "FloatRangeExceeded", id="tiny-d"),
+    # eta's roots are +-10^-300, refined down to the float exponent range
+    pytest.param(EXAMPLE, ("0", "0", f"mu^2*z - 1/1{'0' * 600}*z + eps"), (-1.0, 1.0),
+                 "report", id="roots-1e-300"),
 ]
 
 
-@pytest.mark.parametrize("exprs, family, interval", _EXTREME)
-def test_numpy_scan_matches_scalar_calls_at_the_float_range(exprs, family, interval):
-    """Where a scan value overflows, or a float divisor is 0.0, the scan
-    ends as the scalar calls end: the same floats, inf and NaN included,
-    and the same exception."""
+@pytest.mark.parametrize("exprs, family, interval, outcome", _EXTREME)
+def test_extreme_inputs_end_in_a_typed_error_or_a_finite_report(exprs, family, interval,
+                                                                outcome):
+    """Where a coefficient, a root or the interval reaches the float range,
+    or a float divisor is 0.0, the criteria end in a typed error or in a
+    report of finite floats, never in a traceback."""
     sys = validate_hopf_zero(*exprs)
     fam = PerturbationFamily.from_expressions(*family)
-    assert (_scan_outcome(sys, fam, interval)
-            == _scan_outcome(sys, fam, interval, scalar=True))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SYSTEMS), families(),
-       st.sampled_from([(-1.0, 1.0), (0.0, 1.2), (-3.5, 0.25), (-1e6, 1e6)]))
-def test_numpy_scan_matches_scalar_calls(exprs, fam, interval):
-    """The scan on numpy gives the floats, flags, roots and exceptions of
-    one scalar call per grid point."""
-    sys = validate_hopf_zero(*exprs)
-    assert (_scan_outcome(sys, fam, interval)
-            == _scan_outcome(sys, fam, interval, scalar=True))
+    try:
+        report = criteria_report(sys, fam, interval).to_dict()
+    except CriteriaError as exc:
+        assert type(exc).__name__ == outcome, exc
+    else:
+        assert outcome == "report"
+        json.dumps(report, allow_nan=False)

@@ -53,7 +53,6 @@ from .criteria import (
 from .fieldexpr import Poly, compile_terms
 
 PERIOD = 2.0 * math.pi
-EQUILIBRIUM_RESIDUAL = 1e-12
 FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
 FIXED_POINT_MAX_ITER = 25
 UNIT_CIRCLE_TOL = 1e-12                  # |det D Pi - 1| of the secant on |lambda| = 1
@@ -451,7 +450,7 @@ class MelnikovPair:
     def _f2_eval(self):
         return tuple(p.evaluator() for p in self.f2_exact)
 
-    # Gamma and w_mu of the family, built once for averaged_equilibrium
+    # Gamma and w_mu of the family, built once: the averaged equilibrium
     @cached_property
     def _perturbation_functions(self):
         return perturbation_functions(self.std.system, self.std.family)
@@ -531,28 +530,14 @@ class AveragedEquilibrium:
 
 
 def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
-    gamma_op, _, _, w_mu = mel._perturbation_functions
+    """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, the closed
+    form the criteria give (`perturbation_functions`), with the eigenvalues
+    of the f1 Jacobian there; `residual` is max |f1(r, w, mu)|."""
+    gamma_op, _, w_mu = mel._perturbation_functions
     gamma = gamma_op(mu)
     if gamma >= 0:
         raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
-    w = w_mu(mu)
-    r = math.sqrt(-gamma)
-
-    # Newton polish on f1^2(., w)
-    f1_2, df = mel._f1_eval[1], mel._df1_eval[1][0]
-    for _ in range(60):
-        val = f1_2(r, w, mu)
-        if abs(val) <= EQUILIBRIUM_RESIDUAL:
-            break
-        slope = df(r, w, mu)
-        if slope == 0 or not math.isfinite(slope):
-            raise NewtonDiverged("flat slope in radius Newton")
-        r -= val / slope
-        if not (0 < r < 1e6):
-            raise NewtonDiverged(f"radius iterate escaped: {r}")
-    else:
-        raise NewtonDiverged("radius Newton did not reach residual tolerance")
-
+    r, w = math.sqrt(-gamma), w_mu(mu)
     residual = float(np.max(np.abs(mel.f1((r, w), mu))))
     J = mel.f1_jacobian((r, w), mu)
     eta = 0.5 * (J[0, 0] + J[1, 1])
@@ -588,7 +573,8 @@ def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
     """H, T, ND against the averaged path over the criterion interval.  ND
     reads the slices of the map Lyapunov coefficient: its eps slice l11 is
     0 for every system, so the leading one is l12, pi ell_1 / (16 Omega^2)
-    (`BaseCriteria.l12`).
+    (`BaseCriteria.l12`), nonzero exactly where ell_1 is: a nonzero ell_1
+    whose l12 rounds to 0.0 is refused there.
     """
     details: dict = {}
 
@@ -597,8 +583,9 @@ def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
     mus = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     max_res = 0.0
     complex_ok = True
+    gamma_op = mel._perturbation_functions[0]
     for m in mus:
-        if crit.gamma_criterion(m) >= 0:
+        if gamma_op(m) >= 0:
             continue
         try:
             eq = averaged_equilibrium(mel, m)
@@ -620,7 +607,7 @@ def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
 
     details["l11"] = 0.0
     details["l12"] = l12
-    j_star = 2 if abs(l12) > 1e-10 else None
+    j_star = 2 if l12 != 0 else None
     details["j_star"] = j_star
     nondegeneracy_ok = j_star is not None
 

@@ -3,8 +3,9 @@
 Quantities handled here are exact rationals wherever the inputs are.  The
 perturbation criteria are decided on exact polynomials in mu: the roots of
 eta, correctly rounded, and the sign of Gamma at mu_0 (`univariate`).  A
-family's ingredients become floats once, through `compile_terms`, for the
-averaging layer and the reported values of Gamma.  The first Lyapunov
+family's ingredients become floats in `perturbation_functions`, through
+`compile_terms`: the reported values of Gamma, and Gamma and w_mu for the
+averaged equilibrium, whose closed form they are.  The first Lyapunov
 quantity ell_1 is read straight off the quadratic and cubic jets by a
 closed form with integer coefficients (`ell1_exact`), exact like Omega.
 The closed formula transcribed from the source text is evaluated
@@ -19,9 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Tuple
 
 from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
 from .univariate import Dense, derivative, roots, sign_at, simple_and_multiple, value
@@ -130,8 +129,8 @@ def validate_hopf_zero(P, Q, R) -> HopfZeroSystem:
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """(U, V, W) in (x, y, z, mu, eps) and the three criteria ingredients,
-    compiled once as functions of mu:
+    """(U, V, W) in (x, y, z, mu, eps), whose criteria ingredients are the
+    polynomials in mu (`_ingredients`)
 
         sigma(mu) = U_1^(1,0,0)(mu) + V_1^(0,1,0)(mu)
         w1z(mu)   = W_1^(0,0,1)(mu)
@@ -140,17 +139,14 @@ class PerturbationFamily:
     where slice i (1-based) is the coefficient of eps^(i-1) in a component,
     so the perturbed field eps*U contributes U_i at order eps^i.
 
-    A family is frozen, and `simple` hands out one shared instance per beta:
-    no field can be rebound, and nothing changes the terms of a `Poly` in
-    place, so a family never changes after it is built.
+    A family is frozen data: no field can be rebound, and nothing changes
+    the terms of a `Poly` in place, so a family never changes after it is
+    built.
     """
     U: Poly
     V: Poly
     W: Poly
     simple_case: bool = False
-    sigma: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    w1z: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    w20: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, p in zip("UVW", (self.U, self.V, self.W)):
@@ -158,9 +154,6 @@ class PerturbationFamily:
             if origin:
                 raise InvalidPerturbation(
                     f"{name}_1(0,0,0; mu) = {origin!r} must vanish identically")
-        # the family is frozen: its compiled ingredients are set past that
-        for name, p in zip(("sigma", "w1z", "w20"), _ingredients(self)):
-            object.__setattr__(self, name, _compiled_in_mu(p))
 
     @classmethod
     def from_expressions(cls, U, V, W) -> "PerturbationFamily":
@@ -168,16 +161,9 @@ class PerturbationFamily:
 
     @classmethod
     def simple(cls, beta: int) -> "PerturbationFamily":
-        """The degree-preserving family (U, V, W) = (0, 0, mu*z + beta*eps),
-        built once per beta and shared."""
-        fam = _SIMPLE_FAMILIES.get(beta)
-        if fam is None:
-            W = Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(beta)})
-            fam = _SIMPLE_FAMILIES[beta] = cls(Poly(), Poly(), W, simple_case=True)
-        return fam
-
-
-_SIMPLE_FAMILIES: Dict[int, PerturbationFamily] = {}
+        """The degree-preserving family (U, V, W) = (0, 0, mu*z + beta*eps)."""
+        W = Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(beta)})
+        return cls(Poly(), Poly(), W, simple_case=True)
 
 
 def _ingredients(fam: PerturbationFamily) -> Tuple[Poly, Poly, Poly]:
@@ -407,12 +393,10 @@ def _ell1_closed_form(P: Callable, Q: Callable, R: Callable):
 
 @dataclass
 class PerturbationCriteria:
-    gamma_criterion: Callable[[float], float]       # operational: -r_mu^2
-    w_mu: Callable[[float], float]
     mu0: float
     alpha_d: float
     roots: Tuple[Tuple[float, float], ...]          # (root, alpha_d), steepest first
-    gamma_at_mu0: float
+    gamma_at_mu0: float                             # operational: -r_mu^2
     gamma_printed_at_mu0: float                     # verbatim ratio form
     gamma_nonnegative: Tuple[Tuple[float, float], ...]
     gamma_discrepancy_max: float
@@ -432,13 +416,13 @@ class PerturbationCriteria:
 
 
 def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
-    """Float callables of mu (Gamma_operational, Gamma_printed, eta, w_mu)
-    built on the family's compiled ingredients; the exact constants of the
-    system are converted once, under `float_range`.  Each callable divides
+    """Float callables of mu (Gamma_operational, Gamma_printed, w_mu) built
+    on the family's ingredients, compiled here; the exact constants of the
+    system are converted once, under `float_range`.  (sqrt(-Gamma_op), w_mu)
+    is the root of f1, the averaged equilibrium.  Each callable divides
     by d = P^(1,0,1) + Q^(0,1,1) or S = R^(2,0,0) + R^(0,2,0), and
     Gamma_printed by S d^2: one that rounds to 0.0 is a FloatRangeExceeded
-    error, so they divide only by nonzero floats, which numpy and Python
-    floats round alike."""
+    error, so they divide only by nonzero floats."""
     if sys.divergence_pair == 0:
         raise CriteriaError("P^(1,0,1) + Q^(0,1,1) = 0; criteria undefined")
     if sys.quadratic_sum == 0:
@@ -450,7 +434,7 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
     if d == 0.0 or S == 0.0:
         raise FloatRangeExceeded(f"a divisor rounds to 0.0 as a float: d = {d!r}, "
                                  f"S = {S!r}")
-    sigma, w1z, w20 = fam.sigma, fam.w1z, fam.w20
+    sigma, w1z, w20 = map(_compiled_in_mu, _ingredients(fam))
 
     def w_mu(mu):
         # 0.0 - keeps a vanishing sigma at +0.0 whatever the sign of d
@@ -467,10 +451,7 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
         s = sigma(mu)
         return (2 * c * s * s - w1z(mu) * s) / Sdd + 4 * w20(mu) / S
 
-    def eta(mu):
-        return math.pi * (d * w1z(mu) - c * sigma(mu)) / d
-
-    return gamma_operational, gamma_printed, eta, w_mu
+    return gamma_operational, gamma_printed, w_mu
 
 
 def evaluate_perturbation_criteria(
@@ -484,7 +465,7 @@ def evaluate_perturbation_criteria(
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if not lo < hi:
         raise CriteriaError(f"empty interval {interval!r}")
-    gamma_op, gamma_pr, _, w_mu = perturbation_functions(sys, fam)
+    gamma_op, gamma_pr, _ = perturbation_functions(sys, fam)
     eta, gamma, disc = _exact_criteria(sys, fam)
     nonnegative = _nonnegative(gamma, lo, hi)
     if nonnegative == ((float(lo), float(hi)),):
@@ -512,8 +493,7 @@ def evaluate_perturbation_criteria(
     ends = [lo, hi] + [sum(cell) / 2 for cell in (roots(derivative(disc), lo, hi)
                                                   if len(disc) > 1 else ())]
     return PerturbationCriteria(
-        gamma_criterion=gamma_op, w_mu=w_mu, mu0=mu0, alpha_d=alpha_d,
-        roots=tuple(t[:2] for t in steep) + tuple(flat),
+        mu0=mu0, alpha_d=alpha_d, roots=tuple(t[:2] for t in steep) + tuple(flat),
         gamma_at_mu0=gamma_op(mu0), gamma_printed_at_mu0=gamma_pr(mu0),
         gamma_nonnegative=nonnegative,
         gamma_discrepancy_max=float(max(abs(value(disc, x)) for x in ends)),
@@ -575,12 +555,11 @@ class CriteriaReport:
 
 @contextmanager
 def float_range():
-    """Where quantities become floats: an overflow, in a conversion or in
-    numpy (raised, not carried on as inf), is a FloatRangeExceeded."""
+    """Where quantities become floats: an OverflowError, as converting an
+    exact value past the float range raises it, is a FloatRangeExceeded."""
     try:
-        with np.errstate(over="raise"):
-            yield
-    except (OverflowError, FloatingPointError) as exc:
+        yield
+    except OverflowError as exc:
         raise FloatRangeExceeded(f"a value overflows the float range: {exc}") from None
 
 

@@ -504,6 +504,17 @@ def test_hypothesis_check_example():
                    "nondegeneracy_ok": True, "details": rep.details}
 
 
+def test_nondegeneracy_reads_a_nonzero_l12():
+    """ND holds for any nonzero l12, however small: a nonzero ell_1 never
+    reaches it as l12 = 0.0 (`evaluate_base_criteria` refuses that), so no
+    bound in the units of (x, y, z) decides it."""
+    sys, fam, std, mel = _example_pair()
+    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
+    rep = hypothesis_check(mel, crit, 1e-11)
+    assert rep.nondegeneracy_ok is True and rep.details["j_star"] == 2
+    assert hypothesis_check(mel, crit, 0.0).nondegeneracy_ok is False
+
+
 def test_hypothesis_h_fails_for_negative_omega():
     sys = validate_hopf_zero("x*z", "y*z", "x^2 + y^2")   # Omega < 0
     fam = PerturbationFamily.simple(beta=-1)

@@ -335,6 +335,23 @@ def test_melnikov_csv(tmp_path):
     assert len(lines) == 1 + 16
 
 
+@pytest.mark.parametrize("k, command, flags, extra, output", [
+    (1000, "melnikov", [], {}, "melnikov.csv"),
+    (10 ** 6, "simulate", ["--mu=0.0", "--eps=0.01"], {"periods": 1}, "trajectory.csv"),
+])
+def test_averaged_equilibrium_in_scaled_units(tmp_path, k, command, flags, extra, output):
+    """The worked example with (x, y, z) k times smaller: every nonlinear
+    coefficient and the eps term of W times k.  The averaged equilibrium is
+    the criteria's closed form, read with no residual bound in the units of
+    (x, y, z), so the commands that start from it still run."""
+    doc = _write_doc(tmp_path, {
+        "system": {"P": "0", "Q": f"{k}*y*z", "R": f"{k}*(-x^2 + x*y + z^2)"},
+        "perturbation": {"W": f"mu*z + {k}*eps"}, **extra})
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
+    assert (out / output).stat().st_size > 0
+
+
 def test_melnikov_evaluates_one_grid_row_per_call(tmp_path, monkeypatch):
     """melnikov --grid 21 evaluates f1 and f2 once per grid row, on the
     array of w (the averaged equilibrium reads f1 once more, at one point),

@@ -7,9 +7,10 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusforge import criteria
+from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.criteria import (
     ConstantTermPresent, CriteriaError, DegenerateSum, GammaNonNegative, LinearTermPresent,
     PerturbationFamily, criteria_report, ell1_exact, evaluate_base_criteria,
@@ -165,26 +166,28 @@ def test_simple_family_criteria():
     fam = PerturbationFamily.simple(beta=1)
     crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
     # Gamma_criterion = 4 beta / S = -2, r_mu = sqrt(2)
-    assert crit.gamma_criterion(0.0) == pytest.approx(-2.0, abs=1e-14)
-    assert crit.gamma_criterion(0.37) == pytest.approx(-2.0, abs=1e-14)
+    gamma_op = perturbation_functions(sys, fam)[0]
+    assert gamma_op(0.0) == pytest.approx(-2.0, abs=1e-14)
+    assert gamma_op(0.37) == pytest.approx(-2.0, abs=1e-14)
+    assert crit.gamma_at_mu0 == gamma_op(0.0)
     assert (crit.mu0, crit.alpha_d, crit.roots) == (0.0, math.pi, ((0.0, math.pi),))
     assert crit.gamma_discrepancy_max == 0.0     # sigma = 0: printed == operational
     assert crit.gamma_nonnegative == ()
 
 
-def test_simple_family_is_shared_and_frozen():
-    """One simple family per beta, built once and shared by every caller,
-    so it is frozen: no field can be rebound, and its terms stay those of
-    (0, 0, mu*z + beta*eps)."""
+def test_simple_family_is_frozen():
+    """A simple family is frozen data: no field can be rebound, and its
+    terms stay those of (0, 0, mu*z + beta*eps), whose ingredients are
+    sigma = 0, w1z = mu and w20 = beta."""
     fam = PerturbationFamily.simple(1)
-    assert PerturbationFamily.simple(beta=1) is fam
-    assert PerturbationFamily.simple(-1) is PerturbationFamily.simple(-1) is not fam
-    for name in ("U", "W", "simple_case", "sigma", "w20"):
+    assert PerturbationFamily.simple(beta=1) == fam != PerturbationFamily.simple(-1)
+    for name in ("U", "V", "W", "simple_case"):
         with pytest.raises(FrozenInstanceError):
             setattr(fam, name, getattr(PerturbationFamily.simple(-1), name))
     assert fam.W == Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(1)})
     assert not fam.U and not fam.V and fam.simple_case
-    assert (fam.sigma(0.3), fam.w1z(0.3), fam.w20(0.3)) == (0.0, 0.3, 1.0)
+    mu = Poly({(0, 0, 0, 1, 0): Fraction(1)})
+    assert criteria._ingredients(fam) == (Poly(), mu, Poly({(0,) * 5: Fraction(1)}))
 
 
 def test_general_family_criteria():
@@ -193,8 +196,10 @@ def test_general_family_criteria():
     fam = PerturbationFamily.from_expressions("1/2*x", "0", "mu*z + 3/8*eps")
     crit = evaluate_perturbation_criteria(sys, fam, (0.0, 1.2))
     assert crit.mu0 == 1.0
-    assert crit.w_mu(crit.mu0) == pytest.approx(-0.5, abs=1e-14)
-    assert crit.gamma_criterion(crit.mu0) == pytest.approx(-0.25, abs=1e-12)
+    gamma_op, _, w_mu = perturbation_functions(sys, fam)
+    assert w_mu(crit.mu0) == pytest.approx(-0.5, abs=1e-14)
+    assert gamma_op(crit.mu0) == pytest.approx(-0.25, abs=1e-12)
+    assert crit.gamma_at_mu0 == gamma_op(crit.mu0)
     assert crit.alpha_d == pytest.approx(math.pi, abs=1e-8)
     # sigma != 0 exposes the printed-formula discrepancy, 3/4 mu; both are
     # reported, and the largest on [0, 1.2] is at the float 1.2
@@ -327,10 +332,10 @@ def _value_and_scale(p: Poly, xyz, eps_power, mu: Fraction):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SYSTEMS), families(), st.floats(-2.0, 2.0))
 def test_compiled_criteria_match_exact(exprs, fam, mu):
-    """w_mu, Gamma (both forms) and eta against exact Fraction evaluation,
-    to 1e-13 of the size of the terms they sum."""
+    """w_mu and Gamma (both forms) against exact Fraction evaluation, to
+    1e-13 of the size of the terms they sum."""
     sys = validate_hopf_zero(*exprs)
-    gamma_op, gamma_pr, eta, w_mu = perturbation_functions(sys, fam)
+    gamma_op, gamma_pr, w_mu = perturbation_functions(sys, fam)
     q = Fraction(mu)
     d, S, c = sys.divergence_pair, sys.quadratic_sum, sys.jR.get(0, 0, 2)
     su, su_ = _value_and_scale(fam.U, (1, 0, 0), 0, q)
@@ -345,18 +350,34 @@ def test_compiled_criteria_match_exact(exprs, fam, mu):
                    (2 * abs(c) * w_ * w_ + 4 * w1z_ * w_ + 4 * w20_) / abs(S)),
         gamma_pr: ((2 * c * s * s - w1z * s) / (S * d * d) + 4 * w20 / S,
                    (2 * abs(c) * s_ * s_ + w1z_ * s_) / abs(S * d * d) + 4 * w20_ / abs(S)),
-        eta: (math.pi * float((d * w1z - c * s) / d),
-              math.pi * (abs(d) * w1z_ + abs(c) * s_) / abs(d)),
     }
     for fn, (exact, scale) in expected.items():
         assert abs(fn(mu) - float(exact)) <= 1e-13 * float(scale), fn.__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), families(), st.floats(-2.0, 2.0))
+def test_closed_form_equilibrium_is_the_root_of_f1(exprs, fam, mu):
+    """(sqrt(-Gamma_op(mu)), w_mu(mu)), which `averaged_equilibrium` takes
+    as it is, is the root of f1: each f1 component vanishes there to a few
+    ulps of the sum of its terms' magnitudes (under one ulp measured)."""
+    sys = validate_hopf_zero(*exprs)
+    gamma_op, _, w_mu = perturbation_functions(sys, fam)
+    gamma = gamma_op(mu)
+    assume(gamma < 0)
+    r, w = math.sqrt(-gamma), w_mu(mu)
+    mel = melnikov_pair(to_standard_form(sys, fam))
+    for f, value in zip(mel.f1_exact, mel.f1((r, w), mu)):
+        scale = sum(abs(float(c)) * r ** a * abs(w) ** b * abs(mu) ** m * math.pi ** k
+                    for (a, b, m, k), c in f.terms.items())
+        assert abs(value) <= 4 * math.ulp(1.0) * scale
 
 
 @pytest.mark.parametrize("exprs", SYSTEMS)
 def test_simple_family_w_mu_is_positive_zero(exprs):
     sys = validate_hopf_zero(*exprs)
     fam = PerturbationFamily.simple(1 if sys.quadratic_sum < 0 else -1)
-    w_mu = perturbation_functions(sys, fam)[3]
+    w_mu = perturbation_functions(sys, fam)[2]
     for mu in (-0.5, 0.0, 0.3):
         assert math.copysign(1.0, w_mu(mu)) == 1.0 and w_mu(mu) == 0.0
 

@@ -34,6 +34,10 @@ of the output: `PiPoly.evaluator` sums the terms of f1 and f2 in dict order,
 so the reports' floats depend on it.  The restricted products therefore
 visit their pairs in the order of the full `Poly.__mul__`, with its
 delete-on-zero rule, and leave each kept term where the full product would.
+
+The averaged equilibrium is the criteria's closed form (sqrt(-Gamma(mu)),
+w_mu(mu)), and hypothesis H is an exact identity of the averaged spectrum
+there (`hypothesis_check`), decided once with no float eigensolve.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .criteria import (
-    HopfZeroSystem, PerturbationFamily, float_range, perturbation_functions,
+    HopfZeroSystem, PerturbationFamily, _ingredients, float_range, perturbation_functions,
 )
 from .fieldexpr import Poly, compile_terms
+from .univariate import Dense
 
 PERIOD = 2.0 * math.pi
 FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
@@ -58,7 +63,6 @@ FIXED_POINT_MAX_ITER = 25
 UNIT_CIRCLE_TOL = 1e-12                  # |det D Pi - 1| of the secant on |lambda| = 1
 UNIT_CIRCLE_MAX_ITER = 40
 STRONG_RESONANCE_TOL = 1e-8
-HYPOTHESIS_SAMPLES = 33                  # mu samples of the averaged path
 # the factor-2 eps ladder of the Neimark-Sacker branch, solved once; each fit
 # reads three consecutive rungs: the Lyapunov slices the largest three, mu1
 # the middle three, the Jordan expansion and the fixed-point slice the
@@ -75,7 +79,7 @@ class NewtonDiverged(AveragingError):
 
 
 class ComplexPairLost(AveragingError):
-    """Hypothesis H fails: the averaged Jacobian has a real spectrum."""
+    """The Jacobian of the return map has a real spectrum."""
 
 
 class StrongResonance(AveragingError):
@@ -409,9 +413,9 @@ def _cleared(p: Poly, factor: int) -> Poly:
 
 @dataclass
 class MelnikovPair:
-    """f1 and f2 as exact PiPolys over (r, w, mu, pi); `f1`, `f1_jacobian`
-    and `f2_closed` evaluate them.  The tests cross-check both against
-    quadrature of the standard form."""
+    """f1 and f2 as exact PiPolys over (r, w, mu, pi); `f1` and `f2_closed`
+    evaluate them.  The tests cross-check both against quadrature of the
+    standard form."""
     std: StandardFormSystem
     f1_exact: Tuple[PiPoly, PiPoly]
 
@@ -442,11 +446,6 @@ class MelnikovPair:
         return tuple(p.evaluator() for p in self.f1_exact)
 
     @cached_property
-    def _df1_eval(self):
-        return tuple(tuple(p.derivative(v).evaluator() for v in ("r", "w"))
-                     for p in self.f1_exact)
-
-    @cached_property
     def _f2_eval(self):
         return tuple(p.evaluator() for p in self.f2_exact)
 
@@ -457,10 +456,6 @@ class MelnikovPair:
 
     def f1(self, x, mu) -> np.ndarray:
         return _values(self._f1_eval, x, mu)
-
-    def f1_jacobian(self, x, mu) -> np.ndarray:
-        r, w = x
-        return np.array([[f(r, w, mu) for f in row] for row in self._df1_eval])
 
     def f2_closed(self, x, mu) -> np.ndarray:
         return _values(self._f2_eval, x, mu)
@@ -516,43 +511,43 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
 # averaged equilibrium and hypotheses
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AveragedEquilibrium:
-    mu: float
-    r: float
-    w: float
-    jacobian: np.ndarray
-    eigenvalues: Tuple[complex, complex]
-    eta: float
-    zeta: float
-    omega: float            # pi sqrt(Omega) r_mu
-    residual: float
-
-
-def averaged_equilibrium(mel: MelnikovPair, mu: float) -> AveragedEquilibrium:
+def averaged_equilibrium(mel: MelnikovPair, mu: float) -> Tuple[float, float]:
     """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, the closed
-    form the criteria give (`perturbation_functions`), with the eigenvalues
-    of the f1 Jacobian there; `residual` is max |f1(r, w, mu)|."""
+    form the criteria give (`perturbation_functions`)."""
     gamma_op, _, w_mu = mel._perturbation_functions
     gamma = gamma_op(mu)
     if gamma >= 0:
         raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
-    r, w = math.sqrt(-gamma), w_mu(mu)
-    residual = float(np.max(np.abs(mel.f1((r, w), mu))))
-    J = mel.f1_jacobian((r, w), mu)
-    eta = 0.5 * (J[0, 0] + J[1, 1])
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    disc = eta * eta - det
-    if disc >= 0:
-        raise ComplexPairLost(f"eta^2 - pi^2 Omega r^2 = {disc} >= 0 at mu={mu}")
-    zeta = math.sqrt(-disc)
-    lam = (complex(eta, zeta), complex(eta, -zeta))
-    numeric = sorted(np.linalg.eigvals(J), key=lambda z: -z.imag)
-    if max(abs(numeric[0] - lam[0]), abs(numeric[1] - lam[1])) > 1e-9 * max(1.0, abs(lam[0])):
-        raise AveragingError("closed-form eigenvalues disagree with direct eigensolve")
-    omega = math.pi * math.sqrt(float(mel.std.system.omega)) * r
-    return AveragedEquilibrium(mu=mu, r=r, w=w, jacobian=J, eigenvalues=lam,
-                               eta=eta, zeta=zeta, omega=omega, residual=residual)
+    return math.sqrt(-gamma), w_mu(mu)
+
+
+def _spectrum_identity(mel: MelnikovPair, eta: Dense, gamma: Dense) -> bool:
+    """Whether the exact f1 and its Jacobian J satisfy, on the line
+    w = w_mu(mu) = -sigma(mu) / d and as PiPolys in (r, mu, pi),
+
+        f1_r = 0,  f1_w = k (r^2 + Gamma(mu)),  tr J = 2 eta(mu),
+        det J = pi^2 Omega r^2,
+
+    for a constant k, where eta = pi e(mu) / d, and e = eta d / pi and Gamma
+    are the criteria's exact polynomials in mu (`PerturbationCriteria.eta`
+    and `.gamma`).  Every term of f1 carries pi once, so k is the
+    coefficient of r^2 pi in f1_w."""
+    sys = mel.std.system
+    d = sys.divergence_pair
+    sigma = _ingredients(mel.std.family)[0]
+    on_line = {"w": PiPoly({(0, 0, m[3], 0): -c / d for m, c in sigma.terms.items()})}
+    f_r, f_w = (f.substitute(on_line) for f in mel.f1_exact)
+    (a, b), (c, e) = ([f.derivative(v).substitute(on_line) for v in ("r", "w")]
+                      for f in mel.f1_exact)
+    k = f_w.terms.get((2, 0, 0, 1), 0)
+    return (not f_r and f_w == (_pi_poly(gamma) + PiPoly({(2, 0, 0, 1): Fraction(1)})).scale(k)
+            and a + e == _pi_poly(eta).scale(2 / d)
+            and a * e - b * c == PiPoly({(2, 0, 0, 2): sys.omega}))
+
+
+def _pi_poly(p: Dense) -> PiPoly:
+    """pi p(mu) for the dense polynomial p, lowest degree first."""
+    return PiPoly({(0, 0, k, 1): q for k, q in enumerate(p)})
 
 
 @dataclass
@@ -570,36 +565,23 @@ class HypothesisReport:
 
 
 def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
-    """H, T, ND against the averaged path over the criterion interval.  ND
-    reads the slices of the map Lyapunov coefficient: its eps slice l11 is
-    0 for every system, so the leading one is l12, pi ell_1 / (16 Omega^2)
-    (`BaseCriteria.l12`), nonzero exactly where ell_1 is: a nonzero ell_1
-    whose l12 rounds to 0.0 is refused there.
-    """
-    details: dict = {}
+    """H, T and ND at mu0, each decided once.
 
-    lo, hi = crit.interval
-    n = HYPOTHESIS_SAMPLES
-    mus = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    max_res = 0.0
-    complex_ok = True
-    gamma_op = mel._perturbation_functions[0]
-    for m in mus:
-        if gamma_op(m) >= 0:
-            continue
-        try:
-            eq = averaged_equilibrium(mel, m)
-        except ComplexPairLost:
-            complex_ok = False
-            continue
-        max_res = max(max_res, eq.residual)
-    eq0 = averaged_equilibrium(mel, crit.mu0)
-    details["max_path_residual"] = max_res
-    details["eta_at_mu0"] = eq0.eta
-    details["omega0"] = eq0.omega
-    details["zeta_at_mu0"] = eq0.zeta
-    hopf_ok = (complex_ok and max_res <= 1e-10 and abs(eq0.eta) <= 1e-9
-               and eq0.zeta > 0 and abs(eq0.zeta - eq0.omega) <= 1e-8 * max(1.0, eq0.omega))
+    H is the local Hopf condition, a pair +-i omega0 with omega0 > 0 at mu0.
+    By `_spectrum_identity` the averaged eigenvalues at the closed form are
+    eta +- i sqrt(pi^2 Omega r^2 - eta^2): at the root mu0 of eta, where
+    Gamma < 0, +-i pi sqrt(Omega) r0.  So H holds where the identity does and
+    Omega > 0, both exact; the rest of the criterion interval is not read.
+    omega0 is None where Omega <= 0.  ND reads the slices of the map
+    Lyapunov coefficient: its eps slice l11 is 0 for every system, so the
+    leading one is l12, pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`),
+    nonzero exactly where ell_1 is: a nonzero ell_1 whose l12 rounds to 0.0
+    is refused there.
+    """
+    omega = mel.std.system.omega
+    hopf_ok = omega > 0 and _spectrum_identity(mel, crit.eta, crit.gamma)
+    r0, _ = averaged_equilibrium(mel, crit.mu0)
+    details: dict = {"omega0": math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None}
 
     # T is the exact simplicity of mu0: alpha_d is 0.0 only at a multiple root
     details["alpha_d"] = crit.alpha_d
@@ -754,8 +736,7 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
     averaged equilibrium; returns (xi, Pi and D Pi at xi), so callers that
     need D Pi(xi) reuse the last iteration's first-order transport (jet1)."""
     if seed is None:
-        eq = averaged_equilibrium(mel, mu)
-        x = np.array([eq.r, eq.w])
+        x = np.array(averaged_equilibrium(mel, mu))
     else:
         x = np.asarray(seed, dtype=float).copy()
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -842,8 +823,7 @@ def xi_slice(tmap, mel: MelnikovPair, mu: float) -> np.ndarray:
     """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch, fitted
     to (xi(mu, eps) - x_mu)/eps on the three smallest rungs of BRANCH_LADDER
     (fixed points at this mu, not on the Neimark-Sacker curve)."""
-    eq = averaged_equilibrium(mel, mu)
-    x_mu = np.array([eq.r, eq.w])
+    x_mu = np.array(averaged_equilibrium(mel, mu))
     ladder = BRANCH_LADDER[-3:]
     vals = [(_newton_fixed_point(tmap, mel, mu, e)[0] - x_mu) / e for e in ladder]
     return _ladder_fit(vals, ladder, 0)[0]

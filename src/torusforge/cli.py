@@ -329,14 +329,14 @@ def cmd_melnikov(args) -> int:
     mu = _param(doc, args, "mu")
     mu = 0.0 if mu is None else mu
     mel = melnikov_pair(to_standard_form(sys_, fam))
-    eq = averaged_equilibrium(mel, mu)
+    r0, w0 = averaged_equilibrium(mel, mu)
     n = args.grid
-    ws = np.linspace(eq.w - 1.0, eq.w + 1.0, n)
+    ws = np.linspace(w0 - 1.0, w0 + 1.0, n)
     w_values = ws.tolist()
 
     def rows():
         # f1 and f2 once per grid row, on the array of w
-        for r in np.linspace(0.5 * eq.r, 1.5 * eq.r, n).tolist():
+        for r in np.linspace(0.5 * r0, 1.5 * r0, n).tolist():
             yield from zip([r] * n, w_values, *mel.f1((r, ws), mu).tolist(),
                            *mel.f2_closed((r, ws), mu).tolist())
 
@@ -392,8 +392,8 @@ def cmd_simulate(args) -> int:
     if x0 is None:
         # the averaged equilibrium reads f1 alone; f2 is never built here
         mel = melnikov_pair(to_standard_form(sys_, fam, rescaled.slices))
-        eq = averaged_equilibrium(mel, mu)
-        x0 = [eq.r + 0.05, 0.0, eq.w]
+        r, w = averaged_equilibrium(mel, mu)
+        x0 = [r + 0.05, 0.0, w]
     ts, ys = integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
     write_csv(os.path.join(args.out, "trajectory.csv"), ("t", "x", "y", "z"),
               ([t, *y] for t, y in zip(ts, ys)))

@@ -401,6 +401,8 @@ class PerturbationCriteria:
     gamma_nonnegative: Tuple[Tuple[float, float], ...]
     gamma_discrepancy_max: float
     interval: Tuple[float, float]
+    eta: Dense = field(repr=False)                  # eta d / pi, exact in mu
+    gamma: Dense = field(repr=False)                # Gamma_criterion, exact in mu
 
     def to_dict(self) -> dict:
         return {
@@ -497,7 +499,7 @@ def evaluate_perturbation_criteria(
         gamma_at_mu0=gamma_op(mu0), gamma_printed_at_mu0=gamma_pr(mu0),
         gamma_nonnegative=nonnegative,
         gamma_discrepancy_max=float(max(abs(value(disc, x)) for x in ends)),
-        interval=(float(lo), float(hi)),
+        interval=(float(lo), float(hi)), eta=eta, gamma=gamma,
     )
 
 

@@ -320,20 +320,14 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
             normalized_full.append(comp.scale(1 / sd))
         lin_expected = (Poly({(0, 1, 0, 0, 0): Fraction(-1)}),
                         Poly({(1, 0, 0, 0, 0): Fraction(1)}), Poly())
-        residual = 0.0
-        nonlinear = []
-        for comp, expect in zip(normalized_full, lin_expected):
-            stripped = {}
-            for mono, c in comp.terms.items():
-                total = mono[0] + mono[1] + mono[2]
-                if total <= 1:
-                    want = expect.terms.get(mono, Fraction(0))
-                    residual = max(residual, abs(float(c - want)))
-                else:
-                    stripped[mono] = c
-            nonlinear.append(Poly(stripped))
-        normalized = tuple(nonlinear)
-        if residual <= 1e-12:
+        # the constant and linear part must be (-y, x, 0) exactly: a float
+        # can round a nonzero exact difference to 0.0
+        offsets = [Poly({m: c for m, c in comp.terms.items() if sum(m[:3]) <= 1}) - expect
+                   for comp, expect in zip(normalized_full, lin_expected)]
+        residual = max([0.0] + [abs(float(c)) for off in offsets for c in off.terms.values()])
+        normalized = tuple(Poly({m: c for m, c in comp.terms.items() if sum(m[:3]) > 1})
+                           for comp in normalized_full)
+        if not any(offsets):
             system = validate_hopf_zero(*normalized)
     return LiftFamily(L=L, delta=delta, lifted=lifted, a0=a0, b0=b0,
                       char_poly_ok=char_ok, sqrt_delta=sqrt_delta,

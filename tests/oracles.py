@@ -4,10 +4,12 @@ Each one computes a quantity of the package by an independent method: a
 plane-section return with event location and dense output, the variational
 equation, finite differences, complex-step differentiation and plain
 Gauss-Legendre quadrature of the standard form, whose F2 `full_F2` forms
-from the factors the package keeps.  `melnikov_pair_full` is the exact
-layer's full route: it expands every cos^i sin^j by repeated products, forms
-F2 and averages the whole f2 integrand, the reference for the terms and the
-term order of `melnikov_pair`, which forms only what the average keeps;
+from the factors the package keeps, and the float Jacobian of f1
+(`f1_jacobian`), whose eigenvalues check the averaged spectrum.
+`melnikov_pair_full` is the exact layer's full route: it expands every
+cos^i sin^j by repeated products, forms F2 and averages the whole f2
+integrand, the reference for the terms and the term order of
+`melnikov_pair`, which forms only what the average keeps;
 `standard_form_full` keeps the true factors F1, a1 and D2 that
 `to_standard_form` holds on cleared denominators, and `std_F1`, `std_a1`
 and `std_D2` divide a standard form's own factors back to them.
@@ -475,6 +477,16 @@ def f1_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
         prev = total
         n_panels *= 2
     raise QuadratureNotConverged(f"f1 quadrature not converged at tol={tol}")
+
+
+def f1_jacobian(mel: MelnikovPair, x, mu) -> np.ndarray:
+    """The float Jacobian of f1 in (r, w) at x = (r, w): its exact partials,
+    each compiled and evaluated.  Its `np.linalg.eigvals` are the float
+    check of the averaged spectrum that `averaging.hypothesis_check` reads
+    off an exact identity."""
+    r, w = x
+    return np.array([[p.derivative(v).evaluator()(r, w, mu) for v in ("r", "w")]
+                     for p in mel.f1_exact])
 
 
 def f2_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,

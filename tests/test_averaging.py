@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusforge import averaging
 from torusforge.averaging import (
-    AveragingError, CFrac, ComplexPairLost, TrigPoly, averaged_equilibrium,
-    eps_graded_slices, hypothesis_check, melnikov_pair, printed_branch_constants,
-    to_standard_form,
+    CFrac, TrigPoly, averaged_equilibrium, eps_graded_slices, hypothesis_check,
+    melnikov_pair, printed_branch_constants, to_standard_form,
 )
 from torusforge.criteria import (
     PerturbationFamily, ell1_exact, evaluate_base_criteria,
@@ -26,8 +25,8 @@ from torusforge.lift import (
 )
 
 from oracles import (
-    StandardForm, f1_quadrature, f2_quadrature, first_lyapunov_quantity, full_F2,
-    melnikov_pair_full, standard_form_full, std_a1, std_D2, std_F1, trig_of_xyz_poly,
+    StandardForm, f1_jacobian, f1_quadrature, f2_quadrature, first_lyapunov_quantity,
+    full_F2, melnikov_pair_full, standard_form_full, std_a1, std_D2, std_F1, trig_of_xyz_poly,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -412,28 +411,43 @@ def test_standard_form_scale_is_the_lcm_of_the_slice_denominators():
     assert any(v.d % 3 == 0 for F in std_F1(std) for v in F.terms.values())
 
 
+def _eigenvalues(mel, x, mu):
+    """The eigenvalues of the float f1 Jacobian at x, by decreasing
+    imaginary part, then increasing real part."""
+    return sorted(np.linalg.eigvals(f1_jacobian(mel, x, mu)), key=lambda z: (-z.imag, z.real))
+
+
 def test_equilibrium_example_mu0():
     _, _, _, mel = _example_pair()
-    eq = averaged_equilibrium(mel, 0.0)
-    assert eq.r == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert eq.w == 0
-    assert eq.eigenvalues[0] == pytest.approx(2j * math.pi, abs=1e-10)
-    assert eq.omega == pytest.approx(2 * math.pi, abs=1e-12)
-    assert eq.residual <= 1e-10
+    r, w = averaged_equilibrium(mel, 0.0)
+    assert r == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert w == 0
+    assert np.max(np.abs(mel.f1((r, w), 0.0))) <= 1e-10
+    # +-i pi sqrt(Omega) r0 = +-2 pi i
+    lam = _eigenvalues(mel, (r, w), 0.0)
+    assert lam[0] == pytest.approx(2j * math.pi, abs=1e-10)
+    assert lam[1] == pytest.approx(-2j * math.pi, abs=1e-10)
 
 
 def test_equilibrium_example_mu_positive():
     _, _, _, mel = _example_pair()
-    eq = averaged_equilibrium(mel, 0.1)
+    r, w = averaged_equilibrium(mel, 0.1)
+    # eta +- i sqrt(pi^2 Omega r^2 - eta^2), eta = pi mu
     lam_expected = complex(0.1 * math.pi, math.pi * math.sqrt(8 - 0.01 * 2) / math.sqrt(2))
-    assert eq.eigenvalues[0] == pytest.approx(lam_expected, abs=1e-10)
+    assert _eigenvalues(mel, (r, w), 0.1)[0] == pytest.approx(lam_expected, abs=1e-10)
 
 
 def test_complex_pair_lost_outside_window():
+    """|mu| >= 2 sqrt(Omega)/Gamma = 2 sqrt(2)/sqrt(2) = 2 loses the pair: at
+    mu = 2.5 the averaged equilibrium is still the root of f1, and its
+    eigenvalues are real, eta +- sqrt(eta^2 - pi^2 Omega r^2) = pi (2.5 +- 1.5)."""
     _, _, _, mel = _example_pair()
-    # |mu| >= 2 sqrt(Omega)/Gamma = 2 sqrt(2)/sqrt(2) = 2 loses the pair
-    with pytest.raises(ComplexPairLost):
-        averaged_equilibrium(mel, 2.5)
+    r, w = averaged_equilibrium(mel, 2.5)
+    assert r == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert np.max(np.abs(mel.f1((r, w), 2.5))) <= 1e-10
+    lam = np.sort(np.linalg.eigvals(f1_jacobian(mel, (r, w), 2.5)))
+    assert np.isrealobj(lam)
+    assert lam == pytest.approx([math.pi, 4 * math.pi], abs=1e-10)
 
 
 @pytest.mark.parametrize("exprs,ell1,mu1,xi1,xi2,m21,m22", PROBES)
@@ -484,10 +498,12 @@ def test_general_family_same_ell1():
     fam = PerturbationFamily.from_expressions("1/2*x", "0", "mu*z + 3/8*eps")
     crit = evaluate_perturbation_criteria(sys, fam, (0.0, 1.2))
     mel = melnikov_pair(to_standard_form(sys, fam))
-    eq = averaged_equilibrium(mel, crit.mu0)
-    assert eq.r == pytest.approx(0.5, abs=1e-10)
-    assert eq.w == pytest.approx(-0.5, abs=1e-12)
-    assert eq.omega == pytest.approx(math.pi * math.sqrt(2) * 0.5, abs=1e-10)
+    r, w = averaged_equilibrium(mel, crit.mu0)
+    assert r == pytest.approx(0.5, abs=1e-10)
+    assert w == pytest.approx(-0.5, abs=1e-12)
+    # +-i pi sqrt(Omega) r0 at mu0
+    lam = _eigenvalues(mel, (r, w), crit.mu0)
+    assert lam[0] == pytest.approx(1j * math.pi * math.sqrt(2) * 0.5, abs=1e-10)
 
 
 def test_hypothesis_check_example():
@@ -495,7 +511,11 @@ def test_hypothesis_check_example():
     crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
     rep = hypothesis_check(mel, crit, evaluate_base_criteria(sys).l12)
     assert rep.hopf_ok and rep.transversality_ok and rep.nondegeneracy_ok
+    assert list(rep.details) == ["omega0", "alpha_d", "l11", "l12", "j_star"]
     assert rep.details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
+    # the float eigensolve at mu0 sees the pair +-i omega0
+    lam = _eigenvalues(mel, averaged_equilibrium(mel, crit.mu0), crit.mu0)
+    assert lam[0] == pytest.approx(1j * rep.details["omega0"], abs=1e-10)
     assert rep.details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
     assert rep.details["j_star"] == 2
     assert rep.details["l12"] == pytest.approx(-3 * math.pi / 4, abs=1e-10)
@@ -516,11 +536,33 @@ def test_nondegeneracy_reads_a_nonzero_l12():
 
 
 def test_hypothesis_h_fails_for_negative_omega():
+    """Omega < 0: the identity still holds, det J = pi^2 Omega r^2 < 0, so
+    the averaged equilibrium is a saddle, and H fails with no omega0."""
     sys = validate_hopf_zero("x*z", "y*z", "x^2 + y^2")   # Omega < 0
+    assert sys.omega < 0
     fam = PerturbationFamily.simple(beta=-1)
     mel = melnikov_pair(to_standard_form(sys, fam))
-    with pytest.raises((ComplexPairLost, AveragingError)):
-        averaged_equilibrium(mel, 0.0)
+    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
+    assert averaging._spectrum_identity(mel, crit.eta, crit.gamma)
+    rep = hypothesis_check(mel, crit, 1.0)
+    assert rep.hopf_ok is False and rep.details["omega0"] is None
+    r, w = averaged_equilibrium(mel, crit.mu0)
+    lam = np.linalg.eigvals(f1_jacobian(mel, (r, w), crit.mu0))
+    assert np.isrealobj(lam) and lam.min() < 0 < lam.max()
+
+
+@pytest.mark.parametrize("k", [Fraction(10 ** 6), Fraction(1, 1000)])
+def test_hypothesis_h_holds_in_other_units(k):
+    """The worked example with (x, y, z) k times smaller: every nonlinear
+    coefficient and the eps term of W times k.  H is exact, so no bound in
+    the units of (x, y, z) can decide it."""
+    sys = validate_hopf_zero("0", f"{k}*y*z", f"{k}*(-x^2 + x*y + z^2)")
+    fam = PerturbationFamily.from_expressions("0", "0", f"mu*z + {k}*eps")
+    mel = melnikov_pair(to_standard_form(sys, fam))
+    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
+    rep = hypothesis_check(mel, crit, evaluate_base_criteria(sys).l12)
+    assert rep.hopf_ok is True
+    assert rep.details["omega0"] == pytest.approx(2 * math.pi * float(k), rel=1e-12)
 
 
 def test_det_m_closed_form():

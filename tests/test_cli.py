@@ -352,10 +352,48 @@ def test_averaged_equilibrium_in_scaled_units(tmp_path, k, command, flags, extra
     assert (out / output).stat().st_size > 0
 
 
+@pytest.mark.parametrize("doc", [
+    dict(EXAMPLE_DOC, interval=[-3, 3]),
+    {"system": {"P": "0", "Q": "1/10*y*z", "R": "1/10*(-x^2 + x*y + z^2)"},
+     "perturbation": {"W": "mu*z + 1/10*eps"}},
+], ids=["interval-3", "units-10"])
+def test_branch_hopf_is_local_and_unit_free(tmp_path, doc):
+    """H is an exact identity at mu0: neither a criterion interval that
+    reaches where the averaged pair turns real (|mu| > 2 on the worked
+    example) nor units of (x, y, z) 10 times smaller change it."""
+    path = _write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["branch", "--input", path, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "branch.json").read_text())
+    assert report["criteria"]["perturbation"]["mu0"] == 0.0
+    assert report["hypotheses"]["hopf_ok"] is True
+    assert set(report["hypotheses"]["details"]) == {"omega0", "alpha_d", "l11", "l12", "j_star"}
+
+
+# Omega = -12: the averaged equilibrium is a saddle
+NEGATIVE_OMEGA_SYSTEM = {"P": "x*z - 1/2*x^2", "Q": "2*y*z + x*y",
+                         "R": "3/2*x^2 + 1/2*y^2 - z^2 + x*z"}
+
+
+@pytest.mark.parametrize("command, flags, output, rows", [
+    ("melnikov", ["--mu=0.0"], "melnikov.csv", 21 * 21),
+    ("simulate", ["--mu=0.0", "--eps=0.01"], "trajectory.csv", 25),
+])
+def test_commands_read_only_the_equilibrium_point(tmp_path, command, flags, output, rows):
+    """melnikov and simulate read only the point (r, w) of the averaged
+    equilibrium, so they run where Omega < 0 leaves it no complex pair."""
+    assert validate_hopf_zero(*NEGATIVE_OMEGA_SYSTEM.values()).omega == -12
+    doc = _write_doc(tmp_path, {"system": NEGATIVE_OMEGA_SYSTEM, "periods": 1})
+    out = tmp_path / "out"
+    assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
+    assert len((out / output).read_text().splitlines()) == 1 + rows
+
+
 def test_melnikov_evaluates_one_grid_row_per_call(tmp_path, monkeypatch):
     """melnikov --grid 21 evaluates f1 and f2 once per grid row, on the
-    array of w (the averaged equilibrium reads f1 once more, at one point),
-    and writes the bytes of one scalar call per grid point."""
+    array of w, and nowhere else (the averaged equilibrium is the criteria's
+    closed form and evaluates no f1), and writes the bytes of one scalar
+    call per grid point."""
     calls = {"f1": [], "f2_closed": []}
     for name in calls:
         def counted(self, x, mu, _name=name, _original=getattr(averaging.MelnikovPair, name)):
@@ -366,7 +404,7 @@ def test_melnikov_evaluates_one_grid_row_per_call(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["melnikov", "--input", doc, "--out", str(out),
                  "--mu", "0.0", "--grid", "21"]) == EXIT_OK
-    assert calls == {"f1": ["point"] + ["row"] * 21, "f2_closed": ["row"] * 21}
+    assert calls == {"f1": ["row"] * 21, "f2_closed": ["row"] * 21}
     assert _sha256(out / "melnikov.csv") == MELNIKOV_CSV_SHA256
 
 
@@ -687,7 +725,7 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "266d9a1f9f0a7c09be9d7aabb0a9abf2a286b63a5cce87f6d9658687a77e7b79"
+BRANCH_JSON_SHA256 = "4e2c459889841cd8cf000c7d9095cc6a3b3b992fc94cfbf0affb037af82e0565"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torusforge import criteria
-from torusforge.averaging import melnikov_pair, to_standard_form
+from torusforge import averaging, criteria
+from torusforge.averaging import PiPoly, melnikov_pair, to_standard_form
 from torusforge.criteria import (
     ConstantTermPresent, CriteriaError, DegenerateSum, GammaNonNegative, LinearTermPresent,
     PerturbationFamily, criteria_report, ell1_exact, evaluate_base_criteria,
@@ -371,6 +371,37 @@ def test_closed_form_equilibrium_is_the_root_of_f1(exprs, fam, mu):
         scale = sum(abs(float(c)) * r ** a * abs(w) ** b * abs(mu) ** m * math.pi ** k
                     for (a, b, m, k), c in f.terms.items())
         assert abs(value) <= 4 * math.ulp(1.0) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), families())
+def test_averaged_spectrum_identity(exprs, fam):
+    """On the line w = w_mu(mu) = -sigma(mu)/d, the exact f1 and its Jacobian
+    J in (r, w) satisfy, as polynomials in (r, mu, pi): f1_r = 0,
+    f1_w = k pi (r^2 + Gamma) for a nonzero rational k, tr J = 2 eta and
+    det J = pi^2 Omega r^2, with eta = pi (eta d / pi) / d and Gamma the
+    criteria's exact polynomials.  `hypothesis_check` decides H on them."""
+    sys = validate_hopf_zero(*exprs)
+    d = sys.divergence_pair
+    eta, gamma, _ = criteria._exact_criteria(sys, fam)
+    sigma = criteria._ingredients(fam)[0]
+    on_line = {"w": PiPoly({(0, 0, m[3], 0): -c / d for m, c in sigma.terms.items()})}
+    mel = melnikov_pair(to_standard_form(sys, fam))
+    f_r, f_w = (f.substitute(on_line) for f in mel.f1_exact)
+    (a, b), (c, e) = ([f.derivative(v).substitute(on_line) for v in ("r", "w")]
+                      for f in mel.f1_exact)
+    r, pi = PiPoly.variable("r"), PiPoly.variable("pi")
+
+    def in_mu(p):
+        return PiPoly({(0, 0, i, 0): q for i, q in enumerate(p)})
+
+    k = f_w.terms[(2, 0, 0, 1)]
+    assert k != 0
+    assert f_r == PiPoly()
+    assert f_w == (r * r + in_mu(gamma)) * pi.scale(k)
+    assert a + e == in_mu(eta) * pi.scale(2 / d)
+    assert a * e - b * c == r * r * pi * pi.scale(sys.omega)
+    assert averaging._spectrum_identity(mel, eta, gamma)
 
 
 @pytest.mark.parametrize("exprs", SYSTEMS)

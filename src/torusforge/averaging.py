@@ -38,18 +38,20 @@ delete-on-zero rule, and leave each kept term where the full product would.
 The averaged equilibrium is the criteria's closed form (sqrt(-Gamma(mu)),
 w_mu(mu)), and hypothesis H is an exact identity of the averaged spectrum
 there (`hypothesis_check`), decided once with no float eigensolve.
+
+This module is the exact layer and imports no numpy: `MelnikovPair.f1` and
+`f2_closed` give a tuple of Python floats at one point.  The Neimark-Sacker
+branch of the numeric return map, which solves, contracts and fits with
+numpy, is `nsbranch`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .criteria import (
     HopfZeroSystem, PerturbationFamily, _ingredients, float_range, perturbation_functions,
@@ -58,31 +60,9 @@ from .fieldexpr import Poly, compile_terms
 from .univariate import Dense
 
 PERIOD = 2.0 * math.pi
-FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
-FIXED_POINT_MAX_ITER = 25
-UNIT_CIRCLE_TOL = 1e-12                  # |det D Pi - 1| of the secant on |lambda| = 1
-UNIT_CIRCLE_MAX_ITER = 40
-STRONG_RESONANCE_TOL = 1e-8
-# the factor-2 eps ladder of the Neimark-Sacker branch, solved once; each fit
-# reads three consecutive rungs: the Lyapunov slices the largest three, mu1
-# the middle three, the Jordan expansion and the fixed-point slice the
-# smallest three
-BRANCH_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3)
 
 
 class AveragingError(ValueError):
-    pass
-
-
-class NewtonDiverged(AveragingError):
-    pass
-
-
-class ComplexPairLost(AveragingError):
-    """The Jacobian of the return map has a real spectrum."""
-
-
-class StrongResonance(AveragingError):
     pass
 
 
@@ -454,23 +434,15 @@ class MelnikovPair:
     def _perturbation_functions(self):
         return perturbation_functions(self.std.system, self.std.family)
 
-    def f1(self, x, mu) -> np.ndarray:
-        return _values(self._f1_eval, x, mu)
+    def f1(self, x, mu) -> Tuple[float, float]:
+        """(f1_1, f1_2) at the point x = (r, w)."""
+        r, w = x
+        return tuple(f(r, w, mu) for f in self._f1_eval)
 
-    def f2_closed(self, x, mu) -> np.ndarray:
-        return _values(self._f2_eval, x, mu)
-
-
-def _values(functions, x, mu) -> np.ndarray:
-    """The compiled `functions` at x = (r, w), one row each.  On an array of
-    w (or r) a function that returns a scalar, as one of no terms returns
-    0.0, is broadcast to it; float64 rounds as Python floats do, so each
-    value is the scalar call's, bit for bit."""
-    r, w = x
-    out = np.empty((len(functions),) + np.broadcast(r, w).shape)
-    for i, f in enumerate(functions):
-        out[i] = f(r, w, mu)
-    return out
+    def f2_closed(self, x, mu) -> Tuple[float, float]:
+        """(f2_1, f2_2) at the point x = (r, w)."""
+        r, w = x
+        return tuple(f(r, w, mu) for f in self._f2_eval)
 
 
 def _averaged_product(A: TrigPoly, B: TrigPoly) -> TrigPoly:
@@ -512,9 +484,17 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
 # ---------------------------------------------------------------------------
 
 def averaged_equilibrium(mel: MelnikovPair, mu: float) -> Tuple[float, float]:
-    """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, the closed
-    form the criteria give (`perturbation_functions`)."""
-    gamma_op, _, w_mu = mel._perturbation_functions
+    """The root (r, w) of the pair's f1 at mu (`closed_form_equilibrium`),
+    on the closed form the pair builds once."""
+    return closed_form_equilibrium(mel._perturbation_functions, mu)
+
+
+def closed_form_equilibrium(functions, mu: float) -> Tuple[float, float]:
+    """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, from the
+    closed form `functions` = `perturbation_functions(system, family)`, with
+    no Melnikov pair: a Gamma_op(mu) >= 0 leaves no radius, an
+    AveragingError."""
+    gamma_op, _, w_mu = functions
     gamma = gamma_op(mu)
     if gamma >= 0:
         raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
@@ -672,288 +652,3 @@ def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
 
     return BranchConstants(mu1=mu1, xi2=xi2, xi1_const=xi1_const,
                            xi1_slope=xi1_slope, m21_1=m21, m22_1=m22)
-
-
-# ---------------------------------------------------------------------------
-# Neimark-Sacker branch continuation on the numeric return map
-# ---------------------------------------------------------------------------
-
-class UnitCircleCrossingNotFound(AveragingError):
-    pass
-
-
-class DegenerateParameter(AveragingError):
-    pass
-
-
-@dataclass
-class BranchPoint:
-    """One Neimark-Sacker point: the unit-circle crossing at one eps."""
-    eps: float
-    mu: float                  # on the unit-circle curve
-    xi: np.ndarray             # fixed point of the return map
-    eigenvalue: complex        # lambda(mu(eps), eps), |lambda| = 1
-    theta: float               # arg lambda
-    jet: "MapJet"              # value and Jacobian of the map at xi (jet1)
-
-
-@dataclass
-class NSBranch:
-    points: Tuple[BranchPoint, ...]      # one per rung of BRANCH_LADDER
-    mu0: float
-    mu1_numeric: float
-    xi_slices_closed: Optional["BranchConstants"]
-
-    def to_dict(self) -> dict:
-        out = {
-            "mu0": self.mu0,
-            "mu1_numeric": self.mu1_numeric,
-            "ladder": [p.eps for p in self.points],
-            "points": [{"eps": p.eps, "mu": p.mu,
-                        "xi": [float(v) for v in p.xi],
-                        "lambda": [p.eigenvalue.real, p.eigenvalue.imag],
-                        "theta": p.theta} for p in self.points],
-        }
-        if self.xi_slices_closed is not None:
-            mu1 = self.xi_slices_closed.mu1
-            out["mu1_closed"] = float(mu1)
-            out["mu1_closed_exact"] = str(mu1)
-        return out
-
-
-def _complex_eigenvalue(A: np.ndarray) -> complex:
-    m = 0.5 * (A[0, 0] + A[1, 1])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    disc = det - m * m
-    if disc <= 0:
-        raise ComplexPairLost(f"return-map eigenvalues real (disc={disc})")
-    return complex(m, math.sqrt(disc))
-
-
-def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
-                        seed: Optional[np.ndarray] = None):
-    """Fixed point xi of the return map by Newton on Pi(x) - x, seeded at the
-    averaged equilibrium; returns (xi, Pi and D Pi at xi), so callers that
-    need D Pi(xi) reuse the last iteration's first-order transport (jet1)."""
-    if seed is None:
-        x = np.array(averaged_equilibrium(mel, mu))
-    else:
-        x = np.asarray(seed, dtype=float).copy()
-    for _ in range(FIXED_POINT_MAX_ITER):
-        jet = tmap.jet1(x, mu, eps)
-        res = jet.value - x
-        if float(np.max(np.abs(res))) <= FIXED_POINT_TOL:
-            return x, jet
-        step = np.linalg.solve(jet.A - np.eye(2), -res)
-        x = x + step
-        if not np.all(np.isfinite(x)):
-            raise NewtonDiverged("fixed-point Newton produced non-finite iterate")
-    if float(np.max(np.abs(res))) <= 10 * FIXED_POINT_TOL:
-        return x, tmap.jet1(x, mu, eps)
-    raise NewtonDiverged(f"fixed-point Newton stalled, residual {np.max(np.abs(res))}")
-
-
-def unit_circle_point(tmap, mel, mu0: float, eps: float,
-                      mu_guess: Optional[float] = None) -> BranchPoint:
-    """Solve det(D Pi(xi(mu, eps))) = 1 for mu by the secant method.
-
-    For a complex pair, |lambda|^2 = det, so this is the unit-circle
-    condition; the pair property is verified at the solution.  The secant
-    starts at mu0 (or `mu_guess`); the returned point carries Pi and D Pi at
-    xi, so nothing downstream solves the same point again.  At eps = 0 the
-    return map is the identity and has no crossing: a DegenerateParameter
-    error before any transport.
-    """
-    if eps == 0.0:
-        raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
-    last_xi = [None]
-
-    def h(mu):
-        xi, jet = _newton_fixed_point(tmap, mel, mu, eps, seed=last_xi[0])
-        last_xi[0] = xi
-        A = jet.A
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        return det - 1.0, xi, jet
-
-    mu_a = mu0 if mu_guess is None else mu_guess
-    mu_b = mu_a + 0.5 * eps if mu_guess is None else mu_a + 0.1 * eps
-    ha, _, _ = h(mu_a)
-    hb, xi_b, jet_b = h(mu_b)
-    for _ in range(UNIT_CIRCLE_MAX_ITER):
-        if hb == ha:
-            break
-        mu_new = mu_b - hb * (mu_b - mu_a) / (hb - ha)
-        mu_a, ha = mu_b, hb
-        mu_b = mu_new
-        hb, xi_b, jet_b = h(mu_b)
-        if abs(hb) <= UNIT_CIRCLE_TOL:
-            lam = _complex_eigenvalue(jet_b.A)
-            return BranchPoint(eps=eps, mu=mu_b, xi=xi_b, eigenvalue=lam,
-                               theta=math.atan2(lam.imag, lam.real), jet=jet_b)
-    raise UnitCircleCrossingNotFound(
-        f"secant on |lambda|=1 did not converge at eps={eps} (residual {hb})")
-
-
-def _ladder_points(tmap, mel, mu0: float,
-                   eps_ladder: Sequence[float]) -> List[BranchPoint]:
-    """unit_circle_point on each rung of a factor-2 ladder; the secant of a
-    rung starts from the previous rung's mu - mu0 halved."""
-    points = []
-    mu_guess = None
-    for eps in eps_ladder:
-        points.append(unit_circle_point(tmap, mel, mu0, eps, mu_guess))
-        mu_guess = mu0 + (points[-1].mu - mu0) / 2.0
-    return points
-
-
-def _ladder_fit(values: Sequence, ladder: Sequence[float], lowest: int) -> list:
-    """The coefficients c_k of v(e) = sum_k c_k e^(lowest + k), one per rung,
-    interpolated through the values at the ladder's eps; componentwise on
-    arrays."""
-    n = len(values)
-    e = np.asarray(ladder, dtype=float)
-    vals = np.stack([np.asarray(v, dtype=float) for v in values])
-    shape = vals.shape[1:]
-    V = np.vander(e, n, increasing=True) * (e ** lowest)[:, None]
-    coeffs = np.linalg.solve(V, vals.reshape(n, -1))
-    return [c.reshape(shape) if shape else float(c[0]) for c in coeffs]
-
-
-def xi_slice(tmap, mel: MelnikovPair, mu: float) -> np.ndarray:
-    """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch, fitted
-    to (xi(mu, eps) - x_mu)/eps on the three smallest rungs of BRANCH_LADDER
-    (fixed points at this mu, not on the Neimark-Sacker curve)."""
-    x_mu = np.array(averaged_equilibrium(mel, mu))
-    ladder = BRANCH_LADDER[-3:]
-    vals = [(_newton_fixed_point(tmap, mel, mu, e)[0] - x_mu) / e for e in ladder]
-    return _ladder_fit(vals, ladder, 0)[0]
-
-
-def branch_continuation(mel: MelnikovPair, tmap, mu0: float) -> NSBranch:
-    """Solve the Neimark-Sacker curve mu(eps) once, on every rung of
-    BRANCH_LADDER; mu1 is fitted to mu(eps)/eps on the middle three rungs
-    and, in the degree-preserving simple case, compared with the printed
-    closed form."""
-    points = tuple(_ladder_points(tmap, mel, mu0, BRANCH_LADDER))
-    middle = points[1:4]
-    mu1_numeric = _ladder_fit([(p.mu - mu0) / p.eps for p in middle],
-                              [p.eps for p in middle], 0)[0]
-    xi_closed = None
-    if mel.std.family.simple_case:
-        xi_closed = printed_branch_constants(mel.std.system)
-    return NSBranch(points=points, mu0=mu0, mu1_numeric=mu1_numeric,
-                    xi_slices_closed=xi_closed)
-
-
-# ---------------------------------------------------------------------------
-# Jordan normalization of the return map at the bifurcation point
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NormalizedMap:
-    point: BranchPoint
-    M: np.ndarray
-    rotation_residual: float
-
-
-def normalized_map(point: BranchPoint) -> NormalizedMap:
-    """Eigenvector-based change of basis M at a Neimark-Sacker point (first
-    component of the complex eigenvector scaled to i, reproducing the
-    M0 + eps M1 normalization), read off the point's own D Pi: no transport."""
-    A, lam = point.jet.A, point.eigenvalue       # lam is an eigenvalue of this A
-    v2 = -1j * (A[0, 0] - lam) / A[0, 1]
-    M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
-    if abs(float(np.linalg.det(M))) < 1e-12:
-        raise AveragingError(f"normalizing matrix singular at eps={point.eps}")
-    DH = np.linalg.inv(M) @ A @ M
-    rot_res = max(abs(DH[0, 0] - DH[1, 1]), abs(DH[0, 1] + DH[1, 0]))
-    return NormalizedMap(point=point, M=M, rotation_residual=float(rot_res))
-
-
-def lyapunov_coefficient_map(tmap, nm: NormalizedMap) -> float:
-    """The map Lyapunov coefficient, evaluated verbatim with p = (1,-i)/sqrt2
-    and <u, v> = conj(u)^T v on the degree-2 and degree-3 tensors of the
-    map's jet3 at the point's xi, in the basis M; requires
-    e^{ik theta} != 1 for k = 1..4."""
-    point = nm.point
-    theta = point.theta
-    for k in range(1, 5):
-        if abs(cmath.exp(1j * k * theta) - 1.0) < STRONG_RESONANCE_TOL:
-            raise StrongResonance(f"e^(i {k} theta) = 1 within {STRONG_RESONANCE_TOL}")
-    jet = tmap.jet3(point.xi, point.mu, point.eps)
-    M = nm.M
-    M_inv = np.linalg.inv(M)
-    B = np.einsum('ia,ajk,jb,kc->ibc', M_inv, jet.B, M, M)
-    C = np.einsum('ia,ajkl,jb,kc,ld->ibcd', M_inv, jet.C, M, M, M)
-    p = np.array([1.0, -1.0j]) / math.sqrt(2.0)
-    pb = p.conjugate()
-
-    def bil(a, b):
-        return np.einsum('ijk,j,k->i', B, a, b)
-
-    def tril(a, b, c):
-        return np.einsum('ijkl,j,k,l->i', C, a, b, c)
-
-    g20 = np.vdot(p, bil(p, p))
-    g11 = np.vdot(p, bil(p, pb))
-    g02 = np.vdot(p, bil(pb, pb))
-    g21 = np.vdot(p, tril(p, p, pb))
-    e_it = cmath.exp(1j * theta)
-    term1 = (cmath.exp(-1j * theta) * g21 / 2.0).real
-    term2 = -(((1.0 - 2.0 * e_it) * cmath.exp(-2j * theta)
-               / (2.0 * (1.0 - e_it))) * g20 * g11).real
-    term3 = -0.5 * abs(g11) ** 2
-    term4 = -0.25 * abs(g02) ** 2
-    return term1 + term2 + term3 + term4
-
-
-@dataclass
-class LyapunovSlices:
-    l11: float
-    l12: float
-    values: Tuple[Tuple[float, float], ...]     # (eps, ell1_eps)
-
-
-def lyapunov_slices(tmap, branch: NSBranch) -> LyapunovSlices:
-    """eps- and eps^2-slices of ell_1^eps, fitted to
-    ell_1^eps = e l11 + e^2 l12 + e^3 l13 on the branch's three largest
-    rungs: one jet3 per rung."""
-    vals = tuple((p.eps, lyapunov_coefficient_map(tmap, normalized_map(p)))
-                 for p in branch.points[:3])
-    l11, l12, _ = _ladder_fit([v for _, v in vals], [e for e, _ in vals], 1)
-    return LyapunovSlices(l11=l11, l12=l12, values=vals)
-
-
-@dataclass
-class JordanExpansion:
-    omega0: float
-    zeta2: float
-    A1: np.ndarray
-    A2: np.ndarray
-    m21_1: float
-    m22_1: float
-    rotation_residual: float
-
-
-def jordan_expansion(branch: NSBranch) -> JordanExpansion:
-    """eps-expansion Id + eps A1 + eps^2 A2 of the normalized linearization,
-    on the branch's three smallest rungs.
-
-    On the solved curve |lambda| = 1, the normalized DH is the rotation by
-    theta_eps, so A1/A2 are recovered from the theta_eps ladder:
-    theta = omega0 eps + zeta2 eps^2 + O(eps^3), A1 = [[0, -omega0],
-    [omega0, 0]], A2 = [[-omega0^2/2, -zeta2], [zeta2, -omega0^2/2]]; the
-    eta slices vanish identically on the curve (up to the unit-circle solve
-    tolerance). M1 entries come from the same ladder.
-    """
-    nms = [normalized_map(p) for p in branch.points[-3:]]
-    ladder = [nm.point.eps for nm in nms]
-    omega0, zeta2, _ = _ladder_fit([nm.point.theta / nm.point.eps for nm in nms], ladder, 0)
-    # M[1,1] = m22_0 + eps m22_1 + ..., with M0 = [[1,0],[0, m22_0]]
-    _, m22_1, _ = _ladder_fit([nm.M[1, 1] for nm in nms], ladder, 0)
-    m21_1 = _ladder_fit([nm.M[1, 0] / nm.point.eps for nm in nms], ladder, 0)[0]
-    rot_res = max(nm.rotation_residual for nm in nms)
-    A1 = np.array([[0.0, -omega0], [omega0, 0.0]])
-    A2 = np.array([[-0.5 * omega0 ** 2, -zeta2], [zeta2, -0.5 * omega0 ** 2]])
-    return JordanExpansion(omega0=omega0, zeta2=zeta2, A1=A1, A2=A2,
-                           m21_1=m21_1, m22_1=m22_1, rotation_residual=rot_res)

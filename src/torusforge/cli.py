@@ -42,6 +42,10 @@ basename and the value of each option the command takes.
 A report that would hold NaN or an infinity, which are not JSON, is not
 written: the run ends in a NonFiniteReport error.
 Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
+
+Only `branch` and `certify` read the numeric return map's solves and fits
+(`nsbranch`, `torus`), and only they load numpy: the other four commands
+run on the exact layer and Python floats.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -56,26 +61,45 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .averaging import (
-    averaged_equilibrium, branch_continuation, hypothesis_check,
-    jordan_expansion, lyapunov_slices, melnikov_pair, to_standard_form,
-    unit_circle_point, xi_slice,
+    averaged_equilibrium, closed_form_equilibrium, hypothesis_check, melnikov_pair,
+    to_standard_form,
 )
 from .criteria import (
     CriteriaError, CriteriaReport, HopfZeroSystem, PerturbationFamily,
-    criteria_report, validate_hopf_zero,
+    criteria_report, perturbation_functions, validate_hopf_zero,
 )
 from .fieldexpr import FieldExprError, as_poly, format_poly
 from .flow import IntegratorConfig, RescaledField, ThetaReturnMap, integrate
 from .lift import (
     Ball, find_separating_plane, lift_samples, translate_to_origin, tune_lift_parameters,
 )
-from .torus import certify_torus
+
+
+def _deferred(name: str):
+    """This package's submodule `name`, bound now and run on its first
+    attribute access (`importlib.util.LazyLoader`).  It is in sys.modules
+    and on the package from here on, as an imported module is, so a lookup
+    by name (a monkeypatch, a tracer) reaches the module the commands call."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the return map's solves and fits import numpy: run when branch or certify
+# first reads them
+nsbranch = _deferred("nsbranch")
+torus = _deferred("torus")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -110,12 +134,10 @@ def _wrap_floats(obj):
         return str(obj)
     if isinstance(obj, dict):
         return {k: _wrap_floats(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):            # a numpy array, bool, integer or float
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_wrap_floats(v) for v in obj]
-    if isinstance(obj, np.generic):       # a numpy bool, integer or float
-        return obj.item()
     return obj
 
 
@@ -331,18 +353,29 @@ def cmd_melnikov(args) -> int:
     mel = melnikov_pair(to_standard_form(sys_, fam))
     r0, w0 = averaged_equilibrium(mel, mu)
     n = args.grid
-    ws = np.linspace(w0 - 1.0, w0 + 1.0, n)
-    w_values = ws.tolist()
-
-    def rows():
-        # f1 and f2 once per grid row, on the array of w
-        for r in np.linspace(0.5 * r0, 1.5 * r0, n).tolist():
-            yield from zip([r] * n, w_values, *mel.f1((r, ws), mu).tolist(),
-                           *mel.f2_closed((r, ws), mu).tolist())
-
+    w_values = linspace(w0 - 1.0, w0 + 1.0, n)
+    rows = ([r, w, *mel.f1((r, w), mu), *mel.f2_closed((r, w), mu)]
+            for r in linspace(0.5 * r0, 1.5 * r0, n) for w in w_values)
     write_csv(os.path.join(args.out, "melnikov.csv"),
-              ("r", "w", "f1_1", "f1_2", "f2_1", "f2_2"), rows())
+              ("r", "w", "f1_1", "f1_2", "f2_1", "f2_2"), rows)
     return EXIT_OK
+
+
+def linspace(a: float, b: float, n: int) -> List[float]:
+    """n evenly spaced floats from a to b, the values of numpy.linspace(a, b,
+    n) bit for bit, as its float arithmetic makes them: i * s + a with s =
+    (b - a) / (n - 1), or (i / (n - 1)) * (b - a) + a where s rounds to 0,
+    and b itself last; 0.0 * (b - a) + a alone for n = 1."""
+    span = b - a
+    if n == 1:
+        return [0.0 * span + a]
+    step = span / (n - 1)
+    if step == 0:
+        values = [i / (n - 1) * span + a for i in range(n)]
+    else:
+        values = [i * step + a for i in range(n)]
+    values[-1] = b
+    return values
 
 
 def cmd_branch(args) -> int:
@@ -353,10 +386,10 @@ def cmd_branch(args) -> int:
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
     mu0 = rep.perturbation.mu0
-    branch = branch_continuation(mel, tmap, mu0)
-    slices = lyapunov_slices(tmap, branch)
-    jordan = jordan_expansion(branch)
-    xi1 = xi_slice(tmap, mel, mu0)
+    branch = nsbranch.branch_continuation(mel, tmap, mu0)
+    slices = nsbranch.lyapunov_slices(tmap, branch)
+    jordan = nsbranch.jordan_expansion(branch)
+    xi1 = nsbranch.xi_slice(tmap, mel, mu0)
     hyp = hypothesis_check(mel, rep.perturbation, rep.base.l12)
     payload = {
         "meta": _meta(args, doc),
@@ -390,9 +423,9 @@ def cmd_simulate(args) -> int:
     rescaled = RescaledField(sys_, fam)
     field = rescaled.rhs("field", mu, eps)
     if x0 is None:
-        # the averaged equilibrium reads f1 alone; f2 is never built here
-        mel = melnikov_pair(to_standard_form(sys_, fam, rescaled.slices))
-        r, w = averaged_equilibrium(mel, mu)
+        # the averaged equilibrium is the criteria's closed form: no standard
+        # form or Melnikov pair is built here
+        r, w = closed_form_equilibrium(perturbation_functions(sys_, fam), mu)
         x0 = [r + 0.05, 0.0, w]
     ts, ys = integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
     write_csv(os.path.join(args.out, "trajectory.csv"), ("t", "x", "y", "z"),
@@ -410,8 +443,8 @@ def cmd_certify(args) -> int:
         return _not_applicable(args, doc, rep, "certificate.json", "certification")
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
-    point = unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
-    cert = certify_torus(tmap, mu, point, mel, rep.base.l12)
+    point = nsbranch.unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
+    cert = torus.certify_torus(tmap, mu, point, mel, rep.base.l12)
     payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
     write_report(os.path.join(args.out, "certificate.json"), payload)

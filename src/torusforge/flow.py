@@ -27,7 +27,10 @@ from the drift's nine partials: the eps-graded slices are differentiated
 exactly, then (mu, eps) is folded in.  `jet3`, the degree-3 jet the
 Jordan normalization reads, carries a truncated two-variable Taylor
 polynomial (the coefficient ODE, 20 floats) through the return's own
-right-hand side, `rhs("return", mu, eps)`, on Jet2 values.
+right-hand side, `rhs("return", mu, eps)`, on Jet2 values.  A jet of the
+map (`MapJet`) holds nested tuples of Python floats: this module imports no
+numpy, and `nsbranch` makes its arrays from the jets where it solves and
+contracts.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .averaging import PERIOD, eps_graded_slices
 from .criteria import HopfZeroSystem, PerturbationFamily, float_range
@@ -415,7 +416,7 @@ class ThetaReturnMap:
         r, r1, r2, w, w1, w2 = self._transport(self.field.rhs("jet1", mu, eps),
                                                [float(x0[0]), 1.0, 0.0,
                                                 float(x0[1]), 0.0, 1.0])
-        return MapJet(value=np.array([r, w]), A=np.array([[r1, r2], [w1, w2]]))
+        return MapJet(value=(r, w), A=((r1, r2), (w1, w2)))
 
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
@@ -569,11 +570,13 @@ def _jet(coeffs: tuple) -> Jet2:
 @dataclass
 class MapJet:
     """Value, Jacobian, and symmetric multilinear coefficients of a planar
-    map to total degree 3:  F(x0 + h) = value + A h + B(h,h)/2 + C(h,h,h)/6."""
-    value: np.ndarray
-    A: np.ndarray
-    B: Optional[np.ndarray] = None   # (2, 2, 2), symmetric in the last two slots
-    C: Optional[np.ndarray] = None   # (2, 2, 2, 2), symmetric in the last three
+    map to total degree 3:  F(x0 + h) = value + A h + B(h,h)/2 + C(h,h,h)/6,
+    each a tuple of Python floats nested to its shape (A[i][j] is
+    dF_i/dx_j)."""
+    value: tuple
+    A: tuple
+    B: Optional[tuple] = None   # (2, 2, 2), symmetric in the last two slots
+    C: Optional[tuple] = None   # (2, 2, 2, 2), symmetric in the last three
 
     @classmethod
     def from_jets(cls, R: Jet2, W: Jet2) -> "MapJet":
@@ -582,8 +585,8 @@ class MapJet:
         is the partial derivative of that order, the entry of A (degree 1),
         B (2) or C (3) at each slot order."""
         comps = (R.coeffs, W.coeffs)
-        return cls(value=np.array([c[0] for c in comps]),
-                   A=np.array([[c[1], c[2]] for c in comps]),
-                   B=np.array([[[2 * c[3], c[4]], [c[4], 2 * c[5]]] for c in comps]),
-                   C=np.array([[[[6 * c[6], 2 * c[7]], [2 * c[7], 2 * c[8]]],
-                                [[2 * c[7], 2 * c[8]], [2 * c[8], 6 * c[9]]]] for c in comps]))
+        return cls(value=tuple(c[0] for c in comps),
+                   A=tuple((c[1], c[2]) for c in comps),
+                   B=tuple(((2 * c[3], c[4]), (c[4], 2 * c[5])) for c in comps),
+                   C=tuple((((6 * c[6], 2 * c[7]), (2 * c[7], 2 * c[8])),
+                            ((2 * c[7], 2 * c[8]), (2 * c[8], 6 * c[9]))) for c in comps))

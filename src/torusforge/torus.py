@@ -34,10 +34,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .averaging import (
-    AveragingError, BranchPoint, MelnikovPair, _newton_fixed_point,
-)
+from .averaging import AveragingError, MelnikovPair
 from .flow import FlowError, IntegratorConfig
+from .nsbranch import BranchPoint, _newton_fixed_point
 
 NORMAL_SAMPLES = 512    # with 256 the worked example's lambda_n is 5 sigma from 0
 SIGMA_MULTIPLE = 10     # the halves' difference underestimates the error
@@ -166,8 +165,8 @@ def normal_exponent(tmap, samples: np.ndarray, mu: float, eps: float
     logdet = []
     try:
         for x in samples[:NORMAL_SAMPLES]:
-            A = tmap.jet1(x, mu, eps).A
-            logdet.append(math.log(abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])))
+            (a, b), (c, d) = tmap.jet1(x, mu, eps).A
+            logdet.append(math.log(abs(a * d - b * c)))
     except FlowError:
         return None, None
     return birkhoff_average(logdet)
@@ -338,8 +337,8 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         notes.append("parameters on the no-torus side of the bifurcation curve")
 
     # the curve attracts in the time direction in which xi repels
-    A = jet.A
-    reverse = bool(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] < 1.0)
+    (a, b), (c, d) = jet.A
+    reverse = bool(a * d - b * c < 1.0)
     direction = "reversed" if reverse else "forward"
 
     def no_torus(note):

@@ -673,8 +673,9 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
     # f2 evaluated on degree-3 jets in (r, w), and in (r, mu), (w, mu) for the
     # mixed mu slices
     def jet(evaluators, r, w, mu) -> MapJet:
-        return MapJet.from_jets(*(v if isinstance(v, Jet2) else Jet2.constant(v)
-                                  for v in (f(r, w, mu) for f in evaluators)))
+        j = MapJet.from_jets(*(v if isinstance(v, Jet2) else Jet2.constant(v)
+                               for v in (f(r, w, mu) for f in evaluators)))
+        return MapJet(*map(np.array, (j.value, j.A, j.B, j.C)))
 
     R, W, MU = Jet2.variable(0, r0), Jet2.variable(1, 0.0), Jet2.variable(1, 0.0)
     f1_rw = jet(mel._f1_eval, R, W, 0.0)
@@ -1342,13 +1343,14 @@ def jet_apply(jet: MapJet, h) -> np.ndarray:
 
 def jet_max_asymmetry(jet: MapJet) -> float:
     """Largest difference between entries of B and C that symmetry makes equal."""
-    b = max(float(np.max(np.abs(jet.B[:, 0, 1] - jet.B[:, 1, 0]))), 0.0)
+    B, C = np.asarray(jet.B), np.asarray(jet.C)
+    b = max(float(np.max(np.abs(B[:, 0, 1] - B[:, 1, 0]))), 0.0)
     c = 0.0
     for comp in range(2):
         for p in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-            c = max(c, abs(jet.C[comp][p] - jet.C[comp][(0, 0, 1)]))
+            c = max(c, abs(C[comp][p] - C[comp][(0, 0, 1)]))
         for p in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            c = max(c, abs(jet.C[comp][p] - jet.C[comp][(0, 1, 1)]))
+            c = max(c, abs(C[comp][p] - C[comp][(0, 1, 1)]))
     return max(b, c)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusforge import averaging
+from torusforge import averaging, nsbranch
 from torusforge.averaging import (
     CFrac, TrigPoly, averaged_equilibrium, eps_graded_slices, hypothesis_check,
     melnikov_pair, printed_branch_constants, to_standard_form,
@@ -145,21 +145,22 @@ def _pair_with_empty_components():
 
 @pytest.mark.parametrize("pair", ["example", "empty f1"])
 def test_grid_row_matches_scalar_calls(pair):
-    """f1 and f2_closed on an array of w are the scalar calls on each w, bit
-    for bit (float64 rounds as Python floats do); a component with no terms,
-    whose compiled function returns the scalar 0.0, is broadcast to the row."""
+    """f1 and f2_closed at a point are a tuple of two Python floats, and a
+    row of them is the compiled functions on the array of w, bit for bit
+    (float64 rounds as Python floats do); a component with no terms, whose
+    compiled function returns the scalar 0.0, is 0.0 at every point."""
     mel = _example_pair()[3] if pair == "example" else _pair_with_empty_components()
     if pair == "empty f1":
         assert not any(p.terms for p in mel.f1_exact)
     ws = np.linspace(-1.3, 0.7, 9)
     for r in (0.6, 1.0 / 3.0, 1.7):
         for mu in (0.0, 0.05, -0.2):
-            for name in ("f1", "f2_closed"):
-                evaluate = getattr(mel, name)
-                row = evaluate((r, ws), mu)
-                points = np.array([evaluate((r, w), mu) for w in ws.tolist()]).T
-                assert row.shape == (2, len(ws)) and row.dtype == np.float64
-                assert row.tobytes() == points.tobytes()
+            for name, functions in (("f1", mel._f1_eval), ("f2_closed", mel._f2_eval)):
+                points = [getattr(mel, name)((r, w), mu) for w in ws.tolist()]
+                assert all(type(p) is tuple and len(p) == 2 for p in points)
+                assert all(type(v) is float for p in points for v in p)
+                row = np.array([np.broadcast_to(f(r, ws, mu), ws.shape) for f in functions])
+                assert np.array(points).T.tobytes() == row.tobytes()
 
 
 def test_zero_mean_integrand_gives_zero_f1():
@@ -586,7 +587,7 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     counts = {"jet1": 0, "jet1_outside_newton": 0, "jet3": 0, "newton": 0, "steps": 0}
     inside = [False]
     jet1, jet3 = tmap.jet1, tmap.jet3
-    newton, solve = averaging._newton_fixed_point, np.linalg.solve
+    newton, solve = nsbranch._newton_fixed_point, np.linalg.solve
 
     def counted_jet1(*args):
         counts["jet1"] += 1
@@ -611,9 +612,9 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
 
     monkeypatch.setattr(tmap, "jet1", counted_jet1)
     monkeypatch.setattr(tmap, "jet3", counted_jet3)
-    monkeypatch.setattr(averaging, "_newton_fixed_point", counted_newton)
+    monkeypatch.setattr(nsbranch, "_newton_fixed_point", counted_newton)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    point = averaging.unit_circle_point(tmap, mel, 0.0, 1e-2)
+    point = nsbranch.unit_circle_point(tmap, mel, 0.0, 1e-2)
     xi, lam, jet = point.xi, point.eigenvalue, point.jet
     assert counts["newton"] >= 3
     assert counts["jet3"] == 0
@@ -631,9 +632,9 @@ def test_log_det_is_twice_log_modulus_at_the_headline():
     jet3's independent transport there: xi repels in forward time."""
     sys, fam, _, mel = _example_pair()
     tmap = ThetaReturnMap(sys, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
-    point = averaging.unit_circle_point(tmap, mel, 0.0, 0.05)
+    point = nsbranch.unit_circle_point(tmap, mel, 0.0, 0.05)
     assert point.mu < 0.05
-    xi, jet = averaging._newton_fixed_point(tmap, mel, 0.05, point.eps)
+    xi, jet = nsbranch._newton_fixed_point(tmap, mel, 0.05, point.eps)
     lam = np.linalg.eigvals(tmap.jet3(xi, 0.05, point.eps).A)
     log_det = math.log(np.linalg.det(jet.A))
     assert abs(lam[0].imag) > 0 and abs(lam[0]) == pytest.approx(abs(lam[1]), rel=1e-14)
@@ -648,16 +649,16 @@ def test_ladder_fit_recovers_polynomial(lowest):
     rounding, as floats for scalars and componentwise for arrays.  lowest = 0
     is the basis of mu1, the Jordan expansion and the xi slice, lowest = 1
     that of the Lyapunov slices."""
-    ladder = averaging.BRANCH_LADDER
+    ladder = nsbranch.BRANCH_LADDER
     coeffs = [0.75, -3 * math.pi / 4, 41.5]
     for start in range(len(ladder) - 2):
         rungs = ladder[start:start + 3]
         values = [sum(c * e ** (lowest + k) for k, c in enumerate(coeffs))
                   for e in rungs]
-        fitted = averaging._ladder_fit(values, rungs, lowest)
+        fitted = nsbranch._ladder_fit(values, rungs, lowest)
         assert all(type(c) is float for c in fitted)
         assert fitted == pytest.approx(coeffs, rel=1e-9)
         arrays = [np.array([v, -2.0 * v]) for v in values]
-        for got, c in zip(averaging._ladder_fit(arrays, rungs, lowest), coeffs):
+        for got, c in zip(nsbranch._ladder_fit(arrays, rungs, lowest), coeffs):
             assert got.shape == (2,)
             assert got == pytest.approx([c, -2.0 * c], rel=1e-9)

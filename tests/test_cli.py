@@ -11,16 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import torusforge
 import torusforge.cli
 import torusforge.flow
+import torusforge.nsbranch
 import torusforge.torus
 from torusforge import averaging
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.cli import (
     EXIT_ERROR, EXIT_NOT_APPLICABLE, EXIT_OK, MAX_GRID, MAX_LIFT_SAMPLES, MAX_PERIODS,
-    main, write_csv,
+    linspace, main, write_csv,
 )
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import MAX_NESTING
@@ -390,21 +392,22 @@ def test_commands_read_only_the_equilibrium_point(tmp_path, command, flags, outp
 
 
 def test_melnikov_evaluates_one_grid_row_per_call(tmp_path, monkeypatch):
-    """melnikov --grid 21 evaluates f1 and f2 once per grid row, on the
-    array of w, and nowhere else (the averaged equilibrium is the criteria's
-    closed form and evaluates no f1), and writes the bytes of one scalar
-    call per grid point."""
+    """melnikov --grid 21 evaluates f1 and f2 once per grid point, on the
+    point's two floats, in row order, and nowhere else (the averaged
+    equilibrium is the criteria's closed form and evaluates no f1), and
+    writes the golden bytes, those of one numpy call per grid row on the
+    array of w."""
     calls = {"f1": [], "f2_closed": []}
     for name in calls:
         def counted(self, x, mu, _name=name, _original=getattr(averaging.MelnikovPair, name)):
-            calls[_name].append("row" if hasattr(x[1], "shape") else "point")
+            calls[_name].append(tuple(map(type, x)))
             return _original(self, x, mu)
         monkeypatch.setattr(averaging.MelnikovPair, name, counted)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     assert main(["melnikov", "--input", doc, "--out", str(out),
                  "--mu", "0.0", "--grid", "21"]) == EXIT_OK
-    assert calls == {"f1": ["row"] * 21, "f2_closed": ["row"] * 21}
+    assert calls == {"f1": [(float, float)] * 21 ** 2, "f2_closed": [(float, float)] * 21 ** 2}
     assert _sha256(out / "melnikov.csv") == MELNIKOV_CSV_SHA256
 
 
@@ -527,7 +530,7 @@ def test_melnikov_f2_is_exact(tmp_path):
         validate_hopf_zero(system["P"], system["Q"], system["R"]),
         PerturbationFamily.simple(beta=1)))
     for r, w, _, _, f2_1, f2_2 in rows:
-        assert [f2_1, f2_2] == mel.f2_closed((r, w), 0.0).tolist()
+        assert (f2_1, f2_2) == mel.f2_closed((r, w), 0.0)
         q = f2_quadrature(mel, (r, w), 0.0)
         assert max(abs(f2_1 - q[0]), abs(f2_2 - q[1])) <= 1e-12
 
@@ -560,8 +563,8 @@ SIMULATE_TRAJECTORY_SHA256 = "f20b9247ccaa9e6ea88a20c5bd2dc48adec32c31c5549f62c2
 
 
 def test_simulate_builds_f1_only(tmp_path, monkeypatch):
-    """simulate seeds x0 at the averaged equilibrium, which reads f1 alone:
-    one set of eps slices for the field and the standard form, and no f2."""
+    """simulate seeds x0 at the averaged equilibrium, the criteria's closed
+    form: one set of eps slices, for the field, and no f2."""
     counts = {"eps_graded_slices": 0, "_averaged_product": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(averaging, name)):
@@ -666,7 +669,7 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     degree-3 jet is made (Newton and the secant read only Pi and D Pi), and
     one probe runs, backward: xi attracts in forward time there."""
     calls, jets, probes = [], [], []
-    solve, jet3 = torusforge.cli.unit_circle_point, ThetaReturnMap.jet3
+    solve, jet3 = torusforge.nsbranch.unit_circle_point, ThetaReturnMap.jet3
     probe = torusforge.torus._probe
 
     def counted(*args, **kwargs):
@@ -681,7 +684,7 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
         probes.append(reverse)
         return probe(tmap, x0, mu, eps, reverse)
 
-    monkeypatch.setattr(torusforge.cli, "unit_circle_point", counted)
+    monkeypatch.setattr(torusforge.nsbranch, "unit_circle_point", counted)
     monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
     monkeypatch.setattr(torusforge.torus, "_probe", counted_probe)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
@@ -703,7 +706,7 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
     are read: 3 jet3 calls, at the xi, mu and eps of the three largest rungs
     (the Lyapunov slices), and none elsewhere."""
     points, jets = [], []
-    solve, jet3 = averaging.unit_circle_point, ThetaReturnMap.jet3
+    solve, jet3 = torusforge.nsbranch.unit_circle_point, ThetaReturnMap.jet3
 
     def counted_solve(*args, **kwargs):
         points.append(solve(*args, **kwargs))
@@ -713,7 +716,7 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
         jets.append((tuple(x0), mu, eps))
         return jet3(tmap, x0, mu, eps)
 
-    monkeypatch.setattr(averaging, "unit_circle_point", counted_solve)
+    monkeypatch.setattr(torusforge.nsbranch, "unit_circle_point", counted_solve)
     monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     assert main(["branch", "--input", doc, "--out", str(tmp_path / "out")]) == EXIT_OK
@@ -746,11 +749,14 @@ def test_no_torus_certificate_bytes(tmp_path):
 @pytest.mark.parametrize("command, flags, report", [
     ("certify", ["--mu=-0.2", "--eps=0.02"], "certificate.json"),
     ("branch", [], "branch.json"),
+    ("simulate", [], "trajectory.csv"),
 ])
 def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, report):
     """The criteria read ell_1 off the jets and build no Melnikov pair, so
     certify and branch build their own: one standard form and one pair per
-    run, on the exact eps slices of the return map's field."""
+    run, on the exact eps slices of the return map's field.  simulate seeds
+    at the criteria's closed form and builds neither; its field reads the
+    one set of eps slices."""
     counts = {"to_standard_form": 0, "melnikov_pair": 0, "eps_graded_slices": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(averaging, name)):
@@ -764,7 +770,8 @@ def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, re
     out = tmp_path / "out"
     assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
     assert (out / report).exists()
-    assert counts == {"to_standard_form": 1, "melnikov_pair": 1, "eps_graded_slices": 1}
+    pairs = 0 if command == "simulate" else 1
+    assert counts == {"to_standard_form": pairs, "melnikov_pair": pairs, "eps_graded_slices": 1}
 
 
 def test_lift_command(tmp_path):
@@ -1051,6 +1058,64 @@ def test_cli_import_loads_no_scipy():
                        "m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# runs in a fresh interpreter: import the CLI, run the four commands that
+# read no return map, then certify; "numpy" in sys.modules after each step
+_FOOTPRINT = """
+import json, sys
+import torusforge.cli
+doc, sim, lift, out = sys.argv[1:]
+steps = [("analyze", doc), ("melnikov", doc, "--grid", "4"), ("simulate", sim), ("lift", lift),
+         ("certify", doc, "--mu=-0.2", "--eps=0.02")]
+seen = [["import", None, "numpy" in sys.modules]]
+for command, path, *flags in steps:
+    rc = torusforge.cli.main([command, "--input", path, "--out", f"{out}/{command}", *flags])
+    seen.append([command, rc, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_return_map_loads_numpy(tmp_path):
+    """A fresh `import torusforge.cli` loads no numpy, and neither do
+    analyze, melnikov, simulate and lift run in the same process: `nsbranch`
+    and `torus`, whose first statements import numpy, have not run either.
+    certify in that process then loads it and writes the bytes of
+    NO_TORUS_CERTIFICATE_SHA256."""
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    sim = _write_doc(tmp_path, dict(EXAMPLE_DOC, periods=3), name="sim.json")
+    lift = _write_doc(tmp_path, {"system": LIFT_SYSTEM}, name="lift.json")
+    out = tmp_path / "out"
+    proc = _run_fresh(["-c", _FOOTPRINT, doc, sim, lift, str(out)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import", None, False], ["analyze", EXIT_OK, False], ["melnikov", EXIT_OK, False],
+        ["simulate", EXIT_OK, False], ["lift", EXIT_OK, False], ["certify", EXIT_OK, True]]
+    assert _sha256(out / "certify" / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
+
+
+# span pairs for `linspace`: any finite pair, pairs across 0, and spans of a
+# few subnormal spacings, whose step (b - a) / (n - 1) rounds to 0
+_SPANS = st.one_of(
+    st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+    st.tuples(st.floats(-1e3, 0.0), st.floats(0.0, 1e3)),
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
+        lambda k: (k[0] * 5e-324, k[1] * 5e-324)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 200), _SPANS)
+@example(1, (-0.5, 2.0))
+@example(200, (-1.0, 1.0))
+@example(5, (0.0, 5e-324))
+@example(3, (-5e-324, 0.0))
+def test_linspace_is_numpys_bit_for_bit(n, span):
+    """melnikov's grid is numpy.linspace's, bit for bit, as Python floats."""
+    a, b = span
+    values = linspace(a, b, n)
+    assert all(type(v) is float for v in values)
+    assert np.array(values).tobytes() == np.linspace(a, b, n).tobytes()
 
 
 def test_simulate_nan_start_fails_fast(tmp_path):

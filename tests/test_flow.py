@@ -77,8 +77,8 @@ def test_jet1_identity_at_eps_zero():
     _, _, tmap = _setup()
     x0 = np.array([1.3, -0.2])
     jet = tmap.jet1(x0, 0.1, 0.0)
-    assert jet.value.tobytes() == x0.tobytes()
-    assert jet.A.tobytes() == np.eye(2).tobytes()
+    assert np.array(jet.value).tobytes() == x0.tobytes()
+    assert np.array(jet.A).tobytes() == np.eye(2).tobytes()
 
 
 def test_plane_section_circular_orbit():
@@ -227,8 +227,8 @@ def test_jet3_on_field_without_y_drift():
     drift = _fold(tmap.field.drift_slices, 0.05, 0.02)
     assert compile_terms(drift[1], "xyz")(1.0, 0.5, 0.1) == 0.0
     j1, j3 = tmap.jet1([1.2, 0.1], 0.05, 0.02), tmap.jet3([1.2, 0.1], 0.05, 0.02)
-    assert np.max(np.abs(j1.value - j3.value)) <= 1e-11
-    assert np.max(np.abs(j1.A - j3.A)) <= 1e-11
+    assert np.max(np.abs(np.subtract(j1.value, j3.value))) <= 1e-11
+    assert np.max(np.abs(np.subtract(j1.A, j3.A))) <= 1e-11
 
 
 def test_config_validation():
@@ -465,7 +465,7 @@ def test_jet_transport_matches_solve_ivp(atol, rtol, r, w, pair):
     got = tmap.jet3([r, w], *pair)
     expected = MapJet.from_jets(Jet2(y[:10]), Jet2(y[10:]))
     for name in ("value", "A", "B", "C"):
-        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert np.array(getattr(got, name)).tobytes() == np.array(getattr(expected, name)).tobytes()
 
 
 @settings(max_examples=8, deadline=None)
@@ -482,8 +482,8 @@ def test_jet1_matches_jet3_and_finite_differences(r, w, pair):
     _, _, tmap = _setup(atol=atol, rtol=rtol)
     j1, j3 = tmap.jet1([r, w], *pair), tmap.jet3([r, w], *pair)
     assert j1.B is None and j1.C is None
-    assert np.max(np.abs(j1.value - j3.value)) <= rtol
-    assert np.max(np.abs(j1.A - j3.A)) <= rtol
+    assert np.max(np.abs(np.subtract(j1.value, j3.value))) <= rtol
+    assert np.max(np.abs(np.subtract(j1.A, j3.A))) <= rtol
     fd = jet3_fd(tmap, [r, w], *pair)
     assert np.max(np.abs(j1.value - fd.value)) <= rtol
     assert np.max(np.abs(j1.A - fd.A)) <= 1e-6

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusforge.averaging import BranchPoint
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
+from torusforge.nsbranch import BranchPoint
 from torusforge.torus import (
     CERTIFY_INTEGRATOR, FOURIER_ORDER, FOURIER_TOLERANCE, NonMonotoneLift, TorusError,
     _collapse_check, _probe, _with_config, certify_torus, fit_fourier_curve,

@@ -44,8 +44,11 @@ written: the run ends in a NonFiniteReport error.
 Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
 
 Only `branch` and `certify` read the numeric return map's solves and fits
-(`nsbranch`, `torus`), and only they load numpy: the other four commands
-run on the exact layer and Python floats.
+(`nsbranch`, `torus`).  Only `branch`, and `certify` once its probe settles
+on a curve, load numpy: `branch` for the ladder fits and tensor contractions,
+`certify` for the analysis of the sampled curve.  The other four commands,
+and a `certify` that finds no torus, run on the exact layer and Python
+floats.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ def _deferred(name: str):
     return module
 
 
-# the return map's solves and fits import numpy: run when branch or certify
-# first reads them
+# the return map's solves and fits: loaded when branch or certify first reads
+# them, so the other commands do not pay for their import
 nsbranch = _deferred("nsbranch")
 torus = _deferred("torus")
 

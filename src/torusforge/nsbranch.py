@@ -1,5 +1,5 @@
 """The Neimark-Sacker branch of the numeric return map and its Jordan
-normalization: the part of the analysis that needs numpy.
+normalization.
 
 On each eps of the factor-2 ladder `BRANCH_LADDER`, `unit_circle_point`
 solves det D Pi(xi(mu, eps)) = 1 for mu by a secant, each step a
@@ -10,11 +10,11 @@ three consecutive rungs (`_ladder_fit`).  `lyapunov_coefficient_map`
 contracts the degree-2 and degree-3 tensors of the map's `jet3` in the
 eigenvector basis of D Pi.
 
-The return map's jets (`flow.MapJet`) hold Python floats; each solve,
-contraction and fit here makes its numpy arrays from them.  The exact layer
-(`averaging`, `criteria`) imports no numpy, so a process that runs only
-`analyze`, `melnikov`, `simulate` or `lift` never loads it; `cli` runs this
-module's code only for `branch` and `certify`.
+The return map's jets (`flow.MapJet`) hold Python floats, and so do the
+Newton iterates, its written-out 2x2 step (`_solve_2x2`) and the secant: a
+`certify` needs one branch point and one fixed point, and loads no numpy for
+them.  The ladder fits, the Jordan normalization and the tensor contractions,
+which only `branch` runs, import numpy where they make their arrays.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .averaging import (
     AveragingError, BranchConstants, MelnikovPair, averaged_equilibrium,
     printed_branch_constants,
 )
 from .flow import MapJet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
 FIXED_POINT_MAX_ITER = 25
@@ -69,7 +70,7 @@ class BranchPoint:
     """One Neimark-Sacker point: the unit-circle crossing at one eps."""
     eps: float
     mu: float                  # on the unit-circle curve
-    xi: np.ndarray             # fixed point of the return map
+    xi: Tuple[float, float]    # fixed point of the return map
     eigenvalue: complex        # lambda(mu(eps), eps), |lambda| = 1
     theta: float               # arg lambda
     jet: MapJet                # value and Jacobian of the map at xi (jet1)
@@ -99,36 +100,52 @@ class NSBranch:
         return out
 
 
-def _complex_eigenvalue(A: np.ndarray) -> complex:
-    m = 0.5 * (A[0, 0] + A[1, 1])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    disc = det - m * m
+def _complex_eigenvalue(A) -> complex:
+    (a, b), (c, d) = A
+    m = 0.5 * (a + d)
+    disc = (a * d - b * c) - m * m
     if disc <= 0:
         raise ComplexPairLost(f"return-map eigenvalues real (disc={disc})")
     return complex(m, math.sqrt(disc))
 
 
+def _solve_2x2(M, rhs) -> Tuple[float, float]:
+    """x with M x = rhs, for M a 2x2 matrix of floats as nested pairs: LU
+    with partial pivoting, written out.  It is the Newton step's solve, so
+    an exact zero pivot, a singular step, is NewtonDiverged."""
+    (a, b), (c, d) = M
+    y0, y1 = rhs
+    if abs(c) > abs(a):                   # the larger first-column entry pivots
+        (a, b, y0), (c, d, y1) = (c, d, y1), (a, b, y0)
+    m = c / a if a != 0.0 else 0.0        # a = 0 only when the column is 0
+    u = d - m * b
+    if a == 0.0 or u == 0.0:
+        raise NewtonDiverged("fixed-point Newton step singular: zero pivot")
+    x1 = (y1 - m * y0) / u
+    return (y0 - b * x1) / a, x1
+
+
 def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
-                        seed: Optional[np.ndarray] = None):
-    """Fixed point xi of the return map by Newton on Pi(x) - x, seeded at the
-    averaged equilibrium; returns (xi, Pi and D Pi at xi), so callers that
-    need D Pi(xi) reuse the last iteration's first-order transport (jet1)."""
-    if seed is None:
-        x = np.array(averaged_equilibrium(mel, mu))
-    else:
-        x = np.asarray(seed, dtype=float).copy()
+                        seed: Optional[Sequence[float]] = None):
+    """Fixed point xi of the return map, a pair of floats, by Newton on
+    Pi(x) - x, seeded at the averaged equilibrium; returns (xi, Pi and D Pi
+    at xi), so callers that need D Pi(xi) reuse the last iteration's
+    first-order transport (jet1)."""
+    r, w = averaged_equilibrium(mel, mu) if seed is None else seed
     for _ in range(FIXED_POINT_MAX_ITER):
-        jet = tmap.jet1(x, mu, eps)
-        res = np.array(jet.value) - x
-        if float(np.max(np.abs(res))) <= FIXED_POINT_TOL:
-            return x, jet
-        step = np.linalg.solve(np.array(jet.A) - np.eye(2), -res)
-        x = x + step
-        if not np.all(np.isfinite(x)):
+        jet = tmap.jet1((r, w), mu, eps)
+        res = (jet.value[0] - r, jet.value[1] - w)
+        if abs(res[0]) <= FIXED_POINT_TOL and abs(res[1]) <= FIXED_POINT_TOL:
+            return (r, w), jet
+        (a, b), (c, d) = jet.A
+        dr, dw = _solve_2x2(((a - 1.0, b), (c, d - 1.0)), (-res[0], -res[1]))
+        r, w = r + dr, w + dw
+        if not (math.isfinite(r) and math.isfinite(w)):
             raise NewtonDiverged("fixed-point Newton produced non-finite iterate")
-    if float(np.max(np.abs(res))) <= 10 * FIXED_POINT_TOL:
-        return x, tmap.jet1(x, mu, eps)
-    raise NewtonDiverged(f"fixed-point Newton stalled, residual {np.max(np.abs(res))}")
+    err = max(abs(res[0]), abs(res[1]))
+    if err <= 10 * FIXED_POINT_TOL:
+        return (r, w), tmap.jet1((r, w), mu, eps)
+    raise NewtonDiverged(f"fixed-point Newton stalled, residual {err}")
 
 
 def unit_circle_point(tmap, mel, mu0: float, eps: float,
@@ -149,9 +166,8 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
     def h(mu):
         xi, jet = _newton_fixed_point(tmap, mel, mu, eps, seed=last_xi[0])
         last_xi[0] = xi
-        A = np.array(jet.A)
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        return det - 1.0, xi, jet
+        (a, b), (c, d) = jet.A
+        return a * d - b * c - 1.0, xi, jet
 
     mu_a = mu0 if mu_guess is None else mu_guess
     mu_b = mu_a + 0.5 * eps if mu_guess is None else mu_a + 0.1 * eps
@@ -165,7 +181,7 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
         mu_b = mu_new
         hb, xi_b, jet_b = h(mu_b)
         if abs(hb) <= UNIT_CIRCLE_TOL:
-            lam = _complex_eigenvalue(np.array(jet_b.A))
+            lam = _complex_eigenvalue(jet_b.A)
             return BranchPoint(eps=eps, mu=mu_b, xi=xi_b, eigenvalue=lam,
                                theta=math.atan2(lam.imag, lam.real), jet=jet_b)
     raise UnitCircleCrossingNotFound(
@@ -188,6 +204,7 @@ def _ladder_fit(values: Sequence, ladder: Sequence[float], lowest: int) -> list:
     """The coefficients c_k of v(e) = sum_k c_k e^(lowest + k), one per rung,
     interpolated through the values at the ladder's eps; componentwise on
     arrays."""
+    import numpy as np
     n = len(values)
     e = np.asarray(ladder, dtype=float)
     vals = np.stack([np.asarray(v, dtype=float) for v in values])
@@ -201,9 +218,11 @@ def xi_slice(tmap, mel: MelnikovPair, mu: float) -> np.ndarray:
     """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch, fitted
     to (xi(mu, eps) - x_mu)/eps on the three smallest rungs of BRANCH_LADDER
     (fixed points at this mu, not on the Neimark-Sacker curve)."""
+    import numpy as np
     x_mu = np.array(averaged_equilibrium(mel, mu))
     ladder = BRANCH_LADDER[-3:]
-    vals = [(_newton_fixed_point(tmap, mel, mu, e)[0] - x_mu) / e for e in ladder]
+    vals = [(np.array(_newton_fixed_point(tmap, mel, mu, e)[0]) - x_mu) / e
+            for e in ladder]
     return _ladder_fit(vals, ladder, 0)[0]
 
 
@@ -238,6 +257,7 @@ def normalized_map(point: BranchPoint) -> NormalizedMap:
     """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
     M0 + eps M1 normalization), read off the point's own D Pi: no transport."""
+    import numpy as np
     A, lam = np.array(point.jet.A), point.eigenvalue       # lam is an eigenvalue of this A
     v2 = -1j * (A[0, 0] - lam) / A[0, 1]
     M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
@@ -253,6 +273,7 @@ def lyapunov_coefficient_map(tmap, nm: NormalizedMap) -> float:
     and <u, v> = conj(u)^T v on the degree-2 and degree-3 tensors of the
     map's jet3 at the point's xi, in the basis M; requires
     e^{ik theta} != 1 for k = 1..4."""
+    import numpy as np
     point = nm.point
     theta = point.theta
     for k in range(1, 5):
@@ -324,6 +345,7 @@ def jordan_expansion(branch: NSBranch) -> JordanExpansion:
     eta slices vanish identically on the curve (up to the unit-circle solve
     tolerance). M1 entries come from the same ladder.
     """
+    import numpy as np
     nms = [normalized_map(p) for p in branch.points[-3:]]
     ladder = [nm.point.eps for nm in nms]
     omega0, zeta2, _ = _ladder_fit([nm.point.theta / nm.point.eps for nm in nms], ladder, 0)

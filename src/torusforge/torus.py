@@ -22,6 +22,12 @@ the direction in which xi repels.  The source text states the torus is
 attracting for positive leading Lyapunov slice and repelling for negative,
 opposite to the usual convention; the direction it implies is recorded next
 to the observed one, and a mismatch is flagged, not corrected away.
+
+The fixed point, the probe and the orbit it goes on to are pairs of Python
+floats, so a no_torus verdict loads no numpy.  The samples become an array
+once the orbit has run its transient and window: the Fourier fit, the
+rotation number, the normal exponent and the winding number import numpy
+where they make their arrays.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .averaging import AveragingError, MelnikovPair
 from .flow import FlowError, IntegratorConfig
 from .nsbranch import BranchPoint, _newton_fixed_point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORMAL_SAMPLES = 512    # with 256 the worked example's lambda_n is 5 sigma from 0
 SIGMA_MULTIPLE = 10     # the halves' difference underestimates the error
@@ -91,6 +98,7 @@ def fit_fourier_curve(points: np.ndarray) -> FourierCurve:
     the first p columns leave |rad - Q z|^2 + sum_{j >= p} z_j^2.  The order
     is the smallest K >= 2 whose rms is within FOURIER_TOLERANCE of order
     N's, and its coefficients solve the leading (2K+1)-block of R."""
+    import numpy as np
     points = np.asarray(points, dtype=float)
     center = points.mean(axis=0)
     rel = points - center
@@ -121,6 +129,7 @@ def rotation_number(points: np.ndarray, center: np.ndarray) -> Tuple[float, floa
     Raises NonMonotoneLift when the samples are not a radial graph over the
     angle about the center (the lift is then ill-defined).
     """
+    import numpy as np
     points = np.asarray(points, dtype=float)
     if len(points) < 256:
         raise TorusError(f"need >= 256 consecutive iterates, got {len(points)}")
@@ -145,6 +154,8 @@ def birkhoff_average(values) -> Tuple[float, float]:
     uncertainty, the difference of the averages over the two halves.  The
     weights exp(-1/(t(1-t))) converge faster than any power of the length on
     a quasiperiodic orbit (Das, Sander, Saiki & Yorke, Nonlinearity 30, 2017)."""
+    import numpy as np
+
     def weighted(v):
         t = (np.arange(len(v)) + 0.5) / len(v)
         w = np.exp(-1.0 / (t * (1.0 - t)))
@@ -194,6 +205,7 @@ def normal_hyperbolicity(rho: Optional[float], rho_unc: Optional[float],
 
 def winding_number(curve_points: np.ndarray, about: np.ndarray) -> int:
     """Winding of the angle-ordered curve polygon about a point."""
+    import numpy as np
     points = np.asarray(curve_points, dtype=float)
     rel = points - np.asarray(about, dtype=float)
     ang = np.arctan2(rel[:, 1], rel[:, 0])
@@ -214,7 +226,7 @@ class TorusCertificate:
     reversed_time: bool                       # direction used for convergence
     paper_reversed_time: bool                 # direction the stability claim implies
     stability_mismatch: bool
-    fixed_point: np.ndarray
+    fixed_point: Tuple[float, float]
     theta_eps: float
     notes: Tuple[str, ...] = ()
     # known only once an invariant curve was located
@@ -260,13 +272,13 @@ class TorusCertificate:
         return out
 
 
-def _iterate(tmap, x, mu, eps, reverse, n: int) -> Optional[np.ndarray]:
-    """The next n iterates of x, carrying the orbit as two floats; None
-    when the orbit escapes on the way: a non-finite iterate, one beyond
-    ESCAPE_BOUND, one with r <= 1e-3, or a failed integration."""
+def _iterate(tmap, x, mu, eps, reverse, n: int) -> Optional[List[Tuple[float, float]]]:
+    """The next n iterates of x, each a pair of floats; None when the orbit
+    escapes on the way: a non-finite iterate, one beyond ESCAPE_BOUND, one
+    with r <= 1e-3, or a failed integration."""
     r, w = x
-    out = np.empty((n, 2))
-    for i in range(n):
+    out = []
+    for _ in range(n):
         try:
             r, w = tmap.point((r, w), mu, eps, reverse=reverse)
         except FlowError:
@@ -276,23 +288,25 @@ def _iterate(tmap, x, mu, eps, reverse, n: int) -> Optional[np.ndarray]:
         # NaN fails every comparison, so it escapes too
         if not (abs(r) <= ESCAPE_BOUND and abs(w) <= ESCAPE_BOUND and r > 1e-3):
             return None
-        out[i] = r, w
+        out.append((r, w))
     return out
 
 
-def _probe(tmap, x0, mu, eps, reverse) -> Optional[np.ndarray]:
+def _probe(tmap, x0, mu, eps, reverse) -> Optional[List[Tuple[float, float]]]:
     """Iterate one seed until the orbit statistics settle: the last
-    PROBE_CHECK iterates, or None when the orbit escapes.  After PROBE_MAX
-    returns the last ones are returned unsettled; the fit quality decides."""
-    tail = np.asarray(x0, dtype=float)[None]     # the seed, as a one-row tail
+    PROBE_CHECK iterates, pairs of floats, or None when the orbit escapes.
+    After PROBE_MAX returns the last ones are returned unsettled; the fit
+    quality decides."""
+    tail = [x0]                          # the seed, as a one-iterate tail
     prev_stats = None
     for _ in range(PROBE_MAX // PROBE_CHECK):
         tail = _iterate(tmap, tail[-1], mu, eps, reverse, PROBE_CHECK)
         if tail is None:
             return None
-        center = tail.mean(axis=0)
-        rad = np.linalg.norm(tail - center, axis=1)
-        stats = (center[0], center[1], rad.mean(), rad.max())
+        n = len(tail)
+        cr, cw = math.fsum(r for r, _ in tail) / n, math.fsum(w for _, w in tail) / n
+        rad = [math.hypot(r - cr, w - cw) for r, w in tail]
+        stats = (cr, cw, math.fsum(rad) / n, max(rad))
         if prev_stats is not None:
             scale = max(abs(v) for v in stats) + 1e-12
             drift = max(abs(a - b) for a, b in zip(stats, prev_stats)) / scale
@@ -302,9 +316,12 @@ def _probe(tmap, x0, mu, eps, reverse) -> Optional[np.ndarray]:
     return tail
 
 
-def _collapse_check(tail: np.ndarray, fixed_point: np.ndarray, seed_radius: float) -> bool:
-    d = np.linalg.norm(tail - fixed_point, axis=1)
-    return bool(d.mean() < 0.05 * seed_radius)
+def _collapse_check(tail, fixed_point, seed_radius: float) -> bool:
+    """Whether the probe's tail, pairs of floats, has settled onto the fixed
+    point: its mean distance from it is below 5% of the seed's."""
+    xr, xw = fixed_point
+    mean = math.fsum(math.hypot(r - xr, w - xw) for r, w in tail) / len(tail)
+    return mean < 0.05 * seed_radius
 
 
 def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
@@ -320,7 +337,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
 
     try:
         xi, jet = _newton_fixed_point(tmap, mel, mu, eps)
-    except (FlowError, AveragingError, np.linalg.LinAlgError) as exc:
+    except (FlowError, AveragingError) as exc:
         raise FixedPointNotFound(str(exc)) from exc
 
     # seed amplitude from the normal-form scaling sqrt(alpha_d dmu / (eps |l12|))
@@ -329,7 +346,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
         amp = math.sqrt(abs(math.pi * dmu / (eps * l12)))
     else:
         amp = 0.1
-    amp = float(np.clip(amp, 1e-3, 2.0))
+    amp = min(max(amp, 1e-3), 2.0)
 
     paper_reversed = l12 < 0         # the sign of the leading Lyapunov slice
     notes = []
@@ -349,7 +366,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
             stability_mismatch=False, fixed_point=xi,
             theta_eps=point.theta, notes=tuple(notes))
 
-    tail = _probe(tmap, xi + np.array([amp, 0.0]), mu, eps, reverse)
+    tail = _probe(tmap, (xi[0] + amp, xi[1]), mu, eps, reverse)
     if tail is None:
         return no_torus(f"the probe orbit escapes in {direction} time, in which "
                         "the fixed point repels; no invariant curve")
@@ -362,7 +379,8 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
     if orbit is None:
         return no_torus(f"the probe orbit escapes in {direction} time after it "
                         "settled; no invariant curve")
-    samples = orbit[TRANSIENT:]
+    import numpy as np
+    samples = np.array(orbit[TRANSIENT:])
 
     curve = fit_fourier_curve(samples)
     residual = curve.rms_residual

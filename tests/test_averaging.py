@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusforge import averaging, nsbranch
 from torusforge.averaging import (
@@ -19,10 +19,11 @@ from torusforge.criteria import (
     evaluate_perturbation_criteria, validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
-from torusforge.flow import IntegratorConfig, ThetaReturnMap
+from torusforge.flow import IntegratorConfig, MapJet, ThetaReturnMap
 from torusforge.lift import (
     Ball, find_separating_plane, translate_to_origin, tune_lift_parameters,
 )
+from torusforge.torus import CERTIFY_INTEGRATOR
 
 from oracles import (
     StandardForm, f1_jacobian, f1_quadrature, f2_quadrature, first_lyapunov_quantity,
@@ -587,7 +588,7 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     counts = {"jet1": 0, "jet1_outside_newton": 0, "jet3": 0, "newton": 0, "steps": 0}
     inside = [False]
     jet1, jet3 = tmap.jet1, tmap.jet3
-    newton, solve = nsbranch._newton_fixed_point, np.linalg.solve
+    newton, solve = nsbranch._newton_fixed_point, nsbranch._solve_2x2
 
     def counted_jet1(*args):
         counts["jet1"] += 1
@@ -613,7 +614,7 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     monkeypatch.setattr(tmap, "jet1", counted_jet1)
     monkeypatch.setattr(tmap, "jet3", counted_jet3)
     monkeypatch.setattr(nsbranch, "_newton_fixed_point", counted_newton)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(nsbranch, "_solve_2x2", counted_solve)
     point = nsbranch.unit_circle_point(tmap, mel, 0.0, 1e-2)
     xi, lam, jet = point.xi, point.eigenvalue, point.jet
     assert counts["newton"] >= 3
@@ -622,7 +623,67 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     assert counts["jet1"] == counts["newton"] + counts["steps"]
     assert jet.B is None and jet.C is None
     assert abs(abs(lam) - 1.0) <= 1e-10
-    assert np.max(np.abs(jet.value - xi)) <= 1e-10      # the jet is taken at xi
+    assert np.max(np.abs(np.subtract(jet.value, xi))) <= 1e-10      # the jet is taken at xi
+
+
+class _IdentityJetMap:
+    """A synthetic return map that moves every point by (1e-3, 0) and whose
+    D Pi is the identity: each Newton step (D Pi - I) s = -res is singular.
+    Its tolerances are the certifier's, so `certify_torus` uses it as is."""
+
+    cfg = CERTIFY_INTEGRATOR
+
+    def jet1(self, x, mu, eps):
+        return MapJet(value=(x[0] + 1e-3, x[1]), A=((1.0, 0.0), (0.0, 1.0)))
+
+
+def test_singular_newton_step_is_newton_diverged():
+    """A zero pivot in D Pi - I is a typed NewtonDiverged, not a
+    ZeroDivisionError, which the command line would not catch."""
+    _, _, _, mel = _example_pair()
+    with pytest.raises(nsbranch.NewtonDiverged, match="singular"):
+        nsbranch._newton_fixed_point(_IdentityJetMap(), mel, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("M", [((0.0, 0.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 2.0)),
+                               ((1.0, 2.0), (2.0, 4.0)), ((-3.0, 1.5), (1.0, -0.5))])
+def test_solve_2x2_zero_pivot_is_newton_diverged(M):
+    """A zero first column, or a second pivot that is exactly 0 after
+    elimination with either pivot row, raises NewtonDiverged."""
+    with pytest.raises(nsbranch.NewtonDiverged, match="singular"):
+        nsbranch._solve_2x2(M, (1.0, -1.0))
+
+
+# a matrix or right-hand-side entry: 0, or of magnitude in [1e-3, 1e3], so no
+# product underflows or overflows
+_SOLVE_ENTRY = st.tuples(st.floats(1e-3, 1e3), st.sampled_from((-1.0, 0.0, 1.0))).map(
+    lambda t: t[0] * t[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(*[_SOLVE_ENTRY] * 4), st.tuples(_SOLVE_ENTRY, _SOLVE_ENTRY), st.booleans())
+def test_solve_2x2_matches_exact_solution(entries, rhs, pivot_second):
+    """The written-out LU solve against the exact Fraction solution, with the
+    pivot in either row: with kappa = |M| |M^-1| (infinity norm, exact), the
+    relative error is at most 10 kappa 2^-52.  Partial pivoting at n = 2 has
+    a backward error of at most gamma_6 |L||U| <= 9 * 2^-52 |M| (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 9.4, |l| <= 1), and
+    kappa <= 2^40 keeps the first-order forward bound within 10."""
+    a, b, c, d = entries
+    assume(abs(a) != abs(c))
+    if (abs(c) > abs(a)) != pivot_second:
+        a, b, c, d = c, d, a, b
+    fa, fb, fc, fd = (Fraction(v) for v in (a, b, c, d))
+    det = fa * fd - fb * fc
+    assume(det != 0)
+    y0, y1 = (Fraction(v) for v in rhs)
+    exact = ((fd * y0 - fb * y1) / det, (fa * y1 - fc * y0) / det)
+    kappa = (max(abs(fa) + abs(fb), abs(fc) + abs(fd))
+             * max(abs(fd) + abs(fb), abs(fc) + abs(fa)) / abs(det))
+    assume(kappa <= 2 ** 40)
+    got = nsbranch._solve_2x2(((a, b), (c, d)), rhs)
+    err = max(abs(Fraction(g) - x) for g, x in zip(got, exact))
+    assert err <= 10 * kappa * Fraction(1, 2 ** 52) * max(abs(x) for x in exact)
 
 
 def test_log_det_is_twice_log_modulus_at_the_headline():

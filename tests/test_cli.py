@@ -26,7 +26,7 @@ from torusforge.cli import (
 )
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import MAX_NESTING
-from torusforge.flow import ThetaReturnMap
+from torusforge.flow import MapJet, ThetaReturnMap
 
 from oracles import f2_quadrature
 from test_averaging import _benchmark_inputs
@@ -663,6 +663,30 @@ def test_certify_at_eps_zero_is_degenerate_parameter(tmp_path, capsys):
     assert json.loads((out / "certify_error.json").read_text()) == err
 
 
+def test_certify_singular_newton_step_is_typed_error(tmp_path, capsys, monkeypatch):
+    """A D Pi equal to the identity at the certifier's tolerances makes its
+    fixed-point Newton step singular: certify exits 1 with a typed
+    FixedPointNotFound, on stderr and in certify_error.json, not a traceback.
+    The Neimark-Sacker point, at the return map's own tolerances, is solved
+    as usual."""
+    jet1 = ThetaReturnMap.jet1
+
+    def identity_jet1(tmap, x, mu, eps):
+        if tmap.cfg != torusforge.torus.CERTIFY_INTEGRATOR:
+            return jet1(tmap, x, mu, eps)
+        return MapJet(value=(x[0] + 1e-3, x[1]), A=((1.0, 0.0), (0.0, 1.0)))
+
+    monkeypatch.setattr(ThetaReturnMap, "jet1", identity_jet1)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    args = ["certify", "--input", doc, "--out", str(out), "--mu=-0.2", "--eps=0.02"]
+    assert main(args) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FixedPointNotFound" and "singular" in err["message"]
+    assert os.listdir(out) == ["certify_error.json"]
+    assert json.loads((out / "certify_error.json").read_text()) == err
+
+
 def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     """certify far on the no-torus side: verdict no_torus, no curve.csv, the
     Neimark-Sacker point at the requested eps is solved exactly once, no
@@ -1061,13 +1085,14 @@ def test_cli_import_loads_no_scipy():
 
 
 # runs in a fresh interpreter: import the CLI, run the four commands that
-# read no return map, then certify; "numpy" in sys.modules after each step
+# read no return map, then a no-torus certify, then branch; "numpy" in
+# sys.modules after each step
 _FOOTPRINT = """
 import json, sys
 import torusforge.cli
 doc, sim, lift, out = sys.argv[1:]
 steps = [("analyze", doc), ("melnikov", doc, "--grid", "4"), ("simulate", sim), ("lift", lift),
-         ("certify", doc, "--mu=-0.2", "--eps=0.02")]
+         ("certify", doc, "--mu=-0.2", "--eps=0.02"), ("branch", doc)]
 seen = [["import", None, "numpy" in sys.modules]]
 for command, path, *flags in steps:
     rc = torusforge.cli.main([command, "--input", path, "--out", f"{out}/{command}", *flags])
@@ -1078,10 +1103,11 @@ print(json.dumps(seen))
 
 def test_only_the_return_map_loads_numpy(tmp_path):
     """A fresh `import torusforge.cli` loads no numpy, and neither do
-    analyze, melnikov, simulate and lift run in the same process: `nsbranch`
-    and `torus`, whose first statements import numpy, have not run either.
-    certify in that process then loads it and writes the bytes of
-    NO_TORUS_CERTIFICATE_SHA256."""
+    analyze, melnikov, simulate and lift run in the same process, nor a
+    certify far on the no-torus side, whose fixed point, branch point and
+    probe are Python floats; that certify writes the bytes of
+    NO_TORUS_CERTIFICATE_SHA256.  branch in that process then loads numpy
+    for its ladder fits and writes the bytes of BRANCH_JSON_SHA256."""
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     sim = _write_doc(tmp_path, dict(EXAMPLE_DOC, periods=3), name="sim.json")
     lift = _write_doc(tmp_path, {"system": LIFT_SYSTEM}, name="lift.json")
@@ -1090,8 +1116,10 @@ def test_only_the_return_map_loads_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["import", None, False], ["analyze", EXIT_OK, False], ["melnikov", EXIT_OK, False],
-        ["simulate", EXIT_OK, False], ["lift", EXIT_OK, False], ["certify", EXIT_OK, True]]
+        ["simulate", EXIT_OK, False], ["lift", EXIT_OK, False], ["certify", EXIT_OK, False],
+        ["branch", EXIT_OK, True]]
     assert _sha256(out / "certify" / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
+    assert _sha256(out / "branch" / "branch.json") == BRANCH_JSON_SHA256
 
 
 # span pairs for `linspace`: any finite pair, pairs across 0, and spans of a

@@ -4,16 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
 from torusforge.nsbranch import BranchPoint
 from torusforge.torus import (
-    CERTIFY_INTEGRATOR, FOURIER_ORDER, FOURIER_TOLERANCE, NonMonotoneLift, TorusError,
+    CERTIFY_INTEGRATOR, FOURIER_ORDER, FOURIER_TOLERANCE, FixedPointNotFound,
+    NonMonotoneLift, TorusError,
     _collapse_check, _probe, _with_config, certify_torus, fit_fourier_curve,
     normal_exponent, normal_hyperbolicity, rotation_number, winding_number,
 )
 
 from oracles import fourier_fit_lstsq, normal_contraction
+from test_averaging import _IdentityJetMap
 
 
 def _circle_samples(n=512, rho=0.3, center=(1.0, -0.5), wobble=0.0, harmonic=3,
@@ -150,7 +153,7 @@ def test_probe_returns_unsettled_tail_after_probe_max():
     tail = _probe(tmap, x0, 0.0, 0.1, False)
     assert len(returns) == 6000
     reference = _SyntheticMap(kappa=0.9999).orbit(x0, 6000)[-500:]
-    assert tail.tobytes() == reference.tobytes()
+    assert np.array(tail).tobytes() == reference.tobytes()
 
 
 def _eccentric_orbit():
@@ -314,6 +317,18 @@ def test_certify_lock_is_not_judged(monkeypatch):
     assert cert.verdict == "torus_found" and cert.normally_hyperbolic is None
     assert any(note.startswith("rotation number not told from 1/61")
                for note in cert.notes)
+
+
+def test_certify_singular_newton_step_is_fixed_point_not_found():
+    """A map whose D Pi is the identity makes the certifier's Newton step
+    singular: certify_torus raises FixedPointNotFound, whose message says so."""
+    sys = validate_hopf_zero("0", "y*z", "-x^2 + x*y + z^2")
+    mel = melnikov_pair(to_standard_form(sys, PerturbationFamily.simple(sys.beta)))
+    jet = MapJet(value=(1.0, 0.0), A=((1.0, 0.0), (0.0, 1.0)))
+    point = BranchPoint(eps=0.05, mu=0.0375, xi=(1.0, 0.0), eigenvalue=1j,
+                        theta=math.pi / 2, jet=jet)
+    with pytest.raises(FixedPointNotFound, match="singular"):
+        certify_torus(_IdentityJetMap(), 0.05, point, mel, -0.1)
 
 
 def test_certify_tolerances_share_the_compiled_field():

@@ -402,8 +402,8 @@ class MelnikovPair:
     @cached_property
     def f2_exact(self) -> Tuple[PiPoly, PiPoly]:
         """f2 = int_0^{2 pi} (F2 + DF1 . Phi) with Phi = int_0^theta F1 and
-        F2 = D2 - F1 a1, exact, built on first use: the averaged equilibrium
-        reads f1 alone.
+        F2 = D2 - F1 a1, exact, built on first use: branch's hypothesis
+        check reads f1 alone.
 
         Only the terms the average keeps are formed: the mean of D2, and the
         frequency-matched parts of F1 a1 and DF1 . Phi (`_averaged_product`).
@@ -420,7 +420,7 @@ class MelnikovPair:
                                     std.scale ** 2)
                      for F1, D2 in zip(std._F1, std._D2))
 
-    # compiled on first use: simulate and the averaged equilibrium read f1 alone
+    # compiled on first use: only melnikov's grid evaluates f1 and f2
     @cached_property
     def _f1_eval(self):
         return tuple(p.evaluator() for p in self.f1_exact)
@@ -428,11 +428,6 @@ class MelnikovPair:
     @cached_property
     def _f2_eval(self):
         return tuple(p.evaluator() for p in self.f2_exact)
-
-    # Gamma and w_mu of the family, built once: the averaged equilibrium
-    @cached_property
-    def _perturbation_functions(self):
-        return perturbation_functions(self.std.system, self.std.family)
 
     def f1(self, x, mu) -> Tuple[float, float]:
         """(f1_1, f1_2) at the point x = (r, w)."""
@@ -482,12 +477,6 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
 # ---------------------------------------------------------------------------
 # averaged equilibrium and hypotheses
 # ---------------------------------------------------------------------------
-
-def averaged_equilibrium(mel: MelnikovPair, mu: float) -> Tuple[float, float]:
-    """The root (r, w) of the pair's f1 at mu (`closed_form_equilibrium`),
-    on the closed form the pair builds once."""
-    return closed_form_equilibrium(mel._perturbation_functions, mu)
-
 
 def closed_form_equilibrium(functions, mu: float) -> Tuple[float, float]:
     """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, from the
@@ -560,7 +549,8 @@ def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
     """
     omega = mel.std.system.omega
     hopf_ok = omega > 0 and _spectrum_identity(mel, crit.eta, crit.gamma)
-    r0, _ = averaged_equilibrium(mel, crit.mu0)
+    r0, _ = closed_form_equilibrium(perturbation_functions(mel.std.system, mel.std.family),
+                                    crit.mu0)
     details: dict = {"omega0": math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None}
 
     # T is the exact simplicity of mu0: alpha_d is 0.0 only at a multiple root

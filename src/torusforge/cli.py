@@ -43,6 +43,11 @@ A report that would hold NaN or an infinity, which are not JSON, is not
 written: the run ends in a NonFiniteReport error.
 Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
 
+The averaged equilibrium is the criteria's closed form, read by `melnikov`
+and `simulate` and, as its Newton seed, by the return map of `branch` and
+`certify` (`ThetaReturnMap.averaged_equilibrium`); only `melnikov` (its
+grid) and `branch` (hypothesis H) build a Melnikov pair.
+
 Only `branch` and `certify` read the numeric return map's solves and fits
 (`nsbranch`, `torus`).  Only `branch`, and `certify` once its probe settles
 on a curve, load numpy: `branch` for the ladder fits and tensor contractions,
@@ -68,8 +73,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .averaging import (
-    averaged_equilibrium, closed_form_equilibrium, hypothesis_check, melnikov_pair,
-    to_standard_form,
+    closed_form_equilibrium, hypothesis_check, melnikov_pair, to_standard_form,
 )
 from .criteria import (
     CriteriaError, CriteriaReport, HopfZeroSystem, PerturbationFamily,
@@ -354,7 +358,7 @@ def cmd_melnikov(args) -> int:
     mu = _param(doc, args, "mu")
     mu = 0.0 if mu is None else mu
     mel = melnikov_pair(to_standard_form(sys_, fam))
-    r0, w0 = averaged_equilibrium(mel, mu)
+    r0, w0 = closed_form_equilibrium(perturbation_functions(sys_, fam), mu)
     n = args.grid
     w_values = linspace(w0 - 1.0, w0 + 1.0, n)
     rows = ([r, w, *mel.f1((r, w), mu), *mel.f2_closed((r, w), mu)]
@@ -389,10 +393,10 @@ def cmd_branch(args) -> int:
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
     mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
     mu0 = rep.perturbation.mu0
-    branch = nsbranch.branch_continuation(mel, tmap, mu0)
+    branch = nsbranch.branch_continuation(tmap, mu0)
     slices = nsbranch.lyapunov_slices(tmap, branch)
     jordan = nsbranch.jordan_expansion(branch)
-    xi1 = nsbranch.xi_slice(tmap, mel, mu0)
+    xi1 = nsbranch.xi_slice(tmap, mu0)
     hyp = hypothesis_check(mel, rep.perturbation, rep.base.l12)
     payload = {
         "meta": _meta(args, doc),
@@ -445,9 +449,8 @@ def cmd_certify(args) -> int:
     if not rep.applicable:
         return _not_applicable(args, doc, rep, "certificate.json", "certification")
     tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
-    mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
-    point = nsbranch.unit_circle_point(tmap, mel, rep.perturbation.mu0, eps)
-    cert = torus.certify_torus(tmap, mu, point, mel, rep.base.l12)
+    point = nsbranch.unit_circle_point(tmap, rep.perturbation.mu0, eps)
+    cert = torus.certify_torus(tmap, mu, point, rep.base.l12)
     payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}
     write_report(os.path.join(args.out, "certificate.json"), payload)

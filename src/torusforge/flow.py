@@ -9,7 +9,8 @@ angular return theta: 0 -> 2 pi of the cylindrical standard-form variables
 event detection.  Each seed of a return is its own integration, on two
 Python floats from seed to image.  The step is straight-line code,
 generated once per state size, and each of its 12 stages is one call
-rhs(t, y0, ..., y{n-1}) on positional floats.
+rhs(t, y0, ..., y{n-1}) on positional floats.  No integration makes more
+than MAX_STEPS step attempts: past them it is a StepBudgetExceeded error.
 
 `RescaledField.rhs(name, mu, eps)` generates each right-hand side of
 `_RHS` on first use at (mu, eps), one straight-line function: the terms of
@@ -41,8 +42,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .averaging import PERIOD, eps_graded_slices
-from .criteria import HopfZeroSystem, PerturbationFamily, float_range
+from .averaging import PERIOD, closed_form_equilibrium, eps_graded_slices
+from .criteria import HopfZeroSystem, PerturbationFamily, float_range, perturbation_functions
 from .fieldexpr import Poly, define, terms_source
 
 
@@ -60,6 +61,10 @@ class NonFiniteState(FlowError):
 
 class JetTransportUnstable(FlowError):
     pass
+
+
+class StepBudgetExceeded(FlowError):
+    """An integration needs more than MAX_STEPS step attempts."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,12 @@ _E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993
 # step control of Hairer-Norsett-Wanner, Sec. II.4, as in scipy's solvers;
 # the error estimate is of order 7, so the step scales with error^(-1/8)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 8
+# the step attempts one integration may make, as NMAX in Hairer's dop853.f:
+# 2.6 times the 387 267 (279 598 accepted) of simulate's 50 periods on the
+# worked example with -10^6 (x^2 + y^2) z added to R, at (0.05, 0.05), and
+# 40 times the worked example's 25 255 at cli.MAX_PERIODS; a return of the
+# map makes about 40.  It bounds the work and the kept steps of any input.
+MAX_STEPS = 1_000_000
 
 
 def _rms(values) -> float:
@@ -205,12 +216,17 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     returns a sequence of n floats.  Tableau, error norm and step control
     are those of scipy's DOP853 (initial step, safety 0.9, factors clamped
     to [0.2, 10] and to at most 1 after a rejection, exponent -1/8, the
-    last step clipped to t_end), so it takes the steps
-    `solve_ivp(method="DOP853")` takes on the same state, without numpy's
-    per-call cost on a small float state.  Each step is `_dp_step`'s
-    straight-line code for the state's size and costs 12 RHS evaluations.
+    last step clipped to t_end), without numpy's per-call cost on a small
+    float state.  Each step is `_dp_step`'s straight-line code for the
+    state's size and costs 12 RHS evaluations.  Its sums and norms round as
+    Python floats in tableau order, not as numpy's dot and norm: it takes
+    the steps scipy's controller takes on steps that round this way, and
+    `solve_ivp(method="DOP853")` may part from it where an error norm sits
+    at rounding level at a decision (the end states then differ by about
+    1e-14).
     Raises StepSizeUnderflow where DOP853 fails with a step below the float
-    spacing, on a NaN step size and on an initial step of 0.
+    spacing, on a NaN step size and on an initial step of 0, and
+    StepBudgetExceeded before a step attempt past MAX_STEPS.
     """
     y = list(y0)
     step = _dp_step(len(y))
@@ -230,6 +246,9 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             if not h_abs >= min_step:
                 raise StepSizeUnderflow(
                     f"required step size is below {min_step:.3g} at t = {t}")
+            if nfev > 12 * MAX_STEPS:       # nfev = 2 + 12 (attempts made)
+                raise StepBudgetExceeded(
+                    f"MAX_STEPS = {MAX_STEPS} step attempts made by t = {t} of {t_end}")
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
                 t_new = t_end
@@ -389,12 +408,24 @@ class RescaledField:
 # ---------------------------------------------------------------------------
 
 class ThetaReturnMap:
-    """theta: 0 -> 2 pi return map of the rescaled cylindrical system."""
+    """theta: 0 -> 2 pi return map of the rescaled cylindrical system.  It
+    keeps the system and family it is built from, so it gives its own
+    Newton seed (`averaged_equilibrium`)."""
 
     def __init__(self, sys: HopfZeroSystem, fam: PerturbationFamily,
                  cfg: Optional[IntegratorConfig] = None):
+        self.system, self.family = sys, fam
         self.field = RescaledField(sys, fam)
         self.cfg = cfg or IntegratorConfig()
+
+    @functools.cached_property
+    def _perturbation_functions(self):
+        return perturbation_functions(self.system, self.family)
+
+    def averaged_equilibrium(self, mu: float) -> Tuple[float, float]:
+        """The fixed-point Newton's seed (r, w) at mu: the criteria's closed
+        form (`closed_form_equilibrium`), its functions compiled once per map."""
+        return closed_form_equilibrium(self._perturbation_functions, mu)
 
     def point(self, x0, mu: float, eps: float, reverse: bool = False
               ) -> Tuple[float, float]:

@@ -3,10 +3,11 @@ normalization.
 
 On each eps of the factor-2 ladder `BRANCH_LADDER`, `unit_circle_point`
 solves det D Pi(xi(mu, eps)) = 1 for mu by a secant, each step a
-fixed-point Newton on Pi(x) - x seeded at the averaged equilibrium; the
-branch's mu1, the fixed-point slice xi_1 and the eps slices of the map
-Lyapunov coefficient and of the normalized linearization are fitted to
-three consecutive rungs (`_ladder_fit`).  `lyapunov_coefficient_map`
+fixed-point Newton on Pi(x) - x seeded at the map's own averaged
+equilibrium (`ThetaReturnMap.averaged_equilibrium`, the criteria's closed
+form); the branch's mu1, the fixed-point slice xi_1 and the eps slices of
+the map Lyapunov coefficient and of the normalized linearization are fitted
+to three consecutive rungs (`_ladder_fit`).  `lyapunov_coefficient_map`
 contracts the degree-2 and degree-3 tensors of the map's `jet3` in the
 eigenvector basis of D Pi.
 
@@ -24,10 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .averaging import (
-    AveragingError, BranchConstants, MelnikovPair, averaged_equilibrium,
-    printed_branch_constants,
-)
+from .averaging import AveragingError, BranchConstants, printed_branch_constants
 from .flow import MapJet
 
 if TYPE_CHECKING:
@@ -125,13 +123,13 @@ def _solve_2x2(M, rhs) -> Tuple[float, float]:
     return (y0 - b * x1) / a, x1
 
 
-def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
+def _newton_fixed_point(tmap, mu: float, eps: float,
                         seed: Optional[Sequence[float]] = None):
     """Fixed point xi of the return map, a pair of floats, by Newton on
-    Pi(x) - x, seeded at the averaged equilibrium; returns (xi, Pi and D Pi
-    at xi), so callers that need D Pi(xi) reuse the last iteration's
+    Pi(x) - x, seeded at the map's averaged equilibrium; returns (xi, Pi and
+    D Pi at xi), so callers that need D Pi(xi) reuse the last iteration's
     first-order transport (jet1)."""
-    r, w = averaged_equilibrium(mel, mu) if seed is None else seed
+    r, w = tmap.averaged_equilibrium(mu) if seed is None else seed
     for _ in range(FIXED_POINT_MAX_ITER):
         jet = tmap.jet1((r, w), mu, eps)
         res = (jet.value[0] - r, jet.value[1] - w)
@@ -148,7 +146,7 @@ def _newton_fixed_point(tmap, mel: MelnikovPair, mu: float, eps: float,
     raise NewtonDiverged(f"fixed-point Newton stalled, residual {err}")
 
 
-def unit_circle_point(tmap, mel, mu0: float, eps: float,
+def unit_circle_point(tmap, mu0: float, eps: float,
                       mu_guess: Optional[float] = None) -> BranchPoint:
     """Solve det(D Pi(xi(mu, eps))) = 1 for mu by the secant method.
 
@@ -164,7 +162,7 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
     last_xi = [None]
 
     def h(mu):
-        xi, jet = _newton_fixed_point(tmap, mel, mu, eps, seed=last_xi[0])
+        xi, jet = _newton_fixed_point(tmap, mu, eps, seed=last_xi[0])
         last_xi[0] = xi
         (a, b), (c, d) = jet.A
         return a * d - b * c - 1.0, xi, jet
@@ -188,14 +186,14 @@ def unit_circle_point(tmap, mel, mu0: float, eps: float,
         f"secant on |lambda|=1 did not converge at eps={eps} (residual {hb})")
 
 
-def _ladder_points(tmap, mel, mu0: float,
+def _ladder_points(tmap, mu0: float,
                    eps_ladder: Sequence[float]) -> List[BranchPoint]:
     """unit_circle_point on each rung of a factor-2 ladder; the secant of a
     rung starts from the previous rung's mu - mu0 halved."""
     points = []
     mu_guess = None
     for eps in eps_ladder:
-        points.append(unit_circle_point(tmap, mel, mu0, eps, mu_guess))
+        points.append(unit_circle_point(tmap, mu0, eps, mu_guess))
         mu_guess = mu0 + (points[-1].mu - mu0) / 2.0
     return points
 
@@ -214,30 +212,30 @@ def _ladder_fit(values: Sequence, ladder: Sequence[float], lowest: int) -> list:
     return [c.reshape(shape) if shape else float(c[0]) for c in coeffs]
 
 
-def xi_slice(tmap, mel: MelnikovPair, mu: float) -> np.ndarray:
+def xi_slice(tmap, mu: float) -> np.ndarray:
     """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch, fitted
     to (xi(mu, eps) - x_mu)/eps on the three smallest rungs of BRANCH_LADDER
     (fixed points at this mu, not on the Neimark-Sacker curve)."""
     import numpy as np
-    x_mu = np.array(averaged_equilibrium(mel, mu))
+    x_mu = np.array(tmap.averaged_equilibrium(mu))
     ladder = BRANCH_LADDER[-3:]
-    vals = [(np.array(_newton_fixed_point(tmap, mel, mu, e)[0]) - x_mu) / e
+    vals = [(np.array(_newton_fixed_point(tmap, mu, e)[0]) - x_mu) / e
             for e in ladder]
     return _ladder_fit(vals, ladder, 0)[0]
 
 
-def branch_continuation(mel: MelnikovPair, tmap, mu0: float) -> NSBranch:
+def branch_continuation(tmap, mu0: float) -> NSBranch:
     """Solve the Neimark-Sacker curve mu(eps) once, on every rung of
     BRANCH_LADDER; mu1 is fitted to mu(eps)/eps on the middle three rungs
-    and, in the degree-preserving simple case, compared with the printed
-    closed form."""
-    points = tuple(_ladder_points(tmap, mel, mu0, BRANCH_LADDER))
+    and, in the degree-preserving simple case of the map's family, compared
+    with the printed closed form of the map's system."""
+    points = tuple(_ladder_points(tmap, mu0, BRANCH_LADDER))
     middle = points[1:4]
     mu1_numeric = _ladder_fit([(p.mu - mu0) / p.eps for p in middle],
                               [p.eps for p in middle], 0)[0]
     xi_closed = None
-    if mel.std.family.simple_case:
-        xi_closed = printed_branch_constants(mel.std.system)
+    if tmap.family.simple_case:
+        xi_closed = printed_branch_constants(tmap.system)
     return NSBranch(points=points, mu0=mu0, mu1_numeric=mu1_numeric,
                     xi_slices_closed=xi_closed)
 

@@ -23,7 +23,10 @@ attracting for positive leading Lyapunov slice and repelling for negative,
 opposite to the usual convention; the direction it implies is recorded next
 to the observed one, and a mismatch is flagged, not corrected away.
 
-The fixed point, the probe and the orbit it goes on to are pairs of Python
+The fixed point xi is the fixed-point Newton of `nsbranch`, seeded at the
+map's own averaged equilibrium (`ThetaReturnMap.averaged_equilibrium`, the
+criteria's closed form), so certification reads no Melnikov pair.  The
+fixed point, the probe and the orbit it goes on to are pairs of Python
 floats, so a no_torus verdict loads no numpy.  The samples become an array
 once the orbit has run its transient and window: the Fourier fit, the
 rotation number, the normal exponent and the winding number import numpy
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .averaging import AveragingError, MelnikovPair
+from .averaging import AveragingError
 from .flow import FlowError, IntegratorConfig
 from .nsbranch import BranchPoint, _newton_fixed_point
 
@@ -324,8 +327,7 @@ def _collapse_check(tail, fixed_point, seed_radius: float) -> bool:
     return mean < 0.05 * seed_radius
 
 
-def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
-                  l12: float) -> TorusCertificate:
+def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
     (mu, point.eps); see the module docstring for the protocol.  `point` is
     the Neimark-Sacker point at that eps != 0 (`unit_circle_point`): its mu
@@ -336,7 +338,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, mel: MelnikovPair,
     tmap = _with_config(tmap, CERTIFY_INTEGRATOR)
 
     try:
-        xi, jet = _newton_fixed_point(tmap, mel, mu, eps)
+        xi, jet = _newton_fixed_point(tmap, mu, eps)
     except (FlowError, AveragingError) as exc:
         raise FixedPointNotFound(str(exc)) from exc
 

@@ -45,9 +45,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from unittest import mock
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp import common as scipy_common, rk as scipy_rk
 
 from torusforge.averaging import (
     PERIOD, TRIG_COS, TRIG_SIN, _R_INV, AveragingError, BranchConstants, CFrac,
@@ -249,6 +251,35 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
         ts.append(t)
         ys.append(y)
     return ts, ys, nfev
+
+
+def scipy_controlled_dop853(rhs: Callable, t_end: float, y0, atol: float, rtol: float):
+    """solve_ivp's DOP853 from t = 0 to t_end, its controller unchanged (the
+    initial step selection, the accept/reject loop and the RHS count), with
+    each step taken by `_comprehension_step`, which sums the stages and the
+    error estimate in `flow._dp_step`'s order, and its RMS norm taken by
+    math.hypot, as `flow._rms` takes it.  scipy's own step sums by numpy's
+    dot and its norm is numpy's, which round differently: the initial step
+    then differs by a few ulps, and where an error norm sits near a
+    decision, the step sequences part.  Returns solve_ivp's result."""
+    norms = []
+
+    def step(fun, t, y, f, h, A, B, C, K):
+        def stage(ts, *ys):
+            return fun(ts, np.array(ys)).tolist()     # counted in scipy's nfev
+        y_new, f_new, norm = _comprehension_step(stage, t, h, y.tolist(), f.tolist(),
+                                                 atol, rtol)
+        norms.append(norm)
+        return np.array(y_new), np.array(f_new)
+
+    class TableauOrder(DOP853):
+        def _estimate_error_norm(self, K, h, scale):
+            return norms[-1]
+
+    with mock.patch.object(scipy_rk, "rk_step", step), \
+            mock.patch.object(scipy_common, "norm", lambda x: math.hypot(*x) / x.size ** 0.5):
+        return solve_ivp(lambda t, s: np.array(rhs(t, *s.tolist())), (0.0, t_end),
+                         np.array(y0, dtype=float), method=TableauOrder, atol=atol, rtol=rtol)
 
 
 def map_points(tmap, X0, mu: float, eps: float, reverse: bool = False) -> np.ndarray:

@@ -67,17 +67,17 @@ def test_criterion_1_example_constants(example):
 def ns_branch(example):
     """The Neimark-Sacker ladder at mu0 = 0, solved once for criteria 2, 4
     and 5, and the time it took."""
-    _, _, mel, tmap = example
+    _, _, _, tmap = example
     start = time.perf_counter()
-    solved = branch_continuation(mel, tmap, 0.0)
+    solved = branch_continuation(tmap, 0.0)
     return solved, time.perf_counter() - start
 
 
 def test_criterion_2_branch_slope(example, ns_branch):
-    sys, _, mel, tmap = example
+    sys, _, _, tmap = example
     branch, elapsed = ns_branch
     closed = printed_branch_constants(sys)
-    xi1 = xi_slice(tmap, mel, 0.0)      # numeric (xi_1(0), xi_2(0)) slice
+    xi1 = xi_slice(tmap, 0.0)      # numeric (xi_1(0), xi_2(0)) slice
     slice_ok = (abs(xi1[0] - branch_xi1(closed, 0.0)) <= 1e-6
                 and abs(xi1[1] - float(closed.xi2)) <= 1e-6)
     ok = (abs(branch.mu1_numeric - 0.75) <= 1e-3
@@ -132,12 +132,12 @@ def test_criterion_4_normalization_match(ns_branch):
 
 
 def test_criterion_5_lyapunov_consistency(example, ns_branch):
-    _, _, mel, tmap = example
+    _, _, _, tmap = example
     target = -3 * math.pi / 4
     details = []
     ok = True
     for eps in (0.02, 0.04):
-        nm = normalized_map(unit_circle_point(tmap, mel, 0.0, eps))
+        nm = normalized_map(unit_circle_point(tmap, 0.0, eps))
         value = lyapunov_coefficient_map(tmap, nm) / eps ** 2
         details.append(f"eps={eps}: {value:.6f}")
         ok = ok and abs(value - target) <= 0.10 * abs(target) and value < 0
@@ -166,8 +166,8 @@ def certification(tmp_path_factory):
     with mock.patch.object(torusforge.torus, "certify_torus", kept):
         assert torusforge.cli.main(["certify", "--input", str(doc), "--out", str(out),
                                     "--mu=0.05", "--eps=0.05"]) == 0
-    (tmap, _, point, mel, l12), found = made[0]
-    absent = certify_torus(tmap, 0.02, point, mel, l12)
+    (tmap, _, point, l12), found = made[0]
+    absent = certify_torus(tmap, 0.02, point, l12)
     report = json.loads((out / "certificate.json").read_text())
     return found, absent, time.perf_counter() - start, report
 
@@ -375,10 +375,9 @@ def test_lift_then_certify_demo(monkeypatch):
     S = float(sysy.quadratic_sum)
     r0 = 2 / math.sqrt(abs(S))
     pfam = PerturbationFamily.simple(1 if S < 0 else -1)
-    mel = melnikov_pair(to_standard_form(sysy, pfam))
     tmap = ThetaReturnMap(sysy, pfam, IntegratorConfig(atol=1e-10, rtol=1e-8))
     eps = 0.05
-    point = unit_circle_point(tmap, mel, 0.0, eps)
+    point = unit_circle_point(tmap, 0.0, eps)
     mu_c = point.mu
     dmu = (0.45 * r0) ** 2 * eps * abs(res.l12) / math.pi
     mu_t = mu_c - dmu * (1 if res.ell1 > 0 else -1)
@@ -388,7 +387,7 @@ def test_lift_then_certify_demo(monkeypatch):
                         ("PROBE_CHECK", 400),
                         ("CERTIFY_INTEGRATOR", IntegratorConfig(atol=1e-9, rtol=1e-7))):
         monkeypatch.setattr(f"torusforge.torus.{name}", value)
-    cert = certify_torus(tmap, mu_t, point, mel, res.l12)
+    cert = certify_torus(tmap, mu_t, point, res.l12)
     ok = (cert.verdict == "torus_found" and cert.winding == 1
           and cert.fit_residual <= 1e-3 * cert.curve.mean_radius
           and cert.normally_hyperbolic is True

@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from torusforge import averaging, nsbranch
 from torusforge.averaging import (
-    CFrac, TrigPoly, averaged_equilibrium, eps_graded_slices, hypothesis_check,
+    CFrac, TrigPoly, closed_form_equilibrium, eps_graded_slices, hypothesis_check,
     melnikov_pair, printed_branch_constants, to_standard_form,
 )
 from torusforge.criteria import (
     PerturbationFamily, ell1_exact, evaluate_base_criteria,
-    evaluate_perturbation_criteria, validate_hopf_zero,
+    evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
 from torusforge.flow import IntegratorConfig, MapJet, ThetaReturnMap
@@ -60,6 +60,12 @@ def _example_pair():
     fam = PerturbationFamily.simple(beta=1)
     std = to_standard_form(sys, fam)
     return sys, fam, std, melnikov_pair(std)
+
+
+def _equilibrium(mel, mu):
+    """The averaged equilibrium of the pair's system and family at mu: the
+    criteria's closed form, the one route to it."""
+    return closed_form_equilibrium(perturbation_functions(mel.std.system, mel.std.family), mu)
 
 
 def test_standard_form_slices_and_periodicity():
@@ -421,7 +427,7 @@ def _eigenvalues(mel, x, mu):
 
 def test_equilibrium_example_mu0():
     _, _, _, mel = _example_pair()
-    r, w = averaged_equilibrium(mel, 0.0)
+    r, w = _equilibrium(mel, 0.0)
     assert r == pytest.approx(math.sqrt(2), abs=1e-12)
     assert w == 0
     assert np.max(np.abs(mel.f1((r, w), 0.0))) <= 1e-10
@@ -433,7 +439,7 @@ def test_equilibrium_example_mu0():
 
 def test_equilibrium_example_mu_positive():
     _, _, _, mel = _example_pair()
-    r, w = averaged_equilibrium(mel, 0.1)
+    r, w = _equilibrium(mel, 0.1)
     # eta +- i sqrt(pi^2 Omega r^2 - eta^2), eta = pi mu
     lam_expected = complex(0.1 * math.pi, math.pi * math.sqrt(8 - 0.01 * 2) / math.sqrt(2))
     assert _eigenvalues(mel, (r, w), 0.1)[0] == pytest.approx(lam_expected, abs=1e-10)
@@ -444,7 +450,7 @@ def test_complex_pair_lost_outside_window():
     mu = 2.5 the averaged equilibrium is still the root of f1, and its
     eigenvalues are real, eta +- sqrt(eta^2 - pi^2 Omega r^2) = pi (2.5 +- 1.5)."""
     _, _, _, mel = _example_pair()
-    r, w = averaged_equilibrium(mel, 2.5)
+    r, w = _equilibrium(mel, 2.5)
     assert r == pytest.approx(math.sqrt(2), abs=1e-12)
     assert np.max(np.abs(mel.f1((r, w), 2.5))) <= 1e-10
     lam = np.sort(np.linalg.eigvals(f1_jacobian(mel, (r, w), 2.5)))
@@ -500,7 +506,7 @@ def test_general_family_same_ell1():
     fam = PerturbationFamily.from_expressions("1/2*x", "0", "mu*z + 3/8*eps")
     crit = evaluate_perturbation_criteria(sys, fam, (0.0, 1.2))
     mel = melnikov_pair(to_standard_form(sys, fam))
-    r, w = averaged_equilibrium(mel, crit.mu0)
+    r, w = _equilibrium(mel, crit.mu0)
     assert r == pytest.approx(0.5, abs=1e-10)
     assert w == pytest.approx(-0.5, abs=1e-12)
     # +-i pi sqrt(Omega) r0 at mu0
@@ -516,7 +522,7 @@ def test_hypothesis_check_example():
     assert list(rep.details) == ["omega0", "alpha_d", "l11", "l12", "j_star"]
     assert rep.details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
     # the float eigensolve at mu0 sees the pair +-i omega0
-    lam = _eigenvalues(mel, averaged_equilibrium(mel, crit.mu0), crit.mu0)
+    lam = _eigenvalues(mel, _equilibrium(mel, crit.mu0), crit.mu0)
     assert lam[0] == pytest.approx(1j * rep.details["omega0"], abs=1e-10)
     assert rep.details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
     assert rep.details["j_star"] == 2
@@ -548,7 +554,7 @@ def test_hypothesis_h_fails_for_negative_omega():
     assert averaging._spectrum_identity(mel, crit.eta, crit.gamma)
     rep = hypothesis_check(mel, crit, 1.0)
     assert rep.hopf_ok is False and rep.details["omega0"] is None
-    r, w = averaged_equilibrium(mel, crit.mu0)
+    r, w = _equilibrium(mel, crit.mu0)
     lam = np.linalg.eigvals(f1_jacobian(mel, (r, w), crit.mu0))
     assert np.isrealobj(lam) and lam.min() < 0 < lam.max()
 
@@ -583,7 +589,7 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     transport (jet1) per Newton iteration (k iterations: k transports and
     k - 1 steps), none outside Newton, and no degree-3 jet: D Pi at the
     fixed point is the converged iteration's transport."""
-    sys, fam, _, mel = _example_pair()
+    sys, fam, _, _ = _example_pair()
     tmap = ThetaReturnMap(sys, fam)
     counts = {"jet1": 0, "jet1_outside_newton": 0, "jet3": 0, "newton": 0, "steps": 0}
     inside = [False]
@@ -615,7 +621,7 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     monkeypatch.setattr(tmap, "jet3", counted_jet3)
     monkeypatch.setattr(nsbranch, "_newton_fixed_point", counted_newton)
     monkeypatch.setattr(nsbranch, "_solve_2x2", counted_solve)
-    point = nsbranch.unit_circle_point(tmap, mel, 0.0, 1e-2)
+    point = nsbranch.unit_circle_point(tmap, 0.0, 1e-2)
     xi, lam, jet = point.xi, point.eigenvalue, point.jet
     assert counts["newton"] >= 3
     assert counts["jet3"] == 0
@@ -629,9 +635,13 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
 class _IdentityJetMap:
     """A synthetic return map that moves every point by (1e-3, 0) and whose
     D Pi is the identity: each Newton step (D Pi - I) s = -res is singular.
-    Its tolerances are the certifier's, so `certify_torus` uses it as is."""
+    Its tolerances are the certifier's, so `certify_torus` uses it as is;
+    Newton starts at the worked example's averaged equilibrium."""
 
     cfg = CERTIFY_INTEGRATOR
+
+    def averaged_equilibrium(self, mu):
+        return math.sqrt(2.0), 0.0
 
     def jet1(self, x, mu, eps):
         return MapJet(value=(x[0] + 1e-3, x[1]), A=((1.0, 0.0), (0.0, 1.0)))
@@ -640,9 +650,8 @@ class _IdentityJetMap:
 def test_singular_newton_step_is_newton_diverged():
     """A zero pivot in D Pi - I is a typed NewtonDiverged, not a
     ZeroDivisionError, which the command line would not catch."""
-    _, _, _, mel = _example_pair()
     with pytest.raises(nsbranch.NewtonDiverged, match="singular"):
-        nsbranch._newton_fixed_point(_IdentityJetMap(), mel, 0.05, 0.05)
+        nsbranch._newton_fixed_point(_IdentityJetMap(), 0.05, 0.05)
 
 
 @pytest.mark.parametrize("M", [((0.0, 0.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 2.0)),
@@ -691,11 +700,11 @@ def test_log_det_is_twice_log_modulus_at_the_headline():
     at (mu, eps) = (0.05, 0.05), jet1's D Pi at the fixed point has
     log det D Pi = +3.930e-3, twice the log modulus of the complex pair of
     jet3's independent transport there: xi repels in forward time."""
-    sys, fam, _, mel = _example_pair()
+    sys, fam, _, _ = _example_pair()
     tmap = ThetaReturnMap(sys, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
-    point = nsbranch.unit_circle_point(tmap, mel, 0.0, 0.05)
+    point = nsbranch.unit_circle_point(tmap, 0.0, 0.05)
     assert point.mu < 0.05
-    xi, jet = nsbranch._newton_fixed_point(tmap, mel, 0.05, point.eps)
+    xi, jet = nsbranch._newton_fixed_point(tmap, 0.05, point.eps)
     lam = np.linalg.eigvals(tmap.jet3(xi, 0.05, point.eps).A)
     log_det = math.log(np.linalg.det(jet.A))
     assert abs(lam[0].imag) > 0 and abs(lam[0]) == pytest.approx(abs(lam[1]), rel=1e-14)

@@ -649,6 +649,22 @@ def test_document_number_past_float_range_is_typed_error(tmp_path, capsys, comma
     assert json.loads((out / f"{command}_error.json").read_text()) == err
 
 
+def test_simulate_past_the_step_budget_is_typed_error(tmp_path, capsys, monkeypatch):
+    """simulate's integration makes at most flow.MAX_STEPS step attempts:
+    with the cap at 100, the worked example's 50 periods (about 1150 steps)
+    end in exit 1 with a typed StepBudgetExceeded naming the cap, on stderr
+    and in simulate_error.json, and no trajectory.csv."""
+    monkeypatch.setattr(torusforge.flow, "MAX_STEPS", 100)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", doc, "--out", str(out),
+                 "--mu=0.05", "--eps=0.05"]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StepBudgetExceeded" and "MAX_STEPS = 100" in err["message"]
+    assert os.listdir(out) == ["simulate_error.json"]
+    assert json.loads((out / "simulate_error.json").read_text()) == err
+
+
 def test_certify_at_eps_zero_is_degenerate_parameter(tmp_path, capsys):
     """At eps = 0 the return map is the identity: certify ends in
     DegenerateParameter from the Neimark-Sacker solve, before any transport,
@@ -697,7 +713,7 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     probe = torusforge.torus._probe
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return solve(*args, **kwargs)
 
     def counted_jet3(*args):
@@ -776,11 +792,12 @@ def test_no_torus_certificate_bytes(tmp_path):
     ("simulate", [], "trajectory.csv"),
 ])
 def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, report):
-    """The criteria read ell_1 off the jets and build no Melnikov pair, so
-    certify and branch build their own: one standard form and one pair per
-    run, on the exact eps slices of the return map's field.  simulate seeds
-    at the criteria's closed form and builds neither; its field reads the
-    one set of eps slices."""
+    """The criteria read ell_1 off the jets and build no Melnikov pair.
+    branch builds its own for hypothesis H: one standard form and one pair
+    per run, on the exact eps slices of the return map's field.  certify and
+    simulate seed at the criteria's closed form (certify through the return
+    map's own `averaged_equilibrium`) and build neither; each field reads
+    the one set of eps slices."""
     counts = {"to_standard_form": 0, "melnikov_pair": 0, "eps_graded_slices": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(averaging, name)):
@@ -794,7 +811,7 @@ def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, re
     out = tmp_path / "out"
     assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
     assert (out / report).exists()
-    pairs = 0 if command == "simulate" else 1
+    pairs = 1 if command == "branch" else 0
     assert counts == {"to_standard_form": pairs, "melnikov_pair": pairs, "eps_graded_slices": 1}
 
 

@@ -358,8 +358,8 @@ def test_compiled_criteria_match_exact(exprs, fam, mu):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SYSTEMS), families(), st.floats(-2.0, 2.0))
 def test_closed_form_equilibrium_is_the_root_of_f1(exprs, fam, mu):
-    """(sqrt(-Gamma_op(mu)), w_mu(mu)), which `averaged_equilibrium` takes
-    as it is, is the root of f1: each f1 component vanishes there to a few
+    """(sqrt(-Gamma_op(mu)), w_mu(mu)), which `closed_form_equilibrium`
+    returns as it is, is the root of f1: each f1 component vanishes there to a few
     ulps of the sum of its terms' magnitudes (under one ulp measured)."""
     sys = validate_hopf_zero(*exprs)
     gamma_op, _, w_mu = perturbation_functions(sys, fam)

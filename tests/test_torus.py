@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.flow import IntegratorConfig, JetTransportUnstable, MapJet, ThetaReturnMap
 from torusforge.nsbranch import BranchPoint
@@ -256,7 +255,7 @@ def _certify_synthetic(monkeypatch, tmap):
                         lambda *args: (tmap.center, jet))
     point = BranchPoint(eps=0.1, mu=0.0, xi=tmap.center, eigenvalue=1j, theta=math.pi / 2,
                         jet=jet)
-    return certify_torus(tmap, 0.0, point, None, 1.0)
+    return certify_torus(tmap, 0.0, point, 1.0)
 
 
 def test_certify_probe_settled_on_fixed_point_is_no_torus(monkeypatch):
@@ -322,13 +321,11 @@ def test_certify_lock_is_not_judged(monkeypatch):
 def test_certify_singular_newton_step_is_fixed_point_not_found():
     """A map whose D Pi is the identity makes the certifier's Newton step
     singular: certify_torus raises FixedPointNotFound, whose message says so."""
-    sys = validate_hopf_zero("0", "y*z", "-x^2 + x*y + z^2")
-    mel = melnikov_pair(to_standard_form(sys, PerturbationFamily.simple(sys.beta)))
     jet = MapJet(value=(1.0, 0.0), A=((1.0, 0.0), (0.0, 1.0)))
     point = BranchPoint(eps=0.05, mu=0.0375, xi=(1.0, 0.0), eigenvalue=1j,
                         theta=math.pi / 2, jet=jet)
     with pytest.raises(FixedPointNotFound, match="singular"):
-        certify_torus(_IdentityJetMap(), 0.05, point, mel, -0.1)
+        certify_torus(_IdentityJetMap(), 0.05, point, -0.1)
 
 
 def test_certify_tolerances_share_the_compiled_field():

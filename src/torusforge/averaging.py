@@ -35,14 +35,16 @@ so the reports' floats depend on it.  The restricted products therefore
 visit their pairs in the order of the full `Poly.__mul__`, with its
 delete-on-zero rule, and leave each kept term where the full product would.
 
-The averaged equilibrium is the criteria's closed form (sqrt(-Gamma(mu)),
-w_mu(mu)), and hypothesis H is an exact identity of the averaged spectrum
-there (`hypothesis_check`), decided once with no float eigensolve.
+Hypothesis H is an exact identity of the averaged spectrum at the
+averaged equilibrium, the criteria's closed form (sqrt(-Gamma(mu)),
+w_mu(mu)) (`hypothesis_check`), decided once with no float eigensolve.
 
-This module is the exact layer and imports no numpy: `MelnikovPair.f1` and
-`f2_closed` give a tuple of Python floats at one point.  The Neimark-Sacker
-branch of the numeric return map, which solves, contracts and fits with
-numpy, is `nsbranch`.
+This module is the Melnikov layer and hypothesis H, run only by `melnikov`
+and `branch`.  What the return map shares with it lives in `criteria`: the
+exact eps slices it reduces (`eps_graded_slices`), the closed-form
+equilibrium and `AveragingError`, so `flow`, `nsbranch` and `torus` never
+load it.  It imports no numpy: `MelnikovPair.f1` and `f2_closed` give a
+tuple of Python floats at one point.
 """
 
 from __future__ import annotations
@@ -51,19 +53,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .criteria import (
-    HopfZeroSystem, PerturbationFamily, _ingredients, float_range, perturbation_functions,
+    AveragingError, HopfZeroSystem, PerturbationFamily, _ingredients, closed_form_equilibrium,
+    eps_graded_slices, float_range, perturbation_functions,
 )
 from .fieldexpr import Poly, compile_terms
 from .univariate import Dense
-
-PERIOD = 2.0 * math.pi
-
-
-class AveragingError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -320,40 +317,6 @@ class StandardFormSystem:
     _D2: Tuple[TrigPoly, TrigPoly] = field(repr=False)
 
 
-def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
-                      ) -> Tuple[Tuple[Poly, Poly, Poly], ...]:
-    """Exact eps-power slices of the rescaled field (x,y,z) -> eps (x,y,z).
-
-    Slice 0 is the linear part (-y, x, 0); slice m >= 1 collects the
-    homogeneous contributions of total grade m (polynomials in x, y, z, mu).
-    """
-    x, y = Poly.variable("x"), Poly.variable("y")
-    eps = Poly.variable("eps")
-    comps = [(-y) + sys.P + eps * fam.U,
-             x + sys.Q + eps * fam.V,
-             sys.R + eps * fam.W]
-    max_grade = 0
-    graded: List[Dict[int, Poly]] = []
-    for comp in comps:
-        # (i, j, k) and the grade fix the eps power, so each key of a
-        # grade comes from one term
-        grades: Dict[int, dict] = {}
-        for (i, j, k, a, b), coeff in comp.terms.items():
-            g = i + j + k + b - 1
-            if g < 0:
-                raise AveragingError("rescaled field has an eps^(-1) term")
-            grades.setdefault(g, {})[(i, j, k, a, 0)] = coeff
-            max_grade = max(max_grade, g)
-        graded.append({g: Poly(terms) for g, terms in grades.items()})
-    lin = (Poly({(0, 1, 0, 0, 0): Fraction(-1)}), Poly({(1, 0, 0, 0, 0): Fraction(1)}), Poly())
-    for comp_grades, expected in zip(graded, lin):
-        if comp_grades.get(0, Poly()) != expected:
-            raise AveragingError("grade-0 part of the rescaled field is not (-y, x, 0)")
-    return tuple(
-        (graded[0].get(m, Poly()), graded[1].get(m, Poly()), graded[2].get(m, Poly()))
-        for m in range(max_grade + 1))
-
-
 def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily,
                      slices: Optional[Tuple[Tuple[Poly, Poly, Poly], ...]] = None
                      ) -> StandardFormSystem:
@@ -475,20 +438,8 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
 
 
 # ---------------------------------------------------------------------------
-# averaged equilibrium and hypotheses
+# hypotheses at mu0
 # ---------------------------------------------------------------------------
-
-def closed_form_equilibrium(functions, mu: float) -> Tuple[float, float]:
-    """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, from the
-    closed form `functions` = `perturbation_functions(system, family)`, with
-    no Melnikov pair: a Gamma_op(mu) >= 0 leaves no radius, an
-    AveragingError."""
-    gamma_op, _, w_mu = functions
-    gamma = gamma_op(mu)
-    if gamma >= 0:
-        raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
-    return math.sqrt(-gamma), w_mu(mu)
-
 
 def _spectrum_identity(mel: MelnikovPair, eta: Dense, gamma: Dense) -> bool:
     """Whether the exact f1 and its Jacobian J satisfy, on the line
@@ -565,80 +516,3 @@ def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
 
     return HypothesisReport(hopf_ok=hopf_ok, transversality_ok=transversality_ok,
                             nondegeneracy_ok=nondegeneracy_ok, details=details)
-
-
-# ---------------------------------------------------------------------------
-# printed simple-case branch constants (verified closed forms)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BranchConstants:
-    mu1: Fraction
-    xi2: Fraction
-    xi1_const: Fraction
-    xi1_slope: float
-    m21_1: float
-    m22_1: float
-
-
-def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
-    """Closed forms for xi1(mu), xi2, mu1, m21^1, m22^1 of the simple family.
-
-    mu1 and xi2 involve only even powers of the radius scale and are exact
-    rationals; xi1's slope and the M1 entries carry odd powers and are floats.
-    """
-    P, Q, R = sys.jP.get, sys.jQ.get, sys.jR.get
-    beta = sys.beta
-    Om = sys.omega
-    G2 = abs(sys.quadratic_sum)     # Gamma^2, exact
-    gamma = math.sqrt(float(G2))
-
-    core = (-R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))
-            + P(0, 2, 0) * (P(1, 1, 0) + Q(0, 2, 0))
-            - Q(2, 0, 0) * (P(2, 0, 0) + Q(1, 1, 0))
-            - 2 * P(1, 0, 1) * R(1, 1, 0)
-            + P(1, 2, 0) + P(1, 1, 0) * P(2, 0, 0) + P(3, 0, 0)
-            + Q(0, 3, 0) - Q(0, 2, 0) * Q(1, 1, 0) + Q(2, 1, 0))
-    core2 = core + R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))   # without the -R020 term
-
-    mu1 = -(beta ** 3 * G2 ** 3 * R(0, 0, 2) * (P(0, 1, 1) + Q(1, 0, 1))
-            + beta ** 2 * G2 ** 2 * (Om * (P(0, 1, 1) + Q(1, 0, 1))
-                                     - 2 * R(0, 0, 2) * core)
-            + 2 * beta * G2 * Om * (R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))
-                                    - Q(2, 0, 0) * (P(2, 0, 0) + Q(1, 1, 0) + 2 * R(1, 0, 1))
-                                    + P(0, 2, 0) * (P(1, 1, 0) + Q(0, 2, 0))
-                                    - R(1, 1, 0) * (R(0, 0, 2) - 2 * P(1, 0, 1))
-                                    + 2 * (P(0, 2, 0) + P(2, 0, 0)) * R(0, 1, 1)
-                                    + P(1, 2, 0) + P(1, 1, 0) * P(2, 0, 0) + P(3, 0, 0)
-                                    - Q(0, 2, 0) * (Q(1, 1, 0) + 2 * R(1, 0, 1))
-                                    + Q(0, 3, 0) + Q(2, 1, 0)
-                                    + 2 * R(0, 2, 1) + 2 * R(2, 0, 1))
-            - 2 * Om ** 2 * R(1, 1, 0)) / (4 * beta * G2 ** 2 * Om)
-
-    xi2 = (G2 * beta * ((P(0, 1, 1) + Q(1, 0, 1)) * (2 * R(0, 2, 0) + beta * G2)
-                        - 2 * core2)
-           - 6 * Om * R(1, 1, 0)) / (4 * G2 * Om)
-
-    xi1_const = (-2 * beta * (4 * Om * (2 * (P(1, 1, 0) + Q(0, 2, 0)) + Q(2, 0, 0)))
-                 ) / (12 * beta * G2 * Om)          # Gamma cancels: Gamma/Gamma^3 = 1/G2
-    xi1_slope = float(3 * beta ** 2 * G2 ** 2 * (P(0, 1, 1) + Q(1, 0, 1))
-                      - 6 * beta * G2 * core - 6 * Om * R(1, 1, 0)) \
-        / (12 * beta * float(G2) * gamma * float(Om))
-
-    m21 = -float(beta ** 2 * G2 ** 2 * P(0, 1, 1) + 2 * beta * G2 * P(0, 2, 0) * P(1, 1, 0)
-                 + 2 * beta * G2 * P(1, 2, 0) + 2 * beta * G2 * P(1, 1, 0) * P(2, 0, 0)
-                 + 2 * beta * G2 * P(3, 0, 0) + 2 * beta * G2 * P(0, 2, 0) * Q(0, 2, 0)
-                 - 2 * beta * G2 * P(2, 0, 0) * Q(2, 0, 0)
-                 - 2 * beta * G2 * P(0, 1, 1) * R(0, 2, 0)
-                 - 4 * beta * G2 * P(1, 0, 1) * R(1, 1, 0)
-                 + beta ** 2 * G2 ** 2 * Q(1, 0, 1) + 2 * beta * G2 * Q(0, 3, 0)
-                 - 2 * beta * G2 * Q(0, 2, 0) * Q(1, 1, 0)
-                 - 2 * beta * G2 * Q(1, 1, 0) * Q(2, 0, 0)
-                 + 2 * beta * G2 * Q(2, 1, 0)
-                 - 2 * beta * G2 * Q(1, 0, 1) * R(0, 2, 0)
-                 + 6 * Om * R(1, 1, 0)) / (4 * gamma * float(Om))
-    m22 = (2 * beta * gamma / (3 * math.sqrt(float(Om)))) * \
-        float(-2 * P(1, 1, 0) - 2 * Q(0, 2, 0) - Q(2, 0, 0) + 3 * R(0, 1, 1))
-
-    return BranchConstants(mu1=mu1, xi2=xi2, xi1_const=xi1_const,
-                           xi1_slope=xi1_slope, m21_1=m21, m22_1=m22)

@@ -48,12 +48,16 @@ and `simulate` and, as its Newton seed, by the return map of `branch` and
 `certify` (`ThetaReturnMap.averaged_equilibrium`); only `melnikov` (its
 grid) and `branch` (hypothesis H) build a Melnikov pair.
 
-Only `branch` and `certify` read the numeric return map's solves and fits
-(`nsbranch`, `torus`).  Only `branch`, and `certify` once its probe settles
-on a curve, load numpy: `branch` for the ladder fits and tensor contractions,
-`certify` for the analysis of the sampled curve.  The other four commands,
-and a `certify` that finds no torus, run on the exact layer and Python
-floats.
+Each command loads only the layers it runs.  Importing this module runs
+`criteria`, `fieldexpr` and `univariate`, which every command reads; the
+other layers are bound lazily (`_deferred`) and run on a command's first
+use: `averaging` for `melnikov` and `branch`, `flow` for `simulate`,
+`branch` and `certify`, `lift` for `lift`, and the return map's solves and
+fits (`nsbranch`, `torus`) for `branch` and `certify`.  Only `branch`, and
+`certify` once its probe settles on a curve, load numpy: `branch` for the
+ladder fits and tensor contractions, `certify` for the analysis of the
+sampled curve.  The other four commands, and a `certify` that finds no
+torus, run on the exact layer and Python floats.
 """
 
 from __future__ import annotations
@@ -72,25 +76,19 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .averaging import (
-    closed_form_equilibrium, hypothesis_check, melnikov_pair, to_standard_form,
-)
 from .criteria import (
     CriteriaError, CriteriaReport, HopfZeroSystem, PerturbationFamily,
-    criteria_report, perturbation_functions, validate_hopf_zero,
+    closed_form_equilibrium, criteria_report, perturbation_functions, validate_hopf_zero,
 )
 from .fieldexpr import FieldExprError, as_poly, format_poly
-from .flow import IntegratorConfig, RescaledField, ThetaReturnMap, integrate
-from .lift import (
-    Ball, find_separating_plane, lift_samples, translate_to_origin, tune_lift_parameters,
-)
 
 
 def _deferred(name: str):
     """This package's submodule `name`, bound now and run on its first
     attribute access (`importlib.util.LazyLoader`).  It is in sys.modules
     and on the package from here on, as an imported module is, so a lookup
-    by name (a monkeypatch, a tracer) reaches the module the commands call."""
+    by name (a monkeypatch, a tracer) reaches the module the commands call:
+    they read each name off the module at call time, never bind it here."""
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)
     if module is None:
@@ -103,8 +101,11 @@ def _deferred(name: str):
     return module
 
 
-# the return map's solves and fits: loaded when branch or certify first reads
-# them, so the other commands do not pay for their import
+# the layers past the criteria: each runs on the first name a command reads
+# from it, so a command compiles and runs only the layers it calls
+averaging = _deferred("averaging")
+flow = _deferred("flow")
+lift = _deferred("lift")
 nsbranch = _deferred("nsbranch")
 torus = _deferred("torus")
 
@@ -115,9 +116,6 @@ EXIT_NOT_APPLICABLE = 2
 MAX_GRID = 200          # melnikov writes grid^2 rows
 MAX_PERIODS = 1000      # simulate keeps each accepted step (23 025 at the cap on the example)
 MAX_LIFT_SAMPLES = 64   # values per lift grid: A(L) is evaluated once per L value
-# the return map's tolerances in branch, and in certify's Neimark-Sacker
-# point; the certifier's own returns run at torus.CERTIFY_INTEGRATOR
-RETURN_MAP_INTEGRATOR = IntegratorConfig(atol=1e-13, rtol=1e-11)
 
 
 class UsageError(ValueError):
@@ -256,9 +254,9 @@ def _interval(doc):
     return _finite("interval", doc.get("interval", [-1.0, 1.0]))
 
 
-def _integrator(doc) -> IntegratorConfig:
+def _integrator(doc) -> flow.IntegratorConfig:
     tols = doc.get("tolerances", {})
-    return IntegratorConfig(**{k: _float(tols[k]) for k in ("atol", "rtol") if k in tols})
+    return flow.IntegratorConfig(**{k: _float(tols[k]) for k in ("atol", "rtol") if k in tols})
 
 
 # a rational in text: an integer, a decimal or integer/integer; no exponent,
@@ -292,7 +290,7 @@ def _lift_samples(lift_doc: dict, key: str, squares: bool = False):
     if None in values:
         raise DocumentError(f"lift.{key} must be rationals with nonzero "
                             f"denominators, got {lift_doc[key]!r}")
-    return lift_samples(key, values, squares)
+    return lift.lift_samples(key, values, squares)
 
 
 def _float(value) -> float:
@@ -328,7 +326,7 @@ def _param(doc, args, name):
     return value
 
 
-def _ball(doc) -> Ball:
+def _ball(doc) -> lift.Ball:
     """The document's `ball`, the unit ball by default.  A center coordinate
     that is not finite, or a radius that is not finite and > 0, is refused
     before any lift work: the scan overflows on the one and runs over
@@ -338,7 +336,7 @@ def _ball(doc) -> Ball:
     radius = _float(ball_doc["radius"])
     if not (math.isfinite(radius) and radius > 0):
         raise OutOfRange(f"ball radius must be finite and > 0, got {radius}")
-    return Ball(center, radius)
+    return lift.Ball(center, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def cmd_melnikov(args) -> int:
     doc, sys_, fam = _load(args)
     mu = _param(doc, args, "mu")
     mu = 0.0 if mu is None else mu
-    mel = melnikov_pair(to_standard_form(sys_, fam))
+    mel = averaging.melnikov_pair(averaging.to_standard_form(sys_, fam))
     r0, w0 = closed_form_equilibrium(perturbation_functions(sys_, fam), mu)
     n = args.grid
     w_values = linspace(w0 - 1.0, w0 + 1.0, n)
@@ -390,14 +388,14 @@ def cmd_branch(args) -> int:
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
         return _not_applicable(args, doc, rep, "branch.json", "branch")
-    tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
-    mel = melnikov_pair(to_standard_form(sys_, fam, tmap.field.slices))
+    tmap = flow.ThetaReturnMap(sys_, fam, nsbranch.RETURN_MAP_INTEGRATOR)
+    mel = averaging.melnikov_pair(averaging.to_standard_form(sys_, fam, tmap.field.slices))
     mu0 = rep.perturbation.mu0
     branch = nsbranch.branch_continuation(tmap, mu0)
     slices = nsbranch.lyapunov_slices(tmap, branch)
     jordan = nsbranch.jordan_expansion(branch)
     xi1 = nsbranch.xi_slice(tmap, mu0)
-    hyp = hypothesis_check(mel, rep.perturbation, rep.base.l12)
+    hyp = averaging.hypothesis_check(mel, rep.perturbation, rep.base.l12)
     payload = {
         "meta": _meta(args, doc),
         "criteria": rep.to_dict(),
@@ -427,14 +425,14 @@ def cmd_simulate(args) -> int:
         raise OutOfRange(f"periods must lie in (0, {MAX_PERIODS}], got {periods}")
     cfg = _integrator(doc)
     x0 = _finite("initial_state", doc["initial_state"]) if "initial_state" in doc else None
-    rescaled = RescaledField(sys_, fam)
+    rescaled = flow.RescaledField(sys_, fam)
     field = rescaled.rhs("field", mu, eps)
     if x0 is None:
         # the averaged equilibrium is the criteria's closed form: no standard
         # form or Melnikov pair is built here
         r, w = closed_form_equilibrium(perturbation_functions(sys_, fam), mu)
         x0 = [r + 0.05, 0.0, w]
-    ts, ys = integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
+    ts, ys = flow.integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
     write_csv(os.path.join(args.out, "trajectory.csv"), ("t", "x", "y", "z"),
               ([t, *y] for t, y in zip(ts, ys)))
     return EXIT_OK
@@ -448,7 +446,7 @@ def cmd_certify(args) -> int:
     rep = criteria_report(sys_, fam, _interval(doc))
     if not rep.applicable:
         return _not_applicable(args, doc, rep, "certificate.json", "certification")
-    tmap = ThetaReturnMap(sys_, fam, RETURN_MAP_INTEGRATOR)
+    tmap = flow.ThetaReturnMap(sys_, fam, nsbranch.RETURN_MAP_INTEGRATOR)
     point = nsbranch.unit_circle_point(tmap, rep.perturbation.mu0, eps)
     cert = torus.certify_torus(tmap, mu, point, rep.base.l12)
     payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
@@ -466,10 +464,9 @@ def cmd_lift(args) -> int:
     lift_doc = doc.get("lift", {})
     L_values = _lift_samples(lift_doc, "L_values")
     delta_values = _lift_samples(lift_doc, "delta_values", squares=True)
-    plane = find_separating_plane(seed_field, _ball(doc), seed=args.seed)
-    translated = translate_to_origin(plane.field, plane.point)
-    tuning = tune_lift_parameters(translated, L_values, delta_values,
-                                  seed=args.seed)
+    plane = lift.find_separating_plane(seed_field, _ball(doc), seed=args.seed)
+    translated = lift.translate_to_origin(plane.field, plane.point)
+    tuning = lift.tune_lift_parameters(translated, L_values, delta_values, seed=args.seed)
     fam = tuning.family
     payload = {
         "meta": _meta(args, doc),

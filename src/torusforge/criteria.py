@@ -20,7 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
 from .univariate import Dense, derivative, roots, sign_at, simple_and_multiple, value
@@ -68,6 +68,11 @@ class DegenerateTransversality(CriteriaError):
 
 class GammaNonNegative(CriteriaError):
     pass
+
+
+class AveragingError(ValueError):
+    """The averaged system has no point where one is read: the rescaled
+    field is not of the documented form, or no averaged equilibrium exists."""
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +189,42 @@ def _compiled_in_mu(p: Poly) -> Callable[[float], float]:
     with float_range():
         terms = {(m[3],): float(c) for m, c in p.terms.items()}
     return compile_terms(terms, ("mu",))
+
+
+def eps_graded_slices(sys: HopfZeroSystem, fam: PerturbationFamily
+                      ) -> Tuple[Tuple[Poly, Poly, Poly], ...]:
+    """Exact eps-power slices of the rescaled field (x,y,z) -> eps (x,y,z).
+
+    Slice 0 is the linear part (-y, x, 0); slice m >= 1 collects the
+    homogeneous contributions of total grade m (polynomials in x, y, z, mu).
+    The return map's field folds them into floats, and the averaging reduces
+    them to the standard form.
+    """
+    x, y = Poly.variable("x"), Poly.variable("y")
+    eps = Poly.variable("eps")
+    comps = [(-y) + sys.P + eps * fam.U,
+             x + sys.Q + eps * fam.V,
+             sys.R + eps * fam.W]
+    max_grade = 0
+    graded: List[Dict[int, Poly]] = []
+    for comp in comps:
+        # (i, j, k) and the grade fix the eps power, so each key of a
+        # grade comes from one term
+        grades: Dict[int, dict] = {}
+        for (i, j, k, a, b), coeff in comp.terms.items():
+            g = i + j + k + b - 1
+            if g < 0:
+                raise AveragingError("rescaled field has an eps^(-1) term")
+            grades.setdefault(g, {})[(i, j, k, a, 0)] = coeff
+            max_grade = max(max_grade, g)
+        graded.append({g: Poly(terms) for g, terms in grades.items()})
+    lin = (Poly({(0, 1, 0, 0, 0): Fraction(-1)}), Poly({(1, 0, 0, 0, 0): Fraction(1)}), Poly())
+    for comp_grades, expected in zip(graded, lin):
+        if comp_grades.get(0, Poly()) != expected:
+            raise AveragingError("grade-0 part of the rescaled field is not (-y, x, 0)")
+    return tuple(
+        (graded[0].get(m, Poly()), graded[1].get(m, Poly()), graded[2].get(m, Poly()))
+        for m in range(max_grade + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +495,18 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
         return (2 * c * s * s - w1z(mu) * s) / Sdd + 4 * w20(mu) / S
 
     return gamma_operational, gamma_printed, w_mu
+
+
+def closed_form_equilibrium(functions, mu: float) -> Tuple[float, float]:
+    """The root (r, w) = (sqrt(-Gamma_op(mu)), w_mu(mu)) of f1, from the
+    closed form `functions` = `perturbation_functions(system, family)`, with
+    no Melnikov pair: a Gamma_op(mu) >= 0 leaves no radius, an
+    AveragingError."""
+    gamma_op, _, w_mu = functions
+    gamma = gamma_op(mu)
+    if gamma >= 0:
+        raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
+    return math.sqrt(-gamma), w_mu(mu)
 
 
 def evaluate_perturbation_criteria(

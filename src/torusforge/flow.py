@@ -42,9 +42,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .averaging import PERIOD, closed_form_equilibrium, eps_graded_slices
-from .criteria import HopfZeroSystem, PerturbationFamily, float_range, perturbation_functions
+from .criteria import (
+    HopfZeroSystem, PerturbationFamily, closed_form_equilibrium, eps_graded_slices, float_range,
+    perturbation_functions,
+)
 from .fieldexpr import Poly, define, terms_source
+
+PERIOD = 2.0 * math.pi      # one return: theta from 0 to 2 pi
 
 
 class FlowError(RuntimeError):
@@ -208,9 +212,12 @@ def _dp_step(n: int) -> Callable:
 
 
 def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-           rtol: float) -> Tuple[list, list, int]:
+           rtol: float, all_steps: bool = True) -> Tuple[list, list, int]:
     """The accepted steps of y' = rhs(t, *y) from (t0, y0) to t_end: their
     times and states, from t0 to t_end, and the number of RHS evaluations.
+    With all_steps=False only the last step is kept, ([t_end], [y_end]),
+    for a caller that reads the end state alone: the same steps are taken,
+    but memory does not grow with their number.
 
     The state is a list of Python floats, and `rhs(t, y0, ..., y{n-1})`
     returns a sequence of n floats.  Tableau, error norm and step control
@@ -266,9 +273,10 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-    return ts, ys, nfev
+        if all_steps:
+            ts.append(t)
+            ys.append(y)
+    return (ts, ys, nfev) if all_steps else ([t], [y], nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +442,8 @@ class ThetaReturnMap:
         right-hand side.  A singular or non-finite field raises
         NonFiniteState."""
         r, w = dop853(self.field.rhs("return", mu, eps), 0.0, -PERIOD if reverse else PERIOD,
-                      [float(x0[0]), float(x0[1])], self.cfg.atol, self.cfg.rtol)[1][-1]
+                      [float(x0[0]), float(x0[1])], self.cfg.atol, self.cfg.rtol,
+                      all_steps=False)[1][-1]
         if not (math.isfinite(r) and math.isfinite(w)):
             raise NonFiniteState("return map produced non-finite state")
         return r, w
@@ -473,7 +482,8 @@ class ThetaReturnMap:
         raises JetTransportUnstable where the field is singular or
         non-finite; a failed integration is JetTransportUnstable too."""
         try:
-            _, ys, _ = dop853(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol)
+            _, ys, _ = dop853(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol,
+                              all_steps=False)
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
         if not all(map(math.isfinite, ys[-1])):

@@ -16,6 +16,10 @@ Newton iterates, its written-out 2x2 step (`_solve_2x2`) and the secant: a
 `certify` needs one branch point and one fixed point, and loads no numpy for
 them.  The ladder fits, the Jordan normalization and the tensor contractions,
 which only `branch` runs, import numpy where they make their arrays.
+
+The simple family's printed branch constants and the return map's
+tolerances live here, with their readers; the seed's closed form and
+`AveragingError` are the criteria's, so no Melnikov layer is loaded.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .averaging import AveragingError, BranchConstants, printed_branch_constants
-from .flow import MapJet
+from .criteria import AveragingError, HopfZeroSystem
+from .flow import IntegratorConfig, MapJet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,6 +46,9 @@ STRONG_RESONANCE_TOL = 1e-8
 # the middle three, the Jordan expansion and the fixed-point slice the
 # smallest three
 BRANCH_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3)
+# the return map's tolerances in branch, and in certify's Neimark-Sacker
+# point; the certifier's own returns run at torus.CERTIFY_INTEGRATOR
+RETURN_MAP_INTEGRATOR = IntegratorConfig(atol=1e-13, rtol=1e-11)
 
 
 class NewtonDiverged(AveragingError):
@@ -72,6 +80,18 @@ class BranchPoint:
     eigenvalue: complex        # lambda(mu(eps), eps), |lambda| = 1
     theta: float               # arg lambda
     jet: MapJet                # value and Jacobian of the map at xi (jet1)
+
+
+@dataclass
+class BranchConstants:
+    """The printed closed forms of the simple family's branch
+    (`printed_branch_constants`), the cross-check of the ladder fits."""
+    mu1: Fraction
+    xi2: Fraction
+    xi1_const: Fraction
+    xi1_slope: float
+    m21_1: float
+    m22_1: float
 
 
 @dataclass
@@ -238,6 +258,69 @@ def branch_continuation(tmap, mu0: float) -> NSBranch:
         xi_closed = printed_branch_constants(tmap.system)
     return NSBranch(points=points, mu0=mu0, mu1_numeric=mu1_numeric,
                     xi_slices_closed=xi_closed)
+
+
+def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
+    """Closed forms for xi1(mu), xi2, mu1, m21^1, m22^1 of the simple family.
+
+    mu1 and xi2 involve only even powers of the radius scale and are exact
+    rationals; xi1's slope and the M1 entries carry odd powers and are floats.
+    """
+    P, Q, R = sys.jP.get, sys.jQ.get, sys.jR.get
+    beta = sys.beta
+    Om = sys.omega
+    G2 = abs(sys.quadratic_sum)     # Gamma^2, exact
+    gamma = math.sqrt(float(G2))
+
+    core = (-R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))
+            + P(0, 2, 0) * (P(1, 1, 0) + Q(0, 2, 0))
+            - Q(2, 0, 0) * (P(2, 0, 0) + Q(1, 1, 0))
+            - 2 * P(1, 0, 1) * R(1, 1, 0)
+            + P(1, 2, 0) + P(1, 1, 0) * P(2, 0, 0) + P(3, 0, 0)
+            + Q(0, 3, 0) - Q(0, 2, 0) * Q(1, 1, 0) + Q(2, 1, 0))
+    core2 = core + R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))   # without the -R020 term
+
+    mu1 = -(beta ** 3 * G2 ** 3 * R(0, 0, 2) * (P(0, 1, 1) + Q(1, 0, 1))
+            + beta ** 2 * G2 ** 2 * (Om * (P(0, 1, 1) + Q(1, 0, 1))
+                                     - 2 * R(0, 0, 2) * core)
+            + 2 * beta * G2 * Om * (R(0, 2, 0) * (P(0, 1, 1) + Q(1, 0, 1))
+                                    - Q(2, 0, 0) * (P(2, 0, 0) + Q(1, 1, 0) + 2 * R(1, 0, 1))
+                                    + P(0, 2, 0) * (P(1, 1, 0) + Q(0, 2, 0))
+                                    - R(1, 1, 0) * (R(0, 0, 2) - 2 * P(1, 0, 1))
+                                    + 2 * (P(0, 2, 0) + P(2, 0, 0)) * R(0, 1, 1)
+                                    + P(1, 2, 0) + P(1, 1, 0) * P(2, 0, 0) + P(3, 0, 0)
+                                    - Q(0, 2, 0) * (Q(1, 1, 0) + 2 * R(1, 0, 1))
+                                    + Q(0, 3, 0) + Q(2, 1, 0)
+                                    + 2 * R(0, 2, 1) + 2 * R(2, 0, 1))
+            - 2 * Om ** 2 * R(1, 1, 0)) / (4 * beta * G2 ** 2 * Om)
+
+    xi2 = (G2 * beta * ((P(0, 1, 1) + Q(1, 0, 1)) * (2 * R(0, 2, 0) + beta * G2)
+                        - 2 * core2)
+           - 6 * Om * R(1, 1, 0)) / (4 * G2 * Om)
+
+    xi1_const = (-2 * beta * (4 * Om * (2 * (P(1, 1, 0) + Q(0, 2, 0)) + Q(2, 0, 0)))
+                 ) / (12 * beta * G2 * Om)          # Gamma cancels: Gamma/Gamma^3 = 1/G2
+    xi1_slope = float(3 * beta ** 2 * G2 ** 2 * (P(0, 1, 1) + Q(1, 0, 1))
+                      - 6 * beta * G2 * core - 6 * Om * R(1, 1, 0)) \
+        / (12 * beta * float(G2) * gamma * float(Om))
+
+    m21 = -float(beta ** 2 * G2 ** 2 * P(0, 1, 1) + 2 * beta * G2 * P(0, 2, 0) * P(1, 1, 0)
+                 + 2 * beta * G2 * P(1, 2, 0) + 2 * beta * G2 * P(1, 1, 0) * P(2, 0, 0)
+                 + 2 * beta * G2 * P(3, 0, 0) + 2 * beta * G2 * P(0, 2, 0) * Q(0, 2, 0)
+                 - 2 * beta * G2 * P(2, 0, 0) * Q(2, 0, 0)
+                 - 2 * beta * G2 * P(0, 1, 1) * R(0, 2, 0)
+                 - 4 * beta * G2 * P(1, 0, 1) * R(1, 1, 0)
+                 + beta ** 2 * G2 ** 2 * Q(1, 0, 1) + 2 * beta * G2 * Q(0, 3, 0)
+                 - 2 * beta * G2 * Q(0, 2, 0) * Q(1, 1, 0)
+                 - 2 * beta * G2 * Q(1, 1, 0) * Q(2, 0, 0)
+                 + 2 * beta * G2 * Q(2, 1, 0)
+                 - 2 * beta * G2 * Q(1, 0, 1) * R(0, 2, 0)
+                 + 6 * Om * R(1, 1, 0)) / (4 * gamma * float(Om))
+    m22 = (2 * beta * gamma / (3 * math.sqrt(float(Om)))) * \
+        float(-2 * P(1, 1, 0) - 2 * Q(0, 2, 0) - Q(2, 0, 0) + 3 * R(0, 1, 1))
+
+    return BranchConstants(mu1=mu1, xi2=xi2, xi1_const=xi1_const,
+                           xi1_slope=xi1_slope, m21_1=m21, m22_1=m22)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .averaging import AveragingError
+from .criteria import AveragingError
 from .flow import FlowError, IntegratorConfig
 from .nsbranch import BranchPoint, _newton_fixed_point
 

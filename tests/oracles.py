@@ -52,13 +52,12 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import common as scipy_common, rk as scipy_rk
 
 from torusforge.averaging import (
-    PERIOD, TRIG_COS, TRIG_SIN, _R_INV, AveragingError, BranchConstants, CFrac,
-    MelnikovPair, PiPoly, StandardFormSystem, TrigPoly, eps_graded_slices,
+    TRIG_COS, TRIG_SIN, _R_INV, CFrac, MelnikovPair, PiPoly, StandardFormSystem, TrigPoly,
     melnikov_pair, to_standard_form,
 )
 from torusforge.criteria import (
-    HopfZeroSystem, PerturbationFamily, _ell1_closed_form, _on_scaled, _scaled_jets,
-    validate_hopf_zero,
+    AveragingError, HopfZeroSystem, PerturbationFamily, _ell1_closed_form, _on_scaled,
+    _scaled_jets, eps_graded_slices, validate_hopf_zero,
 )
 from torusforge.fieldexpr import (
     MAX_NESTING, MAX_POWER, VARIABLES, FieldExprError, FieldSyntaxError, Jet3, Poly,
@@ -66,7 +65,7 @@ from torusforge.fieldexpr import (
 )
 from torusforge import flow
 from torusforge.flow import (
-    _A, _B, _C, _E3, _E5, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
+    _A, _B, _C, _E3, _E5, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, PERIOD,
     FlowError, IntegratorConfig, Jet2, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
@@ -74,6 +73,7 @@ from torusforge.lift import (
     LiftError, OriginJet, _omega_at, _rational_sqrt, build_lift_family,
     omega_coefficients,
 )
+from torusforge.nsbranch import BranchConstants
 
 EVENT_RESIDUAL = 1e-12
 TANGENCY_SPEED = 1e-8

@@ -14,7 +14,7 @@ import pytest
 
 import torusforge.cli
 import torusforge.torus
-from torusforge.averaging import melnikov_pair, printed_branch_constants, to_standard_form
+from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.criteria import (
     PerturbationFamily, evaluate_base_criteria, validate_hopf_zero,
 )
@@ -23,7 +23,7 @@ from torusforge.flow import IntegratorConfig, ThetaReturnMap
 from torusforge.lift import build_lift_family, tune_lift_parameters, _jitter_nonlinear
 from torusforge.nsbranch import (
     branch_continuation, jordan_expansion, lyapunov_coefficient_map, lyapunov_slices,
-    normalized_map, unit_circle_point, xi_slice,
+    normalized_map, printed_branch_constants, unit_circle_point, xi_slice,
 )
 from torusforge.cli import write_report
 from torusforge.torus import CERTIFY_INTEGRATOR, _with_config, certify_torus

@@ -11,15 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from torusforge import averaging, nsbranch
 from torusforge.averaging import (
-    CFrac, TrigPoly, closed_form_equilibrium, eps_graded_slices, hypothesis_check,
-    melnikov_pair, printed_branch_constants, to_standard_form,
+    CFrac, TrigPoly, hypothesis_check, melnikov_pair, to_standard_form,
 )
 from torusforge.criteria import (
-    PerturbationFamily, ell1_exact, evaluate_base_criteria,
-    evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
+    PerturbationFamily, closed_form_equilibrium, ell1_exact, eps_graded_slices,
+    evaluate_base_criteria, evaluate_perturbation_criteria, perturbation_functions,
+    validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
 from torusforge.flow import IntegratorConfig, MapJet, ThetaReturnMap
+from torusforge.nsbranch import printed_branch_constants
 from torusforge.lift import (
     Ball, find_separating_plane, translate_to_origin, tune_lift_parameters,
 )

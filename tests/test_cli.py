@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import torusforge
 import torusforge.cli
 import torusforge.flow
+import torusforge.lift
 import torusforge.nsbranch
 import torusforge.torus
 from torusforge import averaging
@@ -804,9 +805,8 @@ def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, re
             counts[_name] += 1
             return _original(*args)
         monkeypatch.setattr(averaging, name, counted)
-        # the return map's field reads the exact eps slices in flow
-        monkeypatch.setattr(torusforge.flow if name == "eps_graded_slices"
-                            else torusforge.cli, name, counted)
+    # the return map's field reads the exact eps slices in flow
+    monkeypatch.setattr(torusforge.flow, "eps_graded_slices", averaging.eps_graded_slices)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
@@ -921,8 +921,8 @@ def test_bad_lift_grid_is_typed_error(tmp_path, capsys, monkeypatch, lift, error
     traceback, two values in an untyped ValueError."""
     def no_lift_work(*args, **kwargs):
         raise AssertionError("lift work started")
-    monkeypatch.setattr(torusforge.cli, "find_separating_plane", no_lift_work)
-    monkeypatch.setattr(torusforge.cli, "tune_lift_parameters", no_lift_work)
+    monkeypatch.setattr(torusforge.lift, "find_separating_plane", no_lift_work)
+    monkeypatch.setattr(torusforge.lift, "tune_lift_parameters", no_lift_work)
     path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "lift": lift})
     out = tmp_path / "out"
     assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
@@ -1101,40 +1101,57 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# runs in a fresh interpreter: import the CLI, run the four commands that
-# read no return map, then a no-torus certify, then branch; "numpy" in
-# sys.modules after each step
+# runs in a fresh interpreter: import the CLI, then run analyze, a no-torus
+# certify, simulate, melnikov, lift and branch; after each step, whether
+# "numpy" is in sys.modules and which torusforge modules have executed (a
+# module bound lazily is a plain module only once its code has run; its
+# attributes are not read, as a read would run it)
 _FOOTPRINT = """
-import json, sys
+import json, sys, types
 import torusforge.cli
 doc, sim, lift, out = sys.argv[1:]
-steps = [("analyze", doc), ("melnikov", doc, "--grid", "4"), ("simulate", sim), ("lift", lift),
-         ("certify", doc, "--mu=-0.2", "--eps=0.02"), ("branch", doc)]
-seen = [["import", None, "numpy" in sys.modules]]
+
+def seen_after(step, rc):
+    executed = sorted(name.split(".")[1] for name, module in list(sys.modules.items())
+                      if name.startswith("torusforge.") and type(module) is types.ModuleType)
+    return [step, rc, "numpy" in sys.modules, executed]
+
+steps = [("analyze", doc), ("certify", doc, "--mu=-0.2", "--eps=0.02"), ("simulate", sim),
+         ("melnikov", doc, "--grid", "4"), ("lift", lift), ("branch", doc)]
+seen = [seen_after("import", None)]
 for command, path, *flags in steps:
     rc = torusforge.cli.main([command, "--input", path, "--out", f"{out}/{command}", *flags])
-    seen.append([command, rc, "numpy" in sys.modules])
+    seen.append(seen_after(command, rc))
 print(json.dumps(seen))
 """
 
 
 def test_only_the_return_map_loads_numpy(tmp_path):
-    """A fresh `import torusforge.cli` loads no numpy, and neither do
-    analyze, melnikov, simulate and lift run in the same process, nor a
-    certify far on the no-torus side, whose fixed point, branch point and
-    probe are Python floats; that certify writes the bytes of
-    NO_TORUS_CERTIFICATE_SHA256.  branch in that process then loads numpy
-    for its ladder fits and writes the bytes of BRANCH_JSON_SHA256."""
+    """A fresh `import torusforge.cli` executes only `cli`, `criteria`,
+    `fieldexpr` and `univariate`, and loads no numpy; each command then
+    executes only the layers it runs.  analyze adds none.  A certify far on
+    the no-torus side adds the return map (`flow`, `nsbranch`, `torus`) but
+    neither `averaging` nor `lift`, and no numpy: its fixed point, branch
+    point and probe are Python floats, and it writes the bytes of
+    NO_TORUS_CERTIFICATE_SHA256.  simulate adds nothing more, melnikov adds
+    `averaging` and lift adds `lift`, none of them numpy.  branch in that
+    process then loads numpy for its ladder fits and writes the bytes of
+    BRANCH_JSON_SHA256."""
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     sim = _write_doc(tmp_path, dict(EXAMPLE_DOC, periods=3), name="sim.json")
     lift = _write_doc(tmp_path, {"system": LIFT_SYSTEM}, name="lift.json")
     out = tmp_path / "out"
     proc = _run_fresh(["-c", _FOOTPRINT, doc, sim, lift, str(out)], timeout=120)
     assert proc.returncode == 0, proc.stderr
+    base = ["cli", "criteria", "fieldexpr", "univariate"]
+    return_map = sorted(base + ["flow", "nsbranch", "torus"])
+    with_averaging = sorted(return_map + ["averaging"])
+    everything = sorted(with_averaging + ["lift"])
     assert json.loads(proc.stdout.splitlines()[-1]) == [
-        ["import", None, False], ["analyze", EXIT_OK, False], ["melnikov", EXIT_OK, False],
-        ["simulate", EXIT_OK, False], ["lift", EXIT_OK, False], ["certify", EXIT_OK, False],
-        ["branch", EXIT_OK, True]]
+        ["import", None, False, base], ["analyze", EXIT_OK, False, base],
+        ["certify", EXIT_OK, False, return_map], ["simulate", EXIT_OK, False, return_map],
+        ["melnikov", EXIT_OK, False, with_averaging], ["lift", EXIT_OK, False, everything],
+        ["branch", EXIT_OK, True, everything]]
     assert _sha256(out / "certify" / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
     assert _sha256(out / "branch" / "branch.json") == BRANCH_JSON_SHA256
 

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from torusforge import flow
-from torusforge.averaging import PERIOD, melnikov_pair, to_standard_form
+from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.criteria import PerturbationFamily, validate_hopf_zero
 from torusforge.fieldexpr import compile_terms
 from torusforge.flow import (
-    _JET_EXPS, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
+    _JET_EXPS, PERIOD, IntegratorConfig, Jet2, JetTransportUnstable, MapJet,
     NonFiniteState, RescaledField, StepBudgetExceeded, StepSizeUnderflow, ThetaReturnMap,
     _A, _B, _C, _E3, _E5, _dp_step, _fold, dop853, integrate,
 )
@@ -661,6 +661,20 @@ def test_step_budget_is_max_steps_attempts(monkeypatch):
 
 def test_stepper_zero_span():
     assert dop853(lambda t, y: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
+
+
+@pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi, 0.0])
+def test_stepper_end_state_alone_is_the_last_step(t_end):
+    """With all_steps=False, as a return and a jet transport call it, dop853
+    takes the same steps and keeps only the last one: its time and state
+    bit for bit, and the same RHS count."""
+    def rhs(t, x, y):
+        return -y + 0.1 * x * y, x - 0.2 * x * x
+
+    ts, ys, nfev = dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10)
+    assert len(ts) > 1 or t_end == 0.0
+    assert dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10,
+                  all_steps=False) == ([ts[-1]], [ys[-1]], nfev)
 
 
 def _stepper_problem(kind, r, w, pair):

@@ -53,11 +53,10 @@ Each command loads only the layers it runs.  Importing this module runs
 other layers are bound lazily (`_deferred`) and run on a command's first
 use: `averaging` for `melnikov` and `branch`, `flow` for `simulate`,
 `branch` and `certify`, `lift` for `lift`, and the return map's solves and
-fits (`nsbranch`, `torus`) for `branch` and `certify`.  Only `branch`, and
-`certify` once its probe settles on a curve, load numpy: `branch` for the
-ladder fits and tensor contractions, `certify` for the analysis of the
-sampled curve.  The other four commands, and a `certify` that finds no
-torus, run on the exact layer and Python floats.
+fits (`nsbranch`, `torus`) for `branch` and `certify`.  Only a `certify`
+whose probe settles on a curve loads numpy, for the analysis of the sampled
+curve; every other command, `branch` and a `certify` that finds no torus
+among them, runs on the exact layer and Python floats.
 """
 
 from __future__ import annotations
@@ -139,8 +138,6 @@ def _wrap_floats(obj):
         return str(obj)
     if isinstance(obj, dict):
         return {k: _wrap_floats(v) for k, v in obj.items()}
-    if hasattr(obj, "tolist"):            # a numpy array, bool, integer or float
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_wrap_floats(v) for v in obj]
     return obj
@@ -401,11 +398,11 @@ def cmd_branch(args) -> int:
         "criteria": rep.to_dict(),
         "branch": branch.to_dict(),
         "hypotheses": hyp.to_dict(),
-        "xi_slice_at_mu0": [float(v) for v in xi1],
+        "xi_slice_at_mu0": xi1,
         "lyapunov": {"l11": slices.l11, "l12": slices.l12,
                      "samples": [list(v) for v in slices.values]},
         "jordan": {"omega0": jordan.omega0, "zeta2": jordan.zeta2,
-                   "A1": jordan.A1.tolist(), "A2": jordan.A2.tolist(),
+                   "A1": jordan.A1, "A2": jordan.A2,
                    "m21_1": jordan.m21_1, "m22_1": jordan.m22_1,
                    "rotation_residual": jordan.rotation_residual},
     }

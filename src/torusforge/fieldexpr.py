@@ -561,19 +561,13 @@ def _compiled(source: str, filename: str):
     return compile(source, filename, "exec")
 
 
-def compile_terms(terms: Union[Terms, Sequence[Terms]], names: Sequence[str]) -> Callable:
+def compile_terms(terms: Terms, names: Sequence[str]) -> Callable:
     """Compile sum_k c_k prod_i names[i]^e_ki into a straight-line function
-    of the named variables, on the code `terms_source` writes.
-
-    `terms` is one map or a sequence of maps, as `terms_source` reads them.
-    A sequence compiles to one function that returns the tuple of their
-    sums, each power shared by every map, and each sum rounds as the map
-    compiled alone does.  Python floats, complex numbers, numpy arrays and
-    Jet2 values all evaluate.  A map with no terms evaluates to 0.0.
+    of the named variables, on the code `terms_source` writes for the one
+    map `terms`.  Python floats, complex numbers, numpy arrays and Jet2
+    values all evaluate.  A map with no terms evaluates to 0.0.
     """
-    single = isinstance(terms, Mapping)
-    lines, results, namespace = terms_source([terms] if single else list(terms), names)
-    value = results[0] if single else f"({', '.join(results)},)"
+    lines, (value,), namespace = terms_source([terms], names)
     return define("evaluate", ", ".join(names), lines + [f"return {value}"], namespace)
 
 

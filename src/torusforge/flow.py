@@ -30,8 +30,8 @@ Jordan normalization reads, carries a truncated two-variable Taylor
 polynomial (the coefficient ODE, 20 floats) through the return's own
 right-hand side, `rhs("return", mu, eps)`, on Jet2 values.  A jet of the
 map (`MapJet`) holds nested tuples of Python floats: this module imports no
-numpy, and `nsbranch` makes its arrays from the jets where it solves and
-contracts.
+numpy, and `nsbranch` solves, normalizes and contracts on the jets as they
+are.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ to three consecutive rungs (`_ladder_fit`).  `lyapunov_coefficient_map`
 contracts the degree-2 and degree-3 tensors of the map's `jet3` in the
 eigenvector basis of D Pi.
 
-The return map's jets (`flow.MapJet`) hold Python floats, and so do the
-Newton iterates, its written-out 2x2 step (`_solve_2x2`) and the secant: a
-`certify` needs one branch point and one fixed point, and loads no numpy for
-them.  The ladder fits, the Jordan normalization and the tensor contractions,
-which only `branch` runs, import numpy where they make their arrays.
+The return map's jets (`flow.MapJet`) hold Python floats, and this module
+reads them as they are: the Newton (its 2x2 step `_solve_2x2`), the secant,
+the Jordan normalization and the tensor contractions run on Python floats
+and complex numbers, and each ladder fit is exact, rounded once: no numpy.
 
 The simple family's printed branch constants and the return map's
 tolerances live here, with their readers; the seed's closed form and
@@ -28,13 +27,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .criteria import AveragingError, HopfZeroSystem
+from .criteria import AveragingError, HopfZeroSystem, float_range
 from .flow import IntegratorConfig, MapJet
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
 FIXED_POINT_MAX_ITER = 25
@@ -218,30 +214,36 @@ def _ladder_points(tmap, mu0: float,
     return points
 
 
-def _ladder_fit(values: Sequence, ladder: Sequence[float], lowest: int) -> list:
+def _ladder_fit(values: Sequence[float], ladder: Sequence[float], lowest: int) -> List[float]:
     """The coefficients c_k of v(e) = sum_k c_k e^(lowest + k), one per rung,
-    interpolated through the values at the ladder's eps; componentwise on
-    arrays."""
-    import numpy as np
-    n = len(values)
-    e = np.asarray(ladder, dtype=float)
-    vals = np.stack([np.asarray(v, dtype=float) for v in values])
-    shape = vals.shape[1:]
-    V = np.vander(e, n, increasing=True) * (e ** lowest)[:, None]
-    coeffs = np.linalg.solve(V, vals.reshape(n, -1))
-    return [c.reshape(shape) if shape else float(c[0]) for c in coeffs]
+    interpolated through the values at the ladder's eps: solved exactly on
+    the floats' rational values, in Lagrange form, and each rounded once.  A
+    non-finite value is an AveragingError, a coefficient past the float range
+    a FloatRangeExceeded."""
+    if not all(map(math.isfinite, values)):
+        raise AveragingError(f"ladder fit of non-finite values {list(values)}")
+    rungs = [Fraction(e) for e in ladder]
+    coeffs = [Fraction(0)] * len(rungs)
+    for j, (ej, v) in enumerate(zip(rungs, values)):
+        # v_j / e_j^lowest times rung j's Lagrange basis, low degree first
+        basis = [Fraction(v) / ej ** lowest]
+        for m, em in enumerate(rungs):
+            if m != j:
+                basis = [(a - em * b) / (ej - em) for a, b in zip([0, *basis], [*basis, 0])]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    with float_range():
+        return [float(c) for c in coeffs]
 
 
-def xi_slice(tmap, mu: float) -> np.ndarray:
+def xi_slice(tmap, mu: float) -> Tuple[float, float]:
     """First-order slice xi_1(mu), xi_2(mu) of the fixed-point branch, fitted
     to (xi(mu, eps) - x_mu)/eps on the three smallest rungs of BRANCH_LADDER
     (fixed points at this mu, not on the Neimark-Sacker curve)."""
-    import numpy as np
-    x_mu = np.array(tmap.averaged_equilibrium(mu))
+    x_mu = tmap.averaged_equilibrium(mu)
     ladder = BRANCH_LADDER[-3:]
-    vals = [(np.array(_newton_fixed_point(tmap, mu, e)[0]) - x_mu) / e
-            for e in ladder]
-    return _ladder_fit(vals, ladder, 0)[0]
+    xis = [_newton_fixed_point(tmap, mu, e)[0] for e in ladder]
+    return tuple(_ladder_fit([(xi[i] - x_mu[i]) / e for xi, e in zip(xis, ladder)],
+                             ladder, 0)[0] for i in range(2))
 
 
 def branch_continuation(tmap, mu0: float) -> NSBranch:
@@ -330,54 +332,55 @@ def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
 @dataclass
 class NormalizedMap:
     point: BranchPoint
-    M: np.ndarray
+    M: Tuple[Tuple[float, float], Tuple[float, float]]    # ((1, 0), (m21, m22))
     rotation_residual: float
 
 
 def normalized_map(point: BranchPoint) -> NormalizedMap:
     """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
-    M0 + eps M1 normalization), read off the point's own D Pi: no transport."""
-    import numpy as np
-    A, lam = np.array(point.jet.A), point.eigenvalue       # lam is an eigenvalue of this A
-    v2 = -1j * (A[0, 0] - lam) / A[0, 1]
-    M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
-    if abs(float(np.linalg.det(M))) < 1e-12:
+    M0 + eps M1 normalization), read off the point's own D Pi: no transport;
+    DH = M^-1 D Pi M written out for M = ((1, 0), (m21, m22)), det M = m22."""
+    (a, b), (c, d) = point.jet.A
+    lam = point.eigenvalue                  # an eigenvalue of this D Pi
+    m21, m22 = (lam.real - a) / b, -lam.imag / b     # v2 = -i (a - lam) / b
+    if abs(m22) < 1e-12:
         raise AveragingError(f"normalizing matrix singular at eps={point.eps}")
-    DH = np.linalg.inv(M) @ A @ M
-    rot_res = max(abs(DH[0, 0] - DH[1, 1]), abs(DH[0, 1] + DH[1, 0]))
-    return NormalizedMap(point=point, M=M, rotation_residual=float(rot_res))
+    dh00, dh11 = a + b * m21, d - m21 * b
+    dh01, dh10 = b * m22, (c + d * m21 - m21 * dh00) / m22
+    rot_res = max(abs(dh00 - dh11), abs(dh01 + dh10))
+    return NormalizedMap(point=point, M=((1.0, 0.0), (m21, m22)), rotation_residual=rot_res)
+
+
+def _contract(T, vectors):
+    """The multilinear form T (nested tuples), index k against vectors[k]."""
+    if not vectors:
+        return T
+    return sum(v * _contract(t, vectors[1:]) for v, t in zip(vectors[0], T))
 
 
 def lyapunov_coefficient_map(tmap, nm: NormalizedMap) -> float:
     """The map Lyapunov coefficient, evaluated verbatim with p = (1,-i)/sqrt2
     and <u, v> = conj(u)^T v on the degree-2 and degree-3 tensors of the
-    map's jet3 at the point's xi, in the basis M; requires
-    e^{ik theta} != 1 for k = 1..4."""
-    import numpy as np
+    map's jet3 at the point's xi, in the basis M: <p, M^-1 B(M u, M v)> is
+    B(M u, M v) read against s = M^-T conj(p), so the tensors are contracted
+    with q = M p, conj(q) and s as they are.  Requires e^{ik theta} != 1 for
+    k = 1..4."""
     point = nm.point
     theta = point.theta
     for k in range(1, 5):
         if abs(cmath.exp(1j * k * theta) - 1.0) < STRONG_RESONANCE_TOL:
             raise StrongResonance(f"e^(i {k} theta) = 1 within {STRONG_RESONANCE_TOL}")
     jet = tmap.jet3(point.xi, point.mu, point.eps)
-    M = nm.M
-    M_inv = np.linalg.inv(M)
-    B = np.einsum('ia,ajk,jb,kc->ibc', M_inv, np.array(jet.B), M, M)
-    C = np.einsum('ia,ajkl,jb,kc,ld->ibcd', M_inv, np.array(jet.C), M, M, M)
-    p = np.array([1.0, -1.0j]) / math.sqrt(2.0)
-    pb = p.conjugate()
-
-    def bil(a, b):
-        return np.einsum('ijk,j,k->i', B, a, b)
-
-    def tril(a, b, c):
-        return np.einsum('ijkl,j,k,l->i', C, a, b, c)
-
-    g20 = np.vdot(p, bil(p, p))
-    g11 = np.vdot(p, bil(p, pb))
-    g02 = np.vdot(p, bil(pb, pb))
-    g21 = np.vdot(p, tril(p, p, pb))
+    m21, m22 = nm.M[1]
+    p0, p1 = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0)
+    q = (p0, m21 * p0 + m22 * p1)
+    qb = (q[0].conjugate(), q[1].conjugate())
+    s = (p0 - m21 / m22 * p1.conjugate(), p1.conjugate() / m22)
+    g20 = _contract(jet.B, (s, q, q))
+    g11 = _contract(jet.B, (s, q, qb))
+    g02 = _contract(jet.B, (s, qb, qb))
+    g21 = _contract(jet.C, (s, q, q, qb))
     e_it = cmath.exp(1j * theta)
     term1 = (cmath.exp(-1j * theta) * g21 / 2.0).real
     term2 = -(((1.0 - 2.0 * e_it) * cmath.exp(-2j * theta)
@@ -408,8 +411,8 @@ def lyapunov_slices(tmap, branch: NSBranch) -> LyapunovSlices:
 class JordanExpansion:
     omega0: float
     zeta2: float
-    A1: np.ndarray
-    A2: np.ndarray
+    A1: Tuple[Tuple[float, float], Tuple[float, float]]
+    A2: Tuple[Tuple[float, float], Tuple[float, float]]
     m21_1: float
     m22_1: float
     rotation_residual: float
@@ -426,15 +429,14 @@ def jordan_expansion(branch: NSBranch) -> JordanExpansion:
     eta slices vanish identically on the curve (up to the unit-circle solve
     tolerance). M1 entries come from the same ladder.
     """
-    import numpy as np
     nms = [normalized_map(p) for p in branch.points[-3:]]
     ladder = [nm.point.eps for nm in nms]
     omega0, zeta2, _ = _ladder_fit([nm.point.theta / nm.point.eps for nm in nms], ladder, 0)
     # M[1,1] = m22_0 + eps m22_1 + ..., with M0 = [[1,0],[0, m22_0]]
-    _, m22_1, _ = _ladder_fit([nm.M[1, 1] for nm in nms], ladder, 0)
-    m21_1 = _ladder_fit([nm.M[1, 0] / nm.point.eps for nm in nms], ladder, 0)[0]
+    _, m22_1, _ = _ladder_fit([nm.M[1][1] for nm in nms], ladder, 0)
+    m21_1 = _ladder_fit([nm.M[1][0] / nm.point.eps for nm in nms], ladder, 0)[0]
     rot_res = max(nm.rotation_residual for nm in nms)
-    A1 = np.array([[0.0, -omega0], [omega0, 0.0]])
-    A2 = np.array([[-0.5 * omega0 ** 2, -zeta2], [zeta2, -0.5 * omega0 ** 2]])
+    A1 = ((0.0, -omega0), (omega0, 0.0))
+    A2 = ((-0.5 * omega0 ** 2, -zeta2), (zeta2, -0.5 * omega0 ** 2))
     return JordanExpansion(omega0=omega0, zeta2=zeta2, A1=A1, A2=A2,
                            m21_1=m21_1, m22_1=m22_1, rotation_residual=rot_res)

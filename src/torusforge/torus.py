@@ -30,7 +30,7 @@ fixed point, the probe and the orbit it goes on to are pairs of Python
 floats, so a no_torus verdict loads no numpy.  The samples become an array
 once the orbit has run its transient and window: the Fourier fit, the
 rotation number, the normal exponent and the winding number import numpy
-where they make their arrays.
+where they make their arrays, the only numpy in the package.
 """
 
 from __future__ import annotations

@@ -28,6 +28,10 @@ closed form `lift.omega_coefficients`, which `omega_of_lift` evaluates.  `normal
 normal rate of an invariant curve by following a ring of probes off it,
 the reference for `torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
 problem per Fourier order, the reference for `torus.fit_fourier_curve`.
+`ladder_fit_vander`, `normalizing_matrix` and `lyapunov_coefficient_einsum`
+are the Neimark-Sacker layer's fits, Jordan normalization and tensor
+contractions on numpy arrays (a LAPACK solve, inv(M) @ A @ M, einsum): the
+references for `nsbranch`, which reads the same jets as Python floats.
 `ReferenceParser` reads an expression on tokens of a character loop and
 multiplies one Poly per factor, the reference for the terms, their order and
 the errors of `fieldexpr.parse_field`.  The last section holds small helpers
@@ -1358,6 +1362,57 @@ def _number_value(tok: _Token) -> Fraction:
 def parse_field_reference(source: str) -> Poly:
     """`fieldexpr.parse_field` by `ReferenceParser`."""
     return ReferenceParser(source).parse()
+
+
+# ---------------------------------------------------------------------------
+# the Neimark-Sacker layer on numpy arrays: a Vandermonde solve, inv(M) A M
+# and einsum contractions
+# ---------------------------------------------------------------------------
+
+def ladder_fit_vander(values: Sequence, ladder: Sequence[float], lowest: int) -> list:
+    """The coefficients c_k of v(e) = sum_k c_k e^(lowest + k) through the
+    values at the ladder's eps, by one LAPACK solve of the scaled Vandermonde
+    system, componentwise on arrays: the reference for `nsbranch._ladder_fit`,
+    which solves the same system exactly."""
+    n = len(values)
+    e = np.asarray(ladder, dtype=float)
+    vals = np.stack([np.asarray(v, dtype=float) for v in values])
+    shape = vals.shape[1:]
+    V = np.vander(e, n, increasing=True) * (e ** lowest)[:, None]
+    coeffs = np.linalg.solve(V, vals.reshape(n, -1))
+    return [c.reshape(shape) if shape else float(c[0]) for c in coeffs]
+
+
+def normalizing_matrix(point) -> Tuple[np.ndarray, np.ndarray]:
+    """M = [[1, 0], [Im v2, Re v2]] of the eigenvector (1, v2) scaled to i, from
+    the point's D Pi, and DH = inv(M) @ D Pi @ M: the reference for
+    `nsbranch.normalized_map`, which writes DH out."""
+    A, lam = np.array(point.jet.A), point.eigenvalue
+    v2 = -1j * (A[0, 0] - lam) / A[0, 1]
+    M = np.array([[1.0, 0.0], [v2.imag, v2.real]])
+    return M, np.linalg.inv(M) @ A @ M
+
+
+def lyapunov_coefficient_einsum(jet: MapJet, M, theta: float) -> float:
+    """The map Lyapunov coefficient from the degree-2 and degree-3 tensors of
+    `jet` transformed to the basis M by einsum, then read with p = (1,-i)/sqrt2
+    and numpy's vdot: the reference for `nsbranch.lyapunov_coefficient_map`,
+    which contracts the tensors as they are with M p and M^-T conj(p)."""
+    M = np.asarray(M, dtype=float)
+    M_inv = np.linalg.inv(M)
+    B = np.einsum('ia,ajk,jb,kc->ibc', M_inv, np.array(jet.B), M, M)
+    C = np.einsum('ia,ajkl,jb,kc,ld->ibcd', M_inv, np.array(jet.C), M, M, M)
+    p = np.array([1.0, -1.0j]) / math.sqrt(2.0)
+    pb = p.conjugate()
+    g20 = np.vdot(p, np.einsum('ijk,j,k->i', B, p, p))
+    g11 = np.vdot(p, np.einsum('ijk,j,k->i', B, p, pb))
+    g02 = np.vdot(p, np.einsum('ijk,j,k->i', B, pb, pb))
+    g21 = np.vdot(p, np.einsum('ijkl,j,k,l->i', C, p, p, pb))
+    e_it = cmath.exp(1j * theta)
+    term1 = (cmath.exp(-1j * theta) * g21 / 2.0).real
+    term2 = -(((1.0 - 2.0 * e_it) * cmath.exp(-2j * theta)
+               / (2.0 * (1.0 - e_it))) * g20 * g11).real
+    return float(term1 + term2 - 0.5 * abs(g11) ** 2 - 0.25 * abs(g02) ** 2)
 
 
 # ---------------------------------------------------------------------------

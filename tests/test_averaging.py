@@ -14,9 +14,9 @@ from torusforge.averaging import (
     CFrac, TrigPoly, hypothesis_check, melnikov_pair, to_standard_form,
 )
 from torusforge.criteria import (
-    PerturbationFamily, closed_form_equilibrium, ell1_exact, eps_graded_slices,
-    evaluate_base_criteria, evaluate_perturbation_criteria, perturbation_functions,
-    validate_hopf_zero,
+    AveragingError, FloatRangeExceeded, PerturbationFamily, closed_form_equilibrium,
+    ell1_exact, eps_graded_slices, evaluate_base_criteria, evaluate_perturbation_criteria,
+    perturbation_functions, validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
 from torusforge.flow import IntegratorConfig, MapJet, ThetaReturnMap
@@ -28,7 +28,8 @@ from torusforge.torus import CERTIFY_INTEGRATOR
 
 from oracles import (
     StandardForm, f1_jacobian, f1_quadrature, f2_quadrature, first_lyapunov_quantity,
-    full_F2, melnikov_pair_full, standard_form_full, std_a1, std_D2, std_F1, trig_of_xyz_poly,
+    full_F2, ladder_fit_vander, lyapunov_coefficient_einsum, melnikov_pair_full,
+    normalizing_matrix, standard_form_full, std_a1, std_D2, std_F1, trig_of_xyz_poly,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -729,7 +730,88 @@ def test_ladder_fit_recovers_polynomial(lowest):
         fitted = nsbranch._ladder_fit(values, rungs, lowest)
         assert all(type(c) is float for c in fitted)
         assert fitted == pytest.approx(coeffs, rel=1e-9)
-        arrays = [np.array([v, -2.0 * v]) for v in values]
-        for got, c in zip(nsbranch._ladder_fit(arrays, rungs, lowest), coeffs):
-            assert got.shape == (2,)
-            assert got == pytest.approx([c, -2.0 * c], rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3))
+@pytest.mark.parametrize("lowest", [0, 1])
+@pytest.mark.parametrize("start", range(len(nsbranch.BRANCH_LADDER) - 2))
+def test_ladder_fit_is_the_rounded_exact_solve(start, lowest, values):
+    """On any 3-rung window of the ladder, each fitted coefficient is the
+    float nearest the exact solution of the scaled Vandermonde system on the
+    floats' rational values, as sympy solves it."""
+    import sympy
+    rungs = nsbranch.BRANCH_LADDER[start:start + 3]
+    V = sympy.Matrix(3, 3, lambda i, k: sympy.Rational(rungs[i]) ** (lowest + k))
+    exact = V.LUsolve(sympy.Matrix([sympy.Rational(v) for v in values]))
+    want = [int(c.p) / int(c.q) for c in exact]     # int / int rounds correctly
+    got = nsbranch._ladder_fit(values, rungs, lowest)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ladder_fit_refuses_a_non_finite_value(bad):
+    """A NaN or infinite value is an AveragingError naming the values, not
+    Fraction's unnamed ValueError or its OverflowError."""
+    with pytest.raises(AveragingError, match="non-finite"):
+        nsbranch._ladder_fit([1.0, bad, 2.0], nsbranch.BRANCH_LADDER[:3], 1)
+
+
+def test_ladder_fit_past_the_float_range_is_typed():
+    """Finite values whose fitted coefficients overflow a float are a
+    FloatRangeExceeded."""
+    with pytest.raises(FloatRangeExceeded):
+        nsbranch._ladder_fit([1e300, -1e300, 1e300], nsbranch.BRANCH_LADDER[-3:], 1)
+
+
+@pytest.fixture(scope="module")
+def example_ladder():
+    """The worked example's return map and its Neimark-Sacker branch, one
+    point on every rung of BRANCH_LADDER."""
+    sys = validate_hopf_zero(*EXAMPLE)
+    tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1), nsbranch.RETURN_MAP_INTEGRATOR)
+    return tmap, nsbranch.branch_continuation(tmap, 0.0)
+
+
+def test_branch_fits_match_the_vandermonde_solve(example_ladder):
+    """mu1, the Lyapunov slices and the Jordan expansion's omega0 and zeta2
+    of the worked example, fitted exactly and rounded once, agree with a
+    LAPACK solve of the same Vandermonde systems to 1e-8 relative or 1e-13
+    absolute."""
+    tmap, branch = example_ladder
+    middle, smallest = branch.points[1:4], branch.points[-3:]
+    mu1 = ladder_fit_vander([p.mu / p.eps for p in middle], [p.eps for p in middle], 0)[0]
+    slices = nsbranch.lyapunov_slices(tmap, branch)
+    l11, l12, _ = ladder_fit_vander([v for _, v in slices.values],
+                                    [e for e, _ in slices.values], 1)
+    omega0, zeta2, _ = ladder_fit_vander([p.theta / p.eps for p in smallest],
+                                         [p.eps for p in smallest], 0)
+    je = nsbranch.jordan_expansion(branch)
+    for got, want in ((branch.mu1_numeric, mu1), (slices.l11, l11), (slices.l12, l12),
+                      (je.omega0, omega0), (je.zeta2, zeta2)):
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-13)
+
+
+def test_normalized_map_matches_the_numpy_normalization(example_ladder):
+    """On the worked example's five ladder points, the written-out Jordan
+    normalization gives numpy's M to 1e-12 relative, and its rotation
+    residual agrees with that of inv(M) @ D Pi @ M to 1e-12 of |DH|."""
+    _, branch = example_ladder
+    for point in branch.points:
+        nm = nsbranch.normalized_map(point)
+        M, DH = normalizing_matrix(point)
+        assert np.allclose(nm.M, M, rtol=1e-12, atol=0.0)
+        want = max(abs(DH[0, 0] - DH[1, 1]), abs(DH[0, 1] + DH[1, 0]))
+        assert abs(nm.rotation_residual - want) <= 1e-12 * np.max(np.abs(DH))
+
+
+def test_lyapunov_coefficient_matches_the_einsum_contraction(example_ladder):
+    """On the worked example's five ladder points, the map Lyapunov
+    coefficient contracted as Python complex numbers agrees with the einsum
+    contraction in the basis M to 1e-12 relative."""
+    tmap, branch = example_ladder
+    for point in branch.points:
+        nm = nsbranch.normalized_map(point)
+        want = lyapunov_coefficient_einsum(tmap.jet3(point.xi, point.mu, point.eps),
+                                           normalizing_matrix(point)[0], point.theta)
+        assert nsbranch.lyapunov_coefficient_map(tmap, nm) == pytest.approx(want, rel=1e-12)

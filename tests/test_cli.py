@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -769,7 +770,7 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "4e2c459889841cd8cf000c7d9095cc6a3b3b992fc94cfbf0affb037af82e0565"
+BRANCH_JSON_SHA256 = "a3c3f01881714cfd4f399a7a16ec19fcc632a91f66bc3130f8fc58bf2d90b005"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
@@ -1126,17 +1127,17 @@ print(json.dumps(seen))
 """
 
 
-def test_only_the_return_map_loads_numpy(tmp_path):
+def test_each_command_runs_its_layers_without_numpy(tmp_path):
     """A fresh `import torusforge.cli` executes only `cli`, `criteria`,
     `fieldexpr` and `univariate`, and loads no numpy; each command then
     executes only the layers it runs.  analyze adds none.  A certify far on
     the no-torus side adds the return map (`flow`, `nsbranch`, `torus`) but
-    neither `averaging` nor `lift`, and no numpy: its fixed point, branch
-    point and probe are Python floats, and it writes the bytes of
+    neither `averaging` nor `lift`: its fixed point, branch point and probe
+    are Python floats, and it writes the bytes of
     NO_TORUS_CERTIFICATE_SHA256.  simulate adds nothing more, melnikov adds
-    `averaging` and lift adds `lift`, none of them numpy.  branch in that
-    process then loads numpy for its ladder fits and writes the bytes of
-    BRANCH_JSON_SHA256."""
+    `averaging` and lift adds `lift`.  branch in that process, its ladder
+    fits exact and its normalization and contractions on Python floats,
+    writes the bytes of BRANCH_JSON_SHA256.  No step loads numpy."""
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     sim = _write_doc(tmp_path, dict(EXAMPLE_DOC, periods=3), name="sim.json")
     lift = _write_doc(tmp_path, {"system": LIFT_SYSTEM}, name="lift.json")
@@ -1151,9 +1152,27 @@ def test_only_the_return_map_loads_numpy(tmp_path):
         ["import", None, False, base], ["analyze", EXIT_OK, False, base],
         ["certify", EXIT_OK, False, return_map], ["simulate", EXIT_OK, False, return_map],
         ["melnikov", EXIT_OK, False, with_averaging], ["lift", EXIT_OK, False, everything],
-        ["branch", EXIT_OK, True, everything]]
+        ["branch", EXIT_OK, False, everything]]
     assert _sha256(out / "certify" / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
     assert _sha256(out / "branch" / "branch.json") == BRANCH_JSON_SHA256
+
+
+def test_only_torus_imports_numpy():
+    """Of the package's modules only `torus`, whose Fourier fit is one QR of
+    a 2048-row design, imports numpy; every other module runs on the exact
+    layer and Python floats."""
+    importers = set()
+    for path in Path(torusforge.cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"torus.py"}
 
 
 # span pairs for `linspace`: any finite pair, pairs across 0, and spans of a

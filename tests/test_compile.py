@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from torusforge.averaging import TrigPoly
-from torusforge.fieldexpr import VARIABLES, Poly, compile_terms
+from torusforge.fieldexpr import VARIABLES, Poly, compile_terms, define, terms_source
 from torusforge.flow import Jet2
 
 from oracles import poly_eval, trig_evaluator
@@ -106,11 +106,14 @@ nonzero = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
 @given(st.lists(term_maps, max_size=4), st.integers(0, 4),
        st.tuples(nonzero, nonzero, nonzero))
 def test_multi_map_matches_single_maps_bitwise(maps, empty_at, point):
-    """One compiled function for several maps returns, for each map, the
-    value of that map compiled alone, bit for bit."""
+    """One function on the code `terms_source` writes for several maps,
+    their powers shared, returns for each map the value of that map compiled
+    alone, bit for bit."""
     maps.insert(min(empty_at, len(maps)), {})
     names = ("r", "w", "mu")
-    together = compile_terms(maps, names)(*point)
+    lines, results, namespace = terms_source(maps, names)
+    together = define("evaluate", ", ".join(names),
+                      lines + [f"return ({', '.join(results)},)"], namespace)(*point)
     assert type(together) is tuple and len(together) == len(maps)
     for value, terms in zip(together, maps):
         alone = compile_terms(terms, names)(*point)

@@ -542,6 +542,12 @@ def test_return_and_jet1_within_rtol_of_tight_reference(atol, rtol, pair, r, w):
     assert np.max(np.abs(got - ref)) <= rtol
 
 
+def _compiled(maps):
+    """The components' term maps at one (x, y, z), each compiled alone."""
+    components = [compile_terms(terms, "xyz") for terms in maps]
+    return lambda x, y, z: tuple(f(x, y, z) for f in components)
+
+
 # a field with cubic terms in every component and a family with spatial
 # terms, so that all nine partials have terms beyond the linear part
 RICH = ("x*z - 1/2*y^3", "y*z + x^2*y", "-x^2 + x*y + z^2 + 2*x*z^2")
@@ -558,8 +564,8 @@ def test_compiled_partials_match_complex_step(x, y, z, pair):
         fam = (PerturbationFamily.simple(beta=1) if family is None
                else PerturbationFamily.from_expressions(*family))
         field = RescaledField(validate_hopf_zero(*system), fam)
-        partials = compile_terms(_fold(field.partial_slices, *pair), "xyz")(x, y, z)
-        drift = compile_terms(_fold(field.drift_slices, *pair), "xyz")
+        partials = _compiled(_fold(field.partial_slices, *pair))(x, y, z)
+        drift = _compiled(_fold(field.drift_slices, *pair))
         h = 1e-30
         for j in range(3):
             point = [complex(x), complex(y), complex(z)]
@@ -579,7 +585,7 @@ def test_generated_field_kernels_match_compiled_field_bitwise(t, x, y, z, pair):
     field at another (mu, eps) runs the same compiled code."""
     fam = PerturbationFamily.from_expressions(*RICH_FAMILY)
     field = RescaledField(validate_hopf_zero(*RICH), fam)
-    compiled = compile_terms(_fold(field.slices, *pair), "xyz")
+    compiled = _compiled(_fold(field.slices, *pair))
     assert (np.array(field.rhs("field", *pair)(t, x, y, z)).tobytes()
             == np.array(compiled(x, y, z)).tobytes())
     r, w = abs(x) + 0.1, z
@@ -599,7 +605,7 @@ def test_vanishing_angular_speed_raises_typed_errors():
     sys = validate_hopf_zero("0", "-x*z", "-x^2 + x*y + z^2")
     tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1))
     mu, eps = 0.1, 0.5
-    assert compile_terms(_fold(tmap.field.slices, mu, eps), "xyz")(1.0, 0.0, 2.0)[1] == 0.0
+    assert compile_terms(_fold(tmap.field.slices, mu, eps)[1], "xyz")(1.0, 0.0, 2.0) == 0.0
     with _time_limit(20):
         with pytest.raises(NonFiniteState):
             tmap.point([1.0, 2.0], mu, eps)

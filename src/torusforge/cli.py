@@ -113,7 +113,7 @@ EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 
 MAX_GRID = 200          # melnikov writes grid^2 rows
-MAX_PERIODS = 1000      # simulate keeps each accepted step (23 025 at the cap on the example)
+MAX_PERIODS = 1000      # bounds simulate's work and CSV rows (23 025 at the cap on the example)
 MAX_LIFT_SAMPLES = 64   # values per lift grid: A(L) is evaluated once per L value
 
 
@@ -160,10 +160,16 @@ def write_csv(path: str, header, rows):
     """Write the CSV `path`: the names of `header`, then one line per row of
     Python ints and floats.  Each value is its repr, values are joined by ","
     and lines end in "\\r\\n", the bytes csv.writer writes on the same rows.
-    Every CSV artifact is written here."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    Every CSV artifact is written here, row by row as `rows` yields them;
+    if `rows` raises, the file is removed and the error goes on."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _number(value) -> bool:
@@ -429,9 +435,9 @@ def cmd_simulate(args) -> int:
         # form or Melnikov pair is built here
         r, w = closed_form_equilibrium(perturbation_functions(sys_, fam), mu)
         x0 = [r + 0.05, 0.0, w]
-    ts, ys = flow.integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
+    steps = flow.integrate(field, x0, (0.0, periods * 2 * math.pi), cfg)
     write_csv(os.path.join(args.out, "trajectory.csv"), ("t", "x", "y", "z"),
-              ([t, *y] for t, y in zip(ts, ys)))
+              ([t, *y] for t, y in steps))
     return EXIT_OK
 
 

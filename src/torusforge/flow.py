@@ -2,15 +2,14 @@
 
 Every integration runs on `dop853`, one Dormand-Prince 8(5,3) stepper with
 scipy DOP853's tableau, error norm and step control, on a state of Python
-floats: plain trajectories of the full 3D (rescaled) system, for which
-`integrate` returns the accepted steps' times and states, and the
-angular return theta: 0 -> 2 pi of the cylindrical standard-form variables
-(r, w), where theta plays the role of time and the return map needs no
-event detection.  Each seed of a return is its own integration, on two
-Python floats from seed to image.  The step is straight-line code,
-generated once per state size, and each of its 12 stages is one call
-rhs(t, y0, ..., y{n-1}) on positional floats.  No integration makes more
-than MAX_STEPS step attempts: past them it is a StepBudgetExceeded error.
+floats.  It yields each accepted step and keeps none: `integrate` streams
+plain trajectories of the full 3D (rescaled) system, and the angular return
+theta: 0 -> 2 pi of the cylindrical standard-form variables (r, w), where
+theta plays the role of time and needs no event detection, drains it to
+its last state.  The step is straight-line code, generated once per state
+size, and each of its 12 stages is one call rhs(t, y0, ..., y{n-1}) on
+positional floats.  No integration makes more than MAX_STEPS step
+attempts, past which it is a StepBudgetExceeded error.
 
 `RescaledField.rhs(name, mu, eps)` generates each right-hand side of
 `_RHS` on first use at (mu, eps), one straight-line function: the terms of
@@ -37,10 +36,9 @@ are.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from .criteria import (
     HopfZeroSystem, PerturbationFamily, closed_form_equilibrium, eps_graded_slices, float_range,
@@ -83,17 +81,16 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive and finite")
 
 
-def integrate(field: Callable, state0, t_span,
-              cfg: Optional[IntegratorConfig] = None) -> Tuple[list, list]:
-    """The accepted steps (ts, ys) of state' = field(t, *state) over t_span:
-    their times and states, the Python floats `dop853` gives.  A non-finite
-    state is a NonFiniteState error."""
+def integrate(field: Callable, state0, t_span, cfg: Optional[IntegratorConfig] = None):
+    """The accepted steps (t, state) of state' = field(t, *state) over
+    t_span, yielded as `dop853` takes them: Python floats, from t_span[0] to
+    t_span[1].  A non-finite state is a NonFiniteState error at that step."""
     cfg = cfg or IntegratorConfig()
-    ts, ys, _ = dop853(field, float(t_span[0]), float(t_span[1]),
-                       [float(v) for v in state0], cfg.atol, cfg.rtol)
-    if not all(map(math.isfinite, itertools.chain.from_iterable(ys))):
-        raise NonFiniteState("integration produced non-finite state")
-    return ts, ys
+    for t, y in dop853(field, float(t_span[0]), float(t_span[1]),
+                       [float(v) for v in state0], cfg.atol, cfg.rtol):
+        if not all(map(math.isfinite, y)):
+            raise NonFiniteState(f"integration produced non-finite state at t = {t}")
+        yield t, y
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +141,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT = 0.9, 0.2, 10.0, -1 / 8
 # 2.6 times the 387 267 (279 598 accepted) of simulate's 50 periods on the
 # worked example with -10^6 (x^2 + y^2) z added to R, at (0.05, 0.05), and
 # 40 times the worked example's 25 255 at cli.MAX_PERIODS; a return of the
-# map makes about 40.  It bounds the work and the kept steps of any input.
+# map makes about 40.  It bounds the work of any input and a trajectory's rows.
 MAX_STEPS = 1_000_000
 
 
@@ -212,12 +209,10 @@ def _dp_step(n: int) -> Callable:
 
 
 def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-           rtol: float, all_steps: bool = True) -> Tuple[list, list, int]:
-    """The accepted steps of y' = rhs(t, *y) from (t0, y0) to t_end: their
-    times and states, from t0 to t_end, and the number of RHS evaluations.
-    With all_steps=False only the last step is kept, ([t_end], [y_end]),
-    for a caller that reads the end state alone: the same steps are taken,
-    but memory does not grow with their number.
+           rtol: float) -> Generator[Tuple[float, list], None, int]:
+    """The accepted steps (t, y) of y' = rhs(t, *y) from (t0, y0) to t_end,
+    yielded as they are taken and not kept; the generator returns the number
+    of RHS evaluations (its StopIteration.value).
 
     The state is a list of Python floats, and `rhs(t, y0, ..., y{n-1})`
     returns a sequence of n floats.  Tableau, error norm and step control
@@ -238,13 +233,12 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     y = list(y0)
     step = _dp_step(len(y))
     f = rhs(t0, *y)
-    ts, ys = [t0], [y]
-    if t_end == t0:
-        return ts, ys, 1
+    yield t0, y
     direction = 1.0 if t_end > t0 else -1.0
-    h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
-    nfev = 2
-    t = t0
+    t, nfev = t0, 1
+    if t_end != t0:         # a zero span takes no step
+        h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
+        nfev = 2
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -273,10 +267,8 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
-        if all_steps:
-            ts.append(t)
-            ys.append(y)
-    return (ts, ys, nfev) if all_steps else ([t], [y], nfev)
+        yield t, y
+    return nfev
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +433,11 @@ class ThetaReturnMap:
         `dop853` integration on two Python floats, on the field's "return"
         right-hand side.  A singular or non-finite field raises
         NonFiniteState."""
-        r, w = dop853(self.field.rhs("return", mu, eps), 0.0, -PERIOD if reverse else PERIOD,
-                      [float(x0[0]), float(x0[1])], self.cfg.atol, self.cfg.rtol,
-                      all_steps=False)[1][-1]
+        for _, y in dop853(self.field.rhs("return", mu, eps), 0.0,
+                           -PERIOD if reverse else PERIOD, [float(x0[0]), float(x0[1])],
+                           self.cfg.atol, self.cfg.rtol):
+            pass
+        r, w = y
         if not (math.isfinite(r) and math.isfinite(w)):
             raise NonFiniteState("return map produced non-finite state")
         return r, w
@@ -482,13 +476,13 @@ class ThetaReturnMap:
         raises JetTransportUnstable where the field is singular or
         non-finite; a failed integration is JetTransportUnstable too."""
         try:
-            _, ys, _ = dop853(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol,
-                              all_steps=False)
+            for _, y in dop853(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol):
+                pass
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
-        if not all(map(math.isfinite, ys[-1])):
+        if not all(map(math.isfinite, y)):
             raise JetTransportUnstable("jet transport integration failed")
-        return ys[-1]
+        return y
 
 
 # ---------------------------------------------------------------------------

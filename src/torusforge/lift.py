@@ -283,10 +283,10 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
 
     X = Poly.variable("x")
     Y = Poly.variable("y")
-    lin1 = X.scale(a0 + delta * a1) + Y.scale(b0)
-    lin2 = X.scale(a0 + delta * a2) + Y.scale(b0 + delta * b2)
-    lin3 = X.scale(a0) + Y.scale(b0)
-    lifted = (lin1 * polys[0], lin2 * polys[1], lin3 * polys[2])
+    lins = (X.scale(a0 + delta * a1) + Y.scale(b0),
+            X.scale(a0 + delta * a2) + Y.scale(b0 + delta * b2),
+            X.scale(a0) + Y.scale(b0))
+    lifted = tuple(lin * p for lin, p in zip(lins, polys))
 
     # the Jacobian at the origin: the coefficients of x, y and z
     J = [[p.terms.get(mono, 0) for mono in _UNIT_MONOMIALS] for p in lifted]
@@ -311,7 +311,7 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
              [R0 / P0, -L * sd * R0 / P0, Fraction(1)]]
         Minv = _inv3(M)
         sub = {"x": _row_poly(M, 0), "y": _row_poly(M, 1), "z": _row_poly(M, 2)}
-        composed = [p.substitute(sub) for p in lifted]
+        composed = [lin.substitute(sub) * p.substitute(sub) for lin, p in zip(lins, polys)]
         normalized_full = []
         for i in range(3):
             comp = Poly()

@@ -16,7 +16,8 @@ and `std_D2` divide a standard form's own factors back to them.
 The integrations here stay on scipy's `solve_ivp`, so they also check the
 package's own Dormand-Prince stepper; `dop853_loop` is that stepper with one
 list comprehension per stage, the bitwise oracle of its generated step, on
-the same right-hand sides rhs(t, *y).  `map_points` maps an array of seeds
+the same right-hand sides rhs(t, *y), and `run_steps` drains either
+generator into its steps and its return value.  `map_points` maps an array of seeds
 one return each.  `first_lyapunov_quantity` reads ell_1 off the eps-series
 of the averaged map in floats, the oracle of `criteria.ell1_exact`:
 `fit_ell1` fits the closed form's integer coefficients to it, and
@@ -74,7 +75,7 @@ from torusforge.flow import (
     ThetaReturnMap,
 )
 from torusforge.lift import (
-    LiftError, OriginJet, _omega_at, _rational_sqrt, build_lift_family,
+    LiftError, OriginJet, _inv3, _omega_at, _rational_sqrt, _row_poly, build_lift_family,
     omega_coefficients,
 )
 from torusforge.nsbranch import BranchConstants
@@ -213,6 +214,21 @@ def _comprehension_step(rhs: Callable, t: float, h: float, y: list, f, atol: flo
                           else abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)))
 
 
+def run_steps(steps) -> Tuple[list, list, object]:
+    """The times and states a step generator (`flow.dop853`,
+    `flow.integrate`) yields, drained to its end, and its return value (the
+    StopIteration.value: dop853's RHS count, None for integrate).  An error
+    of the run is raised here, at the step it stops on."""
+    ts, ys = [], []
+    while True:
+        try:
+            t, y = next(steps)
+        except StopIteration as stop:
+            return ts, ys, stop.value
+        ts.append(t)
+        ys.append(y)
+
+
 def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                 rtol: float) -> Tuple[list, list, int]:
     """`flow.dop853` with each step taken by `_comprehension_step`: the
@@ -327,8 +343,8 @@ def jet1_complex_step(tmap: ThetaReturnMap, x0, mu, eps) -> MapJet:
                 dw1.real, dw1.imag / h, dw2.imag / h)
 
     state = [float(x0[0]), 1.0, 0.0, float(x0[1]), 0.0, 1.0]
-    ts = flow.dop853(tmap.field.rhs("jet1", mu, eps), 0.0, PERIOD, state,
-                     tmap.cfg.atol, tmap.cfg.rtol)[0]
+    ts = run_steps(flow.dop853(tmap.field.rhs("jet1", mu, eps), 0.0, PERIOD, state,
+                               tmap.cfg.atol, tmap.cfg.rtol))[0]
     f = rhs(ts[0], *state)
     for t, t_next in zip(ts, ts[1:]):
         state, f, _ = _comprehension_step(rhs, t, t_next - t, state, f,
@@ -1025,6 +1041,26 @@ def omega_of_lift_family(seed_field, L, delta) -> Fraction:
     if fam.system is None:
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
     return fam.system.omega
+
+
+def lift_normalized_whole(seed_field, L, delta) -> Tuple[Poly, ...]:
+    """The terms of degree > 1 of the normalized lift X_{L, delta}, as
+    `build_lift_family` gives them, with M substituted into each whole
+    lifted product lin_i * seed_i (`LiftFamily.lifted`), where the lift
+    substitutes it into lin_i and seed_i apart.  delta is a positive
+    rational square."""
+    fam = build_lift_family(seed_field, L, delta)
+    P0, Q0, R0 = (as_poly(p).terms.get((0,) * 5, Fraction(0)) for p in seed_field)
+    L, delta, sd = fam.L, fam.delta, fam.sqrt_delta
+    M = [[Fraction(1), Fraction(0), Fraction(0)],
+         [(L * delta + P0 * Q0) / (P0 * P0), sd / (P0 * P0), Fraction(0)],
+         [R0 / P0, -L * sd * R0 / P0, Fraction(1)]]
+    Minv = _inv3(M)
+    sub = {v: _row_poly(M, i) for i, v in enumerate("xyz")}
+    composed = [p.substitute(sub) for p in fam.lifted]
+    normalized = [sum((composed[j].scale(Minv[i][j]) for j in range(3)), Poly()).scale(1 / sd)
+                  for i in range(3)]
+    return tuple(Poly({m: c for m, c in p.terms.items() if sum(m[:3]) > 1}) for p in normalized)
 
 
 def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -651,12 +652,26 @@ def test_document_number_past_float_range_is_typed_error(tmp_path, capsys, comma
     assert json.loads((out / f"{command}_error.json").read_text()) == err
 
 
+def _spy_removals(monkeypatch) -> list:
+    """(basename, line count) of each file os.remove removes from here on."""
+    removed = []
+
+    def remove(path, _remove=os.remove):
+        removed.append((os.path.basename(path), len(Path(path).read_text().splitlines())))
+        _remove(path)
+
+    monkeypatch.setattr(os, "remove", remove)
+    return removed
+
+
 def test_simulate_past_the_step_budget_is_typed_error(tmp_path, capsys, monkeypatch):
     """simulate's integration makes at most flow.MAX_STEPS step attempts:
     with the cap at 100, the worked example's 50 periods (about 1150 steps)
     end in exit 1 with a typed StepBudgetExceeded naming the cap, on stderr
-    and in simulate_error.json, and no trajectory.csv."""
+    and in simulate_error.json, and no trajectory.csv: the rows streamed
+    into it before the error are removed with it."""
     monkeypatch.setattr(torusforge.flow, "MAX_STEPS", 100)
+    removed = _spy_removals(monkeypatch)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     assert main(["simulate", "--input", doc, "--out", str(out),
@@ -665,6 +680,50 @@ def test_simulate_past_the_step_budget_is_typed_error(tmp_path, capsys, monkeypa
     assert err["error"] == "StepBudgetExceeded" and "MAX_STEPS = 100" in err["message"]
     assert os.listdir(out) == ["simulate_error.json"]
     assert json.loads((out / "simulate_error.json").read_text()) == err
+    [(name, lines)] = removed
+    assert name == "trajectory.csv" and lines > 50
+
+
+def test_simulate_turning_non_finite_mid_run_is_typed_error(tmp_path, capsys, monkeypatch):
+    """z' is the constant 10^307 on the z axis: from z = 10^308 the state
+    overflows to inf near t = 8 of 63, in an accepted step whose stages stay
+    finite.  simulate exits 1 with a typed NonFiniteState naming that time,
+    on stderr and in simulate_error.json, and removes the trajectory.csv
+    whose rows it streamed before."""
+    removed = _spy_removals(monkeypatch)
+    doc = _write_doc(tmp_path, {"system": {"P": "0", "Q": "0", "R": "x^2"},
+                                "perturbation": {"W": f"{10 ** 307}*eps"},
+                                "initial_state": [0.0, 0.0, 1e308], "periods": 10})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", doc, "--out", str(out),
+                 "--mu=0.0", "--eps=1.0"]) == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteState" and "non-finite state at t = " in err["message"]
+    assert os.listdir(out) == ["simulate_error.json"]
+    assert json.loads((out / "simulate_error.json").read_text()) == err
+    [(name, lines)] = removed
+    assert name == "trajectory.csv" and lines > 2      # the header and rows
+
+
+def _simulate_peak(tmp_path, periods: int) -> int:
+    """The tracemalloc peak, in bytes, of one in-process simulate of the
+    worked example at (0.05, 0.05) over `periods` periods."""
+    doc = _write_doc(tmp_path, {**EXAMPLE_DOC, "periods": periods})
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--input", doc, "--out", str(tmp_path / "out")]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_streams_its_steps(tmp_path):
+    """simulate keeps no step: its peak memory does not grow with the run.
+    At 400 periods (about 9 200 accepted steps, some 1.7 MB if they were
+    kept) it peaks within 256 KB of its peak at 20 periods."""
+    _simulate_peak(tmp_path, 1)     # the generated code and first-use caches
+    short, long = _simulate_peak(tmp_path, 20), _simulate_peak(tmp_path, 400)
+    assert long - short <= 256 * 1024, (short, long)
 
 
 def test_certify_at_eps_zero_is_degenerate_parameter(tmp_path, capsys):

@@ -21,7 +21,7 @@ from torusforge.flow import (
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
     dop853_loop, jet1_complex_step, jet3_fd, jet_apply, jet_max_asymmetry,
-    map_points, poincare_return, scipy_controlled_dop853, variational_jacobian,
+    map_points, poincare_return, run_steps, scipy_controlled_dop853, variational_jacobian,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -35,14 +35,14 @@ def _setup(atol=1e-12, rtol=1e-10):
 
 
 def test_harmonic_rotation_period():
-    _, ys = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 2 * math.pi))
+    _, ys, _ = run_steps(integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 2 * math.pi)))
     assert np.max(np.abs(np.array(ys[-1]) - [1.0, 0.0])) <= 1e-10
 
 
 def test_invariant_plane_z_conserved():
     def field(t, x, y, z):
         return [-y + z * 0.0, x, 0.0]
-    _, ys = integrate(field, [1.0, 0.0, 0.37], (0.0, 20.0))
+    _, ys, _ = run_steps(integrate(field, [1.0, 0.0, 0.37], (0.0, 20.0)))
     assert np.max(np.abs(np.array(ys)[:, 2] - 0.37)) <= 1e-12
 
 
@@ -54,11 +54,12 @@ def test_integrator_order_eight():
         return [-y + 0.1 * x * y, x - 0.05 * x ** 2]
 
     tols = [1e-6, 1e-8, 1e-10, 1e-12]
-    ref = np.array(integrate(field, [1.0, 0.2], (0.0, 20.0),
-                             IntegratorConfig(atol=1e-14, rtol=1e-14))[1][-1])
+    ref = np.array(run_steps(integrate(field, [1.0, 0.2], (0.0, 20.0),
+                                       IntegratorConfig(atol=1e-14, rtol=1e-14)))[1][-1])
     counts = []
     for tol in tols:
-        ts, ys = integrate(field, [1.0, 0.2], (0.0, 20.0), IntegratorConfig(atol=tol, rtol=tol))
+        ts, ys, _ = run_steps(integrate(field, [1.0, 0.2], (0.0, 20.0),
+                                        IntegratorConfig(atol=tol, rtol=tol)))
         counts.append(len(ts) - 1)
         assert np.max(np.abs(np.array(ys[-1]) - ref)) <= 100 * tol
     slopes = [math.log(counts[i + 1] / counts[i]) / math.log(tols[i] / tols[i + 1])
@@ -181,9 +182,27 @@ def test_determinism_bit_identical():
 def test_integrate_returns_python_floats():
     """`integrate` gives the accepted steps as `dop853` does: Python floats,
     from t0 to t_end."""
-    ts, ys = integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 1.0))
+    ts, ys, _ = run_steps(integrate(lambda t, x, y: [-y, x], [1.0, 0.0], (0.0, 1.0)))
     assert len(ts) == len(ys) > 2 and ts[0] == 0.0 and ts[-1] == 1.0
     assert all(type(v) is float for v in ts + [v for y in ys for v in y])
+
+
+def test_integrate_stops_at_the_first_non_finite_state():
+    """x' = 10^307 from x = 10^308 overflows to inf in an accepted step whose
+    stages stay finite, and dop853 goes on stepping on inf.  `integrate`
+    yields the finite steps before that one and raises NonFiniteState, with
+    its time, at it."""
+    def rhs(t, x):
+        return (1e307,)
+
+    ts, ys, _ = run_steps(dop853(rhs, 0.0, 100.0, [1e308], 1e-12, 1e-10))
+    first = next(i for i, y in enumerate(ys) if not math.isfinite(y[0]))
+    assert 1 < first < len(ys) - 1
+    seen = []
+    with pytest.raises(NonFiniteState, match=f"non-finite state at t = {ts[first]}$"):
+        for step in integrate(rhs, [1e308], (0.0, 100.0)):
+            seen.append(step)
+    assert seen == list(zip(ts, ys))[:first]
 
 
 def test_jet2_arithmetic():
@@ -393,7 +412,7 @@ def _assert_takes_dop853_steps(rhs, t_end, y0, atol, rtol):
     Against scipy's own steps: the same end state up to the order of the
     stage sums, which can also flip an accept/reject decision whose error
     norm sits at their rounding level.  Returns the dop853 state."""
-    _, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
+    _, ys, nfev = run_steps(dop853(rhs, 0.0, t_end, y0, atol, rtol))
     y = ys[-1]
     ctl = scipy_controlled_dop853(rhs, t_end, y0, atol, rtol)
     assert ctl.status == 0
@@ -454,7 +473,7 @@ def test_integrate_matches_solve_ivp(atol, rtol):
     sys, fam, _ = _setup()
     field = RescaledField(sys, fam).rhs("field", -0.2, 0.02)
     x0, span = [1.2, 0.0, 0.1], (0.0, 5 * PERIOD)
-    ts, ys = integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol))
+    ts, ys, _ = run_steps(integrate(field, x0, span, IntegratorConfig(atol=atol, rtol=rtol)))
     ref = solve_ivp(lambda t, s: field(t, *s), span, np.array(x0), method="DOP853",
                     atol=atol, rtol=rtol)
     assert ref.status == 0
@@ -620,7 +639,7 @@ def test_vanishing_angular_speed_raises_typed_errors():
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_exponential(t_end, atol, rtol):
-    ts, ys, nfev = dop853(lambda t, y: [y], 0.0, t_end, [1.0], atol, rtol)
+    ts, ys, nfev = run_steps(dop853(lambda t, y: [y], 0.0, t_end, [1.0], atol, rtol))
     y = ys[-1]
     assert ts[0] == 0.0 and ts[-1] == t_end and len(ts) == len(ys)
     assert abs(y[0] - math.exp(t_end)) <= 10 * rtol * math.exp(t_end)
@@ -630,7 +649,7 @@ def test_stepper_exponential(t_end, atol, rtol):
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_harmonic_oscillator(t_end, atol, rtol):
-    y = dop853(lambda t, x, y: [-y, x], 0.0, t_end, [1.0, 0.0], atol, rtol)[1][-1]
+    y = run_steps(dop853(lambda t, x, y: [-y, x], 0.0, t_end, [1.0, 0.0], atol, rtol))[1][-1]
     assert max(abs(y[0] - 1.0), abs(y[1])) <= 10 * rtol
 
 
@@ -639,7 +658,7 @@ def test_stepper_blow_up_raises_step_size_underflow():
     float spacing and the stepper stops, as solve_ivp does with status -1."""
     with _time_limit(20):
         with pytest.raises(StepSizeUnderflow):
-            dop853(lambda t, y: [y * y], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9)
+            run_steps(dop853(lambda t, y: [y * y], 0.0, 2 * math.pi, [1.0], 1e-11, 1e-9))
 
 
 def test_step_budget_is_max_steps_attempts(monkeypatch):
@@ -653,34 +672,43 @@ def test_step_budget_is_max_steps_attempts(monkeypatch):
         calls[0] += 1
         return -y, x
 
-    ts, ys, nfev = dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10)
+    ts, ys, nfev = run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10))
     k = (nfev - 2) // 12
     assert nfev == 2 + 12 * k and k > 10
     monkeypatch.setattr(flow, "MAX_STEPS", k)
-    assert dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10) == (ts, ys, nfev)
+    assert run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10)) == (ts, ys, nfev)
     monkeypatch.setattr(flow, "MAX_STEPS", k - 1)
     calls[0] = 0
     with pytest.raises(StepBudgetExceeded, match=f"MAX_STEPS = {k - 1} step attempts"):
-        dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10)
+        run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10))
     assert calls[0] == 2 + 12 * (k - 1)
 
 
 def test_stepper_zero_span():
-    assert dop853(lambda t, y: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10) == ([0.5], [[2.0]], 1)
+    steps = dop853(lambda t, y: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10)
+    assert run_steps(steps) == ([0.5], [[2.0]], 1)
 
 
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi, 0.0])
 def test_stepper_end_state_alone_is_the_last_step(t_end):
-    """With all_steps=False, as a return and a jet transport call it, dop853
-    takes the same steps and keeps only the last one: its time and state
-    bit for bit, and the same RHS count."""
+    """Drained to its end by a for loop that keeps only the current step,
+    as a return and a jet transport drain it, dop853 takes the same steps:
+    the last one is the last of all its steps, time and state bit for bit,
+    after the same RHS count."""
+    calls = [0]
+
     def rhs(t, x, y):
+        calls[0] += 1
         return -y + 0.1 * x * y, x - 0.2 * x * x
 
-    ts, ys, nfev = dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10)
+    ts, ys, nfev = run_steps(dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10))
     assert len(ts) > 1 or t_end == 0.0
-    assert dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10,
-                  all_steps=False) == ([ts[-1]], [ys[-1]], nfev)
+    assert calls[0] == nfev
+    calls[0] = 0
+    for t, y in dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10):
+        pass
+    assert np.array([t, *y]).tobytes() == np.array([ts[-1], *ys[-1]]).tobytes()
+    assert calls[0] == nfev
 
 
 def _stepper_problem(kind, r, w, pair):
@@ -725,7 +753,7 @@ def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
     times, the same states bit for bit and the same RHS count."""
     rhs, y0 = _stepper_problem(kind, r, w, pair)
     t_end = -PERIOD if reverse else PERIOD
-    ts, ys, nfev = dop853(rhs, 0.0, t_end, y0, atol, rtol)
+    ts, ys, nfev = run_steps(dop853(rhs, 0.0, t_end, y0, atol, rtol))
     ts_ref, ys_ref, nfev_ref = dop853_loop(rhs, 0.0, t_end, y0, atol, rtol)
     assert nfev == nfev_ref and ts == ts_ref
     assert len(ys) == len(ys_ref)

@@ -14,7 +14,7 @@ from torusforge.lift import (
     origin_jet, printed_A_limit, translate_to_origin, tune_lift_parameters,
 )
 
-from oracles import lift_omega, omega_of_lift, omega_of_lift_family, poly_eval
+from oracles import lift_normalized_whole, lift_omega, omega_of_lift, omega_of_lift_family, poly_eval
 from test_averaging import _benchmark_inputs
 
 SPEC_SEED = ("1 + x", "1/10*x + y", "0")
@@ -221,6 +221,30 @@ def test_omega_closed_form_equals_lift_family(value, gradient, quadratic, L, sqr
     assert jet == OriginJet(value, gradient)
     delta = sqrt_delta * sqrt_delta
     assert omega_of_lift(jet, L, delta) == omega_of_lift_family(seed, L, delta)
+
+
+_SEED_MONOMIALS = [(i, j, k, 0, 0) for i in range(4) for j in range(4 - i)
+                   for k in range(4 - i - j)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(value=st.tuples(_nonzero, _nonzero, _rationals),
+       terms=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(_SEED_MONOMIALS[1:]),
+                                _nonzero), max_size=8),
+       L=st.fractions(min_value=-20, max_value=20, max_denominator=8),
+       sqrt_delta=st.fractions(min_value=Q(1, 8), max_value=4, max_denominator=8))
+def test_lift_composes_each_factor_as_the_whole_product(value, terms, L, sqrt_delta):
+    """The lift substitutes its normalizing M into lin_i and seed_i apart
+    and multiplies: the normalized system is the Poly that substituting M
+    into each whole product lin_i * seed_i gives (tests/oracles.py), on
+    seeds of degree up to 3."""
+    comps = [{(0, 0, 0, 0, 0): v} for v in value]
+    for idx, mono, c in terms:
+        comps[idx][mono] = c
+    seed = tuple(Poly({m: c for m, c in t.items() if c}) for t in comps)
+    fam = build_lift_family(seed, L, sqrt_delta * sqrt_delta)
+    whole = lift_normalized_whole(seed, L, sqrt_delta * sqrt_delta)
+    assert fam.normalized == whole
 
 
 def test_omega_closed_form_is_bidegree_4_2_with_printed_limit():

@@ -35,16 +35,14 @@ so the reports' floats depend on it.  The restricted products therefore
 visit their pairs in the order of the full `Poly.__mul__`, with its
 delete-on-zero rule, and leave each kept term where the full product would.
 
-Hypothesis H is an exact identity of the averaged spectrum at the
-averaged equilibrium, the criteria's closed form (sqrt(-Gamma(mu)),
-w_mu(mu)) (`hypothesis_check`), decided once with no float eigensolve.
-
-This module is the Melnikov layer and hypothesis H, run only by `melnikov`
-and `branch`.  What the return map shares with it lives in `criteria`: the
-exact eps slices it reduces (`eps_graded_slices`), the closed-form
-equilibrium and `AveragingError`, so `flow`, `nsbranch` and `torus` never
-load it.  It imports no numpy: `MelnikovPair.f1` and `f2_closed` give a
-tuple of Python floats at one point.
+This module is the Melnikov layer, run only by `melnikov`, the one command
+that builds a Melnikov pair.  What the other commands share with it lives
+in `criteria`: the exact eps slices it reduces (`eps_graded_slices`), the
+closed-form equilibrium, `AveragingError` and the theorem's hypotheses,
+which `branch` reads off the criteria report (`criteria.hypotheses`), so
+`flow`, `nsbranch`, `torus` and `branch` never load it.  It imports no
+numpy: `MelnikovPair.f1` and `f2_closed` give a tuple of Python floats at
+one point.
 """
 
 from __future__ import annotations
@@ -53,14 +51,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .criteria import (
-    AveragingError, HopfZeroSystem, PerturbationFamily, _ingredients, closed_form_equilibrium,
-    eps_graded_slices, float_range, perturbation_functions,
+    AveragingError, HopfZeroSystem, PerturbationFamily, eps_graded_slices, float_range,
 )
 from .fieldexpr import Poly, compile_terms
-from .univariate import Dense
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +305,21 @@ class StandardFormSystem:
     The factors are kept on cleared denominators, as the standard form of
     eps -> s eps with s = `scale`: `_F1` and `_a1` are s F1 and s a1, `_D2`
     is s^2 D2."""
-    system: HopfZeroSystem
-    family: PerturbationFamily
     scale: int
     _F1: Tuple[TrigPoly, TrigPoly] = field(repr=False)
     _a1: TrigPoly = field(repr=False)
     _D2: Tuple[TrigPoly, TrigPoly] = field(repr=False)
 
 
-def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily,
-                     slices: Optional[Tuple[Tuple[Poly, Poly, Poly], ...]] = None
-                     ) -> StandardFormSystem:
+def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily) -> StandardFormSystem:
     """Cylindrical reduction with theta as time, expanded through eps^2.
 
     With theta-dot = 1 + eps a1 + eps^2 a2 the series division gives
     F1 = (rdot1, wdot1) and F2 = D2 - F1 a1 with D2 = (rdot2, wdot2); the
     system keeps F1, a1 and D2, on cleared denominators: slice g is scaled
-    by s^g, s the lcm of the denominators of slices 1 and 2.  `slices` are
-    the system's `eps_graded_slices`, for a caller that already has them.
+    by s^g, s the lcm of the denominators of slices 1 and 2.
     """
-    if slices is None:
-        slices = eps_graded_slices(sys, fam)
+    slices = eps_graded_slices(sys, fam)
     grades = [slices[g] if len(slices) > g else (Poly(), Poly(), Poly()) for g in (1, 2)]
     s = math.lcm(*(c.denominator for grade in grades for p in grade for c in p.terms.values()))
     T1, T2 = ([TrigPoly.from_xyz_poly(_cleared(p, s ** g)) for p in grade]
@@ -340,8 +330,7 @@ def to_standard_form(sys: HopfZeroSystem, fam: PerturbationFamily,
     wdot1 = T1[2]
     rdot2 = TRIG_COS * T2[0] + TRIG_SIN * T2[1]
     wdot2 = T2[2]
-    return StandardFormSystem(system=sys, family=fam, scale=s, _F1=(rdot1, wdot1),
-                              _a1=a1, _D2=(rdot2, wdot2))
+    return StandardFormSystem(scale=s, _F1=(rdot1, wdot1), _a1=a1, _D2=(rdot2, wdot2))
 
 
 def _cleared(p: Poly, factor: int) -> Poly:
@@ -365,8 +354,8 @@ class MelnikovPair:
     @cached_property
     def f2_exact(self) -> Tuple[PiPoly, PiPoly]:
         """f2 = int_0^{2 pi} (F2 + DF1 . Phi) with Phi = int_0^theta F1 and
-        F2 = D2 - F1 a1, exact, built on first use: branch's hypothesis
-        check reads f1 alone.
+        F2 = D2 - F1 a1, exact, built on first use: a caller that reads f1
+        alone never builds it.
 
         Only the terms the average keeps are formed: the mean of D2, and the
         frequency-matched parts of F1 a1 and DF1 . Phi (`_averaged_product`).
@@ -435,84 +424,3 @@ def melnikov_pair(std: StandardFormSystem) -> MelnikovPair:
     divided by s once."""
     return MelnikovPair(std=std, f1_exact=tuple(_integrate_2pi(F, std.scale)
                                                 for F in std._F1))
-
-
-# ---------------------------------------------------------------------------
-# hypotheses at mu0
-# ---------------------------------------------------------------------------
-
-def _spectrum_identity(mel: MelnikovPair, eta: Dense, gamma: Dense) -> bool:
-    """Whether the exact f1 and its Jacobian J satisfy, on the line
-    w = w_mu(mu) = -sigma(mu) / d and as PiPolys in (r, mu, pi),
-
-        f1_r = 0,  f1_w = k (r^2 + Gamma(mu)),  tr J = 2 eta(mu),
-        det J = pi^2 Omega r^2,
-
-    for a constant k, where eta = pi e(mu) / d, and e = eta d / pi and Gamma
-    are the criteria's exact polynomials in mu (`PerturbationCriteria.eta`
-    and `.gamma`).  Every term of f1 carries pi once, so k is the
-    coefficient of r^2 pi in f1_w."""
-    sys = mel.std.system
-    d = sys.divergence_pair
-    sigma = _ingredients(mel.std.family)[0]
-    on_line = {"w": PiPoly({(0, 0, m[3], 0): -c / d for m, c in sigma.terms.items()})}
-    f_r, f_w = (f.substitute(on_line) for f in mel.f1_exact)
-    (a, b), (c, e) = ([f.derivative(v).substitute(on_line) for v in ("r", "w")]
-                      for f in mel.f1_exact)
-    k = f_w.terms.get((2, 0, 0, 1), 0)
-    return (not f_r and f_w == (_pi_poly(gamma) + PiPoly({(2, 0, 0, 1): Fraction(1)})).scale(k)
-            and a + e == _pi_poly(eta).scale(2 / d)
-            and a * e - b * c == PiPoly({(2, 0, 0, 2): sys.omega}))
-
-
-def _pi_poly(p: Dense) -> PiPoly:
-    """pi p(mu) for the dense polynomial p, lowest degree first."""
-    return PiPoly({(0, 0, k, 1): q for k, q in enumerate(p)})
-
-
-@dataclass
-class HypothesisReport:
-    hopf_ok: bool
-    transversality_ok: bool
-    nondegeneracy_ok: bool
-    details: dict
-
-    def to_dict(self) -> dict:
-        return {"hopf_ok": self.hopf_ok,
-                "transversality_ok": self.transversality_ok,
-                "nondegeneracy_ok": self.nondegeneracy_ok,
-                "details": self.details}
-
-
-def hypothesis_check(mel: MelnikovPair, crit, l12: float) -> HypothesisReport:
-    """H, T and ND at mu0, each decided once.
-
-    H is the local Hopf condition, a pair +-i omega0 with omega0 > 0 at mu0.
-    By `_spectrum_identity` the averaged eigenvalues at the closed form are
-    eta +- i sqrt(pi^2 Omega r^2 - eta^2): at the root mu0 of eta, where
-    Gamma < 0, +-i pi sqrt(Omega) r0.  So H holds where the identity does and
-    Omega > 0, both exact; the rest of the criterion interval is not read.
-    omega0 is None where Omega <= 0.  ND reads the slices of the map
-    Lyapunov coefficient: its eps slice l11 is 0 for every system, so the
-    leading one is l12, pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`),
-    nonzero exactly where ell_1 is: a nonzero ell_1 whose l12 rounds to 0.0
-    is refused there.
-    """
-    omega = mel.std.system.omega
-    hopf_ok = omega > 0 and _spectrum_identity(mel, crit.eta, crit.gamma)
-    r0, _ = closed_form_equilibrium(perturbation_functions(mel.std.system, mel.std.family),
-                                    crit.mu0)
-    details: dict = {"omega0": math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None}
-
-    # T is the exact simplicity of mu0: alpha_d is 0.0 only at a multiple root
-    details["alpha_d"] = crit.alpha_d
-    transversality_ok = crit.alpha_d != 0
-
-    details["l11"] = 0.0
-    details["l12"] = l12
-    j_star = 2 if l12 != 0 else None
-    details["j_star"] = j_star
-    nondegeneracy_ok = j_star is not None
-
-    return HypothesisReport(hopf_ok=hopf_ok, transversality_ok=transversality_ok,
-                            nondegeneracy_ok=nondegeneracy_ok, details=details)

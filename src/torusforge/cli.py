@@ -46,12 +46,13 @@ Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
 The averaged equilibrium is the criteria's closed form, read by `melnikov`
 and `simulate` and, as its Newton seed, by the return map of `branch` and
 `certify` (`ThetaReturnMap.averaged_equilibrium`); only `melnikov` (its
-grid) and `branch` (hypothesis H) build a Melnikov pair.
+grid) builds a Melnikov pair.  `branch` reads the theorem's hypotheses off
+the criteria report (`criteria.hypotheses`).
 
 Each command loads only the layers it runs.  Importing this module runs
 `criteria`, `fieldexpr` and `univariate`, which every command reads; the
 other layers are bound lazily (`_deferred`) and run on a command's first
-use: `averaging` for `melnikov` and `branch`, `flow` for `simulate`,
+use: `averaging` for `melnikov` alone, `flow` for `simulate`,
 `branch` and `certify`, `lift` for `lift`, and the return map's solves and
 fits (`nsbranch`, `torus`) for `branch` and `certify`.  Only a `certify`
 whose probe settles on a curve loads numpy, for the analysis of the sampled
@@ -77,7 +78,8 @@ from typing import List, Optional, Tuple
 from . import __version__
 from .criteria import (
     CriteriaError, CriteriaReport, HopfZeroSystem, PerturbationFamily,
-    closed_form_equilibrium, criteria_report, perturbation_functions, validate_hopf_zero,
+    closed_form_equilibrium, criteria_report, hypotheses, perturbation_functions,
+    validate_hopf_zero,
 )
 from .fieldexpr import FieldExprError, as_poly, format_poly
 
@@ -392,18 +394,16 @@ def cmd_branch(args) -> int:
     if not rep.applicable:
         return _not_applicable(args, doc, rep, "branch.json", "branch")
     tmap = flow.ThetaReturnMap(sys_, fam, nsbranch.RETURN_MAP_INTEGRATOR)
-    mel = averaging.melnikov_pair(averaging.to_standard_form(sys_, fam, tmap.field.slices))
     mu0 = rep.perturbation.mu0
     branch = nsbranch.branch_continuation(tmap, mu0)
     slices = nsbranch.lyapunov_slices(tmap, branch)
     jordan = nsbranch.jordan_expansion(branch)
     xi1 = nsbranch.xi_slice(tmap, mu0)
-    hyp = averaging.hypothesis_check(mel, rep.perturbation, rep.base.l12)
     payload = {
         "meta": _meta(args, doc),
         "criteria": rep.to_dict(),
         "branch": branch.to_dict(),
-        "hypotheses": hyp.to_dict(),
+        "hypotheses": hypotheses(rep),
         "xi_slice_at_mu0": xi1,
         "lyapunov": {"l11": slices.l11, "l12": slices.l12,
                      "samples": [list(v) for v in slices.values]},

@@ -442,8 +442,6 @@ class PerturbationCriteria:
     gamma_nonnegative: Tuple[Tuple[float, float], ...]
     gamma_discrepancy_max: float
     interval: Tuple[float, float]
-    eta: Dense = field(repr=False)                  # eta d / pi, exact in mu
-    gamma: Dense = field(repr=False)                # Gamma_criterion, exact in mu
 
     def to_dict(self) -> dict:
         return {
@@ -503,10 +501,15 @@ def closed_form_equilibrium(functions, mu: float) -> Tuple[float, float]:
     no Melnikov pair: a Gamma_op(mu) >= 0 leaves no radius, an
     AveragingError."""
     gamma_op, _, w_mu = functions
-    gamma = gamma_op(mu)
+    return _equilibrium_radius(gamma_op(mu), mu), w_mu(mu)
+
+
+def _equilibrium_radius(gamma: float, mu: float) -> float:
+    """sqrt(-gamma) for gamma = Gamma_op(mu); a gamma >= 0 leaves no radius,
+    an AveragingError."""
     if gamma >= 0:
         raise AveragingError(f"Gamma_criterion({mu}) = {gamma} >= 0; no equilibrium radius")
-    return math.sqrt(-gamma), w_mu(mu)
+    return math.sqrt(-gamma)
 
 
 def evaluate_perturbation_criteria(
@@ -552,7 +555,7 @@ def evaluate_perturbation_criteria(
         gamma_at_mu0=gamma_op(mu0), gamma_printed_at_mu0=gamma_pr(mu0),
         gamma_nonnegative=nonnegative,
         gamma_discrepancy_max=float(max(abs(value(disc, x)) for x in ends)),
-        interval=(float(lo), float(hi)), eta=eta, gamma=gamma,
+        interval=(float(lo), float(hi)),
     )
 
 
@@ -638,3 +641,38 @@ def criteria_report(sys: HopfZeroSystem, fam: PerturbationFamily,
     return CriteriaReport(base=base, perturbation=pert,
                           applicable=applicable,
                           reasons=tuple(dict.fromkeys(reasons)))
+
+
+def hypotheses(rep: CriteriaReport) -> dict:
+    """The theorem's hypotheses H, T and ND at mu0, each decided once from
+    the report alone: the `hypotheses` block of `branch.json`.
+
+    H is the local Hopf condition, a pair +-i omega0 with omega0 > 0 at the
+    averaged equilibrium at mu0.  For every system and polynomial family
+    the exact first-order Melnikov function f1 has a fixed form, with
+    d = P^(1,0,1) + Q^(0,1,1), S = R^(2,0,0) + R^(0,2,0) and Omega = -d S:
+    f1_r = pi r (sigma(mu) + d w) everywhere, and on the line
+    w = w_mu = -sigma / d, f1_w = (pi S / 2)(r^2 + Gamma_op(mu)), where its
+    Jacobian in (r, w) is [[0, pi d r], [pi S r, 2 eta]], so tr J = 2 eta
+    and det J = pi^2 Omega r^2 (tests/test_criteria.py asserts it on the
+    exact f1).  At the equilibrium (sqrt(-Gamma_op), w_mu) the averaged
+    eigenvalues are eta +- i sqrt(pi^2 Omega r^2 - eta^2): at the root mu0
+    of eta, +-i pi sqrt(Omega) r0.  So H is exactly Omega > 0, and
+    omega0 = pi sqrt(Omega) sqrt(-Gamma_op(mu0)) comes from values the
+    report holds; omega0 is None where Omega <= 0, and a Gamma_op(mu0) >= 0
+    leaves no radius, an AveragingError.
+
+    T is the exact simplicity of mu0: alpha_d is 0.0 only at a multiple
+    root.  ND reads the slices of the map Lyapunov coefficient: its eps
+    slice l11 is 0 for every system, so the leading one is l12,
+    pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`, None where Omega <= 0),
+    nonzero exactly where ell_1 is: a nonzero ell_1 whose l12 rounds to 0.0
+    is refused there.
+    """
+    omega, crit, l12 = rep.base.omega, rep.perturbation, rep.base.l12
+    r0 = _equilibrium_radius(crit.gamma_at_mu0, crit.mu0)
+    j_star = 2 if l12 else None
+    return {"hopf_ok": omega > 0, "transversality_ok": crit.alpha_d != 0,
+            "nondegeneracy_ok": j_star is not None,
+            "details": {"omega0": math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None,
+                        "alpha_d": crit.alpha_d, "l11": 0.0, "l12": l12, "j_star": j_star}}

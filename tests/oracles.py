@@ -5,7 +5,8 @@ plane-section return with event location and dense output, the variational
 equation, finite differences, complex-step differentiation and plain
 Gauss-Legendre quadrature of the standard form, whose F2 `full_F2` forms
 from the factors the package keeps, and the float Jacobian of f1
-(`f1_jacobian`), whose eigenvalues check the averaged spectrum.
+(`f1_jacobian`), whose eigenvalues check the averaged spectrum that
+`spectrum_identity` checks exactly.
 `melnikov_pair_full` is the exact layer's full route: it expands every
 cos^i sin^j by repeated products, forms F2 and averages the whole f2
 integrand, the reference for the terms and the term order of
@@ -61,8 +62,8 @@ from torusforge.averaging import (
     melnikov_pair, to_standard_form,
 )
 from torusforge.criteria import (
-    AveragingError, HopfZeroSystem, PerturbationFamily, _ell1_closed_form, _on_scaled,
-    _scaled_jets, eps_graded_slices, validate_hopf_zero,
+    AveragingError, HopfZeroSystem, PerturbationFamily, _ell1_closed_form, _exact_criteria,
+    _ingredients, _on_scaled, _scaled_jets, eps_graded_slices, validate_hopf_zero,
 )
 from torusforge.fieldexpr import (
     MAX_NESTING, MAX_POWER, VARIABLES, FieldExprError, FieldSyntaxError, Jet3, Poly,
@@ -533,11 +534,42 @@ def f1_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,
 def f1_jacobian(mel: MelnikovPair, x, mu) -> np.ndarray:
     """The float Jacobian of f1 in (r, w) at x = (r, w): its exact partials,
     each compiled and evaluated.  Its `np.linalg.eigvals` are the float
-    check of the averaged spectrum that `averaging.hypothesis_check` reads
-    off an exact identity."""
+    check of the averaged spectrum that `criteria.hypotheses` reads off an
+    exact identity (`spectrum_identity`)."""
     r, w = x
     return np.array([[p.derivative(v).evaluator()(r, w, mu) for v in ("r", "w")]
                      for p in mel.f1_exact])
+
+
+def spectrum_identity(mel: MelnikovPair, sys: HopfZeroSystem,
+                      fam: PerturbationFamily) -> bool:
+    """Whether the exact f1 of `mel`, the pair of `sys` and `fam`, and its
+    Jacobian J satisfy, on the line w = w_mu(mu) = -sigma(mu) / d and as
+    PiPolys in (r, mu, pi),
+
+        f1_r = 0,  f1_w = k (r^2 + Gamma(mu)),  tr J = 2 eta(mu),
+        det J = pi^2 Omega r^2,
+
+    for a constant k, where eta = pi e(mu) / d, and e = eta d / pi and Gamma
+    are the criteria's exact polynomials in mu (`criteria._exact_criteria`).
+    Every term of f1 carries pi once, so k is the coefficient of r^2 pi in
+    f1_w.  The identity by which `criteria.hypotheses` reads H as
+    Omega > 0."""
+    d = sys.divergence_pair
+    eta, gamma, _ = _exact_criteria(sys, fam)
+    sigma = _ingredients(fam)[0]
+    on_line = {"w": PiPoly({(0, 0, m[3], 0): -c / d for m, c in sigma.terms.items()})}
+    f_r, f_w = (f.substitute(on_line) for f in mel.f1_exact)
+    (a, b), (c, e) = ([f.derivative(v).substitute(on_line) for v in ("r", "w")]
+                      for f in mel.f1_exact)
+
+    def pi_poly(p):
+        return PiPoly({(0, 0, k, 1): q for k, q in enumerate(p)})
+
+    k = f_w.terms.get((2, 0, 0, 1), 0)
+    return (not f_r and f_w == (pi_poly(gamma) + PiPoly({(2, 0, 0, 1): Fraction(1)})).scale(k)
+            and a + e == pi_poly(eta).scale(2 / d)
+            and a * e - b * c == PiPoly({(2, 0, 0, 2): sys.omega}))
 
 
 def f2_quadrature(mel: MelnikovPair, x, mu, tol=QUADRATURE_TOL,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import random
@@ -11,12 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from torusforge import averaging, nsbranch
 from torusforge.averaging import (
-    CFrac, TrigPoly, hypothesis_check, melnikov_pair, to_standard_form,
+    CFrac, TrigPoly, melnikov_pair, to_standard_form,
 )
 from torusforge.criteria import (
     AveragingError, FloatRangeExceeded, PerturbationFamily, closed_form_equilibrium,
-    ell1_exact, eps_graded_slices, evaluate_base_criteria, evaluate_perturbation_criteria,
-    perturbation_functions, validate_hopf_zero,
+    criteria_report, ell1_exact, eps_graded_slices, evaluate_perturbation_criteria,
+    hypotheses, perturbation_functions, validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
 from torusforge.flow import IntegratorConfig, MapJet, ThetaReturnMap
@@ -29,7 +30,8 @@ from torusforge.torus import CERTIFY_INTEGRATOR
 from oracles import (
     StandardForm, f1_jacobian, f1_quadrature, f2_quadrature, first_lyapunov_quantity,
     full_F2, ladder_fit_vander, lyapunov_coefficient_einsum, melnikov_pair_full,
-    normalizing_matrix, standard_form_full, std_a1, std_D2, std_F1, trig_of_xyz_poly,
+    normalizing_matrix, spectrum_identity, standard_form_full, std_a1, std_D2, std_F1,
+    trig_of_xyz_poly,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -64,10 +66,10 @@ def _example_pair():
     return sys, fam, std, melnikov_pair(std)
 
 
-def _equilibrium(mel, mu):
-    """The averaged equilibrium of the pair's system and family at mu: the
+def _equilibrium(sys, fam, mu):
+    """The averaged equilibrium of the system and family at mu: the
     criteria's closed form, the one route to it."""
-    return closed_form_equilibrium(perturbation_functions(mel.std.system, mel.std.family), mu)
+    return closed_form_equilibrium(perturbation_functions(sys, fam), mu)
 
 
 def test_standard_form_slices_and_periodicity():
@@ -428,8 +430,8 @@ def _eigenvalues(mel, x, mu):
 
 
 def test_equilibrium_example_mu0():
-    _, _, _, mel = _example_pair()
-    r, w = _equilibrium(mel, 0.0)
+    sys, fam, _, mel = _example_pair()
+    r, w = _equilibrium(sys, fam, 0.0)
     assert r == pytest.approx(math.sqrt(2), abs=1e-12)
     assert w == 0
     assert np.max(np.abs(mel.f1((r, w), 0.0))) <= 1e-10
@@ -440,8 +442,8 @@ def test_equilibrium_example_mu0():
 
 
 def test_equilibrium_example_mu_positive():
-    _, _, _, mel = _example_pair()
-    r, w = _equilibrium(mel, 0.1)
+    sys, fam, _, mel = _example_pair()
+    r, w = _equilibrium(sys, fam, 0.1)
     # eta +- i sqrt(pi^2 Omega r^2 - eta^2), eta = pi mu
     lam_expected = complex(0.1 * math.pi, math.pi * math.sqrt(8 - 0.01 * 2) / math.sqrt(2))
     assert _eigenvalues(mel, (r, w), 0.1)[0] == pytest.approx(lam_expected, abs=1e-10)
@@ -451,8 +453,8 @@ def test_complex_pair_lost_outside_window():
     """|mu| >= 2 sqrt(Omega)/Gamma = 2 sqrt(2)/sqrt(2) = 2 loses the pair: at
     mu = 2.5 the averaged equilibrium is still the root of f1, and its
     eigenvalues are real, eta +- sqrt(eta^2 - pi^2 Omega r^2) = pi (2.5 +- 1.5)."""
-    _, _, _, mel = _example_pair()
-    r, w = _equilibrium(mel, 2.5)
+    sys, fam, _, mel = _example_pair()
+    r, w = _equilibrium(sys, fam, 2.5)
     assert r == pytest.approx(math.sqrt(2), abs=1e-12)
     assert np.max(np.abs(mel.f1((r, w), 2.5))) <= 1e-10
     lam = np.sort(np.linalg.eigvals(f1_jacobian(mel, (r, w), 2.5)))
@@ -508,7 +510,7 @@ def test_general_family_same_ell1():
     fam = PerturbationFamily.from_expressions("1/2*x", "0", "mu*z + 3/8*eps")
     crit = evaluate_perturbation_criteria(sys, fam, (0.0, 1.2))
     mel = melnikov_pair(to_standard_form(sys, fam))
-    r, w = _equilibrium(mel, crit.mu0)
+    r, w = _equilibrium(sys, fam, crit.mu0)
     assert r == pytest.approx(0.5, abs=1e-10)
     assert w == pytest.approx(-0.5, abs=1e-12)
     # +-i pi sqrt(Omega) r0 at mu0
@@ -518,31 +520,49 @@ def test_general_family_same_ell1():
 
 def test_hypothesis_check_example():
     sys, fam, std, mel = _example_pair()
-    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
-    rep = hypothesis_check(mel, crit, evaluate_base_criteria(sys).l12)
-    assert rep.hopf_ok and rep.transversality_ok and rep.nondegeneracy_ok
-    assert list(rep.details) == ["omega0", "alpha_d", "l11", "l12", "j_star"]
-    assert rep.details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
+    rep = criteria_report(sys, fam, (-1.0, 1.0))
+    hyp = hypotheses(rep)
+    assert hyp["hopf_ok"] and hyp["transversality_ok"] and hyp["nondegeneracy_ok"]
+    details = hyp["details"]
+    assert list(details) == ["omega0", "alpha_d", "l11", "l12", "j_star"]
+    assert details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
     # the float eigensolve at mu0 sees the pair +-i omega0
-    lam = _eigenvalues(mel, _equilibrium(mel, crit.mu0), crit.mu0)
-    assert lam[0] == pytest.approx(1j * rep.details["omega0"], abs=1e-10)
-    assert rep.details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
-    assert rep.details["j_star"] == 2
-    assert rep.details["l12"] == pytest.approx(-3 * math.pi / 4, abs=1e-10)
-    out = rep.to_dict()
-    assert out == {"hopf_ok": True, "transversality_ok": True,
-                   "nondegeneracy_ok": True, "details": rep.details}
+    mu0 = rep.perturbation.mu0
+    lam = _eigenvalues(mel, _equilibrium(sys, fam, mu0), mu0)
+    assert lam[0] == pytest.approx(1j * details["omega0"], abs=1e-10)
+    assert details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
+    assert details["j_star"] == 2
+    assert details["l12"] == pytest.approx(-3 * math.pi / 4, abs=1e-10)
+    assert hyp == {"hopf_ok": True, "transversality_ok": True,
+                   "nondegeneracy_ok": True, "details": details}
+
+
+def _with_l12(rep, l12):
+    """The report `rep` with its base criteria's l12 replaced."""
+    return dataclasses.replace(rep, base=dataclasses.replace(rep.base, l12=l12))
 
 
 def test_nondegeneracy_reads_a_nonzero_l12():
     """ND holds for any nonzero l12, however small: a nonzero ell_1 never
     reaches it as l12 = 0.0 (`evaluate_base_criteria` refuses that), so no
     bound in the units of (x, y, z) decides it."""
-    sys, fam, std, mel = _example_pair()
-    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
-    rep = hypothesis_check(mel, crit, 1e-11)
-    assert rep.nondegeneracy_ok is True and rep.details["j_star"] == 2
-    assert hypothesis_check(mel, crit, 0.0).nondegeneracy_ok is False
+    sys, fam, _, _ = _example_pair()
+    rep = criteria_report(sys, fam, (-1.0, 1.0))
+    hyp = hypotheses(_with_l12(rep, 1e-11))
+    assert hyp["nondegeneracy_ok"] is True and hyp["details"]["j_star"] == 2
+    assert hypotheses(_with_l12(rep, 0.0))["nondegeneracy_ok"] is False
+
+
+def test_transversality_reads_a_nonzero_alpha_d():
+    """T is the exact simplicity of mu0: it fails only where alpha_d is
+    0.0, which the criteria give only at a multiple root."""
+    sys, fam, _, _ = _example_pair()
+    rep = criteria_report(sys, fam, (-1.0, 1.0))
+    assert hypotheses(rep)["transversality_ok"] is True
+    flat = dataclasses.replace(rep, perturbation=dataclasses.replace(rep.perturbation,
+                                                                     alpha_d=0.0))
+    hyp = hypotheses(flat)
+    assert hyp["transversality_ok"] is False and hyp["details"]["alpha_d"] == 0.0
 
 
 def test_hypothesis_h_fails_for_negative_omega():
@@ -552,12 +572,12 @@ def test_hypothesis_h_fails_for_negative_omega():
     assert sys.omega < 0
     fam = PerturbationFamily.simple(beta=-1)
     mel = melnikov_pair(to_standard_form(sys, fam))
-    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
-    assert averaging._spectrum_identity(mel, crit.eta, crit.gamma)
-    rep = hypothesis_check(mel, crit, 1.0)
-    assert rep.hopf_ok is False and rep.details["omega0"] is None
-    r, w = _equilibrium(mel, crit.mu0)
-    lam = np.linalg.eigvals(f1_jacobian(mel, (r, w), crit.mu0))
+    rep = criteria_report(sys, fam, (-1.0, 1.0))
+    assert spectrum_identity(mel, sys, fam)
+    hyp = hypotheses(rep)
+    assert hyp["hopf_ok"] is False and hyp["details"]["omega0"] is None
+    r, w = _equilibrium(sys, fam, rep.perturbation.mu0)
+    lam = np.linalg.eigvals(f1_jacobian(mel, (r, w), rep.perturbation.mu0))
     assert np.isrealobj(lam) and lam.min() < 0 < lam.max()
 
 
@@ -568,11 +588,9 @@ def test_hypothesis_h_holds_in_other_units(k):
     the units of (x, y, z) can decide it."""
     sys = validate_hopf_zero("0", f"{k}*y*z", f"{k}*(-x^2 + x*y + z^2)")
     fam = PerturbationFamily.from_expressions("0", "0", f"mu*z + {k}*eps")
-    mel = melnikov_pair(to_standard_form(sys, fam))
-    crit = evaluate_perturbation_criteria(sys, fam, (-1.0, 1.0))
-    rep = hypothesis_check(mel, crit, evaluate_base_criteria(sys).l12)
-    assert rep.hopf_ok is True
-    assert rep.details["omega0"] == pytest.approx(2 * math.pi * float(k), rel=1e-12)
+    hyp = hypotheses(criteria_report(sys, fam, (-1.0, 1.0)))
+    assert hyp["hopf_ok"] is True
+    assert hyp["details"]["omega0"] == pytest.approx(2 * math.pi * float(k), rel=1e-12)
 
 
 def test_det_m_closed_form():

@@ -853,12 +853,12 @@ def test_no_torus_certificate_bytes(tmp_path):
     ("simulate", [], "trajectory.csv"),
 ])
 def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, report):
-    """The criteria read ell_1 off the jets and build no Melnikov pair.
-    branch builds its own for hypothesis H: one standard form and one pair
-    per run, on the exact eps slices of the return map's field.  certify and
-    simulate seed at the criteria's closed form (certify through the return
-    map's own `averaged_equilibrium`) and build neither; each field reads
-    the one set of eps slices."""
+    """The criteria read ell_1 off the jets and build no Melnikov pair, and
+    branch reads hypothesis H off the criteria report (`Omega > 0`), so it
+    builds neither a standard form nor a pair.  certify and simulate seed at
+    the criteria's closed form (certify through the return map's own
+    `averaged_equilibrium`) and build neither; each field reads the one set
+    of eps slices."""
     counts = {"to_standard_form": 0, "melnikov_pair": 0, "eps_graded_slices": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(averaging, name)):
@@ -871,8 +871,7 @@ def test_one_melnikov_pair_per_command(tmp_path, monkeypatch, command, flags, re
     out = tmp_path / "out"
     assert main([command, "--input", doc, "--out", str(out), *flags]) == EXIT_OK
     assert (out / report).exists()
-    pairs = 1 if command == "branch" else 0
-    assert counts == {"to_standard_form": pairs, "melnikov_pair": pairs, "eps_graded_slices": 1}
+    assert counts == {"to_standard_form": 0, "melnikov_pair": 0, "eps_graded_slices": 1}
 
 
 def test_lift_command(tmp_path):
@@ -1177,7 +1176,7 @@ def seen_after(step, rc):
     return [step, rc, "numpy" in sys.modules, executed]
 
 steps = [("analyze", doc), ("certify", doc, "--mu=-0.2", "--eps=0.02"), ("simulate", sim),
-         ("melnikov", doc, "--grid", "4"), ("lift", lift), ("branch", doc)]
+         ("branch", doc), ("melnikov", doc, "--grid", "4"), ("lift", lift)]
 seen = [seen_after("import", None)]
 for command, path, *flags in steps:
     rc = torusforge.cli.main([command, "--input", path, "--out", f"{out}/{command}", *flags])
@@ -1193,10 +1192,12 @@ def test_each_command_runs_its_layers_without_numpy(tmp_path):
     the no-torus side adds the return map (`flow`, `nsbranch`, `torus`) but
     neither `averaging` nor `lift`: its fixed point, branch point and probe
     are Python floats, and it writes the bytes of
-    NO_TORUS_CERTIFICATE_SHA256.  simulate adds nothing more, melnikov adds
-    `averaging` and lift adds `lift`.  branch in that process, its ladder
-    fits exact and its normalization and contractions on Python floats,
-    writes the bytes of BRANCH_JSON_SHA256.  No step loads numpy."""
+    NO_TORUS_CERTIFICATE_SHA256.  simulate adds nothing more, and neither
+    does branch: its ladder fits are exact, its normalization and
+    contractions Python floats, and it reads the theorem's hypotheses off
+    the criteria report, so it executes no `averaging`, and it writes the
+    bytes of BRANCH_JSON_SHA256.  melnikov then adds `averaging` and lift
+    adds `lift`.  No step loads numpy."""
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     sim = _write_doc(tmp_path, dict(EXAMPLE_DOC, periods=3), name="sim.json")
     lift = _write_doc(tmp_path, {"system": LIFT_SYSTEM}, name="lift.json")
@@ -1210,8 +1211,8 @@ def test_each_command_runs_its_layers_without_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [
         ["import", None, False, base], ["analyze", EXIT_OK, False, base],
         ["certify", EXIT_OK, False, return_map], ["simulate", EXIT_OK, False, return_map],
-        ["melnikov", EXIT_OK, False, with_averaging], ["lift", EXIT_OK, False, everything],
-        ["branch", EXIT_OK, False, everything]]
+        ["branch", EXIT_OK, False, return_map], ["melnikov", EXIT_OK, False, with_averaging],
+        ["lift", EXIT_OK, False, everything]]
     assert _sha256(out / "certify" / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
     assert _sha256(out / "branch" / "branch.json") == BRANCH_JSON_SHA256
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torusforge import averaging, criteria
+from torusforge import criteria
 from torusforge.averaging import PiPoly, melnikov_pair, to_standard_form
 from torusforge.criteria import (
     ConstantTermPresent, CriteriaError, DegenerateSum, GammaNonNegative, LinearTermPresent,
@@ -20,7 +20,7 @@ from torusforge.fieldexpr import Jet3, Poly, jet_extract
 
 from oracles import (
     ell1_nested_source, ell1_terms, ell1_transcribed, entry_values,
-    first_lyapunov_quantity, fit_ell1, random_hopf_zero,
+    first_lyapunov_quantity, fit_ell1, random_hopf_zero, spectrum_identity,
 )
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
@@ -376,11 +376,13 @@ def test_closed_form_equilibrium_is_the_root_of_f1(exprs, fam, mu):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SYSTEMS), families())
 def test_averaged_spectrum_identity(exprs, fam):
-    """On the line w = w_mu(mu) = -sigma(mu)/d, the exact f1 and its Jacobian
-    J in (r, w) satisfy, as polynomials in (r, mu, pi): f1_r = 0,
-    f1_w = k pi (r^2 + Gamma) for a nonzero rational k, tr J = 2 eta and
+    """f1_r = pi r (sigma(mu) + d w) everywhere, and on the line
+    w = w_mu(mu) = -sigma(mu)/d the exact f1 and its Jacobian J in (r, w)
+    satisfy, as polynomials in (r, mu, pi): f1_r = 0,
+    f1_w = (pi S / 2) (r^2 + Gamma), tr J = 2 eta and
     det J = pi^2 Omega r^2, with eta = pi (eta d / pi) / d and Gamma the
-    criteria's exact polynomials.  `hypothesis_check` decides H on them."""
+    criteria's exact polynomials.  So `criteria.hypotheses` reads H as
+    Omega > 0 wherever the criteria report builds."""
     sys = validate_hopf_zero(*exprs)
     d = sys.divergence_pair
     eta, gamma, _ = criteria._exact_criteria(sys, fam)
@@ -390,18 +392,25 @@ def test_averaged_spectrum_identity(exprs, fam):
     f_r, f_w = (f.substitute(on_line) for f in mel.f1_exact)
     (a, b), (c, e) = ([f.derivative(v).substitute(on_line) for v in ("r", "w")]
                       for f in mel.f1_exact)
-    r, pi = PiPoly.variable("r"), PiPoly.variable("pi")
+    r, w, pi = (PiPoly.variable(v) for v in ("r", "w", "pi"))
 
     def in_mu(p):
         return PiPoly({(0, 0, i, 0): q for i, q in enumerate(p)})
 
+    sigma_mu = PiPoly({(0, 0, m[3], 0): c for m, c in sigma.terms.items()})
+    assert mel.f1_exact[0] == r * pi * (sigma_mu + w.scale(d))
     k = f_w.terms[(2, 0, 0, 1)]
-    assert k != 0
+    assert k == sys.quadratic_sum / 2
     assert f_r == PiPoly()
     assert f_w == (r * r + in_mu(gamma)) * pi.scale(k)
     assert a + e == in_mu(eta) * pi.scale(2 / d)
     assert a * e - b * c == r * r * pi * pi.scale(sys.omega)
-    assert averaging._spectrum_identity(mel, eta, gamma)
+    assert spectrum_identity(mel, sys, fam)
+    try:
+        rep = criteria_report(sys, fam)
+    except CriteriaError:
+        return
+    assert criteria.hypotheses(rep)["hopf_ok"] == (sys.omega > 0)
 
 
 @pytest.mark.parametrize("exprs", SYSTEMS)

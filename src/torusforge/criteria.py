@@ -5,24 +5,27 @@ perturbation criteria are decided on exact polynomials in mu: the roots of
 eta, correctly rounded, and the sign of Gamma at mu_0 (`univariate`).  A
 family's ingredients become floats in `perturbation_functions`, through
 `compile_terms`: the reported values of Gamma, and Gamma and w_mu for the
-averaged equilibrium, whose closed form they are.  The first Lyapunov
-quantity ell_1 is read straight off the quadratic and cubic jets by a
-closed form with integer coefficients (`ell1_exact`), exact like Omega.
-The closed formula transcribed from the source text is evaluated
-and reported next to it, but it is inconsistent with the worked example and
-with the dynamics (see `_ell1_closed_form`); the repaired form is the one
-used.
+averaged equilibrium, whose closed form they are.  A `HopfZeroSystem` is
+its three polynomials: Omega, S, d and the first Lyapunov quantity ell_1
+are read off their raw partials at the origin (`fieldexpr.partial`), each
+once per system and kept.  ell_1 is a closed form with integer
+coefficients in the quadratic and cubic partials
+(`HopfZeroSystem.ell1_exact`), exact like Omega.  The closed formula
+transcribed from the source text is evaluated and reported next to it, but
+it is inconsistent with the worked example and with the dynamics (see
+`_ell1_closed_form`); the repaired form is the one used.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .fieldexpr import Jet3, Poly, as_poly, compile_terms, jet_extract
+from .fieldexpr import Poly, as_poly, compile_terms, partial
 from .univariate import Dense, derivative, roots, sign_at, simple_and_multiple, value
 
 
@@ -79,20 +82,21 @@ class AveragingError(ValueError):
 # validated system and perturbation family
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HopfZeroSystem:
-    """Unperturbed field (P, Q, R) on top of the linear part (-y, x, 0)."""
+    """Unperturbed field (P, Q, R) on top of the linear part (-y, x, 0).
+
+    The invariants are read off the polynomials' raw partials at the origin
+    (`partial`), each on first use and then kept: the system is frozen and
+    nothing changes a `Poly` in place, so a kept value never goes stale."""
     P: Poly
     Q: Poly
     R: Poly
-    jP: Jet3 = field(repr=False)
-    jQ: Jet3 = field(repr=False)
-    jR: Jet3 = field(repr=False)
 
-    @property
+    @cached_property
     def quadratic_sum(self) -> Fraction:
         """R^(2,0,0) + R^(0,2,0)."""
-        return self.jR.get(2, 0, 0) + self.jR.get(0, 2, 0)
+        return partial(self.R, 2, 0, 0) + partial(self.R, 0, 2, 0)
 
     @property
     def beta(self) -> int:
@@ -103,19 +107,41 @@ class HopfZeroSystem:
             raise DegenerateSum("R^(2,0,0) + R^(0,2,0) = 0; beta undefined")
         return -1 if S > 0 else 1
 
-    @property
+    @cached_property
     def divergence_pair(self) -> Fraction:
         """P^(1,0,1) + Q^(0,1,1)."""
-        return self.jP.get(1, 0, 1) + self.jQ.get(0, 1, 1)
+        return partial(self.P, 1, 0, 1) + partial(self.Q, 0, 1, 1)
 
-    @property
+    @cached_property
     def omega(self) -> Fraction:
         return -self.divergence_pair * self.quadratic_sum
+
+    @cached_property
+    def scaled_entries(self) -> tuple:
+        """(s, P, Q, R): s the lcm of the denominators of the quadratic and
+        cubic partials, and (i, j, k) -> the partial times s^(i + j + k - 1),
+        an int (0 where the component has none).
+
+        Both ell_1 forms are homogeneous of weight 6 when the entry (i, j, k)
+        has weight i + j + k - 1 (the rescaling eps -> s eps), so they are
+        evaluated on these integers and the sum divided by s^6 once."""
+        entries = [[(m[:3], partial(p, *m[:3])) for m in p.terms if 2 <= sum(m[:3]) <= 3]
+                   for p in (self.P, self.Q, self.R)]
+        s = math.lcm(*(v.denominator for jet in entries for _, v in jet))
+        tables = [{idx: v.numerator * (s ** (sum(idx) - 1) // v.denominator)
+                   for idx, v in jet} for jet in entries]
+        return (s, *((lambda i, j, k, t=t: t.get((i, j, k), 0)) for t in tables))
+
+    @cached_property
+    def ell1_exact(self) -> Fraction:
+        """ell_1 of the system, exactly: the repaired closed form
+        `_ell1_repaired`."""
+        return _on_scaled(_ell1_repaired, self.scaled_entries)
 
 
 def validate_hopf_zero(P, Q, R) -> HopfZeroSystem:
     """Check that P, Q, R are polynomial in (x, y, z) with no constant or
-    linear terms, and attach exact jets."""
+    linear terms."""
     polys = [as_poly(e) for e in (P, Q, R)]
     for name, p in zip("PQR", polys):
         bad = [v for v in p.free_variables() if v in ("mu", "eps")]
@@ -128,8 +154,7 @@ def validate_hopf_zero(P, Q, R) -> HopfZeroSystem:
             if total == 1:
                 var = ("x", "y", "z")[mono.index(1)]
                 raise LinearTermPresent(name, var, coeff)
-    jets = [jet_extract(p) for p in polys]
-    return HopfZeroSystem(*polys, *jets)
+    return HopfZeroSystem(*polys)
 
 
 @dataclass(frozen=True)
@@ -271,13 +296,12 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
     S = sys.quadratic_sum
     omega = sys.omega
     gamma_scale = math.sqrt(abs(S))
-    scaled = _scaled_jets(sys.jP, sys.jQ, sys.jR)
-    transcribed = _on_scaled(_ell1_closed_form, scaled)
+    transcribed = _on_scaled(_ell1_closed_form, sys.scaled_entries)
 
     notes: List[str] = []
     exact = ell1 = l11 = l12 = discrepancy = None
     if omega > 0:
-        exact = _on_scaled(_ell1_repaired, scaled)
+        exact = sys.ell1_exact
         ell1, l11 = float(exact), 0.0
         l12 = math.pi * float(exact / (16 * omega ** 2))
         if exact != 0 and 0.0 in (ell1, l12):
@@ -295,27 +319,6 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
         l12=l12, ell1_transcribed=transcribed, ell1_discrepancy=discrepancy,
         notes=tuple(notes),
     )
-
-
-def ell1_exact(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
-    """ell_1 of the jets, exactly: the repaired closed form `_ell1_repaired`."""
-    return _on_scaled(_ell1_repaired, _scaled_jets(jP, jQ, jR))
-
-
-def _scaled_jets(jP: Jet3, jQ: Jet3, jR: Jet3) -> tuple:
-    """(s, P, Q, R): s the lcm of the denominators of the quadratic and cubic
-    entries, and (i, j, k) -> the entry times s^(i + j + k - 1), an int (0
-    where the jet has none).
-
-    Both ell_1 forms are homogeneous of weight 6 when the entry (i, j, k)
-    has weight i + j + k - 1 (the rescaling eps -> s eps), so they are
-    evaluated on these integers and the sum divided by s^6 once."""
-    entries = [[(idx, v) for idx, v in jet.items() if 2 <= sum(idx) <= 3]
-               for jet in (jP, jQ, jR)]
-    s = math.lcm(*(v.denominator for jet in entries for _, v in jet))
-    tables = [{idx: v.numerator * (s ** (sum(idx) - 1) // v.denominator)
-               for idx, v in jet} for jet in entries]
-    return (s, *((lambda i, j, k, t=t: t.get((i, j, k), 0)) for t in tables))
 
 
 def _on_scaled(form: Callable, scaled: tuple) -> Fraction:
@@ -387,8 +390,9 @@ def _ell1_closed_form(P: Callable, Q: Callable, R: Callable):
     three outer groups, exactly as transcribed.
 
     On the worked example this evaluates to -16 while the dynamics (and
-    `ell1_exact`) give -48; the transcription is kept verbatim for
-    auditability and `evaluate_base_criteria` reports the discrepancy.
+    `HopfZeroSystem.ell1_exact`) give -48; the transcription is kept
+    verbatim for auditability and `evaluate_base_criteria` reports the
+    discrepancy.
     """
     S = R(0, 2, 0) + R(2, 0, 0)
     omega = -(P(1, 0, 1) + Q(0, 1, 1)) * S
@@ -471,7 +475,7 @@ def perturbation_functions(sys: HopfZeroSystem, fam: PerturbationFamily):
     with float_range():
         d, S = float(sys.divergence_pair), float(sys.quadratic_sum)
         Sdd = float(sys.quadratic_sum * sys.divergence_pair ** 2)
-        c = float(sys.jR.get(0, 0, 2))
+        c = float(partial(sys.R, 0, 0, 2))
     if d == 0.0 or S == 0.0:
         raise FloatRangeExceeded(f"a divisor rounds to 0.0 as a float: d = {d!r}, "
                                  f"S = {S!r}")
@@ -564,7 +568,7 @@ def _exact_criteria(sys: HopfZeroSystem, fam: PerturbationFamily) -> Tuple[Dense
     Gamma_printed as dense polynomials in mu, with w_mu = -sigma / d and
     c = R^(0,0,2), as `perturbation_functions` builds them on floats."""
     sigma, w1z, w20 = _ingredients(fam)
-    d, S, c = sys.divergence_pair, sys.quadratic_sum, sys.jR.get(0, 0, 2)
+    d, S, c = sys.divergence_pair, sys.quadratic_sum, partial(sys.R, 0, 0, 2)
     cross = w1z * sigma
     polys = (w1z.scale(d) - sigma.scale(c),
              (sigma * sigma).scale(2 * c / (d * d * S)) + cross.scale(-4 / (d * S))

@@ -6,8 +6,9 @@ One regex pass cuts the text into (kind, text, offset) tuples; a term then
 reads its number, variable and power factors into one monomial and forms
 Poly products only for parenthesized factors, and a sum adds each term in
 place.
-`format_poly` prints a Poly back in the grammar.  All jet (Taylor-coefficient)
-extraction happens on the polynomial form and is exact for rational input;
+`format_poly` prints a Poly back in the grammar.  `partial` reads a raw
+partial derivative at the origin straight off a Poly's coefficients, exact
+for rational input: a system's jets are its polynomials, never a copy.
 `terms_source` is the one route from exact coefficients to floats: it
 writes the straight-line code that `compile_terms` compiles and that
 `flow`'s 3D right-hand side inlines.
@@ -37,7 +38,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 VARIABLES = ("x", "y", "z", "mu", "eps")
 MAX_POWER = 12
@@ -575,50 +576,11 @@ def compile_terms(terms: Terms, names: Sequence[str]) -> Callable:
 # Jets
 # ---------------------------------------------------------------------------
 
-def _factorial3(j: int, k: int, l: int) -> int:
-    return math.factorial(j) * math.factorial(k) * math.factorial(l)
-
-
-class Jet3:
-    """Order-3 jet at the origin: raw partial derivatives F^(j,k,l), j+k+l <= 3.
-
-    Values are exact Fractions for rational input (floats after numeric
-    parameter binding)."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Optional[Dict[Tuple[int, int, int], Fraction]] = None):
-        self._entries = {}
-        if entries:
-            for idx, val in entries.items():
-                j, k, l = idx
-                if j + k + l > 3 or min(idx) < 0:
-                    raise ValueError(f"jet index {idx} out of range")
-                if val != 0:
-                    self._entries[idx] = val
-
-    def get(self, j: int, k: int, l: int):
-        if j + k + l > 3:
-            raise ValueError(f"jet index ({j},{k},{l}) out of range")
-        return self._entries.get((j, k, l), Fraction(0))
-
-    def items(self) -> Iterator:
-        return iter(sorted(self._entries.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, Jet3) and self._entries == other._entries
-
-    def __repr__(self):
-        return "Jet3({" + ", ".join(f"{idx}: {val}" for idx, val in self.items()) + "})"
-
-
-def jet_extract(f: Union[str, Poly]) -> Jet3:
-    """Order-3 jet of a parameter-free f at the spatial origin."""
-    poly = as_poly(f)
-    if any(m[3] or m[4] for m in poly.terms):
-        raise FieldExprError("jet_extract needs an expression free of mu and eps")
-    entries: Dict[Tuple[int, int, int], Fraction] = {}
-    for (j, k, l, _, _), c in poly.terms.items():
-        if j + k + l <= 3:
-            entries[(j, k, l)] = c * _factorial3(j, k, l)
-    return Jet3(entries)
+def partial(p: Poly, i: int, j: int, k: int) -> Fraction:
+    """The raw partial p^(i,j,k) at the origin with mu = eps = 0: the
+    coefficient of x^i y^j z^k times i! j! k!, or Fraction(0) where p has
+    none."""
+    c = p.terms.get((i, j, k, 0, 0))
+    if c is None:
+        return Fraction(0)
+    return c * (math.factorial(i) * math.factorial(j) * math.factorial(k))

@@ -29,7 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .criteria import (
     CriteriaReport, FloatRangeExceeded, HopfZeroSystem, PerturbationFamily,
-    criteria_report, ell1_exact, validate_hopf_zero,
+    criteria_report, validate_hopf_zero,
 )
 from .fieldexpr import Poly, as_poly
 from .univariate import gcd
@@ -484,18 +484,19 @@ def tune_lift_parameters(seed_field,
         # the exact lift's ell_1 is 0 by construction: each lifted component
         # is lin_i(x, y) times a seed component, so the field vanishes on the
         # line x = y = 0, the kernel of its linear part and hence the
-        # normalized z axis.  Every pure-z jet entry is then 0, and every term
-        # of `ell1_exact` carries R(0,0,2), R(0,0,3), P(0,0,2) or Q(0,0,2).
-        # Where ell_1 is 0, realize the "small perturbation, if necessary" by
-        # a seeded rational jitter of the normalized system's nonlinear jets,
-        # keeping Hopf-Zero form and degree; ell_1 is exact, so the first
-        # candidate with Omega > 0 and ell_1 != 0 is kept
+        # normalized z axis.  Every pure-z partial is then 0, and every term
+        # of `HopfZeroSystem.ell1_exact` carries R(0,0,2), R(0,0,3), P(0,0,2)
+        # or Q(0,0,2).  Where ell_1 is 0, realize the "small perturbation, if
+        # necessary" by a seeded rational jitter of the normalized system's
+        # nonlinear terms, keeping Hopf-Zero form and degree; ell_1 is exact,
+        # so the first candidate with Omega > 0 and ell_1 != 0 is kept, and
+        # its report reads the ell_1 the candidate already holds
         rng = random.Random(seed)
         jitter_mag = 0.0
-        if ell1_exact(sys_y.jP, sys_y.jQ, sys_y.jR) == 0:
+        if sys_y.ell1_exact == 0:
             for mag in (1e-6, 1e-5, 1e-4):
                 cand = _jitter_nonlinear(sys_y, rng, mag)
-                if cand.omega > 0 and ell1_exact(cand.jP, cand.jQ, cand.jR) != 0:
+                if cand.omega > 0 and cand.ell1_exact != 0:
                     sys_y, jitter_mag = cand, mag
                     break
         report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))

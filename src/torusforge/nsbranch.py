@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .criteria import AveragingError, HopfZeroSystem, float_range
+from .fieldexpr import partial
 from .flow import IntegratorConfig, MapJet
 
 FIXED_POINT_TOL = 1e-10                  # max |Pi(xi) - xi| of the fixed-point Newton
@@ -268,7 +269,7 @@ def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
     mu1 and xi2 involve only even powers of the radius scale and are exact
     rationals; xi1's slope and the M1 entries carry odd powers and are floats.
     """
-    P, Q, R = sys.jP.get, sys.jQ.get, sys.jR.get
+    P, Q, R = (lambda i, j, k, p=p: partial(p, i, j, k) for p in (sys.P, sys.Q, sys.R))
     beta = sys.beta
     Om = sys.omega
     G2 = abs(sys.quadratic_sum)     # Gamma^2, exact

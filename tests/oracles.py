@@ -20,7 +20,7 @@ list comprehension per stage, the bitwise oracle of its generated step, on
 the same right-hand sides rhs(t, *y), and `run_steps` drains either
 generator into its steps and its return value.  `map_points` maps an array of seeds
 one return each.  `first_lyapunov_quantity` reads ell_1 off the eps-series
-of the averaged map in floats, the oracle of `criteria.ell1_exact`:
+of the averaged map in floats, the oracle of `HopfZeroSystem.ell1_exact`:
 `fit_ell1` fits the closed form's integer coefficients to it, and
 `ell1_nested_source` writes the nested form the package evaluates.
 `omega_of_lift_family` reads Omega of a degree lift off
@@ -39,7 +39,8 @@ multiplies one Poly per factor, the reference for the terms, their order and
 the errors of `fieldexpr.parse_field`.  The last section holds small helpers
 only the tests call (`branch_xi1` evaluates the printed xi1(mu), `poly_eval`
 evaluates a `Poly` exactly, `ell1_transcribed` evaluates the transcribed
-closed form of ell_1), and `FractionCFrac`, the Fraction-pair Gaussian
+closed form of ell_1, `raw_partials` tabulates a Poly's partials up to
+order 3 and `jet_product` multiplies two such tables by Leibniz), and `FractionCFrac`, the Fraction-pair Gaussian
 rational that checks `averaging.CFrac`.
 """
 
@@ -63,11 +64,11 @@ from torusforge.averaging import (
 )
 from torusforge.criteria import (
     AveragingError, HopfZeroSystem, PerturbationFamily, _ell1_closed_form, _exact_criteria,
-    _ingredients, _on_scaled, _scaled_jets, eps_graded_slices, validate_hopf_zero,
+    _ingredients, _on_scaled, eps_graded_slices, validate_hopf_zero,
 )
 from torusforge.fieldexpr import (
-    MAX_NESTING, MAX_POWER, VARIABLES, FieldExprError, FieldSyntaxError, Jet3, Poly,
-    UnknownIdentifierError, _check_size, as_poly, compile_terms,
+    MAX_NESTING, MAX_POWER, VARIABLES, FieldExprError, FieldSyntaxError, Poly,
+    UnknownIdentifierError, _check_size, as_poly, compile_terms, partial,
 )
 from torusforge import flow
 from torusforge.flow import (
@@ -739,7 +740,7 @@ def first_lyapunov_quantity(sys: HopfZeroSystem) -> Ell1Result:
     through exact second-order averaging and reading the eps^2 slice of the
     map Lyapunov coefficient at the bifurcation curve:
     ell_1^eps = (pi eps^2 / 16 Omega^2) ell_1 + O(eps^3).  The oracle of
-    `criteria.ell1_exact`, which it fits (`fit_ell1`).
+    `HopfZeroSystem.ell1_exact`, which it fits (`fit_ell1`).
     """
     fam = PerturbationFamily.simple(sys.beta)
     S = sys.quadratic_sum
@@ -899,9 +900,8 @@ def random_hopf_zero(rng, bound: int = 3) -> HopfZeroSystem:
 
 
 def entry_values(sys: HopfZeroSystem) -> list:
-    """The entries of ELL1_ENTRIES of a system, in that order."""
-    jets = {"P": sys.jP, "Q": sys.jQ, "R": sys.jR}
-    return [jets[c].get(*idx) for c, idx in ELL1_ENTRIES]
+    """The raw partials ELL1_ENTRIES of a system, in that order."""
+    return [partial(getattr(sys, c), *idx) for c, idx in ELL1_ENTRIES]
 
 
 def fit_ell1(support, systems: int = 256, seed: int = 1) -> Dict[Tuple[int, ...], int]:
@@ -1562,27 +1562,36 @@ def evaluate_field(f: Union[str, Poly], point, params=(0, 0)):
     return poly_eval(as_poly(f), x=px, y=py, z=pz, mu=pmu, eps=peps)
 
 
-def ell1_transcribed(jP: Jet3, jQ: Jet3, jR: Jet3) -> Fraction:
+def ell1_transcribed(sys: HopfZeroSystem) -> Fraction:
     """The closed-form ell_1 exactly as transcribed, `criteria._ell1_closed_form`,
-    on the integer-scaled jet entries and divided by s^6, as
+    on the system's integer-scaled entries and divided by s^6, as
     `evaluate_base_criteria` evaluates it."""
-    return _on_scaled(_ell1_closed_form, _scaled_jets(jP, jQ, jR))
+    return _on_scaled(_ell1_closed_form, sys.scaled_entries)
 
 
-def jet_product(a: Jet3, b: Jet3) -> Jet3:
-    """Degree-3 truncated product of two jets (Leibniz on Taylor
-    coefficients), the product jet_extract(f * g) must equal."""
+JET_INDICES = tuple((i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j))
+
+
+def raw_partials(p: Poly) -> Dict[Tuple[int, int, int], Fraction]:
+    """(i, j, k) -> the raw partial p^(i,j,k) at the origin, for every
+    i + j + k <= 3 (`fieldexpr.partial`)."""
+    return {idx: partial(p, *idx) for idx in JET_INDICES}
+
+
+def jet_product(a: Dict[Tuple[int, int, int], Fraction],
+                b: Dict[Tuple[int, int, int], Fraction]) -> Dict[Tuple[int, int, int], Fraction]:
+    """Degree-3 truncated product of two tables of raw partials (Leibniz on
+    Taylor coefficients), the table raw_partials(f * g) must equal."""
     def factorial3(idx):
         return math.prod(math.factorial(n) for n in idx)
 
-    out = {}
+    out = {idx: Fraction(0) for idx in JET_INDICES}
     for i1, v1 in a.items():
         for i2, v2 in b.items():
             idx = tuple(p + q for p, q in zip(i1, i2))
             if sum(idx) <= 3:
-                out[idx] = (out.get(idx, 0)
-                            + v1 / factorial3(i1) * (v2 / factorial3(i2)))
-    return Jet3({idx: c * factorial3(idx) for idx, c in out.items()})
+                out[idx] += v1 / factorial3(i1) * (v2 / factorial3(i2)) * factorial3(idx)
+    return out
 
 
 class FractionCFrac:

@@ -16,7 +16,7 @@ from torusforge.averaging import (
 )
 from torusforge.criteria import (
     AveragingError, FloatRangeExceeded, PerturbationFamily, closed_form_equilibrium,
-    criteria_report, ell1_exact, eps_graded_slices, evaluate_perturbation_criteria,
+    criteria_report, eps_graded_slices, evaluate_perturbation_criteria,
     hypotheses, perturbation_functions, validate_hopf_zero,
 )
 from torusforge.fieldexpr import as_poly
@@ -467,7 +467,7 @@ def test_first_lyapunov_quantity_probes(exprs, ell1, mu1, xi1, xi2, m21, m22):
     sys = validate_hopf_zero(*exprs)
     res = first_lyapunov_quantity(sys)
     assert res.ell1 == pytest.approx(float(ell1), rel=1e-9, abs=1e-9)
-    assert ell1_exact(sys.jP, sys.jQ, sys.jR) == ell1       # the exact form
+    assert sys.ell1_exact == ell1       # the exact form
     assert res.l11 == pytest.approx(0.0, abs=1e-9)
     assert res.mu1 == pytest.approx(float(mu1), rel=1e-9, abs=1e-12)
     assert res.zeta2 == pytest.approx(0.0, abs=1e-8)

@@ -3,20 +3,20 @@ import json
 import math
 import random
 import textwrap
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from torusforge import criteria
+from torusforge import criteria, univariate
 from torusforge.averaging import PiPoly, melnikov_pair, to_standard_form
 from torusforge.criteria import (
     ConstantTermPresent, CriteriaError, DegenerateSum, GammaNonNegative, LinearTermPresent,
-    PerturbationFamily, criteria_report, ell1_exact, evaluate_base_criteria,
+    HopfZeroSystem, PerturbationFamily, criteria_report, evaluate_base_criteria,
     evaluate_perturbation_criteria, perturbation_functions, validate_hopf_zero,
 )
-from torusforge.fieldexpr import Jet3, Poly, jet_extract
+from torusforge.fieldexpr import Poly, partial
 
 from oracles import (
     ell1_nested_source, ell1_terms, ell1_transcribed, entry_values,
@@ -30,6 +30,16 @@ def test_validate_example():
     sys = validate_hopf_zero(*EXAMPLE)
     assert sys.omega == 2
     assert sys.quadratic_sum == -2
+
+
+def test_system_is_its_three_polynomials():
+    """A system holds P, Q and R and nothing else: every invariant is read
+    off them, once, and a frozen system keeps each read from going stale."""
+    sys = validate_hopf_zero(*EXAMPLE)
+    assert [f.name for f in fields(HopfZeroSystem)] == ["P", "Q", "R"]
+    with pytest.raises(FrozenInstanceError):
+        sys.R = Poly()
+    assert sys.ell1_exact is sys.ell1_exact and sys.omega is sys.omega
 
 
 def test_validate_rejects_linear_term():
@@ -70,8 +80,8 @@ def test_base_criteria_example():
 
 def test_ell1_exact_worked_example():
     sys = validate_hopf_zero(*EXAMPLE)
-    value = ell1_exact(sys.jP, sys.jQ, sys.jR)
-    assert isinstance(value, Fraction) and value == Fraction(-48)
+    ell1 = sys.ell1_exact
+    assert isinstance(ell1, Fraction) and ell1 == Fraction(-48)
 
 
 def test_ell1_exact_equals_the_rounded_oracle_on_integer_systems():
@@ -82,10 +92,10 @@ def test_ell1_exact_equals_the_rounded_oracle_on_integer_systems():
     for _ in range(60):
         sys = random_hopf_zero(rng)
         oracle = first_lyapunov_quantity(sys)
-        value = ell1_exact(sys.jP, sys.jQ, sys.jR)
-        assert value.denominator == 1
-        assert value == round(oracle.ell1)
-        assert abs(oracle.ell1 - value) <= 1e-12 * max(1.0, abs(oracle.ell1))
+        ell1 = sys.ell1_exact
+        assert ell1.denominator == 1
+        assert ell1 == round(oracle.ell1)
+        assert abs(oracle.ell1 - ell1) <= 1e-12 * max(1.0, abs(oracle.ell1))
         assert abs(oracle.l11) <= 1e-12 * max(1.0, abs(oracle.l12))
 
 
@@ -100,8 +110,7 @@ def test_ell1_exact_is_invariant_under_rotation_about_z():
         P, Q, R = (p.substitute(rot) for p in (sys.P, sys.Q, sys.R))
         turned = validate_hopf_zero(P.scale(c) + Q.scale(s), P.scale(-s) + Q.scale(c), R)
         assert turned.omega == sys.omega
-        assert (ell1_exact(turned.jP, turned.jQ, turned.jR)
-                == ell1_exact(sys.jP, sys.jQ, sys.jR))
+        assert turned.ell1_exact == sys.ell1_exact
         assert entry_values(turned) != entry_values(sys)
 
 
@@ -122,19 +131,24 @@ def test_ell1_refit_returns_the_coded_coefficients():
 
 _JET_INDICES = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
                 if 2 <= i + j + k <= 3]
+# a Poly whose raw partials are the drawn entries
 _JETS = st.dictionaries(st.sampled_from(_JET_INDICES),
                         st.fractions(max_denominator=10 ** 6).filter(bool), max_size=12
-                        ).map(Jet3)
+                        ).map(lambda entries: Poly({
+                            (*idx, 0, 0): v / math.prod(map(math.factorial, idx))
+                            for idx, v in entries.items()}))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_JETS, _JETS, _JETS)
-def test_ell1_transcribed_on_integers_is_the_fraction_value(jP, jQ, jR):
+def test_ell1_transcribed_on_integers_is_the_fraction_value(P, Q, R):
     """The closed form evaluated on the integer-scaled entries and divided by
     s^6 is the Fraction the same form gives on the entries themselves."""
-    direct = criteria._ell1_closed_form(jP.get, jQ.get, jR.get)
-    assert ell1_transcribed(jP, jQ, jR) == direct
-    assert isinstance(ell1_transcribed(jP, jQ, jR), Fraction)
+    sys = HopfZeroSystem(P, Q, R)
+    direct = criteria._ell1_closed_form(
+        *(lambda i, j, k, p=p: partial(p, i, j, k) for p in (P, Q, R)))
+    assert ell1_transcribed(sys) == direct
+    assert isinstance(ell1_transcribed(sys), Fraction)
 
 
 def test_base_criteria_negative_omega():
@@ -270,8 +284,8 @@ def test_omega_rotation_invariance():
         Pr, Qr, Rr = px.substitute(rot), qx.substitute(rot), rx.substitute(rot)
         Pn = Pr.scale(c) + Qr.scale(s)
         Qn = Pr.scale(-s) + Qr.scale(c)
-        jP, jQ, jR = jet_extract(Pn), jet_extract(Qn), jet_extract(Rr)
-        omega_rot = -(jP.get(1, 0, 1) + jQ.get(0, 1, 1)) * (jR.get(2, 0, 0) + jR.get(0, 2, 0))
+        omega_rot = -(partial(Pn, 1, 0, 1) + partial(Qn, 0, 1, 1)) * (partial(Rr, 2, 0, 0)
+                                                                       + partial(Rr, 0, 2, 0))
         assert abs(float(omega_rot) - omega0) <= 1e-12
 
 
@@ -337,7 +351,7 @@ def test_compiled_criteria_match_exact(exprs, fam, mu):
     sys = validate_hopf_zero(*exprs)
     gamma_op, gamma_pr, w_mu = perturbation_functions(sys, fam)
     q = Fraction(mu)
-    d, S, c = sys.divergence_pair, sys.quadratic_sum, sys.jR.get(0, 0, 2)
+    d, S, c = sys.divergence_pair, sys.quadratic_sum, partial(sys.R, 0, 0, 2)
     su, su_ = _value_and_scale(fam.U, (1, 0, 0), 0, q)
     sv, sv_ = _value_and_scale(fam.V, (0, 1, 0), 0, q)
     s, s_ = su + sv, su_ + sv_
@@ -373,16 +387,49 @@ def test_closed_form_equilibrium_is_the_root_of_f1(exprs, fam, mu):
         assert abs(value) <= 4 * math.ulp(1.0) * scale
 
 
+# the worked example with R^(2,0,0) turned: d = 1, S = 2 and Omega = -2
+NEGATIVE_OMEGA = ("0", "y*z", "x^2 + x*y + z^2")
+
+
+@st.composite
+def reporting_draws(draw):
+    """A system with Omega > 0 or Omega < 0, a family of `families()` and an
+    interval mu_r +- 1/64 on which the criteria report builds: the drawn
+    family's z term at order eps^0 moves a root of eta to mu_r, a drawn
+    rational in [-1, 1], and its eps term sets Gamma(mu_r) = -1.  Draws
+    where mu_r is a multiple root or eta has another root in the interval
+    are rejected."""
+    exprs = draw(st.sampled_from(SYSTEMS + (NEGATIVE_OMEGA,)))
+    sys = validate_hopf_zero(*exprs)
+    fam = draw(families())
+    mu_r = draw(st.fractions(-1, 1, max_denominator=8))
+    lo, hi = mu_r - Fraction(1, 64), mu_r + Fraction(1, 64)
+    d, S = sys.divergence_pair, sys.quadratic_sum
+    # eta d / pi = d w1z - c sigma, so w1z + a moves it by d a
+    eta = criteria._exact_criteria(sys, fam)[0] or [Fraction(0)]
+    a = -univariate.value(eta, mu_r) / d
+    eta[0] += d * a
+    assume(univariate.value(univariate.derivative(eta), mu_r) != 0)
+    assume(len(univariate.roots(eta, lo, hi)) == 1)
+    W = fam.W + Poly({(0, 0, 1, 0, 0): a})
+    # Gamma = ... + 4 w20 / S, so w20 + b moves it by 4 b / S
+    gamma = criteria._exact_criteria(sys, PerturbationFamily(fam.U, fam.V, W))[1]
+    W = W + Poly({(0, 0, 0, 0, 1): -S * (univariate.value(gamma, mu_r) + 1) / 4})
+    return exprs, PerturbationFamily(fam.U, fam.V, W), mu_r, (float(lo), float(hi))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SYSTEMS), families())
-def test_averaged_spectrum_identity(exprs, fam):
+@given(reporting_draws())
+def test_averaged_spectrum_identity(draw):
     """f1_r = pi r (sigma(mu) + d w) everywhere, and on the line
     w = w_mu(mu) = -sigma(mu)/d the exact f1 and its Jacobian J in (r, w)
     satisfy, as polynomials in (r, mu, pi): f1_r = 0,
     f1_w = (pi S / 2) (r^2 + Gamma), tr J = 2 eta and
     det J = pi^2 Omega r^2, with eta = pi (eta d / pi) / d and Gamma the
     criteria's exact polynomials.  So `criteria.hypotheses` reads H as
-    Omega > 0 wherever the criteria report builds."""
+    Omega > 0 wherever the criteria report builds; every draw builds one,
+    on systems with Omega > 0 and with Omega < 0."""
+    exprs, fam, mu_r, interval = draw
     sys = validate_hopf_zero(*exprs)
     d = sys.divergence_pair
     eta, gamma, _ = criteria._exact_criteria(sys, fam)
@@ -406,10 +453,8 @@ def test_averaged_spectrum_identity(exprs, fam):
     assert a + e == in_mu(eta) * pi.scale(2 / d)
     assert a * e - b * c == r * r * pi * pi.scale(sys.omega)
     assert spectrum_identity(mel, sys, fam)
-    try:
-        rep = criteria_report(sys, fam)
-    except CriteriaError:
-        return
+    rep = criteria_report(sys, fam, interval)
+    assert rep.perturbation.mu0 == float(mu_r) and rep.perturbation.gamma_at_mu0 < 0
     assert criteria.hypotheses(rep)["hopf_ok"] == (sys.omega > 0)
 
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from torusforge.averaging import TRIG_COS, CFrac, PiPoly, TrigPoly
 from torusforge.fieldexpr import (
     MAX_DEGREE, MAX_NESTING, VARIABLES, ExpressionTooLarge, FieldExprError,
-    FieldSyntaxError, Jet3, Poly, UnknownIdentifierError, format_poly, jet_extract,
-    parse_field,
+    FieldSyntaxError, Poly, UnknownIdentifierError, format_poly, parse_field, partial,
 )
+from torusforge.criteria import CriteriaError, validate_hopf_zero
 
 from oracles import (
     FractionCFrac, UnboundSymbolError, degree_report, evaluate_field, jet_product,
-    parse_field_reference, poly_eval, poly_to_float,
+    parse_field_reference, poly_eval, poly_to_float, raw_partials,
 )
 
 
@@ -81,31 +81,32 @@ def test_evaluate_field():
 
 
 def test_jet_extract_single_monomial():
-    jet = jet_extract("y*z")
-    assert jet.get(0, 1, 1) == 1
-    assert all(val == 0 for idx, val in jet.items() if idx != (0, 1, 1))
+    p = parse_field("y*z")
+    assert partial(p, 0, 1, 1) == 1
+    assert all(val == 0 for idx, val in raw_partials(p).items() if idx != (0, 1, 1))
 
 
 def test_jet_extract_second_partials():
-    jet = jet_extract("-x^2 + x*y + z^2")
-    assert jet.get(2, 0, 0) == -2
-    assert jet.get(1, 1, 0) == 1
-    assert jet.get(0, 0, 2) == 2
-    assert jet.get(0, 2, 0) == 0
-
-
-def test_jet_truncation_above_order3():
-    jet = jet_extract("x^5 + x*z")
-    assert jet.get(1, 0, 1) == 1
-    assert sum(1 for _ in jet.items()) == 1
+    p = parse_field("-x^2 + x*y + z^2")
+    assert partial(p, 2, 0, 0) == -2
+    assert partial(p, 1, 1, 0) == 1
+    assert partial(p, 0, 0, 2) == 2
+    assert partial(p, 0, 2, 0) == 0 and type(partial(p, 0, 2, 0)) is Fraction
 
 
 def test_jet_extract_refuses_parameters():
-    """Systems are parameter-free (validate_hopf_zero checks that first), so
-    a jet of an expression in mu or eps is an error, not a parametric jet."""
+    """Systems are parameter-free: validate_hopf_zero refuses a component in
+    mu or eps, so no partial of a system is a parametric one.  On a Poly in
+    mu or eps, `partial` reads the coefficients at mu = eps = 0."""
     for source in ("mu*z + x*y", "x^2 + eps^2"):
-        with pytest.raises(FieldExprError):
-            jet_extract(source)
+        for k in range(3):
+            components = ["0", "0", "0"]
+            components[k] = source
+            with pytest.raises(CriteriaError):
+                validate_hopf_zero(*components)
+    assert partial(parse_field("mu*z + x*y"), 0, 0, 1) == 0
+    assert partial(parse_field("mu*z + x*y"), 1, 1, 0) == 1
+    assert partial(parse_field("x^2 + eps^2"), 2, 0, 0) == 2
 
 
 def _random_expr_text(rng, depth=0):
@@ -420,8 +421,8 @@ def test_jet_product_exactness_random():
     rng = random.Random(42)
     for _ in range(100):
         f, g = _random_poly3(rng), _random_poly3(rng)
-        left = jet_extract(f * g)
-        right = jet_product(jet_extract(f), jet_extract(g))
+        left = raw_partials(f * g)
+        right = jet_product(raw_partials(f), raw_partials(g))
         assert left == right
 
 
@@ -433,16 +434,8 @@ def test_jet_agrees_with_finite_differences():
         def ev(px, py, pz):
             return poly_eval(p, x=px, y=py, z=pz)
 
-        jet = jet_extract(p)
         h = 1e-2
         # central second difference for (1,1,0)
         fd = (ev(h, h, 0) - ev(h, -h, 0) - ev(-h, h, 0) + ev(-h, -h, 0)) / (4 * h * h)
-        exact = float(jet.get(1, 1, 0))
+        exact = float(partial(p, 1, 1, 0))
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
-
-
-def test_jet_index_bounds():
-    with pytest.raises(ValueError):
-        Jet3({(2, 1, 1): Fraction(1)})
-    with pytest.raises(ValueError):
-        jet_extract("x*y").get(4, 0, 0)

@@ -10,7 +10,7 @@ is a UsageError before any work:
     branch
     simulate   --mu F, --eps F
     certify    --mu F, --eps F
-    lift       --seed N
+    lift
 
 The input document is one self-contained JSON experiment; only "system" is
 required, and a key not shown here, at the top or inside an object, is a
@@ -36,9 +36,9 @@ for unbounded work.  The `ball` center is finite and its radius finite and
 
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; each float is written as its shortest round-trip repr and keys are
-sorted, so identical runs (for lift, with the same --seed) produce
-byte-identical output.  A report's `meta.run` holds the command, the input's
-basename and the value of each option the command takes.
+sorted, so identical runs produce byte-identical output.  A report's
+`meta.run` holds the command, the input's basename and the value of each
+option the command takes.
 A report that would hold NaN or an infinity, which are not JSON, is not
 written: the run ends in a NonFiniteReport error.
 Exit codes: 0 success, 2 criteria-not-applicable, 1 error.
@@ -467,9 +467,9 @@ def cmd_lift(args) -> int:
     lift_doc = doc.get("lift", {})
     L_values = _lift_samples(lift_doc, "L_values")
     delta_values = _lift_samples(lift_doc, "delta_values", squares=True)
-    plane = lift.find_separating_plane(seed_field, _ball(doc), seed=args.seed)
+    plane = lift.find_separating_plane(seed_field, _ball(doc))
     translated = lift.translate_to_origin(plane.field, plane.point)
-    tuning = lift.tune_lift_parameters(translated, L_values, delta_values, seed=args.seed)
+    tuning = lift.tune_lift_parameters(translated, L_values, delta_values)
     fam = tuning.family
     payload = {
         "meta": _meta(args, doc),
@@ -489,7 +489,7 @@ def cmd_lift(args) -> int:
             "A_limit": str(tuning.A_limit),
             "A_limit_printed": str(tuning.A_limit_printed),
             "delta_linearity_residual": tuning.delta_linearity_residual,
-            "ell1_jitter": tuning.ell1_jitter,
+            "ell1_jitter": float(lift.ELL1_TERM),
         },
         "criteria": tuning.report.to_dict(),
     }
@@ -519,7 +519,6 @@ _OPTIONS = {
     "mu": {"type": float, "default": None, "help": "mu in place of the document's"},
     "eps": {"type": float, "default": None, "help": "eps in place of the document's"},
     "grid": {"type": _grid, "default": 21, "help": f"grid points per axis, 1 to {MAX_GRID}"},
-    "seed": {"type": int, "default": 0, "help": "seed of the plane scan's jitter"},
 }
 
 # each command's function and the options it reads: its parser takes
@@ -530,7 +529,7 @@ COMMANDS = {
     "branch": (cmd_branch, ()),
     "simulate": (cmd_simulate, ("mu", "eps")),
     "certify": (cmd_certify, ("mu", "eps")),
-    "lift": (cmd_lift, ("seed",)),
+    "lift": (cmd_lift, ()),
 }
 
 

@@ -2,9 +2,13 @@
 origin is a tunable Hopf-Zero point.
 
 Pipeline: find a vertical separating plane through a far-out regular point
-of the (jittered) seed field, translate that point to the origin, assemble
+of the seed field (jittered from `random.Random(0)` only when its plane
+restriction is degenerate), translate that point to the origin, assemble
 the two-parameter lifted family, verify its exact spectral identities, and
-conjugate to normal position for the criteria machinery.
+conjugate to normal position for the criteria machinery.  The exact lift has
+ell_1 = 0; the kept system Y adds one term c z^3 to R, c = `ELL1_TERM`, whose
+ell_1 is the closed form -24 S^3 d c (`tune_lift_parameters`).  The output
+is a function of the document alone.
 
 All lift algebra is exact: (L, delta) are rationals and the tuning grid
 uses perfect-square deltas so the Jordanizing change of variables (which
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -39,6 +43,8 @@ MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
 COMMON_FACTOR_LINES = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-13, 8))
 _CONSTANT = (0, 0, 0, 0, 0)
 _UNIT_MONOMIALS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))   # x, y, z
+_Z3 = (0, 0, 3, 0, 0)
+ELL1_TERM = Fraction(1, 10 ** 6)   # c of the c z^3 that Y adds to R: ell_1 = -24 S^3 d c
 
 
 class LiftError(ValueError):
@@ -134,21 +140,24 @@ def _jitter_field(polys, rng: random.Random, magnitude: float, m: int):
     return tuple(out)
 
 
-def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
+def find_separating_plane(field, ball: Ball) -> SeparatingPlane:
     """Regular point p far on the x1-axis whose field line stays clear of the
     ball, plus the vertical plane through it.
 
-    Scans x = radius * 2^(k/2), k = 1..40, accepting the first x where the
-    line angle exceeds both ball-tangent angles; an x past the float range,
-    where X1 vanishes (p must be regular) or where the field overflows a
-    float is no candidate.  No x is a NoSeparatingXFound, or a FloatRangeExceeded
+    Scans x = radius * 2^(k/2), k = 1, 2, ..., for as long as x is a finite
+    float, accepting the first x where the line angle exceeds both
+    ball-tangent angles: far out the line's slope tends to g_m/f_m, the
+    ratio of the x1^m coefficients, while the ball's angle falls as
+    radius/x, so a slope of 1e-7 clears it near x = 1e7 radius.  An x where
+    X1 vanishes (p must be regular) or where the field overflows a float is
+    no candidate.  No x is a NoSeparatingXFound, or a FloatRangeExceeded
     when X1 or X2 has a coefficient past the float range on the x1-axis.
     When f = X1(x1,x2,0) and g = X2(x1,x2,0) share a factor or a leading
-    coefficient vanishes, a seeded rational jitter is applied (magnitude
-    ladder 1e-6, 1e-5, 1e-4).
+    coefficient vanishes, a rational jitter drawn from `random.Random(0)`
+    is applied (magnitude ladder 1e-6, 1e-5, 1e-4).
     """
     polys = tuple(as_poly(c) for c in field)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     m = _field_degree(polys)
     jitter_used = 0.0
 
@@ -173,13 +182,12 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     bx, by = float(ball.center[0]), float(ball.center[1])
     rho = float(ball.radius)
 
-    for k in range(1, 41):
+    for k in range(1, 2048):                  # 2.0 ** (k / 2) overflows from k = 2048
         x = rho * 2.0 ** (k / 2.0)
         if not math.isfinite(x):
             break
         px = Fraction(x).limit_denominator(10 ** 12)
-        fx = sum(c * px ** i for i, c in enumerate(f_axis))
-        gx = sum(c * px ** i for i, c in enumerate(g_axis))
+        fx, gx = _horner(f_axis, px), _horner(g_axis, px)
         if fx == 0:
             continue
         try:
@@ -209,7 +217,8 @@ def find_separating_plane(field, ball: Ball, seed: int = 0) -> SeparatingPlane:
     if any(abs(c) > sys.float_info.max for c in (*f_axis, *g_axis)):
         raise FloatRangeExceeded("X1 or X2 has a coefficient past the float range on "
                                  "the x1-axis; the scan found no separating x")
-    raise NoSeparatingXFound("scan x = radius * 2^(k/2), k = 1..40 exhausted")
+    raise NoSeparatingXFound("scan x = radius * 2^(k/2), k = 1, 2, ... exhausted "
+                             "while x is a finite float")
 
 
 def _line_angle(angle: float) -> float:
@@ -363,8 +372,7 @@ class LiftTuning:
     delta_star: Fraction
     family: LiftFamily
     report: CriteriaReport
-    tuned_system: HopfZeroSystem          # jittered when the exact lift has ell1 = 0
-    ell1_jitter: float
+    tuned_system: HopfZeroSystem          # Y: the exact lift plus ELL1_TERM z^3 in R
     A_coeffs: Tuple[Fraction, Fraction, Fraction]    # A(L) = A0 + A1 L + A2 L^2
     A_limit: Fraction                                # A2 (the L^2 coefficient)
     A_limit_printed: Fraction
@@ -417,10 +425,17 @@ def omega_coefficients(jet: OriginJet) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(tuple(c / D for c in row) for row in rows)
 
 
+def _horner(coefficients: Sequence[Fraction], t: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(coefficients):
+        value = value * t + c
+    return value
+
+
 def _omega_at(rows, L: Fraction, delta: Fraction) -> Fraction:
-    """Omega(L, delta) from `omega_coefficients`; A(L) is Omega(L, 0)."""
-    return sum(delta ** j * sum(c * L ** i for i, c in enumerate(row))
-               for j, row in enumerate(rows))
+    """Omega(L, delta) from `omega_coefficients`, by Horner in delta and L;
+    A(L) = Omega(L, 0) reads row 0 alone."""
+    return _horner([_horner(row, L) for row in (rows if delta else rows[:1])], delta)
 
 
 def printed_A_limit(jet: OriginJet) -> Fraction:
@@ -449,16 +464,29 @@ def lift_samples(name: str, values: Sequence, squares: bool = False) -> List[Fra
 
 def tune_lift_parameters(seed_field,
                          L_values: Optional[Sequence[Fraction]] = None,
-                         delta_values: Optional[Sequence[Fraction]] = None,
-                         seed: int = 0) -> LiftTuning:
+                         delta_values: Optional[Sequence[Fraction]] = None) -> LiftTuning:
     """Read A(L) off the closed form of Omega(L, delta), pick the smallest
-    grid L with A(L) > 0 and the largest admissible delta, and run the
-    criteria on the tuned system.
+    grid L with A(L) > 0 and the largest admissible delta, add `ELL1_TERM`
+    z^3 to R, and run the criteria on that system Y.
 
     The coefficients of Omega are read once (`omega_coefficients`); only the
     tuned family is built as a `Poly` system, and its Omega must equal the
-    closed form's.  The exact ell_1 alone decides the jitter, and only the
-    system kept gets a full criteria report."""
+    closed form's.
+
+    The exact lift's ell_1 is 0 by construction: each lifted component is
+    lin_i(x, y) times a seed component, so the field vanishes on the line
+    x = y = 0, the kernel of its linear part and hence the normalized z
+    axis.  Every pure-z partial is then 0, and in `_ell1_repaired`, written
+    S^2 (R(0,0,2) (...) - 4 S D (3 P(0,0,2) R(0,1,1) - 3 Q(0,0,2) R(1,0,1)
+    + R(0,0,3))), only the R(0,0,3) term survives a term c z^3 added to R,
+    whose raw partial R(0,0,3) is 6 c:
+
+        ell_1(Y) = -4 S^3 D (6 c) = -24 S^3 d c = 24 c S^2 Omega,
+
+    with d = D = P(1,0,1) + Q(0,1,1) and Omega = -d S.  The term moves
+    none of S, d, Omega or beta, and this ell_1 is nonzero where Omega > 0.
+    It is the paper's "small perturbation, if necessary", and Y's ell_1
+    must equal it exactly; the report reads the ell_1 that Y holds."""
     polys = tuple(as_poly(c) for c in seed_field)
     jet = origin_jet(polys)
     L_values = lift_samples("L_values", [Fraction(2) ** k for k in range(0, 7)]
@@ -478,32 +506,19 @@ def tune_lift_parameters(seed_field,
         if fam.system.omega != omega:
             raise LiftError(f"closed-form Omega {omega} differs from Omega "
                             f"{fam.system.omega} of the lift at L={L_star}, delta={dv}")
-        if fam.system.omega <= 0 or fam.system.quadratic_sum == 0:
-            continue
-        sys_y = fam.system
-        # the exact lift's ell_1 is 0 by construction: each lifted component
-        # is lin_i(x, y) times a seed component, so the field vanishes on the
-        # line x = y = 0, the kernel of its linear part and hence the
-        # normalized z axis.  Every pure-z partial is then 0, and every term
-        # of `HopfZeroSystem.ell1_exact` carries R(0,0,2), R(0,0,3), P(0,0,2)
-        # or Q(0,0,2).  Where ell_1 is 0, realize the "small perturbation, if
-        # necessary" by a seeded rational jitter of the normalized system's
-        # nonlinear terms, keeping Hopf-Zero form and degree; ell_1 is exact,
-        # so the first candidate with Omega > 0 and ell_1 != 0 is kept, and
-        # its report reads the ell_1 the candidate already holds
-        rng = random.Random(seed)
-        jitter_mag = 0.0
-        if sys_y.ell1_exact == 0:
-            for mag in (1e-6, 1e-5, 1e-4):
-                cand = _jitter_nonlinear(sys_y, rng, mag)
-                if cand.omega > 0 and cand.ell1_exact != 0:
-                    sys_y, jitter_mag = cand, mag
-                    break
-        report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))
-        break
+        if fam.system.omega > 0:              # so S != 0 and d != 0
+            break
     else:
         raise NoPositiveOmegaFound("no delta in range keeps Omega > 0 with "
                                    "applicable criteria")
+
+    exact = fam.system
+    sys_y = replace(exact, R=exact.R + Poly({_Z3: ELL1_TERM}))
+    ell1 = -24 * exact.quadratic_sum ** 3 * exact.divergence_pair * ELL1_TERM
+    if sys_y.ell1_exact != ell1:
+        raise LiftError(f"closed-form ell_1 {ell1} differs from ell_1 {sys_y.ell1_exact} "
+                        f"of the lift plus {ELL1_TERM} z^3")
+    report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))
 
     # linearity of (Omega - A)/delta in delta at L_star
     A_star = _omega_at(rows, L_star, 0)
@@ -513,26 +528,8 @@ def tune_lift_parameters(seed_field,
     pred = checks[0][1] + slope * (checks[2][0] - checks[0][0])
 
     return LiftTuning(L_star=L_star, delta_star=dv, family=fam,
-                      report=report, tuned_system=sys_y, ell1_jitter=jitter_mag,
+                      report=report, tuned_system=sys_y,
                       A_coeffs=rows[0], A_limit=rows[0][2],
                       A_limit_printed=printed_A_limit(jet),
                       delta_linearity_residual=abs(pred - checks[2][1]))
 
-
-def _jitter_nonlinear(sys_y: HopfZeroSystem, rng: random.Random,
-                      magnitude: float) -> HopfZeroSystem:
-    """Seeded rational jitter of the quadratic and cubic coefficients."""
-    scale = 10 ** 9
-    out = []
-    for p in (sys_y.P, sys_y.Q, sys_y.R):
-        q = Poly(dict(p.terms))
-        for i in range(4):
-            for j in range(4 - i):
-                for k in range(4 - i - j):
-                    if 2 <= i + j + k <= 3:
-                        bump = Fraction(round(rng.uniform(-1, 1) * magnitude * scale),
-                                        scale)
-                        if bump:
-                            q = q + Poly({(i, j, k, 0, 0): bump})
-        out.append(q)
-    return validate_hopf_zero(*out)

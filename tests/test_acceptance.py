@@ -20,7 +20,7 @@ from torusforge.criteria import (
 )
 from torusforge.fieldexpr import Poly, partial
 from torusforge.flow import IntegratorConfig, ThetaReturnMap
-from torusforge.lift import build_lift_family, tune_lift_parameters, _jitter_nonlinear
+from torusforge.lift import build_lift_family, tune_lift_parameters
 from torusforge.nsbranch import (
     branch_continuation, jordan_expansion, lyapunov_coefficient_map, lyapunov_slices,
     normalized_map, printed_branch_constants, unit_circle_point, xi_slice,
@@ -282,7 +282,7 @@ def test_criterion_7_degree_lift_identities():
     factor_ok = all(fam0.lifted[i] == lin * seed_field[i] for i in range(3))
     fam_sq = build_lift_family(seed_field, Fraction(1), Fraction(1, 4))
     conj_ok = fam_sq.linear_residual <= 1e-12
-    tuning = tune_lift_parameters(seed_field, seed=1)
+    tuning = tune_lift_parameters(seed_field)
     limit_ok = abs(float(tuning.A_limit - tuning.A_limit_printed)) <= 1e-6
     elapsed = time.perf_counter() - start
     ok = char_ok and factor_ok and conj_ok and limit_ok and elapsed < 60.0
@@ -347,10 +347,15 @@ def test_criterion_8_property_suites(tmp_path):
               f"jets={jets_ok}, rotation={rot_ok}, determinism={det_ok}")
 
 
-def test_lift_then_certify_demo(monkeypatch):
+@pytest.mark.parametrize("c", [Fraction(1, 10), Fraction(-1, 10)],
+                         ids=["ell1_positive", "ell1_negative"])
+def test_lift_then_certify_demo(monkeypatch, c):
     """End-to-end constructive demo behind the counting claim: lift a
     degree-2 seed to degree 3, tune the Hopf-Zero point, break the lift's
-    structural ell1 = 0 by the documented jitter, and certify the new torus.
+    structural ell1 = 0 by one term c z^3 in R, whose ell1 is -24 S^3 d c,
+    and certify the new torus on both signs of ell1.  The curve attracts
+    exactly where ell1 < 0 (the standard rule for a Neimark-Sacker point:
+    Kuznetsov, Elements of Applied Bifurcation Theory, Thm 4.6).
     The certifier runs shortened, at looser tolerances: it passes at its
     module values too, but its certify_torus then takes about five times
     as long."""
@@ -367,11 +372,15 @@ def test_lift_then_certify_demo(monkeypatch):
     assert fam_lift.char_poly_ok and fam_lift.degree == 3
     assert fam_lift.linear_residual == 0.0
 
-    sysy = _jitter_nonlinear(fam_lift.system, random.Random(5), 1e-1)
+    exact = fam_lift.system
+    assert exact.ell1_exact == 0
+    sysy = validate_hopf_zero(exact.P, exact.Q, exact.R + Poly({mono(0, 0, 3): c}))
     res = evaluate_base_criteria(sysy)
-    assert abs(res.ell1) > 1.0          # degeneracy broken
+    S, d = exact.quadratic_sum, exact.divergence_pair
+    assert res.ell1_exact == -24 * S ** 3 * d * c         # degeneracy broken
+    assert abs(res.ell1) > 1.0
 
-    S = float(sysy.quadratic_sum)
+    S = float(S)
     r0 = 2 / math.sqrt(abs(S))
     pfam = PerturbationFamily.simple(1 if S < 0 else -1)
     tmap = ThetaReturnMap(sysy, pfam, IntegratorConfig(atol=1e-10, rtol=1e-8))
@@ -390,8 +399,10 @@ def test_lift_then_certify_demo(monkeypatch):
     ok = (cert.verdict == "torus_found" and cert.winding == 1
           and cert.fit_residual <= 1e-3 * cert.curve.mean_radius
           and cert.normally_hyperbolic is True
-          and (cert.observed_stability == "attracting") == (cert.normal_exponent < 0))
-    _announce("lift demo (degree-2 seed -> degree-3 lift -> certified new torus)",
-              ok, f"verdict={cert.verdict}, residual={cert.fit_residual:.2e}, "
-                  f"rho={cert.rotation}, lambda_n={cert.normal_exponent:.4e}, "
-                  f"{cert.observed_stability}")
+          and (cert.observed_stability == "attracting") == (cert.normal_exponent < 0)
+          and (cert.observed_stability == "attracting") == (res.ell1 < 0))
+    _announce(f"lift demo, c = {c} (degree-2 seed -> degree-3 lift -> certified new "
+              f"torus, attracting iff ell1 < 0)",
+              ok, f"ell1={res.ell1}, verdict={cert.verdict}, "
+                  f"residual={cert.fit_residual:.2e}, rho={cert.rotation}, "
+                  f"lambda_n={cert.normal_exponent:.4e}, {cert.observed_stability}")

@@ -362,8 +362,8 @@ def _ordered_pair_systems():
     """The worked example with the simple and a general family, the four
     Hopf-Zero fields of the `fields` workload at seeds 0-3, and for its four
     lift seeds at seeds 0-3 both the exact lift's tuned system and the
-    jittered system the lift keeps (the same system where no jitter is
-    needed), each with the simple family (as analyze and lift use them)."""
+    system the lift keeps (the exact lift plus a c z^3 term in R), each
+    with the simple family (as analyze and lift use them)."""
     example = validate_hopf_zero(*EXAMPLE)
     yield example, PerturbationFamily.simple(example.beta)
     yield example, PerturbationFamily.from_expressions("mu*x + eps*y", "x*z",

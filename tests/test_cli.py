@@ -62,16 +62,24 @@ def test_analyze_example(tmp_path):
     assert len(report["meta"]["input_sha256"]) == 64
 
 
-def test_lift_deterministic_bytes(tmp_path):
-    """Two lifts with the same --seed write the same bytes, and lift.json
-    records the seed."""
+def test_lift_deterministic_bytes(tmp_path, capsys):
+    """A lift is a function of its document: `--seed` is a UsageError, two
+    lifts of one document write the same bytes, and lift.json records the
+    command and the input alone."""
     doc = _write_doc(tmp_path, {"system": LIFT_SYSTEM})
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--input", doc, "--out", str(tmp_path / "seeded"), "--seed", "1"])
+    assert exc.value.code == EXIT_ERROR
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and "--seed" in err["message"]
+    assert not (tmp_path / "seeded").exists()
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert main(["lift", "--input", doc, "--out", str(out), "--seed", "2"]) == EXIT_OK
+        assert main(["lift", "--input", doc, "--out", str(out)]) == EXIT_OK
     for name in ("lift.json", "lifted_system.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    assert json.loads((out_a / "lift.json").read_text())["meta"]["run"]["seed"] == 2
+    run = json.loads((out_a / "lift.json").read_text())["meta"]["run"]
+    assert run == {"command": "lift", "input": "doc.json"}
 
 
 def test_threads_variable_is_ignored(tmp_path, monkeypatch):
@@ -133,7 +141,7 @@ def test_exponent_form_negative_values_parse(tmp_path):
 
 
 # a value of each optional flag of the CLI
-FLAG_VALUES = {"mu": ["0.1"], "eps": ["0.1"], "grid": ["3"], "seed": ["1"]}
+FLAG_VALUES = {"mu": ["0.1"], "eps": ["0.1"], "grid": ["3"]}
 # a document on which each command writes its JSON report at once, and the
 # report's name; melnikov and simulate write only CSV
 REPORTS = {
@@ -179,8 +187,8 @@ def test_each_command_takes_only_its_options(tmp_path, capsys, command):
 def test_simple_flag_is_usage_error(tmp_path, capsys, command):
     """The document alone picks the perturbation family: --simple is a
     UsageError on every command and writes nothing, and the commands take
-    7 (command, flag) pairs in all."""
-    assert sum(len(options) for _, options in torusforge.cli.COMMANDS.values()) == 7
+    6 (command, flag) pairs in all (lift takes none: no --seed)."""
+    assert sum(len(options) for _, options in torusforge.cli.COMMANDS.values()) == 6
     path = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -886,10 +894,14 @@ def test_lift_command(tmp_path):
     assert report["lift"]["char_poly_ok"] is True
     assert report["lift"]["A_limit"] == report["lift"]["A_limit_printed"]
     assert report["criteria"]["applicable"] is True
-    # the exact lift has ell1 = 0 and is jittered (the float eps-series read
-    # ell1 = 1.35e24 off it and kept it)
+    # the exact lift has ell1 = 0; Y adds 1/1000000 z^3 to its R, and its
+    # ell1 is -24 S^3 d c = 24 c S^2 Omega, exactly
     assert report["lift"]["ell1_jitter"] == 1e-6
-    assert report["criteria"]["ell1_exact"] != "0"
+    crit = report["criteria"]
+    assert Fraction(crit["ell1_exact"]) == (24 * Fraction(1, 10 ** 6)
+                                            * Fraction(crit["quadratic_sum"]) ** 2
+                                            * Fraction(crit["omega_exact"]))
+    assert report["plane"]["point"] == [str(2 ** 20), "0", "0"]
     text = (out / "lifted_system.txt").read_text()
     assert "P = " in text and "X1 = " in text
     # the bytes of both reports as the polynomial route of Omega wrote them
@@ -897,28 +909,28 @@ def test_lift_command(tmp_path):
     assert _sha256(out / "lifted_system.txt") == LIFTED_SYSTEM_SHA256
 
 
-LIFT_JSON_SHA256 = "8c8e3429dbe3436e64dd40d88902b32bd32423576a3b9e81650bf598c8449bec"
-LIFTED_SYSTEM_SHA256 = "6c71b5b8ab306ac7979304e121239fbf6f82c0afa1293eded021ba69fe84d74c"
+LIFT_JSON_SHA256 = "30a150c20cf3ed43c3ec2ff81fe32e6989c8f7146afc8d0b7801eb56858a84e4"
+LIFTED_SYSTEM_SHA256 = "cbeb39185599dd6c8397eaa479cf785afa1477adc1e99efe2f2d4e5dae07b885"
 
 # (lift.json, lifted_system.txt) of the `fields` workload's lift seeds at
-# seed 0, each of which jitters the tuned system (ell1_jitter 1e-6)
+# seed 0, each of whose kept systems adds 1/1000000 z^3 (ell1_jitter 1e-6)
 JITTERED_LIFT_SHA256 = (
-    ("010cd62c7b9128c92d0ea30d0485ccf9535583ac4c2998443d6c70777142f0af",
-     "d8eaa73ac3b13c946f892c8b66dea6a3e8566580a01b478597aa45cd78cbb4eb"),
-    ("b6b9694d7e22cbb1d0189e95dc9ff3be2b2e6de01cb3d844c52259065bec2a03",
-     "6b26c4d2b0d1268442ca78dd7977dad5ef96580c260263dd56153f07d0c73d43"),
-    ("0132d5cab1e4ec7f4a240990c24b5258e6417143c852accff8b7cd7d9361de07",
-     "5f4e01752acabd7771a07972ac94799400c56fd97db3c0c2d4c2a47f03195c7d"),
-    ("a325c893c688211cb1735a0a4d847a22e8f56f0f119f1eabe96c66fe1e5a22bd",
-     "a7cdbda41a2b9a64c87d0c194ee578bfcbe81b7a0c78e7f53c245a375abd7a4b"),
+    ("3ff43a0cb8a443d54593ae7224c8b96142cefc602a8591ccbb92841775d4246c",
+     "158b8f3378b13b3bb3fdb6a48967384ab0afc354e97df3d8cb4fa145647c6946"),
+    ("9e0fbf72dabe2ab25c5306e03e23745e58b47821c5b14301422afe3a76625b65",
+     "5d3d2c7826751fb4b5e6263dc308ac1446743166cb95204093c1f3d610d0ec70"),
+    ("ee760de01afd16e356a6dea4d94bbe26d99a2bceb98b587c3415b278f671454d",
+     "b9fd17e9b54df1d4bf3950944782b2ae2d4c53cc382936b2d9a4adcd66548aa7"),
+    ("33edb1e1376daa817aa6bc88f1959b8a49c7bf65fc8876cda98fd8ae51ca0ee2",
+     "b09ac16585a16e2cb6fc8c80e8c85c16e61c036f79fa13a247eda11b118977c9"),
 )
 
 
 @pytest.mark.parametrize("index", range(len(JITTERED_LIFT_SHA256)))
 def test_jittered_lift_bytes(tmp_path, index):
-    """Every exact lift has ell1 = 0 and jitters (see `test_lift`); the
-    benchmark's lift seeds pin the bytes of the jitter path next to the
-    README demo's `test_lift_command`."""
+    """Every exact lift has ell1 = 0 and its kept system adds the z^3 term
+    (see `test_lift`); the benchmark's lift seeds pin the bytes of that path
+    next to the README demo's `test_lift_command`."""
     doc = _benchmark_inputs().write_inputs("fields", 0, str(tmp_path)).lift[index]
     out = tmp_path / "out"
     assert main(["lift", "--input", doc.path, "--out", str(out)]) == EXIT_OK
@@ -1015,8 +1027,8 @@ def test_bad_ball_is_typed_error(tmp_path, capsys, ball, error):
     inf or a radius of -1 in exit 0, a radius of 1e100 in an OverflowError
     traceback under the criteria and one of 1e50 in exit 0 with
     "ell1": -Infinity in lift.json, which is not JSON.  Since ell_1 is
-    exact, 1e50 lifts (`test_far_ball_lifts_with_exact_ell1`) and 1e75 is
-    the one whose ell_1 passes the largest double."""
+    exact, 1e50 lifts (`test_far_ball_lifts_with_exact_ell1`); at 1e75 and
+    1e100 the perturbation criteria's S d^2 passes the largest double."""
     path = _write_doc(tmp_path, {"system": LIFT_SYSTEM, "ball": ball})
     out = tmp_path / "out"
     assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_ERROR
@@ -1026,14 +1038,15 @@ def test_bad_ball_is_typed_error(tmp_path, capsys, ball, error):
 
 
 def test_far_ball_lifts_with_exact_ell1(tmp_path):
-    """A plane 1e50 out gives a tuned system with Omega near 1e113: the float
-    eps-series overflowed there, the exact ell_1 (near 6e263) does not."""
+    """A plane 1e50 out gives a tuned system with Omega near 8.8e112: the
+    float eps-series overflowed there, the exact ell_1, 24 c S^2 Omega (near
+    8.4e108), does not."""
     path = _write_doc(tmp_path, {"system": LIFT_SYSTEM,
                                  "ball": {"center": [0, 0, 0], "radius": 1e50}})
     out = tmp_path / "out"
     assert main(["lift", "--input", path, "--out", str(out)]) == EXIT_OK
     crit = json.loads((out / "lift.json").read_text())["criteria"]
-    assert crit["applicable"] is True and 1e263 < crit["ell1"] < 1e264
+    assert crit["applicable"] is True and 1e108 < crit["ell1"] < 1e109
     assert crit["ell1"] == float(Fraction(crit["ell1_exact"]))
 
 

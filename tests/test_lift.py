@@ -64,15 +64,29 @@ def test_separating_plane_skips_singular_candidate():
 
 
 def test_common_factor_triggers_jitter():
+    """The jitter is drawn from `random.Random(0)`, so the plane is a
+    function of the field and the ball."""
     plane = find_separating_plane(("1 + x + y", "2 + 2*x + 2*y", "z"),
-                                  Ball((0.0, 0.0, 0.0), 1.0), seed=7)
+                                  Ball((0.0, 0.0, 0.0), 1.0))
     assert plane.jitter_magnitude > 0.0
     assert plane.plane_distance > 1.0
     assert plane.point == (Q(898735282112, 635501812473), Q(0), Q(0))
-    assert plane.coefficients == (Q(3068474154827775325787, 635501812473000000000),
-                                  Q(-767118831490331275979, 317750906236500000000),
+    assert plane.coefficients == (Q(511412581254611014163, 105916968745500000000),
+                                  Q(-383559621876311134697, 158875453118250000000),
                                   Q(0))
     assert plane.jitter_magnitude == 1e-06
+
+
+def test_shallow_far_line_finds_a_plane_past_two_to_the_20():
+    """Far out on the x1-axis the field line's slope tends to g_2/f_2 =
+    2^-22, below the ball's angle asin(2^-20) at x = 2^20, where a scan
+    that stopped at k = 40 ended in NoSeparatingXFound: the scan runs on
+    while x is a finite float and accepts x = 2^22.5."""
+    plane = find_separating_plane(("1 + x^2", "1/4194304*x^2 + y", "0"),
+                                  Ball((0.0, 0.0, 0.0), 1.0))
+    assert plane.point == (Q(6369051672525773, 1073741824), Q(0), Q(0))
+    assert float(plane.point[0]) == pytest.approx(2 ** 22.5, rel=1e-12)
+    assert plane.plane_distance > 1.0 and plane.jitter_magnitude == 0.0
 
 
 def test_build_lift_char_poly_exact():
@@ -127,7 +141,7 @@ def test_tuning_limit_matches_printed_formula():
                  f"{rc(1,3)} + {rc()}*x + {rc()}*z^2")
         polys = _polys([e.replace("+ -", "- ") for e in exprs])
         try:
-            tuning = tune_lift_parameters(polys, seed=3)
+            tuning = tune_lift_parameters(polys)
         except (NoPositiveOmegaFound, LiftError):
             continue
         assert tuning.A_limit == tuning.A_limit_printed      # exact rationals
@@ -172,7 +186,7 @@ def test_tuning_never_parses(monkeypatch):
     monkeypatch.setattr(torusforge.fieldexpr, "parse_field", counting_parse)
     polys = tuple(parse_field(e)
                   for e in ("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
-    tuning = tune_lift_parameters(polys, seed=1)
+    tuning = tune_lift_parameters(polys)
     assert tuning.report.applicable
     assert calls == []
 
@@ -296,7 +310,7 @@ def test_tuning_samples_omega_without_building_lifts(monkeypatch):
         return build_lift_family(*args)
     monkeypatch.setattr(torusforge.lift, "build_lift_family", counting_build)
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
-    tuning = tune_lift_parameters(polys, seed=1)
+    tuning = tune_lift_parameters(polys)
     assert calls == [(tuning.L_star, tuning.delta_star)]
 
 
@@ -316,7 +330,7 @@ def test_corrupted_omega_coefficient_trips_the_lift_check(monkeypatch, row, colu
         return tuple(map(tuple, rows))
     monkeypatch.setattr(torusforge.lift, "omega_coefficients", corrupted)
     with pytest.raises(LiftError, match="closed-form Omega"):
-        tune_lift_parameters(_polys(LIFT_SEED), seed=1)
+        tune_lift_parameters(_polys(LIFT_SEED))
 
 
 def _translated(exprs):
@@ -328,30 +342,64 @@ def _translated(exprs):
 _GEN = _benchmark_inputs()
 
 
-@pytest.mark.parametrize("exprs", [LIFT_SEED] + list(_GEN.LIFT_BASES))
-def test_exact_lift_has_ell1_zero(exprs):
-    """The exact lift's field vanishes on the normalized z axis, so its
-    pure-z jet entries and with them ell_1 are exactly 0, on the README demo
-    seed and the benchmark's four lift bases; the kept system is jittered."""
-    tuning = tune_lift_parameters(_translated(exprs))
-    lift = tuning.family.system
+def _assert_kept_system_is_the_exact_lift_plus_z3(tuning):
+    """Y is the exact lift plus ELL1_TERM z^3 in R: the exact lift's field
+    vanishes on the normalized z axis, so its pure-z partials and ell_1 are
+    0, and Y's ell_1 is -24 S^3 d c, while Omega, S, d, beta, mu0 and the
+    whole perturbation block are the exact lift's."""
+    c = torusforge.lift.ELL1_TERM
+    lift, kept = tuning.family.system, tuning.tuned_system
     for p in (lift.P, lift.Q, lift.R):
         assert partial(p, 0, 0, 2) == 0 and partial(p, 0, 0, 3) == 0
     assert lift.ell1_exact == 0
-    assert tuning.ell1_jitter == 1e-6
-    assert tuning.report.base.ell1_exact != 0 and tuning.report.applicable
+    assert (kept.P, kept.Q) == (lift.P, lift.Q)
+    assert kept.R - lift.R == Poly({(0, 0, 3, 0, 0): c})
+    S, d = lift.quadratic_sum, lift.divergence_pair
+    assert kept.ell1_exact == -24 * S ** 3 * d * c == 24 * c * S * S * lift.omega != 0
+    assert tuning.report.base.ell1_exact == kept.ell1_exact and tuning.report.applicable
+    assert ((kept.omega, kept.quadratic_sum, kept.divergence_pair, kept.beta)
+            == (lift.omega, S, d, lift.beta))
+    exact_report = torusforge.criteria.criteria_report(
+        lift, torusforge.criteria.PerturbationFamily.simple(lift.beta))
+    assert tuning.report.perturbation.mu0 == exact_report.perturbation.mu0
+    assert tuning.report.perturbation.to_dict() == exact_report.perturbation.to_dict()
 
 
-@pytest.mark.parametrize("exprs, jitter, systems", [
-    (LIFT_SEED, 1e-6, 2),                     # the README demo
+@pytest.mark.parametrize("exprs", [LIFT_SEED] + list(_GEN.LIFT_BASES))
+def test_exact_lift_has_ell1_zero(exprs):
+    """The exact lift's ell_1 is 0 and the kept system's is -24 S^3 d c, on
+    the README demo seed and the benchmark's four lift bases."""
+    _assert_kept_system_is_the_exact_lift_plus_z3(tune_lift_parameters(_translated(exprs)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), index=st.integers(0, len(_GEN.LIFT_BASES) - 1))
+def test_kept_ell1_is_the_z3_closed_form_on_drawn_seeds(seed, index):
+    """On the benchmark's lift seed fields at drawn seeds."""
+    exprs = [_GEN.expr(t) for t in _GEN.lift_seed_field(seed, index)]
+    _assert_kept_system_is_the_exact_lift_plus_z3(tune_lift_parameters(_translated(exprs)))
+
+
+def test_kept_ell1_mismatch_is_a_lift_error(monkeypatch):
+    """Y's ell_1 is checked against its closed form, as Omega is: a wrong
+    form of ell_1 is a LiftError."""
+    exact = torusforge.criteria._ell1_repaired
+    monkeypatch.setattr(torusforge.criteria, "_ell1_repaired",
+                        lambda P, Q, R: exact(P, Q, R) + 1)
+    with pytest.raises(LiftError, match="closed-form ell_1"):
+        tune_lift_parameters(_translated(LIFT_SEED))
+
+
+@pytest.mark.parametrize("exprs", [
+    LIFT_SEED,                                # the README demo
     # lift seed 0 of the benchmark's `fields` workload at seed 0
-    ([_GEN.expr(t) for t in _GEN.lift_seed_field(0, 0)], 1e-6, 2),
+    [_GEN.expr(t) for t in _GEN.lift_seed_field(0, 0)],
 ])
-def test_one_criteria_report_per_lift(monkeypatch, exprs, jitter, systems):
-    """The exact ell_1 alone decides the jitter: a lift evaluates its form
-    once per system it tries (the exact lift, then each jitter candidate) and
-    builds one criteria report, for the system it keeps, which reads the
-    ell_1 that system already holds."""
+def test_one_criteria_report_per_lift(monkeypatch, exprs):
+    """A lift evaluates the ell_1 form once, for the system it keeps, and
+    builds one criteria report for it, which reads the ell_1 that system
+    already holds: the exact lift's ell_1 is 0 by construction and is
+    never evaluated."""
     counts = {"criteria_report": 0, "_ell1_repaired": 0}
 
     def counted(module, name):
@@ -364,7 +412,6 @@ def test_one_criteria_report_per_lift(monkeypatch, exprs, jitter, systems):
     counted(torusforge.lift, "criteria_report")
     counted(torusforge.criteria, "_ell1_repaired")
     tuning = tune_lift_parameters(_translated(exprs))
-    assert tuning.ell1_jitter == jitter
-    assert counts == {"criteria_report": 1, "_ell1_repaired": systems}
+    assert counts == {"criteria_report": 1, "_ell1_repaired": 1}
     kept = tuning.tuned_system
     assert tuning.report.base.ell1_exact == kept.ell1_exact != 0

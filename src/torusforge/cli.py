@@ -24,15 +24,15 @@ DocumentError.  "perturbation" is absent or {"simple": true} (the family
       "parameters": {"mu": 0.05, "eps": 0.05},
       "tolerances": {"atol": 1e-12, "rtol": 1e-10},
       "ball": {"center": [0, 0, 0], "radius": 1.0},
-      "lift": {"L_values": ["1", "2", "4"], "delta_values": ["1/4", "1/16", "1/64"]},
       "periods": 50,
       "initial_state": [x, y, z]
     }
 
-`--grid` lies in [1, MAX_GRID], `periods` (simulate) in (0, MAX_PERIODS]
-and each `lift` grid holds at most MAX_LIFT_SAMPLES values, so no input asks
-for unbounded work.  The `ball` center is finite and its radius finite and
-> 0; any other value is an OutOfRange error before any lift work.
+`--grid` lies in [1, MAX_GRID] and `periods` (simulate) in (0, MAX_PERIODS],
+so no input asks for unbounded work; `lift` takes no grid, it reads its
+(L*, delta*) off the closed form of Omega (`lift.tune_lift_parameters`).
+The `ball` center is finite and its radius finite and > 0; any other value
+is an OutOfRange error before any lift work.
 
 Every JSON report embeds the SHA-256 of the input document and the tool
 version; each float is written as its shortest round-trip repr and keys are
@@ -73,7 +73,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import __version__
 from .criteria import (
@@ -116,7 +116,6 @@ EXIT_NOT_APPLICABLE = 2
 
 MAX_GRID = 200          # melnikov writes grid^2 rows
 MAX_PERIODS = 1000      # bounds simulate's work and CSV rows (23 025 at the cap on the example)
-MAX_LIFT_SAMPLES = 64   # values per lift grid: A(L) is evaluated once per L value
 
 
 class UsageError(ValueError):
@@ -200,8 +199,6 @@ _SHAPES = {
     "ball": (lambda v: isinstance(v, dict) and set(v) == {"center", "radius"}
              and _numbers(3)(v["center"]) and _number(v["radius"]),
              '{"center": [x, y, z], "radius": r}'),
-    "lift": _object(("L_values", "delta_values"), "lists of rationals", lambda v: (
-        isinstance(v, list) and all(isinstance(e, str) or _number(e) for e in v))),
     "periods": (_number, "a number"),
     "initial_state": (_numbers(3), "[x, y, z]"),
 }
@@ -262,40 +259,6 @@ def _interval(doc):
 def _integrator(doc) -> flow.IntegratorConfig:
     tols = doc.get("tolerances", {})
     return flow.IntegratorConfig(**{k: _float(tols[k]) for k in ("atol", "rtol") if k in tols})
-
-
-# a rational in text: an integer, a decimal or integer/integer; no exponent,
-# which would let a short string such as "1e999999999" ask for a huge power
-_RATIONAL = re.compile(r"\s*[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)\s*")
-
-
-def _rational(value) -> Optional[Fraction]:
-    """A JSON number or a rational in text as a Fraction; None for any
-    other text, a zero denominator, NaN or inf."""
-    if not (_number(value) or _RATIONAL.fullmatch(value)):
-        return None
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return None
-
-
-def _lift_samples(lift_doc: dict, key: str, squares: bool = False):
-    """The grid `lift.<key>` as checked rationals, None when the document
-    does not give it: more than MAX_LIFT_SAMPLES values is an OutOfRange
-    error, a value that is no rational (such as "1/0") a DocumentError, too
-    few distinct values or a delta that is no positive rational square a
-    LiftError, before any lift work."""
-    if key not in lift_doc:
-        return None
-    if len(lift_doc[key]) > MAX_LIFT_SAMPLES:
-        raise OutOfRange(f"lift.{key} holds at most {MAX_LIFT_SAMPLES} values, "
-                         f"got {len(lift_doc[key])}")
-    values = [_rational(v) for v in lift_doc[key]]
-    if None in values:
-        raise DocumentError(f"lift.{key} must be rationals with nonzero "
-                            f"denominators, got {lift_doc[key]!r}")
-    return lift.lift_samples(key, values, squares)
 
 
 def _float(value) -> float:
@@ -464,12 +427,9 @@ def cmd_certify(args) -> int:
 def cmd_lift(args) -> int:
     doc = _document(args)
     seed_field = tuple(as_poly(doc["system"][c]) for c in "PQR")
-    lift_doc = doc.get("lift", {})
-    L_values = _lift_samples(lift_doc, "L_values")
-    delta_values = _lift_samples(lift_doc, "delta_values", squares=True)
     plane = lift.find_separating_plane(seed_field, _ball(doc))
     translated = lift.translate_to_origin(plane.field, plane.point)
-    tuning = lift.tune_lift_parameters(translated, L_values, delta_values)
+    tuning = lift.tune_lift_parameters(translated)
     fam = tuning.family
     payload = {
         "meta": _meta(args, doc),
@@ -489,7 +449,6 @@ def cmd_lift(args) -> int:
             "A_limit": str(tuning.A_limit),
             "A_limit_printed": str(tuning.A_limit_printed),
             "delta_linearity_residual": tuning.delta_linearity_residual,
-            "ell1_jitter": float(lift.ELL1_TERM),
         },
         "criteria": tuning.report.to_dict(),
     }

@@ -10,16 +10,16 @@ ell_1 = 0; the kept system Y adds one term c z^3 to R, c = `ELL1_TERM`, whose
 ell_1 is the closed form -24 S^3 d c (`tune_lift_parameters`).  The output
 is a function of the document alone.
 
-All lift algebra is exact: (L, delta) are rationals and the tuning grid
-uses perfect-square deltas so the Jordanizing change of variables (which
-carries sqrt(delta)) stays inside the rationals and the lifted system can
+All lift algebra is exact: L is a power of two and delta a power 4^-k, a
+rational square, so the Jordanizing change of variables (which carries
+sqrt(delta)) stays inside the rationals and the lifted system can
 round-trip through the expression grammar.
 
 Omega of the normalized lift is a polynomial of degree 4 in L and 2 in
 delta with 8 nonzero coefficients, read once from the seed's value and
 gradient at the point (the `OriginJet`, `omega_coefficients`).  Tuning
-reads A(L) and the delta probes off them; only the tuned (L*, delta*) is
-built as a whole `Poly` system, and its Omega must equal the closed form's.
+reads (L*, delta*) off them; only that one family is built as a whole
+`Poly` system, and its Omega must equal the closed form's.
 """
 
 from __future__ import annotations
@@ -432,12 +432,6 @@ def _horner(coefficients: Sequence[Fraction], t: Fraction) -> Fraction:
     return value
 
 
-def _omega_at(rows, L: Fraction, delta: Fraction) -> Fraction:
-    """Omega(L, delta) from `omega_coefficients`, by Horner in delta and L;
-    A(L) = Omega(L, 0) reads row 0 alone."""
-    return _horner([_horner(row, L) for row in (rows if delta else rows[:1])], delta)
-
-
 def printed_A_limit(jet: OriginJet) -> Fraction:
     """The stated limit of A(L)/L^2 for the translated seed field, read from
     its `origin_jet`."""
@@ -445,33 +439,44 @@ def printed_A_limit(jet: OriginJet) -> Fraction:
     return 2 * R0 * R0 * (Q0 * Pz - P0 * Qz) ** 2 / (P0 * P0)
 
 
-def lift_samples(name: str, values: Sequence, squares: bool = False) -> List[Fraction]:
-    """The distinct rationals of the tuning grid `name`, in their first order.
+def _least_exponent(positive, k: int) -> int:
+    """The least j >= k with positive(j), for a predicate that holds for
+    some j and, once it holds, holds for every larger j.  It tries k, then
+    2k, 4k, ... (1, 2, 4, ... for k = 0) until one holds, then bisects the
+    last gap: about 2 log2(j) calls in all."""
+    if positive(k):
+        return k
+    lo, hi = k, max(2 * k, 1)                 # positive(lo) is false
+    while not positive(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if positive(mid) else (mid, hi)
+    return hi
 
-    A grid needs at least three distinct values (the linearity residual
-    reads three delta probes); with `squares` (the delta grid) every sample
-    must be a positive rational square, so that the normalization stays
-    exact.  Raises LiftError otherwise."""
-    samples = list(dict.fromkeys(Fraction(v) for v in values))
-    if len(samples) < 3:
-        raise LiftError(f"{name} needs at least three distinct values, got {len(samples)}")
-    if squares:
-        for dv in samples:
-            if dv <= 0 or _rational_sqrt(dv) is None:
-                raise LiftError(f"delta sample {dv} is not a positive rational square")
-    return samples
 
+def tune_lift_parameters(seed_field) -> LiftTuning:
+    """Read (L*, delta*) off the closed form of Omega(L, delta), build that
+    one family, add `ELL1_TERM` z^3 to R, and run the criteria on that
+    system Y.
 
-def tune_lift_parameters(seed_field,
-                         L_values: Optional[Sequence[Fraction]] = None,
-                         delta_values: Optional[Sequence[Fraction]] = None) -> LiftTuning:
-    """Read A(L) off the closed form of Omega(L, delta), pick the smallest
-    grid L with A(L) > 0 and the largest admissible delta, add `ELL1_TERM`
-    z^3 to R, and run the criteria on that system Y.
+    L* is the least 2^k (k >= 0) with A(L*) = Omega(L*, 0) > 0, and delta*
+    the largest 4^-k (k >= 1) with Omega(L*, delta*) > 0; each exponent is
+    found by doubling, then bisection (`_least_exponent`), in a number of
+    Horner evaluations logarithmic in it.  Both searches end:
+      * A(L) = A0 + A1 L + A2 L^2 with A2 = `printed_A_limit` >= 0, so once
+        A(1) <= 0 a power of two with A > 0 exists iff A2 > 0 or A1 > 0,
+        and past the first such power A stays positive (a convex A that
+        has risen from A(1) <= 0 keeps rising).  Otherwise, the K = 0 seed
+        among them (every coefficient of Omega is 0), no L >= 1 works: a
+        NoPositiveOmegaFound.
+      * Omega(L*, delta) is a quadratic in delta that is A(L*) > 0 at
+        delta = 0, so it is positive for every small enough delta, and once
+        Omega(L*, 1/4) <= 0 its one root in (0, 1/4] splits the powers
+        4^-k into those that fail and, past them, those that hold.
 
-    The coefficients of Omega are read once (`omega_coefficients`); only the
-    tuned family is built as a `Poly` system, and its Omega must equal the
-    closed form's.
+    The coefficients of Omega are read once (`omega_coefficients`); the
+    built family's Omega must equal the closed form's.
 
     The exact lift's ell_1 is 0 by construction: each lifted component is
     lin_i(x, y) times a seed component, so the field vanishes on the line
@@ -489,28 +494,23 @@ def tune_lift_parameters(seed_field,
     must equal it exactly; the report reads the ell_1 that Y holds."""
     polys = tuple(as_poly(c) for c in seed_field)
     jet = origin_jet(polys)
-    L_values = lift_samples("L_values", [Fraction(2) ** k for k in range(0, 7)]
-                            if L_values is None else L_values)
-    delta_values = lift_samples("delta_values", [Fraction(1, 4 ** k) for k in range(1, 7)]
-                                if delta_values is None else delta_values, squares=True)
     rows = omega_coefficients(jet)
-    L_star = next((l for l in sorted(L_values) if _omega_at(rows, l, 0) > 0), None)
-    if L_star is None:
-        raise NoPositiveOmegaFound("A(L) <= 0 on the whole L grid")
+    A = rows[0]
+    if A[2] <= 0 and A[1] <= 0 and sum(A) <= 0:       # sum(A) = A(1)
+        raise NoPositiveOmegaFound(f"A(L) = {A[0]} + {A[1]} L + {A[2]} L^2 "
+                                   f"is <= 0 for every L >= 1")
+    L_star = Fraction(2) ** _least_exponent(lambda k: _horner(A, Fraction(2) ** k) > 0, 0)
+    # Omega(L*, delta) as a polynomial in delta; its constant term is A(L*)
+    omega_star = [_horner(row, L_star) for row in rows]
+    delta_star = Fraction(1, 4) ** _least_exponent(
+        lambda k: _horner(omega_star, Fraction(1, 4) ** k) > 0, 1)
 
-    for dv in sorted(delta_values, reverse=True):
-        fam = build_lift_family(polys, L_star, dv)
-        if fam.system is None:
-            continue
-        omega = _omega_at(rows, L_star, dv)
-        if fam.system.omega != omega:
-            raise LiftError(f"closed-form Omega {omega} differs from Omega "
-                            f"{fam.system.omega} of the lift at L={L_star}, delta={dv}")
-        if fam.system.omega > 0:              # so S != 0 and d != 0
-            break
-    else:
-        raise NoPositiveOmegaFound("no delta in range keeps Omega > 0 with "
-                                   "applicable criteria")
+    fam = build_lift_family(polys, L_star, delta_star)
+    omega = _horner(omega_star, delta_star)
+    built = fam.system.omega if fam.system else None     # None: no exact normalization
+    if built != omega:
+        raise LiftError(f"closed-form Omega {omega} differs from Omega {built} "
+                        f"of the lift at L={L_star}, delta={delta_star}")
 
     exact = fam.system
     sys_y = replace(exact, R=exact.R + Poly({_Z3: ELL1_TERM}))
@@ -520,16 +520,14 @@ def tune_lift_parameters(seed_field,
                         f"of the lift plus {ELL1_TERM} z^3")
     report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))
 
-    # linearity of (Omega - A)/delta in delta at L_star
-    A_star = _omega_at(rows, L_star, 0)
-    checks = [(float(dv), float((_omega_at(rows, L_star, dv) - A_star) / dv))
-              for dv in sorted(delta_values)[:3]]
+    # linearity of (Omega - A)/delta in delta at L*, at delta = 4^-6, 4^-5, 4^-4
+    checks = [(float(dv), float((_horner(omega_star, dv) - omega_star[0]) / dv))
+              for dv in (Fraction(1, 4 ** k) for k in (6, 5, 4))]
     slope = (checks[1][1] - checks[0][1]) / (checks[1][0] - checks[0][0])
     pred = checks[0][1] + slope * (checks[2][0] - checks[0][0])
 
-    return LiftTuning(L_star=L_star, delta_star=dv, family=fam,
+    return LiftTuning(L_star=L_star, delta_star=delta_star, family=fam,
                       report=report, tuned_system=sys_y,
-                      A_coeffs=rows[0], A_limit=rows[0][2],
+                      A_coeffs=A, A_limit=A[2],
                       A_limit_printed=printed_A_limit(jet),
                       delta_linearity_residual=abs(pred - checks[2][1]))
-

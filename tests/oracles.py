@@ -77,8 +77,8 @@ from torusforge.flow import (
     ThetaReturnMap,
 )
 from torusforge.lift import (
-    LiftError, OriginJet, _inv3, _omega_at, _rational_sqrt, _row_poly, build_lift_family,
-    omega_coefficients,
+    LiftError, NoPositiveOmegaFound, OriginJet, _horner, _inv3, _rational_sqrt, _row_poly,
+    build_lift_family, omega_coefficients, origin_jet,
 )
 from torusforge.nsbranch import BranchConstants
 
@@ -1103,7 +1103,31 @@ def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
     L, delta = Fraction(L), Fraction(delta)
     if not _rational_sqrt(delta):
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
-    return _omega_at(rows, L, delta)
+    return _horner([_horner(row, L) for row in rows], delta)
+
+
+# the reference grids: L = 2^k, k = 0..6, and delta = 4^-k, k = 1..6
+LIFT_L_GRID = tuple(Fraction(2) ** k for k in range(0, 7))
+LIFT_DELTA_GRID = tuple(Fraction(1, 4 ** k) for k in range(1, 7))
+
+
+def grid_lift_parameters(polys, L_values, delta_values) -> Tuple[Fraction, Fraction]:
+    """(L*, delta*) as a grid search picks them: the least grid L with
+    A(L) > 0, then the largest grid delta, a rational square, at which the
+    family built at (L*, delta) has a validated system with Omega > 0; a
+    NoPositiveOmegaFound where no grid value works.  It builds a family per
+    delta it tries and reads Omega off the built system, where
+    `lift.tune_lift_parameters` searches the powers 2^k and 4^-k on the
+    closed form of Omega and builds one."""
+    A = omega_coefficients(origin_jet(polys))[0]
+    L_star = next((L for L in sorted(L_values) if _horner(A, L) > 0), None)
+    if L_star is None:
+        raise NoPositiveOmegaFound("A(L) <= 0 on the whole L grid")
+    for delta in sorted(delta_values, reverse=True):
+        system = build_lift_family(polys, L_star, delta).system
+        if system is not None and system.omega > 0:
+            return L_star, delta
+    raise NoPositiveOmegaFound("no delta on the grid keeps Omega > 0")
 
 
 def lift_omega(jet, L, delta, sd):

@@ -8,13 +8,17 @@ import torusforge.criteria
 import torusforge.fieldexpr
 import torusforge.lift
 from torusforge.fieldexpr import Poly, format_poly, parse_field, partial
+from torusforge.criteria import FloatRangeExceeded
 from torusforge.lift import (
     Ball, LiftError, NoPositiveOmegaFound, OriginJet, ZeroComponentAtP,
     build_lift_family, find_separating_plane, omega_coefficients,
     origin_jet, printed_A_limit, translate_to_origin, tune_lift_parameters,
 )
 
-from oracles import lift_normalized_whole, lift_omega, omega_of_lift, omega_of_lift_family, poly_eval
+from oracles import (
+    LIFT_DELTA_GRID, LIFT_L_GRID, grid_lift_parameters, lift_normalized_whole, lift_omega,
+    omega_of_lift, omega_of_lift_family, poly_eval,
+)
 from test_averaging import _benchmark_inputs
 
 SPEC_SEED = ("1 + x", "1/10*x + y", "0")
@@ -152,12 +156,14 @@ def test_tuning_limit_matches_printed_formula():
 
 
 def test_tuning_degenerate_seed_raises():
-    # P, Q independent of z: the printed A(L)/L^2 limit vanishes; constants
-    # are chosen so A(L) <= 0 on the grid
+    # P, Q independent of z: K = P0 Qz - Pz Q0 = 0, and every coefficient of
+    # Omega carries a factor K, so Omega(L, delta) = 0 for every L and delta
+    # and no power of two gives A(L) > 0
     polys = _polys(("1 + x + x^2", "1 + y + y^2", "1 + z + z^2"))
-    limit = printed_A_limit(origin_jet(polys))
-    assert limit == 0
-    with pytest.raises((NoPositiveOmegaFound, LiftError)):
+    jet = origin_jet(polys)
+    assert printed_A_limit(jet) == 0
+    assert all(c == 0 for row in omega_coefficients(jet) for c in row)
+    with pytest.raises(NoPositiveOmegaFound):
         tune_lift_parameters(polys)
 
 
@@ -300,9 +306,8 @@ def test_omega_of_lift_refuses_what_the_lift_cannot_normalize():
 
 
 def test_tuning_samples_omega_without_building_lifts(monkeypatch):
-    """Tuning builds one lift family per delta it tries at L*, not one per
-    Omega value: A(L) and the delta probes come from the coefficients of
-    Omega, and one family is built."""
+    """Tuning builds one lift family, at (L*, delta*): A(L) and the delta
+    probes come from the coefficients of Omega."""
     calls = []
 
     def counting_build(*args):
@@ -415,3 +420,74 @@ def test_one_criteria_report_per_lift(monkeypatch, exprs):
     assert counts == {"criteria_report": 1, "_ell1_repaired": 1}
     kept = tuning.tuned_system
     assert tuning.report.base.ell1_exact == kept.ell1_exact != 0
+
+
+def _small_R0_seed(R0):
+    """The README seed at the origin with R = R0 + x + y + z^2: A(L)/L^2
+    tends to a limit proportional to R0^2, so A turns positive only at an L
+    near 1/R0."""
+    return _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", f"{R0} + x + y + z^2"))
+
+
+@pytest.mark.parametrize("R0, k", [("1/10", 7), ("1/100", 14)])
+def test_small_R0_seed_lifts_past_two_to_the_6(monkeypatch, R0, k):
+    """A(2^j) <= 0 up to j = k - 1, so a search that stopped at L = 2^6
+    ended in NoPositiveOmegaFound; the closed form finds L* = 2^k and
+    delta* = 1/4, builds that one family, and its report is applicable."""
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args[1:])
+        return build_lift_family(*args)
+    monkeypatch.setattr(torusforge.lift, "build_lift_family", counting_build)
+    polys = _small_R0_seed(R0)
+    with pytest.raises(NoPositiveOmegaFound):
+        grid_lift_parameters(polys, LIFT_L_GRID, LIFT_DELTA_GRID)
+    calls.clear()
+    tuning = tune_lift_parameters(polys)
+    assert (tuning.L_star, tuning.delta_star) == (Q(2) ** k, Q(1, 4))
+    assert calls == [(Q(2) ** k, Q(1, 4))]
+    assert tuning.report.applicable and tuning.family.char_poly_ok
+
+
+def test_far_first_positive_power_takes_logarithmically_many_evaluations(monkeypatch):
+    """With R0 = 1/10^100, A(2^j) first turns positive at j = 665: doubling
+    j to 1024 and bisecting the last gap evaluates A 21 times (one search by
+    powers would take 666), then once more to read Omega(L*, delta).  The
+    family at L* = 2^665 is exact, and its criteria end in the typed
+    FloatRangeExceeded."""
+    polys = _small_R0_seed("1/1" + "0" * 100)
+    A = omega_coefficients(origin_jet(polys))[0]
+    assert torusforge.lift._horner(A, Q(2) ** 664) <= 0 < torusforge.lift._horner(A, Q(2) ** 665)
+    at = []
+    exact = torusforge.lift._horner
+
+    def counting_horner(coefficients, t):
+        if tuple(coefficients) == A:
+            at.append(t)
+        return exact(coefficients, t)
+    monkeypatch.setattr(torusforge.lift, "_horner", counting_horner)
+    with pytest.raises(FloatRangeExceeded):
+        tune_lift_parameters(polys)
+    assert len(at) == 22 and max(at) == Q(2) ** 1024 and at[-1] == Q(2) ** 665
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), index=st.integers(0, len(_GEN.LIFT_BASES) - 1),
+       j=st.integers(0, 4))
+def test_closed_form_choice_equals_the_grid_choice(seed, index, j):
+    """On the benchmark's lift seed fields at the origin, with R0 scaled by
+    1/10^j: wherever the grids L = 2^0..2^6, delta = 4^-1..4^-6 find
+    (L*, delta*), the closed-form search finds the same; where they find
+    none, its choice lies past them."""
+    terms = _GEN.lift_seed_field(seed, index)
+    R = dict(terms[2])
+    R[(0, 0, 0)] /= 10 ** j
+    polys = _polys([_GEN.expr(t) for t in (terms[0], terms[1], R)])
+    tuning = tune_lift_parameters(polys)
+    try:
+        expected = grid_lift_parameters(polys, LIFT_L_GRID, LIFT_DELTA_GRID)
+    except NoPositiveOmegaFound:
+        assert tuning.L_star > LIFT_L_GRID[-1] or tuning.delta_star < LIFT_DELTA_GRID[-1]
+    else:
+        assert (tuning.L_star, tuning.delta_star) == expected

@@ -358,7 +358,7 @@ def cmd_branch(args) -> int:
         return _not_applicable(args, doc, rep, "branch.json", "branch")
     tmap = flow.ThetaReturnMap(sys_, fam, nsbranch.RETURN_MAP_INTEGRATOR)
     mu0 = rep.perturbation.mu0
-    branch = nsbranch.branch_continuation(tmap, mu0)
+    branch = nsbranch.branch_continuation(tmap, mu0, rep.perturbation.alpha_d)
     slices = nsbranch.lyapunov_slices(tmap, branch)
     jordan = nsbranch.jordan_expansion(branch)
     xi1 = nsbranch.xi_slice(tmap, mu0)
@@ -413,7 +413,7 @@ def cmd_certify(args) -> int:
     if not rep.applicable:
         return _not_applicable(args, doc, rep, "certificate.json", "certification")
     tmap = flow.ThetaReturnMap(sys_, fam, nsbranch.RETURN_MAP_INTEGRATOR)
-    point = nsbranch.unit_circle_point(tmap, rep.perturbation.mu0, eps)
+    point = nsbranch.unit_circle_point(tmap, rep.perturbation.mu0, eps, rep.perturbation.alpha_d)
     cert = torus.certify_torus(tmap, mu, point, rep.base.l12)
     payload = {"meta": _meta(args, doc), "criteria": rep.to_dict(),
                "certificate": cert.to_dict()}

@@ -11,6 +11,15 @@ size, and each of its 12 stages is one call rhs(t, y0, ..., y{n-1}) on
 positional floats.  No integration makes more than MAX_STEPS step
 attempts, past which it is a StepBudgetExceeded error.
 
+An integration starts cold, at scipy's initial-step selection, or warm, at
+a step h0 it is given: the step the controller of a nearby integration
+proposed when its last step was clipped to t_end, which `dop853` returns.
+`ThetaReturnMap.orbit` chains the returns of one seed that way, and
+`ThetaReturnMap.jet1_along` the transports at a sequence of points, so
+after the first no integration pays the initial-step selection or the
+short first step it picks.  `point` and `jet1` are the first of such a
+chain: cold, a pure function of the seed.
+
 `RescaledField.rhs(name, mu, eps)` generates each right-hand side of
 `_RHS` on first use at (mu, eps), one straight-line function: the terms of
 the slices `_RHS` names for it, folded and written out, then the
@@ -38,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from .criteria import (
     HopfZeroSystem, PerturbationFamily, closed_form_equilibrium, eps_graded_slices, float_range,
@@ -208,11 +217,14 @@ def _dp_step(n: int) -> Callable:
     return define("step", "f, t, h, y, k0, atol, rtol", lines, {"sqrt": math.sqrt})
 
 
-def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-           rtol: float) -> Generator[Tuple[float, list], None, int]:
+def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float, rtol: float,
+           h0: Optional[float] = None
+           ) -> Generator[Tuple[float, list], None, Tuple[int, Optional[float]]]:
     """The accepted steps (t, y) of y' = rhs(t, *y) from (t0, y0) to t_end,
-    yielded as they are taken and not kept; the generator returns the number
-    of RHS evaluations (its StopIteration.value).
+    yielded as they are taken and not kept; the generator returns (nfev,
+    h_next) (its StopIteration.value): the number of RHS evaluations, and the
+    step the controller proposed where the last step was clipped to t_end
+    (None where no step was clipped).
 
     The state is a list of Python floats, and `rhs(t, y0, ..., y{n-1})`
     returns a sequence of n floats.  Tableau, error norm and step control
@@ -229,14 +241,20 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
     Raises StepSizeUnderflow where DOP853 fails with a step below the float
     spacing, on a NaN step size and on an initial step of 0, and
     StepBudgetExceeded before a step attempt past MAX_STEPS.
+
+    A warm start h0, the h_next of an integration of a nearby problem (the
+    previous return of the same orbit), is the first step proposal in place
+    of `_initial_step` and its RHS evaluation.  Without one the steps are
+    the cold start's; h_next is recorded only where the last step is
+    clipped, so the step loop does no warm bookkeeping.
     """
     y = list(y0)
     step = _dp_step(len(y))
     f = rhs(t0, *y)
     yield t0, y
     direction = 1.0 if t_end > t0 else -1.0
-    t, nfev = t0, 1
-    if t_end != t0:         # a zero span takes no step
+    t, nfev, h_abs, h_next = t0, 1, h0, None
+    if t_end != t0 and h0 is None:      # a zero span takes no step
         h_abs = _initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
         nfev = 2
     while direction * (t - t_end) < 0:
@@ -247,12 +265,12 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             if not h_abs >= min_step:
                 raise StepSizeUnderflow(
                     f"required step size is below {min_step:.3g} at t = {t}")
-            if nfev > 12 * MAX_STEPS:       # nfev = 2 + 12 (attempts made)
+            if nfev > 12 * MAX_STEPS:       # nfev = 2 (1 warm) + 12 (attempts made)
                 raise StepBudgetExceeded(
                     f"MAX_STEPS = {MAX_STEPS} step attempts made by t = {t} of {t_end}")
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
-                t_new = t_end
+                t_new, h_next = t_end, h_abs
             h = t_new - t
             h_abs = abs(h)
             y_new, f_new, error_norm = step(rhs, t, h, y, f, atol, rtol)
@@ -268,7 +286,7 @@ def dop853(rhs: Callable, t0: float, t_end: float, y0, atol: float,
             rejected = True
         t, y, f = t_new, y_new, f_new
         yield t, y
-    return nfev
+    return nfev, h_next
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +445,46 @@ class ThetaReturnMap:
         form (`closed_form_equilibrium`), its functions compiled once per map."""
         return closed_form_equilibrium(self._perturbation_functions, mu)
 
+    def orbit(self, x0, mu: float, eps: float, reverse: bool = False
+              ) -> Iterator[Tuple[float, float]]:
+        """The returns Pi(x0), Pi^2(x0), ... of the seed x0, any 2-sequence,
+        each (r, w) a pair of Python floats, without end: one `dop853`
+        integration per return on the field's "return" right-hand side.
+        The first starts cold; each later one starts warm, at the h_next of
+        the return before it.  A singular or non-finite field raises
+        NonFiniteState."""
+        rhs, t_end = self.field.rhs("return", mu, eps), -PERIOD if reverse else PERIOD
+        y, h0 = [float(x0[0]), float(x0[1])], None
+        while True:
+            y, (_, h0) = _drain(dop853(rhs, 0.0, t_end, y, self.cfg.atol, self.cfg.rtol, h0))
+            r, w = y
+            if not (math.isfinite(r) and math.isfinite(w)):
+                raise NonFiniteState("return map produced non-finite state")
+            yield r, w
+
     def point(self, x0, mu: float, eps: float, reverse: bool = False
               ) -> Tuple[float, float]:
-        """(r, w) after one return of the seed x0, any 2-sequence: one
-        `dop853` integration on two Python floats, on the field's "return"
-        right-hand side.  A singular or non-finite field raises
-        NonFiniteState."""
-        for _, y in dop853(self.field.rhs("return", mu, eps), 0.0,
-                           -PERIOD if reverse else PERIOD, [float(x0[0]), float(x0[1])],
-                           self.cfg.atol, self.cfg.rtol):
-            pass
-        r, w = y
-        if not (math.isfinite(r) and math.isfinite(w)):
-            raise NonFiniteState("return map produced non-finite state")
-        return r, w
+        """(r, w) after one return of the seed x0: the first of its `orbit`,
+        a cold integration, so a pure function of x0."""
+        return next(self.orbit(x0, mu, eps, reverse))
+
+    def jet1_along(self, points, mu: float, eps: float) -> Iterator["MapJet"]:
+        """Value and Jacobian of the return map (a MapJet without B and C)
+        at each of `points` in turn: the six floats (r, dr/dr0, dr/dw0, w,
+        dw/dr0, dw/dw0) integrated by `dop853` on the field's "jet1"
+        right-hand side, which differentiates the drift exactly in real
+        arithmetic.  The first transport starts cold; each later one starts
+        warm, at the h_next of the one before it."""
+        rhs, h0 = self.field.rhs("jet1", mu, eps), None
+        for x in points:
+            (r, r1, r2, w, w1, w2), h0 = self._transport(
+                rhs, [float(x[0]), 1.0, 0.0, float(x[1]), 0.0, 1.0], h0)
+            yield MapJet(value=(r, w), A=((r1, r2), (w1, w2)))
 
     def jet1(self, x0, mu: float, eps: float) -> "MapJet":
-        """Value and Jacobian of the return map (a MapJet without B and C):
-        the six floats (r, dr/dr0, dr/dw0, w, dw/dr0, dw/dw0) integrated by
-        `dop853` on the field's "jet1" right-hand side, which differentiates
-        the drift exactly in real arithmetic."""
-        r, r1, r2, w, w1, w2 = self._transport(self.field.rhs("jet1", mu, eps),
-                                               [float(x0[0]), 1.0, 0.0,
-                                                float(x0[1]), 0.0, 1.0])
-        return MapJet(value=(r, w), A=((r1, r2), (w1, w2)))
+        """The value and Jacobian of the return map at x0 (`jet1_along`),
+        from a cold transport, so a pure function of x0."""
+        return next(self.jet1_along((x0,), mu, eps))
 
     def jet3(self, x0, mu: float, eps: float) -> "MapJet":
         """Degree-3 jet by transporting the truncated Taylor expansion of the
@@ -468,21 +502,32 @@ class ThetaReturnMap:
             return dr.coeffs + dw.coeffs
 
         state0 = Jet2.variable(0, float(x0[0])).coeffs + Jet2.variable(1, float(x0[1])).coeffs
-        y = self._transport(rhs, list(state0))
+        y, _ = self._transport(rhs, list(state0))
         return MapJet.from_jets(_jet(tuple(y[:10])), _jet(tuple(y[10:])))
 
-    def _transport(self, rhs: Callable, state0: list) -> list:
-        """The state of a derivative transport after one return.  `rhs`
-        raises JetTransportUnstable where the field is singular or
-        non-finite; a failed integration is JetTransportUnstable too."""
+    def _transport(self, rhs: Callable, state0: list, h0: Optional[float] = None
+                   ) -> Tuple[list, Optional[float]]:
+        """The state of a derivative transport after one return, and its
+        h_next; h0 is `dop853`'s warm start.  `rhs` raises
+        JetTransportUnstable where the field is singular or non-finite; a
+        failed integration is JetTransportUnstable too."""
         try:
-            for _, y in dop853(rhs, 0.0, PERIOD, state0, self.cfg.atol, self.cfg.rtol):
-                pass
+            y, (_, h_next) = _drain(dop853(rhs, 0.0, PERIOD, state0,
+                                           self.cfg.atol, self.cfg.rtol, h0))
         except StepSizeUnderflow as exc:
             raise JetTransportUnstable(f"jet transport integration failed: {exc}") from exc
         if not all(map(math.isfinite, y)):
             raise JetTransportUnstable("jet transport integration failed")
-        return y
+        return y, h_next
+
+
+def _drain(steps) -> tuple:
+    """The last state a `dop853` run yields, and the run's return value."""
+    while True:
+        try:
+            _, y = next(steps)
+        except StopIteration as stop:
+            return y, stop.value
 
 
 # ---------------------------------------------------------------------------

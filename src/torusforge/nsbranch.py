@@ -3,11 +3,14 @@ normalization.
 
 On each eps of the factor-2 ladder `BRANCH_LADDER`, `unit_circle_point`
 solves det D Pi(xi(mu, eps)) = 1 for mu by a secant, each step a
-fixed-point Newton on Pi(x) - x seeded at the map's own averaged
+fixed-point Newton on Pi(x) - x: the first seeded at the map's own averaged
 equilibrium (`ThetaReturnMap.averaged_equilibrium`, the criteria's closed
-form); the branch's mu1, the fixed-point slice xi_1 and the eps slices of
-the map Lyapunov coefficient and of the normalized linearization are fitted
-to three consecutive rungs (`_ladder_fit`).  `lyapunov_coefficient_map`
+form), the later ones at the fixed points already solved.  The secant's
+first jump is the exact slope's, h'(mu0) = 2 eps alpha_d to O(eps^2), with
+alpha_d the criteria report's, which `certify` and `branch` pass on.  The
+branch's mu1, the fixed-point slice xi_1 and the eps slices of the map
+Lyapunov coefficient and of the normalized linearization are fitted to
+three consecutive rungs (`_ladder_fit`).  `lyapunov_coefficient_map`
 contracts the degree-2 and degree-3 tensors of the map's `jet3` in the
 eigenvector basis of D Pi.
 
@@ -143,9 +146,9 @@ def _solve_2x2(M, rhs) -> Tuple[float, float]:
 def _newton_fixed_point(tmap, mu: float, eps: float,
                         seed: Optional[Sequence[float]] = None):
     """Fixed point xi of the return map, a pair of floats, by Newton on
-    Pi(x) - x, seeded at the map's averaged equilibrium; returns (xi, Pi and
-    D Pi at xi), so callers that need D Pi(xi) reuse the last iteration's
-    first-order transport (jet1)."""
+    Pi(x) - x, seeded at `seed` or else at the map's averaged equilibrium;
+    returns (xi, Pi and D Pi at xi), so callers that need D Pi(xi) reuse the
+    last iteration's first-order transport (jet1)."""
     r, w = tmap.averaged_equilibrium(mu) if seed is None else seed
     for _ in range(FIXED_POINT_MAX_ITER):
         jet = tmap.jet1((r, w), mu, eps)
@@ -163,54 +166,63 @@ def _newton_fixed_point(tmap, mu: float, eps: float,
     raise NewtonDiverged(f"fixed-point Newton stalled, residual {err}")
 
 
-def unit_circle_point(tmap, mu0: float, eps: float,
+def unit_circle_point(tmap, mu0: float, eps: float, alpha_d: float,
                       mu_guess: Optional[float] = None) -> BranchPoint:
-    """Solve det(D Pi(xi(mu, eps))) = 1 for mu by the secant method.
+    """Solve h(mu) = det(D Pi(xi(mu, eps))) - 1 = 0 for mu by the secant
+    method.
 
     For a complex pair, |lambda|^2 = det, so this is the unit-circle
     condition; the pair property is verified at the solution.  The secant
-    starts at mu0 (or `mu_guess`); the returned point carries Pi and D Pi at
-    xi, so nothing downstream solves the same point again.  At eps = 0 the
-    return map is the identity and has no crossing: a DegenerateParameter
-    error before any transport.
+    starts at mu_a = mu0 (or `mu_guess`).  Its second point is where the
+    exact slope puts the root: D Pi = I + eps Df1 + O(eps^2) and tr Df1 =
+    2 eta (the identity behind `criteria.hypotheses`), so h'(mu0) =
+    2 eps alpha_d + O(eps^2), with alpha_d the criteria report's, and mu_b =
+    mu_a - h(mu_a) / (2 eps alpha_d).  The first fixed-point Newton starts
+    at the map's averaged equilibrium, the second at the first fixed point,
+    and each later one at the linear extrapolation in mu of the last two.
+    The returned point carries Pi and D Pi at xi, so nothing downstream
+    solves the same point again.  At eps = 0 the return map is the identity
+    and has no crossing: a DegenerateParameter error before any transport.
     """
     if eps == 0.0:
         raise DegenerateParameter("eps = 0: bifurcation parameter degenerate")
-    last_xi = [None]
+    solved = []             # (mu, xi) of the fixed points solved so far
 
     def h(mu):
-        xi, jet = _newton_fixed_point(tmap, mu, eps, seed=last_xi[0])
-        last_xi[0] = xi
+        seed = solved[-1][1] if solved else None
+        if len(solved) > 1:
+            (m0, (r0, w0)), (m1, (r1, w1)) = solved[-2:]
+            s = (mu - m1) / (m1 - m0)
+            seed = (r1 + s * (r1 - r0), w1 + s * (w1 - w0))
+        xi, jet = _newton_fixed_point(tmap, mu, eps, seed=seed)
+        solved.append((mu, xi))
         (a, b), (c, d) = jet.A
         return a * d - b * c - 1.0, xi, jet
 
     mu_a = mu0 if mu_guess is None else mu_guess
-    mu_b = mu_a + 0.5 * eps if mu_guess is None else mu_a + 0.1 * eps
-    ha, _, _ = h(mu_a)
-    hb, xi_b, jet_b = h(mu_b)
+    ha, xi, jet = h(mu_a)
+    mu_b = mu_a - ha / (2.0 * eps * alpha_d)
     for _ in range(UNIT_CIRCLE_MAX_ITER):
+        if abs(ha) <= UNIT_CIRCLE_TOL:      # (mu_a, ha, xi, jet): the last point solved
+            lam = _complex_eigenvalue(jet.A)
+            return BranchPoint(eps=eps, mu=mu_a, xi=xi, eigenvalue=lam,
+                               theta=math.atan2(lam.imag, lam.real), jet=jet)
+        hb, xi, jet = h(mu_b)
         if hb == ha:
             break
-        mu_new = mu_b - hb * (mu_b - mu_a) / (hb - ha)
-        mu_a, ha = mu_b, hb
-        mu_b = mu_new
-        hb, xi_b, jet_b = h(mu_b)
-        if abs(hb) <= UNIT_CIRCLE_TOL:
-            lam = _complex_eigenvalue(jet_b.A)
-            return BranchPoint(eps=eps, mu=mu_b, xi=xi_b, eigenvalue=lam,
-                               theta=math.atan2(lam.imag, lam.real), jet=jet_b)
+        mu_a, ha, mu_b = mu_b, hb, mu_b - hb * (mu_b - mu_a) / (hb - ha)
     raise UnitCircleCrossingNotFound(
-        f"secant on |lambda|=1 did not converge at eps={eps} (residual {hb})")
+        f"secant on |lambda|=1 did not converge at eps={eps} (residual {ha})")
 
 
-def _ladder_points(tmap, mu0: float,
+def _ladder_points(tmap, mu0: float, alpha_d: float,
                    eps_ladder: Sequence[float]) -> List[BranchPoint]:
     """unit_circle_point on each rung of a factor-2 ladder; the secant of a
     rung starts from the previous rung's mu - mu0 halved."""
     points = []
     mu_guess = None
     for eps in eps_ladder:
-        points.append(unit_circle_point(tmap, mu0, eps, mu_guess))
+        points.append(unit_circle_point(tmap, mu0, eps, alpha_d, mu_guess))
         mu_guess = mu0 + (points[-1].mu - mu0) / 2.0
     return points
 
@@ -247,12 +259,13 @@ def xi_slice(tmap, mu: float) -> Tuple[float, float]:
                              ladder, 0)[0] for i in range(2))
 
 
-def branch_continuation(tmap, mu0: float) -> NSBranch:
+def branch_continuation(tmap, mu0: float, alpha_d: float) -> NSBranch:
     """Solve the Neimark-Sacker curve mu(eps) once, on every rung of
-    BRANCH_LADDER; mu1 is fitted to mu(eps)/eps on the middle three rungs
-    and, in the degree-preserving simple case of the map's family, compared
-    with the printed closed form of the map's system."""
-    points = tuple(_ladder_points(tmap, mu0, BRANCH_LADDER))
+    BRANCH_LADDER, each secant started at the exact slope of alpha_d, the
+    criteria report's; mu1 is fitted to mu(eps)/eps on the middle three
+    rungs and, in the degree-preserving simple case of the map's family,
+    compared with the printed closed form of the map's system."""
+    points = tuple(_ladder_points(tmap, mu0, alpha_d, BRANCH_LADDER))
     middle = points[1:4]
     mu1_numeric = _ladder_fit([(p.mu - mu0) / p.eps for p in middle],
                               [p.eps for p in middle], 0)[0]

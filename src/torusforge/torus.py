@@ -13,8 +13,12 @@ Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
 are long; a probe phase first iterates the seed xi + (amp, 0) until the
 orbit statistics settle or it escapes.  The settled probe orbit then goes
 on for TRANSIENT (500) more returns, and its next WINDOW (2048) iterates
-are the certificate's samples.  An escape, before or after the probe
-settles, or a probe settled on the fixed point xi, is no_torus.
+are the certificate's samples.  Probe, transient and window are one warm
+orbit (`ThetaReturnMap.orbit`): each return starts at the step the return
+before it proposed last, so a sample is a pure function of the one before
+it and that step, and agrees with a cold return of it to the integration
+tolerance, not bit for bit.  An escape, before or after the probe settles,
+or a probe settled on the fixed point xi, is no_torus.
 
 Stability direction: the Neimark-Sacker curve has the opposite stability to
 xi, so the probe runs backward if and only if det D Pi(xi) = |lambda|^2 < 1,
@@ -24,8 +28,9 @@ opposite to the usual convention; the direction it implies is recorded next
 to the observed one, and a mismatch is flagged, not corrected away.
 
 The fixed point xi is the fixed-point Newton of `nsbranch`, seeded at the
-map's own averaged equilibrium (`ThetaReturnMap.averaged_equilibrium`, the
-criteria's closed form), so certification reads no Melnikov pair.  The
+Neimark-Sacker point's fixed point, which that point's own Newtons reached
+from the map's averaged equilibrium (`ThetaReturnMap.averaged_equilibrium`,
+the criteria's closed form), so certification reads no Melnikov pair.  The
 fixed point, the probe and the orbit it goes on to are pairs of Python
 floats, so a no_torus verdict loads no numpy.  The samples become an array
 once the orbit has run its transient and window: the Fourier fit, the
@@ -36,10 +41,11 @@ where they make their arrays, the only numpy in the package.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .criteria import AveragingError
 from .flow import FlowError, IntegratorConfig
@@ -175,11 +181,12 @@ def normal_exponent(tmap, samples: np.ndarray, mu: float, eps: float
     the `birkhoff_average` of log |det D Pi| over the first NORMAL_SAMPLES:
     the sum of both exponents, which is the normal one where an irrational
     rotation makes the tangential one 0.  Negative attracts.  The forward
-    jet1 serves either probe direction; (None, None) when a jet1 fails."""
+    jet1 serves either probe direction, one warm transport after another
+    (`jet1_along`); (None, None) when a jet1 fails."""
     logdet = []
     try:
-        for x in samples[:NORMAL_SAMPLES]:
-            (a, b), (c, d) = tmap.jet1(x, mu, eps).A
+        for jet in tmap.jet1_along(samples[:NORMAL_SAMPLES], mu, eps):
+            (a, b), (c, d) = jet.A
             logdet.append(math.log(abs(a * d - b * c)))
     except FlowError:
         return None, None
@@ -275,35 +282,33 @@ class TorusCertificate:
         return out
 
 
-def _iterate(tmap, x, mu, eps, reverse, n: int) -> Optional[List[Tuple[float, float]]]:
-    """The next n iterates of x, each a pair of floats; None when the orbit
-    escapes on the way: a non-finite iterate, one beyond ESCAPE_BOUND, one
-    with r <= 1e-3, or a failed integration."""
-    r, w = x
+def _iterate(orbit: Iterator[Tuple[float, float]], n: int
+             ) -> Optional[List[Tuple[float, float]]]:
+    """The next n iterates of an orbit (`ThetaReturnMap.orbit`), each a pair
+    of floats; None when the orbit escapes on the way: a non-finite iterate,
+    one beyond ESCAPE_BOUND, one with r <= 1e-3, or a failed integration."""
     out = []
-    for _ in range(n):
-        try:
-            r, w = tmap.point((r, w), mu, eps, reverse=reverse)
-        except FlowError:
-            # integration breakdown (e.g. the r -> 0 coordinate
-            # singularity): the orbit left the map's domain
-            return None
-        # NaN fails every comparison, so it escapes too
-        if not (abs(r) <= ESCAPE_BOUND and abs(w) <= ESCAPE_BOUND and r > 1e-3):
-            return None
-        out.append((r, w))
+    try:
+        for r, w in itertools.islice(orbit, n):
+            # NaN fails every comparison, so it escapes too
+            if not (abs(r) <= ESCAPE_BOUND and abs(w) <= ESCAPE_BOUND and r > 1e-3):
+                return None
+            out.append((r, w))
+    except FlowError:
+        # integration breakdown (e.g. the r -> 0 coordinate singularity):
+        # the orbit left the map's domain
+        return None
     return out
 
 
-def _probe(tmap, x0, mu, eps, reverse) -> Optional[List[Tuple[float, float]]]:
-    """Iterate one seed until the orbit statistics settle: the last
-    PROBE_CHECK iterates, pairs of floats, or None when the orbit escapes.
-    After PROBE_MAX returns the last ones are returned unsettled; the fit
-    quality decides."""
-    tail = [x0]                          # the seed, as a one-iterate tail
+def _probe(orbit: Iterator[Tuple[float, float]]) -> Optional[List[Tuple[float, float]]]:
+    """Iterate one orbit until its statistics settle: the last PROBE_CHECK
+    iterates, pairs of floats, or None when the orbit escapes.  After
+    PROBE_MAX returns the last ones are returned unsettled; the fit quality
+    decides.  The orbit goes on from where the probe leaves it."""
     prev_stats = None
     for _ in range(PROBE_MAX // PROBE_CHECK):
-        tail = _iterate(tmap, tail[-1], mu, eps, reverse, PROBE_CHECK)
+        tail = _iterate(orbit, PROBE_CHECK)
         if tail is None:
             return None
         n = len(tail)
@@ -330,15 +335,16 @@ def _collapse_check(tail, fixed_point, seed_radius: float) -> bool:
 def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCertificate:
     """Locate and certify the invariant closed curve of the return map at
     (mu, point.eps); see the module docstring for the protocol.  `point` is
-    the Neimark-Sacker point at that eps != 0 (`unit_circle_point`): its mu
-    sets the seed amplitude and its theta is reported.  `l12` is the map's
-    system's eps^2 Lyapunov slice pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`),
-    nonzero with the sign of ell_1; the eps slice is 0."""
+    the Neimark-Sacker point at that eps != 0 (`unit_circle_point`): its xi
+    seeds the fixed-point Newton, its mu sets the seed amplitude and its
+    theta is reported.  `l12` is the map's system's eps^2 Lyapunov slice
+    pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`), nonzero with the sign of
+    ell_1; the eps slice is 0."""
     eps = point.eps
     tmap = _with_config(tmap, CERTIFY_INTEGRATOR)
 
     try:
-        xi, jet = _newton_fixed_point(tmap, mu, eps)
+        xi, jet = _newton_fixed_point(tmap, mu, eps, point.xi)
     except (FlowError, AveragingError) as exc:
         raise FixedPointNotFound(str(exc)) from exc
 
@@ -368,7 +374,8 @@ def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCerti
             stability_mismatch=False, fixed_point=xi,
             theta_eps=point.theta, notes=tuple(notes))
 
-    tail = _probe(tmap, (xi[0] + amp, xi[1]), mu, eps, reverse)
+    orbit = tmap.orbit((xi[0] + amp, xi[1]), mu, eps, reverse)
+    tail = _probe(orbit)
     if tail is None:
         return no_torus(f"the probe orbit escapes in {direction} time, in which "
                         "the fixed point repels; no invariant curve")
@@ -377,12 +384,12 @@ def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCerti
                         f"{direction} time; no invariant curve")
 
     # the probe orbit goes on: a transient, then the window of samples
-    orbit = _iterate(tmap, tail[-1], mu, eps, reverse, TRANSIENT + WINDOW)
-    if orbit is None:
+    iterates = _iterate(orbit, TRANSIENT + WINDOW)
+    if iterates is None:
         return no_torus(f"the probe orbit escapes in {direction} time after it "
                         "settled; no invariant curve")
     import numpy as np
-    samples = np.array(orbit[TRANSIENT:])
+    samples = np.array(iterates[TRANSIENT:])
 
     curve = fit_fourier_curve(samples)
     residual = curve.rms_residual

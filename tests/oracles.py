@@ -219,7 +219,7 @@ def _comprehension_step(rhs: Callable, t: float, h: float, y: list, f, atol: flo
 def run_steps(steps) -> Tuple[list, list, object]:
     """The times and states a step generator (`flow.dop853`,
     `flow.integrate`) yields, drained to its end, and its return value (the
-    StopIteration.value: dop853's RHS count, None for integrate).  An error
+    StopIteration.value: dop853's RHS count and h_next, None for integrate).  An error
     of the run is raised here, at the step it stops on."""
     ts, ys = [], []
     while True:
@@ -232,18 +232,22 @@ def run_steps(steps) -> Tuple[list, list, object]:
 
 
 def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
-                rtol: float) -> Tuple[list, list, int]:
+                rtol: float, h0=None) -> Tuple[list, list, tuple]:
     """`flow.dop853` with each step taken by `_comprehension_step`: the
     oracle of the generated straight-line step, which must return the same
-    times, states and RHS count bit for bit."""
+    times, states, RHS count and h_next bit for bit, cold or from the warm
+    start h0."""
     y = list(y0)
     f = rhs(t0, *y)
     ts, ys = [t0], [y]
     if t_end == t0:
-        return ts, ys, 1
+        return ts, ys, (1, None)
     direction = 1.0 if t_end > t0 else -1.0
-    h_abs = flow._initial_step(rhs, t0, y, f, t_end, direction, atol, rtol)
-    nfev = 2
+    if h0 is None:
+        h_abs, nfev = flow._initial_step(rhs, t0, y, f, t_end, direction, atol, rtol), 2
+    else:
+        h_abs, nfev = h0, 1
+    h_next = None
     t = t0
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -255,7 +259,7 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
                     f"required step size is below {min_step:.3g} at t = {t}")
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
-                t_new = t_end
+                t_new, h_next = t_end, h_abs
             h = t_new - t
             h_abs = abs(h)
             y_new, f_new, error_norm = _comprehension_step(rhs, t, h, y, f, atol, rtol)
@@ -272,7 +276,7 @@ def dop853_loop(rhs: Callable, t0: float, t_end: float, y0, atol: float,
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return ts, ys, nfev
+    return ts, ys, (nfev, h_next)
 
 
 def scipy_controlled_dop853(rhs: Callable, t_end: float, y0, atol: float, rtol: float):

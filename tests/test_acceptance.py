@@ -16,10 +16,10 @@ import torusforge.cli
 import torusforge.torus
 from torusforge.averaging import melnikov_pair, to_standard_form
 from torusforge.criteria import (
-    PerturbationFamily, evaluate_base_criteria, validate_hopf_zero,
+    PerturbationFamily, criteria_report, evaluate_base_criteria, validate_hopf_zero,
 )
 from torusforge.fieldexpr import Poly, partial
-from torusforge.flow import IntegratorConfig, ThetaReturnMap
+from torusforge.flow import PERIOD, IntegratorConfig, ThetaReturnMap, dop853
 from torusforge.lift import build_lift_family, tune_lift_parameters
 from torusforge.nsbranch import (
     branch_continuation, jordan_expansion, lyapunov_coefficient_map, lyapunov_slices,
@@ -31,8 +31,14 @@ from torusforge.torus import CERTIFY_INTEGRATOR, _with_config, certify_torus
 from oracles import (
     branch_xi1, f1_quadrature, jet_product, map_points, normal_contraction, raw_partials,
 )
+from test_flow import WARM_RETURN_BOUND
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
+
+
+def _alpha_d(sys, fam):
+    """The criteria report's alpha_d, which starts each secant on |lambda| = 1."""
+    return criteria_report(sys, fam, (-1.0, 1.0)).perturbation.alpha_d
 
 
 def _announce(criterion: str, ok: bool, detail: str = ""):
@@ -67,9 +73,9 @@ def test_criterion_1_example_constants(example):
 def ns_branch(example):
     """The Neimark-Sacker ladder at mu0 = 0, solved once for criteria 2, 4
     and 5, and the time it took."""
-    _, _, _, tmap = example
+    sys, fam, _, tmap = example
     start = time.perf_counter()
-    solved = branch_continuation(tmap, 0.0)
+    solved = branch_continuation(tmap, 0.0, _alpha_d(sys, fam))
     return solved, time.perf_counter() - start
 
 
@@ -132,12 +138,12 @@ def test_criterion_4_normalization_match(ns_branch):
 
 
 def test_criterion_5_lyapunov_consistency(example, ns_branch):
-    _, _, _, tmap = example
+    sys, fam, _, tmap = example
     target = -3 * math.pi / 4
     details = []
     ok = True
     for eps in (0.02, 0.04):
-        nm = normalized_map(unit_circle_point(tmap, 0.0, eps))
+        nm = normalized_map(unit_circle_point(tmap, 0.0, eps, _alpha_d(sys, fam)))
         value = lyapunov_coefficient_map(tmap, nm) / eps ** 2
         details.append(f"eps={eps}: {value:.6f}")
         ok = ok and abs(value - target) <= 0.10 * abs(target) and value < 0
@@ -152,28 +158,37 @@ def test_criterion_5_lyapunov_consistency(example, ns_branch):
 def certification(tmp_path_factory):
     """`certify --mu=0.05 --eps=0.05` on the worked example, with the
     certificate it made and its report; the same Neimark-Sacker point then
-    certified at mu = 0.02; and the time both took."""
+    certified at mu = 0.02; the time both took; and each return integration
+    the first certify made, in order: its seed, its warm start h0 and the
+    step h_next it proposed for the next."""
     out = tmp_path_factory.mktemp("certify")
     doc = out / "doc.json"
     doc.write_text(json.dumps({"system": dict(zip("PQR", EXAMPLE))}))
-    made = []
+    made, returns = [], []
 
     def kept(*args):
         made.append((args, certify_torus(*args)))
         return made[-1][1]
 
+    def recorded(rhs, t0, t_end, y0, atol, rtol, h0=None):
+        nfev, h_next = yield from dop853(rhs, t0, t_end, y0, atol, rtol, h0)
+        if len(y0) == 2:
+            returns.append((tuple(y0), h0, h_next))
+        return nfev, h_next
+
     start = time.perf_counter()
-    with mock.patch.object(torusforge.torus, "certify_torus", kept):
+    with mock.patch.object(torusforge.torus, "certify_torus", kept), \
+            mock.patch.object(torusforge.flow, "dop853", recorded):
         assert torusforge.cli.main(["certify", "--input", str(doc), "--out", str(out),
                                     "--mu=0.05", "--eps=0.05"]) == 0
     (tmap, _, point, l12), found = made[0]
     absent = certify_torus(tmap, 0.02, point, l12)
     report = json.loads((out / "certificate.json").read_text())
-    return found, absent, time.perf_counter() - start, report
+    return found, absent, time.perf_counter() - start, report, returns
 
 
 def test_criterion_6_torus_certification(certification):
-    found, absent, elapsed, _ = certification
+    found, absent, elapsed, _, _ = certification
     rho_target = abs(found.theta_eps) / (2 * math.pi)
     checks = {
         "verdict": found.verdict == "torus_found",
@@ -200,16 +215,16 @@ def kappa_pair(example, certification):
 
 
 # the torus-side samples of the criterion-6 certification at (0.05, 0.05)
-CURVE_POINTS_SHA256 = "9ad2e6c1e3e2521ca96263ca49a0351fb41d8b90e00ce6e079ac7c1cef2d222c"
+CURVE_POINTS_SHA256 = "11ad33aec921f7e4e2e221330a5f8beb24d30809cbe9ead37c4045a8258dc5bd"
 # the same certificate, written by cli.write_report
-FOUND_CERTIFICATE_SHA256 = "cde938dde737680d4229b5ad4ff4c04c8ff599f314580549f10a6f727b8c6a1f"
+FOUND_CERTIFICATE_SHA256 = "f4937855c81bc8cad881b53bd2a6ea5e9b373abe7dbc4181684365d349dbc7f0"
 
 
 def test_criterion_6_certificate_bytes(certification, tmp_path):
     """The torus-side certificate byte for byte: verdict, fit, rotation,
     normal exponent, winding and notes of the one sampled orbit, as made
     and as `certify` reports it from mu0 = 0.0, the exact root of eta."""
-    found, _, _, report = certification
+    found, _, _, report, _ = certification
     assert report["criteria"]["perturbation"]["mu0"] == 0.0
     for name, block in (("found", found.to_dict()), ("reported", report["certificate"])):
         write_report(tmp_path / name, block)
@@ -218,16 +233,29 @@ def test_criterion_6_certificate_bytes(certification, tmp_path):
 
 
 def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
-    found = certification[0]
+    found, returns = certification[0], certification[4]
     kappa, kappa_reversed = kappa_pair
     product = kappa * kappa_reversed
-    # the samples are one orbit: each is the return of the one before it
+    # the samples are one orbit: the returns certify made are one chain, each
+    # started warm at the step the one before it proposed, and each sample
+    # is the return of the one before it bit for bit, the integration from
+    # it at its recorded warm start; a cold return of it agrees within
+    # WARM_RETURN_BOUND
     tmap = _with_config(example[3], CERTIFY_INTEGRATOR)
-    one_orbit = all(
-        np.array(tmap.point(found.curve_points[i], 0.05, 0.05,
-                            reverse=found.reversed_time)).tobytes()
-        == found.curve_points[i + 1].tobytes()
-        for i in (0, 1, 1000, len(found.curve_points) - 2))
+    samples = found.curve_points
+    warm = {y0: h0 for y0, h0, _ in returns}
+    chained = all(h0 == h_next for (_, _, h_next), (_, h0, _) in zip(returns, returns[1:]))
+    rhs = tmap.field.rhs("return", 0.05, 0.05)
+    exact, cold = True, 0.0
+    for i in (0, 1, 1000, len(samples) - 2):
+        x = tuple(map(float, samples[i]))
+        for _, y in dop853(rhs, 0.0, -PERIOD if found.reversed_time else PERIOD, x,
+                           CERTIFY_INTEGRATOR.atol, CERTIFY_INTEGRATOR.rtol, warm[x]):
+            pass
+        exact = exact and np.array(y).tobytes() == samples[i + 1].tobytes()
+        cold = max(cold, *(abs(a - b) for a, b in zip(
+            tmap.point(x, 0.05, 0.05, reverse=found.reversed_time), samples[i + 1])))
+    one_orbit = chained and exact and cold <= WARM_RETURN_BOUND
     ok = (abs(product - 1.0) <= 0.10
           and found.encloses_fixed_point
           and found.rotation_uncertainty <= 1e-4
@@ -242,7 +270,8 @@ def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
               ok, f"kappa={kappa:.5f}, product={product:.4f}, "
                   f"unc={found.rotation_uncertainty:.2e}, "
                   f"lambda_n={found.normal_exponent:.4e} "
-                  f"+- {found.normal_exponent_uncertainty:.1e}, one_orbit={one_orbit}")
+                  f"+- {found.normal_exponent_uncertainty:.1e}, one_orbit={one_orbit}, "
+                  f"cold return {cold:.1e}")
 
 
 def test_normal_exponent_matches_kappa_pair(certification, kappa_pair):
@@ -385,7 +414,7 @@ def test_lift_then_certify_demo(monkeypatch, c):
     pfam = PerturbationFamily.simple(1 if S < 0 else -1)
     tmap = ThetaReturnMap(sysy, pfam, IntegratorConfig(atol=1e-10, rtol=1e-8))
     eps = 0.05
-    point = unit_circle_point(tmap, 0.0, eps)
+    point = unit_circle_point(tmap, 0.0, eps, _alpha_d(sysy, pfam))
     mu_c = point.mu
     dmu = (0.45 * r0) ** 2 * eps * abs(res.l12) / math.pi
     mu_t = mu_c - dmu * (1 if res.ell1 > 0 else -1)

@@ -66,6 +66,11 @@ def _example_pair():
     return sys, fam, std, melnikov_pair(std)
 
 
+def _alpha_d(sys, fam):
+    """The criteria report's alpha_d, which starts each secant on |lambda| = 1."""
+    return criteria_report(sys, fam, (-1.0, 1.0)).perturbation.alpha_d
+
+
 def _equilibrium(sys, fam, mu):
     """The averaged equilibrium of the system and family at mu: the
     criteria's closed form, the one route to it."""
@@ -641,7 +646,7 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     monkeypatch.setattr(tmap, "jet3", counted_jet3)
     monkeypatch.setattr(nsbranch, "_newton_fixed_point", counted_newton)
     monkeypatch.setattr(nsbranch, "_solve_2x2", counted_solve)
-    point = nsbranch.unit_circle_point(tmap, 0.0, 1e-2)
+    point = nsbranch.unit_circle_point(tmap, 0.0, 1e-2, _alpha_d(sys, fam))
     xi, lam, jet = point.xi, point.eigenvalue, point.jet
     assert counts["newton"] >= 3
     assert counts["jet3"] == 0
@@ -650,6 +655,60 @@ def test_unit_circle_point_makes_one_transport_per_newton_step(monkeypatch):
     assert jet.B is None and jet.C is None
     assert abs(abs(lam) - 1.0) <= 1e-10
     assert np.max(np.abs(np.subtract(jet.value, xi))) <= 1e-10      # the jet is taken at xi
+
+
+def _eps_half_secant(tmap, mu0, eps):
+    """The secant on |lambda| = 1 from mu0 and mu0 + eps/2, each fixed-point
+    Newton seeded at the fixed point solved before it: the fixed start the
+    exact slope replaced.  Its crossing mu_c, and the h evaluations made."""
+    seed, evaluations = None, 0
+
+    def h(mu):
+        nonlocal seed, evaluations
+        seed, jet = nsbranch._newton_fixed_point(tmap, mu, eps, seed)
+        evaluations += 1
+        (a, b), (c, d) = jet.A
+        return a * d - b * c - 1.0
+
+    mu_a, mu_b = mu0, mu0 + 0.5 * eps
+    ha, hb = h(mu_a), h(mu_b)
+    for _ in range(nsbranch.UNIT_CIRCLE_MAX_ITER):
+        if abs(hb) <= nsbranch.UNIT_CIRCLE_TOL:
+            return mu_b, evaluations
+        mu_a, ha, mu_b = mu_b, hb, mu_b - hb * (mu_b - mu_a) / (hb - ha)
+        hb = h(mu_b)
+    raise AssertionError("the eps/2 secant did not converge")
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.02])
+@pytest.mark.parametrize("exprs", [EXAMPLE, *_benchmark_inputs().HOPF_BASES])
+def test_secant_first_jump_is_the_exact_slope(monkeypatch, exprs, eps):
+    """The secant's second point is mu0 - h(mu0) / (2 eps alpha_d), from
+    h'(mu0) = 2 eps alpha_d + O(eps^2) with the criteria report's alpha_d:
+    on the worked example and the four base fields of the `fields` workload
+    it lies within 2% of the crossing's mu_c - mu0 (within 1.0% on every one
+    measured), and the solve makes fewer h evaluations (fixed-point Newtons)
+    than the start mu0 + eps/2 (`_eps_half_secant`; 3 to 5, against 4 to
+    6), to the same mu_c up to what the fixed-point tolerance leaves in h:
+    the two parted by at most 2.4e-10 (2.4e-8 eps), 4 times below the
+    bound."""
+    sys = validate_hopf_zero(*exprs)
+    fam = PerturbationFamily.simple(sys.beta)
+    crit = criteria_report(sys, fam, (-1.0, 1.0)).perturbation
+    tmap = ThetaReturnMap(sys, fam, nsbranch.RETURN_MAP_INTEGRATOR)
+    mu_half, evaluations_half = _eps_half_secant(tmap, crit.mu0, eps)
+    newton, mus = nsbranch._newton_fixed_point, []
+
+    def counted(tmap, mu, eps, seed=None):
+        mus.append(mu)
+        return newton(tmap, mu, eps, seed)
+
+    monkeypatch.setattr(nsbranch, "_newton_fixed_point", counted)
+    point = nsbranch.unit_circle_point(tmap, crit.mu0, eps, crit.alpha_d)
+    assert mus[0] == crit.mu0
+    assert abs((mus[1] - crit.mu0) - (point.mu - crit.mu0)) <= 0.02 * abs(point.mu - crit.mu0)
+    assert len(mus) < evaluations_half
+    assert abs(point.mu - mu_half) <= 1e-7 * eps
 
 
 class _IdentityJetMap:
@@ -722,7 +781,7 @@ def test_log_det_is_twice_log_modulus_at_the_headline():
     jet3's independent transport there: xi repels in forward time."""
     sys, fam, _, _ = _example_pair()
     tmap = ThetaReturnMap(sys, fam, IntegratorConfig(atol=1e-13, rtol=1e-11))
-    point = nsbranch.unit_circle_point(tmap, 0.0, 0.05)
+    point = nsbranch.unit_circle_point(tmap, 0.0, 0.05, _alpha_d(sys, fam))
     assert point.mu < 0.05
     xi, jet = nsbranch._newton_fixed_point(tmap, 0.05, point.eps)
     lam = np.linalg.eigvals(tmap.jet3(xi, 0.05, point.eps).A)
@@ -786,9 +845,9 @@ def test_ladder_fit_past_the_float_range_is_typed():
 def example_ladder():
     """The worked example's return map and its Neimark-Sacker branch, one
     point on every rung of BRANCH_LADDER."""
-    sys = validate_hopf_zero(*EXAMPLE)
-    tmap = ThetaReturnMap(sys, PerturbationFamily.simple(beta=1), nsbranch.RETURN_MAP_INTEGRATOR)
-    return tmap, nsbranch.branch_continuation(tmap, 0.0)
+    sys, fam = validate_hopf_zero(*EXAMPLE), PerturbationFamily.simple(beta=1)
+    tmap = ThetaReturnMap(sys, fam, nsbranch.RETURN_MAP_INTEGRATOR)
+    return tmap, nsbranch.branch_continuation(tmap, 0.0, _alpha_d(sys, fam))
 
 
 def test_branch_fits_match_the_vandermonde_solve(example_ladder):

@@ -778,10 +778,11 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
     """certify far on the no-torus side: verdict no_torus, no curve.csv, the
     Neimark-Sacker point at the requested eps is solved exactly once, no
     degree-3 jet is made (Newton and the secant read only Pi and D Pi), and
-    one probe runs, backward: xi attracts in forward time there."""
+    one probe runs, backward: xi attracts in forward time there.  The probe
+    is the one orbit of returns made (`ThetaReturnMap.orbit`)."""
     calls, jets, probes = [], [], []
     solve, jet3 = torusforge.nsbranch.unit_circle_point, ThetaReturnMap.jet3
-    probe = torusforge.torus._probe
+    orbit = ThetaReturnMap.orbit
 
     def counted(*args, **kwargs):
         calls.append(args[2])
@@ -791,13 +792,13 @@ def test_certify_no_torus_solves_one_point(tmp_path, monkeypatch):
         jets.append(args[1:])
         return jet3(*args)
 
-    def counted_probe(tmap, x0, mu, eps, reverse):
+    def counted_orbit(tmap, x0, mu, eps, reverse=False):
         probes.append(reverse)
-        return probe(tmap, x0, mu, eps, reverse)
+        return orbit(tmap, x0, mu, eps, reverse)
 
     monkeypatch.setattr(torusforge.nsbranch, "unit_circle_point", counted)
     monkeypatch.setattr(ThetaReturnMap, "jet3", counted_jet3)
-    monkeypatch.setattr(torusforge.torus, "_probe", counted_probe)
+    monkeypatch.setattr(ThetaReturnMap, "orbit", counted_orbit)
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     rc = main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02", "--out", str(out)])
@@ -839,11 +840,11 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "a3c3f01881714cfd4f399a7a16ec19fcc632a91f66bc3130f8fc58bf2d90b005"
+BRANCH_JSON_SHA256 = "2f303c4495a4b7f8da741ff7624cb070523174cac5e2c477198ab3e85e38f2ae"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
-NO_TORUS_CERTIFICATE_SHA256 = "a4585422ad3427a844eab5e0563d4a1917f347fa4d14acb4b6a3b29dd933fe49"
+NO_TORUS_CERTIFICATE_SHA256 = "3e06ffb99d266caab86d32173211747444a05658cad45127915a03d977a66162"
 
 
 def test_no_torus_certificate_bytes(tmp_path):
@@ -855,6 +856,31 @@ def test_no_torus_certificate_bytes(tmp_path):
     assert main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02",
                  "--out", str(out)]) == EXIT_OK
     assert _sha256(out / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
+
+
+def test_no_torus_certify_counted_work(tmp_path, monkeypatch):
+    """The work of `certify --mu=-0.2 --eps=0.02`, counted off `flow.dop853`:
+    integrations by state size (2 floats a return, 6 a jet1 transport) and
+    RHS evaluations from each run's StopIteration.value.  The secant starts
+    at the exact slope and each fixed-point Newton at the nearest solved
+    fixed point: 12 jet1 transports (15 from cold starts).  The 150 probe
+    returns run as one warm orbit: with the transports, 37 243 RHS
+    evaluations (40 590 from cold starts)."""
+    runs, nfev = {}, [0]
+    dop853 = torusforge.flow.dop853
+
+    def counted(rhs, t0, t_end, y0, *args):
+        runs[len(y0)] = runs.get(len(y0), 0) + 1
+        value = yield from dop853(rhs, t0, t_end, y0, *args)
+        nfev[0] += value[0]
+        return value
+
+    monkeypatch.setattr(torusforge.flow, "dop853", counted)
+    doc = _write_doc(tmp_path, EXAMPLE_DOC)
+    assert main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert runs == {6: 12, 2: 150}
+    assert nfev[0] == 37243
 
 
 @pytest.mark.parametrize("command, flags, report", [

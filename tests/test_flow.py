@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import signal
@@ -17,6 +18,7 @@ from torusforge.flow import (
     NonFiniteState, RescaledField, StepBudgetExceeded, StepSizeUnderflow, ThetaReturnMap,
     _A, _B, _C, _E3, _E5, _dp_step, _fold, dop853, integrate,
 )
+from torusforge.torus import CERTIFY_INTEGRATOR
 
 from oracles import (
     NoReturnWithinHorizon, PlaneSection, TangencyDetected, cylindrical_jacobian,
@@ -177,6 +179,61 @@ def test_determinism_bit_identical():
     a = tmap.point(np.array([1.3, 0.2]), 0.05, 0.01)
     b = tmap.point(np.array([1.3, 0.2]), 0.05, 0.01)
     assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+# A warm return and a cold one of the same point agree to the integration
+# tolerance, not bit for bit.  At the certifier's tolerances (rtol 1e-9) on
+# the 500 forward returns of test_warm_orbit_agrees_with_cold_returns, the
+# largest one-return difference measured 8.5e-10, and the warm orbit parted
+# from 500 cold returns by at most 5.7e-9: the phase of the orbit drifts
+# along the curve, which neither contracts nor expands it.
+WARM_RETURN_BOUND = 1e-8        # 11.7 times the measured 8.5e-10
+WARM_ORBIT_BOUND = 5e-8         # 8.8 times the measured 5.7e-9
+
+
+def test_warm_orbit_agrees_with_cold_returns():
+    """500 returns at (0.05, 0.05) from the headline probe's seed, xi +
+    (sqrt(1/3), 0) rounded to (1.99, -0.0375), at the certifier's
+    tolerances: the orbit's first return is `point`'s bit for bit (it starts
+    cold), each later one agrees with a cold return of the orbit's previous
+    point within WARM_RETURN_BOUND, and the orbit agrees with 500 cold
+    `point` returns from the same seed within WARM_ORBIT_BOUND.  `point`
+    stays a pure function of its seed while the orbit runs."""
+    sys, fam, _ = _setup()
+    tmap = ThetaReturnMap(sys, fam, CERTIFY_INTEGRATOR)
+    seed = (1.99, -0.0375)
+    first = tmap.point(seed, 0.05, 0.05)
+    orbit = tmap.orbit(seed, 0.05, 0.05)
+    assert next(orbit) == first
+    prev = cold = first
+    one_return = apart = 0.0
+    for _ in range(499):
+        warm = next(orbit)
+        step = tmap.point(prev, 0.05, 0.05)
+        cold = tmap.point(cold, 0.05, 0.05)
+        one_return = max(one_return, *(abs(a - b) for a, b in zip(warm, step)))
+        apart = max(apart, *(abs(a - b) for a, b in zip(warm, cold)))
+        prev = warm
+    assert tmap.point(seed, 0.05, 0.05) == first
+    assert one_return <= WARM_RETURN_BOUND, one_return
+    assert apart <= WARM_ORBIT_BOUND, apart
+
+
+def test_warm_jet1_agrees_with_cold_jet1():
+    """`jet1_along` transports one point after another, each warm from the
+    last: its first jet is `jet1`'s bit for bit and the later ones agree
+    with a cold `jet1` at each point to the integration tolerance.  On these
+    32 points of the orbit above the values differed by at most 2.2e-11 and
+    the Jacobians by 4.2e-11, 24 times below the bound on A."""
+    sys, fam, _ = _setup()
+    tmap = ThetaReturnMap(sys, fam, CERTIFY_INTEGRATOR)
+    points = list(itertools.islice(tmap.orbit((1.99, -0.0375), 0.05, 0.05), 32))
+    jets = list(tmap.jet1_along(points, 0.05, 0.05))
+    assert len(jets) == 32 and jets[0] == tmap.jet1(points[0], 0.05, 0.05)
+    for x, jet in zip(points, jets):
+        cold = tmap.jet1(x, 0.05, 0.05)
+        assert max(abs(a - b) for a, b in zip(jet.value, cold.value)) <= WARM_RETURN_BOUND
+        assert np.max(np.abs(np.subtract(jet.A, cold.A))) <= 1e-9
 
 
 def test_integrate_returns_python_floats():
@@ -412,7 +469,7 @@ def _assert_takes_dop853_steps(rhs, t_end, y0, atol, rtol):
     Against scipy's own steps: the same end state up to the order of the
     stage sums, which can also flip an accept/reject decision whose error
     norm sits at their rounding level.  Returns the dop853 state."""
-    _, ys, nfev = run_steps(dop853(rhs, 0.0, t_end, y0, atol, rtol))
+    _, ys, (nfev, _) = run_steps(dop853(rhs, 0.0, t_end, y0, atol, rtol))
     y = ys[-1]
     ctl = scipy_controlled_dop853(rhs, t_end, y0, atol, rtol)
     assert ctl.status == 0
@@ -639,7 +696,7 @@ def test_vanishing_angular_speed_raises_typed_errors():
 @pytest.mark.parametrize("atol, rtol", TOLERANCES)
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi])
 def test_stepper_exponential(t_end, atol, rtol):
-    ts, ys, nfev = run_steps(dop853(lambda t, y: [y], 0.0, t_end, [1.0], atol, rtol))
+    ts, ys, (nfev, _) = run_steps(dop853(lambda t, y: [y], 0.0, t_end, [1.0], atol, rtol))
     y = ys[-1]
     assert ts[0] == 0.0 and ts[-1] == t_end and len(ts) == len(ys)
     assert abs(y[0] - math.exp(t_end)) <= 10 * rtol * math.exp(t_end)
@@ -672,11 +729,12 @@ def test_step_budget_is_max_steps_attempts(monkeypatch):
         calls[0] += 1
         return -y, x
 
-    ts, ys, nfev = run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10))
+    ts, ys, (nfev, h_next) = run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10))
     k = (nfev - 2) // 12
     assert nfev == 2 + 12 * k and k > 10
     monkeypatch.setattr(flow, "MAX_STEPS", k)
-    assert run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10)) == (ts, ys, nfev)
+    assert run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10)) == (
+        ts, ys, (nfev, h_next))
     monkeypatch.setattr(flow, "MAX_STEPS", k - 1)
     calls[0] = 0
     with pytest.raises(StepBudgetExceeded, match=f"MAX_STEPS = {k - 1} step attempts"):
@@ -686,7 +744,7 @@ def test_step_budget_is_max_steps_attempts(monkeypatch):
 
 def test_stepper_zero_span():
     steps = dop853(lambda t, y: [1.0], 0.5, 0.5, [2.0], 1e-12, 1e-10)
-    assert run_steps(steps) == ([0.5], [[2.0]], 1)
+    assert run_steps(steps) == ([0.5], [[2.0]], (1, None))
 
 
 @pytest.mark.parametrize("t_end", [2 * math.pi, -2 * math.pi, 0.0])
@@ -701,7 +759,7 @@ def test_stepper_end_state_alone_is_the_last_step(t_end):
         calls[0] += 1
         return -y + 0.1 * x * y, x - 0.2 * x * x
 
-    ts, ys, nfev = run_steps(dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10))
+    ts, ys, (nfev, _) = run_steps(dop853(rhs, 0.0, t_end, [1.0, 0.0], 1e-12, 1e-10))
     assert len(ts) > 1 or t_end == 0.0
     assert calls[0] == nfev
     calls[0] = 0
@@ -750,15 +808,20 @@ def test_generated_step_matches_comprehension_stepper(kind, reverse, atol, rtol,
                                                       r, w, pair):
     """The generated straight-line step takes the steps of the stepper with
     one list comprehension per stage (tests/oracles.py): the same accepted
-    times, the same states bit for bit and the same RHS count."""
+    times, the same states bit for bit, the same RHS count and the same
+    h_next, from a cold start and from a warm one at the cold run's h_next."""
     rhs, y0 = _stepper_problem(kind, r, w, pair)
     t_end = -PERIOD if reverse else PERIOD
-    ts, ys, nfev = run_steps(dop853(rhs, 0.0, t_end, y0, atol, rtol))
-    ts_ref, ys_ref, nfev_ref = dop853_loop(rhs, 0.0, t_end, y0, atol, rtol)
-    assert nfev == nfev_ref and ts == ts_ref
-    assert len(ys) == len(ys_ref)
-    for y, y_ref in zip(ys, ys_ref):
-        assert np.array(y).tobytes() == np.array(y_ref).tobytes()
+    h0 = None
+    for _ in ("cold", "warm"):
+        ts, ys, (nfev, h_next) = run_steps(dop853(rhs, 0.0, t_end, y0, atol, rtol, h0))
+        ts_ref, ys_ref, ref = dop853_loop(rhs, 0.0, t_end, y0, atol, rtol, h0)
+        assert (nfev, h_next) == ref and ts == ts_ref
+        assert len(ys) == len(ys_ref)
+        for y, y_ref in zip(ys, ys_ref):
+            assert np.array(y).tobytes() == np.array(y_ref).tobytes()
+        h0 = h_next
+    assert h0 is not None
 
 
 def test_fused_kernels_raise_on_the_axis():
@@ -789,3 +852,30 @@ def test_fused_kernels_raise_on_the_axis():
         n = len(y)
         with pytest.raises(error, match=f"^{re.escape(f'{message} at theta={theta}')}$"):
             _dp_step(n)(rhs, 1.0, 0.1, y, [0.0] * n, 1e-11, 1e-9)
+
+
+def test_warm_start_takes_its_first_step_and_the_same_budget(monkeypatch):
+    """A warm start h0 replaces `_initial_step` and its RHS evaluation: the
+    first step is h0 (accepted here), k attempts cost 1 + 12 k evaluations,
+    and MAX_STEPS caps the attempts as it caps a cold start's."""
+    calls = [0]
+
+    def rhs(t, x, y):
+        calls[0] += 1
+        return -y, x
+
+    _, _, (_, h0) = run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10))
+    assert 0.0 < h0 < 2 * math.pi
+    ts, ys, (nfev, h_next) = run_steps(
+        dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10, h0))
+    assert ts[1] == h0
+    k = (nfev - 1) // 12
+    assert nfev == 1 + 12 * k and k > 10
+    monkeypatch.setattr(flow, "MAX_STEPS", k)
+    assert run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10, h0)) == (
+        ts, ys, (nfev, h_next))
+    monkeypatch.setattr(flow, "MAX_STEPS", k - 1)
+    calls[0] = 0
+    with pytest.raises(StepBudgetExceeded, match=f"MAX_STEPS = {k - 1} step attempts"):
+        run_steps(dop853(rhs, 0.0, 2 * math.pi, [1.0, 0.0], 1e-12, 1e-10, h0))
+    assert calls[0] == 1 + 12 * (k - 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -72,7 +73,9 @@ def test_winding_number():
 class _SyntheticMap:
     """Polar normal form about a center: radius relaxes to rho0 at rate kappa
     per return, angle advances by a fixed rotation.  Its tolerances are the
-    certifier's, so `certify_torus` iterates the map itself."""
+    certifier's, so `certify_torus` iterates the map itself, through the
+    return map's interface: `orbit` and `jet1_along` call `point` and `jet1`
+    once per return."""
 
     cfg = CERTIFY_INTEGRATOR
 
@@ -98,6 +101,11 @@ class _SyntheticMap:
     def point(self, x, mu, eps, reverse=False):
         return self.points(np.asarray(x)[None, :], mu, eps, reverse)[0]
 
+    def orbit(self, x, mu, eps, reverse=False):
+        while True:
+            x = self.point(x, mu, eps, reverse)
+            yield x
+
     def jet1(self, x, mu, eps):
         """Value and Jacobian of the forward map: diag(kappa, 1) in polar
         coordinates (r, a), carried to the plane by d(x, y)/d(r, a)."""
@@ -112,16 +120,18 @@ class _SyntheticMap:
         A = polar_frame(y) @ np.diag([self.kappa, 1.0]) @ np.linalg.inv(polar_frame(x))
         return MapJet(value=y, A=A)
 
-    def orbit(self, x, n):
-        out = np.zeros((n, 2))
-        for i in range(n):
-            x = out[i] = self.point(x, 0.0, 0.1)
-        return out
+    def jet1_along(self, points, mu, eps):
+        for x in points:
+            yield self.jet1(x, mu, eps)
+
+    def iterates(self, x, n):
+        """The first n returns of x's forward orbit, an (n, 2) array."""
+        return np.array(list(itertools.islice(self.orbit(x, 0.0, 0.1), n)))
 
 
 def test_probe_settles_on_synthetic_circle():
     tmap = _SyntheticMap()
-    tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False)
+    tail = _probe(tmap.orbit(tmap.center + [0.5, 0.0], 0.0, 0.1, False))
     curve = fit_fourier_curve(tail)
     # the settle test fires while a tiny transient remains in the tail
     assert abs(curve.mean_radius - tmap.rho0) <= 1e-4
@@ -129,7 +139,7 @@ def test_probe_settles_on_synthetic_circle():
 
 def test_settled_contraction_is_a_collapse():
     tmap = _SyntheticMap(rho0=0.0, kappa=0.9)   # pure contraction to the center
-    tail = _probe(tmap, tmap.center + [0.5, 0.0], 0.0, 0.1, False)
+    tail = _probe(tmap.orbit(tmap.center + [0.5, 0.0], 0.0, 0.1, False))
     # the probe settles on the center; certify_torus reads that as no_torus
     assert _collapse_check(tail, tmap.center, 0.5)
 
@@ -137,7 +147,7 @@ def test_settled_contraction_is_a_collapse():
 def test_probe_detects_escape():
     tmap = _SyntheticMap(rho0=0.3, kappa=0.9)
     # reversed dynamics repel from the circle toward infinity
-    assert _probe(tmap, tmap.center + [0.6, 0.0], 0.0, 0.1, True) is None
+    assert _probe(tmap.orbit(tmap.center + [0.6, 0.0], 0.0, 0.1, True)) is None
 
 
 def test_probe_returns_unsettled_tail_after_probe_max():
@@ -149,9 +159,9 @@ def test_probe_returns_unsettled_tail_after_probe_max():
     returns = []
     point = tmap.point
     tmap.point = lambda x, *args, **kwargs: returns.append(1) or point(x, *args, **kwargs)
-    tail = _probe(tmap, x0, 0.0, 0.1, False)
+    tail = _probe(tmap.orbit(x0, 0.0, 0.1, False))
     assert len(returns) == 6000
-    reference = _SyntheticMap(kappa=0.9999).orbit(x0, 6000)[-500:]
+    reference = _SyntheticMap(kappa=0.9999).iterates(x0, 6000)[-500:]
     assert np.array(tail).tobytes() == reference.tobytes()
 
 
@@ -160,7 +170,7 @@ def _eccentric_orbit():
     linear map that makes the circle an ellipse: the fit's order is where the
     ellipse's harmonics meet the transient, far above rounding."""
     tmap = _SyntheticMap()
-    orbit = tmap.orbit(tmap.center + [tmap.rho0 + 1e-6, 0.0], 512)
+    orbit = tmap.iterates(tmap.center + [tmap.rho0 + 1e-6, 0.0], 512)
     return tmap.center + (orbit - tmap.center) @ np.array([[1.3, 0.2], [0.0, 0.8]]).T
 
 
@@ -199,7 +209,7 @@ def test_normal_exponent_on_synthetic_circle():
     """On the invariant circle log |det D Pi| is log kappa at every sample,
     and with an irrational rotation the circle is normally hyperbolic."""
     tmap = _SyntheticMap(kappa=0.9)
-    samples = tmap.orbit(tmap.center + [tmap.rho0, 0.0], 1024)
+    samples = tmap.iterates(tmap.center + [tmap.rho0, 0.0], 1024)
     lam, lam_unc = normal_exponent(tmap, samples, 0.0, 0.1)
     assert abs(lam - math.log(0.9)) <= 1e-12
     assert lam_unc <= 1e-12
@@ -216,7 +226,7 @@ def test_lock_is_not_judged(lock):
     3/8 rho is 1 ulp off the rational with a halves' difference of 0, which
     the rounding floor of the uncertainty covers."""
     tmap = _SyntheticMap(kappa=0.9, rot=2 * math.pi * float(lock))
-    samples = tmap.orbit(tmap.center + [tmap.rho0, 0.0], 1024)
+    samples = tmap.iterates(tmap.center + [tmap.rho0, 0.0], 1024)
     rho, rho_unc = rotation_number(samples, tmap.center)
     lam, lam_unc = normal_exponent(tmap, samples, 0.0, 0.1)
     verdict, note = normal_hyperbolicity(rho, rho_unc, lam, lam_unc)
@@ -229,7 +239,7 @@ def test_failed_jet1_gives_no_exponent():
             raise JetTransportUnstable("non-finite jet")
 
     tmap = _Unstable()
-    samples = tmap.orbit(tmap.center + [tmap.rho0, 0.0], 512)
+    samples = tmap.iterates(tmap.center + [tmap.rho0, 0.0], 512)
     lam, lam_unc = normal_exponent(tmap, samples, 0.0, 0.1)
     assert (lam, lam_unc) == (None, None)
     rho, rho_unc = rotation_number(samples, tmap.center)
@@ -242,7 +252,7 @@ def test_rotation_number_doubling_stability():
     x = tmap.center + np.array([tmap.rho0, 0.0])
     orbits = {}
     for n in (512, 1024):
-        orbits[n], _ = rotation_number(tmap.orbit(x, n), tmap.center)
+        orbits[n], _ = rotation_number(tmap.iterates(x, n), tmap.center)
     assert abs(orbits[512] - orbits[1024]) <= 1e-4
 
 
@@ -277,8 +287,8 @@ def test_certify_orbit_escaping_after_the_probe_is_no_torus(monkeypatch):
                 return np.array([math.inf, 0.0])
             return super().point(x, mu, eps, reverse)
 
-    def probe(tmap, *args):
-        tail = _probe(tmap, *args)
+    def probe(orbit):
+        tail = _probe(orbit)
         assert tail is not None
         tmap.probed = tmap.returns
         return tail

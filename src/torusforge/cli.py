@@ -370,10 +370,8 @@ def cmd_branch(args) -> int:
         "xi_slice_at_mu0": xi1,
         "lyapunov": {"l11": slices.l11, "l12": slices.l12,
                      "samples": [list(v) for v in slices.values]},
-        "jordan": {"omega0": jordan.omega0, "zeta2": jordan.zeta2,
-                   "A1": jordan.A1, "A2": jordan.A2,
-                   "m21_1": jordan.m21_1, "m22_1": jordan.m22_1,
-                   "rotation_residual": jordan.rotation_residual},
+        "jordan": {"A1": jordan.A1, "A2": jordan.A2,
+                   "m21_1": jordan.m21_1, "m22_1": jordan.m22_1},
     }
     if branch.xi_slices_closed is not None:
         payload["closed_forms"] = asdict(branch.xi_slices_closed)   # Fractions as text
@@ -437,18 +435,15 @@ def cmd_lift(args) -> int:
             "point": [str(v) for v in plane.point],
             "coefficients": [str(v) for v in plane.coefficients],
             "distance_to_ball": plane.plane_distance,
-            "containment_residual": plane.containment_residual,
             "jitter": plane.jitter_magnitude,
         },
         "lift": {
             "L_star": str(tuning.L_star), "delta_star": str(tuning.delta_star),
             "degree": fam.degree,
             "char_poly_ok": fam.char_poly_ok,
-            "linear_residual": fam.linear_residual,
             "A_coeffs": [str(c) for c in tuning.A_coeffs],
             "A_limit": str(tuning.A_limit),
             "A_limit_printed": str(tuning.A_limit_printed),
-            "delta_linearity_residual": tuning.delta_linearity_residual,
         },
         "criteria": tuning.report.to_dict(),
     }

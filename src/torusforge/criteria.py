@@ -265,7 +265,6 @@ class BaseCriteria:
     nondegenerate: bool
     ell1_exact: Optional[Fraction]
     ell1: Optional[float]
-    ell1_order1: Optional[float]            # eps^1 slice of ell_1^eps: 0
     l12: Optional[float]                    # eps^2 slice: pi ell_1 / (16 Omega^2)
     ell1_transcribed: Fraction
     ell1_discrepancy: Optional[float]
@@ -278,10 +277,8 @@ class BaseCriteria:
             "beta": self.beta,
             "gamma_scale": self.gamma_scale,
             "quadratic_sum": str(self.quadratic_sum),
-            "nondegenerate": self.nondegenerate,
             "ell1": self.ell1,
             "ell1_exact": None if self.ell1_exact is None else str(self.ell1_exact),
-            "ell1_order1": self.ell1_order1,
             "ell1_transcribed": float(self.ell1_transcribed),
             "ell1_discrepancy": self.ell1_discrepancy,
             "notes": list(self.notes),
@@ -289,9 +286,10 @@ class BaseCriteria:
 
 
 def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
-    """Omega, beta, the Gamma scale and ell_1, with the slices of the map
-    Lyapunov coefficient it gives: l11 = 0 and l12 = pi ell_1 / (16 Omega^2).
-    A nonzero ell_1 whose float or l12 is 0.0, with no sign, is a FloatRangeExceeded."""
+    """Omega, beta, the Gamma scale and ell_1, with the leading slice of the
+    map Lyapunov coefficient it gives, l12 = pi ell_1 / (16 Omega^2): the eps
+    slice is 0 for every system.  A nonzero ell_1 whose float or l12 is 0.0,
+    with no sign, is a FloatRangeExceeded."""
     beta = sys.beta
     S = sys.quadratic_sum
     omega = sys.omega
@@ -299,10 +297,10 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
     transcribed = _on_scaled(_ell1_closed_form, sys.scaled_entries)
 
     notes: List[str] = []
-    exact = ell1 = l11 = l12 = discrepancy = None
+    exact = ell1 = l12 = discrepancy = None
     if omega > 0:
         exact = sys.ell1_exact
-        ell1, l11 = float(exact), 0.0
+        ell1 = float(exact)
         l12 = math.pi * float(exact / (16 * omega ** 2))
         if exact != 0 and 0.0 in (ell1, l12):
             raise FloatRangeExceeded(f"nonzero ell1 rounds to ell1 = {ell1!r}, l12 = {l12!r}")
@@ -315,9 +313,8 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
 
     return BaseCriteria(
         omega=omega, beta=beta, gamma_scale=gamma_scale, quadratic_sum=S,
-        nondegenerate=omega > 0, ell1_exact=exact, ell1=ell1, ell1_order1=l11,
-        l12=l12, ell1_transcribed=transcribed, ell1_discrepancy=discrepancy,
-        notes=tuple(notes),
+        nondegenerate=omega > 0, ell1_exact=exact, ell1=ell1, l12=l12,
+        ell1_transcribed=transcribed, ell1_discrepancy=discrepancy, notes=tuple(notes),
     )
 
 
@@ -648,8 +645,9 @@ def criteria_report(sys: HopfZeroSystem, fam: PerturbationFamily,
 
 
 def hypotheses(rep: CriteriaReport) -> dict:
-    """The theorem's hypotheses H, T and ND at mu0, each decided once from
-    the report alone: the `hypotheses` block of `branch.json`.
+    """The theorem's hypotheses H, T and ND at mu0, read off the report: the
+    `hypotheses` block of `branch.json`, which holds the two values they
+    give, omega0 and l12.
 
     H is the local Hopf condition, a pair +-i omega0 with omega0 > 0 at the
     averaged equilibrium at mu0.  For every system and polynomial family
@@ -666,17 +664,15 @@ def hypotheses(rep: CriteriaReport) -> dict:
     report holds; omega0 is None where Omega <= 0, and a Gamma_op(mu0) >= 0
     leaves no radius, an AveragingError.
 
-    T is the exact simplicity of mu0: alpha_d is 0.0 only at a multiple
-    root.  ND reads the slices of the map Lyapunov coefficient: its eps
-    slice l11 is 0 for every system, so the leading one is l12,
-    pi ell_1 / (16 Omega^2) (`BaseCriteria.l12`, None where Omega <= 0),
-    nonzero exactly where ell_1 is: a nonzero ell_1 whose l12 rounds to 0.0
-    is refused there.
+    T is the exact simplicity of mu0: a report exists only where eta has a
+    simple root, with alpha_d != 0 (`DegenerateTransversality` otherwise).
+    ND reads the slices of the map Lyapunov coefficient: its eps slice is 0
+    for every system, so the leading one is l12, pi ell_1 / (16 Omega^2)
+    (`BaseCriteria.l12`, None where Omega <= 0), nonzero exactly where
+    ell_1 is, the report's Ell1Zero.  So every report that applies meets
+    all three, and `branch` runs only on one.
     """
-    omega, crit, l12 = rep.base.omega, rep.perturbation, rep.base.l12
+    omega, crit = rep.base.omega, rep.perturbation
     r0 = _equilibrium_radius(crit.gamma_at_mu0, crit.mu0)
-    j_star = 2 if l12 else None
-    return {"hopf_ok": omega > 0, "transversality_ok": crit.alpha_d != 0,
-            "nondegeneracy_ok": j_star is not None,
-            "details": {"omega0": math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None,
-                        "alpha_d": crit.alpha_d, "l11": 0.0, "l12": l12, "j_star": j_star}}
+    omega0 = math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None
+    return {"details": {"omega0": omega0, "l12": rep.base.l12}}

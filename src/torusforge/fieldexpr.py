@@ -545,12 +545,12 @@ def terms_source(maps: Sequence[Terms], names: Sequence[str]
 
 def define(name: str, params: str, lines: Sequence[str],
            namespace: Dict[str, object]) -> Callable:
-    """The function `def name(params)` whose body is `lines`, with the
-    globals `namespace`.  The lines carry no indentation of their own except
-    inside a nested block."""
+    """The function `def name(params)` whose body is `lines`, with the globals
+    `namespace`, out of which it is taken: no cycle keeps it alive.  The lines
+    carry no indentation of their own except inside a nested block."""
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
     exec(_compiled(source, f"<{name}>"), namespace)
-    return namespace[name]
+    return namespace.pop(name)
 
 
 @functools.lru_cache(maxsize=256)

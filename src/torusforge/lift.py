@@ -78,7 +78,6 @@ class SeparatingPlane:
     point: Tuple[Fraction, Fraction, Fraction]
     coefficients: Tuple[Fraction, Fraction, Fraction]   # (a0, b0, 0) of the plane
     plane_distance: float                               # dist(plane, ball center)
-    containment_residual: float
     field: Tuple[Poly, Poly, Poly]                      # possibly jittered seed
     jitter_magnitude: float
 
@@ -203,17 +202,14 @@ def find_separating_plane(field, ball: Ball) -> SeparatingPlane:
         theta_m = _line_angle(base - alpha)
         phi = _line_angle(math.atan2(gxf, fxf))
         if abs(phi) > max(abs(theta_p), abs(theta_m)):
-            a0, b0 = gx, -fx
             plane_dist = abs(gxf * (bx - float(px)) - fxf * by) / math.hypot(gxf, fxf)
             if plane_dist <= rho:
                 continue
-            # the field vector at the point is (fx, gx, .): 0 by construction
-            resid = abs(float(a0 * fx + b0 * gx)) / max(1.0, math.hypot(gxf, fxf))
+            # the normal (a0, b0) = (gx, -fx) is orthogonal to the field
+            # vector (fx, gx, .): the plane contains it exactly
             return SeparatingPlane(
-                point=(px, Fraction(0), Fraction(0)), coefficients=(a0, b0, Fraction(0)),
-                plane_distance=plane_dist,
-                containment_residual=resid, field=polys,
-                jitter_magnitude=jitter_used)
+                point=(px, Fraction(0), Fraction(0)), coefficients=(gx, -fx, Fraction(0)),
+                plane_distance=plane_dist, field=polys, jitter_magnitude=jitter_used)
     if any(abs(c) > sys.float_info.max for c in (*f_axis, *g_axis)):
         raise FloatRangeExceeded("X1 or X2 has a coefficient past the float range on "
                                  "the x1-axis; the scan found no separating x")
@@ -254,8 +250,7 @@ class LiftFamily:
     char_poly_ok: bool
     sqrt_delta: Optional[Fraction]            # None unless delta is a rational square
     normalized: Optional[Tuple[Poly, Poly, Poly]]   # Y_{L,delta} (linear part removed)
-    linear_residual: float
-    system: Optional[HopfZeroSystem]
+    system: Optional[HopfZeroSystem]              # None unless that part is (-y, x, 0)
 
     @property
     def degree(self) -> int:
@@ -278,7 +273,9 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     The characteristic polynomial of the Jacobian at the origin must equal
     -lambda^3 - delta lambda with exact rational coefficients.  The
     normalization runs only when delta is a rational square, so it is exact;
-    for any other delta `normalized` and `system` are None.
+    for any other delta `normalized` and `system` are None, and so is
+    `system` where the normalized constant and linear part is not exactly
+    (-y, x, 0).
     """
     polys = tuple(as_poly(c) for c in seed_field)
     L, delta = Fraction(L), Fraction(delta)
@@ -312,7 +309,6 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
     sqrt_delta = _rational_sqrt(delta)
     normalized = None
     system = None
-    residual = math.inf
     if sqrt_delta:                # delta > 0 and a rational square
         sd = sqrt_delta
         M = [[Fraction(1), Fraction(0), Fraction(0)],
@@ -329,19 +325,16 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
             normalized_full.append(comp.scale(1 / sd))
         lin_expected = (Poly({(0, 1, 0, 0, 0): Fraction(-1)}),
                         Poly({(1, 0, 0, 0, 0): Fraction(1)}), Poly())
-        # the constant and linear part must be (-y, x, 0) exactly: a float
-        # can round a nonzero exact difference to 0.0
+        # the constant and linear part must be (-y, x, 0) exactly
         offsets = [Poly({m: c for m, c in comp.terms.items() if sum(m[:3]) <= 1}) - expect
                    for comp, expect in zip(normalized_full, lin_expected)]
-        residual = max([0.0] + [abs(float(c)) for off in offsets for c in off.terms.values()])
         normalized = tuple(Poly({m: c for m, c in comp.terms.items() if sum(m[:3]) > 1})
                            for comp in normalized_full)
         if not any(offsets):
             system = validate_hopf_zero(*normalized)
     return LiftFamily(L=L, delta=delta, lifted=lifted, a0=a0, b0=b0,
                       char_poly_ok=char_ok, sqrt_delta=sqrt_delta,
-                      normalized=normalized, linear_residual=residual,
-                      system=system)
+                      normalized=normalized, system=system)
 
 
 def _row_poly(M, i) -> Poly:
@@ -376,7 +369,6 @@ class LiftTuning:
     A_coeffs: Tuple[Fraction, Fraction, Fraction]    # A(L) = A0 + A1 L + A2 L^2
     A_limit: Fraction                                # A2 (the L^2 coefficient)
     A_limit_printed: Fraction
-    delta_linearity_residual: float
 
 
 class OriginJet(NamedTuple):
@@ -519,15 +511,7 @@ def tune_lift_parameters(seed_field) -> LiftTuning:
         raise LiftError(f"closed-form ell_1 {ell1} differs from ell_1 {sys_y.ell1_exact} "
                         f"of the lift plus {ELL1_TERM} z^3")
     report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))
-
-    # linearity of (Omega - A)/delta in delta at L*, at delta = 4^-6, 4^-5, 4^-4
-    checks = [(float(dv), float((_horner(omega_star, dv) - omega_star[0]) / dv))
-              for dv in (Fraction(1, 4 ** k) for k in (6, 5, 4))]
-    slope = (checks[1][1] - checks[0][1]) / (checks[1][0] - checks[0][0])
-    pred = checks[0][1] + slope * (checks[2][0] - checks[0][0])
-
     return LiftTuning(L_star=L_star, delta_star=delta_star, family=fam,
                       report=report, tuned_system=sys_y,
                       A_coeffs=A, A_limit=A[2],
-                      A_limit_printed=printed_A_limit(jet),
-                      delta_linearity_residual=abs(pred - checks[2][1]))
+                      A_limit_printed=printed_A_limit(jet))

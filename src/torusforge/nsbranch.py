@@ -97,24 +97,19 @@ class BranchConstants:
 @dataclass
 class NSBranch:
     points: Tuple[BranchPoint, ...]      # one per rung of BRANCH_LADDER
-    mu0: float
     mu1_numeric: float
     xi_slices_closed: Optional[BranchConstants]
 
     def to_dict(self) -> dict:
         out = {
-            "mu0": self.mu0,
             "mu1_numeric": self.mu1_numeric,
-            "ladder": [p.eps for p in self.points],
             "points": [{"eps": p.eps, "mu": p.mu,
                         "xi": [float(v) for v in p.xi],
                         "lambda": [p.eigenvalue.real, p.eigenvalue.imag],
                         "theta": p.theta} for p in self.points],
         }
         if self.xi_slices_closed is not None:
-            mu1 = self.xi_slices_closed.mu1
-            out["mu1_closed"] = float(mu1)
-            out["mu1_closed_exact"] = str(mu1)
+            out["mu1_closed"] = float(self.xi_slices_closed.mu1)
         return out
 
 
@@ -272,8 +267,7 @@ def branch_continuation(tmap, mu0: float, alpha_d: float) -> NSBranch:
     xi_closed = None
     if tmap.family.simple_case:
         xi_closed = printed_branch_constants(tmap.system)
-    return NSBranch(points=points, mu0=mu0, mu1_numeric=mu1_numeric,
-                    xi_slices_closed=xi_closed)
+    return NSBranch(points=points, mu1_numeric=mu1_numeric, xi_slices_closed=xi_closed)
 
 
 def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
@@ -347,23 +341,20 @@ def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
 class NormalizedMap:
     point: BranchPoint
     M: Tuple[Tuple[float, float], Tuple[float, float]]    # ((1, 0), (m21, m22))
-    rotation_residual: float
 
 
 def normalized_map(point: BranchPoint) -> NormalizedMap:
     """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
-    M0 + eps M1 normalization), read off the point's own D Pi: no transport;
-    DH = M^-1 D Pi M written out for M = ((1, 0), (m21, m22)), det M = m22."""
-    (a, b), (c, d) = point.jet.A
+    M0 + eps M1 normalization), read off the point's own D Pi: no transport.
+    In the basis M = ((1, 0), (m21, m22)), det M = m22, D Pi is the rotation
+    by theta exactly (the tests check M^-1 D Pi M to rounding)."""
+    (a, b), _ = point.jet.A
     lam = point.eigenvalue                  # an eigenvalue of this D Pi
     m21, m22 = (lam.real - a) / b, -lam.imag / b     # v2 = -i (a - lam) / b
     if abs(m22) < 1e-12:
         raise AveragingError(f"normalizing matrix singular at eps={point.eps}")
-    dh00, dh11 = a + b * m21, d - m21 * b
-    dh01, dh10 = b * m22, (c + d * m21 - m21 * dh00) / m22
-    rot_res = max(abs(dh00 - dh11), abs(dh01 + dh10))
-    return NormalizedMap(point=point, M=((1.0, 0.0), (m21, m22)), rotation_residual=rot_res)
+    return NormalizedMap(point=point, M=((1.0, 0.0), (m21, m22)))
 
 
 def _contract(T, vectors):
@@ -429,7 +420,6 @@ class JordanExpansion:
     A2: Tuple[Tuple[float, float], Tuple[float, float]]
     m21_1: float
     m22_1: float
-    rotation_residual: float
 
 
 def jordan_expansion(branch: NSBranch) -> JordanExpansion:
@@ -449,8 +439,7 @@ def jordan_expansion(branch: NSBranch) -> JordanExpansion:
     # M[1,1] = m22_0 + eps m22_1 + ..., with M0 = [[1,0],[0, m22_0]]
     _, m22_1, _ = _ladder_fit([nm.M[1][1] for nm in nms], ladder, 0)
     m21_1 = _ladder_fit([nm.M[1][0] / nm.point.eps for nm in nms], ladder, 0)[0]
-    rot_res = max(nm.rotation_residual for nm in nms)
     A1 = ((0.0, -omega0), (omega0, 0.0))
     A2 = ((-0.5 * omega0 ** 2, -zeta2), (zeta2, -0.5 * omega0 ** 2))
     return JordanExpansion(omega0=omega0, zeta2=zeta2, A1=A1, A2=A2,
-                           m21_1=m21_1, m22_1=m22_1, rotation_residual=rot_res)
+                           m21_1=m21_1, m22_1=m22_1)

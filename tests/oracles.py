@@ -1201,7 +1201,7 @@ def curve_radius(curve, angle):
     """The radius of a `torus.FourierCurve` at each polar angle about its center."""
     angle = np.asarray(angle, dtype=float)
     out = np.full_like(angle, curve.cos_coeffs[0])
-    for k in range(1, curve.order + 1):
+    for k in range(1, len(curve.sin_coeffs) + 1):
         out = out + curve.cos_coeffs[k] * np.cos(k * angle) \
             + curve.sin_coeffs[k - 1] * np.sin(k * angle)
     return out

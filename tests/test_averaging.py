@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import math
 import random
@@ -524,50 +523,22 @@ def test_general_family_same_ell1():
 
 
 def test_hypothesis_check_example():
+    """branch's hypotheses block holds what H and ND give at mu0: omega0,
+    the averaged pair +-i omega0, and the leading slice l12.  T, H and ND
+    hold on every report that applies (`criteria.hypotheses`), so it holds
+    no flag, and alpha_d stays in the criteria block alone."""
     sys, fam, std, mel = _example_pair()
     rep = criteria_report(sys, fam, (-1.0, 1.0))
-    hyp = hypotheses(rep)
-    assert hyp["hopf_ok"] and hyp["transversality_ok"] and hyp["nondegeneracy_ok"]
-    details = hyp["details"]
-    assert list(details) == ["omega0", "alpha_d", "l11", "l12", "j_star"]
+    details = hypotheses(rep)["details"]
+    assert list(details) == ["omega0", "l12"]
     assert details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
     # the float eigensolve at mu0 sees the pair +-i omega0
     mu0 = rep.perturbation.mu0
     lam = _eigenvalues(mel, _equilibrium(sys, fam, mu0), mu0)
     assert lam[0] == pytest.approx(1j * details["omega0"], abs=1e-10)
-    assert details["alpha_d"] == pytest.approx(math.pi, abs=1e-8)
-    assert details["j_star"] == 2
-    assert details["l12"] == pytest.approx(-3 * math.pi / 4, abs=1e-10)
-    assert hyp == {"hopf_ok": True, "transversality_ok": True,
-                   "nondegeneracy_ok": True, "details": details}
-
-
-def _with_l12(rep, l12):
-    """The report `rep` with its base criteria's l12 replaced."""
-    return dataclasses.replace(rep, base=dataclasses.replace(rep.base, l12=l12))
-
-
-def test_nondegeneracy_reads_a_nonzero_l12():
-    """ND holds for any nonzero l12, however small: a nonzero ell_1 never
-    reaches it as l12 = 0.0 (`evaluate_base_criteria` refuses that), so no
-    bound in the units of (x, y, z) decides it."""
-    sys, fam, _, _ = _example_pair()
-    rep = criteria_report(sys, fam, (-1.0, 1.0))
-    hyp = hypotheses(_with_l12(rep, 1e-11))
-    assert hyp["nondegeneracy_ok"] is True and hyp["details"]["j_star"] == 2
-    assert hypotheses(_with_l12(rep, 0.0))["nondegeneracy_ok"] is False
-
-
-def test_transversality_reads_a_nonzero_alpha_d():
-    """T is the exact simplicity of mu0: it fails only where alpha_d is
-    0.0, which the criteria give only at a multiple root."""
-    sys, fam, _, _ = _example_pair()
-    rep = criteria_report(sys, fam, (-1.0, 1.0))
-    assert hypotheses(rep)["transversality_ok"] is True
-    flat = dataclasses.replace(rep, perturbation=dataclasses.replace(rep.perturbation,
-                                                                     alpha_d=0.0))
-    hyp = hypotheses(flat)
-    assert hyp["transversality_ok"] is False and hyp["details"]["alpha_d"] == 0.0
+    assert rep.perturbation.alpha_d == pytest.approx(math.pi, abs=1e-8)
+    assert details["l12"] == rep.base.l12 == -3 * math.pi / 4
+    assert rep.applicable
 
 
 def test_hypothesis_h_fails_for_negative_omega():
@@ -579,8 +550,8 @@ def test_hypothesis_h_fails_for_negative_omega():
     mel = melnikov_pair(to_standard_form(sys, fam))
     rep = criteria_report(sys, fam, (-1.0, 1.0))
     assert spectrum_identity(mel, sys, fam)
-    hyp = hypotheses(rep)
-    assert hyp["hopf_ok"] is False and hyp["details"]["omega0"] is None
+    assert not rep.base.nondegenerate and not rep.applicable
+    assert hypotheses(rep)["details"]["omega0"] is None
     r, w = _equilibrium(sys, fam, rep.perturbation.mu0)
     lam = np.linalg.eigvals(f1_jacobian(mel, (r, w), rep.perturbation.mu0))
     assert np.isrealobj(lam) and lam.min() < 0 < lam.max()
@@ -593,9 +564,10 @@ def test_hypothesis_h_holds_in_other_units(k):
     the units of (x, y, z) can decide it."""
     sys = validate_hopf_zero("0", f"{k}*y*z", f"{k}*(-x^2 + x*y + z^2)")
     fam = PerturbationFamily.from_expressions("0", "0", f"mu*z + {k}*eps")
-    hyp = hypotheses(criteria_report(sys, fam, (-1.0, 1.0)))
-    assert hyp["hopf_ok"] is True
-    assert hyp["details"]["omega0"] == pytest.approx(2 * math.pi * float(k), rel=1e-12)
+    rep = criteria_report(sys, fam, (-1.0, 1.0))
+    assert rep.base.nondegenerate
+    assert hypotheses(rep)["details"]["omega0"] == pytest.approx(2 * math.pi * float(k),
+                                                                rel=1e-12)
 
 
 def test_det_m_closed_form():
@@ -871,15 +843,16 @@ def test_branch_fits_match_the_vandermonde_solve(example_ladder):
 
 def test_normalized_map_matches_the_numpy_normalization(example_ladder):
     """On the worked example's five ladder points, the written-out Jordan
-    normalization gives numpy's M to 1e-12 relative, and its rotation
-    residual agrees with that of inv(M) @ D Pi @ M to 1e-12 of |DH|."""
+    normalization gives numpy's M to 1e-12 relative, and in that basis D Pi
+    is the rotation by the point's theta, [[cos, -sin], [sin, cos]], to
+    1e-12 of |DH|: the identity the normalization rests on."""
     _, branch = example_ladder
     for point in branch.points:
         nm = nsbranch.normalized_map(point)
         M, DH = normalizing_matrix(point)
         assert np.allclose(nm.M, M, rtol=1e-12, atol=0.0)
-        want = max(abs(DH[0, 0] - DH[1, 1]), abs(DH[0, 1] + DH[1, 0]))
-        assert abs(nm.rotation_residual - want) <= 1e-12 * np.max(np.abs(DH))
+        c, s = math.cos(point.theta), math.sin(point.theta)
+        assert np.max(np.abs(DH - [[c, -s], [s, c]])) <= 1e-12 * np.max(np.abs(DH))
 
 
 def test_lyapunov_coefficient_matches_the_einsum_contraction(example_ladder):

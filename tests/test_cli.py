@@ -381,8 +381,9 @@ def test_branch_hopf_is_local_and_unit_free(tmp_path, doc):
     assert main(["branch", "--input", path, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "branch.json").read_text())
     assert report["criteria"]["perturbation"]["mu0"] == 0.0
-    assert report["hypotheses"]["hopf_ok"] is True
-    assert set(report["hypotheses"]["details"]) == {"omega0", "alpha_d", "l11", "l12", "j_star"}
+    assert report["criteria"]["omega"] > 0       # H
+    assert set(report["hypotheses"]["details"]) == {"omega0", "l12"}
+    assert report["hypotheses"]["details"]["omega0"] > 0
 
 
 # Omega = -12: the averaged equilibrium is a saddle
@@ -840,22 +841,32 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "2f303c4495a4b7f8da741ff7624cb070523174cac5e2c477198ab3e85e38f2ae"
+BRANCH_JSON_SHA256 = "d8478e944640ab7942d5037dfb374537715607970822b89892b0008b25cef0ef"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example
-NO_TORUS_CERTIFICATE_SHA256 = "3e06ffb99d266caab86d32173211747444a05658cad45127915a03d977a66162"
+NO_TORUS_CERTIFICATE_SHA256 = "ae515563c50181e261c0f66bd29e9261850aa9a293dbd82e906f3230543becb3"
 
 
 def test_no_torus_certificate_bytes(tmp_path):
     """The no-torus certificate byte for byte: its returns and jet1
     transports run on the generated right-hand sides, one call per stage,
-    and the probe on floats."""
+    and the probe on floats.  Its note names the probe's direction, the one
+    in which the fixed point repels: backward, as det D Pi(xi) < 1 there."""
     doc = _write_doc(tmp_path, EXAMPLE_DOC)
     out = tmp_path / "out"
     assert main(["certify", "--input", doc, "--mu=-0.2", "--eps=0.02",
                  "--out", str(out)]) == EXIT_OK
     assert _sha256(out / "certificate.json") == NO_TORUS_CERTIFICATE_SHA256
+    cert = json.loads((out / "certificate.json").read_text())["certificate"]
+    system = validate_hopf_zero(*EXAMPLE_DOC["system"].values())
+    tmap = ThetaReturnMap(system, PerturbationFamily.simple(system.beta),
+                          torusforge.torus.CERTIFY_INTEGRATOR)
+    (a, b), (c, d) = tmap.jet1(cert["fixed_point"], -0.2, 0.02).A
+    assert a * d - b * c < 1.0
+    assert cert["observed_stability"] is None
+    assert cert["notes"][-1] == ("the probe orbit escapes in reversed time, in which "
+                                 "the fixed point repels; no invariant curve")
 
 
 def test_no_torus_certify_counted_work(tmp_path, monkeypatch):
@@ -936,19 +947,19 @@ def test_lift_command(tmp_path):
     assert _sha256(out / "lifted_system.txt") == LIFTED_SYSTEM_SHA256
 
 
-LIFT_JSON_SHA256 = "d434afb9e1bc503271aaafd2b02a3e959bae0e10984a5a7ee676d5f9f3916ce6"
+LIFT_JSON_SHA256 = "b6f45c3a8d6d8cb16eb9468fa1261735cc07fbf5bc0715e4f60f7f2b6a589774"
 LIFTED_SYSTEM_SHA256 = "cbeb39185599dd6c8397eaa479cf785afa1477adc1e99efe2f2d4e5dae07b885"
 
 # (lift.json, lifted_system.txt) of the `fields` workload's lift seeds at
 # seed 0, each of whose kept systems adds 1/1000000 z^3
 JITTERED_LIFT_SHA256 = (
-    ("8547b0f7e3ae9c730f0ef58c65ff71a5b7787bb826e37cfe2d9afa81a3f4e929",
+    ("bb896d9b2eed78d4b17ac2919c1af07adb029a59f0fd417b4dda250c7f5cb945",
      "158b8f3378b13b3bb3fdb6a48967384ab0afc354e97df3d8cb4fa145647c6946"),
-    ("61d7ee701d94ec8b40867a5cb4a4696c78bbc093f74255802efe613ce8f8a666",
+    ("54057c6dc78f155e8c257e4bc905ee2b572815d229688afcaaf2a5427b8383d3",
      "5d3d2c7826751fb4b5e6263dc308ac1446743166cb95204093c1f3d610d0ec70"),
-    ("55260352df44a84420367f4eb52feb1ff3c73c978ed32e1b668682dc36bad3f4",
+    ("9b27d10686ec05afebfde06c21e3c051dc3eea09c6b6050fe51c6b4178a09419",
      "b9fd17e9b54df1d4bf3950944782b2ae2d4c53cc382936b2d9a4adcd66548aa7"),
-    ("63873e8d3c1ff19a33dc7111209ab9e74a23c96c1b3b418231948abbd6c768c7",
+    ("fb0c82298267adb39f01e3d0b54743a269e6f56ab63728ee3ae0be49740bcca0",
      "b09ac16585a16e2cb6fc8c80e8c85c16e61c036f79fa13a247eda11b118977c9"),
 )
 

@@ -2,7 +2,9 @@
 `poly_eval` over Fractions."""
 
 import cmath
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +76,24 @@ def test_jet_matches_exact_taylor_coefficients(p, point):
             d = d.derivative("y")
         expected = _exact(d, point) / (math.factorial(a) * math.factorial(b))
         assert abs(value - float(expected)) <= 1e-12 * _scale(p, point)
+
+
+def test_generated_functions_are_freed_without_gc():
+    """A function `define` makes is not in its own globals: with the cyclic
+    collector off, an evaluator of `compile_terms` and a kernel of each
+    `flow` builder die with their last reference."""
+    from torusforge.flow import RescaledField, _dp_step
+    from torusforge.criteria import PerturbationFamily, validate_hopf_zero
+    sys = validate_hopf_zero("0", "y*z", "-x^2 + x*y + z^2")
+    gc.disable()
+    try:
+        refs = [weakref.ref(compile_terms({(2, 1): 3.0, (0, 0): -1.0}, ("r", "w"))),
+                weakref.ref(_dp_step.__wrapped__(3)),
+                weakref.ref(RescaledField(sys, PerturbationFamily.simple(1)).rhs(
+                    "return", 0.05, 0.05))]
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_negative_exponents_and_empty():

@@ -34,7 +34,12 @@ def test_separating_plane_spec_example():
     # first half-step power of two past the arcsin(1/x) < arctan(...) threshold
     assert x_star == pytest.approx(2 ** 3.5, rel=1e-12)
     assert plane.plane_distance > 1.0
-    assert plane.containment_residual <= 1e-12
+    # the field vector (fx, gx, .) at the point lies in the plane, exactly
+    px = plane.point[0]
+    fx, gx = (poly_eval(p, x=px, y=Q(0), z=Q(0), mu=Q(0), eps=Q(0))
+              for p in _polys(SPEC_SEED)[:2])
+    a0, b0, c0 = plane.coefficients
+    assert (a0, b0, c0) == (gx, -fx, 0) and a0 * fx + b0 * gx == 0
     assert plane.jitter_magnitude == 0.0
 
 
@@ -121,8 +126,7 @@ def test_normalized_linear_part_exact():
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     fam = build_lift_family(polys, Q(1), Q(1, 4))    # delta a rational square
     assert fam.sqrt_delta == Q(1, 2)
-    assert fam.linear_residual == 0.0                # conjugation is exact
-    assert fam.system is not None
+    assert fam.system is not None                    # conjugation is exact
     assert fam.system.omega > 0
 
 
@@ -156,9 +160,14 @@ def test_tuning_limit_matches_printed_formula():
             continue
         tuned += 1
         assert tuning.A_limit == tuning.A_limit_printed      # exact rationals
-        assert tuning.delta_linearity_residual <= 1e-9
+        # Omega(L*, delta) is its quadratic rows' value, exactly, on squares
+        rows = omega_coefficients(origin_jet(polys))
+        for delta in (Q(1, 4 ** 6), Q(1, 4 ** 5), Q(1, 4 ** 4)):
+            quadratic = sum(sum(c * tuning.L_star ** i for i, c in enumerate(row)) * delta ** j
+                            for j, row in enumerate(rows))
+            assert build_lift_family(polys, tuning.L_star, delta).system.omega == quadratic
         assert tuning.family.char_poly_ok
-        assert tuning.family.linear_residual == 0.0
+        assert tuning.family.system is not None     # the linear part is exact
         assert abs(tuning.report.base.ell1) > 0
     assert tuned >= 1
 
@@ -391,6 +400,24 @@ def test_kept_ell1_is_the_z3_closed_form_on_drawn_seeds(seed, index):
     """On the benchmark's lift seed fields at drawn seeds."""
     exprs = [_GEN.expr(t) for t in _GEN.lift_seed_field(seed, index)]
     _assert_kept_system_is_the_exact_lift_plus_z3(tune_lift_parameters(_translated(exprs)))
+
+
+def test_nonzero_linear_offset_is_a_lift_error(monkeypatch):
+    """A normalized lift whose constant and linear part is (-y, x, 0) off by
+    an exact 10^-40, through one entry of M^-1, has no Hopf-Zero system, and
+    tuning it is a LiftError, not a lift."""
+    inv3 = torusforge.lift._inv3
+
+    def off(M):
+        Minv = inv3(M)
+        Minv[0][0] += Q(1, 10 ** 40)
+        return Minv
+
+    monkeypatch.setattr(torusforge.lift, "_inv3", off)
+    polys = _translated(LIFT_SEED)
+    assert build_lift_family(polys, Q(1), Q(1, 4)).system is None
+    with pytest.raises(LiftError, match="closed-form Omega"):
+        tune_lift_parameters(polys)
 
 
 def test_kept_ell1_mismatch_is_a_lift_error(monkeypatch):

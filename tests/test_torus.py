@@ -185,9 +185,10 @@ def test_fourier_fit_matches_lstsq_oracle(samples):
     fits = {K: fourier_fit_lstsq(pts, center, K) for K in range(2, FOURIER_ORDER + 1)}
     full = fits[FOURIER_ORDER][2]
     curve = fit_fourier_curve(pts)
-    assert curve.order == min(K for K, (_, _, rms) in fits.items()
-                              if rms <= (1.0 + FOURIER_TOLERANCE) * full)
-    cos, sin, rms = fits[curve.order]
+    order = len(curve.sin_coeffs)
+    assert order == min(K for K, (_, _, rms) in fits.items()
+                        if rms <= (1.0 + FOURIER_TOLERANCE) * full)
+    cos, sin, rms = fits[order]
     tol = 1e-12 * curve.mean_radius
     assert np.max(np.abs(curve.cos_coeffs - cos)) <= tol
     assert np.max(np.abs(curve.sin_coeffs - sin)) <= tol
@@ -321,11 +322,17 @@ def test_certify_two_circle_orbit_has_no_rotation_number(monkeypatch):
 
 def test_certify_lock_is_not_judged(monkeypatch):
     """A synthetic circle at rotation 1/61: the certificate finds the curve
-    and leaves normal hyperbolicity unjudged, with the lock in its note."""
+    and leaves normal hyperbolicity unjudged, with the lock in its note.
+    The curve attracts while the l12 it is given, 1.0, is positive: a note
+    records that the standard rule, attracting iff ell1 < 0, is
+    contradicted."""
     cert = _certify_synthetic(monkeypatch, _SyntheticMap(kappa=0.9, rot=2 * math.pi / 61))
     assert cert.verdict == "torus_found" and cert.normally_hyperbolic is None
     assert any(note.startswith("rotation number not told from 1/61")
                for note in cert.notes)
+    assert cert.observed_stability == "attracting"
+    assert cert.notes[-1] == ("observed stability contradicts the standard rule, "
+                              "attracting if and only if ell1 < 0; recorded as observed")
 
 
 def test_certify_singular_newton_step_is_fixed_point_not_found():

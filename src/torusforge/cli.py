@@ -15,7 +15,9 @@ is a UsageError before any work:
 The input document is one self-contained JSON experiment; only "system" is
 required, and a key not shown here, at the top or inside an object, is a
 DocumentError.  "perturbation" is absent or {"simple": true} (the family
-(0, 0, mu*z + beta*eps)), or some of "U", "V", "W" (a missing one is "0"):
+(0, 0, mu*z + beta*eps)), or some of "U", "V", "W" (a missing one is "0");
+the simple family written out as U, V and W is the same family, with the
+same reports:
 
     {
       "system": {"P": "...", "Q": "...", "R": "..."},
@@ -438,11 +440,11 @@ def cmd_lift(args) -> int:
             "jitter": plane.jitter_magnitude,
         },
         "lift": {
-            "L_star": str(tuning.L_star), "delta_star": str(tuning.delta_star),
+            "L_star": str(fam.L), "delta_star": str(fam.delta),
             "degree": fam.degree,
             "char_poly_ok": fam.char_poly_ok,
             "A_coeffs": [str(c) for c in tuning.A_coeffs],
-            "A_limit": str(tuning.A_limit),
+            "A_limit": str(tuning.A_coeffs[2]),
             "A_limit_printed": str(tuning.A_limit_printed),
         },
         "criteria": tuning.report.to_dict(),

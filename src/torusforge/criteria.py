@@ -169,14 +169,15 @@ class PerturbationFamily:
     where slice i (1-based) is the coefficient of eps^(i-1) in a component,
     so the perturbed field eps*U contributes U_i at order eps^i.
 
-    A family is frozen data: no field can be rebound, and nothing changes
-    the terms of a `Poly` in place, so a family never changes after it is
-    built.
+    A family is its three polynomials and nothing else.  It is frozen data:
+    no field can be rebound, and nothing changes the terms of a `Poly` in
+    place, so a family never changes after it is built.  It is "simple" on
+    a system exactly when it equals `simple(system.beta)`, however a
+    document writes it: a fact of U, V and W, not a flag.
     """
     U: Poly
     V: Poly
     W: Poly
-    simple_case: bool = False
 
     def __post_init__(self):
         for name, p in zip("UVW", (self.U, self.V, self.W)):
@@ -193,7 +194,7 @@ class PerturbationFamily:
     def simple(cls, beta: int) -> "PerturbationFamily":
         """The degree-preserving family (U, V, W) = (0, 0, mu*z + beta*eps)."""
         W = Poly({(0, 0, 1, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(beta)})
-        return cls(Poly(), Poly(), W, simple_case=True)
+        return cls(Poly(), Poly(), W)
 
 
 def _ingredients(fam: PerturbationFamily) -> Tuple[Poly, Poly, Poly]:
@@ -262,13 +263,16 @@ class BaseCriteria:
     beta: int
     gamma_scale: float
     quadratic_sum: Fraction
-    nondegenerate: bool
     ell1_exact: Optional[Fraction]
     ell1: Optional[float]
     l12: Optional[float]                    # eps^2 slice: pi ell_1 / (16 Omega^2)
     ell1_transcribed: Fraction
     ell1_discrepancy: Optional[float]
     notes: Tuple[str, ...] = ()
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.omega > 0
 
     def to_dict(self) -> dict:
         return {
@@ -313,7 +317,7 @@ def evaluate_base_criteria(sys: HopfZeroSystem) -> BaseCriteria:
 
     return BaseCriteria(
         omega=omega, beta=beta, gamma_scale=gamma_scale, quadratic_sum=S,
-        nondegenerate=omega > 0, ell1_exact=exact, ell1=ell1, l12=l12,
+        ell1_exact=exact, ell1=ell1, l12=l12,
         ell1_transcribed=transcribed, ell1_discrepancy=discrepancy, notes=tuple(notes),
     )
 
@@ -602,8 +606,11 @@ def _nonnegative(gamma: Dense, lo: Fraction, hi: Fraction) -> Tuple[Tuple[float,
 class CriteriaReport:
     base: BaseCriteria
     perturbation: PerturbationCriteria
-    applicable: bool
     reasons: Tuple[str, ...]
+
+    @property
+    def applicable(self) -> bool:
+        return not self.reasons
 
     def to_dict(self) -> dict:
         out = {"applicable": self.applicable, "reasons": list(self.reasons)}
@@ -638,10 +645,7 @@ def criteria_report(sys: HopfZeroSystem, fam: PerturbationFamily,
         reasons.append("NondegeneracyFailed")
     if base.ell1_exact == 0:
         reasons.append("Ell1Zero")
-    applicable = base.nondegenerate and base.ell1_exact != 0
-    return CriteriaReport(base=base, perturbation=pert,
-                          applicable=applicable,
-                          reasons=tuple(dict.fromkeys(reasons)))
+    return CriteriaReport(base=base, perturbation=pert, reasons=tuple(reasons))
 
 
 def hypotheses(rep: CriteriaReport) -> dict:
@@ -675,4 +679,4 @@ def hypotheses(rep: CriteriaReport) -> dict:
     omega, crit = rep.base.omega, rep.perturbation
     r0 = _equilibrium_radius(crit.gamma_at_mu0, crit.mu0)
     omega0 = math.pi * math.sqrt(float(omega)) * r0 if omega > 0 else None
-    return {"details": {"omega0": omega0, "l12": rep.base.l12}}
+    return {"omega0": omega0, "l12": rep.base.l12}

@@ -36,7 +36,7 @@ from .criteria import (
     criteria_report, validate_hopf_zero,
 )
 from .fieldexpr import Poly, as_poly
-from .univariate import gcd
+from .univariate import gcd, value
 
 MAX_JITTER_ATTEMPTS = 100     # rational jitters tried for a separating plane
 # the lines x = t and y = t the common-factor check restricts to
@@ -92,13 +92,13 @@ def _poly_on_plane(p: Poly) -> Dict[Tuple[int, int], Fraction]:
     return {(i, j): c for (i, j, k, a, b), c in p.terms.items() if not (k or a or b)}
 
 
-def _restrict_univariate(table, var: int, value: Fraction) -> List[Fraction]:
-    """Substitute x_var = value; return dense coefficients in the other one."""
+def _restrict_univariate(table, var: int, t: Fraction) -> List[Fraction]:
+    """Substitute x_var = t; return dense coefficients in the other one."""
     deg = max((k[1 - var] for k in table), default=0)
     out = [Fraction(0)] * (deg + 1)
     for (i, j), c in table.items():
         fixed, free = (i, j) if var == 0 else (j, i)
-        out[free] += c * value ** fixed
+        out[free] += c * t ** fixed
     return out
 
 
@@ -186,7 +186,7 @@ def find_separating_plane(field, ball: Ball) -> SeparatingPlane:
         if not math.isfinite(x):
             break
         px = Fraction(x).limit_denominator(10 ** 12)
-        fx, gx = _horner(f_axis, px), _horner(g_axis, px)
+        fx, gx = value(f_axis, px), value(g_axis, px)
         if fx == 0:
             continue
         try:
@@ -245,10 +245,7 @@ class LiftFamily:
     L: Fraction
     delta: Fraction
     lifted: Tuple[Poly, Poly, Poly]           # X_{L, delta}, degree m+1
-    a0: Fraction
-    b0: Fraction
     char_poly_ok: bool
-    sqrt_delta: Optional[Fraction]            # None unless delta is a rational square
     normalized: Optional[Tuple[Poly, Poly, Poly]]   # Y_{L,delta} (linear part removed)
     system: Optional[HopfZeroSystem]              # None unless that part is (-y, x, 0)
 
@@ -306,11 +303,10 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
          + J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]))
     char_ok = (t == 0 and s == delta and d == 0)
 
-    sqrt_delta = _rational_sqrt(delta)
+    sd = _rational_sqrt(delta)
     normalized = None
     system = None
-    if sqrt_delta:                # delta > 0 and a rational square
-        sd = sqrt_delta
+    if sd:                        # delta > 0 and a rational square
         M = [[Fraction(1), Fraction(0), Fraction(0)],
              [(L * delta + P0 * Q0) / (P0 * P0), sd / (P0 * P0), Fraction(0)],
              [R0 / P0, -L * sd * R0 / P0, Fraction(1)]]
@@ -332,8 +328,7 @@ def build_lift_family(seed_field, L, delta) -> LiftFamily:
                            for comp in normalized_full)
         if not any(offsets):
             system = validate_hopf_zero(*normalized)
-    return LiftFamily(L=L, delta=delta, lifted=lifted, a0=a0, b0=b0,
-                      char_poly_ok=char_ok, sqrt_delta=sqrt_delta,
+    return LiftFamily(L=L, delta=delta, lifted=lifted, char_poly_ok=char_ok,
                       normalized=normalized, system=system)
 
 
@@ -361,13 +356,10 @@ def _inv3(M):
 
 @dataclass
 class LiftTuning:
-    L_star: Fraction
-    delta_star: Fraction
-    family: LiftFamily
+    family: LiftFamily                    # the one family built, at (L*, delta*)
     report: CriteriaReport
     tuned_system: HopfZeroSystem          # Y: the exact lift plus ELL1_TERM z^3 in R
     A_coeffs: Tuple[Fraction, Fraction, Fraction]    # A(L) = A0 + A1 L + A2 L^2
-    A_limit: Fraction                                # A2 (the L^2 coefficient)
     A_limit_printed: Fraction
 
 
@@ -415,13 +407,6 @@ def omega_coefficients(jet: OriginJet) -> Tuple[Tuple[Fraction, ...], ...]:
             (0, -2 * Q0 * KM, -2 * P0 * (K * N + 2 * Q0 * Q0 * KM), 2 * P0 * P0 * Q0 * G),
             (0, 0, 0, -2 * Q0 * KM, P0 * G))
     return tuple(tuple(c / D for c in row) for row in rows)
-
-
-def _horner(coefficients: Sequence[Fraction], t: Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(coefficients):
-        value = value * t + c
-    return value
 
 
 def printed_A_limit(jet: OriginJet) -> Fraction:
@@ -491,14 +476,14 @@ def tune_lift_parameters(seed_field) -> LiftTuning:
     if A[2] <= 0 and A[1] <= 0 and sum(A) <= 0:       # sum(A) = A(1)
         raise NoPositiveOmegaFound(f"A(L) = {A[0]} + {A[1]} L + {A[2]} L^2 "
                                    f"is <= 0 for every L >= 1")
-    L_star = Fraction(2) ** _least_exponent(lambda k: _horner(A, Fraction(2) ** k) > 0, 0)
+    L_star = Fraction(2) ** _least_exponent(lambda k: value(A, Fraction(2) ** k) > 0, 0)
     # Omega(L*, delta) as a polynomial in delta; its constant term is A(L*)
-    omega_star = [_horner(row, L_star) for row in rows]
+    omega_star = [value(row, L_star) for row in rows]
     delta_star = Fraction(1, 4) ** _least_exponent(
-        lambda k: _horner(omega_star, Fraction(1, 4) ** k) > 0, 1)
+        lambda k: value(omega_star, Fraction(1, 4) ** k) > 0, 1)
 
     fam = build_lift_family(polys, L_star, delta_star)
-    omega = _horner(omega_star, delta_star)
+    omega = value(omega_star, delta_star)
     built = fam.system.omega if fam.system else None     # None: no exact normalization
     if built != omega:
         raise LiftError(f"closed-form Omega {omega} differs from Omega {built} "
@@ -511,7 +496,5 @@ def tune_lift_parameters(seed_field) -> LiftTuning:
         raise LiftError(f"closed-form ell_1 {ell1} differs from ell_1 {sys_y.ell1_exact} "
                         f"of the lift plus {ELL1_TERM} z^3")
     report = criteria_report(sys_y, PerturbationFamily.simple(sys_y.beta))
-    return LiftTuning(L_star=L_star, delta_star=delta_star, family=fam,
-                      report=report, tuned_system=sys_y,
-                      A_coeffs=A, A_limit=A[2],
-                      A_limit_printed=printed_A_limit(jet))
+    return LiftTuning(family=fam, report=report, tuned_system=sys_y,
+                      A_coeffs=A, A_limit_printed=printed_A_limit(jet))

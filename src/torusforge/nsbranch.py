@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .criteria import AveragingError, HopfZeroSystem, float_range
+from .criteria import AveragingError, HopfZeroSystem, PerturbationFamily, float_range
 from .fieldexpr import partial
 from .flow import IntegratorConfig, MapJet
 
@@ -78,8 +78,12 @@ class BranchPoint:
     mu: float                  # on the unit-circle curve
     xi: Tuple[float, float]    # fixed point of the return map
     eigenvalue: complex        # lambda(mu(eps), eps), |lambda| = 1
-    theta: float               # arg lambda
     jet: MapJet                # value and Jacobian of the map at xi (jet1)
+
+    @property
+    def theta(self) -> float:
+        """arg lambda."""
+        return math.atan2(self.eigenvalue.imag, self.eigenvalue.real)
 
 
 @dataclass
@@ -199,9 +203,8 @@ def unit_circle_point(tmap, mu0: float, eps: float, alpha_d: float,
     mu_b = mu_a - ha / (2.0 * eps * alpha_d)
     for _ in range(UNIT_CIRCLE_MAX_ITER):
         if abs(ha) <= UNIT_CIRCLE_TOL:      # (mu_a, ha, xi, jet): the last point solved
-            lam = _complex_eigenvalue(jet.A)
-            return BranchPoint(eps=eps, mu=mu_a, xi=xi, eigenvalue=lam,
-                               theta=math.atan2(lam.imag, lam.real), jet=jet)
+            return BranchPoint(eps=eps, mu=mu_a, xi=xi,
+                               eigenvalue=_complex_eigenvalue(jet.A), jet=jet)
         hb, xi, jet = h(mu_b)
         if hb == ha:
             break
@@ -258,14 +261,15 @@ def branch_continuation(tmap, mu0: float, alpha_d: float) -> NSBranch:
     """Solve the Neimark-Sacker curve mu(eps) once, on every rung of
     BRANCH_LADDER, each secant started at the exact slope of alpha_d, the
     criteria report's; mu1 is fitted to mu(eps)/eps on the middle three
-    rungs and, in the degree-preserving simple case of the map's family,
+    rungs and, where the map's family is the degree-preserving simple one
+    of its system (equal to `PerturbationFamily.simple(system.beta)`),
     compared with the printed closed form of the map's system."""
     points = tuple(_ladder_points(tmap, mu0, alpha_d, BRANCH_LADDER))
     middle = points[1:4]
     mu1_numeric = _ladder_fit([(p.mu - mu0) / p.eps for p in middle],
                               [p.eps for p in middle], 0)[0]
     xi_closed = None
-    if tmap.family.simple_case:
+    if tmap.family == PerturbationFamily.simple(tmap.system.beta):
         xi_closed = printed_branch_constants(tmap.system)
     return NSBranch(points=points, mu1_numeric=mu1_numeric, xi_slices_closed=xi_closed)
 
@@ -337,13 +341,7 @@ def printed_branch_constants(sys: HopfZeroSystem) -> BranchConstants:
 # Jordan normalization of the return map at the bifurcation point
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NormalizedMap:
-    point: BranchPoint
-    M: Tuple[Tuple[float, float], Tuple[float, float]]    # ((1, 0), (m21, m22))
-
-
-def normalized_map(point: BranchPoint) -> NormalizedMap:
+def normalized_map(point: BranchPoint) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     """Eigenvector-based change of basis M at a Neimark-Sacker point (first
     component of the complex eigenvector scaled to i, reproducing the
     M0 + eps M1 normalization), read off the point's own D Pi: no transport.
@@ -354,7 +352,7 @@ def normalized_map(point: BranchPoint) -> NormalizedMap:
     m21, m22 = (lam.real - a) / b, -lam.imag / b     # v2 = -i (a - lam) / b
     if abs(m22) < 1e-12:
         raise AveragingError(f"normalizing matrix singular at eps={point.eps}")
-    return NormalizedMap(point=point, M=((1.0, 0.0), (m21, m22)))
+    return ((1.0, 0.0), (m21, m22))
 
 
 def _contract(T, vectors):
@@ -364,20 +362,19 @@ def _contract(T, vectors):
     return sum(v * _contract(t, vectors[1:]) for v, t in zip(vectors[0], T))
 
 
-def lyapunov_coefficient_map(tmap, nm: NormalizedMap) -> float:
+def lyapunov_coefficient_map(tmap, point: BranchPoint) -> float:
     """The map Lyapunov coefficient, evaluated verbatim with p = (1,-i)/sqrt2
     and <u, v> = conj(u)^T v on the degree-2 and degree-3 tensors of the
-    map's jet3 at the point's xi, in the basis M: <p, M^-1 B(M u, M v)> is
-    B(M u, M v) read against s = M^-T conj(p), so the tensors are contracted
-    with q = M p, conj(q) and s as they are.  Requires e^{ik theta} != 1 for
-    k = 1..4."""
-    point = nm.point
+    map's jet3 at the point's xi, in the basis M of `normalized_map`:
+    <p, M^-1 B(M u, M v)> is B(M u, M v) read against s = M^-T conj(p), so
+    the tensors are contracted with q = M p, conj(q) and s as they are.
+    Requires e^{ik theta} != 1 for k = 1..4."""
+    _, (m21, m22) = normalized_map(point)
     theta = point.theta
     for k in range(1, 5):
         if abs(cmath.exp(1j * k * theta) - 1.0) < STRONG_RESONANCE_TOL:
             raise StrongResonance(f"e^(i {k} theta) = 1 within {STRONG_RESONANCE_TOL}")
     jet = tmap.jet3(point.xi, point.mu, point.eps)
-    m21, m22 = nm.M[1]
     p0, p1 = 1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0)
     q = (p0, m21 * p0 + m22 * p1)
     qb = (q[0].conjugate(), q[1].conjugate())
@@ -406,7 +403,7 @@ def lyapunov_slices(tmap, branch: NSBranch) -> LyapunovSlices:
     """eps- and eps^2-slices of ell_1^eps, fitted to
     ell_1^eps = e l11 + e^2 l12 + e^3 l13 on the branch's three largest
     rungs: one jet3 per rung."""
-    vals = tuple((p.eps, lyapunov_coefficient_map(tmap, normalized_map(p)))
+    vals = tuple((p.eps, lyapunov_coefficient_map(tmap, p))
                  for p in branch.points[:3])
     l11, l12, _ = _ladder_fit([v for _, v in vals], [e for e, _ in vals], 1)
     return LyapunovSlices(l11=l11, l12=l12, values=vals)
@@ -416,10 +413,17 @@ def lyapunov_slices(tmap, branch: NSBranch) -> LyapunovSlices:
 class JordanExpansion:
     omega0: float
     zeta2: float
-    A1: Tuple[Tuple[float, float], Tuple[float, float]]
-    A2: Tuple[Tuple[float, float], Tuple[float, float]]
     m21_1: float
     m22_1: float
+
+    @property
+    def A1(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        return ((0.0, -self.omega0), (self.omega0, 0.0))
+
+    @property
+    def A2(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        diagonal = -0.5 * self.omega0 ** 2
+        return ((diagonal, -self.zeta2), (self.zeta2, diagonal))
 
 
 def jordan_expansion(branch: NSBranch) -> JordanExpansion:
@@ -433,13 +437,11 @@ def jordan_expansion(branch: NSBranch) -> JordanExpansion:
     eta slices vanish identically on the curve (up to the unit-circle solve
     tolerance). M1 entries come from the same ladder.
     """
-    nms = [normalized_map(p) for p in branch.points[-3:]]
-    ladder = [nm.point.eps for nm in nms]
-    omega0, zeta2, _ = _ladder_fit([nm.point.theta / nm.point.eps for nm in nms], ladder, 0)
-    # M[1,1] = m22_0 + eps m22_1 + ..., with M0 = [[1,0],[0, m22_0]]
-    _, m22_1, _ = _ladder_fit([nm.M[1][1] for nm in nms], ladder, 0)
-    m21_1 = _ladder_fit([nm.M[1][0] / nm.point.eps for nm in nms], ladder, 0)[0]
-    A1 = ((0.0, -omega0), (omega0, 0.0))
-    A2 = ((-0.5 * omega0 ** 2, -zeta2), (zeta2, -0.5 * omega0 ** 2))
-    return JordanExpansion(omega0=omega0, zeta2=zeta2, A1=A1, A2=A2,
-                           m21_1=m21_1, m22_1=m22_1)
+    points = branch.points[-3:]
+    ladder = [p.eps for p in points]
+    omega0, zeta2, _ = _ladder_fit([p.theta / p.eps for p in points], ladder, 0)
+    # rows M[1] = (m21, m22), m22 = m22_0 + eps m22_1 + ..., with M0 = [[1,0],[0, m22_0]]
+    rows = [normalized_map(p)[1] for p in points]
+    _, m22_1, _ = _ladder_fit([m22 for _, m22 in rows], ladder, 0)
+    m21_1 = _ladder_fit([m21 / e for (m21, _), e in zip(rows, ladder)], ladder, 0)[0]
+    return JordanExpansion(omega0=omega0, zeta2=zeta2, m21_1=m21_1, m22_1=m22_1)

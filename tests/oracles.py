@@ -70,14 +70,14 @@ from torusforge.fieldexpr import (
     MAX_NESTING, MAX_POWER, VARIABLES, FieldExprError, FieldSyntaxError, Poly,
     UnknownIdentifierError, _check_size, as_poly, compile_terms, partial,
 )
-from torusforge import flow
+from torusforge import flow, univariate
 from torusforge.flow import (
     _A, _B, _C, _E3, _E5, _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, PERIOD,
     FlowError, IntegratorConfig, Jet2, MapJet, RescaledField, StepSizeUnderflow,
     ThetaReturnMap,
 )
 from torusforge.lift import (
-    LiftError, NoPositiveOmegaFound, OriginJet, _horner, _inv3, _rational_sqrt, _row_poly,
+    LiftError, NoPositiveOmegaFound, OriginJet, _inv3, _rational_sqrt, _row_poly,
     build_lift_family, omega_coefficients, origin_jet,
 )
 from torusforge.nsbranch import BranchConstants
@@ -1087,7 +1087,7 @@ def lift_normalized_whole(seed_field, L, delta) -> Tuple[Poly, ...]:
     rational square."""
     fam = build_lift_family(seed_field, L, delta)
     P0, Q0, R0 = (as_poly(p).terms.get((0,) * 5, Fraction(0)) for p in seed_field)
-    L, delta, sd = fam.L, fam.delta, fam.sqrt_delta
+    L, delta, sd = fam.L, fam.delta, _rational_sqrt(fam.delta)
     M = [[Fraction(1), Fraction(0), Fraction(0)],
          [(L * delta + P0 * Q0) / (P0 * P0), sd / (P0 * P0), Fraction(0)],
          [R0 / P0, -L * sd * R0 / P0, Fraction(1)]]
@@ -1107,7 +1107,7 @@ def omega_of_lift(jet: OriginJet, L, delta) -> Fraction:
     L, delta = Fraction(L), Fraction(delta)
     if not _rational_sqrt(delta):
         raise LiftError(f"normalization failed at L={L}, delta={delta}")
-    return _horner([_horner(row, L) for row in rows], delta)
+    return univariate.value([univariate.value(row, L) for row in rows], delta)
 
 
 # the reference grids: L = 2^k, k = 0..6, and delta = 4^-k, k = 1..6
@@ -1124,7 +1124,7 @@ def grid_lift_parameters(polys, L_values, delta_values) -> Tuple[Fraction, Fract
     `lift.tune_lift_parameters` searches the powers 2^k and 4^-k on the
     closed form of Omega and builds one."""
     A = omega_coefficients(origin_jet(polys))[0]
-    L_star = next((L for L in sorted(L_values) if _horner(A, L) > 0), None)
+    L_star = next((L for L in sorted(L_values) if univariate.value(A, L) > 0), None)
     if L_star is None:
         raise NoPositiveOmegaFound("A(L) <= 0 on the whole L grid")
     for delta in sorted(delta_values, reverse=True):

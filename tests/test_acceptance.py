@@ -24,7 +24,7 @@ from torusforge.flow import PERIOD, IntegratorConfig, ThetaReturnMap, dop853
 from torusforge.lift import build_lift_family, tune_lift_parameters
 from torusforge.nsbranch import (
     RETURN_MAP_INTEGRATOR, branch_continuation, jordan_expansion, lyapunov_coefficient_map,
-    lyapunov_slices, normalized_map, printed_branch_constants, unit_circle_point, xi_slice,
+    lyapunov_slices, printed_branch_constants, unit_circle_point, xi_slice,
 )
 from torusforge.cli import write_report
 from torusforge.torus import CERTIFY_INTEGRATOR, _with_config, certify_torus
@@ -145,8 +145,8 @@ def test_criterion_5_lyapunov_consistency(example, ns_branch):
     details = []
     ok = True
     for eps in (0.02, 0.04):
-        nm = normalized_map(unit_circle_point(tmap, 0.0, eps, _alpha_d(sys, fam)))
-        value = lyapunov_coefficient_map(tmap, nm) / eps ** 2
+        point = unit_circle_point(tmap, 0.0, eps, _alpha_d(sys, fam))
+        value = lyapunov_coefficient_map(tmap, point) / eps ** 2
         details.append(f"eps={eps}: {value:.6f}")
         ok = ok and abs(value - target) <= 0.10 * abs(target) and value < 0
     slices = lyapunov_slices(tmap, ns_branch[0])     # ND-hypothesis slices
@@ -311,17 +311,18 @@ def test_criterion_7_degree_lift_identities():
                             Fraction(rng.randint(1, 5), rng.randint(1, 5)))
     char_ok = fam.char_poly_ok
     fam0 = build_lift_family(seed_field, Fraction(3), Fraction(0))
-    lin = Poly.variable("x").scale(fam0.a0) + Poly.variable("y").scale(fam0.b0)
+    a0, b0 = Qp.terms[mono(0, 0, 0)], -P.terms[mono(0, 0, 0)]      # (Q0, -P0)
+    lin = Poly.variable("x").scale(a0) + Poly.variable("y").scale(b0)
     factor_ok = all(fam0.lifted[i] == lin * seed_field[i] for i in range(3))
     fam_sq = build_lift_family(seed_field, Fraction(1), Fraction(1, 4))
     conj_ok = fam_sq.system is not None     # the linear part is (-y, x, 0) exactly
     tuning = tune_lift_parameters(seed_field)
-    limit_ok = abs(float(tuning.A_limit - tuning.A_limit_printed)) <= 1e-6
+    limit_ok = abs(float(tuning.A_coeffs[2] - tuning.A_limit_printed)) <= 1e-6
     elapsed = time.perf_counter() - start
     ok = char_ok and factor_ok and conj_ok and limit_ok and elapsed < 60.0
     _announce("criterion 7 (char poly exact; X_{L,0} factorization exact; "
               "linear part exact; A(L)/L^2 limit to 1e-6; < 1 min)",
-              ok, f"A_limit={tuning.A_limit}, printed={tuning.A_limit_printed}, "
+              ok, f"A_limit={tuning.A_coeffs[2]}, printed={tuning.A_limit_printed}, "
                   f"{elapsed:.1f}s")
 
 
@@ -538,14 +539,15 @@ def _compared(value):
 def _views(values):
     """(name, function) of what one leaf, whose values are `values`, can be
     repeated as: itself, whether it is present (not null), whether a number
-    is nonzero, a list's length and entries, an exact rational's float, and
-    whether a string is each of its values."""
+    is nonzero, whether a list is empty, its length and entries, an exact
+    rational's float, and whether a string is each of its values."""
     present = [v for v in values if v is not None]
     views = [("", lambda v: v), (" is not None", lambda v: v is not None)]
     if present and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        for v in present):
         views.append((" != 0", lambda v: None if v is None else v != 0))
     if present and all(isinstance(v, list) for v in present):
+        views.append((" is empty", lambda v: None if v is None else v == []))
         views.append((" length", lambda v: None if v is None else len(v)))
         for i in range(min(len(v) for v in present)):
             entry = (lambda v, i=i: None if v is None else v[i])
@@ -677,6 +679,7 @@ def test_every_report_leaf_carries_information(audited_reports):
 AUDIT_ALLOWED = {
     "meta.tool": "the tool's name, in every report",
     "meta.version": "the package version: one per release",
+    "criteria.applicable": "reasons is empty; the exit code and the fields analyze gate read it",
     "criteria.omega": "omega_exact as a float, beside the exact rational",
     "criteria.ell1": "ell1_exact as a float: the lift's runs to hundreds of digits",
     "criteria.perturbation.mu0": "roots[0][0], the theorem's mu0 by name, read by the fields pass",

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import random
 import sys as _sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -529,15 +530,15 @@ def test_hypothesis_check_example():
     no flag, and alpha_d stays in the criteria block alone."""
     sys, fam, std, mel = _example_pair()
     rep = criteria_report(sys, fam, (-1.0, 1.0))
-    details = hypotheses(rep)["details"]
-    assert list(details) == ["omega0", "l12"]
-    assert details["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
+    block = hypotheses(rep)
+    assert list(block) == ["omega0", "l12"]
+    assert block["omega0"] == pytest.approx(2 * math.pi, abs=1e-10)
     # the float eigensolve at mu0 sees the pair +-i omega0
     mu0 = rep.perturbation.mu0
     lam = _eigenvalues(mel, _equilibrium(sys, fam, mu0), mu0)
-    assert lam[0] == pytest.approx(1j * details["omega0"], abs=1e-10)
+    assert lam[0] == pytest.approx(1j * block["omega0"], abs=1e-10)
     assert rep.perturbation.alpha_d == pytest.approx(math.pi, abs=1e-8)
-    assert details["l12"] == rep.base.l12 == -3 * math.pi / 4
+    assert block["l12"] == rep.base.l12 == -3 * math.pi / 4
     assert rep.applicable
 
 
@@ -551,7 +552,7 @@ def test_hypothesis_h_fails_for_negative_omega():
     rep = criteria_report(sys, fam, (-1.0, 1.0))
     assert spectrum_identity(mel, sys, fam)
     assert not rep.base.nondegenerate and not rep.applicable
-    assert hypotheses(rep)["details"]["omega0"] is None
+    assert hypotheses(rep)["omega0"] is None
     r, w = _equilibrium(sys, fam, rep.perturbation.mu0)
     lam = np.linalg.eigvals(f1_jacobian(mel, (r, w), rep.perturbation.mu0))
     assert np.isrealobj(lam) and lam.min() < 0 < lam.max()
@@ -566,8 +567,7 @@ def test_hypothesis_h_holds_in_other_units(k):
     fam = PerturbationFamily.from_expressions("0", "0", f"mu*z + {k}*eps")
     rep = criteria_report(sys, fam, (-1.0, 1.0))
     assert rep.base.nondegenerate
-    assert hypotheses(rep)["details"]["omega0"] == pytest.approx(2 * math.pi * float(k),
-                                                                rel=1e-12)
+    assert hypotheses(rep)["omega0"] == pytest.approx(2 * math.pi * float(k), rel=1e-12)
 
 
 def test_det_m_closed_form():
@@ -822,6 +822,26 @@ def example_ladder():
     return tmap, nsbranch.branch_continuation(tmap, 0.0, _alpha_d(sys, fam))
 
 
+def test_branch_compares_closed_forms_on_the_simple_family_alone(example_ladder, monkeypatch):
+    """A family is simple where it equals (0, 0, mu*z + beta*eps) with the
+    system's beta, however it was built: on the worked example's ladder
+    (beta = 1), W = mu*z + eps written out gets the printed closed forms,
+    mu1 = 3/4, and W = mu*z - eps, the family of beta = -1, gets none."""
+    tmap, branch = example_ladder
+    monkeypatch.setattr(nsbranch, "_ladder_points", lambda *args: list(branch.points))
+    sys = tmap.system
+    for W, mu1 in (("mu*z + eps", Fraction(3, 4)), ("mu*z - eps", None)):
+        fam = PerturbationFamily.from_expressions("0", "0", W)
+        got = nsbranch.branch_continuation(types.SimpleNamespace(system=sys, family=fam),
+                                           0.0, math.pi)
+        assert got.mu1_numeric == branch.mu1_numeric
+        if mu1 is None:
+            assert got.xi_slices_closed is None and "mu1_closed" not in got.to_dict()
+        else:
+            assert got.xi_slices_closed == branch.xi_slices_closed
+            assert got.xi_slices_closed.mu1 == mu1
+
+
 def test_branch_fits_match_the_vandermonde_solve(example_ladder):
     """mu1, the Lyapunov slices and the Jordan expansion's omega0 and zeta2
     of the worked example, fitted exactly and rounded once, agree with a
@@ -848,9 +868,8 @@ def test_normalized_map_matches_the_numpy_normalization(example_ladder):
     1e-12 of |DH|: the identity the normalization rests on."""
     _, branch = example_ladder
     for point in branch.points:
-        nm = nsbranch.normalized_map(point)
         M, DH = normalizing_matrix(point)
-        assert np.allclose(nm.M, M, rtol=1e-12, atol=0.0)
+        assert np.allclose(nsbranch.normalized_map(point), M, rtol=1e-12, atol=0.0)
         c, s = math.cos(point.theta), math.sin(point.theta)
         assert np.max(np.abs(DH - [[c, -s], [s, c]])) <= 1e-12 * np.max(np.abs(DH))
 
@@ -861,7 +880,6 @@ def test_lyapunov_coefficient_matches_the_einsum_contraction(example_ladder):
     contraction in the basis M to 1e-12 relative."""
     tmap, branch = example_ladder
     for point in branch.points:
-        nm = nsbranch.normalized_map(point)
         want = lyapunov_coefficient_einsum(tmap.jet3(point.xi, point.mu, point.eps),
                                            normalizing_matrix(point)[0], point.theta)
-        assert nsbranch.lyapunov_coefficient_map(tmap, nm) == pytest.approx(want, rel=1e-12)
+        assert nsbranch.lyapunov_coefficient_map(tmap, point) == pytest.approx(want, rel=1e-12)

@@ -382,8 +382,26 @@ def test_branch_hopf_is_local_and_unit_free(tmp_path, doc):
     report = json.loads((out / "branch.json").read_text())
     assert report["criteria"]["perturbation"]["mu0"] == 0.0
     assert report["criteria"]["omega"] > 0       # H
-    assert set(report["hypotheses"]["details"]) == {"omega0", "l12"}
-    assert report["hypotheses"]["details"]["omega0"] > 0
+    assert set(report["hypotheses"]) == {"omega0", "l12"}
+    assert report["hypotheses"]["omega0"] > 0
+
+
+def test_branch_reads_the_simple_family_however_it_is_written(tmp_path):
+    """The worked example's simple family (0, 0, mu*z + eps), beta = 1,
+    written as {"simple": true} and as {"W": "mu*z + eps"}, gives one
+    branch.json outside `meta`, closed forms and mu1_closed = 3/4 included."""
+    reports = []
+    for i, pert in enumerate(({"simple": True}, {"W": "mu*z + eps"})):
+        path = _write_doc(tmp_path, {"system": EXAMPLE_DOC["system"], "perturbation": pert},
+                          f"doc{i}.json")
+        out = tmp_path / f"out{i}"
+        assert main(["branch", "--input", path, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "branch.json").read_text())
+        del report["meta"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[1]["branch"]["mu1_closed"] == 0.75
+    assert reports[1]["closed_forms"]["mu1"] == "3/4"
 
 
 # Omega = -12: the averaged equilibrium is a saddle
@@ -841,7 +859,7 @@ def test_branch_solves_five_points_and_makes_three_jet3(tmp_path, monkeypatch):
 
 
 # branch.json of branch on the worked example
-BRANCH_JSON_SHA256 = "d8478e944640ab7942d5037dfb374537715607970822b89892b0008b25cef0ef"
+BRANCH_JSON_SHA256 = "6165edc984f7f9e3fdbff7ba340a1eef3bf71a3e6af54fb5a42e5665f292146e"
 
 
 # certificate.json of certify --mu=-0.2 --eps=0.02 on the worked example

@@ -112,20 +112,21 @@ def test_build_lift_char_poly_exact():
 def test_delta_zero_factorization():
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     fam = build_lift_family(polys, Q(3), Q(0))
-    lin = Poly.variable("x").scale(fam.a0) + Poly.variable("y").scale(fam.b0)
+    # (a0, b0) = (Q0, -P0), read off the seed's constant terms
+    a0, b0 = polys[1].terms[(0,) * 5], -polys[0].terms[(0,) * 5]
+    lin = Poly.variable("x").scale(a0) + Poly.variable("y").scale(b0)
     for i in range(3):
         assert fam.lifted[i] == lin * polys[i]
     # on the degenerate plane a0 x + b0 y = 0 the lift vanishes identically:
     # substitute x = -b0 t, y = a0 t and check the factor annihilates
     t = Poly.variable("mu")    # reuse a spare variable as the line parameter
-    sub = {"x": t.scale(-fam.b0), "y": t.scale(fam.a0)}
+    sub = {"x": t.scale(-b0), "y": t.scale(a0)}
     assert not (lin.substitute(sub)).terms
 
 
 def test_normalized_linear_part_exact():
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     fam = build_lift_family(polys, Q(1), Q(1, 4))    # delta a rational square
-    assert fam.sqrt_delta == Q(1, 2)
     assert fam.system is not None                    # conjugation is exact
     assert fam.system.omega > 0
 
@@ -159,13 +160,13 @@ def test_tuning_limit_matches_printed_formula():
         except NoPositiveOmegaFound:
             continue
         tuned += 1
-        assert tuning.A_limit == tuning.A_limit_printed      # exact rationals
+        assert tuning.A_coeffs[2] == tuning.A_limit_printed      # exact rationals
         # Omega(L*, delta) is its quadratic rows' value, exactly, on squares
         rows = omega_coefficients(origin_jet(polys))
         for delta in (Q(1, 4 ** 6), Q(1, 4 ** 5), Q(1, 4 ** 4)):
-            quadratic = sum(sum(c * tuning.L_star ** i for i, c in enumerate(row)) * delta ** j
+            quadratic = sum(sum(c * tuning.family.L ** i for i, c in enumerate(row)) * delta ** j
                             for j, row in enumerate(rows))
-            assert build_lift_family(polys, tuning.L_star, delta).system.omega == quadratic
+            assert build_lift_family(polys, tuning.family.L, delta).system.omega == quadratic
         assert tuning.family.char_poly_ok
         assert tuning.family.system is not None     # the linear part is exact
         assert abs(tuning.report.base.ell1) > 0
@@ -333,7 +334,7 @@ def test_tuning_samples_omega_without_building_lifts(monkeypatch):
     monkeypatch.setattr(torusforge.lift, "build_lift_family", counting_build)
     polys = _polys(("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2"))
     tuning = tune_lift_parameters(polys)
-    assert calls == [(tuning.L_star, tuning.delta_star)]
+    assert calls == [(tuning.family.L, tuning.family.delta)]
 
 
 LIFT_SEED = ("2 + x + 1/2*z + x^2", "1 - y + 2*z + y^2", "3 + x + z^2")
@@ -480,7 +481,7 @@ def test_small_R0_seed_lifts_past_two_to_the_6(monkeypatch, R0, k):
         grid_lift_parameters(polys, LIFT_L_GRID, LIFT_DELTA_GRID)
     calls.clear()
     tuning = tune_lift_parameters(polys)
-    assert (tuning.L_star, tuning.delta_star) == (Q(2) ** k, Q(1, 4))
+    assert (tuning.family.L, tuning.family.delta) == (Q(2) ** k, Q(1, 4))
     assert calls == [(Q(2) ** k, Q(1, 4))]
     assert tuning.report.applicable and tuning.family.char_poly_ok
 
@@ -493,15 +494,15 @@ def test_far_first_positive_power_takes_logarithmically_many_evaluations(monkeyp
     FloatRangeExceeded."""
     polys = _small_R0_seed("1/1" + "0" * 100)
     A = omega_coefficients(origin_jet(polys))[0]
-    assert torusforge.lift._horner(A, Q(2) ** 664) <= 0 < torusforge.lift._horner(A, Q(2) ** 665)
+    exact = torusforge.lift.value
+    assert exact(A, Q(2) ** 664) <= 0 < exact(A, Q(2) ** 665)
     at = []
-    exact = torusforge.lift._horner
 
-    def counting_horner(coefficients, t):
+    def counting_value(coefficients, t):
         if tuple(coefficients) == A:
             at.append(t)
         return exact(coefficients, t)
-    monkeypatch.setattr(torusforge.lift, "_horner", counting_horner)
+    monkeypatch.setattr(torusforge.lift, "value", counting_value)
     with pytest.raises(FloatRangeExceeded):
         tune_lift_parameters(polys)
     assert len(at) == 22 and max(at) == Q(2) ** 1024 and at[-1] == Q(2) ** 665
@@ -523,6 +524,6 @@ def test_closed_form_choice_equals_the_grid_choice(seed, index, j):
     try:
         expected = grid_lift_parameters(polys, LIFT_L_GRID, LIFT_DELTA_GRID)
     except NoPositiveOmegaFound:
-        assert tuning.L_star > LIFT_L_GRID[-1] or tuning.delta_star < LIFT_DELTA_GRID[-1]
+        assert tuning.family.L > LIFT_L_GRID[-1] or tuning.family.delta < LIFT_DELTA_GRID[-1]
     else:
-        assert (tuning.L_star, tuning.delta_star) == expected
+        assert (tuning.family.L, tuning.family.delta) == expected

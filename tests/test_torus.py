@@ -264,8 +264,7 @@ def _certify_synthetic(monkeypatch, tmap):
     jet = MapJet(value=tmap.center, A=np.diag([1.5, 1.0]))
     monkeypatch.setattr("torusforge.torus._newton_fixed_point",
                         lambda *args: (tmap.center, jet))
-    point = BranchPoint(eps=0.1, mu=0.0, xi=tmap.center, eigenvalue=1j, theta=math.pi / 2,
-                        jet=jet)
+    point = BranchPoint(eps=0.1, mu=0.0, xi=tmap.center, eigenvalue=1j, jet=jet)
     return certify_torus(tmap, 0.0, point, 1.0)
 
 
@@ -339,8 +338,7 @@ def test_certify_singular_newton_step_is_fixed_point_not_found():
     """A map whose D Pi is the identity makes the certifier's Newton step
     singular: certify_torus raises FixedPointNotFound, whose message says so."""
     jet = MapJet(value=(1.0, 0.0), A=((1.0, 0.0), (0.0, 1.0)))
-    point = BranchPoint(eps=0.05, mu=0.0375, xi=(1.0, 0.0), eigenvalue=1j,
-                        theta=math.pi / 2, jet=jet)
+    point = BranchPoint(eps=0.05, mu=0.0375, xi=(1.0, 0.0), eigenvalue=1j, jet=jet)
     with pytest.raises(FixedPointNotFound, match="singular"):
         certify_torus(_IdentityJetMap(), 0.05, point, -0.1)
 

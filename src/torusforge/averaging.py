@@ -40,9 +40,9 @@ that builds a Melnikov pair.  What the other commands share with it lives
 in `criteria`: the exact eps slices it reduces (`eps_graded_slices`), the
 closed-form equilibrium, `AveragingError` and the theorem's hypotheses,
 which `branch` reads off the criteria report (`criteria.hypotheses`), so
-`flow`, `nsbranch`, `torus` and `branch` never load it.  It imports no
-numpy: `MelnikovPair.f1` and `f2_closed` give a tuple of Python floats at
-one point.
+`flow`, `nsbranch`, `torus` and `branch` never load it.
+`MelnikovPair.f1` and `f2_closed` give a tuple of Python floats at one
+point.
 """
 
 from __future__ import annotations

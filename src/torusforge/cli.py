@@ -56,10 +56,8 @@ Each command loads only the layers it runs.  Importing this module runs
 other layers are bound lazily (`_deferred`) and run on a command's first
 use: `averaging` for `melnikov` alone, `flow` for `simulate`,
 `branch` and `certify`, `lift` for `lift`, and the return map's solves and
-fits (`nsbranch`, `torus`) for `branch` and `certify`.  Only a `certify`
-whose probe settles on a curve loads numpy, for the analysis of the sampled
-curve; every other command, `branch` and a `certify` that finds no torus
-among them, runs on the exact layer and Python floats.
+fits (`nsbranch`, `torus`) for `branch` and `certify`.  No command loads
+numpy: every one runs on the exact layer and Python floats.
 """
 
 from __future__ import annotations
@@ -420,7 +418,7 @@ def cmd_certify(args) -> int:
     write_report(os.path.join(args.out, "certificate.json"), payload)
     if cert.curve_points is not None:
         write_csv(os.path.join(args.out, "curve.csv"), ("n", "r", "w"),
-                  ([i, *p] for i, p in enumerate(cert.curve_points.tolist())))
+                  ([i, *p] for i, p in enumerate(cert.curve_points)))
     return EXIT_OK
 
 

@@ -37,9 +37,8 @@ exactly, then (mu, eps) is folded in.  `jet3`, the degree-3 jet the
 Jordan normalization reads, carries a truncated two-variable Taylor
 polynomial (the coefficient ODE, 20 floats) through the return's own
 right-hand side, `rhs("return", mu, eps)`, on Jet2 values.  A jet of the
-map (`MapJet`) holds nested tuples of Python floats: this module imports no
-numpy, and `nsbranch` solves, normalizes and contracts on the jets as they
-are.
+map (`MapJet`) holds nested tuples of Python floats, and `nsbranch` solves,
+normalizes and contracts on the jets as they are.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ eigenvector basis of D Pi.
 The return map's jets (`flow.MapJet`) hold Python floats, and this module
 reads them as they are: the Newton (its 2x2 step `_solve_2x2`), the secant,
 the Jordan normalization and the tensor contractions run on Python floats
-and complex numbers, and each ladder fit is exact, rounded once: no numpy.
+and complex numbers, and each ladder fit is exact, rounded once.
 
 The simple family's printed branch constants and the return map's
 tolerances live here, with their readers; the seed's closed form and

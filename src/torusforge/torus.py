@@ -5,9 +5,10 @@ curve of the return map.  Certification follows one orbit onto that curve,
 fits the radius of its iterates about their centroid with a Fourier series
 in the angle, measures on the same iterates the rotation number and the
 normal Lyapunov exponent, both as weighted Birkhoff averages, and issues a
-verdict.  The fit is one QR of the order-FOURIER_ORDER design, which gives
-the residual of every lower order too; the order kept is the smallest one
-whose rms is within FOURIER_TOLERANCE of the full order's.
+verdict.  The fit is one Cholesky factorization of the order-FOURIER_ORDER
+design's Gram matrix, read off the samples' power sums, which gives the
+residual of every lower order too; the order kept is the smallest one whose
+rms is within FOURIER_TOLERANCE of the full order's.
 
 Near the bifurcation the multipliers are 1 + O(eps^2), so raw transients
 are long; a probe phase first iterates the seed xi + (amp, 0) until the
@@ -38,11 +39,9 @@ The fixed point xi is the fixed-point Newton of `nsbranch`, seeded at the
 Neimark-Sacker point's fixed point, which that point's own Newtons reached
 from the map's averaged equilibrium (`ThetaReturnMap.averaged_equilibrium`,
 the criteria's closed form), so certification reads no Melnikov pair.  The
-fixed point, the probe and the orbit it goes on to are pairs of Python
-floats, so a no_torus verdict loads no numpy.  The samples become an array
-once the orbit has run its transient and window: the Fourier fit, the
-rotation number, the normal exponent and the winding number import numpy
-where they make their arrays, the only numpy in the package.
+fixed point, the probe, the orbit it goes on to and the samples are pairs of
+Python floats, and the Fourier fit, the rotation number, the normal exponent
+and the winding number run on them as they are: no numpy.
 """
 
 from __future__ import annotations
@@ -52,14 +51,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .criteria import AveragingError
 from .flow import FlowError, IntegratorConfig
 from .nsbranch import BranchPoint, _newton_fixed_point
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NORMAL_SAMPLES = 512    # with 256 the worked example's lambda_n is 5 sigma from 0
 SIGMA_MULTIPLE = 10     # the halves' difference underestimates the error
@@ -92,48 +88,119 @@ class NonMonotoneLift(TorusError):
 
 @dataclass
 class FourierCurve:
-    center: np.ndarray
-    cos_coeffs: np.ndarray            # a_0 .. a_K
-    sin_coeffs: np.ndarray            # b_1 .. b_K
+    center: Tuple[float, float]
+    cos_coeffs: List[float]           # a_0 .. a_K
+    sin_coeffs: List[float]           # b_1 .. b_K
     rms_residual: float
 
     @property
     def mean_radius(self) -> float:
-        return float(self.cos_coeffs[0])
+        return self.cos_coeffs[0]
 
 
-def fit_fourier_curve(points: np.ndarray) -> FourierCurve:
+def _complex_sum(values) -> complex:
+    return complex(math.fsum([v.real for v in values]), math.fsum([v.imag for v in values]))
+
+
+def fit_fourier_curve(points: List[Tuple[float, float]]) -> FourierCurve:
     """Least-squares radius(angle) fit about the samples' centroid.
 
-    One QR of the design [1, cos a, sin a, ..., cos Na, sin Na], N =
-    FOURIER_ORDER, gives every nested order's residual: with z = Q^T rad,
-    the first p columns leave |rad - Q z|^2 + sum_{j >= p} z_j^2.  The order
-    is the smallest K >= 2 whose rms is within FOURIER_TOLERANCE of order
-    N's, and its coefficients solve the leading (2K+1)-block of R."""
-    import numpy as np
-    points = np.asarray(points, dtype=float)
-    center = points.mean(axis=0)
-    rel = points - center
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    rad = np.linalg.norm(rel, axis=1)
-    harmonics = np.outer(ang, np.arange(1, FOURIER_ORDER + 1))
-    A = np.ones((len(ang), 2 * FOURIER_ORDER + 1))
-    A[:, 1::2] = np.cos(harmonics)
-    A[:, 2::2] = np.sin(harmonics)
-    Q, R = np.linalg.qr(A)
-    z = Q.T @ rad
-    # the squared residual of the first p columns, p = 0 .. 2 * FOURIER_ORDER + 1
-    sq = np.append(np.cumsum(z[::-1] ** 2)[::-1], 0.0) + np.sum((rad - Q @ z) ** 2)
-    rms = np.sqrt(sq[1::2] / len(rad))          # rms[K]: the order-K fit's
-    K = 2 + int(np.argmax(rms[2:] <= (1.0 + FOURIER_TOLERANCE) * rms[-1]))
-    p = 2 * K + 1
-    coef = np.linalg.solve(R[:p, :p], z[:p])
-    return FourierCurve(center=center,
-                        cos_coeffs=np.concatenate([[coef[0]], coef[1::2]]),
-                        sin_coeffs=coef[2::2], rms_residual=float(rms[K]))
+    The design [1, cos a, sin a, ..., cos Na, sin Na], N = FOURIER_ORDER, is
+    never formed.  Its Gram matrix is Toeplitz plus Hankel in the power sums
+    P_m = sum_j e^{i m a_j}, m <= 2N, so one pass over the samples builds it
+    and the right-hand side b.  The leading blocks of its Cholesky factor L
+    are the nested orders' factors, so with z = L^-1 b the first p columns
+    leave the full order's squared residual, computed directly, plus
+    sum_{j >= p} z_j^2.  The order is the smallest K >= 2 whose rms is
+    within FOURIER_TOLERANCE of the full order's, and its coefficients solve
+    the leading (2K+1)-block of L^T.  Samples that determine fewer than 2N +
+    1 columns, a period-q orbit with q <= 2N + 1, end the factorization at
+    the first pivot within rounding, and the columns before it end the full
+    order."""
+    n = len(points)
+    cr = math.fsum([r for r, _ in points]) / n
+    cw = math.fsum([w for _, w in points]) / n
+    rad, unit = [], []                          # |rel| and e^{i a} = rel / |rel|
+    for r, w in points:
+        x, y = r - cr, w - cw
+        rad.append(math.hypot(x, y))
+        unit.append(complex(x / rad[-1], y / rad[-1]) if rad[-1] else 1 + 0j)  # atan2(0, 0) = 0
+    P, R = [complex(n)], [complex(math.fsum(rad))]   # R_k = sum_j rad_j e^{i k a_j}
+    power = unit
+    for m in range(1, 2 * FOURIER_ORDER + 1):
+        P.append(_complex_sum(power))
+        if m <= FOURIER_ORDER:
+            R.append(_complex_sum([r * v for r, v in zip(rad, power)]))
+        power = [v * u for v, u in zip(power, unit)]
+
+    def gram(j, sine_j, k, sine_k):
+        # sum_j of (sin if sine_j else cos)(j a) times (sin if sine_k else cos)(k a)
+        plus = P[j + k]
+        minus = P[j - k] if j >= k else P[k - j].conjugate()
+        if sine_j == sine_k:
+            return 0.5 * (minus.real - plus.real if sine_j else minus.real + plus.real)
+        return 0.5 * ((plus + minus).imag if sine_j else (plus - minus).imag)
+
+    columns = [(0, False)] + [(k, s) for k in range(1, FOURIER_ORDER + 1) for s in (False, True)]
+    b = [R[k].imag if s else R[k].real for k, s in columns]
+    # A pivot is the squared distance of its column from the span of the
+    # columns before it.  Each e^{i m a} is a running product, off by about
+    # sqrt(m) roundings, so the Gram entries, sums over n samples, round at
+    # about sqrt(2N) u n; the rows of L below a pivot d are divided by
+    # sqrt(d), so each later pivot is uncertain by about sqrt(2N) u n^2 /
+    # d_min, d_min the smallest pivot so far.  The first pivot within that
+    # bound is rounding: its column lies in the span of the ones before it,
+    # as on a period-q orbit, q <= 2N + 1, and the factorization stops there.
+    rounding = math.sqrt(2 * FOURIER_ORDER) * math.ulp(1.0) * n * n
+    L, z, smallest = [], [], float(n)
+    for i, (k, s) in enumerate(columns):
+        row = []
+        for j in range(i):
+            row.append((gram(k, s, *columns[j])
+                        - math.fsum([x * y for x, y in zip(row, L[j])])) / L[j][j])
+        pivot = gram(k, s, k, s) - math.fsum([x * x for x in row])
+        if not pivot > rounding / smallest:
+            break
+        smallest = min(smallest, pivot)
+        row.append(math.sqrt(pivot))
+        L.append(row)
+        z.append((b[i] - math.fsum([x * y for x, y in zip(row, z)])) / row[i])
+
+    def solve(p):
+        c = [0.0] * p
+        for i in reversed(range(p)):
+            c[i] = (z[i] - math.fsum([L[j][i] * c[j] for j in range(i + 1, p)])) / L[i][i]
+        return c
+
+    # the p columns the samples determine end the full order; where p is
+    # even the last of them is a cosine, and its sine, which lies in their
+    # span, gets the coefficient 0
+    p = len(L)
+    top = p // 2
+    coef = solve(p) + [0.0] * (2 * top + 1 - p)
+    fit = [0j] * n                              # the full order's sum_k (a_k - i b_k) e^{i k a}
+    for k in range(top, 0, -1):
+        d = complex(coef[2 * k - 1], -coef[2 * k])
+        fit = [(f + d) * u for f, u in zip(fit, unit)]
+    full = math.fsum([(r - coef[0] - f.real) ** 2 for r, f in zip(rad, fit)])
+    rms = [math.sqrt((full + math.fsum([v * v for v in z[min(2 * K + 1, p):]])) / n)
+           for K in range(top + 1)]            # rms[K]: the order-K fit's
+    K = next(K for K in range(min(2, top), top + 1)
+             if rms[K] <= (1.0 + FOURIER_TOLERANCE) * rms[top])
+    c = coef if K == top else solve(2 * K + 1)
+    return FourierCurve(center=(cr, cw), cos_coeffs=[c[0]] + c[1::2],
+                        sin_coeffs=c[2::2], rms_residual=rms[K])
 
 
-def rotation_number(points: np.ndarray, center: np.ndarray) -> Tuple[float, float]:
+def _wrapped(turn: float) -> float:
+    """An angle increment taken into [-pi, pi]."""
+    if turn < -math.pi:
+        return turn + 2 * math.pi
+    return turn - 2 * math.pi if turn > math.pi else turn
+
+
+def rotation_number(points: List[Tuple[float, float]], center: Tuple[float, float]
+                    ) -> Tuple[float, float]:
     """Rotation number (revolutions per return) of consecutive iterates on a
     closed curve about `center`, Birkhoff-weighted, with an uncertainty
     estimate.
@@ -141,44 +208,35 @@ def rotation_number(points: np.ndarray, center: np.ndarray) -> Tuple[float, floa
     Raises NonMonotoneLift when the samples are not a radial graph over the
     angle about the center (the lift is then ill-defined).
     """
-    import numpy as np
-    points = np.asarray(points, dtype=float)
     if len(points) < 256:
         raise TorusError(f"need >= 256 consecutive iterates, got {len(points)}")
-    rel = points - center
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    rad = np.linalg.norm(rel, axis=1)
+    cr, cw = center
+    ang = [math.atan2(w - cw, r - cr) for r, w in points]
+    rad = [math.hypot(r - cr, w - cw) for r, w in points]
 
-    order = np.argsort(ang)
-    sorted_rad = rad[order]
-    jumps = np.abs(np.diff(sorted_rad))
-    if np.max(jumps) > 0.5 * np.mean(sorted_rad):
+    sorted_rad = [rad[i] for i in sorted(range(len(ang)), key=ang.__getitem__)]
+    jumps = [abs(b - a) for a, b in zip(sorted_rad, sorted_rad[1:])]
+    if max(jumps) > 0.5 * math.fsum(sorted_rad) / len(sorted_rad):
         raise NonMonotoneLift("samples are not a radial graph over the angle")
 
-    inc = np.diff(ang)
-    inc = np.where(inc < -np.pi, inc + 2 * np.pi,
-                   np.where(inc > np.pi, inc - 2 * np.pi, inc))
-    return birkhoff_average(inc / (2 * np.pi))
+    return birkhoff_average([_wrapped(b - a) / (2 * math.pi) for a, b in zip(ang, ang[1:])])
 
 
-def birkhoff_average(values) -> Tuple[float, float]:
+def birkhoff_average(values: List[float]) -> Tuple[float, float]:
     """Weighted Birkhoff average of a sequence along one orbit, and its
     uncertainty, the difference of the averages over the two halves.  The
     weights exp(-1/(t(1-t))) converge faster than any power of the length on
     a quasiperiodic orbit (Das, Sander, Saiki & Yorke, Nonlinearity 30, 2017)."""
-    import numpy as np
 
     def weighted(v):
-        t = (np.arange(len(v)) + 0.5) / len(v)
-        w = np.exp(-1.0 / (t * (1.0 - t)))
-        return float(np.sum(w * v) / np.sum(w))
+        w = [math.exp(-1.0 / (t * (1.0 - t))) for t in ((i + 0.5) / len(v) for i in range(len(v)))]
+        return math.fsum([a * b for a, b in zip(w, v)]) / math.fsum(w)
 
-    values = np.asarray(values, dtype=float)
     half = len(values) // 2
     return weighted(values), abs(weighted(values[:half]) - weighted(values[half:]))
 
 
-def normal_exponent(tmap, samples: np.ndarray, mu: float, eps: float
+def normal_exponent(tmap, samples: List[Tuple[float, float]], mu: float, eps: float
                     ) -> Tuple[Optional[float], Optional[float]]:
     """(lambda_n, sigma_n) per forward return of the curve through `samples`,
     the `birkhoff_average` of log |det D Pi| over the first NORMAL_SAMPLES:
@@ -216,19 +274,16 @@ def normal_hyperbolicity(rho: Optional[float], rho_unc: Optional[float],
     return abs(lam) >= SIGMA_MULTIPLE * lam_unc, None
 
 
-def winding_number(curve_points: np.ndarray, about: np.ndarray) -> int:
+def winding_number(curve_points: List[Tuple[float, float]], about: Tuple[float, float]) -> int:
     """Winding of the angle-ordered curve polygon about a point."""
-    import numpy as np
-    points = np.asarray(curve_points, dtype=float)
-    rel = points - np.asarray(about, dtype=float)
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    centred = points - points.mean(axis=0)
-    order = np.argsort(np.arctan2(centred[:, 1], centred[:, 0]))
-    a = ang[order]
-    inc = np.diff(np.concatenate([a, a[:1]]))
-    inc = np.where(inc < -np.pi, inc + 2 * np.pi,
-                   np.where(inc > np.pi, inc - 2 * np.pi, inc))
-    return int(round(float(np.sum(inc)) / (2 * np.pi)))
+    n = len(curve_points)
+    cr = math.fsum([r for r, _ in curve_points]) / n
+    cw = math.fsum([w for _, w in curve_points]) / n
+    centred = [math.atan2(w - cw, r - cr) for r, w in curve_points]
+    xr, xw = about
+    ang = [math.atan2(w - xw, r - xr) for r, w in curve_points]
+    a = [ang[i] for i in sorted(range(n), key=centred.__getitem__)]
+    return round(math.fsum([_wrapped(y - x) for x, y in zip(a, a[1:] + a[:1])]) / (2 * math.pi))
 
 
 @dataclass
@@ -242,7 +297,7 @@ class TorusCertificate:
     # known only once an invariant curve was located
     observed_stability: Optional[str] = None  # attracting | repelling (forward time)
     curve: Optional[FourierCurve] = None
-    curve_points: Optional[np.ndarray] = None
+    curve_points: Optional[List[Tuple[float, float]]] = None
     fit_residual: Optional[float] = None
     rotation: Optional[float] = None
     rotation_uncertainty: Optional[float] = None
@@ -262,15 +317,15 @@ class TorusCertificate:
             "normal_exponent_uncertainty": self.normal_exponent_uncertainty,
             "normally_hyperbolic": self.normally_hyperbolic,
             "winding": self.winding,
-            "fixed_point": [float(v) for v in self.fixed_point],
+            "fixed_point": list(self.fixed_point),
             "theta_eps": self.theta_eps,
             "notes": list(self.notes),
         }
         if self.curve is not None:
             out["curve"] = {
-                "center": [float(v) for v in self.curve.center],
-                "cos": [float(v) for v in self.curve.cos_coeffs],
-                "sin": [float(v) for v in self.curve.sin_coeffs],
+                "center": list(self.curve.center),
+                "cos": list(self.curve.cos_coeffs),
+                "sin": list(self.curve.sin_coeffs),
                 "mean_radius": self.curve.mean_radius,
             }
         return out
@@ -379,8 +434,7 @@ def certify_torus(tmap, mu: float, point: BranchPoint, l12: float) -> TorusCerti
     if iterates is None:
         return no_torus(f"the probe orbit escapes in {direction} time after it "
                         "settled; no invariant curve")
-    import numpy as np
-    samples = np.array(iterates[TRANSIENT:])
+    samples = iterates[TRANSIENT:]
 
     curve = fit_fourier_curve(samples)
     residual = curve.rms_residual

@@ -29,7 +29,9 @@ lift's normalization matrix, on symbols too: the references for the
 closed form `lift.omega_coefficients`, which `omega_of_lift` evaluates.  `normal_contraction` measures the
 normal rate of an invariant curve by following a ring of probes off it,
 the reference for `torus.normal_exponent`, and `fourier_fit_lstsq` solves one least-squares
-problem per Fourier order, the reference for `torus.fit_fourier_curve`.
+problem per Fourier order and `fourier_fit_qr` every order from one QR of
+the design, the references for `torus.fit_fourier_curve`, which reads every
+order off the Cholesky factor of the design's Gram matrix.
 `ladder_fit_vander`, `normalizing_matrix` and `lyapunov_coefficient_einsum`
 are the Neimark-Sacker layer's fits, Jordan normalization and tensor
 contractions on numpy arrays (a LAPACK solve, inv(M) @ A @ M, einsum): the
@@ -81,6 +83,7 @@ from torusforge.lift import (
     build_lift_family, omega_coefficients, origin_jet,
 )
 from torusforge.nsbranch import BranchConstants
+from torusforge.torus import FOURIER_ORDER, FOURIER_TOLERANCE, FourierCurve
 
 EVENT_RESIDUAL = 1e-12
 TANGENCY_SPEED = 1e-8
@@ -1173,7 +1176,8 @@ def lift_omega(jet, L, delta, sd):
 
 
 # ---------------------------------------------------------------------------
-# the Fourier fit of an invariant curve, one least-squares problem per order
+# the Fourier fit of an invariant curve: one least-squares problem per
+# order, and every order from one QR
 # ---------------------------------------------------------------------------
 
 def fourier_fit_lstsq(points, center, order) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -1191,6 +1195,36 @@ def fourier_fit_lstsq(points, center, order) -> Tuple[np.ndarray, np.ndarray, fl
     coef, *_ = np.linalg.lstsq(A, rad, rcond=None)
     rms = float(np.sqrt(np.mean((rad - A @ coef) ** 2)))
     return np.concatenate([[coef[0]], coef[1::2]]), coef[2::2], rms
+
+
+def fourier_fit_qr(points) -> FourierCurve:
+    """Least-squares radius(angle) fit about the samples' centroid.
+
+    One QR of the design [1, cos a, sin a, ..., cos Na, sin Na], N =
+    FOURIER_ORDER, gives every nested order's residual: with z = Q^T rad,
+    the first p columns leave |rad - Q z|^2 + sum_{j >= p} z_j^2.  The order
+    is the smallest K >= 2 whose rms is within FOURIER_TOLERANCE of order
+    N's, and its coefficients solve the leading (2K+1)-block of R."""
+    points = np.asarray(points, dtype=float)
+    center = points.mean(axis=0)
+    rel = points - center
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    rad = np.linalg.norm(rel, axis=1)
+    harmonics = np.outer(ang, np.arange(1, FOURIER_ORDER + 1))
+    A = np.ones((len(ang), 2 * FOURIER_ORDER + 1))
+    A[:, 1::2] = np.cos(harmonics)
+    A[:, 2::2] = np.sin(harmonics)
+    Q, R = np.linalg.qr(A)
+    z = Q.T @ rad
+    # the squared residual of the first p columns, p = 0 .. 2 * FOURIER_ORDER + 1
+    sq = np.append(np.cumsum(z[::-1] ** 2)[::-1], 0.0) + np.sum((rad - Q @ z) ** 2)
+    rms = np.sqrt(sq[1::2] / len(rad))          # rms[K]: the order-K fit's
+    K = 2 + int(np.argmax(rms[2:] <= (1.0 + FOURIER_TOLERANCE) * rms[-1]))
+    p = 2 * K + 1
+    coef = np.linalg.solve(R[:p, :p], z[:p])
+    return FourierCurve(center=center,
+                        cos_coeffs=np.concatenate([[coef[0]], coef[1::2]]),
+                        sin_coeffs=coef[2::2], rms_residual=float(rms[K]))
 
 
 # ---------------------------------------------------------------------------

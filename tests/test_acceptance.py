@@ -2,10 +2,12 @@
 pass line each (run with -s to see them live)."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
 import re
+import struct
 import time
 from fractions import Fraction
 from unittest import mock
@@ -30,10 +32,12 @@ from torusforge.cli import write_report
 from torusforge.torus import CERTIFY_INTEGRATOR, _with_config, certify_torus
 
 from oracles import (
-    branch_xi1, f1_quadrature, jet_product, map_points, normal_contraction, raw_partials,
+    branch_xi1, f1_quadrature, fourier_fit_qr, jet_product, map_points, normal_contraction,
+    raw_partials,
 )
 from test_averaging import _benchmark_inputs
 from test_flow import WARM_RETURN_BOUND
+from test_torus import _same_fit
 
 EXAMPLE = ("0", "y*z", "-x^2 + x*y + z^2")
 
@@ -220,7 +224,7 @@ def kappa_pair(example, certification):
 # the torus-side samples of the criterion-6 certification at (0.05, 0.05)
 CURVE_POINTS_SHA256 = "11ad33aec921f7e4e2e221330a5f8beb24d30809cbe9ead37c4045a8258dc5bd"
 # the same certificate, written by cli.write_report
-FOUND_CERTIFICATE_SHA256 = "1d97fa2b1ab3423cf9871e0c901287901d26e4e70155124d40e103c790019c01"
+FOUND_CERTIFICATE_SHA256 = "31621eb96efc7d4851ba1132e6d36a8a929d2234f6b9fd7eead9c73f626f6081"
 
 
 def test_criterion_6_certificate_bytes(certification, tmp_path):
@@ -252,11 +256,11 @@ def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
     reverse = found.observed_stability == "repelling"
     exact, cold = True, 0.0
     for i in (0, 1, 1000, len(samples) - 2):
-        x = tuple(map(float, samples[i]))
+        x = samples[i]
         for _, y in dop853(rhs, 0.0, -PERIOD if reverse else PERIOD, x,
                            CERTIFY_INTEGRATOR.atol, CERTIFY_INTEGRATOR.rtol, warm[x]):
             pass
-        exact = exact and np.array(y).tobytes() == samples[i + 1].tobytes()
+        exact = exact and struct.pack("2d", *y) == struct.pack("2d", *samples[i + 1])
         cold = max(cold, *(abs(a - b) for a, b in zip(
             tmap.point(x, 0.05, 0.05, reverse=reverse), samples[i + 1])))
     one_orbit = chained and exact and cold <= WARM_RETURN_BOUND
@@ -266,7 +270,8 @@ def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
           and kappa < 1.0
           and found.normally_hyperbolic is True
           and one_orbit)
-    assert (hashlib.sha256(found.curve_points.tobytes()).hexdigest()
+    assert (hashlib.sha256(struct.pack(f"{2 * len(samples)}d",
+                                       *itertools.chain.from_iterable(samples))).hexdigest()
             == CURVE_POINTS_SHA256)
     _announce("criterion 6b (kappa_fwd*kappa_rev = 1 within 10%; curve encloses "
               "fixed point; rotation stable; normally hyperbolic; samples are "
@@ -276,6 +281,14 @@ def test_criterion_6_certificate_invariants(example, certification, kappa_pair):
                   f"lambda_n={found.normal_exponent:.4e} "
                   f"+- {found.normal_exponent_uncertainty:.1e}, one_orbit={one_orbit}, "
                   f"cold return {cold:.1e}")
+
+
+def test_criterion_6_fit_matches_qr_oracle(certification):
+    """The certified curve is the QR oracle's fit of the criterion-6
+    samples, whose design has full rank: the same order, and coefficients
+    and rms within 1e-12 of the mean radius (`_same_fit`)."""
+    found = certification[0]
+    assert _same_fit(found.curve, fourier_fit_qr(found.curve_points))
 
 
 def test_normal_exponent_matches_kappa_pair(certification, kappa_pair):

@@ -1231,10 +1231,10 @@ def test_each_command_runs_its_layers_without_numpy(tmp_path):
     assert _sha256(out / "branch" / "branch.json") == BRANCH_JSON_SHA256
 
 
-def test_only_torus_imports_numpy():
-    """Of the package's modules only `torus`, whose Fourier fit is one QR of
-    a 2048-row design, imports numpy; every other module runs on the exact
-    layer and Python floats."""
+def test_no_module_imports_numpy():
+    """No module of the package imports numpy: every one runs on the exact
+    layer and Python floats, `torus`'s Fourier fit on the power sums of its
+    samples."""
     importers = set()
     for path in Path(torusforge.cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -1246,7 +1246,7 @@ def test_only_torus_imports_numpy():
                 continue
             if any(m.split(".")[0] == "numpy" for m in modules):
                 importers.add(path.name)
-    assert importers == {"torus.py"}
+    assert importers == set()
 
 
 # span pairs for `linspace`: any finite pair, pairs across 0, and spans of a

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -15,7 +16,7 @@ from torusforge.torus import (
     normal_exponent, normal_hyperbolicity, rotation_number, winding_number,
 )
 
-from oracles import fourier_fit_lstsq, normal_contraction
+from oracles import fourier_fit_lstsq, fourier_fit_qr, normal_contraction
 from test_averaging import _IdentityJetMap
 
 
@@ -61,7 +62,7 @@ def test_fourier_fit_recovers_wobbly_circle(harmonic):
     curve = fit_fourier_curve(pts)
     assert curve.rms_residual <= {3: 1e-10, 5: 1e-8}[harmonic]
     assert abs(curve.mean_radius - 0.3) <= 1e-3
-    assert curve.center.tobytes() == pts.mean(axis=0).tobytes()
+    assert curve.center == (math.fsum(pts[:, 0]) / len(pts), math.fsum(pts[:, 1]) / len(pts))
 
 
 def test_winding_number():
@@ -165,13 +166,44 @@ def test_probe_returns_unsettled_tail_after_probe_max():
     assert np.array(tail).tobytes() == reference.tobytes()
 
 
+# the linear map that makes the synthetic map's circle an ellipse
+_SHEAR = np.array([[1.3, 0.2], [0.0, 0.8]])
+_SHEAR_INV = np.linalg.inv(_SHEAR)
+
+
 def _eccentric_orbit():
-    """The synthetic map's orbit, started 1e-6 off its circle, seen through a
-    linear map that makes the circle an ellipse: the fit's order is where the
-    ellipse's harmonics meet the transient, far above rounding."""
+    """The synthetic map's orbit, started 1e-6 off its circle, seen through
+    _SHEAR: the fit's order is where the ellipse's harmonics meet the
+    transient, far above rounding."""
     tmap = _SyntheticMap()
     orbit = tmap.iterates(tmap.center + [tmap.rho0 + 1e-6, 0.0], 512)
-    return tmap.center + (orbit - tmap.center) @ np.array([[1.3, 0.2], [0.0, 0.8]]).T
+    return tmap.center + (orbit - tmap.center) @ _SHEAR.T
+
+
+def _period_orbit(q, n=2048):
+    """n samples of a period-q orbit: the q points of the synthetic map's
+    circle at the angles 2 pi j / q, seen through _SHEAR, in turn."""
+    tmap = _SyntheticMap()
+    ang = 2 * np.pi * np.arange(q) / q
+    ring = tmap.rho0 * np.stack([np.cos(ang), np.sin(ang)], axis=1) @ _SHEAR.T
+    return tmap.center + ring[np.arange(n) % q]
+
+
+class _EllipticMap(_SyntheticMap):
+    """The synthetic map seen through _SHEAR: its invariant curve is an
+    ellipse, on which a rotation by 2 pi p / q makes period-q orbits."""
+
+    def _inner(self, X):
+        return self.center + (np.asarray(X, dtype=float) - self.center) @ _SHEAR_INV.T
+
+    def points(self, X, mu, eps, reverse=False):
+        inner = super().points(self._inner(np.atleast_2d(X)), mu, eps, reverse)
+        return self.center + (inner - self.center) @ _SHEAR.T
+
+    def jet1(self, x, mu, eps):
+        jet = super().jet1(self._inner(x), mu, eps)
+        return MapJet(value=self.point(x, mu, eps),
+                      A=_SHEAR @ jet.A @ _SHEAR_INV)
 
 
 @pytest.mark.parametrize("samples", ["harmonic-5 circle", "eccentric orbit"])
@@ -193,6 +225,56 @@ def test_fourier_fit_matches_lstsq_oracle(samples):
     assert np.max(np.abs(curve.cos_coeffs - cos)) <= tol
     assert np.max(np.abs(curve.sin_coeffs - sin)) <= tol
     assert abs(curve.rms_residual - rms) <= tol
+
+
+def _same_fit(curve, oracle):
+    """Whether a fit and the QR oracle's agree: the same order, and
+    coefficients and rms within 1e-12 of the mean radius."""
+    tol = 1e-12 * curve.mean_radius
+    return (len(curve.sin_coeffs) == len(oracle.sin_coeffs)
+            and np.max(np.abs(np.subtract(curve.cos_coeffs, oracle.cos_coeffs))) <= tol
+            and np.max(np.abs(np.subtract(curve.sin_coeffs, oracle.sin_coeffs)), initial=0.0) <= tol
+            and abs(curve.rms_residual - oracle.rms_residual) <= tol)
+
+
+# a period-q orbit's design has rank q, deficient for q <= 2 FOURIER_ORDER + 1
+_FIT_SAMPLES = {"harmonic-3 circle": lambda: _circle_samples(wobble=0.1, harmonic=3),
+                "harmonic-5 circle": lambda: _circle_samples(wobble=0.1, harmonic=5),
+                "eccentric orbit": _eccentric_orbit}
+_FIT_SAMPLES.update({f"period {q}": functools.partial(_period_orbit, q) for q in (7, 40, 64, 80)})
+
+
+@pytest.mark.parametrize("samples", _FIT_SAMPLES)
+def test_fourier_fit_matches_qr_oracle(samples):
+    """The fit of the samples as pairs of floats against the QR of the whole
+    design (`fourier_fit_qr`).  Where the design has full rank they agree
+    (`_same_fit`).  Where it is rank-deficient, a period-q orbit with q <=
+    2 FOURIER_ORDER + 1, both interpolate the q points: the rms is at the
+    rounding floor, which for the fit's normal equations is the square of
+    the design's condition number times the rounding unit.  At q = 64 that
+    floor is 2.4e-12 of the mean radius, and the QR's 2e-15."""
+    pts = _FIT_SAMPLES[samples]()
+    curve = fit_fourier_curve(pts.tolist())
+    oracle = fourier_fit_qr(pts)
+    if len(set(map(tuple, pts.tolist()))) > 2 * FOURIER_ORDER + 1:
+        assert _same_fit(curve, oracle)
+    else:
+        assert curve.rms_residual <= 1e-11 * curve.mean_radius
+        assert oracle.rms_residual <= 1e-11 * curve.mean_radius
+
+
+@pytest.mark.parametrize("q", [7, 40, 64])
+def test_certify_period_orbit_matches_qr_oracle(monkeypatch, q):
+    """certify_torus on the elliptic synthetic map at rotation 1/q, whose
+    samples are a period-q orbit and make the design rank-deficient: the fit
+    raises nothing, and the certificate's verdict and notes are those the
+    QR oracle's fit gives."""
+    cert = _certify_synthetic(monkeypatch, _EllipticMap(rot=2 * math.pi / q))
+    monkeypatch.setattr("torusforge.torus.fit_fourier_curve", fourier_fit_qr)
+    oracle = _certify_synthetic(monkeypatch, _EllipticMap(rot=2 * math.pi / q))
+    assert cert.verdict == oracle.verdict == "torus_found"
+    assert cert.notes == oracle.notes
+    assert cert.fit_residual <= 1e-11 * cert.curve.mean_radius
 
 
 def test_normal_contraction_on_synthetic_map():
